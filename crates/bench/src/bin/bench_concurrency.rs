@@ -1,121 +1,57 @@
 //! Emit `BENCH_concurrency.json`: aggregate launch throughput and p50/p99
-//! launch latency at 8/64/256 concurrent keep-alive sessions, condvar-notified
-//! waits vs the legacy 100 µs sleep-poll lock baseline, plus the mid-epoch
-//! case — untouched sessions' launch p99 while rebalance epochs hammer a
-//! co-resident sharded session. The process exits non-zero if the 64-session
-//! speedup falls under `MIN_SPEEDUP_AT_64` or the mid-epoch p99 ratio exceeds
-//! `MAX_MID_EPOCH_P99_RATIO`.
+//! launch latency at 8/64/256 concurrent keep-alive sessions, plus the
+//! mid-epoch case — untouched sessions' launch p99 while rebalance epochs
+//! hammer a co-resident sharded session. The process exits non-zero if the
+//! mid-epoch p99 ratio exceeds `MAX_MID_EPOCH_P99_RATIO` or no epoch ran.
 //!
 //! ```text
 //! bench_concurrency [--out PATH] [--quick]
 //! ```
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 use ftn_bench::concurrency_bench::MAX_MID_EPOCH_P99_RATIO;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out = PathBuf::from("BENCH_concurrency.json");
-    let mut quick = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => out = PathBuf::from(p),
-                    None => {
-                        eprintln!("error: --out needs a path");
-                        return ExitCode::FAILURE;
-                    }
-                }
+    ftn_bench::driver::bench_main(
+        "bench_concurrency",
+        "BENCH_concurrency.json",
+        ftn_bench::concurrency_bench::run,
+        |report| {
+            for p in &report.points {
+                println!(
+                    "{:3} sessions: p50 {:7.1} us, p99 {:7.1} us, {:7.0} launches/s",
+                    p.sessions,
+                    p.p50_seconds * 1e6,
+                    p.p99_seconds * 1e6,
+                    p.throughput_lps,
+                );
             }
-            "--quick" => quick = true,
-            "--help" | "-h" => {
-                eprintln!("usage: bench_concurrency [--out PATH] [--quick]");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("error: unknown flag '{other}'");
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
-    }
-
-    let report = ftn_bench::concurrency_bench::run(quick);
-    for p in &report.points {
-        println!(
-            "{:3} sessions: p50 {:7.1} us, p99 {:7.1} us, {:7.0} launches/s \
-             | legacy p50 {:7.1} us, p99 {:7.1} us, {:7.0} launches/s | {:.2}x",
-            p.sessions,
-            p.p50_seconds * 1e6,
-            p.p99_seconds * 1e6,
-            p.throughput_lps,
-            p.legacy_p50_seconds * 1e6,
-            p.legacy_p99_seconds * 1e6,
-            p.legacy_throughput_lps,
-            p.speedup_vs_legacy,
-        );
-    }
-    let m = &report.mid_epoch;
-    println!(
-        "mid-epoch: {} untouched sessions x {} launches, {} epochs ({} migrated): \
-         p99 {:7.1} us quiet vs {:7.1} us mid-epoch = {:.2}x",
-        m.untouched_sessions,
-        m.launches_per_session,
-        m.epochs,
-        m.migrated_epochs,
-        m.no_epoch_p99_seconds * 1e6,
-        m.mid_epoch_p99_seconds * 1e6,
-        m.p99_ratio,
-    );
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    if let Err(e) = std::fs::write(&out, json + "\n") {
-        eprintln!("error: cannot write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {}", out.display());
-
-    let mut failed = false;
-    let floor = report.enforced_min_speedup;
-    if floor < report.min_speedup_at_64 {
-        println!(
-            "note: {} hardware thread(s) — enforcing the {floor:.2}x \
-             overhead-elimination floor instead of the {:.1}x parallel floor",
-            report.cpus, report.min_speedup_at_64,
-        );
-    }
-    if let Some(p64) = report.points.iter().find(|p| p.sessions == 64) {
-        if p64.speedup_vs_legacy < floor {
-            eprintln!(
-                "error: {:.2}x launch throughput at 64 sessions is under the \
-                 {floor:.2}x floor vs the single-lock sleep-poll build",
-                p64.speedup_vs_legacy,
+            let m = &report.mid_epoch;
+            println!(
+                "mid-epoch: {} untouched sessions x {} launches, {} epochs ({} migrated): \
+                 p99 {:7.1} us quiet vs {:7.1} us mid-epoch = {:.2}x ({} hardware thread(s))",
+                m.untouched_sessions,
+                m.launches_per_session,
+                m.epochs,
+                m.migrated_epochs,
+                m.no_epoch_p99_seconds * 1e6,
+                m.mid_epoch_p99_seconds * 1e6,
+                m.p99_ratio,
+                report.cpus,
             );
-            failed = true;
-        }
-    } else {
-        eprintln!("error: no 64-session point measured");
-        failed = true;
-    }
-    if m.epochs == 0 {
-        eprintln!("error: the mid-epoch phase completed no rebalance epochs");
-        failed = true;
-    }
-    if m.p99_ratio > MAX_MID_EPOCH_P99_RATIO {
-        eprintln!(
-            "error: mid-epoch p99 ratio {:.2}x exceeds the {MAX_MID_EPOCH_P99_RATIO:.1}x \
-             ceiling — epochs are stalling sessions they do not migrate",
-            m.p99_ratio,
-        );
-        failed = true;
-    }
-    if failed {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+            let mut violations = Vec::new();
+            if m.epochs == 0 {
+                violations.push("the mid-epoch phase completed no rebalance epochs".to_string());
+            }
+            if m.p99_ratio > MAX_MID_EPOCH_P99_RATIO {
+                violations.push(format!(
+                    "mid-epoch p99 ratio {:.2}x exceeds the {MAX_MID_EPOCH_P99_RATIO:.1}x \
+                     ceiling — epochs are stalling sessions they do not migrate",
+                    m.p99_ratio,
+                ));
+            }
+            violations
+        },
+    )
 }

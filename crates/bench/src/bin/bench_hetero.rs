@@ -1,75 +1,54 @@
 //! Emit `BENCH_hetero.json`: weighted vs uniform shard plans on a
 //! 2:1-speed 4-device pool (≥ 1.25× launch throughput enforced for the
-//! weighted plan) and batched vs per-shard fan-out submit cost.
+//! weighted plan) and the fan-out's submit cost with its message count
+//! (one message per device enforced).
 //!
 //! ```text
 //! bench_hetero [--out PATH] [--quick]
 //! ```
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out = PathBuf::from("BENCH_hetero.json");
-    let mut quick = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => out = PathBuf::from(p),
-                    None => {
-                        eprintln!("error: --out needs a path");
-                        return ExitCode::FAILURE;
-                    }
-                }
+    ftn_bench::driver::bench_main(
+        "bench_hetero",
+        "BENCH_hetero.json",
+        |quick| {
+            let (elements, launches) = if quick { (16384, 8) } else { (65536, 16) };
+            ftn_bench::hetero_bench::run(elements, launches)
+        },
+        |report| {
+            println!("pool: {}", report.pool.join(" | "));
+            for p in [&report.weighted, &report.uniform] {
+                println!(
+                    "{:>8} plan: rows {:?} on devices {:?}, {:7.0} launches/sim-s (makespan {:.6} sim-s)",
+                    p.plan, p.shard_rows, p.devices, p.launches_per_sim_second, p.makespan_sim_seconds,
+                );
             }
-            "--quick" => quick = true,
-            "--help" | "-h" => {
-                eprintln!("usage: bench_hetero [--out PATH] [--quick]");
-                return ExitCode::SUCCESS;
+            println!(
+                "weighted vs uniform launch throughput: {:.2}x",
+                report.weighted_speedup
+            );
+            let s = &report.submit;
+            println!(
+                "submit cost at {} shards: {:6.1} us/launch in {:.0} messages",
+                s.shards, s.batched_us_per_launch, s.batched_messages_per_launch,
+            );
+            let mut violations = Vec::new();
+            if report.weighted_speedup < 1.25 {
+                violations.push(format!(
+                    "expected >= 1.25x launch throughput from weighted plans on the 2:1 pool, got {:.2}x",
+                    report.weighted_speedup
+                ));
             }
-            other => {
-                eprintln!("error: unknown flag '{other}'");
-                return ExitCode::FAILURE;
+            if s.batched_messages_per_launch != report.pool.len() as f64 {
+                violations.push(format!(
+                    "expected one worker message per device per launch ({}), got {:.2}",
+                    report.pool.len(),
+                    s.batched_messages_per_launch
+                ));
             }
-        }
-        i += 1;
-    }
-
-    let (elements, launches) = if quick { (16384, 8) } else { (65536, 16) };
-    let report = ftn_bench::hetero_bench::run(elements, launches);
-    println!("pool: {}", report.pool.join(" | "));
-    for p in [&report.weighted, &report.uniform] {
-        println!(
-            "{:>8} plan: rows {:?} on devices {:?}, {:7.0} launches/sim-s (makespan {:.6} sim-s)",
-            p.plan, p.shard_rows, p.devices, p.launches_per_sim_second, p.makespan_sim_seconds,
-        );
-    }
-    println!(
-        "weighted vs uniform launch throughput: {:.2}x",
-        report.weighted_speedup
-    );
-    let s = &report.submit;
-    println!(
-        "submit cost at {} shards: {:6.1} us/launch batched ({:.0} msgs) vs {:6.1} us/launch per-shard ({:.0} msgs) — {:.2}x",
-        s.shards, s.batched_us_per_launch, s.batched_messages_per_launch,
-        s.per_shard_us_per_launch, s.per_shard_messages_per_launch, s.submit_speedup,
-    );
-    if report.weighted_speedup < 1.25 {
-        eprintln!(
-            "error: expected >= 1.25x launch throughput from weighted plans on the 2:1 pool, got {:.2}x",
-            report.weighted_speedup
-        );
-        return ExitCode::FAILURE;
-    }
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    if let Err(e) = std::fs::write(&out, json + "\n") {
-        eprintln!("error: cannot write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {}", out.display());
-    ExitCode::SUCCESS
+            violations
+        },
+    )
 }

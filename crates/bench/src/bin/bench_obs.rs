@@ -11,117 +11,80 @@
 //! bench_obs [--out PATH] [--quick]
 //! ```
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 use ftn_bench::obs_bench::MAX_OVERHEAD_FRACTION;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out = PathBuf::from("BENCH_obs.json");
-    let mut quick = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => out = PathBuf::from(p),
-                    None => {
-                        eprintln!("error: --out needs a path");
-                        return ExitCode::FAILURE;
-                    }
-                }
+    ftn_bench::driver::bench_main(
+        "bench_obs",
+        "BENCH_obs.json",
+        |quick| {
+            let (requests_per_client, trials, burst) =
+                if quick { (50, 7, 100) } else { (200, 11, 200) };
+            ftn_bench::obs_bench::run(requests_per_client, trials, burst)
+        },
+        |report| {
+            for p in &report.latency {
+                println!(
+                    "{:2} clients: p50 {:7.1} us, p99 {:7.1} us, {:7.0} req/s ({} requests)",
+                    p.clients,
+                    p.p50_seconds * 1e6,
+                    p.p99_seconds * 1e6,
+                    p.throughput_rps,
+                    p.requests,
+                );
             }
-            "--quick" => quick = true,
-            "--help" | "-h" => {
-                eprintln!("usage: bench_obs [--out PATH] [--quick]");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("error: unknown flag '{other}'");
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
-    }
-
-    let (requests_per_client, trials, burst) = if quick { (50, 7, 100) } else { (200, 11, 200) };
-    let report = ftn_bench::obs_bench::run(requests_per_client, trials, burst);
-    for p in &report.latency {
-        println!(
-            "{:2} clients: p50 {:7.1} us, p99 {:7.1} us, {:7.0} req/s ({} requests)",
-            p.clients,
-            p.p50_seconds * 1e6,
-            p.p99_seconds * 1e6,
-            p.throughput_rps,
-            p.requests,
-        );
-    }
-    let o = &report.overhead;
-    println!(
-        "tracing overhead: {:.2}% floor / {:.2}% median (best: enabled {:.4}s vs disabled {:.4}s over {} requests, {} interleaved pairs); disabled span = {:.1} ns/call",
-        o.overhead_fraction * 100.0,
-        o.median_overhead_fraction * 100.0,
-        o.enabled_seconds,
-        o.disabled_seconds,
-        o.requests_per_trial,
-        o.trials,
-        o.disabled_span_nanos,
-    );
-    let s = &report.scrape_overhead;
-    println!(
-        "scrape+SLO overhead @ {} ms cadence: {:.2}% floor / {:.2}% median (best: scraping {:.4}s vs off {:.4}s over {} requests, {} interleaved pairs; SLOs: {})",
-        s.scrape_interval_ms,
-        s.overhead_fraction * 100.0,
-        s.median_overhead_fraction * 100.0,
-        s.enabled_seconds,
-        s.disabled_seconds,
-        s.requests_per_trial,
-        s.trials,
-        s.slos.join(", "),
-    );
-    let p = &report.profile_overhead;
-    println!(
-        "profile-poll overhead @ {} ms cadence: {:.2}% floor / {:.2}% median (best: polling {:.4}s vs idle {:.4}s over {} requests, {} interleaved pairs, {} polls)",
-        p.poll_interval_ms,
-        p.overhead_fraction * 100.0,
-        p.median_overhead_fraction * 100.0,
-        p.enabled_seconds,
-        p.disabled_seconds,
-        p.requests_per_trial,
-        p.trials,
-        p.polls,
-    );
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    if let Err(e) = std::fs::write(&out, json + "\n") {
-        eprintln!("error: cannot write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {}", out.display());
-    if o.overhead_fraction > MAX_OVERHEAD_FRACTION {
-        eprintln!(
-            "error: tracing overhead {:.2}% exceeds the {:.0}% budget",
-            o.overhead_fraction * 100.0,
-            MAX_OVERHEAD_FRACTION * 100.0,
-        );
-        return ExitCode::FAILURE;
-    }
-    if s.overhead_fraction > MAX_OVERHEAD_FRACTION {
-        eprintln!(
-            "error: scrape+SLO overhead {:.2}% exceeds the {:.0}% budget",
-            s.overhead_fraction * 100.0,
-            MAX_OVERHEAD_FRACTION * 100.0,
-        );
-        return ExitCode::FAILURE;
-    }
-    if p.overhead_fraction > MAX_OVERHEAD_FRACTION {
-        eprintln!(
-            "error: profile-poll overhead {:.2}% exceeds the {:.0}% budget",
-            p.overhead_fraction * 100.0,
-            MAX_OVERHEAD_FRACTION * 100.0,
-        );
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
+            let o = &report.overhead;
+            println!(
+                "tracing overhead: {:.2}% floor / {:.2}% median (best: enabled {:.4}s vs disabled {:.4}s over {} requests, {} interleaved pairs); disabled span = {:.1} ns/call",
+                o.overhead_fraction * 100.0,
+                o.median_overhead_fraction * 100.0,
+                o.enabled_seconds,
+                o.disabled_seconds,
+                o.requests_per_trial,
+                o.trials,
+                o.disabled_span_nanos,
+            );
+            let s = &report.scrape_overhead;
+            println!(
+                "scrape+SLO overhead @ {} ms cadence: {:.2}% floor / {:.2}% median (best: scraping {:.4}s vs off {:.4}s over {} requests, {} interleaved pairs; SLOs: {})",
+                s.scrape_interval_ms,
+                s.overhead_fraction * 100.0,
+                s.median_overhead_fraction * 100.0,
+                s.enabled_seconds,
+                s.disabled_seconds,
+                s.requests_per_trial,
+                s.trials,
+                s.slos.join(", "),
+            );
+            let p = &report.profile_overhead;
+            println!(
+                "profile-poll overhead @ {} ms cadence: {:.2}% floor / {:.2}% median (best: polling {:.4}s vs idle {:.4}s over {} requests, {} interleaved pairs, {} polls)",
+                p.poll_interval_ms,
+                p.overhead_fraction * 100.0,
+                p.median_overhead_fraction * 100.0,
+                p.enabled_seconds,
+                p.disabled_seconds,
+                p.requests_per_trial,
+                p.trials,
+                p.polls,
+            );
+            [
+                ("tracing", o.overhead_fraction),
+                ("scrape+SLO", s.overhead_fraction),
+                ("profile-poll", p.overhead_fraction),
+            ]
+            .iter()
+            .filter(|(_, fraction)| *fraction > MAX_OVERHEAD_FRACTION)
+            .map(|(what, fraction)| {
+                format!(
+                    "{what} overhead {:.2}% exceeds the {:.0}% budget",
+                    fraction * 100.0,
+                    MAX_OVERHEAD_FRACTION * 100.0,
+                )
+            })
+            .collect()
+        },
+    )
 }

@@ -6,79 +6,50 @@
 //! bench_rebalance [--out PATH] [--quick]
 //! ```
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out = PathBuf::from("BENCH_rebalance.json");
-    let mut quick = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => out = PathBuf::from(p),
-                    None => {
-                        eprintln!("error: --out needs a path");
-                        return ExitCode::FAILURE;
-                    }
-                }
+    ftn_bench::driver::bench_main(
+        "bench_rebalance",
+        "BENCH_rebalance.json",
+        |quick| {
+            let (elements, launches) = if quick { (16384, 16) } else { (65536, 32) };
+            ftn_bench::rebalance_bench::run(elements, launches)
+        },
+        |report| {
+            println!(
+                "pool: {} | tenant: {:.6} sim-s on device {}",
+                report.pool.join(" | "),
+                report.tenant_sim_seconds,
+                report.tenant_device,
+            );
+            for p in [&report.frozen, &report.auto] {
+                println!(
+                    "{:>6}: rows {:?} -> {:?}, {} epoch(s) moved {} rows, {:7.0} launches/sim-s (makespan {:.6} sim-s)",
+                    p.policy,
+                    p.shard_rows_before,
+                    p.shard_rows_after,
+                    p.replans,
+                    p.rows_migrated,
+                    p.launches_per_sim_second,
+                    p.makespan_sim_seconds,
+                );
             }
-            "--quick" => quick = true,
-            "--help" | "-h" => {
-                eprintln!("usage: bench_rebalance [--out PATH] [--quick]");
-                return ExitCode::SUCCESS;
+            println!(
+                "auto-rebalance vs frozen launch throughput: {:.2}x",
+                report.rebalance_speedup
+            );
+            let mut violations = Vec::new();
+            if report.rebalance_speedup < 1.2 {
+                violations.push(format!(
+                    "expected >= 1.2x launch throughput from auto-rebalance under a background tenant, got {:.2}x",
+                    report.rebalance_speedup
+                ));
             }
-            other => {
-                eprintln!("error: unknown flag '{other}'");
-                return ExitCode::FAILURE;
+            if report.auto.replans == 0 || report.auto.rows_migrated == 0 {
+                violations.push("the auto point never executed a migration epoch".to_string());
             }
-        }
-        i += 1;
-    }
-
-    let (elements, launches) = if quick { (16384, 16) } else { (65536, 32) };
-    let report = ftn_bench::rebalance_bench::run(elements, launches);
-    println!(
-        "pool: {} | tenant: {:.6} sim-s on device {}",
-        report.pool.join(" | "),
-        report.tenant_sim_seconds,
-        report.tenant_device,
-    );
-    for p in [&report.frozen, &report.auto] {
-        println!(
-            "{:>6}: rows {:?} -> {:?}, {} epoch(s) moved {} rows, {:7.0} launches/sim-s (makespan {:.6} sim-s)",
-            p.policy,
-            p.shard_rows_before,
-            p.shard_rows_after,
-            p.replans,
-            p.rows_migrated,
-            p.launches_per_sim_second,
-            p.makespan_sim_seconds,
-        );
-    }
-    println!(
-        "auto-rebalance vs frozen launch throughput: {:.2}x",
-        report.rebalance_speedup
-    );
-    if report.rebalance_speedup < 1.2 {
-        eprintln!(
-            "error: expected >= 1.2x launch throughput from auto-rebalance under a background tenant, got {:.2}x",
-            report.rebalance_speedup
-        );
-        return ExitCode::FAILURE;
-    }
-    if report.auto.replans == 0 || report.auto.rows_migrated == 0 {
-        eprintln!("error: the auto point never executed a migration epoch");
-        return ExitCode::FAILURE;
-    }
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    if let Err(e) = std::fs::write(&out, json + "\n") {
-        eprintln!("error: cannot write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {}", out.display());
-    ExitCode::SUCCESS
+            violations
+        },
+    )
 }

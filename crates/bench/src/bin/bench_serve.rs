@@ -5,57 +5,29 @@
 //! bench_serve [--out PATH] [--quick]
 //! ```
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out = PathBuf::from("BENCH_serve.json");
-    let mut quick = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => out = PathBuf::from(p),
-                    None => {
-                        eprintln!("error: --out needs a path");
-                        return ExitCode::FAILURE;
-                    }
-                }
+    ftn_bench::driver::bench_main(
+        "bench_serve",
+        "BENCH_serve.json",
+        |quick| {
+            let (elements, sessions_per_device, launches) =
+                if quick { (4096, 2, 8) } else { (16384, 2, 16) };
+            ftn_bench::serve_bench::run(elements, sessions_per_device, launches)
+        },
+        |report| {
+            for p in &report.points {
+                println!(
+                    "N={} devices: {:7.0} launches/sim-s with sessions vs {:6.0} sessionless ({:4.1}x), {:5.1}% transfers elided",
+                    p.devices,
+                    p.session_launches_per_sim_second,
+                    p.sessionless_launches_per_sim_second,
+                    p.speedup_vs_sessionless,
+                    p.transfer_elision_ratio * 100.0,
+                );
             }
-            "--quick" => quick = true,
-            "--help" | "-h" => {
-                eprintln!("usage: bench_serve [--out PATH] [--quick]");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("error: unknown flag '{other}'");
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
-    }
-
-    let (elements, sessions_per_device, launches) =
-        if quick { (4096, 2, 8) } else { (16384, 2, 16) };
-    let report = ftn_bench::serve_bench::run(elements, sessions_per_device, launches);
-    for p in &report.points {
-        println!(
-            "N={} devices: {:7.0} launches/sim-s with sessions vs {:6.0} sessionless ({:4.1}x), {:5.1}% transfers elided",
-            p.devices,
-            p.session_launches_per_sim_second,
-            p.sessionless_launches_per_sim_second,
-            p.speedup_vs_sessionless,
-            p.transfer_elision_ratio * 100.0,
-        );
-    }
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    if let Err(e) = std::fs::write(&out, json + "\n") {
-        eprintln!("error: cannot write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {}", out.display());
-    ExitCode::SUCCESS
+            Vec::new()
+        },
+    )
 }

@@ -5,77 +5,49 @@
 //! bench_shard [--out PATH] [--quick]
 //! ```
 
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut out = PathBuf::from("BENCH_shard.json");
-    let mut quick = false;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--out" => {
-                i += 1;
-                match args.get(i) {
-                    Some(p) => out = PathBuf::from(p),
-                    None => {
-                        eprintln!("error: --out needs a path");
-                        return ExitCode::FAILURE;
-                    }
-                }
+    ftn_bench::driver::bench_main(
+        "bench_shard",
+        "BENCH_shard.json",
+        |quick| {
+            let (elements, launches, keepalive) = if quick {
+                (16384, 8, 16)
+            } else {
+                (65536, 16, 64)
+            };
+            ftn_bench::shard_bench::run(elements, launches, keepalive)
+        },
+        |report| {
+            for p in &report.points {
+                println!(
+                    "N={} devices ({} shards): {:7.0} launches/sim-s, makespan {:.6} sim-s ({:4.2}x vs single device)",
+                    p.devices,
+                    p.shards,
+                    p.launches_per_sim_second,
+                    p.makespan_sim_seconds,
+                    p.speedup_vs_single_device,
+                );
             }
-            "--quick" => quick = true,
-            "--help" | "-h" => {
-                eprintln!("usage: bench_shard [--out PATH] [--quick]");
-                return ExitCode::SUCCESS;
+            let ka = &report.keep_alive;
+            println!(
+                "keep-alive: {:6.1} us/request vs {:6.1} us/request with per-request connections ({:.2}x)",
+                ka.keepalive_us_per_request, ka.close_us_per_request, ka.speedup
+            );
+            let n4 = report
+                .points
+                .iter()
+                .find(|p| p.devices == 4)
+                .expect("4-device point");
+            let mut violations = Vec::new();
+            if n4.speedup_vs_single_device < 2.0 {
+                violations.push(format!(
+                    "expected >= 2x aggregate launch throughput at N=4, got {:.2}x",
+                    n4.speedup_vs_single_device
+                ));
             }
-            other => {
-                eprintln!("error: unknown flag '{other}'");
-                return ExitCode::FAILURE;
-            }
-        }
-        i += 1;
-    }
-
-    let (elements, launches, keepalive) = if quick {
-        (16384, 8, 16)
-    } else {
-        (65536, 16, 64)
-    };
-    let report = ftn_bench::shard_bench::run(elements, launches, keepalive);
-    for p in &report.points {
-        println!(
-            "N={} devices ({} shards): {:7.0} launches/sim-s, makespan {:.6} sim-s ({:4.2}x vs single device)",
-            p.devices,
-            p.shards,
-            p.launches_per_sim_second,
-            p.makespan_sim_seconds,
-            p.speedup_vs_single_device,
-        );
-    }
-    let ka = &report.keep_alive;
-    println!(
-        "keep-alive: {:6.1} us/request vs {:6.1} us/request with per-request connections ({:.2}x)",
-        ka.keepalive_us_per_request, ka.close_us_per_request, ka.speedup
-    );
-    let n4 = report
-        .points
-        .iter()
-        .find(|p| p.devices == 4)
-        .expect("4-device point");
-    if n4.speedup_vs_single_device < 2.0 {
-        eprintln!(
-            "error: expected >= 2x aggregate launch throughput at N=4, got {:.2}x",
-            n4.speedup_vs_single_device
-        );
-        return ExitCode::FAILURE;
-    }
-    let json = serde_json::to_string_pretty(&report).expect("report serializes");
-    if let Err(e) = std::fs::write(&out, json + "\n") {
-        eprintln!("error: cannot write {}: {e}", out.display());
-        return ExitCode::FAILURE;
-    }
-    println!("wrote {}", out.display());
-    ExitCode::SUCCESS
+            violations
+        },
+    )
 }

@@ -2,15 +2,13 @@
 //! background session stream (open → launch × M → close), driven against a
 //! live server — the load path that proves the pool lock is no longer
 //! stop-the-world. Emitted as `BENCH_concurrency.json` by the
-//! `bench_concurrency` binary, which enforces two floors:
-//!
-//! * condvar-notified waits must deliver at least
-//!   [`MIN_SPEEDUP_AT_64`]× the aggregate launch throughput of the legacy
-//!   100 µs lock/sleep-poll baseline (`ServeConfig::legacy_wait`) at 64
-//!   concurrent sessions;
-//! * while phased migration epochs hammer one sharded session, the launch
-//!   p99 of sessions *not* being migrated must stay within
-//!   [`MAX_MID_EPOCH_P99_RATIO`]× of the same workload's epoch-free p99.
+//! `bench_concurrency` binary: the absolute p50/p99/throughput ladder at
+//! 8/64/256 sessions (the sleep-poll baseline it used to be compared
+//! against is retired — see "Retired baselines" in docs/BENCHMARKS.md),
+//! plus one enforced floor: while phased migration epochs hammer one
+//! sharded session, the launch p99 of sessions *not* being migrated must
+//! stay within [`MAX_MID_EPOCH_P99_RATIO`]× of the same workload's
+//! epoch-free p99.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -18,62 +16,29 @@ use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use ftn_serve::client::Conn;
-use ftn_serve::{api, ServeConfig, Server};
+use ftn_serve::{api, ServeConfig};
 use serde::{Serialize, Value};
 
-/// Aggregate-launch-throughput floor vs the legacy sleep-poll wait at 64
-/// concurrent sessions, on hardware with at least
-/// [`MIN_CPUS_FOR_FULL_FLOOR`] hardware threads.
-pub const MIN_SPEEDUP_AT_64: f64 = 2.0;
-
-/// Hardware threads needed before the full [`MIN_SPEEDUP_AT_64`] floor is
-/// enforced. Condvar waits scale with cores (waiters park off-CPU while
-/// workers run in parallel) whereas the sleep-poll baseline's waste grows
-/// with them, so the 2x gap needs real parallelism to manifest.
-pub const MIN_CPUS_FOR_FULL_FLOOR: usize = 4;
-
-/// Floor enforced on a single hardware thread, where the benchmark can only
-/// measure CPU-overhead elimination: every cycle the legacy build burns
-/// waking 64 pollers every 100 µs is throughput the condvar build keeps.
-/// (The pre-fix broadcast-wakeup build measured below 1.0x here, so this
-/// floor still catches thundering-herd regressions.)
-pub const MIN_SPEEDUP_SINGLE_CORE: f64 = 1.25;
-
-/// The speedup floor the binary enforces on this machine, with the
-/// hardware-thread count that selected it.
-pub fn enforced_min_speedup() -> (f64, usize) {
-    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    if cpus >= MIN_CPUS_FOR_FULL_FLOOR {
-        (MIN_SPEEDUP_AT_64, cpus)
-    } else {
-        (MIN_SPEEDUP_SINGLE_CORE, cpus)
-    }
-}
+use crate::driver::{start_server, stop_server};
+use crate::stats::quantile;
 
 /// Ceiling on `mid_epoch_p99 / no_epoch_p99` for sessions an epoch does not
 /// migrate.
 pub const MAX_MID_EPOCH_P99_RATIO: f64 = 2.0;
 
-/// One concurrency level: condvar-notified waits vs the legacy sleep-poll
-/// baseline over the identical client barrage.
+/// One concurrency level of the client barrage.
 #[derive(Clone, Debug, Serialize)]
 pub struct ConcurrencyPoint {
     /// Concurrent keep-alive clients, each with its own open session.
     pub sessions: usize,
     pub launches_per_session: usize,
-    /// Total launches across all clients (per side).
+    /// Total launches across all clients.
     pub launches: u64,
-    /// Client-observed launch round-trip latency, condvar waits.
+    /// Client-observed launch round-trip latency.
     pub p50_seconds: f64,
     pub p99_seconds: f64,
-    /// Aggregate launches per wall second, condvar waits.
+    /// Aggregate launches per wall second.
     pub throughput_lps: f64,
-    /// The same barrage against a `legacy_wait` server (100 µs sleep-poll).
-    pub legacy_p50_seconds: f64,
-    pub legacy_p99_seconds: f64,
-    pub legacy_throughput_lps: f64,
-    /// `throughput_lps / legacy_throughput_lps`.
-    pub speedup_vs_legacy: f64,
 }
 
 /// The mid-epoch case: launch latency of sessions that are *not* migrating
@@ -82,7 +47,7 @@ pub struct ConcurrencyPoint {
 /// on the migrating session; only the epoch hammer differs.
 #[derive(Clone, Debug, Serialize)]
 pub struct MidEpochPoint {
-    /// Untouched sessions measured (half unsharded, half 2-way sharded).
+    /// Untouched sessions measured (half one-shard, half 2-way sharded).
     pub untouched_sessions: usize,
     pub launches_per_session: usize,
     /// Elements of the migrating sharded session (sized so each epoch's
@@ -104,19 +69,13 @@ pub struct MidEpochPoint {
 #[derive(Clone, Debug, Serialize)]
 pub struct ConcurrencyBenchReport {
     pub workload: String,
-    /// Elements per unsharded session array (small: the wait path, not the
+    /// Elements per barrage session array (small: the wait path, not the
     /// kernel, must dominate).
     pub elements: usize,
     pub points: Vec<ConcurrencyPoint>,
     pub mid_epoch: MidEpochPoint,
     /// Hardware threads the benchmark ran on.
     pub cpus: usize,
-    /// The nominal floor on the 64-session `speedup_vs_legacy`
-    /// ([`MIN_SPEEDUP_AT_64`], needs ≥ [`MIN_CPUS_FOR_FULL_FLOOR`] CPUs).
-    pub min_speedup_at_64: f64,
-    /// The floor actually enforced on this machine (drops to
-    /// [`MIN_SPEEDUP_SINGLE_CORE`] without enough hardware parallelism).
-    pub enforced_min_speedup: f64,
     /// The ceiling the binary enforces on `mid_epoch.p99_ratio`.
     pub max_mid_epoch_p99_ratio: f64,
 }
@@ -134,37 +93,9 @@ subroutine saxpy(n, a, x, y)
 end subroutine saxpy
 "#;
 
-/// Elements per unsharded session: tiny, so client-observed latency is the
+/// Elements per barrage session: tiny, so client-observed latency is the
 /// submit/wait machinery, not simulated kernel time.
 const ELEMENTS: usize = 16;
-
-type ServerHandle = std::thread::JoinHandle<std::io::Result<()>>;
-
-fn start_server(workers: usize, legacy_wait: bool) -> (SocketAddr, ServerHandle) {
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServeConfig {
-            devices: 4,
-            workers,
-            // The measurement is the serve/cluster lock path; keep the
-            // span recorder and scraper out of the picture.
-            trace_buffer: 0,
-            scrape_interval_ms: 0,
-            legacy_wait,
-            ..Default::default()
-        },
-    )
-    .expect("bind bench server");
-    let addr = server.local_addr();
-    (addr, std::thread::spawn(move || server.run()))
-}
-
-fn stop_server(addr: SocketAddr, handle: ServerHandle) {
-    let (status, _) =
-        ftn_serve::client::request(addr, "POST", "/shutdown", "").expect("shutdown round-trips");
-    assert_eq!(status, 200);
-    handle.join().expect("server thread").expect("clean run");
-}
 
 fn compile_key(addr: SocketAddr) -> String {
     let body = serde_json::to_string(&api::obj(vec![("source", Value::Str(SAXPY.to_string()))]))
@@ -239,19 +170,11 @@ fn launch_body() -> String {
     .expect("body serializes")
 }
 
-fn quantile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((sorted.len() as f64 * q).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-/// `(p50, p99, launches/s)` of `sessions` concurrent clients, each running
-/// one full session stream (open → `launches` round trips → close) on its
-/// own keep-alive connection. A barrier aligns the launch barrages so the
+/// One concurrency level: `sessions` concurrent clients, each running one
+/// full session stream (open → `launches` round trips → close) on its own
+/// keep-alive connection. A barrier aligns the launch barrages so the
 /// measured window is genuinely concurrent.
-fn barrage(addr: SocketAddr, key: &str, sessions: usize, launches: usize) -> (f64, f64, f64) {
+fn barrage(addr: SocketAddr, key: &str, sessions: usize, launches: usize) -> ConcurrencyPoint {
     let barrier = Arc::new(Barrier::new(sessions));
     let joins: Vec<_> = (0..sessions)
         .map(|_| {
@@ -291,34 +214,13 @@ fn barrage(addr: SocketAddr, key: &str, sessions: usize, launches: usize) -> (f6
         max_wall = max_wall.max(wall);
     }
     latencies.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let throughput = latencies.len() as f64 / max_wall.max(1e-9);
-    (
-        quantile(&latencies, 0.50),
-        quantile(&latencies, 0.99),
-        throughput,
-    )
-}
-
-/// Measure one concurrency level on both servers.
-fn measure_point(
-    condvar: (SocketAddr, &str),
-    legacy: (SocketAddr, &str),
-    sessions: usize,
-    launches: usize,
-) -> ConcurrencyPoint {
-    let (p50, p99, tput) = barrage(condvar.0, condvar.1, sessions, launches);
-    let (lp50, lp99, ltput) = barrage(legacy.0, legacy.1, sessions, launches);
     ConcurrencyPoint {
         sessions,
         launches_per_session: launches,
-        launches: (sessions * launches) as u64,
-        p50_seconds: p50,
-        p99_seconds: p99,
-        throughput_lps: tput,
-        legacy_p50_seconds: lp50,
-        legacy_p99_seconds: lp99,
-        legacy_throughput_lps: ltput,
-        speedup_vs_legacy: tput / ltput.max(1e-12),
+        launches: latencies.len() as u64,
+        p50_seconds: quantile(&latencies, 0.50),
+        p99_seconds: quantile(&latencies, 0.99),
+        throughput_lps: latencies.len() as f64 / max_wall.max(1e-9),
     }
 }
 
@@ -337,7 +239,7 @@ fn mid_epoch_point(
 ) -> MidEpochPoint {
     let mut setup = Conn::open(addr).expect("connect");
     let migrating = open_session(&mut setup, key, MIGRATING_ELEMENTS, Some(4));
-    // Ballast: a large unsharded session whose continuous launches keep one
+    // Ballast: a large one-shard session whose continuous launches keep one
     // device's backlog high, so the migrating session's plan has a real
     // imbalance to correct — its epochs move rows, not just quiesce.
     let ballast = open_session(&mut setup, key, MIGRATING_ELEMENTS / 2, None);
@@ -455,39 +357,32 @@ pub fn run(quick: bool) -> ConcurrencyBenchReport {
     let launches = if quick { 40 } else { 100 };
     let max_sessions = *ladder.iter().max().expect("non-empty ladder");
 
-    // Two servers, identical but for the wait strategy; each concurrency
-    // level runs the same barrage against both.
-    let (addr, handle) = start_server(max_sessions + 4, false);
-    let (legacy_addr, legacy_handle) = start_server(max_sessions + 4, true);
+    let (addr, handle) = start_server(ServeConfig {
+        devices: 4,
+        workers: max_sessions + 4,
+        // The measurement is the serve/cluster lock path; keep the span
+        // recorder and scraper out of the picture.
+        trace_buffer: 0,
+        scrape_interval_ms: 0,
+        ..Default::default()
+    });
     let key = compile_key(addr);
-    let legacy_key = compile_key(legacy_addr);
     let points: Vec<ConcurrencyPoint> = ladder
         .iter()
-        .map(|&sessions| {
-            measure_point(
-                (addr, key.as_str()),
-                (legacy_addr, legacy_key.as_str()),
-                sessions,
-                launches,
-            )
-        })
+        .map(|&sessions| barrage(addr, &key, sessions, launches))
         .collect();
-    stop_server(legacy_addr, legacy_handle);
 
     let (untouched, epoch_launches) = if quick { (4, 60) } else { (8, 150) };
     let mid_epoch = mid_epoch_point(addr, &key, untouched, epoch_launches);
     stop_server(addr, handle);
 
-    let (enforced_min_speedup, cpus) = enforced_min_speedup();
     ConcurrencyBenchReport {
         workload: "saxpy_kernel0 keep-alive session streams (open → launch × M → close)"
             .to_string(),
         elements: ELEMENTS,
         points,
         mid_epoch,
-        cpus,
-        min_speedup_at_64: MIN_SPEEDUP_AT_64,
-        enforced_min_speedup,
+        cpus: std::thread::available_parallelism().map_or(1, |n| n.get()),
         max_mid_epoch_p99_ratio: MAX_MID_EPOCH_P99_RATIO,
     }
 }

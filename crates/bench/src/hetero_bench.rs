@@ -1,6 +1,6 @@
 //! Heterogeneous-pool benchmark: throughput-weighted versus uniform shard
-//! plans on a mixed-speed pool, and batched versus per-shard fan-out submit
-//! cost. Emitted as `BENCH_hetero.json` by the `bench_hetero` binary.
+//! plans on a mixed-speed pool, and the fan-out's submit cost and message
+//! count. Emitted as `BENCH_hetero.json` by the `bench_hetero` binary.
 //!
 //! The pool is the ISSUE's acceptance configuration: four devices with one
 //! 2×-slower card (three stock U280s plus a `u280@150`). A uniform split
@@ -35,24 +35,20 @@ pub struct HeteroPoint {
 }
 
 /// Submit-side cost of one logical launch (bookkeeping + messaging only —
-/// the wait is excluded), batched vs per-shard sends, measured on a wide
-/// fan-out (several shards per device) where coalescing has real work.
-/// The structural metric is the message count (O(devices) vs O(shards));
-/// the wall-clock numbers are scheduler-noise-level on a single-core CI
-/// host and are reported for reference, not enforced.
+/// the wait is excluded), measured on a wide fan-out (several shards per
+/// device) where coalescing has real work. The structural metric is the
+/// message count (O(devices), not O(shards)) and is enforced; the
+/// wall-clock number is reported for reference. (The per-shard-send arm it
+/// used to be compared against is retired — see "Retired baselines" in
+/// docs/BENCHMARKS.md.)
 #[derive(Clone, Debug, Serialize)]
 pub struct SubmitBench {
     /// Shards per launch (a multiple of the pool size).
     pub shards: usize,
     pub launches: usize,
     pub batched_us_per_launch: f64,
-    pub per_shard_us_per_launch: f64,
-    /// `per_shard / batched` — wall-clock submit speedup from coalescing.
-    pub submit_speedup: f64,
-    /// Worker messages one batched launch costs (== devices).
+    /// Worker messages one launch costs (== devices).
     pub batched_messages_per_launch: f64,
-    /// Worker messages one per-shard launch costs (== shards).
-    pub per_shard_messages_per_launch: f64,
 }
 
 /// The emitted report.
@@ -155,7 +151,6 @@ fn measure_submit(
     elements: usize,
     launches: usize,
     shards: usize,
-    batched: bool,
 ) -> (f64, u64) {
     let x: Vec<f32> = (0..elements).map(|i| (i % 97) as f32 * 0.25).collect();
     let y: Vec<f32> = vec![1.0; elements];
@@ -164,17 +159,12 @@ fn measure_submit(
     let xa = pool.host_f32(&x);
     let ya = pool.host_f32(&y);
     let sid = pool
-        .open_sharded_session_with(
+        .open_sharded_session(
             &[
                 ("x", xa, MapKind::To, Partition::Split { halo: 0 }),
                 ("y", ya, MapKind::ToFrom, Partition::Split { halo: 0 }),
             ],
             ShardCount::Fixed(shards),
-            ShardOptions {
-                weighted: true,
-                batched,
-                ..Default::default()
-            },
         )
         .expect("session opens");
     // Warm the path once (first launch pays allocator first-touch costs).
@@ -197,16 +187,12 @@ fn measure_submit(
     (submit_seconds * 1e6 / launches as f64, messages)
 }
 
-/// Run the weighted-vs-uniform and batched-vs-per-shard comparisons.
+/// Run the weighted-vs-uniform comparison and the submit-cost measurement.
 pub fn run(elements: usize, launches: usize) -> HeteroBenchReport {
     let artifacts = workloads::compile_saxpy();
     let weighted = measure_point(
         &artifacts,
-        ShardOptions {
-            weighted: true,
-            batched: true,
-            ..Default::default()
-        },
+        ShardOptions::default(),
         "weighted",
         elements,
         launches,
@@ -215,7 +201,6 @@ pub fn run(elements: usize, launches: usize) -> HeteroBenchReport {
         &artifacts,
         ShardOptions {
             weighted: false,
-            batched: true,
             ..Default::default()
         },
         "uniform",
@@ -225,8 +210,7 @@ pub fn run(elements: usize, launches: usize) -> HeteroBenchReport {
     // Submit cost on a wide fan-out: 4 shards per device, so batching has
     // real coalescing to do (16 jobs → 4 messages per launch).
     let shards = 4 * mixed_pool().len();
-    let (batched_us, batch_messages) = measure_submit(&artifacts, elements, launches, shards, true);
-    let (per_shard_us, _) = measure_submit(&artifacts, elements, launches, shards, false);
+    let (batched_us, batch_messages) = measure_submit(&artifacts, elements, launches, shards);
     HeteroBenchReport {
         workload: "saxpy_kernel0 sharded sessions on a 2:1-speed 4-device pool".to_string(),
         pool: mixed_pool().iter().map(|m| m.name.clone()).collect(),
@@ -237,10 +221,7 @@ pub fn run(elements: usize, launches: usize) -> HeteroBenchReport {
             shards,
             launches,
             batched_us_per_launch: batched_us,
-            per_shard_us_per_launch: per_shard_us,
-            submit_speedup: per_shard_us / batched_us,
             batched_messages_per_launch: batch_messages as f64 / launches as f64,
-            per_shard_messages_per_launch: shards as f64,
         },
         weighted,
         uniform,

@@ -13,8 +13,11 @@
 use std::net::SocketAddr;
 use std::time::Instant;
 
-use ftn_serve::{api, client::Conn, ServeConfig, Server};
+use ftn_serve::{api, client::Conn, ServeConfig};
 use serde::{Serialize, Value};
+
+use crate::driver::{start_server, stop_server};
+use crate::stats::quantile;
 
 /// The observability-overhead budget `bench_obs` enforces, three times
 /// over: tracing enabled-vs-disabled, scraping(100 ms)+SLO-vs-off, and
@@ -118,37 +121,14 @@ pub struct ObsBenchReport {
     pub max_overhead_fraction: f64,
 }
 
-fn start_server(workers: usize, trace_buffer: usize) -> (SocketAddr, ServerHandle) {
-    start_server_with(ServeConfig {
+/// One device, `workers` HTTP threads, the shipped defaults otherwise
+/// (span recorder on, 100 ms scraper).
+fn config(workers: usize) -> ServeConfig {
+    ServeConfig {
         devices: 1,
         workers,
-        trace_buffer,
         ..Default::default()
-    })
-}
-
-fn start_server_with(config: ServeConfig) -> (SocketAddr, ServerHandle) {
-    let server = Server::bind("127.0.0.1:0", config).expect("bind obs-bench server");
-    let addr = server.local_addr();
-    (addr, std::thread::spawn(move || server.run()))
-}
-
-type ServerHandle = std::thread::JoinHandle<std::io::Result<()>>;
-
-fn stop_server(addr: SocketAddr, handle: ServerHandle) {
-    let (status, _) =
-        ftn_serve::client::request(addr, "POST", "/shutdown", "").expect("shutdown round-trips");
-    assert_eq!(status, 200);
-    handle.join().expect("server thread").expect("clean run");
-}
-
-/// `quantile(q)` of a sorted latency sample (nearest-rank).
-fn quantile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
     }
-    let rank = ((sorted.len() as f64 * q).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 /// Drive `clients` keep-alive connections concurrently, each issuing
@@ -213,7 +193,7 @@ end subroutine saxpy
 /// side plus the enforced (min-of-pair-ratios) and informational
 /// (median-of-pair-ratios) overhead estimates.
 fn burst_seconds(trials: usize, requests: usize) -> (f64, f64, f64, f64) {
-    let (addr, handle) = start_server(2, 4096);
+    let (addr, handle) = start_server(config(2));
     let mut session = LaunchSession::open(addr);
 
     let mut burst = |on: bool| {
@@ -342,15 +322,12 @@ fn scrape_burst_seconds(trials: usize, requests: usize) -> ObsScrapeOverhead {
         .iter()
         .map(|s| s.spec.clone())
         .collect();
-    let config = |interval: u64| ServeConfig {
-        devices: 1,
-        workers: 2,
-        trace_buffer: 4096,
-        scrape_interval_ms: interval,
-        ..Default::default()
+    let scraping = |scrape_interval_ms: u64| ServeConfig {
+        scrape_interval_ms,
+        ..config(2)
     };
-    let (addr_on, handle_on) = start_server_with(config(scrape_interval_ms));
-    let (addr_off, handle_off) = start_server_with(config(0));
+    let (addr_on, handle_on) = start_server(scraping(scrape_interval_ms));
+    let (addr_off, handle_off) = start_server(scraping(0));
     let mut on = LaunchSession::open(addr_on);
     let mut off = LaunchSession::open(addr_off);
 
@@ -400,7 +377,7 @@ fn profile_burst_seconds(trials: usize, requests: usize) -> ObsProfileOverhead {
         poll_interval_ms * 3 * 1_000_000
     );
     // 3 workers: the bursting connection, the sidecar poller, and slack.
-    let (addr, handle) = start_server(3, 4096);
+    let (addr, handle) = start_server(config(3));
     let mut session = LaunchSession::open(addr);
 
     let armed = Arc::new(AtomicBool::new(false));
@@ -475,7 +452,7 @@ pub fn run(requests_per_client: usize, trials: usize, burst: usize) -> ObsBenchR
     // pool must be at least that deep.
     let concurrencies = [1usize, 8, 64];
     let max_clients = *concurrencies.iter().max().expect("non-empty");
-    let (addr, handle) = start_server(max_clients + 2, 4096);
+    let (addr, handle) = start_server(config(max_clients + 2));
     let latency = concurrencies
         .iter()
         .map(|&clients| latency_point(addr, clients, requests_per_client))

@@ -11,7 +11,7 @@ use ftn_core::Artifacts;
 use ftn_fpga::DeviceModel;
 use ftn_interp::RtValue;
 use ftn_serve::client::Conn;
-use ftn_serve::{ServeConfig, Server};
+use ftn_serve::ServeConfig;
 use serde::Serialize;
 
 use crate::workloads;
@@ -115,17 +115,11 @@ fn measure_point(
 }
 
 fn measure_keep_alive(requests: usize) -> KeepAliveBench {
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServeConfig {
-            devices: 1,
-            workers: 2,
-            ..Default::default()
-        },
-    )
-    .expect("bind");
-    let addr = server.local_addr();
-    let handle = std::thread::spawn(move || server.run());
+    let (addr, handle) = crate::driver::start_server(ServeConfig {
+        devices: 1,
+        workers: 2,
+        ..Default::default()
+    });
 
     // Warm both paths once so neither pays first-touch costs.
     let mut conn = Conn::open(addr).expect("connect");
@@ -148,9 +142,7 @@ fn measure_keep_alive(requests: usize) -> KeepAliveBench {
     let close_us = start.elapsed().as_secs_f64() * 1e6 / requests as f64;
 
     drop(conn);
-    let (status, _) = ftn_serve::client::request(addr, "POST", "/shutdown", "").expect("shutdown");
-    assert_eq!(status, 200);
-    handle.join().expect("server thread").expect("clean run");
+    crate::driver::stop_server(addr, handle);
 
     KeepAliveBench {
         requests,

@@ -140,7 +140,7 @@ fn run_refresh_arm(artifacts: &Artifacts, devices: usize, n: usize, iters: usize
         } else {
             stats = Some(
                 cluster
-                    .sharded_stats(sid)
+                    .session_stats(sid)
                     .expect("session still open before close"),
             );
         }

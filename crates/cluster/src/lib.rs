@@ -16,17 +16,19 @@
 //!   [`ftn_host::RunStats`] aggregation, and pool occupancy metrics. Jobs
 //!   come in two granularities: whole host-program calls and kernel-level
 //!   launches against resident buffers.
-//! * [`session`] — persistent `target data` environments over the pool:
-//!   arrays mapped once, kernel launches with deferred writeback, one fetch
-//!   at close, redundant transfers elided and counted.
+//! * [`session`] — the single-device front-ends (`open_session` …
+//!   `close_session`): whole-array spellings of the one-shard case of
+//!   [`sharded`], plus the shared `MapKind` / `SessionStats` vocabulary.
 //! * [`rollup`] — per-kernel / per-session / per-device cost attribution
 //!   ([`RollupRow`]) folded in where jobs complete; the ranking behind the
 //!   serve stack's `GET /profile/top`.
-//! * [`sharded`] — sharded sessions: one data environment partitioned
-//!   across the pool ([`ftn_shard::ShardPlan`] leading-dim blocks with
-//!   optional halos, replicated broadcast arrays, per-shard reduction
-//!   copies); every launch fans out as force-placed per-shard jobs and the
-//!   close gathers or reduces the results.
+//! * [`sharded`] — the session mechanism: persistent `target data`
+//!   environments (arrays mapped once, launches with deferred writeback,
+//!   one fetch at close, redundant transfers elided and counted)
+//!   partitioned across one or more devices ([`ftn_shard::ShardPlan`]
+//!   leading-dim blocks with optional halos, replicated broadcast arrays,
+//!   per-shard reduction copies); every launch fans out as force-placed
+//!   per-shard jobs and the close gathers or reduces the results.
 //!
 //! With a single device and the same call sequence, `ClusterMachine`
 //! produces bit-identical results and statistics to `Machine` — the workers
@@ -585,7 +587,7 @@ end subroutine saxpy
         assert!(!report.replanned, "{report:?}");
         assert_eq!(report.rows_migrated, 0);
         assert_eq!(report.shard_rows, vec![1024; 4]);
-        assert_eq!(cluster.sharded_stats(sid).unwrap().replan_count, 0);
+        assert_eq!(cluster.session_stats(sid).unwrap().replan_count, 0);
 
         // Device 0 gains a co-tenant worth half a re-plan horizon of its
         // shard work: the epoch migrates a chunk of its rows to the idle
@@ -627,7 +629,7 @@ end subroutine saxpy
             .sum();
         assert!(per_array >= 1, "some rows moved");
         assert_eq!(report.rows_migrated, 2 * per_array, "{report:?}");
-        let stats = cluster.sharded_stats(sid).unwrap();
+        let stats = cluster.session_stats(sid).unwrap();
         assert_eq!(stats.replan_count, 1);
         assert_eq!(stats.rows_migrated, report.rows_migrated);
         assert!(stats.epoch_seconds > 0.0);
@@ -716,12 +718,12 @@ end subroutine saxpy
         assert_eq!(ps.steals, 0, "stealing is disabled across shards");
         // The shard sub-buffers were freed at close: only x and y remain.
         assert_eq!(ps.host_buffers, 2, "{ps:?}");
-        assert!(cluster.open_sharded_sessions().is_empty());
+        assert!(cluster.open_sessions().is_empty());
     }
 
     #[test]
-    fn batched_fanout_sends_one_message_per_device_and_matches_unbatched() {
-        use crate::sharded::{ShardArg, ShardCount, ShardOptions};
+    fn batched_fanout_sends_one_message_per_device() {
+        use crate::sharded::{ShardArg, ShardCount};
         use crate::{MapKind, Partition};
         let n = 403usize;
         let reps = 3usize;
@@ -736,49 +738,29 @@ end subroutine saxpy
             ShardArg::Scalar(RtValue::Index(1)),
             ShardArg::Extent("x".into()),
         ];
-        let run = |batched: bool| {
-            let mut cluster = pool(4);
-            let xa = cluster.host_f32(&x);
-            let ya = cluster.host_f32(&y);
-            let sid = cluster
-                .open_sharded_session_with(
-                    &[
-                        ("x", xa, MapKind::To, Partition::Split { halo: 0 }),
-                        (
-                            "y",
-                            ya.clone(),
-                            MapKind::ToFrom,
-                            Partition::Split { halo: 0 },
-                        ),
-                    ],
-                    ShardCount::Fixed(4),
-                    ShardOptions {
-                        weighted: true,
-                        batched,
-                        ..Default::default()
-                    },
-                )
-                .unwrap();
-            for _ in 0..reps {
-                let t = cluster.sharded_launch(sid, "saxpy_kernel0", &args).unwrap();
-                cluster.wait_sharded(t).unwrap();
-            }
-            let report = cluster.close_sharded_session(sid).unwrap();
-            let ps = cluster.pool_stats();
-            (cluster.read_f32(&ya), report.stats, ps)
-        };
-        let (y_batched, stats_batched, ps_batched) = run(true);
-        let (y_unbatched, stats_unbatched, ps_unbatched) = run(false);
-        // Identical results and session statistics either way.
-        assert_eq!(y_batched, y_unbatched);
-        assert_eq!(stats_batched, stats_unbatched);
-        assert_eq!(ps_batched.totals, ps_unbatched.totals);
-        // The batched session messaged O(devices): one Batch per device per
-        // fan-out (open staging + each launch + the close fetch).
+        let mut cluster = pool(4);
+        let xa = cluster.host_f32(&x);
+        let ya = cluster.host_f32(&y);
+        let sid = cluster
+            .open_sharded_session(
+                &[
+                    ("x", xa, MapKind::To, Partition::Split { halo: 0 }),
+                    ("y", ya, MapKind::ToFrom, Partition::Split { halo: 0 }),
+                ],
+                ShardCount::Fixed(4),
+            )
+            .unwrap();
+        for _ in 0..reps {
+            let t = cluster.sharded_launch(sid, "saxpy_kernel0", &args).unwrap();
+            cluster.wait_sharded(t).unwrap();
+        }
+        cluster.close_sharded_session(sid).unwrap();
+        // The session messaged O(devices): one Batch per device per fan-out
+        // (open staging + each launch + the close fetch).
+        let ps = cluster.pool_stats();
         let fanouts = (1 + reps + 1) as u64;
-        assert_eq!(ps_batched.batched_messages, fanouts * 4, "{ps_batched:?}");
-        assert_eq!(ps_batched.batched_jobs, fanouts * 4, "{ps_batched:?}");
-        assert_eq!(ps_unbatched.batched_messages, 0, "{ps_unbatched:?}");
+        assert_eq!(ps.batched_messages, fanouts * 4, "{ps:?}");
+        assert_eq!(ps.batched_jobs, fanouts * 4, "{ps:?}");
     }
 
     #[test]

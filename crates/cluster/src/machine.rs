@@ -14,7 +14,7 @@
 //! host program function (the original path), while
 //! [`ClusterMachine::submit_kernel`] launches one device kernel directly
 //! against resident buffers — the building block of persistent `target data`
-//! sessions (see [`crate::session`]). Placement backlogs are priced by the
+//! sessions (see [`crate::sharded`]). Placement backlogs are priced by the
 //! per-kernel cost model derived from the bitstream's loop schedules
 //! ([`ftn_fpga::CostModel`]), falling back to the observed mean only for
 //! jobs the schedules cannot predict.
@@ -300,8 +300,8 @@ pub struct ClusterMachine {
     /// Completed but not yet waited-on reports.
     pub(crate) completed: HashMap<u64, Result<(usize, JobSuccess), String>>,
     pub(crate) next_job: u64,
-    pub(crate) sessions: HashMap<u64, crate::session::DataSession>,
-    pub(crate) sharded: HashMap<u64, crate::sharded::ShardedSession>,
+    /// The one session table: every open session, whatever its shard count.
+    pub(crate) sessions: HashMap<u64, crate::sharded::ShardedSession>,
     pub(crate) next_session: u64,
     pub(crate) affinity_hits: u64,
     pub(crate) staged_uploads: u64,
@@ -328,7 +328,7 @@ pub struct ClusterMachine {
     /// [`ClusterMachine::rollups`].
     pub(crate) rollups: Rollups,
     /// Session id stamped onto jobs dispatched while a session launch is on
-    /// the stack (set/cleared by `session_launch` / `sharded_launch`).
+    /// the stack (set/cleared by `sharded_launch_no_replan`).
     pub(crate) submitting_session: Option<u64>,
 }
 
@@ -377,7 +377,6 @@ impl ClusterMachine {
             completed: HashMap::new(),
             next_job: 1,
             sessions: HashMap::new(),
-            sharded: HashMap::new(),
             next_session: 1,
             affinity_hits: 0,
             staged_uploads: 0,
@@ -512,20 +511,19 @@ impl ClusterMachine {
 
     /// Kernel launch with deferred writeback: the device copy stays
     /// authoritative and host memory is only synced by a later fetch
-    /// (sessions close with one). Used by [`crate::session`]. A sharded
-    /// session passes `forced` to pin each shard's launches to its device
-    /// (see [`crate::sharded`]); placement is bypassed entirely there.
+    /// (sessions close with one). Session launches pin each shard's job to
+    /// the shard's `device` (see [`crate::sharded`]); placement is bypassed.
     pub(crate) fn submit_kernel_deferred(
         &mut self,
         kernel: &str,
         args: &[RtValue],
-        forced: Option<usize>,
+        device: usize,
     ) -> Result<KernelTicket, CompileError> {
         let kind = JobKind::Kernel {
             kernel: kernel.to_string(),
             writeback: false,
         };
-        self.submit_compute(kind, args, forced)
+        self.submit_compute(kind, args, Some(device))
     }
 
     /// Shared submission path for compute jobs (host calls and kernels).
@@ -603,26 +601,19 @@ impl ClusterMachine {
         })
     }
 
-    /// Session open: establish residency for mapped buffers on one device.
-    /// A `Some(seed)` map models `map(from:)` — the device copy starts from
-    /// `seed` (zeroed, or a reduction identity for sharded reduction
-    /// copies) rather than the host contents, and is charged no upload
-    /// transfer. With `forced`, residency lands on that device (sharded
-    /// sessions stage each shard onto its assigned device).
+    /// Session open: establish residency for one shard's mapped buffers on
+    /// its assigned `device`. A `Some(seed)` map models `map(from:)` — the
+    /// device copy starts from `seed` (zeroed, or a reduction identity for
+    /// reduction copies) rather than the host contents, and is charged no
+    /// upload transfer.
     pub(crate) fn submit_upload(
         &mut self,
         maps: &[(BufferId, Option<Buffer>)],
-        forced: Option<usize>,
+        device: usize,
     ) -> Result<KernelTicket, CompileError> {
         let arg_ids: Vec<BufferId> = maps.iter().map(|&(id, _)| id).collect();
-        let device = match forced {
-            Some(d) => {
-                self.check_forced(d)?;
-                self.shard_forced += 1;
-                d
-            }
-            None => self.place_for(&arg_ids)?,
-        };
+        self.check_forced(device)?;
+        self.shard_forced += 1;
         let mut staged = Vec::new();
         let mut out_versions = Vec::new();
         let mut ticket_staged = 0u64;
@@ -875,7 +866,7 @@ impl ClusterMachine {
 
     /// Drain conflicts, resolve pins, and choose a device for a job over
     /// `arg_ids`.
-    fn place_for(&mut self, arg_ids: &[BufferId]) -> Result<usize, CompileError> {
+    pub(crate) fn place_for(&mut self, arg_ids: &[BufferId]) -> Result<usize, CompileError> {
         // A buffer may have in-flight writers on at most one device; if two
         // argument buffers disagree, drain completions until they don't.
         loop {
@@ -1020,12 +1011,7 @@ impl ClusterMachine {
                 format!("buffer {id:?} has in-flight jobs; wait before freeing"),
             ));
         }
-        let mapped = self
-            .sessions
-            .values()
-            .any(|s| s.maps.iter().any(|&(_, b, _)| b == id))
-            || self.sharded.values().any(|s| s.uses_buffer(id));
-        if mapped {
+        if self.sessions.values().any(|s| s.uses_buffer(id)) {
             return Err(CompileError::new(
                 "cluster-free",
                 format!("buffer {id:?} is mapped by an open session; close it first"),
@@ -1249,13 +1235,13 @@ impl ClusterMachine {
         self.pool.completion_signal()
     }
 
-    /// How many of sharded session `session`'s outstanding launches are
+    /// How many of session `session`'s outstanding launches are
     /// still pending (queued or running on a worker). `None` when no such
     /// session is open. Call [`ClusterMachine::poll_outcomes`] first; a
     /// phased rebalance quiesces by polling this to zero between parks on
     /// the [`CompletionSignal`](crate::pool::CompletionSignal) instead of blocking the machine lock.
     pub fn sharded_pending_jobs(&self, session: u64) -> Option<usize> {
-        let s = self.sharded.get(&session)?;
+        let s = self.sessions.get(&session)?;
         Some(
             s.outstanding
                 .iter()

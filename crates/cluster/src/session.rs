@@ -1,27 +1,19 @@
-//! Persistent data-environment sessions over the device pool — the cluster
-//! analogue of an `omp target data` region that stays open across many
-//! kernel launches.
+//! Single-device sessions — the N = 1 case of [`crate::sharded`].
 //!
-//! A session maps named host arrays once ([`ClusterMachine::open_session`]
-//! stages them to one device, charging the PCIe uploads a data-region entry
-//! would), then individual kernel-level jobs run against the resident
-//! buffers with deferred writeback: no host↔device traffic per launch. The
-//! final contents come home in one fetch at
-//! [`ClusterMachine::close_session`] (the data-region exit). Redundant
-//! transfers skipped because a buffer was already resident are counted in
-//! [`SessionStats::elided_transfers`].
-//!
-//! The per-session mapping reuses [`ftn_host::DataEnvironment`] — the same
-//! presence-counter protocol the generated host programs drive through
-//! `device.data_acquire` / `data_release`, here acquired for the lifetime of
-//! the session.
+//! There is one session mechanism: [`ClusterMachine::open_session`] opens a
+//! one-shard sharded session (every array `Split` with no halo, so the
+//! scatter and the close gather are exact copies), and the calls below are
+//! thin front-ends that speak whole arrays and a single [`KernelTicket`]
+//! where the general API speaks names and per-shard handles. The shared
+//! vocabulary — [`MapKind`], [`SessionStats`] — lives here too.
 
 use ftn_core::CompileError;
-use ftn_host::DataEnvironment;
-use ftn_interp::{BufferId, RtValue};
+use ftn_interp::RtValue;
+use ftn_shard::Partition;
 use serde::Serialize;
 
-use crate::machine::{distinct_memref_buffers, ClusterMachine, LaunchHandle};
+use crate::machine::{ClusterMachine, KernelTicket};
+use crate::sharded::{ShardArg, ShardCount};
 
 /// OpenMP-style map kind for a session array.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,7 +42,7 @@ impl MapKind {
 /// Transfer/launch accounting for one session.
 #[derive(Clone, Debug, Default, PartialEq, Serialize)]
 pub struct SessionStats {
-    /// Kernel-level jobs launched (one per shard on sharded sessions).
+    /// Kernel-level jobs launched (one per shard).
     pub launches: u64,
     /// Host→device uploads actually performed (open staging + any re-staging
     /// a launch needed + migration-epoch splices).
@@ -62,8 +54,8 @@ pub struct SessionStats {
     pub elided_transfers: u64,
     /// Device→host downloads at close.
     pub fetched_downloads: u64,
-    /// Migration epochs executed by re-plans (sharded sessions only;
-    /// below-threshold and zero-delta re-plan checks do not count).
+    /// Migration epochs executed by re-plans (below-threshold and
+    /// zero-delta re-plan checks do not count).
     pub replan_count: u64,
     /// Leading-dim rows that changed owners across those epochs, summed
     /// over the session's split arrays.
@@ -71,7 +63,7 @@ pub struct SessionStats {
     /// Wall seconds spent inside migration epochs (quiesce, delta gather,
     /// restage).
     pub epoch_seconds: f64,
-    /// Inter-launch halo refreshes executed (sharded sessions only).
+    /// Inter-launch halo refreshes executed.
     pub halo_refreshes: u64,
     /// Boundary ghost rows re-seeded across those refreshes, summed over
     /// the session's split arrays.
@@ -94,128 +86,78 @@ pub struct SessionReport {
     pub stats: SessionStats,
 }
 
-/// One open session (owned by the [`ClusterMachine`]).
-pub struct DataSession {
-    /// Named mapping table — the reused `target data` environment.
-    pub(crate) env: DataEnvironment,
-    pub(crate) maps: Vec<(String, BufferId, MapKind)>,
-    /// Device the open upload landed on (launches follow it via residency).
-    pub(crate) device: usize,
-    /// Launch job ids not yet known-waited (close drains the stragglers).
-    pub(crate) outstanding: Vec<u64>,
-    pub(crate) stats: SessionStats,
-}
-
 impl ClusterMachine {
-    /// Open a persistent data environment: map each `(name, array, kind)`
-    /// once onto one device. `to`/`tofrom` arrays are uploaded (charged as
+    /// Open a persistent data environment on one device: map each `(name,
+    /// array, kind)` once. `to`/`tofrom` arrays are uploaded (charged as
     /// PCIe transfers); `from` arrays get a zeroed device copy, exactly like
-    /// a `map(from:)` data-region entry. Returns the session id.
+    /// a `map(from:)` data-region entry. The device is chosen by the
+    /// placement ladder. Returns the session id.
     pub fn open_session(&mut self, maps: &[(&str, RtValue, MapKind)]) -> Result<u64, CompileError> {
-        if maps.is_empty() {
-            return Err(CompileError::new(
-                "cluster-session",
-                "a session must map at least one array".to_string(),
-            ));
-        }
-        let mut span = ftn_trace::span("session.open", "cluster");
-        span.arg("maps", maps.len());
-        let mut env = DataEnvironment::new();
-        let mut upload = Vec::with_capacity(maps.len());
-        let mut entries = Vec::with_capacity(maps.len());
-        for (name, value, kind) in maps {
-            let m = value
-                .as_memref()
-                .map_err(|e| CompileError::new("cluster-session", format!("map '{name}': {e}")))?;
-            if !self.buffers.contains_key(&m.buffer) {
-                return Err(CompileError::new(
-                    "cluster-session",
-                    format!("map '{name}': buffer not allocated on this machine"),
-                ));
-            }
-            env.insert_mapped(name, m.clone(), self.memory.get(m.buffer).type_name());
-            env.acquire(name)
-                .map_err(|e| CompileError::new("cluster-session", e.to_string()))?;
-            let seed = (*kind == MapKind::From)
-                .then(|| crate::machine::zeroed_like(self.memory.get(m.buffer)));
-            upload.push((m.buffer, seed));
-            entries.push((name.to_string(), m.buffer, *kind));
-        }
-
-        let ticket = self.submit_upload(&upload, None)?;
-        let device = ticket.device;
-        let stats = SessionStats {
-            staged_uploads: ticket.staged,
-            staged_bytes: ticket.staged_bytes,
-            elided_transfers: ticket.elided,
-            ..Default::default()
-        };
-        self.wait(ticket.handle)?;
-
-        let session = self.next_session;
-        self.next_session += 1;
-        self.sessions.insert(
-            session,
-            DataSession {
-                env,
-                maps: entries,
-                device,
-                outstanding: Vec::new(),
-                stats,
-            },
-        );
-        Ok(session)
+        let split: Vec<(&str, RtValue, MapKind, Partition)> = maps
+            .iter()
+            .map(|(name, value, kind)| (*name, value.clone(), *kind, Partition::Split { halo: 0 }))
+            .collect();
+        self.open_sharded_session(&split, ShardCount::Fixed(1))
     }
 
     /// The mapped array registered under `name` in session `session`.
     pub fn session_array(&self, session: u64, name: &str) -> Option<RtValue> {
-        let s = self.sessions.get(&session)?;
-        s.env.lookup(name).ok().map(RtValue::MemRef)
+        let a = self.sessions.get(&session)?.env.array(name)?;
+        Some(RtValue::MemRef(a.global.clone()))
     }
 
-    /// The device session `session` is resident on.
+    /// The device session `session` is resident on (its first shard's).
     pub fn session_device(&self, session: u64) -> Option<usize> {
-        self.sessions.get(&session).map(|s| s.device)
+        self.sessions.get(&session)?.devices.first().copied()
     }
 
-    /// Launch one kernel-level job against the session's resident buffers.
-    /// Memref arguments must be arrays mapped by this session. The device
-    /// copies stay authoritative (no per-launch writeback); host memory is
-    /// synced once at close. Returns the ticket whose handle must be waited.
+    /// Launch one kernel-level job against a one-shard session's resident
+    /// buffers. Memref arguments must be arrays mapped by this session (each
+    /// is resolved back to its map name). The device copies stay
+    /// authoritative (no per-launch writeback); host memory is synced once
+    /// at close. Returns the ticket whose handle must be waited.
     pub fn session_launch(
         &mut self,
         session: u64,
         kernel: &str,
         args: &[RtValue],
-    ) -> Result<crate::machine::KernelTicket, CompileError> {
+    ) -> Result<KernelTicket, CompileError> {
+        let err = |msg: String| CompileError::new("cluster-session", msg);
         let s = self
             .sessions
             .get(&session)
-            .ok_or_else(|| CompileError::new("cluster-session", no_session(session)))?;
-        for id in distinct_memref_buffers(args) {
-            if !s.maps.iter().any(|&(_, b, _)| b == id) {
-                return Err(CompileError::new(
-                    "cluster-session",
-                    format!("launch argument buffer {id:?} is not mapped by session {session}"),
-                ));
-            }
+            .ok_or_else(|| err(format!("no open session {session}")))?;
+        if s.devices.len() != 1 {
+            return Err(err(format!(
+                "session {session} spans {} shards; launch it with sharded_launch",
+                s.devices.len()
+            )));
         }
-        let mut span = ftn_trace::span("session.launch", "cluster");
-        span.arg("session", session);
-        span.arg("kernel", kernel);
-        // Stamp the session onto the dispatched job for rollup attribution.
-        self.submitting_session = Some(session);
-        let ticket = self.submit_kernel_deferred(kernel, args, None);
-        self.submitting_session = None;
-        let ticket = ticket?;
-        drop(span);
-        let s = self.sessions.get_mut(&session).expect("checked above");
-        s.stats.launches += 1;
-        s.stats.staged_uploads += ticket.staged;
-        s.stats.staged_bytes += ticket.staged_bytes;
-        s.stats.elided_transfers += ticket.elided;
-        s.outstanding.push(ticket.handle.job_id());
-        Ok(ticket)
+        let mut named = Vec::with_capacity(args.len());
+        for a in args {
+            named.push(match a {
+                RtValue::MemRef(m) => s
+                    .maps
+                    .iter()
+                    .find(|(_, id, _, _)| *id == m.buffer)
+                    .map(|(name, _, _, _)| ShardArg::Array(name.clone()))
+                    .ok_or_else(|| {
+                        err(format!(
+                            "launch argument buffer {:?} is not mapped by session {session}",
+                            m.buffer
+                        ))
+                    })?,
+                scalar => ShardArg::Scalar(scalar.clone()),
+            });
+        }
+        let mut t = self.sharded_launch(session, kernel, &named)?;
+        Ok(KernelTicket {
+            handle: t.handles.pop().expect("one shard, one handle"),
+            device: t.devices[0],
+            staged: t.staged,
+            staged_bytes: t.staged_bytes,
+            elided: t.elided,
+        })
     }
 
     /// Current accounting for an open session.
@@ -225,16 +167,8 @@ impl ClusterMachine {
 
     /// The `(name, array, kind)` mappings of an open session, in map order.
     pub fn session_maps(&self, session: u64) -> Option<Vec<(String, RtValue, MapKind)>> {
-        let s = self.sessions.get(&session)?;
-        Some(
-            s.maps
-                .iter()
-                .map(|(name, _, kind)| {
-                    let m = s.env.lookup(name).expect("mapped name resolves");
-                    (name.clone(), RtValue::MemRef(m), *kind)
-                })
-                .collect(),
-        )
+        let maps = self.sharded_maps(session)?;
+        Some(maps.into_iter().map(|(n, v, k, _)| (n, v, k)).collect())
     }
 
     /// Close a session: drain its outstanding launches, fetch every
@@ -242,66 +176,11 @@ impl ClusterMachine {
     /// device→host transfers a data-region exit performs), and release the
     /// data environment.
     pub fn close_session(&mut self, session: u64) -> Result<SessionReport, CompileError> {
-        let s = self
-            .sessions
-            .get(&session)
-            .ok_or_else(|| CompileError::new("cluster-session", no_session(session)))?;
-        let mut span = ftn_trace::span("session.close", "cluster");
-        span.arg("session", session);
-        let outstanding = s.outstanding.clone();
-        for job_id in outstanding {
-            // The caller may have waited some launches itself; skip those.
-            if self.pending.contains_key(&job_id) || self.completed.contains_key(&job_id) {
-                self.wait(LaunchHandle { job_id })?;
-            }
-        }
-
-        let s = self.sessions.get(&session).expect("still present");
-        let fetch_ids: Vec<BufferId> = s
-            .maps
-            .iter()
-            .filter(|(_, _, kind)| matches!(kind, MapKind::From | MapKind::ToFrom))
-            .map(|&(_, id, _)| id)
-            .collect();
-        // Group by the device holding each buffer's current copy (launches
-        // cannot silently migrate a session buffer — residency pins them —
-        // but a cross-session sync through the host can move one).
-        let mut groups: Vec<(usize, Vec<BufferId>)> = Vec::new();
-        for id in fetch_ids {
-            let state = self.buffers.get(&id).ok_or_else(|| {
-                CompileError::new("cluster-session", format!("mapped buffer {id:?} vanished"))
-            })?;
-            let device = state
-                .resident
-                .iter()
-                .filter(|&(_, &v)| v == state.version)
-                .map(|(&d, _)| d)
-                .min()
-                .unwrap_or(s.device);
-            match groups.iter_mut().find(|(d, _)| *d == device) {
-                Some((_, ids)) => ids.push(id),
-                None => groups.push((device, vec![id])),
-            }
-        }
-        let mut fetched = 0u64;
-        let mut handles = Vec::new();
-        for (device, ids) in &groups {
-            fetched += ids.len() as u64;
-            handles.push(self.submit_fetch(*device, ids)?);
-        }
-        for h in handles {
-            self.wait(h)?;
-        }
-
-        let mut s = self.sessions.remove(&session).expect("still present");
-        for (name, _, _) in &s.maps {
-            let _ = s.env.release(name);
-        }
-        s.stats.fetched_downloads = fetched;
+        let report = self.close_sharded_session(session)?;
         Ok(SessionReport {
             session,
-            device: s.device,
-            stats: s.stats,
+            device: report.devices[0],
+            stats: report.stats,
         })
     }
 
@@ -311,8 +190,4 @@ impl ClusterMachine {
         ids.sort_unstable();
         ids
     }
-}
-
-fn no_session(session: u64) -> String {
-    format!("no open session {session}")
 }

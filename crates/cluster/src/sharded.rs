@@ -1,6 +1,8 @@
-//! Sharded sessions: one persistent `target data` environment spanning the
-//! whole device pool — the cluster analogue of `target teams distribute`
-//! over a multi-FPGA machine.
+//! Sessions: one persistent `target data` environment spanning one or more
+//! pool devices — the cluster analogue of `target teams distribute` over a
+//! multi-FPGA machine. This is the only session mechanism: a single-device
+//! session is the one-shard case (see [`crate::session`] for its thin
+//! whole-array front-ends).
 //!
 //! [`ClusterMachine::open_sharded_session`] partitions every mapped array
 //! with an [`ftn_shard::ShardPlan`] (leading-dimension blocks, optional halo
@@ -25,18 +27,18 @@
 //! Shard jobs are *force-placed* on their shard's device: no affinity
 //! scoring, no stealing across shards — the data already lives there, and
 //! the per-shard trip counts price each device's backlog honestly through
-//! [`ftn_fpga::CostModel`] (per that device's own model). Under
-//! [`ShardOptions::batched`] (the default) every fan-out — open staging,
-//! launches, close fetches — coalesces all jobs bound for one device into a
-//! single `WorkerMessage::Batch`, so a logical launch costs
-//! O(devices) messages instead of O(shards). Close fetches every shard's
-//! `from`/`tofrom` sub-buffers, gathers (concatenates owned rows, dropping
-//! halos) or reduces (sum/min/max private copies) into the caller's arrays,
-//! and frees the sub-buffers on host and devices alike.
+//! [`ftn_fpga::CostModel`] (per that device's own model). Every fan-out —
+//! open staging, launches, close fetches, epoch and halo traffic — coalesces
+//! all jobs bound for one device into a single `WorkerMessage::Batch`, so a
+//! logical launch costs O(devices) messages instead of O(shards). Close
+//! fetches every shard's `from`/`tofrom` sub-buffers, gathers (concatenates
+//! owned rows, dropping halos) or reduces (sum/min/max private copies) into
+//! the caller's arrays, and frees the sub-buffers on host and devices alike.
 //!
-//! With one shard the scatter and gather are exact copies and the session is
-//! bit-identical — results and `RunStats` totals — to a plain
-//! [`ClusterMachine::open_session`] session.
+//! With one shard the scatter and gather are exact copies, the shard is
+//! placed by the ordinary placement ladder, and the session is bit-identical
+//! — results and `RunStats` totals — to the equivalent `target data`
+//! program on [`ftn_core::Machine`].
 
 use ftn_core::CompileError;
 use ftn_host::RunStats;
@@ -123,8 +125,8 @@ pub enum ShardCount {
     /// leading-dim extent and to [`MAX_SHARDS_PER_DEVICE`] × pool size).
     /// More shards than devices is allowed: devices are cycled
     /// (fastest-first under [`ShardOptions::weighted`]) and each worker
-    /// runs its shards of a launch back-to-back — a batched fan-out still
-    /// sends only one message per device.
+    /// runs its shards of a launch back-to-back — the fan-out still sends
+    /// only one message per device.
     Fixed(usize),
 }
 
@@ -141,10 +143,9 @@ impl ShardCount {
     }
 }
 
-/// How a sharded session distributes and dispatches its shards. The
-/// defaults (weighted plans, batched fan-out) are what production traffic
-/// wants; the legacy behaviours remain selectable so conformance tests and
-/// benchmarks can compare against them.
+/// How a sharded session distributes its shards. The default (weighted
+/// plans) is what production traffic wants; the uniform plan remains
+/// selectable as the baseline the weighted one is measured against.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ShardOptions {
     /// Size each shard proportionally to its device's predicted throughput
@@ -154,12 +155,6 @@ pub struct ShardOptions {
     /// legacy uniform split with static `shard i → device i % N` assignment
     /// is used.
     pub weighted: bool,
-    /// Coalesce all shard jobs bound for one device into a single
-    /// `WorkerMessage::Batch` per fan-out (open staging,
-    /// launches, close fetches), cutting per-launch messaging from
-    /// O(shards) to O(devices). Results and statistics are identical either
-    /// way — only the message count changes.
-    pub batched: bool,
     /// Re-plan the session automatically as device backlogs drift: every
     /// `interval` logical launches, fold the observed backlogs into the
     /// device weights and — when the predicted makespan improvement clears
@@ -174,7 +169,6 @@ impl Default for ShardOptions {
     fn default() -> Self {
         ShardOptions {
             weighted: true,
-            batched: true,
             auto_rebalance: None,
         }
     }
@@ -299,7 +293,6 @@ pub struct MigrationEpoch {
     ref_name: String,
     threshold: f64,
     predicted_gain: f64,
-    batched: bool,
     replans: Vec<ftn_shard::ArrayReplan>,
     move_bufs: Vec<Vec<BufferId>>,
     /// Per replan: `(shard, dst elem offset, move buffer)` ghost-row
@@ -385,7 +378,6 @@ struct PendingSplice {
 /// across devices.
 pub struct HaloExchange {
     session: u64,
-    batched: bool,
     /// Host move buffers receiving the donor ghost blocks (epoch-transient).
     move_bufs: Vec<BufferId>,
     pending: Vec<PendingSplice>,
@@ -471,8 +463,7 @@ impl ClusterMachine {
     /// sub-buffers onto its device. The effective shard count is clamped to
     /// the shortest `Split` array's leading-dim extent (more shards than
     /// devices cycle through the pool); [`ShardCount::Auto`] asks the cost
-    /// model. Returns the session id — the id space is shared with
-    /// unsharded sessions.
+    /// model. Returns the session id.
     pub fn open_sharded_session(
         &mut self,
         maps: &[(&str, RtValue, MapKind, Partition)],
@@ -482,10 +473,10 @@ impl ClusterMachine {
     }
 
     /// [`ClusterMachine::open_sharded_session`] with explicit
-    /// [`ShardOptions`] (weighted vs uniform plans, batched vs per-shard
-    /// fan-out, automatic re-planning) — the default options are right for
-    /// production traffic; this entry point exists for conformance tests,
-    /// benchmarks, and sessions opting into [`ShardOptions::auto_rebalance`].
+    /// [`ShardOptions`] (weighted vs uniform plans, automatic re-planning) —
+    /// the default options are right for production traffic; this entry
+    /// point exists for conformance tests, benchmarks, and sessions opting
+    /// into [`ShardOptions::auto_rebalance`].
     ///
     /// # Example
     ///
@@ -533,9 +524,11 @@ impl ClusterMachine {
         if maps.is_empty() {
             return Err(CompileError::new(
                 "cluster-shard",
-                "a sharded session must map at least one array".to_string(),
+                "a session must map at least one array".to_string(),
             ));
         }
+        let mut span = ftn_trace::span("session.open", "cluster");
+        span.arg("maps", maps.len());
         let mut resolved = Vec::with_capacity(maps.len());
         for (name, value, kind, partition) in maps {
             let m = value
@@ -618,15 +611,24 @@ impl ClusterMachine {
             .min(split_rows.unwrap_or(requested))
             .max(1);
 
-        // Shard → device assignment and the matching split weights. Weighted
-        // sessions order devices fastest-first (predicted throughput on a
-        // uniform share, ties by index) so shard 0 — the largest block of a
-        // weighted plan — lands on the fastest card; a homogeneous pool
-        // keeps its natural 0..N order and uniform split exactly. More
-        // shards than devices cycle through the order (a device's shards of
-        // one launch run back-to-back on its FIFO worker). Unweighted
-        // sessions keep the legacy static `shard i → device i % N` map.
-        let (devices, weights): (Vec<usize>, Vec<f64>) = if opts.weighted {
+        span.arg("shards", shards);
+
+        // Shard → device assignment and the matching split weights. A single
+        // shard has no split to weigh: it goes where the placement ladder
+        // puts any job over the mapped arrays (affinity, else least-loaded
+        // round-robin), so many one-device sessions spread across the pool.
+        // Weighted sessions order devices fastest-first (predicted
+        // throughput on a uniform share, ties by index) so shard 0 — the
+        // largest block of a weighted plan — lands on the fastest card; a
+        // homogeneous pool keeps its natural 0..N order and uniform split
+        // exactly. More shards than devices cycle through the order (a
+        // device's shards of one launch run back-to-back on its FIFO
+        // worker). Unweighted sessions keep the static `shard i → device
+        // i % N` map.
+        let (devices, weights): (Vec<usize>, Vec<f64>) = if shards == 1 {
+            let ids: Vec<BufferId> = resolved.iter().map(|(_, m, _, _)| m.buffer).collect();
+            (vec![self.place_for(&ids)?], vec![1.0])
+        } else if opts.weighted {
             let share = elements.max(1).div_ceil(shards.min(pool) as u64);
             let order = self.cost_model.device_order(&models, share);
             let devices: Vec<usize> = (0..shards).map(|s| order[s % pool]).collect();
@@ -657,62 +659,43 @@ impl ClusterMachine {
         }
 
         // Stage every shard onto its device; uploads overlap across devices
-        // (and, when batched, travel as one message per device).
+        // and travel as one message per device.
         let mut stats = SessionStats::default();
-        let mut handles = Vec::with_capacity(shards);
-        if opts.batched {
-            self.begin_batch();
-        }
-        let mut submit_err = None;
-        for (shard, &device) in devices.iter().enumerate() {
-            // `map(from:)` copies start device-initialized rather than from
-            // host contents: zeroed normally, but a reduction copy must
-            // start at the operation's identity (+∞ for min, −∞ for max —
-            // zero would corrupt the fold).
-            let upload: Vec<(BufferId, Option<ftn_interp::Buffer>)> = env
-                .arrays()
-                .iter()
-                .zip(&resolved)
-                .map(|(a, (_, _, kind, partition))| {
-                    let id = a.slices[shard].memref.buffer;
-                    let seed = (*kind == MapKind::From).then(|| match partition {
-                        Partition::Reduced(op) => op.identity_like(self.memory.get(id)),
-                        _ => crate::machine::zeroed_like(self.memory.get(id)),
-                    });
-                    (id, seed)
-                })
-                .collect();
-            match self.submit_upload(&upload, Some(device)) {
-                Ok(ticket) => {
-                    stats.staged_uploads += ticket.staged;
-                    stats.staged_bytes += ticket.staged_bytes;
-                    stats.elided_transfers += ticket.elided;
-                    handles.push(ticket.handle);
-                }
-                Err(e) => {
-                    submit_err = Some(e);
-                    break;
-                }
-            }
-        }
-        // Flush even on the error path: already-buffered jobs are in the
-        // pending ledger and must reach their workers.
-        let flushed = if opts.batched {
-            self.flush_batch()
-        } else {
-            Ok(())
-        };
-        if let Some(e) = submit_err {
+        let (handles, err) =
+            self.fan_out(devices.iter().copied().enumerate(), |m, shard, device| {
+                // `map(from:)` copies start device-initialized rather than from
+                // host contents: zeroed normally, but a reduction copy must
+                // start at the operation's identity (+∞ for min, −∞ for max —
+                // zero would corrupt the fold).
+                let upload: Vec<(BufferId, Option<ftn_interp::Buffer>)> = env
+                    .arrays()
+                    .iter()
+                    .zip(&resolved)
+                    .map(|(a, (_, _, kind, partition))| {
+                        let id = a.slices[shard].memref.buffer;
+                        let seed = (*kind == MapKind::From).then(|| match partition {
+                            Partition::Reduced(op) => op.identity_like(m.memory.get(id)),
+                            _ => crate::machine::zeroed_like(m.memory.get(id)),
+                        });
+                        (id, seed)
+                    })
+                    .collect();
+                let ticket = m.submit_upload(&upload, device)?;
+                stats.staged_uploads += ticket.staged;
+                stats.staged_bytes += ticket.staged_bytes;
+                stats.elided_transfers += ticket.elided;
+                Ok(ticket.handle)
+            });
+        if let Some(e) = err {
             return Err(e);
         }
-        flushed?;
         for h in handles {
             self.wait(h)?;
         }
 
         let session = self.next_session;
         self.next_session += 1;
-        self.sharded.insert(
+        self.sessions.insert(
             session,
             ShardedSession {
                 env,
@@ -732,29 +715,26 @@ impl ClusterMachine {
 
     /// The shard count of an open sharded session.
     pub fn sharded_shards(&self, session: u64) -> Option<usize> {
-        self.sharded.get(&session).map(|s| s.env.shards())
+        self.sessions.get(&session).map(|s| s.env.shards())
     }
 
     /// The devices an open sharded session spans, in shard order.
     pub fn sharded_devices(&self, session: u64) -> Option<Vec<usize>> {
-        self.sharded.get(&session).map(|s| s.devices.clone())
-    }
-
-    /// Current accounting for an open sharded session.
-    pub fn sharded_stats(&self, session: u64) -> Option<SessionStats> {
-        self.sharded.get(&session).map(|s| s.stats.clone())
+        self.sessions.get(&session).map(|s| s.devices.clone())
     }
 
     /// The per-shard split weights of an open sharded session (uniform for
     /// an unweighted session or a homogeneous pool).
     pub fn sharded_weights(&self, session: u64) -> Option<Vec<f64>> {
-        self.sharded.get(&session).map(|s| s.env.weights().to_vec())
+        self.sessions
+            .get(&session)
+            .map(|s| s.env.weights().to_vec())
     }
 
     /// Owned leading-dim rows per shard of a mapped array, in shard order —
     /// the realized partition (halo rows excluded).
     pub fn sharded_shard_rows(&self, session: u64, name: &str) -> Option<Vec<usize>> {
-        let s = self.sharded.get(&session)?;
+        let s = self.sessions.get(&session)?;
         let a = s.env.array(name)?;
         Some(a.slices.iter().map(|slice| slice.range.len).collect())
     }
@@ -762,7 +742,7 @@ impl ClusterMachine {
     /// The `(name, global array, kind, partition)` mappings of an open
     /// sharded session, in map order.
     pub fn sharded_maps(&self, session: u64) -> Option<Vec<(String, RtValue, MapKind, Partition)>> {
-        let s = self.sharded.get(&session)?;
+        let s = self.sessions.get(&session)?;
         Some(
             s.maps
                 .iter()
@@ -777,13 +757,6 @@ impl ClusterMachine {
                 })
                 .collect(),
         )
-    }
-
-    /// Ids of the currently open sharded sessions.
-    pub fn open_sharded_sessions(&self) -> Vec<u64> {
-        let mut ids: Vec<u64> = self.sharded.keys().copied().collect();
-        ids.sort_unstable();
-        ids
     }
 
     /// Fan one logical kernel launch out as one kernel-level job per shard,
@@ -814,7 +787,7 @@ impl ClusterMachine {
     /// [`ClusterMachine::sharded_launch_no_replan`].
     pub fn auto_rebalance_due(&mut self, session: u64) -> Result<Option<f64>, CompileError> {
         let s = self
-            .sharded
+            .sessions
             .get_mut(&session)
             .ok_or_else(|| CompileError::new("cluster-shard", no_session(session)))?;
         let Some(ar) = s.opts.auto_rebalance else {
@@ -840,45 +813,38 @@ impl ClusterMachine {
         args: &[ShardArg],
     ) -> Result<ShardedLaunchTicket, CompileError> {
         let s = self
-            .sharded
+            .sessions
             .get(&session)
             .ok_or_else(|| CompileError::new("cluster-shard", no_session(session)))?;
         let shards = s.env.shards();
-        let devices = s.devices.clone();
-        let batched = s.opts.batched;
         // Held to the end of the fan-out so every per-shard job dispatched
         // below links its worker span back to this launch.
-        let mut launch_span = ftn_trace::span("session.launch_sharded", "cluster");
+        let mut launch_span = ftn_trace::span("session.launch", "cluster");
         launch_span.arg("session", session);
         launch_span.arg("kernel", kernel);
         launch_span.arg("shards", shards);
+        let unmapped = |name: &str| {
+            CompileError::new(
+                "cluster-shard",
+                format!("session {session} maps no array '{name}'"),
+            )
+        };
         let mut per_shard: Vec<Vec<RtValue>> = Vec::with_capacity(shards);
         for shard in 0..shards {
             let mut argv = Vec::with_capacity(args.len());
             for a in args {
+                let extent = |name: &str| {
+                    s.env
+                        .shard_extent(shard, name)
+                        .ok_or_else(|| unmapped(name))
+                };
                 argv.push(match a {
-                    ShardArg::Array(name) => s.env.shard_value(shard, name).ok_or_else(|| {
-                        CompileError::new(
-                            "cluster-shard",
-                            format!("session {session} maps no array '{name}'"),
-                        )
-                    })?,
-                    ShardArg::Extent(name) => {
-                        RtValue::Index(s.env.shard_extent(shard, name).ok_or_else(|| {
-                            CompileError::new(
-                                "cluster-shard",
-                                format!("session {session} maps no array '{name}'"),
-                            )
-                        })?)
-                    }
-                    ShardArg::ExtentOffset(name, delta) => RtValue::Index(
-                        s.env.shard_extent(shard, name).ok_or_else(|| {
-                            CompileError::new(
-                                "cluster-shard",
-                                format!("session {session} maps no array '{name}'"),
-                            )
-                        })? + delta,
-                    ),
+                    ShardArg::Array(name) => s
+                        .env
+                        .shard_value(shard, name)
+                        .ok_or_else(|| unmapped(name))?,
+                    ShardArg::Extent(name) => RtValue::Index(extent(name)?),
+                    ShardArg::ExtentOffset(name, delta) => RtValue::Index(extent(name)? + delta),
                     ShardArg::Scalar(v) => {
                         if matches!(v, RtValue::MemRef(_)) {
                             return Err(CompileError::new(
@@ -895,41 +861,28 @@ impl ClusterMachine {
 
         let mut ticket = ShardedLaunchTicket {
             session,
-            handles: Vec::with_capacity(shards),
-            devices: devices.clone(),
+            handles: Vec::new(),
+            devices: s.devices.clone(),
             staged: 0,
             staged_bytes: 0,
             elided: 0,
         };
-        // Fan out: one kernel job per shard. Batched sessions hold the
-        // sends back and deliver one message per device.
-        if batched {
-            self.begin_batch();
-        }
-        let mut submit_err = None;
-        // Stamp the session onto every per-shard job for rollup attribution.
+        // Fan out: one kernel job per shard, one message per device. The
+        // session is stamped onto every job for rollup attribution.
         self.submitting_session = Some(session);
-        for (shard, argv) in per_shard.iter().enumerate() {
-            match self.submit_kernel_deferred(kernel, argv, Some(devices[shard])) {
-                Ok(t) => {
-                    ticket.staged += t.staged;
-                    ticket.staged_bytes += t.staged_bytes;
-                    ticket.elided += t.elided;
-                    ticket.handles.push(t.handle);
-                }
-                Err(e) => {
-                    submit_err = Some(e);
-                    break;
-                }
-            }
-        }
+        let (handles, err) = self.fan_out(per_shard.iter().enumerate(), |m, shard, argv| {
+            let t = m.submit_kernel_deferred(kernel, argv, ticket.devices[shard])?;
+            ticket.staged += t.staged;
+            ticket.staged_bytes += t.staged_bytes;
+            ticket.elided += t.elided;
+            Ok(t.handle)
+        });
         self.submitting_session = None;
-        let flushed = if batched { self.flush_batch() } else { Ok(()) };
-        if let Some(e) = submit_err {
+        if let Some(e) = err {
             return Err(e);
         }
-        flushed?;
-        let s = self.sharded.get_mut(&session).expect("checked above");
+        ticket.handles = handles;
+        let s = self.sessions.get_mut(&session).expect("checked above");
         s.stats.launches += shards as u64;
         s.stats.staged_uploads += ticket.staged;
         s.stats.staged_bytes += ticket.staged_bytes;
@@ -964,9 +917,11 @@ impl ClusterMachine {
     /// devices.
     pub fn close_sharded_session(&mut self, session: u64) -> Result<ShardedReport, CompileError> {
         let s = self
-            .sharded
+            .sessions
             .get(&session)
             .ok_or_else(|| CompileError::new("cluster-shard", no_session(session)))?;
+        let mut span = ftn_trace::span("session.close", "cluster");
+        span.arg("session", session);
         let outstanding = s.outstanding.clone();
         for job_id in outstanding {
             // The caller may have waited some launches itself; skip those.
@@ -975,47 +930,35 @@ impl ClusterMachine {
             }
         }
 
-        let s = self.sharded.get(&session).expect("still present");
+        let s = self.sessions.get(&session).expect("still present");
         let shards = s.env.shards();
-        let devices = s.devices.clone();
-        let mut per_shard_fetch: Vec<Vec<BufferId>> = vec![Vec::new(); shards];
+        // `(device, sub-buffers to fetch)` per shard.
+        let mut per_shard_fetch: Vec<(usize, Vec<BufferId>)> =
+            s.devices.iter().map(|&d| (d, Vec::new())).collect();
         for (name, _, kind, _) in &s.maps {
             if matches!(kind, MapKind::From | MapKind::ToFrom) {
                 let a = s.env.array(name).expect("mapped name resolves");
                 for (shard, slice) in a.slices.iter().enumerate() {
-                    per_shard_fetch[shard].push(slice.memref.buffer);
+                    per_shard_fetch[shard].1.push(slice.memref.buffer);
                 }
             }
         }
-        let batched = s.opts.batched;
-        let mut fetched = 0u64;
-        let mut handles = Vec::new();
-        if batched {
-            self.begin_batch();
-        }
-        let mut submit_err = None;
-        for (shard, ids) in per_shard_fetch.iter().enumerate() {
-            if !ids.is_empty() {
-                fetched += ids.len() as u64;
-                match self.submit_fetch(devices[shard], ids) {
-                    Ok(h) => handles.push(h),
-                    Err(e) => {
-                        submit_err = Some(e);
-                        break;
-                    }
-                }
-            }
-        }
-        let flushed = if batched { self.flush_batch() } else { Ok(()) };
-        if let Some(e) = submit_err {
+        per_shard_fetch.retain(|(_, ids)| !ids.is_empty());
+        let fetched: u64 = per_shard_fetch
+            .iter()
+            .map(|(_, ids)| ids.len() as u64)
+            .sum();
+        let (handles, err) = self.fan_out(per_shard_fetch, |m, device, ids| {
+            m.submit_fetch(device, &ids)
+        });
+        if let Some(e) = err {
             return Err(e);
         }
-        flushed?;
         for h in handles {
             self.wait(h)?;
         }
 
-        let mut s = self.sharded.remove(&session).expect("still present");
+        let mut s = self.sessions.remove(&session).expect("still present");
         for (name, global, kind, _) in &s.maps {
             if matches!(kind, MapKind::From | MapKind::ToFrom) {
                 s.env
@@ -1137,11 +1080,10 @@ impl ClusterMachine {
     /// [`ClusterMachine::halo_splice`] and [`ClusterMachine::halo_finish`].
     pub fn halo_begin(&mut self, session: u64) -> Result<HaloPhase, CompileError> {
         let s = self
-            .sharded
+            .sessions
             .get(&session)
             .ok_or_else(|| CompileError::new("cluster-shard", no_session(session)))?;
         let devices = s.devices.clone();
-        let batched = s.opts.batched;
         let pool = self.pool.len();
         // Snapshot the split arrays' slice layout so the machine can be
         // mutated (move-buffer allocation) while the plan is walked.
@@ -1250,7 +1192,6 @@ impl ClusterMachine {
         span.arg("halo_rows", rows);
         let mut ex = Box::new(HaloExchange {
             session,
-            batched,
             move_bufs,
             pending,
             arrays,
@@ -1275,9 +1216,8 @@ impl ClusterMachine {
                     .collect();
                 let mut sp = ftn_trace::span("halo.gather", "epoch");
                 sp.arg("devices", fetches.len());
-                let (handles, err) = self.epoch_submit(batched, fetches, |m, device, rf| {
-                    m.submit_fetch_rows(device, rf)
-                });
+                let (handles, err) =
+                    self.fan_out(fetches, |m, device, rf| m.submit_fetch_rows(device, rf));
                 ex.handles = handles;
                 if let Some(e) = err {
                     ex.failed = Some(e);
@@ -1320,7 +1260,7 @@ impl ClusterMachine {
         let mut sp = ftn_trace::span("halo.splice", "epoch");
         sp.arg("devices", splices.len());
         let (mut staged, mut staged_bytes) = (0u64, 0u64);
-        let (handles, err) = self.epoch_submit(ex.batched, splices, |m, device, specs| {
+        let (handles, err) = self.fan_out(splices, |m, device, specs| {
             let t = m.submit_halo_splice(device, specs)?;
             staged += t.staged;
             staged_bytes += t.staged_bytes;
@@ -1342,7 +1282,6 @@ impl ClusterMachine {
     pub fn halo_finish(&mut self, ex: HaloExchange) -> Result<HaloRefreshReport, CompileError> {
         let HaloExchange {
             session,
-            batched: _,
             move_bufs,
             pending,
             arrays,
@@ -1385,7 +1324,7 @@ impl ClusterMachine {
         let seconds = started.elapsed().as_secs_f64();
         if failed.is_none() {
             halo_span.arg("halo_bytes", bytes);
-            if let Some(s) = self.sharded.get_mut(&session) {
+            if let Some(s) = self.sessions.get_mut(&session) {
                 s.stats.staged_uploads += splice_staged;
                 s.stats.staged_bytes += splice_bytes;
                 s.stats.halo_refreshes += 1;
@@ -1524,14 +1463,13 @@ impl ClusterMachine {
         threshold: Option<f64>,
     ) -> Result<EpochPhase, CompileError> {
         let s = self
-            .sharded
+            .sessions
             .get(&session)
             .ok_or_else(|| CompileError::new("cluster-shard", no_session(session)))?;
         let threshold = threshold
             .or_else(|| s.opts.auto_rebalance.map(|ar| ar.threshold))
             .unwrap_or(DEFAULT_REBALANCE_THRESHOLD);
         let devices = s.devices.clone();
-        let batched = s.opts.batched;
         // The largest split array prices the decision; a session mapping
         // only replicated/reduced arrays has nothing to re-partition.
         let reference = s
@@ -1578,7 +1516,7 @@ impl ClusterMachine {
         // long-lived auto-rebalancing session does not re-walk its entire
         // launch history on every check.
         let keep: Vec<u64> = self
-            .sharded
+            .sessions
             .get(&session)
             .expect("still present")
             .outstanding
@@ -1586,7 +1524,7 @@ impl ClusterMachine {
             .copied()
             .filter(|id| self.completed.contains_key(id))
             .collect();
-        self.sharded
+        self.sessions
             .get_mut(&session)
             .expect("still present")
             .outstanding = keep;
@@ -1594,7 +1532,7 @@ impl ClusterMachine {
         // Effective weights from the backlog snapshot.
         let backlogs = self.est_backlog.clone();
         let models = self.pool.models();
-        let s = self.sharded.get(&session).expect("still present");
+        let s = self.sessions.get(&session).expect("still present");
         let shards = s.env.shards();
         let elements = (rows * row_elems) as u64;
         let share = elements
@@ -1668,7 +1606,7 @@ impl ClusterMachine {
         let mut epoch_span = ftn_trace::span("epoch.migrate", "epoch");
         epoch_span.arg("session", session);
         epoch_span.arg("predicted_gain", format!("{predicted_gain:.3}"));
-        let mut s = self.sharded.remove(&session).expect("still present");
+        let mut s = self.sessions.remove(&session).expect("still present");
 
         let pool = self.pool.len();
         // Host-side replan: fresh sub-buffers for the slices whose range
@@ -1677,7 +1615,7 @@ impl ClusterMachine {
         let replans = match s.env.replan(&mut self.memory, weights) {
             Ok(replans) => replans,
             Err(e) => {
-                self.sharded.insert(session, s);
+                self.sessions.insert(session, s);
                 return Err(CompileError::new("cluster-rebalance", e.to_string()));
             }
         };
@@ -1798,7 +1736,6 @@ impl ClusterMachine {
             ref_name,
             threshold,
             predicted_gain,
-            batched,
             replans,
             move_bufs,
             halo_inject,
@@ -1820,9 +1757,8 @@ impl ClusterMachine {
                     .collect();
                 let mut sp = ftn_trace::span("epoch.delta_gather", "epoch");
                 sp.arg("devices", fetches.len());
-                let (handles, err) = self.epoch_submit(batched, fetches, |m, device, rows| {
-                    m.submit_fetch_rows(device, rows)
-                });
+                let (handles, err) =
+                    self.fan_out(fetches, |m, device, rows| m.submit_fetch_rows(device, rows));
                 ep.handles = handles;
                 if let Some(e) = err {
                     ep.failed = Some(e);
@@ -1832,24 +1768,22 @@ impl ClusterMachine {
         Ok(EpochPhase::Gather(ep))
     }
 
-    /// One batched fan-out submit of a migration epoch: submit every
-    /// per-device payload and flush the batch window (even when a submit
-    /// failed — already-buffered jobs are in the pending ledger and must
-    /// reach their workers). Returns the submitted handles; the caller
-    /// waits them (or, after an error, leaves them for the finish drain).
-    fn epoch_submit<T>(
+    /// One batched fan-out: open a batch window, `submit` every
+    /// `(index, payload)` item, and flush the window as one message per
+    /// device (even when a submit failed — already-buffered jobs are in the
+    /// pending ledger and must reach their workers). Returns the submitted
+    /// handles plus the first error; the caller waits the handles (or,
+    /// after an error, leaves them for its drain).
+    fn fan_out<T>(
         &mut self,
-        batched: bool,
-        items: Vec<(usize, T)>,
+        items: impl IntoIterator<Item = (usize, T)>,
         mut submit: impl FnMut(&mut Self, usize, T) -> Result<LaunchHandle, CompileError>,
     ) -> (Vec<LaunchHandle>, Option<CompileError>) {
-        if batched {
-            self.begin_batch();
-        }
+        self.begin_batch();
         let mut handles = Vec::new();
         let mut submit_err = None;
-        for (device, item) in items {
-            match submit(self, device, item) {
+        for (index, item) in items {
+            match submit(self, index, item) {
                 Ok(h) => handles.push(h),
                 Err(e) => {
                     submit_err = Some(e);
@@ -1857,7 +1791,7 @@ impl ClusterMachine {
                 }
             }
         }
-        let flushed = if batched { self.flush_batch() } else { Ok(()) };
+        let flushed = self.flush_batch();
         (handles, submit_err.or(flushed.err()))
     }
 
@@ -1879,7 +1813,6 @@ impl ClusterMachine {
         let replans = &ep.replans;
         let move_bufs = &ep.move_bufs;
         let halo_inject = &ep.halo_inject;
-        let batched = ep.batched;
         let devices = s.devices.clone();
         // Restage: build one ReshardSpec per replaced (array, shard) slice.
         let mut per_device: Vec<Vec<ReshardSpec>> =
@@ -1938,7 +1871,7 @@ impl ClusterMachine {
         let stats = &mut s.stats;
         let mut sp = ftn_trace::span("epoch.reshard", "epoch");
         sp.arg("devices", reshards.len());
-        let (handles, err) = self.epoch_submit(batched, reshards, |m, device, specs| {
+        let (handles, err) = self.fan_out(reshards, |m, device, specs| {
             let t = m.submit_reshard(device, specs)?;
             stats.staged_uploads += t.staged;
             stats.staged_bytes += t.staged_bytes;
@@ -1962,7 +1895,6 @@ impl ClusterMachine {
             ref_name,
             threshold,
             predicted_gain,
-            batched: _,
             replans,
             move_bufs,
             halo_inject,
@@ -2048,7 +1980,7 @@ impl ClusterMachine {
             .array(&ref_name)
             .map(|a| a.slices.iter().map(|sl| sl.range.len).collect())
             .unwrap_or_default();
-        self.sharded.insert(session, s);
+        self.sessions.insert(session, s);
         if let Some(e) = failed {
             return Err(e);
         }
@@ -2065,5 +1997,5 @@ impl ClusterMachine {
 }
 
 fn no_session(session: u64) -> String {
-    format!("no open sharded session {session}")
+    format!("no open session {session}")
 }

@@ -83,9 +83,9 @@ pub fn i32_slice(items: &[Value]) -> Result<Vec<i32>, String> {
 pub enum ArgSpec {
     /// A session array referenced by its mapped name.
     Named(String),
-    /// The per-shard leading-dim extent of a mapped array (sharded session
-    /// launches: the rebased trip count / loop bound). On an unsharded
-    /// session this is the array's full leading-dim extent.
+    /// The per-shard leading-dim extent of a mapped array (the rebased trip
+    /// count / loop bound); on a one-shard session this is the array's full
+    /// leading-dim extent.
     Extent(String),
     /// A per-shard extent plus a constant offset — stencil loop bounds
     /// like `n - 1` that must rebase per shard

@@ -6,10 +6,10 @@
 //! | Method & path               | Body                                   | Effect |
 //! |-----------------------------|----------------------------------------|--------|
 //! | `POST /compile`             | `{source, fix_mac_pattern?, devices?}` | Compile via the content-addressed [`ArtifactCache`]; returns the key, whether it was a cache hit, each kernel's launch signature, and the device models the key's pool will use. `devices` (a list of model names such as `["u280","u250","u55c"]`, `@MHZ` clock overrides allowed) fixes a heterogeneous pool composition for this key. |
-//! | `POST /sessions`            | `{key, maps: [{name, kind, data, partition?, halo?}], shards?}` | Open a persistent `target data` session. Without `shards`, arrays map onto one pool device; with `shards: N` (or `"auto"`) each array is partitioned across N devices (`partition`: `split` (default, with optional `halo` rows) \| `replicated` \| `sum`/`min`/`max`). |
-//! | `POST /sessions/{id}/launch`| `{kernel, args: [{array\|extent\|extent_offset\|f32\|...}], refresh_halos?}` | Run one kernel-level job against the session's resident buffers (no per-launch transfers). On a sharded session the launch fans out per shard, with `{extent: name}` rebased to each shard's local length and `{extent_offset: {array, offset}}` rebasing stencil bounds like `n - 1`. `refresh_halos: true` exchanges split-array ghost rows after the launch lands (see `/refresh`). |
-//! | `POST /sessions/{id}/rebalance` | `{threshold?}`                     | Re-plan a sharded session against the pool's current backlogs: when the predicted makespan gain clears the threshold, a migration epoch moves only the owner-changing rows between devices and the session resumes under the new split. Sessions opened with `auto_rebalance` (or `ftn serve --auto-rebalance N[:T]`) do this automatically every N launches. |
-//! | `POST /sessions/{id}/refresh` |                                      | Inter-launch halo exchange on a sharded session: every split array's ghost rows are re-seeded from their current owner rows — boundary blocks only, device-to-device over the row-block fetch/splice path, never a full gather/re-scatter. The iterative-stencil primitive (`jacobi`/`heat` between sweeps). |
+//! | `POST /sessions`            | `{key, maps: [{name, kind, data, partition?, halo?}], shards?}` | Open a persistent `target data` session. `shards` defaults to 1 (arrays map onto one pool device, chosen by the placement ladder); with `shards: N` (or `"auto"`) each array is partitioned across N devices (`partition`: `split` (default, with optional `halo` rows) \| `replicated` \| `sum`/`min`/`max`). |
+//! | `POST /sessions/{id}/launch`| `{kernel, args: [{array\|extent\|extent_offset\|f32\|...}], refresh_halos?}` | Run one kernel-level job against the session's resident buffers (no per-launch transfers). The launch fans out per shard, with `{extent: name}` rebased to each shard's local length (the full length on a one-shard session) and `{extent_offset: {array, offset}}` rebasing stencil bounds like `n - 1`. `refresh_halos: true` exchanges split-array ghost rows after the launch lands (see `/refresh`). |
+//! | `POST /sessions/{id}/rebalance` | `{threshold?}`                     | Re-plan a session against the pool's current backlogs: when the predicted makespan gain clears the threshold, a migration epoch moves only the owner-changing rows between devices and the session resumes under the new split (a one-shard session answers the no-op report). Sessions opened with `auto_rebalance` (or `ftn serve --auto-rebalance N[:T]`) do this automatically every N launches. |
+//! | `POST /sessions/{id}/refresh` |                                      | Inter-launch halo exchange: every split array's ghost rows are re-seeded from their current owner rows — boundary blocks only, device-to-device over the row-block fetch/splice path, never a full gather/re-scatter. The iterative-stencil primitive (`jacobi`/`heat` between sweeps). |
 //! | `DELETE /sessions/{id}`     |                                        | Close the session: gather (or reduce) `from`/`tofrom` arrays back and return them with the session stats; all session memory is released. |
 //! | `POST /run`                 | `{key, func, args}`                    | Sessionless whole-program run (the baseline the elision ratio is measured against); request arrays are freed after the response. |
 //! | `GET /stats`                |                                        | Cache, pool, session, and HTTP statistics. |
@@ -77,7 +77,7 @@ pub struct ServeConfig {
     /// closed.
     pub idle_timeout_secs: u64,
     /// Shard count applied to `POST /sessions` bodies that do not carry a
-    /// `shards` field (`ftn serve --shards N|auto`). `None` = unsharded.
+    /// `shards` field (`ftn serve --shards N|auto`). `None` = one shard.
     pub default_shards: Option<ShardCount>,
     /// Automatic re-planning applied to sharded sessions that do not carry
     /// an `auto_rebalance` field (`ftn serve --auto-rebalance N[:T]`):
@@ -110,10 +110,6 @@ pub struct ServeConfig {
     /// Per-device queue depth above which `GET /healthz` reports the server
     /// unready (503). `0` disables the saturation check.
     pub healthz_queue_limit: u64,
-    /// Launch waits sleep-poll the pool lock every 100 µs (the pre-condvar
-    /// behavior) instead of parking on the pool's completion signal. Kept
-    /// only as the measured baseline of `bench_concurrency`; leave `false`.
-    pub legacy_wait: bool,
 }
 
 impl Default for ServeConfig {
@@ -132,7 +128,6 @@ impl Default for ServeConfig {
             retention_points: 600,
             slos: ftn_trace::default_slos(),
             healthz_queue_limit: 1024,
-            legacy_wait: false,
         }
     }
 }
@@ -142,7 +137,6 @@ impl Default for ServeConfig {
 struct ServeSession {
     pool_key: String,
     cluster_sid: u64,
-    sharded: bool,
     arrays: Vec<RtValue>,
 }
 
@@ -177,11 +171,11 @@ impl SessionTable {
         lock(self.stripe(session)).remove(&session)
     }
 
-    /// `(pool_key, cluster_sid, sharded)` of one session.
-    fn resolve(&self, session: u64) -> Option<(String, u64, bool)> {
+    /// `(pool_key, cluster_sid)` of one session.
+    fn resolve(&self, session: u64) -> Option<(String, u64)> {
         lock(self.stripe(session))
             .get(&session)
-            .map(|s| (s.pool_key.clone(), s.cluster_sid, s.sharded))
+            .map(|s| (s.pool_key.clone(), s.cluster_sid))
     }
 
     fn len(&self) -> usize {
@@ -301,76 +295,22 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Wait for a job without holding the pool locked: other HTTP workers keep
-/// submitting to (and draining) the same pool while this job runs, so
-/// concurrent clients genuinely overlap across the pool's devices. The wait
-/// parks on the pool's completion signal ([`PoolGate::wait_done`]) and is
-/// woken by the worker that reports the outcome — no sleep-poll cadence on
-/// the wake path. `legacy_wait` selects the old 100 µs lock/sleep poll,
-/// kept only as the `bench_concurrency` baseline.
+/// Wait for jobs without holding the pool locked: other HTTP workers keep
+/// submitting to (and draining) the same pool while these run, so
+/// concurrent clients genuinely overlap across the pool's devices. Each
+/// wait parks on the pool's completion signal ([`PoolGate::wait_done`]) and
+/// is woken by the worker that reports the outcome. Reports come back in
+/// handle (shard) order.
 ///
 /// The wait is wrapped in a `session.wait` span: most of a launch request's
 /// wall time is spent right here, and without a named child frame the
 /// profiler would report it as opaque `http.request` self-time.
 fn wait_unlocked(
     gate: &PoolGate,
-    handle: ftn_cluster::LaunchHandle,
-    legacy_wait: bool,
-) -> Result<ftn_cluster::ClusterRunReport, ftn_core::CompileError> {
-    let _span = ftn_trace::span("session.wait", "cluster");
-    wait_spanless(gate, handle, legacy_wait)
-}
-
-fn wait_spanless(
-    gate: &PoolGate,
-    handle: ftn_cluster::LaunchHandle,
-    legacy_wait: bool,
-) -> Result<ftn_cluster::ClusterRunReport, ftn_core::CompileError> {
-    if !legacy_wait {
-        return gate.wait_done(handle);
-    }
-    loop {
-        let mut machine = gate.lock();
-        machine.poll_outcomes();
-        if machine.is_complete(&handle) {
-            return machine.wait(handle);
-        }
-        drop(machine);
-        std::thread::sleep(std::time::Duration::from_micros(100));
-    }
-}
-
-/// [`wait_unlocked`] over a sharded launch's per-shard handles, in shard
-/// order, under a single `session.wait` span.
-fn wait_many_unlocked(
-    gate: &PoolGate,
     handles: Vec<ftn_cluster::LaunchHandle>,
-    legacy_wait: bool,
 ) -> Result<Vec<ftn_cluster::ClusterRunReport>, ftn_core::CompileError> {
-    let mut span = ftn_trace::span("session.wait", "cluster");
-    span.arg("shards", handles.len());
-    handles
-        .into_iter()
-        .map(|h| wait_spanless(gate, h, legacy_wait))
-        .collect()
-}
-
-/// Resolve `{"extent": name}` / `{"extent_offset": ...}` against an
-/// unsharded session: the array's full leading-dim extent plus `offset`.
-fn extent_index(
-    machine: &ClusterMachine,
-    sid: u64,
-    session: u64,
-    name: &str,
-    offset: i64,
-) -> Result<RtValue, HandlerError> {
-    let value = machine
-        .session_array(sid, name)
-        .ok_or_else(|| bad_request(format!("session {session} has no array '{name}'")))?;
-    let m = value.as_memref().expect("session arrays are memrefs");
-    Ok(RtValue::Index(
-        m.shape.first().copied().unwrap_or(1) + offset,
-    ))
+    let _span = ftn_trace::span("session.wait", "cluster");
+    gate.wait_many(handles)
 }
 
 fn bad_request(msg: impl Into<String>) -> HandlerError {
@@ -398,19 +338,6 @@ struct CompileResponse {
     kernels: Vec<KernelDesc>,
     /// Device models this key's pool will run on (names, in device order).
     devices: Vec<String>,
-}
-
-#[derive(Serialize)]
-struct LaunchResponse {
-    session: u64,
-    device: usize,
-    cycles: u64,
-    kernel_seconds: f64,
-    kernel_wall_seconds: f64,
-    /// Buffers uploaded for this launch (0 once resident).
-    staged: u64,
-    /// Host↔device transfers elided because the buffer was resident.
-    elided: u64,
 }
 
 impl ServeState {
@@ -1006,7 +933,7 @@ impl ServeState {
             return Err(bad_request("'maps' must name at least one array"));
         }
         // `shards` may be an integer, "auto", or absent (then the server
-        // default — `ftn serve --shards` — applies; unsharded when none).
+        // default — `ftn serve --shards` — applies; one shard when none).
         let shards =
             match v.get("shards") {
                 Some(Value::Str(s)) => Some(ShardCount::parse(s).ok_or_else(|| {
@@ -1050,9 +977,10 @@ impl ServeState {
             }
             None => self.config.auto_rebalance,
         };
-        // Only sharded sessions re-plan: an explicit request to enable it
-        // on an unsharded session would be silently dead, so reject it
-        // (explicit opt-outs and inherited server defaults stay harmless).
+        // Re-planning needs rows to move between shards: an explicit request
+        // to enable it on a session that never asked for any would be
+        // silently dead, so reject it (explicit opt-outs and inherited
+        // server defaults stay harmless).
         if shards.is_none() && v.get("auto_rebalance").is_some() && auto_rebalance.is_some() {
             return Err(bad_request(
                 "'auto_rebalance' requires a sharded session; set 'shards' too",
@@ -1102,49 +1030,23 @@ impl ServeState {
             }
         };
 
-        let open_result = match shards {
-            Some(count) => {
-                let borrowed: Vec<(&str, RtValue, MapKind, Partition)> = triples
-                    .iter()
-                    .map(|(n, v, k, p)| (n.as_str(), v.clone(), *k, *p))
-                    .collect();
-                let opts = ShardOptions {
-                    auto_rebalance,
-                    ..Default::default()
-                };
-                machine
-                    .open_sharded_session_with(&borrowed, count, opts)
-                    .map(|sid| {
-                        let shards = machine.sharded_shards(sid).unwrap_or(1);
-                        let devices = machine.sharded_devices(sid).unwrap_or_default();
-                        (
-                            sid,
-                            true,
-                            vec![
-                                ("shards", shards.to_value()),
-                                ("devices", devices.to_value()),
-                            ],
-                        )
-                    })
-            }
-            None => {
-                let borrowed: Vec<(&str, RtValue, MapKind)> = triples
-                    .iter()
-                    .map(|(n, v, k, _)| (n.as_str(), v.clone(), *k))
-                    .collect();
-                machine.open_session(&borrowed).map(|sid| {
-                    let device = machine.session_device(sid).unwrap_or(0);
-                    (sid, false, vec![("device", device.to_value())])
-                })
-            }
+        let borrowed: Vec<(&str, RtValue, MapKind, Partition)> = triples
+            .iter()
+            .map(|(n, v, k, p)| (n.as_str(), v.clone(), *k, *p))
+            .collect();
+        let opts = ShardOptions {
+            auto_rebalance,
+            ..Default::default()
         };
-        let (cluster_sid, sharded, detail) = match open_result {
-            Ok(opened) => opened,
+        let count = shards.unwrap_or(ShardCount::Fixed(1));
+        let cluster_sid = match machine.open_sharded_session_with(&borrowed, count, opts) {
+            Ok(sid) => sid,
             Err(e) => {
                 free_all(&mut machine);
                 return Err(bad_request(e.to_string()));
             }
         };
+        let devices = machine.sharded_devices(cluster_sid).unwrap_or_default();
         drop(machine);
         let session = self.next_session.fetch_add(1, Ordering::SeqCst);
         self.sessions.insert(
@@ -1152,20 +1054,16 @@ impl ServeState {
             ServeSession {
                 pool_key: key.to_string(),
                 cluster_sid,
-                sharded,
                 arrays,
             },
         );
-        let mut fields = vec![
-            ("session", session.to_value()),
-            ("mapped", triples.len().to_value()),
-        ];
-        fields.extend(detail);
+        let mut fields = session_reply(session, &devices);
+        fields.push(("mapped", triples.len().to_value()));
         Ok(api::obj(fields))
     }
 
-    fn session_ref(&self, session: u64) -> Result<(Arc<PoolGate>, u64, bool), HandlerError> {
-        let (pool_key, cluster_sid, sharded) = self
+    fn session_ref(&self, session: u64) -> Result<(Arc<PoolGate>, u64), HandlerError> {
+        let (pool_key, cluster_sid) = self
             .sessions
             .resolve(session)
             .ok_or_else(|| not_found(format!("no session {session}")))?;
@@ -1173,11 +1071,11 @@ impl ServeState {
             .get(&pool_key)
             .cloned()
             .ok_or_else(|| (500, format!("pool for session {session} vanished")))?;
-        Ok((pool, cluster_sid, sharded))
+        Ok((pool, cluster_sid))
     }
 
     /// Lock `gate`'s machine with `session` known to be outside a migration
-    /// epoch *at lock time*: epochs remove the sharded session from the
+    /// epoch *at lock time*: epochs remove the session from the
     /// machine's table for their duration, so touching one mid-epoch would
     /// spuriously report "no session". Re-checking the fence under the
     /// machine lock closes the race between the fence test and the lock
@@ -1198,6 +1096,15 @@ impl ServeState {
         }
     }
 
+    /// Launch: fan out per shard, wait all shard jobs, and report the
+    /// aggregate (total cycles, per-launch makespan = slowest shard).
+    ///
+    /// A launch that lands while its session is inside a migration epoch
+    /// parks on the gate fence until the epoch resumes; launches on *other*
+    /// sessions never see the fence. When the session's auto-rebalance
+    /// cadence comes due, the epoch runs phased ([`PoolGate::rebalance_phased`])
+    /// with the machine lock released during quiesce and device traffic, so
+    /// concurrent clients keep submitting mid-epoch.
     fn launch(&self, session: u64, body: &str) -> Result<Value, HandlerError> {
         let v = api::parse_body(body).map_err(bad_request)?;
         let kernel = api::get_str(&v, "kernel").map_err(bad_request)?;
@@ -1207,77 +1114,7 @@ impl ServeState {
             None => false,
             Some(_) => return Err(bad_request("'refresh_halos' must be a boolean")),
         };
-        let (pool, sid, sharded) = self.session_ref(session)?;
-        if sharded {
-            return self.launch_sharded(session, sid, kernel, arg_values, refresh_halos, &pool);
-        }
-        if refresh_halos {
-            return Err(bad_request(
-                "'refresh_halos' requires a sharded session; set 'shards' at open",
-            ));
-        }
-        let mut machine = pool.lock();
-        let mut args = Vec::with_capacity(arg_values.len());
-        for a in arg_values {
-            let spec = api::parse_arg(a).map_err(bad_request)?;
-            args.push(match spec {
-                ArgSpec::Named(name) => machine.session_array(sid, &name).ok_or_else(|| {
-                    bad_request(format!("session {session} has no array '{name}'"))
-                })?,
-                ArgSpec::Extent(name) => extent_index(&machine, sid, session, &name, 0)?,
-                ArgSpec::ExtentOffset(name, off) => {
-                    extent_index(&machine, sid, session, &name, off)?
-                }
-                ArgSpec::ArrayF32(_) | ArgSpec::ArrayI32(_) => {
-                    return Err(bad_request(
-                        "inline arrays are not allowed in session launches; map them at open",
-                    ))
-                }
-                ArgSpec::F32(x) => RtValue::F32(x),
-                ArgSpec::F64(x) => RtValue::F64(x),
-                ArgSpec::I32(x) => RtValue::I32(x),
-                ArgSpec::I64(x) => RtValue::I64(x),
-                ArgSpec::Index(x) => RtValue::Index(x),
-            });
-        }
-        let ticket = machine
-            .session_launch(sid, kernel, &args)
-            .map_err(|e| bad_request(e.to_string()))?;
-        let (staged, elided) = (ticket.staged, ticket.elided);
-        drop(machine);
-        let report = wait_unlocked(&pool, ticket.handle, self.config.legacy_wait)
-            .map_err(|e| (500, e.to_string()))?;
-        self.metrics.launches.inc();
-        Ok(LaunchResponse {
-            session,
-            device: report.device,
-            cycles: report.report.stats.total_cycles,
-            kernel_seconds: report.report.stats.kernel_seconds,
-            kernel_wall_seconds: report.report.stats.kernel_wall_seconds,
-            staged,
-            elided,
-        }
-        .to_value())
-    }
-
-    /// Sharded launch: fan out per shard, wait all shard jobs, and report
-    /// the aggregate (total cycles, per-launch makespan = slowest shard).
-    ///
-    /// A launch that lands while its session is inside a migration epoch
-    /// parks on the gate fence until the epoch resumes; launches on *other*
-    /// sessions never see the fence. When the session's auto-rebalance
-    /// cadence comes due, the epoch runs phased ([`PoolGate::rebalance_phased`])
-    /// with the machine lock released during quiesce and device traffic, so
-    /// concurrent clients keep submitting mid-epoch.
-    fn launch_sharded(
-        &self,
-        session: u64,
-        sid: u64,
-        kernel: &str,
-        arg_values: &[Value],
-        refresh_halos: bool,
-        gate: &PoolGate,
-    ) -> Result<Value, HandlerError> {
+        let (gate, sid) = self.session_ref(session)?;
         let mut args = Vec::with_capacity(arg_values.len());
         for a in arg_values {
             let spec = api::parse_arg(a).map_err(bad_request)?;
@@ -1297,7 +1134,7 @@ impl ServeState {
                 ArgSpec::Index(x) => ShardArg::Scalar(RtValue::Index(x)),
             });
         }
-        let mut machine = self.lock_unfenced(gate, sid);
+        let mut machine = self.lock_unfenced(&gate, sid);
         // The auto-rebalance cadence check is split from the launch so a due
         // epoch runs *phased* (off-lock) instead of stop-the-world under the
         // machine lock the synchronous `sharded_launch` would take.
@@ -1308,7 +1145,7 @@ impl ServeState {
             drop(machine);
             gate.rebalance_phased(sid, Some(threshold))
                 .map_err(|e| (500, e.to_string()))?;
-            machine = self.lock_unfenced(gate, sid);
+            machine = self.lock_unfenced(&gate, sid);
         }
         let ticket = machine
             .sharded_launch_no_replan(sid, kernel, &args)
@@ -1316,8 +1153,7 @@ impl ServeState {
         let (staged, elided) = (ticket.staged, ticket.elided);
         let devices = ticket.devices;
         drop(machine);
-        let reports = wait_many_unlocked(gate, ticket.handles, self.config.legacy_wait)
-            .map_err(|e| (500, e.to_string()))?;
+        let reports = wait_unlocked(&gate, ticket.handles).map_err(|e| (500, e.to_string()))?;
         self.metrics.launches.inc();
         // Per-launch ghost-row exchange: refresh the session's split-array
         // halos *after* the shard jobs land, phased like a manual
@@ -1334,16 +1170,17 @@ impl ServeState {
             .iter()
             .map(|r| r.report.stats.kernel_wall_seconds)
             .fold(0.0f64, f64::max);
-        let mut fields = vec![
-            ("session", session.to_value()),
-            ("shards", reports.len().to_value()),
-            ("devices", devices.to_value()),
+        // `kernel_wall_seconds` is the one-device spelling of
+        // `kernel_wall_seconds_max` (equal on one shard).
+        let mut fields = session_reply(session, &devices);
+        fields.extend([
             ("cycles", cycles.to_value()),
             ("kernel_seconds", kernel_seconds.to_value()),
+            ("kernel_wall_seconds", makespan.to_value()),
             ("kernel_wall_seconds_max", makespan.to_value()),
             ("staged", staged.to_value()),
             ("elided", elided.to_value()),
-        ];
+        ]);
         if let Some(h) = halo {
             fields.push(("halo_rows", h.halo_rows.to_value()));
             fields.push(("halo_bytes", h.halo_bytes.to_value()));
@@ -1351,7 +1188,7 @@ impl ServeState {
         Ok(api::obj(fields))
     }
 
-    /// Manual re-plan of a sharded session against the pool's current
+    /// Manual re-plan of a session against the pool's current
     /// backlogs. Body: optional `{"threshold": T}` overriding the session's
     /// configured improvement threshold. Replies with the cluster's
     /// [`ftn_cluster::RebalanceReport`] (whether an epoch ran, the predicted
@@ -1365,12 +1202,7 @@ impl ServeState {
             None => None,
             Some(_) => return Err(bad_request("'threshold' must be a number ≥ 1.0")),
         };
-        let (pool, sid, sharded) = self.session_ref(session)?;
-        if !sharded {
-            return Err(bad_request(format!(
-                "session {session} is not sharded; only sharded sessions re-plan"
-            )));
-        }
+        let (pool, sid) = self.session_ref(session)?;
         // The epoch runs *phased* (quiesce → delta-gather → reshard →
         // resume): the machine lock is held only to poll outcomes and to
         // submit each phase's transfers, and released while device traffic
@@ -1379,142 +1211,64 @@ impl ServeState {
         let report = pool
             .rebalance_phased(sid, threshold)
             .map_err(|e| (500, e.to_string()))?;
-        let mut value = report.to_value();
-        // Report the serve-level session id, not the cluster-internal one.
-        if let Value::Obj(fields) = &mut value {
-            for (k, v) in fields.iter_mut() {
-                if k == "session" {
-                    *v = session.to_value();
-                }
-            }
-        }
-        Ok(value)
+        Ok(with_serve_session(report.to_value(), session))
     }
 
-    /// Manual inter-launch halo refresh of a sharded session: every mapped
+    /// Manual inter-launch halo refresh of a session: every mapped
     /// split array's ghost rows are re-seeded from their current owner
     /// rows, boundary blocks only (device-to-device via the row-block
     /// fetch/splice path — never a full gather/re-scatter). Replies with
     /// the cluster's [`ftn_cluster::HaloRefreshReport`] (whether anything
     /// moved, arrays touched, ghost rows and bytes exchanged).
     fn refresh(&self, session: u64) -> Result<Value, HandlerError> {
-        let (pool, sid, sharded) = self.session_ref(session)?;
-        if !sharded {
-            return Err(bad_request(format!(
-                "session {session} is not sharded; only sharded sessions refresh halos"
-            )));
-        }
+        let (pool, sid) = self.session_ref(session)?;
         // The exchange runs *phased* (gather → splice): the machine lock is
         // held only to submit each phase's transfers, and released while
         // boundary rows are in flight. Only this session is fenced.
         let report = pool.refresh_phased(sid).map_err(|e| (500, e.to_string()))?;
-        let mut value = report.to_value();
-        // Report the serve-level session id, not the cluster-internal one.
-        if let Value::Obj(fields) = &mut value {
-            for (k, v) in fields.iter_mut() {
-                if k == "session" {
-                    *v = session.to_value();
-                }
-            }
-        }
-        Ok(value)
+        Ok(with_serve_session(report.to_value(), session))
     }
 
     fn session_info(&self, session: u64) -> Result<Value, HandlerError> {
-        let (pool, sid, sharded) = self.session_ref(session)?;
-        let machine = if sharded {
-            // A sharded session mid-epoch is absent from the machine's
-            // table; wait out the fence rather than 404 a live session.
-            self.lock_unfenced(&pool, sid)
-        } else {
-            pool.lock()
-        };
-        if sharded {
-            let stats = machine
-                .sharded_stats(sid)
-                .ok_or_else(|| not_found(format!("no session {session}")))?;
-            // The realized partition (owned rows per shard) of the largest
-            // split array — the live view of re-planning epochs, and the
-            // same reference array the rebalance decision and its report
-            // use, so the two endpoints always agree.
-            let shard_rows = machine
-                .sharded_maps(sid)
-                .and_then(|maps| {
-                    maps.into_iter()
-                        .filter(|(_, _, _, p)| matches!(p, Partition::Split { .. }))
-                        .max_by_key(|(_, v, _, _)| {
-                            v.as_memref().map(|m| m.num_elements()).unwrap_or(0)
-                        })
-                        .map(|(name, _, _, _)| name)
-                })
-                .and_then(|name| machine.sharded_shard_rows(sid, &name))
-                .unwrap_or_default();
-            return Ok(api::obj(vec![
-                ("session", session.to_value()),
-                (
-                    "shards",
-                    machine.sharded_shards(sid).unwrap_or(1).to_value(),
-                ),
-                (
-                    "devices",
-                    machine.sharded_devices(sid).unwrap_or_default().to_value(),
-                ),
-                ("shard_rows", shard_rows.to_value()),
-                ("stats", stats.to_value()),
-            ]));
-        }
+        let (pool, sid) = self.session_ref(session)?;
+        // A session mid-epoch is absent from the machine's table; wait out
+        // the fence rather than 404 a live session.
+        let machine = self.lock_unfenced(&pool, sid);
         let stats = machine
             .session_stats(sid)
             .ok_or_else(|| not_found(format!("no session {session}")))?;
-        let device = machine.session_device(sid).unwrap_or(0);
-        Ok(api::obj(vec![
-            ("session", session.to_value()),
-            ("device", device.to_value()),
-            ("stats", stats.to_value()),
-        ]))
+        let devices = machine.sharded_devices(sid).unwrap_or_default();
+        // The realized partition (owned rows per shard) of the largest
+        // split array — the live view of re-planning epochs, and the same
+        // reference array the rebalance decision and its report use, so the
+        // two endpoints always agree.
+        let shard_rows = machine
+            .sharded_maps(sid)
+            .and_then(|maps| {
+                maps.into_iter()
+                    .filter(|(_, _, _, p)| matches!(p, Partition::Split { .. }))
+                    .max_by_key(|(_, v, _, _)| v.as_memref().map(|m| m.num_elements()).unwrap_or(0))
+                    .map(|(name, _, _, _)| name)
+            })
+            .and_then(|name| machine.sharded_shard_rows(sid, &name))
+            .unwrap_or_default();
+        let mut fields = session_reply(session, &devices);
+        fields.push(("shard_rows", shard_rows.to_value()));
+        fields.push(("stats", stats.to_value()));
+        Ok(api::obj(fields))
     }
 
     fn close_session(&self, session: u64) -> Result<Value, HandlerError> {
-        let (pool, sid, sharded) = self.session_ref(session)?;
-        let mut machine = if sharded {
-            // Closing mid-epoch would find the session missing from the
-            // machine's table; park on the fence until the epoch resumes.
-            self.lock_unfenced(&pool, sid)
-        } else {
-            pool.lock()
-        };
-        let (maps, detail) = if sharded {
-            let maps = machine
-                .sharded_maps(sid)
-                .ok_or_else(|| not_found(format!("no session {session}")))?;
-            let report = machine
-                .close_sharded_session(sid)
-                .map_err(|e| (500, e.to_string()))?;
-            let maps: Vec<(String, RtValue, MapKind)> =
-                maps.into_iter().map(|(n, v, k, _)| (n, v, k)).collect();
-            (
-                maps,
-                vec![
-                    ("shards", report.shards.to_value()),
-                    ("devices", report.devices.to_value()),
-                    ("stats", report.stats.to_value()),
-                ],
-            )
-        } else {
-            let maps = machine
-                .session_maps(sid)
-                .ok_or_else(|| not_found(format!("no session {session}")))?;
-            let report = machine
-                .close_session(sid)
-                .map_err(|e| (500, e.to_string()))?;
-            (
-                maps,
-                vec![
-                    ("device", report.device.to_value()),
-                    ("stats", report.stats.to_value()),
-                ],
-            )
-        };
+        let (pool, sid) = self.session_ref(session)?;
+        // Closing mid-epoch would find the session missing from the
+        // machine's table; park on the fence until the epoch resumes.
+        let mut machine = self.lock_unfenced(&pool, sid);
+        let maps = machine
+            .session_maps(sid)
+            .ok_or_else(|| not_found(format!("no session {session}")))?;
+        let report = machine
+            .close_sharded_session(sid)
+            .map_err(|e| (500, e.to_string()))?;
         // `from`/`tofrom` arrays now hold the gathered device results;
         // return them, then release every array the session allocated.
         let mut arrays = Vec::new();
@@ -1540,8 +1294,8 @@ impl ServeState {
             machine.free_host(h).map_err(|e| (500, e.to_string()))?;
         }
         drop(machine);
-        let mut fields = vec![("session", session.to_value())];
-        fields.extend(detail);
+        let mut fields = session_reply(session, &report.devices);
+        fields.push(("stats", report.stats.to_value()));
         fields.push(("arrays", Value::Obj(arrays)));
         Ok(api::obj(fields))
     }
@@ -1608,8 +1362,8 @@ impl ServeState {
             }
         };
         drop(machine);
-        let report = match wait_unlocked(&pool, handle, self.config.legacy_wait) {
-            Ok(r) => r,
+        let report = match wait_unlocked(&pool, vec![handle]) {
+            Ok(mut reports) => reports.pop().expect("one handle, one report"),
             Err(e) => {
                 free_all(&mut pool.lock());
                 return Err(bad_request(e.to_string()));
@@ -1659,10 +1413,6 @@ impl ServeState {
                 ("models", models.to_value()),
                 ("queue_depths", machine.queue_depths().to_value()),
                 ("open_sessions", machine.open_sessions().len().to_value()),
-                (
-                    "open_sharded_sessions",
-                    machine.open_sharded_sessions().len().to_value(),
-                ),
                 ("stats", machine.pool_stats().to_value()),
             ]));
         }
@@ -1689,6 +1439,31 @@ impl ServeState {
             ("pools", Value::Arr(pool_stats)),
         ]))
     }
+}
+
+/// The fields every session reply (open, launch, info, close) starts with:
+/// the serve-level id and where the session lives. `device` is the
+/// one-device spelling of `devices[0]`.
+fn session_reply(session: u64, devices: &[usize]) -> Vec<(&'static str, Value)> {
+    vec![
+        ("session", session.to_value()),
+        ("device", devices.first().copied().unwrap_or(0).to_value()),
+        ("shards", devices.len().to_value()),
+        ("devices", devices.to_value()),
+    ]
+}
+
+/// Re-key a cluster report's `session` field to the serve-level session id
+/// (the cluster-internal one is meaningless to HTTP clients).
+fn with_serve_session(mut report: Value, session: u64) -> Value {
+    if let Value::Obj(fields) = &mut report {
+        for (k, v) in fields.iter_mut() {
+            if k == "session" {
+                *v = session.to_value();
+            }
+        }
+    }
+    report
 }
 
 fn parse_id(s: &str) -> Result<u64, HandlerError> {
@@ -2087,6 +1862,17 @@ end subroutine saxpy
         );
         assert_eq!(status, 200, "{opened:?}");
         let sid = as_u64(opened.get("session"));
+        // Opened without `shards`: a one-shard session. Replies carry the
+        // one-device fields with the values the retired unsharded handlers
+        // answered (`device`, `kernel_wall_seconds`: captured at that
+        // commit) next to the general ones.
+        assert_eq!(as_u64(opened.get("mapped")), 2);
+        assert_eq!(as_u64(opened.get("device")), 0, "{opened:?}");
+        assert_eq!(as_u64(opened.get("shards")), 1, "{opened:?}");
+        assert_eq!(
+            opened.get("devices"),
+            Some(&Value::Arr(vec![Value::Int(0)]))
+        );
 
         // Two launches; the second also finds everything resident.
         let launch = api::obj(vec![
@@ -2114,11 +1900,70 @@ end subroutine saxpy
             );
             assert_eq!(status, 200, "{resp:?}");
             assert_eq!(as_u64(resp.get("elided")), 2, "{resp:?}");
+            assert_eq!(as_u64(resp.get("staged")), 0, "{resp:?}");
+            assert_eq!(as_u64(resp.get("device")), 0, "{resp:?}");
+            assert_eq!(as_u64(resp.get("shards")), 1, "{resp:?}");
+            assert_eq!(as_u64(resp.get("cycles")), 1276, "{resp:?}");
+            let wall = Some(&Value::Float(6.253333333333333e-6));
+            assert_eq!(resp.get("kernel_wall_seconds"), wall, "{resp:?}");
+            assert_eq!(resp.get("kernel_wall_seconds_max"), wall, "{resp:?}");
+            let kernel = Some(&Value::Float(4.253333333333333e-6));
+            assert_eq!(resp.get("kernel_seconds"), kernel, "{resp:?}");
         }
+        // `extent` / `extent_offset` resolve to the full extent there: the
+        // same launch spelled with extents (and `a = 0`, so y is untouched)
+        // runs the same trip count, cycle for cycle.
+        let by_extent = api::obj(vec![
+            ("kernel", Value::Str("saxpy_kernel0".into())),
+            (
+                "args",
+                Value::Arr(vec![
+                    api::obj(vec![("array", Value::Str("x".into()))]),
+                    api::obj(vec![("array", Value::Str("y".into()))]),
+                    api::obj(vec![("extent", Value::Str("x".into()))]),
+                    api::obj(vec![("extent", Value::Str("y".into()))]),
+                    api::obj(vec![("f32", Value::Float(0.0))]),
+                    api::obj(vec![("index", Value::Int(1))]),
+                    api::obj(vec![(
+                        "extent_offset",
+                        api::obj(vec![
+                            ("array", Value::Str("x".into())),
+                            ("offset", Value::Int(0)),
+                        ]),
+                    )]),
+                ]),
+            ),
+        ]);
+        let (status, resp) = request(
+            addr,
+            "POST",
+            &format!("/sessions/{sid}/launch"),
+            &serde_json::to_string(&by_extent).unwrap(),
+        );
+        assert_eq!(status, 200, "{resp:?}");
+        assert_eq!(as_u64(resp.get("cycles")), 1276, "full-extent trip count");
+
+        let (status, info) = request(addr, "GET", &format!("/sessions/{sid}"), "");
+        assert_eq!(status, 200, "{info:?}");
+        assert_eq!(as_u64(info.get("device")), 0, "{info:?}");
+        assert_eq!(as_u64(info.get("shards")), 1, "{info:?}");
+        assert_eq!(
+            info.get("shard_rows"),
+            Some(&Value::Arr(vec![Value::Int(n as i64)]))
+        );
+        let stats = info.get("stats").expect("stats");
+        assert_eq!(as_u64(stats.get("launches")), 3);
+        assert_eq!(as_u64(stats.get("staged_uploads")), 2);
+        assert_eq!(as_u64(stats.get("staged_bytes")), 256);
+        assert_eq!(as_u64(stats.get("elided_transfers")), 6);
 
         // Close: y comes back with both launches applied.
         let (status, closed) = request(addr, "DELETE", &format!("/sessions/{sid}"), "");
         assert_eq!(status, 200, "{closed:?}");
+        assert_eq!(as_u64(closed.get("device")), 0, "{closed:?}");
+        assert_eq!(as_u64(closed.get("shards")), 1, "{closed:?}");
+        let stats = closed.get("stats").expect("stats");
+        assert_eq!(as_u64(stats.get("fetched_downloads")), 1, "{closed:?}");
         let arrays = closed.get("arrays").expect("arrays");
         let Some(Value::Arr(ys)) = arrays.get("y") else {
             panic!("no y in {closed:?}");
@@ -2132,7 +1977,7 @@ end subroutine saxpy
         // Stats reflect the session traffic; then shut down cleanly.
         let (status, stats) = request(addr, "GET", "/stats", "");
         assert_eq!(status, 200);
-        assert_eq!(as_u64(stats.get("launches")), 2, "{stats:?}");
+        assert_eq!(as_u64(stats.get("launches")), 3, "{stats:?}");
         let (status, _) = request(addr, "POST", "/shutdown", "");
         assert_eq!(status, 200);
         handle.join().expect("server thread").expect("clean run");
@@ -2499,8 +2344,8 @@ end subroutine saxpy
         .unwrap();
         let (status, _) = request(addr, "POST", "/sessions", &bad_auto);
         assert_eq!(status, 400);
-        // Enabling auto-rebalance on an unsharded session would be silently
-        // dead: rejected up front.
+        // Enabling auto-rebalance without asking for shards would be
+        // silently dead: rejected up front.
         let unsharded_auto = serde_json::to_string(&api::obj(vec![
             ("key", Value::Str(key.clone())),
             ("auto_rebalance", Value::Int(4)),
@@ -2517,7 +2362,9 @@ end subroutine saxpy
         let (status, resp) = request(addr, "POST", "/sessions", &unsharded_auto);
         assert_eq!(status, 400, "{resp:?}");
 
-        // A bad threshold is rejected; an unsharded session cannot re-plan.
+        // A bad threshold is rejected; a session opened without `shards` is
+        // a one-shard session, so re-planning and halo refreshes answer the
+        // ordinary no-op reports (nothing to move, no seams).
         let (status, _) = request(
             addr,
             "POST",
@@ -2549,7 +2396,15 @@ end subroutine saxpy
             &format!("/sessions/{plain_sid}/rebalance"),
             "",
         );
-        assert_eq!(status, 400, "{resp:?}");
+        assert_eq!(status, 200, "{resp:?}");
+        assert_eq!(as_u64(resp.get("session")), plain_sid);
+        assert_eq!(resp.get("replanned"), Some(&Value::Bool(false)));
+        assert_eq!(as_u64(resp.get("rows_migrated")), 0);
+        let (status, resp) = request(addr, "POST", &format!("/sessions/{plain_sid}/refresh"), "");
+        assert_eq!(status, 200, "{resp:?}");
+        assert_eq!(as_u64(resp.get("session")), plain_sid);
+        assert_eq!(resp.get("refreshed"), Some(&Value::Bool(false)));
+        assert_eq!(as_u64(resp.get("halo_rows")), 0);
 
         let (status, _) = request(addr, "DELETE", &format!("/sessions/{sid}"), "");
         assert_eq!(status, 200);

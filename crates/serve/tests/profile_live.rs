@@ -254,7 +254,7 @@ fn profile_stack_attributes_live_sharded_traffic() {
     assert_eq!(status, 400);
 
     // Folded profile over the launch window: ≥95 % of the wall time inside
-    // http.request is attributed to named children (session.launch_sharded,
+    // http.request is attributed to named children (session.launch,
     // job.kernel, kernel.execute, ...), and the kernel.execute frame is
     // present with nonzero self time.
     let (status, folded) = client::request_text(

@@ -105,23 +105,8 @@ impl ShardPlan {
     /// count is clamped to `rows` (no empty shards) and to at least one.
     pub fn partition(rows: usize, shards: usize, halo: usize) -> ShardPlan {
         let n = shards.max(1).min(rows.max(1));
-        let base = rows / n;
-        let rem = rows % n;
-        let mut ranges = Vec::with_capacity(n);
-        let mut start = 0usize;
-        for i in 0..n {
-            let len = base + usize::from(i < rem);
-            let halo_lo = halo.min(start);
-            let halo_hi = halo.min(rows - (start + len));
-            ranges.push(ShardRange {
-                start,
-                len,
-                halo_lo,
-                halo_hi,
-            });
-            start += len;
-        }
-        ShardPlan { rows, ranges }
+        let lens = (0..n).map(|i| rows / n + usize::from(i < rows % n));
+        ShardPlan::from_lens(rows, lens, halo)
     }
 
     /// Throughput-weighted contiguous partition of `rows`: shard `i` owns a
@@ -129,10 +114,12 @@ impl ShardPlan {
     /// faster device gets ~2× the rows. Apportionment is largest-remainder
     /// over `rows - n` after reserving one row per shard, which keeps every
     /// shard non-empty (when `rows ≥ shards`) and — crucially — reproduces
-    /// [`ShardPlan::partition`] *exactly* when all weights are equal, so a
-    /// homogeneous pool sees the identical plan it always had. Non-finite or
-    /// non-positive weights degrade to the uniform plan. The shard count is
-    /// `weights.len()`, clamped to `rows` like [`ShardPlan::partition`].
+    /// [`ShardPlan::partition`] *exactly* when all weights are equal (equal
+    /// quotas floor alike, and the leftover rows go to the lowest shard
+    /// indices), so a homogeneous pool sees the identical plan it always
+    /// had. Non-finite or non-positive weights degrade to the uniform plan.
+    /// The shard count is `weights.len()`, clamped to `rows` like
+    /// [`ShardPlan::partition`].
     ///
     /// ```
     /// use ftn_shard::ShardPlan;
@@ -147,15 +134,14 @@ impl ShardPlan {
     /// ```
     pub fn partition_weighted(rows: usize, weights: &[f64], halo: usize) -> ShardPlan {
         let n = weights.len().max(1).min(rows.max(1));
-        let degenerate = weights.len() < n
-            || weights[..n].iter().any(|w| !w.is_finite() || *w <= 0.0)
-            || weights[..n].windows(2).all(|w| w[0] == w[1]);
-        // (`weights.len() < n` covers the empty-weights case: n is 1 there.)
-        if degenerate {
+        // (`weights.len() < n` covers the empty-weights case: n is 1 there;
+        // `rows == 0` has no row to reserve per shard.)
+        let invalid = weights.len() < n
+            || rows == 0
+            || weights[..n].iter().any(|w| !w.is_finite() || *w <= 0.0);
+        if invalid {
             return ShardPlan::partition(rows, n, halo);
         }
-        // rows ≥ n ≥ 2 from here (n is clamped to rows, and a single shard
-        // has no unequal pair of weights).
         let extra = rows - n;
         let total: f64 = weights[..n].iter().sum();
         let mut lens = vec![1usize; n];
@@ -178,19 +164,27 @@ impl ShardPlan {
         for k in 0..(extra - assigned) {
             lens[fractions[k % n].0] += 1;
         }
-        let mut ranges = Vec::with_capacity(n);
+        ShardPlan::from_lens(rows, lens, halo)
+    }
+
+    /// Lay per-shard owned lengths (summing to `rows`) out as contiguous
+    /// ranges, each extended by up to `halo` ghost rows clamped at the
+    /// array ends — the one place halo clamping is written.
+    fn from_lens(rows: usize, lens: impl IntoIterator<Item = usize>, halo: usize) -> ShardPlan {
         let mut start = 0usize;
-        for &len in &lens {
-            let halo_lo = halo.min(start);
-            let halo_hi = halo.min(rows - (start + len));
-            ranges.push(ShardRange {
-                start,
-                len,
-                halo_lo,
-                halo_hi,
-            });
-            start += len;
-        }
+        let ranges = lens
+            .into_iter()
+            .map(|len| {
+                let range = ShardRange {
+                    start,
+                    len,
+                    halo_lo: halo.min(start),
+                    halo_hi: halo.min(rows - (start + len)),
+                };
+                start += len;
+                range
+            })
+            .collect();
         ShardPlan { rows, ranges }
     }
 
@@ -351,19 +345,21 @@ mod tests {
 
     #[test]
     fn equal_weights_reproduce_the_uniform_plan_exactly() {
-        for rows in [0usize, 1, 2, 3, 7, 10, 100, 1003] {
-            for shards in 1usize..=6 {
+        for rows in [0usize, 1, 2, 3, 7, 10, 100, 1003, 65536] {
+            for shards in (1usize..=6).chain([7, 16, 64]) {
                 for halo in [0usize, 1, 2] {
                     let uniform = ShardPlan::partition(rows, shards, halo);
-                    let weighted = ShardPlan::partition_weighted(rows, &vec![1.0; shards], halo);
-                    assert_eq!(
-                        uniform.ranges(),
-                        weighted.ranges(),
-                        "rows={rows} shards={shards} halo={halo}"
-                    );
-                    // Same for any other equal weight value.
-                    let weighted = ShardPlan::partition_weighted(rows, &vec![0.37; shards], halo);
-                    assert_eq!(uniform.ranges(), weighted.ranges());
+                    // Whatever the common value — including ones whose sums
+                    // round, underflow or overflow — no dispatch, only the
+                    // apportionment arithmetic, makes these agree.
+                    for w in [1.0, 0.37, 3.3e7, 1e-300, 1e308] {
+                        let weighted = ShardPlan::partition_weighted(rows, &vec![w; shards], halo);
+                        assert_eq!(
+                            uniform.ranges(),
+                            weighted.ranges(),
+                            "rows={rows} shards={shards} halo={halo} w={w}"
+                        );
+                    }
                 }
             }
         }

@@ -5,7 +5,7 @@
 //!
 //! A [`Profile`] merges every span overlapping a time window into one call
 //! tree keyed by span-name hierarchy (`http.request` →
-//! `session.launch_sharded` → `job.kernel` → `kernel.execute`). Each node
+//! `session.launch` → `job.kernel` → `kernel.execute`). Each node
 //! carries:
 //!
 //! - **total time**: the window-clipped durations of every span that landed
@@ -630,7 +630,7 @@ mod tests {
             lane(
                 "ftn-serve-0",
                 0,
-                vec![event("session.launch_sharded", "cluster", 1, 0, 0, 50)],
+                vec![event("session.launch", "cluster", 1, 0, 0, 50)],
             ),
             lane(
                 "ftn-device-0",
@@ -644,7 +644,7 @@ mod tests {
             ),
         ];
         let p = Profile::from_lanes(&lanes, 0, 100);
-        let root = &p.roots["session.launch_sharded"];
+        let root = &p.roots["session.launch"];
         assert_eq!(root.total_nanos, 50);
         assert_eq!(root.self_nanos, 0, "85ns of children clamp self at zero");
         assert_eq!(root.children["job.kernel"].total_nanos, 85);

@@ -22,7 +22,7 @@ fn arb_events(max: usize) -> impl Strategy<Value = Vec<SpanEvent>> {
     .prop_map(|rows| {
         let names = [
             "http.request",
-            "session.launch_sharded",
+            "session.launch",
             "job.kernel",
             "job.upload",
             "kernel.execute",

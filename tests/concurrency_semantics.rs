@@ -288,11 +288,16 @@ fn concurrent_launches_with_mid_run_epochs_match_serial_bitwise() {
         launch_spans.len(),
     );
 
+    // Close on a fresh connection: `setup` sat idle through the whole
+    // concurrent phase, which on a slow box outlasts the server's idle
+    // keep-alive timeout — the server has reaped it by now.
+    drop(setup);
+    let mut closer = Conn::open(addr).expect("connect");
     let mut concurrent: Vec<Vec<f64>> = untouched
         .iter()
-        .map(|&sid| close_session(&mut setup, sid))
+        .map(|&sid| close_session(&mut closer, sid))
         .collect();
-    concurrent.push(close_session(&mut setup, migrating));
+    concurrent.push(close_session(&mut closer, migrating));
     shutdown(addr, server);
 
     // Serial reference on a fresh server: same sessions, same launch

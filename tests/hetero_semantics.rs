@@ -4,20 +4,20 @@
 //! links) changes *where* rows live and *how long* the simulated timeline
 //! runs — it must never change a single bit of the results:
 //!
-//! * A weighted + batched sharded session on a heterogeneous pool is
+//! * A weighted sharded session on a heterogeneous pool is
 //!   bit-identical to the same `target data` program run on a single-device
 //!   `Machine`, and its `SessionStats`/`RunStats` totals are deterministic
 //!   (bit-identical across identical runs).
 //! * On a homogeneous pool, the weighted path reproduces the PR-3 uniform
 //!   plan *exactly*: same shard sizes, same 0..N device order, same result
-//!   bits, same `SessionStats`, same `RunStats` totals as the legacy
-//!   uniform/unbatched path.
+//!   bits, same `SessionStats`, same `RunStats` totals as the uniform
+//!   path.
 //! * The largest shard lands on the fastest device (regression-pinned
 //!   placement order).
 //! * Property: `ShardPlan::partition_weighted` is a sorted, contiguous,
 //!   exactly-once cover with no empty shard (unless `rows < shards`) for
-//!   random lengths, positive weights, and halos; batched and unbatched
-//!   fan-out produce identical results and deterministic statistics.
+//!   random lengths, positive weights, and halos; random shapes and shard
+//!   counts on the mixed pool match the f32 reference bit for bit.
 
 use std::sync::OnceLock;
 
@@ -165,7 +165,7 @@ fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
     }
 }
 
-/// The headline differential: a weighted + batched sharded session spanning
+/// The headline differential: a weighted sharded session spanning
 /// four *different* device models computes exactly what one U280 `Machine`
 /// computes, for plain and halo'd plans alike — and every statistic it
 /// reports is deterministic.
@@ -212,7 +212,7 @@ fn weighted_hetero_session_is_bit_identical_to_single_device_machine() {
     }
 }
 
-/// On a homogeneous pool the weighted + batched default must be
+/// On a homogeneous pool the weighted default must be
 /// *indistinguishable* from the PR-3 uniform path: same plan, same device
 /// order, same bits, same `SessionStats`, same `RunStats` totals.
 #[test]
@@ -227,7 +227,6 @@ fn equal_weights_on_homogeneous_pool_reproduce_the_uniform_plan() {
         ShardCount::Fixed(4),
         ShardOptions {
             weighted: false,
-            batched: false,
             ..Default::default()
         },
         reps,
@@ -372,11 +371,10 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Batched and unbatched fan-out are observationally identical on a
-    /// heterogeneous pool: same result bits, same `SessionStats`, same
-    /// deterministic `RunStats` totals — and both match the f32 reference.
+    /// Random lengths, shard counts (one shard included) and launch counts
+    /// on the heterogeneous pool match the f32 reference bit for bit.
     #[test]
-    fn batched_and_unbatched_fanout_agree(
+    fn weighted_hetero_session_matches_reference_for_random_shapes(
         n in 1usize..200,
         shards in 1usize..=4,
         reps in 1usize..=2,
@@ -384,21 +382,10 @@ proptest! {
     ) {
         let a = a as f32 * 0.25;
         let (x, y) = inputs(n);
-        let models = hetero_pool();
-        let batched = run_sharded(
-            &models, ShardCount::Fixed(shards),
-            ShardOptions { weighted: true, batched: true, ..Default::default() },
+        let run = run_sharded(
+            &hetero_pool(), ShardCount::Fixed(shards), ShardOptions::default(),
             reps, a, 0, &x, &y,
         );
-        let unbatched = run_sharded(
-            &models, ShardCount::Fixed(shards),
-            ShardOptions { weighted: true, batched: false, ..Default::default() },
-            reps, a, 0, &x, &y,
-        );
-        prop_assert_eq!(&batched.y, &unbatched.y);
-        prop_assert_eq!(&batched.session_stats, &unbatched.session_stats);
-        prop_assert_eq!(&batched.totals, &unbatched.totals);
-        prop_assert_eq!(&batched.devices, &unbatched.devices);
         let mut expect = y.clone();
         for _ in 0..reps {
             for i in 0..n {
@@ -407,7 +394,7 @@ proptest! {
         }
         for (i, e) in expect.iter().enumerate() {
             prop_assert_eq!(
-                batched.y[i].to_bits(),
+                run.y[i].to_bits(),
                 e.to_bits(),
                 "n={} shards={} element {}", n, shards, i
             );

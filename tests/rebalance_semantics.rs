@@ -222,14 +222,14 @@ fn zero_delta_replan_is_a_noop() {
         None,
         |cluster, sid, k| {
             if k == 3 {
-                let before = cluster.sharded_stats(sid).unwrap();
+                let before = cluster.session_stats(sid).unwrap();
                 let buffers = cluster.pool_stats().host_buffers;
                 let report = cluster.rebalance_session(sid).unwrap();
                 assert!(!report.replanned, "{report:?}");
                 assert_eq!(report.rows_migrated, 0);
                 assert_eq!(report.epoch_seconds, 0.0);
                 assert_eq!(report.shard_rows.iter().sum::<usize>(), n);
-                let after = cluster.sharded_stats(sid).unwrap();
+                let after = cluster.session_stats(sid).unwrap();
                 assert_eq!(before, after, "a no-op re-plan must not touch stats");
                 assert_eq!(cluster.pool_stats().host_buffers, buffers, "no leaks");
                 assert_eq!(cluster.pool_stats().replans, 0);

@@ -1,8 +1,11 @@
 //! Sharded data environments over the cluster (ftn-shard + ftn-cluster),
 //! checked against the single-device reference:
 //!
-//! * A sharded session with one shard is bit-identical — results AND
-//!   `SessionStats`/`RunStats` totals — to a plain (unsharded) session.
+//! * A session with one shard — opened either way, `open_session` or
+//!   `open_sharded_session(.., Fixed(1))` — is bit-identical, results AND
+//!   `RunStats` totals, to the `target data` program on `ftn_core::Machine`,
+//!   and its `SessionStats` equal the values the retired unsharded
+//!   implementation produced (pinned as golden constants).
 //! * A sharded session over 4 devices is bit-identical (results) to the
 //!   single-device session on the same program: the split is element-wise
 //!   exact for SAXPY-style kernels, and the gather reassembles the array in
@@ -16,7 +19,7 @@
 use std::sync::OnceLock;
 
 use ftn_cluster::{ClusterMachine, MapKind, Partition, ReduceOp, ShardArg, ShardCount};
-use ftn_core::{Artifacts, Compiler};
+use ftn_core::{Artifacts, Compiler, Machine};
 use ftn_fpga::DeviceModel;
 use ftn_interp::RtValue;
 use proptest::prelude::*;
@@ -117,7 +120,8 @@ fn run_sharded(
     (got, report.stats, cluster.pool_stats().totals)
 }
 
-/// The same workload as a plain (unsharded) session on a 1-device pool.
+/// The same workload through the single-device front-ends (`open_session` /
+/// `session_launch` / `close_session`) on a 1-device pool.
 fn run_plain_session(
     n: usize,
     reps: usize,
@@ -160,30 +164,65 @@ fn inputs(n: usize) -> (Vec<f32>, Vec<f32>) {
     (x, y)
 }
 
-/// One shard is the unsharded session: same bytes, same session stats, same
-/// `RunStats` totals.
+/// One shard is the single-device program: same bytes and `RunStats` totals
+/// as the `target data` region run on `Machine` (the independent oracle),
+/// and the `SessionStats` the unsharded session implementation reported for
+/// this workload before it was folded into the sharded one — captured at
+/// that commit, so the stats identity the two paths had keeps being checked.
 #[test]
 fn one_shard_is_bit_identical_to_plain_session_including_stats() {
     let n = 1003usize;
     let reps = 4usize;
     let a = 1.75f32;
     let (x, y) = inputs(n);
-    let (y_plain, plain_stats, plain_totals) = run_plain_session(n, reps, a, &x, &y);
-    let (y_shard, shard_stats, shard_totals) =
-        run_sharded(1, ShardCount::Fixed(1), reps, a, 0, &x, &y);
-    assert_eq!(y_plain.len(), y_shard.len());
-    for (i, (p, s)) in y_plain.iter().zip(&y_shard).enumerate() {
-        assert_eq!(p.to_bits(), s.to_bits(), "element {i}: {p} vs {s}");
+
+    let mut machine = Machine::load(saxpyn_artifacts(), DeviceModel::u280()).unwrap();
+    let xa = machine.host_f32(&x);
+    let ya = machine.host_f32(&y);
+    let report = machine
+        .run(
+            "saxpyn",
+            &[
+                RtValue::I32(n as i32),
+                RtValue::I32(reps as i32),
+                RtValue::F32(a),
+                xa,
+                ya.clone(),
+            ],
+        )
+        .unwrap();
+    let y_machine = machine.read_f32(&ya);
+    // Golden: RunStats totals of the unsharded session at the parent commit.
+    assert_eq!(report.stats.total_cycles, 129_648);
+    assert_eq!(report.stats.transfers, 3);
+    assert_eq!(report.stats.kernel_seconds, 0.00043216);
+    assert_eq!(report.stats.transfer_seconds, 7.600300000000001e-5);
+
+    let golden = ftn_cluster::SessionStats {
+        launches: 4,
+        staged_uploads: 2,
+        staged_bytes: 8024,
+        elided_transfers: 8,
+        fetched_downloads: 1,
+        ..Default::default()
+    };
+    for (what, (y_got, stats, totals)) in [
+        ("open_session", run_plain_session(n, reps, a, &x, &y)),
+        (
+            "Fixed(1)",
+            run_sharded(1, ShardCount::Fixed(1), reps, a, 0, &x, &y),
+        ),
+    ] {
+        assert_eq!(y_machine.len(), y_got.len());
+        for (i, (m, s)) in y_machine.iter().zip(&y_got).enumerate() {
+            assert_eq!(m.to_bits(), s.to_bits(), "{what} element {i}: {m} vs {s}");
+        }
+        assert_eq!(stats, golden, "{what}: SessionStats");
+        assert_eq!(
+            totals, report.stats,
+            "{what}: RunStats totals must equal the Machine program run"
+        );
     }
-    assert_eq!(plain_stats.launches, shard_stats.launches);
-    assert_eq!(plain_stats.staged_uploads, shard_stats.staged_uploads);
-    assert_eq!(plain_stats.staged_bytes, shard_stats.staged_bytes);
-    assert_eq!(plain_stats.elided_transfers, shard_stats.elided_transfers);
-    assert_eq!(plain_stats.fetched_downloads, shard_stats.fetched_downloads);
-    assert_eq!(
-        plain_totals, shard_totals,
-        "RunStats totals must be bit-identical at one shard"
-    );
 }
 
 /// Sharded over 2 and 4 devices: results bit-identical to the single-device

@@ -113,8 +113,9 @@ fn run_sharded_jacobi(
     (u, v, report.stats, cluster.pool_stats().totals)
 }
 
-/// The same ping-pong loop as a plain (unsharded) session on one device —
-/// the single-device reference every sharded variant must match bit-for-bit.
+/// The same ping-pong loop through the single-device front-ends
+/// (`open_session` / `session_launch`) on one device — the single-device
+/// reference every sharded variant must match bit-for-bit.
 fn run_plain_jacobi(
     n: usize,
     iters: usize,
@@ -190,21 +191,38 @@ fn sharded_jacobi_with_halo_refresh_is_bit_identical_at_n124() {
 }
 
 /// One shard with a halo declared: no seams exist, so refreshes are no-ops
-/// and the session's transfer accounting matches the plain session exactly.
+/// and the session's accounting is exactly what the unsharded session
+/// implementation reported for this workload before it was folded into the
+/// sharded one (golden `SessionStats` / `RunStats` captured at that commit)
+/// — whichever way the one-shard session is opened.
 #[test]
 fn one_shard_stencil_stats_match_plain_session() {
     let n = 129usize;
     let iters = 3usize;
     let (u0, v0) = inputs(n);
+    let golden = ftn_cluster::SessionStats {
+        launches: 3,
+        staged_uploads: 2,
+        staged_bytes: 1032,
+        elided_transfers: 6,
+        fetched_downloads: 2,
+        ..Default::default()
+    };
+    let golden_totals = RunStats {
+        kernel_seconds: 4.452e-5,
+        kernel_wall_seconds: 5.0520000000000004e-5,
+        transfer_seconds: 0.000100172,
+        launches: 3,
+        transfers: 4,
+        total_cycles: 13356,
+        launch_cycles: vec![4452; 3],
+    };
     let (_, _, plain, plain_totals) = run_plain_jacobi(n, iters, &u0, &v0);
     let (_, _, shard, shard_totals) = run_sharded_jacobi(1, 1, iters, 1, None, &u0, &v0);
-    assert_eq!(plain.launches, shard.launches);
-    assert_eq!(plain.staged_uploads, shard.staged_uploads);
-    assert_eq!(plain.staged_bytes, shard.staged_bytes);
-    assert_eq!(plain.fetched_downloads, shard.fetched_downloads);
-    assert_eq!(shard.halo_refreshes, 0, "no seams → no refreshes counted");
-    assert_eq!(shard.halo_bytes, 0);
-    assert_eq!(plain_totals, shard_totals);
+    assert_eq!(plain, golden, "open_session");
+    assert_eq!(shard, golden, "Fixed(1): no seams → no refreshes counted");
+    assert_eq!(plain_totals, golden_totals, "open_session");
+    assert_eq!(shard_totals, golden_totals, "Fixed(1)");
 }
 
 /// The heat stencil (scalar coefficient in the kernel signature) through
@@ -354,7 +372,9 @@ proptest! {
         // Halo-refresh path: one session for the whole loop. Run it twice
         // on one machine: the second pass must leave the pool exactly where
         // the first did (no host-buffer growth, no device-arena growth —
-        // refresh move buffers and session staging are all transient).
+        // refresh move buffers and session staging are all transient). The
+        // arena is read on the devices the pass used: a one-shard session
+        // is placed round-robin, so its second pass lands on a fresh device.
         let mut cluster = ClusterMachine::load(&artifacts, &models).unwrap();
         let mut u_refresh = Vec::new();
         let mut v_refresh = Vec::new();
@@ -371,6 +391,7 @@ proptest! {
                     ShardCount::Fixed(shards),
                 )
                 .unwrap();
+            let used = cluster.sharded_devices(sid).unwrap();
             for k in 0..iters {
                 let (src, dst) = if k % 2 == 0 { ("u", "v") } else { ("v", "u") };
                 let ticket = cluster
@@ -387,7 +408,7 @@ proptest! {
             cluster.free_host(&ua).unwrap();
             cluster.free_host(&va).unwrap();
             let s = cluster.pool_stats();
-            let arena: Vec<usize> = s.devices.iter().map(|d| d.arena_buffers).collect();
+            let arena: Vec<usize> = used.iter().map(|&d| s.devices[d].arena_buffers).collect();
             marks.push((s.host_buffers, s.host_bytes, arena));
         }
         prop_assert_eq!(

@@ -5,9 +5,9 @@
 //!   and start no later than their children (one process-wide clock
 //!   epoch), same-lane children nest fully inside their parent's
 //!   interval, and each client thread's trace id tags its own
-//!   `session.launch_sharded` → `job.kernel` → `kernel.execute` chain and
+//!   `session.launch` → `job.kernel` → `kernel.execute` chain and
 //!   nobody else's. Cross-lane links are causal, not enclosing — a
-//!   `session.launch_sharded` span closes at submit while its jobs still
+//!   `session.launch` span closes at submit while its jobs still
 //!   run on the device lanes — so only the start ordering is asserted
 //!   there.
 //! * A golden structural test of the Chrome trace-event export: lane
@@ -190,16 +190,13 @@ fn concurrent_sharded_launches_record_well_formed_spans() {
             .filter(|(_, e)| e.trace_id == tid)
             .map(|(_, e)| e)
             .collect();
-        let launches_seen = mine
-            .iter()
-            .filter(|e| e.name == "session.launch_sharded")
-            .count();
+        let launches_seen = mine.iter().filter(|e| e.name == "session.launch").count();
         assert_eq!(launches_seen, launches, "trace {tid:#x}");
         let jobs: Vec<&&SpanEvent> = mine.iter().filter(|e| e.name == "job.kernel").collect();
         assert_eq!(jobs.len(), launches * 2, "trace {tid:#x}");
         for job in &jobs {
             let (_, parent) = by_id.get(&job.parent_id).expect("job parent recorded");
-            assert_eq!(parent.name, "session.launch_sharded");
+            assert_eq!(parent.name, "session.launch");
         }
         let executes = mine.iter().filter(|e| e.name == "kernel.execute").count();
         assert_eq!(executes, launches * 2, "trace {tid:#x}");
