@@ -1,16 +1,15 @@
 //! Iterative-stencil benchmark: a sharded Jacobi ping-pong loop kept alive
 //! across launches by `refresh_halos` (boundary rows exchanged
-//! device-to-device) versus the naive gather/re-scatter baseline that
-//! closes and re-opens the sharded session between sweeps. Emitted as
-//! `BENCH_stencil.json` by the `bench_stencil` binary.
+//! device-to-device). Emitted as `BENCH_stencil.json` by the `bench_stencil`
+//! binary.
 //!
-//! The two arms launch identical kernels — the interpreter's kernel cost is
-//! the same on both sides — so the floored metric is the *inter-launch
-//! exchange*: the wall-clock cost of making every shard's halos current
-//! before the next sweep. The refresh arm pays `refresh_halos` (boundary
-//! rows only); the baseline pays a full close + re-open (gather every shard
-//! to the host, re-plan, re-scatter). End-to-end loop times are reported
-//! alongside for scale, and both arms are asserted bit-identical.
+//! Wall-clock figures (per-exchange microseconds, whole-loop seconds) are
+//! reported; what is *enforced* is deterministic: a refresh moves exactly
+//! the boundary rows (`arrays × 2 directions × seams × halo × row bytes`),
+//! costs at most one gather and one apply message per device, and the loop
+//! is bit-identical at every device count. (The gather/re-scatter baseline
+//! arm this bench once raced against is retired — see "Retired baselines"
+//! in docs/BENCHMARKS.md.)
 
 use std::time::Instant;
 
@@ -33,28 +32,16 @@ pub struct StencilBenchPoint {
     pub exchanges: usize,
     /// Best-of-trials wall-clock microseconds per `refresh_halos` call.
     pub refresh_us_per_exchange: f64,
-    /// Best-of-trials wall-clock microseconds per baseline exchange (close
-    /// the session — gathering every shard — then re-open it, re-plan and
-    /// re-scatter).
-    pub gather_rescatter_us_per_exchange: f64,
-    /// `gather_rescatter_us_per_exchange / refresh_us_per_exchange` — the
-    /// floored metric.
-    pub exchange_speedup: f64,
-    /// Whole-loop wall-clock seconds (launches included) for the
-    /// halo-refresh arm, best of trials.
+    /// Whole-loop wall-clock seconds (launches included), best of trials.
     pub refresh_loop_seconds: f64,
-    /// Whole-loop wall-clock seconds (launches included) for the
-    /// gather/re-scatter arm, best of trials.
-    pub baseline_loop_seconds: f64,
-    /// End-to-end `baseline / refresh` loop ratio — reported for scale, not
-    /// floored: both arms launch the same kernels, and on the simulated
-    /// pool the interpreted kernel dominates the loop.
-    pub end_to_end_speedup: f64,
     /// Bytes moved per `refresh_halos` call — boundary rows only.
     pub halo_bytes_per_refresh: u64,
-    /// Bytes a full gather + re-scatter of both arrays moves per exchange,
-    /// for scale against `halo_bytes_per_refresh`.
-    pub full_roundtrip_bytes_per_exchange: u64,
+    /// What the boundary-rows-only formula predicts for
+    /// `halo_bytes_per_refresh`: `arrays × 2 directions × (shards − 1)
+    /// seams × halo × row bytes`.
+    pub expected_halo_bytes_per_refresh: u64,
+    /// Worker messages the costliest refresh sent (gather + apply).
+    pub messages_per_refresh: u64,
 }
 
 /// The emitted report.
@@ -81,25 +68,30 @@ fn jacobi_args(src: &str, dst: &str) -> Vec<ShardArg> {
     ]
 }
 
+/// Ghost rows per seam side.
+const HALO: usize = 1;
+
 fn inputs(n: usize) -> (Vec<f32>, Vec<f32>) {
     let u: Vec<f32> = (0..n).map(|i| (i as f32 * 0.17).sin() + 1.0).collect();
     let v: Vec<f32> = (0..n).map(|i| (i as f32 * 0.05).cos()).collect();
     (u, v)
 }
 
-/// One arm's measurement: final arrays, summed exchange seconds, whole-loop
-/// seconds and (refresh arm only) the session's halo accounting.
-struct ArmRun {
+/// One loop's measurement: final arrays, summed exchange seconds, whole-loop
+/// seconds, the costliest refresh's message count and the session's halo
+/// accounting.
+struct LoopRun {
     u: Vec<f32>,
     v: Vec<f32>,
     exchange_seconds: f64,
     loop_seconds: f64,
-    stats: Option<SessionStats>,
+    messages_per_refresh: u64,
+    stats: SessionStats,
 }
 
-/// The halo-refresh arm: one sharded session held open for the whole loop,
-/// boundary rows refreshed between launches.
-fn run_refresh_arm(artifacts: &Artifacts, devices: usize, n: usize, iters: usize) -> ArmRun {
+/// One sharded session held open for the whole loop, boundary rows
+/// refreshed between launches.
+fn run_loop(artifacts: &Artifacts, devices: usize, n: usize, iters: usize) -> LoopRun {
     let models = vec![DeviceModel::u280(); devices];
     let mut cluster = ClusterMachine::load(artifacts, &models).expect("pool loads");
     let (u0, v0) = inputs(n);
@@ -107,26 +99,17 @@ fn run_refresh_arm(artifacts: &Artifacts, devices: usize, n: usize, iters: usize
     let va = cluster.host_f32(&v0);
     let start = Instant::now();
     let mut exchange = 0.0f64;
+    let mut messages_per_refresh = 0u64;
+    let split = Partition::Split { halo: HALO };
     let sid = cluster
         .open_sharded_session(
             &[
-                (
-                    "u",
-                    ua.clone(),
-                    MapKind::ToFrom,
-                    Partition::Split { halo: 1 },
-                ),
-                (
-                    "v",
-                    va.clone(),
-                    MapKind::ToFrom,
-                    Partition::Split { halo: 1 },
-                ),
+                ("u", ua.clone(), MapKind::ToFrom, split),
+                ("v", va.clone(), MapKind::ToFrom, split),
             ],
             ShardCount::Fixed(devices),
         )
         .expect("session opens");
-    let mut stats = None;
     for k in 0..iters {
         let (src, dst) = if k % 2 == 0 { ("u", "v") } else { ("v", "u") };
         let ticket = cluster
@@ -134,157 +117,91 @@ fn run_refresh_arm(artifacts: &Artifacts, devices: usize, n: usize, iters: usize
             .expect("launch");
         cluster.wait_sharded(ticket).expect("launch completes");
         if k + 1 < iters {
+            let messages = cluster.pool_stats().batched_messages;
             let t = Instant::now();
             cluster.refresh_halos(sid).expect("halo refresh");
             exchange += t.elapsed().as_secs_f64();
-        } else {
-            stats = Some(
-                cluster
-                    .session_stats(sid)
-                    .expect("session still open before close"),
-            );
+            let messages = cluster.pool_stats().batched_messages - messages;
+            messages_per_refresh = messages_per_refresh.max(messages);
         }
     }
+    let stats = cluster.session_stats(sid).expect("session still open");
     cluster.close_sharded_session(sid).expect("close");
     let loop_seconds = start.elapsed().as_secs_f64();
-    ArmRun {
+    LoopRun {
         u: cluster.read_f32(&ua),
         v: cluster.read_f32(&va),
         exchange_seconds: exchange,
         loop_seconds,
+        messages_per_refresh,
         stats,
     }
 }
 
-/// The naive baseline: between sweeps the session is closed (gathering
-/// every shard back to the host) and re-opened (re-planned, re-scattered)
-/// so the next launch sees fresh halos the hard way.
-fn run_baseline_arm(artifacts: &Artifacts, devices: usize, n: usize, iters: usize) -> ArmRun {
-    let models = vec![DeviceModel::u280(); devices];
-    let mut cluster = ClusterMachine::load(artifacts, &models).expect("pool loads");
-    let (u0, v0) = inputs(n);
-    let ua = cluster.host_f32(&u0);
-    let va = cluster.host_f32(&v0);
-    let maps = [
-        (
-            "u",
-            ua.clone(),
-            MapKind::ToFrom,
-            Partition::Split { halo: 1 },
-        ),
-        (
-            "v",
-            va.clone(),
-            MapKind::ToFrom,
-            Partition::Split { halo: 1 },
-        ),
-    ];
-    let start = Instant::now();
-    let mut exchange = 0.0f64;
-    let mut sid = cluster
-        .open_sharded_session(&maps, ShardCount::Fixed(devices))
-        .expect("session opens");
-    for k in 0..iters {
-        let (src, dst) = if k % 2 == 0 { ("u", "v") } else { ("v", "u") };
-        let ticket = cluster
-            .sharded_launch_no_replan(sid, "jacobi_kernel0", &jacobi_args(src, dst))
-            .expect("launch");
-        cluster.wait_sharded(ticket).expect("launch completes");
-        if k + 1 < iters {
-            let t = Instant::now();
-            cluster.close_sharded_session(sid).expect("close");
-            sid = cluster
-                .open_sharded_session(&maps, ShardCount::Fixed(devices))
-                .expect("session re-opens");
-            exchange += t.elapsed().as_secs_f64();
-        }
-    }
-    cluster.close_sharded_session(sid).expect("close");
-    let loop_seconds = start.elapsed().as_secs_f64();
-    ArmRun {
-        u: cluster.read_f32(&ua),
-        v: cluster.read_f32(&va),
-        exchange_seconds: exchange,
-        loop_seconds,
-        stats: None,
-    }
-}
-
+/// Measure one device count; `reference` is the single-device result every
+/// other count must reproduce bit for bit.
 fn measure_point(
     artifacts: &Artifacts,
     devices: usize,
     n: usize,
     iters: usize,
     trials: usize,
+    reference: &mut Option<(Vec<f32>, Vec<f32>)>,
 ) -> StencilBenchPoint {
     let exchanges = iters - 1;
-    let mut refresh_exchange_best = f64::INFINITY;
-    let mut baseline_exchange_best = f64::INFINITY;
-    let mut refresh_loop_best = f64::INFINITY;
-    let mut baseline_loop_best = f64::INFINITY;
+    // A single shard has no seams: the refresh is a no-op and is not
+    // counted as a session refresh.
+    let refreshes = if devices > 1 { exchanges as u64 } else { 0 };
+    let mut exchange_best = f64::INFINITY;
+    let mut loop_best = f64::INFINITY;
     let mut halo_bytes_per_refresh = 0u64;
+    let mut messages_per_refresh = 0u64;
     for _ in 0..trials {
-        let refresh = run_refresh_arm(artifacts, devices, n, iters);
-        let baseline = run_baseline_arm(artifacts, devices, n, iters);
+        let run = run_loop(artifacts, devices, n, iters);
+        let (u, v) = reference.get_or_insert_with(|| (run.u.clone(), run.v.clone()));
         assert_eq!(
-            (&refresh.u, &refresh.v),
-            (&baseline.u, &baseline.v),
-            "halo-refresh and gather/re-scatter arms must be bit-identical"
+            (&run.u, &run.v),
+            (&*u, &*v),
+            "the {devices}-device loop must be bit-identical to the single-device one"
         );
-        let stats = refresh.stats.as_ref().expect("refresh arm records stats");
-        // A single shard has no seams: the refresh is a no-op and is not
-        // counted as a session refresh.
-        let refreshes = if devices > 1 { exchanges as u64 } else { 0 };
         assert_eq!(
-            stats.halo_refreshes, refreshes,
+            run.stats.halo_refreshes, refreshes,
             "one refresh per interior sweep"
         );
-        // Boundary rows only: per refresh each interior seam moves `halo`
-        // rows in both directions for both split arrays (f32 rows of one
-        // element) — never the full arrays.
-        let seams = (devices - 1) as u64;
-        let expected = 2 * 2 * seams * 4; // arrays * directions * seams * bytes/row
-        assert_eq!(
-            stats.halo_bytes,
-            refreshes * expected,
-            "halo traffic must be boundary-rows-only"
-        );
-        halo_bytes_per_refresh = expected;
-        refresh_exchange_best = refresh_exchange_best.min(refresh.exchange_seconds);
-        baseline_exchange_best = baseline_exchange_best.min(baseline.exchange_seconds);
-        refresh_loop_best = refresh_loop_best.min(refresh.loop_seconds);
-        baseline_loop_best = baseline_loop_best.min(baseline.loop_seconds);
+        halo_bytes_per_refresh = run.stats.halo_bytes / refreshes.max(1);
+        messages_per_refresh = messages_per_refresh.max(run.messages_per_refresh);
+        exchange_best = exchange_best.min(run.exchange_seconds);
+        loop_best = loop_best.min(run.loop_seconds);
     }
     StencilBenchPoint {
         devices,
         shards: devices,
         iters,
         exchanges,
-        refresh_us_per_exchange: refresh_exchange_best * 1e6 / exchanges as f64,
-        gather_rescatter_us_per_exchange: baseline_exchange_best * 1e6 / exchanges as f64,
-        exchange_speedup: baseline_exchange_best / refresh_exchange_best,
-        refresh_loop_seconds: refresh_loop_best,
-        baseline_loop_seconds: baseline_loop_best,
-        end_to_end_speedup: baseline_loop_best / refresh_loop_best,
+        refresh_us_per_exchange: exchange_best * 1e6 / exchanges as f64,
+        refresh_loop_seconds: loop_best,
         halo_bytes_per_refresh,
-        // Both arrays gathered and re-scattered: 2 arrays * 2 directions.
-        full_roundtrip_bytes_per_exchange: (2 * 2 * n * 4) as u64,
+        // Both arrays, both directions, every interior seam, `HALO` f32
+        // rows of one element each.
+        expected_halo_bytes_per_refresh: 2 * 2 * (devices as u64 - 1) * HALO as u64 * 4,
+        messages_per_refresh,
     }
 }
 
 /// Run the stencil benchmark at 1, 2 and 4 devices (shards = devices).
 pub fn run(elements: usize, iters: usize, trials: usize) -> StencilBenchReport {
     let artifacts = workloads::compile_jacobi();
+    let mut reference = None;
     let points = [1usize, 2, 4]
         .iter()
-        .map(|&devices| measure_point(&artifacts, devices, elements, iters, trials))
+        .map(|&devices| measure_point(&artifacts, devices, elements, iters, trials, &mut reference))
         .collect();
     StencilBenchReport {
-        workload: "jacobi_kernel0 halo-refresh loop vs gather/re-scatter baseline".to_string(),
+        workload: "jacobi_kernel0 halo-refresh loop".to_string(),
         elements,
         iters,
         trials,
-        halo: 1,
+        halo: HALO,
         points,
     }
 }

@@ -10,12 +10,13 @@
 //!   machine lock, so a waiter wakes within microseconds of its job's
 //!   outcome and holds the lock only to drain outcomes — never across a
 //!   blocking receive.
-//! * **Phased migration epochs.** [`PoolGate::rebalance_phased`] runs
-//!   quiesce → delta-gather → reshard → resume as explicit phases with the
-//!   machine lock *released* while device traffic is in flight. A
-//!   per-session fence blocks exactly the session whose rows move
-//!   (launches against it park on the fence until the epoch resumes);
-//!   every other session keeps submitting and completing mid-epoch.
+//! * **Phased row exchanges.** [`PoolGate::rebalance_phased`] and
+//!   [`PoolGate::refresh_phased`] run fence → (quiesce) → gather → apply →
+//!   finish as explicit phases with the machine lock *released* while
+//!   device traffic is in flight. A per-session fence blocks exactly the
+//!   session whose rows move (launches against it park on the fence until
+//!   the exchange finishes); every other session keeps submitting and
+//!   completing meanwhile.
 //!
 //! Lock hierarchy (see docs/ARCHITECTURE.md, "Locking & phases"): the
 //! fence set and the machine lock are never held at the same time, and
@@ -27,11 +28,10 @@ use std::time::Duration;
 
 use ftn_core::CompileError;
 
+use crate::exchange::ExchangePhase;
 use crate::machine::{ClusterMachine, ClusterRunReport, LaunchHandle};
 use crate::pool::CompletionSignal;
-use crate::sharded::{
-    EpochPhase, HaloExchange, HaloPhase, HaloRefreshReport, MigrationEpoch, RebalanceReport,
-};
+use crate::sharded::{HaloRefreshReport, RebalanceReport};
 
 /// Safety-valve park slice: a waiter re-polls at least this often even if a
 /// wakeup is lost (e.g. workers torn down mid-wait). Correctness never
@@ -166,52 +166,7 @@ impl PoolGate {
         session: u64,
         threshold: Option<f64>,
     ) -> Result<RebalanceReport, CompileError> {
-        self.fence(session);
-        let result = self.rebalance_phases(session, threshold);
-        self.unfence(session);
-        result
-    }
-
-    fn rebalance_phases(
-        &self,
-        session: u64,
-        threshold: Option<f64>,
-    ) -> Result<RebalanceReport, CompileError> {
-        // Phase 1 — quiesce: the session's outstanding launches must land
-        // before backlogs are read or rows move. Park on the signal between
-        // polls; the machine lock is only held to drain outcomes. (The
-        // epoch-begin step re-checks under its own lock; with the session
-        // fenced, nothing new can be submitted against it in between.)
-        loop {
-            let seen = self.signal.seq();
-            {
-                let mut m = self.lock();
-                m.poll_outcomes();
-                match m.sharded_pending_jobs(session) {
-                    // Unknown session: fall through and let epoch_begin
-                    // report it as the synchronous path would.
-                    None | Some(0) => break,
-                    Some(_) => {}
-                }
-            }
-            self.signal.wait_past(seen, PARK_SLICE);
-        }
-
-        // Phase 2 — decide and submit the delta gather under a short lock.
-        let mut ep = match self.lock().epoch_begin(session, threshold)? {
-            EpochPhase::Done(report) => return Ok(report),
-            EpochPhase::Gather(ep) => ep,
-        };
-
-        // Phase 3 — wait the gather off-lock, submit the reshard under a
-        // short lock, wait it off-lock.
-        self.wait_epoch_handles(&mut ep);
-        self.lock().epoch_reshard(&mut ep);
-        self.wait_epoch_handles(&mut ep);
-
-        // Phase 4 — resume: release epoch buffers, fold statistics, put
-        // the session back in the table (error path included).
-        self.lock().epoch_finish(*ep)
+        self.phased(session, true, |m| m.epoch_begin(session, threshold))
     }
 
     /// Run one inter-launch halo refresh as *phased* exchange: gather →
@@ -224,57 +179,61 @@ impl PoolGate {
     /// across devices. Behavior (bytes moved, statistics, error cleanup)
     /// is identical to [`ClusterMachine::refresh_halos`].
     pub fn refresh_phased(&self, session: u64) -> Result<HaloRefreshReport, CompileError> {
+        self.phased(session, false, |m| m.halo_begin(session))
+    }
+
+    /// Park until `session`'s outstanding launches have landed — they must
+    /// before backlogs are read or rows change owners. Parks on the signal
+    /// between polls; the machine lock is only held to drain outcomes. (The
+    /// exchange's begin step re-checks under its own lock; with the session
+    /// fenced, nothing new can be submitted in between.)
+    fn quiesce(&self, session: u64) {
+        loop {
+            let seen = self.signal.seq();
+            {
+                let mut m = self.lock();
+                m.poll_outcomes();
+                // Unknown session: let the begin step report it as the
+                // synchronous path would.
+                if m.sharded_pending_jobs(session).unwrap_or(0) == 0 {
+                    return;
+                }
+            }
+            self.signal.wait_past(seen, PARK_SLICE);
+        }
+    }
+
+    /// The one phased driver: fence `session`, optionally quiesce it, then
+    /// run the row exchange `begin` plans with the machine lock held only
+    /// to submit each phase — the phases' device traffic is waited off-lock
+    /// via job slots.
+    fn phased<R>(
+        &self,
+        session: u64,
+        quiesce: bool,
+        begin: impl FnOnce(&mut ClusterMachine) -> Result<ExchangePhase<R>, CompileError>,
+    ) -> Result<R, CompileError> {
         self.fence(session);
-        let result = self.refresh_phases(session);
+        let result = (|| {
+            if quiesce {
+                self.quiesce(session);
+            }
+            // Decide and submit the gather under a short lock.
+            let mut ex = match begin(&mut self.lock())? {
+                ExchangePhase::Done(report) => return Ok(report),
+                ExchangePhase::Run(ex) => ex,
+            };
+            // Wait the gather off-lock, submit the apply under a short
+            // lock, wait it off-lock.
+            ex.wait_phase(|h| self.wait_done(h));
+            self.lock().exchange_apply(&mut ex);
+            ex.wait_phase(|h| self.wait_done(h));
+            // Release exchange buffers, fold statistics, and (epochs) put
+            // the session back in the table — error path included.
+            self.lock().exchange_finish(*ex)
+        })();
         self.unfence(session);
         result
-    }
-
-    fn refresh_phases(&self, session: u64) -> Result<HaloRefreshReport, CompileError> {
-        // Phase 1 — decide and submit the boundary gather under a short
-        // lock. Nothing new can land on the fenced session in between.
-        let mut ex = match self.lock().halo_begin(session)? {
-            HaloPhase::Done(report) => return Ok(report),
-            HaloPhase::Exchange(ex) => ex,
-        };
-
-        // Phase 2 — wait the gather off-lock, submit the splices under a
-        // short lock, wait them off-lock.
-        self.wait_halo_handles(&mut ex);
-        self.lock().halo_splice(&mut ex);
-        self.wait_halo_handles(&mut ex);
-
-        // Phase 3 — release move buffers, fold statistics (error path
-        // included).
-        self.lock().halo_finish(*ex)
-    }
-
-    /// Wait the exchange's current phase handles via the completion
-    /// signal. A failed job aborts the refresh; remaining handles are left
-    /// for the finish drain, mirroring [`ClusterMachine::halo_wait`].
-    fn wait_halo_handles(&self, ex: &mut HaloExchange) {
-        for h in ex.take_handles() {
-            if ex.failed() {
-                break;
-            }
-            if let Err(e) = self.wait_done(h) {
-                ex.fail(e);
-            }
-        }
-    }
-
-    /// Wait the epoch's current phase handles via the completion signal. A
-    /// failed job aborts the epoch; remaining handles are left for the
-    /// finish drain, mirroring [`ClusterMachine::epoch_wait`].
-    fn wait_epoch_handles(&self, ep: &mut MigrationEpoch) {
-        for h in ep.take_handles() {
-            if ep.failed() {
-                break;
-            }
-            if let Err(e) = self.wait_done(h) {
-                ep.fail(e);
-            }
-        }
     }
 }
 
@@ -283,15 +242,14 @@ mod tests {
     use super::*;
     use std::time::Instant;
 
-    /// The serve layer used to sleep-poll completions every 100 µs, so a
-    /// finished job waited ~50 µs on average just to be *noticed*. The
-    /// targeted-slot protocol [`PoolGate::wait_done`] parks on must wake on
-    /// notification: over repeated trials the best notify→wake latency has
-    /// to come in well under one legacy poll interval (the best is the
-    /// honest measure — individual trials absorb scheduler jitter, but a
-    /// sleep-poll could never beat its own period).
+    /// The targeted-slot protocol [`PoolGate::wait_done`] parks on must
+    /// wake on notification, not on its safety-valve timeout: over repeated
+    /// trials the best notify→wake latency has to come in under 100 µs —
+    /// orders of magnitude below [`PARK_SLICE`] (the best is the honest
+    /// measure — individual trials absorb scheduler jitter, but a waiter
+    /// that only woke on the park timeout could never beat it).
     #[test]
-    fn notify_wakes_parked_waiter_well_under_legacy_poll_interval() {
+    fn notify_wakes_parked_waiter_far_sooner_than_the_park_slice() {
         let signal = Arc::new(CompletionSignal::default());
         let mut best = Duration::MAX;
         for job in 0..20u64 {
@@ -310,8 +268,8 @@ mod tests {
         }
         assert!(
             best < Duration::from_micros(100),
-            "best notify→wake latency {best:?} is no faster than the 100 µs \
-             sleep-poll the completion signal replaced"
+            "best notify→wake latency {best:?}: the waiter is not woken by the \
+             notification"
         );
     }
 

@@ -37,9 +37,11 @@
 //! stats, to the equivalent `target data` program run on `Machine`.
 
 pub mod cache;
+mod exchange;
 pub mod gate;
 pub mod machine;
 pub mod pool;
+mod rebalance;
 pub mod rollup;
 pub mod scheduler;
 pub mod session;
@@ -56,9 +58,9 @@ pub use rollup::{RollupBy, RollupRow};
 pub use scheduler::{BufferInfo, Placement, PlacementPolicy, PlacementReason};
 pub use session::{MapKind, SessionReport, SessionStats};
 pub use sharded::{
-    AutoRebalance, EpochPhase, HaloExchange, HaloPhase, HaloRefreshReport, MigrationEpoch,
-    RebalanceReport, ShardArg, ShardCount, ShardOptions, ShardedLaunchReport, ShardedLaunchTicket,
-    ShardedReport, DEFAULT_REBALANCE_THRESHOLD, MAX_SHARDS_PER_DEVICE, REBALANCE_HORIZON_LAUNCHES,
+    AutoRebalance, HaloRefreshReport, RebalanceReport, ShardArg, ShardCount, ShardOptions,
+    ShardedLaunchReport, ShardedLaunchTicket, ShardedReport, DEFAULT_REBALANCE_THRESHOLD,
+    MAX_SHARDS_PER_DEVICE, REBALANCE_HORIZON_LAUNCHES,
 };
 
 #[cfg(test)]
@@ -652,6 +654,148 @@ end subroutine saxpy
         assert_eq!(ps.host_buffers, 2, "{ps:?}");
         assert_eq!(ps.replans, 1);
         assert_eq!(ps.rows_migrated, report.rows_migrated);
+    }
+
+    #[test]
+    fn failed_open_releases_every_sub_buffer() {
+        use crate::pool::WorkerMessage;
+        use crate::sharded::ShardCount;
+        use crate::{MapKind, Partition};
+        let mut cluster = pool(2);
+        let n = 512usize;
+        let xa = cluster.host_f32(&vec![1.0f32; n]);
+        let ya = cluster.host_f32(&vec![0.5f32; n]);
+        // Device 0 holds one mirror (x) before the failed open.
+        let x_id = xa.as_memref().unwrap().buffer;
+        let t = cluster.submit_upload(&[(x_id, None)], 0).unwrap();
+        cluster.wait(t.handle).unwrap();
+        let arena = cluster.pool_stats().devices[0].arena_buffers;
+        let (live, tracked) = (cluster.memory.live(), cluster.buffers.len());
+
+        // Device 1's worker exits; its queue is closed from here on.
+        let slot = &mut cluster.pool.slots[1];
+        slot.sender.send(WorkerMessage::Shutdown).unwrap();
+        slot.thread.take().unwrap().join().unwrap();
+
+        let err = cluster
+            .open_sharded_session(
+                &[
+                    ("x", xa, MapKind::To, Partition::Split { halo: 0 }),
+                    ("y", ya, MapKind::ToFrom, Partition::Split { halo: 0 }),
+                ],
+                ShardCount::Fixed(2),
+            )
+            .expect_err("staging onto a dead worker fails");
+        assert!(err.to_string().contains("worker is gone"), "{err}");
+        assert!(cluster.open_sessions().is_empty());
+        // The scatter is released: host sub-buffers, their ledger entries,
+        // and the mirrors device 0 had already staged.
+        assert_eq!(cluster.memory.live(), live);
+        assert_eq!(cluster.buffers.len(), tracked);
+        assert!(cluster.pending.is_empty() && cluster.completed.is_empty());
+        let t = cluster.submit_upload(&[(x_id, None)], 0).unwrap();
+        cluster.wait(t.handle).unwrap();
+        assert_eq!(cluster.pool_stats().devices[0].arena_buffers, arena);
+    }
+
+    /// The exchange's failure path under both callers: a gather job that
+    /// fails on its worker surfaces as the caller's error, every move
+    /// buffer (and, for the epoch, every sub-buffer of the abandoned plan)
+    /// is released on host and devices, and the session — rolled back to
+    /// its previous plan — carries on bit-identical to a run that never
+    /// saw the fault.
+    #[test]
+    fn failed_exchange_releases_its_buffers_and_leaves_the_session_intact() {
+        use crate::sharded::{ShardArg, ShardCount};
+        use crate::{MapKind, Partition, SessionStats};
+        let n = 1024usize;
+        let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.11).sin()).collect();
+        let y: Vec<f32> = (0..n).map(|i| (i as f32 * 0.07).cos()).collect();
+        let args = [
+            ShardArg::Array("x".into()),
+            ShardArg::Array("y".into()),
+            ShardArg::Extent("x".into()),
+            ShardArg::Extent("y".into()),
+            ShardArg::Scalar(RtValue::F32(1.5)),
+            ShardArg::Scalar(RtValue::Index(1)),
+            ShardArg::Extent("x".into()),
+        ];
+        let run = |faults: bool| -> (Vec<f32>, SessionStats, Vec<usize>) {
+            let mut cluster = pool(4);
+            let xa = cluster.host_f32(&x);
+            let ya = cluster.host_f32(&y);
+            let sid = cluster
+                .open_sharded_session(
+                    &[
+                        ("x", xa, MapKind::To, Partition::Split { halo: 1 }),
+                        (
+                            "y",
+                            ya.clone(),
+                            MapKind::ToFrom,
+                            Partition::Split { halo: 1 },
+                        ),
+                    ],
+                    ShardCount::Fixed(4),
+                )
+                .unwrap();
+            let launch = |cluster: &mut ClusterMachine| {
+                let t = cluster.sharded_launch(sid, "saxpy_kernel0", &args).unwrap();
+                cluster.wait_sharded(t).unwrap();
+            };
+            launch(&mut cluster);
+            let (live, tracked) = (cluster.memory.live(), cluster.buffers.len());
+            let settled = |cluster: &ClusterMachine| {
+                assert_eq!(cluster.memory.live(), live);
+                assert_eq!(cluster.buffers.len(), tracked);
+                assert!(cluster.pending.is_empty() && cluster.completed.is_empty());
+                assert_eq!(cluster.sharded_shard_rows(sid, "y"), Some(vec![256; 4]));
+            };
+
+            if faults {
+                cluster.corrupt_next_gather = true;
+                let err = cluster.refresh_halos(sid).expect_err("gather fails");
+                assert!(err.to_string().contains("out of bounds"), "{err}");
+                settled(&cluster);
+            }
+            assert!(cluster.refresh_halos(sid).unwrap().refreshed);
+            launch(&mut cluster);
+
+            let per_launch = cluster
+                .cost_model
+                .estimate_any_seconds(&DeviceModel::u280(), (n / 4) as u64)
+                .unwrap();
+            cluster.inject_backlog(0, 8.0 * per_launch);
+            if faults {
+                cluster.corrupt_next_gather = true;
+                let err = cluster
+                    .rebalance_session_with(sid, None)
+                    .expect_err("gather fails");
+                assert!(err.to_string().contains("out of bounds"), "{err}");
+                settled(&cluster);
+                assert_eq!(cluster.session_stats(sid).unwrap().replan_count, 0);
+            }
+            // Arena counts ride on job outcomes: after the next launch they
+            // must match the run that never started the failed epoch.
+            launch(&mut cluster);
+            let arenas = (cluster.pool_stats().devices.iter())
+                .map(|d| d.arena_buffers)
+                .collect();
+
+            let report = cluster.rebalance_session(sid).unwrap();
+            assert!(report.replanned, "{report:?}");
+            launch(&mut cluster);
+            let stats = cluster.close_sharded_session(sid).unwrap().stats;
+            assert_eq!(cluster.pool_stats().host_buffers, 2);
+            (cluster.read_f32(&ya), stats, arenas)
+        };
+        let (clean_y, clean_stats, clean_arenas) = run(false);
+        let (y, mut stats, arenas) = run(true);
+        assert_eq!(arenas, clean_arenas);
+        for (i, (a, b)) in clean_y.iter().zip(&y).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "element {i}");
+        }
+        stats.epoch_seconds = clean_stats.epoch_seconds;
+        assert_eq!(stats, clean_stats);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //! ([`ftn_fpga::CostModel`]), falling back to the observed mean only for
 //! jobs the schedules cannot predict.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use ftn_core::{report_from_stats, Artifacts, CompileError, HostProgram, RunReport};
@@ -30,7 +30,7 @@ use ftn_trace::MetricsRegistry;
 use serde::Serialize;
 
 use crate::pool::{
-    DevicePool, HaloSplice, Job, JobKind, JobOutcome, JobSuccess, ReshardSpec, RowFetch,
+    DevicePool, Job, JobKind, JobOutcome, JobSpec, JobSuccess, PatchBlock, RowFetch, RowPatch,
     StagedBuffer, WorkerMessage,
 };
 use crate::rollup::{RollupBy, RollupRow, Rollups};
@@ -190,34 +190,6 @@ impl BufState {
     }
 }
 
-/// Everything a dispatched job carries besides its id (see
-/// [`crate::pool::Job`]); the payload half of [`ClusterMachine::dispatch`].
-pub(crate) struct JobSpec {
-    pub(crate) kind: JobKind,
-    pub(crate) args: Vec<RtValue>,
-    pub(crate) staged: Vec<StagedBuffer>,
-    pub(crate) out_versions: Vec<(BufferId, u64)>,
-    pub(crate) fetch: Vec<(BufferId, u64)>,
-    pub(crate) fetch_rows: Vec<RowFetch>,
-    pub(crate) reshard: Vec<ReshardSpec>,
-    pub(crate) halo: Vec<HaloSplice>,
-}
-
-impl JobSpec {
-    pub(crate) fn new(kind: JobKind) -> JobSpec {
-        JobSpec {
-            kind,
-            args: Vec::new(),
-            staged: Vec::new(),
-            out_versions: Vec::new(),
-            fetch: Vec::new(),
-            fetch_rows: Vec::new(),
-            reshard: Vec::new(),
-            halo: Vec::new(),
-        }
-    }
-}
-
 /// Cached handles into the machine's [`MetricsRegistry`] — one atomic
 /// bump per event on the completion path, no registry lookup.
 pub(crate) struct PoolMetrics {
@@ -330,6 +302,10 @@ pub struct ClusterMachine {
     /// Session id stamped onto jobs dispatched while a session launch is on
     /// the stack (set/cleared by `sharded_launch_no_replan`).
     pub(crate) submitting_session: Option<u64>,
+    /// Test-only fault hook: the next row-exchange gather gets one
+    /// out-of-range fetch, so its job fails on the worker.
+    #[cfg(test)]
+    pub(crate) corrupt_next_gather: bool,
 }
 
 impl ClusterMachine {
@@ -394,6 +370,8 @@ impl ClusterMachine {
             metrics: PoolMetrics::new(Arc::new(MetricsRegistry::new())),
             rollups: Rollups::default(),
             submitting_session: None,
+            #[cfg(test)]
+            corrupt_next_gather: false,
         })
     }
 
@@ -572,7 +550,6 @@ impl ClusterMachine {
                 staged.push(StagedBuffer {
                     host: *id,
                     contents,
-                    version: next,
                     charge,
                 });
             }
@@ -615,7 +592,6 @@ impl ClusterMachine {
         self.check_forced(device)?;
         self.shard_forced += 1;
         let mut staged = Vec::new();
-        let mut out_versions = Vec::new();
         let mut ticket_staged = 0u64;
         let mut ticket_staged_bytes = 0u64;
         let mut ticket_elided = 0u64;
@@ -637,15 +613,12 @@ impl ClusterMachine {
                 staged.push(StagedBuffer {
                     host: id,
                     contents,
-                    version: next,
                     charge: false,
                 });
-                out_versions.push((id, next));
             } else if state.resident.get(&device) == Some(&current) {
                 self.affinity_hits += 1;
                 ticket_elided += 1;
                 mark_in_flight(state, device);
-                out_versions.push((id, current));
             } else {
                 let contents = self.memory.get(id).clone();
                 bytes += contents.byte_len();
@@ -656,19 +629,16 @@ impl ClusterMachine {
                 staged.push(StagedBuffer {
                     host: id,
                     contents,
-                    version: current,
                     charge: true,
                 });
                 let state = self.buffers.get_mut(&id).expect("present");
                 state.resident.insert(device, current);
                 mark_in_flight(state, device);
-                out_versions.push((id, current));
             }
         }
         let est = self.pool.slots[device].model.transfer_seconds(bytes);
         let spec = JobSpec {
             staged,
-            out_versions,
             ..JobSpec::new(JobKind::Upload)
         };
         let handle = self.dispatch(device, arg_ids, spec, est)?;
@@ -681,184 +651,119 @@ impl ClusterMachine {
         })
     }
 
-    /// Download `ids` from device `device` back into host memory (session
-    /// close / host sync), charging device→host transfer time per buffer.
-    pub(crate) fn submit_fetch(
-        &mut self,
-        device: usize,
-        ids: &[BufferId],
-    ) -> Result<LaunchHandle, CompileError> {
-        let mut fetch = Vec::with_capacity(ids.len());
-        let mut bytes = 0usize;
-        for id in ids {
-            let state = self.buffers.entry(*id).or_default();
-            fetch.push((*id, state.version));
-            mark_in_flight(state, device);
-            bytes += self.memory.get(*id).byte_len();
+    /// A close/sync fetch of `id`: its whole mirror written back over `id`
+    /// itself at the buffer's current version.
+    pub(crate) fn whole_fetch(&self, id: BufferId) -> RowFetch {
+        RowFetch {
+            src: id,
+            dst: id,
+            start: 0,
+            len: self.memory.get(id).len(),
+            version: self.buffers.get(&id).map_or(0, |b| b.version),
         }
-        let est = self.pool.slots[device].model.transfer_seconds(bytes);
-        let spec = JobSpec {
-            fetch,
-            ..JobSpec::new(JobKind::Fetch)
-        };
-        self.dispatch(device, ids.to_vec(), spec, est)
     }
 
-    /// Delta gather of a migration epoch: download only the element ranges
-    /// in `rows` from `device`'s mirrors into their dedicated move buffers.
-    /// The move buffers must be allocated (with [`BufState`] entries) before
-    /// the call; each is fully overwritten by the writeback.
+    /// Download the element ranges in `rows` from `device`'s mirrors into
+    /// host memory, charging device→host transfer time per range. Every
+    /// `dst` must be allocated (with a [`BufState`] entry) before the call
+    /// and is fully overwritten by the writeback.
     pub(crate) fn submit_fetch_rows(
         &mut self,
         device: usize,
         rows: Vec<RowFetch>,
     ) -> Result<LaunchHandle, CompileError> {
-        let mut arg_ids: Vec<BufferId> = Vec::new();
-        let mut bytes = 0usize;
-        for rf in &rows {
-            for id in [rf.src, rf.dst] {
-                if !arg_ids.contains(&id) {
-                    arg_ids.push(id);
-                }
-            }
-            bytes += self.memory.get(rf.dst).byte_len();
-        }
-        for id in &arg_ids {
-            let state = self.buffers.entry(*id).or_default();
-            mark_in_flight(state, device);
-        }
-        let est = self.pool.slots[device].model.transfer_seconds(bytes);
+        let ids: Vec<BufferId> = rows.iter().flat_map(|rf| [rf.src, rf.dst]).collect();
+        let bytes = rows.iter().map(|rf| self.memory.get(rf.dst).byte_len());
+        let bytes = bytes.sum();
         let spec = JobSpec {
             fetch_rows: rows,
             ..JobSpec::new(JobKind::Fetch)
         };
-        self.dispatch(device, arg_ids, spec, est)
+        self.dispatch_transfer(device, ids, bytes, spec)
     }
 
-    /// Delta scatter of a migration epoch: rebuild the listed shard
-    /// sub-buffer mirrors on `device` — retained rows copied device-locally
-    /// from the old mirrors, migrated/halo rows spliced in from the spec's
-    /// host contents (charged as staging). Registers each new sub-buffer as
-    /// device-resident with the device holding the only current copy (the
-    /// host copy, like any session sub-buffer, is stale until the close
-    /// fetch). Returns the handle plus the staged upload accounting.
-    pub(crate) fn submit_reshard(
+    /// Apply half of a row exchange: write `patches` into shard sub-buffer
+    /// mirrors on `device` — host-bounced blocks charged as staging,
+    /// same-device donor blocks copied mirror-to-mirror for free. Each
+    /// patched buffer's version is bumped with the device keeping the only
+    /// current copy (the host copy, like any session sub-buffer, is stale
+    /// until the close fetch), so a created buffer starts at version one.
+    /// `label` names the worker-lane span. Returns the handle plus the
+    /// staged upload accounting.
+    pub(crate) fn submit_row_patch(
         &mut self,
         device: usize,
-        specs: Vec<ReshardSpec>,
+        patches: Vec<RowPatch>,
+        label: &'static str,
     ) -> Result<KernelTicket, CompileError> {
-        let mut arg_ids: Vec<BufferId> = Vec::new();
-        let mut bytes = 0usize;
-        let mut staged = 0u64;
-        for spec in &specs {
-            for id in [spec.old_host, spec.new_host] {
-                if !arg_ids.contains(&id) {
-                    arg_ids.push(id);
+        let mut ids: Vec<BufferId> = Vec::new();
+        let (mut bytes, mut staged) = (0usize, 0u64);
+        for patch in &patches {
+            ids.push(patch.target);
+            for block in &patch.blocks {
+                match block {
+                    PatchBlock::Host { contents, .. } => {
+                        bytes += contents.byte_len();
+                        staged += 1;
+                    }
+                    PatchBlock::Local { donor, .. } => ids.push(*donor),
                 }
             }
-            for (_, contents) in &spec.inject {
-                bytes += contents.byte_len();
-                staged += 1;
-            }
-            let state = self.buffers.entry(spec.new_host).or_default();
-            state.version = spec.version;
-            state.written = 0;
-            state.resident.clear();
-            state.resident.insert(device, spec.version);
-        }
-        for id in &arg_ids {
-            let state = self.buffers.entry(*id).or_default();
-            mark_in_flight(state, device);
-        }
-        self.staged_uploads += staged;
-        self.staged_bytes += bytes as u64;
-        let est = self.pool.slots[device].model.transfer_seconds(bytes);
-        let spec = JobSpec {
-            reshard: specs,
-            ..JobSpec::new(JobKind::Reshard)
-        };
-        let handle = self.dispatch(device, arg_ids, spec, est)?;
-        Ok(KernelTicket {
-            handle,
-            device,
-            staged,
-            staged_bytes: bytes as u64,
-            elided: 0,
-        })
-    }
-
-    /// Scatter half of an inter-launch halo refresh: patch the ghost rows
-    /// of the listed shard sub-buffer mirrors on `device` in place —
-    /// host-bounced blocks charged as staging, same-device donor blocks
-    /// copied mirror-to-mirror for free. Each patched buffer's version is
-    /// bumped with the device keeping the only current copy (ghost rows
-    /// now differ from the host copy seeded at open). Returns the handle
-    /// plus the staged upload accounting.
-    pub(crate) fn submit_halo_splice(
-        &mut self,
-        device: usize,
-        mut splices: Vec<HaloSplice>,
-    ) -> Result<KernelTicket, CompileError> {
-        let mut arg_ids: Vec<BufferId> = Vec::new();
-        let mut bytes = 0usize;
-        let mut staged = 0u64;
-        for spl in &mut splices {
-            if !arg_ids.contains(&spl.host) {
-                arg_ids.push(spl.host);
-            }
-            for &(_, donor, _, _) in &spl.local {
-                if !arg_ids.contains(&donor) {
-                    arg_ids.push(donor);
-                }
-            }
-            for (_, contents) in &spl.inject {
-                bytes += contents.byte_len();
-                staged += 1;
-            }
-            let state = self.buffers.entry(spl.host).or_default();
+            let state = self.buffers.entry(patch.target).or_default();
             state.version += 1;
             state.resident.clear();
             state.resident.insert(device, state.version);
-            spl.version = state.version;
-        }
-        for id in &arg_ids {
-            let state = self.buffers.entry(*id).or_default();
-            mark_in_flight(state, device);
         }
         self.staged_uploads += staged;
         self.staged_bytes += bytes as u64;
-        let est = self.pool.slots[device].model.transfer_seconds(bytes);
         let spec = JobSpec {
-            halo: splices,
-            ..JobSpec::new(JobKind::HaloRefresh)
+            patches,
+            ..JobSpec::new(JobKind::RowPatch { label })
         };
-        let handle = self.dispatch(device, arg_ids, spec, est)?;
         Ok(KernelTicket {
-            handle,
+            handle: self.dispatch_transfer(device, ids, bytes, spec)?,
             device,
             staged,
             staged_bytes: bytes as u64,
             elided: 0,
         })
+    }
+
+    /// Shared tail of the transfer-only submissions: mark each distinct
+    /// buffer in `ids` in flight on `device`, price the job by the `bytes`
+    /// it moves over PCIe, and dispatch it.
+    fn dispatch_transfer(
+        &mut self,
+        device: usize,
+        ids: Vec<BufferId>,
+        bytes: usize,
+        spec: JobSpec,
+    ) -> Result<LaunchHandle, CompileError> {
+        let mut arg_ids: Vec<BufferId> = Vec::with_capacity(ids.len());
+        for id in ids {
+            if !arg_ids.contains(&id) {
+                mark_in_flight(self.buffers.entry(id).or_default(), device);
+                arg_ids.push(id);
+            }
+        }
+        let est = self.pool.slots[device].model.transfer_seconds(bytes);
+        self.dispatch(device, arg_ids, spec, est)
     }
 
     /// Bring host memory up to date for `ids` whose only current copy is
     /// device-resident (used to resolve conflicting residency pins before
     /// staging from host memory).
     fn sync_to_host(&mut self, ids: &[BufferId]) -> Result<(), CompileError> {
-        let mut by_device: HashMap<usize, Vec<BufferId>> = HashMap::new();
+        let mut by_device: BTreeMap<usize, Vec<RowFetch>> = BTreeMap::new();
         for id in ids {
             if let Some(d) = self.buffers.get(id).and_then(|s| s.pinned_device()) {
-                by_device.entry(d).or_default().push(*id);
+                by_device.entry(d).or_default().push(self.whole_fetch(*id));
             }
         }
-        let mut handles = Vec::new();
-        let mut devices: Vec<usize> = by_device.keys().copied().collect();
-        devices.sort_unstable();
-        for d in devices {
-            handles.push(self.submit_fetch(d, &by_device[&d])?);
-        }
-        for h in handles {
+        let handles: Result<Vec<_>, _> = (by_device.into_iter())
+            .map(|(d, rows)| self.submit_fetch_rows(d, rows))
+            .collect();
+        for h in handles? {
             self.wait(h)?;
         }
         Ok(())
@@ -1017,19 +922,28 @@ impl ClusterMachine {
                 format!("buffer {id:?} is mapped by an open session; close it first"),
             ));
         }
-        self.buffers.remove(&id);
-        self.memory.free(id);
-        self.evict_mirrors(vec![id]);
+        self.drop_buffers(vec![id]);
         Ok(())
     }
 
     /// Tell every worker to drop its mirror of these host buffers. Queue
     /// order (FIFO per worker) guarantees the eviction happens after any
     /// already-queued job that still reads the mirror.
-    pub(crate) fn evict_mirrors(&self, ids: Vec<BufferId>) {
+    fn evict_mirrors(&self, ids: Vec<BufferId>) {
         for slot in &self.pool.slots {
             let _ = slot.sender.send(WorkerMessage::Evict(ids.clone()));
         }
+    }
+
+    /// Release host buffers this machine allocated for a session or an
+    /// exchange: drop their residency entries, free their pool-memory slots,
+    /// and evict every worker's mirror of them.
+    pub(crate) fn drop_buffers(&mut self, ids: Vec<BufferId>) {
+        for id in &ids {
+            self.buffers.remove(id);
+            self.memory.free(*id);
+        }
+        self.evict_mirrors(ids);
     }
 
     /// Price a compute job for the backlog ledger: the schedule-derived
@@ -1055,7 +969,7 @@ impl ClusterMachine {
                 .kernel(kernel)
                 .map(|k| k.estimate_seconds(model, elements)),
             JobKind::HostCall { .. } => self.cost_model.estimate_any_seconds(model, elements),
-            JobKind::Upload | JobKind::Fetch | JobKind::Reshard | JobKind::HaloRefresh => Some(0.0),
+            JobKind::Upload | JobKind::Fetch | JobKind::RowPatch { .. } => Some(0.0),
         };
         kernel_est.unwrap_or_else(|| self.policy.mean_job_sim_seconds())
             + model.transfer_seconds(staged_bytes as usize)
@@ -1076,35 +990,33 @@ impl ClusterMachine {
             JobKind::Kernel { kernel, .. } => Some(kernel.clone()),
             _ => None,
         };
-        // Halo-splice injects are host→device uploads like staged buffers;
-        // counting them here puts halo bytes on the rollup attribution path
-        // (`/profile/top` bytes_moved) alongside ordinary staging.
+        // Host-bounced patch blocks are host→device uploads like staged
+        // buffers; counting them here puts exchange bytes on the rollup
+        // attribution path (`/profile/top` bytes_moved) alongside ordinary
+        // staging.
+        let patch_bytes = spec
+            .patches
+            .iter()
+            .flat_map(|p| &p.blocks)
+            .map(|b| match b {
+                PatchBlock::Host { contents, .. } => contents.byte_len() as u64,
+                PatchBlock::Local { .. } => 0,
+            });
         let staged_bytes: u64 = spec
             .staged
             .iter()
             .map(|s| s.contents.byte_len() as u64)
-            .chain(
-                spec.halo
-                    .iter()
-                    .flat_map(|h| h.inject.iter().map(|(_, c)| c.byte_len() as u64)),
-            )
+            .chain(patch_bytes)
             .sum();
         let job = Job {
             job_id,
-            kind: spec.kind,
             // Stamp the submitting request's trace context and the enqueue
             // time; the worker continues the trace on its own lane and
             // reports the measured queue wait back with the outcome.
             trace_id: ftn_trace::current_trace_id(),
             parent_span: ftn_trace::current_span_id(),
             enqueued_nanos: ftn_trace::now_nanos(),
-            args: spec.args,
-            staged: spec.staged,
-            out_versions: spec.out_versions,
-            fetch: spec.fetch,
-            fetch_rows: spec.fetch_rows,
-            reshard: spec.reshard,
-            halo: spec.halo,
+            spec,
         };
         self.loads[device] += 1;
         self.est_backlog[device] += est_sim_seconds;
@@ -1123,13 +1035,39 @@ impl ClusterMachine {
             buffer.push((device, job));
             return Ok(LaunchHandle { job_id });
         }
-        self.pool.slots[device]
-            .sender
-            .send(WorkerMessage::Job(Box::new(job)))
-            .map_err(|_| {
-                CompileError::new("cluster-submit", "device worker is gone".to_string())
-            })?;
+        if let Err(e) = self.send_jobs(device, WorkerMessage::Job(Box::new(job))) {
+            // No handle goes out, so nobody would ever claim the outcome.
+            self.completed.remove(&job_id);
+            return Err(e);
+        }
         Ok(LaunchHandle { job_id })
+    }
+
+    /// Deliver a job message to `device`'s worker. A worker that is gone
+    /// fails the message's jobs on the spot — as if each had run and
+    /// errored — so their bookkeeping (pending ledger, in-flight marks,
+    /// backlog) unwinds and a waiter sees the error instead of parking on
+    /// an outcome that will never arrive.
+    fn send_jobs(&mut self, device: usize, msg: WorkerMessage) -> Result<(), CompileError> {
+        let Err(std::sync::mpsc::SendError(msg)) = self.pool.slots[device].sender.send(msg) else {
+            return Ok(());
+        };
+        let jobs = match msg {
+            WorkerMessage::Job(job) => vec![*job],
+            WorkerMessage::Batch(jobs) => jobs,
+            WorkerMessage::Evict(_) | WorkerMessage::Shutdown => Vec::new(),
+        };
+        for job in jobs {
+            self.apply_outcome(JobOutcome {
+                job_id: job.job_id,
+                device,
+                result: Err(format!("device {device} worker is gone")),
+            });
+        }
+        Err(CompileError::new(
+            "cluster-submit",
+            format!("device {device} worker is gone"),
+        ))
     }
 
     /// Start buffering dispatches for a batched sharded fan-out. Every job
@@ -1155,17 +1093,45 @@ impl ClusterMachine {
                 None => buckets.push((device, vec![job])),
             }
         }
+        // Every bucket is delivered even when one device is gone: the other
+        // devices' jobs are in the pending ledger and must reach their
+        // workers. The first failure is reported.
+        let mut result = Ok(());
         for (device, jobs) in buckets {
             self.batched_jobs += jobs.len() as u64;
             self.batched_messages += 1;
-            self.pool.slots[device]
-                .sender
-                .send(WorkerMessage::Batch(jobs))
-                .map_err(|_| {
-                    CompileError::new("cluster-submit", "device worker is gone".to_string())
-                })?;
+            let sent = self.send_jobs(device, WorkerMessage::Batch(jobs));
+            result = result.and(sent);
         }
-        Ok(())
+        result
+    }
+
+    /// One batched fan-out: open a batch window, `submit` every
+    /// `(index, payload)` item, and flush the window as one message per
+    /// device (even when a submit failed — already-buffered jobs are in the
+    /// pending ledger and must reach their workers). Returns the submitted
+    /// handles plus the first error; a caller about to release buffers the
+    /// jobs touch (session open, a row exchange) waits every handle even
+    /// after an error, so nothing is still in flight over them.
+    pub(crate) fn fan_out<T>(
+        &mut self,
+        items: impl IntoIterator<Item = (usize, T)>,
+        mut submit: impl FnMut(&mut Self, usize, T) -> Result<LaunchHandle, CompileError>,
+    ) -> (Vec<LaunchHandle>, Option<CompileError>) {
+        self.begin_batch();
+        let mut handles = Vec::new();
+        let mut submit_err = None;
+        for (index, item) in items {
+            match submit(self, index, item) {
+                Ok(h) => handles.push(h),
+                Err(e) => {
+                    submit_err = Some(e);
+                    break;
+                }
+            }
+        }
+        let flushed = self.flush_batch();
+        (handles, submit_err.or(flushed.err()))
     }
 
     /// Wait for a submitted job, fold its statistics into the pool totals,
@@ -1399,17 +1365,6 @@ fn mark_in_flight(state: &mut BufState, device: usize) {
         }
         None => (device, 1),
     });
-}
-
-/// A zeroed buffer with the same type and length as `b`.
-pub(crate) fn zeroed_like(b: &Buffer) -> Buffer {
-    match b {
-        Buffer::F32(v) => Buffer::F32(vec![0.0; v.len()]),
-        Buffer::F64(v) => Buffer::F64(vec![0.0; v.len()]),
-        Buffer::I32(v) => Buffer::I32(vec![0; v.len()]),
-        Buffer::I64(v) => Buffer::I64(vec![0; v.len()]),
-        Buffer::I1(v) => Buffer::I1(vec![false; v.len()]),
-    }
 }
 
 /// Distinct buffer ids among memref arguments, in first-appearance order.

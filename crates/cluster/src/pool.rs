@@ -3,8 +3,8 @@
 //! device-side [`Memory`], and a FIFO job queue. Workers are reused across
 //! launches — no thread is ever spawned per kernel launch.
 //!
-//! Workers understand two job granularities plus two residency housekeeping
-//! jobs:
+//! Workers understand two job granularities plus the residency
+//! housekeeping jobs:
 //! * `JobKind::HostCall` — run a whole host program function (the original
 //!   `Machine`-equivalent path; the program performs its own device maps).
 //! * `JobKind::Kernel` — execute one device kernel directly against the
@@ -13,6 +13,8 @@
 //! * `JobKind::Upload` / `JobKind::Fetch` — establish residency for a
 //!   session's mapped arrays / copy mirror contents back to the host,
 //!   charging PCIe transfer time the way a data-region entry/exit does.
+//! * `JobKind::RowPatch` — write row blocks into shard mirrors (the apply
+//!   half of a halo refresh or a migration epoch; see `RowPatch`).
 //!
 //! Between jobs the worker frees every allocation the job recorded, so
 //! transient device allocations (a host program's data-environment buffers,
@@ -41,16 +43,14 @@ pub(crate) enum JobKind {
     Kernel { kernel: String, writeback: bool },
     /// Stage the job's buffers and nothing else (session open).
     Upload,
-    /// Download the job's `fetch` buffers (and `fetch_rows` row slices) from
-    /// the mirror (session close / migration-epoch delta gather).
+    /// Download the job's `fetch_rows` slices from the mirror (session
+    /// close, host sync, and the gather half of a row exchange).
     Fetch,
-    /// Rebuild shard sub-buffer mirrors per the job's `reshard` specs (the
-    /// delta-scatter half of a migration epoch).
-    Reshard,
-    /// Patch halo ghost rows of resident shard mirrors in place per the
-    /// job's `halo` splices (the scatter half of an inter-launch halo
-    /// refresh; see [`HaloSplice`]).
-    HaloRefresh,
+    /// Apply the job's `patches` to shard sub-buffer mirrors (the apply
+    /// half of a row exchange). `label` is the worker-lane span name, so
+    /// the timeline still tells a migration epoch's `job.reshard` from a
+    /// halo refresh's `job.halo_refresh`.
+    RowPatch { label: &'static str },
 }
 
 /// The worker-lane span name for a job kind (see docs/OBSERVABILITY.md).
@@ -60,19 +60,19 @@ pub(crate) fn kind_label(kind: &JobKind) -> &'static str {
         JobKind::Kernel { .. } => "job.kernel",
         JobKind::Upload => "job.upload",
         JobKind::Fetch => "job.fetch",
-        JobKind::Reshard => "job.reshard",
-        JobKind::HaloRefresh => "job.halo_refresh",
+        JobKind::RowPatch { label } => label,
     }
 }
 
-/// One element-range download of a migration epoch's delta gather: read
-/// `src[start .. start+len]` from the device mirror and write it back into
-/// the dedicated host move buffer `dst`. Only the rows that change owners
-/// travel — the rest of the shard never leaves the device.
+/// One element-range download: read `src[start .. start+len]` from the
+/// device mirror and write it back over the host buffer `dst`. A row
+/// exchange's gather fetches only the blocks that cross devices, each into
+/// a dedicated move buffer; a close/sync fetch is the whole range with
+/// `dst == src`.
 pub(crate) struct RowFetch {
-    /// Host id of the shard sub-buffer whose mirror donates the rows.
+    /// Host id of the buffer whose mirror donates the elements.
     pub src: BufferId,
-    /// Host id of the move buffer receiving them (whole-buffer writeback).
+    /// Host id of the buffer receiving them (whole-buffer writeback).
     pub dst: BufferId,
     /// First element of the slice within the mirror.
     pub start: usize,
@@ -82,62 +82,82 @@ pub(crate) struct RowFetch {
     pub version: u64,
 }
 
-/// Rebuild one shard sub-buffer's device mirror for a migration epoch:
-/// retained element ranges are copied device-locally from the old mirror
-/// (free — they never cross PCIe) and migrated/halo rows are spliced in
-/// from host contents carried by the spec (charged as host→device
-/// transfers).
-pub(crate) struct ReshardSpec {
-    /// Host id of the new sub-buffer (its mirror is created by this job).
-    pub new_host: BufferId,
-    /// Host id of the old sub-buffer whose mirror donates retained rows.
-    pub old_host: BufferId,
-    /// Elements of the new sub-buffer.
-    pub len: usize,
-    /// `(dst_start, src_start, len)` element copies old mirror → new mirror.
-    pub keep: Vec<(usize, usize, usize)>,
-    /// `(dst_start, contents)` element blocks staged from the host.
-    pub inject: Vec<(usize, Buffer)>,
-    /// Mirror version of the new sub-buffer.
-    pub version: u64,
+/// Write row blocks into one shard sub-buffer's device mirror. A halo
+/// refresh patches the resident mirror in place (only ghost rows change); a
+/// migration epoch's re-ranged shard has no mirror yet, so `create`
+/// allocates it first and the blocks fill every row. The mirror a block
+/// reads from is never one the same exchange writes.
+pub(crate) struct RowPatch {
+    /// Host id of the sub-buffer whose mirror is written.
+    pub target: BufferId,
+    /// `Some(len)`: allocate a fresh `len`-element mirror for `target`
+    /// (typed like the first block's source) instead of patching a
+    /// resident one.
+    pub create: Option<usize>,
+    /// The blocks to write.
+    pub blocks: Vec<PatchBlock>,
 }
 
-/// Patch one shard sub-buffer's *existing* device mirror in place for an
-/// inter-launch halo refresh: ghost-row blocks whose owner lives on another
-/// device arrive as host-bounced `inject` contents (charged as host→device
-/// transfers — the row blocks crossed PCIe once on the donor's delta
-/// gather and once here), while blocks owned by a shard on the *same*
-/// device copy mirror-to-mirror via `local` (free, like `ReshardSpec::keep`).
-/// Unlike a reshard the mirror is never reallocated — only the ghost rows
-/// change, so a refresh moves boundary rows and nothing else.
-pub(crate) struct HaloSplice {
-    /// Host id of the shard sub-buffer whose resident mirror is patched.
-    pub host: BufferId,
-    /// `(dst_start, contents)` element blocks staged from the host.
-    pub inject: Vec<(usize, Buffer)>,
-    /// `(dst_start, donor_host, src_start, len)` device-local copies from
-    /// another resident mirror on the same device.
-    pub local: Vec<(usize, BufferId, usize, usize)>,
-    /// Mirror version of the patched sub-buffer after the splice.
-    pub version: u64,
+/// One block of a [`RowPatch`], by transport.
+pub(crate) enum PatchBlock {
+    /// The donor lives on another device: its rows crossed PCIe once on the
+    /// gather and arrive here as host contents (charged as a host→device
+    /// transfer).
+    Host { dst: usize, contents: Buffer },
+    /// The donor's mirror is resident on this device: `len` elements copy
+    /// mirror-to-mirror from `donor[src..]` (free — nothing crosses PCIe).
+    Local {
+        dst: usize,
+        donor: BufferId,
+        src: usize,
+        len: usize,
+    },
 }
 
 /// One host buffer upload accompanying a job.
 pub(crate) struct StagedBuffer {
     pub host: BufferId,
     pub contents: Buffer,
-    /// Mirror version the staged contents represent.
-    pub version: u64,
     /// Charge PCIe transfer time for this upload. Session/kernel staging is
     /// an explicit host→device map and is charged; whole-program staging is
     /// not (the program's own dma ops account for its transfers).
     pub charge: bool,
 }
 
+/// What a job asks of its worker — everything but the identity and trace
+/// context [`Job`] adds at dispatch.
+pub(crate) struct JobSpec {
+    pub kind: JobKind,
+    /// Arguments; memrefs reference *host* buffer ids and are remapped to
+    /// the worker's local memory before execution.
+    pub args: Vec<RtValue>,
+    /// Buffers whose current host contents must be uploaded before the run.
+    pub staged: Vec<StagedBuffer>,
+    /// Writeback version of every argument buffer (they are all
+    /// conservatively treated as written).
+    pub out_versions: Vec<(BufferId, u64)>,
+    /// For `JobKind::Fetch`: the element ranges to download.
+    pub fetch_rows: Vec<RowFetch>,
+    /// For `JobKind::RowPatch`: the mirror patches to apply.
+    pub patches: Vec<RowPatch>,
+}
+
+impl JobSpec {
+    pub(crate) fn new(kind: JobKind) -> JobSpec {
+        JobSpec {
+            kind,
+            args: Vec::new(),
+            staged: Vec::new(),
+            out_versions: Vec::new(),
+            fetch_rows: Vec::new(),
+            patches: Vec::new(),
+        }
+    }
+}
+
 /// A unit of work for a device worker.
 pub(crate) struct Job {
     pub job_id: u64,
-    pub kind: JobKind,
     /// Trace id of the request that submitted the job (0 = none); worker
     /// spans carry it so a request can be followed across device lanes.
     pub trace_id: u64,
@@ -147,26 +167,7 @@ pub(crate) struct Job {
     /// Wall-clock submission time ([`ftn_trace::now_nanos`]); the worker
     /// derives the job's queue wait from it at dispatch.
     pub enqueued_nanos: u64,
-    /// Arguments; memrefs reference *host* buffer ids and are remapped to
-    /// the worker's local memory before execution.
-    pub args: Vec<RtValue>,
-    /// Buffers whose current host contents must be uploaded before the run.
-    pub staged: Vec<StagedBuffer>,
-    /// Post-run version assigned to every argument buffer (they are all
-    /// conservatively treated as written).
-    pub out_versions: Vec<(BufferId, u64)>,
-    /// For `JobKind::Fetch`: `(host id, version)` of mirror buffers to
-    /// download.
-    pub fetch: Vec<(BufferId, u64)>,
-    /// For `JobKind::Fetch`: element-range downloads of a migration
-    /// epoch's delta gather.
-    pub fetch_rows: Vec<RowFetch>,
-    /// For `JobKind::Reshard`: mirror rebuilds of a migration epoch's
-    /// delta scatter.
-    pub reshard: Vec<ReshardSpec>,
-    /// For `JobKind::HaloRefresh`: in-place ghost-row splices of an
-    /// inter-launch halo refresh.
-    pub halo: Vec<HaloSplice>,
+    pub spec: JobSpec,
 }
 
 /// What comes back from a worker when a job finishes.
@@ -449,8 +450,8 @@ struct Worker {
     executor: KernelExecutor,
     model: DeviceModel,
     memory: Memory,
-    /// host buffer id -> (local buffer id, version of the local copy).
-    mirror: HashMap<BufferId, (BufferId, u64)>,
+    /// host buffer id -> local buffer id of its mirror.
+    mirror: HashMap<BufferId, BufferId>,
 }
 
 impl Worker {
@@ -460,7 +461,7 @@ impl Worker {
         let mut arg_buffers: Vec<(BufferId, BufferId)> = Vec::new();
         for a in args.iter_mut() {
             if let RtValue::MemRef(m) = a {
-                let &(local, _) = self.mirror.get(&m.buffer).ok_or_else(|| {
+                let &local = self.mirror.get(&m.buffer).ok_or_else(|| {
                     format!(
                         "device {}: argument buffer {:?} neither staged nor resident",
                         self.index, m.buffer
@@ -475,7 +476,64 @@ impl Worker {
         Ok(arg_buffers)
     }
 
-    fn run_job(&mut self, mut job: Job) -> Result<JobSuccess, String> {
+    /// Local id of the mirror behind host buffer `host`.
+    fn resident(&self, host: BufferId) -> Result<BufferId, String> {
+        self.mirror
+            .get(&host)
+            .copied()
+            .ok_or_else(|| format!("device {}: {host:?} is not resident", self.index))
+    }
+
+    /// The mirror a patch writes: the resident one, or a fresh zeroed
+    /// buffer typed like the first block's source.
+    fn patch_target(&mut self, patch: &RowPatch) -> Result<BufferId, String> {
+        let Some(len) = patch.create else {
+            return self.resident(patch.target);
+        };
+        let like = match patch.blocks.first() {
+            Some(PatchBlock::Host { contents, .. }) => empty_like(contents, len),
+            Some(PatchBlock::Local { donor, .. }) => {
+                empty_like(self.memory.get(self.resident(*donor)?), len)
+            }
+            None => return Err(format!("device {}: empty row patch", self.index)),
+        };
+        Ok(self.memory.alloc(like, 0))
+    }
+
+    /// Write `blocks` into mirror `local`, charging host-bounced blocks as
+    /// host→device transfers. The target is lifted out of device memory
+    /// while it is written, so same-device blocks copy straight from their
+    /// donor mirrors.
+    fn apply_blocks(
+        &mut self,
+        local: BufferId,
+        blocks: &[PatchBlock],
+        stats: &mut RunStats,
+    ) -> Result<(), String> {
+        let mut target = std::mem::replace(self.memory.get_mut(local), Buffer::I1(Vec::new()));
+        let written = blocks.iter().try_for_each(|block| match block {
+            PatchBlock::Host { dst, contents } => {
+                stats.transfer_seconds += self.model.transfer_seconds(contents.byte_len());
+                stats.transfers += 1;
+                ftn_shard::copy_elems(&mut target, *dst, contents, 0, contents.len())
+                    .map_err(|e| e.to_string())
+            }
+            PatchBlock::Local {
+                dst,
+                donor,
+                src,
+                len,
+            } => {
+                let donor = self.memory.get(self.resident(*donor)?);
+                ftn_shard::copy_elems(&mut target, *dst, donor, *src, *len)
+                    .map_err(|e| e.to_string())
+            }
+        });
+        *self.memory.get_mut(local) = target;
+        written
+    }
+
+    fn run_job(&mut self, mut job: JobSpec) -> Result<JobSuccess, String> {
         let mut stats = RunStats::default();
 
         // 1. Stage uploads into the local mirror, charging PCIe time where
@@ -486,75 +544,26 @@ impl Worker {
                 stats.transfers += 1;
             }
             match self.mirror.get(&sb.host) {
-                Some(&(local, _)) => {
-                    *self.memory.get_mut(local) = sb.contents;
-                    self.mirror.insert(sb.host, (local, sb.version));
-                }
+                Some(&local) => *self.memory.get_mut(local) = sb.contents,
                 None => {
                     let local = self.memory.alloc(sb.contents, 0);
-                    self.mirror.insert(sb.host, (local, sb.version));
+                    self.mirror.insert(sb.host, local);
                 }
             }
         }
 
-        // 1b. Rebuild shard sub-buffer mirrors (migration epoch). Like
-        // staging this happens before transient recording starts: the new
-        // mirrors outlive the job. Retained ranges copy device-locally from
-        // the old mirror; injected blocks are host→device transfers.
-        for spec in std::mem::take(&mut job.reshard) {
-            let &(old_local, _) = self.mirror.get(&spec.old_host).ok_or_else(|| {
-                format!(
-                    "device {}: reshard of non-resident {:?}",
-                    self.index, spec.old_host
-                )
-            })?;
-            let mut rebuilt = empty_like(self.memory.get(old_local), spec.len);
-            for &(dst, src, len) in &spec.keep {
-                ftn_shard::copy_elems(&mut rebuilt, dst, self.memory.get(old_local), src, len)
-                    .map_err(|e| format!("device {}: reshard keep: {e}", self.index))?;
+        // 1b. Apply row patches. Like staging this happens before transient
+        // recording starts: a created mirror outlives the job. A failed
+        // patch must not leak the mirror it created.
+        for patch in std::mem::take(&mut job.patches) {
+            let local = self.patch_target(&patch)?;
+            if let Err(e) = self.apply_blocks(local, &patch.blocks, &mut stats) {
+                if patch.create.is_some() {
+                    self.memory.free(local);
+                }
+                return Err(format!("device {}: row patch: {e}", self.index));
             }
-            for (dst, contents) in &spec.inject {
-                stats.transfer_seconds += self.model.transfer_seconds(contents.byte_len());
-                stats.transfers += 1;
-                ftn_shard::copy_elems(&mut rebuilt, *dst, contents, 0, contents.len())
-                    .map_err(|e| format!("device {}: reshard inject: {e}", self.index))?;
-            }
-            let local = self.memory.alloc(rebuilt, 0);
-            self.mirror.insert(spec.new_host, (local, spec.version));
-        }
-
-        // 1c. Splice halo ghost rows into resident mirrors in place (halo
-        // refresh). Host-bounced blocks are charged as host→device
-        // transfers; same-device donor blocks copy mirror-to-mirror for
-        // free. No allocation happens — the mirror already exists.
-        for hs in std::mem::take(&mut job.halo) {
-            let &(local, _) = self.mirror.get(&hs.host).ok_or_else(|| {
-                format!(
-                    "device {}: halo splice of non-resident {:?}",
-                    self.index, hs.host
-                )
-            })?;
-            for (dst, contents) in &hs.inject {
-                stats.transfer_seconds += self.model.transfer_seconds(contents.byte_len());
-                stats.transfers += 1;
-                let target = self.memory.get_mut(local);
-                ftn_shard::copy_elems(target, *dst, contents, 0, contents.len())
-                    .map_err(|e| format!("device {}: halo inject: {e}", self.index))?;
-            }
-            for &(dst, donor, src, len) in &hs.local {
-                let &(donor_local, _) = self.mirror.get(&donor).ok_or_else(|| {
-                    format!(
-                        "device {}: halo splice from non-resident donor {donor:?}",
-                        self.index
-                    )
-                })?;
-                let block = ftn_shard::slice_of(self.memory.get(donor_local), src, len)
-                    .map_err(|e| format!("device {}: halo donor slice: {e}", self.index))?;
-                let target = self.memory.get_mut(local);
-                ftn_shard::copy_elems(target, dst, &block, 0, len)
-                    .map_err(|e| format!("device {}: halo local copy: {e}", self.index))?;
-            }
-            self.mirror.insert(hs.host, (local, hs.version));
+            self.mirror.insert(patch.target, local);
         }
 
         // Everything allocated from here on is job-transient (a host
@@ -616,7 +625,7 @@ impl Worker {
     #[allow(clippy::type_complexity)]
     fn execute_recorded(
         &mut self,
-        job: Job,
+        job: JobSpec,
         stats: &mut RunStats,
     ) -> Result<
         (
@@ -652,52 +661,27 @@ impl Worker {
                 stats.launches += 1;
                 es.results
             }
-            JobKind::Upload | JobKind::Fetch | JobKind::Reshard | JobKind::HaloRefresh => {
-                Vec::new()
-            }
+            JobKind::Upload | JobKind::Fetch | JobKind::RowPatch { .. } => Vec::new(),
         };
 
-        // 3. Collect writeback contents and bump mirror versions.
+        // 3. Collect writeback contents.
         let collect_writeback = match &job.kind {
             JobKind::HostCall { .. } => true,
             JobKind::Kernel { writeback, .. } => *writeback,
-            JobKind::Upload | JobKind::Fetch | JobKind::Reshard | JobKind::HaloRefresh => false,
+            JobKind::Upload | JobKind::Fetch | JobKind::RowPatch { .. } => false,
         };
         let mut writeback = Vec::with_capacity(arg_buffers.len());
-        for &(host, local) in &arg_buffers {
-            let version = job
-                .out_versions
-                .iter()
-                .find(|(h, _)| *h == host)
-                .map(|(_, v)| *v)
-                .unwrap_or(0);
-            self.mirror.insert(host, (local, version));
-            if collect_writeback {
+        if collect_writeback {
+            for &(host, local) in &arg_buffers {
+                let version = job.out_versions.iter().find(|(h, _)| *h == host);
+                let version = version.map_or(0, |(_, v)| *v);
                 writeback.push((host, self.memory.get(local).clone(), version));
             }
         }
-        for &(host, version) in &job.fetch {
-            let &(local, _) = self
-                .mirror
-                .get(&host)
-                .ok_or_else(|| format!("device {}: fetch of non-resident {host:?}", self.index))?;
-            stats.transfer_seconds += self
-                .model
-                .transfer_seconds(self.memory.get(local).byte_len());
-            stats.transfers += 1;
-            writeback.push((host, self.memory.get(local).clone(), version));
-            let entry = self.mirror.get_mut(&host).expect("present above");
-            entry.1 = entry.1.max(version);
-        }
-        // Delta gather: only the requested element ranges travel back — a
-        // migration epoch never round-trips whole shards through the host.
+        // Only the requested element ranges travel back — a row exchange
+        // never round-trips whole shards through the host.
         for rf in &job.fetch_rows {
-            let &(local, _) = self.mirror.get(&rf.src).ok_or_else(|| {
-                format!(
-                    "device {}: row fetch of non-resident {:?}",
-                    self.index, rf.src
-                )
-            })?;
+            let local = self.resident(rf.src)?;
             let contents = ftn_shard::slice_of(self.memory.get(local), rf.start, rf.len)
                 .map_err(|e| format!("device {}: row fetch: {e}", self.index))?;
             stats.transfer_seconds += self.model.transfer_seconds(contents.byte_len());
@@ -708,8 +692,8 @@ impl Worker {
     }
 }
 
-/// An uninitialized (zeroed) buffer of `len` elements with `like`'s type.
-fn empty_like(like: &Buffer, len: usize) -> Buffer {
+/// A zeroed buffer of `len` elements with `like`'s type.
+pub(crate) fn empty_like(like: &Buffer, len: usize) -> Buffer {
     match like {
         Buffer::F32(_) => Buffer::F32(vec![0.0; len]),
         Buffer::F64(_) => Buffer::F64(vec![0.0; len]),
@@ -738,43 +722,44 @@ fn run_and_report(
         ftn_trace::now_nanos().saturating_sub(job.enqueued_nanos) as f64 * 1e-9;
     let _trace = ftn_trace::trace_scope(job.trace_id);
     let mut span = ftn_trace::span_linked(
-        kind_label(&job.kind),
+        kind_label(&job.spec.kind),
         "worker",
         job.trace_id,
         job.parent_span,
     );
     span.arg("device", index);
     span.arg("job", job_id);
-    if let JobKind::Kernel { kernel, .. } = &job.kind {
+    if let JobKind::Kernel { kernel, .. } = &job.spec.kind {
         span.arg("kernel", kernel.as_str());
     }
     span.arg("queue_wait_us", format!("{:.1}", queue_wait_seconds * 1e6));
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker.run_job(job)))
-        .map(|r| {
-            r.map(|mut success| {
-                success.queue_wait_seconds = queue_wait_seconds;
-                success.trace_id = trace_id;
-                success.span_id = span.id();
-                span.arg(
-                    "sim_busy_us",
-                    format!("{:.1}", success.sim_busy_seconds * 1e6),
-                );
-                success
+    let result =
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker.run_job(job.spec)))
+            .map(|r| {
+                r.map(|mut success| {
+                    success.queue_wait_seconds = queue_wait_seconds;
+                    success.trace_id = trace_id;
+                    success.span_id = span.id();
+                    span.arg(
+                        "sim_busy_us",
+                        format!("{:.1}", success.sim_busy_seconds * 1e6),
+                    );
+                    success
+                })
             })
-        })
-        .unwrap_or_else(|panic| {
-            // Best-effort reclaim of the aborted job's transients (recording
-            // is still active when a job unwinds mid-execution).
-            for id in worker.memory.take_recorded() {
-                worker.memory.free(id);
-            }
-            let msg = panic
-                .downcast_ref::<&str>()
-                .map(|s| s.to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "unknown panic".to_string());
-            Err(format!("device {index} worker panicked: {msg}"))
-        });
+            .unwrap_or_else(|panic| {
+                // Best-effort reclaim of the aborted job's transients (recording
+                // is still active when a job unwinds mid-execution).
+                for id in worker.memory.take_recorded() {
+                    worker.memory.free(id);
+                }
+                let msg = panic
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| panic.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "unknown panic".to_string());
+                Err(format!("device {index} worker panicked: {msg}"))
+            });
     // Finish the job span before the outcome becomes observable: waiters
     // wake as soon as `notify` runs, and a /trace read racing the lane
     // write would miss this job's span otherwise.
@@ -823,7 +808,7 @@ pub(crate) fn spawn_worker(
                     }
                     Ok(WorkerMessage::Evict(ids)) => {
                         for id in ids {
-                            if let Some((local, _)) = worker.mirror.remove(&id) {
+                            if let Some(local) = worker.mirror.remove(&id) {
                                 worker.memory.free(local);
                             }
                         }

@@ -182,19 +182,10 @@ impl ShardedEnvironment {
 
         let mut slices = Vec::with_capacity(self.shards);
         for (shard, (range, contents)) in prepared.into_iter().enumerate() {
-            let buffer = memory.alloc(contents, global.space);
-            let mut shape = global.shape.clone();
-            if let Some(first) = shape.first_mut() {
-                *first = range.mapped_len() as i64;
-            }
-            let memref = MemRefVal {
-                buffer,
-                shape,
-                space: global.space,
-            };
-            self.envs[shard].insert_mapped(name, memref.clone(), &elem);
+            let slice = alloc_slice(memory, global, range, contents);
+            self.envs[shard].insert_mapped(name, slice.memref.clone(), &elem);
             self.envs[shard].acquire(name)?;
-            slices.push(ShardSlice { memref, range });
+            slices.push(slice);
         }
         self.arrays.push(ShardedArray {
             name: name.to_string(),
@@ -249,11 +240,8 @@ impl ShardedEnvironment {
                         slice.range.halo_lo * a.row_elems,
                         slice.range.len * a.row_elems,
                     )?;
-                    write_into(
-                        memory.get_mut(a.global.buffer),
-                        slice.range.start * a.row_elems,
-                        &owned,
-                    )?;
+                    let at = slice.range.start * a.row_elems;
+                    copy_elems(memory.get_mut(a.global.buffer), at, &owned, 0, owned.len())?;
                 }
             }
             Partition::Reduced(op) => {
@@ -262,7 +250,7 @@ impl ShardedEnvironment {
                     op.combine(&mut acc, memory.get(slice.memref.buffer))
                         .map_err(InterpError::new)?;
                 }
-                write_into(memory.get_mut(a.global.buffer), 0, &acc)?;
+                copy_elems(memory.get_mut(a.global.buffer), 0, &acc, 0, acc.len())?;
             }
             Partition::Replicated => {
                 return Err(InterpError::new(format!(
@@ -336,25 +324,8 @@ impl ShardedEnvironment {
                     range.mapped_start() * a.row_elems,
                     range.mapped_len() * a.row_elems,
                 )?;
-                let buffer = memory.alloc(contents, a.global.space);
-                let mut shape = a.global.shape.clone();
-                if let Some(first) = shape.first_mut() {
-                    *first = range.mapped_len() as i64;
-                }
-                let memref = MemRefVal {
-                    buffer,
-                    shape,
-                    space: a.global.space,
-                };
-                self.envs[shard].insert_mapped(&a.name, memref.clone(), &a.elem);
-                self.envs[shard].acquire(&a.name)?;
-                old_slices[shard] = Some(std::mem::replace(
-                    &mut a.slices[shard],
-                    ShardSlice {
-                        memref,
-                        range: *range,
-                    },
-                ));
+                let slice = alloc_slice(memory, &a.global, *range, contents);
+                old_slices[shard] = Some(install(&mut self.envs[shard], a, shard, slice)?);
             }
             replans.push(ArrayReplan {
                 name: a.name.clone(),
@@ -368,6 +339,29 @@ impl ShardedEnvironment {
         Ok(replans)
     }
 
+    /// Roll a [`ShardedEnvironment::replan`] back (a migration epoch failed
+    /// before its new mirrors were complete): every replaced slice is
+    /// reinstated, `weights` — the split weights from before the replan —
+    /// are restored, and the sub-buffers the replan allocated are returned
+    /// for the caller to free.
+    pub fn undo_replan(&mut self, replans: Vec<ArrayReplan>, weights: Vec<f64>) -> Vec<BufferId> {
+        let mut discarded = Vec::new();
+        for rp in replans {
+            let Some(a) = self.arrays.iter_mut().find(|a| a.name == rp.name) else {
+                continue;
+            };
+            for (shard, old) in rp.old_slices.into_iter().enumerate() {
+                if let Some(old) = old {
+                    let new = install(&mut self.envs[shard], a, shard, old)
+                        .expect("re-inserted entries acquire");
+                    discarded.push(new.memref.buffer);
+                }
+            }
+        }
+        self.weights = weights;
+        discarded
+    }
+
     /// Release every presence counter (the data-region exit).
     pub fn release(&mut self) {
         for env in &mut self.envs {
@@ -378,9 +372,41 @@ impl ShardedEnvironment {
     }
 }
 
+/// Allocate `contents` as the sub-buffer of `global` covering `range`.
+fn alloc_slice(
+    memory: &mut Memory,
+    global: &MemRefVal,
+    range: ShardRange,
+    contents: Buffer,
+) -> ShardSlice {
+    let mut shape = global.shape.clone();
+    if let Some(first) = shape.first_mut() {
+        *first = range.mapped_len() as i64;
+    }
+    let memref = MemRefVal {
+        buffer: memory.alloc(contents, global.space),
+        shape,
+        space: global.space,
+    };
+    ShardSlice { memref, range }
+}
+
+/// Make `slice` shard `shard`'s mapping of `a` in that shard's data
+/// environment (presence re-acquired); returns the slice it replaces.
+fn install(
+    env: &mut DataEnvironment,
+    a: &mut ShardedArray,
+    shard: usize,
+    slice: ShardSlice,
+) -> Result<ShardSlice, InterpError> {
+    env.insert_mapped(&a.name, slice.memref.clone(), &a.elem);
+    env.acquire(&a.name)?;
+    Ok(std::mem::replace(&mut a.slices[shard], slice))
+}
+
 /// `b[start .. start+len]` as a fresh buffer of the same type. Exported for
-/// the cluster layer, which slices migrated row blocks out of move buffers
-/// and halo rows out of the caller's arrays during an epoch.
+/// the cluster layer, whose workers slice row blocks out of device mirrors
+/// during a row exchange.
 pub fn slice_of(b: &Buffer, start: usize, len: usize) -> Result<Buffer, InterpError> {
     let end = start + len;
     if end > b.len() {
@@ -398,16 +424,9 @@ pub fn slice_of(b: &Buffer, start: usize, len: usize) -> Result<Buffer, InterpEr
     })
 }
 
-/// Copy all of `src` into `dst` starting at element `at`.
-fn write_into(dst: &mut Buffer, at: usize, src: &Buffer) -> Result<(), InterpError> {
-    let len = src.len();
-    copy_elems(dst, at, src, 0, len)
-}
-
 /// Copy `len` elements `src[from ..]` → `dst[at ..]`; types and bounds must
-/// match. Exported for the cluster layer: migration epochs rebuild shard
-/// mirrors by splicing retained and migrated element ranges with exactly
-/// this dispatch.
+/// match. Exported for the cluster layer: row exchanges write blocks into
+/// shard mirrors with exactly this dispatch.
 pub fn copy_elems(
     dst: &mut Buffer,
     at: usize,
@@ -610,6 +629,28 @@ mod tests {
         );
         // A wrong weight count is rejected.
         assert!(env.replan(&mut memory, vec![1.0; 3]).is_err());
+
+        // Undoing a replan reinstates the replaced slices and weights and
+        // hands back exactly the sub-buffers the replan allocated.
+        let before: Vec<ShardSlice> = env.array("x").unwrap().slices.clone();
+        let live = memory.live();
+        let replans = env.replan(&mut memory, vec![1.0; 4]).unwrap();
+        let fresh = env.undo_replan(replans, vec![3.0, 1.0, 1.0, 1.0]);
+        assert_eq!(fresh.len(), 4);
+        for id in fresh {
+            memory.free(id);
+        }
+        assert_eq!(memory.live(), live);
+        assert_eq!(env.weights(), &[3.0, 1.0, 1.0, 1.0]);
+        for (shard, slice) in before.iter().enumerate() {
+            let now = &env.array("x").unwrap().slices[shard];
+            assert_eq!(
+                (now.memref.buffer, now.range),
+                (slice.memref.buffer, slice.range)
+            );
+            let m = env.shard_value(shard, "x").unwrap();
+            assert_eq!(m.as_memref().unwrap().buffer, slice.memref.buffer);
+        }
     }
 
     #[test]

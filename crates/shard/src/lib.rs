@@ -13,6 +13,8 @@
 //!   host sub-buffers (one [`ftn_host::DataEnvironment`] per shard, driven
 //!   through the usual presence-counter protocol) and reassembles them at
 //!   gather time — concatenating owned rows or reducing private copies.
+//! * [`transfer`] — [`RowTransferPlan`]: the row blocks a halo refresh or a
+//!   migration epoch moves between shard owners, as pure data.
 //!
 //! The crate is deliberately device-agnostic: residency, transfers, and
 //! placement of the per-shard jobs live in `ftn_cluster::sharded`, which
@@ -23,7 +25,9 @@
 pub mod env;
 pub mod plan;
 pub mod reduce;
+pub mod transfer;
 
 pub use env::{copy_elems, slice_of, ArrayReplan, ShardSlice, ShardedArray, ShardedEnvironment};
 pub use plan::{Partition, RowMove, ShardPlan, ShardRange};
 pub use reduce::ReduceOp;
+pub use transfer::{RowBlock, RowTransferPlan};

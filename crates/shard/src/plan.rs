@@ -204,9 +204,10 @@ impl ShardPlan {
 
     /// Diff two plans over the same `rows`: the maximal contiguous row
     /// blocks whose *owning* shard differs, in ascending row order. Halo
-    /// ghost rows are not compared — a migration epoch refreshes halos
-    /// wholesale from the caller's array, exactly as the original scatter
-    /// seeded them. Identical plans yield an empty delta.
+    /// ghost rows are not compared — a migration epoch re-seeds the ghosts
+    /// of every re-ranged shard from their current owners (see
+    /// [`crate::RowTransferPlan::replan`]). Identical plans yield an empty
+    /// delta.
     ///
     /// ```
     /// use ftn_shard::ShardPlan;

@@ -77,10 +77,23 @@ struct RunOutcome {
     host_buffers: usize,
 }
 
-/// Run `launches` sharded launches on a 4 × U280 pool, calling `disturb`
-/// with the machine and the launch index before each launch (injection /
-/// manual re-plan points live there).
+/// [`run_session_on`] with one shard per device.
 fn run_session(
+    launches: usize,
+    halo: usize,
+    auto: Option<AutoRebalance>,
+    disturb: impl FnMut(&mut ClusterMachine, u64, usize),
+    x: &[f32],
+    y: &[f32],
+) -> RunOutcome {
+    run_session_on(4, launches, halo, auto, disturb, x, y)
+}
+
+/// Run `launches` sharded launches of a `shards`-shard session on a
+/// 4 × U280 pool, calling `disturb` with the machine and the launch index
+/// before each launch (injection / manual re-plan points live there).
+fn run_session_on(
+    shards: usize,
     launches: usize,
     halo: usize,
     auto: Option<AutoRebalance>,
@@ -98,7 +111,7 @@ fn run_session(
                 ("x", xa.clone(), MapKind::To, Partition::Split { halo }),
                 ("y", ya.clone(), MapKind::ToFrom, Partition::Split { halo }),
             ],
-            ShardCount::Fixed(4),
+            ShardCount::Fixed(shards),
             ShardOptions {
                 auto_rebalance: auto,
                 ..Default::default()
@@ -312,6 +325,64 @@ fn rebalance_with_halo_rows_stays_bit_identical() {
             assert_eq!(f.to_bits(), r.to_bits(), "halo={halo} element {i}");
         }
     }
+}
+
+/// More shards than devices: shards 3 and 7 share device 3. Swamping the
+/// other three devices collapses their shards to one row each, so shard 7
+/// grows down to row 515 and — with a halo of four rows — its new low ghost
+/// starts at row 511, which shard 3 owned under the old plan: a block whose
+/// donor and recipient are *different shards on the same device*. It copies
+/// mirror-to-mirror instead of bouncing through the host, as do the ghost
+/// rows the collapsed shards 0 and 4 owned themselves a moment ago; the
+/// result stays bit-identical to the never-replanned run.
+#[test]
+fn rebalance_with_co_located_shards_stays_bit_identical() {
+    let n = 1024usize;
+    let launches = 6usize;
+    let halo = 4usize;
+    let (x, y) = inputs(n);
+    let frozen = run_session_on(8, launches, halo, None, |_, _, _| {}, &x, &y);
+    let backlog = 4096.0 * per_launch_sim_seconds(n);
+    let mut rows = Vec::new();
+    let rebalanced = run_session_on(
+        8,
+        launches,
+        halo,
+        None,
+        |cluster, sid, k| {
+            if k == 3 {
+                assert_eq!(
+                    cluster.sharded_devices(sid),
+                    Some(vec![0, 1, 2, 3, 0, 1, 2, 3])
+                );
+                for device in 0..3 {
+                    cluster.inject_backlog(device, backlog);
+                }
+                let report = cluster.rebalance_session(sid).unwrap();
+                assert!(report.replanned, "{report:?}");
+                rows = report.shard_rows;
+            }
+        },
+        &x,
+        &y,
+    );
+    assert_eq!(rows[4..7], [1, 1, 1], "swamped shards keep a reserve row");
+    assert!(rows[3] > n / 4 && rows[7] > n / 4, "{rows:?}");
+    assert_eq!(rebalanced.session.replan_count, 1);
+    for (i, (f, r)) in frozen.y.iter().zip(&rebalanced.y).enumerate() {
+        assert_eq!(f.to_bits(), r.to_bits(), "element {i}: {f} vs {r}");
+    }
+    // The epoch's PCIe traffic: 48 blocks bounce through the host (one
+    // fetch + one splice each). The six same-device blocks (three per
+    // array: shard 3 → shard 7, and shards 0 and 4 each re-seeding a ghost
+    // from rows they used to own) do not — before the one placement rule
+    // every epoch block bounced: 54 uploads, 108 transfers.
+    assert_eq!(rebalanced.session.rows_migrated, 1532);
+    assert_eq!(
+        rebalanced.session.staged_uploads - frozen.session.staged_uploads,
+        48
+    );
+    assert_eq!(rebalanced.totals.transfers - frozen.totals.transfers, 96);
 }
 
 proptest! {
