@@ -9,8 +9,8 @@
 
 use ftn_fpga::{fpga_power_watts, DeviceModel, KernelExecutor, ResourceUsage};
 use ftn_host::{HostRuntime, RunStats};
-use ftn_interp::{call_function, Buffer, MemRefVal, Memory, NoObserver, RtValue};
-use ftn_mlir::{parse_module, Ir, OpId};
+use ftn_interp::{Buffer, MemRefVal, Memory, NoObserver, Program, RtValue, DEFAULT_MAX_STEPS};
+use ftn_mlir::{parse_module, Ir};
 
 use crate::compiler::Artifacts;
 use crate::error::CompileError;
@@ -24,24 +24,23 @@ pub struct RunReport {
     pub fpga_power_watts: f64,
 }
 
-/// A parsed host module plus the routine that executes it against a device.
-/// Each call uses a fresh device data environment (a fresh XRT process, as
-/// in the paper's per-trial runs) but the caller's host memory.
+/// A parsed host module, lowered to bytecode, plus the routine that executes
+/// it against a device. Each call uses a fresh device data environment (a
+/// fresh XRT process, as in the paper's per-trial runs) but the caller's
+/// host memory.
 pub struct HostProgram {
     host_ir: Ir,
-    host_module: OpId,
+    program: Program,
 }
 
 impl HostProgram {
-    /// Parse the host module text of compiled artifacts.
+    /// Parse and lower the host module text of compiled artifacts.
     pub fn parse(host_module_text: &str) -> Result<Self, CompileError> {
         let mut host_ir = Ir::new();
         let host_module = parse_module(&mut host_ir, host_module_text)
             .map_err(|e| CompileError::new("machine-load", e.to_string()))?;
-        Ok(HostProgram {
-            host_ir,
-            host_module,
-        })
+        let program = Program::lower_module(&host_ir, host_module);
+        Ok(HostProgram { host_ir, program })
     }
 
     /// Run host function `func` with `args` against `memory`, launching
@@ -56,16 +55,18 @@ impl HostProgram {
         device: &DeviceModel,
     ) -> Result<(RunStats, Vec<RtValue>), CompileError> {
         let mut runtime = HostRuntime::new(executor.clone(), device.clone());
-        let results = call_function(
-            &self.host_ir,
-            self.host_module,
-            func,
-            args,
-            memory,
-            &mut runtime,
-            &mut NoObserver,
-        )
-        .map_err(|e| CompileError::new("machine-run", e.to_string()))?;
+        let results = self
+            .program
+            .call(
+                &self.host_ir,
+                func,
+                args,
+                memory,
+                &mut runtime,
+                &mut NoObserver,
+                DEFAULT_MAX_STEPS,
+            )
+            .map_err(|e| CompileError::new("machine-run", e.to_string()))?;
         Ok((runtime.stats, results))
     }
 }

@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ftn_interp::{Interp, InterpError, Memory, NoHooks, Observer, RtValue};
+use ftn_interp::{InterpError, Memory, NoHooks, Observer, Program, RtValue, DEFAULT_MAX_STEPS};
 use ftn_mlir::{Ir, OpId};
 
 use crate::bitstream::Bitstream;
@@ -58,18 +58,28 @@ impl serde::Serialize for ExecutionStats {
 }
 
 /// The immutable, shareable part of an instantiated bitstream: the parsed
-/// device module and its loop schedules. Parsing the module text is the
-/// expensive step of `KernelExecutor` construction, so pools of executors
-/// (ftn-cluster) instantiate one image and share it across devices/threads
-/// behind an [`Arc`].
+/// device module, every kernel lowered to bytecode, and per kernel the
+/// loop-index table and schedule the cycle accounting reads. Parsing and
+/// lowering are the expensive steps of `KernelExecutor` construction, so
+/// pools of executors (ftn-cluster) instantiate one image and share it
+/// across devices/threads behind an [`Arc`].
 pub struct ExecutorImage {
     ir: Ir,
-    module: OpId,
-    schedules: HashMap<String, Vec<LoopInfo>>,
+    program: Program,
+    kernels: HashMap<String, KernelTiming>,
+}
+
+/// What charging one kernel's loop instances needs, computed at image build.
+struct KernelTiming {
+    /// Loop op → its index in the kernel's schedule order.
+    index_of: HashMap<OpId, usize>,
+    /// Schedule entry of each loop index (`None`: unscheduled).
+    schedule: Vec<Option<LoopInfo>>,
 }
 
 impl ExecutorImage {
-    /// Parse a bitstream's module text and index the schedules.
+    /// Parse a bitstream's module text, lower its kernels and index the
+    /// schedules.
     pub fn from_bitstream(bitstream: &Bitstream) -> Result<Self, String> {
         let mut ir = Ir::new();
         let module = bitstream.instantiate(&mut ir)?;
@@ -78,11 +88,27 @@ impl ExecutorImage {
             .iter()
             .map(|k| (k.name.clone(), k.schedule.clone()))
             .collect();
-        Ok(ExecutorImage {
+        Ok(ExecutorImage::new(ir, module, schedules))
+    }
+
+    fn new(ir: Ir, module: OpId, mut schedules: HashMap<String, Vec<LoopInfo>>) -> Self {
+        let program = Program::lower_module(&ir, module);
+        let kernels = program
+            .functions()
+            .map(|(name, func)| {
+                let index_of = loop_index_map(&ir, func);
+                let loops = schedules.remove(name).unwrap_or_default();
+                let schedule = (0..index_of.len())
+                    .map(|i| loops.iter().find(|s| s.loop_index == i).cloned())
+                    .collect();
+                (name.to_string(), KernelTiming { index_of, schedule })
+            })
+            .collect();
+        ExecutorImage {
             ir,
-            module,
-            schedules,
-        })
+            program,
+            kernels,
+        }
     }
 }
 
@@ -96,12 +122,12 @@ pub struct KernelExecutor {
     pub device: DeviceModel,
 }
 
-struct TripObserver {
-    index_of: HashMap<OpId, usize>,
+struct TripObserver<'a> {
+    index_of: &'a HashMap<OpId, usize>,
     instances: Vec<(usize, u64)>,
 }
 
-impl Observer for TripObserver {
+impl Observer for TripObserver<'_> {
     fn loop_executed(&mut self, _ir: &Ir, op: OpId, trip: u64) {
         if let Some(&idx) = self.index_of.get(&op) {
             self.instances.push((idx, trip));
@@ -131,11 +157,7 @@ impl KernelExecutor {
         schedules: HashMap<String, Vec<LoopInfo>>,
     ) -> Self {
         KernelExecutor {
-            image: Arc::new(ExecutorImage {
-                ir,
-                module,
-                schedules,
-            }),
+            image: Arc::new(ExecutorImage::new(ir, module, schedules)),
             device,
         }
     }
@@ -158,27 +180,42 @@ impl KernelExecutor {
         args: &[RtValue],
         memory: &mut Memory,
     ) -> Result<ExecutionStats, InterpError> {
+        self.execute_within(kernel, args, memory, DEFAULT_MAX_STEPS)
+    }
+
+    fn execute_within(
+        &self,
+        kernel: &str,
+        args: &[RtValue],
+        memory: &mut Memory,
+        max_steps: u64,
+    ) -> Result<ExecutionStats, InterpError> {
         let image = &*self.image;
-        let func = image
-            .ir
-            .lookup_symbol(image.module, kernel)
+        let timing = image
+            .kernels
+            .get(kernel)
             .ok_or_else(|| InterpError::new(format!("no kernel '{kernel}' in bitstream")))?;
         let mut observer = TripObserver {
-            index_of: loop_index_map(&image.ir, func),
+            index_of: &timing.index_of,
             instances: Vec::new(),
         };
         let mut span = ftn_trace::span("kernel.execute", "fpga");
         span.arg("kernel", kernel);
         let started = std::time::Instant::now();
-        let interp = Interp::new(&image.ir, image.module);
-        let results = interp.call(kernel, args, memory, &mut NoHooks, &mut observer)?;
+        let results = image.program.call(
+            &image.ir,
+            kernel,
+            args,
+            memory,
+            &mut NoHooks,
+            &mut observer,
+            max_steps,
+        )?;
         let host_wall_seconds = started.elapsed().as_secs_f64();
 
-        let schedule = image.schedules.get(kernel).cloned().unwrap_or_default();
         let mut cycles = KERNEL_CONTROL_CYCLES;
         for &(idx, trip) in &observer.instances {
-            let info = schedule.iter().find(|s| s.loop_index == idx);
-            cycles += match info {
+            cycles += match &timing.schedule[idx] {
                 Some(s) if s.pipelined => {
                     if trip == 0 {
                         2
@@ -256,6 +293,15 @@ mod tests {
     }
 
     fn run(exec: &KernelExecutor, n: i64) -> (Vec<f32>, ExecutionStats) {
+        let (data, stats) = run_within(exec, n, DEFAULT_MAX_STEPS);
+        (data, stats.unwrap())
+    }
+
+    fn run_within(
+        exec: &KernelExecutor,
+        n: i64,
+        max_steps: u64,
+    ) -> (Vec<f32>, Result<ExecutionStats, InterpError>) {
         let mut memory = Memory::new();
         let x = memory.alloc(Buffer::F32((0..n).map(|i| i as f32).collect()), 1);
         let y = memory.alloc(Buffer::F32(vec![1.0; n as usize]), 1);
@@ -273,7 +319,7 @@ mod tests {
             RtValue::F32(2.0),
             RtValue::Index(n),
         ];
-        let stats = exec.execute("saxpy_kernel0", &args, &mut memory).unwrap();
+        let stats = exec.execute_within("saxpy_kernel0", &args, &mut memory, max_steps);
         let Buffer::F32(data) = memory.get(y) else {
             panic!()
         };
@@ -318,5 +364,23 @@ mod tests {
         // Main loop (N/10 trips) + epilogue (0 trips).
         assert_eq!(stats.loop_instances.len(), 2);
         assert_eq!(stats.loop_instances[0].1, (n / 10) as u64);
+    }
+
+    /// The budget is what stops a runaway user loop from pinning a device
+    /// worker.
+    #[test]
+    fn runaway_kernel_exhausts_the_step_budget() {
+        let (_bs, exec) = synth_saxpy(None);
+        let (data, stats) = run_within(&exec, 1000, 5_000);
+        let err = stats.unwrap_err();
+        assert!(
+            err.message.contains("interpreter step budget exhausted"),
+            "{err}"
+        );
+        // It stopped part-way: some elements updated, not all.
+        let updated = data.iter().filter(|&&v| v != 1.0).count();
+        assert!((1..999).contains(&updated), "{updated}");
+        let (_, stats) = run_within(&exec, 1000, 20_000);
+        assert!(stats.is_ok());
     }
 }

@@ -13,7 +13,7 @@
 use std::collections::HashMap;
 
 use ftn_dialects::device;
-use ftn_fpga::{DeviceModel, ExecutionStats, KernelExecutor};
+use ftn_fpga::{DeviceModel, KernelExecutor};
 use ftn_interp::{DialectHooks, InterpError, Memory, RtValue};
 use ftn_mlir::{Ir, OpId, TypeKind};
 use serde::Serialize;
@@ -53,7 +53,7 @@ impl RunStats {
 struct KernelInstance {
     device_function: String,
     args: Vec<RtValue>,
-    completed: Option<ExecutionStats>,
+    launched: bool,
 }
 
 /// See module docs.
@@ -131,15 +131,15 @@ impl HostRuntime {
             .ok_or_else(|| InterpError::new("kernel_launch with unknown handle"))?;
         // Execute inline: the calling thread is the (reused) device worker;
         // the simulated timeline charges the kernel at the matching wait.
-        let func = instance.device_function.clone();
-        let args = instance.args.clone();
-        let stats = self.executor.execute(&func, &args, memory)?;
+        let stats = self
+            .executor
+            .execute(&instance.device_function, &instance.args, memory)?;
         self.stats.kernel_seconds += stats.kernel_seconds;
         self.stats.kernel_wall_seconds += stats.wall_seconds;
         self.stats.total_cycles += stats.cycles;
         self.stats.launch_cycles.push(stats.cycles);
         self.stats.launches += 1;
-        instance.completed = Some(stats);
+        instance.launched = true;
         Ok(())
     }
 }
@@ -181,7 +181,7 @@ impl DialectHooks for HostRuntime {
                     KernelInstance {
                         device_function: device::kernel_function(ir, op).to_string(),
                         args: args.to_vec(),
-                        completed: None,
+                        launched: false,
                     },
                 );
                 Ok(Some(vec![RtValue::KernelHandle(handle)]))
@@ -197,12 +197,7 @@ impl DialectHooks for HostRuntime {
                 let RtValue::KernelHandle(h) = args[0] else {
                     return Err(InterpError::new("kernel_wait expects a handle"));
                 };
-                let done = self
-                    .kernels
-                    .get(&h)
-                    .and_then(|k| k.completed.as_ref())
-                    .is_some();
-                if !done {
+                if !self.kernels.get(&h).is_some_and(|k| k.launched) {
                     return Err(InterpError::new("kernel_wait before launch completed"));
                 }
                 Ok(Some(vec![]))

@@ -72,7 +72,7 @@ impl Buffer {
 
 /// Buffer arena; buffers are identified by [`BufferId`] and tagged with the
 /// memory space they live in (0 = host, 1.. = device spaces).
-#[derive(Default, Debug)]
+#[derive(Clone, Default, Debug)]
 pub struct Memory {
     /// `None` = freed slot awaiting reuse.
     slots: Vec<Option<(Buffer, u32)>>,

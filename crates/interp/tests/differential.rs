@@ -1,0 +1,1019 @@
+//! Differential suite: the reference tree-walker (`oracle/`) against the
+//! bytecode engine. Every case runs the same function on the same initial
+//! memory through both and demands bit-identical buffers and returned
+//! values, the same error message, and the same `loop_executed` sequence;
+//! full host + device runs also compare `RunStats` and, per kernel launch,
+//! the `loop_instances` that `ExecutionStats` is a pure function of.
+
+mod oracle;
+
+use std::collections::HashMap;
+
+use ftn_core::{Artifacts, Compiler, HostProgram};
+use ftn_dialects::device;
+use ftn_fpga::schedule::loop_index_map;
+use ftn_fpga::{DeviceModel, KernelExecutor};
+use ftn_host::HostRuntime;
+use ftn_interp::{
+    Buffer, BufferId, DialectHooks, Interp, InterpError, MemRefVal, Memory, NoHooks, Observer,
+    RtValue, DEFAULT_MAX_STEPS,
+};
+use ftn_mlir::{parse_module, Ir, OpId};
+use proptest::prelude::*;
+
+// ---- harness ----------------------------------------------------------------------
+
+#[derive(Clone, Copy, Debug)]
+enum Engine {
+    Oracle,
+    Bytecode,
+}
+
+#[derive(Default)]
+struct Trace(Vec<(OpId, u64)>);
+
+impl Observer for Trace {
+    fn loop_executed(&mut self, _ir: &Ir, op: OpId, trip: u64) {
+        self.0.push((op, trip));
+    }
+}
+
+/// Everything observable about one run.
+struct Outcome {
+    result: Result<Vec<RtValue>, String>,
+    loops: Vec<(OpId, u64)>,
+    memory: Memory,
+}
+
+#[allow(clippy::too_many_arguments)]
+fn run(
+    engine: Engine,
+    ir: &Ir,
+    module: OpId,
+    func: &str,
+    args: &[RtValue],
+    mut memory: Memory,
+    hooks: &mut dyn DialectHooks,
+    max_steps: u64,
+) -> Outcome {
+    let mut trace = Trace::default();
+    let result = match engine {
+        Engine::Oracle => oracle::Interp {
+            ir,
+            module,
+            max_steps,
+        }
+        .call(func, args, &mut memory, hooks, &mut trace),
+        Engine::Bytecode => Interp {
+            ir,
+            module,
+            max_steps,
+        }
+        .call(func, args, &mut memory, hooks, &mut trace),
+    };
+    Outcome {
+        result: result.map_err(|e| e.message),
+        loops: trace.0,
+        memory,
+    }
+}
+
+/// A value with floats as bit patterns, so NaNs and signed zeros compare.
+fn value_bits(v: &RtValue) -> String {
+    match v {
+        RtValue::F32(f) => format!("f32:{:08x}", f.to_bits()),
+        RtValue::F64(f) => format!("f64:{:016x}", f.to_bits()),
+        other => format!("{other:?}"),
+    }
+}
+
+fn buffer_bits(b: &Buffer) -> (&'static str, Vec<u64>) {
+    let bits = match b {
+        Buffer::F32(v) => v.iter().map(|x| x.to_bits() as u64).collect(),
+        Buffer::F64(v) => v.iter().map(|x| x.to_bits()).collect(),
+        Buffer::I32(v) => v.iter().map(|&x| x as u64).collect(),
+        Buffer::I64(v) => v.iter().map(|&x| x as u64).collect(),
+        Buffer::I1(v) => v.iter().map(|&x| x as u64).collect(),
+    };
+    (b.type_name(), bits)
+}
+
+fn memory_bits(memory: &Memory) -> Vec<Option<(&'static str, Vec<u64>)>> {
+    (0..memory.len() as u32)
+        .map(BufferId)
+        .map(|id| memory.is_live(id).then(|| buffer_bits(memory.get(id))))
+        .collect()
+}
+
+fn assert_same(oracle: &Outcome, bytecode: &Outcome, what: &str) {
+    let bits = |o: &Outcome| {
+        o.result
+            .clone()
+            .map(|v| v.iter().map(value_bits).collect::<Vec<_>>())
+    };
+    assert_eq!(bits(oracle), bits(bytecode), "{what}: results");
+    assert_eq!(
+        oracle.loops, bytecode.loops,
+        "{what}: loop_executed sequence"
+    );
+    assert_eq!(
+        memory_bits(&oracle.memory),
+        memory_bits(&bytecode.memory),
+        "{what}: buffers"
+    );
+}
+
+/// Run `func` on both engines without hooks, assert they agree, and hand
+/// back the bytecode outcome for value checks.
+fn diff(ir: &Ir, module: OpId, func: &str, setup: impl Fn(&mut Memory) -> Vec<RtValue>) -> Outcome {
+    let outcome = |engine| {
+        let mut memory = Memory::new();
+        let args = setup(&mut memory);
+        run(
+            engine,
+            ir,
+            module,
+            func,
+            &args,
+            memory,
+            &mut NoHooks,
+            DEFAULT_MAX_STEPS,
+        )
+    };
+    let (oracle, bytecode) = (outcome(Engine::Oracle), outcome(Engine::Bytecode));
+    assert_same(&oracle, &bytecode, func);
+    bytecode
+}
+
+fn module(text: &str) -> (Ir, OpId) {
+    let mut ir = Ir::new();
+    let module = parse_module(&mut ir, text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+    (ir, module)
+}
+
+/// A module of `(name, function type, body)` functions, a body being the
+/// text of the `func.func` region. Value names and block labels are global
+/// to a parse, so each function's are prefixed with its name.
+fn module_of(funcs: &[(&str, &str, &str)]) -> (Ir, OpId) {
+    let mut text = String::from("\"builtin.module\"() ({\n");
+    for (name, signature, body) in funcs {
+        let body = body
+            .replace('%', &format!("%{name}_"))
+            .replace("^bb", &format!("^{name}_bb"));
+        text.push_str(&format!(
+            "\"func.func\"() ({{\n{body}\n}}) {{sym_name = \"{name}\", function_type = {signature}}} : () -> ()\n"
+        ));
+    }
+    text.push_str("}) : () -> ()\n");
+    module(&text)
+}
+
+fn memref(memory: &mut Memory, buffer: Buffer, shape: &[i64]) -> RtValue {
+    RtValue::MemRef(MemRefVal {
+        buffer: memory.alloc(buffer, 0),
+        shape: shape.to_vec(),
+        space: 0,
+    })
+}
+
+fn no_memory(args: Vec<RtValue>) -> impl Fn(&mut Memory) -> Vec<RtValue> {
+    move |_| args.clone()
+}
+
+fn message(outcome: &Outcome) -> &str {
+    outcome.result.as_ref().expect_err("run should fail")
+}
+
+// ---- hand-built modules -------------------------------------------------------------
+
+const FIB: &str = r#"
+^bb0(%n: index):
+  %c0 = "arith.constant"() {value = 0 : index} : () -> index
+  %c1 = "arith.constant"() {value = 1 : index} : () -> index
+  %a0 = "arith.constant"() {value = 0 : i64} : () -> i64
+  %b0 = "arith.constant"() {value = 1 : i64} : () -> i64
+  %fa, %fb = "scf.for"(%c0, %n, %c1, %a0, %b0) ({
+  ^bb1(%i: index, %a: i64, %b: i64):
+    %s = "arith.addi"(%a, %b) : (i64, i64) -> i64
+    "scf.yield"(%b, %s) : (i64, i64) -> ()
+  }) : (index, index, index, i64, i64) -> (i64, i64)
+  "func.return"(%fa, %fb) : (i64, i64) -> ()
+"#;
+
+/// Yields are the block arguments themselves, swapped: a parallel move.
+const SWAP: &str = r#"
+^bb0(%n: index, %x: f32, %y: f32):
+  %c0 = "arith.constant"() {value = 0 : index} : () -> index
+  %c1 = "arith.constant"() {value = 1 : index} : () -> index
+  %p, %q = "scf.for"(%c0, %n, %c1, %x, %y) ({
+  ^bb1(%i: index, %a: f32, %b: f32):
+    "scf.yield"(%b, %a) : (f32, f32) -> ()
+  }) : (index, index, index, f32, f32) -> (f32, f32)
+  "func.return"(%p, %q) : (f32, f32) -> ()
+"#;
+
+#[test]
+fn iter_arg_reductions_and_parallel_moves() {
+    let (ir, m) = module_of(&[
+        ("fib", "(index) -> (i64, i64)", FIB),
+        ("swap", "(index, f32, f32) -> (f32, f32)", SWAP),
+    ]);
+    for n in [0, 1, 2, 10, 90] {
+        let out = diff(&ir, m, "fib", no_memory(vec![RtValue::Index(n)]));
+        if n == 10 {
+            assert_eq!(
+                out.result.unwrap(),
+                vec![RtValue::I64(55), RtValue::I64(89)]
+            );
+        }
+    }
+    for n in [0, 1, 2, 7] {
+        let args = vec![RtValue::Index(n), RtValue::F32(1.5), RtValue::F32(-0.0)];
+        let out = diff(&ir, m, "swap", no_memory(args));
+        let (p, q) = if n % 2 == 0 { (1.5, -0.0) } else { (-0.0, 1.5) };
+        assert_eq!(
+            out.result
+                .unwrap()
+                .iter()
+                .map(value_bits)
+                .collect::<Vec<_>>(),
+            [RtValue::F32(p), RtValue::F32(q)]
+                .iter()
+                .map(value_bits)
+                .collect::<Vec<_>>()
+        );
+    }
+}
+
+/// `omp.wsloop` (inclusive, reducing) around `fir.do_loop` (inclusive) around
+/// `scf.for` (exclusive); the inner loops are zero-trip for part of the range.
+const NEST: &str = r#"
+^bb0(%n: index, %out: memref<?xi64>):
+  %c0 = "arith.constant"() {value = 0 : index} : () -> index
+  %c1 = "arith.constant"() {value = 1 : index} : () -> index
+  %c3 = "arith.constant"() {value = 3 : index} : () -> index
+  %z = "arith.constant"() {value = 0 : i64} : () -> i64
+  %one = "arith.constant"() {value = 1 : i64} : () -> i64
+  %total = "omp.wsloop"(%c1, %n, %c1, %z) ({
+  ^bb1(%i: index, %acc: i64):
+    "fir.do_loop"(%i, %c3, %c1) ({
+    ^bb2(%j: index):
+      %inner = "scf.for"(%j, %c3, %c1, %z) ({
+      ^bb3(%k: index, %cnt: i64):
+        %next = "arith.addi"(%cnt, %one) : (i64, i64) -> i64
+        "scf.yield"(%next) : (i64) -> ()
+      }) : (index, index, index, i64) -> i64
+      %old = "memref.load"(%out, %j) : (memref<?xi64>, index) -> i64
+      %new = "arith.addi"(%old, %inner) : (i64, i64) -> i64
+      "memref.store"(%new, %out, %j) : (i64, memref<?xi64>, index) -> ()
+      "fir.result"() : () -> ()
+    }) : (index, index, index) -> ()
+    %ii = "arith.index_cast"(%i) : (index) -> i64
+    %sum = "arith.addi"(%acc, %ii) : (i64, i64) -> i64
+    "omp.yield"(%sum) : (i64) -> ()
+  }) : (index, index, index, i64) -> i64
+  "func.return"(%total) : (i64) -> ()
+"#;
+
+#[test]
+fn nested_loops_with_zero_trip_inner_loops_report_post_order() {
+    let (ir, m) = module_of(&[("nest", "(index, memref<?xi64>) -> (i64)", NEST)]);
+    for n in [0i64, 1, 3, 6] {
+        let out = diff(&ir, m, "nest", |memory| {
+            vec![
+                RtValue::Index(n),
+                memref(memory, Buffer::I64(vec![0; 4]), &[4]),
+            ]
+        });
+        assert_eq!(out.result.unwrap(), vec![RtValue::I64(n * (n + 1) / 2)]);
+        // Post-order: each do_loop after its scf.for instances, the wsloop last.
+        let trips: Vec<u64> = out.loops.iter().map(|&(_, t)| t).collect();
+        if n == 6 {
+            let expect: Vec<u64> = [
+                vec![2, 1, 0, 3], // i = 1: j = 1, 2, 3 then the do_loop itself
+                vec![1, 0, 2],    // i = 2
+                vec![0, 1],       // i = 3
+                vec![0],          // i = 4..6: zero-trip do_loops
+                vec![0],
+                vec![0],
+                vec![6],
+            ]
+            .concat();
+            assert_eq!(trips, expect);
+        }
+    }
+}
+
+const BRANCHES: &str = r#"
+^bb0(%x: i32, %lo: f64, %hi: f64):
+  %ten = "arith.constant"() {value = 10 : i32} : () -> i32
+  %small = "arith.cmpi"(%x, %ten) {predicate = "slt"} : (i32, i32) -> i1
+  %picked, %tag = "scf.if"(%small) ({
+    %t1 = "arith.constant"() {value = 1 : i32} : () -> i32
+    "scf.yield"(%lo, %t1) : (f64, i32) -> ()
+  }, {
+    %nested = "fir.if"(%small) ({
+      "fir.result"(%lo) : (f64) -> ()
+    }, {
+      %neg = "arith.negf"(%hi) : (f64) -> f64
+      "fir.result"(%neg) : (f64) -> ()
+    }) : (i1) -> f64
+    %t2 = "arith.constant"() {value = 2 : i32} : () -> i32
+    "scf.yield"(%nested, %t2) : (f64, i32) -> ()
+  }) : (i1) -> (f64, i32)
+  %max = "arith.select"(%small, %hi, %picked) : (i1, f64, f64) -> f64
+  "func.return"(%picked, %tag, %max) : (f64, i32, f64) -> ()
+"#;
+
+#[test]
+fn if_yields_and_select() {
+    let (ir, m) = module_of(&[("pick", "(i32, f64, f64) -> (f64, i32, f64)", BRANCHES)]);
+    for x in [-3, 9, 10, 400] {
+        let args = vec![RtValue::I32(x), RtValue::F64(0.25), RtValue::F64(8.0)];
+        let out = diff(&ir, m, "pick", no_memory(args)).result.unwrap();
+        let expect = if x < 10 {
+            vec![RtValue::F64(0.25), RtValue::I32(1), RtValue::F64(8.0)]
+        } else {
+            vec![RtValue::F64(-8.0), RtValue::I32(2), RtValue::F64(-8.0)]
+        };
+        assert_eq!(out, expect);
+    }
+}
+
+#[test]
+fn every_conversion_pair() {
+    const KINDS: [&str; 6] = ["i1", "i32", "i64", "index", "f32", "f64"];
+    let samples = |kind: &str| -> Vec<RtValue> {
+        match kind {
+            "i1" => vec![RtValue::I1(false), RtValue::I1(true)],
+            "i32" => [0, -1, 7, i32::MIN, i32::MAX].map(RtValue::I32).to_vec(),
+            "i64" => [0, -1, 1 << 40, i64::MIN, i64::MAX]
+                .map(RtValue::I64)
+                .to_vec(),
+            "index" => [0, -5, 1 << 33, i64::MAX].map(RtValue::Index).to_vec(),
+            "f32" => [0.0, -0.0, 2.75, -3e9, 1e30, f32::NAN, f32::INFINITY]
+                .map(RtValue::F32)
+                .to_vec(),
+            _ => [
+                0.0,
+                -1.5,
+                16777217.0,
+                1e300,
+                -1e300,
+                f64::NAN,
+                f64::NEG_INFINITY,
+            ]
+            .map(RtValue::F64)
+            .to_vec(),
+        }
+    };
+    for op in [
+        "fir.convert",
+        "arith.index_cast",
+        "arith.sitofp",
+        "arith.fptosi",
+    ] {
+        for from in KINDS {
+            for to in KINDS {
+                let body = format!(
+                    "^bb0(%v: {from}):\n  %r = \"{op}\"(%v) : ({from}) -> {to}\n  \"func.return\"(%r) : ({to}) -> ()"
+                );
+                let (ir, m) = module_of(&[("cv", &format!("({from}) -> ({to})"), &body)]);
+                for v in samples(from) {
+                    diff(&ir, m, "cv", no_memory(vec![v]));
+                }
+            }
+        }
+    }
+    // A source that is no scalar, and a target that is none.
+    let body = "^bb0(%v: memref<?xf32>):\n  %r = \"fir.convert\"(%v) : (memref<?xf32>) -> i64\n  \"func.return\"(%r) : (i64) -> ()";
+    let (ir, m) = module_of(&[("cv", "(memref<?xf32>) -> (i64)", body)]);
+    let out = diff(&ir, m, "cv", |memory| {
+        vec![memref(memory, Buffer::F32(vec![0.0]), &[1])]
+    });
+    assert!(
+        message(&out).contains("expected integer"),
+        "{}",
+        message(&out)
+    );
+    let body = "^bb0(%v: i64):\n  %r = \"fir.convert\"(%v) : (i64) -> memref<?xf32>\n  \"func.return\"(%r) : (memref<?xf32>) -> ()";
+    let (ir, m) = module_of(&[("cv", "(i64) -> (memref<?xf32>)", body)]);
+    let out = diff(&ir, m, "cv", no_memory(vec![RtValue::I64(1)]));
+    assert!(
+        message(&out).contains("unsupported conversion"),
+        "{}",
+        message(&out)
+    );
+}
+
+const FACT: &str = r#"
+^bb0(%n: i64):
+  %one = "arith.constant"() {value = 1 : i64} : () -> i64
+  %base = "arith.cmpi"(%n, %one) {predicate = "sle"} : (i64, i64) -> i1
+  %r = "scf.if"(%base) ({
+    "scf.yield"(%one) : (i64) -> ()
+  }, {
+    %m = "arith.subi"(%n, %one) : (i64, i64) -> i64
+    %rec = "func.call"(%m) {callee = @fact} : (i64) -> i64
+    %p = "arith.muli"(%n, %rec) : (i64, i64) -> i64
+    "scf.yield"(%p) : (i64) -> ()
+  }) : (i1) -> i64
+  "func.return"(%r) : (i64) -> ()
+"#;
+
+const CALLS_MISSING: &str = r#"
+^bb0(%n: i64):
+  %r = "fir.call"(%n) {callee = @nowhere} : (i64) -> i64
+  "func.return"(%r) : (i64) -> ()
+"#;
+
+#[test]
+fn recursion_through_func_call() {
+    let (ir, m) = module_of(&[
+        ("fact", "(i64) -> (i64)", FACT),
+        ("lost", "(i64) -> (i64)", CALLS_MISSING),
+    ]);
+    for n in [0, 1, 5, 20, 25] {
+        let out = diff(&ir, m, "fact", no_memory(vec![RtValue::I64(n)]));
+        if n == 5 {
+            assert_eq!(out.result.unwrap(), vec![RtValue::I64(120)]);
+        }
+    }
+    let out = diff(&ir, m, "lost", no_memory(vec![RtValue::I64(1)]));
+    assert!(
+        message(&out).contains("no function 'nowhere'"),
+        "{}",
+        message(&out)
+    );
+    let out = diff(&ir, m, "absent", no_memory(vec![]));
+    assert!(
+        message(&out).contains("no function 'absent'"),
+        "{}",
+        message(&out)
+    );
+    let out = diff(&ir, m, "fact", no_memory(vec![]));
+    assert!(
+        message(&out).contains("expects 1 args, got 0"),
+        "{}",
+        message(&out)
+    );
+}
+
+const UNKNOWN_IN_BRANCH: &str = r#"
+^bb0(%take: i1, %buf: memref<?xi32>):
+  %c0 = "arith.constant"() {value = 0 : index} : () -> index
+  %seven = "arith.constant"() {value = 7 : i32} : () -> i32
+  "memref.store"(%seven, %buf, %c0) : (i32, memref<?xi32>, index) -> ()
+  "scf.if"(%take) ({
+    %v = "test.mystery"(%seven) : (i32) -> i32
+    "memref.store"(%v, %buf, %c0) : (i32, memref<?xi32>, index) -> ()
+    "scf.yield"() : () -> ()
+  }, {
+    "scf.yield"() : () -> ()
+  }) : (i1) -> ()
+  "func.return"() : () -> ()
+"#;
+
+#[test]
+fn unknown_op_fails_only_when_reached() {
+    let (ir, m) = module_of(&[("f", "(i1, memref<?xi32>) -> ()", UNKNOWN_IN_BRANCH)]);
+    let with = |take: bool| {
+        move |memory: &mut Memory| {
+            vec![
+                RtValue::I1(take),
+                memref(memory, Buffer::I32(vec![0]), &[1]),
+            ]
+        }
+    };
+    let untaken = diff(&ir, m, "f", with(false));
+    assert!(untaken.result.is_ok());
+    let taken = diff(&ir, m, "f", with(true));
+    assert!(
+        message(&taken).contains("unhandled op 'test.mystery'"),
+        "{}",
+        message(&taken)
+    );
+    // The store before the branch happened in both engines (checked by diff).
+    assert_eq!(taken.memory.get(BufferId(0)), &Buffer::I32(vec![7]));
+}
+
+// ---- error conditions ---------------------------------------------------------------
+
+const ACCESS: &str = r#"
+^bb0(%buf: memref<?xf32>, %i: index, %store: i1):
+  %v = "arith.constant"() {value = 1.5e0 : f32} : () -> f32
+  "scf.if"(%store) ({
+    "memref.store"(%v, %buf, %i) : (f32, memref<?xf32>, index) -> ()
+    "scf.yield"() : () -> ()
+  }, {
+    %l = "memref.load"(%buf, %i) : (memref<?xf32>, index) -> f32
+    "scf.yield"() : () -> ()
+  }) : (i1) -> ()
+  "func.return"() : () -> ()
+"#;
+
+const ACCESS2: &str = r#"
+^bb0(%buf: memref<?x?xf32>, %i: index, %j: index):
+  %l = "memref.load"(%buf, %i, %j) : (memref<?x?xf32>, index, index) -> f32
+  "memref.store"(%l, %buf, %j, %i) : (f32, memref<?x?xf32>, index, index) -> ()
+  "func.return"(%l) : (f32) -> ()
+"#;
+
+#[test]
+fn out_of_bounds_and_rank_mismatch() {
+    let (ir, m) = module_of(&[
+        ("access", "(memref<?xf32>, index, i1) -> ()", ACCESS),
+        (
+            "access2",
+            "(memref<?x?xf32>, index, index) -> (f32)",
+            ACCESS2,
+        ),
+    ]);
+    for store in [false, true] {
+        for (index, shape, expect) in [
+            (2i64, vec![4i64], None),
+            (4, vec![4], Some("out of bounds")),
+            (-1, vec![4], Some("out of bounds")),
+            // The shape claims more than the buffer holds.
+            (5, vec![8], Some("out of bounds")),
+            (0, vec![2, 2], Some("rank mismatch")),
+            (0, vec![], Some("rank mismatch")),
+        ] {
+            let out = diff(&ir, m, "access", |memory| {
+                vec![
+                    memref(memory, Buffer::F32(vec![0.0; 4]), &shape),
+                    RtValue::Index(index),
+                    RtValue::I1(store),
+                ]
+            });
+            match expect {
+                None => assert!(out.result.is_ok()),
+                Some(text) => assert!(message(&out).contains(text), "{}", message(&out)),
+            }
+        }
+    }
+    for (i, j, shape, expect) in [
+        (1i64, 2i64, vec![2i64, 3], Some("out of bounds")), // the transposed store
+        (1, 1, vec![2, 3], None),
+        (2, 0, vec![2, 3], Some("out of bounds")),
+        (0, 0, vec![6], Some("rank mismatch")),
+    ] {
+        let out = diff(&ir, m, "access2", |memory| {
+            let data = (0..6).map(|v| v as f32).collect();
+            vec![
+                memref(memory, Buffer::F32(data), &shape),
+                RtValue::Index(i),
+                RtValue::Index(j),
+            ]
+        });
+        match expect {
+            None => assert_eq!(out.result.unwrap(), vec![RtValue::F32(4.0)]),
+            Some(text) => assert!(message(&out).contains(text), "{}", message(&out)),
+        }
+    }
+}
+
+const DIVIDE: &str = r#"
+^bb0(%l: i64, %r: i64, %l32: i32, %r32: i32):
+  %q = "arith.divsi"(%l, %r) : (i64, i64) -> i64
+  %m = "arith.remsi"(%l, %r) : (i64, i64) -> i64
+  %q32 = "arith.divsi"(%l32, %r32) : (i32, i32) -> i32
+  "func.return"(%q, %m, %q32) : (i64, i64, i32) -> ()
+"#;
+
+const REMAINDER: &str = r#"
+^bb0(%l: i64, %r: i64):
+  %m = "arith.remsi"(%l, %r) : (i64, i64) -> i64
+  "func.return"(%m) : (i64) -> ()
+"#;
+
+#[test]
+fn division_wraps_at_the_minimum_and_rejects_zero() {
+    let (ir, m) = module_of(&[
+        ("div", "(i64, i64, i32, i32) -> (i64, i64, i32)", DIVIDE),
+        ("rem", "(i64, i64) -> (i64)", REMAINDER),
+    ]);
+    let args = |l, r, l32, r32| {
+        no_memory(vec![
+            RtValue::I64(l),
+            RtValue::I64(r),
+            RtValue::I32(l32),
+            RtValue::I32(r32),
+        ])
+    };
+    let out = diff(&ir, m, "div", args(-7, 2, 9, -4));
+    assert_eq!(
+        out.result.unwrap(),
+        vec![RtValue::I64(-3), RtValue::I64(-1), RtValue::I32(-2)]
+    );
+    // `i64::MIN / -1` overflows: it must wrap, not panic the worker.
+    let out = diff(&ir, m, "div", args(i64::MIN, -1, i32::MIN, -1));
+    assert_eq!(
+        out.result.unwrap(),
+        vec![
+            RtValue::I64(i64::MIN),
+            RtValue::I64(0),
+            RtValue::I32(i32::MIN)
+        ]
+    );
+    let out = diff(&ir, m, "div", args(1, 0, 1, 1));
+    assert!(
+        message(&out).contains("integer division by zero"),
+        "{}",
+        message(&out)
+    );
+    let out = diff(
+        &ir,
+        m,
+        "rem",
+        no_memory(vec![RtValue::I64(1), RtValue::I64(0)]),
+    );
+    assert!(
+        message(&out).contains("integer remainder by zero"),
+        "{}",
+        message(&out)
+    );
+}
+
+#[test]
+fn non_positive_loop_steps_are_rejected() {
+    for (op, yield_op) in [
+        ("scf.for", "scf.yield"),
+        ("omp.wsloop", "omp.yield"),
+        ("fir.do_loop", "fir.result"),
+    ] {
+        let body = format!(
+            "^bb0(%step: index):\n  %c0 = \"arith.constant\"() {{value = 0 : index}} : () -> index\n  \"{op}\"(%c0, %c0, %step) ({{\n  ^bb1(%i: index):\n    \"{yield_op}\"() : () -> ()\n  }}) : (index, index, index) -> ()\n  \"func.return\"() : () -> ()"
+        );
+        let (ir, m) = module_of(&[("f", "(index) -> ()", &body)]);
+        for step in [0, -2] {
+            let out = diff(&ir, m, "f", no_memory(vec![RtValue::Index(step)]));
+            let expect = format!("{op} requires positive step");
+            assert!(message(&out).contains(&expect), "{}", message(&out));
+        }
+        assert!(diff(&ir, m, "f", no_memory(vec![RtValue::Index(1)]))
+            .result
+            .is_ok());
+    }
+}
+
+// ---- the step budget ----------------------------------------------------------------
+
+const COUNTED: &str = r#"
+^bb0(%n: index, %flag: i1):
+  %c0 = "arith.constant"() {value = 0 : index} : () -> index
+  %c1 = "arith.constant"() {value = 1 : index} : () -> index
+  "scf.for"(%c0, %n, %c1) ({
+  ^bb1(%i: index):
+    "scf.if"(%flag) ({
+      %x = "arith.addi"(%i, %c1) : (index, index) -> index
+      "scf.yield"() : () -> ()
+    }, {
+      "scf.yield"() : () -> ()
+    }) : (i1) -> ()
+    "scf.yield"() : () -> ()
+  }) : (index, index, index) -> ()
+  "func.return"() : () -> ()
+"#;
+
+/// Entry block 4 ops; per iteration 2 body ops plus 2 (taken) or 1 (not).
+fn counted_steps(n: u64, flag: bool) -> u64 {
+    4 + n * (2 + if flag { 2 } else { 1 })
+}
+
+#[test]
+fn both_engines_exhaust_the_step_budget_at_the_same_threshold() {
+    let (ir, m) = module_of(&[("counted", "(index, i1) -> ()", COUNTED)]);
+    for (n, flag) in [(0u64, true), (5, true), (5, false), (40, true)] {
+        let steps = counted_steps(n, flag);
+        for (budget, fits) in [(steps, true), (steps - 1, false), (1, false)] {
+            for engine in [Engine::Oracle, Engine::Bytecode] {
+                let args = [RtValue::Index(n as i64), RtValue::I1(flag)];
+                let out = run(
+                    engine,
+                    &ir,
+                    m,
+                    "counted",
+                    &args,
+                    Memory::new(),
+                    &mut NoHooks,
+                    budget,
+                );
+                match fits {
+                    true => assert!(out.result.is_ok(), "{engine:?} n={n} budget={budget}"),
+                    false => assert_eq!(
+                        message(&out),
+                        "interpreter step budget exhausted",
+                        "{engine:?} n={n} budget={budget}"
+                    ),
+                }
+            }
+        }
+    }
+}
+
+// ---- the five benchmarks, at every stage the interpreter accepts ----------------------
+
+struct Bench {
+    name: &'static str,
+    source: &'static str,
+    /// Host arguments for problem size `n` drawn from `seed`.
+    args: fn(&mut Memory, usize, u64) -> Vec<RtValue>,
+}
+
+/// `n` values in [-1, 1) drawn from `seed`.
+fn vector(n: usize, seed: u64) -> Buffer {
+    let mut rng = proptest::TestRng::new(seed);
+    Buffer::F32((0..n).map(|_| rng.unit_f64() as f32 * 2.0 - 1.0).collect())
+}
+
+fn host_array(memory: &mut Memory, buffer: Buffer) -> RtValue {
+    let len = buffer.len() as i64;
+    memref(memory, buffer, &[len])
+}
+
+const BENCHES: [Bench; 5] = [
+    Bench {
+        name: "saxpy",
+        source: include_str!("../../../benchmarks/saxpy.f90"),
+        args: |m, n, seed| {
+            vec![
+                RtValue::I32(n as i32),
+                RtValue::F32(1.0 + (seed % 7) as f32 * 0.5),
+                host_array(m, vector(n, seed)),
+                host_array(m, vector(n, seed ^ 0xabcd)),
+            ]
+        },
+    },
+    Bench {
+        name: "dotprod",
+        source: include_str!("../../../benchmarks/dotprod.f90"),
+        args: |m, n, seed| {
+            vec![
+                RtValue::I32(n as i32),
+                host_array(m, vector(n, seed)),
+                host_array(m, vector(n, seed ^ 0x1234)),
+                RtValue::F32(0.0),
+            ]
+        },
+    },
+    Bench {
+        name: "jacobi",
+        source: include_str!("../../../benchmarks/jacobi.f90"),
+        args: |m, n, seed| {
+            vec![
+                RtValue::I32(n as i32),
+                host_array(m, vector(n, seed)),
+                host_array(m, Buffer::F32(vec![0.0; n])),
+            ]
+        },
+    },
+    Bench {
+        name: "heat",
+        source: include_str!("../../../benchmarks/heat.f90"),
+        args: |m, n, seed| {
+            vec![
+                RtValue::I32(n as i32),
+                RtValue::F32(0.125),
+                host_array(m, vector(n, seed)),
+                host_array(m, Buffer::F32(vec![0.0; n])),
+            ]
+        },
+    },
+    Bench {
+        name: "sgesl",
+        source: include_str!("../../../benchmarks/sgesl.f90"),
+        args: |m, n, seed| {
+            // Not a real factorisation: a diagonally dominant matrix and any
+            // in-range pivot vector exercise every path of the solver.
+            let Buffer::F32(mut a) = vector(n * n, seed) else {
+                unreachable!()
+            };
+            for k in 0..n {
+                a[k * n + k] += 4.0;
+            }
+            let ipvt = (0..n)
+                .map(|k| (k + (seed as usize + k) % (n - k)) as i32 + 1)
+                .collect();
+            vec![
+                host_array(m, Buffer::F32(a)),
+                RtValue::I32(n as i32),
+                RtValue::I32(n as i32),
+                host_array(m, Buffer::I32(ipvt)),
+                host_array(m, vector(n, seed ^ 0x77)),
+            ]
+        },
+    },
+];
+
+/// Stages one and two: the frontend's FIR + omp output, then the same module
+/// after `fir-to-core`; `omp.target` regions run inline on the host.
+fn diff_frontend_stages(bench: &Bench, n: usize, seed: u64) {
+    let mut ir = Ir::new();
+    let module = ftn_frontend::compile_to_fir(&mut ir, bench.source).expect("frontend");
+    diff(&ir, module, bench.name, |memory| {
+        (bench.args)(memory, n, seed)
+    });
+    ftn_passes::fir_to_core::run(&mut ir, module).expect("fir-to-core");
+    diff(&ir, module, bench.name, |memory| {
+        (bench.args)(memory, n, seed)
+    });
+}
+
+/// Hooks that run the real `HostRuntime` and keep, for every kernel launch,
+/// the device function, its arguments and the memory it started from.
+struct Recording {
+    inner: HostRuntime,
+    created: HashMap<u64, (String, Vec<RtValue>)>,
+    launches: Vec<(String, Vec<RtValue>, Memory)>,
+}
+
+impl DialectHooks for Recording {
+    fn handle_op(
+        &mut self,
+        ir: &Ir,
+        memory: &mut Memory,
+        op: OpId,
+        args: &[RtValue],
+    ) -> Result<Option<Vec<RtValue>>, InterpError> {
+        let name = ir.op_name(op);
+        if name == device::KERNEL_LAUNCH {
+            if let Some((func, kernel_args)) = args.first().and_then(|h| match h {
+                RtValue::KernelHandle(h) => self.created.get(h),
+                _ => None,
+            }) {
+                self.launches
+                    .push((func.clone(), kernel_args.clone(), memory.clone()));
+            }
+        }
+        let out = self.inner.handle_op(ir, memory, op, args)?;
+        if name == device::KERNEL_CREATE {
+            if let Some([RtValue::KernelHandle(h)]) = out.as_deref() {
+                let func = device::kernel_function(ir, op).to_string();
+                self.created.insert(*h, (func, args.to_vec()));
+            }
+        }
+        Ok(out)
+    }
+}
+
+/// Stage three: the final host module against the synthesized bitstream.
+/// The host program runs on the oracle (driving the real `HostRuntime`) and
+/// through `HostProgram::run`; then every kernel launch it made is replayed
+/// from its starting memory on the oracle and on `KernelExecutor::execute`.
+fn diff_full_run(bench: &Bench, artifacts: &Artifacts, n: usize, seed: u64) {
+    let device = DeviceModel::u280();
+    let executor = KernelExecutor::from_bitstream(&artifacts.bitstream, device.clone()).unwrap();
+
+    let (host_ir, host_module) = module(&artifacts.host_module_text);
+    let mut memory = Memory::new();
+    let args = (bench.args)(&mut memory, n, seed);
+    let mut hooks = Recording {
+        inner: HostRuntime::new(executor.clone(), device.clone()),
+        created: HashMap::new(),
+        launches: Vec::new(),
+    };
+    let oracle = run(
+        Engine::Oracle,
+        &host_ir,
+        host_module,
+        bench.name,
+        &args,
+        memory,
+        &mut hooks,
+        DEFAULT_MAX_STEPS,
+    );
+
+    let program = HostProgram::parse(&artifacts.host_module_text).unwrap();
+    let mut memory = Memory::new();
+    let args = (bench.args)(&mut memory, n, seed);
+    let (stats, results) = program
+        .run(bench.name, &args, &mut memory, &executor, &device)
+        .unwrap_or_else(|e| panic!("{}: {e}", bench.name));
+    let bytecode = Outcome {
+        result: Ok(results),
+        // `HostProgram::run` takes no observer; host loops are covered by
+        // the frontend stages.
+        loops: oracle.loops.clone(),
+        memory,
+    };
+    let what = format!("{} n={n} seed={seed}", bench.name);
+    assert_same(&oracle, &bytecode, &what);
+    assert_eq!(hooks.inner.stats, stats, "{what}: RunStats");
+    assert!(stats.launches > 0, "{what}: no kernel ran");
+    assert_eq!(stats.launches as usize, hooks.launches.len());
+
+    let mut device_ir = Ir::new();
+    let device_module = artifacts.bitstream.instantiate(&mut device_ir).unwrap();
+    for (kernel, kernel_args, start) in hooks.launches {
+        let func = device_ir.lookup_symbol(device_module, &kernel).unwrap();
+        let index_of = loop_index_map(&device_ir, func);
+        let oracle = run(
+            Engine::Oracle,
+            &device_ir,
+            device_module,
+            &kernel,
+            &kernel_args,
+            start.clone(),
+            &mut NoHooks,
+            DEFAULT_MAX_STEPS,
+        );
+        let mut memory = start;
+        let stats = executor
+            .execute(&kernel, &kernel_args, &mut memory)
+            .unwrap();
+        let instances: Vec<(usize, u64)> = oracle
+            .loops
+            .iter()
+            .map(|(op, trip)| (index_of[op], *trip))
+            .collect();
+        // Cycles and seconds are a pure function of these and the schedule.
+        assert_eq!(instances, stats.loop_instances, "{what} {kernel}: loops");
+        let executed = Outcome {
+            result: Ok(stats.results),
+            loops: oracle.loops.clone(),
+            memory,
+        };
+        assert_same(&oracle, &executed, &format!("{what} {kernel}"));
+    }
+}
+
+fn artifacts(bench: &Bench) -> Artifacts {
+    Compiler::default()
+        .compile_source(bench.source)
+        .unwrap_or_else(|e| panic!("{}: {e}", bench.name))
+}
+
+/// The tree-walker is slow unoptimized; CI's release run draws more and
+/// larger cases than the debug one.
+const CASES: u32 = if cfg!(debug_assertions) { 12 } else { 64 };
+const MAX_N: usize = if cfg!(debug_assertions) { 160 } else { 4000 };
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(CASES))]
+
+    #[test]
+    fn benchmarks_agree_at_the_frontend_and_core_stages(n in 2usize..MAX_N, seed in 0u64..10_000) {
+        for bench in &BENCHES {
+            // SGESL is quadratic in n.
+            let n = if bench.name == "sgesl" { 2 + n % 48 } else { n };
+            diff_frontend_stages(bench, n, seed);
+        }
+    }
+}
+
+#[test]
+fn benchmarks_agree_on_full_host_and_device_runs() {
+    for bench in &BENCHES {
+        let artifacts = artifacts(bench);
+        let mut rng = proptest::TestRng::new(0x5eed ^ bench.name.len() as u64);
+        // Sizes below, at and across every unroll factor's epilogue.
+        let mut sizes = vec![1usize, 2, 3, 8, 10, 11, 31];
+        sizes.extend((0..5).map(|_| 2 + rng.below(200)));
+        for n in sizes {
+            let n = if bench.name == "sgesl" {
+                2 + n % 20
+            } else {
+                n.max(2)
+            };
+            diff_full_run(bench, &artifacts, n, rng.next_u64() % 10_000);
+        }
+    }
+}
+
+#[test]
+fn kernel_wait_before_launch_is_the_same_error() {
+    let saxpy = artifacts(&BENCHES[0]);
+    let device = DeviceModel::u280();
+    let executor = KernelExecutor::from_bitstream(&saxpy.bitstream, device.clone()).unwrap();
+    let body = r#"
+^bb0(%n: index):
+  %x = "device.alloc"(%n) {name = "x", memory_space = 1 : i32} : (index) -> memref<?xf32, 1>
+  %k = "device.kernel_create"(%x, %x, %n) ({
+  }) {device_function = @saxpy_kernel0} : (memref<?xf32, 1>, memref<?xf32, 1>, index) -> !device.kernelhandle
+  "device.kernel_wait"(%k) : (!device.kernelhandle) -> ()
+  "func.return"() : () -> ()
+"#;
+    let (ir, m) = module_of(&[("main", "(index) -> ()", body)]);
+    let outcome = |engine| {
+        let mut hooks = HostRuntime::new(executor.clone(), device.clone());
+        let args = [RtValue::Index(4)];
+        run(
+            engine,
+            &ir,
+            m,
+            "main",
+            &args,
+            Memory::new(),
+            &mut hooks,
+            DEFAULT_MAX_STEPS,
+        )
+    };
+    let (oracle, bytecode) = (outcome(Engine::Oracle), outcome(Engine::Bytecode));
+    assert_same(&oracle, &bytecode, "wait before launch");
+    assert!(
+        message(&bytecode).contains("kernel_wait before launch"),
+        "{}",
+        message(&bytecode)
+    );
+}

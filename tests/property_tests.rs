@@ -2,9 +2,13 @@
 //! * compiled SAXPY agrees with the CPU reference for arbitrary inputs and
 //!   sizes (including epilogue-heavy sizes),
 //! * SGESL solves random well-conditioned systems,
-//! * the IR printer/parser round-trips arbitrary arithmetic modules,
+//! * the IR printer/parser round-trips arbitrary arithmetic modules, and the
+//!   bytecode interpreter evaluates them exactly as the reference tree-walker,
 //! * the device data environment's presence counter never goes negative and
 //!   `check_exists` is exactly `count > 0` under arbitrary op sequences.
+
+#[path = "../crates/interp/tests/oracle/mod.rs"]
+mod oracle;
 
 use std::sync::OnceLock;
 
@@ -86,8 +90,9 @@ fn arb_expr_ops(depth: u32) -> BoxedStrategy<String> {
     .boxed()
 }
 
-/// Render the expression tree as a generic-form module.
-fn render_module(tree: &str) -> String {
+/// Render the expression tree as generic-form ops; returns them and the
+/// name of the root value.
+fn render_body(tree: &str) -> (String, String) {
     fn emit(tree: &str, next: &mut usize, body: &mut String) -> String {
         if let Some(v) = tree.strip_prefix("CONST ") {
             let name = format!("%{}", *next);
@@ -134,8 +139,23 @@ fn render_module(tree: &str) -> String {
     let mut body = String::new();
     let mut next = 0usize;
     let result = emit(tree, &mut next, &mut body);
+    (body, result)
+}
+
+/// The expression as a module whose root feeds a `test.sink`.
+fn render_module(tree: &str) -> String {
+    let (body, result) = render_body(tree);
     format!(
         "\"builtin.module\"() ({{\n{body}  \"test.sink\"({result}) : (i64) -> ()\n}}) : () -> ()\n"
+    )
+}
+
+/// The same expression as function `eval` returning the root value.
+fn render_function(tree: &str) -> String {
+    let (body, result) = render_body(tree);
+    format!(
+        "\"builtin.module\"() ({{\n\"func.func\"() ({{\n{body}  \"func.return\"({result}) : (i64) -> ()\n}}) \
+         {{sym_name = \"eval\", function_type = () -> (i64)}} : () -> ()\n}}) : () -> ()\n"
     )
 }
 
@@ -152,6 +172,21 @@ proptest! {
         let m2 = parse_module(&mut ir2, &printed1).unwrap();
         let printed2 = print_op(&ir2, m2);
         prop_assert_eq!(printed1, printed2);
+    }
+
+    #[test]
+    fn expression_trees_evaluate_identically_on_oracle_and_bytecode(tree in arb_expr_ops(5)) {
+        let mut ir = Ir::new();
+        let module = parse_module(&mut ir, &render_function(&tree)).unwrap();
+        let mut memory = Memory::new();
+        let reference = oracle::call_function(
+            &ir, module, "eval", &[], &mut memory, &mut ftn_interp::NoHooks, &mut ftn_interp::NoObserver,
+        ).unwrap();
+        let bytecode = ftn_interp::call_function(
+            &ir, module, "eval", &[], &mut memory, &mut ftn_interp::NoHooks, &mut ftn_interp::NoObserver,
+        ).unwrap();
+        prop_assert!(matches!(bytecode[..], [RtValue::I64(_)]));
+        prop_assert_eq!(reference, bytecode);
     }
 
     #[test]
