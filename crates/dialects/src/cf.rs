@@ -34,13 +34,11 @@ pub fn cond_br(
 }
 
 /// Split a `cf.cond_br`'s operands into (cond, true_args, false_args).
-pub fn cond_br_operands(ir: &Ir, op: OpId) -> (ValueId, Vec<ValueId>, Vec<ValueId>) {
+pub fn cond_br_operands(ir: &Ir, op: OpId) -> (ValueId, &[ValueId], &[ValueId]) {
     let o = ir.op(op);
     let n_true = ir.attr_int_of(op, "true_operand_count").unwrap_or(0) as usize;
-    let cond = o.operands[0];
-    let true_args = o.operands[1..1 + n_true].to_vec();
-    let false_args = o.operands[1 + n_true..].to_vec();
-    (cond, true_args, false_args)
+    let (true_args, false_args) = o.operands[1..].split_at(n_true);
+    (o.operands[0], true_args, false_args)
 }
 
 pub fn register(reg: &mut VerifierRegistry) {

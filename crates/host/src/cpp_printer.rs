@@ -4,20 +4,23 @@
 //! device-dialect ops map onto a small `ftn::` runtime veneer over the OpenCL
 //! C API, and the structured control flow reconstructs C++ `for`/`if`.
 
-use std::collections::HashMap;
-use std::fmt::Write;
+use std::fmt::{self, Display, Write};
 
 use ftn_dialects::{builtin, device, func, scf};
-use ftn_mlir::{AttrKind, BlockId, Ir, OpId, TypeId, TypeKind, ValueId};
+use ftn_mlir::{AttrKind, BlockId, Ir, OpId, TypeId, TypeKind, ValueId, ValueTable};
 
 /// Generate the complete C++ translation unit for a host module.
 pub fn print_host_cpp(ir: &Ir, host_module: OpId) -> String {
     let mut out = String::with_capacity(8192);
     out.push_str(PRELUDE);
-    let body = builtin::body(ir, host_module);
-    for &op in &ir.block(body).ops.clone() {
+    let mut p = CppPrinter {
+        ir,
+        names: ValueTable::new(ir),
+        next: 0,
+        indent: 1,
+    };
+    for &op in &ir.block(builtin::body(ir, host_module)).ops {
         if ir.op_is(op, func::FUNC) {
-            let mut p = CppPrinter::new(ir);
             p.print_func(op, &mut out);
             out.push('\n');
         }
@@ -35,35 +38,100 @@ using ftn::runtime;
 
 "#;
 
+/// What a C++ local is called: a role prefix and a per-function counter.
+#[derive(Clone, Copy, PartialEq)]
+struct Local {
+    prefix: &'static str,
+    n: u32,
+}
+
+/// A value's local, or `UNBOUND` when the printer never declared one.
+#[derive(Clone, Copy, PartialEq)]
+struct Name(Option<Local>);
+
+impl Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(Local { prefix, n }) => write!(f, "{prefix}{n}"),
+            None => f.write_str("UNBOUND"),
+        }
+    }
+}
+
+/// The names of `values` separated by `sep`; `empty` when there are none.
+struct Joined<'p, 'a> {
+    p: &'p CppPrinter<'a>,
+    values: &'a [ValueId],
+    sep: &'static str,
+    empty: &'static str,
+}
+
+impl Display for Joined<'_, '_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        if self.values.is_empty() {
+            return f.write_str(self.empty);
+        }
+        for (i, &v) in self.values.iter().enumerate() {
+            if i > 0 {
+                f.write_str(self.sep)?;
+            }
+            self.p.name(v).fmt(f)?;
+        }
+        Ok(())
+    }
+}
+
+/// Raw data pointer for a host-side memref: `.data()` of a `std::vector`
+/// local, the pointer itself otherwise.
+struct DataPtr(Name);
+
+impl Display for DataPtr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let is_vector = matches!(self.0 .0, Some(local) if local.prefix == "host_buf");
+        self.0.fmt(f)?;
+        if is_vector {
+            f.write_str(".data()")?;
+        }
+        Ok(())
+    }
+}
+
+/// Prints one function at a time; the name table is allocated once for the
+/// module and cleared between functions.
 struct CppPrinter<'a> {
     ir: &'a Ir,
-    names: HashMap<ValueId, String>,
+    names: ValueTable<Local>,
     next: u32,
     indent: usize,
 }
 
 impl<'a> CppPrinter<'a> {
-    fn new(ir: &'a Ir) -> Self {
-        CppPrinter {
-            ir,
-            names: HashMap::new(),
-            next: 0,
-            indent: 1,
-        }
-    }
-
-    fn fresh(&mut self, v: ValueId, prefix: &str) -> String {
-        let name = format!("{prefix}{}", self.next);
+    fn fresh(&mut self, v: ValueId, prefix: &'static str) -> Name {
+        let local = Local {
+            prefix,
+            n: self.next,
+        };
         self.next += 1;
-        self.names.insert(v, name.clone());
-        name
+        self.names.insert(v, local);
+        Name(Some(local))
     }
 
-    fn name(&self, v: ValueId) -> String {
-        self.names
-            .get(&v)
-            .cloned()
-            .unwrap_or_else(|| "UNBOUND".into())
+    fn name(&self, v: ValueId) -> Name {
+        Name(self.names.get(v))
+    }
+
+    fn joined(
+        &self,
+        values: &'a [ValueId],
+        sep: &'static str,
+        empty: &'static str,
+    ) -> Joined<'_, 'a> {
+        Joined {
+            p: self,
+            values,
+            sep,
+            empty,
+        }
     }
 
     fn cty(&self, ty: TypeId) -> &'static str {
@@ -90,233 +158,219 @@ impl<'a> CppPrinter<'a> {
         }
     }
 
-    fn line(&self, out: &mut String, text: &str) {
+    fn write_indent(&self, out: &mut String) {
         for _ in 0..self.indent {
             out.push_str("  ");
         }
-        out.push_str(text);
+    }
+
+    /// One indented line of output.
+    fn line(&self, out: &mut String, text: fmt::Arguments<'_>) {
+        self.write_indent(out);
+        let _ = out.write_fmt(text);
         out.push('\n');
     }
 
     fn print_func(&mut self, f: OpId, out: &mut String) {
-        let name = func::name(self.ir, f);
-        let entry = func::entry(self.ir, f);
-        let args = self.ir.block(entry).args.clone();
-        let params: Vec<String> = args
-            .iter()
-            .map(|&a| {
-                let ty = self.ir.value_ty(a);
-                let n = self.fresh(a, "p");
-                match self.ir.type_kind(ty) {
-                    TypeKind::MemRef {
-                        memory_space: 0,
-                        elem,
-                        ..
-                    } => {
-                        format!("{}* {n}", self.cty(*elem))
-                    }
-                    _ => format!("{} {n}", self.cty(ty)),
-                }
-            })
-            .collect();
-        let _ = writeln!(out, "void {name}({}) {{", params.join(", "));
+        let ir = self.ir;
+        self.names.clear();
+        self.next = 0;
+        self.indent = 1;
+        let entry = func::entry(ir, f);
+        let _ = write!(out, "void {}(", func::name(ir, f));
+        for (i, &a) in ir.block(entry).args.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            let ty = ir.value_ty(a);
+            let n = self.fresh(a, "p");
+            let _ = match ir.type_kind(ty) {
+                TypeKind::MemRef {
+                    memory_space: 0,
+                    elem,
+                    ..
+                } => write!(out, "{}* {n}", self.cty(*elem)),
+                _ => write!(out, "{} {n}", self.cty(ty)),
+            };
+        }
+        out.push_str(") {\n");
         self.print_block(entry, out);
         out.push_str("}\n");
     }
 
     fn print_block(&mut self, block: BlockId, out: &mut String) {
-        for &op in &self.ir.block(block).ops.clone() {
+        for &op in &self.ir.block(block).ops {
             self.print_op(op, out);
         }
     }
 
     fn print_op(&mut self, op: OpId, out: &mut String) {
         let ir = self.ir;
-        match ir.op_name(op).to_string().as_str() {
+        let operands = &ir.op(op).operands;
+        match ir.op_name(op) {
             "arith.constant" => {
                 let r = ir.result(op);
                 let ty = ir.value_ty(r);
                 let n = self.fresh(r, "v");
+                let c = self.cty(ty);
                 let attr = ir.get_attr(op, "value").expect("constant value");
-                let text = match ir.attr_kind(attr) {
-                    AttrKind::Int(v, _) => format!("{v}"),
+                match ir.attr_kind(attr) {
+                    AttrKind::Int(v, _) => self.line(out, format_args!("const {c} {n} = {v};")),
                     AttrKind::Float(bits, _) => {
                         let v = f64::from_bits(*bits);
                         if matches!(ir.type_kind(ty), TypeKind::Float32) {
-                            format!("{v:?}f")
+                            self.line(out, format_args!("const {c} {n} = {v:?}f;"))
                         } else {
-                            format!("{v:?}")
+                            self.line(out, format_args!("const {c} {n} = {v:?};"))
                         }
                     }
-                    AttrKind::Bool(b) => format!("{b}"),
-                    _ => "0".into(),
-                };
-                let c = self.cty(ty);
-                self.line(out, &format!("const {c} {n} = {text};"));
+                    AttrKind::Bool(b) => self.line(out, format_args!("const {c} {n} = {b};")),
+                    _ => self.line(out, format_args!("const {c} {n} = 0;")),
+                }
             }
             n if n.starts_with("arith.") => self.print_arith(op, n, out),
             "memref.alloc" | "memref.alloca" => {
                 let r = ir.result(op);
                 let elem = self.elem_cty(r);
-                let ty = ir.value_ty(r);
-                let shape = ir.memref_shape(ty).to_vec();
-                let mut dims: Vec<String> = vec![];
-                let mut dyn_i = 0usize;
-                for d in shape {
-                    if d == ftn_mlir::types::DYN_DIM {
-                        dims.push(self.name(ir.op(op).operands[dyn_i]));
-                        dyn_i += 1;
-                    } else {
-                        dims.push(format!("{d}"));
-                    }
-                }
-                let size = if dims.is_empty() {
-                    "1".to_string()
-                } else {
-                    dims.join(" * ")
-                };
                 let n = self.fresh(r, "host_buf");
-                self.line(out, &format!("std::vector<{elem}> {n}({size});"));
+                self.write_indent(out);
+                let _ = write!(out, "std::vector<{elem}> {n}(");
+                // Static extents are literals, dynamic ones the next operand.
+                let shape = ir.memref_shape(ir.value_ty(r));
+                let mut dyn_sizes = operands.iter();
+                for (i, &d) in shape.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(" * ");
+                    }
+                    let _ = if d == ftn_mlir::types::DYN_DIM {
+                        let extent = *dyn_sizes.next().expect("an operand per dynamic extent");
+                        write!(out, "{}", self.name(extent))
+                    } else {
+                        write!(out, "{d}")
+                    };
+                }
+                if shape.is_empty() {
+                    out.push('1');
+                }
+                out.push_str(");\n");
             }
             "memref.load" => {
-                let r = ir.result(op);
-                let base = ir.op(op).operands[0];
+                let base = operands[0];
                 let elem = self.elem_cty(base);
-                let idx: Vec<String> = ir.op(op).operands[1..]
-                    .iter()
-                    .map(|&v| self.name(v))
-                    .collect();
-                let n = self.fresh(r, "v");
-                let index = if idx.is_empty() {
-                    "0".to_string()
-                } else {
-                    idx.join(" + ")
-                };
+                let n = self.fresh(ir.result(op), "v");
                 self.line(
                     out,
-                    &format!("{elem} {n} = {}[{index}];", self.access(base)),
+                    format_args!(
+                        "{elem} {n} = {}[{}];",
+                        self.name(base),
+                        self.joined(&operands[1..], " + ", "0")
+                    ),
                 );
             }
             "memref.store" => {
-                let val = ir.op(op).operands[0];
-                let base = ir.op(op).operands[1];
-                let idx: Vec<String> = ir.op(op).operands[2..]
-                    .iter()
-                    .map(|&v| self.name(v))
-                    .collect();
-                let index = if idx.is_empty() {
-                    "0".to_string()
-                } else {
-                    idx.join(" + ")
-                };
                 self.line(
                     out,
-                    &format!("{}[{index}] = {};", self.access(base), self.name(val)),
+                    format_args!(
+                        "{}[{}] = {};",
+                        self.name(operands[1]),
+                        self.joined(&operands[2..], " + ", "0"),
+                        self.name(operands[0])
+                    ),
                 );
             }
             "memref.dim" => {
-                let r = ir.result(op);
-                let n = self.fresh(r, "v");
+                let n = self.fresh(ir.result(op), "v");
                 self.line(
                     out,
-                    &format!(
+                    format_args!(
                         "int64_t {n} = /* extent of */ runtime.extent({});",
-                        self.name(ir.op(op).operands[0])
+                        self.name(operands[0])
                     ),
                 );
             }
             "memref.dma_start" => {
-                let src = ir.op(op).operands[0];
-                let dst = ir.op(op).operands[1];
-                let tag = ir.result(op);
-                let _ = self.fresh(tag, "evt");
-                let src_space = self.space_of(src);
-                let elem = self.elem_cty(src);
-                if src_space == 0 {
-                    self.line(out, &format!(
-                        "runtime.queue.enqueueWriteBuffer({}, CL_FALSE, 0, runtime.bytes({}), {}); // host -> device",
-                        self.name(dst), self.name(dst), self.data_ptr(src, elem)
+                let (src, dst) = (operands[0], operands[1]);
+                let _ = self.fresh(ir.result(op), "evt");
+                if self.space_of(src) == 0 {
+                    let dst = self.name(dst);
+                    self.line(out, format_args!(
+                        "runtime.queue.enqueueWriteBuffer({dst}, CL_FALSE, 0, runtime.bytes({dst}), {}); // host -> device",
+                        DataPtr(self.name(src))
                     ));
                 } else {
-                    self.line(out, &format!(
-                        "runtime.queue.enqueueReadBuffer({}, CL_FALSE, 0, runtime.bytes({}), {}); // device -> host",
-                        self.name(src), self.name(src), self.data_ptr(dst, elem)
+                    let src = self.name(src);
+                    self.line(out, format_args!(
+                        "runtime.queue.enqueueReadBuffer({src}, CL_FALSE, 0, runtime.bytes({src}), {}); // device -> host",
+                        DataPtr(self.name(dst))
                     ));
                 }
             }
-            "memref.wait" => self.line(out, "runtime.queue.finish();"),
+            "memref.wait" => self.line(out, format_args!("runtime.queue.finish();")),
             device::ALLOC => {
                 let r = ir.result(op);
                 let name = device::data_name(ir, op);
                 let space = device::memory_space(ir, op);
                 let elem = self.elem_cty(r);
-                let sizes: Vec<String> = ir.op(op).operands.iter().map(|&v| self.name(v)).collect();
-                let size = if sizes.is_empty() {
-                    "1".to_string()
-                } else {
-                    sizes.join(" * ")
-                };
                 let n = self.fresh(r, "dev_buf");
-                self.line(out, &format!(
-                    "cl::Buffer {n} = runtime.device_alloc(\"{name}\", /*bank=*/{space}, {size} * sizeof({elem}));"
+                self.line(out, format_args!(
+                    "cl::Buffer {n} = runtime.device_alloc(\"{name}\", /*bank=*/{space}, {} * sizeof({elem}));",
+                    self.joined(operands, " * ", "1")
                 ));
             }
             device::LOOKUP => {
-                let r = ir.result(op);
                 let name = device::data_name(ir, op);
-                let n = self.fresh(r, "dev_buf");
+                let n = self.fresh(ir.result(op), "dev_buf");
                 self.line(
                     out,
-                    &format!("cl::Buffer {n} = runtime.device_lookup(\"{name}\");"),
+                    format_args!("cl::Buffer {n} = runtime.device_lookup(\"{name}\");"),
                 );
             }
             device::DATA_CHECK_EXISTS => {
-                let r = ir.result(op);
                 let name = device::data_name(ir, op);
-                let n = self.fresh(r, "v");
+                let n = self.fresh(ir.result(op), "v");
                 self.line(
                     out,
-                    &format!("bool {n} = runtime.data_check_exists(\"{name}\");"),
+                    format_args!("bool {n} = runtime.data_check_exists(\"{name}\");"),
                 );
             }
             device::DATA_ACQUIRE => {
                 let name = device::data_name(ir, op);
-                self.line(out, &format!("runtime.data_acquire(\"{name}\");"));
+                self.line(out, format_args!("runtime.data_acquire(\"{name}\");"));
             }
             device::DATA_RELEASE => {
                 let name = device::data_name(ir, op);
-                self.line(out, &format!("runtime.data_release(\"{name}\");"));
+                self.line(out, format_args!("runtime.data_release(\"{name}\");"));
             }
             device::KERNEL_CREATE => {
-                let r = ir.result(op);
                 let fname = device::kernel_function(ir, op);
-                let n = self.fresh(r, "kernel");
+                let n = self.fresh(ir.result(op), "kernel");
                 self.line(
                     out,
-                    &format!("cl::Kernel {n}(runtime.program, \"{fname}\");"),
+                    format_args!("cl::Kernel {n}(runtime.program, \"{fname}\");"),
                 );
-                for (i, &arg) in ir.op(op).operands.iter().enumerate() {
-                    self.line(out, &format!("{n}.setArg({i}, {});", self.name(arg)));
+                for (i, &arg) in operands.iter().enumerate() {
+                    self.line(out, format_args!("{n}.setArg({i}, {});", self.name(arg)));
                 }
             }
             device::KERNEL_LAUNCH => {
-                let k = ir.op(op).operands[0];
                 self.line(
                     out,
-                    &format!("runtime.queue.enqueueTask({});", self.name(k)),
+                    format_args!("runtime.queue.enqueueTask({});", self.name(operands[0])),
                 );
             }
-            device::KERNEL_WAIT => self.line(out, "runtime.queue.finish();"),
+            device::KERNEL_WAIT => self.line(out, format_args!("runtime.queue.finish();")),
             "scf.for" => self.print_for(op, out),
             "scf.if" => self.print_if(op, out),
             "scf.yield" => { /* handled by parents */ }
-            "func.return" => self.line(out, "return;"),
+            "func.return" => self.line(out, format_args!("return;")),
             "func.call" => {
                 let callee = ir.attr_str_of(op, "callee").unwrap_or("f");
-                let args: Vec<String> = ir.op(op).operands.iter().map(|&v| self.name(v)).collect();
-                self.line(out, &format!("{callee}({});", args.join(", ")));
+                self.line(
+                    out,
+                    format_args!("{callee}({});", self.joined(operands, ", ", "")),
+                );
             }
-            other => self.line(out, &format!("// unhandled op: {other}")),
+            other => self.line(out, format_args!("// unhandled op: {other}")),
         }
     }
 
@@ -327,32 +381,16 @@ impl<'a> CppPrinter<'a> {
         }
     }
 
-    /// Expression for indexing a host memref.
-    fn access(&self, v: ValueId) -> String {
-        self.name(v)
-    }
-
-    /// Raw data pointer for a host-side memref.
-    fn data_ptr(&self, v: ValueId, _elem: &str) -> String {
-        let n = self.name(v);
-        if n.starts_with("host_buf") {
-            format!("{n}.data()")
-        } else {
-            n
-        }
-    }
-
     fn print_arith(&mut self, op: OpId, name: &str, out: &mut String) {
         let ir = self.ir;
-        let operands = ir.op(op).operands.clone();
+        let operands = &ir.op(op).operands;
         let r = ir.op(op).results.first().copied();
         let binop = |sym: &str, p: &mut Self, out: &mut String| {
             let r = r.expect("binop result");
             let ty = p.cty(p.ir.value_ty(r));
             let n = p.fresh(r, "v");
-            let a = p.name(operands[0]);
-            let b = p.name(operands[1]);
-            p.line(out, &format!("{ty} {n} = {a} {sym} {b};"));
+            let (a, b) = (p.name(operands[0]), p.name(operands[1]));
+            p.line(out, format_args!("{ty} {n} = {a} {sym} {b};"));
         };
         match name {
             "arith.addi" | "arith.addf" => binop("+", self, out),
@@ -374,7 +412,7 @@ impl<'a> CppPrinter<'a> {
                 let n = self.fresh(r, "v");
                 self.line(
                     out,
-                    &format!(
+                    format_args!(
                         "{ty} {n} = {f}<{ty}>({}, {});",
                         self.name(operands[0]),
                         self.name(operands[1])
@@ -385,7 +423,7 @@ impl<'a> CppPrinter<'a> {
                 let r = r.expect("result");
                 let ty = self.cty(ir.value_ty(r));
                 let n = self.fresh(r, "v");
-                self.line(out, &format!("{ty} {n} = -{};", self.name(operands[0])));
+                self.line(out, format_args!("{ty} {n} = -{};", self.name(operands[0])));
             }
             "arith.cmpi" | "arith.cmpf" => {
                 let pred = ir.attr_str_of(op, "predicate").unwrap_or("eq");
@@ -397,11 +435,10 @@ impl<'a> CppPrinter<'a> {
                     "sgt" | "ogt" => ">",
                     _ => ">=",
                 };
-                let r = r.expect("result");
-                let n = self.fresh(r, "v");
+                let n = self.fresh(r.expect("result"), "v");
                 self.line(
                     out,
-                    &format!(
+                    format_args!(
                         "bool {n} = {} {sym} {};",
                         self.name(operands[0]),
                         self.name(operands[1])
@@ -414,7 +451,7 @@ impl<'a> CppPrinter<'a> {
                 let n = self.fresh(r, "v");
                 self.line(
                     out,
-                    &format!(
+                    format_args!(
                         "{ty} {n} = {} ? {} : {};",
                         self.name(operands[0]),
                         self.name(operands[1]),
@@ -429,33 +466,35 @@ impl<'a> CppPrinter<'a> {
                 let n = self.fresh(r, "v");
                 self.line(
                     out,
-                    &format!("{ty} {n} = static_cast<{ty}>({});", self.name(operands[0])),
+                    format_args!("{ty} {n} = static_cast<{ty}>({});", self.name(operands[0])),
                 );
             }
-            other => self.line(out, &format!("// unhandled arith op: {other}")),
+            other => self.line(out, format_args!("// unhandled arith op: {other}")),
         }
     }
 
     fn print_for(&mut self, op: OpId, out: &mut String) {
         let ir = self.ir;
-        let operands = ir.op(op).operands.clone();
+        let operands = &ir.op(op).operands;
         let (lb, ub, step) = (operands[0], operands[1], operands[2]);
         let inits = &operands[3..];
         let body = scf::for_body(ir, op);
-        let body_args = ir.block(body).args.clone();
-        let results = ir.op(op).results.clone();
+        let body_args = &ir.block(body).args;
+        let results = &ir.op(op).results;
         // Loop-carried values become mutable locals that double as results.
         for (i, (&res, &init)) in results.iter().zip(inits).enumerate() {
             let ty = self.cty(ir.value_ty(res));
             let n = self.fresh(res, "carried");
-            self.line(out, &format!("{ty} {n} = {};", self.name(init)));
+            self.line(out, format_args!("{ty} {n} = {};", self.name(init)));
             // Body iter arg aliases the same local.
-            self.names.insert(body_args[1 + i], n);
+            if let Name(Some(local)) = n {
+                self.names.insert(body_args[1 + i], local);
+            }
         }
         let iv = self.fresh(body_args[0], "i");
         self.line(
             out,
-            &format!(
+            format_args!(
                 "for (int64_t {iv} = {}; {iv} < {}; {iv} += {}) {{",
                 self.name(lb),
                 self.name(ub),
@@ -468,28 +507,27 @@ impl<'a> CppPrinter<'a> {
         if let Some(&yield_op) = ir.block(body).ops.last() {
             if ir.op_is(yield_op, scf::YIELD) {
                 for (i, &y) in ir.op(yield_op).operands.iter().enumerate() {
-                    let dst = self.name(results[i]);
-                    let src = self.name(y);
+                    let (dst, src) = (self.name(results[i]), self.name(y));
                     if dst != src {
-                        self.line(out, &format!("{dst} = {src};"));
+                        self.line(out, format_args!("{dst} = {src};"));
                     }
                 }
             }
         }
         self.indent -= 1;
-        self.line(out, "}");
+        self.line(out, format_args!("}}"));
     }
 
     fn print_if(&mut self, op: OpId, out: &mut String) {
         let ir = self.ir;
         let cond = ir.op(op).operands[0];
-        let results = ir.op(op).results.clone();
-        for &r in &results {
+        let results = &ir.op(op).results;
+        for &r in results {
             let ty = self.cty(ir.value_ty(r));
             let n = self.fresh(r, "phi");
-            self.line(out, &format!("{ty} {n};"));
+            self.line(out, format_args!("{ty} {n};"));
         }
-        self.line(out, &format!("if ({}) {{", self.name(cond)));
+        self.line(out, format_args!("if ({}) {{", self.name(cond)));
         self.indent += 1;
         for region_idx in [0usize, 1] {
             let block = ir.entry_block(op, region_idx);
@@ -497,26 +535,27 @@ impl<'a> CppPrinter<'a> {
             if let Some(&yield_op) = ir.block(block).ops.last() {
                 if ir.op_is(yield_op, scf::YIELD) {
                     for (i, &y) in ir.op(yield_op).operands.iter().enumerate() {
-                        let dst = self.name(results[i]);
-                        self.line(out, &format!("{dst} = {};", self.name(y)));
+                        self.line(
+                            out,
+                            format_args!("{} = {};", self.name(results[i]), self.name(y)),
+                        );
                     }
                 }
             }
             if region_idx == 0 {
                 self.indent -= 1;
-                let has_else = !ir.block(ir.entry_block(op, 1)).ops.is_empty()
-                    && ir.block(ir.entry_block(op, 1)).ops.len() > 1;
+                let has_else = ir.block(ir.entry_block(op, 1)).ops.len() > 1;
                 if has_else || !results.is_empty() {
-                    self.line(out, "} else {");
+                    self.line(out, format_args!("}} else {{"));
                     self.indent += 1;
                 } else {
-                    self.line(out, "}");
+                    self.line(out, format_args!("}}"));
                     return;
                 }
             }
         }
         self.indent -= 1;
-        self.line(out, "}");
+        self.line(out, format_args!("}}"));
     }
 }
 

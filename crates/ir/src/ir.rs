@@ -35,6 +35,12 @@ impl ValueId {
     }
 }
 
+impl BlockId {
+    pub fn index(self) -> usize {
+        self.0 as usize
+    }
+}
+
 /// Where a value is defined.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Def {
@@ -144,6 +150,8 @@ pub struct Ir {
     pub(crate) blocks: Vec<BlockData>,
     pub(crate) regions: Vec<RegionData>,
     pub(crate) values: Vec<ValueData>,
+    /// Ops created and not yet erased; what `live_op_count` reports.
+    live_ops: usize,
 }
 
 impl Default for Ir {
@@ -164,6 +172,7 @@ impl Ir {
             blocks: Vec::with_capacity(64),
             regions: Vec::with_capacity(64),
             values: Vec::with_capacity(512),
+            live_ops: 0,
         }
     }
 
@@ -205,6 +214,10 @@ impl Ir {
 
     pub fn value(&self, id: ValueId) -> &ValueData {
         &self.values[id.0 as usize]
+    }
+
+    pub fn value_mut(&mut self, id: ValueId) -> &mut ValueData {
+        &mut self.values[id.0 as usize]
     }
 
     pub fn value_ty(&self, id: ValueId) -> TypeId {
@@ -296,6 +309,7 @@ impl Ir {
             parent: None,
             alive: true,
         });
+        self.live_ops += 1;
         for &r in &spec.regions {
             self.regions[r.0 as usize].parent = Some(id);
         }
@@ -345,6 +359,23 @@ impl Ir {
                 ops.remove(pos);
             }
         }
+    }
+
+    /// Move `from`'s ops at positions `range` to position `pos` of `to`, in
+    /// order (inlining a region body is one call, not a detach per op).
+    pub fn move_ops(
+        &mut self,
+        from: BlockId,
+        range: std::ops::Range<usize>,
+        to: BlockId,
+        pos: usize,
+    ) {
+        debug_assert_ne!(from, to, "move_ops within one block");
+        let moved: Vec<OpId> = self.blocks[from.0 as usize].ops.drain(range).collect();
+        for &op in &moved {
+            self.ops[op.0 as usize].parent = Some(to);
+        }
+        self.blocks[to.0 as usize].ops.splice(pos..pos, moved);
     }
 
     /// Position of `op` within its parent block.
@@ -437,17 +468,20 @@ impl Ir {
                 self.op_name(op)
             );
         }
-        self.ops[op.0 as usize].alive = false;
+        if std::mem::replace(&mut self.ops[op.0 as usize].alive, false) {
+            self.live_ops -= 1;
+        }
     }
 
     // ---- attributes -------------------------------------------------------------
 
     pub fn get_attr(&self, op: OpId, key: &str) -> Option<AttrId> {
-        let k = self.strings.lookup(key)?;
+        // An op carries a handful of attributes: comparing their keys as
+        // strings is cheaper than hashing `key` to find its `Istr` first.
         self.op(op)
             .attrs
             .iter()
-            .find(|(key, _)| *key == k)
+            .find(|(k, _)| self.strings.get(*k) == key)
             .map(|(_, v)| *v)
     }
 
@@ -585,6 +619,7 @@ impl Ir {
             parent: None,
             alive: true,
         });
+        self.live_ops += 1;
         for r in new_regions {
             self.regions[r.0 as usize].parent = Some(new_op);
         }
@@ -615,9 +650,15 @@ impl Ir {
         new_op
     }
 
-    /// Number of live operations (diagnostics / tests).
+    /// Number of live operations: every op created minus every op erased.
     pub fn live_op_count(&self) -> usize {
-        self.ops.iter().filter(|o| o.alive).count()
+        self.live_ops
+    }
+
+    /// Blocks ever created, tombstones included: one past the largest
+    /// `BlockId` index (the size of a dense side table keyed by block).
+    pub fn block_capacity(&self) -> usize {
+        self.blocks.len()
     }
 }
 
@@ -730,6 +771,65 @@ mod tests {
         assert_eq!(ir.op(cloned_use).operands, vec![cloned_arg]);
         // Original untouched.
         assert_eq!(ir.op(use_op).operands, vec![arg]);
+    }
+
+    #[test]
+    fn move_ops_splices_in_order_and_reparents() {
+        let mut ir = Ir::new();
+        let (_m, block) = mk_module(&mut ir);
+        let region = ir.new_region();
+        let body = ir.new_block(region, &[]);
+        let names = |ir: &Ir, b: BlockId| -> Vec<String> {
+            let ops = &ir.block(b).ops;
+            ops.iter().map(|&o| ir.op_name(o).to_string()).collect()
+        };
+        for name in ["first", "holder", "last"] {
+            let op = match name {
+                "holder" => ir.create_op(OpSpec::new(name).region(region)),
+                _ => ir.create_op(OpSpec::new(name)),
+            };
+            ir.append_op(block, op);
+        }
+        for name in ["a", "b", "end"] {
+            let op = ir.create_op(OpSpec::new(name));
+            ir.append_op(body, op);
+        }
+        // Inline all but the body's terminator in front of the holder.
+        ir.move_ops(body, 0..2, block, 1);
+        assert_eq!(names(&ir, block), ["first", "a", "b", "holder", "last"]);
+        assert_eq!(names(&ir, body), ["end"]);
+        let moved = ir.block(block).ops[1];
+        assert_eq!(ir.op(moved).parent, Some(block));
+        assert_eq!(ir.op_position(moved), Some((block, 1)));
+    }
+
+    #[test]
+    fn live_counter_matches_arena_scan() {
+        let scan = |ir: &Ir| ir.ops.iter().filter(|o| o.alive).count();
+        let mut ir = Ir::new();
+        let (_m, block) = mk_module(&mut ir);
+        let i32t = ir.i32t();
+        let region = ir.new_region();
+        let inner_block = ir.new_block(region, &[i32t]);
+        let arg = ir.block(inner_block).args[0];
+        let use_op = ir.create_op(OpSpec::new("use").operands(&[arg]));
+        ir.append_op(inner_block, use_op);
+        let outer = ir.create_op(OpSpec::new("outer").region(region));
+        ir.append_op(block, outer);
+        assert_eq!(ir.live_op_count(), 3);
+        assert_eq!(ir.live_op_count(), scan(&ir));
+
+        let cloned = ir.clone_op(outer, &mut HashMap::new());
+        ir.append_op(block, cloned);
+        assert_eq!(ir.live_op_count(), 5);
+        assert_eq!(ir.live_op_count(), scan(&ir));
+
+        // Erasing takes the nested ops along; erasing twice counts once.
+        ir.erase_op(outer);
+        assert_eq!(ir.live_op_count(), 3);
+        ir.erase_op(outer);
+        assert_eq!(ir.live_op_count(), 3);
+        assert_eq!(ir.live_op_count(), scan(&ir));
     }
 
     #[test]

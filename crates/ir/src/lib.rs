@@ -26,6 +26,7 @@ pub mod parser;
 pub mod pass;
 pub mod printer;
 pub mod rewrite;
+pub mod table;
 pub mod types;
 pub mod verifier;
 pub mod walk;
@@ -38,6 +39,7 @@ pub use parser::{parse_module, ParseError};
 pub use pass::{Pass, PassError, PassManager, PassReport};
 pub use printer::print_op;
 pub use rewrite::{apply_patterns_greedily, RewritePattern};
+pub use table::ValueTable;
 pub use types::{TypeId, TypeKind};
 pub use verifier::{verify, VerifierRegistry, VerifyError};
 pub use walk::{find_all, find_first, walk_postorder, walk_preorder};

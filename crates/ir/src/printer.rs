@@ -10,17 +10,21 @@
 //! The generic form round-trips through [`crate::parser`]; it is also the
 //! serialization format embedded in FPGA bitstream artifacts.
 
-use std::collections::HashMap;
 use std::fmt::Write;
 
 use crate::attrs::{AttrId, AttrKind};
-use crate::ir::{BlockId, Ir, OpId, ValueId};
+use crate::ir::{BlockId, Ir, OpId, RegionId, ValueId};
 use crate::types::{TypeId, TypeKind, DYN_DIM};
 
 /// Print `op` (and everything nested inside it) to a string.
 pub fn print_op(ir: &Ir, op: OpId) -> String {
-    let mut p = Printer::new(ir);
-    p.print_toplevel(op);
+    let mut p = Printer {
+        value_names: vec![UNNAMED; ir.values.len()],
+        block_names: vec![UNNAMED; ir.blocks.len()],
+        ..Printer::new(ir)
+    };
+    p.print_op_line(op);
+    p.out.push('\n');
     p.out
 }
 
@@ -38,52 +42,60 @@ pub fn print_attr(ir: &Ir, attr: AttrId) -> String {
     p.out
 }
 
+const UNNAMED: u32 = u32::MAX;
+
+/// Everything is borrowed from `ir` and written straight into `out`; SSA
+/// and block names are numbers handed out in order of first appearance,
+/// kept in tables indexed by id.
 struct Printer<'a> {
     ir: &'a Ir,
     out: String,
-    value_names: HashMap<ValueId, u32>,
-    block_names: HashMap<BlockId, u32>,
+    /// By `ValueId`: the `%n` of every value met so far.
+    value_names: Vec<u32>,
+    /// By `BlockId`: the `^bbn` of every block met so far.
+    block_names: Vec<u32>,
     next_value: u32,
     next_block: u32,
     indent: usize,
 }
 
 impl<'a> Printer<'a> {
+    /// A printer for types and attributes; `print_op` adds the name tables.
     fn new(ir: &'a Ir) -> Self {
         Printer {
             ir,
             out: String::with_capacity(4096),
-            value_names: HashMap::new(),
-            block_names: HashMap::new(),
+            value_names: Vec::new(),
+            block_names: Vec::new(),
             next_value: 0,
             next_block: 0,
             indent: 0,
         }
     }
 
-    fn print_toplevel(&mut self, op: OpId) {
-        self.print_op_line(op);
-        self.out.push('\n');
-    }
-
-    fn name_value(&mut self, v: ValueId) -> u32 {
-        if let Some(&n) = self.value_names.get(&v) {
-            return n;
+    fn write_value(&mut self, v: ValueId) {
+        let slot = &mut self.value_names[v.0 as usize];
+        if *slot == UNNAMED {
+            *slot = self.next_value;
+            self.next_value += 1;
         }
-        let n = self.next_value;
-        self.next_value += 1;
-        self.value_names.insert(v, n);
-        n
+        self.out.push('%');
+        push_decimal(&mut self.out, u64::from(*slot));
     }
 
     fn name_block(&mut self, b: BlockId) -> u32 {
-        if let Some(&n) = self.block_names.get(&b) {
-            return n;
+        let slot = &mut self.block_names[b.0 as usize];
+        if *slot == UNNAMED {
+            *slot = self.next_block;
+            self.next_block += 1;
         }
-        let n = self.next_block;
-        self.next_block += 1;
-        self.block_names.insert(b, n);
-        n
+        *slot
+    }
+
+    fn write_block(&mut self, b: BlockId) {
+        let n = self.name_block(b);
+        self.out.push_str("^bb");
+        push_decimal(&mut self.out, u64::from(n));
     }
 
     fn write_indent(&mut self) {
@@ -93,126 +105,126 @@ impl<'a> Printer<'a> {
     }
 
     fn print_op_line(&mut self, op: OpId) {
-        let data = self.ir.op(op);
+        let ir = self.ir;
+        let data = ir.op(op);
         // Results.
         if !data.results.is_empty() {
-            let names: Vec<u32> = data.results.iter().map(|&r| self.name_value(r)).collect();
-            let frags: Vec<String> = names.iter().map(|n| format!("%{n}")).collect();
-            let _ = write!(self.out, "{} = ", frags.join(", "));
-        }
-        let _ = write!(self.out, "\"{}\"", self.ir.op_name(op));
-        // Operands.
-        self.out.push('(');
-        let operands = self.ir.op(op).operands.clone();
-        for (i, v) in operands.iter().enumerate() {
-            if i > 0 {
-                self.out.push_str(", ");
-            }
-            let n = self.name_value(*v);
-            let _ = write!(self.out, "%{n}");
-        }
-        self.out.push(')');
-        // Successors.
-        let succs = self.ir.op(op).successors.clone();
-        if !succs.is_empty() {
-            self.out.push('[');
-            for (i, b) in succs.iter().enumerate() {
+            for (i, &r) in data.results.iter().enumerate() {
                 if i > 0 {
                     self.out.push_str(", ");
                 }
-                let n = self.name_block(*b);
-                let _ = write!(self.out, "^bb{n}");
+                self.write_value(r);
+            }
+            self.out.push_str(" = ");
+        }
+        self.out.push('"');
+        self.out.push_str(ir.str(data.name));
+        self.out.push('"');
+        // Operands.
+        self.out.push('(');
+        for (i, &v) in data.operands.iter().enumerate() {
+            if i > 0 {
+                self.out.push_str(", ");
+            }
+            self.write_value(v);
+        }
+        self.out.push(')');
+        // Successors.
+        if !data.successors.is_empty() {
+            self.out.push('[');
+            for (i, &b) in data.successors.iter().enumerate() {
+                if i > 0 {
+                    self.out.push_str(", ");
+                }
+                self.write_block(b);
             }
             self.out.push(']');
         }
         // Regions.
-        let regions = self.ir.op(op).regions.clone();
-        if !regions.is_empty() {
+        if !data.regions.is_empty() {
             self.out.push_str(" (");
-            for (i, r) in regions.iter().enumerate() {
+            for (i, &r) in data.regions.iter().enumerate() {
                 if i > 0 {
                     self.out.push_str(", ");
                 }
-                self.print_region(*r);
+                self.print_region(r);
             }
             self.out.push(')');
         }
         // Attributes.
-        let attrs = self.ir.op(op).attrs.clone();
-        if !attrs.is_empty() {
+        if !data.attrs.is_empty() {
             self.out.push_str(" {");
-            for (i, (k, v)) in attrs.iter().enumerate() {
+            for (i, &(k, v)) in data.attrs.iter().enumerate() {
                 if i > 0 {
                     self.out.push_str(", ");
                 }
-                let key = self.ir.str(*k).to_string();
-                if matches!(self.ir.attr_kind(*v), AttrKind::Unit) {
-                    let _ = write!(self.out, "{key}");
-                } else {
-                    let _ = write!(self.out, "{key} = ");
-                    self.write_attr(*v);
+                self.out.push_str(ir.str(k));
+                if !matches!(ir.attr_kind(v), AttrKind::Unit) {
+                    self.out.push_str(" = ");
+                    self.write_attr(v);
                 }
             }
             self.out.push('}');
         }
         // Trailing functional type.
         self.out.push_str(" : (");
-        let data = self.ir.op(op);
-        let operand_tys: Vec<TypeId> = data.operands.iter().map(|&v| self.ir.value_ty(v)).collect();
-        let result_tys: Vec<TypeId> = data.results.iter().map(|&v| self.ir.value_ty(v)).collect();
-        for (i, t) in operand_tys.iter().enumerate() {
+        for (i, &v) in data.operands.iter().enumerate() {
             if i > 0 {
                 self.out.push_str(", ");
             }
-            self.write_type(*t);
+            self.write_type(ir.value_ty(v));
         }
         self.out.push_str(") -> ");
-        if result_tys.len() == 1 {
-            self.write_type(result_tys[0]);
-        } else {
+        self.write_result_types(data.results.iter().map(|&v| ir.value_ty(v)));
+    }
+
+    /// `t` for exactly one type, `(t, ...)` otherwise.
+    fn write_result_types(&mut self, types: impl ExactSizeIterator<Item = TypeId>) {
+        let parens = types.len() != 1;
+        if parens {
             self.out.push('(');
-            for (i, t) in result_tys.iter().enumerate() {
-                if i > 0 {
-                    self.out.push_str(", ");
-                }
-                self.write_type(*t);
+        }
+        for (i, t) in types.enumerate() {
+            if i > 0 {
+                self.out.push_str(", ");
             }
+            self.write_type(t);
+        }
+        if parens {
             self.out.push(')');
         }
     }
 
-    fn print_region(&mut self, region: crate::ir::RegionId) {
+    fn print_region(&mut self, region: RegionId) {
+        let ir = self.ir;
         self.out.push('{');
-        let blocks = self.ir.region(region).blocks.clone();
+        let blocks = &ir.region(region).blocks;
         // Pre-assign block labels so successor references are stable.
-        for &b in &blocks {
+        for &b in blocks {
             self.name_block(b);
         }
         self.indent += 1;
         for (bi, &b) in blocks.iter().enumerate() {
-            let args = self.ir.block(b).args.clone();
-            if bi != 0 || !args.is_empty() {
+            let block = ir.block(b);
+            if bi != 0 || !block.args.is_empty() {
                 self.out.push('\n');
                 self.write_indent();
-                let n = self.block_names[&b];
-                let _ = write!(self.out, "^bb{n}");
-                if !args.is_empty() {
+                self.write_block(b);
+                if !block.args.is_empty() {
                     self.out.push('(');
-                    for (i, a) in args.iter().enumerate() {
+                    for (i, &a) in block.args.iter().enumerate() {
                         if i > 0 {
                             self.out.push_str(", ");
                         }
-                        let vn = self.name_value(*a);
-                        let _ = write!(self.out, "%{vn}: ");
-                        let ty = self.ir.value_ty(*a);
-                        self.write_type(ty);
+                        self.write_value(a);
+                        self.out.push_str(": ");
+                        self.write_type(ir.value_ty(a));
                     }
                     self.out.push(')');
                 }
                 self.out.push(':');
             }
-            let ops = self.ir.block(b).ops.clone();
-            for op in ops {
+            for &op in &block.ops {
                 self.out.push('\n');
                 self.write_indent();
                 self.print_op_line(op);
@@ -225,9 +237,11 @@ impl<'a> Printer<'a> {
     }
 
     fn write_type(&mut self, ty: TypeId) {
-        match self.ir.type_kind(ty).clone() {
+        let ir = self.ir;
+        match ir.type_kind(ty) {
             TypeKind::Integer { width } => {
-                let _ = write!(self.out, "i{width}");
+                self.out.push('i');
+                push_decimal(&mut self.out, u64::from(*width));
             }
             TypeKind::Float32 => self.out.push_str("f32"),
             TypeKind::Float64 => self.out.push_str("f64"),
@@ -239,17 +253,18 @@ impl<'a> Printer<'a> {
                 memory_space,
             } => {
                 self.out.push_str("memref<");
-                for d in &shape {
-                    if *d == DYN_DIM {
+                for &d in shape {
+                    if d == DYN_DIM {
                         self.out.push('?');
                     } else {
                         let _ = write!(self.out, "{d}");
                     }
                     self.out.push('x');
                 }
-                self.write_type(elem);
-                if memory_space != 0 {
-                    let _ = write!(self.out, ", {memory_space}");
+                self.write_type(*elem);
+                if *memory_space != 0 {
+                    self.out.push_str(", ");
+                    push_decimal(&mut self.out, u64::from(*memory_space));
                 }
                 self.out.push('>');
             }
@@ -262,47 +277,40 @@ impl<'a> Printer<'a> {
                     self.write_type(*t);
                 }
                 self.out.push_str(") -> ");
-                if results.len() == 1 {
-                    self.write_type(results[0]);
-                } else {
-                    self.out.push('(');
-                    for (i, t) in results.iter().enumerate() {
-                        if i > 0 {
-                            self.out.push_str(", ");
-                        }
-                        self.write_type(*t);
-                    }
-                    self.out.push(')');
-                }
+                self.write_result_types(results.iter().copied());
             }
             TypeKind::Opaque { dialect, name } => {
-                let _ = write!(self.out, "!{}.{}", self.ir.str(dialect), self.ir.str(name));
+                self.out.push('!');
+                self.out.push_str(ir.str(*dialect));
+                self.out.push('.');
+                self.out.push_str(ir.str(*name));
             }
         }
     }
 
     fn write_attr(&mut self, attr: AttrId) {
-        match self.ir.attr_kind(attr).clone() {
+        let ir = self.ir;
+        match ir.attr_kind(attr) {
             AttrKind::Unit => self.out.push_str("unit"),
-            AttrKind::Bool(b) => {
-                let _ = write!(self.out, "{b}");
-            }
+            AttrKind::Bool(b) => self.out.push_str(if *b { "true" } else { "false" }),
             AttrKind::Int(v, ty) => {
                 let _ = write!(self.out, "{v} : ");
-                self.write_type(ty);
+                self.write_type(*ty);
             }
             AttrKind::Float(bits, ty) => {
-                let v = f64::from_bits(bits);
+                let v = f64::from_bits(*bits);
                 let _ = write!(self.out, "{v:e} : ");
-                self.write_type(ty);
+                self.write_type(*ty);
             }
             AttrKind::Str(s) => {
-                let escaped = escape(self.ir.str(s));
-                let _ = write!(self.out, "\"{escaped}\"");
+                self.out.push('"');
+                push_escaped(&mut self.out, ir.str(*s));
+                self.out.push('"');
             }
-            AttrKind::Type(t) => self.write_type(t),
+            AttrKind::Type(t) => self.write_type(*t),
             AttrKind::SymbolRef(s) => {
-                let _ = write!(self.out, "@{}", self.ir.str(s));
+                self.out.push('@');
+                self.out.push_str(ir.str(*s));
             }
             AttrKind::Array(items) => {
                 self.out.push('[');
@@ -320,8 +328,8 @@ impl<'a> Printer<'a> {
                     if i > 0 {
                         self.out.push_str(", ");
                     }
-                    let key = self.ir.str(*k).to_string();
-                    let _ = write!(self.out, "{key} = ");
+                    self.out.push_str(ir.str(*k));
+                    self.out.push_str(" = ");
                     self.write_attr(*v);
                 }
                 self.out.push('}');
@@ -330,8 +338,22 @@ impl<'a> Printer<'a> {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// `n` in decimal, without going through `core::fmt`.
+fn push_decimal(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ascii digits"));
+}
+
+fn push_escaped(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -341,7 +363,6 @@ fn escape(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
 #[cfg(test)]

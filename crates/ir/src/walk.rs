@@ -1,24 +1,28 @@
 //! IR traversal helpers. Walks snapshot op ids into a `Vec` so callers can
 //! mutate the IR while iterating (the MLIR "collect then rewrite" idiom).
 
-use crate::ir::{Ir, OpId};
+use crate::ir::{Ir, OpData, OpId};
 
 /// All ops nested under (and including) `root`, pre-order.
 pub fn walk_preorder(ir: &Ir, root: OpId) -> Vec<OpId> {
     let mut out = Vec::new();
-    walk_pre_into(ir, root, &mut out);
+    walk_pre_into(ir, root, &|_| true, &mut out);
     out
 }
 
-fn walk_pre_into(ir: &Ir, op: OpId, out: &mut Vec<OpId>) {
-    if !ir.op(op).alive {
+/// Pre-order walk over live ops, collecting those `keep` accepts.
+fn walk_pre_into(ir: &Ir, op: OpId, keep: &impl Fn(&OpData) -> bool, out: &mut Vec<OpId>) {
+    let data = ir.op(op);
+    if !data.alive {
         return;
     }
-    out.push(op);
-    for &region in &ir.op(op).regions {
+    if keep(data) {
+        out.push(op);
+    }
+    for &region in &data.regions {
         for &block in &ir.region(region).blocks {
             for &inner in &ir.block(block).ops {
-                walk_pre_into(ir, inner, out);
+                walk_pre_into(ir, inner, keep, out);
             }
         }
     }
@@ -54,10 +58,12 @@ pub fn find_first(ir: &Ir, root: OpId, name: &str) -> Option<OpId> {
 
 /// All ops with the given name nested under `root`, pre-order.
 pub fn find_all(ir: &Ir, root: OpId, name: &str) -> Vec<OpId> {
-    walk_preorder(ir, root)
-        .into_iter()
-        .filter(|&o| ir.op_is(o, name))
-        .collect()
+    let mut out = Vec::new();
+    // A name nobody interned is a name no op carries.
+    if let Some(name) = ir.strings.lookup(name) {
+        walk_pre_into(ir, root, &|op| op.name == name, &mut out);
+    }
+    out
 }
 
 #[cfg(test)]

@@ -5,11 +5,9 @@
 //! header/body/exit CFG with loop-carried values as block arguments, and
 //! `scf.if` becomes a diamond with a merge block.
 
-use std::collections::HashMap;
-
 use ftn_dialects::llvm as l;
 use ftn_dialects::{builtin, func, scf};
-use ftn_mlir::{BlockId, Builder, Ir, OpId, TypeId, TypeKind, ValueId};
+use ftn_mlir::{BlockId, Builder, Ir, OpId, TypeId, TypeKind, ValueId, ValueTable};
 
 /// Conversion failure.
 #[derive(Debug, Clone)]
@@ -33,8 +31,11 @@ fn err<T>(m: impl Into<String>) -> Result<T, ConvertError> {
 /// returns the new module op.
 pub fn convert_to_llvm_dialect(ir: &mut Ir, module: OpId) -> Result<OpId, ConvertError> {
     let (llvm_module, body) = builtin::module_with_target(ir, "fpga-llvm");
+    // Keyed by the values being converted, all of which exist by now.
+    let mut map = ValueTable::new(ir);
     for f in ftn_mlir::find_all(ir, module, func::FUNC) {
-        convert_func(ir, f, body)?;
+        map.clear();
+        convert_func(ir, f, body, &mut map)?;
     }
     Ok(llvm_module)
 }
@@ -51,12 +52,15 @@ struct FuncConverter<'a> {
     ir: &'a mut Ir,
     region: ftn_mlir::RegionId,
     /// old value -> new value
-    map: HashMap<ValueId, ValueId>,
-    /// memref value -> element type (for GEP/load/store)
-    elem_types: HashMap<ValueId, TypeId>,
+    map: &'a mut ValueTable<ValueId>,
 }
 
-fn convert_func(ir: &mut Ir, f: OpId, dest_body: BlockId) -> Result<(), ConvertError> {
+fn convert_func(
+    ir: &mut Ir,
+    f: OpId,
+    dest_body: BlockId,
+    map: &mut ValueTable<ValueId>,
+) -> Result<(), ConvertError> {
     let name = func::name(ir, f).to_string();
     let (inputs, results) = func::signature(ir, f);
     let new_inputs: Vec<TypeId> = inputs.iter().map(|&t| lower_type(ir, t)).collect();
@@ -65,11 +69,9 @@ fn convert_func(ir: &mut Ir, f: OpId, dest_body: BlockId) -> Result<(), ConvertE
         let mut b = Builder::at_end(ir, dest_body);
         l::build_func(&mut b, &name, &new_inputs, &new_results)
     };
-    // Record memref arg element types for later GEPs.
     let mut conv = FuncConverter {
         region: ir.op(new_f).regions[0],
-        map: HashMap::new(),
-        elem_types: HashMap::new(),
+        map,
         ir,
     };
     let old_entry = func::entry(conv.ir, f);
@@ -81,7 +83,6 @@ fn convert_func(ir: &mut Ir, f: OpId, dest_body: BlockId) -> Result<(), ConvertE
         let oty = conv.ir.value_ty(*o);
         if conv.ir.type_kind(oty).is_memref() {
             let elem = conv.ir.memref_elem(oty);
-            conv.elem_types.insert(*n, elem);
             elem_attr.push(conv.ir.attr_type(elem));
         } else {
             let lowered = lower_type(conv.ir, oty);
@@ -118,19 +119,13 @@ fn convert_func(ir: &mut Ir, f: OpId, dest_body: BlockId) -> Result<(), ConvertE
 
 impl<'a> FuncConverter<'a> {
     fn v(&self, old: ValueId) -> Result<ValueId, ConvertError> {
-        self.map.get(&old).copied().ok_or_else(|| ConvertError {
+        self.map.get(old).ok_or_else(|| ConvertError {
             message: "value not yet converted (dominance violation?)".into(),
         })
     }
 
     fn operand_vs(&self, op: OpId) -> Result<Vec<ValueId>, ConvertError> {
-        self.ir
-            .op(op)
-            .operands
-            .clone()
-            .into_iter()
-            .map(|o| self.v(o))
-            .collect()
+        self.ir.op(op).operands.iter().map(|&o| self.v(o)).collect()
     }
 
     /// Convert the ops of `old_block` emitting into `bb`; returns the block
@@ -189,7 +184,6 @@ impl<'a> FuncConverter<'a> {
                 let cattr = b.ir.attr_int(count, i64t);
                 let c = l::constant(&mut b, cattr, i64t);
                 let p = l::alloca(&mut b, c, elem);
-                self.elem_types.insert(p, elem);
                 self.map.insert(old_r, p);
                 Ok(bb)
             }

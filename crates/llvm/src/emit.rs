@@ -2,12 +2,11 @@
 //! converted to phi nodes by collecting each block's predecessors and the
 //! values their terminators forward.
 
-use std::collections::HashMap;
-use std::fmt::Write;
+use std::fmt::{self, Display, Write};
 
 use ftn_dialects::cf::cond_br_operands;
 use ftn_dialects::{builtin, llvm as l};
-use ftn_mlir::{AttrKind, BlockId, Ir, OpId, TypeId, TypeKind, ValueId};
+use ftn_mlir::{AttrKind, BlockId, Ir, OpId, TypeId, TypeKind, ValueId, ValueTable};
 
 /// Emission options.
 #[derive(Clone, Copy, Debug, Default)]
@@ -28,141 +27,221 @@ pub fn emit_llvm_ir(ir: &Ir, module: OpId, options: EmitOptions) -> String {
     );
     let _ = writeln!(out, "target triple = \"fpga64-xilinx-none\"");
     out.push('\n');
-    let body = builtin::body(ir, module);
-    let mut declared: Vec<(String, String)> = Vec::new(); // (name, signature text)
-    for &f in &ir.block(body).ops.clone() {
+    let mut e = FuncEmitter {
+        ir,
+        options,
+        names: ValueTable::new(ir),
+        ptr_elems: ValueTable::new(ir),
+        block_labels: vec![0; ir.block_capacity()],
+        next: 0,
+        declared: Vec::new(),
+    };
+    for &f in &ir.block(builtin::body(ir, module)).ops {
         if !ir.op_is(f, l::FUNC) {
             continue;
         }
-        let mut e = FuncEmitter::new(ir, f, options);
-        e.emit(&mut out, &mut declared);
+        e.emit(f, &mut out);
         out.push('\n');
     }
-    for (name, sig) in declared {
+    for (name, sig) in e.declared {
         let _ = writeln!(out, "declare {sig} @{name}");
     }
     out
 }
 
+/// Emits one function at a time; the per-value tables are allocated once
+/// for the module and cleared between functions.
 struct FuncEmitter<'a> {
     ir: &'a Ir,
-    f: OpId,
     options: EmitOptions,
-    names: HashMap<ValueId, String>,
-    block_names: HashMap<BlockId, String>,
-    next: u32,
+    /// The `%n` of each value an instruction of this function defines.
+    names: ValueTable<u32>,
     /// memref-typed values' element types (for typed pointers).
-    ptr_elems: HashMap<ValueId, TypeId>,
+    ptr_elems: ValueTable<TypeId>,
+    /// By `BlockId`: `n` of the `bbn` label, for this function's blocks.
+    block_labels: Vec<u32>,
+    next: u32,
+    /// External callees met so far: (name, signature text).
+    declared: Vec<(&'a str, String)>,
+}
+
+/// A value's `%n`; `%?` when no instruction of the function defines it.
+#[derive(Clone, Copy)]
+struct Name(Option<u32>);
+
+impl Display for Name {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Some(n) => write!(f, "%{n}"),
+            None => f.write_str("%?"),
+        }
+    }
+}
+
+/// LLVM spelling of a type; `elem` is the pointee when the type is a pointer
+/// and typed pointers are on.
+struct Ty<'a> {
+    ir: &'a Ir,
+    t: TypeId,
+    typed_pointers: bool,
+    elem: Option<TypeId>,
+}
+
+impl Display for Ty<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.ir.type_kind(self.t) {
+            TypeKind::Integer { width } => write!(f, "i{width}"),
+            TypeKind::Float32 => f.write_str("float"),
+            TypeKind::Float64 => f.write_str("double"),
+            TypeKind::Index => f.write_str("i64"),
+            TypeKind::None => f.write_str("void"),
+            TypeKind::Opaque { .. } => match (self.typed_pointers, self.elem) {
+                (false, _) => f.write_str("ptr"),
+                (true, None) => f.write_str("i8*"),
+                (true, Some(t)) => {
+                    let pointee = Ty {
+                        t,
+                        elem: None,
+                        ..*self
+                    };
+                    write!(f, "{pointee}*")
+                }
+            },
+            other => write!(f, "<{other:?}>"),
+        }
+    }
+}
+
+/// An operand as an instruction spells it: constants inline, the rest by name.
+struct Operand<'e, 'a> {
+    e: &'e FuncEmitter<'a>,
+    v: ValueId,
+}
+
+impl Display for Operand<'_, '_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let ir = self.e.ir;
+        let constant = ir.defining_op(self.v).filter(|&d| ir.op_is(d, l::CONSTANT));
+        let Some(def) = constant else {
+            return self.e.name_of(self.v).fmt(f);
+        };
+        let attr = ir.get_attr(def, "value").expect("constant value");
+        match ir.attr_kind(attr) {
+            AttrKind::Int(v, _) => write!(f, "{v}"),
+            // LLVM float constants print as double-style hex-free decimal.
+            AttrKind::Float(bits, _) => write!(f, "{:e}", f64::from_bits(*bits)),
+            AttrKind::Bool(b) => write!(f, "{}", *b as u8),
+            _ => f.write_str("0"),
+        }
+    }
 }
 
 impl<'a> FuncEmitter<'a> {
-    fn new(ir: &'a Ir, f: OpId, options: EmitOptions) -> Self {
-        FuncEmitter {
-            ir,
-            f,
-            options,
-            names: HashMap::new(),
-            block_names: HashMap::new(),
-            next: 0,
-            ptr_elems: HashMap::new(),
-        }
-    }
-
     /// Assign the next sequential name to `v` (idempotent: values named
     /// during the pre-pass keep their name).
-    fn fresh(&mut self, v: ValueId) -> String {
-        if let Some(n) = self.names.get(&v) {
-            return n.clone();
+    fn fresh(&mut self, v: ValueId) -> Name {
+        if self.names.get(v).is_none() {
+            self.names.insert(v, self.next);
+            self.next += 1;
         }
-        let n = format!("%{}", self.next);
-        self.next += 1;
-        self.names.insert(v, n.clone());
-        n
+        self.name_of(v)
     }
 
-    fn name_of(&self, v: ValueId) -> String {
-        self.names.get(&v).cloned().unwrap_or_else(|| "%?".into())
+    fn name_of(&self, v: ValueId) -> Name {
+        Name(self.names.get(v))
     }
 
-    fn ty(&self, t: TypeId) -> String {
-        llvm_type(self.ir, t, self.options.typed_pointers, None)
+    fn ty(&self, t: TypeId) -> Ty<'a> {
+        Ty {
+            ir: self.ir,
+            t,
+            typed_pointers: self.options.typed_pointers,
+            elem: None,
+        }
     }
 
     /// Type text for a value, using elem info for typed pointers.
-    fn vty(&self, v: ValueId) -> String {
-        let t = self.ir.value_ty(v);
-        let elem = self.ptr_elems.get(&v).copied();
-        llvm_type(self.ir, t, self.options.typed_pointers, elem)
+    fn vty(&self, v: ValueId) -> Ty<'a> {
+        Ty {
+            elem: self.ptr_elems.get(v),
+            ..self.ty(self.ir.value_ty(v))
+        }
     }
 
-    fn emit(&mut self, out: &mut String, declared: &mut Vec<(String, String)>) {
-        let name = self.ir.attr_str_of(self.f, "sym_name").unwrap_or("f");
-        let region = self.ir.op(self.f).regions[0];
-        let blocks = self.ir.region(region).blocks.clone();
+    fn operand(&self, v: ValueId) -> Operand<'_, 'a> {
+        Operand { e: self, v }
+    }
+
+    fn label(&self, b: BlockId) -> u32 {
+        self.block_labels[b.index()]
+    }
+
+    fn elem_type_attr(&self, op: OpId) -> Option<TypeId> {
+        self.ir
+            .get_attr(op, "elem_type")
+            .and_then(|a| self.ir.attr_as_type(a))
+    }
+
+    fn emit(&mut self, f: OpId, out: &mut String) {
+        let ir = self.ir;
+        self.names.clear();
+        self.ptr_elems.clear();
+        self.next = 0;
+        let name = ir.attr_str_of(f, "sym_name").unwrap_or("f");
+        let blocks = &ir.region(ir.op(f).regions[0]).blocks;
         // Propagate element types from the arg_elem_types attribute.
-        let entry_args = self.ir.block(blocks[0]).args.clone();
-        if let Some(attr) = self.ir.get_attr(self.f, "arg_elem_types") {
-            if let AttrKind::Array(items) = self.ir.attr_kind(attr).clone() {
-                for (arg, item) in entry_args.iter().zip(items) {
-                    if let Some(t) = self.ir.attr_as_type(item) {
-                        if is_ptr(self.ir, self.ir.value_ty(*arg)) {
-                            self.ptr_elems.insert(*arg, t);
+        let entry_args = &ir.block(blocks[0]).args;
+        if let Some(attr) = ir.get_attr(f, "arg_elem_types") {
+            if let AttrKind::Array(items) = ir.attr_kind(attr) {
+                for (&arg, &item) in entry_args.iter().zip(items) {
+                    if let Some(t) = ir.attr_as_type(item) {
+                        if is_ptr(ir, ir.value_ty(arg)) {
+                            self.ptr_elems.insert(arg, t);
                         }
                     }
                 }
             }
         }
         // Propagate elem types through GEPs and allocas.
-        for &b in &blocks {
-            for &op in &self.ir.block(b).ops {
-                if self.ir.op_is(op, l::GEP) || self.ir.op_is(op, l::ALLOCA) {
-                    if let Some(e) = self
-                        .ir
-                        .get_attr(op, "elem_type")
-                        .and_then(|a| self.ir.attr_as_type(a))
-                    {
-                        self.ptr_elems.insert(self.ir.result(op), e);
+        for &b in blocks {
+            for &op in &ir.block(b).ops {
+                if ir.op_is(op, l::GEP) || ir.op_is(op, l::ALLOCA) {
+                    if let Some(e) = self.elem_type_attr(op) {
+                        self.ptr_elems.insert(ir.result(op), e);
                     }
                 }
             }
         }
         // Signature.
-        let params: Vec<String> = entry_args
-            .iter()
-            .map(|&a| {
-                let n = self.fresh(a);
-                format!("{} {}", self.vty(a), n)
-            })
-            .collect();
-        let (_, results) = signature(self.ir, self.f);
-        let ret_ty = match results.first() {
-            Some(&t) => self.ty(t),
-            None => "void".into(),
-        };
-        let _ = writeln!(out, "define {ret_ty} @{name}({}) {{", params.join(", "));
-        // Label blocks and collect predecessor edges (for phis).
-        for (i, &b) in blocks.iter().enumerate() {
-            self.block_names.insert(b, format!("bb{i}"));
+        out.push_str("define ");
+        match result_types(ir, f).first() {
+            Some(&t) => {
+                let _ = write!(out, "{}", self.ty(t));
+            }
+            None => out.push_str("void"),
         }
-        // preds: block -> Vec<(pred label, forwarded args)>
-        let mut preds: HashMap<BlockId, Vec<(String, Vec<ValueId>)>> = HashMap::new();
-        for &b in &blocks {
-            let label = self.block_names[&b].clone();
-            if let Some(&term) = self.ir.block(b).ops.last() {
-                match self.ir.op_name(term) {
-                    "llvm.br" => {
-                        let dest = self.ir.op(term).successors[0];
-                        let args = self.ir.op(term).operands.clone();
-                        preds.entry(dest).or_default().push((label.clone(), args));
-                    }
+        let _ = write!(out, " @{name}(");
+        for (i, &a) in entry_args.iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            let n = self.fresh(a);
+            let _ = write!(out, "{} {n}", self.vty(a));
+        }
+        out.push_str(") {\n");
+        // Label blocks and collect predecessor edges (for phis):
+        // (successor, predecessor's label, forwarded args).
+        let mut edges: Vec<(BlockId, u32, &'a [ValueId])> = Vec::new();
+        for (i, &b) in blocks.iter().enumerate() {
+            self.block_labels[b.index()] = i as u32;
+            if let Some(&term) = ir.block(b).ops.last() {
+                let succs = &ir.op(term).successors;
+                match ir.op_name(term) {
+                    "llvm.br" => edges.push((succs[0], i as u32, &ir.op(term).operands)),
                     "llvm.cond_br" => {
-                        let succs = self.ir.op(term).successors.clone();
-                        let (_c, t_args, f_args) = cond_br_operands(self.ir, term);
-                        preds
-                            .entry(succs[0])
-                            .or_default()
-                            .push((label.clone(), t_args));
-                        preds.entry(succs[1]).or_default().push((label, f_args));
+                        let (_c, t_args, f_args) = cond_br_operands(ir, term);
+                        edges.push((succs[0], i as u32, t_args));
+                        edges.push((succs[1], i as u32, f_args));
                     }
                     _ => {}
                 }
@@ -173,15 +252,15 @@ impl<'a> FuncEmitter<'a> {
         // no name) so phi nodes can forward-reference latch values.
         for (i, &b) in blocks.iter().enumerate() {
             if i != 0 {
-                for &arg in &self.ir.block(b).args.clone() {
+                for &arg in &ir.block(b).args {
                     self.fresh(arg);
                 }
             }
-            for &op in &self.ir.block(b).ops.clone() {
-                if self.ir.op_is(op, l::CONSTANT) {
+            for &op in &ir.block(b).ops {
+                if ir.op_is(op, l::CONSTANT) {
                     continue;
                 }
-                for &r in &self.ir.op(op).results.clone() {
+                for &r in &ir.op(op).results {
                     self.fresh(r);
                 }
             }
@@ -189,251 +268,211 @@ impl<'a> FuncEmitter<'a> {
         // Emit blocks.
         for (i, &b) in blocks.iter().enumerate() {
             if i == 0 {
-                let _ = writeln!(out, "entry:");
+                out.push_str("entry:\n");
             } else {
-                let _ = writeln!(out, "{}:", self.block_names[&b]);
-            }
-            // Phi nodes for block args.
-            if i != 0 {
-                let args = self.ir.block(b).args.clone();
-                for (ai, &arg) in args.iter().enumerate() {
-                    let incoming: Vec<String> = preds
-                        .get(&b)
-                        .map(|ps| {
-                            ps.iter()
-                                .map(|(label, vals)| {
-                                    format!("[ {}, %{} ]", self.operand_text(vals[ai]), label)
-                                })
-                                .collect()
-                        })
-                        .unwrap_or_default();
+                let _ = writeln!(out, "bb{i}:");
+                // Phi nodes for block args.
+                for (ai, &arg) in ir.block(b).args.iter().enumerate() {
+                    let mut incoming = edges.iter().filter(|(succ, ..)| *succ == b);
                     // Propagate pointer element info through phis.
-                    if let Some(ps) = preds.get(&b) {
-                        if let Some((_, vals)) = ps.first() {
-                            if let Some(&e) = self.ptr_elems.get(&vals[ai]) {
-                                self.ptr_elems.insert(arg, e);
-                            }
+                    if let Some((_, _, vals)) = incoming.clone().next() {
+                        if let Some(e) = self.ptr_elems.get(vals[ai]) {
+                            self.ptr_elems.insert(arg, e);
                         }
                     }
-                    let _ = writeln!(
-                        out,
-                        "  {} = phi {} {}",
-                        self.name_of(arg),
-                        self.vty(arg),
-                        incoming.join(", ")
-                    );
+                    let _ = write!(out, "  {} = phi {} ", self.name_of(arg), self.vty(arg));
+                    if let Some((_, label, vals)) = incoming.next() {
+                        let _ = write!(out, "[ {}, %bb{label} ]", self.operand(vals[ai]));
+                    }
+                    for (_, label, vals) in incoming {
+                        let _ = write!(out, ", [ {}, %bb{label} ]", self.operand(vals[ai]));
+                    }
+                    out.push('\n');
                 }
             }
-            for &op in &self.ir.block(b).ops.clone() {
-                self.emit_op(out, op, declared);
+            for &op in &ir.block(b).ops {
+                self.emit_op(out, op);
             }
         }
-        let _ = writeln!(out, "}}");
+        out.push_str("}\n");
     }
 
-    fn const_text(&self, op: OpId) -> String {
-        let attr = self.ir.get_attr(op, "value").expect("constant value");
-        match self.ir.attr_kind(attr) {
-            AttrKind::Int(v, _) => format!("{v}"),
-            AttrKind::Float(bits, ty) => {
-                let v = f64::from_bits(*bits);
-                // LLVM float constants print as double-style hex-free decimal.
-                let _ = ty;
-                format!("{v:e}")
-            }
-            AttrKind::Bool(b) => format!("{}", *b as u8),
-            _ => "0".into(),
-        }
-    }
-
-    fn operand_text(&self, v: ValueId) -> String {
-        // Inline constants.
-        if let Some(def) = self.ir.defining_op(v) {
-            if self.ir.op_is(def, l::CONSTANT) {
-                return self.const_text(def);
-            }
-        }
-        self.name_of(v)
-    }
-
-    fn emit_op(&mut self, out: &mut String, op: OpId, declared: &mut Vec<(String, String)>) {
-        let name = self.ir.op_name(op).to_string();
-        let operands = self.ir.op(op).operands.clone();
-        match name.as_str() {
+    fn emit_op(&mut self, out: &mut String, op: OpId) {
+        let ir = self.ir;
+        let name = ir.op_name(op);
+        let operands = &ir.op(op).operands;
+        match name {
             "llvm.mlir.constant" => { /* inlined at uses */ }
             "llvm.add" | "llvm.sub" | "llvm.mul" | "llvm.sdiv" | "llvm.srem" | "llvm.and"
             | "llvm.or" | "llvm.xor" => {
-                let r = self.fresh(self.ir.result(op));
+                let r = self.fresh(ir.result(op));
                 let opn = &name[5..];
                 let _ = writeln!(
                     out,
                     "  {r} = {opn} {} {}, {}",
                     self.vty(operands[0]),
-                    self.operand_text(operands[0]),
-                    self.operand_text(operands[1])
+                    self.operand(operands[0]),
+                    self.operand(operands[1])
                 );
             }
             "llvm.fadd" | "llvm.fsub" | "llvm.fmul" | "llvm.fdiv" => {
-                let r = self.fresh(self.ir.result(op));
+                let r = self.fresh(ir.result(op));
                 let opn = &name[5..];
-                let fm = self
-                    .ir
-                    .attr_str_of(op, "fastmath")
-                    .map(|s| format!("{s} "))
-                    .unwrap_or_default();
+                let _ = write!(out, "  {r} = {opn} ");
+                if let Some(fm) = ir.attr_str_of(op, "fastmath") {
+                    let _ = write!(out, "{fm} ");
+                }
                 let _ = writeln!(
                     out,
-                    "  {r} = {opn} {fm}{} {}, {}",
+                    "{} {}, {}",
                     self.vty(operands[0]),
-                    self.operand_text(operands[0]),
-                    self.operand_text(operands[1])
+                    self.operand(operands[0]),
+                    self.operand(operands[1])
                 );
             }
             "llvm.fneg" => {
-                let r = self.fresh(self.ir.result(op));
+                let r = self.fresh(ir.result(op));
                 let _ = writeln!(
                     out,
                     "  {r} = fneg {} {}",
                     self.vty(operands[0]),
-                    self.operand_text(operands[0])
+                    self.operand(operands[0])
                 );
             }
             "llvm.icmp" | "llvm.fcmp" => {
-                let r = self.fresh(self.ir.result(op));
-                let pred = self.ir.attr_str_of(op, "predicate").unwrap_or("eq");
-                let opn = if name == "llvm.icmp" { "icmp" } else { "fcmp" };
+                let r = self.fresh(ir.result(op));
+                let pred = ir.attr_str_of(op, "predicate").unwrap_or("eq");
+                let opn = &name[5..];
                 let _ = writeln!(
                     out,
                     "  {r} = {opn} {pred} {} {}, {}",
                     self.vty(operands[0]),
-                    self.operand_text(operands[0]),
-                    self.operand_text(operands[1])
+                    self.operand(operands[0]),
+                    self.operand(operands[1])
                 );
             }
             "llvm.select" => {
-                let r = self.fresh(self.ir.result(op));
+                let r = self.fresh(ir.result(op));
                 let _ = writeln!(
                     out,
                     "  {r} = select i1 {}, {} {}, {} {}",
-                    self.operand_text(operands[0]),
+                    self.operand(operands[0]),
                     self.vty(operands[1]),
-                    self.operand_text(operands[1]),
+                    self.operand(operands[1]),
                     self.vty(operands[2]),
-                    self.operand_text(operands[2])
+                    self.operand(operands[2])
                 );
             }
             "llvm.alloca" => {
-                let r = self.fresh(self.ir.result(op));
-                let elem = self
-                    .ir
-                    .get_attr(op, "elem_type")
-                    .and_then(|a| self.ir.attr_as_type(a))
-                    .expect("alloca elem_type");
-                self.ptr_elems.insert(self.ir.result(op), elem);
-                let align = type_align(self.ir, elem);
+                let r = self.fresh(ir.result(op));
+                let elem = self.elem_type_attr(op).expect("alloca elem_type");
+                self.ptr_elems.insert(ir.result(op), elem);
+                let align = type_align(ir, elem);
                 let _ = writeln!(
                     out,
                     "  {r} = alloca {}, i64 {}, align {align}",
                     self.ty(elem),
-                    self.operand_text(operands[0])
+                    self.operand(operands[0])
                 );
             }
             "llvm.getelementptr" => {
-                let r = self.fresh(self.ir.result(op));
-                let elem = self
-                    .ir
-                    .get_attr(op, "elem_type")
-                    .and_then(|a| self.ir.attr_as_type(a))
-                    .expect("gep elem_type");
-                let elem_txt = self.ty(elem);
-                let base_ty = self.vty(operands[0]);
+                let r = self.fresh(ir.result(op));
+                let elem = self.elem_type_attr(op).expect("gep elem_type");
                 let _ = writeln!(
                     out,
-                    "  {r} = getelementptr inbounds {elem_txt}, {base_ty} {}, i64 {}",
-                    self.operand_text(operands[0]),
-                    self.operand_text(operands[1])
+                    "  {r} = getelementptr inbounds {}, {} {}, i64 {}",
+                    self.ty(elem),
+                    self.vty(operands[0]),
+                    self.operand(operands[0]),
+                    self.operand(operands[1])
                 );
             }
             "llvm.load" => {
-                let r = self.fresh(self.ir.result(op));
-                let elem = self.ir.value_ty(self.ir.result(op));
-                let align = type_align(self.ir, elem);
+                let r = self.fresh(ir.result(op));
+                let elem = ir.value_ty(ir.result(op));
+                let align = type_align(ir, elem);
                 let _ = writeln!(
                     out,
                     "  {r} = load {}, {} {}, align {align}",
                     self.ty(elem),
                     self.vty(operands[0]),
-                    self.operand_text(operands[0])
+                    self.operand(operands[0])
                 );
             }
             "llvm.store" => {
-                let elem = self.ir.value_ty(operands[0]);
-                let align = type_align(self.ir, elem);
+                let elem = ir.value_ty(operands[0]);
+                let align = type_align(ir, elem);
                 let _ = writeln!(
                     out,
                     "  store {} {}, {} {}, align {align}",
                     self.ty(elem),
-                    self.operand_text(operands[0]),
+                    self.operand(operands[0]),
                     self.vty(operands[1]),
-                    self.operand_text(operands[1])
+                    self.operand(operands[1])
                 );
             }
             "llvm.sext" | "llvm.trunc" | "llvm.sitofp" | "llvm.fptosi" | "llvm.fpext"
             | "llvm.fptrunc" => {
-                let r = self.fresh(self.ir.result(op));
+                let r = self.fresh(ir.result(op));
                 let opn = &name[5..];
-                let to = self.vty(self.ir.result(op));
                 let _ = writeln!(
                     out,
-                    "  {r} = {opn} {} {} to {to}",
+                    "  {r} = {opn} {} {} to {}",
                     self.vty(operands[0]),
-                    self.operand_text(operands[0])
+                    self.operand(operands[0]),
+                    self.vty(ir.result(op))
                 );
             }
             "llvm.call" => {
-                let callee = self.ir.attr_str_of(op, "callee").unwrap_or("f").to_string();
-                let callee = self.map_callee(&callee);
-                let args: Vec<String> = operands
-                    .iter()
-                    .map(|&v| format!("{} {}", self.vty(v), self.operand_text(v)))
-                    .collect();
-                let results = self.ir.op(op).results.clone();
-                let sig_args: Vec<String> = operands.iter().map(|&v| self.vty(v)).collect();
-                let ret = match results.first() {
-                    Some(&r) => self.vty(r),
-                    None => "void".to_string(),
-                };
-                if !declared.iter().any(|(n, _)| *n == callee) {
-                    declared.push((callee.clone(), format!("{ret} ({})", sig_args.join(", "))));
-                }
-                match results.first() {
-                    Some(&rv) => {
-                        let r = self.fresh(rv);
-                        let _ = writeln!(out, "  {r} = call {ret} @{callee}({})", args.join(", "));
+                let callee = self.map_callee(ir.attr_str_of(op, "callee").unwrap_or("f"));
+                let result = ir.op(op).results.first().copied();
+                if !self.declared.iter().any(|(n, _)| *n == callee) {
+                    let mut sig = String::new();
+                    self.write_ret_ty(&mut sig, result);
+                    sig.push_str(" (");
+                    for (i, &v) in operands.iter().enumerate() {
+                        if i > 0 {
+                            sig.push_str(", ");
+                        }
+                        let _ = write!(sig, "{}", self.vty(v));
                     }
-                    None => {
-                        let _ = writeln!(out, "  call void @{callee}({})", args.join(", "));
-                    }
+                    sig.push(')');
+                    self.declared.push((callee, sig));
                 }
+                out.push_str("  ");
+                if let Some(rv) = result {
+                    let r = self.fresh(rv);
+                    let _ = write!(out, "{r} = ");
+                }
+                out.push_str("call ");
+                self.write_ret_ty(out, result);
+                let _ = write!(out, " @{callee}(");
+                for (i, &v) in operands.iter().enumerate() {
+                    if i > 0 {
+                        out.push_str(", ");
+                    }
+                    let _ = write!(out, "{} {}", self.vty(v), self.operand(v));
+                }
+                out.push_str(")\n");
             }
             "llvm.br" => {
-                let dest = self.ir.op(op).successors[0];
-                let _ = writeln!(out, "  br label %{}", self.block_names[&dest]);
+                let dest = ir.op(op).successors[0];
+                let _ = writeln!(out, "  br label %bb{}", self.label(dest));
             }
             "llvm.cond_br" => {
-                let succs = self.ir.op(op).successors.clone();
-                let (c, _t, _f) = cond_br_operands(self.ir, op);
+                let succs = &ir.op(op).successors;
+                let (c, _t, _f) = cond_br_operands(ir, op);
                 let _ = writeln!(
                     out,
-                    "  br i1 {}, label %{}, label %{}",
-                    self.operand_text(c),
-                    self.block_names[&succs[0]],
-                    self.block_names[&succs[1]]
+                    "  br i1 {}, label %bb{}, label %bb{}",
+                    self.operand(c),
+                    self.label(succs[0]),
+                    self.label(succs[1])
                 );
             }
             "llvm.return" => match operands.first() {
                 Some(&v) => {
-                    let _ = writeln!(out, "  ret {} {}", self.vty(v), self.operand_text(v));
+                    let _ = writeln!(out, "  ret {} {}", self.vty(v), self.operand(v));
                 }
                 None => {
                     let _ = writeln!(out, "  ret void");
@@ -445,16 +484,26 @@ impl<'a> FuncEmitter<'a> {
         }
     }
 
+    /// A call's return type: its result's, or `void`.
+    fn write_ret_ty(&self, out: &mut String, result: Option<ValueId>) {
+        match result {
+            Some(r) => {
+                let _ = write!(out, "{}", self.vty(r));
+            }
+            None => out.push_str("void"),
+        }
+    }
+
     /// `[19]`-style mapping of HLS primitives onto AMD SSDM intrinsics.
-    fn map_callee(&self, callee: &str) -> String {
+    fn map_callee(&self, callee: &'a str) -> &'a str {
         if !self.options.ssdm_intrinsics {
-            return callee.to_string();
+            return callee;
         }
         match callee {
-            "_hls_spec_pipeline" => "_ssdm_op_SpecPipeline".into(),
-            "_hls_spec_unroll" => "_ssdm_op_SpecUnroll".into(),
-            "_hls_spec_interface" => "_ssdm_op_SpecInterface".into(),
-            other => other.to_string(),
+            "_hls_spec_pipeline" => "_ssdm_op_SpecPipeline",
+            "_hls_spec_unroll" => "_ssdm_op_SpecUnroll",
+            "_hls_spec_interface" => "_ssdm_op_SpecInterface",
+            other => other,
         }
     }
 }
@@ -463,35 +512,15 @@ fn is_ptr(ir: &Ir, t: TypeId) -> bool {
     matches!(ir.type_kind(t), TypeKind::Opaque { .. })
 }
 
-fn signature(ir: &Ir, f: OpId) -> (Vec<TypeId>, Vec<TypeId>) {
+/// Result types of an `llvm.func`'s `function_type`.
+fn result_types(ir: &Ir, f: OpId) -> &[TypeId] {
     let fty = ir
         .get_attr(f, "function_type")
         .and_then(|a| ir.attr_as_type(a))
         .expect("llvm.func without function_type");
     match ir.type_kind(fty) {
-        TypeKind::Function { inputs, results } => (inputs.clone(), results.clone()),
-        _ => (vec![], vec![]),
-    }
-}
-
-fn llvm_type(ir: &Ir, t: TypeId, typed_pointers: bool, elem: Option<TypeId>) -> String {
-    match ir.type_kind(t) {
-        TypeKind::Integer { width } => format!("i{width}"),
-        TypeKind::Float32 => "float".into(),
-        TypeKind::Float64 => "double".into(),
-        TypeKind::Index => "i64".into(),
-        TypeKind::None => "void".into(),
-        TypeKind::Opaque { .. } => {
-            if typed_pointers {
-                match elem {
-                    Some(e) => format!("{}*", llvm_type(ir, e, typed_pointers, None)),
-                    None => "i8*".into(),
-                }
-            } else {
-                "ptr".into()
-            }
-        }
-        other => format!("<{other:?}>"),
+        TypeKind::Function { results, .. } => results,
+        _ => &[],
     }
 }
 

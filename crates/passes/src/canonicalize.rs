@@ -4,7 +4,7 @@
 
 use ftn_dialects::arith;
 use ftn_mlir::{
-    apply_patterns_greedily, AttrKind, Ir, OpId, OpSpec, Pass, PassError, RewritePattern,
+    apply_patterns_greedily, AttrKind, Ir, OpId, OpSpec, Pass, PassError, RewritePattern, ValueId,
 };
 
 /// See module docs.
@@ -124,44 +124,48 @@ impl RewritePattern for ForwardStoreToLoad {
         if !ir.op_is(op, "memref.load") {
             return Ok(false);
         }
-        let load_operands = ir.op(op).operands.clone();
-        let (block, pos) = ir.op_position(op).ok_or("load not in block")?;
-        let ops = ir.block(block).ops.clone();
-        for &prev in ops[..pos].iter().rev() {
-            let pname = ir.op_name(prev);
-            if pname == "memref.store" {
-                let st = ir.op(prev).operands.clone();
-                // store operands: [value, memref, indices...]
-                if st[1] == load_operands[0] && st[2..] == load_operands[1..] {
-                    let value = st[0];
-                    let result = ir.result(op);
-                    ir.replace_all_uses(result, value);
-                    ir.erase_op(op);
-                    return Ok(true);
-                }
-                // A store to the same memref with different indices may alias.
-                if st[1] == load_operands[0] {
-                    return Ok(false);
-                }
+        let Some(value) = forwardable_store_value(ir, op)? else {
+            return Ok(false);
+        };
+        let result = ir.result(op);
+        ir.replace_all_uses(result, value);
+        ir.erase_op(op);
+        Ok(true)
+    }
+}
+
+/// The value `load` would read, when an earlier store in its block wrote it
+/// and nothing in between may have overwritten it.
+fn forwardable_store_value(ir: &Ir, load: OpId) -> Result<Option<ValueId>, String> {
+    let load_operands = &ir.op(load).operands;
+    let (block, pos) = ir.op_position(load).ok_or("load not in block")?;
+    for &prev in ir.block(block).ops[..pos].iter().rev() {
+        let pname = ir.op_name(prev);
+        if pname == "memref.store" {
+            // store operands: [value, memref, indices...]
+            let st = &ir.op(prev).operands;
+            if st[1] != load_operands[0] {
                 continue;
             }
-            // Barriers: anything that may write memory or transfer control.
-            let barrier = !ir.op(prev).regions.is_empty()
-                || matches!(
-                    pname,
-                    "func.call"
-                        | "memref.dma_start"
-                        | "memref.wait"
-                        | "memref.copy"
-                        | "device.kernel_launch"
-                        | "device.kernel_wait"
-                );
-            if barrier {
-                return Ok(false);
-            }
+            // Same memref: either the very element, or a possible alias.
+            return Ok((st[2..] == load_operands[1..]).then_some(st[0]));
         }
-        Ok(false)
+        // Barriers: anything that may write memory or transfer control.
+        let barrier = !ir.op(prev).regions.is_empty()
+            || matches!(
+                pname,
+                "func.call"
+                    | "memref.dma_start"
+                    | "memref.wait"
+                    | "memref.copy"
+                    | "device.kernel_launch"
+                    | "device.kernel_wait"
+            );
+        if barrier {
+            return Ok(None);
+        }
     }
+    Ok(None)
 }
 
 #[cfg(test)]

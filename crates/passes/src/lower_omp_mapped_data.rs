@@ -76,32 +76,53 @@ struct MapEntry {
     space: u32,
 }
 
+/// The five constructs that carry map operands.
+#[derive(Clone, Copy)]
+enum DataConstruct {
+    TargetData,
+    EnterData,
+    ExitData,
+    Update,
+    Target,
+}
+
+impl DataConstruct {
+    fn of(op_name: &str) -> Option<Self> {
+        Some(match op_name {
+            omp::TARGET_DATA => DataConstruct::TargetData,
+            omp::TARGET_ENTER_DATA => DataConstruct::EnterData,
+            omp::TARGET_EXIT_DATA => DataConstruct::ExitData,
+            omp::TARGET_UPDATE => DataConstruct::Update,
+            omp::TARGET => DataConstruct::Target,
+            _ => return None,
+        })
+    }
+}
+
 impl LowerOmpMappedDataPass {
     fn run_impl(&mut self, ir: &mut Ir, module: OpId) -> Result<(), String> {
-        // Repeatedly process the outermost remaining data construct: inlining
-        // a `target_data` body exposes the constructs inside it.
-        loop {
-            let Some(op) = ftn_mlir::walk_preorder(ir, module).into_iter().find(|&o| {
-                matches!(
-                    ir.op_name(o),
-                    omp::TARGET_DATA
-                        | omp::TARGET_ENTER_DATA
-                        | omp::TARGET_EXIT_DATA
-                        | omp::TARGET_UPDATE
-                        | omp::TARGET
-                ) && !ir.has_attr(o, "data_lowered")
-            }) else {
-                return Ok(());
-            };
-            match ir.op_name(op).to_string().as_str() {
-                omp::TARGET_DATA => self.lower_target_data(ir, op)?,
-                omp::TARGET_ENTER_DATA => self.lower_enter_exit(ir, op, true)?,
-                omp::TARGET_EXIT_DATA => self.lower_enter_exit(ir, op, false)?,
-                omp::TARGET_UPDATE => self.lower_update(ir, op)?,
-                omp::TARGET => self.lower_target(ir, op)?,
-                _ => unreachable!(),
+        // One pre-order snapshot is the order "outermost remaining construct
+        // first" would visit them in: lowering creates no new construct, and
+        // the ones a `target_data` body exposes when it is inlined are its
+        // descendants, which pre-order lists right after it. The HBM-bank
+        // round-robin in `space_for` depends on this order.
+        let constructs: Vec<(OpId, DataConstruct)> = ftn_mlir::walk_preorder(ir, module)
+            .into_iter()
+            .filter_map(|o| Some((o, DataConstruct::of(ir.op_name(o))?)))
+            .collect();
+        for (op, kind) in constructs {
+            if !ir.op(op).alive || ir.has_attr(op, "data_lowered") {
+                continue;
+            }
+            match kind {
+                DataConstruct::TargetData => self.lower_target_data(ir, op)?,
+                DataConstruct::EnterData => self.lower_enter_exit(ir, op, true)?,
+                DataConstruct::ExitData => self.lower_enter_exit(ir, op, false)?,
+                DataConstruct::Update => self.lower_update(ir, op)?,
+                DataConstruct::Target => self.lower_target(ir, op)?,
             }
         }
+        Ok(())
     }
 
     fn map_entries(&mut self, ir: &Ir, op: OpId) -> Vec<MapEntry> {
@@ -123,14 +144,16 @@ impl LowerOmpMappedDataPass {
         let entries = self.map_entries(ir, target);
         let n_maps = entries.len();
         let map_info_values: Vec<ValueId> = ir.op(target).operands[..n_maps].to_vec();
-        // Entry protocol before the target; collect device memrefs.
+        // Entry protocol before the target; collect device memrefs. The
+        // builder stays just before the target, so it knows its position.
+        let (block, pos) = ir.op_position(target).expect("target in block");
+        let mut b = Builder::at(ir, block, pos);
         let mut dev_vals = Vec::with_capacity(n_maps);
         for e in &entries {
-            let (block, pos) = ir.op_position(target).expect("target in block");
-            let mut b = Builder::at(ir, block, pos);
             let dev = emit_entry(&mut b, e, true)?;
             dev_vals.push(dev.expect("entry with lookup"));
         }
+        let after_target = b.insertion_pos() + 1;
         // Swap map_info operands for device memrefs; retype block args.
         let region_args = ir.block(ir.entry_block(target, 0)).args.clone();
         for (i, dev) in dev_vals.iter().enumerate() {
@@ -138,21 +161,13 @@ impl LowerOmpMappedDataPass {
             let dev_ty = ir.value_ty(*dev);
             ir.set_value_type(region_args[i], dev_ty);
         }
-        // Exit protocol after the target.
+        // Exit protocol after the target, each in front of the previous one.
         for e in entries.iter().rev() {
-            let (block, pos) = ir.op_position(target).expect("target in block");
-            let mut b = Builder::at(ir, block, pos + 1);
+            let mut b = Builder::at(ir, block, after_target);
             emit_exit(&mut b, e)?;
         }
-        // Map infos are no longer referenced by this target.
-        for v in map_info_values {
-            if !ir.has_uses(v) {
-                if let Some(def) = ir.defining_op(v) {
-                    ir.erase_op(def);
-                }
-            }
-        }
-        // Mark as processed so the driver loop terminates.
+        erase_unused_map_infos(ir, map_info_values);
+        // Mark as processed so the driver skips it if it meets it again.
         let unit = ir.attr_unit();
         ir.set_attr(target, "data_lowered", unit);
         Ok(())
@@ -161,46 +176,36 @@ impl LowerOmpMappedDataPass {
     fn lower_target_data(&mut self, ir: &mut Ir, td: OpId) -> Result<(), String> {
         let entries = self.map_entries(ir, td);
         let map_info_values: Vec<ValueId> = ir.op(td).operands.clone();
-        // Entries before the construct.
+        // Everything goes just before the construct, in order: the entries,
+        // the inlined body (all but the omp.terminator), the exits.
+        let mut b = Builder::before(ir, td);
         for e in &entries {
-            let (block, pos) = ir.op_position(td).expect("in block");
-            let mut b = Builder::at(ir, block, pos);
             emit_entry(&mut b, e, false)?;
         }
-        // Inline the body (all but the omp.terminator) before the op.
-        let body = ir.entry_block(td, 0);
-        let body_ops: Vec<OpId> = ir.block(body).ops.clone();
-        for inner in body_ops {
-            if ir.op_is(inner, omp::TERMINATOR) {
-                continue;
-            }
-            ir.detach_op(inner);
-            let (block, pos) = ir.op_position(td).expect("in block");
-            ir.insert_op(block, pos, inner);
-        }
-        // Exits, then drop the construct.
+        let body = b.ir.entry_block(td, 0);
+        let body_len = b.ir.block(body).ops.len();
+        let has_terminator =
+            b.ir.block(body)
+                .ops
+                .last()
+                .is_some_and(|&last| b.ir.op_is(last, omp::TERMINATOR));
+        let inlined = body_len - usize::from(has_terminator);
+        let (block, pos) = (b.insertion_block(), b.insertion_pos());
+        b.ir.move_ops(body, 0..inlined, block, pos);
+        b.set_insertion_point(block, pos + inlined);
         for e in entries.iter().rev() {
-            let (block, pos) = ir.op_position(td).expect("in block");
-            let mut b = Builder::at(ir, block, pos);
             emit_exit(&mut b, e)?;
         }
         ir.erase_op(td);
-        for v in map_info_values {
-            if !ir.has_uses(v) {
-                if let Some(def) = ir.defining_op(v) {
-                    ir.erase_op(def);
-                }
-            }
-        }
+        erase_unused_map_infos(ir, map_info_values);
         Ok(())
     }
 
     fn lower_enter_exit(&mut self, ir: &mut Ir, op: OpId, is_enter: bool) -> Result<(), String> {
         let entries = self.map_entries(ir, op);
         let map_info_values: Vec<ValueId> = ir.op(op).operands.clone();
+        let mut b = Builder::before(ir, op);
         for e in &entries {
-            let (block, pos) = ir.op_position(op).expect("in block");
-            let mut b = Builder::at(ir, block, pos);
             if is_enter {
                 emit_entry(&mut b, e, false)?;
             } else {
@@ -208,43 +213,41 @@ impl LowerOmpMappedDataPass {
             }
         }
         ir.erase_op(op);
-        for v in map_info_values {
-            if !ir.has_uses(v) {
-                if let Some(def) = ir.defining_op(v) {
-                    ir.erase_op(def);
-                }
-            }
-        }
+        erase_unused_map_infos(ir, map_info_values);
         Ok(())
     }
 
     fn lower_update(&mut self, ir: &mut Ir, op: OpId) -> Result<(), String> {
-        let motion = ir
-            .attr_str_of(op, "motion")
-            .ok_or("target_update without motion")?
-            .to_string();
+        let from_device = match ir.attr_str_of(op, "motion") {
+            Some(motion) => motion == "from",
+            None => return Err("target_update without motion".into()),
+        };
         let entries = self.map_entries(ir, op);
         let map_info_values: Vec<ValueId> = ir.op(op).operands.clone();
+        let mut b = Builder::before(ir, op);
         for e in &entries {
-            let (block, pos) = ir.op_position(op).expect("in block");
-            let mut b = Builder::at(ir, block, pos);
             let dev_ty = b.ir.memref_in_space(b.ir.value_ty(e.host_var), e.space);
             let dev = device::build_lookup(&mut b, dev_ty, &e.name, e.space);
-            if motion == "from" {
+            if from_device {
                 memref::transfer(&mut b, dev, e.host_var);
             } else {
                 memref::transfer(&mut b, e.host_var, dev);
             }
         }
         ir.erase_op(op);
-        for v in map_info_values {
-            if !ir.has_uses(v) {
-                if let Some(def) = ir.defining_op(v) {
-                    ir.erase_op(def);
-                }
+        erase_unused_map_infos(ir, map_info_values);
+        Ok(())
+    }
+}
+
+/// Map infos whose construct is gone are dead once nothing else uses them.
+fn erase_unused_map_infos(ir: &mut Ir, map_info_values: Vec<ValueId>) {
+    for v in map_info_values {
+        if !ir.has_uses(v) {
+            if let Some(def) = ir.defining_op(v) {
+                ir.erase_op(def);
             }
         }
-        Ok(())
     }
 }
 
@@ -396,5 +399,104 @@ mod tests {
         let text = print_op(&ir, module);
         assert!(!text.contains("omp."), "all omp data ops gone:\n{text}");
         assert!(text.contains("device.lookup"), "{text}");
+    }
+
+    /// 25 distinctly named maps across nested `target data`, `target`,
+    /// enter / update / exit constructs: banks are handed out round-robin in
+    /// the order the driver first meets each name — outermost construct
+    /// first, an inlined `target_data` body before the construct's later
+    /// siblings — and wrap past `HBM_BANKS`. The table is what the
+    /// find-first-and-rewalk driver this pass used to have assigned.
+    #[test]
+    fn hbm_banks_follow_preorder_past_the_wrap() {
+        let mut ir = Ir::new();
+        let (module, mbody) = builtin::module(&mut ir);
+        let f32t = ir.f32t();
+        let mty = ir.memref_t(&[8], f32t, 0);
+        {
+            let mut b = Builder::at_end(&mut ir, mbody);
+            let (_f, entry) = func::build_func(&mut b, "main", &[], &[]);
+            b.set_insertion_point_to_end(entry);
+            let buf = memref::alloc(&mut b, mty, &[]);
+            let maps = |b: &mut Builder, names: &[&str]| -> Vec<ValueId> {
+                names
+                    .iter()
+                    .map(|n| omp::build_map_info(b, buf, omp::MapType::Tofrom, n, &[]))
+                    .collect()
+            };
+            let target = |b: &mut Builder, names: &[&str]| {
+                let mi = maps(b, names);
+                omp::build_target(b, &mi, &[], |_, _| {});
+            };
+
+            let mi = maps(&mut b, &["e0", "e1"]);
+            omp::build_target_enter_data(&mut b, &mi);
+            let mi = maps(&mut b, &["d0", "d1", "d2"]);
+            omp::build_target_data(&mut b, &mi, |inner| {
+                target(inner, &["t0", "t1"]);
+                let mi = maps(inner, &["n0", "n1"]);
+                omp::build_target_data(inner, &mi, |innermost| {
+                    target(innermost, &["t2", "d0", "n0"]);
+                    let mi = maps(innermost, &["n1", "u0"]);
+                    omp::build_target_update(innermost, &mi, "from");
+                });
+                let mi = maps(inner, &["e2"]);
+                omp::build_target_enter_data(inner, &mi);
+                target(inner, &["t3", "t4"]);
+            });
+            // Met only after everything the data region above contained.
+            target(&mut b, &["a0", "a1", "a2", "a3", "a4", "a5"]);
+            let mi = maps(&mut b, &["d1", "u1"]);
+            omp::build_target_update(&mut b, &mi, "to");
+            let mi = maps(&mut b, &["e0", "e1", "e2", "x0"]);
+            omp::build_target_exit_data(&mut b, &mi);
+            let mi = maps(&mut b, &["z0", "z1"]);
+            omp::build_target_data(&mut b, &mi, |inner| target(inner, &["z2", "a0"]));
+            func::build_return(&mut b, &[]);
+        }
+        LowerOmpMappedDataPass::new().run(&mut ir, module).unwrap();
+        verify(&ir, module, &registry()).unwrap();
+
+        let mut spaces: Vec<(String, u32)> = Vec::new();
+        for op in ftn_mlir::walk_preorder(&ir, module) {
+            if !ir.has_attr(op, "memory_space") {
+                continue;
+            }
+            let (name, space) = (device::data_name(&ir, op), device::memory_space(&ir, op));
+            match spaces.iter().find(|(n, _)| n == name) {
+                Some((_, seen)) => assert_eq!(*seen, space, "'{name}' changed banks"),
+                None => spaces.push((name.to_string(), space)),
+            }
+        }
+        spaces.sort();
+        let expected = [
+            ("a0", 15),
+            ("a1", 16),
+            ("a2", 1),
+            ("a3", 2),
+            ("a4", 3),
+            ("a5", 4),
+            ("d0", 3),
+            ("d1", 4),
+            ("d2", 5),
+            ("e0", 1),
+            ("e1", 2),
+            ("e2", 12),
+            ("n0", 8),
+            ("n1", 9),
+            ("t0", 6),
+            ("t1", 7),
+            ("t2", 10),
+            ("t3", 13),
+            ("t4", 14),
+            ("u0", 11),
+            ("u1", 5),
+            ("x0", 6),
+            ("z0", 7),
+            ("z1", 8),
+            ("z2", 9),
+        ];
+        let actual: Vec<(&str, u32)> = spaces.iter().map(|(n, s)| (n.as_str(), *s)).collect();
+        assert_eq!(actual, expected);
     }
 }
