@@ -6,14 +6,16 @@
 //! helper keeps the old one-shot behaviour (`Connection: close` per
 //! request).
 
-use std::io::{Read, Write};
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 
 use serde::Value;
 
+use crate::http::MessageReader;
+
 /// One persistent keep-alive connection to the service.
 pub struct Conn {
-    stream: TcpStream,
+    stream: MessageReader<TcpStream>,
 }
 
 impl Conn {
@@ -22,7 +24,9 @@ impl Conn {
         // Request head+body go out as one segment already; disable Nagle so
         // a pipelined burst never waits on delayed ACKs.
         let _ = stream.set_nodelay(true);
-        Ok(Conn { stream })
+        Ok(Conn {
+            stream: MessageReader::new(stream),
+        })
     }
 
     /// Send one request on the persistent connection and return
@@ -59,7 +63,7 @@ pub fn request(
     path: &str,
     body: &str,
 ) -> std::io::Result<(u16, Value)> {
-    let mut stream = TcpStream::connect(addr)?;
+    let mut stream = MessageReader::new(TcpStream::connect(addr)?);
     round_trip(&mut stream, method, path, body, false)
 }
 
@@ -71,12 +75,12 @@ pub fn request_text(
     path: &str,
     body: &str,
 ) -> std::io::Result<(u16, String)> {
-    let mut stream = TcpStream::connect(addr)?;
+    let mut stream = MessageReader::new(TcpStream::connect(addr)?);
     round_trip_text(&mut stream, method, path, body, false)
 }
 
 fn round_trip(
-    stream: &mut TcpStream,
+    stream: &mut MessageReader<TcpStream>,
     method: &str,
     path: &str,
     body: &str,
@@ -89,7 +93,7 @@ fn round_trip(
 }
 
 fn round_trip_text(
-    stream: &mut TcpStream,
+    stream: &mut MessageReader<TcpStream>,
     method: &str,
     path: &str,
     body: &str,
@@ -102,41 +106,19 @@ fn round_trip_text(
     )
     .into_bytes();
     request.extend_from_slice(body.as_bytes());
-    stream.write_all(&request)?;
-    stream.flush()?;
+    stream.get_mut().write_all(&request)?;
+    stream.get_mut().flush()?;
 
-    // Read the response head byte-wise, then the body by Content-Length —
-    // on a keep-alive connection the server does not close the stream, so
-    // read-to-EOF would hang.
-    let mut head = Vec::with_capacity(256);
-    let mut byte = [0u8; 1];
-    while !head.ends_with(b"\r\n\r\n") {
-        let n = stream.read(&mut byte)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed mid-response",
-            ));
-        }
-        head.push(byte[0]);
-    }
-    let head = String::from_utf8_lossy(&head).into_owned();
-    let status: u16 = head
+    // The body is framed by Content-Length — on a keep-alive connection the
+    // server does not close the stream, so read-to-EOF would hang.
+    let reply = stream.read_message()?;
+    let status: u16 = reply
+        .start_line
         .split_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed status line")
         })?;
-    let mut content_length = 0usize;
-    for line in head.split("\r\n").skip(1) {
-        if let Some((name, value)) = line.split_once(':') {
-            if name.trim().eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().unwrap_or(0);
-            }
-        }
-    }
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body)?;
-    Ok((status, String::from_utf8_lossy(&body).into_owned()))
+    Ok((status, String::from_utf8_lossy(&reply.body).into_owned()))
 }

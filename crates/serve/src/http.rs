@@ -1,16 +1,188 @@
-//! Minimal std-only HTTP/1.1 plumbing for the service: parses requests,
-//! honors `Connection: keep-alive` (one request loop per connection with an
-//! idle timeout — see `handle_connection` in the crate root) and writes JSON
-//! responses. Deliberately small — the service speaks a fixed JSON API to
-//! trusted clients; this is not a general-purpose web server.
+//! Minimal std-only HTTP/1.1 reading shared by the service and its client:
+//! one buffered [`MessageReader`] per connection frames messages (head up to
+//! CRLFCRLF, then a `Content-Length` body) and [`Request`] is the server's
+//! view of one; replies are written by `conn.rs`. Deliberately small — the
+//! service speaks a fixed JSON API to trusted clients; this is not a
+//! general-purpose web server.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::io::Read;
 
-/// Maximum header block size (bytes).
-const MAX_HEADER_BYTES: usize = 16 * 1024;
+/// Maximum header block size (bytes), terminator included.
+pub const MAX_HEADER_BYTES: usize = 16 * 1024;
 /// Maximum request body size (arrays of a few million f32 as JSON).
 const MAX_BODY_BYTES: usize = 256 * 1024 * 1024;
+/// Bytes asked of the transport per head read: a whole small request (head
+/// and body) arrives in one `read`.
+const READ_CHUNK: usize = 8 * 1024;
+
+/// Why no message could be framed.
+#[derive(Debug)]
+pub enum FrameError {
+    /// The transport failed, timed out or closed: there is nobody to answer.
+    Io(std::io::Error),
+    /// The peer broke the framing rules: answer with this status and
+    /// message, then close — what follows on the stream cannot be trusted
+    /// to start at a message boundary.
+    Rejected(u16, &'static str),
+}
+
+impl From<std::io::Error> for FrameError {
+    fn from(e: std::io::Error) -> Self {
+        FrameError::Io(e)
+    }
+}
+
+impl From<FrameError> for std::io::Error {
+    fn from(e: FrameError) -> Self {
+        match e {
+            FrameError::Io(e) => e,
+            FrameError::Rejected(_, msg) => {
+                std::io::Error::new(std::io::ErrorKind::InvalidData, msg)
+            }
+        }
+    }
+}
+
+/// One framed message: the head split into its start line and the two
+/// headers this protocol acts on, plus the body bytes.
+#[derive(Debug)]
+pub struct Message {
+    /// Request line or status line, without the CRLF.
+    pub start_line: String,
+    /// `Connection: keep-alive` → `Some(true)`, `close` → `Some(false)`.
+    pub keep_alive: Option<bool>,
+    pub body: Vec<u8>,
+}
+
+/// The per-connection buffered reader. One message is framed at a time;
+/// bytes read past its end stay buffered and start the next message, so
+/// pipelined requests are served in order. Generic over the transport so
+/// tests can count and fragment reads.
+pub struct MessageReader<R> {
+    inner: R,
+    /// Bytes read from `inner` and not yet consumed by a message.
+    buf: Vec<u8>,
+}
+
+impl<R: Read> MessageReader<R> {
+    pub fn new(inner: R) -> Self {
+        MessageReader {
+            inner,
+            buf: Vec::with_capacity(READ_CHUNK),
+        }
+    }
+
+    /// The transport, for writing replies and setting timeouts.
+    pub fn get_mut(&mut self) -> &mut R {
+        &mut self.inner
+    }
+
+    /// Read once from the transport onto the end of `buf`.
+    fn fill(&mut self) -> std::io::Result<()> {
+        let len = self.buf.len();
+        self.buf.resize(len + READ_CHUNK, 0);
+        let read = self.inner.read(&mut self.buf[len..]);
+        self.buf.truncate(len + read.as_ref().map_or(0, |n| *n));
+        match read {
+            Ok(0) => Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "connection closed mid-message",
+            )),
+            // Interrupted: nothing arrived; the caller's loop reads again.
+            Err(e) if e.kind() != std::io::ErrorKind::Interrupted => Err(e),
+            _ => Ok(()),
+        }
+    }
+
+    /// Frame the next message.
+    pub fn read_message(&mut self) -> Result<Message, FrameError> {
+        const HEAD_TOO_LARGE: FrameError = FrameError::Rejected(400, "header block too large");
+        // The head: everything up to the first CRLFCRLF, which must end
+        // within `MAX_HEADER_BYTES`.
+        let mut scanned = 0usize;
+        let head_len = loop {
+            let from = scanned.saturating_sub(3);
+            if let Some(at) = self.buf[from..].windows(4).position(|w| w == b"\r\n\r\n") {
+                break from + at + 4;
+            }
+            scanned = self.buf.len();
+            if scanned >= MAX_HEADER_BYTES {
+                return Err(HEAD_TOO_LARGE);
+            }
+            self.fill()?;
+        };
+        if head_len > MAX_HEADER_BYTES {
+            return Err(HEAD_TOO_LARGE);
+        }
+        let (start_line, content_length, keep_alive) = {
+            let head = String::from_utf8_lossy(&self.buf[..head_len - 4]);
+            let mut lines = head.split("\r\n");
+            let start_line = lines.next().unwrap_or_default().to_string();
+            let mut content_length = 0usize;
+            let mut keep_alive = None;
+            for (name, value) in lines.filter_map(|line| line.split_once(':')) {
+                let (name, value) = (name.trim(), value.trim());
+                if name.eq_ignore_ascii_case("content-length") {
+                    // An unparsable length cannot be read as "no body": the
+                    // body bytes would be framed as the next message.
+                    content_length = value
+                        .parse()
+                        .map_err(|_| FrameError::Rejected(400, "malformed Content-Length"))?;
+                } else if name.eq_ignore_ascii_case("connection") {
+                    if value.eq_ignore_ascii_case("close") {
+                        keep_alive = Some(false);
+                    } else if value.eq_ignore_ascii_case("keep-alive") {
+                        keep_alive = Some(true);
+                    }
+                }
+            }
+            (start_line, content_length, keep_alive)
+        };
+        if content_length > MAX_BODY_BYTES {
+            return Err(FrameError::Rejected(413, "body too large"));
+        }
+        // The body: what is already buffered, then the rest straight from
+        // the transport into its final allocation. Bytes buffered past the
+        // body's end stay behind for the next message.
+        let buffered = (self.buf.len() - head_len).min(content_length);
+        let mut body = vec![0u8; content_length];
+        body[..buffered].copy_from_slice(&self.buf[head_len..head_len + buffered]);
+        self.buf.drain(..head_len + buffered);
+        self.inner.read_exact(&mut body[buffered..])?;
+        Ok(Message {
+            start_line,
+            keep_alive,
+            body,
+        })
+    }
+
+    /// Frame and parse the next request.
+    pub fn read_request(&mut self) -> Result<Request, FrameError> {
+        let message = self.read_message()?;
+        let mut parts = message.start_line.split_whitespace();
+        let method = parts.next().unwrap_or_default().to_string();
+        let target = parts.next().unwrap_or_default();
+        let (path, query) = match target.split_once('?') {
+            Some((p, q)) => (p.to_string(), q.to_string()),
+            None => (target.to_string(), String::new()),
+        };
+        let version = parts.next().unwrap_or("HTTP/1.1");
+        if method.is_empty() || path.is_empty() {
+            return Err(FrameError::Rejected(400, "malformed request line"));
+        }
+        let body = String::from_utf8(message.body)
+            .map_err(|_| FrameError::Rejected(400, "non-UTF-8 body"))?;
+        Ok(Request {
+            method,
+            path,
+            query,
+            body,
+            keep_alive: message
+                .keep_alive
+                .unwrap_or(!version.eq_ignore_ascii_case("HTTP/1.0")),
+        })
+    }
+}
 
 /// One parsed request.
 #[derive(Debug)]
@@ -31,9 +203,17 @@ pub struct Request {
 
 impl Request {
     /// Path split on `/`, empty segments dropped: `/sessions/3/launch` →
-    /// `["sessions", "3", "launch"]`.
-    pub fn segments(&self) -> Vec<&str> {
-        self.path.split('/').filter(|s| !s.is_empty()).collect()
+    /// `(["sessions", "3", "launch", ""], 3)`. Routes have at most three
+    /// segments, so four slots tell every routable path from a longer one
+    /// (which keeps its first four and matches nothing) without allocating.
+    pub fn segments(&self) -> ([&str; 4], usize) {
+        let mut parts = [""; 4];
+        let mut len = 0;
+        for segment in self.path.split('/').filter(|s| !s.is_empty()).take(4) {
+            parts[len] = segment;
+            len += 1;
+        }
+        (parts, len)
     }
 
     /// The value of query parameter `name` (`/trace?since=12` → `"12"`),
@@ -81,128 +261,6 @@ fn percent_decode(value: &str) -> String {
     String::from_utf8_lossy(&out).into_owned()
 }
 
-/// Read one HTTP/1.1 request from the stream.
-pub fn read_request(stream: &mut TcpStream) -> std::io::Result<Request> {
-    let mut head = Vec::with_capacity(512);
-    let mut byte = [0u8; 1];
-    // Read the header block byte-wise until CRLFCRLF (requests are small;
-    // bodies are read in bulk below).
-    while !head.ends_with(b"\r\n\r\n") {
-        let n = stream.read(&mut byte)?;
-        if n == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::UnexpectedEof,
-                "connection closed mid-header",
-            ));
-        }
-        head.push(byte[0]);
-        if head.len() > MAX_HEADER_BYTES {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidData,
-                "header block too large",
-            ));
-        }
-    }
-    let head = String::from_utf8_lossy(&head).into_owned();
-    let mut lines = head.split("\r\n");
-    let request_line = lines.next().unwrap_or_default();
-    let mut parts = request_line.split_whitespace();
-    let method = parts.next().unwrap_or_default().to_string();
-    let target = parts.next().unwrap_or_default();
-    let (path, query) = match target.split_once('?') {
-        Some((p, q)) => (p.to_string(), q.to_string()),
-        None => (target.to_string(), String::new()),
-    };
-    let version = parts.next().unwrap_or("HTTP/1.1");
-    if method.is_empty() || path.is_empty() {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "malformed request line",
-        ));
-    }
-    let mut content_length = 0usize;
-    let mut keep_alive = !version.eq_ignore_ascii_case("HTTP/1.0");
-    for line in lines {
-        if let Some((name, value)) = line.split_once(':') {
-            let name = name.trim();
-            if name.eq_ignore_ascii_case("content-length") {
-                content_length = value.trim().parse().unwrap_or(0);
-            } else if name.eq_ignore_ascii_case("connection") {
-                let value = value.trim();
-                if value.eq_ignore_ascii_case("close") {
-                    keep_alive = false;
-                } else if value.eq_ignore_ascii_case("keep-alive") {
-                    keep_alive = true;
-                }
-            }
-        }
-    }
-    if content_length > MAX_BODY_BYTES {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "body too large",
-        ));
-    }
-    let mut body = vec![0u8; content_length];
-    stream.read_exact(&mut body)?;
-    let body = String::from_utf8(body)
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidData, "non-UTF-8 body"))?;
-    Ok(Request {
-        method,
-        path,
-        query,
-        body,
-        keep_alive,
-    })
-}
-
-fn status_text(status: u16) -> &'static str {
-    match status {
-        200 => "OK",
-        400 => "Bad Request",
-        404 => "Not Found",
-        405 => "Method Not Allowed",
-        500 => "Internal Server Error",
-        503 => "Service Unavailable",
-        _ => "Unknown",
-    }
-}
-
-/// Write a JSON response and flush. `keep_alive` controls the `Connection`
-/// header; the caller closes the stream when it is false.
-pub fn write_json(
-    stream: &mut TcpStream,
-    status: u16,
-    json: &str,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    write_response(stream, status, "application/json", json, keep_alive)
-}
-
-/// Write a response with an explicit `Content-Type` (the `/metrics`
-/// Prometheus exposition and `/trace` Chrome-JSON endpoints are not
-/// `application/json` object bodies) and flush. Head and body go out as one
-/// write so a keep-alive connection never trips the Nagle / delayed-ACK
-/// interaction (a ~40 ms stall per response).
-pub fn write_response(
-    stream: &mut TcpStream,
-    status: u16,
-    content_type: &str,
-    body: &str,
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    let connection = if keep_alive { "keep-alive" } else { "close" };
-    let mut response = format!(
-        "HTTP/1.1 {status} {}\r\nContent-Type: {content_type}\r\nContent-Length: {}\r\nConnection: {connection}\r\n\r\n",
-        status_text(status),
-        body.len()
-    )
-    .into_bytes();
-    response.extend_from_slice(body.as_bytes());
-    stream.write_all(&response)?;
-    stream.flush()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,11 +306,5 @@ mod tests {
         assert_eq!(percent_decode("%zz%20"), "%zz ");
         // Invalid UTF-8 from decoded bytes is replaced, not an error.
         assert_eq!(percent_decode("%FF"), "\u{FFFD}");
-    }
-
-    #[test]
-    fn status_text_covers_service_unavailable() {
-        assert_eq!(status_text(503), "Service Unavailable");
-        assert_eq!(status_text(200), "OK");
     }
 }

@@ -34,6 +34,7 @@
 
 pub mod api;
 pub mod client;
+mod conn;
 pub mod http;
 pub mod top;
 
@@ -56,7 +57,8 @@ use ftn_trace::{
 use serde::{Serialize, Value};
 
 use api::ArgSpec;
-use http::{read_request, write_response, Request};
+use conn::{handle_connection, HandlerError, Reply};
+use http::Request;
 
 /// Server configuration.
 #[derive(Clone, Debug)]
@@ -271,23 +273,6 @@ struct ServeState {
     local_addr: SocketAddr,
 }
 
-/// A route's response body: most endpoints speak JSON, but `GET /metrics`
-/// serves the Prometheus text exposition and `GET /trace` a Chrome
-/// trace-event document (raw text the Perfetto UI loads directly).
-/// `GET /healthz` carries its own status code (503 when unready) with a
-/// JSON body that is not the generic `{"error": ...}` envelope.
-enum Reply {
-    Json(Value),
-    StatusJson(u16, Value),
-    Text {
-        content_type: &'static str,
-        body: String,
-    },
-}
-
-/// Handler error: HTTP status + message.
-type HandlerError = (u16, String);
-
 /// Poison-tolerant lock: a panic in one handler must not brick every later
 /// request with poisoned-mutex panics — the cluster/session invariants are
 /// job-scoped, so continuing with the inner value is safe.
@@ -342,44 +327,38 @@ struct CompileResponse {
 
 impl ServeState {
     fn handle(&self, req: &Request) -> Result<Reply, HandlerError> {
-        let segments = req.segments();
-        match (req.method.as_str(), segments.as_slice()) {
+        let (segments, len) = req.segments();
+        let json = match (req.method.as_str(), &segments[..len]) {
             ("GET", ["metrics"]) => {
-                return Ok(Reply::Text {
-                    content_type: "text/plain; version=0.0.4",
-                    body: self.render_metrics(),
-                })
+                return Ok(Reply::text(
+                    "text/plain; version=0.0.4",
+                    &self.render_metrics(),
+                ))
             }
             ("GET", ["trace"]) => {
-                return Ok(Reply::Text {
-                    content_type: "application/json",
-                    body: self.render_trace(req)?,
-                })
+                return Ok(Reply::text("application/json", &self.render_trace(req)?))
             }
-            ("GET", ["metrics", "range"]) => return self.metrics_range(req).map(Reply::Json),
             ("GET", ["profile"]) => return self.profile(req),
-            ("GET", ["profile", "top"]) => return self.profile_top(req).map(Reply::Json),
-            ("GET", ["alerts"]) => return self.alerts().map(Reply::Json),
             ("GET", ["healthz"]) => return self.healthz(),
-            _ => {}
-        }
-        match (req.method.as_str(), segments.as_slice()) {
+            ("DELETE", ["sessions", id]) => return self.close_session(parse_id(id)?),
+            ("POST", ["run"]) => return self.run_program(&req.body),
+            ("GET", ["metrics", "range"]) => self.metrics_range(req),
+            ("GET", ["profile", "top"]) => self.profile_top(req),
+            ("GET", ["alerts"]) => self.alerts(),
             ("POST", ["compile"]) => self.compile(&req.body),
             ("POST", ["sessions"]) => self.open_session(&req.body),
             ("POST", ["sessions", id, "launch"]) => self.launch(parse_id(id)?, &req.body),
             ("POST", ["sessions", id, "rebalance"]) => self.rebalance(parse_id(id)?, &req.body),
             ("POST", ["sessions", id, "refresh"]) => self.refresh(parse_id(id)?),
             ("GET", ["sessions", id]) => self.session_info(parse_id(id)?),
-            ("DELETE", ["sessions", id]) => self.close_session(parse_id(id)?),
-            ("POST", ["run"]) => self.run_program(&req.body),
             ("GET", ["stats"]) => self.stats(),
             ("POST", ["shutdown"]) => {
                 self.shutdown.store(true, Ordering::SeqCst);
                 Ok(api::obj(vec![("shutting_down", Value::Bool(true))]))
             }
             _ => Err(not_found(format!("no route {} {}", req.method, req.path))),
-        }
-        .map(Reply::Json)
+        };
+        json.map(|value| Reply::json(200, &value))
     }
 
     /// The pools as an owned `(key, gate)` list: observability readers
@@ -551,14 +530,11 @@ impl ServeState {
             .unwrap_or_else(|| "json".to_string());
         let profile = ftn_trace::Profile::from_recorder(since, until);
         match format.as_str() {
-            "folded" => Ok(Reply::Text {
-                content_type: "text/plain",
-                body: profile.folded(),
-            }),
-            "svg" => Ok(Reply::Text {
-                content_type: "image/svg+xml",
-                body: profile.flamegraph_svg("ftn-serve profile"),
-            }),
+            "folded" => Ok(Reply::text("text/plain", &profile.folded())),
+            "svg" => Ok(Reply::text(
+                "image/svg+xml",
+                &profile.flamegraph_svg("ftn-serve profile"),
+            )),
             "json" => {
                 let utilization: Vec<Value> = ftn_trace::device_utilization_range(since, until)
                     .iter()
@@ -576,10 +552,11 @@ impl ServeState {
                         ])
                     })
                     .collect();
-                Ok(Reply::Json(api::obj(vec![
+                let fields = vec![
                     ("profile", profile.to_value()),
                     ("utilization", Value::Arr(utilization)),
-                ])))
+                ];
+                Ok(Reply::json(200, &api::obj(fields)))
             }
             other => Err(bad_request(format!(
                 "unknown format '{other}' (use folded|svg|json)"
@@ -770,14 +747,12 @@ impl ServeState {
         };
         let mut reasons = unready;
         reasons.extend(degraded);
-        Ok(Reply::StatusJson(
-            status,
-            api::obj(vec![
-                ("ok", Value::Bool(status == 200)),
-                ("status", health.to_value()),
-                ("reasons", reasons.to_value()),
-            ]),
-        ))
+        let fields = vec![
+            ("ok", Value::Bool(status == 200)),
+            ("status", health.to_value()),
+            ("reasons", reasons.to_value()),
+        ];
+        Ok(Reply::json(status, &api::obj(fields)))
     }
 
     fn compile(&self, body: &str) -> Result<Value, HandlerError> {
@@ -1258,7 +1233,7 @@ impl ServeState {
         Ok(api::obj(fields))
     }
 
-    fn close_session(&self, session: u64) -> Result<Value, HandlerError> {
+    fn close_session(&self, session: u64) -> Result<Reply, HandlerError> {
         let (pool, sid) = self.session_ref(session)?;
         // Closing mid-epoch would find the session missing from the
         // machine's table; park on the fence until the epoch resumes.
@@ -1269,22 +1244,14 @@ impl ServeState {
         let report = machine
             .close_sharded_session(sid)
             .map_err(|e| (500, e.to_string()))?;
-        // `from`/`tofrom` arrays now hold the gathered device results;
-        // return them, then release every array the session allocated.
-        let mut arrays = Vec::new();
-        for (name, value, kind) in &maps {
-            if matches!(kind, MapKind::From | MapKind::ToFrom) {
-                let m = value.as_memref().expect("session arrays are memrefs");
-                let contents = match machine.memory.get(m.buffer) {
-                    Buffer::F32(data) => data.to_value(),
-                    Buffer::F64(data) => data.to_value(),
-                    Buffer::I32(data) => data.to_value(),
-                    Buffer::I64(data) => data.to_value(),
-                    Buffer::I1(data) => data.to_value(),
-                };
-                arrays.push((name.clone(), contents));
-            }
-        }
+        // `from`/`tofrom` arrays now hold the gathered device results; copy
+        // them out (4 bytes an element — they are printed once the pool is
+        // unlocked), then release every array the session allocated.
+        let arrays: Vec<(&str, Buffer)> = maps
+            .iter()
+            .filter(|(_, _, kind)| matches!(kind, MapKind::From | MapKind::ToFrom))
+            .map(|(name, value, _)| (name.as_str(), host_copy(&machine, value)))
+            .collect();
         let handles = self
             .sessions
             .remove(session)
@@ -1296,11 +1263,16 @@ impl ServeState {
         drop(machine);
         let mut fields = session_reply(session, &report.devices);
         fields.push(("stats", report.stats.to_value()));
-        fields.push(("arrays", Value::Obj(arrays)));
-        Ok(api::obj(fields))
+        Ok(Reply::object_with_tail(fields, "arrays", |out| {
+            append_seq(out, ('{', '}'), &arrays, |out, (name, buffer)| {
+                serde_json::append(out, *name);
+                out.push_str(": ");
+                append_buffer(out, buffer);
+            })
+        }))
     }
 
-    fn run_program(&self, body: &str) -> Result<Value, HandlerError> {
+    fn run_program(&self, body: &str) -> Result<Reply, HandlerError> {
         let v = api::parse_body(body).map_err(bad_request)?;
         let key = api::get_str(&v, "key").map_err(bad_request)?;
         let func = api::get_str(&v, "func").map_err(bad_request)?;
@@ -1371,28 +1343,21 @@ impl ServeState {
         };
         let mut machine = pool.lock();
         self.metrics.runs.inc();
-        let arrays: Vec<Value> = array_handles
+        let arrays: Vec<Buffer> = array_handles
             .iter()
-            .map(|h| {
-                let m = h.as_memref().expect("array handle");
-                match machine.memory.get(m.buffer) {
-                    Buffer::F32(data) => data.to_value(),
-                    Buffer::F64(data) => data.to_value(),
-                    Buffer::I32(data) => data.to_value(),
-                    Buffer::I64(data) => data.to_value(),
-                    Buffer::I1(data) => data.to_value(),
-                }
-            })
+            .map(|h| host_copy(&machine, h))
             .collect();
-        // The request's arrays are dead once serialized: free them (host
+        // The request's arrays are dead once copied out: free them (host
         // slot + worker mirrors) so sustained /run traffic stays flat.
         free_all(&mut machine);
         drop(machine);
-        Ok(api::obj(vec![
+        let fields = vec![
             ("device", report.device.to_value()),
             ("stats", report.report.stats.to_value()),
-            ("arrays", Value::Arr(arrays)),
-        ]))
+        ];
+        Ok(Reply::object_with_tail(fields, "arrays", |out| {
+            append_seq(out, ('[', ']'), &arrays, append_buffer)
+        }))
     }
 
     fn stats(&self) -> Result<Value, HandlerError> {
@@ -1451,6 +1416,41 @@ fn session_reply(session: u64, devices: &[usize]) -> Vec<(&'static str, Value)> 
         ("shards", devices.len().to_value()),
         ("devices", devices.to_value()),
     ]
+}
+
+/// The host copy of one mapped array, taken under the pool lock.
+fn host_copy(machine: &ClusterMachine, array: &RtValue) -> Buffer {
+    let m = array.as_memref().expect("session arrays are memrefs");
+    machine.memory.get(m.buffer).clone()
+}
+
+/// Append `items` between `open` and `close`, comma-separated, each written
+/// by `each` — the container around buffers printed by [`append_buffer`].
+fn append_seq<T>(
+    out: &mut String,
+    (open, close): (char, char),
+    items: &[T],
+    mut each: impl FnMut(&mut String, &T),
+) {
+    out.push(open);
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        each(out, item);
+    }
+    out.push(close);
+}
+
+/// Append a buffer's elements as one JSON array, straight from the slice.
+fn append_buffer(out: &mut String, buffer: &Buffer) {
+    match buffer {
+        Buffer::F32(data) => serde_json::append_slice(out, data),
+        Buffer::F64(data) => serde_json::append_slice(out, data),
+        Buffer::I32(data) => serde_json::append_slice(out, data),
+        Buffer::I64(data) => serde_json::append_slice(out, data),
+        Buffer::I1(data) => serde_json::append_slice(out, data),
+    }
 }
 
 /// Re-key a cluster report's `session` field to the serve-level session id
@@ -1529,99 +1529,6 @@ fn rekey_session_row(raw: &str, pool_key: &str, session_keys: &[(u64, String, u6
 /// each scrape (1 s: long enough to smooth single jobs, short enough that a
 /// stalled pool shows up within a few scrapes).
 const UTILIZATION_WINDOW_NANOS: u64 = 1_000_000_000;
-
-/// Serve one connection: a keep-alive request loop. The idle timeout bounds
-/// how long a quiet connection may hold a worker thread; a request that
-/// asked for `Connection: close` (or a shutdown) ends the loop.
-fn handle_connection(state: &ServeState, mut stream: TcpStream) {
-    state.metrics.http_connections.inc();
-    // Responses are single-write; pair that with TCP_NODELAY so keep-alive
-    // request/response cycles never stall on delayed ACKs.
-    let _ = stream.set_nodelay(true);
-    let idle = std::time::Duration::from_secs(state.config.idle_timeout_secs.max(1));
-    loop {
-        let _ = stream.set_read_timeout(Some(idle));
-        let req = match read_request(&mut stream) {
-            Ok(r) => r,
-            // Idle timeout, client close, or the wake-up probe connection.
-            Err(_) => return,
-        };
-        state.metrics.http_requests.inc();
-        // Every request is the root of a fresh trace: the `http.request`
-        // span parents everything the handler does — session ops, per-shard
-        // jobs on device lanes, rebalance epochs — under one trace id.
-        let trace_id = ftn_trace::new_trace_id();
-        let trace = ftn_trace::trace_scope(trace_id);
-        let started = std::time::Instant::now();
-        let mut span = ftn_trace::span("http.request", "http");
-        span.arg("method", &req.method);
-        span.arg("path", &req.path);
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| state.handle(&req)));
-        let (status, content_type, body) = match outcome {
-            Ok(Ok(Reply::Json(value))) => (
-                200,
-                "application/json",
-                serde_json::to_string(&value).unwrap_or_default(),
-            ),
-            Ok(Ok(Reply::StatusJson(status, value))) => (
-                status,
-                "application/json",
-                serde_json::to_string(&value).unwrap_or_default(),
-            ),
-            Ok(Ok(Reply::Text { content_type, body })) => (200, content_type, body),
-            Ok(Err((status, msg))) => {
-                ftn_trace::log(
-                    Level::Debug,
-                    "serve",
-                    format!("{} {} -> {status}: {msg}", req.method, req.path),
-                );
-                let err = api::obj(vec![("error", Value::Str(msg))]);
-                (
-                    status,
-                    "application/json",
-                    serde_json::to_string(&err).unwrap_or_default(),
-                )
-            }
-            Err(_) => {
-                ftn_trace::log(
-                    Level::Error,
-                    "serve",
-                    format!("panic handling {} {}", req.method, req.path),
-                );
-                let err = api::obj(vec![(
-                    "error",
-                    Value::Str("internal panic while handling request".to_string()),
-                )]);
-                (
-                    500,
-                    "application/json",
-                    serde_json::to_string(&err).unwrap_or_default(),
-                )
-            }
-        };
-        span.arg("status", status);
-        let span_id = span.id();
-        drop(span);
-        drop(trace);
-        if status >= 500 {
-            state.metrics.http_errors.inc();
-        }
-        // The latency observation offers itself as the histogram's exemplar
-        // so a firing SLO links this request's trace. `span_id == 0` means
-        // recording is off — pass trace id 0 too, keeping that path free of
-        // the exemplar lock.
-        state.metrics.request_seconds.observe_with_exemplar(
-            started.elapsed().as_secs_f64(),
-            if span_id == 0 { 0 } else { trace_id },
-            span_id,
-        );
-        let keep_alive = req.keep_alive && !state.shutdown.load(Ordering::SeqCst);
-        let written = write_response(&mut stream, status, content_type, &body, keep_alive);
-        if written.is_err() || !keep_alive {
-            return;
-        }
-    }
-}
 
 /// The HTTP server. Bind, then [`Server::run`] until a `POST /shutdown`.
 pub struct Server {

@@ -8,6 +8,9 @@
 //!   on a four-device pool preserve per-session buffer versioning — no
 //!   stale writeback ever reaches host memory (extends PR 1's
 //!   monotone-writeback test to the session layer).
+//! * The same script over HTTP: the text of every 200 reply (compile, open,
+//!   launch, info, close, `/run`) is byte-identical to a golden captured on
+//!   the commit before the reply writer was made write-through (PR 16).
 
 use std::sync::OnceLock;
 
@@ -119,6 +122,69 @@ fn session_is_bit_identical_to_target_data_program_on_machine() {
     assert_eq!(
         totals, report.stats,
         "session RunStats totals must equal the Machine program run"
+    );
+}
+
+/// One scripted session and one sessionless run over HTTP, with values that
+/// stress the number printer (widened f32 that need 9+ digits, a subnormal,
+/// negative zero, integers that print with `.0`, magnitudes past 1e21 once
+/// accumulated). Every reply is a 200; their bodies, in order, must equal
+/// `tests/golden/wire_replies.txt`, captured on the parent commit.
+#[test]
+fn http_reply_text_is_byte_identical_to_the_parent_commit() {
+    use ftn_serve::client::Conn;
+    use ftn_serve::{ServeConfig, Server};
+
+    let config = ServeConfig {
+        devices: 1,
+        workers: 1,
+        scrape_interval_ms: 0,
+        ..Default::default()
+    };
+    let server = Server::bind("127.0.0.1:0", config).expect("bind");
+    let addr = server.local_addr();
+    let handle = std::thread::spawn(move || server.run());
+    let mut conn = Conn::open(addr).expect("connect");
+    let mut transcript = String::new();
+    let mut call = |method: &str, path: &str, body: &str| {
+        let (status, text) = conn.request_text(method, path, body).expect("round trip");
+        assert_eq!(status, 200, "{method} {path}: {text}");
+        transcript.push_str(&format!("{method} {path}\n{text}\n"));
+        text
+    };
+
+    let source = serde_json::to_string(&SAXPYN.to_string()).unwrap();
+    let compiled = call("POST", "/compile", &format!("{{\"source\": {source}}}"));
+    let key = compiled.split('"').nth(3).expect("key is the first field");
+    let x = "[0.1,-0.0,1e-8,3e10,16777216,1e-45,0.333333343,2.5,-7,1e30,1.17549435e-38,65504.0]";
+    let y = "[1,2,3,4,5,6,7,8,9,10,11,12]";
+    let open = format!(
+        "{{\"key\": \"{key}\", \"maps\": [\
+         {{\"name\": \"x\", \"kind\": \"to\", \"data\": {x}}},\
+         {{\"name\": \"y \\\"quoted\\\"\", \"kind\": \"tofrom\", \"data\": {y}}},\
+         {{\"name\": \"z\", \"kind\": \"tofrom\", \"data\": [0.5]}}]}}"
+    );
+    call("POST", "/sessions", &open);
+    let launch = r#"{"kernel": "saxpyn_kernel0", "args": [{"array": "x"},
+        {"array": "y \"quoted\""}, {"index": 12}, {"index": 12}, {"f32": 1.75},
+        {"index": 1}, {"index": 12}]}"#;
+    for _ in 0..3 {
+        call("POST", "/sessions/1/launch", launch);
+    }
+    call("GET", "/sessions/1", "");
+    call("DELETE", "/sessions/1", "");
+    let run = format!(
+        "{{\"key\": \"{key}\", \"func\": \"saxpyn\", \"args\": [{{\"i32\": 12}}, \
+         {{\"i32\": 2}}, {{\"f32\": 1e20}}, {{\"array_f32\": {x}}}, {{\"array_f32\": {y}}}]}}"
+    );
+    call("POST", "/run", &run);
+    call("POST", "/shutdown", "");
+    handle.join().expect("server thread").expect("clean run");
+
+    let golden = include_str!("golden/wire_replies.txt");
+    assert_eq!(
+        transcript, golden,
+        "reply text drifted from the parent commit"
     );
 }
 
