@@ -2,6 +2,9 @@
 //! source-compatible [`Interp`] / [`call_function`] entry points, which lower
 //! on demand and run on the bytecode engine. See the crate docs.
 
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
+
 use ftn_mlir::{Ir, OpId};
 
 use crate::error::InterpError;
@@ -52,17 +55,32 @@ pub struct NoObserver;
 
 impl Observer for NoObserver {}
 
-/// Interpreter over a module. Each [`Interp::call`] lowers the called
-/// function and its callees; holders of a long-lived module lower once with
-/// [`Program::lower_module`] instead.
+/// Interpreter over a module. The first [`Interp::call`] of a function
+/// lowers it and its callees and keeps the program, so repeated calls on one
+/// `Interp` lower once; holders of a long-lived module lower everything up
+/// front with [`Program::lower_module`] instead. The borrow keeps the module
+/// from changing under the kept programs, and pointing `ir` or `module`
+/// somewhere else drops them.
 pub struct Interp<'a> {
     pub ir: &'a Ir,
     pub module: OpId,
     /// Step budget guarding against runaway loops (default: 4e9).
     pub max_steps: u64,
+    lowered: Mutex<Lowered>,
 }
 
-/// Convenience wrapper: call `func_name` in `module` with `args`.
+/// Programs lowered so far, by root function name, and the module they were
+/// lowered from (`ir` is an address: two `Ir`s alive at once differ in it).
+#[derive(Default)]
+struct Lowered {
+    ir: usize,
+    module: Option<OpId>,
+    programs: HashMap<String, Arc<Program>>,
+}
+
+/// Convenience wrapper: call `func_name` in `module` with `args`. Builds a
+/// fresh [`Interp`], so it lowers `func_name` and its callees on every call;
+/// callers that repeat a call keep an `Interp` or a [`Program`].
 pub fn call_function(
     ir: &Ir,
     module: OpId,
@@ -82,6 +100,7 @@ impl<'a> Interp<'a> {
             ir,
             module,
             max_steps: DEFAULT_MAX_STEPS,
+            lowered: Mutex::default(),
         }
     }
 
@@ -93,7 +112,28 @@ impl<'a> Interp<'a> {
         hooks: &mut dyn DialectHooks,
         observer: &mut dyn Observer,
     ) -> Result<Vec<RtValue>, InterpError> {
-        Program::lower_reachable(self.ir, self.module, func_name).call(
+        let program = {
+            // Only whole entries are ever inserted, so the map is valid even
+            // if a thread panicked while holding the lock.
+            let mut lowered = self.lowered.lock().unwrap_or_else(|e| e.into_inner());
+            let from = (self.ir as *const Ir as usize, Some(self.module));
+            if (lowered.ir, lowered.module) != from {
+                lowered.programs.clear();
+                (lowered.ir, lowered.module) = from;
+            }
+            match lowered.programs.get(func_name) {
+                Some(program) => program.clone(),
+                None => {
+                    let program = Program::lower_reachable(self.ir, self.module, func_name);
+                    let program = Arc::new(program);
+                    lowered
+                        .programs
+                        .insert(func_name.to_string(), program.clone());
+                    program
+                }
+            }
+        };
+        program.call(
             self.ir,
             func_name,
             args,
@@ -302,6 +342,42 @@ mod tests {
         )
         .unwrap();
         assert_eq!(big, vec![RtValue::I32(2)]);
+    }
+
+    /// `func @f() -> index` returning `value`, in a module of its own.
+    fn build_const_fn(ir: &mut Ir, value: i64) -> OpId {
+        let (module, body) = builtin::module(ir);
+        let index = ir.index_t();
+        let mut b = Builder::at_end(ir, body);
+        let (_f, entry) = func::build_func(&mut b, "f", &[], &[index]);
+        b.set_insertion_point_to_end(entry);
+        let c = arith::const_index(&mut b, value);
+        func::build_return(&mut b, &[c]);
+        module
+    }
+
+    #[test]
+    fn kept_programs_follow_the_public_fields() {
+        let (mut first, mut second) = (Ir::new(), Ir::new());
+        let one = build_const_fn(&mut first, 1);
+        let two = build_const_fn(&mut first, 2);
+        // Same function name and (as the first module of its `Ir`) same op id.
+        let three = build_const_fn(&mut second, 3);
+        assert_eq!(one, three);
+        let call = |interp: &Interp| {
+            let mut memory = Memory::new();
+            interp
+                .call("f", &[], &mut memory, &mut NoHooks, &mut NoObserver)
+                .unwrap()
+        };
+        let mut interp = Interp::new(&first, one);
+        assert_eq!(call(&interp), vec![RtValue::Index(1)]);
+        assert_eq!(call(&interp), vec![RtValue::Index(1)]);
+        interp.module = two;
+        assert_eq!(call(&interp), vec![RtValue::Index(2)]);
+        interp.ir = &second;
+        interp.module = three;
+        assert_eq!(call(&interp), vec![RtValue::Index(3)]);
     }
 
     #[test]

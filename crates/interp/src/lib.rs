@@ -6,24 +6,39 @@
 //! [`Program`]: every SSA value of its body (block arguments and results of
 //! all nested regions) is numbered into a dense slot, and each op becomes a
 //! pre-decoded instruction — constants are materialised into the initial
-//! frame, integer/float/compare ops carry their operation and predicate as
-//! enum tags, conversions carry the target kind resolved from the result
-//! type, rank-1 loads and stores borrow the memref from the frame, and
-//! `scf.for` / `omp.wsloop` / `fir.do_loop` are one counted-loop instruction
-//! (exclusive or inclusive bound, iv slot, iter-arg moves, body range).
-//! `scf.if` / `fir.if` select a code range; `omp.target` / `omp.target_data`
-//! regions are inlined. The run loop executes the instructions against a
-//! `Vec<RtValue>` **frame** (one per call) with no map look-up, no string
-//! comparison and no heap allocation per op. An op that would fail when
+//! frame image, integer/float/compare ops carry their operation and
+//! predicate as enum tags, conversions carry the target kind resolved from
+//! the result type, rank-1 loads and stores borrow the memref from the
+//! frame, and `scf.for` / `omp.wsloop` / `fir.do_loop` are one counted-loop
+//! instruction (exclusive or inclusive bound, iv slot, iter-arg moves, body
+//! range). `scf.if` / `fir.if` select a code range; `omp.target` /
+//! `omp.target_data` regions are inlined. Lowering value-numbers as it
+//! emits (equal constants share a slot, a pure scalar instruction equal to
+//! one still in scope emits nothing) and a peephole then fuses the
+//! producer/consumer pairs kernels are made of — `base ± const` into the
+//! rank-1 access it indexes, two conversions in a row, a conversion beside a
+//! `± const`, `mulf` feeding `addf` — each fused instruction running its
+//! constituents' checks in their original order. An op that would fail when
 //! executed — unknown, malformed, a constant of an unsupported type — lowers
 //! to an instruction that raises the error only if it is reached.
+//!
+//! The run loop executes the instructions against a struct-of-arrays
+//! **frame** (one per call): a kind byte and a `u64` payload per slot, with
+//! memrefs held as indices into a per-frame descriptor table. Kinds are
+//! dynamic — a caller may pass an `i32` where the IR says `index`, and a
+//! result's kind follows its operand's runtime kind, exactly as [`RtValue`]
+//! arithmetic does — so the IR's types are never trusted for them. There is
+//! no map look-up, no string comparison and no heap allocation per op; loop
+//! back-edges are taken inside the loop, and only the handful of
+//! instructions a kernel body is made of are decoded in it.
 //!
 //! Lowering happens where a module becomes long-lived:
 //! `ftn_fpga::ExecutorImage` lowers every kernel of a bitstream,
 //! `ftn_core::HostProgram` lowers the host module, and both run the
-//! pre-lowered program on every launch. [`Interp::call`] /
-//! [`call_function`] lower the called function and its callees on demand,
-//! per call, which suits tests and one-shot callers.
+//! pre-lowered program on every launch. An [`Interp`] lowers a function and
+//! its callees the first time it is called and keeps the program;
+//! [`call_function`] builds a fresh `Interp`, so it lowers per call, which
+//! suits tests and one-shot callers.
 //!
 //! Execution substrates hook in two ways:
 //! * [`DialectHooks`] — every op the interpreter does not know becomes a
@@ -43,7 +58,9 @@
 //! `tests/oracle/` as the reference of the differential suite
 //! (`tests/differential.rs`).
 
+mod disasm;
 pub mod error;
+mod fuse;
 pub mod interp;
 mod lower;
 pub mod memory;

@@ -7,14 +7,28 @@
 //! loop) lowers to a `Trap`, so the error still surfaces only if that op is
 //! reached. Callees are registered when first referenced and lowered from
 //! a worklist, so a `func.call` holds a resolved function index.
+//!
+//! Emission **value-numbers** as it goes. A constant equal in kind and bits
+//! to an earlier one of the function shares its slot of the initial frame
+//! image, and a pure scalar instruction (integer/float arithmetic, compares,
+//! `select`, conversions) equal in kind and operand slots to one still in
+//! scope — its own block or an enclosing one — emits nothing: its result is
+//! aliased to the first one's slot. The first dominates the duplicate, so it
+//! has already run on the same operands, and would already have failed if
+//! the duplicate were going to. Loads are never numbered. The step budget is
+//! charged in IR ops per block, so it does not see any of this.
+//!
+//! Each function's finished code then goes through the peephole of
+//! `fuse.rs`.
 
 use std::collections::HashMap;
 
-use ftn_mlir::{BlockId, Ir, OpId, TypeId, TypeKind, ValueId};
+use ftn_mlir::{BlockId, Ir, OpId, TypeId, TypeKind, ValueId, ValueTable};
 
+use crate::fuse::{self, fact};
 use crate::program::{
-    Alloc, CmpFPred, CmpIPred, ConvKind, Fallback, FloatOp, Function, Hook, If, Instr, IntOp, Loop,
-    Program, Slot, SlotRange,
+    scalar_cell, tag, Alloc, CmpFPred, CmpIPred, ConvKind, Fallback, FloatOp, Function, Hook, If,
+    Instr, IntOp, Loop, Program, Slot, SlotRange,
 };
 use crate::value::RtValue;
 
@@ -55,6 +69,12 @@ struct Lowerer<'a> {
     funcs: Vec<Option<Function>>,
     by_name: HashMap<String, usize>,
     pending: Vec<(usize, OpId)>,
+    // Per-function tables, owned here so lowering a module allocates them
+    // once; `FnLowerer::lower` clears them.
+    slot_of: ValueTable<Slot>,
+    /// Constants of the function so far, by (kind, bits).
+    consts: HashMap<(u8, u64), Slot>,
+    numbered: Numbered,
 }
 
 impl<'a> Lowerer<'a> {
@@ -65,6 +85,9 @@ impl<'a> Lowerer<'a> {
             funcs: Vec::new(),
             by_name: HashMap::new(),
             pending: Vec::new(),
+            slot_of: ValueTable::new(ir),
+            consts: HashMap::new(),
+            numbered: Numbered::default(),
         }
     }
 
@@ -98,13 +121,83 @@ impl<'a> Lowerer<'a> {
     }
 }
 
+/// The pure instructions in scope, each keyed by itself with `dst` blanked
+/// and filed under the first slot it reads: `heads[slot]` is the latest
+/// entry filed there and `next` chains to the one before. The entry list is
+/// its own undo log — a block's entries are the tail it pushed — and
+/// nothing is hashed, so lowering a crafted module cannot make this
+/// quadratic: a look-up gives up after [`Numbered::WALK`] entries, which
+/// costs a missed duplicate, never a wrong one.
+#[derive(Default)]
+struct Numbered {
+    heads: Vec<u32>,
+    entries: Vec<NumberedEntry>,
+}
+
+struct NumberedEntry {
+    key: Instr,
+    dst: Slot,
+    filed_under: Slot,
+    next: u32,
+}
+
+impl Numbered {
+    const NONE: u32 = u32::MAX;
+    const WALK: usize = 16;
+
+    fn filed_under(key: &Instr) -> Slot {
+        let mut first = None;
+        fuse::reads(key, |s| first = first.or(Some(s)));
+        first.expect("pure instructions read something")
+    }
+
+    fn find(&self, key: &Instr) -> Option<Slot> {
+        let mut at = *self.heads.get(Self::filed_under(key) as usize)?;
+        for _ in 0..Self::WALK {
+            let entry = self.entries.get(at as usize)?;
+            if entry.key == *key {
+                return Some(entry.dst);
+            }
+            at = entry.next;
+        }
+        None
+    }
+
+    fn push(&mut self, key: Instr, dst: Slot) {
+        let filed_under = Self::filed_under(&key);
+        if self.heads.len() <= filed_under as usize {
+            self.heads.resize(filed_under as usize + 1, Self::NONE);
+        }
+        let head = &mut self.heads[filed_under as usize];
+        self.entries.push(NumberedEntry {
+            key,
+            dst,
+            filed_under,
+            next: *head,
+        });
+        *head = self.entries.len() as u32 - 1;
+    }
+
+    fn open_scope(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Forget everything pushed since `open_scope` returned `scope`.
+    fn close_scope(&mut self, scope: usize) {
+        for entry in self.entries.drain(scope..).rev() {
+            self.heads[entry.filed_under as usize] = entry.next;
+        }
+    }
+}
+
 /// A message for a [`Instr::Trap`].
 type Trap = String;
 
 struct FnLowerer<'l, 'a> {
     ir: &'a Ir,
     program: &'l mut Lowerer<'a>,
-    slot_of: HashMap<ValueId, Slot>,
+    /// What lowering knows about each slot (see [`fact`]), for the peephole.
+    facts: Vec<u8>,
     f: Function,
 }
 
@@ -112,15 +205,18 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
     fn lower(program: &'l mut Lowerer<'a>, func: OpId) -> Function {
         let ir = program.ir;
         let name = ir.attr_str_of(func, "sym_name").unwrap_or_default();
+        program.slot_of.clear();
+        program.consts.clear();
         let mut this = FnLowerer {
             ir,
             program,
-            slot_of: HashMap::new(),
+            facts: Vec::new(),
             f: Function {
                 name: name.to_string(),
                 op: func,
                 params: Vec::new(),
-                frame: Vec::new(),
+                tags: Vec::new(),
+                vals: Vec::new(),
                 entry_ops: 0,
                 code: Vec::new(),
                 slots: Vec::new(),
@@ -139,6 +235,7 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
             }
             None => this.trap(format!("function '{name}' has no body")),
         }
+        fuse::fuse(&mut this.f, &this.facts);
         this.f
     }
 
@@ -150,9 +247,11 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
     // ---- pass 1: slots ----------------------------------------------------------
 
     fn number(&mut self, v: ValueId) {
-        let slot = self.f.frame.len() as Slot;
-        self.f.frame.push(RtValue::Unit);
-        self.slot_of.insert(v, slot);
+        let slot = self.f.tags.len() as Slot;
+        self.f.tags.push(tag::UNIT);
+        self.f.vals.push(0);
+        self.facts.push(0);
+        self.program.slot_of.insert(v, slot);
     }
 
     fn number_block(&mut self, block: BlockId) {
@@ -175,7 +274,7 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
     fn slots_of(&self, values: &[ValueId]) -> Result<Vec<Slot>, Trap> {
         values
             .iter()
-            .map(|v| self.slot_of.get(v).copied())
+            .map(|&v| self.program.slot_of.get(v))
             .collect::<Option<_>>()
             .ok_or_else(|| "value not bound in environment".to_string())
     }
@@ -195,6 +294,40 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
         self.f.code.push(instr);
     }
 
+    /// Emit the pure scalar instruction `make(dst)` for the first result of
+    /// `op` (slot `dst`) — or, when an equal one is in scope, alias the result
+    /// to it. `produces` is what is known of the result (a [`fact`] mask).
+    fn emit_pure(&mut self, op: OpId, dst: Slot, produces: u8, make: impl Fn(Slot) -> Instr) {
+        let result = self.ir.op(op).results[0];
+        let key = make(Slot::MAX);
+        if let Some(first) = self.program.numbered.find(&key) {
+            self.program.slot_of.insert(result, first);
+            return;
+        }
+        self.facts[dst as usize] |= produces;
+        self.emit(make(dst));
+        self.program.numbered.push(key, dst);
+    }
+
+    /// Place constant `value`, the first result of `op` (slot `dst`), in the
+    /// initial frame, or alias it to an equal constant already there.
+    fn constant(&mut self, op: OpId, dst: Slot, value: RtValue) -> Result<(), Trap> {
+        let cell = scalar_cell(&value).ok_or("constant is not a scalar")?;
+        if let Some(&first) = self.program.consts.get(&cell) {
+            self.program
+                .slot_of
+                .insert(self.ir.op(op).results[0], first);
+            return Ok(());
+        }
+        (self.f.tags[dst as usize], self.f.vals[dst as usize]) = cell;
+        self.facts[dst as usize] |= match tag::is_int(cell.0) {
+            true => fact::CONST | fact::INT,
+            false => fact::CONST,
+        };
+        self.program.consts.insert(cell, dst);
+        Ok(())
+    }
+
     fn trap(&mut self, message: Trap) {
         let index = self.f.traps.len() as u32;
         self.f.traps.push(message);
@@ -205,11 +338,14 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
     /// it charges to the step budget).
     fn lower_block(&mut self, block: BlockId) -> u32 {
         let ir = self.ir;
+        let scope = self.program.numbered.open_scope();
         for &op in &ir.block(block).ops {
             if let Err(message) = self.lower_op(op) {
                 self.trap(message);
             }
         }
+        // What this block numbered goes out of scope with it.
+        self.program.numbered.close_scope(scope);
         ir.block(block).ops.len() as u32
     }
 
@@ -252,9 +388,12 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
 
             "arith.constant" | "llvm.mlir.constant" => {
                 let dst = result(0)?;
-                self.f.frame[dst as usize] = eval_constant(ir, op)?;
+                self.constant(op, dst, eval_constant(ir, op)?)?;
             }
-            "omp.bounds" => self.f.frame[result(0)? as usize] = RtValue::Opaque(0),
+            "omp.bounds" => {
+                let dst = result(0)? as usize;
+                (self.f.tags[dst], self.f.vals[dst]) = (tag::OPAQUE, 0);
+            }
             "arith.addi" | "arith.subi" | "arith.muli" | "arith.divsi" | "arith.remsi"
             | "arith.andi" | "arith.ori" | "arith.xori" | "arith.maxsi" | "arith.minsi" => {
                 let [lhs, rhs] = arity(name, operands(self)?)?;
@@ -270,9 +409,9 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
                     "arith.maxsi" => IntOp::MaxS,
                     _ => IntOp::MinS,
                 };
-                self.emit(Instr::IntBin {
+                self.emit_pure(op, result(0)?, fact::INT, |dst| Instr::IntBin {
                     op: kind,
-                    dst: result(0)?,
+                    dst,
                     lhs,
                     rhs,
                 });
@@ -288,19 +427,16 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
                     "arith.maximumf" => FloatOp::Max,
                     _ => FloatOp::Min,
                 };
-                self.emit(Instr::FloatBin {
+                self.emit_pure(op, result(0)?, 0, |dst| Instr::FloatBin {
                     op: kind,
-                    dst: result(0)?,
+                    dst,
                     lhs,
                     rhs,
                 });
             }
             "arith.negf" => {
                 let [src] = arity(name, operands(self)?)?;
-                self.emit(Instr::NegF {
-                    dst: result(0)?,
-                    src,
-                });
+                self.emit_pure(op, result(0)?, 0, |dst| Instr::NegF { dst, src });
             }
             "arith.cmpi" => {
                 let [lhs, rhs] = arity(name, operands(self)?)?;
@@ -314,9 +450,9 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
                     Some(other) => return Err(format!("bad cmpi predicate {other}")),
                     None => return Err("cmpi without predicate".into()),
                 };
-                self.emit(Instr::CmpI {
+                self.emit_pure(op, result(0)?, fact::INT, |dst| Instr::CmpI {
                     pred,
-                    dst: result(0)?,
+                    dst,
                     lhs,
                     rhs,
                 });
@@ -333,17 +469,17 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
                     Some(other) => return Err(format!("bad cmpf predicate {other}")),
                     None => return Err("cmpf without predicate".into()),
                 };
-                self.emit(Instr::CmpF {
+                self.emit_pure(op, result(0)?, fact::INT, |dst| Instr::CmpF {
                     pred,
-                    dst: result(0)?,
+                    dst,
                     lhs,
                     rhs,
                 });
             }
             "arith.select" => {
                 let [cond, on_true, on_false] = arity(name, operands(self)?)?;
-                self.emit(Instr::Select {
-                    dst: result(0)?,
+                self.emit_pure(op, result(0)?, 0, |dst| Instr::Select {
+                    dst,
                     cond,
                     on_true,
                     on_false,
@@ -362,7 +498,11 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
                     TypeKind::Float64 => ConvKind::F64,
                     other => return Err(format!("unsupported conversion to {other:?}")),
                 };
-                self.emit(Instr::Convert { to, dst, src });
+                let produces = match to {
+                    ConvKind::F32 | ConvKind::F64 => 0,
+                    _ => fact::INT,
+                };
+                self.emit_pure(op, dst, produces, |dst| Instr::Convert { to, dst, src });
             }
 
             "memref.alloc" | "memref.alloca" | "fir.alloca" => {
@@ -423,11 +563,9 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
             }
             "memref.dim" => {
                 let [mem, dim] = arity(name, operands(self)?)?;
-                self.emit(Instr::Dim {
-                    dst: result(0)?,
-                    mem,
-                    dim,
-                });
+                let dst = result(0)?;
+                self.facts[dst as usize] |= fact::INT;
+                self.emit(Instr::Dim { dst, mem, dim });
             }
             "memref.copy" => {
                 let [src, dst] = arity(name, operands(self)?)?;
@@ -473,10 +611,7 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
 
             "hls.axi_protocol" => {
                 let [src] = arity(name, operands(self)?)?;
-                self.emit(Instr::AxiProtocol {
-                    dst: result(0)?,
-                    src,
-                });
+                self.emit_pure(op, result(0)?, 0, |dst| Instr::AxiProtocol { dst, src });
             }
 
             "func.call" | "fir.call" => {
@@ -554,6 +689,8 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
                 yields.len()
             ));
         }
+        // The run loop writes the induction variable as an `index`.
+        self.facts[iv as usize] |= fact::INT;
         let index = self.f.loops.len();
         let lowered = Loop {
             op,
@@ -570,12 +707,20 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
             body_ops: 0,
             end: 0,
         };
+        let yields = lowered.yields;
         self.f.loops.push(lowered);
         self.emit(Instr::Loop(index as u32));
         let body_ops = self.lower_block(block);
         let end = self.f.code.len() as u32;
         let lowered = &mut self.f.loops[index];
         (lowered.body_ops, lowered.end) = (body_ops, end);
+        // Lowering the body may have aliased a yielded value to an earlier
+        // equal one; the slots read above only fixed the count.
+        if carries {
+            let start = yields.start as usize;
+            let now = self.yielded(block)?;
+            self.f.slots[start..start + now.len()].copy_from_slice(&now);
+        }
         Ok(())
     }
 

@@ -1,6 +1,14 @@
 //! The execution engine: functions lowered once to slot-indexed bytecode
-//! (by `lower.rs`) and the run loop that executes them on a dense
-//! `Vec<RtValue>` frame.
+//! (by `lower.rs`, fused by `fuse.rs`) and the run loop that executes them.
+//!
+//! The **frame** of a call is struct-of-arrays: `tags[slot]` is the value's
+//! runtime kind (one byte, see [`tag`]) and `vals[slot]` its payload in one
+//! `u64` — integers sign-extended, `f32`/`f64` as their bits, a memref as an
+//! index into the frame's descriptor table `mems`. A scalar hand-off between
+//! two instructions is therefore one 8-byte store read back by one 8-byte
+//! load, and moving a memref copies an index, not a shape vector. Kinds stay
+//! dynamic: callers choose each argument's kind, and a result's kind follows
+//! its operand's *runtime* kind exactly as [`RtValue`] arithmetic does.
 //!
 //! A [`Program`] holds OpIds of the [`Ir`] it was lowered from and must be
 //! run against that same `Ir` (hooks and observers receive the ids).
@@ -18,13 +26,35 @@ use crate::value::{MemRefVal, RtValue};
 pub(crate) type Slot = u32;
 
 /// A run of entries in `Function::slots`.
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct SlotRange {
     pub start: u32,
     pub len: u32,
 }
 
-#[derive(Clone, Copy)]
+/// Runtime kinds, one per [`RtValue`] variant. The integer kinds are
+/// contiguous so "is an integer" is one compare.
+pub(crate) mod tag {
+    pub const UNIT: u8 = 0;
+    pub const I1: u8 = 1;
+    pub const I32: u8 = 2;
+    pub const I64: u8 = 3;
+    pub const INDEX: u8 = 4;
+    pub const F32: u8 = 5;
+    pub const F64: u8 = 6;
+    pub const MEMREF: u8 = 7;
+    pub const KERNEL_HANDLE: u8 = 8;
+    pub const DMA_TAG: u8 = 9;
+    pub const AXI_PROTOCOL: u8 = 10;
+    pub const OPAQUE: u8 = 11;
+
+    #[inline(always)]
+    pub fn is_int(tag: u8) -> bool {
+        tag.wrapping_sub(I1) <= INDEX - I1
+    }
+}
+
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum IntOp {
     Add,
     Sub,
@@ -38,7 +68,7 @@ pub(crate) enum IntOp {
     MinS,
 }
 
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum FloatOp {
     Add,
     Sub,
@@ -48,7 +78,7 @@ pub(crate) enum FloatOp {
     Min,
 }
 
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum CmpIPred {
     Eq,
     Ne,
@@ -58,7 +88,7 @@ pub(crate) enum CmpIPred {
     Sge,
 }
 
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum CmpFPred {
     Oeq,
     One,
@@ -69,7 +99,7 @@ pub(crate) enum CmpFPred {
 }
 
 /// Target kind of a conversion, resolved from the result type at lowering.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum ConvKind {
     Index,
     I1,
@@ -80,8 +110,9 @@ pub(crate) enum ConvKind {
 }
 
 /// One pre-decoded instruction. Hot scalar ops carry their slots inline;
-/// the wide, cold ones index a side table of the [`Function`].
-#[derive(Clone, Copy)]
+/// the wide, cold ones index a side table of the [`Function`]. The fused
+/// forms at the end are only ever produced by `fuse.rs`.
+#[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Instr {
     IntBin {
         op: IntOp,
@@ -169,7 +200,59 @@ pub(crate) enum Instr {
     Return(SlotRange),
     /// Raise `Function::traps[i]` when (and only when) reached.
     Trap(u32),
+
+    // ---- fused forms: each runs its constituents' checks in their order ----
+    /// `Convert{first}` feeding `Convert{then}`.
+    Convert2 {
+        first: ConvKind,
+        then: ConvKind,
+        dst: Slot,
+        src: Slot,
+    },
+    /// `IntBin{Add|Sub, src, const}` feeding `Convert{to}`; `off` is `±const`.
+    OffConvert {
+        to: ConvKind,
+        dst: Slot,
+        src: Slot,
+        off: i32,
+    },
+    /// `Convert{to}` feeding `IntBin{Add|Sub, ·, const}`.
+    ConvertOff {
+        to: ConvKind,
+        dst: Slot,
+        src: Slot,
+        off: i32,
+    },
+    /// `FloatBin{first, a, b}` feeding `FloatBin{then}` as its lhs (or, when
+    /// `swapped`, its rhs) beside `c`. Two roundings, never a fused
+    /// multiply-add.
+    FloatBin2 {
+        first: FloatOp,
+        then: FloatOp,
+        swapped: bool,
+        dst: Slot,
+        a: Slot,
+        b: Slot,
+        c: Slot,
+    },
+    /// `Load1` whose index is `IntBin{Add|Sub, base, const}`, computed with
+    /// `base`'s runtime kind.
+    Load1Off {
+        dst: Slot,
+        mem: Slot,
+        base: Slot,
+        off: i32,
+    },
+    Store1Off {
+        val: Slot,
+        mem: Slot,
+        base: Slot,
+        off: i32,
+    },
 }
+
+// The run loop streams these; a fused form must not widen the enum.
+const _: () = assert!(std::mem::size_of::<Instr>() == 20);
 
 /// `scf.for` / `omp.wsloop` / `fir.do_loop`; the body is the code from the
 /// instruction after the `Loop` up to `end`.
@@ -239,8 +322,10 @@ pub(crate) struct Function {
     pub name: String,
     pub op: OpId,
     pub params: Vec<Slot>,
-    /// Initial frame: constants already in their slots, `Unit` elsewhere.
-    pub frame: Vec<RtValue>,
+    /// Initial frame image: constants already in their slots, `Unit`
+    /// elsewhere. A call copies the two arrays and writes the parameters.
+    pub tags: Vec<u8>,
+    pub vals: Vec<u64>,
     pub entry_ops: u32,
     pub code: Vec<Instr>,
     pub slots: Vec<Slot>,
@@ -252,7 +337,7 @@ pub(crate) struct Function {
 }
 
 impl Function {
-    fn range(&self, r: SlotRange) -> &[Slot] {
+    pub(crate) fn range(&self, r: SlotRange) -> &[Slot] {
         &self.slots[r.start as usize..(r.start + r.len) as usize]
     }
 }
@@ -261,11 +346,6 @@ impl Function {
 pub struct Program {
     pub(crate) funcs: Vec<Function>,
     pub(crate) by_name: HashMap<String, usize>,
-}
-
-enum Flow {
-    Normal,
-    Return(Vec<RtValue>),
 }
 
 impl Program {
@@ -299,9 +379,197 @@ impl Program {
             observer,
             steps: 0,
             max_steps,
+            spare: Vec::new(),
         };
-        run.call(func, args)
+        run.call_on(func, args, &mut Frame::default())
     }
+}
+
+// ---- the frame ----------------------------------------------------------------------
+
+/// An open `scf.for`-like loop or `scf.if` branch of the running function:
+/// what the run loop needs when the region's code range ends.
+#[derive(Clone, Copy)]
+enum Ctrl {
+    Loop {
+        index: u32,
+        /// First instruction of the body.
+        body: u32,
+        /// `end` of the enclosing range, restored when the loop exits.
+        outer_end: u32,
+        iv: i64,
+        ub: i64,
+        step: i64,
+        trip: u64,
+    },
+    If {
+        index: u32,
+        outer_end: u32,
+        yields: SlotRange,
+    },
+}
+
+/// The storage of one call. Frames of finished calls are kept by the
+/// [`Run`] and reused by the next call, so recursion allocates once per
+/// depth.
+#[derive(Default)]
+struct Frame {
+    tags: Vec<u8>,
+    vals: Vec<u64>,
+    /// Memref descriptors referenced by `MEMREF` slots; append-only within
+    /// a call, so an index copied by `Move`/`Select`/a loop carry stays valid.
+    mems: Vec<MemRefVal>,
+    ctrl: Vec<Ctrl>,
+}
+
+impl Frame {
+    fn reset(&mut self, f: &Function) {
+        self.tags.clear();
+        self.tags.extend_from_slice(&f.tags);
+        self.vals.clear();
+        self.vals.extend_from_slice(&f.vals);
+        self.mems.clear();
+        self.ctrl.clear();
+    }
+}
+
+/// The frame as the cold path sees it (the run loop keeps the two slices
+/// in locals).
+struct Cells<'f> {
+    tags: &'f mut [u8],
+    vals: &'f mut [u64],
+    mems: &'f mut Vec<MemRefVal>,
+}
+
+impl Cells<'_> {
+    fn get(&self, s: Slot) -> RtValue {
+        decode(self.tags[s as usize], self.vals[s as usize], self.mems)
+    }
+
+    fn set(&mut self, s: Slot, v: RtValue) {
+        // A producer re-run by a loop usually yields the descriptor its slot
+        // already names; keeping it keeps the table from growing per trip.
+        if let (RtValue::MemRef(new), tag::MEMREF) = (&v, self.tags[s as usize]) {
+            if self.mems[self.vals[s as usize] as usize] == *new {
+                return;
+            }
+        }
+        let (t, bits) = encode(v, self.mems);
+        self.put(s, t, bits);
+    }
+
+    fn put(&mut self, s: Slot, t: u8, bits: u64) {
+        self.tags[s as usize] = t;
+        self.vals[s as usize] = bits;
+    }
+
+    fn copy(&mut self, dst: Slot, src: Slot) {
+        self.put(dst, self.tags[src as usize], self.vals[src as usize]);
+    }
+
+    fn int(&self, s: Slot) -> Result<i64, InterpError> {
+        match tag::is_int(self.tags[s as usize]) {
+            true => Ok(self.vals[s as usize] as i64),
+            false => Err(expected("integer", self.tags, self.vals, self.mems, s)),
+        }
+    }
+
+    fn float(&self, s: Slot) -> Result<f64, InterpError> {
+        as_float(self.tags[s as usize], self.vals[s as usize])
+            .ok_or_else(|| expected("float", self.tags, self.vals, self.mems, s))
+    }
+
+    fn bool(&self, s: Slot) -> Result<bool, InterpError> {
+        match self.tags[s as usize] {
+            tag::I1 => Ok(self.vals[s as usize] != 0),
+            _ => Err(expected("i1", self.tags, self.vals, self.mems, s)),
+        }
+    }
+
+    fn memref(&self, s: Slot) -> Result<&MemRefVal, InterpError> {
+        match self.tags[s as usize] {
+            tag::MEMREF => Ok(&self.mems[self.vals[s as usize] as usize]),
+            _ => Err(expected("memref", self.tags, self.vals, self.mems, s)),
+        }
+    }
+}
+
+/// A scalar [`RtValue`] as its frame cell; `None` for a memref.
+pub(crate) fn scalar_cell(v: &RtValue) -> Option<(u8, u64)> {
+    Some(match *v {
+        RtValue::I1(b) => (tag::I1, b as u64),
+        RtValue::I32(x) => (tag::I32, x as i64 as u64),
+        RtValue::I64(x) => (tag::I64, x as u64),
+        RtValue::Index(x) => (tag::INDEX, x as u64),
+        RtValue::F32(x) => (tag::F32, x.to_bits() as u64),
+        RtValue::F64(x) => (tag::F64, x.to_bits()),
+        RtValue::MemRef(_) => return None,
+        RtValue::KernelHandle(x) => (tag::KERNEL_HANDLE, x),
+        RtValue::DmaTag(x) => (tag::DMA_TAG, x),
+        RtValue::AxiProtocol(x) => (tag::AXI_PROTOCOL, x as u64),
+        RtValue::Opaque(x) => (tag::OPAQUE, x),
+        RtValue::Unit => (tag::UNIT, 0),
+    })
+}
+
+fn encode(v: RtValue, mems: &mut Vec<MemRefVal>) -> (u8, u64) {
+    match v {
+        RtValue::MemRef(m) => {
+            mems.push(m);
+            (tag::MEMREF, mems.len() as u64 - 1)
+        }
+        scalar => scalar_cell(&scalar).expect("not a memref"),
+    }
+}
+
+pub(crate) fn decode(t: u8, bits: u64, mems: &[MemRefVal]) -> RtValue {
+    match t {
+        tag::I1 => RtValue::I1(bits != 0),
+        tag::I32 => RtValue::I32(bits as i32),
+        tag::I64 => RtValue::I64(bits as i64),
+        tag::INDEX => RtValue::Index(bits as i64),
+        tag::F32 => RtValue::F32(f32::from_bits(bits as u32)),
+        tag::F64 => RtValue::F64(f64::from_bits(bits)),
+        tag::MEMREF => RtValue::MemRef(mems[bits as usize].clone()),
+        tag::KERNEL_HANDLE => RtValue::KernelHandle(bits),
+        tag::DMA_TAG => RtValue::DmaTag(bits),
+        tag::AXI_PROTOCOL => RtValue::AxiProtocol(bits as i64),
+        tag::OPAQUE => RtValue::Opaque(bits),
+        _ => RtValue::Unit,
+    }
+}
+
+// ---- errors: built out of line, so the run loop only branches to them -------------
+
+#[cold]
+#[inline(never)]
+fn expected(what: &str, tags: &[u8], vals: &[u64], mems: &[MemRefVal], s: Slot) -> InterpError {
+    expected_value(what, &decode(tags[s as usize], vals[s as usize], mems))
+}
+
+#[cold]
+#[inline(never)]
+fn expected_value(what: &str, got: &RtValue) -> InterpError {
+    InterpError::new(format!("expected {what}, got {got:?}"))
+}
+
+#[cold]
+#[inline(never)]
+fn error(message: &str) -> InterpError {
+    InterpError::new(message)
+}
+
+// ---- the run loop -------------------------------------------------------------------
+
+/// What the cold path tells the run loop to do next.
+enum Step {
+    Next,
+    /// Continue at `pc`, the current code range now ending at `end`.
+    Jump {
+        pc: usize,
+        end: usize,
+    },
+    Return(Vec<RtValue>),
 }
 
 struct Run<'a> {
@@ -312,20 +580,36 @@ struct Run<'a> {
     observer: &'a mut dyn Observer,
     steps: u64,
     max_steps: u64,
+    /// Frames of finished calls, reused by the next call.
+    spare: Vec<Frame>,
 }
 
 impl<'a> Run<'a> {
     /// Charge a block's ops on entry, so a program exhausts the budget at
     /// the same threshold as one charged op by op.
+    #[inline(always)]
     fn charge(&mut self, ops: u32) -> Result<(), InterpError> {
         self.steps += ops as u64;
         if self.steps > self.max_steps {
-            return Err(InterpError::new("interpreter step budget exhausted"));
+            return Err(error("interpreter step budget exhausted"));
         }
         Ok(())
     }
 
+    /// A `func.call`: run `func` on a frame from the reusable stack.
     fn call(&mut self, func: usize, args: &[RtValue]) -> Result<Vec<RtValue>, InterpError> {
+        let mut frame = self.spare.pop().unwrap_or_default();
+        let result = self.call_on(func, args, &mut frame);
+        self.spare.push(frame);
+        result
+    }
+
+    fn call_on(
+        &mut self,
+        func: usize,
+        args: &[RtValue],
+        frame: &mut Frame,
+    ) -> Result<Vec<RtValue>, InterpError> {
         let f = &self.program.funcs[func];
         if f.params.len() != args.len() {
             return Err(InterpError::new(format!(
@@ -335,231 +619,444 @@ impl<'a> Run<'a> {
                 args.len()
             )));
         }
-        let mut frame = f.frame.clone();
+        frame.reset(f);
         for (&p, a) in f.params.iter().zip(args) {
-            frame[p as usize] = a.clone();
+            let (t, bits) = encode(a.clone(), &mut frame.mems);
+            frame.tags[p as usize] = t;
+            frame.vals[p as usize] = bits;
         }
         self.charge(f.entry_ops)?;
-        match self.exec(f, &mut frame, 0, f.code.len())? {
-            Flow::Return(values) => Ok(values),
-            Flow::Normal => Ok(vec![]),
-        }
+        self.exec(f, frame)
     }
 
-    fn exec(
-        &mut self,
-        f: &'a Function,
-        frame: &mut [RtValue],
-        mut pc: usize,
-        end: usize,
-    ) -> Result<Flow, InterpError> {
-        macro_rules! at {
-            ($slot:expr) => {
-                frame[$slot as usize]
+    /// Execute `f` on `frame` from its first instruction; returns what its
+    /// `Return` yields (nothing when the code runs off the end).
+    ///
+    /// Only the arms a kernel body spends its time in are decoded here; the
+    /// rest go through [`Run::slow`]. Loop back-edges and `if` joins happen
+    /// at the bottom of this loop, when the current code range ends, so a
+    /// function body never re-enters `exec`.
+    fn exec(&mut self, f: &'a Function, frame: &mut Frame) -> Result<Vec<RtValue>, InterpError> {
+        let Frame {
+            tags,
+            vals,
+            mems,
+            ctrl,
+        } = frame;
+        // One length for both arrays, so one bounds check covers a slot.
+        let slots = tags.len().min(vals.len());
+        let (tags, vals) = (&mut tags[..slots], &mut vals[..slots]);
+        let code = &f.code[..];
+        let (mut pc, mut end) = (0usize, code.len());
+
+        macro_rules! int {
+            ($s:expr) => {{
+                let s = $s as usize;
+                if !tag::is_int(tags[s]) {
+                    return Err(expected("integer", tags, vals, mems, $s));
+                }
+                vals[s] as i64
+            }};
+        }
+        macro_rules! memref {
+            ($s:expr) => {{
+                let s = $s as usize;
+                if tags[s] != tag::MEMREF {
+                    return Err(expected("memref", tags, vals, mems, $s));
+                }
+                &mems[vals[s] as usize]
+            }};
+        }
+        macro_rules! cell {
+            ($s:expr) => {
+                (tags[$s as usize], vals[$s as usize])
             };
         }
-        while pc < end {
-            match f.code[pc] {
-                Instr::IntBin { op, dst, lhs, rhs } => {
-                    let l = at!(lhs).as_int()?;
-                    let r = at!(rhs).as_int()?;
-                    let out = int_binop(op, l, r)?;
-                    at!(dst) = at!(lhs).with_int(out);
-                }
-                Instr::FloatBin { op, dst, lhs, rhs } => {
-                    at!(dst) = float_binop(op, &at!(lhs), &at!(rhs))?;
-                }
-                Instr::NegF { dst, src } => {
-                    let v = -at!(src).as_float()?;
-                    at!(dst) = at!(src).with_float(v);
-                }
-                Instr::CmpI {
-                    pred,
-                    dst,
-                    lhs,
-                    rhs,
-                } => {
-                    let l = at!(lhs).as_int()?;
-                    let r = at!(rhs).as_int()?;
-                    at!(dst) = RtValue::I1(match pred {
-                        CmpIPred::Eq => l == r,
-                        CmpIPred::Ne => l != r,
-                        CmpIPred::Slt => l < r,
-                        CmpIPred::Sle => l <= r,
-                        CmpIPred::Sgt => l > r,
-                        CmpIPred::Sge => l >= r,
-                    });
-                }
-                Instr::CmpF {
-                    pred,
-                    dst,
-                    lhs,
-                    rhs,
-                } => {
-                    let l = at!(lhs).as_float()?;
-                    let r = at!(rhs).as_float()?;
-                    at!(dst) = RtValue::I1(match pred {
-                        CmpFPred::Oeq => l == r,
-                        CmpFPred::One => l != r,
-                        CmpFPred::Olt => l < r,
-                        CmpFPred::Ole => l <= r,
-                        CmpFPred::Ogt => l > r,
-                        CmpFPred::Oge => l >= r,
-                    });
-                }
-                Instr::Select {
-                    dst,
-                    cond,
-                    on_true,
-                    on_false,
-                } => {
-                    let pick = if at!(cond).as_bool()? {
-                        on_true
-                    } else {
-                        on_false
-                    };
-                    at!(dst) = at!(pick).clone();
-                }
-                Instr::Convert { to, dst, src } => {
-                    at!(dst) = convert_value(&at!(src), to)?;
-                }
-                Instr::Move { dst, src } => {
-                    at!(dst) = at!(src).clone();
-                }
-                Instr::AxiProtocol { dst, src } => {
-                    at!(dst) = RtValue::AxiProtocol(at!(src).as_int()?);
-                }
-                Instr::Load1 { dst, mem, idx } => {
-                    let m = at!(mem).as_memref()?;
-                    let i = at!(idx).as_int()?;
-                    let off = rank1_offset(m, i)?;
-                    at!(dst) = load_buffer(self.memory.get(m.buffer), off)?;
-                }
-                Instr::Store1 { val, mem, idx } => {
-                    let m = at!(mem).as_memref()?;
-                    let i = at!(idx).as_int()?;
-                    let off = rank1_offset(m, i)?;
-                    store_buffer(self.memory.get_mut(m.buffer), off, &at!(val))?;
-                }
-                Instr::Load { dst, mem, idx } => {
-                    let m = at!(mem).as_memref()?;
-                    let off = linear_offset(m, frame, f.range(idx))?;
-                    at!(dst) = load_buffer(self.memory.get(m.buffer), off)?;
-                }
-                Instr::Store { val, mem, idx } => {
-                    let m = at!(mem).as_memref()?;
-                    let off = linear_offset(m, frame, f.range(idx))?;
-                    store_buffer(self.memory.get_mut(m.buffer), off, &at!(val))?;
-                }
-                Instr::Dim { dst, mem, dim } => {
-                    let m = at!(mem).as_memref()?;
-                    let d = at!(dim).as_int()? as usize;
-                    let extent = *m
-                        .shape
-                        .get(d)
-                        .ok_or_else(|| InterpError::new("memref.dim out of rank"))?;
-                    at!(dst) = RtValue::Index(extent);
-                }
-                Instr::Copy { src, dst } => {
-                    let s = at!(src).as_memref()?.buffer;
-                    let d = at!(dst).as_memref()?.buffer;
-                    self.memory.copy(s, d)?;
-                }
-                Instr::Charge(ops) => self.charge(ops)?,
-                Instr::Alloc(i) => {
-                    let a = &f.allocs[i as usize];
-                    at!(a.dst) = self.alloc(a, frame, f.range(a.sizes))?;
-                }
-                Instr::Loop(i) => {
-                    let l = &f.loops[i as usize];
-                    if let Flow::Return(values) = self.run_loop(f, frame, l, pc + 1)? {
-                        return Ok(Flow::Return(values));
-                    }
-                    pc = l.end as usize;
-                    continue;
-                }
-                Instr::If(i) => {
-                    let s = &f.ifs[i as usize];
-                    let (ops, start, stop, yields) = if at!(s.cond).as_bool()? {
-                        (s.then_ops, pc + 1, s.else_start as usize, s.then_yields)
-                    } else {
-                        (
-                            s.else_ops,
-                            s.else_start as usize,
-                            s.end as usize,
-                            s.else_yields,
-                        )
-                    };
-                    self.charge(ops)?;
-                    if let Flow::Return(values) = self.exec(f, frame, start, stop)? {
-                        return Ok(Flow::Return(values));
-                    }
-                    for (&r, &y) in f.range(s.results).iter().zip(f.range(yields)) {
-                        at!(r) = at!(y).clone();
-                    }
-                    pc = s.end as usize;
-                    continue;
-                }
-                Instr::Hook(i) => self.run_hook(f, frame, &f.hooks[i as usize])?,
-                Instr::Return(values) => {
-                    let values = f.range(values).iter().map(|&s| at!(s).clone()).collect();
-                    return Ok(Flow::Return(values));
-                }
-                Instr::Trap(i) => return Err(InterpError::new(f.traps[i as usize].clone())),
-            }
-            pc += 1;
+        macro_rules! put {
+            ($s:expr, $cell:expr) => {{
+                let (t, bits) = $cell;
+                tags[$s as usize] = t;
+                vals[$s as usize] = bits;
+            }};
         }
-        Ok(Flow::Normal)
-    }
+        /// The cell of `$src` converted to `$to`, or its "expected integer".
+        macro_rules! converted {
+            ($src:expr, $to:expr) => {{
+                let (t, bits) = cell!($src);
+                match convert(t, bits, $to) {
+                    Some(cell) => cell,
+                    None => return Err(expected("integer", tags, vals, mems, $src)),
+                }
+            }};
+        }
+        /// `base ± const` in `base`'s kind, as `RtValue::with_int` wraps it.
+        macro_rules! offset {
+            ($base:expr, $off:expr) => {{
+                let v = int!($base).wrapping_add($off as i64);
+                wrap_int(tags[$base as usize], v) as i64
+            }};
+        }
+        // The rank-1 accesses; `$i` is evaluated after the memref check.
+        macro_rules! load1 {
+            ($dst:expr, $mem:expr, $i:expr) => {{
+                let m = memref!($mem);
+                let off = rank1_offset(m, $i)?;
+                put!($dst, load_buffer(self.memory.get(m.buffer), off)?);
+            }};
+        }
+        macro_rules! store1 {
+            ($val:expr, $mem:expr, $i:expr) => {{
+                let m = memref!($mem);
+                let off = rank1_offset(m, $i)?;
+                if let Err(what) = store_buffer(self.memory.get_mut(m.buffer), off, cell!($val)) {
+                    return Err(store_error(what, tags, vals, mems, $val));
+                }
+            }};
+        }
 
-    fn run_loop(
+        loop {
+            while pc < end {
+                match code[pc] {
+                    Instr::IntBin { op, dst, lhs, rhs } => {
+                        let (l, r) = (int!(lhs), int!(rhs));
+                        let out = match op {
+                            IntOp::Add => l.wrapping_add(r),
+                            IntOp::Sub => l.wrapping_sub(r),
+                            IntOp::Mul => l.wrapping_mul(r),
+                            _ => int_binop_rare(op, l, r)?,
+                        };
+                        let t = tags[lhs as usize];
+                        put!(dst, (t, wrap_int(t, out)));
+                    }
+                    Instr::FloatBin { op, dst, lhs, rhs } => {
+                        put!(dst, float_binop(op, cell!(lhs), cell!(rhs))?);
+                    }
+                    Instr::FloatBin2 {
+                        first,
+                        then,
+                        swapped,
+                        dst,
+                        a,
+                        b,
+                        c,
+                    } => {
+                        let mid = float_binop(first, cell!(a), cell!(b))?;
+                        let c = cell!(c);
+                        let (l, r) = if swapped { (c, mid) } else { (mid, c) };
+                        put!(dst, float_binop(then, l, r)?);
+                    }
+                    Instr::Convert { to, dst, src } => put!(dst, converted!(src, to)),
+                    Instr::Convert2 {
+                        first,
+                        then,
+                        dst,
+                        src,
+                    } => {
+                        let (t, bits) = converted!(src, first);
+                        let Some(cell) = convert(t, bits, then) else {
+                            return Err(expected_value("integer", &decode(t, bits, &[])));
+                        };
+                        put!(dst, cell);
+                    }
+                    Instr::OffConvert { to, dst, src, off } => {
+                        put!(dst, convert_int(offset!(src, off), to));
+                    }
+                    Instr::ConvertOff { to, dst, src, off } => {
+                        let (t, bits) = converted!(src, to);
+                        if !tag::is_int(t) {
+                            return Err(expected_value("integer", &decode(t, bits, &[])));
+                        }
+                        let sum = (bits as i64).wrapping_add(off as i64);
+                        put!(dst, (t, wrap_int(t, sum)));
+                    }
+                    Instr::Move { dst, src } => put!(dst, cell!(src)),
+                    Instr::Load1 { dst, mem, idx } => load1!(dst, mem, int!(idx)),
+                    Instr::Store1 { val, mem, idx } => store1!(val, mem, int!(idx)),
+                    // The base is checked first: its `IntBin` ran first.
+                    Instr::Load1Off {
+                        dst,
+                        mem,
+                        base,
+                        off,
+                    } => {
+                        let i = offset!(base, off);
+                        load1!(dst, mem, i);
+                    }
+                    Instr::Store1Off {
+                        val,
+                        mem,
+                        base,
+                        off,
+                    } => {
+                        let i = offset!(base, off);
+                        store1!(val, mem, i);
+                    }
+                    other => {
+                        let mut cells = Cells {
+                            tags: &mut *tags,
+                            vals: &mut *vals,
+                            mems: &mut *mems,
+                        };
+                        match self.slow(f, &mut cells, ctrl, other, pc, end)? {
+                            Step::Next => {}
+                            Step::Jump { pc: to, end: until } => {
+                                (pc, end) = (to, until);
+                                continue;
+                            }
+                            Step::Return(values) => return Ok(values),
+                        }
+                    }
+                }
+                pc += 1;
+            }
+
+            // The current code range ended: a loop's back-edge, an `if`'s
+            // join, or the end of the function.
+            let Some(&top) = ctrl.last() else {
+                return Ok(vec![]);
+            };
+            match top {
+                Ctrl::Loop {
+                    index,
+                    body,
+                    outer_end,
+                    iv,
+                    ub,
+                    step,
+                    trip,
+                } => {
+                    let l = &f.loops[index as usize];
+                    let (results, yields) = (f.range(l.results), f.range(l.yields));
+                    for (&r, &y) in results.iter().zip(yields) {
+                        put!(r, cell!(y));
+                    }
+                    let (iv, trip) = (iv.wrapping_add(step), trip + 1);
+                    if if l.inclusive { iv <= ub } else { iv < ub } {
+                        self.charge(l.body_ops)?;
+                        put!(l.iv, (tag::INDEX, iv as u64));
+                        for (&a, &r) in f.range(l.args).iter().zip(results) {
+                            put!(a, cell!(r));
+                        }
+                        if let Some(Ctrl::Loop { iv: i, trip: t, .. }) = ctrl.last_mut() {
+                            (*i, *t) = (iv, trip);
+                        }
+                        pc = body as usize;
+                    } else {
+                        self.observer.loop_executed(self.ir, l.op, trip);
+                        ctrl.pop();
+                        (pc, end) = (l.end as usize, outer_end as usize);
+                    }
+                }
+                Ctrl::If {
+                    index,
+                    outer_end,
+                    yields,
+                } => {
+                    let s = &f.ifs[index as usize];
+                    for (&r, &y) in f.range(s.results).iter().zip(f.range(yields)) {
+                        put!(r, cell!(y));
+                    }
+                    ctrl.pop();
+                    (pc, end) = (s.end as usize, outer_end as usize);
+                }
+            }
+        }
+    }
+}
+
+// ---- the cold path ------------------------------------------------------------------
+
+impl<'a> Run<'a> {
+    /// Every instruction the run loop does not decode itself. `pc` is the
+    /// instruction's position and `end` the end of the current code range.
+    #[inline(never)]
+    fn slow(
         &mut self,
         f: &'a Function,
-        frame: &mut [RtValue],
-        l: &Loop,
-        body: usize,
-    ) -> Result<Flow, InterpError> {
-        let lb = frame[l.lb as usize].as_int()?;
-        let ub = frame[l.ub as usize].as_int()?;
-        let step = frame[l.step as usize].as_int()?;
-        if step <= 0 {
-            return Err(InterpError::new(format!(
-                "{} requires positive step",
-                l.name
-            )));
-        }
-        let (inits, args) = (f.range(l.inits), f.range(l.args));
-        let (yields, results) = (f.range(l.yields), f.range(l.results));
-        for (&r, &i) in results.iter().zip(inits) {
-            frame[r as usize] = frame[i as usize].clone();
-        }
-        let mut trip = 0u64;
-        let mut iv = lb;
-        while if l.inclusive { iv <= ub } else { iv < ub } {
-            self.charge(l.body_ops)?;
-            frame[l.iv as usize] = RtValue::Index(iv);
-            for (&a, &r) in args.iter().zip(results) {
-                frame[a as usize] = frame[r as usize].clone();
+        cells: &mut Cells,
+        ctrl: &mut Vec<Ctrl>,
+        instr: Instr,
+        pc: usize,
+        end: usize,
+    ) -> Result<Step, InterpError> {
+        match instr {
+            Instr::NegF { dst, src } => {
+                let v = -cells.float(src)?;
+                let bits = match cells.tags[src as usize] {
+                    tag::F32 => (v as f32).to_bits() as u64,
+                    _ => v.to_bits(),
+                };
+                cells.put(dst, cells.tags[src as usize], bits);
             }
-            if let Flow::Return(values) = self.exec(f, frame, body, l.end as usize)? {
-                return Ok(Flow::Return(values));
+            Instr::CmpI {
+                pred,
+                dst,
+                lhs,
+                rhs,
+            } => {
+                let (l, r) = (cells.int(lhs)?, cells.int(rhs)?);
+                let out = match pred {
+                    CmpIPred::Eq => l == r,
+                    CmpIPred::Ne => l != r,
+                    CmpIPred::Slt => l < r,
+                    CmpIPred::Sle => l <= r,
+                    CmpIPred::Sgt => l > r,
+                    CmpIPred::Sge => l >= r,
+                };
+                cells.put(dst, tag::I1, out as u64);
             }
-            for (&r, &y) in results.iter().zip(yields) {
-                frame[r as usize] = frame[y as usize].clone();
+            Instr::CmpF {
+                pred,
+                dst,
+                lhs,
+                rhs,
+            } => {
+                let (l, r) = (cells.float(lhs)?, cells.float(rhs)?);
+                let out = match pred {
+                    CmpFPred::Oeq => l == r,
+                    CmpFPred::One => l != r,
+                    CmpFPred::Olt => l < r,
+                    CmpFPred::Ole => l <= r,
+                    CmpFPred::Ogt => l > r,
+                    CmpFPred::Oge => l >= r,
+                };
+                cells.put(dst, tag::I1, out as u64);
             }
-            iv = iv.wrapping_add(step);
-            trip += 1;
+            Instr::Select {
+                dst,
+                cond,
+                on_true,
+                on_false,
+            } => {
+                let pick = if cells.bool(cond)? { on_true } else { on_false };
+                cells.copy(dst, pick);
+            }
+            Instr::AxiProtocol { dst, src } => {
+                let mode = cells.int(src)?;
+                cells.put(dst, tag::AXI_PROTOCOL, mode as u64);
+            }
+            Instr::Load { dst, mem, idx } => {
+                let m = cells.memref(mem)?;
+                let off = linear_offset(m, cells, f.range(idx))?;
+                let (t, bits) = load_buffer(self.memory.get(m.buffer), off)?;
+                cells.put(dst, t, bits);
+            }
+            Instr::Store { val, mem, idx } => {
+                let m = cells.memref(mem)?;
+                let off = linear_offset(m, cells, f.range(idx))?;
+                let cell = (cells.tags[val as usize], cells.vals[val as usize]);
+                if let Err(what) = store_buffer(self.memory.get_mut(m.buffer), off, cell) {
+                    return Err(store_error(what, cells.tags, cells.vals, cells.mems, val));
+                }
+            }
+            Instr::Dim { dst, mem, dim } => {
+                let m = cells.memref(mem)?;
+                let d = cells.int(dim)? as usize;
+                let extent = *m
+                    .shape
+                    .get(d)
+                    .ok_or_else(|| InterpError::new("memref.dim out of rank"))?;
+                cells.put(dst, tag::INDEX, extent as u64);
+            }
+            Instr::Copy { src, dst } => {
+                let s = cells.memref(src)?.buffer;
+                let d = cells.memref(dst)?.buffer;
+                self.memory.copy(s, d)?;
+            }
+            Instr::Charge(ops) => self.charge(ops)?,
+            Instr::Alloc(i) => {
+                let a = &f.allocs[i as usize];
+                let m = self.alloc(a, cells, f.range(a.sizes))?;
+                cells.set(a.dst, m);
+            }
+            Instr::Loop(i) => {
+                let l = &f.loops[i as usize];
+                let lb = cells.int(l.lb)?;
+                let ub = cells.int(l.ub)?;
+                let step = cells.int(l.step)?;
+                if step <= 0 {
+                    return Err(InterpError::new(format!(
+                        "{} requires positive step",
+                        l.name
+                    )));
+                }
+                let results = f.range(l.results);
+                for (&r, &init) in results.iter().zip(f.range(l.inits)) {
+                    cells.copy(r, init);
+                }
+                if !(if l.inclusive { lb <= ub } else { lb < ub }) {
+                    self.observer.loop_executed(self.ir, l.op, 0);
+                    return Ok(Step::Jump {
+                        pc: l.end as usize,
+                        end,
+                    });
+                }
+                self.charge(l.body_ops)?;
+                cells.put(l.iv, tag::INDEX, lb as u64);
+                for (&a, &r) in f.range(l.args).iter().zip(results) {
+                    cells.copy(a, r);
+                }
+                ctrl.push(Ctrl::Loop {
+                    index: i,
+                    body: pc as u32 + 1,
+                    outer_end: end as u32,
+                    iv: lb,
+                    ub,
+                    step,
+                    trip: 0,
+                });
+                return Ok(Step::Jump {
+                    pc: pc + 1,
+                    end: l.end as usize,
+                });
+            }
+            Instr::If(i) => {
+                let s = &f.ifs[i as usize];
+                let (ops, start, stop, yields) = if cells.bool(s.cond)? {
+                    (s.then_ops, pc + 1, s.else_start as usize, s.then_yields)
+                } else {
+                    (
+                        s.else_ops,
+                        s.else_start as usize,
+                        s.end as usize,
+                        s.else_yields,
+                    )
+                };
+                self.charge(ops)?;
+                ctrl.push(Ctrl::If {
+                    index: i,
+                    outer_end: end as u32,
+                    yields,
+                });
+                return Ok(Step::Jump {
+                    pc: start,
+                    end: stop,
+                });
+            }
+            Instr::Hook(i) => self.run_hook(f, cells, &f.hooks[i as usize])?,
+            Instr::Return(values) => {
+                let values = f.range(values).iter().map(|&s| cells.get(s)).collect();
+                return Ok(Step::Return(values));
+            }
+            Instr::Trap(i) => return Err(InterpError::new(f.traps[i as usize].clone())),
+            // Decoded by the run loop itself.
+            Instr::IntBin { .. }
+            | Instr::FloatBin { .. }
+            | Instr::FloatBin2 { .. }
+            | Instr::Convert { .. }
+            | Instr::Convert2 { .. }
+            | Instr::OffConvert { .. }
+            | Instr::ConvertOff { .. }
+            | Instr::Move { .. }
+            | Instr::Load1 { .. }
+            | Instr::Load1Off { .. }
+            | Instr::Store1 { .. }
+            | Instr::Store1Off { .. } => unreachable!("hot instruction on the cold path"),
         }
-        self.observer.loop_executed(self.ir, l.op, trip);
-        Ok(Flow::Normal)
+        Ok(Step::Next)
     }
 
-    fn alloc(
-        &mut self,
-        a: &Alloc,
-        frame: &[RtValue],
-        sizes: &[Slot],
-    ) -> Result<RtValue, InterpError> {
+    fn alloc(&mut self, a: &Alloc, cells: &Cells, sizes: &[Slot]) -> Result<RtValue, InterpError> {
         let mut sizes = sizes.iter();
         let mut shape = Vec::with_capacity(a.shape.len());
         for &d in &a.shape {
@@ -567,7 +1064,7 @@ impl<'a> Run<'a> {
                 let &s = sizes
                     .next()
                     .ok_or_else(|| InterpError::new("missing dynamic size"))?;
-                frame[s as usize].as_int()?
+                cells.int(s)?
             } else {
                 d
             });
@@ -581,17 +1078,8 @@ impl<'a> Run<'a> {
         }))
     }
 
-    fn run_hook(
-        &mut self,
-        f: &Function,
-        frame: &mut [RtValue],
-        h: &Hook,
-    ) -> Result<(), InterpError> {
-        let args: Vec<RtValue> = f
-            .range(h.args)
-            .iter()
-            .map(|&s| frame[s as usize].clone())
-            .collect();
+    fn run_hook(&mut self, f: &Function, cells: &mut Cells, h: &Hook) -> Result<(), InterpError> {
+        let args: Vec<RtValue> = f.range(h.args).iter().map(|&s| cells.get(s)).collect();
         let handled = self.hooks.handle_op(self.ir, self.memory, h.op, &args)?;
         let values = match (&h.fallback, handled) {
             (Fallback::Ignore, _) => return Ok(()),
@@ -615,17 +1103,37 @@ impl<'a> Run<'a> {
             )));
         }
         for (&r, v) in results.iter().zip(values) {
-            frame[r as usize] = v;
+            cells.set(r, v);
         }
         Ok(())
     }
 }
 
-fn int_binop(op: IntOp, l: i64, r: i64) -> Result<i64, InterpError> {
+// ---- scalar semantics on (tag, bits) cells --------------------------------------------
+
+/// `RtValue::with_int`: payload `v` as the integer kind `t` holds it.
+#[inline(always)]
+fn wrap_int(t: u8, v: i64) -> u64 {
+    match t {
+        tag::I1 => (v != 0) as u64,
+        tag::I32 => v as i32 as i64 as u64,
+        _ => v as u64,
+    }
+}
+
+#[inline(always)]
+fn as_float(t: u8, bits: u64) -> Option<f64> {
+    match t {
+        tag::F32 => Some(f32::from_bits(bits as u32) as f64),
+        tag::F64 => Some(f64::from_bits(bits)),
+        _ => None,
+    }
+}
+
+#[inline(never)]
+fn int_binop_rare(op: IntOp, l: i64, r: i64) -> Result<i64, InterpError> {
     Ok(match op {
-        IntOp::Add => l.wrapping_add(r),
-        IntOp::Sub => l.wrapping_sub(r),
-        IntOp::Mul => l.wrapping_mul(r),
+        IntOp::Add | IntOp::Sub | IntOp::Mul => unreachable!("decoded by the run loop"),
         // Wrapping: `i64::MIN / -1` must not panic a device worker.
         IntOp::DivS => {
             if r == 0 {
@@ -647,7 +1155,8 @@ fn int_binop(op: IntOp, l: i64, r: i64) -> Result<i64, InterpError> {
     })
 }
 
-fn float_binop(op: FloatOp, l: &RtValue, r: &RtValue) -> Result<RtValue, InterpError> {
+#[inline(always)]
+fn float_binop(op: FloatOp, l: (u8, u64), r: (u8, u64)) -> Result<(u8, u64), InterpError> {
     macro_rules! apply {
         ($a:expr, $b:expr) => {
             match op {
@@ -655,98 +1164,156 @@ fn float_binop(op: FloatOp, l: &RtValue, r: &RtValue) -> Result<RtValue, InterpE
                 FloatOp::Sub => $a - $b,
                 FloatOp::Mul => $a * $b,
                 FloatOp::Div => $a / $b,
-                FloatOp::Max => $a.max(*$b),
-                FloatOp::Min => $a.min(*$b),
+                FloatOp::Max => $a.max($b),
+                FloatOp::Min => $a.min($b),
             }
         };
     }
     // f32 ops must round through f32 to match hardware semantics.
-    match (l, r) {
-        (RtValue::F32(a), RtValue::F32(b)) => Ok(RtValue::F32(apply!(a, b))),
-        (RtValue::F64(a), RtValue::F64(b)) => Ok(RtValue::F64(apply!(a, b))),
-        _ => Err(InterpError::new("float binop type mismatch")),
+    match (l.0, r.0) {
+        (tag::F32, tag::F32) => {
+            let (a, b) = (f32::from_bits(l.1 as u32), f32::from_bits(r.1 as u32));
+            Ok((tag::F32, apply!(a, b).to_bits() as u64))
+        }
+        (tag::F64, tag::F64) => {
+            let (a, b) = (f64::from_bits(l.1), f64::from_bits(r.1));
+            Ok((tag::F64, apply!(a, b).to_bits()))
+        }
+        _ => Err(error("float binop type mismatch")),
     }
 }
 
-fn convert_value(v: &RtValue, to: ConvKind) -> Result<RtValue, InterpError> {
-    Ok(match (to, v) {
-        (ConvKind::Index, v) => RtValue::Index(v.as_int()?),
-        (ConvKind::I1, v) => RtValue::I1(v.as_int()? != 0),
-        (ConvKind::I32, RtValue::F32(f)) => RtValue::I32(*f as i32),
-        (ConvKind::I32, RtValue::F64(f)) => RtValue::I32(*f as i32),
-        (ConvKind::I32, v) => RtValue::I32(v.as_int()? as i32),
-        (ConvKind::I64, RtValue::F32(f)) => RtValue::I64(*f as i64),
-        (ConvKind::I64, RtValue::F64(f)) => RtValue::I64(*f as i64),
-        (ConvKind::I64, v) => RtValue::I64(v.as_int()?),
-        (ConvKind::F32, RtValue::F32(f)) => RtValue::F32(*f),
-        (ConvKind::F32, RtValue::F64(f)) => RtValue::F32(*f as f32),
-        (ConvKind::F32, v) => RtValue::F32(v.as_int()? as f32),
-        (ConvKind::F64, RtValue::F32(f)) => RtValue::F64(*f as f64),
-        (ConvKind::F64, RtValue::F64(f)) => RtValue::F64(*f),
-        (ConvKind::F64, v) => RtValue::F64(v.as_int()? as f64),
+/// Conversion of an integer: defined for every target.
+#[inline(always)]
+fn convert_int(v: i64, to: ConvKind) -> (u8, u64) {
+    match to {
+        ConvKind::Index => (tag::INDEX, v as u64),
+        ConvKind::I1 => (tag::I1, (v != 0) as u64),
+        ConvKind::I32 => (tag::I32, v as i32 as i64 as u64),
+        ConvKind::I64 => (tag::I64, v as u64),
+        ConvKind::F32 => (tag::F32, (v as f32).to_bits() as u64),
+        ConvKind::F64 => (tag::F64, (v as f64).to_bits()),
+    }
+}
+
+/// `None`: the source is no integer where one is required.
+#[inline(always)]
+fn convert(t: u8, bits: u64, to: ConvKind) -> Option<(u8, u64)> {
+    if tag::is_int(t) {
+        return Some(convert_int(bits as i64, to));
+    }
+    // Widening an f32 is exact, so the saturating float-to-integer casts
+    // give what they would on the f32 itself.
+    let f = as_float(t, bits)?;
+    Some(match to {
+        ConvKind::Index | ConvKind::I1 => return None,
+        ConvKind::I32 => (tag::I32, f as i32 as i64 as u64),
+        ConvKind::I64 => (tag::I64, f as i64 as u64),
+        ConvKind::F32 if t == tag::F32 => (tag::F32, bits),
+        ConvKind::F32 => (tag::F32, (f as f32).to_bits() as u64),
+        ConvKind::F64 => (tag::F64, f.to_bits()),
     })
 }
 
 /// Offset of `idx` in a rank-1 memref; anything else (wrong rank, out of
 /// bounds) takes the general path for its error.
+#[inline(always)]
 fn rank1_offset(m: &MemRefVal, idx: i64) -> Result<usize, InterpError> {
     match m.shape[..] {
         [extent] if (0..extent).contains(&idx) => Ok(idx as usize),
-        _ => m.linear_index(&[idx]),
+        _ => bad_rank1_access(m, idx),
     }
+}
+
+#[cold]
+#[inline(never)]
+fn bad_rank1_access(m: &MemRefVal, idx: i64) -> Result<usize, InterpError> {
+    m.linear_index(&[idx])
 }
 
 /// [`MemRefVal::linear_index`] over index values still in the frame.
-fn linear_offset(m: &MemRefVal, frame: &[RtValue], idx: &[Slot]) -> Result<usize, InterpError> {
-    let mut indices = [0i64; 4];
-    if idx.len() > indices.len() {
-        let indices: Vec<i64> = idx
-            .iter()
-            .map(|&s| frame[s as usize].as_int())
-            .collect::<Result<_, _>>()?;
-        return m.linear_index(&indices);
-    }
-    for (i, &s) in indices.iter_mut().zip(idx) {
-        *i = frame[s as usize].as_int()?;
-    }
-    m.linear_index(&indices[..idx.len()])
+fn linear_offset(m: &MemRefVal, cells: &Cells, idx: &[Slot]) -> Result<usize, InterpError> {
+    let indices: Vec<i64> = idx
+        .iter()
+        .map(|&s| cells.int(s))
+        .collect::<Result<_, _>>()?;
+    m.linear_index(&indices)
 }
 
-fn load_buffer(buffer: &Buffer, off: usize) -> Result<RtValue, InterpError> {
-    let oob = |len: usize| InterpError::new(format!("load offset {off} out of bounds ({len})"));
-    Ok(match buffer {
-        Buffer::F32(v) => RtValue::F32(*v.get(off).ok_or_else(|| oob(v.len()))?),
-        Buffer::F64(v) => RtValue::F64(*v.get(off).ok_or_else(|| oob(v.len()))?),
-        Buffer::I32(v) => RtValue::I32(*v.get(off).ok_or_else(|| oob(v.len()))?),
-        Buffer::I64(v) => RtValue::I64(*v.get(off).ok_or_else(|| oob(v.len()))?),
-        Buffer::I1(v) => RtValue::I1(*v.get(off).ok_or_else(|| oob(v.len()))?),
-    })
+#[inline(always)]
+fn load_buffer(buffer: &Buffer, off: usize) -> Result<(u8, u64), InterpError> {
+    macro_rules! at {
+        ($v:expr, $t:expr, $bits:expr) => {
+            match $v.get(off) {
+                Some(x) => Ok(($t, $bits(*x))),
+                None => Err(load_out_of_bounds(off, $v.len())),
+            }
+        };
+    }
+    match buffer {
+        Buffer::F32(v) => at!(v, tag::F32, |x: f32| x.to_bits() as u64),
+        Buffer::F64(v) => at!(v, tag::F64, |x: f64| x.to_bits()),
+        Buffer::I32(v) => at!(v, tag::I32, |x: i32| x as i64 as u64),
+        Buffer::I64(v) => at!(v, tag::I64, |x: i64| x as u64),
+        Buffer::I1(v) => at!(v, tag::I1, |x: bool| x as u64),
+    }
 }
 
-fn store_buffer(buffer: &mut Buffer, off: usize, value: &RtValue) -> Result<(), InterpError> {
-    let oob = || InterpError::new("store out of bounds");
-    // Bounds before the value's kind: the slot is resolved first.
+#[cold]
+#[inline(never)]
+fn load_out_of_bounds(off: usize, len: usize) -> InterpError {
+    InterpError::new(format!("load offset {off} out of bounds ({len})"))
+}
+
+/// Why a store failed: out of bounds (`None`) or a value that is not the
+/// named kind. Bounds come before the value's kind: the element is resolved
+/// first.
+#[inline(always)]
+fn store_buffer(
+    buffer: &mut Buffer,
+    off: usize,
+    (t, bits): (u8, u64),
+) -> Result<(), Option<&'static str>> {
+    let int = || match tag::is_int(t) {
+        true => Ok(bits as i64),
+        false => Err(Some("integer")),
+    };
     match buffer {
         Buffer::F32(v) => {
-            let slot = v.get_mut(off).ok_or_else(oob)?;
-            *slot = value.as_float()? as f32;
+            let slot = v.get_mut(off).ok_or(None)?;
+            *slot = as_float(t, bits).ok_or(Some("float"))? as f32;
         }
         Buffer::F64(v) => {
-            let slot = v.get_mut(off).ok_or_else(oob)?;
-            *slot = value.as_float()?;
+            let slot = v.get_mut(off).ok_or(None)?;
+            *slot = as_float(t, bits).ok_or(Some("float"))?;
         }
         Buffer::I32(v) => {
-            let slot = v.get_mut(off).ok_or_else(oob)?;
-            *slot = value.as_int()? as i32;
+            let slot = v.get_mut(off).ok_or(None)?;
+            *slot = int()? as i32;
         }
         Buffer::I64(v) => {
-            let slot = v.get_mut(off).ok_or_else(oob)?;
-            *slot = value.as_int()?;
+            let slot = v.get_mut(off).ok_or(None)?;
+            *slot = int()?;
         }
         Buffer::I1(v) => {
-            let slot = v.get_mut(off).ok_or_else(oob)?;
-            *slot = value.as_int()? != 0;
+            let slot = v.get_mut(off).ok_or(None)?;
+            *slot = int()? != 0;
         }
     }
     Ok(())
+}
+
+#[cold]
+#[inline(never)]
+fn store_error(
+    what: Option<&str>,
+    tags: &[u8],
+    vals: &[u64],
+    mems: &[MemRefVal],
+    val: Slot,
+) -> InterpError {
+    match what {
+        None => InterpError::new("store out of bounds"),
+        Some(kind) => expected(kind, tags, vals, mems, val),
+    }
 }

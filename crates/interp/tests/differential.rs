@@ -16,7 +16,7 @@ use ftn_fpga::{DeviceModel, KernelExecutor};
 use ftn_host::HostRuntime;
 use ftn_interp::{
     Buffer, BufferId, DialectHooks, Interp, InterpError, MemRefVal, Memory, NoHooks, Observer,
-    RtValue, DEFAULT_MAX_STEPS,
+    Program, RtValue, DEFAULT_MAX_STEPS,
 };
 use ftn_mlir::{parse_module, Ir, OpId};
 use proptest::prelude::*;
@@ -64,12 +64,11 @@ fn run(
             max_steps,
         }
         .call(func, args, &mut memory, hooks, &mut trace),
-        Engine::Bytecode => Interp {
-            ir,
-            module,
-            max_steps,
+        Engine::Bytecode => {
+            let mut interp = Interp::new(ir, module);
+            interp.max_steps = max_steps;
+            interp.call(func, args, &mut memory, hooks, &mut trace)
         }
-        .call(func, args, &mut memory, hooks, &mut trace),
     };
     Outcome {
         result: result.map_err(|e| e.message),
@@ -1016,4 +1015,700 @@ fn kernel_wait_before_launch_is_the_same_error() {
         "{}",
         message(&bytecode)
     );
+}
+
+// ---- numbering and fusion: what lowering does to the code, not to the answer ----------
+
+/// The bytecode listing of `func`.
+fn listing(ir: &Ir, module: OpId, func: &str) -> String {
+    Program::lower_module(ir, module).disassemble(func)
+}
+
+/// `%m[%p - 1]` loaded, scaled through `mulf` → `addf`, stored to `%m[%p - 1]`
+/// and returned with the index as `index → i32 → index` sees it: every fused
+/// form with a parameter as its first operand, so the caller picks the kinds.
+const FUSED: &str = r#"
+^bb0(%m: memref<?xf32>, %p: index, %a: f32, %b: f32):
+  %c1 = "arith.constant"() {value = 1 : index} : () -> index
+  %i = "arith.subi"(%p, %c1) : (index, index) -> index
+  %v = "memref.load"(%m, %i) : (memref<?xf32>, index) -> f32
+  %t = "arith.mulf"(%a, %v) : (f32, f32) -> f32
+  %s = "arith.addf"(%t, %b) : (f32, f32) -> f32
+  %c1b = "arith.constant"() {value = 1 : index} : () -> index
+  %j = "arith.subi"(%p, %c1b) : (index, index) -> index
+  "memref.store"(%s, %m, %j) : (f32, memref<?xf32>, index) -> ()
+  %n = "arith.index_cast"(%p) : (index) -> i32
+  %w = "arith.index_cast"(%n) : (i32) -> index
+  %u = "arith.addi"(%p, %c1) : (index, index) -> index
+  %x = "arith.index_cast"(%u) : (index) -> i64
+  %y = "arith.index_cast"(%p) : (index) -> i1
+  %z = "arith.addi"(%y, %c1) : (i1, index) -> i1
+  "func.return"(%s, %w, %x, %z) : (f32, index, i64, i1) -> ()
+"#;
+
+/// The same shapes whose *second* constituent is the one that fails: the
+/// intermediate of each pair is a float where an integer is required.
+const FUSED_LATE: &str = r#"
+^bb0(%p: index, %pick: index):
+  %c0 = "arith.constant"() {value = 0 : index} : () -> index
+  %c1 = "arith.constant"() {value = 1 : index} : () -> index
+  %first = "arith.cmpi"(%pick, %c0) {predicate = "eq"} : (index, index) -> i1
+  "scf.if"(%first) ({
+    %f = "arith.sitofp"(%p) : (index) -> f32
+    %i = "arith.index_cast"(%f) : (f32) -> index
+    "scf.yield"() : () -> ()
+  }, {
+    %g = "arith.sitofp"(%p) : (index) -> f64
+    %j = "arith.subi"(%g, %c1) : (f64, index) -> index
+    "scf.yield"() : () -> ()
+  }) : (i1) -> ()
+  "func.return"() : () -> ()
+"#;
+
+#[test]
+fn ill_kinded_arguments_reach_fused_instructions_with_the_oracles_errors() {
+    let (ir, m) = module_of(&[
+        (
+            "fused",
+            "(memref<?xf32>, index, f32, f32) -> (f32, index, i64, i1)",
+            FUSED,
+        ),
+        ("late", "(index, index) -> ()", FUSED_LATE),
+    ]);
+    let text = listing(&ir, m, "fused");
+    for form in [
+        "load1 %0[%1-1]",
+        "store1 %8, %0[%1-1]",
+        "float.Add (float.Mul",
+        "convert.I32.Index %1",
+        "convert.I64 (%1+1)",
+        "(convert.I1 %1)+1",
+    ] {
+        assert!(text.contains(form), "no `{form}` in\n{text}");
+    }
+    // The duplicate constant and the duplicate subi emitted nothing.
+    assert_eq!(text.matches("int.Sub").count(), 0, "{text}");
+    let text = listing(&ir, m, "late");
+    assert!(text.contains("convert.F32.Index %0"), "{text}");
+    assert!(text.contains("(convert.F64 %0)-1"), "{text}");
+
+    let data = || Buffer::F32(vec![1.0, 2.0, 3.0, 4.0]);
+    use RtValue::{Index, F32, F64, I1, I32, I64};
+    // (buffer and shape behind `%m`, or a scalar there; `%p`; `%a`; `%b`;
+    // the error expected, if any)
+    type Case = (
+        Result<(Buffer, Vec<i64>), RtValue>,
+        RtValue,
+        RtValue,
+        RtValue,
+        Option<&'static str>,
+    );
+    let f32s = |shape: &[i64]| Ok((data(), shape.to_vec()));
+    let cases: Vec<Case> = vec![
+        // Well-kinded; then the same index as each integer kind, over
+        // NaN, infinities and subnormals.
+        (f32s(&[4]), Index(2), F32(0.5), F32(-0.0), None),
+        (f32s(&[4]), I32(4), F32(f32::NAN), F32(1.0), None),
+        (
+            f32s(&[4]),
+            I64(1),
+            F32(f32::INFINITY),
+            F32(f32::NEG_INFINITY),
+            None,
+        ),
+        (f32s(&[4]), I1(true), F32(1e-40), F32(-1e-45), None),
+        // An i32 index wraps as an i32 before it addresses anything.
+        (
+            f32s(&[4]),
+            I32(i32::MIN),
+            F32(1.0),
+            F32(1.0),
+            Some("index 2147483647 out of bounds"),
+        ),
+        // Bounds: below, at the end, and inside a shape the buffer is short of.
+        (
+            f32s(&[4]),
+            Index(0),
+            F32(1.0),
+            F32(1.0),
+            Some("index -1 out of bounds"),
+        ),
+        (
+            f32s(&[4]),
+            Index(5),
+            F32(1.0),
+            F32(1.0),
+            Some("index 4 out of bounds"),
+        ),
+        (
+            f32s(&[9]),
+            Index(7),
+            F32(1.0),
+            F32(1.0),
+            Some("load offset 6 out of bounds (4)"),
+        ),
+        // First constituent of the addressing: the base is no integer.
+        (
+            f32s(&[4]),
+            F32(2.0),
+            F32(1.0),
+            F32(1.0),
+            Some("expected integer, got F32(2.0)"),
+        ),
+        // Second constituent: a scalar where the memref goes, a rank-2 shape.
+        (
+            Err(I64(9)),
+            Index(2),
+            F32(1.0),
+            F32(1.0),
+            Some("expected memref, got I64(9)"),
+        ),
+        (
+            f32s(&[2, 2]),
+            Index(2),
+            F32(1.0),
+            F32(1.0),
+            Some("rank mismatch: 1 indices for rank-2 memref"),
+        ),
+        // mulf → addf: the first pair of kinds, then the second.
+        (
+            f32s(&[4]),
+            Index(2),
+            F64(1.0),
+            F32(1.0),
+            Some("float binop type mismatch"),
+        ),
+        (
+            f32s(&[4]),
+            Index(2),
+            F32(1.0),
+            F64(1.0),
+            Some("float binop type mismatch"),
+        ),
+        // An integer buffer: the element loaded is no float for the `mulf`.
+        (
+            Ok((Buffer::I32(vec![1, 2, 3, 4]), vec![4])),
+            Index(2),
+            F32(1.0),
+            F32(1.0),
+            Some("float binop type mismatch"),
+        ),
+    ];
+    for (i, (m_arg, p, a, b, expect)) in cases.iter().enumerate() {
+        let out = diff(&ir, m, "fused", |mem| {
+            let m_arg = match m_arg {
+                Ok((buffer, shape)) => memref(mem, buffer.clone(), shape),
+                Err(scalar) => scalar.clone(),
+            };
+            vec![m_arg, p.clone(), a.clone(), b.clone()]
+        });
+        match expect {
+            None => assert!(out.result.is_ok(), "case {i}: {:?}", out.result),
+            Some(text) => assert!(message(&out).contains(text), "case {i}: {}", message(&out)),
+        }
+    }
+    // Past the access the conversions see each kind too.
+    let out = diff(&ir, m, "fused", |mem| {
+        vec![
+            memref(mem, data(), &[4]),
+            RtValue::I32(3),
+            RtValue::F32(2.0),
+            RtValue::F32(1.0),
+        ]
+    });
+    assert_eq!(
+        out.result.unwrap(),
+        vec![
+            RtValue::F32(7.0),
+            RtValue::Index(3),
+            RtValue::I64(4),
+            RtValue::I1(true)
+        ]
+    );
+    for (pick, expect) in [
+        (0, "expected integer, got F32(7.0)"),
+        (1, "expected integer, got F64(7.0)"),
+    ] {
+        let args = vec![RtValue::Index(7), RtValue::Index(pick)];
+        let out = diff(&ir, m, "late", no_memory(args));
+        assert!(message(&out).contains(expect), "{}", message(&out));
+    }
+    // ... and the first constituent of those pairs.
+    let args = vec![RtValue::F32(7.0), RtValue::Index(0)];
+    let out = diff(&ir, m, "late", no_memory(args));
+    assert!(
+        message(&out).contains("expected integer, got F32(7.0)"),
+        "{}",
+        message(&out)
+    );
+}
+
+/// `index → i32 → index` is not the identity past 31 bits, fused or not.
+#[test]
+fn index_i32_index_chains_truncate_at_the_i32_boundary() {
+    let body = r#"
+^bb0(%p: index):
+  %n = "arith.index_cast"(%p) : (index) -> i32
+  %w = "arith.index_cast"(%n) : (i32) -> index
+  %n2 = "arith.index_cast"(%p) : (index) -> i32
+  %w2 = "arith.index_cast"(%n2) : (i32) -> index
+  %d = "arith.subi"(%w, %w2) : (index, index) -> index
+  "func.return"(%w, %d) : (index, index) -> ()
+"#;
+    let (ir, m) = module_of(&[("chain", "(index) -> (index, index)", body)]);
+    let text = listing(&ir, m, "chain");
+    assert_eq!(text.matches("convert").count(), 1, "{text}");
+    for (p, expect) in [
+        ((1i64 << 31) - 1, (1i64 << 31) - 1),
+        (1 << 31, -(1i64 << 31)),
+        (1 << 33, 0),
+        ((1 << 33) + 5, 5),
+        (-1, -1),
+    ] {
+        for arg in [RtValue::Index(p), RtValue::I64(p)] {
+            let out = diff(&ir, m, "chain", no_memory(vec![arg]));
+            assert_eq!(
+                out.result.unwrap(),
+                vec![RtValue::Index(expect), RtValue::Index(0)]
+            );
+        }
+    }
+}
+
+/// Constants are numbered by kind *and* bits: `1 : index`, `1 : i64` and
+/// `1 : i32` stay three values (a result's kind follows its left operand),
+/// `0.0` and `-0.0` two.
+#[test]
+fn constants_of_different_kinds_or_bits_are_not_merged() {
+    let body = r#"
+^bb0(%x: f32):
+  %a = "arith.constant"() {value = 1 : index} : () -> index
+  %b = "arith.constant"() {value = 1 : i64} : () -> i64
+  %c = "arith.constant"() {value = 1 : i32} : () -> i32
+  %d = "arith.constant"() {value = 1 : index} : () -> index
+  %big = "arith.constant"() {value = 2147483647 : i32} : () -> i32
+  %ab = "arith.addi"(%a, %big) : (index, i32) -> index
+  %bb = "arith.addi"(%b, %big) : (i64, i32) -> i64
+  %cb = "arith.addi"(%c, %big) : (i32, i32) -> i32
+  %db = "arith.addi"(%d, %big) : (index, i32) -> index
+  %pz = "arith.constant"() {value = 0e0 : f32} : () -> f32
+  %nz = "arith.negf"(%pz) : (f32) -> f32
+  %pz2 = "arith.constant"() {value = 0e0 : f32} : () -> f32
+  %s1 = "arith.addf"(%pz, %pz2) : (f32, f32) -> f32
+  %s2 = "arith.addf"(%nz, %nz) : (f32, f32) -> f32
+  "func.return"(%ab, %bb, %cb, %db, %s1, %s2) : (index, i64, i32, index, f32, f32) -> ()
+"#;
+    let (ir, m) = module_of(&[(
+        "consts",
+        "(f32) -> (index, i64, i32, index, f32, f32)",
+        body,
+    )]);
+    let text = listing(&ir, m, "consts");
+    // %db is %ab again; the other two additions differ in their constant.
+    assert_eq!(text.matches("int.Add").count(), 3, "{text}");
+    let out = diff(&ir, m, "consts", no_memory(vec![RtValue::F32(0.0)]));
+    let values = out.result.unwrap();
+    assert_eq!(
+        values[..4],
+        [
+            RtValue::Index(1 << 31),
+            RtValue::I64(1 << 31),
+            RtValue::I32(i32::MIN),
+            RtValue::Index(1 << 31)
+        ]
+    );
+    assert_eq!(value_bits(&values[4]), "f32:00000000");
+    assert_eq!(value_bits(&values[5]), "f32:80000000");
+}
+
+/// A loop body that lowers to fewer instructions than it has ops — three of
+/// its ops are duplicates, two pairs fuse — still costs its op count.
+const SHRUNK: &str = r#"
+^bb0(%n: index, %m: memref<?xf32>):
+  %c0 = "arith.constant"() {value = 0 : index} : () -> index
+  %c1 = "arith.constant"() {value = 1 : index} : () -> index
+  "scf.for"(%c0, %n, %c1) ({
+  ^bb1(%i: index):
+    %one = "arith.constant"() {value = 1 : index} : () -> index
+    %a = "arith.addi"(%i, %one) : (index, index) -> index
+    %b = "arith.addi"(%i, %one) : (index, index) -> index
+    %a32 = "arith.index_cast"(%a) : (index) -> i32
+    %b32 = "arith.index_cast"(%b) : (index) -> i32
+    %ai = "arith.index_cast"(%a32) : (i32) -> index
+    %bi = "arith.index_cast"(%b32) : (i32) -> index
+    %j = "arith.subi"(%ai, %one) : (index, index) -> index
+    %v = "memref.load"(%m, %j) : (memref<?xf32>, index) -> f32
+    %t = "arith.mulf"(%v, %v) : (f32, f32) -> f32
+    %s = "arith.addf"(%t, %v) : (f32, f32) -> f32
+    "memref.store"(%s, %m, %j) : (f32, memref<?xf32>, index) -> ()
+    "scf.yield"() : () -> ()
+  }) : (index, index, index) -> ()
+  "func.return"() : () -> ()
+"#;
+
+#[test]
+fn numbered_and_fused_bodies_exhaust_the_step_budget_at_the_op_count() {
+    let (ir, m) = module_of(&[("shrunk", "(index, memref<?xf32>) -> ()", SHRUNK)]);
+    let text = listing(&ir, m, "shrunk");
+    let body: Vec<&str> = text.lines().skip_while(|l| !l.contains("loop")).collect();
+    // 13 ops; after numbering and fusion the body is 5 instructions.
+    assert_eq!(body.len() - 2, 5, "{text}");
+    for n in [0u64, 1, 6] {
+        // Entry block 4 ops, 13 per iteration.
+        let steps = 4 + 13 * n;
+        for (budget, fits) in [(steps, true), (steps - 1, false)] {
+            for engine in [Engine::Oracle, Engine::Bytecode] {
+                let mut memory = Memory::new();
+                let args = [
+                    RtValue::Index(n as i64),
+                    memref(&mut memory, Buffer::F32(vec![0.5; 8]), &[8]),
+                ];
+                let out = run(
+                    engine,
+                    &ir,
+                    m,
+                    "shrunk",
+                    &args,
+                    memory,
+                    &mut NoHooks,
+                    budget,
+                );
+                match fits {
+                    true => assert!(out.result.is_ok(), "{engine:?} n={n} budget={budget}"),
+                    false => assert_eq!(
+                        message(&out),
+                        "interpreter step budget exhausted",
+                        "{engine:?} n={n} budget={budget}"
+                    ),
+                }
+            }
+        }
+    }
+}
+
+/// A search over a triangle that returns from inside the inner loop's `if`:
+/// the loops it leaves are never reported, the ones it finished are.
+const SEARCH: &str = r#"
+^bb0(%n: index, %target: index):
+  %c0 = "arith.constant"() {value = 0 : index} : () -> index
+  %c1 = "arith.constant"() {value = 1 : index} : () -> index
+  %none = "arith.constant"() {value = -1 : index} : () -> index
+  %count = "scf.for"(%c0, %n, %c1, %c0) ({
+  ^bb1(%i: index, %seen: index):
+    %inner = "scf.for"(%c0, %i, %c1, %seen) ({
+    ^bb2(%j: index, %acc: index):
+      %next = "arith.addi"(%acc, %c1) : (index, index) -> index
+      %hit = "arith.cmpi"(%next, %target) {predicate = "eq"} : (index, index) -> i1
+      "scf.if"(%hit) ({
+        "func.return"(%i, %j) : (index, index) -> ()
+      }, {
+        "scf.yield"() : () -> ()
+      }) : (i1) -> ()
+      "scf.yield"(%next) : (index) -> ()
+    }) : (index, index, index, index) -> index
+    "scf.yield"(%inner) : (index) -> ()
+  }) : (index, index, index, index) -> index
+  "func.return"(%none, %count) : (index, index) -> ()
+"#;
+
+#[test]
+fn zero_trip_single_trip_and_early_return_through_the_back_edge() {
+    let (ir, m) = module_of(&[("search", "(index, index) -> (index, index)", SEARCH)]);
+    for (n, target, expect) in [
+        (0i64, 1i64, (-1i64, 0i64)), // zero-trip outer loop
+        (1, 1, (-1, 0)),             // single trip, zero-trip inner loop
+        (2, 1, (1, 0)),              // returns on the inner loop's only trip
+        (5, 7, (4, 0)),
+        (5, 10, (4, 3)),
+        (5, 11, (-1, 10)), // runs to completion
+    ] {
+        let args = vec![RtValue::Index(n), RtValue::Index(target)];
+        let out = diff(&ir, m, "search", no_memory(args));
+        let (a, b) = expect;
+        assert_eq!(
+            out.result.unwrap(),
+            vec![RtValue::Index(a), RtValue::Index(b)],
+            "n={n} target={target}"
+        );
+        if (n, target) == (5, 7) {
+            // i = 0..3 finished their inner loops; i = 4 and the outer did not.
+            let trips: Vec<u64> = out.loops.iter().map(|&(_, t)| t).collect();
+            assert_eq!(trips, vec![0, 1, 2, 3]);
+        }
+    }
+}
+
+/// A loop whose yield operands were all numbered away while its body was
+/// lowered: a second `addi` of the body, a repeat of an op of the enclosing
+/// block, and a constant equal to an earlier one. `LOOP` / `YIELD` are
+/// replaced per loop kind.
+const YIELD_DUPLICATES: &str = r#"
+^bb0(%n: index, %x: i64):
+  %c0 = "arith.constant"() {value = 0 : index} : () -> index
+  %c1 = "arith.constant"() {value = 1 : index} : () -> index
+  %one = "arith.constant"() {value = 1 : i64} : () -> i64
+  %seven = "arith.constant"() {value = 7 : i64} : () -> i64
+  %outer = "arith.addi"(%x, %one) : (i64, i64) -> i64
+  %ra, %rb, %rc = "LOOP"(%c0, %n, %c1, %x, %x, %x) ({
+  ^bb1(%i: index, %a: i64, %b: i64, %c: i64):
+    %s = "arith.addi"(%a, %one) : (i64, i64) -> i64
+    %s2 = "arith.addi"(%a, %one) : (i64, i64) -> i64
+    %o2 = "arith.addi"(%x, %one) : (i64, i64) -> i64
+    %k = "arith.constant"() {value = 7 : i64} : () -> i64
+    "YIELD"(%s2, %o2, %k) : (i64, i64, i64) -> ()
+  }) : (index, index, index, i64, i64, i64) -> (i64, i64, i64)
+  "func.return"(%ra, %rb, %rc, %outer, %seven) : (i64, i64, i64, i64, i64) -> ()
+"#;
+
+#[test]
+fn loops_yield_values_that_were_numbered_away() {
+    let signature = "(index, i64) -> (i64, i64, i64, i64, i64)";
+    let scf = YIELD_DUPLICATES
+        .replace("LOOP", "scf.for")
+        .replace("YIELD", "scf.yield");
+    let omp = YIELD_DUPLICATES
+        .replace("LOOP", "omp.wsloop")
+        .replace("YIELD", "omp.yield");
+    let (ir, m) = module_of(&[("scf", signature, &scf), ("omp", signature, &omp)]);
+    // Every yield operand is a duplicate: the body is one addition.
+    for func in ["scf", "omp"] {
+        let text = listing(&ir, m, func);
+        assert_eq!(text.matches("int.Add").count(), 2, "{text}");
+    }
+    for n in [0i64, 1, 3] {
+        for (func, trips) in [("scf", n), ("omp", n + 1)] {
+            let args = vec![RtValue::Index(n), RtValue::I64(40)];
+            let out = diff(&ir, m, func, no_memory(args));
+            let carried = |init: i64, each: i64| if trips == 0 { init } else { each };
+            assert_eq!(
+                out.result.unwrap(),
+                vec![
+                    RtValue::I64(40 + trips),
+                    RtValue::I64(carried(40, 41)),
+                    RtValue::I64(carried(40, 7)),
+                    RtValue::I64(41),
+                    RtValue::I64(7),
+                ],
+                "{func} n={n}"
+            );
+        }
+    }
+}
+
+// ---- generated straight-line blocks -----------------------------------------------------
+
+/// Generator of scalar blocks over `(%m: memref<?xf32>, %p: index, %q: i64,
+/// %x: f32, %y: f32, %t: index)`: integer and float arithmetic with repeated
+/// sub-expressions and repeated constants of several kinds, `index → i32 →
+/// index` chains, `base ± const` addressing and `mulf` → `addf`.
+struct BlockGen {
+    text: String,
+    /// (name, type) of every integer value in scope, then the float names.
+    ints: Vec<(String, &'static str)>,
+    floats: Vec<String>,
+    /// Right-hand sides that may be emitted again under a new name, with
+    /// their result type and the values they read.
+    repeatable: Vec<(String, &'static str, Vec<String>)>,
+    next: usize,
+}
+
+impl BlockGen {
+    fn fresh(&mut self, prefix: &str) -> String {
+        self.next += 1;
+        format!("%{prefix}{}", self.next)
+    }
+
+    fn int(&mut self, rng: &mut proptest::TestRng) -> (String, &'static str) {
+        self.ints[rng.below(self.ints.len())].clone()
+    }
+
+    fn float(&mut self, rng: &mut proptest::TestRng) -> String {
+        self.floats[rng.below(self.floats.len())].clone()
+    }
+
+    fn define_int(&mut self, prefix: &str, ty: &'static str, rhs: String, reads: Vec<String>) {
+        let name = self.fresh(prefix);
+        self.text.push_str(&format!("  {name} = {rhs}\n"));
+        if !reads.is_empty() {
+            self.repeatable.push((rhs, ty, reads));
+        }
+        self.ints.push((name, ty));
+    }
+
+    /// `least` to `least + spread - 1` random ops.
+    fn ops(&mut self, rng: &mut proptest::TestRng, least: usize, spread: usize) {
+        for _ in 0..least + rng.below(spread) {
+            match rng.below(10) {
+                0 | 1 => {
+                    let ty = ["index", "i64", "i32"][rng.below(3)];
+                    let value = [0i64, 1, 1, 2, -1][rng.below(5)];
+                    let rhs =
+                        format!("\"arith.constant\"() {{value = {value} : {ty}}} : () -> {ty}");
+                    self.define_int("c", ty, rhs, vec![]);
+                }
+                2 | 3 => {
+                    let ((l, lt), (r, rt)) = (self.int(rng), self.int(rng));
+                    let op = ["addi", "subi", "muli", "addi", "subi"][rng.below(5)];
+                    let rhs = format!("\"arith.{op}\"({l}, {r}) : ({lt}, {rt}) -> {lt}");
+                    self.define_int("i", lt, rhs, vec![l, r]);
+                }
+                4 => {
+                    let (src, st) = self.int(rng);
+                    let to = ["i32", "index", "i64", "index"][rng.below(4)];
+                    let rhs = format!("\"arith.index_cast\"({src}) : ({st}) -> {to}");
+                    self.define_int("k", to, rhs, vec![src]);
+                }
+                5 | 6 => {
+                    // Mostly `base ± const` off a value near the buffer's ends.
+                    let (idx, it) = if rng.below(3) > 0 {
+                        let (base, bt) = self.ints[rng.below(2)].clone();
+                        let c = self.fresh("c");
+                        self.text.push_str(&format!(
+                            "  {c} = \"arith.constant\"() {{value = 1 : index}} : () -> index\n"
+                        ));
+                        let op = ["subi", "addi"][rng.below(2)];
+                        let rhs = format!("\"arith.{op}\"({base}, {c}) : ({bt}, index) -> {bt}");
+                        self.define_int("a", bt, rhs, vec![]);
+                        self.ints.last().expect("just pushed").clone()
+                    } else {
+                        self.int(rng)
+                    };
+                    if rng.below(2) == 0 {
+                        let name = self.fresh("l");
+                        self.text.push_str(&format!(
+                            "  {name} = \"memref.load\"(%m, {idx}) : (memref<?xf32>, {it}) -> f32\n"
+                        ));
+                        self.floats.push(name);
+                    } else {
+                        let v = self.float(rng);
+                        self.text.push_str(&format!(
+                            "  \"memref.store\"({v}, %m, {idx}) : (f32, memref<?xf32>, {it}) -> ()\n"
+                        ));
+                    }
+                }
+                7 | 8 => {
+                    let (l, r) = (self.float(rng), self.float(rng));
+                    let op = ["mulf", "addf", "subf", "mulf", "addf"][rng.below(5)];
+                    let name = self.fresh("f");
+                    self.text.push_str(&format!(
+                        "  {name} = \"arith.{op}\"({l}, {r}) : (f32, f32) -> f32\n"
+                    ));
+                    self.floats.push(name);
+                }
+                _ => {
+                    if !self.repeatable.is_empty() {
+                        let (rhs, ty, _) =
+                            self.repeatable[rng.below(self.repeatable.len())].clone();
+                        self.define_int("r", ty, rhs, vec![]);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A prelude, a `scf.for` of `%t` trips whose body also reads the prelude's
+/// values, and a tail that may repeat what the body computed from them (in
+/// scope there, not here), returning an integer of each part, the loop's
+/// result and a float. The loop carries one of the prelude's integers and
+/// yields one of the body's — often a repeat or a repeated constant, whose
+/// slot is only known once the body is lowered.
+fn generated_block(rng: &mut proptest::TestRng) -> (String, String) {
+    let mut g = BlockGen {
+        text: "^bb0(%m: memref<?xf32>, %p: index, %q: i64, %x: f32, %y: f32, %t: index):\n".into(),
+        ints: vec![("%p".into(), "index"), ("%q".into(), "i64")],
+        floats: vec!["%x".into(), "%y".into()],
+        repeatable: Vec::new(),
+        next: 0,
+    };
+    g.text.push_str(
+        "  %lo = \"arith.constant\"() {value = 0 : index} : () -> index\n  \
+         %st = \"arith.constant\"() {value = 1 : index} : () -> index\n",
+    );
+    g.ops(rng, 2, 12);
+    let (outer_ints, outer_floats) = (g.ints.len(), g.floats.len());
+    let (init, ct) = g.int(rng);
+    g.text.push_str(&format!(
+        "  %res = \"scf.for\"(%lo, %t, %st, {init}) ({{\n  ^bb1(%iv: index, %carry: {ct}):\n"
+    ));
+    g.ints.push(("%iv".into(), "index"));
+    g.ints.push(("%carry".into(), ct));
+    g.ops(rng, 2, 12);
+    // The latest of the body's values of the carried type, else the carry.
+    let yielded = match g.ints[outer_ints + 2..]
+        .iter()
+        .rev()
+        .find(|(_, ty)| *ty == ct)
+    {
+        Some((name, _)) if rng.below(4) > 0 => name.clone(),
+        _ => "%carry".to_string(),
+    };
+    g.text.push_str(&format!(
+        "  \"scf.yield\"({yielded}) : ({ct}) -> ()\n  }}) : (index, index, index, {ct}) -> {ct}\n"
+    ));
+    // The body's values leave scope; what it computed from outer values
+    // alone may be written again after the loop.
+    let inner: Vec<String> = g.ints.drain(outer_ints..).map(|(name, _)| name).collect();
+    let inner_floats: Vec<String> = g.floats.drain(outer_floats..).collect();
+    g.repeatable.retain(|(_, _, reads)| {
+        reads
+            .iter()
+            .all(|r| !inner.contains(r) && !inner_floats.contains(r))
+    });
+    g.ints.push(("%res".into(), ct));
+    g.ops(rng, 1, 8);
+    let (a, at) = g.ints[g.ints.len() - 1].clone();
+    let (b, bt) = g.ints[g.ints.len() / 2].clone();
+    let f = g.floats[g.floats.len() - 1].clone();
+    g.text.push_str(&format!(
+        "  \"func.return\"({a}, {b}, %res, {f}) : ({at}, {bt}, {ct}, f32) -> ()\n"
+    ));
+    let signature =
+        format!("(memref<?xf32>, index, i64, f32, f32, index) -> ({at}, {bt}, {ct}, f32)");
+    (signature, g.text)
+}
+
+proptest! {
+    #[test]
+    fn generated_scalar_blocks_agree(seed in 0u64..u64::MAX) {
+        let mut rng = proptest::TestRng::new(seed);
+        let (signature, body) = generated_block(&mut rng);
+        let (ir, m) = module_of(&[("block", &signature, &body)]);
+        const N: i64 = 6;
+        let specials = [
+            0.0f32, -0.0, 1.5, -2.25, f32::NAN, f32::INFINITY, f32::NEG_INFINITY,
+            f32::MIN_POSITIVE / 4.0, -1e-45, 3.0e38,
+        ];
+        // Indices around both ends of the buffer, and the 32-bit boundary.
+        let indices = [-1, 0, 1, N - 1, N, N + 1, (1 << 31) - 1, 1 << 31, 1 << 33];
+        for _ in 0..6 {
+            // Half the draws keep `± 1` inside the buffer, so blocks also finish.
+            let index = |rng: &mut proptest::TestRng| match rng.below(2) {
+                0 => 1 + rng.below(N as usize - 2) as i64,
+                _ => indices[rng.below(indices.len())],
+            };
+            let (p, q) = (index(&mut rng), index(&mut rng));
+            let (x, y) = (specials[rng.below(specials.len())], specials[rng.below(specials.len())]);
+            // The declared kinds, or whichever the caller felt like sending.
+            let (p, q) = match rng.below(4) {
+                0 => (RtValue::I32(p as i32), RtValue::Index(q)),
+                1 => (RtValue::I64(p), RtValue::I32(q as i32)),
+                _ => (RtValue::Index(p), RtValue::I64(q)),
+            };
+            // A shape that tells the truth, or claims more than the buffer has.
+            let extent = if rng.below(4) == 0 { N + 3 } else { N };
+            let trips = [0, 1, 3][rng.below(3)];
+            let data: Vec<f32> = (0..N).map(|i| specials[(i as usize + rng.below(3)) % specials.len()]).collect();
+            diff(&ir, m, "block", |memory| {
+                vec![
+                    memref(memory, Buffer::F32(data.clone()), &[extent]),
+                    p.clone(),
+                    q.clone(),
+                    RtValue::F32(x),
+                    RtValue::F32(y),
+                    RtValue::Index(trips),
+                ]
+            });
+        }
+    }
 }

@@ -11,6 +11,10 @@
 //! * The same script over HTTP: the text of every 200 reply (compile, open,
 //!   launch, info, close, `/run`) is byte-identical to a golden captured on
 //!   the commit before the reply writer was made write-through (PR 16).
+//! * A launch whose loop bounds arrive as `{"i32": …}` or `{"i64": …}` for
+//!   the kernel's `index` parameters returns the same array bits as the
+//!   all-`index` launch and as `Machine`: the interpreter takes kinds from
+//!   the values it is handed, never from the IR's types (PR 17).
 
 use std::sync::OnceLock;
 
@@ -186,6 +190,97 @@ fn http_reply_text_is_byte_identical_to_the_parent_commit() {
         transcript, golden,
         "reply text drifted from the parent commit"
     );
+}
+
+/// The client picks each scalar's kind (`ArgSpec`), so the `index` loop
+/// bounds of `saxpyn_kernel0` may arrive as `i32` or `i64`. The fused
+/// addressing and conversions downstream of them must still produce what
+/// the all-`index` launch and the single-device `Machine` produce.
+#[test]
+fn launch_with_i32_or_i64_loop_bounds_matches_index_bounds_and_machine() {
+    use ftn_serve::client::Conn;
+    use ftn_serve::{ServeConfig, Server};
+
+    // One unrolled trip-block of ten, then a seven-element epilogue.
+    let n = 37usize;
+    let a = 1.75f32;
+    let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37).sin()).collect();
+    let y: Vec<f32> = (0..n).map(|i| (i as f32 * 0.11).cos()).collect();
+
+    let mut machine = Machine::load(saxpyn_artifacts(), DeviceModel::u280()).unwrap();
+    let (xa, ya) = (machine.host_f32(&x), machine.host_f32(&y));
+    let args = [
+        RtValue::I32(n as i32),
+        RtValue::I32(1),
+        RtValue::F32(a),
+        xa,
+        ya.clone(),
+    ];
+    machine.run("saxpyn", &args).unwrap();
+    let expect: Vec<u32> = machine.read_f32(&ya).iter().map(|v| v.to_bits()).collect();
+
+    let config = ServeConfig {
+        devices: 1,
+        workers: 1,
+        scrape_interval_ms: 0,
+        ..Default::default()
+    };
+    let server = Server::bind("127.0.0.1:0", config).expect("bind");
+    let addr = server.local_addr();
+    let handle = std::thread::spawn(move || server.run());
+    let mut conn = Conn::open(addr).expect("connect");
+    let mut call = |method: &str, path: &str, body: &str| {
+        let (status, text) = conn.request_text(method, path, body).expect("round trip");
+        assert_eq!(status, 200, "{method} {path}: {text}");
+        text
+    };
+    let source = serde_json::to_string(&SAXPYN.to_string()).unwrap();
+    let compiled = call("POST", "/compile", &format!("{{\"source\": {source}}}"));
+    let key = compiled.split('"').nth(3).expect("key is the first field");
+    let list = |v: &[f32]| {
+        let items: Vec<String> = v.iter().map(|f| format!("{:?}", *f as f64)).collect();
+        format!("[{}]", items.join(","))
+    };
+    let mut replies = Vec::new();
+    for (session, kind) in ["index", "i32", "i64"].iter().enumerate() {
+        let open = format!(
+            "{{\"key\": \"{key}\", \"maps\": [\
+             {{\"name\": \"x\", \"kind\": \"to\", \"data\": {}}},\
+             {{\"name\": \"y\", \"kind\": \"tofrom\", \"data\": {}}}]}}",
+            list(&x),
+            list(&y)
+        );
+        call("POST", "/sessions", &open);
+        let path = format!("/sessions/{}", session + 1);
+        let launch = format!(
+            "{{\"kernel\": \"saxpyn_kernel0\", \"args\": [{{\"array\": \"x\"}}, \
+             {{\"array\": \"y\"}}, {{\"index\": {n}}}, {{\"index\": {n}}}, {{\"f32\": {a}}}, \
+             {{\"{kind}\": 1}}, {{\"{kind}\": {n}}}]}}"
+        );
+        call("POST", &format!("{path}/launch"), &launch);
+        let closed = call("DELETE", &path, "");
+        let arrays = closed
+            .split("\"arrays\": ")
+            .nth(1)
+            .expect("close returns the tofrom arrays")
+            .to_string();
+        replies.push(arrays);
+    }
+    call("POST", "/shutdown", "");
+    handle.join().expect("server thread").expect("clean run");
+
+    assert_eq!(replies[0], replies[1], "i32 bounds");
+    assert_eq!(replies[0], replies[2], "i64 bounds");
+    let numbers = replies[0]
+        .split('[')
+        .nth(1)
+        .and_then(|rest| rest.split(']').next())
+        .expect("one array");
+    let got: Vec<u32> = numbers
+        .split(',')
+        .map(|v| (v.trim().parse::<f64>().expect("a number") as f32).to_bits())
+        .collect();
+    assert_eq!(got, expect, "session result vs Machine");
 }
 
 /// Deterministic shuffle of `0..len` from a seed (xorshift Fisher–Yates).
