@@ -4,10 +4,8 @@
 //! bandwidth-bound plateau the paper describes (unrolling past the memory
 //! limit buys nothing but still costs logic).
 //!
-//! Runs the sweep in parallel with crossbeam scoped threads (one compile per
-//! factor is independent).
+//! Runs the sweep on scoped threads (one compile per factor is independent).
 
-use crossbeam::thread as cb_thread;
 use ftn_core::{Compiler, Machine};
 use ftn_fpga::DeviceModel;
 use ftn_interp::RtValue;
@@ -73,15 +71,15 @@ fn main() {
     let n = 100_000;
     let factors: Vec<Option<u32>> = vec![None, Some(2), Some(5), Some(10), Some(20), Some(40)];
     let mut rows: Vec<Option<Row>> = (0..factors.len()).map(|_| None).collect();
-    cb_thread::scope(|s| {
+    // The scope joins every thread and re-raises a panic from any of them.
+    std::thread::scope(|s| {
         for (slot, f) in rows.iter_mut().zip(&factors) {
             let f = *f;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 *slot = Some(measure(f, n));
             });
         }
-    })
-    .expect("sweep threads");
+    });
 
     println!("== Ablation: SAXPY simdlen sweep (N = {n}) ==");
     println!(

@@ -6,42 +6,20 @@
 //!   reference implementations, and the hand-written-HLS baseline kernels.
 //! * [`experiments`] — per-table experiment runners (10 seeded trials,
 //!   median ± std, as the paper reports).
-//! * [`stats`] — median/std/quantile/jitter helpers.
-//! * [`driver`] — the `[--out PATH] [--quick]` command line and report
-//!   tail shared by every `bench_*` binary, plus the in-process server
-//!   start/stop pair the HTTP benchmarks use.
+//! * [`stats`] — median/std/jitter helpers.
 //! * [`locs`] — Table 7 lines-of-code accounting over this repository.
 //! * [`diagram`] — Figures 1–2 regenerated from the registered pass pipeline.
-//! * [`serve_bench`] — session vs sessionless launch throughput and
-//!   transfer-elision measurements over the cluster (`BENCH_serve.json`).
-//! * [`hetero_bench`] — throughput-weighted vs uniform shard plans on a
-//!   mixed-speed pool and the fan-out's submit cost and message count
-//!   (`BENCH_hetero.json`).
-//! * [`rebalance_bench`] — auto-rebalance (re-planning epochs) vs a frozen
-//!   weighted plan when a background tenant lands on one device mid-session
-//!   (`BENCH_rebalance.json`).
-//! * [`obs_bench`] — HTTP request latency under concurrent keep-alive
-//!   clients and the tracing layer's enabled-vs-disabled overhead
-//!   (`BENCH_obs.json`).
-//! * [`concurrency_bench`] — concurrent session launch latency and
-//!   throughput at 8/64/256 sessions, and untouched sessions' launch p99
-//!   while migration epochs run (`BENCH_concurrency.json`).
-//! * [`stencil_bench`] — iterative Jacobi over a sharded session: the
-//!   inter-launch `refresh_halos` path (boundary rows device-to-device)
-//!   vs the naive close/re-open gather baseline (`BENCH_stencil.json`).
+//!
+//! The `tables` binary prints all of it; the two `benches/ablation_*`
+//! targets sweep `simdlen` and the MAC-commuting pass. Wall-clock cost of
+//! the compiler and the service layers is measured by `examples/bench_e2e`
+//! (`BENCHMARK.json`), and the service layers' throughput and traffic
+//! floors are assertions in `tests/*_semantics.rs` — neither lives here.
 
-pub mod concurrency_bench;
 pub mod diagram;
-pub mod driver;
 pub mod experiments;
-pub mod hetero_bench;
 pub mod locs;
-pub mod obs_bench;
-pub mod rebalance_bench;
-pub mod serve_bench;
-pub mod shard_bench;
 pub mod stats;
-pub mod stencil_bench;
 pub mod workloads;
 
 pub use experiments::{

@@ -20,15 +20,6 @@ pub fn median(samples: &[f64]) -> f64 {
     }
 }
 
-/// Nearest-rank `q`-quantile of an ascending-sorted sample (0 when empty).
-pub fn quantile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((sorted.len() as f64 * q).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 /// Sample standard deviation.
 pub fn std_dev(samples: &[f64]) -> f64 {
     let n = samples.len();

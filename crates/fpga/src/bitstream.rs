@@ -2,7 +2,6 @@
 //! synthesized kernels — their IR (generic-form text, re-parsed at load time),
 //! loop schedules, and resource reports.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
 use serde::{Deserialize, Serialize};
 
 use ftn_mlir::{parse_module, Ir, OpId};
@@ -69,31 +68,31 @@ impl Bitstream {
         serde_json::from_str(s).map_err(|e| e.to_string())
     }
 
-    /// Framed binary form: magic + u64 length + JSON payload.
-    pub fn to_bytes(&self) -> Bytes {
+    /// Framed binary form: magic + big-endian u64 length + JSON payload.
+    pub fn to_bytes(&self) -> Vec<u8> {
         let json = self.to_json();
-        let mut buf = BytesMut::with_capacity(json.len() + 16);
-        buf.put_slice(BITSTREAM_MAGIC);
-        buf.put_u64(json.len() as u64);
-        buf.put_slice(json.as_bytes());
-        buf.freeze()
+        let mut buf = Vec::with_capacity(json.len() + 16);
+        buf.extend_from_slice(BITSTREAM_MAGIC);
+        buf.extend_from_slice(&(json.len() as u64).to_be_bytes());
+        buf.extend_from_slice(json.as_bytes());
+        buf
     }
 
     /// Parse the framed binary form produced by [`Bitstream::to_bytes`].
-    pub fn from_bytes(mut data: Bytes) -> Result<Self, String> {
-        if data.len() < 16 {
-            return Err("bitstream too short".into());
-        }
-        let mut magic = [0u8; 8];
-        data.copy_to_slice(&mut magic);
-        if &magic != BITSTREAM_MAGIC {
+    pub fn from_bytes(data: &[u8]) -> Result<Self, String> {
+        let too_short = || "bitstream too short".to_string();
+        let (magic, rest) = data.split_first_chunk::<8>().ok_or_else(too_short)?;
+        let (len, payload) = rest.split_first_chunk::<8>().ok_or_else(too_short)?;
+        if magic != BITSTREAM_MAGIC {
             return Err("bad bitstream magic".into());
         }
-        let len = data.get_u64() as usize;
-        if data.len() < len {
+        let len = u64::from_be_bytes(*len);
+        // The length is outside input: it only ever selects a prefix of what
+        // is actually there.
+        let Some(json) = usize::try_from(len).ok().and_then(|len| payload.get(..len)) else {
             return Err("truncated bitstream payload".into());
-        }
-        let json = std::str::from_utf8(&data[..len]).map_err(|e| e.to_string())?;
+        };
+        let json = std::str::from_utf8(json).map_err(|e| e.to_string())?;
         Self::from_json(json)
     }
 }
@@ -136,15 +135,46 @@ mod tests {
         let b = sample();
         let bytes = b.to_bytes();
         assert_eq!(&bytes[..8], BITSTREAM_MAGIC);
-        let b2 = Bitstream::from_bytes(bytes).unwrap();
+        let b2 = Bitstream::from_bytes(&bytes).unwrap();
         assert_eq!(b2.device_name, "AMD Alveo U280");
     }
 
     #[test]
     fn bad_magic_rejected() {
-        let mut raw = sample().to_bytes().to_vec();
+        let mut raw = sample().to_bytes();
         raw[0] = b'X';
-        assert!(Bitstream::from_bytes(Bytes::from(raw)).is_err());
+        assert!(Bitstream::from_bytes(&raw).is_err());
+    }
+
+    #[test]
+    fn truncated_or_overlong_frames_are_errors_not_panics() {
+        let raw = sample().to_bytes();
+        // Header cut short: every prefix below magic + length.
+        for cut in 0..16 {
+            assert_eq!(
+                Bitstream::from_bytes(&raw[..cut]).unwrap_err(),
+                "bitstream too short",
+                "prefix of {cut} bytes"
+            );
+        }
+        // Payload cut short, by one byte and down to nothing.
+        for cut in [raw.len() - 1, 16] {
+            assert_eq!(
+                Bitstream::from_bytes(&raw[..cut]).unwrap_err(),
+                "truncated bitstream payload"
+            );
+        }
+        // A length field far beyond what follows (and beyond any `usize` on
+        // a 32-bit host) is rejected before it sizes or indexes anything.
+        for len in [raw.len() as u64, u64::from(u32::MAX) + 1, u64::MAX] {
+            let mut lying = raw.clone();
+            lying[8..16].copy_from_slice(&len.to_be_bytes());
+            assert_eq!(
+                Bitstream::from_bytes(&lying).unwrap_err(),
+                "truncated bitstream payload",
+                "length field {len}"
+            );
+        }
     }
 
     #[test]

@@ -330,7 +330,7 @@ mod tests {
     fn executes_correctly_through_bitstream_roundtrip() {
         let (bs, exec) = synth_saxpy(Some(10));
         // Serialize + reload the bitstream, then execute.
-        let reloaded = Bitstream::from_bytes(bs.to_bytes()).unwrap();
+        let reloaded = Bitstream::from_bytes(&bs.to_bytes()).unwrap();
         let exec2 = KernelExecutor::from_bitstream(&reloaded, DeviceModel::u280()).unwrap();
         let (data, _) = run(&exec2, 25);
         let expect: Vec<f32> = (0..25).map(|i| 1.0 + 2.0 * i as f32).collect();

@@ -1,7 +1,7 @@
 //! ftn-trace — structured tracing and metrics for the ftn runtime.
 //!
-//! Three pieces, deliberately small and dependency-free (vendored crates
-//! only):
+//! Three pieces, deliberately small and dependency-free (std plus the
+//! vendored serde crates):
 //!
 //! - **Spans** ([`span`], [`span_linked`], [`trace_scope`]): a global
 //!   recorder of nested, trace-id-carrying spans in per-thread ring
@@ -32,6 +32,8 @@
 
 #![warn(missing_docs)]
 
+use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
 mod chrome;
 pub mod log;
 mod metrics;
@@ -56,3 +58,22 @@ pub use span::{
     LaneSnapshot, Span, SpanEvent, TraceScope,
 };
 pub use store::{PointValue, RangePoint, SeriesInfo, TimeSeriesStore};
+
+/// Every lock in this crate goes through `lock`, `read` or `write`. They
+/// ignore poisoning: each guarded structure is updated in single steps that
+/// leave it valid (a ring push, a map insert, a field store), so a thread
+/// that panicked while holding a span or registry lock must not wedge
+/// `/metrics` for the rest.
+fn lock<T: ?Sized>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Shared side of a registry lock; see [`lock`].
+fn read<T: ?Sized>(l: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    l.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Exclusive side of a registry lock; see [`lock`].
+fn write<T: ?Sized>(l: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    l.write().unwrap_or_else(PoisonError::into_inner)
+}

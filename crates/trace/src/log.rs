@@ -6,11 +6,9 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
-use parking_lot::Mutex;
-
-use crate::span;
+use crate::{lock, span};
 
 /// Log severity, most severe first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -116,7 +114,7 @@ pub fn log(level: Level, target: &str, message: impl Into<String>) {
             ("message".to_string(), message.clone()),
         ],
     );
-    let mut ring = ring().lock();
+    let mut ring = lock(ring());
     while ring.len() >= LOG_RING {
         ring.pop_front();
     }
@@ -130,7 +128,7 @@ pub fn log(level: Level, target: &str, message: impl Into<String>) {
 
 /// Snapshot of the buffered log events, oldest first.
 pub fn events() -> Vec<LogEvent> {
-    ring().lock().iter().cloned().collect()
+    lock(ring()).iter().cloned().collect()
 }
 
 #[cfg(test)]

@@ -16,9 +16,9 @@
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, RwLock};
 
-use parking_lot::{Mutex, RwLock};
+use crate::{lock, read, write};
 
 /// Number of histogram buckets: 4 exact small-value buckets (0–3 ns) plus
 /// 4 sub-buckets for each of the 62 remaining nanosecond octaves.
@@ -169,7 +169,7 @@ impl Histogram {
         }
         let bucket = bucket_index(nanos);
         let now = crate::span::now_nanos();
-        let mut slot = self.exemplar.lock();
+        let mut slot = lock(&self.exemplar);
         let replace = match &*slot {
             None => true,
             Some(e) => bucket >= e.bucket || now.saturating_sub(e.nanos) > EXEMPLAR_TTL_NANOS,
@@ -187,7 +187,7 @@ impl Histogram {
 
     /// The currently stored exemplar, if any observation carried a trace id.
     pub fn exemplar(&self) -> Option<Exemplar> {
-        self.exemplar.lock().clone()
+        lock(&self.exemplar).clone()
     }
 
     /// Record a duration in nanoseconds.
@@ -374,10 +374,10 @@ impl MetricsRegistry {
     /// already registered as a different metric kind, a detached handle is
     /// returned (it updates nothing visible in the exposition).
     pub fn counter(&self, name: &str) -> Arc<Counter> {
-        if let Some(Metric::Counter(c)) = self.metrics.read().get(name) {
+        if let Some(Metric::Counter(c)) = read(&self.metrics).get(name) {
             return c.clone();
         }
-        let mut w = self.metrics.write();
+        let mut w = write(&self.metrics);
         match w
             .entry(name.to_string())
             .or_insert_with(|| Metric::Counter(Arc::new(Counter::default())))
@@ -390,10 +390,10 @@ impl MetricsRegistry {
     /// The gauge registered under `name`, created if absent (same kind
     /// rules as [`MetricsRegistry::counter`]).
     pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        if let Some(Metric::Gauge(g)) = self.metrics.read().get(name) {
+        if let Some(Metric::Gauge(g)) = read(&self.metrics).get(name) {
             return g.clone();
         }
-        let mut w = self.metrics.write();
+        let mut w = write(&self.metrics);
         match w
             .entry(name.to_string())
             .or_insert_with(|| Metric::Gauge(Arc::new(Gauge::default())))
@@ -406,10 +406,10 @@ impl MetricsRegistry {
     /// The histogram registered under `name`, created if absent (same kind
     /// rules as [`MetricsRegistry::counter`]).
     pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        if let Some(Metric::Histogram(h)) = self.metrics.read().get(name) {
+        if let Some(Metric::Histogram(h)) = read(&self.metrics).get(name) {
             return h.clone();
         }
-        let mut w = self.metrics.write();
+        let mut w = write(&self.metrics);
         match w
             .entry(name.to_string())
             .or_insert_with(|| Metric::Histogram(Arc::new(Histogram::new())))
@@ -422,7 +422,7 @@ impl MetricsRegistry {
     /// The current value of the counter registered under `name`, without
     /// creating one — `None` if `name` is absent or a different kind.
     pub fn counter_value(&self, name: &str) -> Option<u64> {
-        match self.metrics.read().get(name) {
+        match read(&self.metrics).get(name) {
             Some(Metric::Counter(c)) => Some(c.get()),
             _ => None,
         }
@@ -431,7 +431,7 @@ impl MetricsRegistry {
     /// A snapshot of the histogram registered under `name`, without creating
     /// one — `None` if `name` is absent or a different kind.
     pub fn histogram_snapshot(&self, name: &str) -> Option<HistogramSnapshot> {
-        match self.metrics.read().get(name) {
+        match read(&self.metrics).get(name) {
             Some(Metric::Histogram(h)) => Some(h.snapshot()),
             _ => None,
         }
@@ -440,8 +440,7 @@ impl MetricsRegistry {
     /// A point-in-time copy of every registered metric, in name order — the
     /// scrape primitive behind the time-series store.
     pub fn snapshot_all(&self) -> Vec<(String, MetricValue)> {
-        self.metrics
-            .read()
+        read(&self.metrics)
             .iter()
             .map(|(name, metric)| {
                 let value = match metric {
@@ -460,7 +459,7 @@ impl MetricsRegistry {
     /// its bucket's line in OpenMetrics syntax
     /// (`... # {trace_id="7",span_id="9"} 0.0042 1.5`).
     pub fn render_prometheus(&self) -> String {
-        let metrics = self.metrics.read();
+        let metrics = read(&self.metrics);
         let mut out = String::new();
         for (name, metric) in metrics.iter() {
             let base = base_name(name);
@@ -808,5 +807,32 @@ mod tests {
         assert_eq!(reg.counter_value("missing"), None);
         assert_eq!(reg.histogram_snapshot("c_seconds").unwrap().count(), 1);
         assert!(reg.histogram_snapshot("a_total").is_none());
+    }
+
+    /// The locks ignore poisoning: a thread that dies holding the registry
+    /// map or a histogram's exemplar slot must not take `/metrics` (or the
+    /// request path's `observe`) down with it.
+    #[test]
+    fn a_panic_under_a_lock_does_not_wedge_record_or_render() {
+        let reg = Arc::new(MetricsRegistry::new());
+        reg.counter("before_total").inc();
+        let hist = reg.histogram("latency_seconds");
+        let (r, h) = (Arc::clone(&reg), Arc::clone(&hist));
+        let died = std::thread::spawn(move || {
+            let _map = write(&r.metrics);
+            let _slot = lock(&h.exemplar);
+            panic!("holder dies with both locks held");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(reg.metrics.is_poisoned() && hist.exemplar.is_poisoned());
+
+        reg.counter("after_total").inc();
+        hist.observe_with_exemplar(0.25, 7, 9);
+        assert_eq!(hist.exemplar().map(|e| e.trace_id), Some(7));
+        let text = reg.render_prometheus();
+        for series in ["before_total 1", "after_total 1", "latency_seconds_count 1"] {
+            assert!(text.contains(series), "{series} missing from: {text}");
+        }
     }
 }

@@ -33,10 +33,9 @@
 //! history like any other metric.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
-use parking_lot::Mutex;
-
+use crate::lock;
 use crate::log::{log, Level};
 use crate::metrics::{Counter, Exemplar, Gauge, Histogram, MetricsRegistry};
 
@@ -471,7 +470,7 @@ impl SloEngine {
                     (bad.get(), total.get())
                 }
             };
-            let mut rt = slo.runtime.lock();
+            let mut rt = lock(&slo.runtime);
             rt.history.push_back((now_nanos, bad, total));
             let cutoff = now_nanos.saturating_sub(2 * slo.spec.window_nanos);
             while rt.history.len() > 2 && rt.history.front().is_some_and(|e| e.0 < cutoff) {
@@ -530,7 +529,7 @@ impl SloEngine {
         self.slos
             .iter()
             .map(|slo| {
-                let rt = slo.runtime.lock();
+                let rt = lock(&slo.runtime);
                 AlertStatus {
                     spec: slo.spec.spec.clone(),
                     metric: slo.spec.metric.clone(),
@@ -553,7 +552,7 @@ impl SloEngine {
     pub fn firing(&self) -> Vec<String> {
         self.slos
             .iter()
-            .filter(|s| s.runtime.lock().state == AlertState::Firing)
+            .filter(|s| lock(&s.runtime).state == AlertState::Firing)
             .map(|s| s.spec.spec.clone())
             .collect()
     }

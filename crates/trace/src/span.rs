@@ -21,10 +21,10 @@
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use parking_lot::Mutex;
+use crate::lock;
 
 /// One completed span (or zero-duration instant event).
 #[derive(Debug, Clone)]
@@ -114,8 +114,8 @@ pub fn set_capacity(events_per_lane: usize) {
 
 /// Drop every recorded event (lanes stay registered). Intended for tests.
 pub fn clear() {
-    for lane in recorder().lanes.lock().iter() {
-        lane.events.lock().clear();
+    for lane in lock(&recorder().lanes).iter() {
+        lock(&lane.events).clear();
     }
 }
 
@@ -272,7 +272,7 @@ fn record(event: SpanEvent) {
     LANE.with(|slot| {
         let mut slot = slot.borrow_mut();
         let lane = slot.get_or_insert_with(|| {
-            let mut lanes = r.lanes.lock();
+            let mut lanes = lock(&r.lanes);
             let index = lanes.len();
             let name = std::thread::current()
                 .name()
@@ -287,7 +287,7 @@ fn record(event: SpanEvent) {
             lane
         });
         let capacity = r.capacity.load(Ordering::Relaxed);
-        let mut events = lane.events.lock();
+        let mut events = lock(&lane.events);
         while events.len() >= capacity {
             events.pop_front();
         }
@@ -305,16 +305,12 @@ pub fn snapshot(since_nanos: u64) -> Vec<LaneSnapshot> {
 /// window: events that *end* at or after `since_nanos` and *start* at or
 /// before `until_nanos`.
 pub fn snapshot_range(since_nanos: u64, until_nanos: u64) -> Vec<LaneSnapshot> {
-    recorder()
-        .lanes
-        .lock()
+    lock(&recorder().lanes)
         .iter()
         .map(|lane| LaneSnapshot {
             lane: lane.index,
             name: lane.name.clone(),
-            events: lane
-                .events
-                .lock()
+            events: lock(&lane.events)
                 .iter()
                 .filter(|e| {
                     e.start_nanos + e.dur_nanos >= since_nanos && e.start_nanos <= until_nanos
@@ -331,9 +327,9 @@ mod tests {
 
     // Span tests share global recorder state with each other (and with any
     // other test in this binary); serialize the ones that toggle it.
-    fn lock_recorder() -> parking_lot::MutexGuard<'static, ()> {
+    fn lock_recorder() -> std::sync::MutexGuard<'static, ()> {
         static GUARD: OnceLock<Mutex<()>> = OnceLock::new();
-        GUARD.get_or_init(|| Mutex::new(())).lock()
+        lock(GUARD.get_or_init(|| Mutex::new(())))
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! that is one minute of history per metric.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::sync::Mutex;
 
-use parking_lot::Mutex;
-
+use crate::lock;
 use crate::metrics::{MetricValue, MetricsRegistry};
 
 /// One scraped value of one metric at one instant.
@@ -91,7 +91,7 @@ impl TimeSeriesStore {
     /// stamped `nanos`. Rings at capacity drop their oldest point first.
     pub fn scrape_at(&self, registry: &MetricsRegistry, nanos: u64) {
         let scraped = registry.snapshot_all();
-        let mut series = self.series.lock();
+        let mut series = lock(&self.series);
         for (name, value) in scraped {
             let point = RangePoint {
                 nanos,
@@ -119,7 +119,7 @@ impl TimeSeriesStore {
     /// `[since_nanos, until_nanos]`, oldest first. `None` means the series
     /// does not exist (never scraped) — distinct from an empty window.
     pub fn query(&self, name: &str, since_nanos: u64, until_nanos: u64) -> Option<Vec<RangePoint>> {
-        self.series.lock().get(name).map(|ring| {
+        lock(&self.series).get(name).map(|ring| {
             ring.iter()
                 .filter(|p| p.nanos >= since_nanos && p.nanos <= until_nanos)
                 .cloned()
@@ -129,15 +129,14 @@ impl TimeSeriesStore {
 
     /// Every series name currently held, in order.
     pub fn series_names(&self) -> Vec<String> {
-        self.series.lock().keys().cloned().collect()
+        lock(&self.series).keys().cloned().collect()
     }
 
     /// One [`SeriesInfo`] row per retained series, in name order — the
     /// discovery index behind a bare `GET /metrics/range`. Series whose ring
     /// is momentarily empty are skipped (they have no window to report).
     pub fn index(&self) -> Vec<SeriesInfo> {
-        self.series
-            .lock()
+        lock(&self.series)
             .iter()
             .filter_map(|(name, ring)| {
                 let (first, last) = (ring.front()?, ring.back()?);

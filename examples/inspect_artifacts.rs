@@ -52,7 +52,7 @@ fn main() {
     }
     // Round-trip the "xclbin" through its binary framing.
     let bytes = bs.to_bytes();
-    let reloaded = ftn_fpga::Bitstream::from_bytes(bytes.clone()).expect("reload");
+    let reloaded = ftn_fpga::Bitstream::from_bytes(&bytes).expect("reload");
     println!(
         "serialized bitstream: {} bytes; reload OK ({} kernels)",
         bytes.len(),

@@ -88,7 +88,9 @@ fn shard_args(a: f32) -> Vec<ShardArg> {
 struct ShardedRun {
     y: Vec<f32>,
     session_stats: ftn_cluster::SessionStats,
-    totals: ftn_host::RunStats,
+    pool: ftn_cluster::PoolStats,
+    /// Worker messages the launches alone cost (open and close excluded).
+    launch_messages: u64,
     devices: Vec<usize>,
     rows: Vec<usize>,
     weights: Vec<f64>,
@@ -121,17 +123,20 @@ fn run_sharded(
     let devices = cluster.sharded_devices(sid).unwrap();
     let rows = cluster.sharded_shard_rows(sid, "y").unwrap();
     let weights = cluster.sharded_weights(sid).unwrap();
+    let messages_before = cluster.pool_stats().batched_messages;
     for _ in 0..reps {
         let ticket = cluster
             .sharded_launch(sid, "saxpyn_kernel0", &shard_args(a))
             .unwrap();
         cluster.wait_sharded(ticket).unwrap();
     }
+    let launch_messages = cluster.pool_stats().batched_messages - messages_before;
     let report = cluster.close_sharded_session(sid).unwrap();
     ShardedRun {
         y: cluster.read_f32(&ya),
         session_stats: report.stats,
-        totals: cluster.pool_stats().totals,
+        pool: cluster.pool_stats(),
+        launch_messages,
         devices,
         rows,
         weights,
@@ -206,7 +211,10 @@ fn weighted_hetero_session_is_bit_identical_to_single_device_machine() {
         );
         assert_bits_eq(&second.y, &reference, "second run");
         assert_eq!(first.session_stats, second.session_stats);
-        assert_eq!(first.totals, second.totals, "RunStats totals deterministic");
+        assert_eq!(
+            first.pool.totals, second.pool.totals,
+            "RunStats totals deterministic"
+        );
         assert_eq!(first.devices, second.devices);
         assert_eq!(first.rows, second.rows);
     }
@@ -247,7 +255,7 @@ fn equal_weights_on_homogeneous_pool_reproduce_the_uniform_plan() {
     );
     assert_bits_eq(&weighted.y, &legacy.y, "homogeneous");
     assert_eq!(weighted.session_stats, legacy.session_stats);
-    assert_eq!(weighted.totals, legacy.totals);
+    assert_eq!(weighted.pool.totals, legacy.pool.totals);
     assert_eq!(weighted.devices, vec![0, 1, 2, 3], "natural device order");
     assert_eq!(weighted.devices, legacy.devices);
     // The realized partition is the PR-3 uniform plan, row for row.
@@ -255,6 +263,52 @@ fn equal_weights_on_homogeneous_pool_reproduce_the_uniform_plan() {
     let uniform_rows: Vec<usize> = plan.ranges().iter().map(|r| r.len).collect();
     assert_eq!(weighted.rows, uniform_rows);
     assert!(weighted.weights.iter().all(|&w| w == weighted.weights[0]));
+}
+
+/// What the weighted plan buys, on the simulated timeline: with one
+/// half-clock card among four, a uniform split makes that card the critical
+/// path of every launch, and sizing shards by device throughput finishes the
+/// same launches at least 1.25x sooner (1.72x here; 7/4 is the ideal). And a
+/// fan-out wider than the pool stays one worker message per *device*, not
+/// per shard.
+#[test]
+fn weighted_plan_beats_uniform_on_a_two_to_one_pool_at_one_message_per_device() {
+    let (n, reps) = (16_384usize, 8usize);
+    let (x, y) = inputs(n);
+    let mut models = vec![DeviceModel::u280(); 3];
+    models.push(DeviceModel::named("u280@150").unwrap());
+    let run = |shards: usize, weighted: bool| {
+        let opts = ShardOptions {
+            weighted,
+            ..Default::default()
+        };
+        run_sharded(
+            &models,
+            ShardCount::Fixed(shards),
+            opts,
+            reps,
+            2.0,
+            0,
+            &x,
+            &y,
+        )
+    };
+    let (weighted, uniform) = (run(4, true), run(4, false));
+    assert_bits_eq(&weighted.y, &uniform.y, "weighted vs uniform");
+    let speedup = uniform.pool.makespan_sim_seconds / weighted.pool.makespan_sim_seconds;
+    assert!(
+        speedup >= 1.25,
+        "weighted rows {:?} finish {speedup:.2}x sooner than uniform {:?}, floor 1.25x",
+        weighted.rows,
+        uniform.rows
+    );
+    let wide = run(16, true);
+    assert_bits_eq(&wide.y, &uniform.y, "16 shards");
+    assert_eq!(
+        wide.launch_messages,
+        (reps * models.len()) as u64,
+        "each of the {reps} 16-shard launches costs one message per device"
+    );
 }
 
 /// Regression pin for the PR-3 "shard i → device i%N" fix: devices are

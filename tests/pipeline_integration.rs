@@ -132,7 +132,7 @@ fn llvm_artifacts_are_well_formed() {
 fn bitstream_roundtrips_and_reexecutes() {
     let artifacts = workloads::compile_saxpy();
     let bytes = artifacts.bitstream.to_bytes();
-    let reloaded = ftn_fpga::Bitstream::from_bytes(bytes).unwrap();
+    let reloaded = ftn_fpga::Bitstream::from_bytes(&bytes).unwrap();
     assert_eq!(reloaded.kernels.len(), artifacts.bitstream.kernels.len());
     let exec = ftn_fpga::KernelExecutor::from_bitstream(&reloaded, DeviceModel::u280()).unwrap();
     // The reloaded module re-parses into executable IR.

@@ -69,7 +69,8 @@ fn kernel_args(x: &RtValue, y: &RtValue, n: usize, a: f32) -> Vec<RtValue> {
 /// The scripted session must reproduce the `target data` program run on a
 /// single-device `Machine` exactly: same bytes in `y`, same `RunStats`
 /// totals (3 transfers — x in, y in, y out — and `reps` launches with
-/// identical cycle logs).
+/// identical cycle logs). Against the same launches run sessionless it
+/// elides at least half the host↔device transfers.
 #[test]
 fn session_is_bit_identical_to_target_data_program_on_machine() {
     let artifacts = saxpyn_artifacts();
@@ -126,6 +127,33 @@ fn session_is_bit_identical_to_target_data_program_on_machine() {
     assert_eq!(
         totals, report.stats,
         "session RunStats totals must equal the Machine program run"
+    );
+
+    // What the session is for: the same launches as sessionless whole-program
+    // runs re-stage x and y and fetch y every time (3 transfers each), so
+    // the session elides at least half of that traffic (7/8 of it here).
+    let mut sessionless = ClusterMachine::load(artifacts, &[DeviceModel::u280()]).unwrap();
+    let xa = sessionless.host_f32(&x);
+    let ya = sessionless.host_f32(&y);
+    let one_rep = [
+        RtValue::I32(n as i32),
+        RtValue::I32(1),
+        RtValue::F32(a),
+        xa,
+        ya.clone(),
+    ];
+    for _ in 0..reps {
+        sessionless.run("saxpyn", &one_rep).unwrap();
+    }
+    assert_eq!(sessionless.read_f32(&ya), y_session);
+    let baseline = sessionless.pool_stats().totals;
+    assert_eq!(baseline.launches, totals.launches, "same launches");
+    let elision = 1.0 - totals.transfers as f64 / baseline.transfers as f64;
+    assert!(
+        elision >= 0.5,
+        "session moved {} transfers against {} sessionless: {elision:.3} elided, floor 0.5",
+        totals.transfers,
+        baseline.transfers
     );
 }
 

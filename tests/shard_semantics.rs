@@ -86,7 +86,7 @@ fn saxpy_shard_args(a: f32) -> Vec<ShardArg> {
 }
 
 /// Run `reps` sharded saxpy launches over a `devices`-device pool and
-/// return `(y result, SessionStats, RunStats totals)`.
+/// return `(y result, SessionStats, PoolStats)`.
 fn run_sharded(
     devices: usize,
     shards: ShardCount,
@@ -95,7 +95,7 @@ fn run_sharded(
     halo: usize,
     x: &[f32],
     y: &[f32],
-) -> (Vec<f32>, ftn_cluster::SessionStats, ftn_host::RunStats) {
+) -> (Vec<f32>, ftn_cluster::SessionStats, ftn_cluster::PoolStats) {
     let models = vec![DeviceModel::u280(); devices];
     let mut cluster = ClusterMachine::load(saxpyn_artifacts(), &models).unwrap();
     let xa = cluster.host_f32(x);
@@ -117,7 +117,7 @@ fn run_sharded(
     }
     let report = cluster.close_sharded_session(sid).unwrap();
     let got = cluster.read_f32(&ya);
-    (got, report.stats, cluster.pool_stats().totals)
+    (got, report.stats, cluster.pool_stats())
 }
 
 /// The same workload through the single-device front-ends (`open_session` /
@@ -128,7 +128,7 @@ fn run_plain_session(
     a: f32,
     x: &[f32],
     y: &[f32],
-) -> (Vec<f32>, ftn_cluster::SessionStats, ftn_host::RunStats) {
+) -> (Vec<f32>, ftn_cluster::SessionStats, ftn_cluster::PoolStats) {
     let mut cluster = ClusterMachine::load(saxpyn_artifacts(), &[DeviceModel::u280()]).unwrap();
     let xa = cluster.host_f32(x);
     let ya = cluster.host_f32(y);
@@ -155,7 +155,7 @@ fn run_plain_session(
     }
     let report = cluster.close_session(sid).unwrap();
     let got = cluster.read_f32(&ya);
-    (got, report.stats, cluster.pool_stats().totals)
+    (got, report.stats, cluster.pool_stats())
 }
 
 fn inputs(n: usize) -> (Vec<f32>, Vec<f32>) {
@@ -206,7 +206,7 @@ fn one_shard_is_bit_identical_to_plain_session_including_stats() {
         fetched_downloads: 1,
         ..Default::default()
     };
-    for (what, (y_got, stats, totals)) in [
+    for (what, (y_got, stats, pool)) in [
         ("open_session", run_plain_session(n, reps, a, &x, &y)),
         (
             "Fixed(1)",
@@ -219,7 +219,7 @@ fn one_shard_is_bit_identical_to_plain_session_including_stats() {
         }
         assert_eq!(stats, golden, "{what}: SessionStats");
         assert_eq!(
-            totals, report.stats,
+            pool.totals, report.stats,
             "{what}: RunStats totals must equal the Machine program run"
         );
     }
@@ -227,7 +227,8 @@ fn one_shard_is_bit_identical_to_plain_session_including_stats() {
 
 /// Sharded over 2 and 4 devices: results bit-identical to the single-device
 /// session (SAXPY is element-wise, so distribution preserves every FP op),
-/// and the aggregated totals are deterministic across identical runs.
+/// the aggregated totals are deterministic across identical runs, and four
+/// devices at least double the simulated launch throughput of one.
 #[test]
 fn sharded_n2_n4_results_are_bit_identical_to_single_device() {
     let n = 1003usize;
@@ -236,7 +237,7 @@ fn sharded_n2_n4_results_are_bit_identical_to_single_device() {
     let (x, y) = inputs(n);
     let (y_single, _, _) = run_plain_session(n, reps, a, &x, &y);
     for devices in [2usize, 4] {
-        let (y_shard, stats, totals) =
+        let (y_shard, stats, pool) =
             run_sharded(devices, ShardCount::Fixed(devices), reps, a, 0, &x, &y);
         for (i, (p, s)) in y_single.iter().zip(&y_shard).enumerate() {
             assert_eq!(
@@ -249,10 +250,27 @@ fn sharded_n2_n4_results_are_bit_identical_to_single_device() {
         assert_eq!(stats.fetched_downloads, devices as u64);
         // Aggregated RunStats totals are deterministic: a second identical
         // sharded run produces exactly the same totals.
-        let (_, _, totals2) = run_sharded(devices, ShardCount::Fixed(devices), reps, a, 0, &x, &y);
-        assert_eq!(totals, totals2, "N={devices} totals must be deterministic");
-        assert_eq!(totals.launches, (reps * devices) as u64);
+        let (_, _, pool2) = run_sharded(devices, ShardCount::Fixed(devices), reps, a, 0, &x, &y);
+        assert_eq!(
+            pool.totals, pool2.totals,
+            "N={devices} totals must be deterministic"
+        );
+        assert_eq!(pool.totals.launches, (reps * devices) as u64);
     }
+
+    // Sharding pays on the simulated timeline: the same launches finish in
+    // under half the pool makespan on 4 devices (3.91x at this shape; at
+    // n = 1003 fixed launch cost holds it to 2.8x). Makespan is the busiest
+    // device's occupancy, so no clock is involved.
+    let (n, reps) = (16_384usize, 8usize);
+    let (x, y) = inputs(n);
+    let (_, _, one) = run_plain_session(n, reps, a, &x, &y);
+    let (_, _, four) = run_sharded(4, ShardCount::Fixed(4), reps, a, 0, &x, &y);
+    let speedup = one.makespan_sim_seconds / four.makespan_sim_seconds;
+    assert!(
+        speedup >= 2.0,
+        "N=4 simulated launch throughput is {speedup:.2}x the single device's, floor 2.0x"
+    );
 }
 
 /// Halo rows change what each shard maps, not what the gather writes: the

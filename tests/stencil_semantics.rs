@@ -95,7 +95,14 @@ fn run_sharded_jacobi(
             .unwrap();
         cluster.wait_sharded(ticket).unwrap();
         if k + 1 < iters {
+            let before = cluster.pool_stats().batched_messages;
             cluster.refresh_halos(sid).unwrap();
+            let messages = cluster.pool_stats().batched_messages - before;
+            assert!(
+                messages <= 2 * devices as u64,
+                "a refresh is at most one gather and one apply message per device, \
+                 sent {messages} on {devices}"
+            );
         }
         if rebalance_at == Some(k) {
             // Skew the backlog ledger so the re-plan moves rows for real.
@@ -163,30 +170,38 @@ fn assert_bits_eq(label: &str, got: &[f32], want: &[f32]) {
     }
 }
 
-/// Sharded Jacobi with halo refresh at N = 1/2/4 is bit-identical to the
-/// single-device session, and two identical sharded runs produce exactly
-/// the same `RunStats` totals (deterministic accounting).
+/// Sharded Jacobi with halo refresh at N = 1/2/4 (and 4 shards on 2
+/// devices) is bit-identical to the single-device session, a refresh moves
+/// exactly the boundary rows in at most two worker messages per device, and
+/// two identical sharded runs produce exactly the same `RunStats` totals
+/// (deterministic accounting).
 #[test]
 fn sharded_jacobi_with_halo_refresh_is_bit_identical_at_n124() {
     let n = 257usize;
     let iters = 6usize;
     let (u0, v0) = inputs(n);
     let (u_ref, v_ref, _, _) = run_plain_jacobi(n, iters, &u0, &v0);
-    for devices in [1usize, 2, 4] {
-        let (u, v, stats, totals) = run_sharded_jacobi(devices, devices, iters, 1, None, &u0, &v0);
-        assert_bits_eq(&format!("N={devices} u"), &u, &u_ref);
-        assert_bits_eq(&format!("N={devices} v"), &v, &v_ref);
-        assert_eq!(stats.launches, (iters * devices) as u64);
-        if devices > 1 {
+    for (devices, shards) in [(1usize, 1usize), (2, 2), (4, 4), (2, 4)] {
+        let label = format!("{shards} shards on {devices}");
+        let (u, v, stats, totals) = run_sharded_jacobi(devices, shards, iters, 1, None, &u0, &v0);
+        assert_bits_eq(&format!("{label}: u"), &u, &u_ref);
+        assert_bits_eq(&format!("{label}: v"), &v, &v_ref);
+        assert_eq!(stats.launches, (iters * shards) as u64);
+        if shards > 1 {
             assert_eq!(stats.halo_refreshes, (iters - 1) as u64);
-            assert!(stats.halo_rows > 0, "N={devices}: ghost rows must move");
-            assert!(stats.halo_bytes > 0);
+            assert!(stats.halo_rows > 0, "{label}: ghost rows must move");
         }
+        // Boundary rows only — 16 B per refresh at 2 shards, 48 B at 4,
+        // whatever `n` is: arrays x directions x seams x halo x row bytes.
+        assert_eq!(
+            stats.halo_bytes,
+            (iters as u64 - 1) * 2 * 2 * (shards as u64 - 1) * 4,
+            "{label}: a refresh moves exactly the ghost rows"
+        );
         // Deterministic totals: an identical second run agrees exactly.
-        let (_, _, stats2, totals2) =
-            run_sharded_jacobi(devices, devices, iters, 1, None, &u0, &v0);
-        assert_eq!(stats, stats2, "N={devices}: session stats must repeat");
-        assert_eq!(totals, totals2, "N={devices}: RunStats totals must repeat");
+        let (_, _, stats2, totals2) = run_sharded_jacobi(devices, shards, iters, 1, None, &u0, &v0);
+        assert_eq!(stats, stats2, "{label}: session stats must repeat");
+        assert_eq!(totals, totals2, "{label}: RunStats totals must repeat");
     }
 }
 
