@@ -1,21 +1,15 @@
 //! Per-table experiment runners. Each regenerates one table of §4: same
-//! workloads, same sizes, 10 trials, median ± std — and prints the paper's
-//! reported value next to the measured one so the reproduction quality is
-//! visible at a glance (EXPERIMENTS.md records the comparison).
+//! workloads, same sizes — and prints the paper's reported value (its median
+//! over 10 hardware runs) next to the simulated one so the reproduction
+//! quality is visible at a glance. The simulator is deterministic: every
+//! printed value is exactly what the II/depth cycle model produced, with no
+//! spread to report.
 
 use std::fmt::Write as _;
 
 use ftn_fpga::{cpu_power_watts, fpga_power_watts, DeviceModel};
 
-use crate::stats::{measure_with_jitter, Measurement};
 use crate::workloads;
-
-/// Trials per experiment (paper: "run a total of 10 times").
-pub const TRIALS: usize = 10;
-
-/// Relative measurement noise applied per trial (matches the paper's
-/// std/median magnitudes).
-pub const NOISE: f64 = 0.004;
 
 /// A rendered table: title, column headers, and rows of cells.
 #[derive(Clone, Debug, serde::Serialize)]
@@ -46,8 +40,8 @@ impl Table {
     }
 }
 
-fn fmt_ms(m: Measurement) -> String {
-    format!("{:.3} ± {:.3} ms", m.median * 1e3, m.std * 1e3)
+fn fmt_ms(seconds: f64) -> String {
+    format!("{:.3} ms", seconds * 1e3)
 }
 
 // Paper-reported values, for side-by-side printing.
@@ -69,8 +63,9 @@ pub const SAXPY_SIZES: [usize; 4] = [10_000, 100_000, 1_000_000, 10_000_000];
 /// SGESL problem sizes (paper: 256, 512, 1024, 2048).
 pub const SGESL_SIZES: [usize; 4] = [256, 512, 1024, 2048];
 
-/// Kernel runtimes for both flows over the given SAXPY sizes.
-pub fn saxpy_runtimes(sizes: &[usize]) -> Vec<(usize, Measurement, Measurement)> {
+/// Simulated kernel seconds `(n, Fortran, hand-written)` for both flows over
+/// the given SAXPY sizes.
+pub fn saxpy_runtimes(sizes: &[usize]) -> Vec<(usize, f64, f64)> {
     let artifacts = workloads::compile_saxpy();
     let manual = workloads::handwritten_saxpy_bitstream();
     sizes
@@ -78,15 +73,14 @@ pub fn saxpy_runtimes(sizes: &[usize]) -> Vec<(usize, Measurement, Measurement)>
         .map(|&n| {
             let f = workloads::run_saxpy_fortran(&artifacts, n, n as u64);
             let h = workloads::run_saxpy_handwritten(&manual, n, n as u64);
-            let fm = measure_with_jitter(f.kernel_seconds, TRIALS, NOISE, n as u64);
-            let hm = measure_with_jitter(h.kernel_seconds, TRIALS, NOISE, n as u64 ^ 0xffff);
-            (n, fm, hm)
+            (n, f.kernel_seconds, h.kernel_seconds)
         })
         .collect()
 }
 
-/// Kernel runtimes for both flows over the given SGESL sizes.
-pub fn sgesl_runtimes(sizes: &[usize]) -> Vec<(usize, Measurement, Measurement)> {
+/// Simulated kernel seconds `(n, Fortran, hand-written)` for both flows over
+/// the given SGESL sizes.
+pub fn sgesl_runtimes(sizes: &[usize]) -> Vec<(usize, f64, f64)> {
     let artifacts = workloads::compile_sgesl();
     let manual = workloads::handwritten_sgesl_bitstream();
     sizes
@@ -94,9 +88,7 @@ pub fn sgesl_runtimes(sizes: &[usize]) -> Vec<(usize, Measurement, Measurement)>
         .map(|&n| {
             let f = workloads::run_sgesl_fortran(&artifacts, n, n as u64);
             let h = workloads::run_sgesl_handwritten(&manual, n, n as u64);
-            let fm = measure_with_jitter(f.kernel_seconds, TRIALS, NOISE, n as u64);
-            let hm = measure_with_jitter(h.kernel_seconds, TRIALS, NOISE, n as u64 ^ 0xffff);
-            (n, fm, hm)
+            (n, f.kernel_seconds, h.kernel_seconds)
         })
         .collect()
 }
@@ -104,7 +96,7 @@ pub fn sgesl_runtimes(sizes: &[usize]) -> Vec<(usize, Measurement, Measurement)>
 fn runtime_table(
     title: &str,
     label: &str,
-    results: &[(usize, Measurement, Measurement)],
+    results: &[(usize, f64, f64)],
     paper_fortran: &[f64],
     paper_hls: &[f64],
 ) -> Table {
@@ -116,7 +108,7 @@ fn runtime_table(
     let hls: Vec<String> = results.iter().map(|(_, _, h)| fmt_ms(*h)).collect();
     let diff: Vec<String> = results
         .iter()
-        .map(|(_, f, h)| format!("{:+.2}%", (h.median / f.median - 1.0) * 100.0))
+        .map(|(_, f, h)| format!("{:+.2}%", (h / f - 1.0) * 100.0))
         .collect();
     let paper_f: Vec<String> = paper_fortran.iter().map(|v| format!("{v:.3} ms")).collect();
     let paper_h: Vec<String> = paper_hls.iter().map(|v| format!("{v:.3} ms")).collect();
@@ -137,7 +129,7 @@ fn runtime_table(
 pub fn table1_saxpy_runtime(sizes: &[usize]) -> Table {
     let results = saxpy_runtimes(sizes);
     runtime_table(
-        "Table 1: SAXPY runtime (median ± std over 10 runs)",
+        "Table 1: SAXPY runtime (simulated, deterministic)",
         "N",
         &results,
         &PAPER_T1_FORTRAN_MS[..sizes.len().min(4)],
@@ -149,7 +141,7 @@ pub fn table1_saxpy_runtime(sizes: &[usize]) -> Table {
 pub fn table2_sgesl_runtime(sizes: &[usize]) -> Table {
     let results = sgesl_runtimes(sizes);
     runtime_table(
-        "Table 2: SGESL runtime (median ± std over 10 runs)",
+        "Table 2: SGESL runtime (simulated, deterministic)",
         "N",
         &results,
         &PAPER_T2_FORTRAN_MS[..sizes.len().min(4)],
@@ -219,7 +211,7 @@ pub fn table4_sgesl_resources() -> Table {
 
 fn power_table(
     title: &str,
-    results: &[(usize, Measurement, Measurement)],
+    results: &[(usize, f64, f64)],
     fortran_bs: &ftn_fpga::Bitstream,
     manual_bs: &ftn_fpga::Bitstream,
     cpu_bandwidth_util: f64,
@@ -230,27 +222,15 @@ fn power_table(
     let h_res = manual_bs.kernel_resources();
     let fortran: Vec<String> = results
         .iter()
-        .map(|(n, f, _)| {
-            let w = fpga_power_watts(&f_res, f.median);
-            let m = measure_with_jitter(w, TRIALS, 0.01, *n as u64 ^ 0xf0);
-            format!("{:.2} W", m.median)
-        })
+        .map(|(_, f, _)| format!("{:.2} W", fpga_power_watts(&f_res, *f)))
         .collect();
     let hls: Vec<String> = results
         .iter()
-        .map(|(n, _, h)| {
-            let w = fpga_power_watts(&h_res, h.median);
-            let m = measure_with_jitter(w, TRIALS, 0.01, *n as u64 ^ 0x0f);
-            format!("{:.2} W", m.median)
-        })
+        .map(|(_, _, h)| format!("{:.2} W", fpga_power_watts(&h_res, *h)))
         .collect();
     let cpu: Vec<String> = results
         .iter()
-        .map(|(n, _, _)| {
-            let w = cpu_power_watts(cpu_bandwidth_util);
-            let m = measure_with_jitter(w, TRIALS, 0.02, *n as u64 ^ 0xcc);
-            format!("{:.2} W", m.median)
-        })
+        .map(|_| format!("{:.2} W", cpu_power_watts(cpu_bandwidth_util)))
         .collect();
     let paper_row = |vals: &[f64]| vals.iter().map(|v| format!("{v:.2} W")).collect::<Vec<_>>();
     Table {
@@ -267,13 +247,13 @@ fn power_table(
     }
 }
 
-/// Table 5: SAXPY median power.
+/// Table 5: SAXPY power.
 pub fn table5_saxpy_power(sizes: &[usize]) -> Table {
     let results = saxpy_runtimes(sizes);
     let fortran = workloads::compile_saxpy();
     let manual = workloads::handwritten_saxpy_bitstream();
     power_table(
-        "Table 5: SAXPY median power draw",
+        "Table 5: SAXPY power draw (simulated, deterministic)",
         &results,
         &fortran.bitstream,
         &manual,
@@ -286,13 +266,13 @@ pub fn table5_saxpy_power(sizes: &[usize]) -> Table {
     )
 }
 
-/// Table 6: SGESL median power.
+/// Table 6: SGESL power.
 pub fn table6_sgesl_power(sizes: &[usize]) -> Table {
     let results = sgesl_runtimes(sizes);
     let fortran = workloads::compile_sgesl();
     let manual = workloads::handwritten_sgesl_bitstream();
     power_table(
-        "Table 6: SGESL median power draw",
+        "Table 6: SGESL power draw (simulated, deterministic)",
         &results,
         &fortran.bitstream,
         &manual,

@@ -4,9 +4,8 @@
 //! * [`workloads`] — SAXPY and SGESL benchmark drivers (Fortran sources from
 //!   `benchmarks/`), the SGEFA LU factorizer that produces SGESL inputs, CPU
 //!   reference implementations, and the hand-written-HLS baseline kernels.
-//! * [`experiments`] — per-table experiment runners (10 seeded trials,
-//!   median ± std, as the paper reports).
-//! * [`stats`] — median/std/jitter helpers.
+//! * [`experiments`] — per-table experiment runners (the deterministic
+//!   simulated value beside the paper's reported median).
 //! * [`locs`] — Table 7 lines-of-code accounting over this repository.
 //! * [`diagram`] — Figures 1–2 regenerated from the registered pass pipeline.
 //!
@@ -19,7 +18,6 @@
 pub mod diagram;
 pub mod experiments;
 pub mod locs;
-pub mod stats;
 pub mod workloads;
 
 pub use experiments::{

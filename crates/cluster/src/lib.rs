@@ -5,17 +5,18 @@
 //! * [`pool`] — [`DevicePool`]: N simulated FPGAs, each behind a persistent
 //!   worker thread owning its executor and device-local memory. Workers are
 //!   reused across launches; nothing is spawned per kernel launch.
-//! * [`scheduler`] — [`PlacementPolicy`]: forced colocation for in-flight
-//!   buffers, data-affinity placement, transfer-cost-aware stealing, and
-//!   round-robin least-loaded fallback. Pure and deterministic.
+//! * [`scheduler`] — [`PlacementPolicy`]: the four-rung ladder — forced
+//!   colocation for in-flight buffers, data-affinity placement,
+//!   transfer-cost-aware stealing, and round-robin least-loaded fallback.
+//!   Pure and deterministic.
 //! * [`cache`] — [`ArtifactCache`] (content-addressed compile cache with an
 //!   optional on-disk JSON layer) and [`ImageCache`] (shared parsed
 //!   bitstream images).
 //! * [`machine`] — [`ClusterMachine`]: the pool-level mirror of
 //!   [`ftn_core::Machine`] with `submit`/`wait` asynchrony, per-device
-//!   [`ftn_host::RunStats`] aggregation, and pool occupancy metrics. Jobs
-//!   come in two granularities: whole host-program calls and kernel-level
-//!   launches against resident buffers.
+//!   [`ftn_host::RunStats`] aggregation, and pool occupancy metrics. A
+//!   sessionless job is a whole host-program call; kernel-level launches
+//!   against resident buffers go through a session.
 //! * [`session`] — the single-device front-ends (`open_session` …
 //!   `close_session`): whole-array spellings of the one-shard case of
 //!   [`sharded`], plus the shared `MapKind` / `SessionStats` vocabulary.
@@ -58,9 +59,9 @@ pub use rollup::{RollupBy, RollupRow};
 pub use scheduler::{BufferInfo, Placement, PlacementPolicy, PlacementReason};
 pub use session::{MapKind, SessionReport, SessionStats};
 pub use sharded::{
-    AutoRebalance, HaloRefreshReport, RebalanceReport, ShardArg, ShardCount, ShardOptions,
-    ShardedLaunchReport, ShardedLaunchTicket, ShardedReport, DEFAULT_REBALANCE_THRESHOLD,
-    MAX_SHARDS_PER_DEVICE, REBALANCE_HORIZON_LAUNCHES,
+    AutoRebalance, HaloRefreshReport, RebalanceReport, ShardArg, ShardCount, ShardedLaunchReport,
+    ShardedLaunchTicket, ShardedReport, DEFAULT_REBALANCE_THRESHOLD, MAX_SHARDS_PER_DEVICE,
+    REBALANCE_HORIZON_LAUNCHES,
 };
 
 #[cfg(test)]
@@ -372,36 +373,6 @@ end subroutine saxpy
     }
 
     #[test]
-    fn kernel_level_job_writes_back_and_charges_staging() {
-        let mut cluster = pool(2);
-        let n = 500usize;
-        let x: Vec<f32> = (0..n).map(|i| i as f32 * 0.5).collect();
-        let y = vec![1.0f32; n];
-        let xa = cluster.host_f32(&x);
-        let ya = cluster.host_f32(&y);
-        let ticket = cluster
-            .submit_kernel("saxpy_kernel0", &saxpy_kernel_args(&xa, &ya, n, 2.0))
-            .unwrap();
-        assert_eq!((ticket.staged, ticket.elided), (2, 0));
-        let handle = ticket.handle;
-        let report = cluster.wait(handle).unwrap();
-        assert_eq!(report.report.stats.launches, 1);
-        // Staging x and y is charged as two host→device transfers.
-        assert_eq!(report.report.stats.transfers, 2);
-        assert!(report.report.stats.transfer_seconds > 0.0);
-        let got = cluster.read_f32(&ya);
-        for (i, v) in got.iter().enumerate() {
-            assert_eq!(*v, 1.0 + 2.0 * (i as f32 * 0.5), "element {i}");
-        }
-        // A second identical launch finds both buffers resident.
-        let ticket = cluster
-            .submit_kernel("saxpy_kernel0", &saxpy_kernel_args(&xa, &ya, n, 2.0))
-            .unwrap();
-        assert_eq!((ticket.staged, ticket.elided), (0, 2));
-        cluster.wait(ticket.handle).unwrap();
-    }
-
-    #[test]
     fn session_maps_once_and_elides_per_launch_transfers() {
         use crate::MapKind;
         let mut cluster = pool(2);
@@ -441,6 +412,73 @@ end subroutine saxpy
         assert!(cluster.open_sessions().is_empty());
     }
 
+    /// The hazard the old pinned-residency rung was meant to cover: while a
+    /// session maps `x` and `y`, their current contents live on the
+    /// session's sub-buffers. A sessionless job naming them would compute
+    /// on the stale host copy and be overwritten by the close.
+    #[test]
+    fn sessionless_job_over_session_mapped_arrays_is_refused() {
+        use crate::MapKind;
+        let mut cluster = pool(2);
+        let n = 64usize;
+        let xa = cluster.host_f32(&vec![1.0f32; n]);
+        let ya = cluster.host_f32(&vec![0.5f32; n]);
+        let host_buffers = cluster.pool_stats().host_buffers;
+        let sid = cluster
+            .open_session(&[
+                ("x", xa.clone(), MapKind::To),
+                ("y", ya.clone(), MapKind::ToFrom),
+            ])
+            .unwrap();
+        let ticket = cluster
+            .session_launch(sid, "saxpy_kernel0", &saxpy_kernel_args(&xa, &ya, n, 3.0))
+            .unwrap();
+        cluster.wait(ticket.handle).unwrap();
+
+        let run_args = [RtValue::I32(n as i32), RtValue::F32(1.0), xa, ya.clone()];
+        let err = cluster
+            .run("saxpy", &run_args)
+            .expect_err("arrays are mapped by the open session");
+        assert_eq!(err.stage, "cluster-session");
+        let expect =
+            format!("array is mapped by open session {sid}; close it or launch through it");
+        assert!(err.to_string().contains(&expect), "{err}");
+        assert_eq!(cluster.read_f32(&ya), vec![0.5f32; n], "host untouched");
+
+        cluster.close_session(sid).unwrap();
+        assert_eq!(cluster.read_f32(&ya), vec![3.5f32; n]);
+        assert_eq!(cluster.pool_stats().host_buffers, host_buffers);
+        // Once closed, the arrays are ordinary again.
+        cluster.run("saxpy", &run_args).unwrap();
+        assert_eq!(cluster.read_f32(&ya), vec![4.5f32; n]);
+    }
+
+    #[test]
+    fn holds_current_tracks_the_device_and_the_version() {
+        let mut state = crate::machine::BufState::default();
+        assert!(!state.holds_current(0), "nothing resident yet");
+        state.resident.insert(0, 0);
+        assert!(state.holds_current(0));
+        assert!(!state.holds_current(1), "another device's copy");
+        state.version = 1;
+        assert!(!state.holds_current(0), "a stale copy is not current");
+    }
+
+    #[test]
+    fn write_on_bumps_the_version_and_leaves_one_current_copy() {
+        let mut state = crate::machine::BufState::default();
+        state.resident.insert(0, 0);
+        state.resident.insert(1, 0);
+        assert_eq!(state.write_on(1), 1);
+        assert_eq!(state.version, 1);
+        assert!(state.holds_current(1));
+        assert!(!state.holds_current(0), "other copies are dropped");
+        assert_eq!(state.resident.len(), 1);
+        assert_eq!(state.written, 0, "host memory is stale until a writeback");
+        assert_eq!(state.write_on(0), 2);
+        assert!(state.holds_current(0) && !state.holds_current(1));
+    }
+
     #[test]
     fn rollups_attribute_cycles_per_kernel_session_and_device() {
         use crate::{MapKind, RollupBy};
@@ -451,12 +489,21 @@ end subroutine saxpy
         let xa = cluster.host_f32(&x);
         let ya = cluster.host_f32(&y);
 
-        // One sessionless kernel launch: kernel + device rows, no session row.
-        let ticket = cluster
-            .submit_kernel("saxpy_kernel0", &saxpy_kernel_args(&xa, &ya, n, 2.0))
-            .unwrap();
-        cluster.wait(ticket.handle).unwrap();
+        // One sessionless run: a device row, no kernel or session row.
+        let run_args = [
+            RtValue::I32(n as i32),
+            RtValue::F32(2.0),
+            xa.clone(),
+            ya.clone(),
+        ];
+        let run_cycles = cluster
+            .run("saxpy", &run_args)
+            .unwrap()
+            .report
+            .stats
+            .total_cycles;
         assert!(cluster.rollups(RollupBy::Session).is_empty());
+        assert!(cluster.rollups(RollupBy::Kernel).is_empty());
 
         // Three session launches: attributed to the session id.
         let sid = cluster
@@ -477,36 +524,38 @@ end subroutine saxpy
         assert_eq!(kernels.len(), 1);
         let k = &kernels[0];
         assert_eq!(k.key, "saxpy_kernel0");
-        assert_eq!(k.jobs, 4);
+        assert_eq!(k.jobs, 3);
         assert!(k.sim_cycles > 0);
         assert!(k.wall_seconds > 0.0);
-        assert!(k.bytes_moved > 0, "staging + writeback move bytes");
-        // Only kernel jobs burn cycles, so the kernel row accounts for the
-        // pool's entire cycle total.
-        assert_eq!(k.sim_cycles, cluster.pool_stats().totals.total_cycles);
+        // Only the run and the kernel jobs burn cycles, so together they
+        // account for the pool's entire cycle total.
+        let total_cycles = cluster.pool_stats().totals.total_cycles;
+        assert_eq!(k.sim_cycles + run_cycles, total_cycles);
 
         let sessions = cluster.rollups(RollupBy::Session);
         assert_eq!(sessions.len(), 1);
         assert_eq!(sessions[0].key, sid.to_string());
         assert_eq!(sessions[0].jobs, 3, "only session launches attributed");
 
-        // Device rows see every job (kernels, the session-open upload and
-        // the close fetch) and their cycles re-add to the kernel total.
+        // Device rows see every job (the run, kernels, the session-open
+        // upload and the close fetch) and their cycles re-add to the total.
         let devices = cluster.rollups(RollupBy::Device);
         assert!(!devices.is_empty());
         let device_cycles: u64 = devices.iter().map(|r| r.sim_cycles).sum();
-        assert_eq!(device_cycles, k.sim_cycles);
+        assert_eq!(device_cycles, total_cycles);
         let device_jobs: u64 = devices.iter().map(|r| r.jobs).sum();
         assert!(
             device_jobs >= 4,
-            "at least the four kernel jobs: {devices:?}"
+            "at least the run and the three kernel jobs: {devices:?}"
         );
+        let bytes: u64 = devices.iter().map(|r| r.bytes_moved).sum();
+        assert!(bytes > 0, "staging + writeback move bytes");
     }
 
     #[test]
     fn worker_arena_does_not_grow_across_jobs() {
         // Regression for the ROADMAP item "pool workers never free device
-        // buffers": the high-water-mark reset must keep the worker arena
+        // buffers": the post-job transient reclaim must keep the worker arena
         // flat across whole-program jobs (which allocate device data
         // environments) and session launches.
         let mut cluster = pool(1);

@@ -10,16 +10,15 @@
 //! [`RunStats`] into the pool totals. With one device and the same call
 //! sequence, results and statistics are bit-identical to `Machine`.
 //!
-//! Two job granularities are exposed: [`ClusterMachine::submit`] runs a whole
-//! host program function (the original path), while
-//! [`ClusterMachine::submit_kernel`] launches one device kernel directly
-//! against resident buffers — the building block of persistent `target data`
-//! sessions (see [`crate::sharded`]). Placement backlogs are priced by the
-//! per-kernel cost model derived from the bitstream's loop schedules
-//! ([`ftn_fpga::CostModel`]), falling back to the observed mean only for
-//! jobs the schedules cannot predict.
+//! [`ClusterMachine::submit`] runs a whole host program function; single
+//! kernels launch against resident buffers through a session (see
+//! [`crate::sharded`]), force-placed on their shard's device, and while a
+//! session maps an array no sessionless job may name it. Placement backlogs
+//! are priced by the per-kernel cost model derived from the bitstream's
+//! loop schedules ([`ftn_fpga::CostModel`]), falling back to the observed
+//! mean only for jobs the schedules cannot predict.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use ftn_core::{report_from_stats, Artifacts, CompileError, HostProgram, RunReport};
@@ -95,8 +94,8 @@ pub struct DevicePoolStats {
     /// Simulated seconds of device-timeline occupancy (kernel wall +
     /// transfers) across completed jobs.
     pub busy_sim_seconds: f64,
-    /// Device memory arena size after the worker's last post-job reset
-    /// (stays flat across jobs thanks to the high-water-mark reset).
+    /// Device memory arena size after the worker's last post-job reclaim
+    /// of recorded transients (stays flat across jobs).
     pub arena_buffers: usize,
     /// This device's accumulated run statistics.
     pub stats: RunStats,
@@ -134,9 +133,6 @@ pub struct PoolStats {
     /// Jobs pinned to a device because an argument buffer was in flight
     /// there.
     pub forced_colocations: u64,
-    /// Jobs pinned to a device because it held the only current copy of an
-    /// argument buffer (deferred-writeback session data).
-    pub residency_pins: u64,
     /// Jobs dispatched to a device fixed by their shard assignment (sharded
     /// sessions bypass placement: no affinity scoring, no stealing).
     pub shard_forced: u64,
@@ -178,16 +174,29 @@ pub(crate) struct BufState {
 }
 
 impl BufState {
-    /// Device holding the only current copy when host memory is stale.
-    fn pinned_device(&self) -> Option<usize> {
-        if self.written >= self.version {
-            return None;
-        }
-        self.resident
-            .iter()
-            .find(|&(_, &v)| v == self.version)
-            .map(|(&d, _)| d)
+    /// Whether `device` holds this buffer at its current version.
+    pub(crate) fn holds_current(&self, device: usize) -> bool {
+        self.resident.get(&device) == Some(&self.version)
     }
+
+    /// A job on `device` writes this buffer: bump the version and leave that
+    /// device holding the only current copy. Returns the new version.
+    pub(crate) fn write_on(&mut self, device: usize) -> u64 {
+        self.version += 1;
+        self.resident.clear();
+        self.resident.insert(device, self.version);
+        self.version
+    }
+}
+
+/// What one submission's staging step moved: the uploads that travel with
+/// the job plus the tallies its [`KernelTicket`] reports.
+#[derive(Default)]
+struct Staging {
+    buffers: Vec<StagedBuffer>,
+    staged: u64,
+    staged_bytes: u64,
+    elided: u64,
 }
 
 /// Cached handles into the machine's [`MetricsRegistry`] — one atomic
@@ -280,7 +289,6 @@ pub struct ClusterMachine {
     pub(crate) staged_bytes: u64,
     pub(crate) steals: u64,
     pub(crate) forced_colocations: u64,
-    pub(crate) residency_pins: u64,
     pub(crate) shard_forced: u64,
     pub(crate) batched_messages: u64,
     pub(crate) batched_jobs: u64,
@@ -359,7 +367,6 @@ impl ClusterMachine {
             staged_bytes: 0,
             steals: 0,
             forced_colocations: 0,
-            residency_pins: 0,
             shard_forced: 0,
             batched_messages: 0,
             batched_jobs: 0,
@@ -380,11 +387,6 @@ impl ClusterMachine {
     /// the old registry; only new events land in `registry`.
     pub fn use_metrics(&mut self, registry: &Arc<MetricsRegistry>) {
         self.metrics = PoolMetrics::new(Arc::clone(registry));
-    }
-
-    /// The registry this machine's metrics land in.
-    pub fn metrics_registry(&self) -> &Arc<MetricsRegistry> {
-        &self.metrics.registry
     }
 
     /// Attribution rollups over every job completed so far, costliest first
@@ -439,17 +441,6 @@ impl ClusterMachine {
         })
     }
 
-    /// Overwrite a host buffer and invalidate all device-resident copies.
-    pub fn write_f32(&mut self, v: &RtValue, data: &[f32]) {
-        let m = v.as_memref().expect("memref value");
-        *self.memory.get_mut(m.buffer) = Buffer::F32(data.to_vec());
-        if let Some(state) = self.buffers.get_mut(&m.buffer) {
-            state.version += 1;
-            state.written = state.version;
-            state.resident.clear();
-        }
-    }
-
     /// Read back a host f32 array. Only jobs that have been `wait`ed on (or
     /// a closed session's writeback) are reflected.
     pub fn read_f32(&self, v: &RtValue) -> Vec<f32> {
@@ -462,120 +453,114 @@ impl ClusterMachine {
 
     /// Submit host function `func` asynchronously (whole-program job).
     /// Placement, staging and residency bookkeeping happen here; execution
-    /// overlaps with the caller until [`ClusterMachine::wait`].
+    /// overlaps with the caller until [`ClusterMachine::wait`]. An array an
+    /// open session maps is refused: its current contents are on the
+    /// session's sub-buffers, and the close would overwrite the result.
     pub fn submit(&mut self, func: &str, args: &[RtValue]) -> Result<LaunchHandle, CompileError> {
+        let arg_ids = distinct_memref_buffers(args);
+        let mapping = (self.sessions.iter())
+            .filter(|(_, s)| arg_ids.iter().any(|&id| s.uses_buffer(id)))
+            .map(|(&sid, _)| sid);
+        if let Some(sid) = mapping.min() {
+            return Err(CompileError::new(
+                "cluster-session",
+                format!("array is mapped by open session {sid}; close it or launch through it"),
+            ));
+        }
+        let device = self.place_for(&arg_ids)?;
         let kind = JobKind::HostCall {
             func: func.to_string(),
         };
-        Ok(self.submit_compute(kind, args, None)?.handle)
+        Ok(self.submit_compute(kind, args, arg_ids, device)?.handle)
     }
 
-    /// Submit one device-kernel launch against resident buffers (kernel-level
-    /// job granularity). Argument buffers the chosen device already holds
-    /// are not re-staged; staged buffers are charged PCIe transfer time as
-    /// an explicit host→device map. Results are written back to host memory
-    /// at [`ClusterMachine::wait`].
-    pub fn submit_kernel(
-        &mut self,
-        kernel: &str,
-        args: &[RtValue],
-    ) -> Result<KernelTicket, CompileError> {
-        let kind = JobKind::Kernel {
-            kernel: kernel.to_string(),
-            writeback: true,
-        };
-        self.submit_compute(kind, args, None)
-    }
-
-    /// Kernel launch with deferred writeback: the device copy stays
-    /// authoritative and host memory is only synced by a later fetch
-    /// (sessions close with one). Session launches pin each shard's job to
-    /// the shard's `device` (see [`crate::sharded`]); placement is bypassed.
+    /// One shard's kernel launch on the shard's `device` (no placement; see
+    /// [`crate::sharded`]). Buffers the device already holds are not
+    /// re-staged; staged ones are charged PCIe time as an explicit
+    /// host→device map. Writeback is deferred: the device copy stays
+    /// authoritative until a later fetch (sessions close with one).
     pub(crate) fn submit_kernel_deferred(
         &mut self,
         kernel: &str,
         args: &[RtValue],
         device: usize,
     ) -> Result<KernelTicket, CompileError> {
+        self.force(device)?;
         let kind = JobKind::Kernel {
             kernel: kernel.to_string(),
-            writeback: false,
         };
-        self.submit_compute(kind, args, Some(device))
+        self.submit_compute(kind, args, distinct_memref_buffers(args), device)
     }
 
-    /// Shared submission path for compute jobs (host calls and kernels).
-    /// With `forced`, the scheduler is bypassed and the job runs on that
-    /// device (shard jobs: colocation with the shard's residency, stealing
-    /// disabled).
+    /// Shared tail of the compute submissions (host calls and kernels) once
+    /// their device is known.
     fn submit_compute(
         &mut self,
         kind: JobKind,
         args: &[RtValue],
-        forced: Option<usize>,
+        arg_ids: Vec<BufferId>,
+        device: usize,
     ) -> Result<KernelTicket, CompileError> {
-        let arg_ids = distinct_memref_buffers(args);
-        let device = match forced {
-            Some(d) => {
-                self.check_forced(d)?;
-                self.shard_forced += 1;
-                d
-            }
-            None => self.place_for(&arg_ids)?,
-        };
-
-        // Stage exactly the buffers the device does not hold at the current
-        // version; everything else is an affinity hit. Every argument buffer
-        // is conservatively treated as written: the device copy becomes the
-        // only current one.
+        // Every argument buffer is conservatively treated as written: once
+        // staged, the device copy becomes the only current one.
         let charge = matches!(kind, JobKind::Kernel { .. });
-        let mut staged = Vec::new();
+        let mut staging = Staging::default();
         let mut out_versions = Vec::with_capacity(arg_ids.len());
-        let mut ticket_staged = 0u64;
-        let mut ticket_staged_bytes = 0u64;
-        let mut ticket_elided = 0u64;
-        for id in &arg_ids {
-            let state = self.buffers.entry(*id).or_default();
-            let current = state.version;
-            let next = current + 1;
-            if state.resident.get(&device) == Some(&current) {
-                self.affinity_hits += 1;
-                ticket_elided += 1;
-            } else {
-                let contents = self.memory.get(*id).clone();
-                self.staged_uploads += 1;
-                self.staged_bytes += contents.byte_len() as u64;
-                ticket_staged += 1;
-                ticket_staged_bytes += contents.byte_len() as u64;
-                staged.push(StagedBuffer {
-                    host: *id,
-                    contents,
-                    charge,
-                });
-            }
-            let state = self.buffers.get_mut(id).expect("state created above");
-            state.version = next;
-            state.resident.clear();
-            state.resident.insert(device, next);
-            mark_in_flight(state, device);
-            out_versions.push((*id, next));
+        for &id in &arg_ids {
+            let state = self.make_resident(id, device, charge, &mut staging);
+            out_versions.push((id, state.write_on(device)));
         }
 
-        let est = self.estimate_compute_seconds(&kind, &arg_ids, ticket_staged_bytes, device);
+        let est = self.estimate_compute_seconds(&kind, &arg_ids, staging.staged_bytes, device);
         let spec = JobSpec {
             args: args.to_vec(),
-            staged,
+            staged: staging.buffers,
             out_versions,
             ..JobSpec::new(kind)
         };
-        let handle = self.dispatch(device, arg_ids, spec, est)?;
         Ok(KernelTicket {
-            handle,
+            handle: self.dispatch(device, arg_ids, spec, est)?,
             device,
-            staged: ticket_staged,
-            staged_bytes: ticket_staged_bytes,
-            elided: ticket_elided,
+            staged: staging.staged,
+            staged_bytes: staging.staged_bytes,
+            elided: staging.elided,
         })
+    }
+
+    /// Make `device` hold buffer `id` at its current version for a job about
+    /// to run there — the one place the elide-or-upload decision is made. A
+    /// copy the device already holds is an affinity hit; otherwise the host
+    /// contents travel with the job (`charge`: PCIe time, for an explicit
+    /// map). Pool counters and ticket tallies move together, uploads queue
+    /// in argument order and the buffer is marked in flight: the accounting
+    /// order that keeps sessions bit-identical to [`ftn_core::Machine`].
+    fn make_resident(
+        &mut self,
+        id: BufferId,
+        device: usize,
+        charge: bool,
+        staging: &mut Staging,
+    ) -> &mut BufState {
+        let state = self.buffers.entry(id).or_default();
+        if state.holds_current(device) {
+            self.affinity_hits += 1;
+            staging.elided += 1;
+        } else {
+            let contents = self.memory.get(id).clone();
+            let bytes = contents.byte_len() as u64;
+            self.staged_uploads += 1;
+            self.staged_bytes += bytes;
+            staging.staged += 1;
+            staging.staged_bytes += bytes;
+            staging.buffers.push(StagedBuffer {
+                host: id,
+                contents,
+                charge,
+            });
+            state.resident.insert(device, state.version);
+        }
+        mark_in_flight(state, device);
+        state
     }
 
     /// Session open: establish residency for one shard's mapped buffers on
@@ -589,65 +574,36 @@ impl ClusterMachine {
         device: usize,
     ) -> Result<KernelTicket, CompileError> {
         let arg_ids: Vec<BufferId> = maps.iter().map(|&(id, _)| id).collect();
-        self.check_forced(device)?;
-        self.shard_forced += 1;
-        let mut staged = Vec::new();
-        let mut ticket_staged = 0u64;
-        let mut ticket_staged_bytes = 0u64;
-        let mut ticket_elided = 0u64;
-        let mut bytes = 0usize;
+        self.force(device)?;
+        let mut staging = Staging::default();
         for (id, seed) in maps {
-            let id = *id;
-            let state = self.buffers.entry(id).or_default();
-            let current = state.version;
-            if let Some(seed) = seed {
-                // Fresh device-initialized copy: a version bump with no
-                // host upload (host contents are not copied in).
-                let next = current + 1;
-                let contents = seed.clone();
-                let state = self.buffers.get_mut(&id).expect("present");
-                state.version = next;
-                state.resident.clear();
-                state.resident.insert(device, next);
-                mark_in_flight(state, device);
-                staged.push(StagedBuffer {
-                    host: id,
-                    contents,
-                    charge: false,
-                });
-            } else if state.resident.get(&device) == Some(&current) {
-                self.affinity_hits += 1;
-                ticket_elided += 1;
-                mark_in_flight(state, device);
-            } else {
-                let contents = self.memory.get(id).clone();
-                bytes += contents.byte_len();
-                self.staged_uploads += 1;
-                self.staged_bytes += contents.byte_len() as u64;
-                ticket_staged += 1;
-                ticket_staged_bytes += contents.byte_len() as u64;
-                staged.push(StagedBuffer {
-                    host: id,
-                    contents,
-                    charge: true,
-                });
-                let state = self.buffers.get_mut(&id).expect("present");
-                state.resident.insert(device, current);
-                mark_in_flight(state, device);
-            }
+            let Some(seed) = seed else {
+                self.make_resident(*id, device, true, &mut staging);
+                continue;
+            };
+            // Fresh device-initialized copy: a version bump with no host
+            // upload (host contents are not copied in).
+            let state = self.buffers.entry(*id).or_default();
+            state.write_on(device);
+            mark_in_flight(state, device);
+            staging.buffers.push(StagedBuffer {
+                host: *id,
+                contents: seed.clone(),
+                charge: false,
+            });
         }
-        let est = self.pool.slots[device].model.transfer_seconds(bytes);
+        let model = &self.pool.slots[device].model;
+        let est = model.transfer_seconds(staging.staged_bytes as usize);
         let spec = JobSpec {
-            staged,
+            staged: staging.buffers,
             ..JobSpec::new(JobKind::Upload)
         };
-        let handle = self.dispatch(device, arg_ids, spec, est)?;
         Ok(KernelTicket {
-            handle,
+            handle: self.dispatch(device, arg_ids, spec, est)?,
             device,
-            staged: ticket_staged,
-            staged_bytes: ticket_staged_bytes,
-            elided: ticket_elided,
+            staged: staging.staged,
+            staged_bytes: staging.staged_bytes,
+            elided: staging.elided,
         })
     }
 
@@ -710,9 +666,7 @@ impl ClusterMachine {
                 }
             }
             let state = self.buffers.entry(patch.target).or_default();
-            state.version += 1;
-            state.resident.clear();
-            state.resident.insert(device, state.version);
+            state.write_on(device);
         }
         self.staged_uploads += staged;
         self.staged_bytes += bytes as u64;
@@ -750,26 +704,7 @@ impl ClusterMachine {
         self.dispatch(device, arg_ids, spec, est)
     }
 
-    /// Bring host memory up to date for `ids` whose only current copy is
-    /// device-resident (used to resolve conflicting residency pins before
-    /// staging from host memory).
-    fn sync_to_host(&mut self, ids: &[BufferId]) -> Result<(), CompileError> {
-        let mut by_device: BTreeMap<usize, Vec<RowFetch>> = BTreeMap::new();
-        for id in ids {
-            if let Some(d) = self.buffers.get(id).and_then(|s| s.pinned_device()) {
-                by_device.entry(d).or_default().push(self.whole_fetch(*id));
-            }
-        }
-        let handles: Result<Vec<_>, _> = (by_device.into_iter())
-            .map(|(d, rows)| self.submit_fetch_rows(d, rows))
-            .collect();
-        for h in handles? {
-            self.wait(h)?;
-        }
-        Ok(())
-    }
-
-    /// Drain conflicts, resolve pins, and choose a device for a job over
+    /// Drain in-flight conflicts and choose a device for a job over
     /// `arg_ids`.
     pub(crate) fn place_for(&mut self, arg_ids: &[BufferId]) -> Result<usize, CompileError> {
         // A buffer may have in-flight writers on at most one device; if two
@@ -791,58 +726,16 @@ impl ClusterMachine {
             self.process_one_outcome()?;
         }
 
-        // Buffers pinned to different devices (each holding the only current
-        // copy of its buffer) cannot be staged together; sync the minority
-        // through the host first.
-        loop {
-            let mut pin_devices: Vec<usize> = arg_ids
-                .iter()
-                .filter_map(|id| self.buffers.get(id).and_then(|b| b.pinned_device()))
-                .collect();
-            pin_devices.sort_unstable();
-            pin_devices.dedup();
-            if pin_devices.len() <= 1 {
-                break;
-            }
-            // Keep the device pinning the most bytes; fetch the rest home.
-            let mut bytes_on: HashMap<usize, usize> = HashMap::new();
-            for id in arg_ids {
-                if let Some(d) = self.buffers.get(id).and_then(|b| b.pinned_device()) {
-                    *bytes_on.entry(d).or_default() += self.memory.get(*id).byte_len();
-                }
-            }
-            let keep = *bytes_on
-                .iter()
-                .max_by_key(|&(d, b)| (*b, std::cmp::Reverse(*d)))
-                .map(|(d, _)| d)
-                .expect("non-empty");
-            let move_ids: Vec<BufferId> = arg_ids
-                .iter()
-                .filter(|id| {
-                    self.buffers
-                        .get(id)
-                        .and_then(|b| b.pinned_device())
-                        .is_some_and(|d| d != keep)
-                })
-                .copied()
-                .collect();
-            self.sync_to_host(&move_ids)?;
-        }
-
         let infos: Vec<BufferInfo> = arg_ids
             .iter()
             .map(|id| {
                 let state = self.buffers.entry(*id).or_default();
                 BufferInfo {
                     bytes: self.memory.get(*id).byte_len(),
-                    resident: state
-                        .resident
-                        .iter()
-                        .filter(|&(_, &v)| v == state.version)
-                        .map(|(&d, _)| d)
+                    resident: (state.resident.keys().copied())
+                        .filter(|&d| state.holds_current(d))
                         .collect(),
                     in_flight: state.in_flight.map(|(d, _)| d),
-                    pinned: state.pinned_device(),
                 }
             })
             .collect();
@@ -853,15 +746,14 @@ impl ClusterMachine {
         match placement.reason {
             PlacementReason::Steal => self.steals += 1,
             PlacementReason::ForcedColocation => self.forced_colocations += 1,
-            PlacementReason::PinnedResidency => self.residency_pins += 1,
             _ => {}
         }
         self.metrics.placement(placement.reason).inc();
         Ok(placement.device)
     }
 
-    /// Validate a forced (shard-assigned) device index.
-    fn check_forced(&self, device: usize) -> Result<(), CompileError> {
+    /// Validate and count a forced (shard-assigned) device index.
+    fn force(&mut self, device: usize) -> Result<(), CompileError> {
         if device >= self.pool.len() {
             return Err(CompileError::new(
                 "cluster-submit",
@@ -871,15 +763,8 @@ impl ClusterMachine {
                 ),
             ));
         }
+        self.shard_forced += 1;
         Ok(())
-    }
-
-    /// Per-device outstanding simulated work: the cost-model-priced backlog
-    /// ledger the stealing scheduler and the sharded-session re-planner
-    /// read. Grows as jobs are submitted, shrinks as their outcomes are
-    /// processed; [`ClusterMachine::inject_backlog`] adds synthetic load.
-    pub fn device_backlogs(&self) -> Vec<f64> {
-        self.est_backlog.clone()
     }
 
     /// Model a co-tenant occupying `device`: adds `sim_seconds` of foreign
@@ -964,7 +849,7 @@ impl ClusterMachine {
             .max()
             .unwrap_or(0);
         let kernel_est = match kind {
-            JobKind::Kernel { kernel, .. } => self
+            JobKind::Kernel { kernel } => self
                 .cost_model
                 .kernel(kernel)
                 .map(|k| k.estimate_seconds(model, elements)),
@@ -987,7 +872,7 @@ impl ClusterMachine {
         let job_id = self.next_job;
         self.next_job += 1;
         let kernel = match &spec.kind {
-            JobKind::Kernel { kernel, .. } => Some(kernel.clone()),
+            JobKind::Kernel { kernel } => Some(kernel.clone()),
             _ => None,
         };
         // Host-bounced patch blocks are host→device uploads like staged
@@ -1156,21 +1041,6 @@ impl ClusterMachine {
         }
     }
 
-    /// Wait for every outstanding job, in submission order.
-    pub fn wait_all(&mut self) -> Result<Vec<ClusterRunReport>, CompileError> {
-        let mut ids: Vec<u64> = self
-            .pending
-            .keys()
-            .copied()
-            .chain(self.completed.keys().copied())
-            .collect();
-        ids.sort_unstable();
-        ids.dedup();
-        ids.into_iter()
-            .map(|job_id| self.wait(LaunchHandle { job_id }))
-            .collect()
-    }
-
     /// Submit-and-wait, mirroring `Machine::run`.
     pub fn run(&mut self, func: &str, args: &[RtValue]) -> Result<ClusterRunReport, CompileError> {
         let handle = self.submit(func, args)?;
@@ -1252,7 +1122,7 @@ impl ClusterMachine {
                     };
                     // Monotone writeback: a job's contents land in host
                     // memory only if nothing newer (a later job's writeback
-                    // or a host-side `write_f32`) got there first.
+                    // or a session close's gather) got there first.
                     if *version > state.written {
                         *self.memory.get_mut(*host_id) = contents.clone();
                         state.written = *version;
@@ -1298,7 +1168,7 @@ impl ClusterMachine {
         self.completed.insert(job_id, stored);
     }
 
-    /// Pool statistics over completed jobs (call after `wait`/`wait_all`).
+    /// Pool statistics over completed (waited) jobs.
     pub fn pool_stats(&self) -> PoolStats {
         let devices: Vec<DevicePoolStats> = self
             .pool
@@ -1342,7 +1212,6 @@ impl ClusterMachine {
             staged_bytes: self.staged_bytes,
             steals: self.steals,
             forced_colocations: self.forced_colocations,
-            residency_pins: self.residency_pins,
             shard_forced: self.shard_forced,
             batched_messages: self.batched_messages,
             batched_jobs: self.batched_jobs,

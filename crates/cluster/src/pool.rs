@@ -3,13 +3,15 @@
 //! device-side [`Memory`], and a FIFO job queue. Workers are reused across
 //! launches — no thread is ever spawned per kernel launch.
 //!
-//! Workers understand two job granularities plus the residency
-//! housekeeping jobs:
-//! * `JobKind::HostCall` — run a whole host program function (the original
-//!   `Machine`-equivalent path; the program performs its own device maps).
+//! Workers understand two compute jobs plus the residency housekeeping
+//! jobs:
+//! * `JobKind::HostCall` — run a whole host program function (the
+//!   `Machine`-equivalent path; the program performs its own device maps,
+//!   and the argument buffers are written back to the host on completion).
 //! * `JobKind::Kernel` — execute one device kernel directly against the
 //!   worker's resident buffer mirror (`target data` sessions launch these;
-//!   staging is charged as an explicit host→device map).
+//!   staging is charged as an explicit host→device map, and nothing is
+//!   written back until the session's close fetch).
 //! * `JobKind::Upload` / `JobKind::Fetch` — establish residency for a
 //!   session's mapped arrays / copy mirror contents back to the host,
 //!   charging PCIe transfer time the way a data-region entry/exit does.
@@ -36,11 +38,9 @@ use ftn_interp::{Buffer, BufferId, Memory, RtValue};
 pub(crate) enum JobKind {
     /// Run host function `func` end-to-end.
     HostCall { func: String },
-    /// Execute device kernel `kernel` against resident buffers. With
-    /// `writeback`, final argument-buffer contents are shipped back to the
-    /// host when the outcome is processed; sessions leave it off and fetch
-    /// once at close.
-    Kernel { kernel: String, writeback: bool },
+    /// Execute device kernel `kernel` against resident buffers. The mirror
+    /// stays authoritative; the session fetches once at close.
+    Kernel { kernel: String },
     /// Stage the job's buffers and nothing else (session open).
     Upload,
     /// Download the job's `fetch_rows` slices from the mirror (session
@@ -118,8 +118,8 @@ pub(crate) enum PatchBlock {
 pub(crate) struct StagedBuffer {
     pub host: BufferId,
     pub contents: Buffer,
-    /// Charge PCIe transfer time for this upload. Session/kernel staging is
-    /// an explicit host→device map and is charged; whole-program staging is
+    /// Charge PCIe transfer time for this upload. Session staging is an
+    /// explicit host→device map and is charged; whole-program staging is
     /// not (the program's own dma ops account for its transfers).
     pub charge: bool,
 }
@@ -537,7 +537,7 @@ impl Worker {
         let mut stats = RunStats::default();
 
         // 1. Stage uploads into the local mirror, charging PCIe time where
-        // the upload models an explicit map (sessions/kernel jobs).
+        // the upload models an explicit map (session jobs).
         for sb in std::mem::take(&mut job.staged) {
             if sb.charge {
                 stats.transfer_seconds += self.model.transfer_seconds(sb.contents.byte_len());
@@ -647,7 +647,7 @@ impl Worker {
                 stats.merge(&run_stats);
                 results
             }
-            JobKind::Kernel { kernel, .. } => {
+            JobKind::Kernel { kernel } => {
                 let es = self
                     .executor
                     .execute(kernel, &args, &mut self.memory)
@@ -664,14 +664,10 @@ impl Worker {
             JobKind::Upload | JobKind::Fetch | JobKind::RowPatch { .. } => Vec::new(),
         };
 
-        // 3. Collect writeback contents.
-        let collect_writeback = match &job.kind {
-            JobKind::HostCall { .. } => true,
-            JobKind::Kernel { writeback, .. } => *writeback,
-            JobKind::Upload | JobKind::Fetch | JobKind::RowPatch { .. } => false,
-        };
+        // 3. Collect writeback contents: a host call ships its argument
+        // buffers back with the outcome.
         let mut writeback = Vec::with_capacity(arg_buffers.len());
-        if collect_writeback {
+        if matches!(job.kind, JobKind::HostCall { .. }) {
             for &(host, local) in &arg_buffers {
                 let version = job.out_versions.iter().find(|(h, _)| *h == host);
                 let version = version.map_or(0, |(_, v)| *v);
@@ -729,7 +725,7 @@ fn run_and_report(
     );
     span.arg("device", index);
     span.arg("job", job_id);
-    if let JobKind::Kernel { kernel, .. } = &job.spec.kind {
+    if let JobKind::Kernel { kernel } = &job.spec.kind {
         span.arg("kernel", kernel.as_str());
     }
     span.arg("queue_wait_us", format!("{:.1}", queue_wait_seconds * 1e6));

@@ -53,9 +53,9 @@ impl ClusterMachine {
     /// check is a pure no-op. An epoch that fails mid-way (a dead worker)
     /// rolls the session back to its previous plan — the old mirrors are
     /// only released once the new ones are complete — and returns the
-    /// error. Sessions opened with
-    /// [`crate::ShardOptions::auto_rebalance`] run this automatically every
-    /// `interval` launches; this entry point serves manual callers (e.g.
+    /// error. Sessions opened with an [`crate::AutoRebalance`] policy
+    /// ([`ClusterMachine::open_sharded_session_with`]) run this
+    /// automatically every `interval` launches; this entry point serves manual callers (e.g.
     /// `POST /sessions/{id}/rebalance`).
     ///
     /// # Example
@@ -121,7 +121,7 @@ impl ClusterMachine {
             .get(&session)
             .ok_or_else(|| CompileError::new("cluster-shard", no_session(session)))?;
         let threshold = threshold
-            .or_else(|| s.opts.auto_rebalance.map(|ar| ar.threshold))
+            .or_else(|| s.auto_rebalance.map(|ar| ar.threshold))
             .unwrap_or(DEFAULT_REBALANCE_THRESHOLD);
         let devices = s.devices.clone();
         // The largest split array prices the decision; a session mapping

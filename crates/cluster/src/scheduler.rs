@@ -5,22 +5,24 @@
 //! 1. **Forced colocation** — if an argument buffer has an in-flight job on
 //!    some device, the new job must follow it there: per-device queues are
 //!    FIFO, so this serializes conflicting jobs without blocking the host.
-//! 2. **Pinned residency** — if a buffer's only current copy lives on a
-//!    device (the host mirror is stale, as for session arrays launched with
-//!    deferred writeback), the job must run where the data is; staging from
-//!    the stale host copy would compute on old bits.
-//! 3. **Data affinity** — prefer the device already holding the largest
+//! 2. **Data affinity** — prefer the device already holding the largest
 //!    share of the job's buffers at their current version (PCIe staging
 //!    avoided).
-//! 4. **Transfer-cost-aware stealing** — when the affinity device has a
+//! 3. **Transfer-cost-aware stealing** — when the affinity device has a
 //!    deeper backlog than the least-loaded device, move the job iff the
 //!    backlog gap on the simulated timeline exceeds the PCIe cost of
 //!    re-staging the missing bytes. Backlogs are priced by the per-kernel
 //!    cost model ([`ftn_fpga::CostModel`], derived from bitstream schedules:
 //!    II, pipeline depth, trip counts) — not by the mean observed job time,
 //!    which mis-prices mixed light/heavy queues.
-//! 5. **Least-loaded** — otherwise pick the shallowest queue, breaking ties
+//! 4. **Least-loaded** — otherwise pick the shallowest queue, breaking ties
 //!    round-robin so bursts spread across the pool.
+//!
+//! There is no rung for "the only current copy is device-resident": the
+//! buffers left in that state (deferred-writeback session sub-buffers) are
+//! reached only by the session's own force-placed jobs, which bypass this
+//! policy, and a sessionless job over a mapped array is refused before
+//! placement.
 
 use ftn_fpga::DeviceModel;
 
@@ -34,10 +36,6 @@ pub struct BufferInfo {
     /// Device with an in-flight (submitted, not yet completed) job writing
     /// this buffer, if any.
     pub in_flight: Option<usize>,
-    /// Device holding the *only* current copy (host mirror stale): the job
-    /// cannot be staged anywhere else without first syncing through the
-    /// host.
-    pub pinned: Option<usize>,
 }
 
 /// Why a device was chosen (surfaced in pool metrics and tests).
@@ -45,8 +43,6 @@ pub struct BufferInfo {
 pub enum PlacementReason {
     /// An argument buffer has an in-flight job on this device.
     ForcedColocation,
-    /// This device holds the only current copy of an argument buffer.
-    PinnedResidency,
     /// This device already holds the largest share of the job's bytes.
     Affinity,
     /// Moved off the affinity device: its backlog outweighed the restage.
@@ -61,7 +57,6 @@ impl PlacementReason {
     pub fn as_str(self) -> &'static str {
         match self {
             PlacementReason::ForcedColocation => "forced_colocation",
-            PlacementReason::PinnedResidency => "pinned_residency",
             PlacementReason::Affinity => "affinity",
             PlacementReason::Steal => "steal",
             PlacementReason::LeastLoaded => "least_loaded",
@@ -142,24 +137,14 @@ impl PlacementPolicy {
             };
         }
 
-        // 2. A buffer whose only current copy is device-resident pins the
-        // job there (the caller resolves conflicting pins by syncing through
-        // the host before placement).
-        if let Some(d) = bufs.iter().find_map(|b| b.pinned) {
-            return Placement {
-                device: d,
-                reason: PlacementReason::PinnedResidency,
-            };
-        }
-
-        // Least-loaded with round-robin tie-break (candidate for 4/5).
+        // Least-loaded with round-robin tie-break (candidate for 3/4).
         let min_load = *loads.iter().min().expect("non-empty");
         let least = (0..n)
             .map(|i| (self.rr + i) % n)
             .find(|&d| loads[d] == min_load)
             .expect("some device has the min load");
 
-        // 3. Affinity: most resident bytes at current version.
+        // 2. Affinity: most resident bytes at current version.
         let mut aff_bytes = vec![0usize; n];
         for b in bufs {
             for &d in &b.resident {
@@ -183,7 +168,7 @@ impl PlacementPolicy {
             };
         }
 
-        // 4. Affinity device is backlogged: steal iff waiting out the
+        // 3. Affinity device is backlogged: steal iff waiting out the
         // backlog (priced by the per-kernel cost estimates) costs more than
         // re-staging the missing bytes.
         let missing_on_least: usize = bufs
@@ -221,7 +206,6 @@ mod tests {
             bytes,
             resident: resident.to_vec(),
             in_flight: None,
-            pinned: None,
         }
     }
 
@@ -267,27 +251,49 @@ mod tests {
             bytes: 10,
             resident: vec![1],
             in_flight: Some(0),
-            pinned: Some(1),
         };
         let pl = p.place(&loads, &backlog, &m, &[b]);
         assert_eq!(pl.device, 0);
         assert_eq!(pl.reason, PlacementReason::ForcedColocation);
     }
 
+    /// The whole ladder on two devices: every combination of an in-flight
+    /// writer, a resident copy and which device is loaded, checked against
+    /// the four-rung order. A 1 KiB buffer against 50 ms of backlog always
+    /// favours stealing once affinity points at the loaded device.
     #[test]
-    fn pinned_residency_overrides_load_and_affinity() {
-        let mut p = PlacementPolicy::new();
-        let m = models(3);
-        // Device 2 holds the only current copy despite a deep queue there.
-        let b = BufferInfo {
-            bytes: 1 << 20,
-            resident: vec![2],
-            in_flight: None,
-            pinned: Some(2),
-        };
-        let pl = p.place(&[0, 0, 7], &[0.0, 0.0, 7.0], &m, &[b]);
-        assert_eq!(pl.device, 2);
-        assert_eq!(pl.reason, PlacementReason::PinnedResidency);
+    fn four_rungs_in_order_over_in_flight_resident_and_load() {
+        use PlacementReason::*;
+        let m = models(2);
+        let devs = [None, Some(0usize), Some(1)];
+        for in_flight in devs {
+            for resident in devs {
+                for loaded in devs {
+                    let (mut loads, mut backlog) = ([0u64; 2], [0.0f64; 2]);
+                    if let Some(d) = loaded {
+                        (loads[d], backlog[d]) = (5, 0.050);
+                    }
+                    let idle = loaded.map_or(0, |d| 1 - d);
+                    let b = BufferInfo {
+                        bytes: 1024,
+                        resident: resident.into_iter().collect(),
+                        in_flight,
+                    };
+                    let expect = match (in_flight, resident) {
+                        (Some(d), _) => (d, ForcedColocation),
+                        (None, Some(r)) if loaded == Some(r) => (idle, Steal),
+                        (None, Some(r)) => (r, Affinity),
+                        (None, None) => (idle, LeastLoaded),
+                    };
+                    let pl = PlacementPolicy::new().place(&loads, &backlog, &m, &[b]);
+                    assert_eq!(
+                        (pl.device, pl.reason),
+                        expect,
+                        "in_flight {in_flight:?} resident {resident:?} loaded {loaded:?}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -106,11 +106,6 @@ impl ClusterMachine {
         Some(RtValue::MemRef(a.global.clone()))
     }
 
-    /// The device session `session` is resident on (its first shard's).
-    pub fn session_device(&self, session: u64) -> Option<usize> {
-        self.sessions.get(&session)?.devices.first().copied()
-    }
-
     /// Launch one kernel-level job against a one-shard session's resident
     /// buffers. Memref arguments must be arrays mapped by this session (each
     /// is resolved back to its map name). The device copies stay

@@ -12,14 +12,13 @@
 //! `ftn_host::DataEnvironment` presence protocol inside
 //! [`ftn_shard::ShardedEnvironment`].
 //!
-//! The pool may be heterogeneous (mixed [`ftn_fpga::DeviceModel`]s): by
-//! default ([`ShardOptions::weighted`]) devices are ordered fastest-first by
-//! predicted throughput, the largest shard lands on the fastest card, and
-//! each shard's row count is proportional to its device's
-//! [`ftn_fpga::CostModel::device_weight`] — a 2× faster card owns ~2× the
-//! rows, so every device finishes its shard at about the same simulated
-//! time. On a homogeneous pool this reproduces the uniform plan and the
-//! 0..N device order bit-exactly.
+//! The pool may be heterogeneous (mixed [`ftn_fpga::DeviceModel`]s):
+//! devices are ordered fastest-first by predicted throughput, the largest
+//! shard lands on the fastest card, and each shard's row count is
+//! proportional to its device's [`ftn_fpga::CostModel::device_weight`] — a
+//! 2× faster card owns ~2× the rows, so every device finishes its shard at
+//! about the same simulated time. On a homogeneous pool this is the uniform
+//! plan in the 0..N device order.
 //!
 //! Each [`ClusterMachine::sharded_launch`] fans one logical kernel launch
 //! out as per-shard kernel jobs with rebased trip counts
@@ -118,14 +117,13 @@ impl AutoRebalance {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardCount {
     /// Let the cost model pick from the pool size and the mapped array
-    /// lengths (see [`ftn_fpga::CostModel::auto_shards`]).
+    /// lengths and halos (see [`ftn_fpga::CostModel::auto_shards`]).
     Auto,
     /// Exactly this many shards (clamped to the shortest split array's
     /// leading-dim extent and to [`MAX_SHARDS_PER_DEVICE`] × pool size).
     /// More shards than devices is allowed: devices are cycled
-    /// (fastest-first under [`ShardOptions::weighted`]) and each worker
-    /// runs its shards of a launch back-to-back — the fan-out still sends
-    /// only one message per device.
+    /// fastest-first and each worker runs its shards of a launch
+    /// back-to-back — the fan-out still sends only one message per device.
     Fixed(usize),
 }
 
@@ -139,37 +137,6 @@ impl ShardCount {
             .ok()
             .filter(|&n| n > 0)
             .map(ShardCount::Fixed)
-    }
-}
-
-/// How a sharded session distributes its shards. The default (weighted
-/// plans) is what production traffic wants; the uniform plan remains
-/// selectable as the baseline the weighted one is measured against.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ShardOptions {
-    /// Size each shard proportionally to its device's predicted throughput
-    /// ([`ftn_fpga::CostModel::device_weight`]) and place the largest shard
-    /// on the fastest device. On a homogeneous pool this reproduces the
-    /// uniform plan and the 0..N device order exactly. When disabled, the
-    /// legacy uniform split with static `shard i → device i % N` assignment
-    /// is used.
-    pub weighted: bool,
-    /// Re-plan the session automatically as device backlogs drift: every
-    /// `interval` logical launches, fold the observed backlogs into the
-    /// device weights and — when the predicted makespan improvement clears
-    /// `threshold` — run a migration epoch (see
-    /// [`ClusterMachine::rebalance_session`]). `None` (the default) keeps
-    /// the plan frozen at its open-time split; manual
-    /// [`ClusterMachine::rebalance_session`] calls still work.
-    pub auto_rebalance: Option<AutoRebalance>,
-}
-
-impl Default for ShardOptions {
-    fn default() -> Self {
-        ShardOptions {
-            weighted: true,
-            auto_rebalance: None,
-        }
     }
 }
 
@@ -194,10 +161,10 @@ pub struct ShardedSession {
     pub(crate) env: ShardedEnvironment,
     /// `(name, global buffer, kind, partition)` in map order.
     pub(crate) maps: Vec<(String, BufferId, MapKind, Partition)>,
-    /// shard index → device index (fastest device first under
-    /// [`ShardOptions::weighted`]).
+    /// shard index → device index (fastest device first).
     pub(crate) devices: Vec<usize>,
-    pub(crate) opts: ShardOptions,
+    /// The automatic re-planning policy the session opened with, if any.
+    pub(crate) auto_rebalance: Option<AutoRebalance>,
     pub(crate) outstanding: Vec<u64>,
     /// Logical launches since the last auto re-plan check.
     pub(crate) launches_since_replan: u64,
@@ -309,14 +276,16 @@ impl ClusterMachine {
         maps: &[(&str, RtValue, MapKind, Partition)],
         shards: ShardCount,
     ) -> Result<u64, CompileError> {
-        self.open_sharded_session_with(maps, shards, ShardOptions::default())
+        self.open_sharded_session_with(maps, shards, None)
     }
 
-    /// [`ClusterMachine::open_sharded_session`] with explicit
-    /// [`ShardOptions`] (weighted vs uniform plans, automatic re-planning) —
-    /// the default options are right for production traffic; this entry
-    /// point exists for conformance tests, benchmarks, and sessions opting
-    /// into [`ShardOptions::auto_rebalance`].
+    /// [`ClusterMachine::open_sharded_session`] with automatic re-planning
+    /// as device backlogs drift: every `interval` logical launches the
+    /// observed backlogs are folded into the device weights and — when the
+    /// predicted makespan improvement clears `threshold` — a migration
+    /// epoch runs (see [`ClusterMachine::rebalance_session`]). `None` keeps
+    /// the plan frozen at its open-time split; manual
+    /// [`ClusterMachine::rebalance_session`] calls still work.
     ///
     /// # Example
     ///
@@ -324,7 +293,7 @@ impl ClusterMachine {
     /// launch fans out with per-shard extents, and the close gathers `y`.
     ///
     /// ```
-    /// use ftn_cluster::{ClusterMachine, MapKind, Partition, ShardArg, ShardCount, ShardOptions};
+    /// use ftn_cluster::{ClusterMachine, MapKind, Partition, ShardArg, ShardCount};
     /// use ftn_fpga::DeviceModel;
     /// use ftn_interp::RtValue;
     ///
@@ -339,7 +308,7 @@ impl ClusterMachine {
     ///         ("y", y.clone(), MapKind::ToFrom, Partition::Split { halo: 0 }),
     ///     ],
     ///     ShardCount::Fixed(2),
-    ///     ShardOptions::default(),
+    ///     None,
     /// )?;
     /// let ticket = pool.sharded_launch(sid, "saxpy_kernel0", &[
     ///     ShardArg::Array("x".into()),
@@ -359,7 +328,7 @@ impl ClusterMachine {
         &mut self,
         maps: &[(&str, RtValue, MapKind, Partition)],
         shards: ShardCount,
-        opts: ShardOptions,
+        auto_rebalance: Option<AutoRebalance>,
     ) -> Result<u64, CompileError> {
         if maps.is_empty() {
             return Err(CompileError::new(
@@ -432,19 +401,12 @@ impl ClusterMachine {
             .sum();
         let requested = match shards {
             ShardCount::Fixed(n) => n.max(1),
-            ShardCount::Auto if opts.weighted => {
-                // Pool-aware pick: a heterogeneous pool prices each added
-                // (fastest-first) device by its own model, so a straggler
-                // card that would extend the makespan is left out.
-                self.cost_model
-                    .auto_shards_pool_stencil(&models, elements, halo_block_bytes)
-            }
-            ShardCount::Auto => self.cost_model.auto_shards_stencil(
-                &self.pool.slots[0].model,
-                elements,
-                pool,
-                halo_block_bytes,
-            ),
+            // Pool-aware pick: a heterogeneous pool prices each added
+            // (fastest-first) device by its own model, so a straggler card
+            // that would extend the makespan is left out.
+            ShardCount::Auto => self
+                .cost_model
+                .auto_shards(&models, elements, halo_block_bytes),
         };
         let shards = requested
             .min(pool * MAX_SHARDS_PER_DEVICE)
@@ -457,18 +419,16 @@ impl ClusterMachine {
         // shard has no split to weigh: it goes where the placement ladder
         // puts any job over the mapped arrays (affinity, else least-loaded
         // round-robin), so many one-device sessions spread across the pool.
-        // Weighted sessions order devices fastest-first (predicted
-        // throughput on a uniform share, ties by index) so shard 0 — the
-        // largest block of a weighted plan — lands on the fastest card; a
-        // homogeneous pool keeps its natural 0..N order and uniform split
-        // exactly. More shards than devices cycle through the order (a
-        // device's shards of one launch run back-to-back on its FIFO
-        // worker). Unweighted sessions keep the static `shard i → device
-        // i % N` map.
+        // Otherwise devices are ordered fastest-first (predicted throughput
+        // on a uniform share, ties by index) so shard 0 — the largest block
+        // of the weighted plan — lands on the fastest card; a homogeneous
+        // pool keeps its natural 0..N order and uniform split exactly. More
+        // shards than devices cycle through the order (a device's shards of
+        // one launch run back-to-back on its FIFO worker).
         let (devices, weights): (Vec<usize>, Vec<f64>) = if shards == 1 {
             let ids: Vec<BufferId> = resolved.iter().map(|(_, m, _, _)| m.buffer).collect();
             (vec![self.place_for(&ids)?], vec![1.0])
-        } else if opts.weighted {
+        } else {
             let share = elements.max(1).div_ceil(shards.min(pool) as u64);
             let order = self.cost_model.device_order(&models, share);
             let devices: Vec<usize> = (0..shards).map(|s| order[s % pool]).collect();
@@ -477,8 +437,6 @@ impl ClusterMachine {
                 .map(|&d| self.cost_model.device_weight(&models[d], share))
                 .collect();
             (devices, weights)
-        } else {
-            ((0..shards).map(|s| s % pool).collect(), vec![1.0; shards])
         };
 
         // Scatter: one sub-environment per shard, sub-buffers in pool host
@@ -555,7 +513,7 @@ impl ClusterMachine {
                     .map(|(name, m, kind, partition)| (name, m.buffer, kind, partition))
                     .collect(),
                 devices,
-                opts,
+                auto_rebalance,
                 outstanding: Vec::new(),
                 launches_since_replan: 0,
                 stats,
@@ -574,8 +532,8 @@ impl ClusterMachine {
         self.sessions.get(&session).map(|s| s.devices.clone())
     }
 
-    /// The per-shard split weights of an open sharded session (uniform for
-    /// an unweighted session or a homogeneous pool).
+    /// The per-shard split weights of an open sharded session (uniform on a
+    /// homogeneous pool).
     pub fn sharded_weights(&self, session: u64) -> Option<Vec<f64>> {
         self.sessions
             .get(&session)
@@ -641,7 +599,7 @@ impl ClusterMachine {
             .sessions
             .get_mut(&session)
             .ok_or_else(|| CompileError::new("cluster-shard", no_session(session)))?;
-        let Some(ar) = s.opts.auto_rebalance else {
+        let Some(ar) = s.auto_rebalance else {
             return Ok(None);
         };
         s.launches_since_replan += 1;

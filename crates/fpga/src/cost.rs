@@ -73,21 +73,6 @@ impl KernelCostModel {
     pub fn estimate_seconds(&self, device: &DeviceModel, elements: u64) -> f64 {
         device.cycles_to_seconds(self.estimate_cycles(elements)) + device.launch_overhead_us * 1e-6
     }
-
-    /// Predicted cycles of the *largest* shard when `elements` are split into
-    /// `shards` near-equal contiguous leading-dim blocks — the critical path
-    /// of a sharded launch fanned out across devices.
-    pub fn estimate_shard_cycles(&self, elements: u64, shards: u64) -> u64 {
-        self.estimate_cycles(elements.div_ceil(shards.max(1)))
-    }
-
-    /// Predicted per-device occupancy of the largest shard of a sharded
-    /// launch (kernel wall time of `ceil(elements/shards)` elements plus the
-    /// per-shard launch overhead).
-    pub fn estimate_shard_seconds(&self, device: &DeviceModel, elements: u64, shards: u64) -> f64 {
-        device.cycles_to_seconds(self.estimate_shard_cycles(elements, shards))
-            + device.launch_overhead_us * 1e-6
-    }
 }
 
 /// Per-kernel cost models for every kernel in a bitstream.
@@ -124,20 +109,6 @@ impl CostModel {
         self.kernels
             .values()
             .map(|k| k.estimate_seconds(device, elements))
-            .fold(None, |acc, s| Some(acc.map_or(s, |a: f64| a.max(s))))
-    }
-
-    /// Worst case over all kernels of the largest-shard occupancy (see
-    /// [`KernelCostModel::estimate_shard_seconds`]).
-    pub fn estimate_any_shard_seconds(
-        &self,
-        device: &DeviceModel,
-        elements: u64,
-        shards: u64,
-    ) -> Option<f64> {
-        self.kernels
-            .values()
-            .map(|k| k.estimate_shard_seconds(device, elements, shards))
             .fold(None, |acc, s| Some(acc.map_or(s, |a: f64| a.max(s))))
     }
 
@@ -196,24 +167,19 @@ impl CostModel {
             .flatten()
     }
 
-    /// Pool-aware shard-count pick for a (possibly heterogeneous) device
-    /// pool: devices are ordered fastest-first and the chosen count is the
-    /// largest prefix whose predicted weighted-split makespan still improves
-    /// by ≥ 10% per added device — a slow straggler card that would *extend*
-    /// the makespan is simply left out. On a homogeneous pool this agrees
-    /// with [`CostModel::auto_shards`] exactly. With no predictable kernel
-    /// the pool size is returned (capped by `elements`).
-    pub fn auto_shards_pool(&self, devices: &[DeviceModel], elements: u64) -> usize {
-        self.auto_shards_pool_stencil(devices, elements, 0)
-    }
-
-    /// [`CostModel::auto_shards_pool`] with halo traffic priced in: each
+    /// Shard-count pick for a (possibly heterogeneous) device pool: devices
+    /// are ordered fastest-first and the chosen count is the largest prefix
+    /// whose predicted weighted-split makespan still improves by ≥ 10% per
+    /// added device — a small array stops early once the fixed launch
+    /// overhead dominates, and a slow straggler card that would *extend*
+    /// the makespan is simply left out. Halo traffic is priced in: each
     /// candidate count's per-launch makespan also carries the
-    /// [`CostModel::halo_refresh_seconds`] of its slowest included device,
-    /// so an iterative stencil whose ghost blocks round-trip PCIe every
-    /// sweep stops overcounting the win from extra shards. With
-    /// `halo_block_bytes == 0` this is exactly the plain pick.
-    pub fn auto_shards_pool_stencil(
+    /// [`CostModel::halo_refresh_seconds`] of its slowest included device
+    /// for `halo_block_bytes`, so an iterative stencil whose ghost blocks
+    /// round-trip PCIe every sweep stops overcounting the win from extra
+    /// shards (pass 0 for BLAS-shaped sessions). With no predictable kernel
+    /// the pool size is returned (capped by `elements`).
+    pub fn auto_shards(
         &self,
         devices: &[DeviceModel],
         elements: u64,
@@ -358,49 +324,6 @@ impl CostModel {
             })
             .collect()
     }
-
-    /// Pick a shard count for `elements` on a pool of `max_shards` devices:
-    /// the largest count whose predicted per-launch makespan (largest-shard
-    /// kernel time + launch overhead) still improves by ≥ 10% per added
-    /// shard. Small arrays stop early — once the fixed launch overhead
-    /// dominates, extra shards stop paying for their fan-out. With no
-    /// predictable kernel the pool size is returned (capped by `elements`).
-    pub fn auto_shards(&self, device: &DeviceModel, elements: u64, max_shards: usize) -> usize {
-        self.auto_shards_stencil(device, elements, max_shards, 0)
-    }
-
-    /// [`CostModel::auto_shards`] with halo traffic priced in: each
-    /// candidate count's per-launch estimate also carries
-    /// [`CostModel::halo_refresh_seconds`] for `halo_block_bytes`, so a
-    /// stencil session's `ShardCount::Auto` stops overcounting wins its
-    /// per-iteration ghost-row exchange would eat. With
-    /// `halo_block_bytes == 0` this is exactly the plain pick.
-    pub fn auto_shards_stencil(
-        &self,
-        device: &DeviceModel,
-        elements: u64,
-        max_shards: usize,
-        halo_block_bytes: u64,
-    ) -> usize {
-        let cap = max_shards.max(1).min(elements.max(1) as usize);
-        let Some(mut prev) = self.estimate_any_shard_seconds(device, elements, 1) else {
-            return cap;
-        };
-        let mut best = 1usize;
-        for n in 2..=cap {
-            let est = self
-                .estimate_any_shard_seconds(device, elements, n as u64)
-                .expect("non-empty model")
-                + self.halo_refresh_seconds(device, halo_block_bytes, n);
-            if est < prev * 0.9 {
-                best = n;
-                prev = est;
-            } else {
-                break;
-            }
-        }
-        best
-    }
 }
 
 #[cfg(test)]
@@ -436,96 +359,57 @@ mod tests {
         assert_eq!(model.estimate_cycles(10_000), expect_even);
     }
 
+    /// Golden counts on equal devices, recorded from the single-model
+    /// picker this one replaced (largest shard = `ceil(elements / n)`): a
+    /// tiny array is overhead-dominated and stays on one device, anything
+    /// that amortizes the launch overhead fills the pool.
     #[test]
-    fn shard_estimate_prices_the_largest_shard() {
-        let model = KernelCostModel::from_schedule("s", &[loop_info(0, true, 1, 96)]);
-        // 1003 elements over 4 shards: largest shard is ceil(1003/4) = 251.
-        assert_eq!(
-            model.estimate_shard_cycles(1003, 4),
-            model.estimate_cycles(251)
-        );
-        // One shard is the plain estimate; zero shards is clamped to one.
-        assert_eq!(
-            model.estimate_shard_cycles(1003, 1),
-            model.estimate_cycles(1003)
-        );
-        assert_eq!(
-            model.estimate_shard_cycles(1003, 0),
-            model.estimate_cycles(1003)
-        );
-        let device = DeviceModel::u280();
-        let secs = model.estimate_shard_seconds(&device, 1000, 4);
-        let expect =
-            device.cycles_to_seconds(model.estimate_cycles(250)) + device.launch_overhead_us * 1e-6;
-        assert!((secs - expect).abs() < 1e-15);
-    }
-
-    #[test]
-    fn auto_shards_scales_with_array_size() {
-        let mut kernels = HashMap::new();
-        kernels.insert(
-            "k".to_string(),
-            KernelCostModel::from_schedule("k", &[loop_info(0, true, 1, 96)]),
-        );
-        let model = CostModel { kernels };
-        let device = DeviceModel::u280();
-        // A big array amortizes the launch overhead: use the whole pool.
-        assert_eq!(model.auto_shards(&device, 1_000_000, 4), 4);
-        // A tiny array is overhead-dominated: one device is enough.
-        assert_eq!(model.auto_shards(&device, 2, 4), 1);
-        // Never more shards than elements (or devices).
-        assert!(model.auto_shards(&device, 3, 8) <= 3);
-        assert_eq!(model.auto_shards(&device, 1_000_000, 1), 1);
-        // An empty model falls back to the pool size capped by elements.
-        let empty = CostModel::default();
-        assert_eq!(empty.auto_shards(&device, 100, 4), 4);
-        assert_eq!(empty.auto_shards(&device, 2, 4), 2);
-    }
-
-    #[test]
-    fn stencil_pick_reproduces_plain_pick_with_no_halo() {
+    fn auto_shards_scales_with_array_size_on_homogeneous_pools() {
         let model = single_kernel_model();
         let device = DeviceModel::u280();
-        for elements in [2u64, 1_000, 1_000_000] {
-            assert_eq!(
-                model.auto_shards_stencil(&device, elements, 4, 0),
-                model.auto_shards(&device, elements, 4),
-            );
-            let pool = vec![device.clone(); 4];
-            assert_eq!(
-                model.auto_shards_pool_stencil(&pool, elements, 0),
-                model.auto_shards_pool(&pool, elements),
-            );
+        let golden: [(u64, [usize; 4]); 4] = [
+            (2, [1, 1, 1, 1]),
+            (1_000, [1, 2, 4, 8]),
+            (65_536, [1, 2, 4, 8]),
+            (1_000_000, [1, 2, 4, 8]),
+        ];
+        for (elements, picks) in golden {
+            for (n, pick) in [1usize, 2, 4, 8].into_iter().zip(picks) {
+                let pool = vec![device.clone(); n];
+                assert_eq!(
+                    model.auto_shards(&pool, elements, 0),
+                    pick,
+                    "elements {elements} pool {n}"
+                );
+            }
         }
+        // Never more shards than elements (or devices).
+        assert!(model.auto_shards(&vec![device.clone(); 8], 3, 0) <= 3);
+        // An empty model falls back to the pool size capped by elements.
+        let empty = CostModel::default();
+        assert_eq!(empty.auto_shards(&vec![device.clone(); 4], 100, 0), 4);
+        assert_eq!(empty.auto_shards(&vec![device; 4], 2, 0), 2);
+    }
+
+    #[test]
+    fn auto_shards_backs_off_when_halo_dominates() {
+        let model = single_kernel_model();
+        let device = DeviceModel::u280();
+        let pool = vec![device.clone(); 4];
+        // A mid-sized array splits across the whole pool when ghost
+        // exchange is free...
+        let elements = 100_000u64;
+        assert_eq!(model.auto_shards(&pool, elements, 0), 4);
+        // ...but a huge per-iteration ghost block (4 PCIe hops each
+        // refresh) eats the marginal win, so the pick is fewer shards.
+        let huge_halo = 256 * 1024 * 1024;
+        assert!(model.auto_shards(&pool, elements, huge_halo) < 4);
         // No shards or no bytes: halo traffic prices to zero.
         assert_eq!(model.halo_refresh_seconds(&device, 4096, 1), 0.0);
         assert_eq!(model.halo_refresh_seconds(&device, 0, 4), 0.0);
         // Two fetches + two splices of one boundary block.
         let secs = model.halo_refresh_seconds(&device, 4096, 4);
         assert!((secs - 4.0 * device.transfer_seconds(4096)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn stencil_pick_backs_off_when_halo_dominates() {
-        let model = single_kernel_model();
-        let device = DeviceModel::u280();
-        // A mid-sized array splits across the whole pool when ghost
-        // exchange is free...
-        let elements = 100_000u64;
-        let plain = model.auto_shards(&device, elements, 4);
-        assert_eq!(plain, 4);
-        // ...but a huge per-iteration ghost block (4 PCIe hops each
-        // refresh) eats the marginal win, so the stencil-aware pick
-        // chooses fewer shards.
-        let huge_halo = 256 * 1024 * 1024;
-        let stencil = model.auto_shards_stencil(&device, elements, 4, huge_halo);
-        assert!(
-            stencil < plain,
-            "halo-aware pick {stencil} should be below plain pick {plain}"
-        );
-        let pool = vec![device; 4];
-        let pool_stencil = model.auto_shards_pool_stencil(&pool, elements, huge_halo);
-        assert!(pool_stencil < plain);
     }
 
     fn single_kernel_model() -> CostModel {
@@ -572,7 +456,7 @@ mod tests {
         let weighted = model.estimate_weighted_seconds(&pool, elements).unwrap();
         // Uniform split: the slow card's quarter is the critical path.
         let uniform = model
-            .estimate_any_shard_seconds(&slow, elements, 4)
+            .estimate_any_seconds(&slow, elements.div_ceil(4))
             .unwrap();
         assert!(
             weighted < uniform * 0.8,
@@ -581,27 +465,7 @@ mod tests {
     }
 
     #[test]
-    fn auto_shards_pool_matches_single_device_pick_on_homogeneous_pools() {
-        let model = single_kernel_model();
-        let device = DeviceModel::u280();
-        for elements in [2u64, 1_000, 65_536, 1_000_000] {
-            for n in [1usize, 2, 4, 8] {
-                let pool = vec![device.clone(); n];
-                assert_eq!(
-                    model.auto_shards_pool(&pool, elements),
-                    model.auto_shards(&device, elements, n),
-                    "elements {elements} pool {n}"
-                );
-            }
-        }
-        // Empty model: pool size capped by elements, as before.
-        let empty = CostModel::default();
-        assert_eq!(empty.auto_shards_pool(&vec![device.clone(); 4], 100), 4);
-        assert_eq!(empty.auto_shards_pool(&vec![device; 4], 2), 2);
-    }
-
-    #[test]
-    fn auto_shards_pool_leaves_out_a_straggler_that_extends_the_makespan() {
+    fn auto_shards_leaves_out_a_straggler_that_extends_the_makespan() {
         let model = single_kernel_model();
         let fast = DeviceModel::u280();
         let mut crawl = DeviceModel::u280();
@@ -609,7 +473,7 @@ mod tests {
         // share barely moves the makespan, so auto stops before it.
         crawl.clock_mhz = 3.0;
         let pool = vec![fast.clone(), fast.clone(), fast, crawl];
-        let picked = model.auto_shards_pool(&pool, 1_000_000);
+        let picked = model.auto_shards(&pool, 1_000_000, 0);
         assert!(
             (1..=3).contains(&picked),
             "straggler must not be auto-included, picked {picked}"

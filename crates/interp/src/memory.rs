@@ -1,21 +1,16 @@
 //! Typed buffer arena shared by host and (simulated) device memory spaces.
 //!
-//! Two reclamation mechanisms coexist:
+//! Reclamation is a free-list: [`Memory::free`] releases one buffer and its
+//! slot is reused by a later [`Memory::alloc`]. Long-lived owners with
+//! individually-dying buffers (the serving layer's per-request host arrays,
+//! worker mirror copies evicted when their host buffer is freed) use this so
+//! sustained traffic keeps the arena flat.
 //!
-//! * **Free-list** — [`Memory::free`] releases one buffer; its slot is reused
-//!   by a later [`Memory::alloc`]. Long-lived owners with individually-dying
-//!   buffers (the serving layer's per-request host arrays, worker mirror
-//!   copies evicted when their host buffer is freed) use this so sustained
-//!   traffic keeps the arena flat.
-//! * **High-water reset** — [`Memory::high_water_mark`] /
-//!   [`Memory::reset_to`] free a whole suffix of the arena at once (a pool
-//!   worker's job-transient allocations).
-//!
-//! Because the free-list lets an allocation land *below* a high-water mark,
-//! owners that must reclaim everything a job allocated use
-//! [`Memory::start_recording`] / [`Memory::take_recorded`] instead of a bare
-//! mark: recording captures every allocation id regardless of which slot it
-//! reused.
+//! Owners that must reclaim everything a job allocated (a pool worker's
+//! job-transient allocations) bracket the job with
+//! [`Memory::start_recording`] / [`Memory::take_recorded`] and free the
+//! recorded ids: recording captures every allocation regardless of which
+//! freed slot it reused.
 
 use crate::error::InterpError;
 
@@ -201,22 +196,6 @@ impl Memory {
         self.recorded.take().unwrap_or_default()
     }
 
-    /// High-water mark of the arena: buffers allocated from here on can be
-    /// freed together with [`Memory::reset_to`] — but see
-    /// [`Memory::start_recording`] when freed-slot reuse is in play.
-    pub fn high_water_mark(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Free every buffer allocated at or after `mark` (a prior
-    /// [`Memory::high_water_mark`]). The caller must ensure no live
-    /// [`BufferId`] at or above `mark` is used afterwards; ids below `mark`
-    /// are untouched and freed slots are reused by later allocations.
-    pub fn reset_to(&mut self, mark: usize) {
-        self.slots.truncate(mark);
-        self.free.retain(|&slot| (slot as usize) < mark);
-    }
-
     /// Copy the full contents of `src` into `dst` (must be same type & len).
     pub fn copy(&mut self, src: BufferId, dst: BufferId) -> Result<(), InterpError> {
         if src == dst {
@@ -275,22 +254,6 @@ mod tests {
         assert!(m.copy(a, b).is_err());
         let c = m.alloc_zeroed("f32", 2, 0).unwrap();
         assert!(m.copy(a, c).is_err());
-    }
-
-    #[test]
-    fn high_water_reset_frees_and_reuses_slots() {
-        let mut m = Memory::new();
-        let keep = m.alloc(Buffer::F32(vec![1.0, 2.0]), 0);
-        let mark = m.high_water_mark();
-        let _t1 = m.alloc_zeroed("f32", 64, 1).unwrap();
-        let _t2 = m.alloc_zeroed("i32", 64, 1).unwrap();
-        assert_eq!(m.len(), 3);
-        m.reset_to(mark);
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.get(keep), &Buffer::F32(vec![1.0, 2.0]));
-        // The freed slot is reused by the next allocation.
-        let again = m.alloc_zeroed("f64", 4, 1).unwrap();
-        assert_eq!(again.0, mark as u32);
     }
 
     #[test]

@@ -46,7 +46,7 @@ use std::sync::{mpsc, Arc, Mutex};
 
 use ftn_cluster::{
     ArtifactCache, AutoRebalance, ClusterMachine, ImageCache, MapKind, Partition, PoolGate,
-    RollupBy, RollupRow, ShardArg, ShardCount, ShardOptions,
+    RollupBy, RollupRow, ShardArg, ShardCount,
 };
 use ftn_core::{Artifacts, CompilerOptions};
 use ftn_fpga::DeviceModel;
@@ -1009,12 +1009,9 @@ impl ServeState {
             .iter()
             .map(|(n, v, k, p)| (n.as_str(), v.clone(), *k, *p))
             .collect();
-        let opts = ShardOptions {
-            auto_rebalance,
-            ..Default::default()
-        };
         let count = shards.unwrap_or(ShardCount::Fixed(1));
-        let cluster_sid = match machine.open_sharded_session_with(&borrowed, count, opts) {
+        let cluster_sid = match machine.open_sharded_session_with(&borrowed, count, auto_rebalance)
+        {
             Ok(sid) => sid,
             Err(e) => {
                 free_all(&mut machine);

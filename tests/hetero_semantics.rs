@@ -8,10 +8,9 @@
 //!   bit-identical to the same `target data` program run on a single-device
 //!   `Machine`, and its `SessionStats`/`RunStats` totals are deterministic
 //!   (bit-identical across identical runs).
-//! * On a homogeneous pool, the weighted path reproduces the PR-3 uniform
-//!   plan *exactly*: same shard sizes, same 0..N device order, same result
-//!   bits, same `SessionStats`, same `RunStats` totals as the uniform
-//!   path.
+//! * On a homogeneous pool, the weighted plan *is* the uniform plan
+//!   (`ShardPlan::partition`): same shard sizes, 0..N device order, equal
+//!   weights.
 //! * The largest shard lands on the fastest device (regression-pinned
 //!   placement order).
 //! * Property: `ShardPlan::partition_weighted` is a sorted, contiguous,
@@ -21,7 +20,7 @@
 
 use std::sync::OnceLock;
 
-use ftn_cluster::{ClusterMachine, MapKind, Partition, ShardArg, ShardCount, ShardOptions};
+use ftn_cluster::{ClusterMachine, MapKind, Partition, ShardArg, ShardCount};
 use ftn_core::{Artifacts, Compiler, Machine};
 use ftn_fpga::DeviceModel;
 use ftn_interp::RtValue;
@@ -96,11 +95,9 @@ struct ShardedRun {
     weights: Vec<f64>,
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_sharded(
     models: &[DeviceModel],
     shards: ShardCount,
-    opts: ShardOptions,
     reps: usize,
     a: f32,
     halo: usize,
@@ -111,13 +108,12 @@ fn run_sharded(
     let xa = cluster.host_f32(x);
     let ya = cluster.host_f32(y);
     let sid = cluster
-        .open_sharded_session_with(
+        .open_sharded_session(
             &[
                 ("x", xa, MapKind::To, Partition::Split { halo }),
                 ("y", ya.clone(), MapKind::ToFrom, Partition::Split { halo }),
             ],
             shards,
-            opts,
         )
         .unwrap();
     let devices = cluster.sharded_devices(sid).unwrap();
@@ -183,32 +179,14 @@ fn weighted_hetero_session_is_bit_identical_to_single_device_machine() {
     let reference = run_machine(n, reps, a, &x, &y);
     let models = hetero_pool();
     for halo in [0usize, 2] {
-        let first = run_sharded(
-            &models,
-            ShardCount::Fixed(4),
-            ShardOptions::default(),
-            reps,
-            a,
-            halo,
-            &x,
-            &y,
-        );
+        let first = run_sharded(&models, ShardCount::Fixed(4), reps, a, halo, &x, &y);
         assert_bits_eq(&first.y, &reference, &format!("halo={halo}"));
         // Weighted plans re-apportion rows, never drop or duplicate them.
         assert_eq!(first.rows.iter().sum::<usize>(), n);
         assert_eq!(first.session_stats.launches, (reps * 4) as u64);
         // Statistics are deterministic: an identical run reproduces every
         // counter and every simulated-seconds total bit-for-bit.
-        let second = run_sharded(
-            &models,
-            ShardCount::Fixed(4),
-            ShardOptions::default(),
-            reps,
-            a,
-            halo,
-            &x,
-            &y,
-        );
+        let second = run_sharded(&models, ShardCount::Fixed(4), reps, a, halo, &x, &y);
         assert_bits_eq(&second.y, &reference, "second run");
         assert_eq!(first.session_stats, second.session_stats);
         assert_eq!(
@@ -220,45 +198,15 @@ fn weighted_hetero_session_is_bit_identical_to_single_device_machine() {
     }
 }
 
-/// On a homogeneous pool the weighted default must be
-/// *indistinguishable* from the PR-3 uniform path: same plan, same device
-/// order, same bits, same `SessionStats`, same `RunStats` totals.
+/// On a homogeneous pool the weighted plan must be the uniform plan: same
+/// row counts as `ShardPlan::partition`, natural device order, equal weights.
 #[test]
 fn equal_weights_on_homogeneous_pool_reproduce_the_uniform_plan() {
     let n = 1003usize;
-    let reps = 3usize;
-    let a = 1.5f32;
     let (x, y) = inputs(n);
     let models = vec![DeviceModel::u280(); 4];
-    let legacy = run_sharded(
-        &models,
-        ShardCount::Fixed(4),
-        ShardOptions {
-            weighted: false,
-            ..Default::default()
-        },
-        reps,
-        a,
-        0,
-        &x,
-        &y,
-    );
-    let weighted = run_sharded(
-        &models,
-        ShardCount::Fixed(4),
-        ShardOptions::default(),
-        reps,
-        a,
-        0,
-        &x,
-        &y,
-    );
-    assert_bits_eq(&weighted.y, &legacy.y, "homogeneous");
-    assert_eq!(weighted.session_stats, legacy.session_stats);
-    assert_eq!(weighted.pool.totals, legacy.pool.totals);
+    let weighted = run_sharded(&models, ShardCount::Fixed(4), 3, 1.5, 0, &x, &y);
     assert_eq!(weighted.devices, vec![0, 1, 2, 3], "natural device order");
-    assert_eq!(weighted.devices, legacy.devices);
-    // The realized partition is the PR-3 uniform plan, row for row.
     let plan = ShardPlan::partition(n, 4, 0);
     let uniform_rows: Vec<usize> = plan.ranges().iter().map(|r| r.len).collect();
     assert_eq!(weighted.rows, uniform_rows);
@@ -266,44 +214,32 @@ fn equal_weights_on_homogeneous_pool_reproduce_the_uniform_plan() {
 }
 
 /// What the weighted plan buys, on the simulated timeline: with one
-/// half-clock card among four, a uniform split makes that card the critical
-/// path of every launch, and sizing shards by device throughput finishes the
-/// same launches at least 1.25x sooner (1.72x here; 7/4 is the ideal). And a
-/// fan-out wider than the pool stays one worker message per *device*, not
-/// per shard.
+/// half-clock card among four, a uniform split would make that card the
+/// critical path of every launch, and sizing shards by device throughput
+/// finishes the same launches at least 1.25x sooner (7/4 is the ideal). The
+/// uniform makespan is priced from the weighted run itself: each device's
+/// observed simulated seconds per owned row, times an equal share of the
+/// rows. And a fan-out wider than the pool stays one worker message per
+/// *device*, not per shard.
 #[test]
 fn weighted_plan_beats_uniform_on_a_two_to_one_pool_at_one_message_per_device() {
     let (n, reps) = (16_384usize, 8usize);
     let (x, y) = inputs(n);
     let mut models = vec![DeviceModel::u280(); 3];
     models.push(DeviceModel::named("u280@150").unwrap());
-    let run = |shards: usize, weighted: bool| {
-        let opts = ShardOptions {
-            weighted,
-            ..Default::default()
-        };
-        run_sharded(
-            &models,
-            ShardCount::Fixed(shards),
-            opts,
-            reps,
-            2.0,
-            0,
-            &x,
-            &y,
-        )
-    };
-    let (weighted, uniform) = (run(4, true), run(4, false));
-    assert_bits_eq(&weighted.y, &uniform.y, "weighted vs uniform");
-    let speedup = uniform.pool.makespan_sim_seconds / weighted.pool.makespan_sim_seconds;
+    let run = |shards: usize| run_sharded(&models, ShardCount::Fixed(shards), reps, 2.0, 0, &x, &y);
+    let weighted = run(4);
+    let uniform_makespan = (weighted.devices.iter().zip(&weighted.rows))
+        .map(|(&d, &rows)| weighted.pool.devices[d].busy_sim_seconds / rows as f64 * (n / 4) as f64)
+        .fold(0.0, f64::max);
+    let speedup = uniform_makespan / weighted.pool.makespan_sim_seconds;
     assert!(
         speedup >= 1.25,
-        "weighted rows {:?} finish {speedup:.2}x sooner than uniform {:?}, floor 1.25x",
-        weighted.rows,
-        uniform.rows
+        "weighted rows {:?} finish {speedup:.2}x sooner than a uniform split, floor 1.25x",
+        weighted.rows
     );
-    let wide = run(16, true);
-    assert_bits_eq(&wide.y, &uniform.y, "16 shards");
+    let wide = run(16);
+    assert_bits_eq(&wide.y, &weighted.y, "16 shards");
     assert_eq!(
         wide.launch_messages,
         (reps * models.len()) as u64,
@@ -326,16 +262,7 @@ fn largest_shard_lands_on_the_fastest_device() {
         DeviceModel::u55c(),
         DeviceModel::u280(),
     ];
-    let run = run_sharded(
-        &models,
-        ShardCount::Fixed(4),
-        ShardOptions::default(),
-        1,
-        2.0,
-        0,
-        &x,
-        &y,
-    );
+    let run = run_sharded(&models, ShardCount::Fixed(4), 1, 2.0, 0, &x, &y);
     // Pinned placement order: u55c (450 MHz), the two stock U280s in index
     // order, then the 150 MHz card last.
     assert_eq!(run.devices, vec![2, 1, 3, 0]);
@@ -365,28 +292,10 @@ fn largest_shard_lands_on_the_fastest_device() {
 #[test]
 fn auto_shards_on_a_heterogeneous_pool() {
     let (x, y) = inputs(65536);
-    let run = run_sharded(
-        &hetero_pool(),
-        ShardCount::Auto,
-        ShardOptions::default(),
-        1,
-        1.0,
-        0,
-        &x,
-        &y,
-    );
+    let run = run_sharded(&hetero_pool(), ShardCount::Auto, 1, 1.0, 0, &x, &y);
     assert_eq!(run.devices.len(), 4, "large array fills the mixed pool");
     let (x, y) = inputs(2);
-    let run = run_sharded(
-        &hetero_pool(),
-        ShardCount::Auto,
-        ShardOptions::default(),
-        1,
-        1.0,
-        0,
-        &x,
-        &y,
-    );
+    let run = run_sharded(&hetero_pool(), ShardCount::Auto, 1, 1.0, 0, &x, &y);
     assert!(run.devices.len() <= 2, "tiny array refuses to over-shard");
 }
 
@@ -437,8 +346,7 @@ proptest! {
         let a = a as f32 * 0.25;
         let (x, y) = inputs(n);
         let run = run_sharded(
-            &hetero_pool(), ShardCount::Fixed(shards), ShardOptions::default(),
-            reps, a, 0, &x, &y,
+            &hetero_pool(), ShardCount::Fixed(shards), reps, a, 0, &x, &y,
         );
         let mut expect = y.clone();
         for _ in 0..reps {

@@ -8,7 +8,7 @@
 //!   only difference, and they are asserted separately).
 //! * A re-plan on a quiet pool (zero delta) is a pure no-op: no migrated
 //!   rows, no new uploads, unchanged session stats, nothing leaked.
-//! * `ShardOptions::auto_rebalance` triggers epochs by itself on the launch
+//! * An `AutoRebalance` policy triggers epochs by itself on the launch
 //!   cadence and stays exact.
 //! * Property: random backlog injections and re-plan points never change
 //!   the computed bytes, and the pool's host arena drains to exactly the
@@ -21,9 +21,7 @@
 
 use std::sync::OnceLock;
 
-use ftn_cluster::{
-    AutoRebalance, ClusterMachine, MapKind, Partition, ShardArg, ShardCount, ShardOptions,
-};
+use ftn_cluster::{AutoRebalance, ClusterMachine, MapKind, Partition, ShardArg, ShardCount};
 use ftn_core::{Artifacts, Compiler};
 use ftn_fpga::DeviceModel;
 use ftn_interp::RtValue;
@@ -114,10 +112,7 @@ fn run_session_on(
                 ("y", ya.clone(), MapKind::ToFrom, Partition::Split { halo }),
             ],
             ShardCount::Fixed(shards),
-            ShardOptions {
-                auto_rebalance: auto,
-                ..Default::default()
-            },
+            auto,
         )
         .unwrap();
     for k in 0..launches {
@@ -267,7 +262,7 @@ fn zero_delta_replan_is_a_noop() {
     }
 }
 
-/// `ShardOptions::auto_rebalance` runs the epoch on its own cadence — no
+/// An `AutoRebalance` policy runs the epoch on its own cadence — no
 /// manual call — and the session stays exact.
 #[test]
 fn auto_rebalance_triggers_epochs_and_stays_exact() {
