@@ -216,20 +216,6 @@ pub fn run_sgesl_fortran(artifacts: &Artifacts, n: usize, seed: u64) -> SgeslRun
     }
 }
 
-/// Compile the Jacobi stencil Fortran source once.
-pub fn compile_jacobi() -> Artifacts {
-    Compiler::default()
-        .compile_source(JACOBI_F90)
-        .expect("jacobi compiles")
-}
-
-/// Compile the heat-equation stencil Fortran source once.
-pub fn compile_heat() -> Artifacts {
-    Compiler::default()
-        .compile_source(HEAT_F90)
-        .expect("heat compiles")
-}
-
 /// Reference Jacobi sweep: `v[i] = 0.5 * (u[i-1] + u[i+1])` over the
 /// interior (Fortran `do i = 2, n-1`; endpoints untouched).
 pub fn jacobi_ref(u: &[f32], v: &mut [f32]) {
@@ -467,14 +453,6 @@ pub fn run_sgesl_handwritten(bitstream: &Bitstream, n: usize, seed: u64) -> Sges
         x: b,
         bitstream: bitstream.clone(),
     }
-}
-
-/// CPU single-core run (timing only used for power modelling context).
-pub fn run_saxpy_cpu(n: usize, seed: u64) -> Vec<f32> {
-    let x = random_vec(n, seed, -1.0, 1.0);
-    let mut y = random_vec(n, seed ^ 0x9e37, -1.0, 1.0);
-    saxpy_ref(2.5, &x, &mut y);
-    y
 }
 
 #[cfg(test)]

@@ -939,7 +939,7 @@ impl ClusterMachine {
         };
         let jobs = match msg {
             WorkerMessage::Job(job) => vec![*job],
-            WorkerMessage::Batch(jobs) => jobs,
+            WorkerMessage::Batch(jobs, _) => jobs,
             WorkerMessage::Evict(_) | WorkerMessage::Shutdown => Vec::new(),
         };
         for job in jobs {
@@ -982,11 +982,11 @@ impl ClusterMachine {
         // devices' jobs are in the pending ledger and must reach their
         // workers. The first failure is reported.
         let mut result = Ok(());
+        let spread = self.pool.cpu_each && buckets.len() > 1;
         for (device, jobs) in buckets {
             self.batched_jobs += jobs.len() as u64;
             self.batched_messages += 1;
-            let sent = self.send_jobs(device, WorkerMessage::Batch(jobs));
-            result = result.and(sent);
+            result = result.and(self.send_jobs(device, WorkerMessage::Batch(jobs, spread)));
         }
         result
     }

@@ -206,8 +206,9 @@ pub(crate) enum WorkerMessage {
     /// fan-out of a sharded launch sends every shard job bound for one
     /// device together, so a logical launch costs O(devices) messages
     /// instead of O(shards). The worker runs them in order and reports one
-    /// outcome per job, exactly as if they had arrived individually.
-    Batch(Vec<Job>),
+    /// outcome per job, exactly as if they had arrived individually — on its
+    /// own CPU when the flag says other devices got a batch too.
+    Batch(Vec<Job>, bool),
     /// Drop the mirror entries for these host buffers and free their local
     /// copies (the host buffer was freed). FIFO-ordered with jobs, so an
     /// eviction never races a queued job that still uses the mirror.
@@ -360,6 +361,8 @@ pub struct DevicePool {
     pub(crate) slots: Vec<DeviceSlot>,
     pub(crate) outcomes: Receiver<JobOutcome>,
     pub(crate) signal: Arc<CompletionSignal>,
+    /// Whether every worker can have a CPU of its own (see [`affinity`]).
+    pub(crate) cpu_each: bool,
 }
 
 impl DevicePool {
@@ -396,6 +399,7 @@ impl DevicePool {
             slots,
             outcomes,
             signal,
+            cpu_each: devices.len() <= affinity(None).count_ones() as usize,
         }
     }
 
@@ -792,12 +796,23 @@ pub(crate) fn spawn_worker(
                 memory: Memory::new(),
                 mirror: HashMap::new(),
             };
+            let (cpus, mut on_own) = (affinity(None), false);
+            let own = (0..64).filter(|c| cpus >> c & 1 == 1).nth(index);
+            let own = own.map_or(0, |c| 1 << c);
             loop {
-                match jobs.recv() {
+                let msg = jobs.recv();
+                // A fan-out's batch runs on this worker's own CPU (see
+                // `affinity`); the mask only changes when the traffic does.
+                let spread = matches!(msg, Ok(WorkerMessage::Batch(_, true)));
+                if spread != on_own {
+                    affinity(Some(if spread { own } else { cpus }));
+                    on_own = spread;
+                }
+                match msg {
                     Ok(WorkerMessage::Job(job)) => {
                         run_and_report(&mut worker, *job, &outcomes, &signal)
                     }
-                    Ok(WorkerMessage::Batch(batch)) => {
+                    Ok(WorkerMessage::Batch(batch, _)) => {
                         for job in batch {
                             run_and_report(&mut worker, job, &outcomes, &signal);
                         }
@@ -814,4 +829,45 @@ pub(crate) fn spawn_worker(
             }
         })
         .expect("spawn device worker thread")
+}
+
+/// Restrict the calling thread to the CPUs in `set` (bit i = CPU i; `0`
+/// changes nothing) or, with `None`, read its mask; `0` when that fails (not
+/// Linux, over 64 CPUs). A KVM guest sees its idle vCPU as preempted and
+/// wakes every worker of a fan-out on the submitter's CPU, where the shards
+/// run back to back; so a worker takes such batches on a CPU of its own.
+fn affinity(set: Option<u64>) -> u64 {
+    #[cfg(target_os = "linux")]
+    {
+        extern "C" {
+            fn sched_getaffinity(pid: i32, len: usize, mask: *mut u64) -> i32;
+            fn sched_setaffinity(pid: i32, len: usize, mask: *const u64) -> i32;
+        }
+        let mut mask = set.unwrap_or(0);
+        // SAFETY: glibc (std links it); pid 0 is the calling thread, and each
+        // call reads or fills exactly the 8 bytes of `mask`.
+        let rc = unsafe {
+            match set {
+                Some(0) => 0,
+                Some(_) => sched_setaffinity(0, 8, &mask),
+                None => sched_getaffinity(0, 8, &mut mask),
+            }
+        };
+        if rc == 0 {
+            return mask;
+        }
+    }
+    let _ = set;
+    0
+}
+
+#[cfg(test)]
+#[test]
+fn affinity_moves_the_calling_thread_and_gives_the_mask_back() {
+    let cpus = affinity(None);
+    let first = cpus & cpus.wrapping_neg(); // lowest allowed CPU; 0 if unknown
+    assert_eq!(affinity(Some(first)), first);
+    assert_eq!(affinity(None), first);
+    affinity(Some(cpus));
+    assert_eq!(affinity(None), cpus);
 }

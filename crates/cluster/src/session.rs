@@ -100,12 +100,6 @@ impl ClusterMachine {
         self.open_sharded_session(&split, ShardCount::Fixed(1))
     }
 
-    /// The mapped array registered under `name` in session `session`.
-    pub fn session_array(&self, session: u64, name: &str) -> Option<RtValue> {
-        let a = self.sessions.get(&session)?.env.array(name)?;
-        Some(RtValue::MemRef(a.global.clone()))
-    }
-
     /// Launch one kernel-level job against a one-shard session's resident
     /// buffers. Memref arguments must be arrays mapped by this session (each
     /// is resolved back to its map name). The device copies stay
