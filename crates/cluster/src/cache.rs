@@ -227,31 +227,6 @@ impl ArtifactCache {
     }
 }
 
-/// A compiler front that routes every `compile_source` through an
-/// [`ArtifactCache`].
-pub struct CachedCompiler {
-    /// Compiler options folded into every content address.
-    pub options: CompilerOptions,
-    cache: Arc<ArtifactCache>,
-}
-
-impl CachedCompiler {
-    /// A compiler front over `cache` with fixed `options`.
-    pub fn new(options: CompilerOptions, cache: Arc<ArtifactCache>) -> Self {
-        CachedCompiler { options, cache }
-    }
-
-    /// Compile `source` through the cache.
-    pub fn compile_source(&self, source: &str) -> Result<Arc<Artifacts>, CompileError> {
-        self.cache.get_or_compile(&self.options, source)
-    }
-
-    /// The backing cache.
-    pub fn cache(&self) -> &Arc<ArtifactCache> {
-        &self.cache
-    }
-}
-
 /// Cache of parsed bitstream images, keyed on bitstream content.
 #[derive(Default)]
 pub struct ImageCache {

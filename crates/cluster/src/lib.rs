@@ -48,7 +48,7 @@ pub mod scheduler;
 pub mod session;
 pub mod sharded;
 
-pub use cache::{ArtifactCache, CacheStats, CachedCompiler, ImageCache};
+pub use cache::{ArtifactCache, CacheStats, ImageCache};
 pub use ftn_shard::{Partition, ReduceOp, ShardPlan};
 pub use gate::PoolGate;
 pub use machine::{
@@ -96,7 +96,7 @@ end subroutine saxpy
         })
     }
 
-    fn pool(n: usize) -> ClusterMachine {
+    pub(crate) fn pool(n: usize) -> ClusterMachine {
         let devices = vec![DeviceModel::u280(); n];
         ClusterMachine::load(artifacts(), &devices).expect("pool loads")
     }

@@ -13,6 +13,8 @@
 
 use std::collections::BTreeMap;
 
+use serde::Serialize;
+
 /// The attribution axis of a [`crate::ClusterMachine::rollups`] query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RollupBy {
@@ -39,7 +41,7 @@ impl RollupBy {
 }
 
 /// Accumulated cost of one attribution key (a kernel, session or device).
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct RollupRow {
     /// The kernel name, session id or device index (as text).
     pub key: String,

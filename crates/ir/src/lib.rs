@@ -37,7 +37,7 @@ pub use intern::Istr;
 pub use ir::{BlockId, Def, Ir, OpData, OpId, OpSpec, RegionId, Use, ValueId};
 pub use parser::{parse_module, ParseError};
 pub use pass::{Pass, PassError, PassManager, PassReport};
-pub use printer::print_op;
+pub use printer::{print_op, print_type};
 pub use rewrite::{apply_patterns_greedily, RewritePattern};
 pub use table::ValueTable;
 pub use types::{TypeId, TypeKind};

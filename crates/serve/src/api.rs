@@ -4,8 +4,10 @@
 //! scalars) that a derive cannot express; responses use derived
 //! `Serialize` where the shape is regular.
 
+use ftn_cluster::ShardArg;
 use ftn_fpga::Bitstream;
-use ftn_mlir::{Ir, TypeId, TypeKind};
+use ftn_interp::RtValue;
+use ftn_mlir::Ir;
 use serde::Value;
 
 /// Parse a request body as a JSON object.
@@ -78,28 +80,19 @@ pub fn i32_slice(items: &[Value]) -> Result<Vec<i32>, String> {
         .collect()
 }
 
-/// One decoded launch/run argument.
+/// One decoded launch/run argument, in the form its handler passes on.
 #[derive(Debug, Clone)]
 pub enum ArgSpec {
-    /// A session array referenced by its mapped name.
-    Named(String),
-    /// The per-shard leading-dim extent of a mapped array (the rebased trip
-    /// count / loop bound); on a one-shard session this is the array's full
-    /// leading-dim extent.
-    Extent(String),
-    /// A per-shard extent plus a constant offset — stencil loop bounds
-    /// like `n - 1` that must rebase per shard
-    /// (`{"extent_offset": {"array": "u", "offset": -1}}`).
-    ExtentOffset(String, i64),
+    /// What a session launch takes as is: a mapped array by name, its
+    /// per-shard leading-dim extent (the rebased trip count / loop bound —
+    /// the full extent on a one-shard session), that extent plus a constant
+    /// (stencil bounds like `n - 1` that must rebase per shard), or a typed
+    /// scalar. Only the scalars mean anything to a sessionless run.
+    Shard(ShardArg),
     /// An inline f32 array (sessionless runs).
     ArrayF32(Vec<f32>),
     /// An inline i32 array (sessionless runs).
     ArrayI32(Vec<i32>),
-    F32(f32),
-    F64(f64),
-    I32(i32),
-    I64(i64),
-    Index(i64),
 }
 
 /// Decode one argument object: `{"array": "x"}`, `{"extent": "x"}`,
@@ -113,31 +106,23 @@ pub fn parse_arg(v: &Value) -> Result<ArgSpec, String> {
     let [(key, value)] = fields.as_slice() else {
         return Err("argument object must have exactly one field".to_string());
     };
+    let scalar = |v: RtValue| Ok(ArgSpec::Shard(ShardArg::Scalar(v)));
     match key.as_str() {
         "array" => match value {
-            Value::Str(s) => Ok(ArgSpec::Named(s.clone())),
+            Value::Str(s) => Ok(ArgSpec::Shard(ShardArg::Array(s.clone()))),
             _ => Err("'array' must name a mapped array".to_string()),
         },
         "extent" => match value {
-            Value::Str(s) => Ok(ArgSpec::Extent(s.clone())),
+            Value::Str(s) => Ok(ArgSpec::Shard(ShardArg::Extent(s.clone()))),
             _ => Err("'extent' must name a mapped array".to_string()),
         },
-        "extent_offset" => {
-            match value {
-                Value::Obj(inner) => {
-                    let name = inner.iter().find(|(k, _)| k == "array");
-                    let offset = inner.iter().find(|(k, _)| k == "offset");
-                    match (name, offset) {
-                        (Some((_, Value::Str(s))), Some((_, off))) => {
-                            Ok(ArgSpec::ExtentOffset(s.clone(), number_i64(off)?))
-                        }
-                        _ => Err("'extent_offset' must be {\"array\": name, \"offset\": int}"
-                            .to_string()),
-                    }
-                }
-                _ => Err("'extent_offset' must be {\"array\": name, \"offset\": int}".to_string()),
-            }
-        }
+        "extent_offset" => match (value.get("array"), value.get("offset")) {
+            (Some(Value::Str(s)), Some(off)) => Ok(ArgSpec::Shard(ShardArg::ExtentOffset(
+                s.clone(),
+                number_i64(off)?,
+            ))),
+            _ => Err("'extent_offset' must be {\"array\": name, \"offset\": int}".to_string()),
+        },
         "array_f32" => match value {
             Value::Arr(items) => Ok(ArgSpec::ArrayF32(f32_slice(items)?)),
             _ => Err("'array_f32' must be an array of numbers".to_string()),
@@ -146,44 +131,12 @@ pub fn parse_arg(v: &Value) -> Result<ArgSpec, String> {
             Value::Arr(items) => Ok(ArgSpec::ArrayI32(i32_slice(items)?)),
             _ => Err("'array_i32' must be an array of integers".to_string()),
         },
-        "f32" => Ok(ArgSpec::F32(number_f64(value)? as f32)),
-        "f64" => Ok(ArgSpec::F64(number_f64(value)?)),
-        "i32" => Ok(ArgSpec::I32(number_i64(value)? as i32)),
-        "i64" => Ok(ArgSpec::I64(number_i64(value)?)),
-        "index" => Ok(ArgSpec::Index(number_i64(value)?)),
+        "f32" => scalar(RtValue::F32(number_f64(value)? as f32)),
+        "f64" => scalar(RtValue::F64(number_f64(value)?)),
+        "i32" => scalar(RtValue::I32(number_i64(value)? as i32)),
+        "i64" => scalar(RtValue::I64(number_i64(value)?)),
+        "index" => scalar(RtValue::Index(number_i64(value)?)),
         other => Err(format!("unknown argument kind '{other}'")),
-    }
-}
-
-fn render_type(ir: &Ir, ty: TypeId) -> String {
-    match ir.type_kind(ty) {
-        TypeKind::Integer { width } => format!("i{width}"),
-        TypeKind::Float32 => "f32".to_string(),
-        TypeKind::Float64 => "f64".to_string(),
-        TypeKind::Index => "index".to_string(),
-        TypeKind::MemRef {
-            shape,
-            elem,
-            memory_space,
-        } => {
-            let dims: String = shape
-                .iter()
-                .map(|&d| {
-                    if d == ftn_mlir::types::DYN_DIM {
-                        "?x".to_string()
-                    } else {
-                        format!("{d}x")
-                    }
-                })
-                .collect();
-            let elem = render_type(ir, *elem);
-            if *memory_space == 0 {
-                format!("memref<{dims}{elem}>")
-            } else {
-                format!("memref<{dims}{elem}, {memory_space}>")
-            }
-        }
-        other => format!("{other:?}"),
     }
 }
 
@@ -205,7 +158,7 @@ pub fn kernel_signatures(bitstream: &Bitstream) -> Result<Vec<(String, Vec<Strin
                 .block(entry)
                 .args
                 .iter()
-                .map(|&a| render_type(&ir, ir.value_ty(a)))
+                .map(|&a| ftn_mlir::print_type(&ir, ir.value_ty(a)))
                 .collect();
             Ok((k.name.clone(), args))
         })

@@ -1,0 +1,538 @@
+//! Sessions: one table, `serve sid → ServeSession`, whose entries hold the
+//! session's pool itself — plus `/run`, which borrows a pool for one request.
+//!
+//! Invariants every change here must keep:
+//!
+//! * **One serve-level lock per session request.** Launch, info, refresh,
+//!   rebalance and close resolve through [`ServeState::session`]: the table
+//!   lock for one look-up, an `Arc` clone out, then the pool's own locks.
+//!   They never touch the program table, so no compile, image load or pool
+//!   build of any program can stall them. Only open and `/run` go through
+//!   `ServeState::pool_for`.
+//! * **The table's lock is never held across a pool call or a wait.**
+//! * **Session state is touched outside migration epochs only**: every
+//!   machine access that names a session takes [`PoolGate::lock_session`]
+//!   (mid-epoch the machine's table lacks it: a live session would 404).
+//! * **A request's arrays are owned.** What a request allocates in a pool
+//!   sits in an [`OwnedArrays`], which frees it when dropped — on every
+//!   exit, the error ones included. A session's entry owns its arrays the
+//!   same way, so removing the entry is what releases them.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+
+use ftn_cluster::{
+    AutoRebalance, ClusterMachine, MapKind, Partition, PoolGate, ShardArg, ShardCount,
+};
+use ftn_interp::{Buffer, RtValue};
+use serde::{Serialize, Value};
+
+use crate::api::{self, ArgSpec};
+use crate::conn::{HandlerError, Reply};
+use crate::{bad_request, failed, lock, not_found, ServeState};
+
+/// Host arrays allocated in `pool` on behalf of one request or session,
+/// freed when this drops. Dropping takes the pool's machine lock: declare it
+/// before any guard of that lock, so the guard goes first.
+pub(crate) struct OwnedArrays {
+    pool: Arc<PoolGate>,
+    handles: Vec<RtValue>,
+}
+
+impl OwnedArrays {
+    fn new(pool: Arc<PoolGate>) -> OwnedArrays {
+        let handles = Vec::new();
+        OwnedArrays { pool, handles }
+    }
+
+    /// Take ownership of a freshly allocated array; hands it back for use.
+    fn own(&mut self, array: RtValue) -> RtValue {
+        self.handles.push(array.clone());
+        array
+    }
+}
+
+impl Drop for OwnedArrays {
+    fn drop(&mut self) {
+        let mut machine = self.pool.lock();
+        for h in &self.handles {
+            let _ = machine.free_host(h);
+        }
+    }
+}
+
+/// A serve-level session: its cluster-level id, and the arrays mapped at
+/// open, which know the pool they (and the session) live in.
+pub(crate) struct ServeSession {
+    cluster_sid: u64,
+    arrays: OwnedArrays,
+}
+
+impl ServeState {
+    pub(crate) fn open_session(&self, body: &str) -> Result<Value, HandlerError> {
+        let v = api::parse_body(body).map_err(bad_request)?;
+        let key = api::get_str(&v, "key").map_err(bad_request)?;
+        let maps = api::get_arr(&v, "maps").map_err(bad_request)?;
+        if maps.is_empty() {
+            return Err(bad_request("'maps' must name at least one array"));
+        }
+        // `shards` may be an integer, "auto", or absent (then the server
+        // default — `ftn serve --shards` — applies; one shard when none).
+        let bad_shards = || bad_request("'shards' must be a positive integer or \"auto\"");
+        let shards = match v.get("shards") {
+            Some(Value::Str(s)) => Some(ShardCount::parse(s).ok_or_else(bad_shards)?),
+            Some(n) => Some(ShardCount::Fixed(
+                positive(n).ok_or_else(bad_shards)? as usize
+            )),
+            None => self.config.default_shards,
+        };
+
+        // `auto_rebalance` may be an interval, an "INTERVAL[:THRESHOLD]"
+        // string, an explicit opt-out (`0`, `false`, or `"off"` — a
+        // session that must keep a frozen plan can escape a server-wide
+        // `ftn serve --auto-rebalance` default), or absent (then the
+        // server default applies).
+        let auto_rebalance = match v.get("auto_rebalance") {
+            Some(Value::Str(s)) if s == "off" || s == "none" => None,
+            Some(Value::Str(s)) => Some(AutoRebalance::parse(s).ok_or_else(|| {
+                bad_request("'auto_rebalance' must be \"INTERVAL[:THRESHOLD]\" or \"off\"")
+            })?),
+            Some(Value::Bool(false) | Value::Int(0) | Value::UInt(0)) => None,
+            Some(n) => Some(AutoRebalance {
+                interval: positive(n).ok_or_else(|| {
+                    bad_request(
+                        "'auto_rebalance' must be a positive interval, \
+                         \"INTERVAL[:THRESHOLD]\", or an opt-out (0 | false | \"off\")",
+                    )
+                })?,
+                ..Default::default()
+            }),
+            None => self.config.auto_rebalance,
+        };
+        // Re-planning needs rows to move between shards: an explicit request
+        // to enable it on a session that never asked for any would be
+        // silently dead, so reject it (explicit opt-outs and inherited
+        // server defaults stay harmless).
+        if shards.is_none() && v.get("auto_rebalance").is_some() && auto_rebalance.is_some() {
+            return Err(bad_request(
+                "'auto_rebalance' requires a sharded session; set 'shards' too",
+            ));
+        }
+
+        let pool = self.pool_for(key)?;
+        // Parse and validate every map before allocating anything.
+        let mut parsed: Vec<(&str, Vec<f32>, MapKind, Partition)> = Vec::with_capacity(maps.len());
+        for m in maps {
+            let name = api::get_str(m, "name").map_err(bad_request)?;
+            let kind = MapKind::parse(api::get_str(m, "kind").map_err(bad_request)?)
+                .ok_or_else(|| bad_request("map 'kind' must be to | from | tofrom"))?;
+            let halo = match m.get("halo") {
+                Some(Value::Int(i)) if *i >= 0 => *i as usize,
+                Some(Value::UInt(u)) => *u as usize,
+                None => 0,
+                Some(_) => return Err(bad_request("map 'halo' must be a non-negative integer")),
+            };
+            let partition = match api::get_opt_str(m, "partition") {
+                Some(p) => Partition::parse(p, halo).ok_or_else(|| {
+                    bad_request("map 'partition' must be split | replicated | sum | min | max")
+                })?,
+                None => Partition::Split { halo },
+            };
+            let data = api::get_arr(m, "data").map_err(bad_request)?;
+            let data = api::f32_slice(data).map_err(bad_request)?;
+            parsed.push((name, data, kind, partition));
+        }
+
+        // A failed open (duplicate names, invalid kind/partition combos)
+        // drops `arrays`, releasing what it will never map.
+        let mut arrays = OwnedArrays::new(Arc::clone(&pool));
+        let (cluster_sid, devices, mapped) = {
+            let mut machine = pool.lock();
+            // Each request array is freed as soon as the pool holds its copy.
+            let maps: Vec<(&str, RtValue, MapKind, Partition)> = parsed
+                .into_iter()
+                .map(|(name, data, kind, partition)| {
+                    (name, arrays.own(machine.host_f32(&data)), kind, partition)
+                })
+                .collect();
+            let count = shards.unwrap_or(ShardCount::Fixed(1));
+            let opened = machine.open_sharded_session_with(&maps, count, auto_rebalance);
+            let sid = opened.map_err(bad_request)?;
+            (
+                sid,
+                machine.sharded_devices(sid).unwrap_or_default(),
+                maps.len(),
+            )
+        };
+        let session = self.next_session.fetch_add(1, Ordering::SeqCst);
+        let entry = ServeSession {
+            cluster_sid,
+            arrays,
+        };
+        lock(&self.sessions).insert(session, entry);
+        let mut fields = session_reply(session, &devices);
+        fields.push(("mapped", mapped.to_value()));
+        Ok(api::obj(fields))
+    }
+
+    /// The pool and cluster-level id of one open session.
+    fn session(&self, session: u64) -> Result<(Arc<PoolGate>, u64), HandlerError> {
+        lock(&self.sessions)
+            .get(&session)
+            .map(|s| (Arc::clone(&s.arrays.pool), s.cluster_sid))
+            .ok_or_else(|| not_found(format!("no session {session}")))
+    }
+
+    /// `(serve sid, cluster sid)` of every open session living in `pool` —
+    /// what `/profile/top` re-keys that pool's session rows against.
+    pub(crate) fn sessions_in(&self, pool: &Arc<PoolGate>) -> Vec<(u64, u64)> {
+        lock(&self.sessions)
+            .iter()
+            .filter(|(_, s)| Arc::ptr_eq(&s.arrays.pool, pool))
+            .map(|(sid, s)| (*sid, s.cluster_sid))
+            .collect()
+    }
+
+    /// Launch: fan out per shard, wait all shard jobs, and report the
+    /// aggregate (total cycles, per-launch makespan = slowest shard). When
+    /// the session's auto-rebalance cadence comes due the epoch runs first,
+    /// phased ([`PoolGate::rebalance_phased`]), so concurrent clients keep
+    /// submitting mid-epoch.
+    pub(crate) fn launch(&self, session: u64, body: &str) -> Result<Value, HandlerError> {
+        let v = api::parse_body(body).map_err(bad_request)?;
+        let kernel = api::get_str(&v, "kernel").map_err(bad_request)?;
+        let arg_values = api::get_arr(&v, "args").map_err(bad_request)?;
+        let refresh_halos = match v.get("refresh_halos") {
+            Some(Value::Bool(b)) => *b,
+            None => false,
+            Some(_) => return Err(bad_request("'refresh_halos' must be a boolean")),
+        };
+        let (gate, sid) = self.session(session)?;
+        let mut args = Vec::with_capacity(arg_values.len());
+        for a in arg_values {
+            let ArgSpec::Shard(arg) = api::parse_arg(a).map_err(bad_request)? else {
+                return Err(bad_request(
+                    "inline arrays are not allowed in session launches; map them at open",
+                ));
+            };
+            args.push(arg);
+        }
+        let mut machine = gate.lock_session(sid);
+        // The auto-rebalance cadence check is split from the launch so a due
+        // epoch runs *phased* (off-lock) instead of stop-the-world under the
+        // machine lock the synchronous `sharded_launch` would take.
+        let due = machine.auto_rebalance_due(sid).map_err(bad_request)?;
+        if let Some(threshold) = due {
+            drop(machine);
+            let epoch = gate.rebalance_phased(sid, Some(threshold));
+            epoch.map_err(failed)?;
+            machine = gate.lock_session(sid);
+        }
+        let ticket = machine.sharded_launch_no_replan(sid, kernel, &args);
+        let ticket = ticket.map_err(bad_request)?;
+        drop(machine);
+        let (staged, elided, devices) = (ticket.staged, ticket.elided, ticket.devices);
+        let reports = (gate.wait_many(ticket.handles)).map_err(failed)?;
+        self.metrics.launches.inc();
+        // Per-launch ghost-row exchange, *after* the shard jobs land; phased
+        // like a manual `POST /sessions/{id}/refresh`.
+        let halo = refresh_halos.then(|| gate.refresh_phased(sid)).transpose();
+        let halo = halo.map_err(failed)?;
+        let stats = || reports.iter().map(|r| &r.report.stats);
+        let cycles: u64 = stats().map(|s| s.total_cycles).sum();
+        let kernel_seconds: f64 = stats().map(|s| s.kernel_seconds).sum();
+        let makespan = stats()
+            .map(|s| s.kernel_wall_seconds)
+            .fold(0.0f64, f64::max);
+        // `kernel_wall_seconds` is the one-device spelling of
+        // `kernel_wall_seconds_max` (equal on one shard).
+        let mut fields = session_reply(session, &devices);
+        fields.extend([
+            ("cycles", cycles.to_value()),
+            ("kernel_seconds", kernel_seconds.to_value()),
+            ("kernel_wall_seconds", makespan.to_value()),
+            ("kernel_wall_seconds_max", makespan.to_value()),
+            ("staged", staged.to_value()),
+            ("elided", elided.to_value()),
+        ]);
+        if let Some(h) = halo {
+            fields.push(("halo_rows", h.halo_rows.to_value()));
+            fields.push(("halo_bytes", h.halo_bytes.to_value()));
+        }
+        Ok(api::obj(fields))
+    }
+
+    /// Manual re-plan against the pool's current backlogs. Body: optional
+    /// `{"threshold": T}` overriding the session's improvement threshold.
+    /// Replies with the cluster's [`ftn_cluster::RebalanceReport`].
+    pub(crate) fn rebalance(&self, session: u64, body: &str) -> Result<Value, HandlerError> {
+        let v = api::parse_body(body).map_err(bad_request)?;
+        let threshold = match v.get("threshold") {
+            Some(Value::Float(f)) if f.is_finite() && *f >= 1.0 => Some(*f),
+            Some(Value::Int(i)) if *i >= 1 => Some(*i as f64),
+            Some(Value::UInt(u)) if *u >= 1 => Some(*u as f64),
+            None => None,
+            Some(_) => return Err(bad_request("'threshold' must be a number ≥ 1.0")),
+        };
+        let (pool, sid) = self.session(session)?;
+        // Phased: only this session is fenced while its rows move.
+        let report = pool.rebalance_phased(sid, threshold).map_err(failed)?;
+        Ok(with_serve_session(report.to_value(), session))
+    }
+
+    /// Manual inter-launch halo refresh: every split array's ghost rows are
+    /// re-seeded from their current owner rows, boundary blocks only.
+    /// Replies with the cluster's [`ftn_cluster::HaloRefreshReport`].
+    pub(crate) fn refresh(&self, session: u64) -> Result<Value, HandlerError> {
+        let (pool, sid) = self.session(session)?;
+        let report = pool.refresh_phased(sid).map_err(failed)?;
+        Ok(with_serve_session(report.to_value(), session))
+    }
+
+    pub(crate) fn session_info(&self, session: u64) -> Result<Value, HandlerError> {
+        let (pool, sid) = self.session(session)?;
+        let machine = pool.lock_session(sid);
+        let stats = machine
+            .session_stats(sid)
+            .ok_or_else(|| not_found(format!("no session {session}")))?;
+        let devices = machine.sharded_devices(sid).unwrap_or_default();
+        // The realized partition (owned rows per shard) of the largest
+        // split array — the live view of re-planning epochs, and the same
+        // reference array the rebalance decision and its report use, so the
+        // two endpoints always agree.
+        let shard_rows = machine
+            .sharded_maps(sid)
+            .and_then(|maps| {
+                maps.into_iter()
+                    .filter(|(_, _, _, p)| matches!(p, Partition::Split { .. }))
+                    .max_by_key(|(_, v, _, _)| v.as_memref().map(|m| m.num_elements()).unwrap_or(0))
+                    .map(|(name, _, _, _)| name)
+            })
+            .and_then(|name| machine.sharded_shard_rows(sid, &name))
+            .unwrap_or_default();
+        let mut fields = session_reply(session, &devices);
+        fields.push(("shard_rows", shard_rows.to_value()));
+        fields.push(("stats", stats.to_value()));
+        Ok(api::obj(fields))
+    }
+
+    pub(crate) fn close_session(&self, session: u64) -> Result<Reply, HandlerError> {
+        let (pool, sid) = self.session(session)?;
+        let mut machine = pool.lock_session(sid);
+        let maps = machine
+            .session_maps(sid)
+            .ok_or_else(|| not_found(format!("no session {session}")))?;
+        let report = machine.close_sharded_session(sid).map_err(failed)?;
+        // `from`/`tofrom` arrays now hold the gathered device results; copy
+        // them out (they are printed once the pool is unlocked), then
+        // release every array the session allocated by dropping its entry.
+        let arrays: Vec<(&str, Buffer)> = maps
+            .iter()
+            .filter(|(_, _, kind)| matches!(kind, MapKind::From | MapKind::ToFrom))
+            .map(|(name, value, _)| (name.as_str(), host_copy(&machine, value)))
+            .collect();
+        drop(machine);
+        let entry = lock(&self.sessions).remove(&session);
+        drop(entry);
+        let mut fields = session_reply(session, &report.devices);
+        fields.push(("stats", report.stats.to_value()));
+        Ok(Reply::object_with_tail(fields, "arrays", |out| {
+            append_seq(out, ('{', '}'), &arrays, |out, (name, buffer)| {
+                serde_json::append(out, *name);
+                out.push_str(": ");
+                append_buffer(out, buffer);
+            })
+        }))
+    }
+
+    pub(crate) fn run_program(&self, body: &str) -> Result<Reply, HandlerError> {
+        let v = api::parse_body(body).map_err(bad_request)?;
+        let key = api::get_str(&v, "key").map_err(bad_request)?;
+        let func = api::get_str(&v, "func").map_err(bad_request)?;
+        let arg_values = api::get_arr(&v, "args").map_err(bad_request)?;
+        let pool = self.pool_for(key)?;
+        // Decode every argument before allocating anything: the machine
+        // lock is not held while megabytes of JSON numbers are converted.
+        let specs: Result<Vec<ArgSpec>, String> = arg_values.iter().map(api::parse_arg).collect();
+        let specs = specs.map_err(bad_request)?;
+        let mut owned = OwnedArrays::new(Arc::clone(&pool));
+        let handle = {
+            let mut machine = pool.lock();
+            let mut args = Vec::with_capacity(specs.len());
+            for spec in specs {
+                args.push(match spec {
+                    ArgSpec::ArrayF32(data) => owned.own(machine.host_f32(&data)),
+                    ArgSpec::ArrayI32(data) => owned.own(machine.host_i32(&data)),
+                    ArgSpec::Shard(ShardArg::Scalar(x)) => x,
+                    ArgSpec::Shard(_) => return Err(bad_request(
+                        "named arrays/extents are session-only; pass array_f32/array_i32 to /run",
+                    )),
+                });
+            }
+            machine.submit(func, &args)
+        };
+        let handle = handle.map_err(bad_request)?;
+        let report = (pool.wait_many(vec![handle]))
+            .map_err(bad_request)?
+            .pop()
+            .expect("one handle, one report");
+        self.metrics.runs.inc();
+        let machine = pool.lock();
+        let arrays: Vec<Buffer> = (owned.handles.iter())
+            .map(|h| host_copy(&machine, h))
+            .collect();
+        drop(machine);
+        // The request's arrays are dead once copied out: free them (host
+        // slot + worker mirrors) so sustained /run traffic stays flat.
+        drop(owned);
+        let fields = vec![
+            ("device", report.device.to_value()),
+            ("stats", report.report.stats.to_value()),
+        ];
+        Ok(Reply::object_with_tail(fields, "arrays", |out| {
+            append_seq(out, ('[', ']'), &arrays, append_buffer)
+        }))
+    }
+}
+
+/// A JSON integer above zero (a float is not an integer here).
+fn positive(v: &Value) -> Option<u64> {
+    match v {
+        Value::Int(i) if *i > 0 => Some(*i as u64),
+        Value::UInt(u) if *u > 0 => Some(*u),
+        _ => None,
+    }
+}
+
+/// The fields every session reply (open, launch, info, close) starts with:
+/// the serve-level id and where the session lives. `device` is the
+/// one-device spelling of `devices[0]`.
+fn session_reply(session: u64, devices: &[usize]) -> Vec<(&'static str, Value)> {
+    vec![
+        ("session", session.to_value()),
+        ("device", devices.first().copied().unwrap_or(0).to_value()),
+        ("shards", devices.len().to_value()),
+        ("devices", devices.to_value()),
+    ]
+}
+
+/// The host copy of one mapped array, taken under the pool lock.
+fn host_copy(machine: &ClusterMachine, array: &RtValue) -> Buffer {
+    let m = array.as_memref().expect("session arrays are memrefs");
+    machine.memory.get(m.buffer).clone()
+}
+
+/// Append `items` between `open` and `close`, comma-separated, each written
+/// by `each` — the container around buffers printed by [`append_buffer`].
+fn append_seq<T>(
+    out: &mut String,
+    (open, close): (char, char),
+    items: &[T],
+    mut each: impl FnMut(&mut String, &T),
+) {
+    out.push(open);
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        each(out, item);
+    }
+    out.push(close);
+}
+
+/// Append a buffer's elements as one JSON array, straight from the slice.
+fn append_buffer(out: &mut String, buffer: &Buffer) {
+    match buffer {
+        Buffer::F32(data) => serde_json::append_slice(out, data),
+        Buffer::F64(data) => serde_json::append_slice(out, data),
+        Buffer::I32(data) => serde_json::append_slice(out, data),
+        Buffer::I64(data) => serde_json::append_slice(out, data),
+        Buffer::I1(data) => serde_json::append_slice(out, data),
+    }
+}
+
+/// Re-key a cluster report's `session` field to the serve-level session id
+/// (the cluster-internal one is meaningless to HTTP clients).
+fn with_serve_session(mut report: Value, session: u64) -> Value {
+    if let Value::Obj(fields) = &mut report {
+        for (_, v) in fields.iter_mut().filter(|(k, _)| k == "session") {
+            *v = session.to_value();
+        }
+    }
+    report
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::{mpsc, Arc};
+    use std::time::Duration;
+
+    use serde::{Serialize, Value};
+
+    use crate::{api, client, lock, ServeConfig, Server};
+
+    const SAXPY: &str = include_str!("../../../benchmarks/saxpy.f90");
+
+    /// Launch, info, refresh and close resolve through the session table
+    /// alone: they are answered while this thread holds the program table's
+    /// lock, so no compile, image load or pool build (which only ever wait
+    /// on that lock or a program's own) can be in their way.
+    #[test]
+    fn session_requests_never_touch_the_program_table() {
+        let config = ServeConfig {
+            devices: 2,
+            workers: 2,
+            ..Default::default()
+        };
+        let server = Server::bind("127.0.0.1:0", config).expect("bind");
+        let addr = server.local_addr();
+        let state = Arc::clone(&server.state);
+        let running = std::thread::spawn(move || server.run());
+        let post = |path: &str, body: &str| {
+            let (status, reply) = client::request(addr, "POST", path, body).expect("round trip");
+            assert_eq!(status, 200, "{path}: {reply:?}");
+            reply
+        };
+
+        let source = api::obj(vec![("source", SAXPY.to_value())]);
+        let compiled = post("/compile", &serde_json::to_string(&source).unwrap());
+        let key = api::get_str(&compiled, "key").expect("key");
+        let open = format!(
+            r#"{{"key": "{key}", "maps": [
+                {{"name": "x", "kind": "to", "data": [1, 2, 3, 4]}},
+                {{"name": "y", "kind": "tofrom", "data": [0, 0, 0, 0]}}]}}"#
+        );
+        let Some(Value::Int(sid)) = post("/sessions", &open).get("session").cloned() else {
+            panic!("no session id");
+        };
+
+        let programs = lock(&state.programs);
+        let (tx, rx) = mpsc::channel();
+        let client = std::thread::spawn(move || {
+            let launch = r#"{"kernel": "saxpy_kernel0", "args": [
+                {"array": "x"}, {"array": "y"}, {"extent": "x"}, {"extent": "y"},
+                {"f32": 2.0}, {"index": 1}, {"extent": "x"}]}"#;
+            for (method, path, body) in [
+                ("POST", format!("/sessions/{sid}/launch"), launch),
+                ("GET", format!("/sessions/{sid}"), ""),
+                ("POST", format!("/sessions/{sid}/refresh"), ""),
+                ("DELETE", format!("/sessions/{sid}"), ""),
+            ] {
+                let answer = client::request(addr, method, &path, body);
+                tx.send((path, answer)).expect("test thread listens");
+            }
+        });
+        for _ in 0..4 {
+            // The timeout only bounds how long a regression hangs the suite.
+            let (path, answer) = rx
+                .recv_timeout(Duration::from_secs(20))
+                .expect("a session request waits on the program table's lock");
+            let (status, reply) = answer.expect("round trip");
+            assert_eq!(status, 200, "{path}: {reply:?}");
+        }
+        drop(programs);
+        client.join().expect("client thread");
+        post("/shutdown", "");
+        running.join().expect("server thread").expect("clean run");
+    }
+}

@@ -1,0 +1,988 @@
+//! The HTTP surface, end to end over real sockets: compile, sessions
+//! (one-shard, sharded, heterogeneous), rebalance, keep-alive, telemetry
+//! endpoints and memory hygiene. Moved here verbatim from `src/lib.rs` when
+//! that file was split along its two tables; the last test came with the
+//! split.
+
+use std::net::SocketAddr;
+
+use ftn_serve::{api, client, ServeConfig, Server};
+use serde::{Serialize, Value};
+
+const SAXPY: &str = r#"
+subroutine saxpy(n, a, x, y)
+  implicit none
+  integer :: n, i
+  real :: a, x(n), y(n)
+  !$omp target parallel do simd simdlen(10)
+  do i = 1, n
+    y(i) = y(i) + a*x(i)
+  end do
+  !$omp end target parallel do simd
+end subroutine saxpy
+"#;
+
+fn as_u64(v: Option<&Value>) -> u64 {
+    match v {
+        Some(Value::UInt(u)) => *u,
+        Some(Value::Int(i)) if *i >= 0 => *i as u64,
+        other => panic!("expected unsigned number, got {other:?}"),
+    }
+}
+
+fn request(addr: SocketAddr, method: &str, path: &str, body: &str) -> (u16, Value) {
+    crate::client::request(addr, method, path, body).expect("request round-trips")
+}
+
+#[test]
+fn end_to_end_session_over_http() {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            devices: 2,
+            workers: 2,
+            ..Default::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+    let handle = std::thread::spawn(move || server.run());
+
+    // Compile twice: second is a cache hit.
+    let body =
+        serde_json::to_string(&api::obj(vec![("source", Value::Str(SAXPY.to_string()))])).unwrap();
+    let (status, first) = request(addr, "POST", "/compile", &body);
+    assert_eq!(status, 200, "{first:?}");
+    assert_eq!(first.get("cached"), Some(&Value::Bool(false)));
+    let (_, second) = request(addr, "POST", "/compile", &body);
+    assert_eq!(second.get("cached"), Some(&Value::Bool(true)));
+    let Some(Value::Str(key)) = first.get("key") else {
+        panic!("no key in {first:?}");
+    };
+
+    // Open a session mapping x (to) and y (tofrom).
+    let n = 32usize;
+    let x: Vec<f32> = (0..n).map(|i| i as f32).collect();
+    let y = vec![1.0f32; n];
+    let open = api::obj(vec![
+        ("key", Value::Str(key.clone())),
+        (
+            "maps",
+            Value::Arr(vec![
+                api::obj(vec![
+                    ("name", Value::Str("x".into())),
+                    ("kind", Value::Str("to".into())),
+                    ("data", x.to_value()),
+                ]),
+                api::obj(vec![
+                    ("name", Value::Str("y".into())),
+                    ("kind", Value::Str("tofrom".into())),
+                    ("data", y.to_value()),
+                ]),
+            ]),
+        ),
+    ]);
+    let (status, opened) = request(
+        addr,
+        "POST",
+        "/sessions",
+        &serde_json::to_string(&open).unwrap(),
+    );
+    assert_eq!(status, 200, "{opened:?}");
+    let sid = as_u64(opened.get("session"));
+    // Opened without `shards`: a one-shard session. Replies carry the
+    // one-device fields with the values the retired unsharded handlers
+    // answered (`device`, `kernel_wall_seconds`: captured at that
+    // commit) next to the general ones.
+    assert_eq!(as_u64(opened.get("mapped")), 2);
+    assert_eq!(as_u64(opened.get("device")), 0, "{opened:?}");
+    assert_eq!(as_u64(opened.get("shards")), 1, "{opened:?}");
+    assert_eq!(
+        opened.get("devices"),
+        Some(&Value::Arr(vec![Value::Int(0)]))
+    );
+
+    // Two launches; the second also finds everything resident.
+    let launch = api::obj(vec![
+        ("kernel", Value::Str("saxpy_kernel0".into())),
+        (
+            "args",
+            Value::Arr(vec![
+                api::obj(vec![("array", Value::Str("x".into()))]),
+                api::obj(vec![("array", Value::Str("y".into()))]),
+                api::obj(vec![("index", (n as i64).to_value())]),
+                api::obj(vec![("index", (n as i64).to_value())]),
+                api::obj(vec![("f32", Value::Float(2.0))]),
+                api::obj(vec![("index", Value::Int(1))]),
+                api::obj(vec![("index", (n as i64).to_value())]),
+            ]),
+        ),
+    ]);
+    let launch_body = serde_json::to_string(&launch).unwrap();
+    for _ in 0..2 {
+        let (status, resp) = request(
+            addr,
+            "POST",
+            &format!("/sessions/{sid}/launch"),
+            &launch_body,
+        );
+        assert_eq!(status, 200, "{resp:?}");
+        assert_eq!(as_u64(resp.get("elided")), 2, "{resp:?}");
+        assert_eq!(as_u64(resp.get("staged")), 0, "{resp:?}");
+        assert_eq!(as_u64(resp.get("device")), 0, "{resp:?}");
+        assert_eq!(as_u64(resp.get("shards")), 1, "{resp:?}");
+        assert_eq!(as_u64(resp.get("cycles")), 1276, "{resp:?}");
+        let wall = Some(&Value::Float(6.253333333333333e-6));
+        assert_eq!(resp.get("kernel_wall_seconds"), wall, "{resp:?}");
+        assert_eq!(resp.get("kernel_wall_seconds_max"), wall, "{resp:?}");
+        let kernel = Some(&Value::Float(4.253333333333333e-6));
+        assert_eq!(resp.get("kernel_seconds"), kernel, "{resp:?}");
+    }
+    // `extent` / `extent_offset` resolve to the full extent there: the
+    // same launch spelled with extents (and `a = 0`, so y is untouched)
+    // runs the same trip count, cycle for cycle.
+    let by_extent = api::obj(vec![
+        ("kernel", Value::Str("saxpy_kernel0".into())),
+        (
+            "args",
+            Value::Arr(vec![
+                api::obj(vec![("array", Value::Str("x".into()))]),
+                api::obj(vec![("array", Value::Str("y".into()))]),
+                api::obj(vec![("extent", Value::Str("x".into()))]),
+                api::obj(vec![("extent", Value::Str("y".into()))]),
+                api::obj(vec![("f32", Value::Float(0.0))]),
+                api::obj(vec![("index", Value::Int(1))]),
+                api::obj(vec![(
+                    "extent_offset",
+                    api::obj(vec![
+                        ("array", Value::Str("x".into())),
+                        ("offset", Value::Int(0)),
+                    ]),
+                )]),
+            ]),
+        ),
+    ]);
+    let (status, resp) = request(
+        addr,
+        "POST",
+        &format!("/sessions/{sid}/launch"),
+        &serde_json::to_string(&by_extent).unwrap(),
+    );
+    assert_eq!(status, 200, "{resp:?}");
+    assert_eq!(as_u64(resp.get("cycles")), 1276, "full-extent trip count");
+
+    let (status, info) = request(addr, "GET", &format!("/sessions/{sid}"), "");
+    assert_eq!(status, 200, "{info:?}");
+    assert_eq!(as_u64(info.get("device")), 0, "{info:?}");
+    assert_eq!(as_u64(info.get("shards")), 1, "{info:?}");
+    assert_eq!(
+        info.get("shard_rows"),
+        Some(&Value::Arr(vec![Value::Int(n as i64)]))
+    );
+    let stats = info.get("stats").expect("stats");
+    assert_eq!(as_u64(stats.get("launches")), 3);
+    assert_eq!(as_u64(stats.get("staged_uploads")), 2);
+    assert_eq!(as_u64(stats.get("staged_bytes")), 256);
+    assert_eq!(as_u64(stats.get("elided_transfers")), 6);
+
+    // Close: y comes back with both launches applied.
+    let (status, closed) = request(addr, "DELETE", &format!("/sessions/{sid}"), "");
+    assert_eq!(status, 200, "{closed:?}");
+    assert_eq!(as_u64(closed.get("device")), 0, "{closed:?}");
+    assert_eq!(as_u64(closed.get("shards")), 1, "{closed:?}");
+    let stats = closed.get("stats").expect("stats");
+    assert_eq!(as_u64(stats.get("fetched_downloads")), 1, "{closed:?}");
+    let arrays = closed.get("arrays").expect("arrays");
+    let Some(Value::Arr(ys)) = arrays.get("y") else {
+        panic!("no y in {closed:?}");
+    };
+    assert_eq!(ys.len(), n);
+    for (i, v) in ys.iter().enumerate() {
+        let Value::Float(f) = v else { panic!("{v:?}") };
+        assert_eq!(*f as f32, 1.0 + 2.0 * 2.0 * i as f32, "element {i}");
+    }
+
+    // Stats reflect the session traffic; then shut down cleanly.
+    let (status, stats) = request(addr, "GET", "/stats", "");
+    assert_eq!(status, 200);
+    assert_eq!(as_u64(stats.get("launches")), 3, "{stats:?}");
+    let (status, _) = request(addr, "POST", "/shutdown", "");
+    assert_eq!(status, 200);
+    handle.join().expect("server thread").expect("clean run");
+}
+
+fn start_server(
+    devices: usize,
+    workers: usize,
+) -> (SocketAddr, std::thread::JoinHandle<std::io::Result<()>>) {
+    let server = Server::bind(
+        "127.0.0.1:0",
+        ServeConfig {
+            devices,
+            workers,
+            ..Default::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.local_addr();
+    (addr, std::thread::spawn(move || server.run()))
+}
+
+fn compile_key(addr: SocketAddr) -> String {
+    let body =
+        serde_json::to_string(&api::obj(vec![("source", Value::Str(SAXPY.to_string()))])).unwrap();
+    let (status, resp) = request(addr, "POST", "/compile", &body);
+    assert_eq!(status, 200, "{resp:?}");
+    let Some(Value::Str(key)) = resp.get("key") else {
+        panic!("no key in {resp:?}");
+    };
+    key.clone()
+}
+
+fn shutdown(addr: SocketAddr, handle: std::thread::JoinHandle<std::io::Result<()>>) {
+    let (status, _) = request(addr, "POST", "/shutdown", "");
+    assert_eq!(status, 200);
+    handle.join().expect("server thread").expect("clean run");
+}
+
+#[test]
+fn sharded_session_over_http_spans_the_pool() {
+    let (addr, handle) = start_server(4, 2);
+    let key = compile_key(addr);
+
+    let n = 103usize;
+    let x: Vec<f32> = (0..n).map(|i| i as f32 * 0.5).collect();
+    let y = vec![1.0f32; n];
+    let open = api::obj(vec![
+        ("key", Value::Str(key.clone())),
+        ("shards", Value::Int(4)),
+        (
+            "maps",
+            Value::Arr(vec![
+                api::obj(vec![
+                    ("name", Value::Str("x".into())),
+                    ("kind", Value::Str("to".into())),
+                    ("data", x.to_value()),
+                ]),
+                api::obj(vec![
+                    ("name", Value::Str("y".into())),
+                    ("kind", Value::Str("tofrom".into())),
+                    ("data", y.to_value()),
+                ]),
+            ]),
+        ),
+    ]);
+    let (status, opened) = request(
+        addr,
+        "POST",
+        "/sessions",
+        &serde_json::to_string(&open).unwrap(),
+    );
+    assert_eq!(status, 200, "{opened:?}");
+    assert_eq!(as_u64(opened.get("shards")), 4, "{opened:?}");
+    let Some(Value::Arr(devices)) = opened.get("devices") else {
+        panic!("no devices in {opened:?}");
+    };
+    assert_eq!(devices.len(), 4);
+    let sid = as_u64(opened.get("session"));
+
+    // Extents rebase per shard: the same launch body works at any N.
+    let launch = api::obj(vec![
+        ("kernel", Value::Str("saxpy_kernel0".into())),
+        (
+            "args",
+            Value::Arr(vec![
+                api::obj(vec![("array", Value::Str("x".into()))]),
+                api::obj(vec![("array", Value::Str("y".into()))]),
+                api::obj(vec![("extent", Value::Str("x".into()))]),
+                api::obj(vec![("extent", Value::Str("y".into()))]),
+                api::obj(vec![("f32", Value::Float(2.0))]),
+                api::obj(vec![("index", Value::Int(1))]),
+                api::obj(vec![("extent", Value::Str("x".into()))]),
+            ]),
+        ),
+    ]);
+    let launch_body = serde_json::to_string(&launch).unwrap();
+    for _ in 0..2 {
+        let (status, resp) = request(
+            addr,
+            "POST",
+            &format!("/sessions/{sid}/launch"),
+            &launch_body,
+        );
+        assert_eq!(status, 200, "{resp:?}");
+        assert_eq!(as_u64(resp.get("shards")), 4, "{resp:?}");
+        assert_eq!(as_u64(resp.get("elided")), 8, "all shard buffers resident");
+    }
+
+    let (status, closed) = request(addr, "DELETE", &format!("/sessions/{sid}"), "");
+    assert_eq!(status, 200, "{closed:?}");
+    let Some(Value::Arr(ys)) = closed.get("arrays").and_then(|a| a.get("y")) else {
+        panic!("no y in {closed:?}");
+    };
+    assert_eq!(ys.len(), n);
+    for (i, v) in ys.iter().enumerate() {
+        let Value::Float(f) = v else { panic!("{v:?}") };
+        let expect = 1.0 + 2.0 * 2.0 * (i as f32 * 0.5);
+        assert_eq!(*f as f32, expect, "element {i}");
+    }
+    shutdown(addr, handle);
+}
+
+#[test]
+fn heterogeneous_pool_over_http_reports_models_and_weights_shards() {
+    let (addr, handle) = start_server(2, 2);
+    // Compile with an explicit mixed-device pool: a U280, a U55C, and a
+    // half-clock U280 — the session's shard sizes must track speed.
+    let body = serde_json::to_string(&api::obj(vec![
+        ("source", Value::Str(SAXPY.to_string())),
+        (
+            "devices",
+            Value::Arr(vec![
+                Value::Str("u280".into()),
+                Value::Str("u55c".into()),
+                Value::Str("u280@150".into()),
+            ]),
+        ),
+    ]))
+    .unwrap();
+    let (status, resp) = request(addr, "POST", "/compile", &body);
+    assert_eq!(status, 200, "{resp:?}");
+    let Some(Value::Arr(devices)) = resp.get("devices") else {
+        panic!("no devices in {resp:?}");
+    };
+    assert_eq!(devices.len(), 3, "{resp:?}");
+    let Some(Value::Str(key)) = resp.get("key") else {
+        panic!("no key in {resp:?}");
+    };
+    let key = key.clone();
+
+    // An unknown device name is rejected up front.
+    let bad = serde_json::to_string(&api::obj(vec![
+        ("source", Value::Str(SAXPY.to_string())),
+        ("devices", Value::Arr(vec![Value::Str("u999".into())])),
+    ]))
+    .unwrap();
+    let (status, _) = request(addr, "POST", "/compile", &bad);
+    assert_eq!(status, 400);
+
+    // A sharded session spans the mixed pool; the fastest card (u55c,
+    // device 1) leads the shard order.
+    let n = 120usize;
+    let x: Vec<f32> = (0..n).map(|i| i as f32 * 0.25).collect();
+    let y = vec![1.0f32; n];
+    let open = api::obj(vec![
+        ("key", Value::Str(key.clone())),
+        ("shards", Value::Int(3)),
+        (
+            "maps",
+            Value::Arr(vec![
+                api::obj(vec![
+                    ("name", Value::Str("x".into())),
+                    ("kind", Value::Str("to".into())),
+                    ("data", x.to_value()),
+                ]),
+                api::obj(vec![
+                    ("name", Value::Str("y".into())),
+                    ("kind", Value::Str("tofrom".into())),
+                    ("data", y.to_value()),
+                ]),
+            ]),
+        ),
+    ]);
+    let (status, opened) = request(
+        addr,
+        "POST",
+        "/sessions",
+        &serde_json::to_string(&open).unwrap(),
+    );
+    assert_eq!(status, 200, "{opened:?}");
+    let Some(Value::Arr(order)) = opened.get("devices") else {
+        panic!("no devices in {opened:?}");
+    };
+    assert_eq!(as_u64(order.first()), 1, "u55c leads: {opened:?}");
+    let sid = as_u64(opened.get("session"));
+
+    let launch = api::obj(vec![
+        ("kernel", Value::Str("saxpy_kernel0".into())),
+        (
+            "args",
+            Value::Arr(vec![
+                api::obj(vec![("array", Value::Str("x".into()))]),
+                api::obj(vec![("array", Value::Str("y".into()))]),
+                api::obj(vec![("extent", Value::Str("x".into()))]),
+                api::obj(vec![("extent", Value::Str("y".into()))]),
+                api::obj(vec![("f32", Value::Float(2.0))]),
+                api::obj(vec![("index", Value::Int(1))]),
+                api::obj(vec![("extent", Value::Str("x".into()))]),
+            ]),
+        ),
+    ]);
+    let (status, resp) = request(
+        addr,
+        "POST",
+        &format!("/sessions/{sid}/launch"),
+        &serde_json::to_string(&launch).unwrap(),
+    );
+    assert_eq!(status, 200, "{resp:?}");
+
+    let (status, closed) = request(addr, "DELETE", &format!("/sessions/{sid}"), "");
+    assert_eq!(status, 200, "{closed:?}");
+    let Some(Value::Arr(ys)) = closed.get("arrays").and_then(|a| a.get("y")) else {
+        panic!("no y in {closed:?}");
+    };
+    for (i, v) in ys.iter().enumerate() {
+        let Value::Float(f) = v else { panic!("{v:?}") };
+        assert_eq!(*f as f32, 1.0 + 2.0 * (i as f32 * 0.25), "element {i}");
+    }
+
+    // The pool now exists: re-POSTing the identical compile body (same
+    // composition) stays idempotent, a *different* composition is
+    // rejected.
+    let (status, resp) = request(addr, "POST", "/compile", &body);
+    assert_eq!(status, 200, "same devices re-POST is idempotent: {resp:?}");
+    assert_eq!(resp.get("cached"), Some(&Value::Bool(true)));
+    let conflicting = serde_json::to_string(&api::obj(vec![
+        ("source", Value::Str(SAXPY.to_string())),
+        ("devices", Value::Arr(vec![Value::Str("u250".into())])),
+    ]))
+    .unwrap();
+    let (status, resp) = request(addr, "POST", "/compile", &conflicting);
+    assert_eq!(status, 400, "conflicting devices rejected: {resp:?}");
+
+    // /stats names every device model of the mixed pool.
+    let (status, stats) = request(addr, "GET", "/stats", "");
+    assert_eq!(status, 200);
+    let Some(Value::Arr(pools)) = stats.get("pools") else {
+        panic!("no pools in {stats:?}");
+    };
+    let pool = pools.first().expect("one pool");
+    let Some(Value::Arr(models)) = pool.get("models") else {
+        panic!("no models in {stats:?}");
+    };
+    assert_eq!(models.len(), 3);
+    assert!(
+        models
+            .iter()
+            .any(|m| matches!(m, Value::Str(s) if s.contains("U55C"))),
+        "{stats:?}"
+    );
+    shutdown(addr, handle);
+}
+
+#[test]
+fn rebalance_endpoint_replans_sharded_sessions() {
+    let (addr, handle) = start_server(4, 2);
+    let key = compile_key(addr);
+    let n = 256usize;
+    let x: Vec<f32> = (0..n).map(|i| i as f32 * 0.5).collect();
+    let y = vec![1.0f32; n];
+    let open = api::obj(vec![
+        ("key", Value::Str(key.clone())),
+        ("shards", Value::Int(4)),
+        ("auto_rebalance", Value::Str("8:1.2".into())),
+        (
+            "maps",
+            Value::Arr(vec![
+                api::obj(vec![
+                    ("name", Value::Str("x".into())),
+                    ("kind", Value::Str("to".into())),
+                    ("data", x.to_value()),
+                ]),
+                api::obj(vec![
+                    ("name", Value::Str("y".into())),
+                    ("kind", Value::Str("tofrom".into())),
+                    ("data", y.to_value()),
+                ]),
+            ]),
+        ),
+    ]);
+    let (status, opened) = request(
+        addr,
+        "POST",
+        "/sessions",
+        &serde_json::to_string(&open).unwrap(),
+    );
+    assert_eq!(status, 200, "{opened:?}");
+    let sid = as_u64(opened.get("session"));
+
+    // A quiet pool re-plans to the split it already has: pure no-op.
+    let (status, resp) = request(addr, "POST", &format!("/sessions/{sid}/rebalance"), "");
+    assert_eq!(status, 200, "{resp:?}");
+    assert_eq!(resp.get("replanned"), Some(&Value::Bool(false)), "{resp:?}");
+    assert_eq!(as_u64(resp.get("rows_migrated")), 0);
+    assert_eq!(as_u64(resp.get("session")), sid, "serve-level id reported");
+    let Some(Value::Arr(rows)) = resp.get("shard_rows") else {
+        panic!("no shard_rows in {resp:?}");
+    };
+    assert_eq!(rows.len(), 4);
+
+    // Session info surfaces the live partition; /stats carries the
+    // epoch counters and the backlog ledger.
+    let (status, info) = request(addr, "GET", &format!("/sessions/{sid}"), "");
+    assert_eq!(status, 200);
+    assert!(info.get("shard_rows").is_some(), "{info:?}");
+    let (_, stats) = request(addr, "GET", "/stats", "");
+    let Some(Value::Arr(pools)) = stats.get("pools") else {
+        panic!("no pools in {stats:?}");
+    };
+    let ps = pools.first().unwrap().get("stats").unwrap();
+    assert_eq!(as_u64(ps.get("replans")), 0, "{stats:?}");
+    assert!(ps.get("est_backlog").is_some(), "{stats:?}");
+
+    // An explicit opt-out escapes any server-wide auto-rebalance
+    // default (and bad spellings are rejected).
+    let opt_out = api::obj(vec![
+        ("key", Value::Str(key.clone())),
+        ("shards", Value::Int(2)),
+        ("auto_rebalance", Value::Int(0)),
+        (
+            "maps",
+            Value::Arr(vec![api::obj(vec![
+                ("name", Value::Str("x".into())),
+                ("kind", Value::Str("to".into())),
+                ("data", x.to_value()),
+            ])]),
+        ),
+    ]);
+    let (status, opened_frozen) = request(
+        addr,
+        "POST",
+        "/sessions",
+        &serde_json::to_string(&opt_out).unwrap(),
+    );
+    assert_eq!(status, 200, "{opened_frozen:?}");
+    let frozen_sid = as_u64(opened_frozen.get("session"));
+    let (status, _) = request(addr, "DELETE", &format!("/sessions/{frozen_sid}"), "");
+    assert_eq!(status, 200);
+    let bad_auto = serde_json::to_string(&api::obj(vec![
+        ("key", Value::Str(key.clone())),
+        ("shards", Value::Int(2)),
+        ("auto_rebalance", Value::Str("sometimes".into())),
+        (
+            "maps",
+            Value::Arr(vec![api::obj(vec![
+                ("name", Value::Str("x".into())),
+                ("kind", Value::Str("to".into())),
+                ("data", x.to_value()),
+            ])]),
+        ),
+    ]))
+    .unwrap();
+    let (status, _) = request(addr, "POST", "/sessions", &bad_auto);
+    assert_eq!(status, 400);
+    // Enabling auto-rebalance without asking for shards would be
+    // silently dead: rejected up front.
+    let unsharded_auto = serde_json::to_string(&api::obj(vec![
+        ("key", Value::Str(key.clone())),
+        ("auto_rebalance", Value::Int(4)),
+        (
+            "maps",
+            Value::Arr(vec![api::obj(vec![
+                ("name", Value::Str("x".into())),
+                ("kind", Value::Str("to".into())),
+                ("data", x.to_value()),
+            ])]),
+        ),
+    ]))
+    .unwrap();
+    let (status, resp) = request(addr, "POST", "/sessions", &unsharded_auto);
+    assert_eq!(status, 400, "{resp:?}");
+
+    // A bad threshold is rejected; a session opened without `shards` is
+    // a one-shard session, so re-planning and halo refreshes answer the
+    // ordinary no-op reports (nothing to move, no seams).
+    let (status, _) = request(
+        addr,
+        "POST",
+        &format!("/sessions/{sid}/rebalance"),
+        "{\"threshold\": 0.5}",
+    );
+    assert_eq!(status, 400);
+    let plain = api::obj(vec![
+        ("key", Value::Str(key.clone())),
+        (
+            "maps",
+            Value::Arr(vec![api::obj(vec![
+                ("name", Value::Str("x".into())),
+                ("kind", Value::Str("to".into())),
+                ("data", x.to_value()),
+            ])]),
+        ),
+    ]);
+    let (_, opened_plain) = request(
+        addr,
+        "POST",
+        "/sessions",
+        &serde_json::to_string(&plain).unwrap(),
+    );
+    let plain_sid = as_u64(opened_plain.get("session"));
+    let (status, resp) = request(
+        addr,
+        "POST",
+        &format!("/sessions/{plain_sid}/rebalance"),
+        "",
+    );
+    assert_eq!(status, 200, "{resp:?}");
+    assert_eq!(as_u64(resp.get("session")), plain_sid);
+    assert_eq!(resp.get("replanned"), Some(&Value::Bool(false)));
+    assert_eq!(as_u64(resp.get("rows_migrated")), 0);
+    let (status, resp) = request(addr, "POST", &format!("/sessions/{plain_sid}/refresh"), "");
+    assert_eq!(status, 200, "{resp:?}");
+    assert_eq!(as_u64(resp.get("session")), plain_sid);
+    assert_eq!(resp.get("refreshed"), Some(&Value::Bool(false)));
+    assert_eq!(as_u64(resp.get("halo_rows")), 0);
+
+    let (status, _) = request(addr, "DELETE", &format!("/sessions/{sid}"), "");
+    assert_eq!(status, 200);
+    let (status, _) = request(addr, "DELETE", &format!("/sessions/{plain_sid}"), "");
+    assert_eq!(status, 200);
+    shutdown(addr, handle);
+}
+
+#[test]
+fn keep_alive_reuses_one_connection_for_a_burst() {
+    let (addr, handle) = start_server(1, 2);
+    let mut conn = crate::client::Conn::open(addr).expect("connect");
+    for _ in 0..5 {
+        let (status, resp) = conn
+            .request("GET", "/healthz", "")
+            .expect("keep-alive request");
+        assert_eq!(status, 200, "{resp:?}");
+    }
+    let (status, stats) = conn.request("GET", "/stats", "").expect("stats");
+    assert_eq!(status, 200);
+    let http = stats.get("http").expect("http stats");
+    assert_eq!(as_u64(http.get("requests")), 6, "{stats:?}");
+    assert_eq!(
+        as_u64(http.get("connections")),
+        1,
+        "one connection served all requests"
+    );
+    drop(conn);
+    shutdown(addr, handle);
+}
+
+#[test]
+fn metrics_and_trace_endpoints_expose_observability() {
+    let (addr, handle) = start_server(2, 2);
+    let (status, _) = request(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+
+    // /metrics is a Prometheus text exposition carrying the HTTP
+    // counters and the request-latency histogram series.
+    let (status, text) = crate::client::request_text(addr, "GET", "/metrics", "").expect("get");
+    assert_eq!(status, 200);
+    assert!(
+        text.contains("# TYPE ftn_http_requests_total counter"),
+        "{text}"
+    );
+    assert!(text.contains("ftn_http_request_seconds_count"), "{text}");
+    assert!(text.contains("ftn_uptime_seconds"), "{text}");
+    for line in text.lines() {
+        // `series value` pairs, optionally with an OpenMetrics exemplar
+        // suffix: `... # {trace_id="..",span_id=".."} value timestamp`.
+        let (series, exemplar) = match line.split_once(" # ") {
+            Some((s, e)) => (s, Some(e)),
+            None => (line, None),
+        };
+        assert!(
+            line.starts_with('#') || series.split_whitespace().count() == 2,
+            "malformed exposition line: {line}"
+        );
+        if let Some(ex) = exemplar {
+            assert!(
+                ex.starts_with("{trace_id=") && ex.split_whitespace().count() == 3,
+                "malformed exemplar: {line}"
+            );
+        }
+    }
+
+    // /trace serves a Chrome trace-event document (valid JSON with a
+    // traceEvents array); bad or inverted windows are rejected.
+    let (status, body) = crate::client::request_text(addr, "GET", "/trace", "").expect("get");
+    assert_eq!(status, 200);
+    let doc = serde_json::value_from_str(&body).expect("valid JSON");
+    assert!(
+        matches!(doc.get("traceEvents"), Some(Value::Arr(_))),
+        "{body}"
+    );
+    let (status, _) =
+        crate::client::request_text(addr, "GET", "/trace?since=bogus", "").expect("get");
+    assert_eq!(status, 400);
+    let (status, _) =
+        crate::client::request_text(addr, "GET", "/trace?until=bogus", "").expect("get");
+    assert_eq!(status, 400);
+    let (status, _) =
+        crate::client::request_text(addr, "GET", "/trace?since=5&until=2", "").expect("get");
+    assert_eq!(status, 400);
+    let (status, body) =
+        crate::client::request_text(addr, "GET", "/trace?since=0&until=1", "").expect("get");
+    assert_eq!(status, 200, "{body}");
+
+    // /metrics/range serves scraped history once the background scraper
+    // (100 ms default cadence) has completed a pass; unknown series are
+    // 404, inverted windows 400.
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let series = loop {
+        let (status, body) = crate::client::request_text(
+            addr,
+            "GET",
+            "/metrics/range?name=ftn_http_requests_total",
+            "",
+        )
+        .expect("get");
+        if status == 200 {
+            break serde_json::value_from_str(&body).expect("valid JSON");
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "scraper never populated the store"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(20));
+    };
+    let Some(Value::Arr(points)) = series.get("points") else {
+        panic!("no points array in {series:?}");
+    };
+    assert!(!points.is_empty());
+    assert!(as_u64(points[0].get("nanos")) > 0, "{series:?}");
+    let _counter_value = as_u64(points[0].get("value"));
+    let (status, _) =
+        crate::client::request_text(addr, "GET", "/metrics/range?name=nonexistent", "")
+            .expect("get");
+    assert_eq!(status, 404);
+    let (status, _) = crate::client::request_text(
+        addr,
+        "GET",
+        "/metrics/range?name=ftn_http_requests_total&since=5&until=2",
+        "",
+    )
+    .expect("get");
+    assert_eq!(status, 400);
+    // Bare /metrics/range is the discovery index: every retained series
+    // with its kind, point count and covered window.
+    let (status, index) = request(addr, "GET", "/metrics/range", "");
+    assert_eq!(status, 200, "bare range is the series index");
+    let Some(Value::Arr(listed)) = index.get("series") else {
+        panic!("no series array in {index:?}");
+    };
+    let requests_row = listed
+        .iter()
+        .find(|s| api::get_opt_str(s, "name") == Some("ftn_http_requests_total"))
+        .expect("index lists the scraped request counter");
+    assert_eq!(api::get_opt_str(requests_row, "kind"), Some("counter"));
+    assert!(as_u64(requests_row.get("points")) >= 1);
+    assert!(as_u64(requests_row.get("last_nanos")) >= as_u64(requests_row.get("first_nanos")));
+
+    // /alerts lists the default SLOs, all quiet on a healthy server.
+    let (status, alerts) = request(addr, "GET", "/alerts", "");
+    assert_eq!(status, 200);
+    let Some(Value::Arr(list)) = alerts.get("alerts") else {
+        panic!("no alerts array in {alerts:?}");
+    };
+    assert_eq!(list.len(), 2, "{alerts:?}");
+    for alert in list {
+        assert!(
+            matches!(alert.get("state"), Some(Value::Str(s)) if s == "ok"),
+            "{alert:?}"
+        );
+    }
+
+    // /healthz reports the readiness shape with the legacy `ok` field.
+    let (status, health) = request(addr, "GET", "/healthz", "");
+    assert_eq!(status, 200);
+    assert_eq!(health.get("ok"), Some(&Value::Bool(true)));
+    assert!(
+        matches!(health.get("status"), Some(Value::Str(s)) if s == "ok"),
+        "{health:?}"
+    );
+
+    // /stats keeps its shape and now reports uptime + queue depths.
+    let (_, stats) = request(addr, "GET", "/stats", "");
+    assert!(
+        matches!(stats.get("uptime_seconds"), Some(Value::Float(f)) if *f >= 0.0),
+        "{stats:?}"
+    );
+    shutdown(addr, handle);
+}
+
+#[test]
+fn failed_requests_do_not_leak_pool_memory() {
+    let (addr, handle) = start_server(2, 2);
+    let key = compile_key(addr);
+    let data: Vec<f32> = vec![1.0; 64];
+
+    // /run whose later argument is invalid: the first array was already
+    // allocated and must be released on the 400 path.
+    let bad_run = serde_json::to_string(&api::obj(vec![
+        ("key", Value::Str(key.clone())),
+        ("func", Value::Str("saxpy".into())),
+        (
+            "args",
+            Value::Arr(vec![
+                api::obj(vec![("array_f32", data.to_value())]),
+                api::obj(vec![("array", Value::Str("x".into()))]),
+            ]),
+        ),
+    ]))
+    .unwrap();
+    // /sessions whose second map is invalid, and one whose kind/partition
+    // combination the cluster rejects (replicated must be map(to:)).
+    let bad_open = serde_json::to_string(&api::obj(vec![
+        ("key", Value::Str(key.clone())),
+        (
+            "maps",
+            Value::Arr(vec![
+                api::obj(vec![
+                    ("name", Value::Str("x".into())),
+                    ("kind", Value::Str("to".into())),
+                    ("data", data.to_value()),
+                ]),
+                api::obj(vec![
+                    ("name", Value::Str("y".into())),
+                    ("kind", Value::Str("tofrom".into())),
+                    ("partition", Value::Str("bogus".into())),
+                    ("data", data.to_value()),
+                ]),
+            ]),
+        ),
+    ]))
+    .unwrap();
+    let bad_combo = serde_json::to_string(&api::obj(vec![
+        ("key", Value::Str(key.clone())),
+        ("shards", Value::Int(2)),
+        (
+            "maps",
+            Value::Arr(vec![api::obj(vec![
+                ("name", Value::Str("x".into())),
+                ("kind", Value::Str("tofrom".into())),
+                ("partition", Value::Str("replicated".into())),
+                ("data", data.to_value()),
+            ])]),
+        ),
+    ]))
+    .unwrap();
+    for body in [&bad_run, &bad_open, &bad_combo] {
+        let path = if body == &bad_run {
+            "/run"
+        } else {
+            "/sessions"
+        };
+        let (status, resp) = request(addr, "POST", path, body);
+        assert_eq!(status, 400, "{resp:?}");
+    }
+
+    let (_, stats) = request(addr, "GET", "/stats", "");
+    let Some(Value::Arr(pools)) = stats.get("pools") else {
+        panic!("no pools in {stats:?}");
+    };
+    let ps = pools
+        .first()
+        .expect("one pool")
+        .get("stats")
+        .expect("stats");
+    assert_eq!(
+        as_u64(ps.get("host_buffers")),
+        0,
+        "failed requests must release everything they allocated: {stats:?}"
+    );
+    shutdown(addr, handle);
+}
+
+#[test]
+fn sustained_run_traffic_keeps_pool_memory_flat() {
+    let (addr, handle) = start_server(1, 2);
+    let key = compile_key(addr);
+    let n = 64usize;
+    let x = vec![1.0f32; n];
+    let y = vec![0.5f32; n];
+    let run_body = serde_json::to_string(&api::obj(vec![
+        ("key", Value::Str(key.clone())),
+        ("func", Value::Str("saxpy".into())),
+        (
+            "args",
+            Value::Arr(vec![
+                api::obj(vec![("i32", Value::Int(n as i64))]),
+                api::obj(vec![("f32", Value::Float(2.0))]),
+                api::obj(vec![("array_f32", x.to_value())]),
+                api::obj(vec![("array_f32", y.to_value())]),
+            ]),
+        ),
+    ]))
+    .unwrap();
+
+    let host_buffers = |addr| {
+        let (_, stats) = request(addr, "GET", "/stats", "");
+        let Some(Value::Arr(pools)) = stats.get("pools") else {
+            panic!("no pools in {stats:?}");
+        };
+        let pool = pools.first().expect("one pool");
+        let ps = pool.get("stats").expect("pool stats");
+        (as_u64(ps.get("host_buffers")), as_u64(ps.get("host_bytes")))
+    };
+
+    let mut conn = crate::client::Conn::open(addr).expect("connect");
+    for _ in 0..5 {
+        let (status, _) = conn.request("POST", "/run", &run_body).expect("run");
+        assert_eq!(status, 200);
+    }
+    let settled = host_buffers(addr);
+    assert_eq!(settled.0, 0, "request arrays are freed after /run");
+    for _ in 0..20 {
+        let (status, _) = conn.request("POST", "/run", &run_body).expect("run");
+        assert_eq!(status, 200);
+    }
+    let after = host_buffers(addr);
+    assert_eq!(
+        settled, after,
+        "pool host memory must stay flat under sustained /run traffic"
+    );
+    drop(conn);
+    shutdown(addr, handle);
+}
+
+/// However many requests need a program's pool at once, the program gets
+/// one pool, built from one image load.
+#[test]
+fn one_pool_per_program_under_a_race() {
+    const CLIENTS: usize = 8;
+    let (addr, handle) = start_server(2, CLIENTS);
+    let key = compile_key(addr);
+
+    // Eight first `POST /sessions` for the freshly compiled key, released
+    // together: every one of them finds no pool and wants to build it.
+    let open = format!(
+        r#"{{"key": "{key}", "maps": [{{"name": "x", "kind": "to", "data": [1, 2, 3, 4]}}]}}"#
+    );
+    let barrier = std::sync::Arc::new(std::sync::Barrier::new(CLIENTS));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|_| {
+            let (open, barrier) = (open.clone(), barrier.clone());
+            std::thread::spawn(move || {
+                let mut conn = crate::client::Conn::open(addr).expect("connect");
+                barrier.wait();
+                conn.request("POST", "/sessions", &open).expect("open")
+            })
+        })
+        .collect();
+    for c in clients {
+        let (status, opened) = c.join().expect("client thread");
+        assert_eq!(status, 200, "{opened:?}");
+    }
+
+    let (_, stats) = request(addr, "GET", "/stats", "");
+    let Some(Value::Arr(pools)) = stats.get("pools") else {
+        panic!("no pools in {stats:?}");
+    };
+    let mine: Vec<&Value> = pools
+        .iter()
+        .filter(|p| api::get_opt_str(p, "key") == Some(key.as_str()))
+        .collect();
+    assert_eq!(mine.len(), 1, "exactly one pool for the key: {stats:?}");
+    assert_eq!(as_u64(mine[0].get("open_sessions")), CLIENTS as u64);
+    assert_eq!(as_u64(stats.get("sessions_open")), CLIENTS as u64);
+    let image_cache = stats.get("image_cache").expect("image_cache");
+    assert_eq!(as_u64(image_cache.get("misses")), 1, "{stats:?}");
+    assert_eq!(as_u64(image_cache.get("hits")), 0, "one build: {stats:?}");
+    shutdown(addr, handle);
+}

@@ -15,6 +15,8 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 
+use serde::Serialize;
+
 use crate::lock;
 use crate::metrics::{MetricValue, MetricsRegistry};
 
@@ -52,7 +54,7 @@ pub enum PointValue {
 
 /// One row of the series index ([`TimeSeriesStore::index`]) — the discovery
 /// payload `GET /metrics/range` returns when no `name=` is given.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SeriesInfo {
     /// The series (metric) name.
     pub name: String,
