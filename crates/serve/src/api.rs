@@ -3,12 +3,32 @@
 //! they are small heterogeneous objects (named arrays next to typed
 //! scalars) that a derive cannot express; responses use derived
 //! `Serialize` where the shape is regular.
+//!
+//! Invariants every change here must keep:
+//!
+//! * **Number arrays leave the tree at the scanner.** `POST /run` and
+//!   `POST /sessions` decode through [`run_body`] / [`open_body`]: a walk of
+//!   [`serde_json::Scanner`] that builds the `Value` tree of the small fields
+//!   and scans `args[i].array_f32` / `args[i].array_i32` / `maps[i].data`
+//!   straight into a `Vec` — never a `Value` per element. A lifted array
+//!   leaves `null` behind in the tree and is handed over by index.
+//! * **Lifting changes no answer.** The whole body is scanned (a syntax error
+//!   anywhere is still the first thing reported) before any field is
+//!   validated, and the handlers validate in the order they always did. An
+//!   array the scan cannot take whole — an element that is not a number, an
+//!   integer out of range — stays in the tree, where [`f32_slice`] /
+//!   [`i32_slice`] report it at the point they always did. Only the first
+//!   field of a liftable name is a candidate, as [`Value::get`] reads the
+//!   first.
+//! * **No integer wraps.** An integer argument its kind cannot hold is a 400
+//!   naming the kind, never a truncated value.
 
 use ftn_cluster::ShardArg;
 use ftn_fpga::Bitstream;
 use ftn_interp::RtValue;
 use ftn_mlir::Ir;
 use serde::Value;
+use serde_json::{Error, Scanner};
 
 /// Parse a request body as a JSON object.
 pub fn parse_body(body: &str) -> Result<Value, String> {
@@ -16,6 +36,96 @@ pub fn parse_body(body: &str) -> Result<Value, String> {
         return Ok(Value::Obj(vec![]));
     }
     serde_json::value_from_str(body).map_err(|e| format!("invalid JSON body: {e}"))
+}
+
+/// A request body with the number arrays of one of its lists lifted out.
+pub struct Body {
+    /// The body as [`parse_body`] reads it, `null` where an array was lifted.
+    pub fields: Value,
+    /// Per element of the list: the array lifted out of it, if one was.
+    pub arrays: Vec<Option<ArgSpec>>,
+}
+
+/// A typed array scan of the [`Scanner`], wrapped as what a handler takes.
+type ArrayScan = fn(&mut Scanner) -> Option<ArgSpec>;
+
+fn scan_f32(scanner: &mut Scanner) -> Option<ArgSpec> {
+    scanner.f32_array().map(ArgSpec::ArrayF32)
+}
+
+fn scan_i32(scanner: &mut Scanner) -> Option<ArgSpec> {
+    scanner.i32_array().map(ArgSpec::ArrayI32)
+}
+
+/// A `POST /sessions` body, each `maps[i].data` lifted as an
+/// [`ArgSpec::ArrayF32`].
+pub fn open_body(body: &str) -> Result<Body, String> {
+    lift(body, "maps", &[("data", scan_f32)])
+}
+
+/// A `POST /run` body, each `args[i].array_f32` / `args[i].array_i32` lifted.
+pub fn run_body(body: &str) -> Result<Body, String> {
+    lift(
+        body,
+        "args",
+        &[("array_f32", scan_f32), ("array_i32", scan_i32)],
+    )
+}
+
+/// The object that starts here with each field's value read by `field`, or
+/// whatever else starts here as a tree.
+fn object(
+    scanner: &mut Scanner,
+    mut field: impl FnMut(&mut Scanner, &str) -> Result<Value, Error>,
+) -> Result<Value, Error> {
+    if !scanner.enter_object()? {
+        return scanner.value();
+    }
+    let mut fields = Vec::new();
+    while let Some(key) = scanner.next_key()? {
+        let value = field(scanner, &key)?;
+        fields.push((key, value));
+    }
+    Ok(Value::Obj(fields))
+}
+
+/// Decode `body`, lifting out of each object in its top-level array `list`
+/// the first field named in `keys`, when that field's scan takes it.
+fn lift(body: &str, list: &str, keys: &[(&str, ArrayScan)]) -> Result<Body, String> {
+    let mut arrays = Vec::new();
+    if body.trim().is_empty() {
+        let fields = Value::Obj(vec![]);
+        return Ok(Body { fields, arrays });
+    }
+    let mut scanner = Scanner::new(body);
+    let mut list_seen = false;
+    let fields = object(&mut scanner, |scanner, key| {
+        let first = key == list && !list_seen;
+        list_seen |= first;
+        if !first || !scanner.enter_array()? {
+            return scanner.value();
+        }
+        let mut items = Vec::new();
+        while scanner.next_element()? {
+            let (mut lifted, mut tried) = (None, false);
+            items.push(object(scanner, |scanner, key| {
+                if let Some((_, scan)) = keys.iter().find(|(k, _)| !tried && *k == key) {
+                    tried = true;
+                    lifted = scan(scanner);
+                    if lifted.is_some() {
+                        return Ok(Value::Null);
+                    }
+                }
+                scanner.value()
+            })?);
+            arrays.push(lifted);
+        }
+        Ok(Value::Arr(items))
+    });
+    let fields = fields
+        .and_then(|fields| scanner.finish().map(|()| fields))
+        .map_err(|e| format!("invalid JSON body: {e}"))?;
+    Ok(Body { fields, arrays })
 }
 
 pub fn get_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
@@ -57,13 +167,26 @@ fn number_f64(v: &Value) -> Result<f64, String> {
     }
 }
 
-fn number_i64(v: &Value) -> Result<i64, String> {
+/// The integer `v` spells (`2.0` counts), if an `i64` holds it; `what`
+/// names the argument in the out-of-range message.
+fn number_i64(v: &Value, what: &str) -> Result<i64, String> {
+    let out_of_range = || format!("{what} out of range");
     match v {
         Value::Int(i) => Ok(*i),
-        Value::UInt(u) => Ok(*u as i64),
-        Value::Float(f) if f.fract() == 0.0 => Ok(*f as i64),
+        Value::UInt(u) => i64::try_from(*u).map_err(|_| out_of_range()),
+        // `as` saturates, and -2^63 and 2^63 (the nearest f64 to `i64::MAX`)
+        // bound exactly the floats an i64 holds.
+        Value::Float(f) if f.fract() == 0.0 => {
+            let holds = (i64::MIN as f64..i64::MAX as f64).contains(f);
+            holds.then_some(*f as i64).ok_or_else(out_of_range)
+        }
         _ => Err("expected an integer".to_string()),
     }
+}
+
+fn number_i32(v: &Value, what: &str) -> Result<i32, String> {
+    let wide = number_i64(v, what)?;
+    i32::try_from(wide).map_err(|_| format!("{what} out of range"))
 }
 
 pub fn f32_slice(items: &[Value]) -> Result<Vec<f32>, String> {
@@ -76,8 +199,17 @@ pub fn f32_slice(items: &[Value]) -> Result<Vec<f32>, String> {
 pub fn i32_slice(items: &[Value]) -> Result<Vec<i32>, String> {
     items
         .iter()
-        .map(|v| number_i64(v).map(|f| f as i32))
+        .map(|v| number_i32(v, "'array_i32' element"))
         .collect()
+}
+
+/// The `data` of one `maps` element: the array [`open_body`] lifted out of
+/// it, or what the tree holds (and whatever is wrong with that).
+pub fn map_data(map: &Value, lifted: Option<ArgSpec>) -> Result<Vec<f32>, String> {
+    match lifted {
+        Some(ArgSpec::ArrayF32(data)) => Ok(data),
+        _ => f32_slice(get_arr(map, "data")?),
+    }
 }
 
 /// One decoded launch/run argument, in the form its handler passes on.
@@ -98,14 +230,19 @@ pub enum ArgSpec {
 /// Decode one argument object: `{"array": "x"}`, `{"extent": "x"}`,
 /// `{"extent_offset": {"array": "x", "offset": -1}}`,
 /// `{"array_f32": [...]}`, `{"array_i32": [...]}`, `{"f32": 2.0}`,
-/// `{"f64": 2.0}`, `{"i32": 5}`, `{"i64": 5}` or `{"index": 5}`.
-pub fn parse_arg(v: &Value) -> Result<ArgSpec, String> {
+/// `{"f64": 2.0}`, `{"i32": 5}`, `{"i64": 5}` or `{"index": 5}`. `lifted` is
+/// the array [`run_body`] took out of this argument, if it did.
+pub fn parse_arg(v: &Value, lifted: Option<ArgSpec>) -> Result<ArgSpec, String> {
     let Value::Obj(fields) = v else {
         return Err("argument must be an object like {\"f32\": 2.0}".to_string());
     };
     let [(key, value)] = fields.as_slice() else {
         return Err("argument object must have exactly one field".to_string());
     };
+    // With one field, the lifted array was that field's whole, valid value.
+    if let Some(array) = lifted {
+        return Ok(array);
+    }
     let scalar = |v: RtValue| Ok(ArgSpec::Shard(ShardArg::Scalar(v)));
     match key.as_str() {
         "array" => match value {
@@ -119,7 +256,7 @@ pub fn parse_arg(v: &Value) -> Result<ArgSpec, String> {
         "extent_offset" => match (value.get("array"), value.get("offset")) {
             (Some(Value::Str(s)), Some(off)) => Ok(ArgSpec::Shard(ShardArg::ExtentOffset(
                 s.clone(),
-                number_i64(off)?,
+                number_i64(off, "'extent_offset'")?,
             ))),
             _ => Err("'extent_offset' must be {\"array\": name, \"offset\": int}".to_string()),
         },
@@ -133,9 +270,9 @@ pub fn parse_arg(v: &Value) -> Result<ArgSpec, String> {
         },
         "f32" => scalar(RtValue::F32(number_f64(value)? as f32)),
         "f64" => scalar(RtValue::F64(number_f64(value)?)),
-        "i32" => scalar(RtValue::I32(number_i64(value)? as i32)),
-        "i64" => scalar(RtValue::I64(number_i64(value)?)),
-        "index" => scalar(RtValue::Index(number_i64(value)?)),
+        "i32" => scalar(RtValue::I32(number_i32(value, "'i32'")?)),
+        "i64" => scalar(RtValue::I64(number_i64(value, "'i64'")?)),
+        "index" => scalar(RtValue::Index(number_i64(value, "'index'")?)),
         other => Err(format!("unknown argument kind '{other}'")),
     }
 }

@@ -120,5 +120,8 @@ fn round_trip_text(
         .ok_or_else(|| {
             std::io::Error::new(std::io::ErrorKind::InvalidData, "malformed status line")
         })?;
-    Ok((status, String::from_utf8_lossy(&reply.body).into_owned()))
+    // The body is owned: take it, and copy only to replace invalid UTF-8.
+    let text = String::from_utf8(reply.body)
+        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+    Ok((status, text))
 }

@@ -70,7 +70,8 @@ pub(crate) struct ServeSession {
 
 impl ServeState {
     pub(crate) fn open_session(&self, body: &str) -> Result<Value, HandlerError> {
-        let v = api::parse_body(body).map_err(bad_request)?;
+        let api::Body { fields: v, arrays } = api::open_body(body).map_err(bad_request)?;
+        let mut lifted = arrays.into_iter();
         let key = api::get_str(&v, "key").map_err(bad_request)?;
         let maps = api::get_arr(&v, "maps").map_err(bad_request)?;
         if maps.is_empty() {
@@ -138,8 +139,7 @@ impl ServeState {
                 })?,
                 None => Partition::Split { halo },
             };
-            let data = api::get_arr(m, "data").map_err(bad_request)?;
-            let data = api::f32_slice(data).map_err(bad_request)?;
+            let data = api::map_data(m, lifted.next().flatten()).map_err(bad_request)?;
             parsed.push((name, data, kind, partition));
         }
 
@@ -210,7 +210,7 @@ impl ServeState {
         let (gate, sid) = self.session(session)?;
         let mut args = Vec::with_capacity(arg_values.len());
         for a in arg_values {
-            let ArgSpec::Shard(arg) = api::parse_arg(a).map_err(bad_request)? else {
+            let ArgSpec::Shard(arg) = api::parse_arg(a, None).map_err(bad_request)? else {
                 return Err(bad_request(
                     "inline arrays are not allowed in session launches; map them at open",
                 ));
@@ -337,6 +337,7 @@ impl ServeState {
         let mut fields = session_reply(session, &report.devices);
         fields.push(("stats", report.stats.to_value()));
         Ok(Reply::object_with_tail(fields, "arrays", |out| {
+            reserve_for(out, arrays.iter().map(|(_, buffer)| buffer));
             append_seq(out, ('{', '}'), &arrays, |out, (name, buffer)| {
                 serde_json::append(out, *name);
                 out.push_str(": ");
@@ -346,14 +347,17 @@ impl ServeState {
     }
 
     pub(crate) fn run_program(&self, body: &str) -> Result<Reply, HandlerError> {
-        let v = api::parse_body(body).map_err(bad_request)?;
+        let api::Body { fields: v, arrays } = api::run_body(body).map_err(bad_request)?;
         let key = api::get_str(&v, "key").map_err(bad_request)?;
         let func = api::get_str(&v, "func").map_err(bad_request)?;
         let arg_values = api::get_arr(&v, "args").map_err(bad_request)?;
         let pool = self.pool_for(key)?;
         // Decode every argument before allocating anything: the machine
         // lock is not held while megabytes of JSON numbers are converted.
-        let specs: Result<Vec<ArgSpec>, String> = arg_values.iter().map(api::parse_arg).collect();
+        let mut lifted = arrays.into_iter();
+        let specs: Result<Vec<ArgSpec>, String> = (arg_values.iter())
+            .map(|a| api::parse_arg(a, lifted.next().flatten()))
+            .collect();
         let specs = specs.map_err(bad_request)?;
         let mut owned = OwnedArrays::new(Arc::clone(&pool));
         let handle = {
@@ -390,6 +394,7 @@ impl ServeState {
             ("stats", report.report.stats.to_value()),
         ];
         Ok(Reply::object_with_tail(fields, "arrays", |out| {
+            reserve_for(out, arrays.iter());
             append_seq(out, ('[', ']'), &arrays, append_buffer)
         }))
     }
@@ -438,6 +443,13 @@ fn append_seq<T>(
         each(out, item);
     }
     out.push(close);
+}
+
+/// Make room for `buffers` as [`append_buffer`] prints them, so the reply
+/// grows once instead of doubling its way up: a widened f32 prints as up to
+/// 17 digits, a sign, a point and a comma.
+fn reserve_for<'a>(out: &mut String, buffers: impl Iterator<Item = &'a Buffer>) {
+    out.reserve(20 * buffers.map(Buffer::len).sum::<usize>());
 }
 
 /// Append a buffer's elements as one JSON array, straight from the slice.

@@ -986,3 +986,89 @@ fn one_pool_per_program_under_a_race() {
     assert_eq!(as_u64(image_cache.get("hits")), 0, "one build: {stats:?}");
     shutdown(addr, handle);
 }
+
+/// An integer its argument kind cannot hold is a 400 naming the kind — on
+/// the scalar kinds, on `array_i32` elements (whichever decode reads them)
+/// and on a session launch — never a wrapped value; integers written as
+/// floats (`64.0`) stay accepted.
+#[test]
+fn out_of_range_integers_are_rejected_not_wrapped() {
+    let (addr, handle) = start_server(1, 2);
+    let key = compile_key(addr);
+    let run = |args: &str| {
+        let body = format!(r#"{{"key": "{key}", "func": "saxpy", "args": [{args}]}}"#);
+        let (status, reply) = request(addr, "POST", "/run", &body);
+        (status, reply.get("error").cloned())
+    };
+    let rejected = |msg: &str| (400, Some(Value::Str(msg.to_string())));
+    for (arg, msg) in [
+        (r#"{"i32": 4294967297}"#, "'i32' out of range"),
+        (r#"{"i32": -2147483649}"#, "'i32' out of range"),
+        (r#"{"i32": 1e300}"#, "'i32' out of range"),
+        (r#"{"i32": 18446744073709551615}"#, "'i32' out of range"),
+        (r#"{"i64": 9223372036854775808}"#, "'i64' out of range"),
+        (r#"{"i64": -1e19}"#, "'i64' out of range"),
+        (r#"{"index": 18446744073709551615}"#, "'index' out of range"),
+        (
+            r#"{"index": 9223372036854775808.0}"#,
+            "'index' out of range",
+        ),
+        (
+            r#"{"array_i32": [1, 4294967297]}"#,
+            "'array_i32' element out of range",
+        ),
+        (
+            r#"{"array_i32": [1, 2, 1e300]}"#,
+            "'array_i32' element out of range",
+        ),
+        (r#"{"array_i32": ["x", 4294967297]}"#, "expected an integer"),
+        (r#"{"array_i32": [1.5]}"#, "expected an integer"),
+        (r#"{"i32": 1.5}"#, "expected an integer"),
+    ] {
+        assert_eq!(run(arg), rejected(msg), "{arg}");
+        // The same argument behind valid ones: still the first error.
+        let after = format!(r#"{{"f32": 2.0}}, {{"array_f32": [1, 2]}}, {arg}"#);
+        assert_eq!(run(&after), rejected(msg), "{arg}");
+    }
+    // The largest and smallest values each kind holds parse; what the
+    // program makes of a stray argument is its own (later) 400.
+    for arg in [
+        r#"{"i32": 2147483647}"#,
+        r#"{"i32": -2147483648.0}"#,
+        r#"{"i64": 9223372036854775807}"#,
+        r#"{"i64": -9223372036854775808}"#,
+        r#"{"array_i32": [2147483647, -2147483648, 2.0, -0.0]}"#,
+    ] {
+        let (status, error) = run(arg);
+        let Some(Value::Str(msg)) = &error else {
+            panic!("{arg}: {status} {error:?}");
+        };
+        assert!(!msg.contains("range") && !msg.contains("integer"), "{msg}");
+    }
+    let ok =
+        r#"{"i32": 4.0}, {"f32": 2}, {"array_f32": [1, 2, 3, 4]}, {"array_f32": [1, 1, 1, 1]}"#;
+    let body = format!(r#"{{"key": "{key}", "func": "saxpy", "args": [{ok}]}}"#);
+    let (status, reply) = request(addr, "POST", "/run", &body);
+    assert_eq!(status, 200, "{reply:?}");
+    let Some(Value::Arr(arrays)) = reply.get("arrays") else {
+        panic!("no arrays in {reply:?}");
+    };
+    assert_eq!(arrays[1], [3.0f32, 5.0, 7.0, 9.0].to_value());
+
+    let open = format!(
+        r#"{{"key": "{key}", "maps": [{{"name": "x", "kind": "tofrom", "data": [1, 2]}}]}}"#
+    );
+    let (status, opened) = request(addr, "POST", "/sessions", &open);
+    assert_eq!(status, 200, "{opened:?}");
+    let sid = as_u64(opened.get("session"));
+    let launch = r#"{"kernel": "saxpy_kernel0", "args": [{"array": "x"}, {"index": 1e19}]}"#;
+    let (status, reply) = request(addr, "POST", &format!("/sessions/{sid}/launch"), launch);
+    let error = reply.get("error").cloned();
+    assert_eq!((status, error), rejected("'index' out of range"));
+    let offset = r#"{"kernel": "saxpy_kernel0", "args": [
+        {"extent_offset": {"array": "x", "offset": 9223372036854775808}}]}"#;
+    let (status, reply) = request(addr, "POST", &format!("/sessions/{sid}/launch"), offset);
+    let error = reply.get("error").cloned();
+    assert_eq!((status, error), rejected("'extent_offset' out of range"));
+    shutdown(addr, handle);
+}
