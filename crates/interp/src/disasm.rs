@@ -8,7 +8,8 @@ use crate::program::{Function, Instr, Program, SlotRange};
 impl Program {
     /// One line per instruction of function `func` as `  <pc>  <text>`,
     /// after a header line; empty for an unknown function. A loop line ends
-    /// in `body=[a,b)`, the half-open range of its body's positions, and an
+    /// in `body=[a,b)`, the half-open range of its body's positions — after
+    /// the word `strip` when its iterations may run in strips — and an
     /// `if` line in `then=[a,b) else=[b,c)`.
     #[doc(hidden)]
     pub fn disassemble(&self, func: &str) -> String {
@@ -81,7 +82,7 @@ fn line(f: &Function, pc: usize, instr: &Instr) -> String {
         Instr::Loop(i) => {
             let l = &f.loops[i as usize];
             format!(
-                "loop {} %{} = %{} {} %{} step %{} carries {} body=[{},{})",
+                "loop {} %{} = %{} {} %{} step %{} carries {}{} body=[{},{})",
                 l.name,
                 l.iv,
                 l.lb,
@@ -89,6 +90,7 @@ fn line(f: &Function, pc: usize, instr: &Instr) -> String {
                 l.ub,
                 l.step,
                 l.results.len,
+                if l.strip.is_some() { " strip" } else { "" },
                 pc + 1,
                 l.end
             )

@@ -32,6 +32,19 @@
 //! back-edges are taken inside the loop, and only the handful of
 //! instructions a kernel body is made of are decoded in it.
 //!
+//! An innermost loop that carries no values and whose body is only those
+//! instructions runs in **strips**: at loop entry, up to 512 iterations at a
+//! time execute one instruction across all of them — operand kinds read once
+//! per strip, loop-invariant operands held as one value, addresses as
+//! `base + lane * stride`, floats as lane arrays, stores deferred. A strip
+//! either commits exactly what its iterations would have done (memory,
+//! frame, step count, trip count) or is abandoned before its first write,
+//! and the run loop carries on from that iteration: every error still comes
+//! from the scalar path, at the iteration and with the partial writes an
+//! op-by-op interpreter would show. `strip.rs` opens with the three rules
+//! (all or nothing; no lane observes another lane's store; budget and
+//! trips).
+//!
 //! Lowering happens where a module becomes long-lived:
 //! `ftn_fpga::ExecutorImage` lowers every kernel of a bitstream,
 //! `ftn_core::HostProgram` lowers the host module, and both run the
@@ -65,6 +78,7 @@ pub mod interp;
 mod lower;
 pub mod memory;
 mod program;
+mod strip;
 pub mod value;
 
 pub use error::InterpError;

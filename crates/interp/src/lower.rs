@@ -30,6 +30,7 @@ use crate::program::{
     scalar_cell, tag, Alloc, CmpFPred, CmpIPred, ConvKind, Fallback, FloatOp, Function, Hook, If,
     Instr, IntOp, Loop, Program, Slot, SlotRange,
 };
+use crate::strip;
 use crate::value::RtValue;
 
 impl Program {
@@ -236,6 +237,7 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
             None => this.trap(format!("function '{name}' has no body")),
         }
         fuse::fuse(&mut this.f, &this.facts);
+        strip::plan(&mut this.f);
         this.f
     }
 
@@ -706,6 +708,7 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
             results: self.range(&results),
             body_ops: 0,
             end: 0,
+            strip: None,
         };
         let yields = lowered.yields;
         self.f.loops.push(lowered);

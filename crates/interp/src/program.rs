@@ -20,6 +20,7 @@ use ftn_mlir::{Ir, OpId};
 use crate::error::InterpError;
 use crate::interp::{DialectHooks, Observer};
 use crate::memory::{Buffer, Memory};
+use crate::strip::{self, Strips};
 use crate::value::{MemRefVal, RtValue};
 
 /// Index of a value in a function's frame.
@@ -274,6 +275,19 @@ pub(crate) struct Loop {
     pub results: SlotRange,
     pub body_ops: u32,
     pub end: u32,
+    /// Set when the loop's iterations can run in strips (see `strip.rs`).
+    pub strip: Option<strip::Plan>,
+}
+
+impl Loop {
+    /// Whether the iteration at `iv` runs.
+    #[inline(always)]
+    pub(crate) fn runs(&self, iv: i64, ub: i64) -> bool {
+        match self.inclusive {
+            true => iv <= ub,
+            false => iv < ub,
+        }
+    }
 }
 
 /// `scf.if` / `fir.if`: then-code follows the instruction up to
@@ -380,6 +394,7 @@ impl Program {
             steps: 0,
             max_steps,
             spare: Vec::new(),
+            strips: Strips::default(),
         };
         run.call_on(func, args, &mut Frame::default())
     }
@@ -582,6 +597,7 @@ struct Run<'a> {
     max_steps: u64,
     /// Frames of finished calls, reused by the next call.
     spare: Vec<Frame>,
+    strips: Strips,
 }
 
 impl<'a> Run<'a> {
@@ -831,7 +847,7 @@ impl<'a> Run<'a> {
                         put!(r, cell!(y));
                     }
                     let (iv, trip) = (iv.wrapping_add(step), trip + 1);
-                    if if l.inclusive { iv <= ub } else { iv < ub } {
+                    if l.runs(iv, ub) {
                         self.charge(l.body_ops)?;
                         put!(l.iv, (tag::INDEX, iv as u64));
                         for (&a, &r) in f.range(l.args).iter().zip(results) {
@@ -984,15 +1000,30 @@ impl<'a> Run<'a> {
                 for (&r, &init) in results.iter().zip(f.range(l.inits)) {
                     cells.copy(r, init);
                 }
-                if !(if l.inclusive { lb <= ub } else { lb < ub }) {
-                    self.observer.loop_executed(self.ir, l.op, 0);
+                // Strips take what iterations they can; the rest, from the
+                // exact iteration, are the run loop's.
+                let (mut iv, mut trip) = (lb, 0);
+                if let Some(plan) = &l.strip {
+                    let caller = strip::Caller {
+                        tags: &mut *cells.tags,
+                        vals: &mut *cells.vals,
+                        mems: &*cells.mems,
+                        memory: &mut *self.memory,
+                        steps: &mut self.steps,
+                        max_steps: self.max_steps,
+                    };
+                    let body = &f.code[pc + 1..l.end as usize];
+                    (iv, trip) = self.strips.run(body, l, plan, caller, (lb, ub, step));
+                }
+                if !l.runs(iv, ub) {
+                    self.observer.loop_executed(self.ir, l.op, trip);
                     return Ok(Step::Jump {
                         pc: l.end as usize,
                         end,
                     });
                 }
                 self.charge(l.body_ops)?;
-                cells.put(l.iv, tag::INDEX, lb as u64);
+                cells.put(l.iv, tag::INDEX, iv as u64);
                 for (&a, &r) in f.range(l.args).iter().zip(results) {
                     cells.copy(a, r);
                 }
@@ -1000,10 +1031,10 @@ impl<'a> Run<'a> {
                     index: i,
                     body: pc as u32 + 1,
                     outer_end: end as u32,
-                    iv: lb,
+                    iv,
                     ub,
                     step,
-                    trip: 0,
+                    trip,
                 });
                 return Ok(Step::Jump {
                     pc: pc + 1,
@@ -1113,7 +1144,7 @@ impl<'a> Run<'a> {
 
 /// `RtValue::with_int`: payload `v` as the integer kind `t` holds it.
 #[inline(always)]
-fn wrap_int(t: u8, v: i64) -> u64 {
+pub(crate) fn wrap_int(t: u8, v: i64) -> u64 {
     match t {
         tag::I1 => (v != 0) as u64,
         tag::I32 => v as i32 as i64 as u64,
@@ -1122,7 +1153,7 @@ fn wrap_int(t: u8, v: i64) -> u64 {
 }
 
 #[inline(always)]
-fn as_float(t: u8, bits: u64) -> Option<f64> {
+pub(crate) fn as_float(t: u8, bits: u64) -> Option<f64> {
     match t {
         tag::F32 => Some(f32::from_bits(bits as u32) as f64),
         tag::F64 => Some(f64::from_bits(bits)),
@@ -1156,7 +1187,11 @@ fn int_binop_rare(op: IntOp, l: i64, r: i64) -> Result<i64, InterpError> {
 }
 
 #[inline(always)]
-fn float_binop(op: FloatOp, l: (u8, u64), r: (u8, u64)) -> Result<(u8, u64), InterpError> {
+pub(crate) fn float_binop(
+    op: FloatOp,
+    l: (u8, u64),
+    r: (u8, u64),
+) -> Result<(u8, u64), InterpError> {
     macro_rules! apply {
         ($a:expr, $b:expr) => {
             match op {
@@ -1198,7 +1233,7 @@ fn convert_int(v: i64, to: ConvKind) -> (u8, u64) {
 
 /// `None`: the source is no integer where one is required.
 #[inline(always)]
-fn convert(t: u8, bits: u64, to: ConvKind) -> Option<(u8, u64)> {
+pub(crate) fn convert(t: u8, bits: u64, to: ConvKind) -> Option<(u8, u64)> {
     if tag::is_int(t) {
         return Some(convert_int(bits as i64, to));
     }
@@ -1241,7 +1276,7 @@ fn linear_offset(m: &MemRefVal, cells: &Cells, idx: &[Slot]) -> Result<usize, In
 }
 
 #[inline(always)]
-fn load_buffer(buffer: &Buffer, off: usize) -> Result<(u8, u64), InterpError> {
+pub(crate) fn load_buffer(buffer: &Buffer, off: usize) -> Result<(u8, u64), InterpError> {
     macro_rules! at {
         ($v:expr, $t:expr, $bits:expr) => {
             match $v.get(off) {

@@ -1386,6 +1386,60 @@ fn numbered_and_fused_bodies_exhaust_the_step_budget_at_the_op_count() {
     }
 }
 
+/// The store is the body's second op of four: a budget that runs out in
+/// the middle of an iteration must not have performed it. Blocks are charged
+/// whole on entry, by both engines, so memory holds whole iterations only.
+const STORE_THEN_WORK: &str = r#"
+^bb0(%n: index, %m: memref<?xf32>):
+  %c0 = "arith.constant"() {value = 0 : index} : () -> index
+  %c1 = "arith.constant"() {value = 1 : index} : () -> index
+  %v = "arith.constant"() {value = 2.5e0 : f32} : () -> f32
+  "scf.for"(%c0, %n, %c1) ({
+  ^bb1(%i: index):
+    %j = "arith.addi"(%i, %c0) : (index, index) -> index
+    "memref.store"(%v, %m, %j) : (f32, memref<?xf32>, index) -> ()
+    %w = "arith.addf"(%v, %v) : (f32, f32) -> f32
+    "scf.yield"() : () -> ()
+  }) : (index, index, index) -> ()
+  "func.return"() : () -> ()
+"#;
+
+#[test]
+fn a_budget_that_runs_out_mid_iteration_leaves_whole_iterations_in_memory() {
+    let (ir, m) = module_of(&[("f", "(index, memref<?xf32>) -> ()", STORE_THEN_WORK)]);
+    // Entry block 5 ops, 4 per iteration. Trip counts on both sides of the
+    // strip minimum, so the budget also runs out between and inside strips.
+    for n in [3u64, 40, 700] {
+        for done in [0, 1, n / 2, n - 1] {
+            for into in 0..4 {
+                let budget = 5 + 4 * done + into;
+                let outcome = |engine| {
+                    let mut memory = Memory::new();
+                    let buffer = Buffer::F32(vec![0.0; n as usize]);
+                    let args = [
+                        RtValue::Index(n as i64),
+                        memref(&mut memory, buffer, &[n as i64]),
+                    ];
+                    run(engine, &ir, m, "f", &args, memory, &mut NoHooks, budget)
+                };
+                let (oracle, bytecode) = (outcome(Engine::Oracle), outcome(Engine::Bytecode));
+                let what = format!("n={n} budget={budget}");
+                assert_same(&oracle, &bytecode, &what);
+                assert_eq!(
+                    message(&bytecode),
+                    "interpreter step budget exhausted",
+                    "{what}"
+                );
+                let Buffer::F32(data) = bytecode.memory.get(BufferId(0)) else {
+                    unreachable!()
+                };
+                let stored = data.iter().filter(|&&x| x == 2.5).count() as u64;
+                assert_eq!(stored, done, "{what}: stores performed");
+            }
+        }
+    }
+}
+
 /// A search over a triangle that returns from inside the inner loop's `if`:
 /// the loops it leaves are never reported, the ones it finished are.
 const SEARCH: &str = r#"
@@ -1491,6 +1545,427 @@ fn loops_yield_values_that_were_numbered_away() {
                 ],
                 "{func} n={n}"
             );
+        }
+    }
+}
+
+// ---- strips: a planned loop against the oracle --------------------------------------------
+
+/// `ftn-interp`'s strip width and minimum (`strip.rs`), which the trip
+/// counts below straddle.
+const LANES: i64 = 512;
+const MIN_LANES: i64 = 16;
+
+/// `y[i+d] = 0.5*y[i+e] + x[i]; x[i+d+step] = y[i+e] - x[i]`: two stores and
+/// two loads whose distances the caller chooses, over buffers the caller may
+/// make one. With `d == e` the first store rewrites the element its lane
+/// loaded; any other multiple of the step between them is a recurrence or an
+/// anti-dependence across lanes; the second store runs ahead of the loads of
+/// `x` by `d + step`.
+const STENCIL: &str = r#"
+^bb0(%x: memref<?xf32>, %y: memref<?xf32>, %lb: index, %ub: index, %step: index, %d: index, %e: index):
+  %half = "arith.constant"() {value = 5.0e-1 : f32} : () -> f32
+  "scf.for"(%lb, %ub, %step) ({
+  ^bb1(%i: index):
+    %ie = "arith.addi"(%i, %e) : (index, index) -> index
+    %ye = "memref.load"(%y, %ie) : (memref<?xf32>, index) -> f32
+    %xi = "memref.load"(%x, %i) : (memref<?xf32>, index) -> f32
+    %t = "arith.mulf"(%half, %ye) : (f32, f32) -> f32
+    %s = "arith.addf"(%t, %xi) : (f32, f32) -> f32
+    %id = "arith.addi"(%i, %d) : (index, index) -> index
+    "memref.store"(%s, %y, %id) : (f32, memref<?xf32>, index) -> ()
+    %k = "arith.addi"(%id, %step) : (index, index) -> index
+    %u = "arith.subf"(%ye, %xi) : (f32, f32) -> f32
+    "memref.store"(%u, %x, %k) : (f32, memref<?xf32>, index) -> ()
+    "scf.yield"() : () -> ()
+  }) : (index, index, index) -> ()
+  "func.return"() : () -> ()
+"#;
+
+/// One point of the stencil grid.
+#[derive(Clone, Copy, Debug)]
+struct StencilCase {
+    /// `x` and `y` name one buffer.
+    aliased: bool,
+    trips: i64,
+    step: i64,
+    d: i64,
+    e: i64,
+    /// The buffers end one element before the last iteration's furthest
+    /// access.
+    short: bool,
+    budget: u64,
+}
+
+/// Run `case` on both engines; `true` when the run succeeded.
+fn diff_stencil(ir: &Ir, module: OpId, case: StencilCase) -> bool {
+    const LB: i64 = 4;
+    let StencilCase {
+        aliased,
+        trips,
+        step,
+        d,
+        e,
+        short,
+        budget,
+    } = case;
+    let furthest = LB + (trips - 1).max(0) * step + e.max(d + step).max(0);
+    let len = if short { furthest } else { furthest + 4 } as usize;
+    let outcome = |engine| {
+        let mut memory = Memory::new();
+        let x = host_array(&mut memory, vector(len, 7));
+        let y = match aliased {
+            true => x.clone(),
+            false => host_array(&mut memory, vector(len, 11)),
+        };
+        let index = RtValue::Index;
+        let args = [
+            x,
+            y,
+            index(LB),
+            index(LB + trips * step),
+            index(step),
+            index(d),
+            index(e),
+        ];
+        run(
+            engine,
+            ir,
+            module,
+            "stencil",
+            &args,
+            memory,
+            &mut NoHooks,
+            budget,
+        )
+    };
+    let (oracle, bytecode) = (outcome(Engine::Oracle), outcome(Engine::Bytecode));
+    assert_same(&oracle, &bytecode, &format!("{case:?}"));
+    bytecode.result.is_ok()
+}
+
+/// The grid over `trips`, with the two buffer lengths at the trip counts in
+/// `short_at`.
+fn stencil_grid(
+    trips: &[i64],
+    short_at: &[i64],
+    steps: &[i64],
+    ds: &[i64],
+    es: &[i64],
+    budgets: &[u64],
+) -> (usize, usize) {
+    let (ir, m) = module_of(&[(
+        "stencil",
+        "(memref<?xf32>, memref<?xf32>, index, index, index, index, index) -> ()",
+        STENCIL,
+    )]);
+    assert!(listing(&ir, m, "stencil").contains(" strip body=["));
+    let (mut passed, mut failed) = (0, 0);
+    for &trips in trips {
+        for short in [false, true] {
+            if short && !short_at.contains(&trips) {
+                continue;
+            }
+            for aliased in [false, true] {
+                for &step in steps {
+                    for &d in ds {
+                        for &e in es {
+                            for &budget in budgets {
+                                let case = StencilCase {
+                                    aliased,
+                                    trips,
+                                    step,
+                                    d,
+                                    e,
+                                    short,
+                                    budget,
+                                };
+                                match diff_stencil(&ir, m, case) {
+                                    true => passed += 1,
+                                    false => failed += 1,
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    (passed, failed)
+}
+
+#[test]
+fn strips_agree_with_the_oracle_over_aliasing_distances_steps_and_budgets() {
+    let trips = [
+        0,
+        1,
+        7,
+        8,
+        9,
+        MIN_LANES - 1,
+        MIN_LANES,
+        MIN_LANES + 1,
+        127,
+        128,
+        129,
+        396,
+        LANES - 1,
+        LANES,
+        LANES + 1,
+        LANES + MIN_LANES - 1,
+        LANES + MIN_LANES,
+    ];
+    // The unoptimized tree-walker takes the corners of the distances only.
+    let (ds, es): (&[i64], &[i64]) = match cfg!(debug_assertions) {
+        true => (&[-3, 0, 2], &[-2, 0, 3]),
+        false => (&[-3, -2, -1, 0, 1, 2], &[-2, -1, 0, 1, 2, 3]),
+    };
+    // 13 ops an iteration: 2 000 steps end inside the first strip of the
+    // long loops, and let the short ones finish.
+    let budgets = [DEFAULT_MAX_STEPS, 2_000];
+    let short_at = [MIN_LANES + 1, 396, LANES + MIN_LANES];
+    let (passed, failed) = stencil_grid(&trips, &short_at, &[1, 2, 3], ds, es, &budgets);
+    // Both outcomes are well represented, so neither side is vacuous.
+    assert!(
+        passed > 500 && failed > 500,
+        "{passed} passed, {failed} failed"
+    );
+}
+
+/// Every trip count up to two strips and a scalar tail, over the distances
+/// that separate "same element", "recurrence" and "anti-dependence" at each
+/// step. Release-only (CI runs it with `--include-ignored`).
+#[test]
+#[ignore = "exhaustive: minutes unoptimized"]
+fn strips_agree_with_the_oracle_at_every_trip_count() {
+    let trips: Vec<i64> = (0..=2 * LANES + 1).collect();
+    let short_at = [MIN_LANES, LANES, 2 * LANES];
+    let (passed, failed) = stencil_grid(
+        &trips,
+        &short_at,
+        &[1, 3],
+        &[-3, 0, 1],
+        &[-1, 0, 3],
+        &[DEFAULT_MAX_STEPS],
+    );
+    assert!(
+        passed > 5_000 && failed > 50,
+        "{passed} passed, {failed} failed"
+    );
+}
+
+/// An inclusive loop whose bound is the top of the index range never ends:
+/// `iv + step` wraps and the budget stops it. A strip whose last `iv + step`
+/// would overflow is not started, so the wrap is the run loop's, as it is the
+/// oracle's.
+#[test]
+fn a_loop_to_the_top_of_the_index_range_wraps_on_both_engines() {
+    let body = r#"
+^bb0(%lb: index, %ub: index, %a: f32):
+  %c1 = "arith.constant"() {value = 1 : index} : () -> index
+  "fir.do_loop"(%lb, %ub, %c1) ({
+  ^bb1(%i: index):
+    %s = "arith.addf"(%a, %a) : (f32, f32) -> f32
+    "fir.result"() : () -> ()
+  }) : (index, index, index) -> ()
+  "func.return"() : () -> ()
+"#;
+    let (ir, m) = module_of(&[("top", "(index, index, f32) -> ()", body)]);
+    assert!(listing(&ir, m, "top").contains(" strip body=["));
+    for (lb, ub, budget, ends) in [
+        (i64::MAX - 40, i64::MAX, 3_000, false),
+        (i64::MAX - 2 * LANES, i64::MAX, 3_000, false),
+        (i64::MAX - 40, i64::MAX - 1, 3_000, true),
+        (i64::MIN, i64::MIN + 700, 3_000, true),
+        (i64::MIN, i64::MAX, 3_000, false),
+    ] {
+        let outcome = |engine| {
+            let args = [RtValue::Index(lb), RtValue::Index(ub), RtValue::F32(1.0)];
+            let memory = Memory::new();
+            run(engine, &ir, m, "top", &args, memory, &mut NoHooks, budget)
+        };
+        let (oracle, bytecode) = (outcome(Engine::Oracle), outcome(Engine::Bytecode));
+        assert_same(&oracle, &bytecode, &format!("{lb} through {ub}"));
+        assert_eq!(bytecode.result.is_ok(), ends, "{lb} through {ub}");
+    }
+}
+
+/// The body of [`FUSED`] in a loop of `%n` trips, its index moved by the
+/// induction variable: every fused form in a planned body, with the caller
+/// choosing the kinds.
+const FUSED_LOOP: &str = r#"
+^bb0(%m: memref<?xf32>, %p0: index, %a: f32, %b: f32, %n: index):
+  %c0 = "arith.constant"() {value = 0 : index} : () -> index
+  %c1 = "arith.constant"() {value = 1 : index} : () -> index
+  "scf.for"(%c0, %n, %c1) ({
+  ^bb1(%iv: index):
+    %p = "arith.addi"(%p0, %iv) : (index, index) -> index
+    %i = "arith.subi"(%p, %c1) : (index, index) -> index
+    %v = "memref.load"(%m, %i) : (memref<?xf32>, index) -> f32
+    %t = "arith.mulf"(%a, %v) : (f32, f32) -> f32
+    %s = "arith.addf"(%t, %b) : (f32, f32) -> f32
+    %j = "arith.subi"(%p, %c1) : (index, index) -> index
+    "memref.store"(%s, %m, %j) : (f32, memref<?xf32>, index) -> ()
+    %k = "arith.index_cast"(%p) : (index) -> i32
+    %w = "arith.index_cast"(%k) : (i32) -> index
+    %u = "arith.addi"(%p, %c1) : (index, index) -> index
+    %x = "arith.index_cast"(%u) : (index) -> i64
+    %f = "arith.sitofp"(%w) : (index) -> f64
+    %g = "arith.truncf"(%f) : (f64) -> f32
+    %h = "arith.addf"(%g, %s) : (f32, f32) -> f32
+    "memref.store"(%h, %m, %j) : (f32, memref<?xf32>, index) -> ()
+    "scf.yield"() : () -> ()
+  }) : (index, index, index) -> ()
+  "func.return"() : () -> ()
+"#;
+
+#[test]
+fn ill_kinded_arguments_meet_the_oracles_errors_inside_a_strip() {
+    let (ir, m) = module_of(&[(
+        "fused_loop",
+        "(memref<?xf32>, index, f32, f32, index) -> ()",
+        FUSED_LOOP,
+    )]);
+    let text = listing(&ir, m, "fused_loop");
+    for form in [" strip body=[", "float.Add (float.Mul", "convert.I32.Index"] {
+        assert!(text.contains(form), "no `{form}` in\n{text}");
+    }
+    const LEN: usize = 64;
+    let data = || Buffer::F32((0..LEN).map(|i| i as f32 * 0.25 - 3.0).collect());
+    use RtValue::{Index, F32, F64, I1, I32, I64};
+    // (buffer and shape behind `%m`, or a scalar there; `%p0`; `%a`; `%b`;
+    // trips; the error expected, if any)
+    type Case = (
+        Result<(Buffer, Vec<i64>), RtValue>,
+        RtValue,
+        RtValue,
+        RtValue,
+        i64,
+        Option<&'static str>,
+    );
+    let f32s = |shape: &[i64]| Ok((data(), shape.to_vec()));
+    let len = LEN as i64;
+    let cases: Vec<Case> = vec![
+        // Well-kinded, one strip and a tail; the base as each integer kind.
+        (f32s(&[len]), Index(1), F32(0.5), F32(-0.0), 40, None),
+        (f32s(&[len]), I32(4), F32(f32::NAN), F32(1.0), 40, None),
+        (f32s(&[len]), I64(2), F32(f32::INFINITY), F32(1.0), 60, None),
+        // An i1 base is `true` in every lane: the strip cannot hold it, the
+        // scalar path can.
+        (f32s(&[len]), I1(true), F32(1e-40), F32(-1e-45), 40, None),
+        // An i32 base that wraps in some lane of the strip.
+        (
+            f32s(&[len]),
+            I32(i32::MAX - 20),
+            F32(1.0),
+            F32(1.0),
+            40,
+            Some("out of bounds"),
+        ),
+        // Bounds: the first lane, a lane in the middle (the iterations before
+        // it have stored), the last lane, and a shape the buffer is short of.
+        (
+            f32s(&[len]),
+            Index(0),
+            F32(1.0),
+            F32(1.0),
+            40,
+            Some("index -1 out of bounds"),
+        ),
+        (
+            f32s(&[len]),
+            Index(45),
+            F32(1.0),
+            F32(1.0),
+            40,
+            Some("index 64 out of bounds"),
+        ),
+        (
+            f32s(&[len]),
+            Index(26),
+            F32(1.0),
+            F32(1.0),
+            40,
+            Some("index 64 out of bounds"),
+        ),
+        (
+            f32s(&[len + 9]),
+            Index(30),
+            F32(1.0),
+            F32(1.0),
+            40,
+            Some("load offset 64 out of bounds (64)"),
+        ),
+        // Kinds: the base, the memref, the rank, each float pair, the buffer.
+        (
+            f32s(&[len]),
+            F32(2.0),
+            F32(1.0),
+            F32(1.0),
+            40,
+            Some("expected integer, got F32(2.0)"),
+        ),
+        (
+            Err(I64(9)),
+            Index(2),
+            F32(1.0),
+            F32(1.0),
+            40,
+            Some("expected memref, got I64(9)"),
+        ),
+        (
+            f32s(&[8, 8]),
+            Index(2),
+            F32(1.0),
+            F32(1.0),
+            40,
+            Some("rank mismatch: 1 indices for rank-2 memref"),
+        ),
+        (
+            f32s(&[len]),
+            Index(2),
+            F64(1.0),
+            F32(1.0),
+            40,
+            Some("float binop type mismatch"),
+        ),
+        (
+            f32s(&[len]),
+            Index(2),
+            F32(1.0),
+            F64(1.0),
+            40,
+            Some("float binop type mismatch"),
+        ),
+        (
+            Ok((Buffer::I32((0..len as i32).collect()), vec![len])),
+            Index(2),
+            F32(1.0),
+            F32(1.0),
+            40,
+            Some("float binop type mismatch"),
+        ),
+        // An f64 buffer: the loaded element is no f32 for the `mulf`.
+        (
+            Ok((Buffer::F64(vec![0.5; LEN]), vec![len])),
+            Index(2),
+            F32(1.0),
+            F32(1.0),
+            40,
+            Some("float binop type mismatch"),
+        ),
+    ];
+    for (i, (m_arg, p, a, b, trips, expect)) in cases.iter().enumerate() {
+        let out = diff(&ir, m, "fused_loop", |mem| {
+            let m_arg = match m_arg {
+                Ok((buffer, shape)) => memref(mem, buffer.clone(), shape),
+                Err(scalar) => scalar.clone(),
+            };
+            vec![m_arg, p.clone(), a.clone(), b.clone(), Index(*trips)]
+        });
+        match expect {
+            None => assert!(out.result.is_ok(), "case {i}: {:?}", out.result),
+            Some(text) => assert!(message(&out).contains(text), "case {i}: {}", message(&out)),
         }
     }
 }
@@ -1700,6 +2175,78 @@ proptest! {
             let trips = [0, 1, 3][rng.below(3)];
             let data: Vec<f32> = (0..N).map(|i| specials[(i as usize + rng.below(3)) % specials.len()]).collect();
             diff(&ir, m, "block", |memory| {
+                vec![
+                    memref(memory, Buffer::F32(data.clone()), &[extent]),
+                    p.clone(),
+                    q.clone(),
+                    RtValue::F32(x),
+                    RtValue::F32(y),
+                    RtValue::Index(trips),
+                ]
+            });
+        }
+    }
+}
+
+/// A prelude and a `scf.for` of `%t` trips that carries nothing, its body
+/// generated the same way with the induction variable as the usual base of
+/// `base ± const` addressing: loads and stores of one buffer a step or two
+/// apart, so lanes of a strip do and do not meet each other's stores.
+fn generated_loop(rng: &mut proptest::TestRng) -> (String, String) {
+    let mut g = BlockGen {
+        text: "^bb0(%m: memref<?xf32>, %p: index, %q: i64, %x: f32, %y: f32, %t: index):\n".into(),
+        ints: vec![("%p".into(), "index"), ("%q".into(), "i64")],
+        floats: vec!["%x".into(), "%y".into()],
+        repeatable: Vec::new(),
+        next: 0,
+    };
+    g.text.push_str(
+        "  %lo = \"arith.constant\"() {value = 0 : index} : () -> index\n  \
+         %st = \"arith.constant\"() {value = 1 : index} : () -> index\n",
+    );
+    g.ops(rng, 1, 6);
+    let (a, at) = g.ints[g.ints.len() - 1].clone();
+    let f = g.floats[g.floats.len() - 1].clone();
+    g.text
+        .push_str("  \"scf.for\"(%lo, %t, %st) ({\n  ^bb1(%iv: index):\n");
+    // In front: addressing picks its base among the first two integers.
+    g.ints.insert(0, ("%iv".into(), "index"));
+    g.ops(rng, 3, 12);
+    g.text.push_str(&format!(
+        "  \"scf.yield\"() : () -> ()\n  }}) : (index, index, index) -> ()\n  \
+         \"func.return\"({a}, {f}) : ({at}, f32) -> ()\n"
+    ));
+    let signature = format!("(memref<?xf32>, index, i64, f32, f32, index) -> ({at}, f32)");
+    (signature, g.text)
+}
+
+proptest! {
+    #[test]
+    fn generated_loops_with_loads_and_stores_agree(seed in 0u64..u64::MAX) {
+        let mut rng = proptest::TestRng::new(seed);
+        let (signature, body) = generated_loop(&mut rng);
+        let (ir, m) = module_of(&[("looped", &signature, &body)]);
+        const N: i64 = 96;
+        let specials = [0.0f32, -0.0, 1.5, -2.25, f32::NAN, f32::INFINITY, 3.0e38, -1e-45];
+        for _ in 0..6 {
+            // Mostly trip counts a strip takes, inside the buffer and past it.
+            let trips = [0, 3, 15, 16, 17, 40, 90, 94, 97, 600][rng.below(10)];
+            let p = [0, 1, 2, 5, -1, 1 << 31][rng.below(6)];
+            let q = [0, 1, 3, -2, 1 << 33][rng.below(5)];
+            let (p, q) = match rng.below(4) {
+                0 => (RtValue::I32(p as i32), RtValue::Index(q)),
+                1 => (RtValue::I64(p), RtValue::I32(q as i32)),
+                _ => (RtValue::Index(p), RtValue::I64(q)),
+            };
+            let (x, y) = (specials[rng.below(specials.len())], specials[rng.below(specials.len())]);
+            let extent = if rng.below(6) == 0 { N + 3 } else { N };
+            let data: Vec<f32> = (0..N)
+                .map(|i| match rng.below(8) {
+                    0 => specials[i as usize % specials.len()],
+                    _ => i as f32 * 0.5 - 7.0,
+                })
+                .collect();
+            diff(&ir, m, "looped", |memory| {
                 vec![
                     memref(memory, Buffer::F32(data.clone()), &[extent]),
                     p.clone(),

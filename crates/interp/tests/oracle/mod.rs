@@ -106,8 +106,15 @@ impl<'a, 'h> Exec<'a, 'h> {
         }
     }
 
+    /// The step budget is charged here, a block's ops at once on entry: a
+    /// block runs whole or not at all, which is the engine's documented
+    /// contract ("charged block by block on entry").
     fn run_block(&mut self, block: BlockId, env: &mut Env) -> Result<Flow, InterpError> {
         let ops = self.ir.block(block).ops.clone();
+        self.steps += ops.len() as u64;
+        if self.steps > self.max_steps {
+            return Err(InterpError::new("interpreter step budget exhausted"));
+        }
         for op in ops {
             match self.exec_op(op, env)? {
                 Flow::Normal => {}
@@ -175,10 +182,6 @@ impl<'a, 'h> Exec<'a, 'h> {
     }
 
     fn exec_op(&mut self, op: OpId, env: &mut Env) -> Result<Flow, InterpError> {
-        self.steps += 1;
-        if self.steps > self.max_steps {
-            return Err(InterpError::new("interpreter step budget exhausted"));
-        }
         let name = self.ir.op_name(op).to_string();
         match name.as_str() {
             // ---- terminators handled by enclosing op ----

@@ -147,10 +147,12 @@ fn profile_stack_attributes_live_sharded_traffic() {
     let handle = std::thread::spawn(move || server.run());
 
     // Two different kernels in two pools: a big saxpy and a small sscal, so
-    // the cycle ranking is unambiguous.
+    // the cycle ranking is unambiguous. The big one is sized so that, with
+    // kernels running in strips, a launch is still mostly kernel: the
+    // attribution floor below is a share of the launch window.
     let saxpy_key = compile(addr, SAXPY);
     let sscal_key = compile(addr, SSCAL);
-    let n_big = 8192usize;
+    let n_big = 65536usize;
     let n_small = 512usize;
     let x: Vec<f32> = (0..n_big).map(|i| i as f32 * 0.25).collect();
     let y_big = vec![1.0f32; n_big];
