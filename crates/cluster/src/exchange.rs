@@ -1,65 +1,68 @@
-//! The row exchange — the one mechanism that moves rows between the shard
-//! mirrors of a live session. An inter-launch halo refresh and a migration
-//! epoch are the same act with different plans: resolve each
-//! [`ftn_shard::RowTransferPlan`] block to a donor and a recipient mirror,
-//! then run two device phases.
+//! The row exchange — the one mechanism that moves a session's rows, all
+//! its life: an open, an inter-launch halo refresh, a migration epoch and a
+//! close are the same act with different plans. Each block is resolved to
+//! where its rows come from and where they go, then two device phases run.
 //!
-//! 1. **Gather** ([`ClusterMachine::exchange_gather`]) — every block whose
-//!    donor and recipient live on *different devices* is fetched
-//!    device→host into a dedicated move buffer, one `fetch_rows` job per
-//!    donor device. Same-device blocks need no gather.
-//! 2. **Apply** ([`ClusterMachine::exchange_apply`]) — one `RowPatch` job
-//!    per recipient device writes every block into its target mirror:
-//!    host-bounced blocks from their landed move buffers, same-device
-//!    blocks mirror-to-mirror (free — nothing crosses PCIe).
+//! 1. **Gather** ([`ClusterMachine::exchange_gather`] /
+//!    [`ClusterMachine::exchange_fetch`]) — device→host `fetch_rows` jobs:
+//!    one per donor device for a refresh's or an epoch's blocks whose donor
+//!    and recipient live on *different devices*, each into a dedicated move
+//!    buffer; one per shard for a close's `from`/`tofrom` sub-buffers,
+//!    whole. Same-device blocks need no gather, and an open gathers nothing.
+//! 2. **Apply** ([`ClusterMachine::exchange_apply`]) — `RowPatch` jobs, one
+//!    per recipient device (per shard for an open), write every block into
+//!    its target mirror, creating the mirrors that do not exist yet: an
+//!    open's rows cut from the caller's array and host-bounced blocks as
+//!    host contents, seeds and same-device blocks for free. A close applies
+//!    nothing.
 //!
 //! [`ClusterMachine::exchange_finish`] then frees the move buffers and hands
 //! over to the caller-specific tail (the exchange's `finish` closure): the
-//! stats fold of a refresh, or an epoch's sub-buffer swap and session
-//! reinstate.
+//! session enters the table (open), gets its stats (refresh), swaps
+//! sub-buffers and goes back in (epoch), or is gathered and freed (close).
 //! Each phase's jobs are submitted under the machine and waited by the
 //! caller — synchronously ([`ClusterMachine::exchange_run`]) or with the
 //! machine lock released between phases (`PoolGate`'s phased driver). Every
 //! handle of a phase is waited even after one fails, so by the time an
-//! exchange finishes nothing is in flight over the buffers it frees.
+//! exchange finishes nothing is in flight over the buffers it frees: the
+//! one rollback path a session's data movement has.
 //!
 //! No quiesce is built in: worker queues are FIFO, so the gather runs after
 //! every kernel already queued on the donor's device, and the wait between
 //! the phases orders the exchange across devices.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
 
 use ftn_core::CompileError;
-use ftn_interp::BufferId;
+use ftn_interp::{Buffer, BufferId};
 use ftn_shard::{Partition, RowTransferPlan, ShardRange};
 
 use crate::machine::{BufState, ClusterMachine, LaunchHandle};
-use crate::pool::{PatchBlock, RowFetch, RowPatch};
+use crate::pool::{empty_like, Create, PatchBlock, RowFetch, RowPatch};
 use crate::sharded::{no_session, HaloRefreshReport};
 
-/// The names one caller's exchanges carry on the trace timeline — the only
-/// thing the executor needs to know about who it serves.
+/// The names one caller's exchanges carry on the trace timeline, phase by
+/// phase — the only thing the executor needs to know about who it serves.
+/// A phase the caller has no traffic for submits nothing and shows nothing.
 pub(crate) struct ExchangeLabels {
     /// Span around the gather fan-out.
     pub gather: &'static str,
-    /// Span around the apply fan-out.
-    pub apply: &'static str,
-    /// Worker-lane span of the apply jobs.
-    pub job: &'static str,
+    /// Span around the apply fan-out and worker-lane span of its jobs.
+    pub apply: (&'static str, &'static str),
 }
 
 const HALO: ExchangeLabels = ExchangeLabels {
     gather: "halo.gather",
-    apply: "halo.splice",
-    job: "job.halo_refresh",
+    apply: ("halo.splice", "job.halo_refresh"),
 };
+
+/// The gather's jobs in submission order: `(donor device, its fetches)`.
+pub(crate) type Fetches = Vec<(usize, Vec<RowFetch>)>;
 
 /// One array's share of an exchange: its plan plus what the plan's shard
 /// indices resolve to.
 pub(crate) struct ArrayBlocks {
-    /// Element type name (move buffers are allocated with it).
-    pub elem: String,
     /// Per shard: the sub-buffer whose mirror donates rows.
     pub donors: Vec<BufferId>,
     /// Per shard: the sub-buffer whose mirror receives rows.
@@ -68,25 +71,34 @@ pub(crate) struct ArrayBlocks {
     pub plan: RowTransferPlan,
 }
 
-/// One plan block resolved against the session's buffers and devices.
+/// One block the apply writes, resolved to its target mirror.
 struct Transfer {
-    donor: BufferId,
     target: BufferId,
     target_device: usize,
-    src: usize,
-    dst: usize,
-    len: usize,
-    /// The move buffer the block bounces through when donor and target
-    /// live on different devices; `None` for a mirror-to-mirror copy.
-    via: Option<BufferId>,
+    /// Blocks with one key travel in one job, jobs are submitted in key
+    /// order: the target device (refresh, epoch) or the shard (open).
+    job: usize,
+    rows: Rows,
+}
+
+/// Where a block's rows come from.
+enum Rows {
+    /// The block is the whole mirror, which starts as it: rows cut from the
+    /// caller's array, or a seed.
+    Whole(Create),
+    /// A donor mirror on the target's device.
+    Ready(PatchBlock),
+    /// A donor mirror on another device: the gather lands the rows in move
+    /// buffer `via`, and the apply writes them at `dst`.
+    Bounced { via: BufferId, dst: usize },
 }
 
 /// The caller-specific tail of an exchange, run once the move buffers are
-/// freed: fold statistics (and, for an epoch, swap sub-buffers and put the
-/// session back) and build the caller's report. Arguments: the machine, the
+/// freed: fold statistics, put the session into the table, back into it or
+/// take it out, and build the caller's report. Arguments: the machine, the
 /// operation's span, its wall seconds, and whether every phase succeeded —
-/// it runs on the error path too, where the report is discarded in favour
-/// of the error.
+/// it runs on the error path too, where it rolls the caller's own
+/// allocations back and the report is discarded in favour of the error.
 type Finish<R> = Box<dyn FnOnce(&mut ClusterMachine, &mut ftn_trace::Span, f64, bool) -> R>;
 
 /// An exchange suspended between phases: the current phase's device traffic
@@ -94,7 +106,10 @@ type Finish<R> = Box<dyn FnOnce(&mut ClusterMachine, &mut ftn_trace::Span, f64, 
 pub(crate) struct RowExchange<R> {
     session: u64,
     labels: &'static ExchangeLabels,
+    /// The blocks the apply has yet to submit.
     transfers: Vec<Transfer>,
+    /// Move buffers of the bounced blocks, freed when the exchange finishes.
+    moves: Vec<BufferId>,
     /// Targets that have no mirror yet: the apply creates them.
     fresh: Vec<BufferId>,
     /// Staged-upload accounting folded from the apply tickets.
@@ -125,6 +140,7 @@ impl<R> RowExchange<R> {
             session,
             labels,
             transfers: Vec::new(),
+            moves: Vec::new(),
             fresh,
             staged: 0,
             staged_bytes: 0,
@@ -138,6 +154,17 @@ impl<R> RowExchange<R> {
 
     fn fail(&mut self, err: CompileError) {
         self.failed.get_or_insert(err);
+    }
+
+    /// Plan a block whose rows need no gather (a session open's): the apply
+    /// creates `target`'s mirror on `shard`'s `device` as `rows`.
+    pub(crate) fn stage(&mut self, target: BufferId, shard: usize, device: usize, rows: Create) {
+        self.transfers.push(Transfer {
+            target,
+            target_device: device,
+            job: shard,
+            rows: Rows::Whole(rows),
+        });
     }
 
     /// Wait every handle of the phase just submitted with `wait` — the
@@ -160,7 +187,7 @@ impl<R> RowExchange<R> {
 pub(crate) enum ExchangePhase<R> {
     /// Nothing moves: the operation is over and the report is final.
     Done(R),
-    /// The gather is submitted: wait the phase, apply, wait again, finish.
+    /// Wait the submitted gather (if any), apply, wait again, finish.
     Run(Box<RowExchange<R>>),
 }
 
@@ -175,11 +202,6 @@ impl ClusterMachine {
     /// device copies mirror-to-mirror for free. Owned rows never move and
     /// host memory is never brought up to date (device copies stay
     /// authoritative until close).
-    ///
-    /// No quiesce precedes the exchange: worker queues are FIFO, so the
-    /// donor fetches run after every kernel already queued on their
-    /// devices, and the wait between the gather and splice phases orders
-    /// the exchange across devices.
     ///
     /// Synchronous composition of the exchange phases — a caller that must
     /// not block other sessions runs the same phases with the machine lock
@@ -265,7 +287,6 @@ impl ClusterMachine {
             bytes += (elems * (sub.byte_len() / sub.len().max(1))) as u64;
             let buffers: Vec<BufferId> = a.slices.iter().map(|sl| sl.memref.buffer).collect();
             arrays.push(ArrayBlocks {
-                elem: a.elem.clone(),
                 donors: buffers.clone(),
                 recipients: buffers,
                 plan,
@@ -309,117 +330,131 @@ impl ClusterMachine {
         Ok(ExchangePhase::Run(ex))
     }
 
-    /// Phase 1 of an exchange: resolve every plan block against the
-    /// session's buffers and `devices` (shard → device), allocate a move
-    /// buffer per cross-device block, and submit the gather — one
-    /// `fetch_rows` job per donor device (none when every block is
-    /// same-device). The caller waits the exchange's phase, then drives
-    /// [`ClusterMachine::exchange_apply`] and
-    /// [`ClusterMachine::exchange_finish`].
+    /// Phase 1 of a refresh or an epoch: resolve every plan block against
+    /// the session's buffers and `devices` (shard → device), allocate a move
+    /// buffer per cross-device block, and submit the gather of those (none
+    /// when every block is same-device).
     pub(crate) fn exchange_gather<R>(
         &mut self,
         ex: &mut RowExchange<R>,
         devices: &[usize],
         arrays: Vec<ArrayBlocks>,
     ) {
-        let labels = ex.labels;
         let mut fetches: BTreeMap<usize, Vec<RowFetch>> = BTreeMap::new();
-        'arrays: for a in &arrays {
+        for a in &arrays {
             for b in &a.plan.blocks {
                 let donor = a.donors[b.donor_shard];
                 let (donor_device, target_device) =
                     (devices[b.donor_shard], devices[b.recipient_shard]);
-                let mut via = None;
-                if donor_device != target_device {
-                    let mv = match self.memory.alloc_zeroed(&a.elem, b.len, 0) {
-                        Ok(id) => id,
-                        Err(e) => {
-                            ex.fail(CompileError::new("cluster-exchange", e.to_string()));
-                            break 'arrays;
-                        }
-                    };
-                    self.buffers.insert(mv, BufState::default());
-                    let start = b.src_elem;
-                    #[cfg(test)]
-                    let start = match std::mem::take(&mut self.corrupt_next_gather) {
-                        true => usize::MAX / 2,
-                        false => start,
-                    };
+                let rows = if donor_device == target_device {
+                    Rows::Ready(PatchBlock::Local {
+                        dst: b.dst_elem,
+                        donor,
+                        src: b.src_elem,
+                        len: b.len,
+                    })
+                } else {
+                    let like = empty_like(self.memory.get(donor), b.len);
+                    let via = self.memory.alloc(like, 0);
+                    self.buffers.insert(via, BufState::default());
+                    ex.moves.push(via);
                     fetches.entry(donor_device).or_default().push(RowFetch {
                         src: donor,
-                        dst: mv,
-                        start,
+                        dst: via,
+                        start: b.src_elem,
                         len: b.len,
                         version: 1,
                     });
-                    via = Some(mv);
-                }
+                    let dst = b.dst_elem;
+                    Rows::Bounced { via, dst }
+                };
                 ex.transfers.push(Transfer {
-                    donor,
                     target: a.recipients[b.recipient_shard],
                     target_device,
-                    src: b.src_elem,
-                    dst: b.dst_elem,
-                    len: b.len,
-                    via,
+                    job: target_device,
+                    rows,
                 });
             }
         }
-        if ex.failed.is_none() {
-            let mut sp = ftn_trace::span(labels.gather, "epoch");
-            sp.arg("devices", fetches.len());
-            let (handles, err) =
-                self.fan_out(fetches, |m, device, rows| m.submit_fetch_rows(device, rows));
-            ex.handles = handles;
-            if let Some(e) = err {
-                ex.fail(e);
+        self.exchange_fetch(ex, fetches.into_iter().collect());
+    }
+
+    /// Phase 1 of any exchange that gathers: submit `fetches`, one
+    /// `fetch_rows` job per entry. The caller waits the exchange's phase,
+    /// then drives [`ClusterMachine::exchange_apply`] and
+    /// [`ClusterMachine::exchange_finish`].
+    pub(crate) fn exchange_fetch<R>(&mut self, ex: &mut RowExchange<R>, fetches: Fetches) {
+        #[cfg(test)]
+        let mut fetches = fetches;
+        #[cfg(test)]
+        if let Some(rf) = fetches.iter_mut().find_map(|(_, rows)| rows.first_mut()) {
+            if std::mem::take(&mut self.corrupt_next_gather) {
+                rf.start = usize::MAX / 2;
             }
+        }
+        let mut sp = ftn_trace::span(ex.labels.gather, "epoch");
+        sp.arg(
+            "devices",
+            distinct(fetches.iter().map(|(device, _)| *device)),
+        );
+        let (handles, err) =
+            self.fan_out(fetches, |m, device, rows| m.submit_fetch_rows(device, rows));
+        ex.handles = handles;
+        if let Some(e) = err {
+            ex.fail(e);
         }
     }
 
     /// Phase 2 of an exchange (after the gather is waited): write every
     /// block into its target mirror — host-bounced blocks resolved from
-    /// their landed move buffers, same-device blocks as mirror-to-mirror
-    /// copies — one patch job per recipient device. No-op when a prior
-    /// phase failed.
+    /// their landed move buffers, the rest as planned — one patch job per
+    /// job key. No-op when a prior phase failed or nothing is left to write
+    /// (a close).
     pub(crate) fn exchange_apply<R>(&mut self, ex: &mut RowExchange<R>) {
-        if ex.failed.is_some() {
+        if ex.failed.is_some() || ex.transfers.is_empty() {
             return;
         }
-        let mut per_device: BTreeMap<usize, Vec<RowPatch>> = BTreeMap::new();
-        for t in &ex.transfers {
-            let block = match t.via {
-                Some(mv) => PatchBlock::Host {
-                    dst: t.dst,
-                    contents: self.memory.get(mv).clone(),
-                },
-                None => PatchBlock::Local {
-                    dst: t.dst,
-                    donor: t.donor,
-                    src: t.src,
-                    len: t.len,
+        let (apply, label) = ex.labels.apply;
+        let mut jobs: BTreeMap<usize, (usize, Vec<RowPatch>)> = BTreeMap::new();
+        for t in std::mem::take(&mut ex.transfers) {
+            let (_, patches) = jobs.entry(t.job).or_insert((t.target_device, Vec::new()));
+            let block = match t.rows {
+                Rows::Whole(rows) => {
+                    patches.push(RowPatch {
+                        target: t.target,
+                        create: Some(rows),
+                        blocks: Vec::new(),
+                    });
+                    continue;
+                }
+                Rows::Ready(block) => block,
+                // The move buffer has served: its rows travel on, uncopied.
+                Rows::Bounced { via, dst } => PatchBlock::Host {
+                    dst,
+                    contents: std::mem::replace(self.memory.get_mut(via), Buffer::I1(Vec::new())),
                 },
             };
             // A target's blocks are consecutive (plans group by recipient).
-            let patches = per_device.entry(t.target_device).or_default();
             match patches.last_mut().filter(|p| p.target == t.target) {
                 Some(patch) => patch.blocks.push(block),
                 None => patches.push(RowPatch {
                     target: t.target,
-                    create: ex
-                        .fresh
-                        .contains(&t.target)
-                        .then(|| self.memory.get(t.target).len()),
+                    create: ex.fresh.contains(&t.target).then(|| {
+                        let sub = self.memory.get(t.target);
+                        Create::Seed(empty_like(sub, sub.len()))
+                    }),
                     blocks: vec![block],
                 }),
             }
         }
-        let mut sp = ftn_trace::span(ex.labels.apply, "epoch");
-        sp.arg("devices", per_device.len());
-        let job = ex.labels.job;
+        let mut sp = ftn_trace::span(apply, "epoch");
+        sp.arg(
+            "devices",
+            distinct(jobs.values().map(|(device, _)| *device)),
+        );
         let (mut staged, mut staged_bytes) = (0u64, 0u64);
-        let (handles, err) = self.fan_out(per_device, |m, device, patches| {
-            let t = m.submit_row_patch(device, patches, job)?;
+        let (handles, err) = self.fan_out(jobs.into_values(), |m, device, patches| {
+            let t = m.submit_row_patch(device, patches, label)?;
             staged += t.staged;
             staged_bytes += t.staged_bytes;
             Ok(t.handle)
@@ -440,7 +475,7 @@ impl ClusterMachine {
         // Move buffers are exchange-transient on every path, and were never
         // mirrored on a device: row fetches write back without creating
         // mirror entries, and patches carry contents by value.
-        for mv in ex.transfers.iter().filter_map(|t| t.via) {
+        for mv in ex.moves {
             self.buffers.remove(&mv);
             self.memory.free(mv);
         }
@@ -468,4 +503,9 @@ impl ClusterMachine {
             }
         }
     }
+}
+
+/// How many different devices a phase's jobs go to.
+fn distinct(devices: impl Iterator<Item = usize>) -> usize {
+    devices.collect::<BTreeSet<_>>().len()
 }

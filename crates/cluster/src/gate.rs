@@ -10,13 +10,14 @@
 //!   machine lock, so a waiter wakes within microseconds of its job's
 //!   outcome and holds the lock only to drain outcomes — never across a
 //!   blocking receive.
-//! * **Phased row exchanges.** [`PoolGate::rebalance_phased`] and
-//!   [`PoolGate::refresh_phased`] run fence → (quiesce) → gather → apply →
-//!   finish as explicit phases with the machine lock *released* while
-//!   device traffic is in flight. A per-session fence blocks exactly the
-//!   session whose rows move (launches against it park on the fence until
-//!   the exchange finishes); every other session keeps submitting and
-//!   completing meanwhile.
+//! * **Phased row exchanges.** Everything that moves a session's rows —
+//!   [`PoolGate::open_phased`], [`PoolGate::refresh_phased`],
+//!   [`PoolGate::rebalance_phased`], [`PoolGate::close_phased`] — runs
+//!   fence → (ready) → gather → apply → finish as explicit phases with
+//!   the machine lock *released* while device traffic is in flight. A
+//!   per-session fence blocks exactly the session whose rows move (launches
+//!   against it park on the fence until the exchange finishes); every
+//!   other session keeps submitting and completing meanwhile.
 //!
 //! Lock hierarchy (see docs/ARCHITECTURE.md, "Locking & phases"): the
 //! machine lock is never waited for with the fence set held (the fence set
@@ -32,7 +33,10 @@ use ftn_core::CompileError;
 use crate::exchange::ExchangePhase;
 use crate::machine::{ClusterMachine, ClusterRunReport, LaunchHandle};
 use crate::pool::CompletionSignal;
-use crate::sharded::{HaloRefreshReport, RebalanceReport};
+use crate::session::MapKind;
+use crate::sharded::{
+    AutoRebalance, HaloRefreshReport, RebalanceReport, ShardCount, ShardedReport,
+};
 
 /// Safety-valve park slice: a waiter re-polls at least this often even if a
 /// wakeup is lost (e.g. workers torn down mid-wait). Correctness never
@@ -46,10 +50,9 @@ const PARK_SLICE: Duration = Duration::from_millis(20);
 pub struct PoolGate {
     machine: Mutex<ClusterMachine>,
     signal: Arc<CompletionSignal>,
-    /// Sharded sessions currently inside a migration epoch. Launch/close
-    /// traffic for a fenced session parks on `fence_cv`
-    /// ([`PoolGate::lock_session`]); everything else ignores the fence
-    /// entirely.
+    /// Sessions currently inside a phased row exchange. Traffic for a
+    /// fenced session parks on `fence_cv` ([`PoolGate::lock_session`]);
+    /// everything else ignores the fence entirely.
     fences: Mutex<HashSet<u64>>,
     fence_cv: Condvar,
 }
@@ -59,6 +62,14 @@ fn relock<T>(r: Result<T, std::sync::PoisonError<T>>) -> T {
     // bookkeeping is still coherent (panics are contained per job), so
     // recover the guard rather than wedging every later request.
     r.unwrap_or_else(|e| e.into_inner())
+}
+
+/// Whether `session`'s outstanding launches have all landed — they must
+/// before backlogs are read or rows change owners. An unknown session counts
+/// as quiet: the exchange's begin step reports it as the synchronous path
+/// would.
+fn quiet(session: u64) -> impl Fn(&ClusterMachine) -> bool {
+    move |m| m.sharded_pending_jobs(session).unwrap_or(0) == 0
 }
 
 impl PoolGate {
@@ -131,10 +142,11 @@ impl PoolGate {
         handles.into_iter().map(|h| self.wait_done(h)).collect()
     }
 
-    /// Lock the machine with `session` known to be outside a migration
-    /// epoch *at lock time*: epochs remove the session from the machine's
-    /// table for their duration, so touching one mid-epoch would spuriously
-    /// report "no session". Traffic for a fenced session parks on the fence
+    /// Lock the machine with `session` known to be outside a phased
+    /// exchange *at lock time*: epochs and closes remove the session from
+    /// the machine's table for their duration, so touching one mid-exchange
+    /// would spuriously report "no session" (after a close that succeeds it
+    /// is the truth). Traffic for a fenced session parks on the fence
     /// *before* taking the machine lock, so only that session waits out the
     /// epoch; re-checking the fence under the machine lock closes the race
     /// between the fence test and the lock acquisition. An epoch that fences
@@ -188,60 +200,85 @@ impl PoolGate {
         session: u64,
         threshold: Option<f64>,
     ) -> Result<RebalanceReport, CompileError> {
-        self.phased(session, true, |m| m.epoch_begin(session, threshold))
+        self.phased(Some(session), quiet(session), |m| {
+            m.epoch_begin(session, threshold)
+        })
+    }
+
+    /// Open a session as a *phased* exchange: plan and scatter under a
+    /// short lock, then stage every shard onto its device with the lock
+    /// released. Nothing is fenced — nobody can address the session before
+    /// the exchange's last step puts it into the table — and the lock is
+    /// taken once placing a job over the mapped arrays needs no drain (jobs
+    /// still in flight over them are on one device). Behavior is identical
+    /// to [`ClusterMachine::open_sharded_session_with`].
+    pub fn open_phased(
+        &self,
+        maps: &[(&str, ftn_interp::RtValue, MapKind, ftn_shard::Partition)],
+        shards: ShardCount,
+        auto_rebalance: Option<AutoRebalance>,
+    ) -> Result<u64, CompileError> {
+        let ids: Vec<_> = (maps.iter())
+            .filter_map(|(_, v, ..)| Some(v.as_memref().ok()?.buffer))
+            .collect();
+        let placeable = |m: &ClusterMachine| !m.in_flight_apart(&ids);
+        self.phased(None, placeable, |m| {
+            m.open_begin(maps, shards, auto_rebalance)
+        })
+    }
+
+    /// Close a session as a *phased* exchange: fenced and quiesced exactly
+    /// as an epoch is, its `from`/`tofrom` sub-buffers fetched with the
+    /// lock released, then gathered and freed under a short lock. Behavior
+    /// is identical to [`ClusterMachine::close_sharded_session`].
+    pub fn close_phased(&self, session: u64) -> Result<ShardedReport, CompileError> {
+        self.phased(Some(session), quiet(session), |m| m.close_begin(session))
     }
 
     /// Run one inter-launch halo refresh as *phased* exchange: gather →
     /// splice, releasing the machine lock while boundary-row traffic is in
     /// flight and parking on the completion signal instead. Only `session`
     /// is fenced for the duration; launches on every other session proceed
-    /// mid-exchange. No quiesce phase precedes the gather — worker queues
-    /// are FIFO, so the donor fetches run after every kernel the session
-    /// already queued, and the wait between the phases orders the exchange
-    /// across devices. Behavior (bytes moved, statistics, error cleanup)
-    /// is identical to [`ClusterMachine::refresh_halos`].
+    /// mid-exchange. No quiesce phase precedes the gather: worker queues
+    /// are FIFO. Behavior (bytes moved, statistics, error cleanup) is
+    /// identical to [`ClusterMachine::refresh_halos`].
     pub fn refresh_phased(&self, session: u64) -> Result<HaloRefreshReport, CompileError> {
-        self.phased(session, false, |m| m.halo_begin(session))
+        self.phased(Some(session), |_| true, |m| m.halo_begin(session))
     }
 
-    /// Park until `session`'s outstanding launches have landed — they must
-    /// before backlogs are read or rows change owners. Parks on the signal
-    /// between polls; the machine lock is only held to drain outcomes. (The
-    /// exchange's begin step re-checks under its own lock; with the session
-    /// fenced, nothing new can be submitted in between.)
-    fn quiesce(&self, session: u64) {
+    /// Lock the machine once `ready` holds of it, parking on the signal
+    /// between polls: the lock is only held to drain outcomes, and the
+    /// caller's next step runs under the guard `ready` was seen under.
+    fn lock_when(&self, ready: impl Fn(&ClusterMachine) -> bool) -> MutexGuard<'_, ClusterMachine> {
         loop {
             let seen = self.signal.seq();
-            {
-                let mut m = self.lock();
-                m.poll_outcomes();
-                // Unknown session: let the begin step report it as the
-                // synchronous path would.
-                if m.sharded_pending_jobs(session).unwrap_or(0) == 0 {
-                    return;
-                }
+            let mut m = self.lock();
+            m.poll_outcomes();
+            if ready(&m) {
+                return m;
             }
+            drop(m);
             self.signal.wait_past(seen, PARK_SLICE);
         }
     }
 
-    /// The one phased driver: fence `session`, optionally quiesce it, then
-    /// run the row exchange `begin` plans with the machine lock held only
-    /// to submit each phase — the phases' device traffic is waited off-lock
-    /// via job slots.
+    /// The one phased driver: fence `session` (an open has none yet), wait
+    /// off-lock until the machine is `ready` for `begin` (an epoch's and a
+    /// close's session is [`quiet`]), then run the row exchange `begin`
+    /// plans with the machine lock held only to submit each phase — the
+    /// phases' device traffic is waited off-lock via job slots.
     fn phased<R>(
         &self,
-        session: u64,
-        quiesce: bool,
+        session: Option<u64>,
+        ready: impl Fn(&ClusterMachine) -> bool,
         begin: impl FnOnce(&mut ClusterMachine) -> Result<ExchangePhase<R>, CompileError>,
     ) -> Result<R, CompileError> {
-        self.fence(session);
+        if let Some(s) = session {
+            self.fence(s);
+        }
         let result = (|| {
-            if quiesce {
-                self.quiesce(session);
-            }
-            // Decide and submit the gather under a short lock.
-            let mut ex = match begin(&mut self.lock())? {
+            // Decide, plan and submit the gather under a short lock.
+            let mut ex = match begin(&mut self.lock_when(ready))? {
                 ExchangePhase::Done(report) => return Ok(report),
                 ExchangePhase::Run(ex) => ex,
             };
@@ -250,11 +287,14 @@ impl PoolGate {
             ex.wait_phase(|h| self.wait_done(h));
             self.lock().exchange_apply(&mut ex);
             ex.wait_phase(|h| self.wait_done(h));
-            // Release exchange buffers, fold statistics, and (epochs) put
-            // the session back in the table — error path included.
+            // Release exchange buffers, fold statistics, and put the
+            // session into the table (opens), back into it (epochs) or take
+            // it out (closes) — error path included.
             self.lock().exchange_finish(*ex)
         })();
-        self.unfence(session);
+        if let Some(s) = session {
+            self.unfence(s);
+        }
         result
     }
 }

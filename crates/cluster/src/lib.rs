@@ -65,1075 +65,4 @@ pub use sharded::{
 };
 
 #[cfg(test)]
-mod tests {
-    use std::sync::{Arc, OnceLock};
-
-    use ftn_core::{Artifacts, CompilerOptions, Machine};
-    use ftn_fpga::DeviceModel;
-    use ftn_interp::RtValue;
-
-    use crate::{ArtifactCache, ClusterMachine, ImageCache};
-
-    const SAXPY: &str = r#"
-subroutine saxpy(n, a, x, y)
-  implicit none
-  integer :: n, i
-  real :: a, x(n), y(n)
-  !$omp target parallel do simd simdlen(10)
-  do i = 1, n
-    y(i) = y(i) + a*x(i)
-  end do
-  !$omp end target parallel do simd
-end subroutine saxpy
-"#;
-
-    fn artifacts() -> &'static Arc<Artifacts> {
-        static CELL: OnceLock<Arc<Artifacts>> = OnceLock::new();
-        CELL.get_or_init(|| {
-            ArtifactCache::new()
-                .get_or_compile(&CompilerOptions::default(), SAXPY)
-                .expect("saxpy compiles")
-        })
-    }
-
-    pub(crate) fn pool(n: usize) -> ClusterMachine {
-        let devices = vec![DeviceModel::u280(); n];
-        ClusterMachine::load(artifacts(), &devices).expect("pool loads")
-    }
-
-    #[test]
-    fn n1_pool_is_bit_identical_to_machine() {
-        let n = 1003usize;
-        let x: Vec<f32> = (0..n).map(|i| (i as f32).sin()).collect();
-        let y: Vec<f32> = (0..n).map(|i| (i as f32).cos()).collect();
-
-        let mut machine = Machine::load(artifacts(), DeviceModel::u280()).unwrap();
-        let xa = machine.host_f32(&x);
-        let ya = machine.host_f32(&y);
-        let single = machine
-            .run(
-                "saxpy",
-                &[RtValue::I32(n as i32), RtValue::F32(2.5), xa, ya.clone()],
-            )
-            .unwrap();
-        let single_y = machine.read_f32(&ya);
-
-        let mut cluster = pool(1);
-        let xa = cluster.host_f32(&x);
-        let ya = cluster.host_f32(&y);
-        let pooled = cluster
-            .run(
-                "saxpy",
-                &[RtValue::I32(n as i32), RtValue::F32(2.5), xa, ya.clone()],
-            )
-            .unwrap();
-        let pooled_y = cluster.read_f32(&ya);
-
-        assert_eq!(pooled.device, 0);
-        assert_eq!(single_y, pooled_y, "results must be bit-identical");
-        assert_eq!(
-            single.stats, pooled.report.stats,
-            "stats must be bit-identical"
-        );
-        assert_eq!(single.fpga_power_watts, pooled.report.fpga_power_watts);
-
-        // Pool totals equal the single run's stats for one job on one device.
-        let ps = cluster.pool_stats();
-        assert_eq!(ps.totals, single.stats);
-        assert_eq!(ps.jobs, 1);
-    }
-
-    #[test]
-    fn placement_is_deterministic_for_a_seeded_queue() {
-        // Two identically-constructed pools fed the same submission sequence
-        // must place every job on the same device.
-        let run_sequence = |cluster: &mut ClusterMachine| -> Vec<usize> {
-            let n = 64usize;
-            let mut handles = Vec::new();
-            for shard in 0..8 {
-                let x = vec![shard as f32; n];
-                let y = vec![1.0f32; n];
-                let xa = cluster.host_f32(&x);
-                let ya = cluster.host_f32(&y);
-                let h = cluster
-                    .submit(
-                        "saxpy",
-                        &[RtValue::I32(n as i32), RtValue::F32(2.0), xa, ya],
-                    )
-                    .unwrap();
-                handles.push(h);
-            }
-            handles
-                .into_iter()
-                .map(|h| cluster.wait(h).unwrap().device)
-                .collect()
-        };
-        let mut a = pool(4);
-        let mut b = pool(4);
-        let placed_a = run_sequence(&mut a);
-        let placed_b = run_sequence(&mut b);
-        assert_eq!(placed_a, placed_b);
-        // Independent shards spread round-robin over the idle pool.
-        assert_eq!(placed_a, vec![0, 1, 2, 3, 0, 1, 2, 3]);
-    }
-
-    #[test]
-    fn data_affinity_beats_least_loaded_when_buffer_is_resident() {
-        let mut cluster = pool(4);
-        let n = 256usize;
-        let x = vec![1.0f32; n];
-        let y = vec![2.0f32; n];
-        let xa = cluster.host_f32(&x);
-        let ya = cluster.host_f32(&y);
-        let args = [RtValue::I32(n as i32), RtValue::F32(2.0), xa, ya];
-
-        // First job lands on device 0 (least-loaded, empty pool) and leaves
-        // x and y resident there.
-        let first = cluster.run("saxpy", &args).unwrap();
-        assert_eq!(first.device, 0);
-
-        // The round-robin cursor now points at device 1, so a *fresh* buffer
-        // job would go there — but the resident buffers pull this job back
-        // to device 0.
-        let second = cluster.run("saxpy", &args).unwrap();
-        assert_eq!(second.device, 0, "affinity must beat least-loaded");
-        let ps = cluster.pool_stats();
-        assert!(ps.affinity_hits > 0, "{ps:?}");
-
-        // Control: a job over fresh buffers does go to the rr device.
-        let xb = cluster.host_f32(&x);
-        let yb = cluster.host_f32(&y);
-        let third = cluster
-            .run(
-                "saxpy",
-                &[RtValue::I32(n as i32), RtValue::F32(2.0), xb, yb],
-            )
-            .unwrap();
-        assert_eq!(third.device, 1, "fresh buffers follow least-loaded");
-    }
-
-    #[test]
-    fn artifact_cache_hits_on_second_identical_compile() {
-        let cache = ArtifactCache::new();
-        let opts = CompilerOptions::default();
-        let a = cache.get_or_compile(&opts, SAXPY).unwrap();
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (0, 1), "{s:?}");
-        let b = cache.get_or_compile(&opts, SAXPY).unwrap();
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (1, 1), "{s:?}");
-        assert!(
-            Arc::ptr_eq(&a, &b),
-            "cache must return the shared artifacts"
-        );
-
-        // A different option set is a different content address.
-        let other = CompilerOptions {
-            fix_mac_pattern: true,
-            ..Default::default()
-        };
-        let _ = cache.get_or_compile(&other, SAXPY).unwrap();
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (1, 2), "{s:?}");
-    }
-
-    #[test]
-    fn disk_cache_layer_survives_a_new_cache_instance() {
-        let dir = std::env::temp_dir().join(format!("ftn-artifact-cache-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let opts = CompilerOptions::default();
-        {
-            let cache = ArtifactCache::with_disk(&dir).unwrap();
-            let _ = cache.get_or_compile(&opts, SAXPY).unwrap();
-            let s = cache.stats();
-            assert_eq!((s.misses, s.disk_stores), (1, 1), "{s:?}");
-        }
-        // A fresh cache over the same directory serves the compile from disk.
-        let cache = ArtifactCache::with_disk(&dir).unwrap();
-        let a = cache.get_or_compile(&opts, SAXPY).unwrap();
-        let s = cache.stats();
-        assert_eq!((s.hits, s.disk_hits, s.misses), (0, 1, 0), "{s:?}");
-        // And the reloaded artifacts are usable end-to-end.
-        let mut m = Machine::load(&a, DeviceModel::u280()).unwrap();
-        let xa = m.host_f32(&[1.0, 2.0]);
-        let ya = m.host_f32(&[1.0, 1.0]);
-        m.run(
-            "saxpy",
-            &[RtValue::I32(2), RtValue::F32(3.0), xa, ya.clone()],
-        )
-        .unwrap();
-        assert_eq!(m.read_f32(&ya), vec![4.0, 7.0]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn image_cache_shares_parsed_bitstreams() {
-        let cache = ImageCache::new();
-        let a = cache.instantiate(&artifacts().bitstream).unwrap();
-        let b = cache.instantiate(&artifacts().bitstream).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses), (1, 1), "{s:?}");
-    }
-
-    #[test]
-    fn four_device_pool_at_least_doubles_aggregate_throughput() {
-        let n = 4096usize;
-        let shards = 8usize;
-        let x = vec![1.5f32; n];
-        let y = vec![0.5f32; n];
-
-        // Single device, sequential shards.
-        let mut single = Machine::load(artifacts(), DeviceModel::u280()).unwrap();
-        let mut serial_sim = 0.0f64;
-        for _ in 0..shards {
-            let xa = single.host_f32(&x);
-            let ya = single.host_f32(&y);
-            let r = single
-                .run(
-                    "saxpy",
-                    &[RtValue::I32(n as i32), RtValue::F32(2.0), xa, ya],
-                )
-                .unwrap();
-            serial_sim += r.stats.kernel_wall_seconds + r.stats.transfer_seconds;
-        }
-
-        // Four devices, all shards in flight at once.
-        let mut cluster = pool(4);
-        let mut handles = Vec::new();
-        for _ in 0..shards {
-            let xa = cluster.host_f32(&x);
-            let ya = cluster.host_f32(&y);
-            handles.push(
-                cluster
-                    .submit(
-                        "saxpy",
-                        &[RtValue::I32(n as i32), RtValue::F32(2.0), xa, ya],
-                    )
-                    .unwrap(),
-            );
-        }
-        for h in handles {
-            cluster.wait(h).unwrap();
-        }
-        let ps = cluster.pool_stats();
-        // The pool did the same simulated work...
-        assert!(
-            (ps.serial_sim_seconds - serial_sim).abs() < 1e-12,
-            "pool serial {} vs machine {}",
-            ps.serial_sim_seconds,
-            serial_sim
-        );
-        // ...in under half the timeline.
-        assert!(
-            ps.aggregate_speedup >= 2.0,
-            "aggregate speedup {} (stats {ps:?})",
-            ps.aggregate_speedup
-        );
-        // Per-device stats sum consistently to the pool totals.
-        let sum_launches: u64 = ps.devices.iter().map(|d| d.stats.launches).sum();
-        assert_eq!(sum_launches, ps.totals.launches);
-        assert_eq!(ps.totals.launches as usize, shards);
-    }
-
-    #[test]
-    fn in_flight_buffers_force_colocation_and_fifo_order() {
-        let mut cluster = pool(4);
-        let n = 128usize;
-        let xa = cluster.host_f32(&vec![1.0f32; n]);
-        let ya = cluster.host_f32(&vec![0.0f32; n]);
-        let args = [RtValue::I32(n as i32), RtValue::F32(1.0), xa, ya.clone()];
-        // Three chained jobs over the same buffers, submitted without
-        // waiting: y += x three times.
-        let h1 = cluster.submit("saxpy", &args).unwrap();
-        let h2 = cluster.submit("saxpy", &args).unwrap();
-        let h3 = cluster.submit("saxpy", &args).unwrap();
-        let d1 = cluster.wait(h1).unwrap().device;
-        let d2 = cluster.wait(h2).unwrap().device;
-        let d3 = cluster.wait(h3).unwrap().device;
-        assert_eq!(d1, d2);
-        assert_eq!(d2, d3, "chained jobs must colocate");
-        assert_eq!(cluster.read_f32(&ya), vec![3.0f32; n]);
-        let ps = cluster.pool_stats();
-        assert!(ps.forced_colocations >= 2, "{ps:?}");
-    }
-
-    /// Argument list of the compiled `saxpy_kernel0` device kernel:
-    /// `(x, y, n, n, a, 1, n)` — see the generated `device.kernel_create`.
-    fn saxpy_kernel_args(x: &RtValue, y: &RtValue, n: usize, a: f32) -> Vec<RtValue> {
-        vec![
-            x.clone(),
-            y.clone(),
-            RtValue::Index(n as i64),
-            RtValue::Index(n as i64),
-            RtValue::F32(a),
-            RtValue::Index(1),
-            RtValue::Index(n as i64),
-        ]
-    }
-
-    #[test]
-    fn session_maps_once_and_elides_per_launch_transfers() {
-        use crate::MapKind;
-        let mut cluster = pool(2);
-        let n = 256usize;
-        let x = vec![1.0f32; n];
-        let y = vec![0.5f32; n];
-        let xa = cluster.host_f32(&x);
-        let ya = cluster.host_f32(&y);
-        let sid = cluster
-            .open_session(&[
-                ("x", xa.clone(), MapKind::To),
-                ("y", ya.clone(), MapKind::ToFrom),
-            ])
-            .unwrap();
-        let launches = 4usize;
-        for _ in 0..launches {
-            let ticket = cluster
-                .session_launch(sid, "saxpy_kernel0", &saxpy_kernel_args(&xa, &ya, n, 3.0))
-                .unwrap();
-            cluster.wait(ticket.handle).unwrap();
-        }
-        // Host memory is stale until close: launches defer writeback.
-        assert_eq!(cluster.read_f32(&ya), y, "no per-launch writeback");
-        let report = cluster.close_session(sid).unwrap();
-        assert_eq!(report.stats.launches, launches as u64);
-        assert_eq!(report.stats.staged_uploads, 2, "x and y mapped once");
-        assert_eq!(report.stats.elided_transfers, 2 * launches as u64);
-        assert_eq!(report.stats.fetched_downloads, 1, "only y comes back");
-        // y += 3*x, four times.
-        let expect: Vec<f32> = y.iter().map(|v| v + 4.0 * 3.0).collect();
-        assert_eq!(cluster.read_f32(&ya), expect);
-        // Pool totals: 2 uploads + 1 download, `launches` kernel launches.
-        let ps = cluster.pool_stats();
-        assert_eq!(ps.totals.transfers, 3);
-        assert_eq!(ps.totals.launches, launches as u64);
-        assert!(cluster.open_sessions().is_empty());
-    }
-
-    /// The hazard the old pinned-residency rung was meant to cover: while a
-    /// session maps `x` and `y`, their current contents live on the
-    /// session's sub-buffers. A sessionless job naming them would compute
-    /// on the stale host copy and be overwritten by the close.
-    #[test]
-    fn sessionless_job_over_session_mapped_arrays_is_refused() {
-        use crate::MapKind;
-        let mut cluster = pool(2);
-        let n = 64usize;
-        let xa = cluster.host_f32(&vec![1.0f32; n]);
-        let ya = cluster.host_f32(&vec![0.5f32; n]);
-        let host_buffers = cluster.pool_stats().host_buffers;
-        let sid = cluster
-            .open_session(&[
-                ("x", xa.clone(), MapKind::To),
-                ("y", ya.clone(), MapKind::ToFrom),
-            ])
-            .unwrap();
-        let ticket = cluster
-            .session_launch(sid, "saxpy_kernel0", &saxpy_kernel_args(&xa, &ya, n, 3.0))
-            .unwrap();
-        cluster.wait(ticket.handle).unwrap();
-
-        let run_args = [RtValue::I32(n as i32), RtValue::F32(1.0), xa, ya.clone()];
-        let err = cluster
-            .run("saxpy", &run_args)
-            .expect_err("arrays are mapped by the open session");
-        assert_eq!(err.stage, "cluster-session");
-        let expect =
-            format!("array is mapped by open session {sid}; close it or launch through it");
-        assert!(err.to_string().contains(&expect), "{err}");
-        assert_eq!(cluster.read_f32(&ya), vec![0.5f32; n], "host untouched");
-
-        cluster.close_session(sid).unwrap();
-        assert_eq!(cluster.read_f32(&ya), vec![3.5f32; n]);
-        assert_eq!(cluster.pool_stats().host_buffers, host_buffers);
-        // Once closed, the arrays are ordinary again.
-        cluster.run("saxpy", &run_args).unwrap();
-        assert_eq!(cluster.read_f32(&ya), vec![4.5f32; n]);
-    }
-
-    #[test]
-    fn holds_current_tracks_the_device_and_the_version() {
-        let mut state = crate::machine::BufState::default();
-        assert!(!state.holds_current(0), "nothing resident yet");
-        state.resident.insert(0, 0);
-        assert!(state.holds_current(0));
-        assert!(!state.holds_current(1), "another device's copy");
-        state.version = 1;
-        assert!(!state.holds_current(0), "a stale copy is not current");
-    }
-
-    #[test]
-    fn write_on_bumps_the_version_and_leaves_one_current_copy() {
-        let mut state = crate::machine::BufState::default();
-        state.resident.insert(0, 0);
-        state.resident.insert(1, 0);
-        assert_eq!(state.write_on(1), 1);
-        assert_eq!(state.version, 1);
-        assert!(state.holds_current(1));
-        assert!(!state.holds_current(0), "other copies are dropped");
-        assert_eq!(state.resident.len(), 1);
-        assert_eq!(state.written, 0, "host memory is stale until a writeback");
-        assert_eq!(state.write_on(0), 2);
-        assert!(state.holds_current(0) && !state.holds_current(1));
-    }
-
-    #[test]
-    fn rollups_attribute_cycles_per_kernel_session_and_device() {
-        use crate::{MapKind, RollupBy};
-        let mut cluster = pool(2);
-        let n = 256usize;
-        let x = vec![1.0f32; n];
-        let y = vec![0.5f32; n];
-        let xa = cluster.host_f32(&x);
-        let ya = cluster.host_f32(&y);
-
-        // One sessionless run: a device row, no kernel or session row.
-        let run_args = [
-            RtValue::I32(n as i32),
-            RtValue::F32(2.0),
-            xa.clone(),
-            ya.clone(),
-        ];
-        let run_cycles = cluster
-            .run("saxpy", &run_args)
-            .unwrap()
-            .report
-            .stats
-            .total_cycles;
-        assert!(cluster.rollups(RollupBy::Session).is_empty());
-        assert!(cluster.rollups(RollupBy::Kernel).is_empty());
-
-        // Three session launches: attributed to the session id.
-        let sid = cluster
-            .open_session(&[
-                ("x", xa.clone(), MapKind::To),
-                ("y", ya.clone(), MapKind::ToFrom),
-            ])
-            .unwrap();
-        for _ in 0..3 {
-            let ticket = cluster
-                .session_launch(sid, "saxpy_kernel0", &saxpy_kernel_args(&xa, &ya, n, 3.0))
-                .unwrap();
-            cluster.wait(ticket.handle).unwrap();
-        }
-        cluster.close_session(sid).unwrap();
-
-        let kernels = cluster.rollups(RollupBy::Kernel);
-        assert_eq!(kernels.len(), 1);
-        let k = &kernels[0];
-        assert_eq!(k.key, "saxpy_kernel0");
-        assert_eq!(k.jobs, 3);
-        assert!(k.sim_cycles > 0);
-        assert!(k.wall_seconds > 0.0);
-        // Only the run and the kernel jobs burn cycles, so together they
-        // account for the pool's entire cycle total.
-        let total_cycles = cluster.pool_stats().totals.total_cycles;
-        assert_eq!(k.sim_cycles + run_cycles, total_cycles);
-
-        let sessions = cluster.rollups(RollupBy::Session);
-        assert_eq!(sessions.len(), 1);
-        assert_eq!(sessions[0].key, sid.to_string());
-        assert_eq!(sessions[0].jobs, 3, "only session launches attributed");
-
-        // Device rows see every job (the run, kernels, the session-open
-        // upload and the close fetch) and their cycles re-add to the total.
-        let devices = cluster.rollups(RollupBy::Device);
-        assert!(!devices.is_empty());
-        let device_cycles: u64 = devices.iter().map(|r| r.sim_cycles).sum();
-        assert_eq!(device_cycles, total_cycles);
-        let device_jobs: u64 = devices.iter().map(|r| r.jobs).sum();
-        assert!(
-            device_jobs >= 4,
-            "at least the run and the three kernel jobs: {devices:?}"
-        );
-        let bytes: u64 = devices.iter().map(|r| r.bytes_moved).sum();
-        assert!(bytes > 0, "staging + writeback move bytes");
-    }
-
-    #[test]
-    fn worker_arena_does_not_grow_across_jobs() {
-        // Regression for the ROADMAP item "pool workers never free device
-        // buffers": the post-job transient reclaim must keep the worker arena
-        // flat across whole-program jobs (which allocate device data
-        // environments) and session launches.
-        let mut cluster = pool(1);
-        let n = 64usize;
-        let xa = cluster.host_f32(&vec![1.0f32; n]);
-        let ya = cluster.host_f32(&vec![0.0f32; n]);
-        let args = [RtValue::I32(n as i32), RtValue::F32(1.0), xa, ya];
-        for _ in 0..3 {
-            cluster.run("saxpy", &args).unwrap();
-        }
-        let settled = cluster.pool_stats().devices[0].arena_buffers;
-        assert!(settled > 0);
-        for _ in 0..20 {
-            cluster.run("saxpy", &args).unwrap();
-        }
-        let after = cluster.pool_stats().devices[0].arena_buffers;
-        assert_eq!(
-            settled, after,
-            "arena must stay flat across jobs (reset between jobs)"
-        );
-    }
-
-    #[test]
-    fn auto_rebalance_parses_interval_and_threshold() {
-        use crate::{AutoRebalance, DEFAULT_REBALANCE_THRESHOLD};
-        let ar = AutoRebalance::parse("4").unwrap();
-        assert_eq!(ar.interval, 4);
-        assert_eq!(ar.threshold, DEFAULT_REBALANCE_THRESHOLD);
-        let ar = AutoRebalance::parse("2:1.5").unwrap();
-        assert_eq!((ar.interval, ar.threshold), (2, 1.5));
-        for bad in ["0", "-1", "x", "4:0.5", "4:nan", "4:"] {
-            assert!(AutoRebalance::parse(bad).is_none(), "{bad}");
-        }
-    }
-
-    #[test]
-    fn rebalance_migrates_rows_off_a_backlogged_device_and_stays_exact() {
-        use crate::sharded::{ShardArg, ShardCount};
-        use crate::{MapKind, Partition};
-        let mut cluster = pool(4);
-        let n = 4096usize;
-        let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.17).sin()).collect();
-        let y: Vec<f32> = (0..n).map(|i| (i as f32 * 0.03).cos()).collect();
-        let xa = cluster.host_f32(&x);
-        let ya = cluster.host_f32(&y);
-        let sid = cluster
-            .open_sharded_session(
-                &[
-                    ("x", xa, MapKind::To, Partition::Split { halo: 0 }),
-                    (
-                        "y",
-                        ya.clone(),
-                        MapKind::ToFrom,
-                        Partition::Split { halo: 0 },
-                    ),
-                ],
-                ShardCount::Fixed(4),
-            )
-            .unwrap();
-        let a = 1.75f32;
-        let args = [
-            ShardArg::Array("x".into()),
-            ShardArg::Array("y".into()),
-            ShardArg::Extent("x".into()),
-            ShardArg::Extent("y".into()),
-            ShardArg::Scalar(RtValue::F32(a)),
-            ShardArg::Scalar(RtValue::Index(1)),
-            ShardArg::Extent("x".into()),
-        ];
-        let launch = |cluster: &mut ClusterMachine| {
-            let t = cluster.sharded_launch(sid, "saxpy_kernel0", &args).unwrap();
-            cluster.wait_sharded(t).unwrap();
-        };
-        for _ in 0..2 {
-            launch(&mut cluster);
-        }
-
-        // A quiet pool re-plans to the split it already has: pure no-op.
-        let report = cluster.rebalance_session(sid).unwrap();
-        assert!(!report.replanned, "{report:?}");
-        assert_eq!(report.rows_migrated, 0);
-        assert_eq!(report.shard_rows, vec![1024; 4]);
-        assert_eq!(cluster.session_stats(sid).unwrap().replan_count, 0);
-
-        // Device 0 gains a co-tenant worth half a re-plan horizon of its
-        // shard work: the epoch migrates a chunk of its rows to the idle
-        // devices and the migrated rows are exactly the delta between the
-        // plans.
-        let per_launch = cluster
-            .cost_model
-            .estimate_any_seconds(&DeviceModel::u280(), (n / 4) as u64)
-            .expect("saxpy is predictable");
-        cluster.inject_backlog(0, 8.0 * per_launch);
-        let report = cluster.rebalance_session(sid).unwrap();
-        assert!(report.replanned, "{report:?}");
-        assert!(report.predicted_gain > 1.05, "{report:?}");
-        assert!(report.shard_rows[0] < 1024, "{report:?}");
-        assert_eq!(report.shard_rows.iter().sum::<usize>(), n);
-        // Two split arrays re-planned identically: rows_migrated counts the
-        // owner-changing rows of both.
-        let old_plan = crate::ShardPlan::partition(n, 4, 0);
-        let new_plan = crate::ShardPlan::from_ranges(n, {
-            let mut start = 0;
-            report
-                .shard_rows
-                .iter()
-                .map(|&len| {
-                    let r = ftn_shard::ShardRange {
-                        start,
-                        len,
-                        halo_lo: 0,
-                        halo_hi: 0,
-                    };
-                    start += len;
-                    r
-                })
-                .collect()
-        });
-        let per_array: u64 = crate::ShardPlan::delta(&old_plan, &new_plan)
-            .iter()
-            .map(|m| m.len as u64)
-            .sum();
-        assert!(per_array >= 1, "some rows moved");
-        assert_eq!(report.rows_migrated, 2 * per_array, "{report:?}");
-        let stats = cluster.session_stats(sid).unwrap();
-        assert_eq!(stats.replan_count, 1);
-        assert_eq!(stats.rows_migrated, report.rows_migrated);
-        assert!(stats.epoch_seconds > 0.0);
-
-        // The session keeps running under the new plan and closes exactly.
-        for _ in 0..2 {
-            launch(&mut cluster);
-        }
-        cluster.close_sharded_session(sid).unwrap();
-        let got = cluster.read_f32(&ya);
-        for i in 0..n {
-            let mut expect = y[i];
-            for _ in 0..4 {
-                expect += a * x[i];
-            }
-            assert_eq!(got[i].to_bits(), expect.to_bits(), "element {i}");
-        }
-        // No leaks: only x and y remain; epoch counters surfaced pool-wide.
-        let ps = cluster.pool_stats();
-        assert_eq!(ps.host_buffers, 2, "{ps:?}");
-        assert_eq!(ps.replans, 1);
-        assert_eq!(ps.rows_migrated, report.rows_migrated);
-    }
-
-    #[test]
-    fn failed_open_releases_every_sub_buffer() {
-        use crate::pool::WorkerMessage;
-        use crate::sharded::ShardCount;
-        use crate::{MapKind, Partition};
-        let mut cluster = pool(2);
-        let n = 512usize;
-        let xa = cluster.host_f32(&vec![1.0f32; n]);
-        let ya = cluster.host_f32(&vec![0.5f32; n]);
-        // Device 0 holds one mirror (x) before the failed open.
-        let x_id = xa.as_memref().unwrap().buffer;
-        let t = cluster.submit_upload(&[(x_id, None)], 0).unwrap();
-        cluster.wait(t.handle).unwrap();
-        let arena = cluster.pool_stats().devices[0].arena_buffers;
-        let (live, tracked) = (cluster.memory.live(), cluster.buffers.len());
-
-        // Device 1's worker exits; its queue is closed from here on.
-        let slot = &mut cluster.pool.slots[1];
-        slot.sender.send(WorkerMessage::Shutdown).unwrap();
-        slot.thread.take().unwrap().join().unwrap();
-
-        let err = cluster
-            .open_sharded_session(
-                &[
-                    ("x", xa, MapKind::To, Partition::Split { halo: 0 }),
-                    ("y", ya, MapKind::ToFrom, Partition::Split { halo: 0 }),
-                ],
-                ShardCount::Fixed(2),
-            )
-            .expect_err("staging onto a dead worker fails");
-        assert!(err.to_string().contains("worker is gone"), "{err}");
-        assert!(cluster.open_sessions().is_empty());
-        // The scatter is released: host sub-buffers, their ledger entries,
-        // and the mirrors device 0 had already staged.
-        assert_eq!(cluster.memory.live(), live);
-        assert_eq!(cluster.buffers.len(), tracked);
-        assert!(cluster.pending.is_empty() && cluster.completed.is_empty());
-        let t = cluster.submit_upload(&[(x_id, None)], 0).unwrap();
-        cluster.wait(t.handle).unwrap();
-        assert_eq!(cluster.pool_stats().devices[0].arena_buffers, arena);
-    }
-
-    /// The exchange's failure path under both callers: a gather job that
-    /// fails on its worker surfaces as the caller's error, every move
-    /// buffer (and, for the epoch, every sub-buffer of the abandoned plan)
-    /// is released on host and devices, and the session — rolled back to
-    /// its previous plan — carries on bit-identical to a run that never
-    /// saw the fault.
-    #[test]
-    fn failed_exchange_releases_its_buffers_and_leaves_the_session_intact() {
-        use crate::sharded::{ShardArg, ShardCount};
-        use crate::{MapKind, Partition, SessionStats};
-        let n = 1024usize;
-        let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.11).sin()).collect();
-        let y: Vec<f32> = (0..n).map(|i| (i as f32 * 0.07).cos()).collect();
-        let args = [
-            ShardArg::Array("x".into()),
-            ShardArg::Array("y".into()),
-            ShardArg::Extent("x".into()),
-            ShardArg::Extent("y".into()),
-            ShardArg::Scalar(RtValue::F32(1.5)),
-            ShardArg::Scalar(RtValue::Index(1)),
-            ShardArg::Extent("x".into()),
-        ];
-        let run = |faults: bool| -> (Vec<f32>, SessionStats, Vec<usize>) {
-            let mut cluster = pool(4);
-            let xa = cluster.host_f32(&x);
-            let ya = cluster.host_f32(&y);
-            let sid = cluster
-                .open_sharded_session(
-                    &[
-                        ("x", xa, MapKind::To, Partition::Split { halo: 1 }),
-                        (
-                            "y",
-                            ya.clone(),
-                            MapKind::ToFrom,
-                            Partition::Split { halo: 1 },
-                        ),
-                    ],
-                    ShardCount::Fixed(4),
-                )
-                .unwrap();
-            let launch = |cluster: &mut ClusterMachine| {
-                let t = cluster.sharded_launch(sid, "saxpy_kernel0", &args).unwrap();
-                cluster.wait_sharded(t).unwrap();
-            };
-            launch(&mut cluster);
-            let (live, tracked) = (cluster.memory.live(), cluster.buffers.len());
-            let settled = |cluster: &ClusterMachine| {
-                assert_eq!(cluster.memory.live(), live);
-                assert_eq!(cluster.buffers.len(), tracked);
-                assert!(cluster.pending.is_empty() && cluster.completed.is_empty());
-                assert_eq!(cluster.sharded_shard_rows(sid, "y"), Some(vec![256; 4]));
-            };
-
-            if faults {
-                cluster.corrupt_next_gather = true;
-                let err = cluster.refresh_halos(sid).expect_err("gather fails");
-                assert!(err.to_string().contains("out of bounds"), "{err}");
-                settled(&cluster);
-            }
-            assert!(cluster.refresh_halos(sid).unwrap().refreshed);
-            launch(&mut cluster);
-
-            let per_launch = cluster
-                .cost_model
-                .estimate_any_seconds(&DeviceModel::u280(), (n / 4) as u64)
-                .unwrap();
-            cluster.inject_backlog(0, 8.0 * per_launch);
-            if faults {
-                cluster.corrupt_next_gather = true;
-                let err = cluster
-                    .rebalance_session_with(sid, None)
-                    .expect_err("gather fails");
-                assert!(err.to_string().contains("out of bounds"), "{err}");
-                settled(&cluster);
-                assert_eq!(cluster.session_stats(sid).unwrap().replan_count, 0);
-            }
-            // Arena counts ride on job outcomes: after the next launch they
-            // must match the run that never started the failed epoch.
-            launch(&mut cluster);
-            let arenas = (cluster.pool_stats().devices.iter())
-                .map(|d| d.arena_buffers)
-                .collect();
-
-            let report = cluster.rebalance_session(sid).unwrap();
-            assert!(report.replanned, "{report:?}");
-            launch(&mut cluster);
-            let stats = cluster.close_sharded_session(sid).unwrap().stats;
-            assert_eq!(cluster.pool_stats().host_buffers, 2);
-            (cluster.read_f32(&ya), stats, arenas)
-        };
-        let (clean_y, clean_stats, clean_arenas) = run(false);
-        let (y, mut stats, arenas) = run(true);
-        assert_eq!(arenas, clean_arenas);
-        for (i, (a, b)) in clean_y.iter().zip(&y).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "element {i}");
-        }
-        stats.epoch_seconds = clean_stats.epoch_seconds;
-        assert_eq!(stats, clean_stats);
-    }
-
-    #[test]
-    fn sharded_session_fans_out_and_gathers() {
-        use crate::sharded::{ShardArg, ShardCount};
-        use crate::{MapKind, Partition};
-        let mut cluster = pool(4);
-        let n = 1003usize;
-        let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.13).sin()).collect();
-        let y: Vec<f32> = (0..n).map(|i| (i as f32 * 0.07).cos()).collect();
-        let xa = cluster.host_f32(&x);
-        let ya = cluster.host_f32(&y);
-        let sid = cluster
-            .open_sharded_session(
-                &[
-                    ("x", xa.clone(), MapKind::To, Partition::Split { halo: 0 }),
-                    (
-                        "y",
-                        ya.clone(),
-                        MapKind::ToFrom,
-                        Partition::Split { halo: 0 },
-                    ),
-                ],
-                ShardCount::Fixed(4),
-            )
-            .unwrap();
-        assert_eq!(cluster.sharded_shards(sid), Some(4));
-        assert_eq!(cluster.sharded_devices(sid), Some(vec![0, 1, 2, 3]));
-        let a = 2.25f32;
-        let args = [
-            ShardArg::Array("x".into()),
-            ShardArg::Array("y".into()),
-            ShardArg::Extent("x".into()),
-            ShardArg::Extent("y".into()),
-            ShardArg::Scalar(RtValue::F32(a)),
-            ShardArg::Scalar(RtValue::Index(1)),
-            ShardArg::Extent("x".into()),
-        ];
-        let reps = 3usize;
-        for _ in 0..reps {
-            let ticket = cluster.sharded_launch(sid, "saxpy_kernel0", &args).unwrap();
-            assert_eq!(ticket.devices, vec![0, 1, 2, 3]);
-            let report = cluster.wait_sharded(ticket).unwrap();
-            assert_eq!(report.stats.launches, 4);
-        }
-        // Host memory is stale until close (deferred writeback).
-        assert_eq!(cluster.read_f32(&ya), y);
-        let report = cluster.close_sharded_session(sid).unwrap();
-        assert_eq!(report.shards, 4);
-        assert_eq!(report.stats.launches, (reps * 4) as u64);
-        assert_eq!(report.stats.fetched_downloads, 4, "one y slice per shard");
-        let got = cluster.read_f32(&ya);
-        for i in 0..n {
-            let mut expect = y[i];
-            for _ in 0..reps {
-                expect += a * x[i];
-            }
-            assert_eq!(got[i].to_bits(), expect.to_bits(), "element {i}");
-        }
-        // All four devices really ran shard jobs, force-placed.
-        let ps = cluster.pool_stats();
-        assert!(ps.devices.iter().all(|d| d.jobs > 0), "{ps:?}");
-        assert!(ps.shard_forced >= (4 + reps * 4) as u64, "{ps:?}");
-        assert_eq!(ps.steals, 0, "stealing is disabled across shards");
-        // The shard sub-buffers were freed at close: only x and y remain.
-        assert_eq!(ps.host_buffers, 2, "{ps:?}");
-        assert!(cluster.open_sessions().is_empty());
-    }
-
-    #[test]
-    fn batched_fanout_sends_one_message_per_device() {
-        use crate::sharded::{ShardArg, ShardCount};
-        use crate::{MapKind, Partition};
-        let n = 403usize;
-        let reps = 3usize;
-        let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.11).sin()).collect();
-        let y: Vec<f32> = (0..n).map(|i| (i as f32 * 0.05).cos()).collect();
-        let args = [
-            ShardArg::Array("x".into()),
-            ShardArg::Array("y".into()),
-            ShardArg::Extent("x".into()),
-            ShardArg::Extent("y".into()),
-            ShardArg::Scalar(RtValue::F32(1.5)),
-            ShardArg::Scalar(RtValue::Index(1)),
-            ShardArg::Extent("x".into()),
-        ];
-        let mut cluster = pool(4);
-        let xa = cluster.host_f32(&x);
-        let ya = cluster.host_f32(&y);
-        let sid = cluster
-            .open_sharded_session(
-                &[
-                    ("x", xa, MapKind::To, Partition::Split { halo: 0 }),
-                    ("y", ya, MapKind::ToFrom, Partition::Split { halo: 0 }),
-                ],
-                ShardCount::Fixed(4),
-            )
-            .unwrap();
-        for _ in 0..reps {
-            let t = cluster.sharded_launch(sid, "saxpy_kernel0", &args).unwrap();
-            cluster.wait_sharded(t).unwrap();
-        }
-        cluster.close_sharded_session(sid).unwrap();
-        // The session messaged O(devices): one Batch per device per fan-out
-        // (open staging + each launch + the close fetch).
-        let ps = cluster.pool_stats();
-        let fanouts = (1 + reps + 1) as u64;
-        assert_eq!(ps.batched_messages, fanouts * 4, "{ps:?}");
-        assert_eq!(ps.batched_jobs, fanouts * 4, "{ps:?}");
-    }
-
-    #[test]
-    fn more_shards_than_devices_cycle_the_pool_and_still_batch_per_device() {
-        use crate::sharded::{ShardArg, ShardCount};
-        use crate::{MapKind, Partition};
-        let mut cluster = pool(2);
-        let n = 600usize;
-        let x: Vec<f32> = (0..n).map(|i| i as f32 * 0.01).collect();
-        let y = vec![1.0f32; n];
-        let xa = cluster.host_f32(&x);
-        let ya = cluster.host_f32(&y);
-        let sid = cluster
-            .open_sharded_session(
-                &[
-                    ("x", xa, MapKind::To, Partition::Split { halo: 0 }),
-                    (
-                        "y",
-                        ya.clone(),
-                        MapKind::ToFrom,
-                        Partition::Split { halo: 0 },
-                    ),
-                ],
-                ShardCount::Fixed(6),
-            )
-            .unwrap();
-        // Six shards cycle the two devices; each worker runs its three
-        // shard jobs of a launch back-to-back.
-        assert_eq!(cluster.sharded_shards(sid), Some(6));
-        assert_eq!(cluster.sharded_devices(sid), Some(vec![0, 1, 0, 1, 0, 1]));
-        let args = [
-            ShardArg::Array("x".into()),
-            ShardArg::Array("y".into()),
-            ShardArg::Extent("x".into()),
-            ShardArg::Extent("y".into()),
-            ShardArg::Scalar(RtValue::F32(2.0)),
-            ShardArg::Scalar(RtValue::Index(1)),
-            ShardArg::Extent("x".into()),
-        ];
-        let ticket = cluster.sharded_launch(sid, "saxpy_kernel0", &args).unwrap();
-        assert_eq!(ticket.handles.len(), 6);
-        let report = cluster.wait_sharded(ticket).unwrap();
-        assert_eq!(report.stats.launches, 6);
-        cluster.close_sharded_session(sid).unwrap();
-        let got = cluster.read_f32(&ya);
-        for (i, v) in got.iter().enumerate() {
-            let expect = 1.0 + 2.0 * (i as f32 * 0.01);
-            assert_eq!(v.to_bits(), expect.to_bits(), "element {i}");
-        }
-        // Batched fan-out coalesced each fan-out into one message per
-        // *device*, not per shard: open (2 devices × 3 upload jobs each),
-        // one launch, one close fetch → 3 fan-outs × 2 messages, 18 jobs.
-        let ps = cluster.pool_stats();
-        assert_eq!(ps.batched_messages, 6, "{ps:?}");
-        assert_eq!(ps.batched_jobs, 18, "{ps:?}");
-
-        // An absurd shard request is bounded: a single (possibly hostile)
-        // session cannot allocate more than MAX_SHARDS_PER_DEVICE shards
-        // per device.
-        let xa = cluster.host_f32(&x);
-        let sid = cluster
-            .open_sharded_session(
-                &[("x", xa, MapKind::To, Partition::Split { halo: 0 })],
-                ShardCount::Fixed(1_000_000),
-            )
-            .unwrap();
-        assert_eq!(
-            cluster.sharded_shards(sid),
-            Some(2 * crate::MAX_SHARDS_PER_DEVICE)
-        );
-        cluster.close_sharded_session(sid).unwrap();
-    }
-
-    #[test]
-    fn free_host_keeps_host_and_device_arenas_flat() {
-        let mut cluster = pool(1);
-        let n = 128usize;
-        // Settle the arena with a few allocate-run-free cycles first.
-        let mut settled = None;
-        for round in 0..12 {
-            let xa = cluster.host_f32(&vec![1.0f32; n]);
-            let ya = cluster.host_f32(&vec![0.0f32; n]);
-            cluster
-                .run(
-                    "saxpy",
-                    &[
-                        RtValue::I32(n as i32),
-                        RtValue::F32(1.0),
-                        xa.clone(),
-                        ya.clone(),
-                    ],
-                )
-                .unwrap();
-            cluster.free_host(&xa).unwrap();
-            cluster.free_host(&ya).unwrap();
-            // Double-free is rejected.
-            assert!(cluster.free_host(&xa).is_err());
-            let ps = cluster.pool_stats();
-            assert_eq!(ps.host_buffers, 0, "round {round}: {ps:?}");
-            if round == 2 {
-                settled = Some(ps.devices[0].arena_buffers);
-            }
-        }
-        // Device mirrors of freed buffers were evicted: the worker arena is
-        // no bigger after 12 rounds than after 3.
-        let after = cluster.pool_stats().devices[0].arena_buffers;
-        assert_eq!(Some(after), settled, "device arena must stay flat");
-    }
-
-    #[test]
-    fn failed_jobs_do_not_grow_the_worker_arena() {
-        // Regression: a job that allocates its device data environment and
-        // then fails mid-execution must still free those transients — a
-        // session retrying a failing kernel would otherwise grow the arena
-        // without bound (the error path used to skip the reclaim).
-        let mut cluster = pool(1);
-        let n = 8usize;
-        let good = |cluster: &mut ClusterMachine| {
-            let xa = cluster.host_f32(&vec![1.0f32; n]);
-            let ya = cluster.host_f32(&vec![0.0f32; n]);
-            cluster
-                .run(
-                    "saxpy",
-                    &[
-                        RtValue::I32(n as i32),
-                        RtValue::F32(1.0),
-                        xa.clone(),
-                        ya.clone(),
-                    ],
-                )
-                .unwrap();
-            cluster.free_host(&xa).unwrap();
-            cluster.free_host(&ya).unwrap();
-        };
-        for _ in 0..3 {
-            good(&mut cluster);
-        }
-        let settled = cluster.pool_stats().devices[0].arena_buffers;
-        for _ in 0..10 {
-            // n lies about the array length: the kernel indexes out of
-            // bounds after the host program built its data environment.
-            let xa = cluster.host_f32(&vec![1.0f32; n]);
-            let ya = cluster.host_f32(&vec![0.0f32; n]);
-            let err = cluster.run(
-                "saxpy",
-                &[
-                    RtValue::I32(9999),
-                    RtValue::F32(1.0),
-                    xa.clone(),
-                    ya.clone(),
-                ],
-            );
-            assert!(err.is_err(), "out-of-bounds run must fail");
-            cluster.free_host(&xa).unwrap();
-            cluster.free_host(&ya).unwrap();
-        }
-        good(&mut cluster);
-        let after = cluster.pool_stats().devices[0].arena_buffers;
-        assert_eq!(settled, after, "failed jobs must not leak transients");
-    }
-
-    #[test]
-    fn interleaved_waits_do_not_regress_residency_or_writeback() {
-        // Regression: processing an *older* job's outcome after a newer job
-        // over the same buffer was queued must neither revert the residency
-        // version (which would stage stale host contents over the device's
-        // newer mirror) nor clobber newer host data.
-        let mut cluster = pool(4);
-        let n = 64usize;
-        let xa = cluster.host_f32(&vec![1.0f32; n]);
-        let ya = cluster.host_f32(&vec![0.0f32; n]);
-        let args = [RtValue::I32(n as i32), RtValue::F32(1.0), xa, ya.clone()];
-        let h1 = cluster.submit("saxpy", &args).unwrap();
-        let h2 = cluster.submit("saxpy", &args).unwrap();
-        // Wait on the older job while the newer one is (logically) still
-        // pending bookkeeping, then chain a third job.
-        cluster.wait(h1).unwrap();
-        let h3 = cluster.submit("saxpy", &args).unwrap();
-        cluster.wait(h2).unwrap();
-        cluster.wait(h3).unwrap();
-        // y += x three times: any stale staging would lose one increment.
-        assert_eq!(cluster.read_f32(&ya), vec![3.0f32; n]);
-    }
-}
+mod tests;

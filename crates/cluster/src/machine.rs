@@ -30,7 +30,7 @@ use serde::Serialize;
 
 use crate::pool::{
     DevicePool, Job, JobKind, JobOutcome, JobSpec, JobSuccess, PatchBlock, RowFetch, RowPatch,
-    StagedBuffer, WorkerMessage,
+    WorkerMessage,
 };
 use crate::rollup::{RollupBy, RollupRow, Rollups};
 use crate::scheduler::{BufferInfo, PlacementPolicy, PlacementReason};
@@ -189,16 +189,6 @@ impl BufState {
     }
 }
 
-/// What one submission's staging step moved: the uploads that travel with
-/// the job plus the tallies its [`KernelTicket`] reports.
-#[derive(Default)]
-struct Staging {
-    buffers: Vec<StagedBuffer>,
-    staged: u64,
-    staged_bytes: u64,
-    elided: u64,
-}
-
 /// Cached handles into the machine's [`MetricsRegistry`] — one atomic
 /// bump per event on the completion path, no registry lookup.
 pub(crate) struct PoolMetrics {
@@ -295,7 +285,7 @@ pub struct ClusterMachine {
     pub(crate) replans: u64,
     pub(crate) rows_migrated: u64,
     pub(crate) epoch_seconds: f64,
-    /// When active (a sharded fan-out between `begin_batch`/`flush_batch`),
+    /// When active (inside [`ClusterMachine::fan_out`]),
     /// dispatched jobs are buffered here instead of being sent, then
     /// delivered as one `WorkerMessage::Batch` per device.
     pub(crate) batch_buffer: Option<Vec<(usize, Job)>>,
@@ -421,22 +411,22 @@ impl ClusterMachine {
 
     /// Allocate a host f32 array (mirror of `Machine::host_f32`).
     pub fn host_f32(&mut self, data: &[f32]) -> RtValue {
-        let buffer = self.memory.alloc(Buffer::F32(data.to_vec()), 0);
-        self.buffers.insert(buffer, BufState::default());
-        RtValue::MemRef(MemRefVal {
-            buffer,
-            shape: vec![data.len() as i64],
-            space: 0,
-        })
+        self.host_array(Buffer::F32(data.to_vec()))
     }
 
     /// Allocate a host i32 array.
     pub fn host_i32(&mut self, data: &[i32]) -> RtValue {
-        let buffer = self.memory.alloc(Buffer::I32(data.to_vec()), 0);
+        self.host_array(Buffer::I32(data.to_vec()))
+    }
+
+    /// Make `contents` a rank-1 host array: it is moved in, not copied.
+    pub fn host_array(&mut self, contents: Buffer) -> RtValue {
+        let shape = vec![contents.len() as i64];
+        let buffer = self.memory.alloc(contents, 0);
         self.buffers.insert(buffer, BufState::default());
         RtValue::MemRef(MemRefVal {
             buffer,
-            shape: vec![data.len() as i64],
+            shape,
             space: 0,
         })
     }
@@ -485,7 +475,7 @@ impl ClusterMachine {
         args: &[RtValue],
         device: usize,
     ) -> Result<KernelTicket, CompileError> {
-        self.force(device)?;
+        self.shard_forced += 1;
         let kind = JobKind::Kernel {
             kernel: kernel.to_string(),
         };
@@ -501,122 +491,48 @@ impl ClusterMachine {
         arg_ids: Vec<BufferId>,
         device: usize,
     ) -> Result<KernelTicket, CompileError> {
-        // Every argument buffer is conservatively treated as written: once
-        // staged, the device copy becomes the only current one.
-        let charge = matches!(kind, JobKind::Kernel { .. });
-        let mut staging = Staging::default();
+        // Make `device` hold every argument buffer at its current version —
+        // the one place the elide-or-upload decision is made. A copy the
+        // device already holds is an affinity hit; otherwise the host
+        // contents travel with the job, in argument order: the accounting
+        // order that keeps sessions bit-identical to `ftn_core::Machine`.
+        // Every argument buffer is then conservatively treated as written:
+        // the device copy becomes the only current one.
+        let mut uploads = Vec::new();
+        let (mut staged_bytes, mut elided) = (0u64, 0u64);
         let mut out_versions = Vec::with_capacity(arg_ids.len());
         for &id in &arg_ids {
-            let state = self.make_resident(id, device, charge, &mut staging);
+            let state = self.buffers.entry(id).or_default();
+            if state.holds_current(device) {
+                self.affinity_hits += 1;
+                elided += 1;
+            } else {
+                let contents = self.memory.get(id).clone();
+                staged_bytes += contents.byte_len() as u64;
+                uploads.push((id, contents));
+                state.resident.insert(device, state.version);
+            }
+            mark_in_flight(state, device);
             out_versions.push((id, state.write_on(device)));
         }
+        let staged = uploads.len() as u64;
+        self.staged_uploads += staged;
+        self.staged_bytes += staged_bytes;
 
-        let est = self.estimate_compute_seconds(&kind, &arg_ids, staging.staged_bytes, device);
+        let est = self.estimate_compute_seconds(&kind, &arg_ids, staged_bytes, device);
         let spec = JobSpec {
             args: args.to_vec(),
-            staged: staging.buffers,
+            staged: uploads,
             out_versions,
             ..JobSpec::new(kind)
         };
         Ok(KernelTicket {
             handle: self.dispatch(device, arg_ids, spec, est)?,
             device,
-            staged: staging.staged,
-            staged_bytes: staging.staged_bytes,
-            elided: staging.elided,
+            staged,
+            staged_bytes,
+            elided,
         })
-    }
-
-    /// Make `device` hold buffer `id` at its current version for a job about
-    /// to run there — the one place the elide-or-upload decision is made. A
-    /// copy the device already holds is an affinity hit; otherwise the host
-    /// contents travel with the job (`charge`: PCIe time, for an explicit
-    /// map). Pool counters and ticket tallies move together, uploads queue
-    /// in argument order and the buffer is marked in flight: the accounting
-    /// order that keeps sessions bit-identical to [`ftn_core::Machine`].
-    fn make_resident(
-        &mut self,
-        id: BufferId,
-        device: usize,
-        charge: bool,
-        staging: &mut Staging,
-    ) -> &mut BufState {
-        let state = self.buffers.entry(id).or_default();
-        if state.holds_current(device) {
-            self.affinity_hits += 1;
-            staging.elided += 1;
-        } else {
-            let contents = self.memory.get(id).clone();
-            let bytes = contents.byte_len() as u64;
-            self.staged_uploads += 1;
-            self.staged_bytes += bytes;
-            staging.staged += 1;
-            staging.staged_bytes += bytes;
-            staging.buffers.push(StagedBuffer {
-                host: id,
-                contents,
-                charge,
-            });
-            state.resident.insert(device, state.version);
-        }
-        mark_in_flight(state, device);
-        state
-    }
-
-    /// Session open: establish residency for one shard's mapped buffers on
-    /// its assigned `device`. A `Some(seed)` map models `map(from:)` — the
-    /// device copy starts from `seed` (zeroed, or a reduction identity for
-    /// reduction copies) rather than the host contents, and is charged no
-    /// upload transfer.
-    pub(crate) fn submit_upload(
-        &mut self,
-        maps: &[(BufferId, Option<Buffer>)],
-        device: usize,
-    ) -> Result<KernelTicket, CompileError> {
-        let arg_ids: Vec<BufferId> = maps.iter().map(|&(id, _)| id).collect();
-        self.force(device)?;
-        let mut staging = Staging::default();
-        for (id, seed) in maps {
-            let Some(seed) = seed else {
-                self.make_resident(*id, device, true, &mut staging);
-                continue;
-            };
-            // Fresh device-initialized copy: a version bump with no host
-            // upload (host contents are not copied in).
-            let state = self.buffers.entry(*id).or_default();
-            state.write_on(device);
-            mark_in_flight(state, device);
-            staging.buffers.push(StagedBuffer {
-                host: *id,
-                contents: seed.clone(),
-                charge: false,
-            });
-        }
-        let model = &self.pool.slots[device].model;
-        let est = model.transfer_seconds(staging.staged_bytes as usize);
-        let spec = JobSpec {
-            staged: staging.buffers,
-            ..JobSpec::new(JobKind::Upload)
-        };
-        Ok(KernelTicket {
-            handle: self.dispatch(device, arg_ids, spec, est)?,
-            device,
-            staged: staging.staged,
-            staged_bytes: staging.staged_bytes,
-            elided: staging.elided,
-        })
-    }
-
-    /// A close/sync fetch of `id`: its whole mirror written back over `id`
-    /// itself at the buffer's current version.
-    pub(crate) fn whole_fetch(&self, id: BufferId) -> RowFetch {
-        RowFetch {
-            src: id,
-            dst: id,
-            start: 0,
-            len: self.memory.get(id).len(),
-            version: self.buffers.get(&id).map_or(0, |b| b.version),
-        }
     }
 
     /// Download the element ranges in `rows` from `device`'s mirrors into
@@ -639,11 +555,11 @@ impl ClusterMachine {
     }
 
     /// Apply half of a row exchange: write `patches` into shard sub-buffer
-    /// mirrors on `device` — host-bounced blocks charged as staging,
-    /// same-device donor blocks copied mirror-to-mirror for free. Each
-    /// patched buffer's version is bumped with the device keeping the only
-    /// current copy (the host copy, like any session sub-buffer, is stale
-    /// until the close fetch), so a created buffer starts at version one.
+    /// mirrors on `device` — uploaded rows and blocks of host contents
+    /// charged as staging, seeds and same-device donor blocks free. Each patched buffer's
+    /// version is bumped with the device keeping the only current copy (the
+    /// host copy, like any session sub-buffer, is stale until the close
+    /// fetch), so a created buffer starts at version one.
     /// `label` names the worker-lane span. Returns the handle plus the
     /// staged upload accounting.
     pub(crate) fn submit_row_patch(
@@ -656,15 +572,14 @@ impl ClusterMachine {
         let (mut bytes, mut staged) = (0usize, 0u64);
         for patch in &patches {
             ids.push(patch.target);
-            for block in &patch.blocks {
-                match block {
-                    PatchBlock::Host { contents, .. } => {
-                        bytes += contents.byte_len();
-                        staged += 1;
-                    }
-                    PatchBlock::Local { donor, .. } => ids.push(*donor),
-                }
+            for upload in patch.uploads() {
+                bytes += upload;
+                staged += 1;
             }
+            ids.extend(patch.blocks.iter().filter_map(|block| match block {
+                PatchBlock::Local { donor, .. } => Some(*donor),
+                PatchBlock::Host { .. } => None,
+            }));
             let state = self.buffers.entry(patch.target).or_default();
             state.write_on(device);
         }
@@ -704,25 +619,22 @@ impl ClusterMachine {
         self.dispatch(device, arg_ids, spec, est)
     }
 
+    /// Whether jobs over `arg_ids` are in flight on more than one device. A
+    /// buffer may have in-flight writers on at most one device, so a job
+    /// over all of them cannot be placed until completions drain that.
+    pub(crate) fn in_flight_apart(&self, arg_ids: &[BufferId]) -> bool {
+        let mut devices = arg_ids
+            .iter()
+            .filter_map(|id| self.buffers.get(id)?.in_flight.map(|(d, _)| d));
+        devices
+            .next()
+            .is_some_and(|first| devices.any(|d| d != first))
+    }
+
     /// Drain in-flight conflicts and choose a device for a job over
     /// `arg_ids`.
     pub(crate) fn place_for(&mut self, arg_ids: &[BufferId]) -> Result<usize, CompileError> {
-        // A buffer may have in-flight writers on at most one device; if two
-        // argument buffers disagree, drain completions until they don't.
-        loop {
-            let mut flight_devices: Vec<usize> = arg_ids
-                .iter()
-                .filter_map(|id| {
-                    self.buffers
-                        .get(id)
-                        .and_then(|b| b.in_flight.map(|(d, _)| d))
-                })
-                .collect();
-            flight_devices.sort_unstable();
-            flight_devices.dedup();
-            if flight_devices.len() <= 1 {
-                break;
-            }
+        while self.in_flight_apart(arg_ids) {
             self.process_one_outcome()?;
         }
 
@@ -750,21 +662,6 @@ impl ClusterMachine {
         }
         self.metrics.placement(placement.reason).inc();
         Ok(placement.device)
-    }
-
-    /// Validate and count a forced (shard-assigned) device index.
-    fn force(&mut self, device: usize) -> Result<(), CompileError> {
-        if device >= self.pool.len() {
-            return Err(CompileError::new(
-                "cluster-submit",
-                format!(
-                    "forced device {device} out of range for a {}-device pool",
-                    self.pool.len()
-                ),
-            ));
-        }
-        self.shard_forced += 1;
-        Ok(())
     }
 
     /// Model a co-tenant occupying `device`: adds `sim_seconds` of foreign
@@ -854,7 +751,7 @@ impl ClusterMachine {
                 .kernel(kernel)
                 .map(|k| k.estimate_seconds(model, elements)),
             JobKind::HostCall { .. } => self.cost_model.estimate_any_seconds(model, elements),
-            JobKind::Upload | JobKind::Fetch | JobKind::RowPatch { .. } => Some(0.0),
+            JobKind::Fetch | JobKind::RowPatch { .. } => Some(0.0),
         };
         kernel_est.unwrap_or_else(|| self.policy.mean_job_sim_seconds())
             + model.transfer_seconds(staged_bytes as usize)
@@ -875,24 +772,17 @@ impl ClusterMachine {
             JobKind::Kernel { kernel } => Some(kernel.clone()),
             _ => None,
         };
-        // Host-bounced patch blocks are host→device uploads like staged
+        // Patch blocks of host contents are host→device uploads like staged
         // buffers; counting them here puts exchange bytes on the rollup
         // attribution path (`/profile/top` bytes_moved) alongside ordinary
         // staging.
-        let patch_bytes = spec
-            .patches
-            .iter()
-            .flat_map(|p| &p.blocks)
-            .map(|b| match b {
-                PatchBlock::Host { contents, .. } => contents.byte_len() as u64,
-                PatchBlock::Local { .. } => 0,
-            });
+        let patch_bytes = spec.patches.iter().flat_map(RowPatch::uploads);
         let staged_bytes: u64 = spec
             .staged
             .iter()
-            .map(|s| s.contents.byte_len() as u64)
+            .map(|(_, contents)| contents.byte_len())
             .chain(patch_bytes)
-            .sum();
+            .sum::<usize>() as u64;
         let job = Job {
             job_id,
             // Stamp the submitting request's trace context and the enqueue
@@ -941,6 +831,8 @@ impl ClusterMachine {
             WorkerMessage::Job(job) => vec![*job],
             WorkerMessage::Batch(jobs, _) => jobs,
             WorkerMessage::Evict(_) | WorkerMessage::Shutdown => Vec::new(),
+            #[cfg(test)]
+            WorkerMessage::Stall(_) => Vec::new(),
         };
         for job in jobs {
             self.apply_outcome(JobOutcome {
@@ -953,15 +845,6 @@ impl ClusterMachine {
             "cluster-submit",
             format!("device {device} worker is gone"),
         ))
-    }
-
-    /// Start buffering dispatches for a batched sharded fan-out. Every job
-    /// dispatched until [`ClusterMachine::flush_batch`] is held back and
-    /// delivered grouped by device. Only forced (shard-placed) submissions
-    /// may run inside a batch window — placement never drains outcomes here.
-    pub(crate) fn begin_batch(&mut self) {
-        debug_assert!(self.batch_buffer.is_none(), "batch window already open");
-        self.batch_buffer = Some(Vec::new());
     }
 
     /// Close the batch window: deliver every buffered job as one
@@ -991,19 +874,22 @@ impl ClusterMachine {
         result
     }
 
-    /// One batched fan-out: open a batch window, `submit` every
+    /// One batched fan-out: open a batch window — every job dispatched until
+    /// the flush is held back; only forced (shard-placed) submissions may run
+    /// inside one, placement never drains outcomes here — `submit` every
     /// `(index, payload)` item, and flush the window as one message per
     /// device (even when a submit failed — already-buffered jobs are in the
     /// pending ledger and must reach their workers). Returns the submitted
     /// handles plus the first error; a caller about to release buffers the
-    /// jobs touch (session open, a row exchange) waits every handle even
-    /// after an error, so nothing is still in flight over them.
+    /// jobs touch (a row exchange) waits every handle even after an error,
+    /// so nothing is still in flight over them.
     pub(crate) fn fan_out<T>(
         &mut self,
         items: impl IntoIterator<Item = (usize, T)>,
         mut submit: impl FnMut(&mut Self, usize, T) -> Result<LaunchHandle, CompileError>,
     ) -> (Vec<LaunchHandle>, Option<CompileError>) {
-        self.begin_batch();
+        debug_assert!(self.batch_buffer.is_none(), "batch window already open");
+        self.batch_buffer = Some(Vec::new());
         let mut handles = Vec::new();
         let mut submit_err = None;
         for (index, item) in items {
@@ -1086,6 +972,17 @@ impl ClusterMachine {
         )
     }
 
+    /// Block until every job in `jobs` has landed: its outcome applied, its
+    /// report claimable (no wait at all after `PoolGate`'s off-lock quiesce).
+    pub(crate) fn land(&mut self, jobs: &[u64]) -> Result<(), CompileError> {
+        for job_id in jobs {
+            while self.pending.contains_key(job_id) {
+                self.process_one_outcome()?;
+            }
+        }
+        Ok(())
+    }
+
     /// Receive one worker outcome (blocking) and apply its bookkeeping.
     pub(crate) fn process_one_outcome(&mut self) -> Result<(), CompileError> {
         let outcome = self.pool.outcomes.recv().map_err(|_| {
@@ -1115,23 +1012,25 @@ impl ClusterMachine {
             }
         }
         let stored = match result {
-            Ok(success) => {
-                for (host_id, contents, version) in &success.writeback {
-                    let Some(state) = self.buffers.get_mut(host_id) else {
+            Ok(mut success) => {
+                let mut writeback_bytes = 0u64;
+                for (host_id, contents, version) in std::mem::take(&mut success.writeback) {
+                    writeback_bytes += contents.byte_len() as u64;
+                    let Some(state) = self.buffers.get_mut(&host_id) else {
                         continue;
                     };
                     // Monotone writeback: a job's contents land in host
                     // memory only if nothing newer (a later job's writeback
                     // or a session close's gather) got there first.
-                    if *version > state.written {
-                        *self.memory.get_mut(*host_id) = contents.clone();
-                        state.written = *version;
+                    if version > state.written {
+                        *self.memory.get_mut(host_id) = contents;
+                        state.written = version;
                     }
                     // Same for residency: a newer queued job already marked
                     // this device with the version it will produce; an
                     // older completion must not regress that entry.
-                    let entry = state.resident.entry(device).or_insert(*version);
-                    *entry = (*entry).max(*version);
+                    let entry = state.resident.entry(device).or_insert(version);
+                    *entry = (*entry).max(version);
                 }
                 self.busy_sim[device] += success.sim_busy_seconds;
                 self.device_stats[device].merge(&success.stats);
@@ -1146,11 +1045,6 @@ impl ClusterMachine {
                 );
                 self.metrics.job_sim.observe(success.sim_busy_seconds);
                 if let Some(p) = &pending {
-                    let writeback_bytes: u64 = success
-                        .writeback
-                        .iter()
-                        .map(|(_, contents, _)| contents.byte_len() as u64)
-                        .sum();
                     self.rollups.record(
                         p.kernel.as_deref(),
                         p.session,

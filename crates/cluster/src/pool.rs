@@ -3,8 +3,8 @@
 //! device-side [`Memory`], and a FIFO job queue. Workers are reused across
 //! launches — no thread is ever spawned per kernel launch.
 //!
-//! Workers understand two compute jobs plus the residency housekeeping
-//! jobs:
+//! Workers understand two compute jobs plus the two halves of the row
+//! exchange that moves a session's data (`crate::exchange`):
 //! * `JobKind::HostCall` — run a whole host program function (the
 //!   `Machine`-equivalent path; the program performs its own device maps,
 //!   and the argument buffers are written back to the host on completion).
@@ -12,11 +12,13 @@
 //!   worker's resident buffer mirror (`target data` sessions launch these;
 //!   staging is charged as an explicit host→device map, and nothing is
 //!   written back until the session's close fetch).
-//! * `JobKind::Upload` / `JobKind::Fetch` — establish residency for a
-//!   session's mapped arrays / copy mirror contents back to the host,
-//!   charging PCIe transfer time the way a data-region entry/exit does.
-//! * `JobKind::RowPatch` — write row blocks into shard mirrors (the apply
-//!   half of a halo refresh or a migration epoch; see `RowPatch`).
+//! * `JobKind::Fetch` — copy element ranges of mirrors back to the host,
+//!   charging PCIe time the way a data-region exit does (the gather half:
+//!   a close's sub-buffers, a refresh's or an epoch's cross-device blocks).
+//! * `JobKind::RowPatch` — write row blocks into shard mirrors, creating
+//!   those that do not exist yet (the apply half: an open's staging,
+//!   charged the way a data-region entry is, a refresh's or an epoch's
+//!   blocks; see `RowPatch`).
 //!
 //! Between jobs the worker frees every allocation the job recorded, so
 //! transient device allocations (a host program's data-environment buffers,
@@ -41,15 +43,14 @@ pub(crate) enum JobKind {
     /// Execute device kernel `kernel` against resident buffers. The mirror
     /// stays authoritative; the session fetches once at close.
     Kernel { kernel: String },
-    /// Stage the job's buffers and nothing else (session open).
-    Upload,
-    /// Download the job's `fetch_rows` slices from the mirror (session
-    /// close, host sync, and the gather half of a row exchange).
+    /// Download the job's `fetch_rows` slices from the mirror (the gather
+    /// half of a row exchange; a session close's is its whole traffic).
     Fetch,
     /// Apply the job's `patches` to shard sub-buffer mirrors (the apply
     /// half of a row exchange). `label` is the worker-lane span name, so
-    /// the timeline still tells a migration epoch's `job.reshard` from a
-    /// halo refresh's `job.halo_refresh`.
+    /// the timeline still tells a session open's `job.upload` from a
+    /// migration epoch's `job.reshard` and a halo refresh's
+    /// `job.halo_refresh`.
     RowPatch { label: &'static str },
 }
 
@@ -58,7 +59,6 @@ pub(crate) fn kind_label(kind: &JobKind) -> &'static str {
     match kind {
         JobKind::HostCall { .. } => "job.host_call",
         JobKind::Kernel { .. } => "job.kernel",
-        JobKind::Upload => "job.upload",
         JobKind::Fetch => "job.fetch",
         JobKind::RowPatch { label } => label,
     }
@@ -84,25 +84,36 @@ pub(crate) struct RowFetch {
 
 /// Write row blocks into one shard sub-buffer's device mirror. A halo
 /// refresh patches the resident mirror in place (only ghost rows change); a
-/// migration epoch's re-ranged shard has no mirror yet, so `create`
-/// allocates it first and the blocks fill every row. The mirror a block
-/// reads from is never one the same exchange writes.
+/// session open's sub-buffer and a migration epoch's re-ranged shard have no
+/// mirror yet, so `create` starts one and the blocks (if any) fill the rows
+/// it leaves open. The mirror a block reads from is never one the same
+/// exchange writes.
 pub(crate) struct RowPatch {
     /// Host id of the sub-buffer whose mirror is written.
     pub target: BufferId,
-    /// `Some(len)`: allocate a fresh `len`-element mirror for `target`
-    /// (typed like the first block's source) instead of patching a
-    /// resident one.
-    pub create: Option<usize>,
+    /// `Some`: `target` has no mirror yet — it starts as this buffer instead
+    /// of a resident one being patched.
+    pub create: Option<Create>,
     /// The blocks to write.
     pub blocks: Vec<PatchBlock>,
 }
 
+/// What a mirror a [`RowPatch`] creates starts as.
+pub(crate) enum Create {
+    /// Device-initialized, nothing crosses PCIe: zeros (a `map(from:)` copy;
+    /// a re-ranged shard, whose blocks then fill every row) or a reduction
+    /// copy's identity.
+    Seed(Buffer),
+    /// The rows a session open cut from the caller's array, charged as one
+    /// host→device transfer and moved into the arena, never copied.
+    Upload(Buffer),
+}
+
 /// One block of a [`RowPatch`], by transport.
 pub(crate) enum PatchBlock {
-    /// The donor lives on another device: its rows crossed PCIe once on the
-    /// gather and arrive here as host contents (charged as a host→device
-    /// transfer).
+    /// The rows arrive as host contents, charged as a host→device transfer:
+    /// donated by another device's mirror and landed in a move buffer by
+    /// the gather.
     Host { dst: usize, contents: Buffer },
     /// The donor's mirror is resident on this device: `len` elements copy
     /// mirror-to-mirror from `donor[src..]` (free — nothing crosses PCIe).
@@ -114,14 +125,19 @@ pub(crate) enum PatchBlock {
     },
 }
 
-/// One host buffer upload accompanying a job.
-pub(crate) struct StagedBuffer {
-    pub host: BufferId,
-    pub contents: Buffer,
-    /// Charge PCIe transfer time for this upload. Session staging is an
-    /// explicit host→device map and is charged; whole-program staging is
-    /// not (the program's own dma ops account for its transfers).
-    pub charge: bool,
+impl RowPatch {
+    /// Byte length of every piece of host contents the patch uploads.
+    pub(crate) fn uploads(&self) -> impl Iterator<Item = usize> + '_ {
+        let created = match &self.create {
+            Some(Create::Upload(rows)) => Some(rows.byte_len()),
+            _ => None,
+        };
+        let blocks = self.blocks.iter().filter_map(|block| match block {
+            PatchBlock::Host { contents, .. } => Some(contents.byte_len()),
+            PatchBlock::Local { .. } => None,
+        });
+        created.into_iter().chain(blocks)
+    }
 }
 
 /// What a job asks of its worker — everything but the identity and trace
@@ -131,8 +147,11 @@ pub(crate) struct JobSpec {
     /// Arguments; memrefs reference *host* buffer ids and are remapped to
     /// the worker's local memory before execution.
     pub args: Vec<RtValue>,
-    /// Buffers whose current host contents must be uploaded before the run.
-    pub staged: Vec<StagedBuffer>,
+    /// Buffers whose current host contents must be uploaded before the run,
+    /// with those contents. A kernel's re-staging is an explicit host→device
+    /// map and is charged PCIe time; a host call's is not (the program's own
+    /// dma ops account for its transfers).
+    pub staged: Vec<(BufferId, Buffer)>,
     /// Writeback version of every argument buffer (they are all
     /// conservatively treated as written).
     pub out_versions: Vec<(BufferId, u64)>,
@@ -214,6 +233,10 @@ pub(crate) enum WorkerMessage {
     /// eviction never races a queued job that still uses the mirror.
     Evict(Vec<BufferId>),
     Shutdown,
+    /// Test-only fault hook: the worker blocks until the sender is dropped
+    /// or sends, everything queued behind the message waiting with it.
+    #[cfg(test)]
+    Stall(Receiver<()>),
 }
 
 /// Completion notification shared by every worker of one pool, in two
@@ -488,22 +511,6 @@ impl Worker {
             .ok_or_else(|| format!("device {}: {host:?} is not resident", self.index))
     }
 
-    /// The mirror a patch writes: the resident one, or a fresh zeroed
-    /// buffer typed like the first block's source.
-    fn patch_target(&mut self, patch: &RowPatch) -> Result<BufferId, String> {
-        let Some(len) = patch.create else {
-            return self.resident(patch.target);
-        };
-        let like = match patch.blocks.first() {
-            Some(PatchBlock::Host { contents, .. }) => empty_like(contents, len),
-            Some(PatchBlock::Local { donor, .. }) => {
-                empty_like(self.memory.get(self.resident(*donor)?), len)
-            }
-            None => return Err(format!("device {}: empty row patch", self.index)),
-        };
-        Ok(self.memory.alloc(like, 0))
-    }
-
     /// Write `blocks` into mirror `local`, charging host-bounced blocks as
     /// host→device transfers. The target is lifted out of device memory
     /// while it is written, so same-device blocks copy straight from their
@@ -511,15 +518,15 @@ impl Worker {
     fn apply_blocks(
         &mut self,
         local: BufferId,
-        blocks: &[PatchBlock],
+        blocks: Vec<PatchBlock>,
         stats: &mut RunStats,
     ) -> Result<(), String> {
         let mut target = std::mem::replace(self.memory.get_mut(local), Buffer::I1(Vec::new()));
-        let written = blocks.iter().try_for_each(|block| match block {
+        let written = blocks.into_iter().try_for_each(|block| match block {
             PatchBlock::Host { dst, contents } => {
                 stats.transfer_seconds += self.model.transfer_seconds(contents.byte_len());
                 stats.transfers += 1;
-                ftn_shard::copy_elems(&mut target, *dst, contents, 0, contents.len())
+                ftn_shard::copy_elems(&mut target, dst, &contents, 0, contents.len())
                     .map_err(|e| e.to_string())
             }
             PatchBlock::Local {
@@ -528,9 +535,8 @@ impl Worker {
                 src,
                 len,
             } => {
-                let donor = self.memory.get(self.resident(*donor)?);
-                ftn_shard::copy_elems(&mut target, *dst, donor, *src, *len)
-                    .map_err(|e| e.to_string())
+                let donor = self.memory.get(self.resident(donor)?);
+                ftn_shard::copy_elems(&mut target, dst, donor, src, len).map_err(|e| e.to_string())
             }
         });
         *self.memory.get_mut(local) = target;
@@ -541,17 +547,18 @@ impl Worker {
         let mut stats = RunStats::default();
 
         // 1. Stage uploads into the local mirror, charging PCIe time where
-        // the upload models an explicit map (session jobs).
-        for sb in std::mem::take(&mut job.staged) {
-            if sb.charge {
-                stats.transfer_seconds += self.model.transfer_seconds(sb.contents.byte_len());
+        // the upload models an explicit map (kernel jobs).
+        let charge = matches!(job.kind, JobKind::Kernel { .. });
+        for (host, contents) in std::mem::take(&mut job.staged) {
+            if charge {
+                stats.transfer_seconds += self.model.transfer_seconds(contents.byte_len());
                 stats.transfers += 1;
             }
-            match self.mirror.get(&sb.host) {
-                Some(&local) => *self.memory.get_mut(local) = sb.contents,
+            match self.mirror.get(&host) {
+                Some(&local) => *self.memory.get_mut(local) = contents,
                 None => {
-                    let local = self.memory.alloc(sb.contents, 0);
-                    self.mirror.insert(sb.host, local);
+                    let local = self.memory.alloc(contents, 0);
+                    self.mirror.insert(host, local);
                 }
             }
         }
@@ -560,9 +567,18 @@ impl Worker {
         // recording starts: a created mirror outlives the job. A failed
         // patch must not leak the mirror it created.
         for patch in std::mem::take(&mut job.patches) {
-            let local = self.patch_target(&patch)?;
-            if let Err(e) = self.apply_blocks(local, &patch.blocks, &mut stats) {
-                if patch.create.is_some() {
+            let created = patch.create.is_some();
+            let local = match patch.create {
+                Some(Create::Seed(fresh)) => self.memory.alloc(fresh, 0),
+                Some(Create::Upload(rows)) => {
+                    stats.transfer_seconds += self.model.transfer_seconds(rows.byte_len());
+                    stats.transfers += 1;
+                    self.memory.alloc(rows, 0)
+                }
+                None => self.resident(patch.target)?,
+            };
+            if let Err(e) = self.apply_blocks(local, patch.blocks, &mut stats) {
+                if created {
                     self.memory.free(local);
                 }
                 return Err(format!("device {}: row patch: {e}", self.index));
@@ -665,7 +681,7 @@ impl Worker {
                 stats.launches += 1;
                 es.results
             }
-            JobKind::Upload | JobKind::Fetch | JobKind::RowPatch { .. } => Vec::new(),
+            JobKind::Fetch | JobKind::RowPatch { .. } => Vec::new(),
         };
 
         // 3. Collect writeback contents: a host call ships its argument
@@ -824,6 +840,8 @@ pub(crate) fn spawn_worker(
                             }
                         }
                     }
+                    #[cfg(test)]
+                    Ok(WorkerMessage::Stall(release)) => drop(release.recv()),
                     Ok(WorkerMessage::Shutdown) | Err(_) => break,
                 }
             }

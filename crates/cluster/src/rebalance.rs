@@ -18,8 +18,7 @@ use crate::sharded::{
 
 const EPOCH: ExchangeLabels = ExchangeLabels {
     gather: "epoch.delta_gather",
-    apply: "epoch.reshard",
-    job: "job.reshard",
+    apply: ("epoch.reshard", "job.reshard"),
 };
 
 impl ClusterMachine {
@@ -163,11 +162,7 @@ impl ClusterMachine {
             let mut sp = ftn_trace::span("epoch.quiesce", "epoch");
             sp.arg("session", session);
             sp.arg("outstanding", outstanding.len());
-            for job_id in outstanding {
-                while self.pending.contains_key(&job_id) {
-                    self.process_one_outcome()?;
-                }
-            }
+            self.land(&outstanding)?;
         }
         // Everything quiesced is done: prune the ledger down to the
         // completed-but-unwaited ids (close still drains those), so a
@@ -284,7 +279,6 @@ impl ClusterMachine {
             }
             rows_migrated += rp.moves.iter().map(|mv| mv.len as u64).sum::<u64>();
             arrays.push(ArrayBlocks {
-                elem: rp.elem.clone(),
                 donors: donors.iter().map(|sl| sl.memref.buffer).collect(),
                 recipients: a.slices.iter().map(|sl| sl.memref.buffer).collect(),
                 plan: RowTransferPlan::replan(&old_ranges, &new_ranges, rp.row_elems),

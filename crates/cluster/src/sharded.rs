@@ -12,6 +12,12 @@
 //! `ftn_host::DataEnvironment` presence protocol inside
 //! [`ftn_shard::ShardedEnvironment`].
 //!
+//! Every movement of a session's rows is a plan run by the one row exchange
+//! (`exchange.rs`): an open is a host → devices exchange (nothing gathered,
+//! every mirror created by the apply), a close a devices → host one (the
+//! fetch is the gather, nothing applied). Their `*_begin` steps are here;
+//! `PoolGate` runs the same phases with the machine lock released in between.
+//!
 //! The pool may be heterogeneous (mixed [`ftn_fpga::DeviceModel`]s):
 //! devices are ordered fastest-first by predicted throughput, the largest
 //! shard lands on the fastest card, and each shard's row count is
@@ -27,17 +33,19 @@
 //! scoring, no stealing across shards — the data already lives there, and
 //! the per-shard trip counts price each device's backlog honestly through
 //! [`ftn_fpga::CostModel`] (per that device's own model). Every fan-out —
-//! open staging, launches, close fetches, epoch and halo traffic — coalesces
-//! all jobs bound for one device into a single `WorkerMessage::Batch`, so a
-//! logical launch costs O(devices) messages instead of O(shards). Close
-//! fetches every shard's `from`/`tofrom` sub-buffers, gathers (concatenates
-//! owned rows, dropping halos) or reduces (sum/min/max private copies) into
-//! the caller's arrays, and frees the sub-buffers on host and devices alike.
+//! launches and the phases of every exchange — coalesces all jobs bound for
+//! one device into a single `WorkerMessage::Batch`, so a logical launch
+//! costs O(devices) messages instead of O(shards). Close fetches every
+//! shard's `from`/`tofrom` sub-buffers, gathers (concatenates owned rows,
+//! dropping halos) or reduces (sum/min/max private copies) into the
+//! caller's arrays, and frees the sub-buffers on host and devices alike.
 //!
 //! With one shard the scatter and gather are exact copies, the shard is
 //! placed by the ordinary placement ladder, and the session is bit-identical
 //! — results and `RunStats` totals — to the equivalent `target data`
 //! program on [`ftn_core::Machine`].
+
+use std::time::Instant;
 
 use ftn_core::CompileError;
 use ftn_host::RunStats;
@@ -45,8 +53,22 @@ use ftn_interp::{BufferId, RtValue};
 use ftn_shard::{Partition, ShardedEnvironment};
 use serde::Serialize;
 
+use crate::exchange::{ExchangeLabels, ExchangePhase, Fetches, RowExchange};
 use crate::machine::{ClusterMachine, LaunchHandle};
+use crate::pool::{empty_like, Create, RowFetch};
 use crate::session::{MapKind, SessionStats};
+
+// An open gathers nothing and a close applies nothing: those two names are
+// never shown.
+const OPEN: ExchangeLabels = ExchangeLabels {
+    gather: "open.gather",
+    apply: ("open.stage", "job.upload"),
+};
+
+const CLOSE: ExchangeLabels = ExchangeLabels {
+    gather: "close.fetch",
+    apply: ("close.apply", "job.download"),
+};
 
 /// Upper bound on shards per pool device: bounds the sub-environments and
 /// per-launch jobs a single (possibly hostile, via the HTTP API) session
@@ -330,6 +352,21 @@ impl ClusterMachine {
         shards: ShardCount,
         auto_rebalance: Option<AutoRebalance>,
     ) -> Result<u64, CompileError> {
+        let phase = self.open_begin(maps, shards, auto_rebalance)?;
+        self.exchange_run(phase)
+    }
+
+    /// Plan an open as a host → devices row exchange: validate the maps,
+    /// pick the shard count and devices, scatter, and plan one whole-mirror
+    /// block per sub-buffer. The exchange's tail puts the session into the
+    /// table — or, after a failed apply, releases the scatter.
+    pub(crate) fn open_begin(
+        &mut self,
+        maps: &[(&str, RtValue, MapKind, Partition)],
+        shards: ShardCount,
+        auto_rebalance: Option<AutoRebalance>,
+    ) -> Result<ExchangePhase<u64>, CompileError> {
+        let started = Instant::now();
         if maps.is_empty() {
             return Err(CompileError::new(
                 "cluster-shard",
@@ -456,70 +493,62 @@ impl ClusterMachine {
             self.buffers.insert(id, Default::default());
         }
 
-        // Stage every shard onto its device; uploads overlap across devices
-        // and travel as one message per device.
-        let mut stats = SessionStats::default();
-        let (handles, err) =
-            self.fan_out(devices.iter().copied().enumerate(), |m, shard, device| {
-                // `map(from:)` copies start device-initialized rather than from
-                // host contents: zeroed normally, but a reduction copy must
-                // start at the operation's identity (+∞ for min, −∞ for max —
-                // zero would corrupt the fold).
-                let upload: Vec<(BufferId, Option<ftn_interp::Buffer>)> = env
-                    .arrays()
-                    .iter()
-                    .zip(&resolved)
-                    .map(|(a, (_, _, kind, partition))| {
-                        let id = a.slices[shard].memref.buffer;
-                        let seed = (*kind == MapKind::From).then(|| match partition {
-                            Partition::Reduced(op) => op.identity_like(m.memory.get(id)),
-                            _ => {
-                                let b = m.memory.get(id);
-                                crate::pool::empty_like(b, b.len())
-                            }
-                        });
-                        (id, seed)
-                    })
-                    .collect();
-                let ticket = m.submit_upload(&upload, device)?;
-                stats.staged_uploads += ticket.staged;
-                stats.staged_bytes += ticket.staged_bytes;
-                stats.elided_transfers += ticket.elided;
-                Ok(ticket.handle)
-            });
-        // A failed staging fan-out (a dead worker, say) must not leak the
-        // scatter: wait every staging job out — nothing may still be in
-        // flight over the sub-buffers — then release them on the host and
-        // on whichever devices already staged theirs.
-        let mut failed = err;
-        for h in handles {
-            if let Err(e) = self.wait(h) {
-                failed.get_or_insert(e);
+        // Every sub-buffer's mirror is one block, every shard's blocks one
+        // job force-placed on its device. The rows the scatter cut from the
+        // caller's array travel as they are, leaving the host sub-buffer a
+        // placeholder of their shape until the close fetch overwrites it. A
+        // `map(from:)` copy starts device-initialized: zeroed normally, but a
+        // reduction copy at the operation's identity (+∞ for min, −∞ for max
+        // — zero would corrupt the fold).
+        let mut blocks = Vec::new();
+        for (shard, &device) in devices.iter().enumerate() {
+            self.shard_forced += 1;
+            for (a, (_, _, kind, partition)) in env.arrays().iter().zip(&resolved) {
+                let id = a.slices[shard].memref.buffer;
+                let sub = self.memory.get_mut(id);
+                let rows = match (kind, partition) {
+                    (MapKind::From, Partition::Reduced(op)) => Create::Seed(op.identity_like(sub)),
+                    (MapKind::From, _) => Create::Seed(empty_like(sub, sub.len())),
+                    _ => {
+                        let placeholder = empty_like(sub, sub.len());
+                        Create::Upload(std::mem::replace(sub, placeholder))
+                    }
+                };
+                blocks.push((id, shard, device, rows));
             }
         }
-        if let Some(e) = failed {
-            self.drop_buffers(env.buffer_ids());
-            return Err(e);
-        }
 
+        // The id is taken now — the exchange folds its uploads into the
+        // session's stats by it — so an open that fails leaves a gap.
         let session = self.next_session;
         self.next_session += 1;
-        self.sessions.insert(
-            session,
-            ShardedSession {
+        let maps = (resolved.into_iter())
+            .map(|(name, m, kind, partition)| (name, m.buffer, kind, partition))
+            .collect();
+        let finish = move |m: &mut ClusterMachine, _: &mut ftn_trace::Span, _, ok: bool| {
+            if !ok {
+                // Nothing is in flight over the scatter any more: release it
+                // on the host and on whichever devices built their mirrors.
+                m.drop_buffers(env.buffer_ids());
+                return session;
+            }
+            let s = ShardedSession {
                 env,
-                maps: resolved
-                    .into_iter()
-                    .map(|(name, m, kind, partition)| (name, m.buffer, kind, partition))
-                    .collect(),
+                maps,
                 devices,
                 auto_rebalance,
                 outstanding: Vec::new(),
                 launches_since_replan: 0,
-                stats,
-            },
-        );
-        Ok(session)
+                stats: SessionStats::default(),
+            };
+            m.sessions.insert(session, s);
+            session
+        };
+        let mut ex = RowExchange::new(session, &OPEN, span, started, Vec::new(), finish);
+        for (id, shard, device, rows) in blocks {
+            ex.stage(id, shard, device, rows);
+        }
+        Ok(ExchangePhase::Run(ex))
     }
 
     /// The shard count of an open sharded session.
@@ -723,75 +752,100 @@ impl ClusterMachine {
     /// shard's `from`/`tofrom` sub-buffers from its device, gather
     /// (concatenate owned rows) or reduce (combine private copies) into the
     /// caller's global arrays, and free the shard sub-buffers on host and
-    /// devices.
+    /// devices. A close that fails — an outstanding launch failed, a fetch
+    /// failed — leaves the session open and may be repeated.
     pub fn close_sharded_session(&mut self, session: u64) -> Result<ShardedReport, CompileError> {
+        let phase = self.close_begin(session)?;
+        self.exchange_run(phase)
+    }
+
+    /// Plan a close as a devices → host row exchange: land and claim the
+    /// session's outstanding launches, take it out of the table, and submit
+    /// the gather — every `from`/`tofrom` sub-buffer fetched whole. The
+    /// exchange's tail gathers into the caller's arrays and frees the
+    /// sub-buffers — or, after a failed fetch, puts the session back.
+    pub(crate) fn close_begin(
+        &mut self,
+        session: u64,
+    ) -> Result<ExchangePhase<ShardedReport>, CompileError> {
+        let started = Instant::now();
         let s = self
             .sessions
-            .get(&session)
+            .get_mut(&session)
             .ok_or_else(|| CompileError::new("cluster-shard", no_session(session)))?;
         let mut span = ftn_trace::span("session.close", "cluster");
         span.arg("session", session);
-        let outstanding = s.outstanding.clone();
-        for job_id in outstanding {
-            // The caller may have waited some launches itself; skip those.
-            if self.pending.contains_key(&job_id) || self.completed.contains_key(&job_id) {
-                self.wait(LaunchHandle { job_id })?;
-            }
-        }
-
-        let s = self.sessions.get(&session).expect("still present");
-        let shards = s.env.shards();
-        // `(device, sub-buffers to fetch)` per shard.
-        let mut per_shard_fetch: Vec<(usize, Vec<BufferId>)> =
-            s.devices.iter().map(|&d| (d, Vec::new())).collect();
-        for (name, _, kind, _) in &s.maps {
-            if matches!(kind, MapKind::From | MapKind::ToFrom) {
-                let a = s.env.array(name).expect("mapped name resolves");
-                for (shard, slice) in a.slices.iter().enumerate() {
-                    per_shard_fetch[shard].1.push(slice.memref.buffer);
-                }
-            }
-        }
-        per_shard_fetch.retain(|(_, ids)| !ids.is_empty());
-        let fetched: u64 = per_shard_fetch
+        let outstanding = std::mem::take(&mut s.outstanding);
+        self.land(&outstanding)?;
+        // The reports the caller never waited for are claimed here, the
+        // last place that can; a launch that failed fails the close.
+        let claimed = outstanding
             .iter()
-            .map(|(_, ids)| ids.len() as u64)
-            .sum();
-        let (handles, err) = self.fan_out(per_shard_fetch, |m, device, ids| {
-            let rows = ids.iter().map(|&id| m.whole_fetch(id)).collect();
-            m.submit_fetch_rows(device, rows)
-        });
-        if let Some(e) = err {
-            return Err(e);
-        }
-        for h in handles {
-            self.wait(h)?;
+            .filter_map(|id| self.completed.remove(id));
+        let failed: Vec<String> = claimed.filter_map(Result::err).collect();
+        if let Some(msg) = failed.into_iter().next() {
+            return Err(CompileError::new("cluster-run", msg));
         }
 
+        // One fetch job per shard, its sub-buffers in map order.
         let mut s = self.sessions.remove(&session).expect("still present");
-        for (name, global, kind, _) in &s.maps {
-            if matches!(kind, MapKind::From | MapKind::ToFrom) {
-                s.env
-                    .gather(&mut self.memory, name)
-                    .map_err(|e| CompileError::new("cluster-shard", e.to_string()))?;
-                // The gather rewrote host memory directly: bump the global
-                // buffer's version so stale device copies are not trusted.
-                if let Some(state) = self.buffers.get_mut(global) {
-                    state.version += 1;
-                    state.written = state.version;
-                    state.resident.clear();
-                }
+        let mut fetches = Fetches::new();
+        for (shard, &device) in s.devices.iter().enumerate() {
+            let rows: Vec<RowFetch> = (s.maps.iter())
+                .filter(|(_, _, kind, _)| matches!(kind, MapKind::From | MapKind::ToFrom))
+                .map(|(name, ..)| {
+                    let a = s.env.array(name).expect("mapped name resolves");
+                    let id = a.slices[shard].memref.buffer;
+                    RowFetch {
+                        src: id,
+                        dst: id,
+                        start: 0,
+                        len: self.memory.get(id).len(),
+                        version: self.buffers.get(&id).map_or(0, |b| b.version),
+                    }
+                })
+                .collect();
+            if !rows.is_empty() {
+                fetches.push((device, rows));
             }
         }
-        s.env.release();
-        self.drop_buffers(s.env.buffer_ids());
-        s.stats.fetched_downloads = fetched;
-        Ok(ShardedReport {
-            session,
-            shards,
-            devices: s.devices,
-            stats: s.stats,
-        })
+        let fetched = fetches.iter().map(|(_, rows)| rows.len() as u64).sum();
+        let finish = move |m: &mut ClusterMachine, _: &mut ftn_trace::Span, _, ok: bool| {
+            if ok {
+                for (name, global, kind, _) in &s.maps {
+                    if matches!(kind, MapKind::From | MapKind::ToFrom) {
+                        s.env
+                            .gather(&mut m.memory, name)
+                            .expect("a fetched from/tofrom array gathers");
+                        // The gather rewrote host memory directly: bump the
+                        // global buffer's version so stale device copies are
+                        // not trusted.
+                        if let Some(state) = m.buffers.get_mut(global) {
+                            state.version += 1;
+                            state.written = state.version;
+                            state.resident.clear();
+                        }
+                    }
+                }
+                s.env.release();
+                m.drop_buffers(s.env.buffer_ids());
+                s.stats.fetched_downloads = fetched;
+            }
+            let report = ShardedReport {
+                session,
+                shards: s.env.shards(),
+                devices: s.devices.clone(),
+                stats: s.stats.clone(),
+            };
+            if !ok {
+                // Fetches only read the mirrors: the session is as it was.
+                m.sessions.insert(session, s);
+            }
+            report
+        };
+        let mut ex = RowExchange::new(session, &CLOSE, span, started, Vec::new(), finish);
+        self.exchange_fetch(&mut ex, fetches);
+        Ok(ExchangePhase::Run(ex))
     }
 }
 

@@ -1,0 +1,467 @@
+//! In-crate tests: the ones that read the machine's private bookkeeping
+//! (`pending`, `completed`, `buffers`, `pool.slots`) or drive its test-only
+//! fault hooks. Tests that need only `pub` items are in `tests/`.
+
+use std::sync::{Arc, OnceLock};
+
+use ftn_core::{Artifacts, CompilerOptions};
+use ftn_fpga::DeviceModel;
+use ftn_interp::RtValue;
+
+use crate::{ArtifactCache, ClusterMachine};
+
+const SAXPY: &str = r#"
+subroutine saxpy(n, a, x, y)
+  implicit none
+  integer :: n, i
+  real :: a, x(n), y(n)
+  !$omp target parallel do simd simdlen(10)
+  do i = 1, n
+    y(i) = y(i) + a*x(i)
+  end do
+  !$omp end target parallel do simd
+end subroutine saxpy
+"#;
+
+fn artifacts() -> &'static Arc<Artifacts> {
+    static CELL: OnceLock<Arc<Artifacts>> = OnceLock::new();
+    CELL.get_or_init(|| {
+        ArtifactCache::new()
+            .get_or_compile(&CompilerOptions::default(), SAXPY)
+            .expect("saxpy compiles")
+    })
+}
+
+pub(crate) fn pool(n: usize) -> ClusterMachine {
+    let devices = vec![DeviceModel::u280(); n];
+    ClusterMachine::load(artifacts(), &devices).expect("pool loads")
+}
+
+#[test]
+fn holds_current_tracks_the_device_and_the_version() {
+    let mut state = crate::machine::BufState::default();
+    assert!(!state.holds_current(0), "nothing resident yet");
+    state.resident.insert(0, 0);
+    assert!(state.holds_current(0));
+    assert!(!state.holds_current(1), "another device's copy");
+    state.version = 1;
+    assert!(!state.holds_current(0), "a stale copy is not current");
+}
+
+#[test]
+fn write_on_bumps_the_version_and_leaves_one_current_copy() {
+    let mut state = crate::machine::BufState::default();
+    state.resident.insert(0, 0);
+    state.resident.insert(1, 0);
+    assert_eq!(state.write_on(1), 1);
+    assert_eq!(state.version, 1);
+    assert!(state.holds_current(1));
+    assert!(!state.holds_current(0), "other copies are dropped");
+    assert_eq!(state.resident.len(), 1);
+    assert_eq!(state.written, 0, "host memory is stale until a writeback");
+    assert_eq!(state.write_on(0), 2);
+    assert!(state.holds_current(0) && !state.holds_current(1));
+}
+
+#[test]
+fn rebalance_migrates_rows_off_a_backlogged_device_and_stays_exact() {
+    use crate::sharded::{ShardArg, ShardCount};
+    use crate::{MapKind, Partition};
+    let mut cluster = pool(4);
+    let n = 4096usize;
+    let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.17).sin()).collect();
+    let y: Vec<f32> = (0..n).map(|i| (i as f32 * 0.03).cos()).collect();
+    let xa = cluster.host_f32(&x);
+    let ya = cluster.host_f32(&y);
+    let sid = cluster
+        .open_sharded_session(
+            &[
+                ("x", xa, MapKind::To, Partition::Split { halo: 0 }),
+                (
+                    "y",
+                    ya.clone(),
+                    MapKind::ToFrom,
+                    Partition::Split { halo: 0 },
+                ),
+            ],
+            ShardCount::Fixed(4),
+        )
+        .unwrap();
+    let a = 1.75f32;
+    let args = [
+        ShardArg::Array("x".into()),
+        ShardArg::Array("y".into()),
+        ShardArg::Extent("x".into()),
+        ShardArg::Extent("y".into()),
+        ShardArg::Scalar(RtValue::F32(a)),
+        ShardArg::Scalar(RtValue::Index(1)),
+        ShardArg::Extent("x".into()),
+    ];
+    let launch = |cluster: &mut ClusterMachine| {
+        let t = cluster.sharded_launch(sid, "saxpy_kernel0", &args).unwrap();
+        cluster.wait_sharded(t).unwrap();
+    };
+    for _ in 0..2 {
+        launch(&mut cluster);
+    }
+
+    // A quiet pool re-plans to the split it already has: pure no-op.
+    let report = cluster.rebalance_session(sid).unwrap();
+    assert!(!report.replanned, "{report:?}");
+    assert_eq!(report.rows_migrated, 0);
+    assert_eq!(report.shard_rows, vec![1024; 4]);
+    assert_eq!(cluster.session_stats(sid).unwrap().replan_count, 0);
+
+    // Device 0 gains a co-tenant worth half a re-plan horizon of its
+    // shard work: the epoch migrates a chunk of its rows to the idle
+    // devices and the migrated rows are exactly the delta between the
+    // plans.
+    let per_launch = cluster
+        .cost_model
+        .estimate_any_seconds(&DeviceModel::u280(), (n / 4) as u64)
+        .expect("saxpy is predictable");
+    cluster.inject_backlog(0, 8.0 * per_launch);
+    let report = cluster.rebalance_session(sid).unwrap();
+    assert!(report.replanned, "{report:?}");
+    assert!(report.predicted_gain > 1.05, "{report:?}");
+    assert!(report.shard_rows[0] < 1024, "{report:?}");
+    assert_eq!(report.shard_rows.iter().sum::<usize>(), n);
+    // Two split arrays re-planned identically: rows_migrated counts the
+    // owner-changing rows of both.
+    let old_plan = crate::ShardPlan::partition(n, 4, 0);
+    let new_plan = crate::ShardPlan::from_ranges(n, {
+        let mut start = 0;
+        report
+            .shard_rows
+            .iter()
+            .map(|&len| {
+                let r = ftn_shard::ShardRange {
+                    start,
+                    len,
+                    halo_lo: 0,
+                    halo_hi: 0,
+                };
+                start += len;
+                r
+            })
+            .collect()
+    });
+    let per_array: u64 = crate::ShardPlan::delta(&old_plan, &new_plan)
+        .iter()
+        .map(|m| m.len as u64)
+        .sum();
+    assert!(per_array >= 1, "some rows moved");
+    assert_eq!(report.rows_migrated, 2 * per_array, "{report:?}");
+    let stats = cluster.session_stats(sid).unwrap();
+    assert_eq!(stats.replan_count, 1);
+    assert_eq!(stats.rows_migrated, report.rows_migrated);
+    assert!(stats.epoch_seconds > 0.0);
+
+    // The session keeps running under the new plan and closes exactly.
+    for _ in 0..2 {
+        launch(&mut cluster);
+    }
+    cluster.close_sharded_session(sid).unwrap();
+    let got = cluster.read_f32(&ya);
+    for i in 0..n {
+        let mut expect = y[i];
+        for _ in 0..4 {
+            expect += a * x[i];
+        }
+        assert_eq!(got[i].to_bits(), expect.to_bits(), "element {i}");
+    }
+    // No leaks: only x and y remain; epoch counters surfaced pool-wide.
+    let ps = cluster.pool_stats();
+    assert_eq!(ps.host_buffers, 2, "{ps:?}");
+    assert_eq!(ps.replans, 1);
+    assert_eq!(ps.rows_migrated, report.rows_migrated);
+}
+
+#[test]
+fn failed_open_releases_every_sub_buffer() {
+    use crate::pool::WorkerMessage;
+    use crate::sharded::ShardCount;
+    use crate::{MapKind, Partition};
+    let mut cluster = pool(2);
+    let n = 512usize;
+    let xa = cluster.host_f32(&vec![1.0f32; n]);
+    let ya = cluster.host_f32(&vec![0.5f32; n]);
+    // Device 0 holds mirrors (x and y, left by a run) before the failed open.
+    let run_args = [
+        RtValue::I32(n as i32),
+        RtValue::F32(0.0),
+        xa.clone(),
+        ya.clone(),
+    ];
+    assert_eq!(cluster.run("saxpy", &run_args).unwrap().device, 0);
+    let arena = cluster.pool_stats().devices[0].arena_buffers;
+    let (live, tracked) = (cluster.memory.live(), cluster.buffers.len());
+
+    // Device 1's worker exits; its queue is closed from here on.
+    let slot = &mut cluster.pool.slots[1];
+    slot.sender.send(WorkerMessage::Shutdown).unwrap();
+    slot.thread.take().unwrap().join().unwrap();
+
+    let err = cluster
+        .open_sharded_session(
+            &[
+                ("x", xa, MapKind::To, Partition::Split { halo: 0 }),
+                ("y", ya, MapKind::ToFrom, Partition::Split { halo: 0 }),
+            ],
+            ShardCount::Fixed(2),
+        )
+        .expect_err("staging onto a dead worker fails");
+    assert!(err.to_string().contains("worker is gone"), "{err}");
+    assert!(cluster.open_sessions().is_empty());
+    // The scatter is released: host sub-buffers, their ledger entries,
+    // and the mirrors device 0 had already staged.
+    assert_eq!(cluster.memory.live(), live);
+    assert_eq!(cluster.buffers.len(), tracked);
+    assert!(cluster.pending.is_empty() && cluster.completed.is_empty());
+    assert_eq!(cluster.run("saxpy", &run_args).unwrap().device, 0);
+    assert_eq!(cluster.pool_stats().devices[0].arena_buffers, arena);
+}
+
+/// The exchange's failure path under its three gathering callers — a
+/// refresh, an epoch, a close: a gather job that fails on its worker
+/// surfaces as the caller's error, every handle of the phase is still
+/// claimed, every move buffer (and, for the epoch, every sub-buffer of the
+/// abandoned plan) is released on host and devices, and the session — rolled
+/// back to its previous plan, or still open — carries on bit-identical to a
+/// run that never saw the fault.
+#[test]
+fn failed_exchange_releases_its_buffers_and_leaves_the_session_intact() {
+    use crate::sharded::{ShardArg, ShardCount};
+    use crate::{MapKind, Partition, SessionStats};
+    let n = 1024usize;
+    let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.11).sin()).collect();
+    let y: Vec<f32> = (0..n).map(|i| (i as f32 * 0.07).cos()).collect();
+    let args = [
+        ShardArg::Array("x".into()),
+        ShardArg::Array("y".into()),
+        ShardArg::Extent("x".into()),
+        ShardArg::Extent("y".into()),
+        ShardArg::Scalar(RtValue::F32(1.5)),
+        ShardArg::Scalar(RtValue::Index(1)),
+        ShardArg::Extent("x".into()),
+    ];
+    let run = |faults: bool| -> (Vec<f32>, SessionStats, Vec<usize>) {
+        let mut cluster = pool(4);
+        let xa = cluster.host_f32(&x);
+        let ya = cluster.host_f32(&y);
+        let sid = cluster
+            .open_sharded_session(
+                &[
+                    ("x", xa, MapKind::To, Partition::Split { halo: 1 }),
+                    (
+                        "y",
+                        ya.clone(),
+                        MapKind::ToFrom,
+                        Partition::Split { halo: 1 },
+                    ),
+                ],
+                ShardCount::Fixed(4),
+            )
+            .unwrap();
+        let launch = |cluster: &mut ClusterMachine| {
+            let t = cluster.sharded_launch(sid, "saxpy_kernel0", &args).unwrap();
+            cluster.wait_sharded(t).unwrap();
+        };
+        launch(&mut cluster);
+        let (live, tracked) = (cluster.memory.live(), cluster.buffers.len());
+        let settled = |cluster: &ClusterMachine, rows: &[usize]| {
+            assert_eq!(cluster.memory.live(), live);
+            assert_eq!(cluster.buffers.len(), tracked);
+            assert!(cluster.pending.is_empty() && cluster.completed.is_empty());
+            assert_eq!(cluster.sharded_shard_rows(sid, "y").as_deref(), Some(rows));
+        };
+
+        if faults {
+            cluster.corrupt_next_gather = true;
+            let err = cluster.refresh_halos(sid).expect_err("gather fails");
+            assert!(err.to_string().contains("out of bounds"), "{err}");
+            settled(&cluster, &[256; 4]);
+        }
+        assert!(cluster.refresh_halos(sid).unwrap().refreshed);
+        launch(&mut cluster);
+
+        let per_launch = cluster
+            .cost_model
+            .estimate_any_seconds(&DeviceModel::u280(), (n / 4) as u64)
+            .unwrap();
+        cluster.inject_backlog(0, 8.0 * per_launch);
+        if faults {
+            cluster.corrupt_next_gather = true;
+            let err = cluster
+                .rebalance_session_with(sid, None)
+                .expect_err("gather fails");
+            assert!(err.to_string().contains("out of bounds"), "{err}");
+            settled(&cluster, &[256; 4]);
+            assert_eq!(cluster.session_stats(sid).unwrap().replan_count, 0);
+        }
+        // Arena counts ride on job outcomes: after the next launch they
+        // must match the run that never started the failed epoch.
+        launch(&mut cluster);
+        let arenas = (cluster.pool_stats().devices.iter())
+            .map(|d| d.arena_buffers)
+            .collect();
+
+        let report = cluster.rebalance_session(sid).unwrap();
+        assert!(report.replanned, "{report:?}");
+        launch(&mut cluster);
+        if faults {
+            // One device's fetch fails; the others' land and are claimed.
+            cluster.corrupt_next_gather = true;
+            let err = cluster.close_sharded_session(sid).expect_err("fetch fails");
+            assert!(err.to_string().contains("out of bounds"), "{err}");
+            assert_eq!(cluster.open_sessions(), vec![sid]);
+            settled(&cluster, &report.shard_rows);
+        }
+        let stats = cluster.close_sharded_session(sid).unwrap().stats;
+        assert_eq!(cluster.pool_stats().host_buffers, 2);
+        (cluster.read_f32(&ya), stats, arenas)
+    };
+    let (clean_y, clean_stats, clean_arenas) = run(false);
+    let (y, mut stats, arenas) = run(true);
+    assert_eq!(arenas, clean_arenas);
+    for (i, (a, b)) in clean_y.iter().zip(&y).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "element {i}");
+    }
+    stats.epoch_seconds = clean_stats.epoch_seconds;
+    assert_eq!(stats, clean_stats);
+}
+
+/// Nothing blocks while holding the machine lock, an open's staging and a
+/// close's fetch included: with device 1's worker stalled, session B's
+/// `open_phased` — then its `close_phased` — sits in its off-lock wait while
+/// session A, on device 0, submits and completes a launch through the same
+/// gate. Answers arrive over channels read with a timeout, so an open or a
+/// close that waited under the lock fails here instead of hanging the suite.
+#[test]
+fn a_stalled_open_or_close_does_not_hold_up_another_sessions_launch() {
+    use std::sync::mpsc;
+    use std::time::{Duration, Instant};
+
+    use crate::sharded::{ShardArg, ShardCount};
+    use crate::{MapKind, Partition, PoolGate};
+
+    const PATIENCE: Duration = Duration::from_secs(20);
+    let n = 64usize;
+    let split = Partition::Split { halo: 0 };
+    let gate = Arc::new(PoolGate::new(pool(2)));
+    let arrays = |gate: &PoolGate| {
+        let mut m = gate.lock();
+        (m.host_f32(&vec![1.0f32; n]), m.host_f32(&vec![0.5f32; n]))
+    };
+    let maps = |x: &RtValue, y: &RtValue| {
+        [
+            ("x", x.clone(), MapKind::To, split),
+            ("y", y.clone(), MapKind::ToFrom, split),
+        ]
+    };
+    let (xa, ya) = arrays(&gate);
+    let a = (gate.open_phased(&maps(&xa, &ya), ShardCount::Fixed(1), None)).unwrap();
+    assert_eq!(gate.lock().sharded_devices(a), Some(vec![0]));
+    let args = [
+        ShardArg::Array("x".into()),
+        ShardArg::Array("y".into()),
+        ShardArg::Extent("x".into()),
+        ShardArg::Extent("y".into()),
+        ShardArg::Scalar(RtValue::F32(2.0)),
+        ShardArg::Scalar(RtValue::Index(1)),
+        ShardArg::Extent("x".into()),
+    ];
+
+    // Run `op` on its own thread with device 1 stalled; once its job is
+    // queued there (so `op` is in its wait), complete a launch on A, see
+    // that `op` is still waiting, and only then let device 1 go.
+    let (xb, yb) = arrays(&gate);
+    let behind_a_stall = |what: &str, op: Box<dyn FnOnce(&PoolGate) -> u64 + Send>| -> u64 {
+        // Device 1's worker stops taking work until `release` is dropped.
+        let (release, released) = mpsc::channel();
+        let stall = crate::pool::WorkerMessage::Stall(released);
+        (gate.lock().pool.slots[1].sender.send(stall)).expect("worker");
+        let (done_tx, done) = mpsc::channel();
+        let worker = {
+            let gate = Arc::clone(&gate);
+            std::thread::spawn(move || done_tx.send(op(&gate)).expect("test listens"))
+        };
+        let deadline = Instant::now() + PATIENCE;
+        while gate.try_lock().is_none_or(|m| m.loads[1] == 0) {
+            assert!(Instant::now() < deadline, "{what} holds the machine lock");
+            std::thread::yield_now();
+        }
+        let (tx, launched) = mpsc::channel();
+        let launcher = {
+            let (gate, args) = (Arc::clone(&gate), args.clone());
+            std::thread::spawn(move || {
+                let ticket =
+                    gate.lock_session(a)
+                        .sharded_launch_no_replan(a, "saxpy_kernel0", &args);
+                let reports = gate.wait_many(ticket.expect("launch submits").handles);
+                tx.send(reports.map(|r| r.len())).expect("test listens");
+            })
+        };
+        let reports = launched
+            .recv_timeout(PATIENCE)
+            .unwrap_or_else(|_| panic!("a launch on A waits out B's {what}"));
+        assert_eq!(reports.unwrap(), 1);
+        assert!(done.try_recv().is_err(), "B's {what} cannot finish yet");
+        drop(release);
+        launcher.join().expect("launcher");
+        let result = done.recv_timeout(PATIENCE).expect("released");
+        worker.join().expect("worker");
+        result
+    };
+
+    let b_maps = maps(&xb, &yb);
+    let b = behind_a_stall(
+        "open",
+        Box::new(move |gate| (gate.open_phased(&b_maps, ShardCount::Fixed(1), None)).unwrap()),
+    );
+    assert_eq!(gate.lock().sharded_devices(b), Some(vec![1]));
+    behind_a_stall(
+        "close",
+        Box::new(move |gate| gate.close_phased(b).unwrap().stats.fetched_downloads),
+    );
+    assert_eq!(gate.lock().read_f32(&yb), vec![0.5f32; n]);
+    // A launched twice: y += 2x, twice.
+    gate.close_phased(a).unwrap();
+    assert_eq!(gate.lock().read_f32(&ya), vec![4.5f32; n]);
+}
+
+/// Close claims the reports of launches nobody waited for — all of them,
+/// whichever fails: a failed launch fails the close once, leaves nothing in
+/// `completed`, and leaves the session open for the close that then works.
+#[test]
+fn a_failed_unwaited_launch_fails_the_close_once_and_leaves_the_session_open() {
+    use crate::MapKind;
+    let mut cluster = pool(1);
+    let n = 8usize;
+    let xa = cluster.host_f32(&vec![1.0f32; n]);
+    let ya = cluster.host_f32(&vec![0.5f32; n]);
+    let maps = [
+        ("x", xa.clone(), MapKind::To),
+        ("y", ya.clone(), MapKind::ToFrom),
+    ];
+    let sid = cluster.open_session(&maps).unwrap();
+    let args = |n: usize| {
+        let n = RtValue::Index(n as i64);
+        let (x, y, one) = (xa.clone(), ya.clone(), RtValue::Index(1));
+        [x, y, n.clone(), n.clone(), RtValue::F32(2.0), one, n]
+    };
+    // The middle launch runs off the end of its arrays.
+    for n in [n, 9999, n] {
+        let _unwaited = cluster
+            .session_launch(sid, "saxpy_kernel0", &args(n))
+            .unwrap();
+    }
+    let err = cluster.close_session(sid).expect_err("a launch failed");
+    assert_eq!(err.stage, "cluster-run");
+    assert_eq!(cluster.open_sessions(), vec![sid]);
+    assert!(cluster.pending.is_empty() && cluster.completed.is_empty());
+    cluster.close_session(sid).unwrap();
+    // The failed launch had updated every element in bounds before it failed.
+    assert_eq!(cluster.read_f32(&ya), vec![6.5f32; n]);
+    assert_eq!(cluster.pool_stats().host_buffers, 2);
+}

@@ -10,7 +10,10 @@
 //!   build of any program can stall them. Only open and `/run` go through
 //!   `ServeState::pool_for`.
 //! * **The table's lock is never held across a pool call or a wait.**
-//! * **Session state is touched outside migration epochs only**: every
+//! * **No machine guard is held across device traffic.** Open, refresh,
+//!   rebalance and close are the gate's phased operations; launches and
+//!   `/run` submit under the lock and wait through `PoolGate::wait_many`.
+//! * **Session state is touched outside phased exchanges only**: every
 //!   machine access that names a session takes [`PoolGate::lock_session`]
 //!   (mid-epoch the machine's table lacks it: a live session would 404).
 //! * **A request's arrays are owned.** What a request allocates in a pool
@@ -146,24 +149,19 @@ impl ServeState {
         // A failed open (duplicate names, invalid kind/partition combos)
         // drops `arrays`, releasing what it will never map.
         let mut arrays = OwnedArrays::new(Arc::clone(&pool));
-        let (cluster_sid, devices, mapped) = {
+        let maps: Vec<(&str, RtValue, MapKind, Partition)> = {
             let mut machine = pool.lock();
-            // Each request array is freed as soon as the pool holds its copy.
-            let maps: Vec<(&str, RtValue, MapKind, Partition)> = parsed
-                .into_iter()
-                .map(|(name, data, kind, partition)| {
-                    (name, arrays.own(machine.host_f32(&data)), kind, partition)
-                })
-                .collect();
-            let count = shards.unwrap_or(ShardCount::Fixed(1));
-            let opened = machine.open_sharded_session_with(&maps, count, auto_rebalance);
-            let sid = opened.map_err(bad_request)?;
-            (
-                sid,
-                machine.sharded_devices(sid).unwrap_or_default(),
-                maps.len(),
-            )
+            let own = |(name, data, kind, partition)| {
+                let array = machine.host_array(Buffer::F32(data));
+                (name, arrays.own(array), kind, partition)
+            };
+            parsed.into_iter().map(own).collect()
         };
+        let count = shards.unwrap_or(ShardCount::Fixed(1));
+        let opened = pool.open_phased(&maps, count, auto_rebalance);
+        let cluster_sid = opened.map_err(bad_request)?;
+        let devices = pool.lock().sharded_devices(cluster_sid).unwrap_or_default();
+        let mapped = maps.len();
         let session = self.next_session.fetch_add(1, Ordering::SeqCst);
         let entry = ServeSession {
             cluster_sid,
@@ -318,18 +316,21 @@ impl ServeState {
 
     pub(crate) fn close_session(&self, session: u64) -> Result<Reply, HandlerError> {
         let (pool, sid) = self.session(session)?;
-        let mut machine = pool.lock_session(sid);
-        let maps = machine
-            .session_maps(sid)
-            .ok_or_else(|| not_found(format!("no session {session}")))?;
-        let report = machine.close_sharded_session(sid).map_err(failed)?;
-        // `from`/`tofrom` arrays now hold the gathered device results; copy
+        let gone = || not_found(format!("no session {session}"));
+        let maps = pool.lock_session(sid).session_maps(sid).ok_or_else(gone)?;
+        // A close that finds the session gone lost a race to another close.
+        let lost = format!("no open session {sid}");
+        let report =
+            (pool.close_phased(sid))
+                .map_err(|e| if e.message == lost { gone() } else { failed(e) })?;
+        // `from`/`tofrom` arrays now hold the gathered device results; take
         // them out (they are printed once the pool is unlocked), then
         // release every array the session allocated by dropping its entry.
+        let mut machine = pool.lock();
         let arrays: Vec<(&str, Buffer)> = maps
             .iter()
             .filter(|(_, _, kind)| matches!(kind, MapKind::From | MapKind::ToFrom))
-            .map(|(name, value, _)| (name.as_str(), host_copy(&machine, value)))
+            .map(|(name, value, _)| (name.as_str(), take_array(&mut machine, value)))
             .collect();
         drop(machine);
         let entry = lock(&self.sessions).remove(&session);
@@ -365,8 +366,8 @@ impl ServeState {
             let mut args = Vec::with_capacity(specs.len());
             for spec in specs {
                 args.push(match spec {
-                    ArgSpec::ArrayF32(data) => owned.own(machine.host_f32(&data)),
-                    ArgSpec::ArrayI32(data) => owned.own(machine.host_i32(&data)),
+                    ArgSpec::ArrayF32(data) => owned.own(machine.host_array(Buffer::F32(data))),
+                    ArgSpec::ArrayI32(data) => owned.own(machine.host_array(Buffer::I32(data))),
                     ArgSpec::Shard(ShardArg::Scalar(x)) => x,
                     ArgSpec::Shard(_) => return Err(bad_request(
                         "named arrays/extents are session-only; pass array_f32/array_i32 to /run",
@@ -381,12 +382,12 @@ impl ServeState {
             .pop()
             .expect("one handle, one report");
         self.metrics.runs.inc();
-        let machine = pool.lock();
+        let mut machine = pool.lock();
         let arrays: Vec<Buffer> = (owned.handles.iter())
-            .map(|h| host_copy(&machine, h))
+            .map(|h| take_array(&mut machine, h))
             .collect();
         drop(machine);
-        // The request's arrays are dead once copied out: free them (host
+        // The request's arrays are dead once taken out: free them (host
         // slot + worker mirrors) so sustained /run traffic stays flat.
         drop(owned);
         let fields = vec![
@@ -421,10 +422,10 @@ fn session_reply(session: u64, devices: &[usize]) -> Vec<(&'static str, Value)> 
     ]
 }
 
-/// The host copy of one mapped array, taken under the pool lock.
-fn host_copy(machine: &ClusterMachine, array: &RtValue) -> Buffer {
-    let m = array.as_memref().expect("session arrays are memrefs");
-    machine.memory.get(m.buffer).clone()
+/// Take the contents of an array its request is about to free out of the pool.
+fn take_array(machine: &mut ClusterMachine, array: &RtValue) -> Buffer {
+    let m = array.as_memref().expect("request arrays are memrefs");
+    std::mem::replace(machine.memory.get_mut(m.buffer), Buffer::F32(Vec::new()))
 }
 
 /// Append `items` between `open` and `close`, comma-separated, each written
@@ -485,12 +486,22 @@ mod tests {
 
     const SAXPY: &str = include_str!("../../../benchmarks/saxpy.f90");
 
-    /// Launch, info, refresh and close resolve through the session table
-    /// alone: they are answered while this thread holds the program table's
-    /// lock, so no compile, image load or pool build (which only ever wait
-    /// on that lock or a program's own) can be in their way.
-    #[test]
-    fn session_requests_never_touch_the_program_table() {
+    /// A running two-device server with SAXPY compiled and one four-element
+    /// session open: its address, state, accept thread and the session id.
+    type Served = (
+        std::net::SocketAddr,
+        Arc<crate::ServeState>,
+        std::thread::JoinHandle<std::io::Result<()>>,
+        i64,
+    );
+
+    fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> Value {
+        let (status, reply) = client::request(addr, "POST", path, body).expect("round trip");
+        assert_eq!(status, 200, "{path}: {reply:?}");
+        reply
+    }
+
+    fn serve_one_session() -> Served {
         let config = ServeConfig {
             devices: 2,
             workers: 2,
@@ -500,24 +511,27 @@ mod tests {
         let addr = server.local_addr();
         let state = Arc::clone(&server.state);
         let running = std::thread::spawn(move || server.run());
-        let post = |path: &str, body: &str| {
-            let (status, reply) = client::request(addr, "POST", path, body).expect("round trip");
-            assert_eq!(status, 200, "{path}: {reply:?}");
-            reply
-        };
-
         let source = api::obj(vec![("source", SAXPY.to_value())]);
-        let compiled = post("/compile", &serde_json::to_string(&source).unwrap());
+        let compiled = post(addr, "/compile", &serde_json::to_string(&source).unwrap());
         let key = api::get_str(&compiled, "key").expect("key");
         let open = format!(
             r#"{{"key": "{key}", "maps": [
                 {{"name": "x", "kind": "to", "data": [1, 2, 3, 4]}},
                 {{"name": "y", "kind": "tofrom", "data": [0, 0, 0, 0]}}]}}"#
         );
-        let Some(Value::Int(sid)) = post("/sessions", &open).get("session").cloned() else {
+        let Some(Value::Int(sid)) = post(addr, "/sessions", &open).get("session").cloned() else {
             panic!("no session id");
         };
+        (addr, state, running, sid)
+    }
 
+    /// Launch, info, refresh and close resolve through the session table
+    /// alone: they are answered while this thread holds the program table's
+    /// lock, so no compile, image load or pool build (which only ever wait
+    /// on that lock or a program's own) can be in their way.
+    #[test]
+    fn session_requests_never_touch_the_program_table() {
+        let (addr, state, running, sid) = serve_one_session();
         let programs = lock(&state.programs);
         let (tx, rx) = mpsc::channel();
         let client = std::thread::spawn(move || {
@@ -544,7 +558,40 @@ mod tests {
         }
         drop(programs);
         client.join().expect("client thread");
-        post("/shutdown", "");
+        post(addr, "/shutdown", "");
+        running.join().expect("server thread").expect("clean run");
+    }
+
+    /// Two `DELETE`s of one session are one close and one 404, whichever
+    /// step the loser finds the session gone at: reading its maps (it waited
+    /// out the winner's fence; nearly always) or closing it (it read them
+    /// first) — told by the cluster's error text, which is pinned here.
+    #[test]
+    fn a_delete_that_loses_to_another_is_a_404() {
+        let (addr, state, running, sid) = serve_one_session();
+        let (pool, cluster_sid) = state.session(sid as u64).expect("open");
+        // Steering, not an assertion: both requests queue on the machine
+        // lock, then race from their map reads on.
+        let machine = pool.lock();
+        let deletes: Vec<_> = (0..2)
+            .map(|_| {
+                let path = format!("/sessions/{sid}");
+                std::thread::spawn(move || client::request(addr, "DELETE", &path, ""))
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(50));
+        drop(machine);
+        let mut answers: Vec<(u16, Value)> = (deletes.into_iter())
+            .map(|t| t.join().expect("client thread").expect("round trip"))
+            .collect();
+        answers.sort_by_key(|(status, _)| *status);
+        assert_eq!(answers[0].0, 200, "{answers:?}");
+        assert_eq!(answers[1].0, 404, "{answers:?}");
+        let error = api::get_str(&answers[1].1, "error").expect("error text");
+        assert_eq!(error, format!("no session {sid}"));
+        let gone = pool.close_phased(cluster_sid).expect_err("closed above");
+        assert_eq!(gone.message, format!("no open session {cluster_sid}"));
+        post(addr, "/shutdown", "");
         running.join().expect("server thread").expect("clean run");
     }
 }

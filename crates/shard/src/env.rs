@@ -234,15 +234,21 @@ impl ShardedEnvironment {
             .ok_or_else(|| InterpError::new(format!("gather of unmapped array '{name}'")))?;
         match &a.partition {
             Partition::Split { .. } => {
-                for slice in &a.slices {
-                    let owned = slice_of(
+                // The global array is lifted out of memory while it is
+                // written, so owned rows copy straight from the slices.
+                let empty = Buffer::I1(Vec::new());
+                let mut global = std::mem::replace(memory.get_mut(a.global.buffer), empty);
+                let copied = a.slices.iter().try_for_each(|slice| {
+                    copy_elems(
+                        &mut global,
+                        slice.range.start * a.row_elems,
                         memory.get(slice.memref.buffer),
                         slice.range.halo_lo * a.row_elems,
                         slice.range.len * a.row_elems,
-                    )?;
-                    let at = slice.range.start * a.row_elems;
-                    copy_elems(memory.get_mut(a.global.buffer), at, &owned, 0, owned.len())?;
-                }
+                    )
+                });
+                *memory.get_mut(a.global.buffer) = global;
+                copied?;
             }
             Partition::Reduced(op) => {
                 let mut acc = memory.get(a.slices[0].memref.buffer).clone();

@@ -13,12 +13,21 @@
 //!   launch must start and finish strictly inside a rebalance window. The
 //!   migrating session is given a large array so each epoch's quiesce has
 //!   real in-flight work to wait out, keeping the windows wide open.
+//! * **Open and close are phased exchanges too.** Sessions opened and
+//!   closed through `PoolGate::open_phased` / `close_phased` while another
+//!   session launches through the same gate end with the arrays,
+//!   `SessionStats` and per-device `RunStats` of the same calls made one at
+//!   a time through the synchronous forms.
 
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use ftn_cluster::{
+    ClusterMachine, MapKind, Partition, PoolGate, ReduceOp, SessionStats, ShardArg, ShardCount,
+};
+use ftn_interp::RtValue;
 use ftn_serve::client::Conn;
 use ftn_serve::{api, ServeConfig, Server};
 use serde::{Serialize, Value};
@@ -315,5 +324,138 @@ fn concurrent_launches_with_mid_run_epochs_match_serial_bitwise() {
                 "session {i} element {j}: concurrent {cv} != serial {sv}"
             );
         }
+    }
+}
+
+/// One churn cycle's session: `x` and `y` split over both devices, `r` a
+/// `map(from:)` reduction copy (seeded, never uploaded).
+fn churn_maps(
+    x: &RtValue,
+    y: &RtValue,
+    r: &RtValue,
+) -> [(&'static str, RtValue, MapKind, Partition); 3] {
+    let split = Partition::Split { halo: 1 };
+    [
+        ("x", x.clone(), MapKind::To, split),
+        ("y", y.clone(), MapKind::ToFrom, split),
+        (
+            "r",
+            r.clone(),
+            MapKind::From,
+            Partition::Reduced(ReduceOp::Sum),
+        ),
+    ]
+}
+
+/// What one closed churn session leaves behind.
+type Churned = (Vec<f32>, Vec<f32>, SessionStats);
+
+#[test]
+fn phased_open_and_close_beside_a_launching_session_match_the_synchronous_forms() {
+    const LAUNCHES: usize = 200;
+    const CYCLES: usize = 3;
+    const CHURN_N: usize = 20_000;
+    let artifacts = ftn_core::Compiler::default()
+        .compile_source(SAXPY)
+        .expect("saxpy compiles");
+    let load = || {
+        let devices = vec![ftn_fpga::DeviceModel::u280(); 2];
+        ClusterMachine::load(&artifacts, &devices).expect("pool loads")
+    };
+    let args = [
+        ShardArg::Array("x".into()),
+        ShardArg::Array("y".into()),
+        ShardArg::Extent("x".into()),
+        ShardArg::Extent("y".into()),
+        ShardArg::Scalar(RtValue::F32(2.0)),
+        ShardArg::Scalar(RtValue::Index(1)),
+        ShardArg::Extent("x".into()),
+    ];
+    let launching_maps = |m: &mut ClusterMachine| {
+        let x = m.host_f32(&session_x(0, UNTOUCHED_N));
+        let y = m.host_f32(&[1.0; UNTOUCHED_N]);
+        let split = Partition::Split { halo: 0 };
+        let maps = [
+            ("x", x, MapKind::To, split),
+            ("y", y.clone(), MapKind::ToFrom, split),
+        ];
+        (maps, y)
+    };
+    let churn_arrays = |m: &mut ClusterMachine, cycle: usize| {
+        let x = m.host_f32(&session_x(cycle + 1, CHURN_N));
+        let y = m.host_f32(&session_x(cycle + 5, CHURN_N));
+        (x, y, m.host_f32(&[7.0; 4]))
+    };
+    let churned = |m: &mut ClusterMachine, arrays: [RtValue; 3], stats: SessionStats| -> Churned {
+        let out = (m.read_f32(&arrays[1]), m.read_f32(&arrays[2]), stats);
+        arrays.iter().for_each(|a| m.free_host(a).expect("frees"));
+        out
+    };
+
+    // The synchronous forms, one call at a time.
+    let mut m = load();
+    let (maps, ya) = launching_maps(&mut m);
+    let a = m.open_sharded_session(&maps, ShardCount::Fixed(1)).unwrap();
+    for _ in 0..LAUNCHES {
+        let ticket = m.sharded_launch(a, "saxpy_kernel0", &args).unwrap();
+        m.wait_sharded(ticket).unwrap();
+    }
+    let serial_churn: Vec<Churned> = (0..CYCLES)
+        .map(|cycle| {
+            let (x, y, r) = churn_arrays(&mut m, cycle);
+            let b =
+                (m.open_sharded_session(&churn_maps(&x, &y, &r), ShardCount::Fixed(2))).unwrap();
+            let stats = m.close_sharded_session(b).unwrap().stats;
+            churned(&mut m, [x, y, r], stats)
+        })
+        .collect();
+    let serial_a = (m.close_sharded_session(a).unwrap().stats, m.read_f32(&ya));
+    let serial_pool = m.pool_stats();
+    drop(m);
+
+    // The phased forms, churning beside the launches.
+    let gate = PoolGate::new(load());
+    let (maps, ya) = launching_maps(&mut gate.lock());
+    let a = gate.open_phased(&maps, ShardCount::Fixed(1), None).unwrap();
+    let start = std::sync::Barrier::new(2);
+    let phased_churn: Vec<Churned> = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            start.wait();
+            for _ in 0..LAUNCHES {
+                let ticket = gate
+                    .lock_session(a)
+                    .sharded_launch(a, "saxpy_kernel0", &args);
+                gate.wait_many(ticket.unwrap().handles).unwrap();
+            }
+        });
+        start.wait();
+        (0..CYCLES)
+            .map(|cycle| {
+                let (x, y, r) = churn_arrays(&mut gate.lock(), cycle);
+                let b = (gate.open_phased(&churn_maps(&x, &y, &r), ShardCount::Fixed(2), None))
+                    .unwrap();
+                let stats = gate.close_phased(b).unwrap().stats;
+                churned(&mut gate.lock(), [x, y, r], stats)
+            })
+            .collect()
+    });
+    let phased_a = (
+        gate.close_phased(a).unwrap().stats,
+        gate.lock().read_f32(&ya),
+    );
+    let phased_pool = gate.lock().pool_stats();
+
+    assert_eq!(phased_churn, serial_churn);
+    assert_eq!(phased_a, serial_a);
+    assert_eq!(phased_pool.host_buffers, serial_pool.host_buffers);
+    assert_eq!(phased_pool.devices.len(), 2);
+    for (p, s) in phased_pool.devices.iter().zip(&serial_pool.devices) {
+        assert_eq!(p.stats, s.stats, "device {}", p.device);
+        assert_eq!(
+            (p.jobs, p.arena_buffers),
+            (s.jobs, s.arena_buffers),
+            "device {}",
+            p.device
+        );
     }
 }
