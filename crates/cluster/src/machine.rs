@@ -192,19 +192,12 @@ impl BufState {
 /// Cached handles into the machine's [`MetricsRegistry`] — one atomic
 /// bump per event on the completion path, no registry lookup.
 pub(crate) struct PoolMetrics {
-    registry: Arc<MetricsRegistry>,
     /// Wall-clock enqueue→dispatch wait per job.
     pub(crate) queue_wait: Arc<ftn_trace::Histogram>,
-    /// Simulated device occupancy per job.
-    pub(crate) job_sim: Arc<ftn_trace::Histogram>,
     /// Jobs completed pool-wide.
     pub(crate) jobs: Arc<ftn_trace::Counter>,
     /// Wall seconds per migration epoch.
     pub(crate) epoch: Arc<ftn_trace::Histogram>,
-    /// Rows that changed owners across migration epochs.
-    pub(crate) rows_migrated: Arc<ftn_trace::Counter>,
-    /// Migration epochs executed.
-    pub(crate) replans: Arc<ftn_trace::Counter>,
     /// Inter-launch halo refreshes executed.
     pub(crate) halo_refreshes: Arc<ftn_trace::Counter>,
     /// Boundary-row bytes moved by halo refreshes (counted once per block).
@@ -212,26 +205,14 @@ pub(crate) struct PoolMetrics {
 }
 
 impl PoolMetrics {
-    pub(crate) fn new(registry: Arc<MetricsRegistry>) -> PoolMetrics {
+    pub(crate) fn new(registry: &MetricsRegistry) -> PoolMetrics {
         PoolMetrics {
             queue_wait: registry.histogram("ftn_pool_queue_wait_seconds"),
-            job_sim: registry.histogram("ftn_pool_job_sim_seconds"),
             jobs: registry.counter("ftn_pool_jobs_total"),
             epoch: registry.histogram("ftn_pool_epoch_seconds"),
-            rows_migrated: registry.counter("ftn_pool_rows_migrated_total"),
-            replans: registry.counter("ftn_pool_replans_total"),
             halo_refreshes: registry.counter("ftn_pool_halo_refreshes_total"),
             halo_bytes: registry.counter("ftn_pool_halo_bytes_total"),
-            registry,
         }
-    }
-
-    /// The placement-ladder counter for one decision reason.
-    pub(crate) fn placement(&self, reason: PlacementReason) -> Arc<ftn_trace::Counter> {
-        self.registry.counter(&ftn_trace::labelled(
-            "ftn_pool_placements_total",
-            &[("reason", reason.as_str())],
-        ))
     }
 }
 
@@ -364,7 +345,7 @@ impl ClusterMachine {
             rows_migrated: 0,
             epoch_seconds: 0.0,
             batch_buffer: None,
-            metrics: PoolMetrics::new(Arc::new(MetricsRegistry::new())),
+            metrics: PoolMetrics::new(&MetricsRegistry::new()),
             rollups: Rollups::default(),
             submitting_session: None,
             #[cfg(test)]
@@ -376,7 +357,7 @@ impl ClusterMachine {
     /// registry when the pool backs `ftn-serve`). Prior observations stay in
     /// the old registry; only new events land in `registry`.
     pub fn use_metrics(&mut self, registry: &Arc<MetricsRegistry>) {
-        self.metrics = PoolMetrics::new(Arc::clone(registry));
+        self.metrics = PoolMetrics::new(registry);
     }
 
     /// Attribution rollups over every job completed so far, costliest first
@@ -660,7 +641,6 @@ impl ClusterMachine {
             PlacementReason::ForcedColocation => self.forced_colocations += 1,
             _ => {}
         }
-        self.metrics.placement(placement.reason).inc();
         Ok(placement.device)
     }
 
@@ -1043,7 +1023,6 @@ impl ClusterMachine {
                     success.trace_id,
                     success.span_id,
                 );
-                self.metrics.job_sim.observe(success.sim_busy_seconds);
                 if let Some(p) = &pending {
                     self.rollups.record(
                         p.kernel.as_deref(),

@@ -302,8 +302,6 @@ impl ClusterMachine {
                     m.replans += 1;
                     m.rows_migrated += rows_migrated;
                     m.epoch_seconds += epoch_seconds;
-                    m.metrics.replans.inc();
-                    m.metrics.rows_migrated.add(rows_migrated);
                     let trace = ftn_trace::current_trace_id();
                     m.metrics
                         .epoch

@@ -51,19 +51,6 @@ pub enum PlacementReason {
     LeastLoaded,
 }
 
-impl PlacementReason {
-    /// Stable snake-case name — the `reason` label of the
-    /// `ftn_pool_placements_total` metric series.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            PlacementReason::ForcedColocation => "forced_colocation",
-            PlacementReason::Affinity => "affinity",
-            PlacementReason::Steal => "steal",
-            PlacementReason::LeastLoaded => "least_loaded",
-        }
-    }
-}
-
 /// A placement decision.
 #[derive(Clone, Copy, Debug)]
 pub struct Placement {

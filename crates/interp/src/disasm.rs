@@ -1,5 +1,5 @@
 //! A textual listing of a lowered function, for tests that pin the shape of
-//! the code numbering and fusion produce (and for reading it).
+//! the code lowering and numbering produce (and for reading it).
 
 use std::fmt::Write;
 
@@ -36,7 +36,6 @@ fn range(f: &Function, r: SlotRange) -> String {
 }
 
 fn line(f: &Function, pc: usize, instr: &Instr) -> String {
-    let off = |off: i32| format!("{}{}", if off < 0 { '-' } else { '+' }, off.unsigned_abs());
     match *instr {
         Instr::IntBin { op, dst, lhs, rhs } => format!("%{dst} = int.{op:?} %{lhs}, %{rhs}"),
         Instr::FloatBin { op, dst, lhs, rhs } => format!("%{dst} = float.{op:?} %{lhs}, %{rhs}"),
@@ -112,51 +111,5 @@ fn line(f: &Function, pc: usize, instr: &Instr) -> String {
         }
         Instr::Return(values) => format!("return {}", range(f, values)),
         Instr::Trap(i) => format!("trap {:?}", f.traps[i as usize]),
-        Instr::Convert2 {
-            first,
-            then,
-            dst,
-            src,
-        } => format!("%{dst} = convert.{first:?}.{then:?} %{src}"),
-        Instr::OffConvert {
-            to,
-            dst,
-            src,
-            off: o,
-        } => {
-            format!("%{dst} = convert.{to:?} (%{src}{})", off(o))
-        }
-        Instr::ConvertOff {
-            to,
-            dst,
-            src,
-            off: o,
-        } => {
-            format!("%{dst} = (convert.{to:?} %{src}){}", off(o))
-        }
-        Instr::FloatBin2 {
-            first,
-            then,
-            swapped,
-            dst,
-            a,
-            b,
-            c,
-        } => match swapped {
-            false => format!("%{dst} = float.{then:?} (float.{first:?} %{a}, %{b}), %{c}"),
-            true => format!("%{dst} = float.{then:?} %{c}, (float.{first:?} %{a}, %{b})"),
-        },
-        Instr::Load1Off {
-            dst,
-            mem,
-            base,
-            off: o,
-        } => format!("%{dst} = load1 %{mem}[%{base}{}]", off(o)),
-        Instr::Store1Off {
-            val,
-            mem,
-            base,
-            off: o,
-        } => format!("store1 %{val}, %{mem}[%{base}{}]", off(o)),
     }
 }

@@ -14,13 +14,12 @@
 //! range). `scf.if` / `fir.if` select a code range; `omp.target` /
 //! `omp.target_data` regions are inlined. Lowering value-numbers as it
 //! emits (equal constants share a slot, a pure scalar instruction equal to
-//! one still in scope emits nothing) and a peephole then fuses the
-//! producer/consumer pairs kernels are made of — `base ± const` into the
-//! rank-1 access it indexes, two conversions in a row, a conversion beside a
-//! `± const`, `mulf` feeding `addf` — each fused instruction running its
-//! constituents' checks in their original order. An op that would fail when
-//! executed — unknown, malformed, a constant of an unsupported type — lowers
-//! to an instruction that raises the error only if it is reached.
+//! one still in scope emits nothing) and does nothing else to the code:
+//! the peephole that used to fuse producer/consumer pairs was deleted once
+//! strips ran the hot loops and no end-to-end metric could see it
+//! (`docs/ARCHITECTURE.md`, "There is no peephole"). An op that would fail
+//! when executed — unknown, malformed, a constant of an unsupported type —
+//! lowers to an instruction that raises the error only if it is reached.
 //!
 //! The run loop executes the instructions against a struct-of-arrays
 //! **frame** (one per call): a kind byte and a `u64` payload per slot, with
@@ -73,7 +72,6 @@
 
 mod disasm;
 pub mod error;
-mod fuse;
 pub mod interp;
 mod lower;
 pub mod memory;

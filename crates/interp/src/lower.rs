@@ -17,15 +17,11 @@
 //! has already run on the same operands, and would already have failed if
 //! the duplicate were going to. Loads are never numbered. The step budget is
 //! charged in IR ops per block, so it does not see any of this.
-//!
-//! Each function's finished code then goes through the peephole of
-//! `fuse.rs`.
 
 use std::collections::HashMap;
 
 use ftn_mlir::{BlockId, Ir, OpId, TypeId, TypeKind, ValueId, ValueTable};
 
-use crate::fuse::{self, fact};
 use crate::program::{
     scalar_cell, tag, Alloc, CmpFPred, CmpIPred, ConvKind, Fallback, FloatOp, Function, Hook, If,
     Instr, IntOp, Loop, Program, Slot, SlotRange,
@@ -148,7 +144,7 @@ impl Numbered {
 
     fn filed_under(key: &Instr) -> Slot {
         let mut first = None;
-        fuse::reads(key, |s| first = first.or(Some(s)));
+        key.reads(|s| first = first.or(Some(s)));
         first.expect("pure instructions read something")
     }
 
@@ -197,8 +193,6 @@ type Trap = String;
 struct FnLowerer<'l, 'a> {
     ir: &'a Ir,
     program: &'l mut Lowerer<'a>,
-    /// What lowering knows about each slot (see [`fact`]), for the peephole.
-    facts: Vec<u8>,
     f: Function,
 }
 
@@ -211,7 +205,6 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
         let mut this = FnLowerer {
             ir,
             program,
-            facts: Vec::new(),
             f: Function {
                 name: name.to_string(),
                 op: func,
@@ -236,7 +229,6 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
             }
             None => this.trap(format!("function '{name}' has no body")),
         }
-        fuse::fuse(&mut this.f, &this.facts);
         strip::plan(&mut this.f);
         this.f
     }
@@ -252,7 +244,6 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
         let slot = self.f.tags.len() as Slot;
         self.f.tags.push(tag::UNIT);
         self.f.vals.push(0);
-        self.facts.push(0);
         self.program.slot_of.insert(v, slot);
     }
 
@@ -298,15 +289,14 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
 
     /// Emit the pure scalar instruction `make(dst)` for the first result of
     /// `op` (slot `dst`) — or, when an equal one is in scope, alias the result
-    /// to it. `produces` is what is known of the result (a [`fact`] mask).
-    fn emit_pure(&mut self, op: OpId, dst: Slot, produces: u8, make: impl Fn(Slot) -> Instr) {
+    /// to it.
+    fn emit_pure(&mut self, op: OpId, dst: Slot, make: impl Fn(Slot) -> Instr) {
         let result = self.ir.op(op).results[0];
         let key = make(Slot::MAX);
         if let Some(first) = self.program.numbered.find(&key) {
             self.program.slot_of.insert(result, first);
             return;
         }
-        self.facts[dst as usize] |= produces;
         self.emit(make(dst));
         self.program.numbered.push(key, dst);
     }
@@ -322,10 +312,6 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
             return Ok(());
         }
         (self.f.tags[dst as usize], self.f.vals[dst as usize]) = cell;
-        self.facts[dst as usize] |= match tag::is_int(cell.0) {
-            true => fact::CONST | fact::INT,
-            false => fact::CONST,
-        };
         self.program.consts.insert(cell, dst);
         Ok(())
     }
@@ -411,7 +397,7 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
                     "arith.maxsi" => IntOp::MaxS,
                     _ => IntOp::MinS,
                 };
-                self.emit_pure(op, result(0)?, fact::INT, |dst| Instr::IntBin {
+                self.emit_pure(op, result(0)?, |dst| Instr::IntBin {
                     op: kind,
                     dst,
                     lhs,
@@ -429,7 +415,7 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
                     "arith.maximumf" => FloatOp::Max,
                     _ => FloatOp::Min,
                 };
-                self.emit_pure(op, result(0)?, 0, |dst| Instr::FloatBin {
+                self.emit_pure(op, result(0)?, |dst| Instr::FloatBin {
                     op: kind,
                     dst,
                     lhs,
@@ -438,7 +424,7 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
             }
             "arith.negf" => {
                 let [src] = arity(name, operands(self)?)?;
-                self.emit_pure(op, result(0)?, 0, |dst| Instr::NegF { dst, src });
+                self.emit_pure(op, result(0)?, |dst| Instr::NegF { dst, src });
             }
             "arith.cmpi" => {
                 let [lhs, rhs] = arity(name, operands(self)?)?;
@@ -452,7 +438,7 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
                     Some(other) => return Err(format!("bad cmpi predicate {other}")),
                     None => return Err("cmpi without predicate".into()),
                 };
-                self.emit_pure(op, result(0)?, fact::INT, |dst| Instr::CmpI {
+                self.emit_pure(op, result(0)?, |dst| Instr::CmpI {
                     pred,
                     dst,
                     lhs,
@@ -471,7 +457,7 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
                     Some(other) => return Err(format!("bad cmpf predicate {other}")),
                     None => return Err("cmpf without predicate".into()),
                 };
-                self.emit_pure(op, result(0)?, fact::INT, |dst| Instr::CmpF {
+                self.emit_pure(op, result(0)?, |dst| Instr::CmpF {
                     pred,
                     dst,
                     lhs,
@@ -480,7 +466,7 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
             }
             "arith.select" => {
                 let [cond, on_true, on_false] = arity(name, operands(self)?)?;
-                self.emit_pure(op, result(0)?, 0, |dst| Instr::Select {
+                self.emit_pure(op, result(0)?, |dst| Instr::Select {
                     dst,
                     cond,
                     on_true,
@@ -500,11 +486,7 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
                     TypeKind::Float64 => ConvKind::F64,
                     other => return Err(format!("unsupported conversion to {other:?}")),
                 };
-                let produces = match to {
-                    ConvKind::F32 | ConvKind::F64 => 0,
-                    _ => fact::INT,
-                };
-                self.emit_pure(op, dst, produces, |dst| Instr::Convert { to, dst, src });
+                self.emit_pure(op, dst, |dst| Instr::Convert { to, dst, src });
             }
 
             "memref.alloc" | "memref.alloca" | "fir.alloca" => {
@@ -566,7 +548,6 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
             "memref.dim" => {
                 let [mem, dim] = arity(name, operands(self)?)?;
                 let dst = result(0)?;
-                self.facts[dst as usize] |= fact::INT;
                 self.emit(Instr::Dim { dst, mem, dim });
             }
             "memref.copy" => {
@@ -613,7 +594,7 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
 
             "hls.axi_protocol" => {
                 let [src] = arity(name, operands(self)?)?;
-                self.emit_pure(op, result(0)?, 0, |dst| Instr::AxiProtocol { dst, src });
+                self.emit_pure(op, result(0)?, |dst| Instr::AxiProtocol { dst, src });
             }
 
             "func.call" | "fir.call" => {
@@ -691,8 +672,6 @@ impl<'l, 'a> FnLowerer<'l, 'a> {
                 yields.len()
             ));
         }
-        // The run loop writes the induction variable as an `index`.
-        self.facts[iv as usize] |= fact::INT;
         let index = self.f.loops.len();
         let lowered = Loop {
             op,

@@ -1,5 +1,5 @@
 //! The execution engine: functions lowered once to slot-indexed bytecode
-//! (by `lower.rs`, fused by `fuse.rs`) and the run loop that executes them.
+//! (by `lower.rs`) and the run loop that executes them.
 //!
 //! The **frame** of a call is struct-of-arrays: `tags[slot]` is the value's
 //! runtime kind (one byte, see [`tag`]) and `vals[slot]` its payload in one
@@ -111,8 +111,7 @@ pub(crate) enum ConvKind {
 }
 
 /// One pre-decoded instruction. Hot scalar ops carry their slots inline;
-/// the wide, cold ones index a side table of the [`Function`]. The fused
-/// forms at the end are only ever produced by `fuse.rs`.
+/// the wide, cold ones index a side table of the [`Function`].
 #[derive(Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Instr {
     IntBin {
@@ -201,58 +200,68 @@ pub(crate) enum Instr {
     Return(SlotRange),
     /// Raise `Function::traps[i]` when (and only when) reached.
     Trap(u32),
-
-    // ---- fused forms: each runs its constituents' checks in their order ----
-    /// `Convert{first}` feeding `Convert{then}`.
-    Convert2 {
-        first: ConvKind,
-        then: ConvKind,
-        dst: Slot,
-        src: Slot,
-    },
-    /// `IntBin{Add|Sub, src, const}` feeding `Convert{to}`; `off` is `±const`.
-    OffConvert {
-        to: ConvKind,
-        dst: Slot,
-        src: Slot,
-        off: i32,
-    },
-    /// `Convert{to}` feeding `IntBin{Add|Sub, ·, const}`.
-    ConvertOff {
-        to: ConvKind,
-        dst: Slot,
-        src: Slot,
-        off: i32,
-    },
-    /// `FloatBin{first, a, b}` feeding `FloatBin{then}` as its lhs (or, when
-    /// `swapped`, its rhs) beside `c`. Two roundings, never a fused
-    /// multiply-add.
-    FloatBin2 {
-        first: FloatOp,
-        then: FloatOp,
-        swapped: bool,
-        dst: Slot,
-        a: Slot,
-        b: Slot,
-        c: Slot,
-    },
-    /// `Load1` whose index is `IntBin{Add|Sub, base, const}`, computed with
-    /// `base`'s runtime kind.
-    Load1Off {
-        dst: Slot,
-        mem: Slot,
-        base: Slot,
-        off: i32,
-    },
-    Store1Off {
-        val: Slot,
-        mem: Slot,
-        base: Slot,
-        off: i32,
-    },
 }
 
-// The run loop streams these; a fused form must not widen the enum.
+impl Instr {
+    /// The slots the instruction reads directly (ranges live in
+    /// `Function::slots`).
+    pub(crate) fn reads(&self, mut each: impl FnMut(Slot)) {
+        match *self {
+            Instr::IntBin { lhs, rhs, .. }
+            | Instr::FloatBin { lhs, rhs, .. }
+            | Instr::CmpI { lhs, rhs, .. }
+            | Instr::CmpF { lhs, rhs, .. } => {
+                each(lhs);
+                each(rhs);
+            }
+            Instr::NegF { src, .. }
+            | Instr::Convert { src, .. }
+            | Instr::Move { src, .. }
+            | Instr::AxiProtocol { src, .. } => each(src),
+            Instr::Select {
+                cond,
+                on_true,
+                on_false,
+                ..
+            } => {
+                each(cond);
+                each(on_true);
+                each(on_false);
+            }
+            Instr::Load1 { mem, idx, .. } => {
+                each(mem);
+                each(idx);
+            }
+            Instr::Store1 { val, mem, idx } => {
+                each(val);
+                each(mem);
+                each(idx);
+            }
+            Instr::Load { mem, .. } => each(mem),
+            Instr::Store { val, mem, .. } => {
+                each(val);
+                each(mem);
+            }
+            Instr::Dim { mem, dim, .. } => {
+                each(mem);
+                each(dim);
+            }
+            Instr::Copy { src, dst } => {
+                each(src);
+                each(dst);
+            }
+            Instr::Charge(_)
+            | Instr::Alloc(_)
+            | Instr::Loop(_)
+            | Instr::If(_)
+            | Instr::Hook(_)
+            | Instr::Return(_)
+            | Instr::Trap(_) => {}
+        }
+    }
+}
+
+// The run loop streams these; a new form must not widen the enum.
 const _: () = assert!(std::mem::size_of::<Instr>() == 20);
 
 /// `scf.for` / `omp.wsloop` / `fir.do_loop`; the body is the code from the
@@ -559,12 +568,7 @@ pub(crate) fn decode(t: u8, bits: u64, mems: &[MemRefVal]) -> RtValue {
 #[cold]
 #[inline(never)]
 fn expected(what: &str, tags: &[u8], vals: &[u64], mems: &[MemRefVal], s: Slot) -> InterpError {
-    expected_value(what, &decode(tags[s as usize], vals[s as usize], mems))
-}
-
-#[cold]
-#[inline(never)]
-fn expected_value(what: &str, got: &RtValue) -> InterpError {
+    let got = decode(tags[s as usize], vals[s as usize], mems);
     InterpError::new(format!("expected {what}, got {got:?}"))
 }
 
@@ -695,40 +699,6 @@ impl<'a> Run<'a> {
                 vals[$s as usize] = bits;
             }};
         }
-        /// The cell of `$src` converted to `$to`, or its "expected integer".
-        macro_rules! converted {
-            ($src:expr, $to:expr) => {{
-                let (t, bits) = cell!($src);
-                match convert(t, bits, $to) {
-                    Some(cell) => cell,
-                    None => return Err(expected("integer", tags, vals, mems, $src)),
-                }
-            }};
-        }
-        /// `base ± const` in `base`'s kind, as `RtValue::with_int` wraps it.
-        macro_rules! offset {
-            ($base:expr, $off:expr) => {{
-                let v = int!($base).wrapping_add($off as i64);
-                wrap_int(tags[$base as usize], v) as i64
-            }};
-        }
-        // The rank-1 accesses; `$i` is evaluated after the memref check.
-        macro_rules! load1 {
-            ($dst:expr, $mem:expr, $i:expr) => {{
-                let m = memref!($mem);
-                let off = rank1_offset(m, $i)?;
-                put!($dst, load_buffer(self.memory.get(m.buffer), off)?);
-            }};
-        }
-        macro_rules! store1 {
-            ($val:expr, $mem:expr, $i:expr) => {{
-                let m = memref!($mem);
-                let off = rank1_offset(m, $i)?;
-                if let Err(what) = store_buffer(self.memory.get_mut(m.buffer), off, cell!($val)) {
-                    return Err(store_error(what, tags, vals, mems, $val));
-                }
-            }};
-        }
 
         loop {
             while pc < end {
@@ -747,65 +717,27 @@ impl<'a> Run<'a> {
                     Instr::FloatBin { op, dst, lhs, rhs } => {
                         put!(dst, float_binop(op, cell!(lhs), cell!(rhs))?);
                     }
-                    Instr::FloatBin2 {
-                        first,
-                        then,
-                        swapped,
-                        dst,
-                        a,
-                        b,
-                        c,
-                    } => {
-                        let mid = float_binop(first, cell!(a), cell!(b))?;
-                        let c = cell!(c);
-                        let (l, r) = if swapped { (c, mid) } else { (mid, c) };
-                        put!(dst, float_binop(then, l, r)?);
-                    }
-                    Instr::Convert { to, dst, src } => put!(dst, converted!(src, to)),
-                    Instr::Convert2 {
-                        first,
-                        then,
-                        dst,
-                        src,
-                    } => {
-                        let (t, bits) = converted!(src, first);
-                        let Some(cell) = convert(t, bits, then) else {
-                            return Err(expected_value("integer", &decode(t, bits, &[])));
-                        };
-                        put!(dst, cell);
-                    }
-                    Instr::OffConvert { to, dst, src, off } => {
-                        put!(dst, convert_int(offset!(src, off), to));
-                    }
-                    Instr::ConvertOff { to, dst, src, off } => {
-                        let (t, bits) = converted!(src, to);
-                        if !tag::is_int(t) {
-                            return Err(expected_value("integer", &decode(t, bits, &[])));
+                    Instr::Convert { to, dst, src } => {
+                        let (t, bits) = cell!(src);
+                        match convert(t, bits, to) {
+                            Some(cell) => put!(dst, cell),
+                            None => return Err(expected("integer", tags, vals, mems, src)),
                         }
-                        let sum = (bits as i64).wrapping_add(off as i64);
-                        put!(dst, (t, wrap_int(t, sum)));
                     }
                     Instr::Move { dst, src } => put!(dst, cell!(src)),
-                    Instr::Load1 { dst, mem, idx } => load1!(dst, mem, int!(idx)),
-                    Instr::Store1 { val, mem, idx } => store1!(val, mem, int!(idx)),
-                    // The base is checked first: its `IntBin` ran first.
-                    Instr::Load1Off {
-                        dst,
-                        mem,
-                        base,
-                        off,
-                    } => {
-                        let i = offset!(base, off);
-                        load1!(dst, mem, i);
+                    // The memref is checked before the index.
+                    Instr::Load1 { dst, mem, idx } => {
+                        let m = memref!(mem);
+                        let off = rank1_offset(m, int!(idx))?;
+                        put!(dst, load_buffer(self.memory.get(m.buffer), off)?);
                     }
-                    Instr::Store1Off {
-                        val,
-                        mem,
-                        base,
-                        off,
-                    } => {
-                        let i = offset!(base, off);
-                        store1!(val, mem, i);
+                    Instr::Store1 { val, mem, idx } => {
+                        let m = memref!(mem);
+                        let off = rank1_offset(m, int!(idx))?;
+                        let buffer = self.memory.get_mut(m.buffer);
+                        if let Err(what) = store_buffer(buffer, off, cell!(val)) {
+                            return Err(store_error(what, tags, vals, mems, val));
+                        }
                     }
                     other => {
                         let mut cells = Cells {
@@ -1073,16 +1005,10 @@ impl<'a> Run<'a> {
             // Decoded by the run loop itself.
             Instr::IntBin { .. }
             | Instr::FloatBin { .. }
-            | Instr::FloatBin2 { .. }
             | Instr::Convert { .. }
-            | Instr::Convert2 { .. }
-            | Instr::OffConvert { .. }
-            | Instr::ConvertOff { .. }
             | Instr::Move { .. }
             | Instr::Load1 { .. }
-            | Instr::Load1Off { .. }
-            | Instr::Store1 { .. }
-            | Instr::Store1Off { .. } => unreachable!("hot instruction on the cold path"),
+            | Instr::Store1 { .. } => unreachable!("hot instruction on the cold path"),
         }
         Ok(Step::Next)
     }
@@ -1218,24 +1144,20 @@ pub(crate) fn float_binop(
     }
 }
 
-/// Conversion of an integer: defined for every target.
-#[inline(always)]
-fn convert_int(v: i64, to: ConvKind) -> (u8, u64) {
-    match to {
-        ConvKind::Index => (tag::INDEX, v as u64),
-        ConvKind::I1 => (tag::I1, (v != 0) as u64),
-        ConvKind::I32 => (tag::I32, v as i32 as i64 as u64),
-        ConvKind::I64 => (tag::I64, v as u64),
-        ConvKind::F32 => (tag::F32, (v as f32).to_bits() as u64),
-        ConvKind::F64 => (tag::F64, (v as f64).to_bits()),
-    }
-}
-
 /// `None`: the source is no integer where one is required.
 #[inline(always)]
 pub(crate) fn convert(t: u8, bits: u64, to: ConvKind) -> Option<(u8, u64)> {
+    // An integer converts to every target.
     if tag::is_int(t) {
-        return Some(convert_int(bits as i64, to));
+        let v = bits as i64;
+        return Some(match to {
+            ConvKind::Index => (tag::INDEX, v as u64),
+            ConvKind::I1 => (tag::I1, (v != 0) as u64),
+            ConvKind::I32 => (tag::I32, v as i32 as i64 as u64),
+            ConvKind::I64 => (tag::I64, v as u64),
+            ConvKind::F32 => (tag::F32, (v as f32).to_bits() as u64),
+            ConvKind::F64 => (tag::F64, (v as f64).to_bits()),
+        });
     }
     // Widening an f32 is exact, so the saturating float-to-integer casts
     // give what they would on the f32 itself.

@@ -2,7 +2,7 @@
 //! across up to [`LANES`] iterations at a time, so the run loop's dispatch
 //! and kind checks are paid once per strip instead of once per iteration.
 //!
-//! **Plan** (lowering, after `fuse.rs`): a loop is planned when it carries
+//! **Plan** (the last step of lowering a function): a loop is planned when it carries
 //! no values and its body holds only the instructions the run loop decodes
 //! itself, each result slot is written once and read only after it is
 //! written, and the body writes neither the induction variable nor a slot it
@@ -63,8 +63,9 @@ use crate::value::MemRefVal;
 
 /// Iterations per strip. A strip's fixed cost is some 15–25 ns per body
 /// instruction (decode, kind reads, bounds, the access rule), which the lanes
-/// amortise; its working set grows with them. Measured on the box's fast
-/// phase, ns per element, scalar path 34–35 on both:
+/// amortise; its working set grows with them. Measured with the peephole
+/// lowering had until PR 24 (bodies of 59 and 8 instructions, now 89 and
+/// 14), on the box's fast phase, ns per element, scalar path 34–35 on both:
 ///
 /// | lanes | `saxpy_kernel0`, 131 072 elements | `jacobi_kernel0`, 65 536 |
 /// |---|---|---|
@@ -97,8 +98,7 @@ const NO_REG: u32 = u32::MAX;
 pub(crate) struct Plan {
     /// Per body instruction, the lane register its result may use.
     regs: Vec<u32>,
-    /// Registers the body needs; one more, at this index, is the scratch of
-    /// the two-step fused forms.
+    /// Registers the body needs.
     reg_count: u32,
     /// Slots the body reads and never writes, the induction variable aside.
     invariants: Vec<Slot>,
@@ -115,16 +115,11 @@ fn ports(instr: &Instr) -> Option<(Option<Slot>, [Option<Slot>; 3])> {
             rhs,
         }
         | Instr::FloatBin { dst, lhs, rhs, .. } => (Some(dst), [Some(lhs), Some(rhs), None]),
-        Instr::FloatBin2 { dst, a, b, c, .. } => (Some(dst), [Some(a), Some(b), Some(c)]),
-        Instr::Convert { dst, src, .. }
-        | Instr::Convert2 { dst, src, .. }
-        | Instr::OffConvert { dst, src, .. }
-        | Instr::ConvertOff { dst, src, .. }
-        | Instr::Move { dst, src } => (Some(dst), [Some(src), None, None]),
+        Instr::Convert { dst, src, .. } | Instr::Move { dst, src } => {
+            (Some(dst), [Some(src), None, None])
+        }
         Instr::Load1 { dst, mem, idx } => (Some(dst), [Some(mem), Some(idx), None]),
-        Instr::Load1Off { dst, mem, base, .. } => (Some(dst), [Some(mem), Some(base), None]),
         Instr::Store1 { val, mem, idx } => (None, [Some(val), Some(mem), Some(idx)]),
-        Instr::Store1Off { val, mem, base, .. } => (None, [Some(val), Some(mem), Some(base)]),
         _ => return None,
     })
 }
@@ -132,10 +127,7 @@ fn ports(instr: &Instr) -> Option<(Option<Slot>, [Option<Slot>; 3])> {
 /// The memref slot of an access.
 fn accessed(instr: &Instr) -> Option<Slot> {
     match *instr {
-        Instr::Load1 { mem, .. }
-        | Instr::Load1Off { mem, .. }
-        | Instr::Store1 { mem, .. }
-        | Instr::Store1Off { mem, .. } => Some(mem),
+        Instr::Load1 { mem, .. } | Instr::Store1 { mem, .. } => Some(mem),
         _ => None,
     }
 }
@@ -442,12 +434,6 @@ fn int_bin(op: IntOp, l: Val, r: Val, b: usize) -> Option<Val> {
     affine(t, base, stride, b)
 }
 
-/// `v ± const` in `v`'s kind.
-fn add_const(v: Val, off: i32, b: usize) -> Option<Val> {
-    let (t, base, stride) = int_parts(v)?;
-    affine(t, base.checked_add(off as i64)?, stride, b)
-}
-
 // ---- accesses ----------------------------------------------------------------------------
 
 /// One rank-1 access of the running strip, bounds already checked.
@@ -545,7 +531,6 @@ struct Strip<'s, 'r> {
     state: &'s mut Strips,
     mems: &'r [MemRefVal],
     memory: &'r Memory,
-    scratch: u32,
     b: usize,
 }
 
@@ -598,7 +583,6 @@ impl Strips {
                 state: self,
                 mems: caller.mems,
                 memory: caller.memory,
-                scratch: plan.reg_count,
                 b,
             };
             if strip.execute(body, plan).is_none() {
@@ -617,9 +601,8 @@ impl Strips {
             self.cur
                 .resize(caller.tags.len(), Val::Uniform(tag::UNIT, 0));
         }
-        if self.regs.len() <= plan.reg_count as usize {
-            self.regs
-                .resize_with(plan.reg_count as usize + 1, Reg::default);
+        if self.regs.len() < plan.reg_count as usize {
+            self.regs.resize_with(plan.reg_count as usize, Reg::default);
         }
         for &s in &plan.invariants {
             self.cur[s as usize] = Val::Uniform(caller.tags[s as usize], caller.vals[s as usize]);
@@ -675,63 +658,13 @@ impl<'r> Strip<'_, 'r> {
                 Instr::FloatBin { op, dst, lhs, rhs } => {
                     (dst, self.float_bin(op, self.get(lhs), self.get(rhs), reg)?)
                 }
-                Instr::FloatBin2 {
-                    first,
-                    then,
-                    swapped,
-                    dst,
-                    a,
-                    b,
-                    c,
-                } => {
-                    let mid = self.float_bin(first, self.get(a), self.get(b), self.scratch)?;
-                    let c = self.get(c);
-                    let (l, r) = if swapped { (c, mid) } else { (mid, c) };
-                    (dst, self.float_bin(then, l, r, reg)?)
-                }
                 Instr::Convert { to, dst, src } => (dst, self.convert(self.get(src), to, reg)?),
-                Instr::Convert2 {
-                    first,
-                    then,
-                    dst,
-                    src,
-                } => {
-                    let mid = self.convert(self.get(src), first, self.scratch)?;
-                    (dst, self.convert(mid, then, reg)?)
-                }
-                Instr::OffConvert { to, dst, src, off } => {
-                    let sum = add_const(self.get(src), off, b)?;
-                    (dst, self.convert(sum, to, reg)?)
-                }
-                Instr::ConvertOff { to, dst, src, off } => {
-                    let mid = self.convert(self.get(src), to, self.scratch)?;
-                    (dst, add_const(mid, off, b)?)
-                }
                 Instr::Move { dst, src } => (dst, self.copy(self.get(src), reg)),
                 Instr::Load1 { dst, mem, idx } => {
                     (dst, self.load(self.get(mem), self.get(idx), reg)?)
                 }
-                Instr::Load1Off {
-                    dst,
-                    mem,
-                    base,
-                    off,
-                } => {
-                    let idx = add_const(self.get(base), off, b)?;
-                    (dst, self.load(self.get(mem), idx, reg)?)
-                }
                 Instr::Store1 { val, mem, idx } => {
                     self.store(self.get(val), self.get(mem), self.get(idx))?;
-                    continue;
-                }
-                Instr::Store1Off {
-                    val,
-                    mem,
-                    base,
-                    off,
-                } => {
-                    let idx = add_const(self.get(base), off, b)?;
-                    self.store(self.get(val), self.get(mem), idx)?;
                     continue;
                 }
                 _ => unreachable!("not in a planned body"),

@@ -1017,7 +1017,7 @@ fn kernel_wait_before_launch_is_the_same_error() {
     );
 }
 
-// ---- numbering and fusion: what lowering does to the code, not to the answer ----------
+// ---- numbering: what lowering does to the code, not to the answer ---------------------
 
 /// The bytecode listing of `func`.
 fn listing(ir: &Ir, module: OpId, func: &str) -> String {
@@ -1025,9 +1025,10 @@ fn listing(ir: &Ir, module: OpId, func: &str) -> String {
 }
 
 /// `%m[%p - 1]` loaded, scaled through `mulf` → `addf`, stored to `%m[%p - 1]`
-/// and returned with the index as `index → i32 → index` sees it: every fused
-/// form with a parameter as its first operand, so the caller picks the kinds.
-const FUSED: &str = r#"
+/// and returned with the index as `index → i32 → index` sees it: every
+/// producer → consumer pair a kernel body is made of, with a parameter as the
+/// producer's first operand, so the caller picks the kinds.
+const PAIRS: &str = r#"
 ^bb0(%m: memref<?xf32>, %p: index, %a: f32, %b: f32):
   %c1 = "arith.constant"() {value = 1 : index} : () -> index
   %i = "arith.subi"(%p, %c1) : (index, index) -> index
@@ -1046,9 +1047,9 @@ const FUSED: &str = r#"
   "func.return"(%s, %w, %x, %z) : (f32, index, i64, i1) -> ()
 "#;
 
-/// The same shapes whose *second* constituent is the one that fails: the
-/// intermediate of each pair is a float where an integer is required.
-const FUSED_LATE: &str = r#"
+/// The same shapes whose *consumer* is the one that fails: the intermediate
+/// of each pair is a float where an integer is required.
+const PAIRS_LATE: &str = r#"
 ^bb0(%p: index, %pick: index):
   %c0 = "arith.constant"() {value = 0 : index} : () -> index
   %c1 = "arith.constant"() {value = 1 : index} : () -> index
@@ -1066,31 +1067,42 @@ const FUSED_LATE: &str = r#"
 "#;
 
 #[test]
-fn ill_kinded_arguments_reach_fused_instructions_with_the_oracles_errors() {
+fn ill_kinded_arguments_reach_producer_consumer_pairs_with_the_oracles_errors() {
     let (ir, m) = module_of(&[
         (
-            "fused",
+            "pairs",
             "(memref<?xf32>, index, f32, f32) -> (f32, index, i64, i1)",
-            FUSED,
+            PAIRS,
         ),
-        ("late", "(index, index) -> ()", FUSED_LATE),
+        ("late", "(index, index) -> ()", PAIRS_LATE),
     ]);
-    let text = listing(&ir, m, "fused");
+    let text = listing(&ir, m, "pairs");
     for form in [
-        "load1 %0[%1-1]",
-        "store1 %8, %0[%1-1]",
-        "float.Add (float.Mul",
-        "convert.I32.Index %1",
-        "convert.I64 (%1+1)",
-        "(convert.I1 %1)+1",
+        "%5 = int.Sub %1, %4",
+        "load1 %0[%5]",
+        "store1 %8, %0[%5]",
+        "%7 = float.Mul %2, %6",
+        "float.Add %7, %3",
+        "%11 = convert.I32 %1",
+        "convert.Index %11",
+        "%13 = int.Add %1, %4",
+        "convert.I64 %13",
+        "%15 = convert.I1 %1",
+        "int.Add %15, %4",
     ] {
         assert!(text.contains(form), "no `{form}` in\n{text}");
     }
     // The duplicate constant and the duplicate subi emitted nothing.
-    assert_eq!(text.matches("int.Sub").count(), 0, "{text}");
+    assert_eq!(text.matches("int.Sub").count(), 1, "{text}");
     let text = listing(&ir, m, "late");
-    assert!(text.contains("convert.F32.Index %0"), "{text}");
-    assert!(text.contains("(convert.F64 %0)-1"), "{text}");
+    for form in [
+        "%5 = convert.F32 %0",
+        "convert.Index %5",
+        "%7 = convert.F64 %0",
+        "int.Sub %7, %3",
+    ] {
+        assert!(text.contains(form), "no `{form}` in\n{text}");
+    }
 
     let data = || Buffer::F32(vec![1.0, 2.0, 3.0, 4.0]);
     use RtValue::{Index, F32, F64, I1, I32, I64};
@@ -1147,7 +1159,7 @@ fn ill_kinded_arguments_reach_fused_instructions_with_the_oracles_errors() {
             F32(1.0),
             Some("load offset 6 out of bounds (4)"),
         ),
-        // First constituent of the addressing: the base is no integer.
+        // The producer of the addressing: the base is no integer.
         (
             f32s(&[4]),
             F32(2.0),
@@ -1155,7 +1167,7 @@ fn ill_kinded_arguments_reach_fused_instructions_with_the_oracles_errors() {
             F32(1.0),
             Some("expected integer, got F32(2.0)"),
         ),
-        // Second constituent: a scalar where the memref goes, a rank-2 shape.
+        // Its consumer: a scalar where the memref goes, a rank-2 shape.
         (
             Err(I64(9)),
             Index(2),
@@ -1195,7 +1207,7 @@ fn ill_kinded_arguments_reach_fused_instructions_with_the_oracles_errors() {
         ),
     ];
     for (i, (m_arg, p, a, b, expect)) in cases.iter().enumerate() {
-        let out = diff(&ir, m, "fused", |mem| {
+        let out = diff(&ir, m, "pairs", |mem| {
             let m_arg = match m_arg {
                 Ok((buffer, shape)) => memref(mem, buffer.clone(), shape),
                 Err(scalar) => scalar.clone(),
@@ -1208,7 +1220,7 @@ fn ill_kinded_arguments_reach_fused_instructions_with_the_oracles_errors() {
         }
     }
     // Past the access the conversions see each kind too.
-    let out = diff(&ir, m, "fused", |mem| {
+    let out = diff(&ir, m, "pairs", |mem| {
         vec![
             memref(mem, data(), &[4]),
             RtValue::I32(3),
@@ -1233,7 +1245,7 @@ fn ill_kinded_arguments_reach_fused_instructions_with_the_oracles_errors() {
         let out = diff(&ir, m, "late", no_memory(args));
         assert!(message(&out).contains(expect), "{}", message(&out));
     }
-    // ... and the first constituent of those pairs.
+    // ... and the producer of those pairs.
     let args = vec![RtValue::F32(7.0), RtValue::Index(0)];
     let out = diff(&ir, m, "late", no_memory(args));
     assert!(
@@ -1243,7 +1255,7 @@ fn ill_kinded_arguments_reach_fused_instructions_with_the_oracles_errors() {
     );
 }
 
-/// `index → i32 → index` is not the identity past 31 bits, fused or not.
+/// `index → i32 → index` is not the identity past 31 bits.
 #[test]
 fn index_i32_index_chains_truncate_at_the_i32_boundary() {
     let body = r#"
@@ -1257,7 +1269,8 @@ fn index_i32_index_chains_truncate_at_the_i32_boundary() {
 "#;
     let (ir, m) = module_of(&[("chain", "(index) -> (index, index)", body)]);
     let text = listing(&ir, m, "chain");
-    assert_eq!(text.matches("convert").count(), 1, "{text}");
+    // The second chain is the first again and emitted nothing.
+    assert_eq!(text.matches("convert").count(), 2, "{text}");
     for (p, expect) in [
         ((1i64 << 31) - 1, (1i64 << 31) - 1),
         (1 << 31, -(1i64 << 31)),
@@ -1321,8 +1334,9 @@ fn constants_of_different_kinds_or_bits_are_not_merged() {
     assert_eq!(value_bits(&values[5]), "f32:80000000");
 }
 
-/// A loop body that lowers to fewer instructions than it has ops — three of
-/// its ops are duplicates, two pairs fuse — still costs its op count.
+/// A loop body that lowers to fewer instructions than it has ops — its
+/// constant and three more of its ops are duplicates — still costs its op
+/// count.
 const SHRUNK: &str = r#"
 ^bb0(%n: index, %m: memref<?xf32>):
   %c0 = "arith.constant"() {value = 0 : index} : () -> index
@@ -1347,12 +1361,12 @@ const SHRUNK: &str = r#"
 "#;
 
 #[test]
-fn numbered_and_fused_bodies_exhaust_the_step_budget_at_the_op_count() {
+fn numbered_bodies_exhaust_the_step_budget_at_the_op_count() {
     let (ir, m) = module_of(&[("shrunk", "(index, memref<?xf32>) -> ()", SHRUNK)]);
     let text = listing(&ir, m, "shrunk");
     let body: Vec<&str> = text.lines().skip_while(|l| !l.contains("loop")).collect();
-    // 13 ops; after numbering and fusion the body is 5 instructions.
-    assert_eq!(body.len() - 2, 5, "{text}");
+    // 13 ops; after numbering the body is 8 instructions.
+    assert_eq!(body.len() - 2, 8, "{text}");
     for n in [0u64, 1, 6] {
         // Entry block 4 ops, 13 per iteration.
         let steps = 4 + 13 * n;
@@ -1790,10 +1804,10 @@ fn a_loop_to_the_top_of_the_index_range_wraps_on_both_engines() {
     }
 }
 
-/// The body of [`FUSED`] in a loop of `%n` trips, its index moved by the
-/// induction variable: every fused form in a planned body, with the caller
+/// The body of [`PAIRS`] in a loop of `%n` trips, its index moved by the
+/// induction variable: every pair in a planned body, with the caller
 /// choosing the kinds.
-const FUSED_LOOP: &str = r#"
+const PAIRS_LOOP: &str = r#"
 ^bb0(%m: memref<?xf32>, %p0: index, %a: f32, %b: f32, %n: index):
   %c0 = "arith.constant"() {value = 0 : index} : () -> index
   %c1 = "arith.constant"() {value = 1 : index} : () -> index
@@ -1822,12 +1836,20 @@ const FUSED_LOOP: &str = r#"
 #[test]
 fn ill_kinded_arguments_meet_the_oracles_errors_inside_a_strip() {
     let (ir, m) = module_of(&[(
-        "fused_loop",
+        "pairs_loop",
         "(memref<?xf32>, index, f32, f32, index) -> ()",
-        FUSED_LOOP,
+        PAIRS_LOOP,
     )]);
-    let text = listing(&ir, m, "fused_loop");
-    for form in [" strip body=[", "float.Add (float.Mul", "convert.I32.Index"] {
+    let text = listing(&ir, m, "pairs_loop");
+    for form in [
+        " strip body=[1,15)",
+        "%9 = int.Sub %8, %6",
+        "load1 %0[%9]",
+        "%11 = float.Mul %2, %10",
+        "float.Add %11, %3",
+        "%14 = convert.I32 %8",
+        "convert.Index %14",
+    ] {
         assert!(text.contains(form), "no `{form}` in\n{text}");
     }
     const LEN: usize = 64;
@@ -1956,7 +1978,7 @@ fn ill_kinded_arguments_meet_the_oracles_errors_inside_a_strip() {
         ),
     ];
     for (i, (m_arg, p, a, b, trips, expect)) in cases.iter().enumerate() {
-        let out = diff(&ir, m, "fused_loop", |mem| {
+        let out = diff(&ir, m, "pairs_loop", |mem| {
             let m_arg = match m_arg {
                 Ok((buffer, shape)) => memref(mem, buffer.clone(), shape),
                 Err(scalar) => scalar.clone(),

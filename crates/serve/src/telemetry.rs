@@ -41,10 +41,6 @@ pub(crate) struct ServeMetrics {
     pub(crate) http_errors: Arc<Counter>,
     /// End-to-end request handling latency (read to serialized response).
     pub(crate) request_seconds: Arc<Histogram>,
-    /// Completed background scrapes (self-monitoring of the monitor).
-    scrapes: Arc<Counter>,
-    /// Wall time of one scrape+SLO-evaluation pass.
-    scrape_seconds: Arc<Histogram>,
 }
 
 impl ServeMetrics {
@@ -57,8 +53,6 @@ impl ServeMetrics {
             runs: registry.counter("ftn_runs_total"),
             http_errors: registry.counter("ftn_http_errors_total"),
             request_seconds: registry.histogram("ftn_http_request_seconds"),
-            scrapes: registry.counter("ftn_scrapes_total"),
-            scrape_seconds: registry.histogram("ftn_scrape_seconds"),
             registry,
         }
     }
@@ -109,14 +103,10 @@ impl ServeState {
     /// One background-scraper pass: refresh gauges, snapshot every metric
     /// into the time-series store, evaluate the SLO engine.
     fn scrape_once(&self) {
-        let started = Instant::now();
         self.refresh_gauges();
         let now = ftn_trace::now_nanos();
         self.store.scrape_at(&self.metrics.registry, now);
         self.slo.evaluate_at(now);
-        self.metrics.scrapes.inc();
-        let took = started.elapsed().as_secs_f64();
-        self.metrics.scrape_seconds.observe(took);
     }
 
     /// `GET /trace?since=NANOS&until=NANOS`: the recorded span timeline as

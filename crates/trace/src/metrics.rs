@@ -14,7 +14,7 @@
 //! increment per observation, and mergeable across shards by bucket-wise
 //! addition.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
@@ -205,16 +205,6 @@ impl Histogram {
     /// Sum of all observed durations, in seconds.
     pub fn sum_seconds(&self) -> f64 {
         self.sum_nanos.load(Ordering::Relaxed) as f64 * 1e-9
-    }
-
-    /// Mean observed duration in seconds (0 when empty).
-    pub fn mean_seconds(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum_seconds() / n as f64
-        }
     }
 
     /// Fold another histogram into this one, bucket-wise.
@@ -428,15 +418,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// A snapshot of the histogram registered under `name`, without creating
-    /// one — `None` if `name` is absent or a different kind.
-    pub fn histogram_snapshot(&self, name: &str) -> Option<HistogramSnapshot> {
-        match read(&self.metrics).get(name) {
-            Some(Metric::Histogram(h)) => Some(h.snapshot()),
-            _ => None,
-        }
-    }
-
     /// A point-in-time copy of every registered metric, in name order — the
     /// scrape primitive behind the time-series store.
     pub fn snapshot_all(&self) -> Vec<(String, MetricValue)> {
@@ -461,15 +442,16 @@ impl MetricsRegistry {
     pub fn render_prometheus(&self) -> String {
         let metrics = read(&self.metrics);
         let mut out = String::new();
+        let mut announced = HashSet::new();
         for (name, metric) in metrics.iter() {
             let base = base_name(name);
             match metric {
                 Metric::Counter(c) => {
-                    type_line(&mut out, base, "counter");
+                    type_line(&mut out, &mut announced, base, "counter");
                     out.push_str(&format!("{name} {}\n", c.get()));
                 }
                 Metric::Gauge(g) => {
-                    type_line(&mut out, base, "gauge");
+                    type_line(&mut out, &mut announced, base, "gauge");
                     out.push_str(&format!("{name} {}\n", g.get()));
                 }
                 Metric::Histogram(h) => {
@@ -488,7 +470,7 @@ impl MetricsRegistry {
                         .as_ref()
                         .map(|e| bucket_upper_nanos(e.bucket) as f64 * 1e-9);
                     let mut exemplar_attached = false;
-                    type_line(&mut out, base, "histogram");
+                    type_line(&mut out, &mut announced, base, "histogram");
                     let count = snap.count();
                     let bucket = suffixed(name, "_bucket");
                     for (le, cum) in snap.cumulative() {
@@ -516,7 +498,7 @@ impl MetricsRegistry {
                     out.push_str(&format!("{} {count}\n", suffixed(name, "_count")));
                     for (p, q) in [("p50", 0.5), ("p95", 0.95), ("p99", 0.99)] {
                         let pname = suffixed(name, &format!("_{p}"));
-                        type_line(&mut out, base_name(&pname), "gauge");
+                        type_line(&mut out, &mut announced, base_name(&pname), "gauge");
                         out.push_str(&format!("{pname} {}\n", snap.quantile(q)));
                     }
                 }
@@ -575,12 +557,14 @@ pub fn labelled(base: &str, labels: &[(&str, &str)]) -> String {
     out
 }
 
-fn type_line(out: &mut String, base: &str, kind: &str) {
+/// Emit a `# TYPE` header once per exposition. `announced` holds every
+/// header so far, not just the last: two labelled histograms of one base
+/// interleave their `_p50`/`_p95`/`_p99` headers.
+fn type_line(out: &mut String, announced: &mut HashSet<String>, base: &str, kind: &str) {
     let line = format!("# TYPE {base} {kind}\n");
-    // Labelled series of one base metric sit adjacent in the BTreeMap;
-    // emit each TYPE header once.
-    if !out.contains(&line) {
+    if !announced.contains(&line) {
         out.push_str(&line);
+        announced.insert(line);
     }
 }
 
@@ -638,7 +622,6 @@ mod tests {
         assert!((0.003..=0.00375).contains(&p50), "p50 = {p50}");
         let p100 = h.quantile(1.0);
         assert!((0.1..=0.125).contains(&p100), "p100 = {p100}");
-        assert!(h.mean_seconds() > 0.0);
     }
 
     #[test]
@@ -654,6 +637,44 @@ mod tests {
         assert!(text.contains("ftn_latency_seconds_bucket{le=\"+Inf\"} 1"));
         assert!(text.contains("ftn_latency_seconds_count 1"));
         assert!(text.contains("ftn_latency_seconds_p99"));
+    }
+
+    /// The exposition of two labelled histograms of one base, whose derived
+    /// quantile gauges interleave with the base's own series: every header
+    /// once, before the first series it describes (the text a renderer that
+    /// scanned its whole output per header produced).
+    #[test]
+    fn labelled_histograms_of_one_base_announce_each_type_once() {
+        let reg = MetricsRegistry::new();
+        reg.histogram("ftn_wait_seconds{pool=\"a\"}")
+            .observe_nanos(3_000);
+        reg.histogram("ftn_wait_seconds{pool=\"b\"}")
+            .observe_nanos(5_000_000);
+        let text = reg.render_prometheus();
+        for header in text.lines().filter(|l| l.starts_with("# TYPE")) {
+            assert_eq!(text.matches(header).count(), 1, "{header}\n{text}");
+        }
+        assert_eq!(
+            text,
+            "# TYPE ftn_wait_seconds histogram\n\
+             ftn_wait_seconds_bucket{pool=\"a\",le=\"0.0000030710000000000003\"} 1\n\
+             ftn_wait_seconds_bucket{pool=\"a\",le=\"+Inf\"} 1\n\
+             ftn_wait_seconds_sum{pool=\"a\"} 0.000003\n\
+             ftn_wait_seconds_count{pool=\"a\"} 1\n\
+             # TYPE ftn_wait_seconds_p50 gauge\n\
+             ftn_wait_seconds_p50{pool=\"a\"} 0.0000030710000000000003\n\
+             # TYPE ftn_wait_seconds_p95 gauge\n\
+             ftn_wait_seconds_p95{pool=\"a\"} 0.0000030710000000000003\n\
+             # TYPE ftn_wait_seconds_p99 gauge\n\
+             ftn_wait_seconds_p99{pool=\"a\"} 0.0000030710000000000003\n\
+             ftn_wait_seconds_bucket{pool=\"b\",le=\"0.005242879000000001\"} 1\n\
+             ftn_wait_seconds_bucket{pool=\"b\",le=\"+Inf\"} 1\n\
+             ftn_wait_seconds_sum{pool=\"b\"} 0.005\n\
+             ftn_wait_seconds_count{pool=\"b\"} 1\n\
+             ftn_wait_seconds_p50{pool=\"b\"} 0.005242879000000001\n\
+             ftn_wait_seconds_p95{pool=\"b\"} 0.005242879000000001\n\
+             ftn_wait_seconds_p99{pool=\"b\"} 0.005242879000000001\n"
+        );
     }
 
     #[test]
@@ -805,8 +826,6 @@ mod tests {
         assert_eq!(reg.counter_value("a_total"), Some(5));
         assert_eq!(reg.counter_value("b_depth"), None, "wrong kind");
         assert_eq!(reg.counter_value("missing"), None);
-        assert_eq!(reg.histogram_snapshot("c_seconds").unwrap().count(), 1);
-        assert!(reg.histogram_snapshot("a_total").is_none());
     }
 
     /// The locks ignore poisoning: a thread that dies holding the registry

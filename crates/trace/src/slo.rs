@@ -416,16 +416,6 @@ impl SloEngine {
         SloEngine { registry, slos }
     }
 
-    /// The parsed objectives, in configuration order.
-    pub fn specs(&self) -> Vec<SloSpec> {
-        self.slos.iter().map(|s| s.spec.clone()).collect()
-    }
-
-    /// Evaluate every objective as of now.
-    pub fn evaluate(&self) {
-        self.evaluate_at(crate::span::now_nanos());
-    }
-
     /// Evaluate every objective at an explicit trace-clock time — the
     /// deterministic entry point (tests drive synthetic clocks through it).
     pub fn evaluate_at(&self, now_nanos: u64) {
