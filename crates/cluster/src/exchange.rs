@@ -20,12 +20,13 @@
 //! over to the caller-specific tail (the exchange's `finish` closure): the
 //! session enters the table (open), gets its stats (refresh), swaps
 //! sub-buffers and goes back in (epoch), or is gathered and freed (close).
-//! Each phase's jobs are submitted under the machine and waited by the
-//! caller — synchronously ([`ClusterMachine::exchange_run`]) or with the
-//! machine lock released between phases (`PoolGate`'s phased driver). Every
-//! handle of a phase is waited even after one fails, so by the time an
-//! exchange finishes nothing is in flight over the buffers it frees: the
-//! one rollback path a session's data movement has.
+//! Each phase's jobs are sent under the machine, one message a job as each
+//! is planned, and waited by the caller — synchronously
+//! ([`ClusterMachine::exchange_run`]) or with the machine lock released
+//! between phases (`PoolGate`'s phased driver). Every handle of a phase is
+//! waited even after one fails, so by the time an exchange finishes nothing
+//! is in flight over the buffers it frees: the one rollback path a
+//! session's data movement has.
 //!
 //! No quiesce is built in: worker queues are FIFO, so the gather runs after
 //! every kernel already queued on the donor's device, and the wait between
@@ -38,7 +39,7 @@ use ftn_core::CompileError;
 use ftn_interp::{Buffer, BufferId};
 use ftn_shard::{Partition, RowTransferPlan, ShardRange};
 
-use crate::machine::{BufState, ClusterMachine, LaunchHandle};
+use crate::machine::{ClusterMachine, LaunchHandle};
 use crate::pool::{empty_like, Create, PatchBlock, RowFetch, RowPatch};
 use crate::sharded::{no_session, HaloRefreshReport};
 
@@ -356,14 +357,12 @@ impl ClusterMachine {
                 } else {
                     let like = empty_like(self.memory.get(donor), b.len);
                     let via = self.memory.alloc(like, 0);
-                    self.buffers.insert(via, BufState::default());
                     ex.moves.push(via);
                     fetches.entry(donor_device).or_default().push(RowFetch {
                         src: donor,
                         dst: via,
                         start: b.src_elem,
                         len: b.len,
-                        version: 1,
                     });
                     let dst = b.dst_elem;
                     Rows::Bounced { via, dst }
@@ -397,8 +396,7 @@ impl ClusterMachine {
             "devices",
             distinct(fetches.iter().map(|(device, _)| *device)),
         );
-        let (handles, err) =
-            self.fan_out(fetches, |m, device, rows| m.submit_fetch_rows(device, rows));
+        let (handles, err) = self.fan_out(fetches, |m, device, rows| m.plan_fetch(device, rows));
         ex.handles = handles;
         if let Some(e) = err {
             ex.fail(e);
@@ -453,11 +451,12 @@ impl ClusterMachine {
             distinct(jobs.values().map(|(device, _)| *device)),
         );
         let (mut staged, mut staged_bytes) = (0u64, 0u64);
-        let (handles, err) = self.fan_out(jobs.into_values(), |m, device, patches| {
-            let t = m.submit_row_patch(device, patches, label)?;
-            staged += t.staged;
-            staged_bytes += t.staged_bytes;
-            Ok(t.handle)
+        let jobs = jobs.into_values().collect();
+        let (handles, err) = self.fan_out(jobs, |m, device, patches| {
+            let (job, uploads, bytes) = m.plan_row_patch(device, patches, label);
+            staged += uploads;
+            staged_bytes += bytes;
+            job
         });
         ex.staged += staged;
         ex.staged_bytes += staged_bytes;
@@ -476,7 +475,6 @@ impl ClusterMachine {
         // mirrored on a device: row fetches write back without creating
         // mirror entries, and patches carry contents by value.
         for mv in ex.moves {
-            self.buffers.remove(&mv);
             self.memory.free(mv);
         }
         let mut span = ex.span;

@@ -2,18 +2,23 @@
 //! load/alloc/run surface, but host functions can be submitted asynchronously
 //! and are scheduled across N simulated FPGAs with data-affinity placement.
 //!
-//! Execution model: the machine owns host memory and a per-buffer residency
-//! map (which devices hold the current version). `submit` places a job via
-//! [`PlacementPolicy`], stages only the buffers the chosen device does not
-//! already hold, and returns a [`LaunchHandle`]. `wait` harvests outcomes,
-//! writes argument buffers back into host memory, and folds the device's
-//! [`RunStats`] into the pool totals. With one device and the same call
-//! sequence, results and statistics are bit-identical to `Machine`.
+//! Execution model: the machine owns host memory and a residency ledger for
+//! the host arrays it stages (which devices hold the current version).
+//! `submit` places a job via [`PlacementPolicy`], stages only the buffers
+//! the chosen device does not already hold, and returns a [`LaunchHandle`].
+//! `wait` harvests outcomes, writes argument buffers back into host memory,
+//! and folds the device's [`RunStats`] into the pool totals. With one device
+//! and the same call sequence, results and statistics are bit-identical to
+//! `Machine`.
 //!
 //! [`ClusterMachine::submit`] runs a whole host program function; single
 //! kernels launch against resident buffers through a session (see
-//! [`crate::sharded`]), force-placed on their shard's device, and while a
-//! session maps an array no sessionless job may name it. Placement backlogs
+//! [`crate::sharded`]), sent straight to their shard's device: a session's
+//! sub-buffers are device-owned from open to close and have no ledger
+//! entry. While a session maps an array no sessionless job may name it.
+//! Every job — a host call, or one of a fan-out's — is enqueued, then
+//! delivered as one `WorkerMessage::Job` by `send` the moment it is planned:
+//! the one path a job takes to its worker. Placement backlogs
 //! are priced by the per-kernel cost model derived from the bitstream's
 //! loop schedules ([`ftn_fpga::CostModel`]), falling back to the observed
 //! mean only for jobs the schedules cannot predict.
@@ -29,8 +34,7 @@ use ftn_trace::MetricsRegistry;
 use serde::Serialize;
 
 use crate::pool::{
-    DevicePool, Job, JobKind, JobOutcome, JobSpec, JobSuccess, PatchBlock, RowFetch, RowPatch,
-    WorkerMessage,
+    DevicePool, Job, JobKind, JobOutcome, JobSpec, JobSuccess, RowFetch, RowPatch, WorkerMessage,
 };
 use crate::rollup::{RollupBy, RollupRow, Rollups};
 use crate::scheduler::{BufferInfo, PlacementPolicy, PlacementReason};
@@ -136,11 +140,6 @@ pub struct PoolStats {
     /// Jobs dispatched to a device fixed by their shard assignment (sharded
     /// sessions bypass placement: no affinity scoring, no stealing).
     pub shard_forced: u64,
-    /// Coalesced worker messages sent by batched sharded fan-outs (one
-    /// `WorkerMessage::Batch` per device per logical operation).
-    pub batched_messages: u64,
-    /// Jobs delivered inside those batch messages.
-    pub batched_jobs: u64,
     /// Migration epochs executed by sharded-session re-plans.
     pub replans: u64,
     /// Leading-dim rows that changed owners across those epochs (summed
@@ -160,7 +159,10 @@ pub struct PoolStats {
     pub host_bytes: u64,
 }
 
-/// Residency bookkeeping for one host buffer.
+/// Residency bookkeeping for one host array the pool stages: a sessionless
+/// run's argument, or an array a session maps (read when a one-shard session
+/// is placed, bumped when its close gathers into it). A session's shard
+/// sub-buffers and an exchange's move buffers are device-owned and have none.
 #[derive(Default)]
 pub(crate) struct BufState {
     pub(crate) version: u64,
@@ -218,6 +220,8 @@ impl PoolMetrics {
 
 /// Bookkeeping for a submitted-but-unprocessed job.
 pub(crate) struct PendingJob {
+    /// Host arrays whose in-flight marks the job holds until completion (a
+    /// host call's arguments; none for a session's jobs).
     pub(crate) arg_ids: Vec<BufferId>,
     /// Schedule-derived simulated-seconds estimate charged to the device's
     /// backlog at submission (removed on completion).
@@ -237,6 +241,7 @@ pub struct ClusterMachine {
     pub(crate) pool: DevicePool,
     /// Pool host memory: every host array and shard sub-buffer lives here.
     pub memory: Memory,
+    /// Residency of every host array (see [`BufState`]).
     pub(crate) buffers: HashMap<BufferId, BufState>,
     pub(crate) policy: PlacementPolicy,
     pub(crate) loads: Vec<u64>,
@@ -261,15 +266,9 @@ pub struct ClusterMachine {
     pub(crate) steals: u64,
     pub(crate) forced_colocations: u64,
     pub(crate) shard_forced: u64,
-    pub(crate) batched_messages: u64,
-    pub(crate) batched_jobs: u64,
     pub(crate) replans: u64,
     pub(crate) rows_migrated: u64,
     pub(crate) epoch_seconds: f64,
-    /// When active (inside [`ClusterMachine::fan_out`]),
-    /// dispatched jobs are buffered here instead of being sent, then
-    /// delivered as one `WorkerMessage::Batch` per device.
-    pub(crate) batch_buffer: Option<Vec<(usize, Job)>>,
     /// Registry-backed observability handles. Standalone machines get a
     /// private registry; `ftn-serve` attaches its server-wide one via
     /// [`ClusterMachine::use_metrics`].
@@ -339,12 +338,9 @@ impl ClusterMachine {
             steals: 0,
             forced_colocations: 0,
             shard_forced: 0,
-            batched_messages: 0,
-            batched_jobs: 0,
             replans: 0,
             rows_migrated: 0,
             epoch_seconds: 0.0,
-            batch_buffer: None,
             metrics: PoolMetrics::new(&MetricsRegistry::new()),
             rollups: Rollups::default(),
             submitting_session: None,
@@ -439,54 +435,19 @@ impl ClusterMachine {
             ));
         }
         let device = self.place_for(&arg_ids)?;
-        let kind = JobKind::HostCall {
-            func: func.to_string(),
-        };
-        Ok(self.submit_compute(kind, args, arg_ids, device)?.handle)
-    }
-
-    /// One shard's kernel launch on the shard's `device` (no placement; see
-    /// [`crate::sharded`]). Buffers the device already holds are not
-    /// re-staged; staged ones are charged PCIe time as an explicit
-    /// host→device map. Writeback is deferred: the device copy stays
-    /// authoritative until a later fetch (sessions close with one).
-    pub(crate) fn submit_kernel_deferred(
-        &mut self,
-        kernel: &str,
-        args: &[RtValue],
-        device: usize,
-    ) -> Result<KernelTicket, CompileError> {
-        self.shard_forced += 1;
-        let kind = JobKind::Kernel {
-            kernel: kernel.to_string(),
-        };
-        self.submit_compute(kind, args, distinct_memref_buffers(args), device)
-    }
-
-    /// Shared tail of the compute submissions (host calls and kernels) once
-    /// their device is known.
-    fn submit_compute(
-        &mut self,
-        kind: JobKind,
-        args: &[RtValue],
-        arg_ids: Vec<BufferId>,
-        device: usize,
-    ) -> Result<KernelTicket, CompileError> {
         // Make `device` hold every argument buffer at its current version —
         // the one place the elide-or-upload decision is made. A copy the
         // device already holds is an affinity hit; otherwise the host
-        // contents travel with the job, in argument order: the accounting
-        // order that keeps sessions bit-identical to `ftn_core::Machine`.
-        // Every argument buffer is then conservatively treated as written:
-        // the device copy becomes the only current one.
+        // contents travel with the job, in argument order. Every argument
+        // buffer is then conservatively treated as written: the device copy
+        // becomes the only current one.
         let mut uploads = Vec::new();
-        let (mut staged_bytes, mut elided) = (0u64, 0u64);
+        let mut staged_bytes = 0u64;
         let mut out_versions = Vec::with_capacity(arg_ids.len());
         for &id in &arg_ids {
             let state = self.buffers.entry(id).or_default();
             if state.holds_current(device) {
                 self.affinity_hits += 1;
-                elided += 1;
             } else {
                 let contents = self.memory.get(id).clone();
                 staged_bytes += contents.byte_len() as u64;
@@ -496,108 +457,87 @@ impl ClusterMachine {
             mark_in_flight(state, device);
             out_versions.push((id, state.write_on(device)));
         }
-        let staged = uploads.len() as u64;
-        self.staged_uploads += staged;
+        self.staged_uploads += uploads.len() as u64;
         self.staged_bytes += staged_bytes;
 
-        let est = self.estimate_compute_seconds(&kind, &arg_ids, staged_bytes, device);
+        let est = self.estimate_compute_seconds(None, &arg_ids, staged_bytes, device);
+        let kind = JobKind::HostCall {
+            func: func.to_string(),
+        };
         let spec = JobSpec {
             args: args.to_vec(),
             staged: uploads,
             out_versions,
             ..JobSpec::new(kind)
         };
-        Ok(KernelTicket {
-            handle: self.dispatch(device, arg_ids, spec, est)?,
-            device,
-            staged,
-            staged_bytes,
-            elided,
-        })
+        let job = self.enqueue(device, arg_ids, spec, est);
+        self.send(device, job)
     }
 
-    /// Download the element ranges in `rows` from `device`'s mirrors into
-    /// host memory, charging device→host transfer time per range. Every
-    /// `dst` must be allocated (with a [`BufState`] entry) before the call
-    /// and is fully overwritten by the writeback.
-    pub(crate) fn submit_fetch_rows(
+    /// Plan one shard's kernel launch for the shard's `device` (no
+    /// placement; see [`crate::sharded`]). Its buffers are the shard's
+    /// mirrors, resident there since the open: each is an elided transfer
+    /// and nothing is staged. Writeback is deferred: the device copy stays
+    /// authoritative until the session's close fetch. Returns the job and
+    /// its elided transfers.
+    pub(crate) fn plan_kernel(
         &mut self,
+        kernel: &str,
+        args: &[RtValue],
         device: usize,
-        rows: Vec<RowFetch>,
-    ) -> Result<LaunchHandle, CompileError> {
-        let ids: Vec<BufferId> = rows.iter().flat_map(|rf| [rf.src, rf.dst]).collect();
+    ) -> (Job, u64) {
+        self.shard_forced += 1;
+        let arg_ids = distinct_memref_buffers(args);
+        let elided = arg_ids.len() as u64;
+        self.affinity_hits += elided;
+        let est = self.estimate_compute_seconds(Some(kernel), &arg_ids, 0, device);
+        let kind = JobKind::Kernel {
+            kernel: kernel.to_string(),
+        };
+        let spec = JobSpec {
+            args: args.to_vec(),
+            ..JobSpec::new(kind)
+        };
+        (self.enqueue(device, Vec::new(), spec, est), elided)
+    }
+
+    /// Plan a download of the element ranges in `rows` from `device`'s
+    /// mirrors into host memory, charging device→host transfer time per
+    /// range. Every `dst` must be allocated before the call and is fully
+    /// overwritten by the writeback.
+    pub(crate) fn plan_fetch(&mut self, device: usize, rows: Vec<RowFetch>) -> Job {
         let bytes = rows.iter().map(|rf| self.memory.get(rf.dst).byte_len());
-        let bytes = bytes.sum();
+        let est = self.pool.slots[device].model.transfer_seconds(bytes.sum());
         let spec = JobSpec {
             fetch_rows: rows,
             ..JobSpec::new(JobKind::Fetch)
         };
-        self.dispatch_transfer(device, ids, bytes, spec)
+        self.enqueue(device, Vec::new(), spec, est)
     }
 
-    /// Apply half of a row exchange: write `patches` into shard sub-buffer
-    /// mirrors on `device` — uploaded rows and blocks of host contents
-    /// charged as staging, seeds and same-device donor blocks free. Each patched buffer's
-    /// version is bumped with the device keeping the only current copy (the
-    /// host copy, like any session sub-buffer, is stale until the close
-    /// fetch), so a created buffer starts at version one.
-    /// `label` names the worker-lane span. Returns the handle plus the
-    /// staged upload accounting.
-    pub(crate) fn submit_row_patch(
+    /// Plan the apply half of a row exchange: write `patches` into shard
+    /// sub-buffer mirrors on `device` — uploaded rows and blocks of host
+    /// contents charged as staging, seeds and same-device donor blocks
+    /// free. The host copy, like any session sub-buffer's, is stale until
+    /// the close fetch. `label` names the worker-lane span. Returns the job
+    /// plus the uploads it stages and their bytes.
+    pub(crate) fn plan_row_patch(
         &mut self,
         device: usize,
         patches: Vec<RowPatch>,
         label: &'static str,
-    ) -> Result<KernelTicket, CompileError> {
-        let mut ids: Vec<BufferId> = Vec::new();
-        let (mut bytes, mut staged) = (0usize, 0u64);
-        for patch in &patches {
-            ids.push(patch.target);
-            for upload in patch.uploads() {
-                bytes += upload;
-                staged += 1;
-            }
-            ids.extend(patch.blocks.iter().filter_map(|block| match block {
-                PatchBlock::Local { donor, .. } => Some(*donor),
-                PatchBlock::Host { .. } => None,
-            }));
-            let state = self.buffers.entry(patch.target).or_default();
-            state.write_on(device);
-        }
+    ) -> (Job, u64, u64) {
+        let uploads = patches.iter().flat_map(RowPatch::uploads);
+        let (staged, bytes) = uploads.fold((0u64, 0usize), |(n, b), up| (n + 1, b + up));
         self.staged_uploads += staged;
         self.staged_bytes += bytes as u64;
+        let est = self.pool.slots[device].model.transfer_seconds(bytes);
         let spec = JobSpec {
             patches,
             ..JobSpec::new(JobKind::RowPatch { label })
         };
-        Ok(KernelTicket {
-            handle: self.dispatch_transfer(device, ids, bytes, spec)?,
-            device,
-            staged,
-            staged_bytes: bytes as u64,
-            elided: 0,
-        })
-    }
-
-    /// Shared tail of the transfer-only submissions: mark each distinct
-    /// buffer in `ids` in flight on `device`, price the job by the `bytes`
-    /// it moves over PCIe, and dispatch it.
-    fn dispatch_transfer(
-        &mut self,
-        device: usize,
-        ids: Vec<BufferId>,
-        bytes: usize,
-        spec: JobSpec,
-    ) -> Result<LaunchHandle, CompileError> {
-        let mut arg_ids: Vec<BufferId> = Vec::with_capacity(ids.len());
-        for id in ids {
-            if !arg_ids.contains(&id) {
-                mark_in_flight(self.buffers.entry(id).or_default(), device);
-                arg_ids.push(id);
-            }
-        }
-        let est = self.pool.slots[device].model.transfer_seconds(bytes);
-        self.dispatch(device, arg_ids, spec, est)
+        let job = self.enqueue(device, Vec::new(), spec, est);
+        (job, staged, bytes as u64)
     }
 
     /// Whether jobs over `arg_ids` are in flight on more than one device. A
@@ -684,6 +624,7 @@ impl ClusterMachine {
                 format!("buffer {id:?} is mapped by an open session; close it first"),
             ));
         }
+        self.buffers.remove(&id);
         self.drop_buffers(vec![id]);
         Ok(())
     }
@@ -697,24 +638,23 @@ impl ClusterMachine {
         }
     }
 
-    /// Release host buffers this machine allocated for a session or an
-    /// exchange: drop their residency entries, free their pool-memory slots,
-    /// and evict every worker's mirror of them.
+    /// Release host buffers: free their pool-memory slots and evict every
+    /// worker's mirror of them.
     pub(crate) fn drop_buffers(&mut self, ids: Vec<BufferId>) {
         for id in &ids {
-            self.buffers.remove(id);
             self.memory.free(*id);
         }
         self.evict_mirrors(ids);
     }
 
     /// Price a compute job for the backlog ledger: the schedule-derived
-    /// kernel estimate (per-kernel when known, worst-case over the bitstream
-    /// for whole-program jobs) plus the PCIe time of the staged bytes. Falls
-    /// back to the observed mean when the schedules cannot predict the job.
+    /// estimate of `kernel` (worst-case over the bitstream for a
+    /// whole-program job, `None`) plus the PCIe time of the staged bytes.
+    /// Falls back to the observed mean when the schedules cannot predict
+    /// the job.
     fn estimate_compute_seconds(
         &self,
-        kind: &JobKind,
+        kernel: Option<&str>,
         arg_ids: &[BufferId],
         staged_bytes: u64,
         device: usize,
@@ -725,27 +665,27 @@ impl ClusterMachine {
             .map(|id| self.memory.get(*id).len() as u64)
             .max()
             .unwrap_or(0);
-        let kernel_est = match kind {
-            JobKind::Kernel { kernel } => self
-                .cost_model
-                .kernel(kernel)
-                .map(|k| k.estimate_seconds(model, elements)),
-            JobKind::HostCall { .. } => self.cost_model.estimate_any_seconds(model, elements),
-            JobKind::Fetch | JobKind::RowPatch { .. } => Some(0.0),
+        let kernel_est = match kernel {
+            Some(kernel) => {
+                (self.cost_model.kernel(kernel)).map(|k| k.estimate_seconds(model, elements))
+            }
+            None => self.cost_model.estimate_any_seconds(model, elements),
         };
         kernel_est.unwrap_or_else(|| self.policy.mean_job_sim_seconds())
             + model.transfer_seconds(staged_bytes as usize)
     }
 
-    /// Enqueue a fully-prepared job on `device`. `arg_ids` are the distinct
-    /// buffers whose in-flight counters the job holds until completion.
-    fn dispatch(
+    /// Enter a fully-prepared job for `device` into the pending ledger and
+    /// the device's backlog; [`ClusterMachine::send`] delivers it.
+    /// `arg_ids` are the distinct host arrays whose in-flight marks the job
+    /// holds until completion.
+    fn enqueue(
         &mut self,
         device: usize,
         arg_ids: Vec<BufferId>,
         spec: JobSpec,
         est_sim_seconds: f64,
-    ) -> Result<LaunchHandle, CompileError> {
+    ) -> Job {
         let job_id = self.next_job;
         self.next_job += 1;
         let kernel = match &spec.kind {
@@ -771,6 +711,7 @@ impl ClusterMachine {
             trace_id: ftn_trace::current_trace_id(),
             parent_span: ftn_trace::current_span_id(),
             enqueued_nanos: ftn_trace::now_nanos(),
+            spread: false,
             spec,
         };
         self.loads[device] += 1;
@@ -786,103 +727,56 @@ impl ClusterMachine {
                 staged_bytes,
             },
         );
-        if let Some(buffer) = self.batch_buffer.as_mut() {
-            buffer.push((device, job));
-            return Ok(LaunchHandle { job_id });
-        }
-        if let Err(e) = self.send_jobs(device, WorkerMessage::Job(Box::new(job))) {
-            // No handle goes out, so nobody would ever claim the outcome.
+        job
+    }
+
+    /// Deliver an enqueued job to `device`'s worker as one
+    /// `WorkerMessage::Job` — the one send path every job takes. A worker
+    /// that is gone fails the job on the spot: its bookkeeping (pending
+    /// ledger, in-flight marks, backlog) unwinds as if it had run and
+    /// errored, and it leaves no outcome, for no handle goes out to claim
+    /// one.
+    fn send(&mut self, device: usize, job: Job) -> Result<LaunchHandle, CompileError> {
+        let job_id = job.job_id;
+        let msg = WorkerMessage::Job(Box::new(job));
+        if self.pool.slots[device].sender.send(msg).is_err() {
+            let gone = format!("device {device} worker is gone");
+            self.apply_outcome(JobOutcome {
+                job_id,
+                device,
+                result: Err(gone.clone()),
+            });
             self.completed.remove(&job_id);
-            return Err(e);
+            return Err(CompileError::new("cluster-submit", gone));
         }
         Ok(LaunchHandle { job_id })
     }
 
-    /// Deliver a job message to `device`'s worker. A worker that is gone
-    /// fails the message's jobs on the spot — as if each had run and
-    /// errored — so their bookkeeping (pending ledger, in-flight marks,
-    /// backlog) unwinds and a waiter sees the error instead of parking on
-    /// an outcome that will never arrive.
-    fn send_jobs(&mut self, device: usize, msg: WorkerMessage) -> Result<(), CompileError> {
-        let Err(std::sync::mpsc::SendError(msg)) = self.pool.slots[device].sender.send(msg) else {
-            return Ok(());
-        };
-        let jobs = match msg {
-            WorkerMessage::Job(job) => vec![*job],
-            WorkerMessage::Batch(jobs, _) => jobs,
-            WorkerMessage::Evict(_) | WorkerMessage::Shutdown => Vec::new(),
-            #[cfg(test)]
-            WorkerMessage::Stall(_) => Vec::new(),
-        };
-        for job in jobs {
-            self.apply_outcome(JobOutcome {
-                job_id: job.job_id,
-                device,
-                result: Err(format!("device {device} worker is gone")),
-            });
-        }
-        Err(CompileError::new(
-            "cluster-submit",
-            format!("device {device} worker is gone"),
-        ))
-    }
-
-    /// Close the batch window: deliver every buffered job as one
-    /// `WorkerMessage::Batch` per device (per-device submission order is
-    /// preserved, keeping the FIFO colocation invariants intact). Buckets
-    /// are a linear-scanned small vector — fan-outs touch at most
-    /// pool-size distinct devices.
-    pub(crate) fn flush_batch(&mut self) -> Result<(), CompileError> {
-        let buffered = self.batch_buffer.take().unwrap_or_default();
-        let mut buckets: Vec<(usize, Vec<Job>)> = Vec::with_capacity(self.pool.len());
-        for (device, job) in buffered {
-            match buckets.iter_mut().find(|(d, _)| *d == device) {
-                Some((_, jobs)) => jobs.push(job),
-                None => buckets.push((device, vec![job])),
-            }
-        }
-        // Every bucket is delivered even when one device is gone: the other
-        // devices' jobs are in the pending ledger and must reach their
-        // workers. The first failure is reported.
-        let mut result = Ok(());
-        let spread = self.pool.cpu_each && buckets.len() > 1;
-        for (device, jobs) in buckets {
-            self.batched_jobs += jobs.len() as u64;
-            self.batched_messages += 1;
-            result = result.and(self.send_jobs(device, WorkerMessage::Batch(jobs, spread)));
-        }
-        result
-    }
-
-    /// One batched fan-out: open a batch window — every job dispatched until
-    /// the flush is held back; only forced (shard-placed) submissions may run
-    /// inside one, placement never drains outcomes here — `submit` every
-    /// `(index, payload)` item, and flush the window as one message per
-    /// device (even when a submit failed — already-buffered jobs are in the
-    /// pending ledger and must reach their workers). Returns the submitted
-    /// handles plus the first error; a caller about to release buffers the
-    /// jobs touch (a row exchange) waits every handle even after an error,
-    /// so nothing is still in flight over them.
+    /// One fan-out: for every `(device, payload)` item in order, `plan` a
+    /// job and send it as its own message. When the items go to more than
+    /// one device and the pool has a CPU per worker, each job carries the
+    /// spread flag (see [`Job::spread`]). Stops at the first job that
+    /// cannot be sent and returns the handles of the jobs delivered plus
+    /// that error: the caller owns those jobs' outcomes — a launch records
+    /// them as the session's outstanding launches, an exchange waits every
+    /// handle before it releases the buffers they touch.
     pub(crate) fn fan_out<T>(
         &mut self,
-        items: impl IntoIterator<Item = (usize, T)>,
-        mut submit: impl FnMut(&mut Self, usize, T) -> Result<LaunchHandle, CompileError>,
+        items: Vec<(usize, T)>,
+        mut plan: impl FnMut(&mut Self, usize, T) -> Job,
     ) -> (Vec<LaunchHandle>, Option<CompileError>) {
-        debug_assert!(self.batch_buffer.is_none(), "batch window already open");
-        self.batch_buffer = Some(Vec::new());
-        let mut handles = Vec::new();
-        let mut submit_err = None;
-        for (index, item) in items {
-            match submit(self, index, item) {
+        let first = items.first().map(|&(device, _)| device);
+        let spread = self.pool.cpu_each && items.iter().any(|&(d, _)| Some(d) != first);
+        let mut handles = Vec::with_capacity(items.len());
+        for (device, item) in items {
+            let mut job = plan(self, device, item);
+            job.spread = spread;
+            match self.send(device, job) {
                 Ok(h) => handles.push(h),
-                Err(e) => {
-                    submit_err = Some(e);
-                    break;
-                }
+                Err(e) => return (handles, Some(e)),
             }
         }
-        let flushed = self.flush_batch();
-        (handles, submit_err.or(flushed.err()))
+        (handles, None)
     }
 
     /// Wait for a submitted job, fold its statistics into the pool totals,
@@ -996,6 +890,12 @@ impl ClusterMachine {
                 let mut writeback_bytes = 0u64;
                 for (host_id, contents, version) in std::mem::take(&mut success.writeback) {
                     writeback_bytes += contents.byte_len() as u64;
+                    // A fetch's rows land as they come: their buffer is
+                    // device-owned, and only the exchange reads it.
+                    let Some(version) = version else {
+                        *self.memory.get_mut(host_id) = contents;
+                        continue;
+                    };
                     let Some(state) = self.buffers.get_mut(&host_id) else {
                         continue;
                     };
@@ -1086,8 +986,6 @@ impl ClusterMachine {
             steals: self.steals,
             forced_colocations: self.forced_colocations,
             shard_forced: self.shard_forced,
-            batched_messages: self.batched_messages,
-            batched_jobs: self.batched_jobs,
             replans: self.replans,
             rows_migrated: self.rows_migrated,
             epoch_seconds: self.epoch_seconds,

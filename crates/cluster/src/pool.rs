@@ -9,9 +9,9 @@
 //!   `Machine`-equivalent path; the program performs its own device maps,
 //!   and the argument buffers are written back to the host on completion).
 //! * `JobKind::Kernel` — execute one device kernel directly against the
-//!   worker's resident buffer mirror (`target data` sessions launch these;
-//!   staging is charged as an explicit host→device map, and nothing is
-//!   written back until the session's close fetch).
+//!   worker's resident shard mirrors (`target data` sessions launch these;
+//!   nothing is staged, and nothing is written back until the session's
+//!   close fetch).
 //! * `JobKind::Fetch` — copy element ranges of mirrors back to the host,
 //!   charging PCIe time the way a data-region exit does (the gather half:
 //!   a close's sub-buffers, a refresh's or an epoch's cross-device blocks).
@@ -67,8 +67,9 @@ pub(crate) fn kind_label(kind: &JobKind) -> &'static str {
 /// One element-range download: read `src[start .. start+len]` from the
 /// device mirror and write it back over the host buffer `dst`. A row
 /// exchange's gather fetches only the blocks that cross devices, each into
-/// a dedicated move buffer; a close/sync fetch is the whole range with
-/// `dst == src`.
+/// a dedicated move buffer; a close fetch is the whole range with
+/// `dst == src`. Either way `dst` is device-owned, so the rows land
+/// unversioned.
 pub(crate) struct RowFetch {
     /// Host id of the buffer whose mirror donates the elements.
     pub src: BufferId,
@@ -78,8 +79,6 @@ pub(crate) struct RowFetch {
     pub start: usize,
     /// Elements in the slice.
     pub len: usize,
-    /// Writeback version for `dst`.
-    pub version: u64,
 }
 
 /// Write row blocks into one shard sub-buffer's device mirror. A halo
@@ -147,13 +146,12 @@ pub(crate) struct JobSpec {
     /// Arguments; memrefs reference *host* buffer ids and are remapped to
     /// the worker's local memory before execution.
     pub args: Vec<RtValue>,
-    /// Buffers whose current host contents must be uploaded before the run,
-    /// with those contents. A kernel's re-staging is an explicit host→device
-    /// map and is charged PCIe time; a host call's is not (the program's own
-    /// dma ops account for its transfers).
+    /// For `JobKind::HostCall`: buffers whose current host contents must be
+    /// uploaded before the run, with those contents. Not charged: the
+    /// program's own dma ops account for its transfers.
     pub staged: Vec<(BufferId, Buffer)>,
-    /// Writeback version of every argument buffer (they are all
-    /// conservatively treated as written).
+    /// For `JobKind::HostCall`: writeback version of every argument buffer
+    /// (they are all conservatively treated as written).
     pub out_versions: Vec<(BufferId, u64)>,
     /// For `JobKind::Fetch`: the element ranges to download.
     pub fetch_rows: Vec<RowFetch>,
@@ -186,6 +184,10 @@ pub(crate) struct Job {
     /// Wall-clock submission time ([`ftn_trace::now_nanos`]); the worker
     /// derives the job's queue wait from it at dispatch.
     pub enqueued_nanos: u64,
+    /// Whether the job's fan-out reaches more than one device on a pool with
+    /// a CPU per worker: the worker then runs it on its own CPU (see
+    /// [`affinity`]).
+    pub spread: bool,
     pub spec: JobSpec,
 }
 
@@ -200,8 +202,9 @@ pub(crate) struct JobSuccess {
     pub stats: RunStats,
     pub results: Vec<RtValue>,
     /// Final contents of buffers to write back to host memory when the
-    /// outcome is processed: `(host id, contents, version)`.
-    pub writeback: Vec<(BufferId, Buffer, u64)>,
+    /// outcome is processed: `(host id, contents, version)` — a host call's
+    /// arguments carry their version, a fetch's device-owned rows none.
+    pub writeback: Vec<(BufferId, Buffer, Option<u64>)>,
     /// Simulated seconds this job occupied the device timeline (kernel wall
     /// time + PCIe transfers).
     pub sim_busy_seconds: f64,
@@ -221,13 +224,6 @@ pub(crate) struct JobSuccess {
 
 pub(crate) enum WorkerMessage {
     Job(Box<Job>),
-    /// Several jobs for this device delivered as one message — the batched
-    /// fan-out of a sharded launch sends every shard job bound for one
-    /// device together, so a logical launch costs O(devices) messages
-    /// instead of O(shards). The worker runs them in order and reports one
-    /// outcome per job, exactly as if they had arrived individually — on its
-    /// own CPU when the flag says other devices got a batch too.
-    Batch(Vec<Job>, bool),
     /// Drop the mirror entries for these host buffers and free their local
     /// copies (the host buffer was freed). FIFO-ordered with jobs, so an
     /// eviction never races a queued job that still uses the mirror.
@@ -546,14 +542,8 @@ impl Worker {
     fn run_job(&mut self, mut job: JobSpec) -> Result<JobSuccess, String> {
         let mut stats = RunStats::default();
 
-        // 1. Stage uploads into the local mirror, charging PCIe time where
-        // the upload models an explicit map (kernel jobs).
-        let charge = matches!(job.kind, JobKind::Kernel { .. });
+        // 1. Stage a host call's uploads into the local mirror.
         for (host, contents) in std::mem::take(&mut job.staged) {
-            if charge {
-                stats.transfer_seconds += self.model.transfer_seconds(contents.byte_len());
-                stats.transfers += 1;
-            }
             match self.mirror.get(&host) {
                 Some(&local) => *self.memory.get_mut(local) = contents,
                 None => {
@@ -650,7 +640,7 @@ impl Worker {
     ) -> Result<
         (
             Vec<RtValue>,
-            Vec<(BufferId, Buffer, u64)>,
+            Vec<(BufferId, Buffer, Option<u64>)>,
             Vec<(BufferId, BufferId)>,
         ),
         String,
@@ -691,7 +681,7 @@ impl Worker {
             for &(host, local) in &arg_buffers {
                 let version = job.out_versions.iter().find(|(h, _)| *h == host);
                 let version = version.map_or(0, |(_, v)| *v);
-                writeback.push((host, self.memory.get(local).clone(), version));
+                writeback.push((host, self.memory.get(local).clone(), Some(version)));
             }
         }
         // Only the requested element ranges travel back — a row exchange
@@ -702,7 +692,7 @@ impl Worker {
                 .map_err(|e| format!("device {}: row fetch: {e}", self.index))?;
             stats.transfer_seconds += self.model.transfer_seconds(contents.byte_len());
             stats.transfers += 1;
-            writeback.push((rf.dst, contents, rf.version));
+            writeback.push((rf.dst, contents, None));
         }
         Ok((results, writeback, arg_buffers))
     }
@@ -817,9 +807,10 @@ pub(crate) fn spawn_worker(
             let own = own.map_or(0, |c| 1 << c);
             loop {
                 let msg = jobs.recv();
-                // A fan-out's batch runs on this worker's own CPU (see
-                // `affinity`); the mask only changes when the traffic does.
-                let spread = matches!(msg, Ok(WorkerMessage::Batch(_, true)));
+                // A job of a fan-out over several devices runs on this
+                // worker's own CPU (see `affinity`); the mask only changes
+                // when the traffic does.
+                let spread = matches!(&msg, Ok(WorkerMessage::Job(job)) if job.spread);
                 if spread != on_own {
                     affinity(Some(if spread { own } else { cpus }));
                     on_own = spread;
@@ -827,11 +818,6 @@ pub(crate) fn spawn_worker(
                 match msg {
                     Ok(WorkerMessage::Job(job)) => {
                         run_and_report(&mut worker, *job, &outcomes, &signal)
-                    }
-                    Ok(WorkerMessage::Batch(batch, _)) => {
-                        for job in batch {
-                            run_and_report(&mut worker, job, &outcomes, &signal);
-                        }
                     }
                     Ok(WorkerMessage::Evict(ids)) => {
                         for id in ids {
@@ -853,7 +839,7 @@ pub(crate) fn spawn_worker(
 /// changes nothing) or, with `None`, read its mask; `0` when that fails (not
 /// Linux, over 64 CPUs). A KVM guest sees its idle vCPU as preempted and
 /// wakes every worker of a fan-out on the submitter's CPU, where the shards
-/// run back to back; so a worker takes such batches on a CPU of its own.
+/// run back to back; so a worker takes such jobs on a CPU of its own.
 fn affinity(set: Option<u64>) -> u64 {
     #[cfg(target_os = "linux")]
     {

@@ -268,15 +268,9 @@ impl ClusterMachine {
                 .collect();
             let old_ranges: Vec<ShardRange> = donors.iter().map(|sl| sl.range).collect();
             let new_ranges: Vec<ShardRange> = a.slices.iter().map(|sl| sl.range).collect();
-            for (old, cur) in rp.old_slices.iter().zip(&a.slices) {
-                if old.is_some() {
-                    // Registered immediately: even if a transfer below
-                    // fails, the session's buffer set must stay fully
-                    // tracked so nothing it references can leak.
-                    self.buffers.entry(cur.memref.buffer).or_default();
-                    fresh.push(cur.memref.buffer);
-                }
-            }
+            let replaced = rp.old_slices.iter().zip(&a.slices);
+            let replaced = replaced.filter(|(old, _)| old.is_some());
+            fresh.extend(replaced.map(|(_, cur)| cur.memref.buffer));
             rows_migrated += rp.moves.iter().map(|mv| mv.len as u64).sum::<u64>();
             arrays.push(ArrayBlocks {
                 donors: donors.iter().map(|sl| sl.memref.buffer).collect(),

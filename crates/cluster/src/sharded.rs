@@ -7,10 +7,10 @@
 //! [`ClusterMachine::open_sharded_session`] partitions every mapped array
 //! with an [`ftn_shard::ShardPlan`] (leading-dimension blocks, optional halo
 //! rows; replicated broadcast arrays; per-shard reduction copies), assigns
-//! each shard a device, and stages the shard sub-buffers there — one
-//! resident sub-environment per device, driven through the usual
-//! `ftn_host::DataEnvironment` presence protocol inside
-//! [`ftn_shard::ShardedEnvironment`].
+//! each shard a device, and stages the shard sub-buffers there. A shard's
+//! sub-buffer is device-owned from open to close: its mirror is the current
+//! copy, its host slot a placeholder that only the close fetch fills, so the
+//! machine keeps no residency ledger for it.
 //!
 //! Every movement of a session's rows is a plan run by the one row exchange
 //! (`exchange.rs`): an open is a host → devices exchange (nothing gathered,
@@ -33,9 +33,8 @@
 //! scoring, no stealing across shards — the data already lives there, and
 //! the per-shard trip counts price each device's backlog honestly through
 //! [`ftn_fpga::CostModel`] (per that device's own model). Every fan-out —
-//! launches and the phases of every exchange — coalesces all jobs bound for
-//! one device into a single `WorkerMessage::Batch`, so a logical launch
-//! costs O(devices) messages instead of O(shards). Close fetches every
+//! launches and the phases of every exchange — sends each job as its own
+//! message the moment it is planned. Close fetches every
 //! shard's `from`/`tofrom` sub-buffers, gathers (concatenates owned rows,
 //! dropping halos) or reduces (sum/min/max private copies) into the
 //! caller's arrays, and frees the sub-buffers on host and devices alike.
@@ -70,10 +69,10 @@ const CLOSE: ExchangeLabels = ExchangeLabels {
     apply: ("close.apply", "job.download"),
 };
 
-/// Upper bound on shards per pool device: bounds the sub-environments and
+/// Upper bound on shards per pool device: bounds the sub-buffers and
 /// per-launch jobs a single (possibly hostile, via the HTTP API) session
-/// request can allocate, while leaving ample room for the
-/// several-shards-per-device fan-outs batching is built for.
+/// request can allocate, while leaving ample room for several shards per
+/// device.
 pub const MAX_SHARDS_PER_DEVICE: usize = 16;
 
 /// Minimum predicted makespan improvement (old / new over the re-plan
@@ -145,7 +144,7 @@ pub enum ShardCount {
     /// leading-dim extent and to [`MAX_SHARDS_PER_DEVICE`] × pool size).
     /// More shards than devices is allowed: devices are cycled
     /// fastest-first and each worker runs its shards of a launch
-    /// back-to-back — the fan-out still sends only one message per device.
+    /// back-to-back.
     Fixed(usize),
 }
 
@@ -212,7 +211,8 @@ pub struct ShardedLaunchTicket {
     pub handles: Vec<LaunchHandle>,
     /// Device of each per-shard job, in shard order.
     pub devices: Vec<usize>,
-    /// Buffers the fan-out re-staged (0 once resident).
+    /// Buffers the fan-out re-staged: always 0, a shard's buffers are
+    /// resident from open to close.
     pub staged: u64,
     /// Bytes those uploads moved.
     pub staged_bytes: u64,
@@ -476,9 +476,8 @@ impl ClusterMachine {
             (devices, weights)
         };
 
-        // Scatter: one sub-environment per shard, sub-buffers in pool host
-        // memory (they behave like any other host buffer from here on). A
-        // failed map must not leak the slices of the arrays mapped before
+        // Scatter: one sub-buffer per shard and array, in pool host memory.
+        // A failed map must not leak the slices of the arrays mapped before
         // it.
         let mut env = ShardedEnvironment::weighted(weights);
         for (name, m, _, partition) in &resolved {
@@ -488,9 +487,6 @@ impl ClusterMachine {
                 }
                 return Err(CompileError::new("cluster-shard", e.to_string()));
             }
-        }
-        for id in env.buffer_ids() {
-            self.buffers.insert(id, Default::default());
         }
 
         // Every sub-buffer's mirror is one block, every shard's blocks one
@@ -598,9 +594,9 @@ impl ClusterMachine {
     }
 
     /// Fan one logical kernel launch out as one kernel-level job per shard,
-    /// each force-placed on its shard's device with rebased array and extent
-    /// arguments. Device copies stay authoritative (deferred writeback);
-    /// host memory syncs at close. Returns the per-shard handles.
+    /// each sent straight to its shard's device with rebased array and
+    /// extent arguments. Device copies stay authoritative (deferred
+    /// writeback); host memory syncs at close. Returns the per-shard handles.
     pub fn sharded_launch(
         &mut self,
         session: u64,
@@ -643,7 +639,10 @@ impl ClusterMachine {
     /// The fan-out half of [`ClusterMachine::sharded_launch`]: one
     /// kernel-level job per shard, *without* the auto-rebalance check.
     /// Callers that ran [`ClusterMachine::auto_rebalance_due`] (and any due
-    /// epoch) themselves use this directly.
+    /// epoch) themselves use this directly. When a job cannot be sent (its
+    /// worker is gone) the launch fails, and the jobs that were sent become
+    /// the session's outstanding launches: the next close or epoch quiesce
+    /// lands and claims them.
     pub fn sharded_launch_no_replan(
         &mut self,
         session: u64,
@@ -667,8 +666,8 @@ impl ClusterMachine {
                 format!("session {session} maps no array '{name}'"),
             )
         };
-        let mut per_shard: Vec<Vec<RtValue>> = Vec::with_capacity(shards);
-        for shard in 0..shards {
+        let mut per_shard: Vec<(usize, Vec<RtValue>)> = Vec::with_capacity(shards);
+        for (shard, &device) in s.devices.iter().enumerate() {
             let mut argv = Vec::with_capacity(args.len());
             for a in args {
                 let extent = |name: &str| {
@@ -694,40 +693,35 @@ impl ClusterMachine {
                     }
                 });
             }
-            per_shard.push(argv);
+            per_shard.push((device, argv));
         }
 
-        let mut ticket = ShardedLaunchTicket {
-            session,
-            handles: Vec::new(),
-            devices: s.devices.clone(),
-            staged: 0,
-            staged_bytes: 0,
-            elided: 0,
-        };
-        // Fan out: one kernel job per shard, one message per device. The
-        // session is stamped onto every job for rollup attribution.
+        let devices = s.devices.clone();
+        // Fan out: one kernel job per shard. The session is stamped onto
+        // every job for rollup attribution.
         self.submitting_session = Some(session);
-        let (handles, err) = self.fan_out(per_shard.iter().enumerate(), |m, shard, argv| {
-            let t = m.submit_kernel_deferred(kernel, argv, ticket.devices[shard])?;
-            ticket.staged += t.staged;
-            ticket.staged_bytes += t.staged_bytes;
-            ticket.elided += t.elided;
-            Ok(t.handle)
+        let mut elided = 0;
+        let (handles, err) = self.fan_out(per_shard, |m, device, argv| {
+            let (job, e) = m.plan_kernel(kernel, &argv, device);
+            elided += e;
+            job
         });
         self.submitting_session = None;
+        let s = self.sessions.get_mut(&session).expect("checked above");
+        s.stats.launches += handles.len() as u64;
+        s.stats.elided_transfers += elided;
+        s.outstanding.extend(handles.iter().map(|h| h.job_id()));
         if let Some(e) = err {
             return Err(e);
         }
-        ticket.handles = handles;
-        let s = self.sessions.get_mut(&session).expect("checked above");
-        s.stats.launches += shards as u64;
-        s.stats.staged_uploads += ticket.staged;
-        s.stats.staged_bytes += ticket.staged_bytes;
-        s.stats.elided_transfers += ticket.elided;
-        s.outstanding
-            .extend(ticket.handles.iter().map(|h| h.job_id()));
-        Ok(ticket)
+        Ok(ShardedLaunchTicket {
+            session,
+            handles,
+            devices,
+            staged: 0,
+            staged_bytes: 0,
+            elided,
+        })
     }
 
     /// Wait for every per-shard job of one sharded launch and merge their
@@ -801,7 +795,6 @@ impl ClusterMachine {
                         dst: id,
                         start: 0,
                         len: self.memory.get(id).len(),
-                        version: self.buffers.get(&id).map_or(0, |b| b.version),
                     }
                 })
                 .collect();
@@ -818,8 +811,8 @@ impl ClusterMachine {
                             .gather(&mut m.memory, name)
                             .expect("a fetched from/tofrom array gathers");
                         // The gather rewrote host memory directly: bump the
-                        // global buffer's version so stale device copies are
-                        // not trusted.
+                        // global array's version so stale device copies of
+                        // it are not trusted.
                         if let Some(state) = m.buffers.get_mut(global) {
                             state.version += 1;
                             state.written = state.version;
@@ -827,7 +820,6 @@ impl ClusterMachine {
                         }
                     }
                 }
-                s.env.release();
                 m.drop_buffers(s.env.buffer_ids());
                 s.stats.fetched_downloads = fetched;
             }

@@ -213,8 +213,8 @@ fn failed_open_releases_every_sub_buffer() {
         .expect_err("staging onto a dead worker fails");
     assert!(err.to_string().contains("worker is gone"), "{err}");
     assert!(cluster.open_sessions().is_empty());
-    // The scatter is released: host sub-buffers, their ledger entries,
-    // and the mirrors device 0 had already staged.
+    // The scatter is released: host sub-buffers and the mirrors device 0
+    // had already staged. Sub-buffers never entered the residency ledger.
     assert_eq!(cluster.memory.live(), live);
     assert_eq!(cluster.buffers.len(), tracked);
     assert!(cluster.pending.is_empty() && cluster.completed.is_empty());
@@ -464,4 +464,138 @@ fn a_failed_unwaited_launch_fails_the_close_once_and_leaves_the_session_open() {
     // The failed launch had updated every element in bounds before it failed.
     assert_eq!(cluster.read_f32(&ya), vec![6.5f32; n]);
     assert_eq!(cluster.pool_stats().host_buffers, 2);
+}
+
+/// SAXPY's shard arguments: `y += a·x` over each shard's rows.
+fn saxpy_args(a: f32) -> [crate::ShardArg; 7] {
+    use crate::ShardArg;
+    [
+        ShardArg::Array("x".into()),
+        ShardArg::Array("y".into()),
+        ShardArg::Extent("x".into()),
+        ShardArg::Extent("y".into()),
+        ShardArg::Scalar(RtValue::F32(a)),
+        ShardArg::Scalar(RtValue::Index(1)),
+        ShardArg::Extent("x".into()),
+    ]
+}
+
+/// A launch whose fan-out meets a dead worker fails, and the job it did
+/// send becomes the session's outstanding launch: the close that follows
+/// lands and claims it, and the job that could not be sent leaves no
+/// outcome, so nothing is orphaned in `pending` or `completed`.
+#[test]
+fn a_failed_launch_leaves_no_orphaned_outcome() {
+    use crate::pool::WorkerMessage;
+    use crate::{MapKind, Partition, ShardCount};
+    let mut cluster = pool(2);
+    let n = 64usize;
+    let xa = cluster.host_f32(&vec![1.0f32; n]);
+    let ya = cluster.host_f32(&vec![0.5f32; n]);
+    let split = Partition::Split { halo: 0 };
+    let maps = [
+        ("x", xa, MapKind::To, split),
+        ("y", ya, MapKind::ToFrom, split),
+    ];
+    let sid = (cluster.open_sharded_session(&maps, ShardCount::Fixed(2))).unwrap();
+    assert_eq!(cluster.sharded_devices(sid), Some(vec![0, 1]));
+
+    // Device 1's worker exits; its queue is closed from here on.
+    let slot = &mut cluster.pool.slots[1];
+    slot.sender.send(WorkerMessage::Shutdown).unwrap();
+    slot.thread.take().unwrap().join().unwrap();
+
+    let err = (cluster.sharded_launch(sid, "saxpy_kernel0", &saxpy_args(2.0)))
+        .expect_err("shard 1's device is gone");
+    assert!(err.to_string().contains("worker is gone"), "{err}");
+    let err = cluster
+        .close_sharded_session(sid)
+        .expect_err("its fetch fails");
+    assert!(err.to_string().contains("worker is gone"), "{err}");
+    let pending: Vec<u64> = cluster.pending.keys().copied().collect();
+    cluster.land(&pending).unwrap();
+    let mut orphaned: Vec<u64> = cluster.completed.keys().copied().collect();
+    orphaned.sort_unstable();
+    assert!(cluster.pending.is_empty(), "still pending");
+    assert!(
+        orphaned.is_empty(),
+        "orphaned outcomes of jobs {orphaned:?}"
+    );
+}
+
+/// A session's kernel jobs go straight to their shard's device: on a pool
+/// where one device holds two of three shards, across launches, a halo
+/// refresh and a migration epoch, no launch stages anything, each elides
+/// every distinct buffer of every shard, and the session's staged uploads
+/// are exactly what its open, refresh and epoch applies staged.
+#[test]
+fn a_session_kernel_job_never_stages() {
+    use crate::{MapKind, Partition, ShardCount};
+    let mut cluster = pool(2);
+    let n = 600usize;
+    let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.13).sin()).collect();
+    let xa = cluster.host_f32(&x);
+    let ya = cluster.host_f32(&vec![1.0f32; n]);
+    let split = Partition::Split { halo: 1 };
+    let staged = |c: &ClusterMachine| {
+        let ps = c.pool_stats();
+        (ps.staged_uploads, ps.staged_bytes)
+    };
+    let step = |c: &mut ClusterMachine, op: &mut dyn FnMut(&mut ClusterMachine)| {
+        let before = staged(c);
+        op(c);
+        let after = staged(c);
+        (after.0 - before.0, after.1 - before.1)
+    };
+    let mut sid = 0;
+    let open = step(&mut cluster, &mut |c| {
+        let maps = [
+            ("x", xa.clone(), MapKind::To, split),
+            ("y", ya.clone(), MapKind::ToFrom, split),
+        ];
+        sid = c.open_sharded_session(&maps, ShardCount::Fixed(3)).unwrap();
+    });
+    assert_eq!(cluster.sharded_devices(sid), Some(vec![0, 1, 0]));
+    assert_eq!(open.0, 6, "two arrays uploaded to three shards");
+    let mut launch = |c: &mut ClusterMachine| {
+        let t = c.sharded_launch(sid, "saxpy_kernel0", &saxpy_args(0.5));
+        let t = t.unwrap();
+        assert_eq!((t.staged, t.staged_bytes), (0, 0));
+        assert_eq!(t.elided, 3 * 2, "x and y on each of three shards");
+        c.wait_sharded(t).unwrap();
+    };
+    for _ in 0..3 {
+        assert_eq!(step(&mut cluster, &mut launch), (0, 0));
+    }
+    let refresh = step(&mut cluster, &mut |c| {
+        assert!(c.refresh_halos(sid).unwrap().refreshed);
+    });
+    assert!(refresh.0 > 0, "ghost rows cross devices");
+    let epoch = step(&mut cluster, &mut |c| {
+        c.inject_backlog(0, 5.0);
+        let report = c.rebalance_session_with(sid, Some(1.0)).unwrap();
+        assert!(report.replanned, "{report:?}");
+    });
+    assert!(epoch.0 > 0, "rows change devices");
+    for _ in 0..3 {
+        assert_eq!(step(&mut cluster, &mut launch), (0, 0));
+    }
+    let stats = cluster.session_stats(sid).unwrap();
+    let applies = [open, refresh, epoch];
+    assert_eq!(
+        stats.staged_uploads,
+        applies.iter().map(|a| a.0).sum::<u64>()
+    );
+    assert_eq!(stats.staged_bytes, applies.iter().map(|a| a.1).sum::<u64>());
+    assert_eq!(stats.launches, 6 * 3);
+    assert_eq!(stats.elided_transfers, 6 * 3 * 2);
+    cluster.close_sharded_session(sid).unwrap();
+    let got = cluster.read_f32(&ya);
+    for (i, v) in got.iter().enumerate() {
+        let mut expect = 1.0f32;
+        for _ in 0..6 {
+            expect += 0.5 * x[i];
+        }
+        assert_eq!(v.to_bits(), expect.to_bits(), "element {i}");
+    }
 }

@@ -1,5 +1,5 @@
 //! The pool through its `pub` surface: bit-identity with `Machine`,
-//! placement, caches, sessions, batching, and flat arenas. Tests that read
+//! placement, caches, sessions, fan-outs, and flat arenas. Tests that read
 //! the machine's private bookkeeping are in `src/tests.rs`.
 
 use std::sync::{Arc, OnceLock};
@@ -567,49 +567,7 @@ fn sharded_session_fans_out_and_gathers() {
 }
 
 #[test]
-fn batched_fanout_sends_one_message_per_device() {
-    use ftn_cluster::{MapKind, Partition};
-    use ftn_cluster::{ShardArg, ShardCount};
-    let n = 403usize;
-    let reps = 3usize;
-    let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.11).sin()).collect();
-    let y: Vec<f32> = (0..n).map(|i| (i as f32 * 0.05).cos()).collect();
-    let args = [
-        ShardArg::Array("x".into()),
-        ShardArg::Array("y".into()),
-        ShardArg::Extent("x".into()),
-        ShardArg::Extent("y".into()),
-        ShardArg::Scalar(RtValue::F32(1.5)),
-        ShardArg::Scalar(RtValue::Index(1)),
-        ShardArg::Extent("x".into()),
-    ];
-    let mut cluster = pool(4);
-    let xa = cluster.host_f32(&x);
-    let ya = cluster.host_f32(&y);
-    let sid = cluster
-        .open_sharded_session(
-            &[
-                ("x", xa, MapKind::To, Partition::Split { halo: 0 }),
-                ("y", ya, MapKind::ToFrom, Partition::Split { halo: 0 }),
-            ],
-            ShardCount::Fixed(4),
-        )
-        .unwrap();
-    for _ in 0..reps {
-        let t = cluster.sharded_launch(sid, "saxpy_kernel0", &args).unwrap();
-        cluster.wait_sharded(t).unwrap();
-    }
-    cluster.close_sharded_session(sid).unwrap();
-    // The session messaged O(devices): one Batch per device per fan-out
-    // (open staging + each launch + the close fetch).
-    let ps = cluster.pool_stats();
-    let fanouts = (1 + reps + 1) as u64;
-    assert_eq!(ps.batched_messages, fanouts * 4, "{ps:?}");
-    assert_eq!(ps.batched_jobs, fanouts * 4, "{ps:?}");
-}
-
-#[test]
-fn more_shards_than_devices_cycle_the_pool_and_still_batch_per_device() {
+fn more_shards_than_devices_cycle_the_pool() {
     use ftn_cluster::{MapKind, Partition};
     use ftn_cluster::{ShardArg, ShardCount};
     let mut cluster = pool(2);
@@ -655,12 +613,10 @@ fn more_shards_than_devices_cycle_the_pool_and_still_batch_per_device() {
         let expect = 1.0 + 2.0 * (i as f32 * 0.01);
         assert_eq!(v.to_bits(), expect.to_bits(), "element {i}");
     }
-    // Batched fan-out coalesced each fan-out into one message per
-    // *device*, not per shard: open (2 devices × 3 upload jobs each),
-    // one launch, one close fetch → 3 fan-outs × 2 messages, 18 jobs.
+    // One job per shard and fan-out: the open's uploads, one launch, the
+    // close's fetches.
     let ps = cluster.pool_stats();
-    assert_eq!(ps.batched_messages, 6, "{ps:?}");
-    assert_eq!(ps.batched_jobs, 18, "{ps:?}");
+    assert_eq!(ps.jobs, 3 * 6, "{ps:?}");
 
     // An absurd shard request is bounded: a single (possibly hostile)
     // session cannot allocate more than MAX_SHARDS_PER_DEVICE shards

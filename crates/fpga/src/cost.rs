@@ -4,12 +4,12 @@
 //! predictions to price per-device backlogs for its stealing decision instead
 //! of the mean observed job time it used before.
 //!
-//! The prediction mirrors the executor's closed form (`depth + (t-1)·II` per
-//! pipelined loop instance, `t·body_latency` otherwise) with trip counts
-//! derived from the element count: an unrolled loop runs `elements / unroll`
-//! trips and its scalar epilogue mops up `elements % unroll`. For
-//! single-level kernels (SAXPY, dot product) this is exact; for nested
-//! kernels it is a same-order estimate, which is all placement needs.
+//! The prediction is the executor's closed form ([`LoopInfo::cycles`]) with
+//! trip counts derived from the element count: an unrolled loop runs
+//! `elements / unroll` trips and its scalar epilogue mops up
+//! `elements % unroll`. For single-level kernels (SAXPY, dot product) this
+//! is exact; for nested kernels it is a same-order estimate, which is all
+//! placement needs.
 
 use std::collections::HashMap;
 
@@ -55,15 +55,7 @@ impl KernelCostModel {
             } else {
                 elements
             };
-            cycles += if l.pipelined {
-                if trips == 0 {
-                    2
-                } else {
-                    l.depth + (trips - 1) * l.ii
-                }
-            } else {
-                trips * l.body_latency + 2
-            };
+            cycles += l.cycles(trips);
         }
         cycles
     }

@@ -216,14 +216,7 @@ impl KernelExecutor {
         let mut cycles = KERNEL_CONTROL_CYCLES;
         for &(idx, trip) in &observer.instances {
             cycles += match &timing.schedule[idx] {
-                Some(s) if s.pipelined => {
-                    if trip == 0 {
-                        2
-                    } else {
-                        s.depth + (trip - 1) * s.ii
-                    }
-                }
-                Some(s) => trip * s.body_latency + 2,
+                Some(s) => s.cycles(trip),
                 // Unscheduled loop (shouldn't happen): charge 1 cycle/iter.
                 None => trip + 2,
             };

@@ -63,6 +63,20 @@ pub struct LoopInfo {
     pub ports: Vec<PortCost>,
 }
 
+impl LoopInfo {
+    /// Cycles one instance of the loop takes over `trips` iterations — the
+    /// one closed form the executor charges and the cost model predicts:
+    /// `depth + (trips − 1)·II` pipelined, `trips·body_latency + 2`
+    /// otherwise, and 2 for a loop that runs no iteration.
+    pub fn cycles(&self, trips: u64) -> u64 {
+        match trips {
+            0 => 2,
+            t if self.pipelined => self.depth + (t - 1) * self.ii,
+            t => t * self.body_latency + 2,
+        }
+    }
+}
+
 /// Schedule every `scf.for` in `kernel` (a `func.func`).
 pub fn schedule_kernel(ir: &Ir, kernel: OpId, device: &DeviceModel) -> Vec<LoopInfo> {
     let bundles = interface_bundles(ir, kernel);

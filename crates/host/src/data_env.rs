@@ -64,23 +64,6 @@ impl DataEnvironment {
         Ok(memref)
     }
 
-    /// Register an existing, externally allocated buffer under `name`.
-    /// Cluster sessions reuse the data environment this way: the session's
-    /// named arrays live in pool host memory (the device mirrors are managed
-    /// by the workers), but the presence-counter lifecycle — acquire at
-    /// session open, release at close, `check_exists` gating launches — is
-    /// exactly the `target data` protocol this type already implements.
-    pub fn insert_mapped(&mut self, name: &str, memref: MemRefVal, elem: &str) {
-        self.entries.insert(
-            name.to_string(),
-            DataEntry {
-                memref,
-                count: 0,
-                elem: elem.to_string(),
-            },
-        );
-    }
-
     /// `device.lookup`.
     pub fn lookup(&self, name: &str) -> Result<MemRefVal, InterpError> {
         self.entries

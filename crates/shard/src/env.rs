@@ -3,14 +3,11 @@
 //! sub-buffers at map time and reassembled (concatenate owned rows, or
 //! reduce private copies) at gather time.
 //!
-//! Every shard holds its own [`ftn_host::DataEnvironment`] — the same
-//! presence-counter protocol (`insert` → `acquire` at map, `release` at
-//! close, `check_exists` gating lookups) the generated host programs drive
-//! through `device.data_acquire` / `data_release`. The environment itself is
-//! purely a host-side data plane: device residency and transfers are the
-//! pool's business (see `ftn_cluster::sharded`).
+//! A shard's buffer for an array is its slice: there is one record per
+//! shard buffer, the [`ShardSlice`] in [`ShardedArray::slices`]. The
+//! environment is purely a host-side data plane: device residency and
+//! transfers are the pool's business (see `ftn_cluster::sharded`).
 
-use ftn_host::DataEnvironment;
 use ftn_interp::{Buffer, BufferId, InterpError, MemRefVal, Memory, RtValue};
 
 use crate::plan::{Partition, RowMove, ShardPlan, ShardRange};
@@ -31,8 +28,6 @@ pub struct ShardedArray {
     pub name: String,
     /// The caller's full array.
     pub global: MemRefVal,
-    /// Element type name (`"f32"`, ...).
-    pub elem: String,
     /// How the array distributes across the shards.
     pub partition: Partition,
     /// Elements per leading-dim row (product of trailing extents).
@@ -50,8 +45,6 @@ pub struct ShardedArray {
 pub struct ArrayReplan {
     /// The mapped array's name.
     pub name: String,
-    /// Element type name of the array (`"f32"`, ...).
-    pub elem: String,
     /// Elements per leading-dim row.
     pub row_elems: usize,
     /// Maximal contiguous row blocks changing owners, ascending by row.
@@ -68,7 +61,6 @@ pub struct ShardedEnvironment {
     /// [`ShardedEnvironment::weighted`]); every `Split` array's plan is
     /// apportioned by these.
     weights: Vec<f64>,
-    envs: Vec<DataEnvironment>,
     arrays: Vec<ShardedArray>,
 }
 
@@ -90,13 +82,12 @@ impl ShardedEnvironment {
         };
         ShardedEnvironment {
             shards: weights.len(),
-            envs: (0..weights.len()).map(|_| DataEnvironment::new()).collect(),
             arrays: Vec::new(),
             weights,
         }
     }
 
-    /// Number of shards (and per-shard data environments).
+    /// Number of shards.
     pub fn shards(&self) -> usize {
         self.shards
     }
@@ -116,10 +107,9 @@ impl ShardedEnvironment {
         self.arrays.iter().find(|a| a.name == name)
     }
 
-    /// Scatter `global` into per-shard sub-buffers and register each slice
-    /// in its shard's data environment (insert + acquire). Split arrays must
-    /// have at least `shards` leading-dim rows — the session layer clamps
-    /// the shard count before building the environment.
+    /// Scatter `global` into per-shard sub-buffers. Split arrays must have
+    /// at least `shards` leading-dim rows — the session layer clamps the
+    /// shard count before building the environment.
     pub fn map(
         &mut self,
         memory: &mut Memory,
@@ -132,7 +122,6 @@ impl ShardedEnvironment {
                 "array '{name}' is already mapped in this sharded environment"
             )));
         }
-        let elem = memory.get(global.buffer).type_name().to_string();
         let rows = global.shape.first().copied().unwrap_or(1).max(0) as usize;
         let row_elems: usize = global.shape[1.min(global.shape.len())..]
             .iter()
@@ -180,17 +169,12 @@ impl ShardedEnvironment {
             prepared.push((range, contents));
         }
 
-        let mut slices = Vec::with_capacity(self.shards);
-        for (shard, (range, contents)) in prepared.into_iter().enumerate() {
-            let slice = alloc_slice(memory, global, range, contents);
-            self.envs[shard].insert_mapped(name, slice.memref.clone(), &elem);
-            self.envs[shard].acquire(name)?;
-            slices.push(slice);
-        }
+        let slices = (prepared.into_iter())
+            .map(|(range, contents)| alloc_slice(memory, global, range, contents))
+            .collect();
         self.arrays.push(ShardedArray {
             name: name.to_string(),
             global: global.clone(),
-            elem,
             partition,
             row_elems,
             slices,
@@ -198,14 +182,10 @@ impl ShardedEnvironment {
         Ok(())
     }
 
-    /// The mapped sub-array registered under `name` on `shard`, gated by the
-    /// shard environment's presence counter.
+    /// Shard `shard`'s sub-array of the array mapped under `name`.
     pub fn shard_value(&self, shard: usize, name: &str) -> Option<RtValue> {
-        let env = self.envs.get(shard)?;
-        if !env.check_exists(name) {
-            return None;
-        }
-        env.lookup(name).ok().map(RtValue::MemRef)
+        let slice = self.array(name)?.slices.get(shard)?;
+        Some(RtValue::MemRef(slice.memref.clone()))
     }
 
     /// Leading-dim rows mapped on `shard` for `name` (owned rows plus halos)
@@ -331,11 +311,10 @@ impl ShardedEnvironment {
                     range.mapped_len() * a.row_elems,
                 )?;
                 let slice = alloc_slice(memory, &a.global, *range, contents);
-                old_slices[shard] = Some(install(&mut self.envs[shard], a, shard, slice)?);
+                old_slices[shard] = Some(std::mem::replace(&mut a.slices[shard], slice));
             }
             replans.push(ArrayReplan {
                 name: a.name.clone(),
-                elem: a.elem.clone(),
                 row_elems: a.row_elems,
                 moves,
                 old_slices,
@@ -358,23 +337,13 @@ impl ShardedEnvironment {
             };
             for (shard, old) in rp.old_slices.into_iter().enumerate() {
                 if let Some(old) = old {
-                    let new = install(&mut self.envs[shard], a, shard, old)
-                        .expect("re-inserted entries acquire");
+                    let new = std::mem::replace(&mut a.slices[shard], old);
                     discarded.push(new.memref.buffer);
                 }
             }
         }
         self.weights = weights;
         discarded
-    }
-
-    /// Release every presence counter (the data-region exit).
-    pub fn release(&mut self) {
-        for env in &mut self.envs {
-            for a in &self.arrays {
-                let _ = env.release(&a.name);
-            }
-        }
     }
 }
 
@@ -395,19 +364,6 @@ fn alloc_slice(
         space: global.space,
     };
     ShardSlice { memref, range }
-}
-
-/// Make `slice` shard `shard`'s mapping of `a` in that shard's data
-/// environment (presence re-acquired); returns the slice it replaces.
-fn install(
-    env: &mut DataEnvironment,
-    a: &mut ShardedArray,
-    shard: usize,
-    slice: ShardSlice,
-) -> Result<ShardSlice, InterpError> {
-    env.insert_mapped(&a.name, slice.memref.clone(), &a.elem);
-    env.acquire(&a.name)?;
-    Ok(std::mem::replace(&mut a.slices[shard], slice))
 }
 
 /// `b[start .. start+len]` as a fresh buffer of the same type. Exported for
@@ -609,7 +565,7 @@ mod tests {
         assert_eq!(old_buffers, same);
 
         // Skew the weights: 25/25/25/25 → 49/17/17/17. Every slice changes;
-        // the moves name exactly the boundary blocks; presence still gates.
+        // the moves name exactly the boundary blocks.
         let replans = env.replan(&mut memory, vec![3.0, 1.0, 1.0, 1.0]).unwrap();
         assert_eq!(replans.len(), 1);
         let rp = &replans[0];
@@ -617,7 +573,11 @@ mod tests {
         assert_eq!(rp.moves.iter().map(|m| m.len).sum::<usize>(), 48);
         assert!(rp.old_slices.iter().all(|s| s.is_some()));
         assert_eq!(env.shard_extent(0, "x"), Some(49));
-        assert!(env.shard_value(0, "x").is_some(), "presence re-acquired");
+        assert_eq!(
+            env.shard_value(0, "x").unwrap().as_memref().unwrap().buffer,
+            env.array("x").unwrap().slices[0].memref.buffer,
+            "a shard's value is its new slice"
+        );
         // New sub-buffers are seeded from the caller's array.
         let m = env.shard_value(1, "x").unwrap();
         let m = m.as_memref().unwrap().clone();
@@ -660,7 +620,7 @@ mod tests {
     }
 
     #[test]
-    fn presence_protocol_gates_lookups() {
+    fn shard_values_resolve_mapped_names_on_existing_shards_only() {
         let mut memory = Memory::new();
         let g = global_f32(&mut memory, &[1.0, 2.0]);
         let mut env = ShardedEnvironment::new(2);
@@ -669,11 +629,6 @@ mod tests {
         assert!(env.shard_value(0, "x").is_some());
         assert!(env.shard_value(0, "ghost").is_none());
         assert!(env.shard_value(5, "x").is_none(), "no such shard");
-        env.release();
-        assert!(
-            env.shard_value(0, "x").is_none(),
-            "released environment no longer resolves"
-        );
     }
 
     #[test]

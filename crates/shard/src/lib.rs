@@ -9,10 +9,10 @@
 //! * [`reduce`] — [`ReduceOp`]: element-wise sum/min/max combination of
 //!   per-shard private copies (the combine step of a distributed
 //!   `reduction(...)` clause).
-//! * [`env`](mod@env) — [`ShardedEnvironment`]: scatters mapped arrays into per-shard
-//!   host sub-buffers (one [`ftn_host::DataEnvironment`] per shard, driven
-//!   through the usual presence-counter protocol) and reassembles them at
-//!   gather time — concatenating owned rows or reducing private copies.
+//! * [`env`](mod@env) — [`ShardedEnvironment`]: scatters mapped arrays into
+//!   per-shard host sub-buffers, one [`ShardSlice`] per shard and array, and
+//!   reassembles them at gather time — concatenating owned rows or reducing
+//!   private copies.
 //! * [`transfer`] — [`RowTransferPlan`]: the row blocks a halo refresh or a
 //!   migration epoch moves between shard owners, as pure data.
 //!

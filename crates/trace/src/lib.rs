@@ -43,7 +43,7 @@ mod span;
 mod store;
 
 pub use chrome::{export_chrome, export_chrome_range};
-pub use log::{events as log_events, log, max_level, set_max_level, Level, LogEvent};
+pub use log::{log, max_level, set_max_level, Level};
 pub use metrics::{
     escape_label_value, labelled, Counter, Exemplar, Gauge, Histogram, HistogramSnapshot,
     MetricValue, MetricsRegistry, HISTOGRAM_BUCKETS,

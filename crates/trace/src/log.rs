@@ -1,14 +1,11 @@
-//! A structured, leveled event log: bounded in-memory ring plus stderr
-//! emission, with the max level settable at runtime (`ftn serve
-//! --log-level`). When span recording is enabled, log events are mirrored
-//! into the trace as instant events so they appear on the Perfetto
-//! timeline next to the spans they interleave with.
+//! A leveled event log emitted to stderr, with the max level settable at
+//! runtime (`ftn serve --log-level`). When span recording is enabled, log
+//! events are mirrored into the trace as instant events so they appear on
+//! the Perfetto timeline next to the spans they interleave with.
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Mutex, OnceLock};
 
-use crate::{lock, span};
+use crate::span;
 
 /// Log severity, most severe first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -60,27 +57,7 @@ impl Level {
     }
 }
 
-/// One recorded log event.
-#[derive(Clone, Debug)]
-pub struct LogEvent {
-    /// Nanoseconds since the process trace epoch.
-    pub nanos: u64,
-    /// Severity.
-    pub level: Level,
-    /// Subsystem tag (`serve`, `cluster`, …).
-    pub target: String,
-    /// The message.
-    pub message: String,
-}
-
 static MAX_LEVEL: AtomicU8 = AtomicU8::new(Level::Info as u8);
-
-const LOG_RING: usize = 1024;
-
-fn ring() -> &'static Mutex<VecDeque<LogEvent>> {
-    static RING: OnceLock<Mutex<VecDeque<LogEvent>>> = OnceLock::new();
-    RING.get_or_init(|| Mutex::new(VecDeque::new()))
-}
 
 /// The current max emitted level.
 pub fn max_level() -> Level {
@@ -92,10 +69,15 @@ pub fn set_max_level(level: Level) {
     MAX_LEVEL.store(level as u8, Ordering::Relaxed);
 }
 
-/// Emit a log event: stderr line, ring-buffer entry, and (when tracing is
-/// enabled) an instant event on the caller's trace lane.
+/// Whether an event at `level` is emitted under max level `max`.
+fn passes(level: Level, max: Level) -> bool {
+    level <= max
+}
+
+/// Emit a log event: stderr line and (when tracing is enabled) an instant
+/// event on the caller's trace lane.
 pub fn log(level: Level, target: &str, message: impl Into<String>) {
-    if level > max_level() {
+    if !passes(level, max_level()) {
         return;
     }
     let message = message.into();
@@ -111,24 +93,9 @@ pub fn log(level: Level, target: &str, message: impl Into<String>) {
         "log",
         vec![
             ("target".to_string(), target.to_string()),
-            ("message".to_string(), message.clone()),
+            ("message".to_string(), message),
         ],
     );
-    let mut ring = lock(ring());
-    while ring.len() >= LOG_RING {
-        ring.pop_front();
-    }
-    ring.push_back(LogEvent {
-        nanos,
-        level,
-        target: target.to_string(),
-        message,
-    });
-}
-
-/// Snapshot of the buffered log events, oldest first.
-pub fn events() -> Vec<LogEvent> {
-    lock(ring()).iter().cloned().collect()
 }
 
 #[cfg(test)]
@@ -151,10 +118,11 @@ mod tests {
 
     #[test]
     fn max_level_filters() {
-        let before = events().len();
-        log(Level::Trace, "test", "dropped by default");
-        assert_eq!(events().len(), before, "trace above default info level");
-        log(Level::Error, "test", "kept");
-        assert!(events().len() > before);
+        assert_eq!(max_level(), Level::Info, "the default");
+        assert!(!passes(Level::Trace, Level::Info), "trace above info");
+        assert!(!passes(Level::Debug, Level::Info));
+        assert!(passes(Level::Info, Level::Info), "the max level itself");
+        assert!(passes(Level::Error, Level::Info));
+        assert!(passes(Level::Trace, Level::Trace));
     }
 }

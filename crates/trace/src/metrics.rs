@@ -207,17 +207,6 @@ impl Histogram {
         self.sum_nanos.load(Ordering::Relaxed) as f64 * 1e-9
     }
 
-    /// Fold another histogram into this one, bucket-wise.
-    pub fn merge(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(&other.buckets) {
-            mine.fetch_add(theirs.load(Ordering::Relaxed), Ordering::Relaxed);
-        }
-        self.sum_nanos
-            .fetch_add(other.sum_nanos.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// A point-in-time copy of the bucket contents.
     pub fn snapshot(&self) -> HistogramSnapshot {
         let buckets: Vec<u64> = self
@@ -301,20 +290,6 @@ impl HistogramSnapshot {
             .take_while(|(i, _)| bucket_upper_nanos(*i) <= nanos)
             .map(|(_, &n)| n)
             .sum()
-    }
-
-    /// Bucket-wise difference `self - earlier` (saturating), for windowed
-    /// views over cumulative snapshots taken from the same histogram.
-    pub fn delta(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        HistogramSnapshot {
-            sum_nanos: self.sum_nanos.saturating_sub(earlier.sum_nanos),
-            buckets: self
-                .buckets
-                .iter()
-                .zip(&earlier.buckets)
-                .map(|(a, b)| a.saturating_sub(*b))
-                .collect(),
-        }
     }
 }
 
@@ -686,7 +661,7 @@ mod tests {
     }
 
     #[test]
-    fn count_le_is_conservative_and_delta_subtracts() {
+    fn count_le_is_conservative() {
         let h = Histogram::new();
         for ms in [1u64, 2, 3, 10, 100] {
             h.observe_nanos(ms * 1_000_000);
@@ -698,11 +673,6 @@ mod tests {
         assert_eq!(snap.count_le_seconds(0.0001), 0);
         // Conservative: a threshold inside a bucket excludes that bucket.
         assert!(snap.count_le_seconds(0.0101) <= 4);
-        h.observe_nanos(200_000_000);
-        let later = h.snapshot();
-        let d = later.delta(&snap);
-        assert_eq!(d.count(), 1);
-        assert!((d.sum_seconds() - 0.2).abs() < 1e-9);
     }
 
     #[test]

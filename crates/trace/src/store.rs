@@ -129,11 +129,6 @@ impl TimeSeriesStore {
         })
     }
 
-    /// Every series name currently held, in order.
-    pub fn series_names(&self) -> Vec<String> {
-        lock(&self.series).keys().cloned().collect()
-    }
-
     /// One [`SeriesInfo`] row per retained series, in name order — the
     /// discovery index behind a bare `GET /metrics/range`. Series whose ring
     /// is momentarily empty are skipped (they have no window to report).
@@ -181,10 +176,8 @@ mod tests {
         reg.counter("c_total").add(1);
         store.scrape_at(&reg, 200);
 
-        assert_eq!(
-            store.series_names(),
-            vec!["c_total", "g_depth", "h_seconds"]
-        );
+        let names: Vec<String> = store.index().into_iter().map(|s| s.name).collect();
+        assert_eq!(names, vec!["c_total", "g_depth", "h_seconds"]);
         let pts = store.query("c_total", 0, u64::MAX).unwrap();
         assert_eq!(pts.len(), 2);
         assert_eq!(counter_value(&pts[0]), 1);

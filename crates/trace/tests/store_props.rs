@@ -24,10 +24,11 @@ proptest! {
         for &t in &scrape_nanos {
             store.scrape_at(&registry, t);
         }
-        prop_assert_eq!(store.series_names().len(), metric_count);
+        let series = store.index();
+        prop_assert_eq!(series.len(), metric_count);
         let expected = scrape_nanos.len().min(retention);
         let kept = &scrape_nanos[scrape_nanos.len() - expected..];
-        for name in store.series_names() {
+        for name in series.into_iter().map(|s| s.name) {
             let points = store.query(&name, 0, u64::MAX).unwrap();
             prop_assert!(points.len() <= retention,
                 "series {} holds {} > retention {}", name, points.len(), retention);

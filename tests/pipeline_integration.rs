@@ -27,6 +27,41 @@ fn saxpy_compile_and_execute_matches_reference() {
     assert_eq!(machine.read_f32(&ya), expect);
 }
 
+/// The cost model predicts with the simulator's own closed form: for one
+/// SAXPY `simdlen(10)` launch its prediction is the simulated cycle count
+/// exactly — single trips, unroll tails and multiples of ten alike.
+#[test]
+fn cost_model_prediction_equals_simulated_saxpy_cycles() {
+    let artifacts = workloads::compile_saxpy();
+    let model = ftn_fpga::CostModel::from_bitstream(&artifacts.bitstream);
+    let saxpy = model.kernel("saxpy_kernel0").expect("saxpy has a schedule");
+    let mut machine = Machine::load(&artifacts, DeviceModel::u280()).unwrap();
+    let pinned = [
+        (1, 422),
+        (9, 1190),
+        (10, 422),
+        (11, 540),
+        (19, 1308),
+        (100, 3302),
+        (1000, 32102),
+        (1001, 32220),
+        (4097, 131676),
+    ];
+    for (n, cycles) in pinned {
+        let xa = machine.host_f32(&vec![1.0; n]);
+        let ya = machine.host_f32(&vec![0.5; n]);
+        let args = [RtValue::I32(n as i32), RtValue::F32(2.0), xa, ya];
+        let stats = machine.run("saxpy", &args).unwrap().stats;
+        assert_eq!(stats.launches, 1);
+        assert_eq!(stats.total_cycles, cycles, "simulated, N = {n}");
+        assert_eq!(
+            saxpy.estimate_cycles(n as u64),
+            cycles,
+            "predicted, N = {n}"
+        );
+    }
+}
+
 #[test]
 fn sgesl_compile_and_execute_solves_system() {
     let artifacts = workloads::compile_sgesl();

@@ -95,13 +95,13 @@ fn run_sharded_jacobi(
             .unwrap();
         cluster.wait_sharded(ticket).unwrap();
         if k + 1 < iters {
-            let before = cluster.pool_stats().batched_messages;
+            let before = cluster.pool_stats().jobs;
             cluster.refresh_halos(sid).unwrap();
-            let messages = cluster.pool_stats().batched_messages - before;
+            let jobs = cluster.pool_stats().jobs - before;
             assert!(
-                messages <= 2 * devices as u64,
-                "a refresh is at most one gather and one apply message per device, \
-                 sent {messages} on {devices}"
+                jobs <= 2 * devices as u64,
+                "a refresh is at most one gather and one apply job per device, \
+                 ran {jobs} on {devices}"
             );
         }
         if rebalance_at == Some(k) {
