@@ -5,11 +5,12 @@
 //! here. The gate wraps the machine in a mutex and adds the two pieces a
 //! multi-client serve layer needs to keep that mutex *short-lived*:
 //!
-//! * **Condvar-notified waits.** [`PoolGate::wait_done`] parks on the
-//!   pool's [`CompletionSignal`] between polls instead of sleep-polling the
-//!   machine lock, so a waiter wakes within microseconds of its job's
-//!   outcome and holds the lock only to drain outcomes — never across a
-//!   blocking receive.
+//! * **Condvar-notified waits.** [`PoolGate::wait_done`] parks on its own
+//!   claim's cell between polls instead of sleep-polling the machine lock,
+//!   so a waiter wakes within microseconds of its job's outcome and holds
+//!   the lock only to drain outcomes — never across a blocking receive.
+//!   Waits on the pool as a whole (a quiesce) park on the pool's
+//!   [`CompletionSignal`] sequence.
 //! * **Phased row exchanges.** Everything that moves a session's rows —
 //!   [`PoolGate::open_phased`], [`PoolGate::refresh_phased`],
 //!   [`PoolGate::rebalance_phased`], [`PoolGate::close_phased`] — runs
@@ -64,8 +65,8 @@ fn relock<T>(r: Result<T, std::sync::PoisonError<T>>) -> T {
     r.unwrap_or_else(|e| e.into_inner())
 }
 
-/// Whether `session`'s outstanding launches have all landed — they must
-/// before backlogs are read or rows change owners. An unknown session counts
+/// Whether none of `session`'s launches is in flight — none may be before
+/// backlogs are read or rows change owners. An unknown session counts
 /// as quiet: the exchange's begin step reports it as the synchronous path
 /// would.
 fn quiet(session: u64) -> impl Fn(&ClusterMachine) -> bool {
@@ -75,7 +76,7 @@ fn quiet(session: u64) -> impl Fn(&ClusterMachine) -> bool {
 impl PoolGate {
     /// Wrap `machine` (grabs its pool's completion signal).
     pub fn new(machine: ClusterMachine) -> Self {
-        let signal = machine.completion_signal();
+        let signal = Arc::clone(&machine.pool.signal);
         PoolGate {
             machine: Mutex::new(machine),
             signal,
@@ -100,31 +101,24 @@ impl PoolGate {
         }
     }
 
-    /// The pool's completion signal (exposed for wake-latency tests).
-    pub fn signal(&self) -> &Arc<CompletionSignal> {
-        &self.signal
-    }
-
-    /// Wait for one submitted job without sleep-polling: register this
-    /// job's parking slot, drain outcomes under a short lock, and park on
-    /// the slot until the worker finishing *this* job wakes it — a targeted
-    /// wakeup, so N concurrent waiters cost one wake per outcome instead of
-    /// an N-thread herd racing for the machine lock. An outcome landing
-    /// between the drain and the park has already marked the registered
-    /// slot done, so the park returns immediately — the wake path is
-    /// notification, not timeout.
+    /// Wait for one submitted job without sleep-polling: drain outcomes
+    /// under a short lock, and park on the handle's own cell until the
+    /// worker finishing *this* job wakes it — a targeted wakeup, so N
+    /// concurrent waiters cost one wake per outcome instead of an N-thread
+    /// herd racing for the machine lock. An outcome reported between the
+    /// drain and the park has already marked the cell, so the park returns
+    /// immediately — the wake path is notification, not timeout — and a
+    /// report another caller landed (a close's quiesce) is found at once.
     pub fn wait_done(&self, handle: LaunchHandle) -> Result<ClusterRunReport, CompileError> {
         loop {
-            let slot = self.signal.register(handle.job_id());
             {
                 let mut m = self.lock();
                 m.poll_outcomes();
-                if m.is_complete(&handle) {
-                    self.signal.deregister(handle.job_id());
+                if handle.cell.landed() {
                     return m.wait(handle);
                 }
             }
-            slot.wait(PARK_SLICE);
+            handle.cell.park(PARK_SLICE);
         }
     }
 
@@ -266,7 +260,7 @@ impl PoolGate {
     /// off-lock until the machine is `ready` for `begin` (an epoch's and a
     /// close's session is [`quiet`]), then run the row exchange `begin`
     /// plans with the machine lock held only to submit each phase — the
-    /// phases' device traffic is waited off-lock via job slots.
+    /// phases' device traffic is waited off-lock on the claims' cells.
     fn phased<R>(
         &self,
         session: Option<u64>,
@@ -304,28 +298,29 @@ mod tests {
     use super::*;
     use std::time::Instant;
 
-    /// The targeted-slot protocol [`PoolGate::wait_done`] parks on must
-    /// wake on notification, not on its safety-valve timeout: over repeated
-    /// trials the best notify→wake latency has to come in under 100 µs —
-    /// orders of magnitude below [`PARK_SLICE`] (the best is the honest
-    /// measure — individual trials absorb scheduler jitter, but a waiter
-    /// that only woke on the park timeout could never beat it).
+    /// The claim's cell [`PoolGate::wait_done`] parks on must wake on
+    /// notification, not on its safety-valve timeout: over repeated trials
+    /// the best notify→wake latency has to come in under 100 µs — orders of
+    /// magnitude below [`PARK_SLICE`] (the best is the honest measure —
+    /// individual trials absorb scheduler jitter, but a waiter that only
+    /// woke on the park timeout could never beat it).
     #[test]
     fn notify_wakes_parked_waiter_far_sooner_than_the_park_slice() {
-        let signal = Arc::new(CompletionSignal::default());
+        let machine = crate::tests::pool(1);
         let mut best = Duration::MAX;
-        for job in 0..20u64 {
-            let slot = signal.register(job);
+        for _ in 0..20 {
+            let cell = machine.pool.cell(None);
+            let parked = Arc::clone(&cell);
             let waiter = std::thread::spawn(move || {
-                let woke = slot.wait(Duration::from_secs(5));
+                let woke = parked.park(Duration::from_secs(5));
                 (woke, Instant::now())
             });
             // Let the waiter reach its park before notifying.
             std::thread::sleep(Duration::from_millis(2));
             let notified_at = Instant::now();
-            signal.notify(job);
+            cell.mark_reported();
             let (woke, woke_at) = waiter.join().expect("waiter thread");
-            assert!(woke, "the slot must report a notified outcome");
+            assert!(woke, "the cell must report a notified outcome");
             best = best.min(woke_at.saturating_duration_since(notified_at));
         }
         assert!(
@@ -371,26 +366,26 @@ mod tests {
         caller.join().expect("caller thread");
     }
 
-    /// An outcome that lands *between* a waiter's slot registration (or
-    /// sequence read) and its park must not be lost: the park returns
-    /// immediately instead of blocking out its timeout.
+    /// An outcome that lands *between* a waiter's drain (or sequence read)
+    /// and its park must not be lost: the park returns immediately instead
+    /// of blocking out its timeout.
     #[test]
     fn notification_before_park_is_not_lost() {
-        // Targeted tier: the notify consumes the registered slot and marks
-        // it done before the waiter ever parks.
-        let signal = CompletionSignal::default();
-        let slot = signal.register(7);
-        signal.notify(7);
+        // Targeted tier: the worker marks the claim's cell reported before
+        // the waiter ever parks.
+        let cell = crate::tests::pool(1).pool.cell(None);
+        cell.mark_reported();
         let t = Instant::now();
-        assert!(slot.wait(Duration::from_secs(5)), "slot must be done");
+        assert!(cell.park(Duration::from_secs(5)), "cell must be reported");
         assert!(
             t.elapsed() < Duration::from_millis(500),
-            "an already-notified slot must return without parking"
+            "an already-reported cell must return without parking"
         );
         // Broadcast tier (migration-epoch quiesce): the sequence advanced
         // past what the waiter saw, so the park is a no-op.
+        let signal = CompletionSignal::default();
         let seen = signal.seq();
-        signal.notify(8);
+        signal.notify();
         let t = Instant::now();
         let woke = signal.wait_past(seen, Duration::from_secs(5));
         assert!(woke > seen);

@@ -54,7 +54,7 @@ pub use gate::PoolGate;
 pub use machine::{
     ClusterMachine, ClusterRunReport, DevicePoolStats, KernelTicket, LaunchHandle, PoolStats,
 };
-pub use pool::{CompletionSignal, DevicePool, JobSlot};
+pub use pool::{CompletionSignal, DevicePool};
 pub use rollup::{RollupBy, RollupRow};
 pub use scheduler::{BufferInfo, Placement, PlacementPolicy, PlacementReason};
 pub use session::{MapKind, SessionReport, SessionStats};

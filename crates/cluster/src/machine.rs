@@ -11,6 +11,12 @@
 //! and the same call sequence, results and statistics are bit-identical to
 //! `Machine`.
 //!
+//! A job's report has one owner: the cell its handle (the claim), the job
+//! and its pending entry share. Applying an outcome writes the report into
+//! the cell and drops the pending entry; `wait` takes the report from its
+//! own handle's cell, whoever drained the outcome. Nothing else may take
+//! it, and a dropped handle frees its report with the cell.
+//!
 //! [`ClusterMachine::submit`] runs a whole host program function; single
 //! kernels launch against resident buffers through a session (see
 //! [`crate::sharded`]), sent straight to their shard's device: a session's
@@ -34,22 +40,29 @@ use ftn_trace::MetricsRegistry;
 use serde::Serialize;
 
 use crate::pool::{
-    DevicePool, Job, JobKind, JobOutcome, JobSpec, JobSuccess, RowFetch, RowPatch, WorkerMessage,
+    DevicePool, Job, JobCell, JobKind, JobOutcome, JobSpec, RowFetch, RowPatch, WorkerMessage,
 };
 use crate::rollup::{RollupBy, RollupRow, Rollups};
 use crate::scheduler::{BufferInfo, PlacementPolicy, PlacementReason};
 
-/// Ticket for one submitted job; redeem with [`ClusterMachine::wait`].
-#[derive(Debug)]
+/// Ticket for one submitted job — the claim on its report; redeem with
+/// [`ClusterMachine::wait`]. Dropping it unwaited gives the report up: a
+/// session launch's failure then fails the session's next close, once.
 #[must_use = "a LaunchHandle must be waited on to observe results"]
 pub struct LaunchHandle {
     pub(crate) job_id: u64,
+    pub(crate) cell: Arc<JobCell>,
 }
 
-impl LaunchHandle {
-    /// The pool-wide job id this handle redeems.
-    pub fn job_id(&self) -> u64 {
-        self.job_id
+impl std::fmt::Debug for LaunchHandle {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "LaunchHandle {{ job_id: {} }}", self.job_id)
+    }
+}
+
+impl Drop for LaunchHandle {
+    fn drop(&mut self) {
+        self.cell.abandon();
     }
 }
 
@@ -234,6 +247,8 @@ pub(crate) struct PendingJob {
     pub(crate) session: Option<u64>,
     /// Bytes staged host→device alongside this job.
     pub(crate) staged_bytes: u64,
+    /// Where the outcome is written once applied.
+    pub(crate) cell: Arc<JobCell>,
 }
 
 /// See module docs.
@@ -252,10 +267,9 @@ pub struct ClusterMachine {
     pub(crate) arena_buffers: Vec<usize>,
     pub(crate) kernel_resources: ResourceUsage,
     pub(crate) cost_model: CostModel,
-    /// job id -> pending bookkeeping (for in-flight + backlog accounting).
+    /// job id -> pending bookkeeping (for in-flight + backlog accounting);
+    /// a session's launches in flight are its entries with that `session`.
     pub(crate) pending: HashMap<u64, PendingJob>,
-    /// Completed but not yet waited-on reports.
-    pub(crate) completed: HashMap<u64, Result<(usize, JobSuccess), String>>,
     pub(crate) next_job: u64,
     /// The one session table: every open session, whatever its shard count.
     pub(crate) sessions: HashMap<u64, crate::sharded::ShardedSession>,
@@ -328,7 +342,6 @@ impl ClusterMachine {
             kernel_resources: artifacts.bitstream.kernel_resources(),
             cost_model: CostModel::from_bitstream(&artifacts.bitstream),
             pending: HashMap::new(),
-            completed: HashMap::new(),
             next_job: 1,
             sessions: HashMap::new(),
             next_session: 1,
@@ -703,6 +716,9 @@ impl ClusterMachine {
             .map(|(_, contents)| contents.byte_len())
             .chain(patch_bytes)
             .sum::<usize>() as u64;
+        let session = self.submitting_session.and_then(|s| self.sessions.get(&s));
+        let sink = session.map(|s| Arc::clone(&s.failures));
+        let cell = self.pool.cell(sink);
         let job = Job {
             job_id,
             // Stamp the submitting request's trace context and the enqueue
@@ -713,6 +729,7 @@ impl ClusterMachine {
             enqueued_nanos: ftn_trace::now_nanos(),
             spread: false,
             spec,
+            cell: Arc::clone(&cell),
         };
         self.loads[device] += 1;
         self.est_backlog[device] += est_sim_seconds;
@@ -725,19 +742,20 @@ impl ClusterMachine {
                 kernel,
                 session: self.submitting_session,
                 staged_bytes,
+                cell,
             },
         );
         job
     }
 
     /// Deliver an enqueued job to `device`'s worker as one
-    /// `WorkerMessage::Job` — the one send path every job takes. A worker
-    /// that is gone fails the job on the spot: its bookkeeping (pending
-    /// ledger, in-flight marks, backlog) unwinds as if it had run and
-    /// errored, and it leaves no outcome, for no handle goes out to claim
-    /// one.
+    /// `WorkerMessage::Job` — the one send path every job takes — and hand
+    /// out its claim. A worker that is gone fails the job on the spot: its
+    /// bookkeeping (pending ledger, in-flight marks, backlog) unwinds as if
+    /// it had run and errored, and its cell goes with the undelivered
+    /// message, for no claim goes out.
     fn send(&mut self, device: usize, job: Job) -> Result<LaunchHandle, CompileError> {
-        let job_id = job.job_id;
+        let (job_id, cell) = (job.job_id, Arc::clone(&job.cell));
         let msg = WorkerMessage::Job(Box::new(job));
         if self.pool.slots[device].sender.send(msg).is_err() {
             let gone = format!("device {device} worker is gone");
@@ -746,20 +764,19 @@ impl ClusterMachine {
                 device,
                 result: Err(gone.clone()),
             });
-            self.completed.remove(&job_id);
             return Err(CompileError::new("cluster-submit", gone));
         }
-        Ok(LaunchHandle { job_id })
+        Ok(LaunchHandle { job_id, cell })
     }
 
     /// One fan-out: for every `(device, payload)` item in order, `plan` a
     /// job and send it as its own message. When the items go to more than
     /// one device and the pool has a CPU per worker, each job carries the
     /// spread flag (see [`Job::spread`]). Stops at the first job that
-    /// cannot be sent and returns the handles of the jobs delivered plus
-    /// that error: the caller owns those jobs' outcomes — a launch records
-    /// them as the session's outstanding launches, an exchange waits every
-    /// handle before it releases the buffers they touch.
+    /// cannot be sent and returns the claims of the jobs delivered plus
+    /// that error: an exchange waits every claim before it releases the
+    /// buffers they touch, a launch drops them (see
+    /// [`ClusterMachine::sharded_launch_no_replan`]).
     pub(crate) fn fan_out<T>(
         &mut self,
         items: Vec<(usize, T)>,
@@ -781,24 +798,22 @@ impl ClusterMachine {
 
     /// Wait for a submitted job, fold its statistics into the pool totals,
     /// and write its buffers back to host memory.
+    ///
+    /// The report is read from the handle's own cell, so a handle whose
+    /// outcome another call already landed (a close, a quiesce, another
+    /// waiter's drain) returns without blocking.
     pub fn wait(&mut self, handle: LaunchHandle) -> Result<ClusterRunReport, CompileError> {
-        loop {
-            if let Some(done) = self.completed.remove(&handle.job_id) {
-                return match done {
-                    Ok((device, success)) => Ok(ClusterRunReport {
-                        device,
-                        job_id: handle.job_id,
-                        report: report_from_stats(
-                            success.stats,
-                            success.results,
-                            &self.kernel_resources,
-                        ),
-                    }),
-                    Err(msg) => Err(CompileError::new("cluster-run", msg)),
-                };
+        let (device, success) = loop {
+            match handle.cell.take() {
+                Some(done) => break done.map_err(|msg| CompileError::new("cluster-run", msg))?,
+                None => self.process_one_outcome()?,
             }
-            self.process_one_outcome()?;
-        }
+        };
+        Ok(ClusterRunReport {
+            device,
+            job_id: handle.job_id,
+            report: report_from_stats(success.stats, success.results, &self.kernel_resources),
+        })
     }
 
     /// Submit-and-wait, mirroring `Machine::run`.
@@ -808,51 +823,29 @@ impl ClusterMachine {
     }
 
     /// Drain any outcomes the workers have already produced, without
-    /// blocking. Lets a caller that must not hold this machine locked
-    /// across a blocking [`ClusterMachine::wait`] (e.g. an HTTP worker
-    /// sharing the pool with other requests) poll for completion instead.
-    pub fn poll_outcomes(&mut self) {
+    /// blocking: a caller that must not hold this machine locked across a
+    /// blocking [`ClusterMachine::wait`] polls this, then parks off-lock.
+    pub(crate) fn poll_outcomes(&mut self) {
         while let Ok(outcome) = self.pool.outcomes.try_recv() {
             self.apply_outcome(outcome);
         }
     }
 
-    /// Whether `handle`'s job has completed — its report is ready and
-    /// [`ClusterMachine::wait`] will return without blocking.
-    pub fn is_complete(&self, handle: &LaunchHandle) -> bool {
-        self.completed.contains_key(&handle.job_id)
+    /// How many of session `session`'s launches are in flight (queued or
+    /// running on a worker); `None` when no such session is open. Read it
+    /// after [`ClusterMachine::poll_outcomes`].
+    pub(crate) fn sharded_pending_jobs(&self, session: u64) -> Option<usize> {
+        let launches = self.pending.values().filter(|p| p.session == Some(session));
+        let open = self.sessions.contains_key(&session);
+        open.then(|| launches.count())
     }
 
-    /// The pool's shared [`CompletionSignal`](crate::pool::CompletionSignal). Waiters read its sequence,
-    /// then [`ClusterMachine::poll_outcomes`] under the machine lock, then
-    /// park on the signal *without* the lock — the condvar-notified
-    /// replacement for sleep-polling [`ClusterMachine::is_complete`].
-    pub fn completion_signal(&self) -> std::sync::Arc<crate::pool::CompletionSignal> {
-        self.pool.completion_signal()
-    }
-
-    /// How many of session `session`'s outstanding launches are
-    /// still pending (queued or running on a worker). `None` when no such
-    /// session is open. Call [`ClusterMachine::poll_outcomes`] first; a
-    /// phased rebalance quiesces by polling this to zero between parks on
-    /// the [`CompletionSignal`](crate::pool::CompletionSignal) instead of blocking the machine lock.
-    pub fn sharded_pending_jobs(&self, session: u64) -> Option<usize> {
-        let s = self.sessions.get(&session)?;
-        Some(
-            s.outstanding
-                .iter()
-                .filter(|id| self.pending.contains_key(id))
-                .count(),
-        )
-    }
-
-    /// Block until every job in `jobs` has landed: its outcome applied, its
-    /// report claimable (no wait at all after `PoolGate`'s off-lock quiesce).
-    pub(crate) fn land(&mut self, jobs: &[u64]) -> Result<(), CompileError> {
-        for job_id in jobs {
-            while self.pending.contains_key(job_id) {
-                self.process_one_outcome()?;
-            }
+    /// Block until none of session `session`'s launches is in flight: each
+    /// outcome applied, its report in its claim's cell (no wait at all after
+    /// `PoolGate`'s off-lock quiesce).
+    pub(crate) fn quiesce(&mut self, session: u64) -> Result<(), CompileError> {
+        while self.sharded_pending_jobs(session).unwrap_or(0) > 0 {
+            self.process_one_outcome()?;
         }
         Ok(())
     }
@@ -938,7 +931,9 @@ impl ClusterMachine {
             }
             Err(msg) => Err(msg),
         };
-        self.completed.insert(job_id, stored);
+        if let Some(p) = pending {
+            p.cell.settle(stored);
+        }
     }
 
     /// Pool statistics over completed (waited) jobs.

@@ -20,6 +20,12 @@
 //!   charged the way a data-region entry is, a refresh's or an epoch's
 //!   blocks; see `RowPatch`).
 //!
+//! Every job carries its `JobCell`, the one place its report will live,
+//! shared with the caller's claim and the machine's pending entry. The
+//! worker sends the outcome on the pool channel, then marks the cell
+//! reported (waking that claim's waiter) and bumps the pool-wide
+//! [`CompletionSignal`].
+//!
 //! Between jobs the worker frees every allocation the job recorded, so
 //! transient device allocations (a host program's data-environment buffers,
 //! kernel-local scratch) do not accumulate across the life of the pool.
@@ -27,9 +33,12 @@
 //! which point an `WorkerMessage::Evict` reclaims the local copy too.
 
 use std::collections::HashMap;
+#[cfg(test)]
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
+use std::time::Duration;
 
 use ftn_core::HostProgram;
 use ftn_fpga::{DeviceModel, KernelExecutor};
@@ -189,6 +198,9 @@ pub(crate) struct Job {
     /// [`affinity`]).
     pub spread: bool,
     pub spec: JobSpec,
+    /// Where the job's report will live; marked reported once the outcome
+    /// is sent.
+    pub cell: Arc<JobCell>,
 }
 
 /// What comes back from a worker when a job finishes.
@@ -235,134 +247,150 @@ pub(crate) enum WorkerMessage {
     Stall(Receiver<()>),
 }
 
-/// Completion notification shared by every worker of one pool, in two
-/// tiers:
+/// A job's outcome once the machine has applied it: the device and what the
+/// worker returned, or the error message.
+pub(crate) type Report = Result<(usize, JobSuccess), String>;
+
+/// Where a session launch's failure goes when no claim is left to take it:
+/// the session's next close fails with it, once. Keeps the first.
+pub(crate) type FailureSink = Arc<Mutex<Option<String>>>;
+
+/// The one owner of a job's report. Three parties hold the cell: the claim
+/// (`LaunchHandle`), the [`Job`] its worker runs and the machine's pending
+/// entry. The report lives here from the moment the machine applies the
+/// outcome until the claim takes it, and goes with the last holder.
 ///
-/// * **Targeted job slots.** A waiter redeeming one handle registers a
-///   [`JobSlot`] keyed by its job id and parks on that slot's private
-///   condvar; the worker finishing that exact job wakes it alone. With N
-///   concurrent sessions this is one wakeup per outcome instead of an
-///   N-thread thundering herd all racing for the pool lock.
-/// * **A broadcast sequence.** The counter is bumped — with a broadcast —
-///   right after each `JobOutcome` is sent, for waiters watching the pool
-///   as a whole (a migration epoch's quiesce). Such waiters read the
-///   sequence *before* polling the outcome channel, then park until it
-///   moves past what they saw.
+/// * **Worker side** — once the outcome is on the pool's channel, the
+///   worker marks the cell reported and wakes whoever parks on it: a
+///   targeted wakeup, so N concurrent waiters cost one wake per outcome
+///   instead of an N-thread herd racing for the machine lock.
+/// * **Machine side** — applying the outcome writes the report in.
+/// * **Claim side** — a wait reads and parks on its own cell. A report
+///   that another caller's drain already applied is found here, and a
+///   park after the outcome was reported returns at once.
 ///
-/// Both tiers are lossless: an outcome that lands between a waiter's poll
-/// and its park has already advanced the sequence (or marked the
-/// already-registered slot done), so the park returns immediately.
-pub struct CompletionSignal {
-    state: Mutex<SignalState>,
+/// A claim dropped unwaited abandons its cell: the report is dropped, and a
+/// failure is handed to the session's [`FailureSink`] by whichever of the
+/// drop and the landing comes second.
+pub(crate) struct JobCell {
+    state: Mutex<CellState>,
     cv: Condvar,
+    /// The submitting session's sink; `None` for every other job.
+    sink: Option<FailureSink>,
+    /// The pool's count of live cells, decremented when this one drops.
+    #[cfg(test)]
+    live: Arc<AtomicUsize>,
 }
 
-struct SignalState {
-    seq: u64,
-    /// job id → the slot its (single) waiter parks on. Entries are consumed
-    /// by the notifying worker or removed by the waiter on completion.
-    slots: HashMap<u64, Arc<JobSlot>>,
-}
-
-/// A single job's parking slot: `done` flips exactly once, when the job's
-/// outcome is observable on the pool channel.
 #[derive(Default)]
-pub struct JobSlot {
-    done: Mutex<bool>,
+struct CellState {
+    /// The outcome is on the pool's channel.
+    reported: bool,
+    /// The applied outcome, until the claim takes it.
+    report: Option<Report>,
+    /// The claim is gone.
+    abandoned: bool,
+}
+
+impl JobCell {
+    fn state(&self) -> MutexGuard<'_, CellState> {
+        self.state.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Worker side: the outcome is on the channel; wake the claim's waiter.
+    pub(crate) fn mark_reported(&self) {
+        self.state().reported = true;
+        self.cv.notify_all();
+    }
+
+    /// Machine side: the outcome is applied.
+    pub(crate) fn settle(&self, report: Report) {
+        let mut st = self.state();
+        if st.abandoned {
+            self.sink_failure(report);
+        } else {
+            st.report = Some(report);
+        }
+    }
+
+    /// Take the applied report, if it has landed.
+    pub(crate) fn take(&self) -> Option<Report> {
+        self.state().report.take()
+    }
+
+    /// Whether the applied report is waiting to be taken.
+    pub(crate) fn landed(&self) -> bool {
+        self.state().report.is_some()
+    }
+
+    /// Park until the worker has reported the outcome or `timeout` elapses
+    /// (a safety valve for shutdown races, not the wake path). Returns
+    /// whether it has.
+    pub(crate) fn park(&self, timeout: Duration) -> bool {
+        let st = self.state();
+        let (st, _) = (self.cv.wait_timeout_while(st, timeout, |st| !st.reported))
+            .unwrap_or_else(|e| e.into_inner());
+        st.reported
+    }
+
+    /// Claim side: the claim is gone, whether or not it took the report.
+    pub(crate) fn abandon(&self) {
+        let mut st = self.state();
+        st.abandoned = true;
+        if let Some(report) = st.report.take() {
+            self.sink_failure(report);
+        }
+    }
+
+    fn sink_failure(&self, report: Report) {
+        if let (Err(msg), Some(sink)) = (report, &self.sink) {
+            let mut first = sink.lock().unwrap_or_else(|e| e.into_inner());
+            first.get_or_insert(msg);
+        }
+    }
+}
+
+#[cfg(test)]
+impl Drop for JobCell {
+    fn drop(&mut self) {
+        self.live.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// The pool-wide completion sequence, for waiters watching the pool as a
+/// whole rather than one claim (`PoolGate::lock_when`: a quiesce, an open's
+/// drain). Each worker bumps it — with a broadcast — right after a
+/// `JobOutcome` is sent. Such waiters read the sequence *before* polling
+/// the outcome channel, then park until it moves past what they saw; an
+/// outcome that lands in between has already advanced it, so the park
+/// returns at once. One claim's waiter parks on its `JobCell` instead.
+#[derive(Default)]
+pub struct CompletionSignal {
+    seq: Mutex<u64>,
     cv: Condvar,
-}
-
-impl JobSlot {
-    /// Park until the job's outcome is notified or `timeout` elapses (the
-    /// timeout is a safety valve for shutdown races, not the wake path).
-    /// Returns whether the outcome was notified.
-    pub fn wait(&self, timeout: std::time::Duration) -> bool {
-        let mut done = self.done.lock().unwrap_or_else(|e| e.into_inner());
-        let deadline = std::time::Instant::now() + timeout;
-        while !*done {
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(done, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            done = guard;
-        }
-        *done
-    }
-}
-
-impl Default for CompletionSignal {
-    fn default() -> Self {
-        CompletionSignal {
-            state: Mutex::new(SignalState {
-                seq: 0,
-                slots: HashMap::new(),
-            }),
-            cv: Condvar::new(),
-        }
-    }
 }
 
 impl CompletionSignal {
     /// The current notification sequence number. Read this *before*
     /// draining outcomes; pass it to [`CompletionSignal::wait_past`].
     pub fn seq(&self) -> u64 {
-        self.state.lock().unwrap_or_else(|e| e.into_inner()).seq
+        *self.seq.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Register (or re-arm) the parking slot for `job_id`. Call *before*
-    /// polling the outcome channel: an outcome landing after the poll finds
-    /// the slot and wakes exactly this waiter.
-    pub fn register(&self, job_id: u64) -> Arc<JobSlot> {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        Arc::clone(st.slots.entry(job_id).or_default())
-    }
-
-    /// Drop `job_id`'s slot once its report has been redeemed.
-    pub fn deregister(&self, job_id: u64) {
-        self.state
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .slots
-            .remove(&job_id);
-    }
-
-    /// Bump the sequence, wake `job_id`'s registered waiter (if any), and
-    /// broadcast to pool-wide waiters (worker side).
-    pub(crate) fn notify(&self, job_id: u64) {
-        let slot = {
-            let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-            st.seq += 1;
-            st.slots.remove(&job_id)
-        };
-        if let Some(slot) = slot {
-            *slot.done.lock().unwrap_or_else(|e| e.into_inner()) = true;
-            slot.cv.notify_all();
-        }
+    /// Bump the sequence and broadcast to pool-wide waiters (worker side).
+    pub(crate) fn notify(&self) {
+        *self.seq.lock().unwrap_or_else(|e| e.into_inner()) += 1;
         self.cv.notify_all();
     }
 
     /// Park until the sequence moves past `seen` or `timeout` elapses (a
     /// safety valve for shutdown races, not the wake path). Returns the
     /// sequence observed on wake.
-    pub fn wait_past(&self, seen: u64, timeout: std::time::Duration) -> u64 {
-        let mut st = self.state.lock().unwrap_or_else(|e| e.into_inner());
-        let deadline = std::time::Instant::now() + timeout;
-        while st.seq <= seen {
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (guard, _) = self
-                .cv
-                .wait_timeout(st, deadline - now)
-                .unwrap_or_else(|e| e.into_inner());
-            st = guard;
-        }
-        st.seq
+    pub fn wait_past(&self, seen: u64, timeout: Duration) -> u64 {
+        let seq = self.seq.lock().unwrap_or_else(|e| e.into_inner());
+        let (seq, _) = (self.cv.wait_timeout_while(seq, timeout, |seq| *seq <= seen))
+            .unwrap_or_else(|e| e.into_inner());
+        *seq
     }
 }
 
@@ -382,6 +410,9 @@ pub struct DevicePool {
     pub(crate) signal: Arc<CompletionSignal>,
     /// Whether every worker can have a CPU of its own (see [`affinity`]).
     pub(crate) cpu_each: bool,
+    /// Cells of this pool's jobs still alive, wherever they are held.
+    #[cfg(test)]
+    pub(crate) live_cells: Arc<AtomicUsize>,
 }
 
 impl DevicePool {
@@ -419,12 +450,23 @@ impl DevicePool {
             outcomes,
             signal,
             cpu_each: devices.len() <= affinity(None).count_ones() as usize,
+            #[cfg(test)]
+            live_cells: Arc::default(),
         }
     }
 
-    /// The pool's shared completion signal (see [`CompletionSignal`]).
-    pub fn completion_signal(&self) -> Arc<CompletionSignal> {
-        Arc::clone(&self.signal)
+    /// A fresh cell for one job's report; `sink` takes its failure if the
+    /// claim is dropped unwaited.
+    pub(crate) fn cell(&self, sink: Option<FailureSink>) -> Arc<JobCell> {
+        #[cfg(test)]
+        self.live_cells.fetch_add(1, Ordering::SeqCst);
+        Arc::new(JobCell {
+            state: Mutex::default(),
+            cv: Condvar::new(),
+            sink,
+            #[cfg(test)]
+            live: Arc::clone(&self.live_cells),
+        })
     }
 
     /// Number of devices.
@@ -767,8 +809,8 @@ fn run_and_report(
                 Err(format!("device {index} worker panicked: {msg}"))
             });
     // Finish the job span before the outcome becomes observable: waiters
-    // wake as soon as `notify` runs, and a /trace read racing the lane
-    // write would miss this job's span otherwise.
+    // wake as soon as it is, and a /trace read racing the lane write would
+    // miss this job's span otherwise.
     drop(span);
     // The pool half may already be gone during teardown; a failed send just
     // drops the outcome.
@@ -777,8 +819,10 @@ fn run_and_report(
         device: index,
         result,
     });
-    // Wake waiters only after the outcome is observable on the channel.
-    signal.notify(job_id);
+    // Wake waiters only after the outcome is observable on the channel: the
+    // claim's waiter on its cell, pool-wide waiters on the sequence.
+    job.cell.mark_reported();
+    signal.notify();
 }
 
 /// Spawn the worker thread for device `index`.

@@ -32,8 +32,8 @@ impl ClusterMachine {
     /// [`crate::AutoRebalance::threshold`], else
     /// [`DEFAULT_REBALANCE_THRESHOLD`]), a **migration epoch** runs:
     ///
-    /// 1. **Quiesce** — every outstanding shard job completes (outcomes
-    ///    stay claimable by tickets the caller already holds).
+    /// 1. **Quiesce** — every shard job in flight completes (its report
+    ///    stays with the ticket the caller holds).
     /// 2. **Delta gather** — only the rows that change *devices* are
     ///    fetched from their old devices into move buffers; resident rows
     ///    never leave their device.
@@ -106,7 +106,7 @@ impl ClusterMachine {
         self.exchange_run(phase)
     }
 
-    /// Quiesce the session's outstanding launches, price the current split
+    /// Quiesce the session's launches in flight, price the current split
     /// against a re-weighted candidate, and — when the predicted gain
     /// clears the threshold — take the session out of the table, re-plan it
     /// host-side, and submit the row exchange's gather.
@@ -153,24 +153,18 @@ impl ClusterMachine {
             return unchanged(1.0, Vec::new());
         };
 
-        // Quiesce: every outstanding shard job's outcome must be applied
-        // before backlogs are read or rows move. Outcomes are *not*
-        // consumed — completed-but-unwaited reports stay claimable by the
-        // caller's launch tickets.
-        let outstanding = s.outstanding.clone();
+        // Quiesce: every in-flight shard job's outcome must be applied
+        // before backlogs are read or rows move. The reports stay in the
+        // cells of the launch tickets the caller holds.
         {
             let mut sp = ftn_trace::span("epoch.quiesce", "epoch");
             sp.arg("session", session);
-            sp.arg("outstanding", outstanding.len());
-            self.land(&outstanding)?;
+            sp.arg(
+                "outstanding",
+                self.sharded_pending_jobs(session).unwrap_or(0),
+            );
+            self.quiesce(session)?;
         }
-        // Everything quiesced is done: prune the ledger down to the
-        // completed-but-unwaited ids (close still drains those), so a
-        // long-lived auto-rebalancing session does not re-walk its entire
-        // launch history on every check.
-        let completed = &self.completed;
-        let s = self.sessions.get_mut(&session).expect("still present");
-        s.outstanding.retain(|id| completed.contains_key(id));
 
         // Effective weights from the backlog snapshot.
         let backlogs = self.est_backlog.clone();

@@ -160,7 +160,7 @@ impl ClusterMachine {
         Some(maps.into_iter().map(|(n, v, k, _)| (n, v, k)).collect())
     }
 
-    /// Close a session: drain its outstanding launches, fetch every
+    /// Close a session: wait for its launches in flight, fetch every
     /// `from`/`tofrom` array back into host memory (charging the
     /// device→host transfers a data-region exit performs), and release the
     /// data environment.

@@ -39,6 +39,12 @@
 //! dropping halos) or reduces (sum/min/max private copies) into the
 //! caller's arrays, and frees the sub-buffers on host and devices alike.
 //!
+//! A launch's per-shard claims belong to the caller alone. A session's
+//! launches in flight are the machine's pending jobs stamped with its id,
+//! which a close or an epoch quiesce waits for without taking their
+//! reports. A claim dropped unwaited over a failed job leaves
+//! the failure in the session's sink, and the next close fails with it.
+//!
 //! With one shard the scatter and gather are exact copies, the shard is
 //! placed by the ordinary placement ladder, and the session is bit-identical
 //! — results and `RunStats` totals — to the equivalent `target data`
@@ -54,7 +60,7 @@ use serde::Serialize;
 
 use crate::exchange::{ExchangeLabels, ExchangePhase, Fetches, RowExchange};
 use crate::machine::{ClusterMachine, LaunchHandle};
-use crate::pool::{empty_like, Create, RowFetch};
+use crate::pool::{empty_like, Create, FailureSink, RowFetch};
 use crate::session::{MapKind, SessionStats};
 
 // An open gathers nothing and a close applies nothing: those two names are
@@ -186,7 +192,9 @@ pub struct ShardedSession {
     pub(crate) devices: Vec<usize>,
     /// The automatic re-planning policy the session opened with, if any.
     pub(crate) auto_rebalance: Option<AutoRebalance>,
-    pub(crate) outstanding: Vec<u64>,
+    /// The first failure of a launch whose claim was dropped unwaited; the
+    /// next close fails with it.
+    pub(crate) failures: FailureSink,
     /// Logical launches since the last auto re-plan check.
     pub(crate) launches_since_replan: u64,
     pub(crate) stats: SessionStats,
@@ -533,7 +541,7 @@ impl ClusterMachine {
                 maps,
                 devices,
                 auto_rebalance,
-                outstanding: Vec::new(),
+                failures: FailureSink::default(),
                 launches_since_replan: 0,
                 stats: SessionStats::default(),
             };
@@ -640,9 +648,9 @@ impl ClusterMachine {
     /// kernel-level job per shard, *without* the auto-rebalance check.
     /// Callers that ran [`ClusterMachine::auto_rebalance_due`] (and any due
     /// epoch) themselves use this directly. When a job cannot be sent (its
-    /// worker is gone) the launch fails, and the jobs that were sent become
-    /// the session's outstanding launches: the next close or epoch quiesce
-    /// lands and claims them.
+    /// worker is gone) the launch fails and the claims of the jobs that were
+    /// sent are dropped: those jobs still run, the next close or epoch
+    /// quiesce waits for them, and a failure among them fails the close.
     pub fn sharded_launch_no_replan(
         &mut self,
         session: u64,
@@ -710,7 +718,6 @@ impl ClusterMachine {
         let s = self.sessions.get_mut(&session).expect("checked above");
         s.stats.launches += handles.len() as u64;
         s.stats.elided_transfers += elided;
-        s.outstanding.extend(handles.iter().map(|h| h.job_id()));
         if let Some(e) = err {
             return Err(e);
         }
@@ -742,42 +749,39 @@ impl ClusterMachine {
         })
     }
 
-    /// Close a sharded session: drain outstanding launches, fetch every
+    /// Close a sharded session: wait for its launches in flight, fetch every
     /// shard's `from`/`tofrom` sub-buffers from its device, gather
     /// (concatenate owned rows) or reduce (combine private copies) into the
     /// caller's global arrays, and free the shard sub-buffers on host and
-    /// devices. A close that fails — an outstanding launch failed, a fetch
-    /// failed — leaves the session open and may be repeated.
+    /// devices. A launch ticket still held stays redeemable after the close.
+    /// A close that fails — a launch whose ticket was dropped unwaited
+    /// failed, a fetch failed — leaves the session open and may be
+    /// repeated.
     pub fn close_sharded_session(&mut self, session: u64) -> Result<ShardedReport, CompileError> {
         let phase = self.close_begin(session)?;
         self.exchange_run(phase)
     }
 
-    /// Plan a close as a devices → host row exchange: land and claim the
-    /// session's outstanding launches, take it out of the table, and submit
-    /// the gather — every `from`/`tofrom` sub-buffer fetched whole. The
-    /// exchange's tail gathers into the caller's arrays and frees the
-    /// sub-buffers — or, after a failed fetch, puts the session back.
+    /// Plan a close as a devices → host row exchange: land the session's
+    /// launches in flight (their reports stay with their claims), take it
+    /// out of the table, and submit the gather — every `from`/`tofrom`
+    /// sub-buffer fetched whole. The exchange's tail gathers into the
+    /// caller's arrays and frees the sub-buffers — or, after a failed fetch,
+    /// puts the session back.
     pub(crate) fn close_begin(
         &mut self,
         session: u64,
     ) -> Result<ExchangePhase<ShardedReport>, CompileError> {
         let started = Instant::now();
-        let s = self
-            .sessions
-            .get_mut(&session)
-            .ok_or_else(|| CompileError::new("cluster-shard", no_session(session)))?;
+        if !self.sessions.contains_key(&session) {
+            return Err(CompileError::new("cluster-shard", no_session(session)));
+        }
         let mut span = ftn_trace::span("session.close", "cluster");
         span.arg("session", session);
-        let outstanding = std::mem::take(&mut s.outstanding);
-        self.land(&outstanding)?;
-        // The reports the caller never waited for are claimed here, the
-        // last place that can; a launch that failed fails the close.
-        let claimed = outstanding
-            .iter()
-            .filter_map(|id| self.completed.remove(id));
-        let failed: Vec<String> = claimed.filter_map(Result::err).collect();
-        if let Some(msg) = failed.into_iter().next() {
+        self.quiesce(session)?;
+        // A launch nobody will wait for, that failed, fails the close once.
+        let failures = &self.sessions[&session].failures;
+        if let Some(msg) = failures.lock().unwrap_or_else(|e| e.into_inner()).take() {
             return Err(CompileError::new("cluster-run", msg));
         }
 

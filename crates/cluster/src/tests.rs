@@ -1,8 +1,11 @@
 //! In-crate tests: the ones that read the machine's private bookkeeping
-//! (`pending`, `completed`, `buffers`, `pool.slots`) or drive its test-only
-//! fault hooks. Tests that need only `pub` items are in `tests/`.
+//! (`pending`, `buffers`, `pool.slots`, the count of live job cells) or
+//! drive its test-only fault hooks. Tests that need only `pub` items are in
+//! `tests/`.
 
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 use ftn_core::{Artifacts, CompilerOptions};
 use ftn_fpga::DeviceModel;
@@ -35,6 +38,20 @@ fn artifacts() -> &'static Arc<Artifacts> {
 pub(crate) fn pool(n: usize) -> ClusterMachine {
     let devices = vec![DeviceModel::u280(); n];
     ClusterMachine::load(artifacts(), &devices).expect("pool loads")
+}
+
+/// Whether every job cell of `cluster`'s pool is gone: each report taken by
+/// its claim or given up with it. A worker lets go of its job's cell just
+/// after the outcome is observable, so the count gets a moment to settle.
+fn no_live_cells(cluster: &ClusterMachine) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while cluster.pool.live_cells.load(Ordering::SeqCst) > 0 {
+        if Instant::now() > deadline {
+            return false;
+        }
+        std::thread::yield_now();
+    }
+    true
 }
 
 #[test]
@@ -217,7 +234,7 @@ fn failed_open_releases_every_sub_buffer() {
     // had already staged. Sub-buffers never entered the residency ledger.
     assert_eq!(cluster.memory.live(), live);
     assert_eq!(cluster.buffers.len(), tracked);
-    assert!(cluster.pending.is_empty() && cluster.completed.is_empty());
+    assert!(cluster.pending.is_empty() && no_live_cells(&cluster));
     assert_eq!(cluster.run("saxpy", &run_args).unwrap().device, 0);
     assert_eq!(cluster.pool_stats().devices[0].arena_buffers, arena);
 }
@@ -225,7 +242,7 @@ fn failed_open_releases_every_sub_buffer() {
 /// The exchange's failure path under its three gathering callers — a
 /// refresh, an epoch, a close: a gather job that fails on its worker
 /// surfaces as the caller's error, every handle of the phase is still
-/// claimed, every move buffer (and, for the epoch, every sub-buffer of the
+/// waited, every move buffer (and, for the epoch, every sub-buffer of the
 /// abandoned plan) is released on host and devices, and the session — rolled
 /// back to its previous plan, or still open — carries on bit-identical to a
 /// run that never saw the fault.
@@ -272,7 +289,7 @@ fn failed_exchange_releases_its_buffers_and_leaves_the_session_intact() {
         let settled = |cluster: &ClusterMachine, rows: &[usize]| {
             assert_eq!(cluster.memory.live(), live);
             assert_eq!(cluster.buffers.len(), tracked);
-            assert!(cluster.pending.is_empty() && cluster.completed.is_empty());
+            assert!(cluster.pending.is_empty() && no_live_cells(cluster));
             assert_eq!(cluster.sharded_shard_rows(sid, "y").as_deref(), Some(rows));
         };
 
@@ -430,9 +447,9 @@ fn a_stalled_open_or_close_does_not_hold_up_another_sessions_launch() {
     assert_eq!(gate.lock().read_f32(&ya), vec![4.5f32; n]);
 }
 
-/// Close claims the reports of launches nobody waited for — all of them,
-/// whichever fails: a failed launch fails the close once, leaves nothing in
-/// `completed`, and leaves the session open for the close that then works.
+/// Launches whose tickets were dropped unwaited: a failed one fails the
+/// close once, leaves no job cell behind, and leaves the session open for
+/// the close that then works.
 #[test]
 fn a_failed_unwaited_launch_fails_the_close_once_and_leaves_the_session_open() {
     use crate::MapKind;
@@ -459,7 +476,7 @@ fn a_failed_unwaited_launch_fails_the_close_once_and_leaves_the_session_open() {
     let err = cluster.close_session(sid).expect_err("a launch failed");
     assert_eq!(err.stage, "cluster-run");
     assert_eq!(cluster.open_sessions(), vec![sid]);
-    assert!(cluster.pending.is_empty() && cluster.completed.is_empty());
+    assert!(cluster.pending.is_empty() && no_live_cells(&cluster));
     cluster.close_session(sid).unwrap();
     // The failed launch had updated every element in bounds before it failed.
     assert_eq!(cluster.read_f32(&ya), vec![6.5f32; n]);
@@ -480,10 +497,10 @@ fn saxpy_args(a: f32) -> [crate::ShardArg; 7] {
     ]
 }
 
-/// A launch whose fan-out meets a dead worker fails, and the job it did
-/// send becomes the session's outstanding launch: the close that follows
-/// lands and claims it, and the job that could not be sent leaves no
-/// outcome, so nothing is orphaned in `pending` or `completed`.
+/// A launch whose fan-out meets a dead worker fails, and the claim of the
+/// job it did send is dropped: the close that follows lands that job, and
+/// the job that could not be sent leaves no outcome, so nothing is orphaned
+/// in `pending` or in a job cell.
 #[test]
 fn a_failed_launch_leaves_no_orphaned_outcome() {
     use crate::pool::WorkerMessage;
@@ -512,15 +529,11 @@ fn a_failed_launch_leaves_no_orphaned_outcome() {
         .close_sharded_session(sid)
         .expect_err("its fetch fails");
     assert!(err.to_string().contains("worker is gone"), "{err}");
-    let pending: Vec<u64> = cluster.pending.keys().copied().collect();
-    cluster.land(&pending).unwrap();
-    let mut orphaned: Vec<u64> = cluster.completed.keys().copied().collect();
-    orphaned.sort_unstable();
+    while !cluster.pending.is_empty() {
+        cluster.process_one_outcome().unwrap();
+    }
     assert!(cluster.pending.is_empty(), "still pending");
-    assert!(
-        orphaned.is_empty(),
-        "orphaned outcomes of jobs {orphaned:?}"
-    );
+    assert!(no_live_cells(&cluster), "orphaned outcomes");
 }
 
 /// A session's kernel jobs go straight to their shard's device: on a pool

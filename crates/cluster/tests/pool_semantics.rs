@@ -745,3 +745,110 @@ fn interleaved_waits_do_not_regress_residency_or_writeback() {
     // y += x three times: any stale staging would lose one increment.
     assert_eq!(cluster.read_f32(&ya), vec![3.0f32; n]);
 }
+
+/// SAXPY's shard arguments: `y += a·x` over each shard's rows.
+fn saxpy_shard_args(a: f32) -> [ftn_cluster::ShardArg; 7] {
+    use ftn_cluster::ShardArg;
+    [
+        ShardArg::Array("x".into()),
+        ShardArg::Array("y".into()),
+        ShardArg::Extent("x".into()),
+        ShardArg::Extent("y".into()),
+        ShardArg::Scalar(RtValue::F32(a)),
+        ShardArg::Scalar(RtValue::Index(1)),
+        ShardArg::Extent("x".into()),
+    ]
+}
+
+/// How long a wait regression gives its thread before calling it a hang.
+const PATIENCE: std::time::Duration = std::time::Duration::from_secs(20);
+
+/// Run `body` on its own thread and return what it sends, failing the test
+/// if nothing arrives within [`PATIENCE`]: a wait that hangs fails here
+/// instead of hanging the suite (the blocked thread is left behind).
+fn watchdog<T: Send + 'static>(what: &str, body: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || tx.send(body()).expect("test listens"));
+    let out = rx.recv_timeout(PATIENCE);
+    if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) = out {
+        panic!("{what} hangs");
+    }
+    worker.join().expect("the body runs to completion");
+    out.expect("the body sent its result")
+}
+
+/// A launch ticket outlives its session's close: the close waits for the
+/// launch to land but leaves its report to the ticket, so `wait_sharded`
+/// after the close returns it — the same merged `RunStats` and gathered `y`,
+/// bit for bit, as waiting before the close.
+#[test]
+fn a_launch_ticket_waited_after_its_close_returns_its_report() {
+    use ftn_cluster::{MapKind, Partition, ShardCount};
+    let n = 1000usize;
+    let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.19).sin()).collect();
+    let y: Vec<f32> = (0..n).map(|i| (i as f32 * 0.05).cos()).collect();
+    let run = |wait_after_close: bool| {
+        let (x, y) = (x.clone(), y.clone());
+        watchdog("wait_sharded after close", move || {
+            let mut cluster = pool(2);
+            let xa = cluster.host_f32(&x);
+            let ya = cluster.host_f32(&y);
+            let split = Partition::Split { halo: 0 };
+            let maps = [
+                ("x", xa, MapKind::To, split),
+                ("y", ya.clone(), MapKind::ToFrom, split),
+            ];
+            let sid = (cluster.open_sharded_session(&maps, ShardCount::Fixed(2))).unwrap();
+            let args = saxpy_shard_args(1.25);
+            let ticket = cluster.sharded_launch(sid, "saxpy_kernel0", &args);
+            let ticket = ticket.unwrap();
+            let stats = if wait_after_close {
+                cluster.close_sharded_session(sid).unwrap();
+                cluster.wait_sharded(ticket).unwrap().stats
+            } else {
+                let stats = cluster.wait_sharded(ticket).unwrap().stats;
+                cluster.close_sharded_session(sid).unwrap();
+                stats
+            };
+            (stats, cluster.read_f32(&ya))
+        })
+    };
+    let (stats, got) = run(true);
+    let (waited_first, expect) = run(false);
+    assert_eq!(stats.launches, 2, "{stats:?}");
+    assert_eq!(stats, waited_first);
+    for (i, (a, b)) in got.iter().zip(&expect).enumerate() {
+        assert_eq!(a.to_bits(), b.to_bits(), "element {i}");
+    }
+}
+
+/// The serve layer's launch order with a close in its window: submit under
+/// `lock_session`, drop the lock, and before the wait a `close_phased` runs
+/// to completion. `wait_many` still returns both shards' reports.
+#[test]
+fn a_gate_wait_after_a_phased_close_returns_every_report() {
+    use ftn_cluster::{MapKind, Partition, PoolGate, ShardCount};
+    let n = 64usize;
+    let (reports, launches, y) = watchdog("wait_many after close_phased", move || {
+        let gate = PoolGate::new(pool(2));
+        let (xa, ya) = {
+            let mut m = gate.lock();
+            (m.host_f32(&vec![1.0f32; n]), m.host_f32(&vec![0.5f32; n]))
+        };
+        let split = Partition::Split { halo: 0 };
+        let maps = [
+            ("x", xa, MapKind::To, split),
+            ("y", ya.clone(), MapKind::ToFrom, split),
+        ];
+        let sid = (gate.open_phased(&maps, ShardCount::Fixed(2), None)).unwrap();
+        let args = saxpy_shard_args(2.0);
+        let ticket = (gate.lock_session(sid)).sharded_launch_no_replan(sid, "saxpy_kernel0", &args);
+        let ticket = ticket.unwrap();
+        let closed = gate.close_phased(sid).unwrap();
+        let reports = gate.wait_many(ticket.handles).unwrap();
+        let y = gate.lock().read_f32(&ya);
+        (reports.len(), closed.stats.launches, y)
+    });
+    assert_eq!((reports, launches), (2, 2));
+    assert_eq!(y, vec![2.5f32; n]);
+}
