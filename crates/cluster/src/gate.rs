@@ -203,9 +203,10 @@ impl PoolGate {
     /// short lock, then stage every shard onto its device with the lock
     /// released. Nothing is fenced — nobody can address the session before
     /// the exchange's last step puts it into the table — and the lock is
-    /// taken once placing a job over the mapped arrays needs no drain (jobs
-    /// still in flight over them are on one device). Behavior is identical
-    /// to [`ClusterMachine::open_sharded_session_with`].
+    /// taken once none of the mapped arrays is in flight, waited off-lock:
+    /// a sessionless job's update has landed in host memory before the
+    /// scatter cuts it. Behavior is identical to
+    /// [`ClusterMachine::open_sharded_session_with`].
     pub fn open_phased(
         &self,
         maps: &[(&str, ftn_interp::RtValue, MapKind, ftn_shard::Partition)],
@@ -215,10 +216,8 @@ impl PoolGate {
         let ids: Vec<_> = (maps.iter())
             .filter_map(|(_, v, ..)| Some(v.as_memref().ok()?.buffer))
             .collect();
-        let placeable = |m: &ClusterMachine| !m.in_flight_apart(&ids);
-        self.phased(None, placeable, |m| {
-            m.open_begin(maps, shards, auto_rebalance)
-        })
+        let landed = |m: &ClusterMachine| ids.iter().all(|&id| m.in_flight_on(id).is_none());
+        self.phased(None, landed, |m| m.open_begin(maps, shards, auto_rebalance))
     }
 
     /// Close a session as a *phased* exchange: fenced and quiesced exactly

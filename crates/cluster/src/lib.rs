@@ -5,10 +5,10 @@
 //! * [`pool`] — [`DevicePool`]: N simulated FPGAs, each behind a persistent
 //!   worker thread owning its executor and device-local memory. Workers are
 //!   reused across launches; nothing is spawned per kernel launch.
-//! * [`scheduler`] — [`PlacementPolicy`]: the four-rung ladder — forced
-//!   colocation for in-flight buffers, data-affinity placement,
-//!   transfer-cost-aware stealing, and round-robin least-loaded fallback.
-//!   Pure and deterministic.
+//! * [`scheduler`] — [`PlacementPolicy`]: two rungs — forced colocation
+//!   with an argument array in flight, else round-robin least-loaded. An
+//!   array is in flight on one device or current on the host; nothing else
+//!   is tracked. Pure and deterministic.
 //! * [`cache`] — [`ArtifactCache`] (content-addressed compile cache with an
 //!   optional on-disk JSON layer) and [`ImageCache`] (shared parsed
 //!   bitstream images).
@@ -56,7 +56,7 @@ pub use machine::{
 };
 pub use pool::{CompletionSignal, DevicePool};
 pub use rollup::{RollupBy, RollupRow};
-pub use scheduler::{BufferInfo, Placement, PlacementPolicy, PlacementReason};
+pub use scheduler::{Placement, PlacementPolicy, PlacementReason};
 pub use session::{MapKind, SessionReport, SessionStats};
 pub use sharded::{
     AutoRebalance, HaloRefreshReport, RebalanceReport, ShardArg, ShardCount, ShardedLaunchReport,

@@ -1,15 +1,19 @@
 //! [`ClusterMachine`] — the pool-level mirror of [`ftn_core::Machine`]: same
 //! load/alloc/run surface, but host functions can be submitted asynchronously
-//! and are scheduled across N simulated FPGAs with data-affinity placement.
+//! and are scheduled across N simulated FPGAs.
 //!
-//! Execution model: the machine owns host memory and a residency ledger for
-//! the host arrays it stages (which devices hold the current version).
-//! `submit` places a job via [`PlacementPolicy`], stages only the buffers
-//! the chosen device does not already hold, and returns a [`LaunchHandle`].
-//! `wait` harvests outcomes, writes argument buffers back into host memory,
-//! and folds the device's [`RunStats`] into the pool totals. With one device
-//! and the same call sequence, results and statistics are bit-identical to
-//! `Machine`.
+//! Execution model: the machine owns host memory, and a host array is either
+//! in flight on one device or current on the host — the whole residency
+//! rule. An array is in flight while a pending job names it in its
+//! `arg_ids`. `submit` places a job via [`PlacementPolicy`] (it follows an
+//! argument in flight to its device, else goes least-loaded), stages every
+//! argument not in flight there from host memory, and returns a
+//! [`LaunchHandle`]. Applying an outcome writes the job's arguments back
+//! into host memory — in submission order, since every job over an array in
+//! flight is queued on the one device's FIFO and outcomes share one channel
+//! — and folds the device's [`RunStats`] into the pool totals. An open waits
+//! until none of its arrays is in flight. With one device and the same call
+//! sequence, results and statistics are bit-identical to `Machine`.
 //!
 //! A job's report has one owner: the cell its handle (the claim), the job
 //! and its pending entry share. Applying an outcome writes the report into
@@ -20,8 +24,8 @@
 //! [`ClusterMachine::submit`] runs a whole host program function; single
 //! kernels launch against resident buffers through a session (see
 //! [`crate::sharded`]), sent straight to their shard's device: a session's
-//! sub-buffers are device-owned from open to close and have no ledger
-//! entry. While a session maps an array no sessionless job may name it.
+//! sub-buffers are device-owned from open to close, and no host call names
+//! them. While a session maps an array no sessionless job may name it.
 //! Every job — a host call, or one of a fan-out's — is enqueued, then
 //! delivered as one `WorkerMessage::Job` by `send` the moment it is planned:
 //! the one path a job takes to its worker. Placement backlogs
@@ -29,7 +33,7 @@
 //! loop schedules ([`ftn_fpga::CostModel`]), falling back to the observed
 //! mean only for jobs the schedules cannot predict.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use ftn_core::{report_from_stats, Artifacts, CompileError, HostProgram, RunReport};
@@ -43,7 +47,7 @@ use crate::pool::{
     DevicePool, Job, JobCell, JobKind, JobOutcome, JobSpec, RowFetch, RowPatch, WorkerMessage,
 };
 use crate::rollup::{RollupBy, RollupRow, Rollups};
-use crate::scheduler::{BufferInfo, PlacementPolicy, PlacementReason};
+use crate::scheduler::{PlacementPolicy, PlacementReason};
 
 /// Ticket for one submitted job — the claim on its report; redeem with
 /// [`ClusterMachine::wait`]. Dropping it unwaited gives the report up: a
@@ -138,20 +142,18 @@ pub struct PoolStats {
     pub aggregate_speedup: f64,
     /// Per-device `busy / makespan` in [0, 1].
     pub occupancy: Vec<f64>,
-    /// Buffers served from device residency instead of re-staging.
+    /// Argument buffers a job found on its device instead of staging them:
+    /// a host call's arrays in flight there, a session launch's sub-buffers.
     pub affinity_hits: u64,
     /// Buffers uploaded to a device (host→device staging copies).
     pub staged_uploads: u64,
     /// Bytes those uploads moved.
     pub staged_bytes: u64,
-    /// Jobs moved off their affinity device because its backlog outweighed
-    /// the transfer cost.
-    pub steals: u64,
     /// Jobs pinned to a device because an argument buffer was in flight
     /// there.
     pub forced_colocations: u64,
-    /// Jobs dispatched to a device fixed by their shard assignment (sharded
-    /// sessions bypass placement: no affinity scoring, no stealing).
+    /// Jobs dispatched to a device fixed by their shard assignment (a
+    /// session's jobs bypass placement).
     pub shard_forced: u64,
     /// Migration epochs executed by sharded-session re-plans.
     pub replans: u64,
@@ -170,38 +172,6 @@ pub struct PoolStats {
     pub host_buffers: usize,
     /// Bytes held by live host buffers.
     pub host_bytes: u64,
-}
-
-/// Residency bookkeeping for one host array the pool stages: a sessionless
-/// run's argument, or an array a session maps (read when a one-shard session
-/// is placed, bumped when its close gathers into it). A session's shard
-/// sub-buffers and an exchange's move buffers are device-owned and have none.
-#[derive(Default)]
-pub(crate) struct BufState {
-    pub(crate) version: u64,
-    /// Version whose contents host memory currently holds (monotone guard:
-    /// an older job's late writeback must not clobber newer data).
-    pub(crate) written: u64,
-    /// device -> version of the copy it holds.
-    pub(crate) resident: HashMap<usize, u64>,
-    /// Device with in-flight writers, and how many.
-    pub(crate) in_flight: Option<(usize, u32)>,
-}
-
-impl BufState {
-    /// Whether `device` holds this buffer at its current version.
-    pub(crate) fn holds_current(&self, device: usize) -> bool {
-        self.resident.get(&device) == Some(&self.version)
-    }
-
-    /// A job on `device` writes this buffer: bump the version and leave that
-    /// device holding the only current copy. Returns the new version.
-    pub(crate) fn write_on(&mut self, device: usize) -> u64 {
-        self.version += 1;
-        self.resident.clear();
-        self.resident.insert(device, self.version);
-        self.version
-    }
 }
 
 /// Cached handles into the machine's [`MetricsRegistry`] — one atomic
@@ -233,7 +203,7 @@ impl PoolMetrics {
 
 /// Bookkeeping for a submitted-but-unprocessed job.
 pub(crate) struct PendingJob {
-    /// Host arrays whose in-flight marks the job holds until completion (a
+    /// Host arrays the job has in flight until its outcome is applied (a
     /// host call's arguments; none for a session's jobs).
     pub(crate) arg_ids: Vec<BufferId>,
     /// Schedule-derived simulated-seconds estimate charged to the device's
@@ -256,8 +226,9 @@ pub struct ClusterMachine {
     pub(crate) pool: DevicePool,
     /// Pool host memory: every host array and shard sub-buffer lives here.
     pub memory: Memory,
-    /// Residency of every host array (see [`BufState`]).
-    pub(crate) buffers: HashMap<BufferId, BufState>,
+    /// Every host array allocated on this machine (not a session's shard
+    /// sub-buffers or an exchange's move buffers).
+    pub(crate) buffers: HashSet<BufferId>,
     pub(crate) policy: PlacementPolicy,
     pub(crate) loads: Vec<u64>,
     pub(crate) est_backlog: Vec<f64>,
@@ -277,7 +248,6 @@ pub struct ClusterMachine {
     pub(crate) affinity_hits: u64,
     pub(crate) staged_uploads: u64,
     pub(crate) staged_bytes: u64,
-    pub(crate) steals: u64,
     pub(crate) forced_colocations: u64,
     pub(crate) shard_forced: u64,
     pub(crate) replans: u64,
@@ -331,7 +301,7 @@ impl ClusterMachine {
         Ok(ClusterMachine {
             pool,
             memory: Memory::new(),
-            buffers: HashMap::new(),
+            buffers: HashSet::new(),
             policy: PlacementPolicy::new(),
             loads: vec![0; n],
             est_backlog: vec![0.0; n],
@@ -348,7 +318,6 @@ impl ClusterMachine {
             affinity_hits: 0,
             staged_uploads: 0,
             staged_bytes: 0,
-            steals: 0,
             forced_colocations: 0,
             shard_forced: 0,
             replans: 0,
@@ -413,7 +382,7 @@ impl ClusterMachine {
     pub fn host_array(&mut self, contents: Buffer) -> RtValue {
         let shape = vec![contents.len() as i64];
         let buffer = self.memory.alloc(contents, 0);
-        self.buffers.insert(buffer, BufState::default());
+        self.buffers.insert(buffer);
         RtValue::MemRef(MemRefVal {
             buffer,
             shape,
@@ -432,10 +401,10 @@ impl ClusterMachine {
     }
 
     /// Submit host function `func` asynchronously (whole-program job).
-    /// Placement, staging and residency bookkeeping happen here; execution
-    /// overlaps with the caller until [`ClusterMachine::wait`]. An array an
-    /// open session maps is refused: its current contents are on the
-    /// session's sub-buffers, and the close would overwrite the result.
+    /// Placement and staging happen here; execution overlaps with the
+    /// caller until [`ClusterMachine::wait`]. An array an open session maps
+    /// is refused: its current contents are on the session's sub-buffers,
+    /// and the close would overwrite the result.
     pub fn submit(&mut self, func: &str, args: &[RtValue]) -> Result<LaunchHandle, CompileError> {
         let arg_ids = distinct_memref_buffers(args);
         let mapping = (self.sessions.iter())
@@ -448,27 +417,22 @@ impl ClusterMachine {
             ));
         }
         let device = self.place_for(&arg_ids)?;
-        // Make `device` hold every argument buffer at its current version —
-        // the one place the elide-or-upload decision is made. A copy the
-        // device already holds is an affinity hit; otherwise the host
-        // contents travel with the job, in argument order. Every argument
-        // buffer is then conservatively treated as written: the device copy
-        // becomes the only current one.
+        // The one place the elide-or-upload decision is made: an argument in
+        // flight on `device` is current in its mirror by the time the job
+        // runs (FIFO), so it is skipped; every other one is current on the
+        // host, and its contents travel with the job, in argument order.
         let mut uploads = Vec::new();
         let mut staged_bytes = 0u64;
-        let mut out_versions = Vec::with_capacity(arg_ids.len());
         for &id in &arg_ids {
-            let state = self.buffers.entry(id).or_default();
-            if state.holds_current(device) {
+            let in_flight = self.in_flight_on(id);
+            debug_assert!(in_flight.is_none_or(|d| d == device), "colocation");
+            if in_flight.is_some() {
                 self.affinity_hits += 1;
             } else {
                 let contents = self.memory.get(id).clone();
                 staged_bytes += contents.byte_len() as u64;
                 uploads.push((id, contents));
-                state.resident.insert(device, state.version);
             }
-            mark_in_flight(state, device);
-            out_versions.push((id, state.write_on(device)));
         }
         self.staged_uploads += uploads.len() as u64;
         self.staged_bytes += staged_bytes;
@@ -480,7 +444,6 @@ impl ClusterMachine {
         let spec = JobSpec {
             args: args.to_vec(),
             staged: uploads,
-            out_versions,
             ..JobSpec::new(kind)
         };
         let job = self.enqueue(device, arg_ids, spec, est);
@@ -553,46 +516,28 @@ impl ClusterMachine {
         (job, staged, bytes as u64)
     }
 
-    /// Whether jobs over `arg_ids` are in flight on more than one device. A
-    /// buffer may have in-flight writers on at most one device, so a job
-    /// over all of them cannot be placed until completions drain that.
-    pub(crate) fn in_flight_apart(&self, arg_ids: &[BufferId]) -> bool {
-        let mut devices = arg_ids
-            .iter()
-            .filter_map(|id| self.buffers.get(id)?.in_flight.map(|(d, _)| d));
-        devices
-            .next()
-            .is_some_and(|first| devices.any(|d| d != first))
+    /// The device a job over host array `id` is in flight on, if any. Every
+    /// job over an array in flight is placed on that one device.
+    pub(crate) fn in_flight_on(&self, id: BufferId) -> Option<usize> {
+        let over = self.pending.values().find(|p| p.arg_ids.contains(&id));
+        over.map(|p| p.device)
     }
 
     /// Drain in-flight conflicts and choose a device for a job over
-    /// `arg_ids`.
+    /// `arg_ids`: until at most one device has any of them in flight, the
+    /// job cannot follow them all.
     pub(crate) fn place_for(&mut self, arg_ids: &[BufferId]) -> Result<usize, CompileError> {
-        while self.in_flight_apart(arg_ids) {
+        let in_flight = loop {
+            let mut on = arg_ids.iter().filter_map(|&id| self.in_flight_on(id));
+            let first = on.next();
+            if !on.any(|d| Some(d) != first) {
+                break first;
+            }
             self.process_one_outcome()?;
-        }
-
-        let infos: Vec<BufferInfo> = arg_ids
-            .iter()
-            .map(|id| {
-                let state = self.buffers.entry(*id).or_default();
-                BufferInfo {
-                    bytes: self.memory.get(*id).byte_len(),
-                    resident: (state.resident.keys().copied())
-                        .filter(|&d| state.holds_current(d))
-                        .collect(),
-                    in_flight: state.in_flight.map(|(d, _)| d),
-                }
-            })
-            .collect();
-        let models: Vec<DeviceModel> = self.pool.models();
-        let placement = self
-            .policy
-            .place(&self.loads, &self.est_backlog, &models, &infos);
-        match placement.reason {
-            PlacementReason::Steal => self.steals += 1,
-            PlacementReason::ForcedColocation => self.forced_colocations += 1,
-            _ => {}
+        };
+        let placement = self.policy.place(&self.loads, in_flight);
+        if placement.reason == PlacementReason::ForcedColocation {
+            self.forced_colocations += 1;
         }
         Ok(placement.device)
     }
@@ -619,13 +564,13 @@ impl ClusterMachine {
             .as_memref()
             .map_err(|e| CompileError::new("cluster-free", e.to_string()))?;
         let id = m.buffer;
-        let Some(state) = self.buffers.get(&id) else {
+        if !self.buffers.contains(&id) {
             return Err(CompileError::new(
                 "cluster-free",
                 format!("buffer {id:?} is not allocated on this machine"),
             ));
-        };
-        if state.in_flight.is_some() {
+        }
+        if self.in_flight_on(id).is_some() {
             return Err(CompileError::new(
                 "cluster-free",
                 format!("buffer {id:?} has in-flight jobs; wait before freeing"),
@@ -690,8 +635,8 @@ impl ClusterMachine {
 
     /// Enter a fully-prepared job for `device` into the pending ledger and
     /// the device's backlog; [`ClusterMachine::send`] delivers it.
-    /// `arg_ids` are the distinct host arrays whose in-flight marks the job
-    /// holds until completion.
+    /// `arg_ids` are the distinct host arrays the job has in flight until
+    /// its outcome is applied.
     fn enqueue(
         &mut self,
         device: usize,
@@ -751,9 +696,9 @@ impl ClusterMachine {
     /// Deliver an enqueued job to `device`'s worker as one
     /// `WorkerMessage::Job` — the one send path every job takes — and hand
     /// out its claim. A worker that is gone fails the job on the spot: its
-    /// bookkeeping (pending ledger, in-flight marks, backlog) unwinds as if
-    /// it had run and errored, and its cell goes with the undelivered
-    /// message, for no claim goes out.
+    /// bookkeeping (pending ledger, backlog) unwinds as if it had run and
+    /// errored, and its cell goes with the undelivered message, for no
+    /// claim goes out.
     fn send(&mut self, device: usize, job: Job) -> Result<LaunchHandle, CompileError> {
         let (job_id, cell) = (job.job_id, Arc::clone(&job.cell));
         let msg = WorkerMessage::Job(Box::new(job));
@@ -869,41 +814,15 @@ impl ClusterMachine {
         let pending = self.pending.remove(&job_id);
         if let Some(p) = &pending {
             self.est_backlog[p.device] = (self.est_backlog[p.device] - p.est_sim_seconds).max(0.0);
-            for id in &p.arg_ids {
-                if let Some(state) = self.buffers.get_mut(id) {
-                    state.in_flight = match state.in_flight {
-                        Some((d, c)) if c > 1 => Some((d, c - 1)),
-                        _ => None,
-                    };
-                }
-            }
         }
         let stored = match result {
             Ok(mut success) => {
                 let mut writeback_bytes = 0u64;
-                for (host_id, contents, version) in std::mem::take(&mut success.writeback) {
+                // Outcomes arrive in submission order for any one array (see
+                // module docs), so each writeback is the newest contents.
+                for (host_id, contents) in std::mem::take(&mut success.writeback) {
                     writeback_bytes += contents.byte_len() as u64;
-                    // A fetch's rows land as they come: their buffer is
-                    // device-owned, and only the exchange reads it.
-                    let Some(version) = version else {
-                        *self.memory.get_mut(host_id) = contents;
-                        continue;
-                    };
-                    let Some(state) = self.buffers.get_mut(&host_id) else {
-                        continue;
-                    };
-                    // Monotone writeback: a job's contents land in host
-                    // memory only if nothing newer (a later job's writeback
-                    // or a session close's gather) got there first.
-                    if version > state.written {
-                        *self.memory.get_mut(host_id) = contents;
-                        state.written = version;
-                    }
-                    // Same for residency: a newer queued job already marked
-                    // this device with the version it will produce; an
-                    // older completion must not regress that entry.
-                    let entry = state.resident.entry(device).or_insert(version);
-                    *entry = (*entry).max(version);
+                    *self.memory.get_mut(host_id) = contents;
                 }
                 self.busy_sim[device] += success.sim_busy_seconds;
                 self.device_stats[device].merge(&success.stats);
@@ -978,7 +897,6 @@ impl ClusterMachine {
             affinity_hits: self.affinity_hits,
             staged_uploads: self.staged_uploads,
             staged_bytes: self.staged_bytes,
-            steals: self.steals,
             forced_colocations: self.forced_colocations,
             shard_forced: self.shard_forced,
             replans: self.replans,
@@ -989,17 +907,6 @@ impl ClusterMachine {
             host_bytes: self.memory.live_bytes(),
         }
     }
-}
-
-/// Mark `device` as having one more in-flight job over this buffer.
-fn mark_in_flight(state: &mut BufState, device: usize) {
-    state.in_flight = Some(match state.in_flight {
-        Some((d, c)) => {
-            debug_assert_eq!(d, device, "colocation invariant");
-            (device, c + 1)
-        }
-        None => (device, 1),
-    });
 }
 
 /// Distinct buffer ids among memref arguments, in first-appearance order.

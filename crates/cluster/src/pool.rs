@@ -77,8 +77,8 @@ pub(crate) fn kind_label(kind: &JobKind) -> &'static str {
 /// device mirror and write it back over the host buffer `dst`. A row
 /// exchange's gather fetches only the blocks that cross devices, each into
 /// a dedicated move buffer; a close fetch is the whole range with
-/// `dst == src`. Either way `dst` is device-owned, so the rows land
-/// unversioned.
+/// `dst == src`. Either way `dst` is device-owned: only the exchange reads
+/// the rows that land in it.
 pub(crate) struct RowFetch {
     /// Host id of the buffer whose mirror donates the elements.
     pub src: BufferId,
@@ -159,9 +159,6 @@ pub(crate) struct JobSpec {
     /// uploaded before the run, with those contents. Not charged: the
     /// program's own dma ops account for its transfers.
     pub staged: Vec<(BufferId, Buffer)>,
-    /// For `JobKind::HostCall`: writeback version of every argument buffer
-    /// (they are all conservatively treated as written).
-    pub out_versions: Vec<(BufferId, u64)>,
     /// For `JobKind::Fetch`: the element ranges to download.
     pub fetch_rows: Vec<RowFetch>,
     /// For `JobKind::RowPatch`: the mirror patches to apply.
@@ -174,7 +171,6 @@ impl JobSpec {
             kind,
             args: Vec::new(),
             staged: Vec::new(),
-            out_versions: Vec::new(),
             fetch_rows: Vec::new(),
             patches: Vec::new(),
         }
@@ -214,9 +210,9 @@ pub(crate) struct JobSuccess {
     pub stats: RunStats,
     pub results: Vec<RtValue>,
     /// Final contents of buffers to write back to host memory when the
-    /// outcome is processed: `(host id, contents, version)` — a host call's
-    /// arguments carry their version, a fetch's device-owned rows none.
-    pub writeback: Vec<(BufferId, Buffer, Option<u64>)>,
+    /// outcome is processed: a host call's arguments (all conservatively
+    /// treated as written), a fetch's rows.
+    pub writeback: Vec<(BufferId, Buffer)>,
     /// Simulated seconds this job occupied the device timeline (kernel wall
     /// time + PCIe transfers).
     pub sim_busy_seconds: f64,
@@ -682,7 +678,7 @@ impl Worker {
     ) -> Result<
         (
             Vec<RtValue>,
-            Vec<(BufferId, Buffer, Option<u64>)>,
+            Vec<(BufferId, Buffer)>,
             Vec<(BufferId, BufferId)>,
         ),
         String,
@@ -721,9 +717,7 @@ impl Worker {
         let mut writeback = Vec::with_capacity(arg_buffers.len());
         if matches!(job.kind, JobKind::HostCall { .. }) {
             for &(host, local) in &arg_buffers {
-                let version = job.out_versions.iter().find(|(h, _)| *h == host);
-                let version = version.map_or(0, |(_, v)| *v);
-                writeback.push((host, self.memory.get(local).clone(), Some(version)));
+                writeback.push((host, self.memory.get(local).clone()));
             }
         }
         // Only the requested element ranges travel back — a row exchange
@@ -734,7 +728,7 @@ impl Worker {
                 .map_err(|e| format!("device {}: row fetch: {e}", self.index))?;
             stats.transfer_seconds += self.model.transfer_seconds(contents.byte_len());
             stats.transfers += 1;
-            writeback.push((rf.dst, contents, None));
+            writeback.push((rf.dst, contents));
         }
         Ok((results, writeback, arg_buffers))
     }

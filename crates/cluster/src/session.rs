@@ -49,8 +49,8 @@ pub struct SessionStats {
     pub staged_uploads: u64,
     /// Bytes those uploads moved.
     pub staged_bytes: u64,
-    /// Host↔device transfers skipped because the buffer was already resident
-    /// at its current version.
+    /// Host↔device transfers skipped because the shard sub-buffer was
+    /// already resident on its device.
     pub elided_transfers: u64,
     /// Device→host downloads at close.
     pub fetched_downloads: u64,

@@ -9,8 +9,9 @@
 //! rows; replicated broadcast arrays; per-shard reduction copies), assigns
 //! each shard a device, and stages the shard sub-buffers there. A shard's
 //! sub-buffer is device-owned from open to close: its mirror is the current
-//! copy, its host slot a placeholder that only the close fetch fills, so the
-//! machine keeps no residency ledger for it.
+//! copy, its host slot a placeholder that only the close fetch fills. An
+//! open first waits until no sessionless job has any of its arrays in
+//! flight, so the scatter cuts current host contents.
 //!
 //! Every movement of a session's rows is a plan run by the one row exchange
 //! (`exchange.rs`): an open is a host → devices exchange (nothing gathered,
@@ -29,9 +30,9 @@
 //! Each [`ClusterMachine::sharded_launch`] fans one logical kernel launch
 //! out as per-shard kernel jobs with rebased trip counts
 //! ([`ShardArg::Extent`] resolves to the shard's local leading-dim extent).
-//! Shard jobs are *force-placed* on their shard's device: no affinity
-//! scoring, no stealing across shards — the data already lives there, and
-//! the per-shard trip counts price each device's backlog honestly through
+//! Shard jobs are *force-placed* on their shard's device, bypassing the
+//! placement policy — the data already lives there, and the per-shard trip
+//! counts price each device's backlog honestly through
 //! [`ftn_fpga::CostModel`] (per that device's own model). Every fan-out —
 //! launches and the phases of every exchange — sends each job as its own
 //! message the moment it is planned. Close fetches every
@@ -45,10 +46,10 @@
 //! reports. A claim dropped unwaited over a failed job leaves
 //! the failure in the session's sink, and the next close fails with it.
 //!
-//! With one shard the scatter and gather are exact copies, the shard is
-//! placed by the ordinary placement ladder, and the session is bit-identical
-//! — results and `RunStats` totals — to the equivalent `target data`
-//! program on [`ftn_core::Machine`].
+//! With one shard the scatter and gather are exact copies, the shard goes to
+//! the least-loaded device (round-robin on ties), and the session is
+//! bit-identical — results and `RunStats` totals — to the equivalent
+//! `target data` program on [`ftn_core::Machine`].
 
 use std::time::Instant;
 
@@ -388,7 +389,7 @@ impl ClusterMachine {
             let m = value
                 .as_memref()
                 .map_err(|e| CompileError::new("cluster-shard", format!("map '{name}': {e}")))?;
-            if !self.buffers.contains_key(&m.buffer) {
+            if !self.buffers.contains(&m.buffer) {
                 return Err(CompileError::new(
                     "cluster-shard",
                     format!("map '{name}': buffer not allocated on this machine"),
@@ -410,6 +411,12 @@ impl ClusterMachine {
                 _ => {}
             }
             resolved.push((name.to_string(), m.clone(), *kind, *partition));
+        }
+        // A sessionless job's update of a mapped array lands in host memory
+        // when its outcome is applied: the scatter must not cut before that.
+        let ids: Vec<BufferId> = resolved.iter().map(|(_, m, _, _)| m.buffer).collect();
+        while ids.iter().any(|&id| self.in_flight_on(id).is_some()) {
+            self.process_one_outcome()?;
         }
 
         // Effective shard count: request (or cost-model pick) clamped so no
@@ -461,9 +468,9 @@ impl ClusterMachine {
         span.arg("shards", shards);
 
         // Shard → device assignment and the matching split weights. A single
-        // shard has no split to weigh: it goes where the placement ladder
-        // puts any job over the mapped arrays (affinity, else least-loaded
-        // round-robin), so many one-device sessions spread across the pool.
+        // shard has no split to weigh: with nothing in flight over the mapped
+        // arrays it goes least-loaded round-robin, so many one-device
+        // sessions spread across the pool.
         // Otherwise devices are ordered fastest-first (predicted throughput
         // on a uniform share, ties by index) so shard 0 — the largest block
         // of the weighted plan — lands on the fastest card; a homogeneous
@@ -471,7 +478,6 @@ impl ClusterMachine {
         // shards than devices cycle through the order (a device's shards of
         // one launch run back-to-back on its FIFO worker).
         let (devices, weights): (Vec<usize>, Vec<f64>) = if shards == 1 {
-            let ids: Vec<BufferId> = resolved.iter().map(|(_, m, _, _)| m.buffer).collect();
             (vec![self.place_for(&ids)?], vec![1.0])
         } else {
             let share = elements.max(1).div_ceil(shards.min(pool) as u64);
@@ -809,19 +815,11 @@ impl ClusterMachine {
         let fetched = fetches.iter().map(|(_, rows)| rows.len() as u64).sum();
         let finish = move |m: &mut ClusterMachine, _: &mut ftn_trace::Span, _, ok: bool| {
             if ok {
-                for (name, global, kind, _) in &s.maps {
+                for (name, _, kind, _) in &s.maps {
                     if matches!(kind, MapKind::From | MapKind::ToFrom) {
                         s.env
                             .gather(&mut m.memory, name)
                             .expect("a fetched from/tofrom array gathers");
-                        // The gather rewrote host memory directly: bump the
-                        // global array's version so stale device copies of
-                        // it are not trusted.
-                        if let Some(state) = m.buffers.get_mut(global) {
-                            state.version += 1;
-                            state.written = state.version;
-                            state.resident.clear();
-                        }
                     }
                 }
                 m.drop_buffers(s.env.buffer_ids());

@@ -1,8 +1,8 @@
 //! Schedule→cost export: predicts a kernel invocation's cycle count from the
 //! bitstream's loop schedules (II, pipeline depth, unroll factors) and a trip
-//! count, without executing anything. The cluster scheduler uses these
-//! predictions to price per-device backlogs for its stealing decision instead
-//! of the mean observed job time it used before.
+//! count, without executing anything. The cluster prices per-device
+//! backlogs with these predictions (the re-planner reads them) instead of
+//! the mean observed job time it used before.
 //!
 //! The prediction is the executor's closed form ([`LoopInfo::cycles`]) with
 //! trip counts derived from the element count: an unrolled loop runs
