@@ -132,13 +132,14 @@ impl Compiler {
             .run(&mut ir, device_module, &registry)
             .map_err(|e| CompileError::new("device-pipeline", e.to_string()))?;
         reports.append(&mut dev_pm.reports);
-        let device_module_text = print_op(&ir, device_module);
 
-        // 5. Synthesis.
+        // 5. Synthesis. The bitstream embeds the device module as printed
+        // now, which is the artifact's device module too.
         let backend = VitisBackend::new(self.options.device.clone());
         let bitstream = backend
             .synthesize(&ir, device_module)
             .map_err(|e| CompileError::new("vitis-synthesis", e))?;
+        let device_module_text = bitstream.module_text.clone();
 
         // 6. Artifacts.
         let host_module_text = print_op(&ir, module);

@@ -7,7 +7,7 @@ use crate::intern::Istr;
 use crate::types::TypeId;
 
 /// Interned attribute handle.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Debug, Default)]
 pub struct AttrId(pub(crate) u32);
 
 /// Structural description of an attribute.

@@ -7,6 +7,8 @@
 //! * an arena-based IR: [`Ir`] owns all operations, blocks, regions and values;
 //!   entities are referenced by copyable ids ([`OpId`], [`BlockId`], [`RegionId`],
 //!   [`ValueId`]) so passes can mutate freely without fighting the borrow checker,
+//!   and an op's short lists (operands, results, attributes, regions,
+//!   successors, a value's uses) live inline in the arena ([`SmallList`]),
 //! * interned [`types`] and [`attrs`] (hash-consed, compared by id),
 //! * SSA use–def chains with `replace_all_uses_with`, op erasure and deep cloning,
 //! * a [`builder::Builder`] with MLIR-style insertion points,
@@ -26,6 +28,7 @@ pub mod parser;
 pub mod pass;
 pub mod printer;
 pub mod rewrite;
+pub mod small_list;
 pub mod table;
 pub mod types;
 pub mod verifier;
@@ -39,6 +42,7 @@ pub use parser::{parse_module, ParseError};
 pub use pass::{Pass, PassError, PassManager, PassReport};
 pub use printer::{print_op, print_type};
 pub use rewrite::{apply_patterns_greedily, RewritePattern};
+pub use small_list::SmallList;
 pub use table::ValueTable;
 pub use types::{TypeId, TypeKind};
 pub use verifier::{verify, VerifierRegistry, VerifyError};

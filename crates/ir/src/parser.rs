@@ -10,6 +10,7 @@ use std::collections::HashMap;
 
 use crate::attrs::{AttrId, AttrKind};
 use crate::ir::{BlockId, Ir, OpId, OpSpec, RegionId, ValueId};
+use crate::small_list::SmallList;
 use crate::types::{TypeId, TypeKind, DYN_DIM};
 
 /// Parse failure with 1-based line/column and message.
@@ -310,7 +311,7 @@ impl<'a> Parser<'a> {
             self.expect(b']')?;
         }
         // Regions: '(' followed by '{'.
-        let mut regions = Vec::new();
+        let mut regions = SmallList::new();
         self.skip_ws();
         if self.peek() == b'(' {
             self.pos += 1;
@@ -418,14 +419,13 @@ impl<'a> Parser<'a> {
             successors.push(self.get_or_create_block(region, l));
         }
 
-        let attr_refs: Vec<(&str, AttrId)> = attrs.iter().map(|(k, v)| (k.as_str(), *v)).collect();
         let spec = OpSpec {
             name: &op_name,
-            operands,
-            result_types,
-            attrs: attr_refs,
+            operands: &operands,
+            result_types: &result_types,
+            attrs: attrs.iter().map(|(k, v)| (k.as_str(), *v)).collect(),
             regions,
-            successors,
+            successors: &successors,
         };
         let op = self.ir.create_op(spec);
         for (i, name) in result_names.iter().enumerate() {

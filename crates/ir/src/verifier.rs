@@ -7,8 +7,8 @@
 //! 1. **index** — a pre-order walk from the root over every block's op list
 //!    records, per op and per value it defines, the *site* `(region, block,
 //!    position)`, and rejects a dead op still linked into a block;
-//! 2. **check** — each op, in the same order: its operands' use-list entries,
-//!    its registered rule (the registry is consulted once per distinct op
+//! 2. **check** — each op, in the same order: its operands' use-list entries
+//!    and that none is the result of an erased op, its registered rule (the registry is consulted once per distinct op
 //!    name), and for each operand a climb from the use to its ancestor in the
 //!    value's defining region, where dominance is one position comparison
 //!    (same block) or one bit of the region's dominator sets (computed only
@@ -21,7 +21,7 @@
 use std::collections::HashMap;
 
 use crate::intern::Istr;
-use crate::ir::{BlockId, Ir, OpId, RegionId, ValueId};
+use crate::ir::{BlockId, Def, Ir, OpId, RegionId, ValueId};
 
 /// A per-op verification rule: `fn(ir, op) -> Err(message)` on violation.
 pub type OpVerifier = fn(&Ir, OpId) -> Result<(), String>;
@@ -198,13 +198,15 @@ impl<'a> Verifier<'a> {
         for op in std::mem::take(&mut self.order) {
             let data = ir.op(op);
             for (i, &v) in data.operands.iter().enumerate() {
-                let recorded = ir
-                    .value(v)
-                    .uses
-                    .iter()
-                    .any(|u| u.op == op && u.index == i as u32);
+                let value = ir.value(v);
+                let recorded = value.uses.iter().any(|u| u.op == op && u.index == i as u32);
                 if !recorded {
                     return Err(self.error(op, format!("operand {i} missing from value use list")));
+                }
+                if let Def::OpResult { op: def, .. } = value.def {
+                    if !ir.op(def).alive {
+                        return Err(self.error(op, format!("operand {i} defined by an erased op")));
+                    }
                 }
             }
             if let Some(rule) = self.rule_for(data.name) {
@@ -469,6 +471,33 @@ mod tests {
         let err = verify(&ir, m, &VerifierRegistry::new()).unwrap_err();
         assert_eq!(err.op, Some(x));
         assert_eq!(err.message, "dead op still reachable");
+    }
+
+    #[test]
+    fn use_of_an_erased_op_is_rejected() {
+        // { %c = arith.constant; test.use(%c) }, then %c's op is erased
+        // under its use: the printer would emit `test.use(%0)` with no
+        // definition of `%0`.
+        let mut ir = Ir::new();
+        let region = ir.new_region();
+        let block = ir.new_block(region, &[]);
+        let i32t = ir.i32t();
+        let one = ir.attr_i32(1);
+        let c = ir.create_op(
+            OpSpec::new("arith.constant")
+                .results(&[i32t])
+                .attr("value", one),
+        );
+        ir.append_op(block, c);
+        let v = ir.result(c);
+        let u = ir.create_op(OpSpec::new("test.use").operands(&[v]));
+        ir.append_op(block, u);
+        let m = ir.create_op(OpSpec::new("builtin.module").region(region));
+        verify(&ir, m, &VerifierRegistry::new()).unwrap();
+        ir.erase_op(c);
+        let err = verify(&ir, m, &VerifierRegistry::new()).unwrap_err();
+        assert_eq!(err.op, Some(u));
+        assert_eq!(err.message, "operand 0 defined by an erased op");
     }
 
     #[test]

@@ -1,8 +1,14 @@
 //! Extended IR-framework test suite: printer/parser edge cases, verifier
-//! corner cases, and property-based round-trip checks over generated types
-//! and attributes.
+//! corner cases, property-based round-trip checks over generated types
+//! and attributes, and random edit sequences checked against a plain-`Vec`
+//! model of operands, use lists and attributes.
 
-use ftn_mlir::{parse_module, print_op, AttrKind, Ir, OpSpec, TypeKind, VerifierRegistry};
+use std::collections::HashMap;
+
+use ftn_mlir::{
+    parse_module, print_op, AttrId, AttrKind, BlockId, Ir, OpId, OpSpec, TypeKind, ValueId,
+    VerifierRegistry,
+};
 use proptest::prelude::*;
 
 // ---- parser/printer edge cases ------------------------------------------------
@@ -200,6 +206,212 @@ fn arb_memref() -> impl Strategy<Value = String> {
                 format!("memref<{shape}{elem}, {space}>")
             }
         })
+}
+
+// ---- inline op storage against a plain-`Vec` model ---------------------------------
+
+/// What an op should hold, kept in plain `Vec`s beside the IR.
+struct ModelOp {
+    id: OpId,
+    operands: Vec<ValueId>,
+    results: Vec<ValueId>,
+    attrs: Vec<(String, AttrId)>,
+}
+
+/// One flat block under a module: the model's ops in block order, which
+/// is also the order values become available in.
+struct Model {
+    ir: Ir,
+    module: OpId,
+    block: BlockId,
+    args: Vec<ValueId>,
+    ops: Vec<ModelOp>,
+}
+
+const KEYS: [&str; 5] = ["k0", "k1", "k2", "k3", "k4"];
+
+impl Model {
+    fn new() -> Self {
+        let mut ir = Ir::new();
+        let i32t = ir.i32t();
+        let region = ir.new_region();
+        let block = ir.new_block(region, &[i32t, i32t]);
+        let args = ir.block(block).args.clone();
+        let module = ir.create_op(OpSpec::new("builtin.module").region(region));
+        Model {
+            ir,
+            module,
+            block,
+            args,
+            ops: Vec::new(),
+        }
+    }
+
+    /// Values an op at model position `pos` may use (`ops.len()`: an op
+    /// about to be appended).
+    fn visible(&self, pos: usize) -> Vec<ValueId> {
+        let earlier = self.ops[..pos]
+            .iter()
+            .flat_map(|o| o.results.iter().copied());
+        self.args.iter().copied().chain(earlier).collect()
+    }
+
+    fn pick<T: Copy>(items: &[T], r: usize) -> T {
+        items[r % items.len()]
+    }
+
+    fn append(&mut self, op: OpId) {
+        self.ir.append_op(self.block, op);
+        let data = self.ir.op(op);
+        self.ops.push(ModelOp {
+            id: op,
+            operands: data.operands.to_vec(),
+            results: data.results.to_vec(),
+            attrs: data
+                .attrs
+                .iter()
+                .map(|&(k, v)| (self.ir.str(k).to_string(), v))
+                .collect(),
+        });
+    }
+
+    /// Apply step `(kind, a, b, n)`; the parameters are reduced modulo
+    /// whatever the step picks from.
+    fn step(&mut self, (kind, a, b, n): (u8, usize, usize, usize)) {
+        let i32t = self.ir.i32t();
+        if self.ops.is_empty() || kind == 0 {
+            // create_op: 0–8 operands, 0–4 results, 0–4 attributes.
+            let visible = self.visible(self.ops.len());
+            let operands: Vec<ValueId> = (0..n % 9)
+                .map(|i| Self::pick(&visible, a + 7 * i))
+                .collect();
+            let results = vec![i32t; a % 5];
+            let mut spec = OpSpec::new("test.op").operands(&operands).results(&results);
+            for i in 0..b % 5 {
+                let value = self.ir.attr_i32((a + i) as i64);
+                spec = spec.attr(KEYS[(n + i) % KEYS.len()], value);
+            }
+            let op = self.ir.create_op(spec);
+            return self.append(op);
+        }
+        let at = a % self.ops.len();
+        let op = self.ops[at].id;
+        match kind {
+            1 => {
+                let v = Self::pick(&self.visible(at), b);
+                self.ir.push_operand(op, v);
+                self.ops[at].operands.push(v);
+            }
+            2 if !self.ops[at].operands.is_empty() => {
+                let slot = n % self.ops[at].operands.len();
+                let v = Self::pick(&self.visible(at), b);
+                self.ir.set_operand(op, slot, v);
+                self.ops[at].operands[slot] = v;
+            }
+            3 if !self.ops[at].results.is_empty() => {
+                // Every use of `old` comes after `op`, so any value visible
+                // at `op` may replace it.
+                let old = Self::pick(&self.ops[at].results, n);
+                let new = Self::pick(&self.visible(at), b);
+                self.ir.replace_all_uses(old, new);
+                for o in &mut self.ops {
+                    for v in o.operands.iter_mut().filter(|v| **v == old) {
+                        *v = new;
+                    }
+                }
+            }
+            4 => {
+                let key = KEYS[n % KEYS.len()];
+                let value = self.ir.attr_i32(b as i64);
+                self.ir.set_attr(op, key, value);
+                let attrs = &mut self.ops[at].attrs;
+                match attrs.iter_mut().find(|(k, _)| k == key) {
+                    Some(slot) => slot.1 = value,
+                    None => attrs.push((key.to_string(), value)),
+                }
+            }
+            5 => {
+                let key = KEYS[n % KEYS.len()];
+                self.ir.remove_attr(op, key);
+                self.ops[at].attrs.retain(|(k, _)| k != key);
+            }
+            6 => {
+                let clone = self.ir.clone_op(op, &mut HashMap::new());
+                self.append(clone);
+            }
+            7 => {
+                // Erase the first op from `at` on whose results are unused.
+                let unused = |o: &ModelOp| o.results.iter().all(|&r| !self.ir.has_uses(r));
+                if let Some(pos) = (at..self.ops.len()).find(|&p| unused(&self.ops[p])) {
+                    let gone = self.ops.remove(pos);
+                    self.ir.erase_op(gone.id);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    /// The IR holds exactly what the model says, and verifies.
+    fn check(&self) -> Result<(), TestCaseError> {
+        let ir = &self.ir;
+        let live: Vec<OpId> = self.ops.iter().map(|o| o.id).collect();
+        prop_assert_eq!(&ir.block(self.block).ops, &live);
+        let mut expected_uses: HashMap<ValueId, Vec<(OpId, u32)>> = HashMap::new();
+        for o in &self.ops {
+            let data = ir.op(o.id);
+            prop_assert_eq!(data.operands.to_vec(), o.operands.clone());
+            prop_assert_eq!(data.results.to_vec(), o.results.clone());
+            let attrs: Vec<(String, AttrId)> = data
+                .attrs
+                .iter()
+                .map(|&(k, v)| (ir.str(k).to_string(), v))
+                .collect();
+            prop_assert_eq!(attrs, o.attrs.clone());
+            for (i, &v) in o.operands.iter().enumerate() {
+                expected_uses.entry(v).or_default().push((o.id, i as u32));
+            }
+        }
+        let values = self.visible(self.ops.len());
+        for v in values {
+            let mut uses: Vec<(OpId, u32)> =
+                ir.value(v).uses.iter().map(|u| (u.op, u.index)).collect();
+            let mut expected = expected_uses.remove(&v).unwrap_or_default();
+            uses.sort();
+            expected.sort();
+            prop_assert_eq!(uses, expected, "use list of {:?}", v);
+        }
+        prop_assert!(expected_uses.is_empty(), "uses of unknown values");
+        if let Err(e) = ftn_mlir::verify(ir, self.module, &VerifierRegistry::new()) {
+            prop_assert!(false, "{e}");
+        }
+        Ok(())
+    }
+}
+
+#[test]
+fn the_model_s_widest_op_spills_every_list() {
+    // 8 operands (all `%arg0`), 4 results, 4 attributes.
+    let mut model = Model::new();
+    model.step((0, 4, 4, 8));
+    model.check().unwrap();
+    let data = model.ir.op(model.ops[0].id);
+    assert!(data.operands.spilled() && data.results.spilled() && data.attrs.spilled());
+    assert!(model.ir.value(model.args[0]).uses.spilled());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn inline_lists_match_a_vec_model(
+        steps in proptest::collection::vec((0u8..8, 0usize..1000, 0usize..1000, 0usize..1000), 1..60)
+    ) {
+        let mut model = Model::new();
+        for &step in &steps {
+            model.step(step);
+            model.check()?;
+        }
+    }
 }
 
 proptest! {

@@ -274,7 +274,7 @@ fn mutate(ir: &mut Ir, root: OpId, kind: Mutation, rng: &mut Rng) -> bool {
             let (block, pos) = ir.op_position(user).unwrap();
             let later: Vec<ValueId> = ir.block(block).ops[pos + 1..]
                 .iter()
-                .flat_map(|&o| ir.op(o).results.clone())
+                .flat_map(|&o| ir.op(o).results.to_vec())
                 .collect();
             let Some(v) = rng.pick(&later) else {
                 return false;

@@ -6,7 +6,7 @@
 //! `scf.if` becomes a diamond with a merge block.
 
 use ftn_dialects::llvm as l;
-use ftn_dialects::{builtin, func, scf};
+use ftn_dialects::{arith, builtin, func, scf};
 use ftn_mlir::{BlockId, Builder, Ir, OpId, TypeId, TypeKind, ValueId, ValueTable};
 
 /// Conversion failure.
@@ -39,6 +39,38 @@ pub fn convert_to_llvm_dialect(ir: &mut Ir, module: OpId) -> Result<OpId, Conver
     }
     Ok(llvm_module)
 }
+
+/// Every op [`FuncConverter::convert_arith`] lowers. Dispatching on one of
+/// these `'static` names leaves the IR free to change under the match.
+const ARITH_OPS: [&str; 27] = [
+    arith::ADDI,
+    arith::SUBI,
+    arith::MULI,
+    arith::DIVSI,
+    arith::REMSI,
+    arith::ANDI,
+    arith::ORI,
+    arith::XORI,
+    arith::MAXSI,
+    arith::MINSI,
+    arith::ADDF,
+    arith::SUBF,
+    arith::MULF,
+    arith::DIVF,
+    arith::MAXIMUMF,
+    arith::MINIMUMF,
+    arith::NEGF,
+    arith::CMPI,
+    arith::CMPF,
+    arith::SELECT,
+    arith::INDEX_CAST,
+    arith::SITOFP,
+    arith::FPTOSI,
+    arith::EXTF,
+    arith::TRUNCF,
+    arith::EXTSI,
+    arith::TRUNCI,
+];
 
 fn lower_type(ir: &mut Ir, ty: TypeId) -> TypeId {
     match ir.type_kind(ty).clone() {
@@ -143,8 +175,7 @@ impl<'a> FuncConverter<'a> {
     }
 
     fn convert_op(&mut self, op: OpId, bb: BlockId) -> Result<BlockId, ConvertError> {
-        let name = self.ir.op_name(op).to_string();
-        match name.as_str() {
+        match self.ir.op_name(op) {
             "arith.constant" => {
                 let old_r = self.ir.result(op);
                 let ty = self.ir.value_ty(old_r);
@@ -167,7 +198,10 @@ impl<'a> FuncConverter<'a> {
                 self.map.insert(old_r, v);
                 Ok(bb)
             }
-            n if n.starts_with("arith.") => self.convert_arith(op, bb, n),
+            n if n.starts_with("arith.") => match ARITH_OPS.iter().find(|&&a| a == n) {
+                Some(name) => self.convert_arith(op, bb, name),
+                None => err(format!("unsupported arith op '{n}'")),
+            },
             "memref.alloca" | "memref.alloc" => {
                 // Device-local scratch (privatized scalars, reduction copies):
                 // static shape only.
@@ -246,8 +280,8 @@ impl<'a> FuncConverter<'a> {
                     let a = b.ir.attr_str(&bd);
                     b.ir.set_attr(call, "bundle", a);
                 }
-                for (o, n) in old_results.iter().zip(self.ir.op(call).results.clone()) {
-                    self.map.insert(*o, n);
+                for (o, n) in old_results.iter().zip(self.ir.op(call).results.iter()) {
+                    self.map.insert(*o, *n);
                 }
                 Ok(bb)
             }

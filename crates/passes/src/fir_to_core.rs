@@ -35,8 +35,7 @@ pub fn run(ir: &mut Ir, module: OpId) -> Result<(), String> {
         if !ir.op(op).alive {
             continue;
         }
-        let name = ir.op_name(op).to_string();
-        match name.as_str() {
+        match ir.op_name(op) {
             fir::ALLOCA => rename(ir, op, "memref.alloca"),
             fir::LOAD => rename(ir, op, "memref.load"),
             fir::STORE => rename(ir, op, "memref.store"),

@@ -37,7 +37,7 @@ pub fn run(ir: &mut Ir, module: OpId) -> Result<(), String> {
         if !ir.op(op).alive {
             continue;
         }
-        match ir.op_name(op).to_string().as_str() {
+        match ir.op_name(op) {
             hls::PIPELINE => {
                 replace_with_call(ir, op, HLS_PIPELINE_FN, &[0]);
             }

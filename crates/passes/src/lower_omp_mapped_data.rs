@@ -175,7 +175,7 @@ impl LowerOmpMappedDataPass {
 
     fn lower_target_data(&mut self, ir: &mut Ir, td: OpId) -> Result<(), String> {
         let entries = self.map_entries(ir, td);
-        let map_info_values: Vec<ValueId> = ir.op(td).operands.clone();
+        let map_info_values: Vec<ValueId> = ir.op(td).operands.to_vec();
         // Everything goes just before the construct, in order: the entries,
         // the inlined body (all but the omp.terminator), the exits.
         let mut b = Builder::before(ir, td);
@@ -203,7 +203,7 @@ impl LowerOmpMappedDataPass {
 
     fn lower_enter_exit(&mut self, ir: &mut Ir, op: OpId, is_enter: bool) -> Result<(), String> {
         let entries = self.map_entries(ir, op);
-        let map_info_values: Vec<ValueId> = ir.op(op).operands.clone();
+        let map_info_values: Vec<ValueId> = ir.op(op).operands.to_vec();
         let mut b = Builder::before(ir, op);
         for e in &entries {
             if is_enter {
@@ -223,7 +223,7 @@ impl LowerOmpMappedDataPass {
             None => return Err("target_update without motion".into()),
         };
         let entries = self.map_entries(ir, op);
-        let map_info_values: Vec<ValueId> = ir.op(op).operands.clone();
+        let map_info_values: Vec<ValueId> = ir.op(op).operands.to_vec();
         let mut b = Builder::before(ir, op);
         for e in &entries {
             let dev_ty = b.ir.memref_in_space(b.ir.value_ty(e.host_var), e.space);

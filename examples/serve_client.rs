@@ -426,9 +426,13 @@ fn main() {
         points, last
     );
 
-    // Drive the tight SLO to `firing`: cache-missing compiles each take
-    // multiple milliseconds, so they blow the 500 us p50 budget in both
-    // burn-rate windows within a few hundred milliseconds.
+    // Drive the tight SLO to `firing`: cache-missing compiles of 64 renamed
+    // SAXPY copies take several milliseconds each (one copy compiles in a
+    // tenth of one), so they blow the 500 us p50 budget in both burn-rate
+    // windows within a few hundred milliseconds.
+    let slow_source: String = (0..64)
+        .map(|copy| source.replace("saxpy", &format!("saxpy_{copy}")))
+        .collect();
     let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
     let mut variant = 0u32;
     let firing = loop {
@@ -440,7 +444,7 @@ fn main() {
             variant += 1;
             let slow = body(&obj(vec![(
                 "source",
-                Value::Str(format!("{source}\n! slo demo variant {variant}")),
+                Value::Str(format!("{slow_source}\n! slo demo variant {variant}")),
             )]));
             request(&mut conn, "POST", "/compile", &slow);
         }

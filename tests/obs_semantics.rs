@@ -1,7 +1,8 @@
 //! Observability semantics across the live serve stack:
 //!
-//! * An injected slow workload (cache-missing compiles, multiple
-//!   milliseconds each) drives an aggressive `ftn_http_request_seconds`
+//! * An injected slow workload (cache-missing compiles of a 64-subroutine
+//!   unit, at least 5 ms each even in release) drives an aggressive
+//!   `ftn_http_request_seconds`
 //!   SLO through `ok → pending → firing` on `GET /alerts`; the firing
 //!   alert carries an exemplar whose trace id resolves to real spans via
 //!   its `/trace?since=&until=` link; `/healthz` reports `degraded` with
@@ -42,6 +43,21 @@ subroutine saxpy(n, a, x, y)
   !$omp end target parallel do
 end subroutine saxpy
 "#;
+
+/// Renamed copies of [`SAXPY`] per slow request: one copy compiles in a
+/// tenth of a millisecond in release, under the SLO's 500 us budget.
+const SLOW_UNIT_COPIES: usize = 64;
+
+/// A unit that compiles slowly by construction; `variant` keeps each one
+/// out of the artifact cache.
+fn slow_unit(variant: u32) -> String {
+    let mut source = String::new();
+    for copy in 0..SLOW_UNIT_COPIES {
+        source.push_str(&SAXPY.replace("saxpy", &format!("saxpy_{copy}")));
+    }
+    source.push_str(&format!("\n! slo variant {variant}\n"));
+    source
+}
 
 /// Unmeetable under compile load: half the requests in any 2 s window must
 /// finish in under 500 us. API polls do; compiles do not.
@@ -117,7 +133,7 @@ fn slow_workload_fires_slo_with_resolvable_exemplar_then_resolves() {
             variant += 1;
             let body = serde_json::to_string(&ftn_serve::api::obj(vec![(
                 "source",
-                Value::Str(format!("{SAXPY}\n! slo variant {variant}")),
+                Value::Str(slow_unit(variant)),
             )]))
             .expect("serializes");
             let (status, resp) = conn.request("POST", "/compile", &body).expect("compile");
