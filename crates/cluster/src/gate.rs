@@ -9,8 +9,9 @@
 //!   claim's cell between polls instead of sleep-polling the machine lock,
 //!   so a waiter wakes within microseconds of its job's outcome and holds
 //!   the lock only to drain outcomes — never across a blocking receive.
-//!   Waits on the pool as a whole (a quiesce) park on the pool's
-//!   [`CompletionSignal`] sequence.
+//!   A wait for a condition — none of an open's arrays held by a job, a
+//!   session quiet before its close or epoch — is a wait for the jobs in
+//!   its way: it parks on one blocking job's cell at a time.
 //! * **Phased row exchanges.** Everything that moves a session's rows —
 //!   [`PoolGate::open_phased`], [`PoolGate::refresh_phased`],
 //!   [`PoolGate::rebalance_phased`], [`PoolGate::close_phased`] — runs
@@ -26,14 +27,13 @@
 //! nothing here blocks while holding the machine lock.
 
 use std::collections::HashSet;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use ftn_core::CompileError;
 
 use crate::exchange::ExchangePhase;
-use crate::machine::{ClusterMachine, ClusterRunReport, LaunchHandle};
-use crate::pool::CompletionSignal;
+use crate::machine::{ClusterMachine, ClusterRunReport, LaunchHandle, PendingJob};
 use crate::session::MapKind;
 use crate::sharded::{
     AutoRebalance, HaloRefreshReport, RebalanceReport, ShardCount, ShardedReport,
@@ -41,8 +41,9 @@ use crate::sharded::{
 
 /// Safety-valve park slice: a waiter re-polls at least this often even if a
 /// wakeup is lost (e.g. workers torn down mid-wait). Correctness never
-/// depends on it — the seen-sequence protocol makes wakeups lossless — it
-/// only bounds how long a shutdown race can park a thread.
+/// depends on it — a cell stays reported once marked, so a park after the
+/// mark returns at once — it only bounds how long a shutdown race can park
+/// a thread.
 const PARK_SLICE: Duration = Duration::from_millis(20);
 
 /// A [`ClusterMachine`] behind a short-critical-section lock, with
@@ -50,7 +51,6 @@ const PARK_SLICE: Duration = Duration::from_millis(20);
 /// migration epochs. One gate per serve-layer pool.
 pub struct PoolGate {
     machine: Mutex<ClusterMachine>,
-    signal: Arc<CompletionSignal>,
     /// Sessions currently inside a phased row exchange. Traffic for a
     /// fenced session parks on `fence_cv` ([`PoolGate::lock_session`]);
     /// everything else ignores the fence entirely.
@@ -65,21 +65,19 @@ fn relock<T>(r: Result<T, std::sync::PoisonError<T>>) -> T {
     r.unwrap_or_else(|e| e.into_inner())
 }
 
-/// Whether none of `session`'s launches is in flight — none may be before
-/// backlogs are read or rows change owners. An unknown session counts
-/// as quiet: the exchange's begin step reports it as the synchronous path
-/// would.
-fn quiet(session: u64) -> impl Fn(&ClusterMachine) -> bool {
-    move |m| m.sharded_pending_jobs(session).unwrap_or(0) == 0
+/// The jobs a close or an epoch of `session` waits for: its launches in
+/// flight — none may be before backlogs are read or rows change owners. An
+/// unknown session has none: the exchange's begin step reports it as the
+/// synchronous path would.
+fn launches_of(session: u64) -> impl Fn(&PendingJob) -> bool {
+    move |p| p.session == Some(session)
 }
 
 impl PoolGate {
-    /// Wrap `machine` (grabs its pool's completion signal).
+    /// Wrap `machine`.
     pub fn new(machine: ClusterMachine) -> Self {
-        let signal = Arc::clone(&machine.pool.signal);
         PoolGate {
             machine: Mutex::new(machine),
-            signal,
             fences: Mutex::new(HashSet::new()),
             fence_cv: Condvar::new(),
         }
@@ -184,8 +182,8 @@ impl PoolGate {
 
     /// Run one re-plan check as a *phased* migration epoch: quiesce →
     /// delta-gather → reshard → resume, releasing the machine lock while
-    /// epoch device traffic is in flight and parking on the completion
-    /// signal instead. Only `session` is fenced for the duration; launches
+    /// epoch device traffic is in flight and parking on the jobs' cells
+    /// instead. Only `session` is fenced for the duration; launches
     /// on every other session proceed mid-epoch. Behavior (decision,
     /// migration, statistics, error cleanup) is identical to
     /// [`ClusterMachine::rebalance_session_with`].
@@ -194,7 +192,7 @@ impl PoolGate {
         session: u64,
         threshold: Option<f64>,
     ) -> Result<RebalanceReport, CompileError> {
-        self.phased(Some(session), quiet(session), |m| {
+        self.phased(Some(session), launches_of(session), |m| {
             m.epoch_begin(session, threshold)
         })
     }
@@ -203,9 +201,10 @@ impl PoolGate {
     /// short lock, then stage every shard onto its device with the lock
     /// released. Nothing is fenced — nobody can address the session before
     /// the exchange's last step puts it into the table — and the lock is
-    /// taken once none of the mapped arrays is in flight, waited off-lock:
-    /// a sessionless job's update has landed in host memory before the
-    /// scatter cuts it. Behavior is identical to
+    /// taken once no job holds a mapped array, waited off-lock: a
+    /// sessionless job's update has landed in host memory before the
+    /// scatter cuts it. Behavior — including the refusal of an array
+    /// another open session maps — is identical to
     /// [`ClusterMachine::open_sharded_session_with`].
     pub fn open_phased(
         &self,
@@ -216,8 +215,10 @@ impl PoolGate {
         let ids: Vec<_> = (maps.iter())
             .filter_map(|(_, v, ..)| Some(v.as_memref().ok()?.buffer))
             .collect();
-        let landed = |m: &ClusterMachine| ids.iter().all(|&id| m.in_flight_on(id).is_none());
-        self.phased(None, landed, |m| m.open_begin(maps, shards, auto_rebalance))
+        let holders = |p: &PendingJob| p.holds(&ids);
+        self.phased(None, holders, |m| {
+            m.open_begin(maps, shards, auto_rebalance)
+        })
     }
 
     /// Close a session as a *phased* exchange: fenced and quiesced exactly
@@ -225,45 +226,49 @@ impl PoolGate {
     /// lock released, then gathered and freed under a short lock. Behavior
     /// is identical to [`ClusterMachine::close_sharded_session`].
     pub fn close_phased(&self, session: u64) -> Result<ShardedReport, CompileError> {
-        self.phased(Some(session), quiet(session), |m| m.close_begin(session))
+        self.phased(Some(session), launches_of(session), |m| {
+            m.close_begin(session)
+        })
     }
 
     /// Run one inter-launch halo refresh as *phased* exchange: gather →
     /// splice, releasing the machine lock while boundary-row traffic is in
-    /// flight and parking on the completion signal instead. Only `session`
+    /// flight and parking on the jobs' cells instead. Only `session`
     /// is fenced for the duration; launches on every other session proceed
     /// mid-exchange. No quiesce phase precedes the gather: worker queues
     /// are FIFO. Behavior (bytes moved, statistics, error cleanup) is
     /// identical to [`ClusterMachine::refresh_halos`].
     pub fn refresh_phased(&self, session: u64) -> Result<HaloRefreshReport, CompileError> {
-        self.phased(Some(session), |_| true, |m| m.halo_begin(session))
+        self.phased(Some(session), |_| false, |m| m.halo_begin(session))
     }
 
-    /// Lock the machine once `ready` holds of it, parking on the signal
-    /// between polls: the lock is only held to drain outcomes, and the
-    /// caller's next step runs under the guard `ready` was seen under.
-    fn lock_when(&self, ready: impl Fn(&ClusterMachine) -> bool) -> MutexGuard<'_, ClusterMachine> {
+    /// Lock the machine once no pending job `blocks` picks, parking on one
+    /// such job's cell between polls: the lock is only held to drain
+    /// outcomes, and the caller's next step runs under the guard the
+    /// condition was seen under. A job reported between the poll and the
+    /// park has already marked its cell, so the park returns at once.
+    fn lock_when(&self, blocks: impl Fn(&PendingJob) -> bool) -> MutexGuard<'_, ClusterMachine> {
         loop {
-            let seen = self.signal.seq();
             let mut m = self.lock();
             m.poll_outcomes();
-            if ready(&m) {
+            let Some(cell) = m.blocker(&blocks) else {
                 return m;
-            }
+            };
             drop(m);
-            self.signal.wait_past(seen, PARK_SLICE);
+            cell.park(PARK_SLICE);
         }
     }
 
     /// The one phased driver: fence `session` (an open has none yet), wait
-    /// off-lock until the machine is `ready` for `begin` (an epoch's and a
-    /// close's session is [`quiet`]), then run the row exchange `begin`
-    /// plans with the machine lock held only to submit each phase — the
-    /// phases' device traffic is waited off-lock on the claims' cells.
+    /// off-lock until no pending job `blocks` `begin` (an epoch's and a
+    /// close's session's launches, an open's arrays' holders), then run the
+    /// row exchange `begin` plans with the machine lock held only to submit
+    /// each phase — the phases' device traffic is waited off-lock on the
+    /// claims' cells.
     fn phased<R>(
         &self,
         session: Option<u64>,
-        ready: impl Fn(&ClusterMachine) -> bool,
+        blocks: impl Fn(&PendingJob) -> bool,
         begin: impl FnOnce(&mut ClusterMachine) -> Result<ExchangePhase<R>, CompileError>,
     ) -> Result<R, CompileError> {
         if let Some(s) = session {
@@ -271,7 +276,7 @@ impl PoolGate {
         }
         let result = (|| {
             // Decide, plan and submit the gather under a short lock.
-            let mut ex = match begin(&mut self.lock_when(ready))? {
+            let mut ex = match begin(&mut self.lock_when(blocks))? {
                 ExchangePhase::Done(report) => return Ok(report),
                 ExchangePhase::Run(ex) => ex,
             };
@@ -295,6 +300,7 @@ impl PoolGate {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
     use std::time::Instant;
 
     /// The claim's cell [`PoolGate::wait_done`] parks on must wake on
@@ -365,13 +371,12 @@ mod tests {
         caller.join().expect("caller thread");
     }
 
-    /// An outcome that lands *between* a waiter's drain (or sequence read)
-    /// and its park must not be lost: the park returns immediately instead
-    /// of blocking out its timeout.
+    /// An outcome that lands *between* a waiter's drain and its park must
+    /// not be lost: the worker marks the cell reported before the waiter
+    /// ever parks, and the park returns immediately instead of blocking out
+    /// its timeout.
     #[test]
     fn notification_before_park_is_not_lost() {
-        // Targeted tier: the worker marks the claim's cell reported before
-        // the waiter ever parks.
         let cell = crate::tests::pool(1).pool.cell(None);
         cell.mark_reported();
         let t = Instant::now();
@@ -379,18 +384,6 @@ mod tests {
         assert!(
             t.elapsed() < Duration::from_millis(500),
             "an already-reported cell must return without parking"
-        );
-        // Broadcast tier (migration-epoch quiesce): the sequence advanced
-        // past what the waiter saw, so the park is a no-op.
-        let signal = CompletionSignal::default();
-        let seen = signal.seq();
-        signal.notify();
-        let t = Instant::now();
-        let woke = signal.wait_past(seen, Duration::from_secs(5));
-        assert!(woke > seen);
-        assert!(
-            t.elapsed() < Duration::from_millis(500),
-            "an already-advanced sequence must return without parking"
         );
     }
 }

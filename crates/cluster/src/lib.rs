@@ -5,18 +5,16 @@
 //! * [`pool`] — [`DevicePool`]: N simulated FPGAs, each behind a persistent
 //!   worker thread owning its executor and device-local memory. Workers are
 //!   reused across launches; nothing is spawned per kernel launch.
-//! * [`scheduler`] — [`PlacementPolicy`]: two rungs — forced colocation
-//!   with an argument array in flight, else round-robin least-loaded. An
-//!   array is in flight on one device or current on the host; nothing else
-//!   is tracked. Pure and deterministic.
 //! * [`cache`] — [`ArtifactCache`] (content-addressed compile cache with an
 //!   optional on-disk JSON layer) and [`ImageCache`] (shared parsed
 //!   bitstream images).
 //! * [`machine`] — [`ClusterMachine`]: the pool-level mirror of
 //!   [`ftn_core::Machine`] with `submit`/`wait` asynchrony, per-device
 //!   [`ftn_host::RunStats`] aggregation, and pool occupancy metrics. A
-//!   sessionless job is a whole host-program call; kernel-level launches
-//!   against resident buffers go through a session.
+//!   sessionless job is a whole host-program call placed least-loaded,
+//!   round-robin on ties; kernel-level launches against resident buffers go
+//!   through a session. A job holds the host arrays it names until its
+//!   outcome lands, and whoever needs one of them waits for that job.
 //! * [`session`] — the single-device front-ends (`open_session` …
 //!   `close_session`): whole-array spellings of the one-shard case of
 //!   [`sharded`], plus the shared `MapKind` / `SessionStats` vocabulary.
@@ -44,7 +42,6 @@ pub mod machine;
 pub mod pool;
 mod rebalance;
 pub mod rollup;
-pub mod scheduler;
 pub mod session;
 pub mod sharded;
 
@@ -54,9 +51,8 @@ pub use gate::PoolGate;
 pub use machine::{
     ClusterMachine, ClusterRunReport, DevicePoolStats, KernelTicket, LaunchHandle, PoolStats,
 };
-pub use pool::{CompletionSignal, DevicePool};
+pub use pool::DevicePool;
 pub use rollup::{RollupBy, RollupRow};
-pub use scheduler::{Placement, PlacementPolicy, PlacementReason};
 pub use session::{MapKind, SessionReport, SessionStats};
 pub use sharded::{
     AutoRebalance, HaloRefreshReport, RebalanceReport, ShardArg, ShardCount, ShardedLaunchReport,

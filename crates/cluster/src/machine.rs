@@ -2,18 +2,18 @@
 //! load/alloc/run surface, but host functions can be submitted asynchronously
 //! and are scheduled across N simulated FPGAs.
 //!
-//! Execution model: the machine owns host memory, and a host array is either
-//! in flight on one device or current on the host — the whole residency
-//! rule. An array is in flight while a pending job names it in its
-//! `arg_ids`. `submit` places a job via [`PlacementPolicy`] (it follows an
-//! argument in flight to its device, else goes least-loaded), stages every
-//! argument not in flight there from host memory, and returns a
-//! [`LaunchHandle`]. Applying an outcome writes the job's arguments back
-//! into host memory — in submission order, since every job over an array in
-//! flight is queued on the one device's FIFO and outcomes share one channel
-//! — and folds the device's [`RunStats`] into the pool totals. An open waits
-//! until none of its arrays is in flight. With one device and the same call
-//! sequence, results and statistics are bit-identical to `Machine`.
+//! Execution model: the machine owns host memory, and one rule orders every
+//! access to a host array — **a job holds the host arrays it names until its
+//! outcome lands; anyone else who needs one of them waits for that job.**
+//! `submit`, an open and `free_host` each land the pending jobs that hold
+//! their arrays first (`claim_arrays`); `PoolGate` waits for them off-lock,
+//! parked on the blocking job's own cell. An array an open session maps is
+//! refused to everyone else. `submit` then places the job least-loaded
+//! (round-robin on ties), ships every argument's current host contents with
+//! it, and returns a [`LaunchHandle`]. Applying an outcome writes the job's
+//! arguments back into host memory and folds the device's [`RunStats`] into
+//! the pool totals. With one device and the same call sequence, results and
+//! statistics are bit-identical to `Machine`.
 //!
 //! A job's report has one owner: the cell its handle (the claim), the job
 //! and its pending entry share. Applying an outcome writes the report into
@@ -25,13 +25,13 @@
 //! kernels launch against resident buffers through a session (see
 //! [`crate::sharded`]), sent straight to their shard's device: a session's
 //! sub-buffers are device-owned from open to close, and no host call names
-//! them. While a session maps an array no sessionless job may name it.
-//! Every job — a host call, or one of a fan-out's — is enqueued, then
+//! them. Every job — a host call, or one of a fan-out's — is enqueued, then
 //! delivered as one `WorkerMessage::Job` by `send` the moment it is planned:
-//! the one path a job takes to its worker. Placement backlogs
-//! are priced by the per-kernel cost model derived from the bitstream's
-//! loop schedules ([`ftn_fpga::CostModel`]), falling back to the observed
-//! mean only for jobs the schedules cannot predict.
+//! the one path a job takes to its worker. Each job's simulated seconds are
+//! priced into its device's backlog by the per-kernel cost model derived
+//! from the bitstream's loop schedules ([`ftn_fpga::CostModel`]), falling
+//! back to the observed mean only for jobs the schedules cannot predict;
+//! the re-planner and `/stats` read that backlog, placement does not.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -47,7 +47,6 @@ use crate::pool::{
     DevicePool, Job, JobCell, JobKind, JobOutcome, JobSpec, RowFetch, RowPatch, WorkerMessage,
 };
 use crate::rollup::{RollupBy, RollupRow, Rollups};
-use crate::scheduler::{PlacementPolicy, PlacementReason};
 
 /// Ticket for one submitted job — the claim on its report; redeem with
 /// [`ClusterMachine::wait`]. Dropping it unwaited gives the report up: a
@@ -142,16 +141,10 @@ pub struct PoolStats {
     pub aggregate_speedup: f64,
     /// Per-device `busy / makespan` in [0, 1].
     pub occupancy: Vec<f64>,
-    /// Argument buffers a job found on its device instead of staging them:
-    /// a host call's arrays in flight there, a session launch's sub-buffers.
-    pub affinity_hits: u64,
     /// Buffers uploaded to a device (host→device staging copies).
     pub staged_uploads: u64,
     /// Bytes those uploads moved.
     pub staged_bytes: u64,
-    /// Jobs pinned to a device because an argument buffer was in flight
-    /// there.
-    pub forced_colocations: u64,
     /// Jobs dispatched to a device fixed by their shard assignment (a
     /// session's jobs bypass placement).
     pub shard_forced: u64,
@@ -163,9 +156,9 @@ pub struct PoolStats {
     /// Wall seconds spent inside migration epochs (quiesce + delta gather +
     /// restage).
     pub epoch_seconds: f64,
-    /// Per-device outstanding simulated work (the cost-priced backlog
-    /// ledger the scheduler and the re-planner read), at the moment the
-    /// stats were taken.
+    /// Per-device outstanding simulated work (the cost-priced backlog the
+    /// re-planner reads; placement does not), at the moment the stats were
+    /// taken.
     pub est_backlog: Vec<f64>,
     /// Live host buffers in pool memory (requests/sessions must free what
     /// they allocate; flat under sustained traffic).
@@ -203,8 +196,8 @@ impl PoolMetrics {
 
 /// Bookkeeping for a submitted-but-unprocessed job.
 pub(crate) struct PendingJob {
-    /// Host arrays the job has in flight until its outcome is applied (a
-    /// host call's arguments; none for a session's jobs).
+    /// Host arrays the job holds until its outcome is applied (a host
+    /// call's arguments; none for a session's jobs).
     pub(crate) arg_ids: Vec<BufferId>,
     /// Schedule-derived simulated-seconds estimate charged to the device's
     /// backlog at submission (removed on completion).
@@ -221,6 +214,13 @@ pub(crate) struct PendingJob {
     pub(crate) cell: Arc<JobCell>,
 }
 
+impl PendingJob {
+    /// Whether the job holds one of the host arrays `ids`.
+    pub(crate) fn holds(&self, ids: &[BufferId]) -> bool {
+        self.arg_ids.iter().any(|id| ids.contains(id))
+    }
+}
+
 /// See module docs.
 pub struct ClusterMachine {
     pub(crate) pool: DevicePool,
@@ -229,7 +229,11 @@ pub struct ClusterMachine {
     /// Every host array allocated on this machine (not a session's shard
     /// sub-buffers or an exchange's move buffers).
     pub(crate) buffers: HashSet<BufferId>,
-    pub(crate) policy: PlacementPolicy,
+    /// Round-robin cursor: where the next least-loaded tie-break starts.
+    pub(crate) rr: usize,
+    /// Running mean of completed jobs' simulated seconds — the backlog
+    /// price of a job the cost model cannot predict.
+    pub(crate) mean_job_sim_seconds: f64,
     pub(crate) loads: Vec<u64>,
     pub(crate) est_backlog: Vec<f64>,
     pub(crate) busy_sim: Vec<f64>,
@@ -245,10 +249,8 @@ pub struct ClusterMachine {
     /// The one session table: every open session, whatever its shard count.
     pub(crate) sessions: HashMap<u64, crate::sharded::ShardedSession>,
     pub(crate) next_session: u64,
-    pub(crate) affinity_hits: u64,
     pub(crate) staged_uploads: u64,
     pub(crate) staged_bytes: u64,
-    pub(crate) forced_colocations: u64,
     pub(crate) shard_forced: u64,
     pub(crate) replans: u64,
     pub(crate) rows_migrated: u64,
@@ -302,7 +304,8 @@ impl ClusterMachine {
             pool,
             memory: Memory::new(),
             buffers: HashSet::new(),
-            policy: PlacementPolicy::new(),
+            rr: 0,
+            mean_job_sim_seconds: 0.0,
             loads: vec![0; n],
             est_backlog: vec![0.0; n],
             busy_sim: vec![0.0; n],
@@ -315,10 +318,8 @@ impl ClusterMachine {
             next_job: 1,
             sessions: HashMap::new(),
             next_session: 1,
-            affinity_hits: 0,
             staged_uploads: 0,
             staged_bytes: 0,
-            forced_colocations: 0,
             shard_forced: 0,
             replans: 0,
             rows_migrated: 0,
@@ -402,39 +403,22 @@ impl ClusterMachine {
 
     /// Submit host function `func` asynchronously (whole-program job).
     /// Placement and staging happen here; execution overlaps with the
-    /// caller until [`ClusterMachine::wait`]. An array an open session maps
-    /// is refused: its current contents are on the session's sub-buffers,
-    /// and the close would overwrite the result.
+    /// caller until [`ClusterMachine::wait`]. A job still holding one of the
+    /// arguments lands first, so the job stages its update; an array an open
+    /// session maps is refused: its current contents are on the session's
+    /// sub-buffers, and the close would overwrite the result.
     pub fn submit(&mut self, func: &str, args: &[RtValue]) -> Result<LaunchHandle, CompileError> {
         let arg_ids = distinct_memref_buffers(args);
-        let mapping = (self.sessions.iter())
-            .filter(|(_, s)| arg_ids.iter().any(|&id| s.uses_buffer(id)))
-            .map(|(&sid, _)| sid);
-        if let Some(sid) = mapping.min() {
-            return Err(CompileError::new(
-                "cluster-session",
-                format!("array is mapped by open session {sid}; close it or launch through it"),
-            ));
-        }
-        let device = self.place_for(&arg_ids)?;
-        // The one place the elide-or-upload decision is made: an argument in
-        // flight on `device` is current in its mirror by the time the job
-        // runs (FIFO), so it is skipped; every other one is current on the
-        // host, and its contents travel with the job, in argument order.
-        let mut uploads = Vec::new();
-        let mut staged_bytes = 0u64;
-        for &id in &arg_ids {
-            let in_flight = self.in_flight_on(id);
-            debug_assert!(in_flight.is_none_or(|d| d == device), "colocation");
-            if in_flight.is_some() {
-                self.affinity_hits += 1;
-            } else {
-                let contents = self.memory.get(id).clone();
-                staged_bytes += contents.byte_len() as u64;
-                uploads.push((id, contents));
-            }
-        }
-        self.staged_uploads += uploads.len() as u64;
+        self.claim_arrays(&arg_ids)?;
+        let device = self.least_loaded();
+        // Every argument is current on the host: its contents travel with
+        // the job, in argument order, and the job holds it until its outcome
+        // writes it back.
+        let staged: Vec<(BufferId, Buffer)> = (arg_ids.iter())
+            .map(|&id| (id, self.memory.get(id).clone()))
+            .collect();
+        let staged_bytes = staged.iter().map(|(_, c)| c.byte_len() as u64).sum();
+        self.staged_uploads += staged.len() as u64;
         self.staged_bytes += staged_bytes;
 
         let est = self.estimate_compute_seconds(None, &arg_ids, staged_bytes, device);
@@ -443,7 +427,7 @@ impl ClusterMachine {
         };
         let spec = JobSpec {
             args: args.to_vec(),
-            staged: uploads,
+            staged,
             ..JobSpec::new(kind)
         };
         let job = self.enqueue(device, arg_ids, spec, est);
@@ -465,7 +449,6 @@ impl ClusterMachine {
         self.shard_forced += 1;
         let arg_ids = distinct_memref_buffers(args);
         let elided = arg_ids.len() as u64;
-        self.affinity_hits += elided;
         let est = self.estimate_compute_seconds(Some(kernel), &arg_ids, 0, device);
         let kind = JobKind::Kernel {
             kernel: kernel.to_string(),
@@ -516,30 +499,50 @@ impl ClusterMachine {
         (job, staged, bytes as u64)
     }
 
-    /// The device a job over host array `id` is in flight on, if any. Every
-    /// job over an array in flight is placed on that one device.
-    pub(crate) fn in_flight_on(&self, id: BufferId) -> Option<usize> {
-        let over = self.pending.values().find(|p| p.arg_ids.contains(&id));
-        over.map(|p| p.device)
+    /// Make the host arrays `ids` the caller's — a job's, an open's or a
+    /// free's: refuse an array an open session maps (its current contents
+    /// are on the session's sub-buffers, and the close would overwrite
+    /// whatever the caller did), then land every pending job that holds one
+    /// of them, so host memory has their updates.
+    pub(crate) fn claim_arrays(&mut self, ids: &[BufferId]) -> Result<(), CompileError> {
+        let mapping = (self.sessions.iter())
+            .filter(|(_, s)| ids.iter().any(|&id| s.uses_buffer(id)))
+            .map(|(&sid, _)| sid);
+        if let Some(sid) = mapping.min() {
+            return Err(CompileError::new(
+                "cluster-session",
+                format!("array is mapped by open session {sid}; close it or launch through it"),
+            ));
+        }
+        self.land(|p| p.holds(ids))
     }
 
-    /// Drain in-flight conflicts and choose a device for a job over
-    /// `arg_ids`: until at most one device has any of them in flight, the
-    /// job cannot follow them all.
-    pub(crate) fn place_for(&mut self, arg_ids: &[BufferId]) -> Result<usize, CompileError> {
-        let in_flight = loop {
-            let mut on = arg_ids.iter().filter_map(|&id| self.in_flight_on(id));
-            let first = on.next();
-            if !on.any(|d| Some(d) != first) {
-                break first;
-            }
+    /// The cell of a pending job `blocks` picks — the job to wait for — or
+    /// `None` once no pending job is picked.
+    pub(crate) fn blocker(&self, blocks: impl Fn(&PendingJob) -> bool) -> Option<Arc<JobCell>> {
+        let job = self.pending.values().find(|p| blocks(p));
+        job.map(|p| Arc::clone(&p.cell))
+    }
+
+    /// Apply outcomes (blocking) until no pending job `blocks` picks.
+    fn land(&mut self, blocks: impl Fn(&PendingJob) -> bool) -> Result<(), CompileError> {
+        while self.pending.values().any(&blocks) {
             self.process_one_outcome()?;
-        };
-        let placement = self.policy.place(&self.loads, in_flight);
-        if placement.reason == PlacementReason::ForcedColocation {
-            self.forced_colocations += 1;
         }
-        Ok(placement.device)
+        Ok(())
+    }
+
+    /// Least-loaded placement: the shallowest queue, ties broken
+    /// round-robin so bursts spread across the pool.
+    pub(crate) fn least_loaded(&mut self) -> usize {
+        let n = self.loads.len();
+        let min_load = *self.loads.iter().min().expect("non-empty");
+        let device = (0..n)
+            .map(|i| (self.rr + i) % n)
+            .find(|&d| self.loads[d] == min_load)
+            .expect("some device has the min load");
+        self.rr = (device + 1) % n;
+        device
     }
 
     /// Model a co-tenant occupying `device`: adds `sim_seconds` of foreign
@@ -555,10 +558,11 @@ impl ClusterMachine {
         }
     }
 
-    /// Free a host array: release its pool-memory slot and evict every
-    /// worker's mirror copy, so sustained allocate-run-free traffic keeps
-    /// both host and device arenas flat. The buffer must be quiescent — no
-    /// in-flight job and not mapped by an open session.
+    /// Free a host array: land any job still holding it, then release its
+    /// pool-memory slot. No device keeps a copy of a host array (a host
+    /// call's are freed with its job), so sustained allocate-run-free
+    /// traffic keeps both host and device arenas flat. Refused while an
+    /// open session maps the array.
     pub fn free_host(&mut self, v: &RtValue) -> Result<(), CompileError> {
         let m = v
             .as_memref()
@@ -570,39 +574,23 @@ impl ClusterMachine {
                 format!("buffer {id:?} is not allocated on this machine"),
             ));
         }
-        if self.in_flight_on(id).is_some() {
-            return Err(CompileError::new(
-                "cluster-free",
-                format!("buffer {id:?} has in-flight jobs; wait before freeing"),
-            ));
-        }
-        if self.sessions.values().any(|s| s.uses_buffer(id)) {
-            return Err(CompileError::new(
-                "cluster-free",
-                format!("buffer {id:?} is mapped by an open session; close it first"),
-            ));
-        }
+        self.claim_arrays(&[id])?;
         self.buffers.remove(&id);
-        self.drop_buffers(vec![id]);
+        self.memory.free(id);
         Ok(())
     }
 
-    /// Tell every worker to drop its mirror of these host buffers. Queue
-    /// order (FIFO per worker) guarantees the eviction happens after any
-    /// already-queued job that still reads the mirror.
-    fn evict_mirrors(&self, ids: Vec<BufferId>) {
-        for slot in &self.pool.slots {
-            let _ = slot.sender.send(WorkerMessage::Evict(ids.clone()));
-        }
-    }
-
-    /// Release host buffers: free their pool-memory slots and evict every
-    /// worker's mirror of them.
+    /// Release session sub-buffers: free their pool-memory slots and tell
+    /// every worker to drop its mirror of them. Queue order (FIFO per
+    /// worker) guarantees the eviction happens after any already-queued job
+    /// that still reads the mirror.
     pub(crate) fn drop_buffers(&mut self, ids: Vec<BufferId>) {
         for id in &ids {
             self.memory.free(*id);
         }
-        self.evict_mirrors(ids);
+        for slot in &self.pool.slots {
+            let _ = slot.sender.send(WorkerMessage::Evict(ids.clone()));
+        }
     }
 
     /// Price a compute job for the backlog ledger: the schedule-derived
@@ -629,7 +617,7 @@ impl ClusterMachine {
             }
             None => self.cost_model.estimate_any_seconds(model, elements),
         };
-        kernel_est.unwrap_or_else(|| self.policy.mean_job_sim_seconds())
+        kernel_est.unwrap_or(self.mean_job_sim_seconds)
             + model.transfer_seconds(staged_bytes as usize)
     }
 
@@ -776,23 +764,11 @@ impl ClusterMachine {
         }
     }
 
-    /// How many of session `session`'s launches are in flight (queued or
-    /// running on a worker); `None` when no such session is open. Read it
-    /// after [`ClusterMachine::poll_outcomes`].
-    pub(crate) fn sharded_pending_jobs(&self, session: u64) -> Option<usize> {
-        let launches = self.pending.values().filter(|p| p.session == Some(session));
-        let open = self.sessions.contains_key(&session);
-        open.then(|| launches.count())
-    }
-
     /// Block until none of session `session`'s launches is in flight: each
     /// outcome applied, its report in its claim's cell (no wait at all after
     /// `PoolGate`'s off-lock quiesce).
     pub(crate) fn quiesce(&mut self, session: u64) -> Result<(), CompileError> {
-        while self.sharded_pending_jobs(session).unwrap_or(0) > 0 {
-            self.process_one_outcome()?;
-        }
-        Ok(())
+        self.land(|p| p.session == Some(session))
     }
 
     /// Receive one worker outcome (blocking) and apply its bookkeeping.
@@ -828,7 +804,10 @@ impl ClusterMachine {
                 self.device_stats[device].merge(&success.stats);
                 self.device_jobs[device] += 1;
                 self.arena_buffers[device] = success.arena_buffers;
-                self.policy.observe_job(success.sim_busy_seconds);
+                // Every completed job counts once in `device_jobs`.
+                let observed = self.device_jobs.iter().sum::<u64>() as f64;
+                self.mean_job_sim_seconds +=
+                    (success.sim_busy_seconds - self.mean_job_sim_seconds) / observed;
                 self.metrics.jobs.inc();
                 self.metrics.queue_wait.observe_with_exemplar(
                     success.queue_wait_seconds,
@@ -894,10 +873,8 @@ impl ClusterMachine {
             } else {
                 1.0
             },
-            affinity_hits: self.affinity_hits,
             staged_uploads: self.staged_uploads,
             staged_bytes: self.staged_bytes,
-            forced_colocations: self.forced_colocations,
             shard_forced: self.shard_forced,
             replans: self.replans,
             rows_migrated: self.rows_migrated,
@@ -920,4 +897,17 @@ pub(crate) fn distinct_memref_buffers(args: &[RtValue]) -> Vec<BufferId> {
         }
     }
     out
+}
+
+#[cfg(test)]
+#[test]
+fn least_loaded_spreads_round_robin() {
+    let mut m = crate::tests::pool(4);
+    let mut picked = Vec::new();
+    for _ in 0..8 {
+        let d = m.least_loaded();
+        m.loads[d] += 1;
+        picked.push(d);
+    }
+    assert_eq!(picked, vec![0, 1, 2, 3, 0, 1, 2, 3]);
 }

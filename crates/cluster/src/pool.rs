@@ -6,8 +6,9 @@
 //! Workers understand two compute jobs plus the two halves of the row
 //! exchange that moves a session's data (`crate::exchange`):
 //! * `JobKind::HostCall` — run a whole host program function (the
-//!   `Machine`-equivalent path; the program performs its own device maps,
-//!   and the argument buffers are written back to the host on completion).
+//!   `Machine`-equivalent path; the program performs its own device maps
+//!   over job-transient copies of its arguments, which are moved back to
+//!   the host on completion).
 //! * `JobKind::Kernel` — execute one device kernel directly against the
 //!   worker's resident shard mirrors (`target data` sessions launch these;
 //!   nothing is staged, and nothing is written back until the session's
@@ -23,14 +24,15 @@
 //! Every job carries its `JobCell`, the one place its report will live,
 //! shared with the caller's claim and the machine's pending entry. The
 //! worker sends the outcome on the pool channel, then marks the cell
-//! reported (waking that claim's waiter) and bumps the pool-wide
-//! [`CompletionSignal`].
+//! reported, waking whoever waits for that job — its claim, or a `PoolGate`
+//! caller that needs an array or a session the job holds.
 //!
-//! Between jobs the worker frees every allocation the job recorded, so
-//! transient device allocations (a host program's data-environment buffers,
-//! kernel-local scratch) do not accumulate across the life of the pool.
-//! Mirror buffers persist until the host buffer they shadow is freed, at
-//! which point an `WorkerMessage::Evict` reclaims the local copy too.
+//! After each job the worker frees every allocation the job recorded, so
+//! transient device allocations (a host call's argument copies, its
+//! program's data-environment buffers, kernel-local scratch) do not
+//! accumulate across the life of the pool. The only persistent device
+//! buffers are session sub-buffer mirrors, created by a `RowPatch` and kept
+//! until the session releases the sub-buffer with a `WorkerMessage::Evict`.
 
 use std::collections::HashMap;
 #[cfg(test)]
@@ -155,9 +157,9 @@ pub(crate) struct JobSpec {
     /// Arguments; memrefs reference *host* buffer ids and are remapped to
     /// the worker's local memory before execution.
     pub args: Vec<RtValue>,
-    /// For `JobKind::HostCall`: buffers whose current host contents must be
-    /// uploaded before the run, with those contents. Not charged: the
-    /// program's own dma ops account for its transfers.
+    /// For `JobKind::HostCall`: every distinct argument buffer, in argument
+    /// order, with its current host contents — the job's own copies. Not
+    /// charged: the program's own dma ops account for its transfers.
     pub staged: Vec<(BufferId, Buffer)>,
     /// For `JobKind::Fetch`: the element ranges to download.
     pub fetch_rows: Vec<RowFetch>,
@@ -210,8 +212,8 @@ pub(crate) struct JobSuccess {
     pub stats: RunStats,
     pub results: Vec<RtValue>,
     /// Final contents of buffers to write back to host memory when the
-    /// outcome is processed: a host call's arguments (all conservatively
-    /// treated as written), a fetch's rows.
+    /// outcome is processed: a host call's argument copies (all
+    /// conservatively treated as written), a fetch's rows.
     pub writeback: Vec<(BufferId, Buffer)>,
     /// Simulated seconds this job occupied the device timeline (kernel wall
     /// time + PCIe transfers).
@@ -232,9 +234,9 @@ pub(crate) struct JobSuccess {
 
 pub(crate) enum WorkerMessage {
     Job(Box<Job>),
-    /// Drop the mirror entries for these host buffers and free their local
-    /// copies (the host buffer was freed). FIFO-ordered with jobs, so an
-    /// eviction never races a queued job that still uses the mirror.
+    /// Drop the mirror entries for these session sub-buffers and free their
+    /// local copies (the host sub-buffer was freed). FIFO-ordered with jobs,
+    /// so an eviction never races a queued job that still uses the mirror.
     Evict(Vec<BufferId>),
     Shutdown,
     /// Test-only fault hook: the worker blocks until the sender is dropped
@@ -263,7 +265,9 @@ pub(crate) type FailureSink = Arc<Mutex<Option<String>>>;
 /// * **Machine side** — applying the outcome writes the report in.
 /// * **Claim side** — a wait reads and parks on its own cell. A report
 ///   that another caller's drain already applied is found here, and a
-///   park after the outcome was reported returns at once.
+///   park after the outcome was reported returns at once. A `PoolGate`
+///   caller blocked by the job (an open over its arrays, a close or an
+///   epoch over its session) parks here too, through the pending entry.
 ///
 /// A claim dropped unwaited abandons its cell: the report is dropped, and a
 /// failure is handed to the session's [`FailureSink`] by whichever of the
@@ -353,43 +357,6 @@ impl Drop for JobCell {
     }
 }
 
-/// The pool-wide completion sequence, for waiters watching the pool as a
-/// whole rather than one claim (`PoolGate::lock_when`: a quiesce, an open's
-/// drain). Each worker bumps it — with a broadcast — right after a
-/// `JobOutcome` is sent. Such waiters read the sequence *before* polling
-/// the outcome channel, then park until it moves past what they saw; an
-/// outcome that lands in between has already advanced it, so the park
-/// returns at once. One claim's waiter parks on its `JobCell` instead.
-#[derive(Default)]
-pub struct CompletionSignal {
-    seq: Mutex<u64>,
-    cv: Condvar,
-}
-
-impl CompletionSignal {
-    /// The current notification sequence number. Read this *before*
-    /// draining outcomes; pass it to [`CompletionSignal::wait_past`].
-    pub fn seq(&self) -> u64 {
-        *self.seq.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Bump the sequence and broadcast to pool-wide waiters (worker side).
-    pub(crate) fn notify(&self) {
-        *self.seq.lock().unwrap_or_else(|e| e.into_inner()) += 1;
-        self.cv.notify_all();
-    }
-
-    /// Park until the sequence moves past `seen` or `timeout` elapses (a
-    /// safety valve for shutdown races, not the wake path). Returns the
-    /// sequence observed on wake.
-    pub fn wait_past(&self, seen: u64, timeout: Duration) -> u64 {
-        let seq = self.seq.lock().unwrap_or_else(|e| e.into_inner());
-        let (seq, _) = (self.cv.wait_timeout_while(seq, timeout, |seq| *seq <= seen))
-            .unwrap_or_else(|e| e.into_inner());
-        *seq
-    }
-}
-
 /// Host-side handle to one pool device.
 pub(crate) struct DeviceSlot {
     pub model: DeviceModel,
@@ -403,7 +370,6 @@ pub(crate) struct DeviceSlot {
 pub struct DevicePool {
     pub(crate) slots: Vec<DeviceSlot>,
     pub(crate) outcomes: Receiver<JobOutcome>,
-    pub(crate) signal: Arc<CompletionSignal>,
     /// Whether every worker can have a CPU of its own (see [`affinity`]).
     pub(crate) cpu_each: bool,
     /// Cells of this pool's jobs still alive, wherever they are held.
@@ -419,7 +385,6 @@ impl DevicePool {
         devices: &[DeviceModel],
     ) -> Self {
         let (outcome_tx, outcomes) = std::sync::mpsc::channel();
-        let signal = Arc::new(CompletionSignal::default());
         let slots = devices
             .iter()
             .enumerate()
@@ -432,7 +397,6 @@ impl DevicePool {
                     KernelExecutor::from_image(Arc::clone(&image), model.clone()),
                     job_rx,
                     outcome_tx.clone(),
-                    Arc::clone(&signal),
                 );
                 DeviceSlot {
                     model: model.clone(),
@@ -444,7 +408,6 @@ impl DevicePool {
         DevicePool {
             slots,
             outcomes,
-            signal,
             cpu_each: devices.len() <= affinity(None).count_ones() as usize,
             #[cfg(test)]
             live_cells: Arc::default(),
@@ -511,18 +474,27 @@ struct Worker {
     executor: KernelExecutor,
     model: DeviceModel,
     memory: Memory,
-    /// host buffer id -> local buffer id of its mirror.
+    /// Session sub-buffer id -> local buffer id of its mirror.
     mirror: HashMap<BufferId, BufferId>,
 }
 
 impl Worker {
-    /// Remap argument memrefs host id → local id; returns the distinct
-    /// `(host, local)` pairs in first-appearance order.
-    fn remap_args(&self, args: &mut [RtValue]) -> Result<Vec<(BufferId, BufferId)>, String> {
+    /// Remap argument memrefs host id → local id: to the job's `staged`
+    /// copies (a host call's), else to the resident mirrors (a kernel
+    /// job's). Returns the distinct `(host, local)` pairs in
+    /// first-appearance order.
+    fn remap_args(
+        &self,
+        args: &mut [RtValue],
+        staged: &[(BufferId, BufferId)],
+    ) -> Result<Vec<(BufferId, BufferId)>, String> {
         let mut arg_buffers: Vec<(BufferId, BufferId)> = Vec::new();
         for a in args.iter_mut() {
             if let RtValue::MemRef(m) = a {
-                let &local = self.mirror.get(&m.buffer).ok_or_else(|| {
+                let copy = staged.iter().find(|&&(host, _)| host == m.buffer);
+                let copy = copy.map(|&(_, local)| local);
+                let local = copy.or_else(|| self.mirror.get(&m.buffer).copied());
+                let local = local.ok_or_else(|| {
                     format!(
                         "device {}: argument buffer {:?} neither staged nor resident",
                         self.index, m.buffer
@@ -580,20 +552,9 @@ impl Worker {
     fn run_job(&mut self, mut job: JobSpec) -> Result<JobSuccess, String> {
         let mut stats = RunStats::default();
 
-        // 1. Stage a host call's uploads into the local mirror.
-        for (host, contents) in std::mem::take(&mut job.staged) {
-            match self.mirror.get(&host) {
-                Some(&local) => *self.memory.get_mut(local) = contents,
-                None => {
-                    let local = self.memory.alloc(contents, 0);
-                    self.mirror.insert(host, local);
-                }
-            }
-        }
-
-        // 1b. Apply row patches. Like staging this happens before transient
-        // recording starts: a created mirror outlives the job. A failed
-        // patch must not leak the mirror it created.
+        // 1. Apply row patches. This happens before transient recording
+        // starts: a created mirror outlives the job. A failed patch must not
+        // leak the mirror it created.
         for patch in std::mem::take(&mut job.patches) {
             let created = patch.create.is_some();
             let local = match patch.create {
@@ -614,11 +575,11 @@ impl Worker {
             self.mirror.insert(patch.target, local);
         }
 
-        // Everything allocated from here on is job-transient (a host
-        // program's device data environment, kernel-local scratch) and is
-        // freed after the job — on the error path too. Recording (not a bare
-        // high-water mark) captures transients that reuse slots of evicted
-        // mirror buffers.
+        // Everything allocated from here on is job-transient (a host call's
+        // argument copies, its program's device data environment,
+        // kernel-local scratch) and is freed after the job — on the error
+        // and panic paths too. Recording (not a bare high-water mark)
+        // captures transients that reuse slots of evicted mirror buffers.
         self.memory.start_recording();
         let outcome = self.execute_recorded(job, &mut stats);
         let transient = self.memory.take_recorded();
@@ -637,7 +598,8 @@ impl Worker {
 
         // Map result memrefs back to host ids where they alias arguments,
         // then free job-transient allocations. A result referencing a fresh
-        // (non-argument) buffer must keep the transients intact.
+        // (non-argument) buffer must keep the program's transients intact;
+        // the argument copies, already moved out, go regardless.
         let mut fresh_result = false;
         for r in &mut results {
             if let RtValue::MemRef(m) = r {
@@ -648,8 +610,8 @@ impl Worker {
                 }
             }
         }
-        if !fresh_result {
-            for id in transient {
+        for id in transient {
+            if !fresh_result || arg_buffers.iter().any(|&(_, local)| local == id) {
                 self.memory.free(id);
             }
         }
@@ -667,9 +629,9 @@ impl Worker {
         })
     }
 
-    /// Steps 2–3 of a job — everything fallible that may allocate
-    /// job-transient memory. Returns `(results, writeback, arg_buffers)`;
-    /// the caller reclaims recorded transients on both paths.
+    /// Steps 2–3 of a job — everything that allocates job-transient memory.
+    /// Returns `(results, writeback, arg_buffers)`; the caller reclaims
+    /// recorded transients on both paths.
     #[allow(clippy::type_complexity)]
     fn execute_recorded(
         &mut self,
@@ -683,9 +645,13 @@ impl Worker {
         ),
         String,
     > {
-        // 2. Remap argument memrefs and execute per job kind.
+        // 2. Stage a host call's argument copies, remap argument memrefs and
+        // execute per job kind.
+        let staged: Vec<(BufferId, BufferId)> = (job.staged.into_iter())
+            .map(|(host, contents)| (host, self.memory.alloc(contents, 0)))
+            .collect();
         let mut args = job.args;
-        let arg_buffers = self.remap_args(&mut args)?;
+        let arg_buffers = self.remap_args(&mut args, &staged)?;
         let results = match &job.kind {
             JobKind::HostCall { func } => {
                 let (run_stats, results) = self
@@ -712,12 +678,14 @@ impl Worker {
             JobKind::Fetch | JobKind::RowPatch { .. } => Vec::new(),
         };
 
-        // 3. Collect writeback contents: a host call ships its argument
-        // buffers back with the outcome.
+        // 3. Collect writeback contents: a host call's argument copies move
+        // out with the outcome.
         let mut writeback = Vec::with_capacity(arg_buffers.len());
         if matches!(job.kind, JobKind::HostCall { .. }) {
             for &(host, local) in &arg_buffers {
-                writeback.push((host, self.memory.get(local).clone()));
+                let contents =
+                    std::mem::replace(self.memory.get_mut(local), Buffer::I1(Vec::new()));
+                writeback.push((host, contents));
             }
         }
         // Only the requested element ranges travel back — a row exchange
@@ -748,12 +716,7 @@ pub(crate) fn empty_like(like: &Buffer, len: usize) -> Buffer {
 /// Run one job and report its outcome. Panics are contained (e.g. from a
 /// malformed bitstream module): an unwinding worker that never reports its
 /// outcome would leave `ClusterMachine::wait` blocked forever.
-fn run_and_report(
-    worker: &mut Worker,
-    job: Job,
-    outcomes: &Sender<JobOutcome>,
-    signal: &CompletionSignal,
-) {
+fn run_and_report(worker: &mut Worker, job: Job, outcomes: &Sender<JobOutcome>) {
     let index = worker.index;
     let job_id = job.job_id;
     let trace_id = job.trace_id;
@@ -813,10 +776,9 @@ fn run_and_report(
         device: index,
         result,
     });
-    // Wake waiters only after the outcome is observable on the channel: the
-    // claim's waiter on its cell, pool-wide waiters on the sequence.
+    // Wake the job's waiters only after the outcome is observable on the
+    // channel.
     job.cell.mark_reported();
-    signal.notify();
 }
 
 /// Spawn the worker thread for device `index`.
@@ -827,7 +789,6 @@ pub(crate) fn spawn_worker(
     executor: KernelExecutor,
     jobs: Receiver<WorkerMessage>,
     outcomes: Sender<JobOutcome>,
-    signal: Arc<CompletionSignal>,
 ) -> JoinHandle<()> {
     std::thread::Builder::new()
         .name(format!("ftn-device-{index}"))
@@ -854,9 +815,7 @@ pub(crate) fn spawn_worker(
                     on_own = spread;
                 }
                 match msg {
-                    Ok(WorkerMessage::Job(job)) => {
-                        run_and_report(&mut worker, *job, &outcomes, &signal)
-                    }
+                    Ok(WorkerMessage::Job(job)) => run_and_report(&mut worker, *job, &outcomes),
                     Ok(WorkerMessage::Evict(ids)) => {
                         for id in ids {
                             if let Some(local) = worker.mirror.remove(&id) {

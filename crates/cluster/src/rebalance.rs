@@ -159,10 +159,8 @@ impl ClusterMachine {
         {
             let mut sp = ftn_trace::span("epoch.quiesce", "epoch");
             sp.arg("session", session);
-            sp.arg(
-                "outstanding",
-                self.sharded_pending_jobs(session).unwrap_or(0),
-            );
+            let launches = self.pending.values().filter(|p| p.session == Some(session));
+            sp.arg("outstanding", launches.count());
             self.quiesce(session)?;
         }
 

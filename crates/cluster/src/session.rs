@@ -90,8 +90,8 @@ impl ClusterMachine {
     /// Open a persistent data environment on one device: map each `(name,
     /// array, kind)` once. `to`/`tofrom` arrays are uploaded (charged as
     /// PCIe transfers); `from` arrays get a zeroed device copy, exactly like
-    /// a `map(from:)` data-region entry. The device is chosen by the
-    /// placement ladder. Returns the session id.
+    /// a `map(from:)` data-region entry. The device is the least-loaded one,
+    /// round-robin on ties. Returns the session id.
     pub fn open_session(&mut self, maps: &[(&str, RtValue, MapKind)]) -> Result<u64, CompileError> {
         let split: Vec<(&str, RtValue, MapKind, Partition)> = maps
             .iter()

@@ -10,8 +10,9 @@
 //! each shard a device, and stages the shard sub-buffers there. A shard's
 //! sub-buffer is device-owned from open to close: its mirror is the current
 //! copy, its host slot a placeholder that only the close fetch fills. An
-//! open first waits until no sessionless job has any of its arrays in
-//! flight, so the scatter cuts current host contents.
+//! open first lands every sessionless job that holds one of its arrays, so
+//! the scatter cuts current host contents, and refuses an array another
+//! open session maps, whose current contents are on that session's devices.
 //!
 //! Every movement of a session's rows is a plan run by the one row exchange
 //! (`exchange.rs`): an open is a host → devices exchange (nothing gathered,
@@ -30,8 +31,8 @@
 //! Each [`ClusterMachine::sharded_launch`] fans one logical kernel launch
 //! out as per-shard kernel jobs with rebased trip counts
 //! ([`ShardArg::Extent`] resolves to the shard's local leading-dim extent).
-//! Shard jobs are *force-placed* on their shard's device, bypassing the
-//! placement policy — the data already lives there, and the per-shard trip
+//! Shard jobs are *force-placed* on their shard's device, bypassing
+//! least-loaded placement — the data already lives there, and the per-shard trip
 //! counts price each device's backlog honestly through
 //! [`ftn_fpga::CostModel`] (per that device's own model). Every fan-out —
 //! launches and the phases of every exchange — sends each job as its own
@@ -414,10 +415,10 @@ impl ClusterMachine {
         }
         // A sessionless job's update of a mapped array lands in host memory
         // when its outcome is applied: the scatter must not cut before that.
+        // Another open session's update lands only at its close: an array
+        // it maps is refused.
         let ids: Vec<BufferId> = resolved.iter().map(|(_, m, _, _)| m.buffer).collect();
-        while ids.iter().any(|&id| self.in_flight_on(id).is_some()) {
-            self.process_one_outcome()?;
-        }
+        self.claim_arrays(&ids)?;
 
         // Effective shard count: request (or cost-model pick) clamped so no
         // split array ends up with an empty shard.
@@ -468,9 +469,8 @@ impl ClusterMachine {
         span.arg("shards", shards);
 
         // Shard → device assignment and the matching split weights. A single
-        // shard has no split to weigh: with nothing in flight over the mapped
-        // arrays it goes least-loaded round-robin, so many one-device
-        // sessions spread across the pool.
+        // shard has no split to weigh: it goes least-loaded round-robin, so
+        // many one-device sessions spread across the pool.
         // Otherwise devices are ordered fastest-first (predicted throughput
         // on a uniform share, ties by index) so shard 0 — the largest block
         // of the weighted plan — lands on the fastest card; a homogeneous
@@ -478,7 +478,7 @@ impl ClusterMachine {
         // shards than devices cycle through the order (a device's shards of
         // one launch run back-to-back on its FIFO worker).
         let (devices, weights): (Vec<usize>, Vec<f64>) = if shards == 1 {
-            (vec![self.place_for(&ids)?], vec![1.0])
+            (vec![self.least_loaded()], vec![1.0])
         } else {
             let share = elements.max(1).div_ceil(shards.min(pool) as u64);
             let order = self.cost_model.device_order(&models, share);

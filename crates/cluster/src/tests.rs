@@ -177,7 +177,7 @@ fn failed_open_releases_every_sub_buffer() {
     let n = 512usize;
     let xa = cluster.host_f32(&vec![1.0f32; n]);
     let ya = cluster.host_f32(&vec![0.5f32; n]);
-    // Device 0 holds mirrors (x and y, left by a run) before the failed open.
+    // Both devices have run a job over x and y before the failed open.
     let run_args = [
         RtValue::I32(n as i32),
         RtValue::F32(0.0),

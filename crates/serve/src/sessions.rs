@@ -387,8 +387,8 @@ impl ServeState {
             .map(|h| take_array(&mut machine, h))
             .collect();
         drop(machine);
-        // The request's arrays are dead once taken out: free them (host
-        // slot + worker mirrors) so sustained /run traffic stays flat.
+        // The request's arrays are dead once taken out: free their host
+        // slots so sustained /run traffic stays flat.
         drop(owned);
         let fields = vec![
             ("device", report.device.to_value()),
