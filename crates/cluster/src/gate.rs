@@ -90,7 +90,7 @@ impl PoolGate {
     }
 
     /// Non-blocking lock attempt, for observability readers that must not
-    /// queue behind a busy pool (`/healthz`, the metrics scraper).
+    /// queue behind a busy pool (`/healthz`, the `/metrics` gauges).
     pub fn try_lock(&self) -> Option<MutexGuard<'_, ClusterMachine>> {
         match self.machine.try_lock() {
             Ok(g) => Some(g),

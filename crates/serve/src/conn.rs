@@ -10,7 +10,7 @@
 //!   of the next (pipelined requests), never dropped and never re-read.
 //! * **Every request is answered or the connection is closed.** A request
 //!   that framed gets exactly one reply — the handler's, its error, or a 500
-//!   if it panicked. Input that does not frame gets a 400/413 and then the
+//!   if it panicked. Input that does not frame gets a 400/413/501 and then the
 //!   close, because the next message boundary is unknown; only a dead or
 //!   silent transport (EOF, idle timeout, reset) is closed without a reply.
 //!
@@ -128,6 +128,7 @@ fn status_text(status: u16) -> &'static str {
         405 => "Method Not Allowed",
         413 => "Payload Too Large",
         500 => "Internal Server Error",
+        501 => "Not Implemented",
         503 => "Service Unavailable",
         _ => "Unknown",
     }
@@ -204,9 +205,9 @@ pub(crate) fn handle_connection(state: &ServeState, stream: TcpStream) {
             state.metrics.http_errors.inc();
         }
         // The latency observation offers itself as the histogram's exemplar
-        // so a firing SLO links this request's trace. `span_id == 0` means
-        // recording is off — pass trace id 0 too, keeping that path free of
-        // the exemplar lock.
+        // so a slow bucket on `/metrics` links this request's trace.
+        // `span_id == 0` means recording is off — pass trace id 0 too,
+        // keeping that path free of the exemplar lock.
         state.metrics.request_seconds.observe_with_exemplar(
             started.elapsed().as_secs_f64(),
             if span_id == 0 { 0 } else { trace_id },

@@ -118,16 +118,29 @@ impl<R: Read> MessageReader<R> {
             let head = String::from_utf8_lossy(&self.buf[..head_len - 4]);
             let mut lines = head.split("\r\n");
             let start_line = lines.next().unwrap_or_default().to_string();
-            let mut content_length = 0usize;
+            let mut content_length = None;
             let mut keep_alive = None;
             for (name, value) in lines.filter_map(|line| line.split_once(':')) {
                 let (name, value) = (name.trim(), value.trim());
                 if name.eq_ignore_ascii_case("content-length") {
-                    // An unparsable length cannot be read as "no body": the
-                    // body bytes would be framed as the next message.
-                    content_length = value
-                        .parse()
-                        .map_err(|_| FrameError::Rejected(400, "malformed Content-Length"))?;
+                    // A length that is not plain digits (`usize::from_str`
+                    // takes a `+`), or a second one that disagrees, cannot
+                    // be read as any one body: the body bytes would be
+                    // framed as the next message.
+                    const MALFORMED: FrameError =
+                        FrameError::Rejected(400, "malformed Content-Length");
+                    if value.is_empty() || !value.bytes().all(|b| b.is_ascii_digit()) {
+                        return Err(MALFORMED);
+                    }
+                    let length = value.parse().map_err(|_| MALFORMED)?;
+                    if content_length.is_some_and(|seen| seen != length) {
+                        return Err(FrameError::Rejected(400, "conflicting Content-Length"));
+                    }
+                    content_length = Some(length);
+                } else if name.eq_ignore_ascii_case("transfer-encoding") {
+                    // Bodies are framed by Content-Length only; a chunked
+                    // body read as "no body" would be framed as requests.
+                    return Err(FrameError::Rejected(501, "Transfer-Encoding not supported"));
                 } else if name.eq_ignore_ascii_case("connection") {
                     if value.eq_ignore_ascii_case("close") {
                         keep_alive = Some(false);
@@ -136,7 +149,7 @@ impl<R: Read> MessageReader<R> {
                     }
                 }
             }
-            (start_line, content_length, keep_alive)
+            (start_line, content_length.unwrap_or(0), keep_alive)
         };
         if content_length > MAX_BODY_BYTES {
             return Err(FrameError::Rejected(413, "body too large"));
@@ -217,9 +230,8 @@ impl Request {
     }
 
     /// The value of query parameter `name` (`/trace?since=12` → `"12"`),
-    /// percent-decoded (`%7B` → `{`, `+` → space) so labelled metric names
-    /// like `ftn_pool_queue_depth{pool="x",device="0"}` are addressable in
-    /// `/metrics/range?name=`. A bare `?flag` (no `=`) yields `Some("")`.
+    /// percent-decoded (`%7B` → `{`, `+` → space). A bare `?flag` (no `=`)
+    /// yields `Some("")`.
     /// Malformed escapes (`%G1`, truncated `%2`) pass through literally
     /// rather than erroring — the route handler's own validation rejects
     /// the value if it matters.
@@ -268,7 +280,7 @@ mod tests {
     fn request_with_query(query: &str) -> Request {
         Request {
             method: "GET".to_string(),
-            path: "/metrics/range".to_string(),
+            path: "/trace".to_string(),
             query: query.to_string(),
             body: String::new(),
             keep_alive: true,
@@ -306,5 +318,44 @@ mod tests {
         assert_eq!(percent_decode("%zz%20"), "%zz ");
         // Invalid UTF-8 from decoded bytes is replaced, not an error.
         assert_eq!(percent_decode("%FF"), "\u{FFFD}");
+    }
+
+    /// Frame `wire` and return the rejection's status, or the body framed.
+    fn frame(wire: &[u8]) -> Result<Vec<u8>, u16> {
+        match MessageReader::new(wire).read_message() {
+            Ok(message) => Ok(message.body),
+            Err(FrameError::Rejected(status, _)) => Err(status),
+            Err(FrameError::Io(e)) => panic!("transport error on an in-memory stream: {e}"),
+        }
+    }
+
+    #[test]
+    fn content_length_headers_that_disagree_are_rejected() {
+        let agree = b"POST /run HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 5\r\n\r\nhello";
+        assert_eq!(frame(agree), Ok(b"hello".to_vec()));
+        let disagree = b"POST /run HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 0\r\n\r\nhello";
+        assert_eq!(frame(disagree), Err(400));
+    }
+
+    #[test]
+    fn content_length_must_be_plain_digits() {
+        for length in ["+5", "-5", "5 5", "0x5", ""] {
+            let wire = format!("POST /run HTTP/1.1\r\nContent-Length: {length}\r\n\r\nhello");
+            assert_eq!(frame(wire.as_bytes()), Err(400), "Content-Length: {length}");
+        }
+    }
+
+    #[test]
+    fn any_transfer_encoding_is_not_implemented() {
+        for coding in ["chunked", "gzip, chunked", "identity"] {
+            let wire = format!(
+                "POST /run HTTP/1.1\r\nTransfer-Encoding: {coding}\r\n\r\n5\r\nhello\r\n0\r\n\r\n"
+            );
+            assert_eq!(
+                frame(wire.as_bytes()),
+                Err(501),
+                "Transfer-Encoding: {coding}"
+            );
+        }
     }
 }

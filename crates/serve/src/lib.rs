@@ -13,11 +13,11 @@
 //! | `DELETE /sessions/{id}`     |                                        | Close the session: gather (or reduce) `from`/`tofrom` arrays back and return them with the session stats; all session memory is released. |
 //! | `POST /run`                 | `{key, func, args}`                    | Sessionless whole-program run (the baseline the elision ratio is measured against); request arrays are freed after the response. |
 //! | `GET /stats`                |                                        | Cache, pool, session, and HTTP statistics. |
-//! | `GET /healthz`              |                                        | Readiness probe: 503 `"unready"` on a dead device worker or saturated queue, `"degraded"` with reasons while an SLO is firing, `{"ok":true,...}` otherwise. |
-//! | `GET /metrics/range`        | `?name=METRIC&since=N&until=N`         | Scraped time-series history of one metric (JSON points; histograms carry per-snapshot p50/p95/p99). Without `name`, a discovery index of every retained series (name, kind, point count, window). |
-//! | `GET /profile`              | `?since=N&until=N&format=folded\|svg\|json` | Span-derived hierarchical profile: self/total time per span-name path. `folded` is collapsed-stack text for flamegraph tooling, `svg` a self-contained flamegraph, `json` (default) the tree plus per-device busy/epoch/idle utilization. `?last=N` is the trailing-window shorthand continuous pollers should use (also accepted by `/trace` and `/metrics/range`). |
+//! | `GET /healthz`              |                                        | Readiness probe: 503 `"unready"` with reasons on a dead device worker or saturated queue, `{"ok":true,"status":"ok",...}` otherwise. |
+//! | `GET /metrics`              |                                        | Prometheus text exposition of every counter, gauge and histogram, with OpenMetrics exemplars. History, range queries and alerting belong to the Prometheus server that scrapes it. |
+//! | `GET /trace`                | `?since=N&until=N`                     | The recorded span timeline as a Chrome trace-event document. |
+//! | `GET /profile`              | `?since=N&until=N&format=folded\|svg\|json` | Span-derived hierarchical profile: self/total time per span-name path. `folded` is collapsed-stack text for flamegraph tooling, `svg` a self-contained flamegraph, `json` (default) the tree plus per-device busy/epoch/idle utilization. `?last=N` is the trailing-window shorthand continuous pollers should use (also accepted by `/trace`). |
 //! | `GET /profile/top`          | `?by=kernel\|session\|device&k=N`      | Top-K cost attribution over completed jobs: simulated cycles, wall seconds, queue wait, and bytes moved, merged across pools (`ftn top` renders this). |
-//! | `GET /alerts`               |                                        | Every configured SLO with state, fast/slow burn rates, and (for latency objectives) an exemplar `/trace` link. |
 //! | `POST /shutdown`            |                                        | Drain and stop the server. |
 //!
 //! One [`ftn_cluster::ClusterMachine`] pool is kept per compiled program
@@ -49,7 +49,7 @@ use std::sync::{mpsc, Arc, Mutex};
 
 use ftn_cluster::{ArtifactCache, AutoRebalance, ImageCache, ShardCount};
 use ftn_fpga::DeviceModel;
-use ftn_trace::{Level, SloEngine, SloSpec, TimeSeriesStore};
+use ftn_trace::Level;
 use serde::Value;
 
 use conn::{handle_connection, HandlerError, Reply};
@@ -94,19 +94,6 @@ pub struct ServeConfig {
     /// Maximum structured-log level (`ftn serve --log-level debug`). Like
     /// the span recorder, the log level is process-global.
     pub log_level: Level,
-    /// Cadence of the background scraper thread that snapshots every
-    /// registry metric into the time-series store and evaluates the SLO
-    /// engine (`ftn serve --scrape-interval MS`). `0` disables scraping —
-    /// `GET /metrics/range` then 404s every series and alerts never move.
-    pub scrape_interval_ms: u64,
-    /// Points retained per time-series ring (`ftn serve --retention N`).
-    /// With the 100 ms default cadence, 600 points ≈ one minute of history.
-    pub retention_points: usize,
-    /// Service-level objectives evaluated by the scraper (`ftn serve --slo
-    /// 'http_p99<5ms/30s'`, repeatable; see [`ftn_trace::SloSpec::parse`]).
-    /// Defaults to [`ftn_trace::default_slos`]: generous p99 bounds on the
-    /// built-in request-latency and queue-wait histograms.
-    pub slos: Vec<SloSpec>,
     /// Per-device queue depth above which `GET /healthz` reports the server
     /// unready (503). `0` disables the saturation check.
     pub healthz_queue_limit: u64,
@@ -124,9 +111,6 @@ impl Default for ServeConfig {
             auto_rebalance: None,
             trace_buffer: 4096,
             log_level: Level::Info,
-            scrape_interval_ms: 100,
-            retention_points: 600,
-            slos: ftn_trace::default_slos(),
             healthz_queue_limit: 1024,
         }
     }
@@ -146,10 +130,6 @@ struct ServeState {
     next_session: AtomicU64,
     shutdown: AtomicBool,
     metrics: ServeMetrics,
-    /// History of every registry metric, fed by the scraper (`/metrics/range`).
-    store: Arc<TimeSeriesStore>,
-    /// The SLO engine, evaluated on the scrape cadence (`GET /alerts`).
-    slo: Arc<SloEngine>,
     started: std::time::Instant,
     local_addr: SocketAddr,
 }
@@ -183,9 +163,7 @@ impl ServeState {
             ("GET", ["healthz"]) => return self.healthz(),
             ("DELETE", ["sessions", id]) => return self.close_session(parse_id(id)?),
             ("POST", ["run"]) => return self.run_program(&req.body),
-            ("GET", ["metrics", "range"]) => self.metrics_range(req),
             ("GET", ["profile", "top"]) => self.profile_top(req),
-            ("GET", ["alerts"]) => self.alerts(),
             ("POST", ["compile"]) => self.compile(&req.body),
             ("POST", ["sessions"]) => self.open_session(&req.body),
             ("POST", ["sessions", id, "launch"]) => self.launch(parse_id(id)?, &req.body),
@@ -230,10 +208,6 @@ impl Server {
         }
         ftn_trace::set_enabled(config.trace_buffer > 0);
         ftn_trace::set_max_level(config.log_level);
-        let metrics = ServeMetrics::new();
-        let store = Arc::new(TimeSeriesStore::new(config.retention_points));
-        let registry = Arc::clone(&metrics.registry);
-        let slo = Arc::new(SloEngine::new(config.slos.clone(), registry));
         let state = Arc::new(ServeState {
             config,
             cache,
@@ -242,9 +216,7 @@ impl Server {
             sessions: Mutex::new(HashMap::new()),
             next_session: AtomicU64::new(1),
             shutdown: AtomicBool::new(false),
-            metrics,
-            store,
-            slo,
+            metrics: ServeMetrics::new(),
             started: std::time::Instant::now(),
             local_addr,
         });
@@ -258,10 +230,8 @@ impl Server {
     }
 
     /// Serve requests until a `POST /shutdown` arrives; joins all worker
-    /// threads (and the background scraper) before returning, so a clean
-    /// return means a clean shutdown.
+    /// threads before returning, so a clean return means a clean shutdown.
     pub fn run(self) -> std::io::Result<()> {
-        let scraper = telemetry::spawn_scraper(&self.state);
         let (tx, rx) = mpsc::channel::<TcpStream>();
         let rx = Arc::new(Mutex::new(rx));
         let workers: Vec<_> = (0..self.state.config.workers.max(1))
@@ -296,9 +266,6 @@ impl Server {
         drop(tx);
         for w in workers {
             let _ = w.join();
-        }
-        if let Some(s) = scraper {
-            let _ = s.join();
         }
         Ok(())
     }

@@ -1,7 +1,8 @@
-//! Telemetry: the server's metric handles, the gauges and the scraper that
-//! keeps their history, and every read-only endpoint — `/metrics`, `/trace`,
-//! `/metrics/range`, `/profile`, `/profile/top`, `/alerts`, `/healthz`,
-//! `/stats`.
+//! Telemetry: the server's metric handles, the gauges refreshed on each
+//! `/metrics` read, and every read-only endpoint — `/metrics`, `/trace`,
+//! `/profile`, `/profile/top`, `/healthz`, `/stats`. The server keeps no
+//! metric history: `/metrics` is the interface, and range queries and
+//! alerting belong to whatever scrapes it.
 //!
 //! Invariants every change here must keep:
 //!
@@ -14,18 +15,15 @@
 //! * **Metrics are per server**, not process-global (the span recorder and
 //!   log level are): several servers in one process keep independent counts.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 
 use ftn_cluster::{RollupBy, RollupRow};
-use ftn_trace::{Counter, Histogram, MetricsRegistry, PointValue};
+use ftn_trace::{Counter, Histogram, MetricsRegistry};
 use serde::{Serialize, Value};
 
 use crate::conn::{HandlerError, Reply};
 use crate::http::Request;
-use crate::{api, bad_request, lock, not_found, ServeState};
+use crate::{api, bad_request, lock, ServeState};
 
 /// The server's metric handles, all backed by one [`MetricsRegistry`]. Every
 /// pool the server creates reports into the same registry
@@ -37,7 +35,7 @@ pub(crate) struct ServeMetrics {
     pub(crate) http_requests: Arc<Counter>,
     pub(crate) launches: Arc<Counter>,
     pub(crate) runs: Arc<Counter>,
-    /// Requests answered with a 5xx status (the `errors<P%/W` SLO source).
+    /// Requests answered with a 5xx status.
     pub(crate) http_errors: Arc<Counter>,
     /// End-to-end request handling latency (read to serialized response).
     pub(crate) request_seconds: Arc<Histogram>,
@@ -61,9 +59,8 @@ impl ServeMetrics {
 impl ServeState {
     /// Refresh the point-in-time gauges: uptime plus per-device queue
     /// depths, one gauge per device per pool (labelled by [`short_key`]).
-    /// Called by `GET /metrics` and by every background scrape, so the
-    /// store retains gauge history even when nobody polls `/metrics`. A
-    /// pool whose lock is busy keeps its previous gauge values.
+    /// Called by `GET /metrics`. A pool whose lock is busy keeps its
+    /// previous gauge values.
     fn refresh_gauges(&self) {
         let gauge = |name: &str, value: i64| self.metrics.registry.gauge(name).set(value);
         gauge(
@@ -80,9 +77,8 @@ impl ServeState {
             }
         }
         // Busy percent per device over the trailing second, from job-span
-        // coverage on the `ftn-device-N` lanes: queryable via
-        // `/metrics/range` and usable in `utilization<P%/W` SLOs like any
-        // gauge. Empty (no gauges) when span recording is disabled.
+        // coverage on the `ftn-device-N` lanes. Empty (no gauges) when span
+        // recording is disabled.
         let now = ftn_trace::now_nanos();
         let since = now.saturating_sub(UTILIZATION_WINDOW_NANOS);
         for d in ftn_trace::device_utilization_range(since, now) {
@@ -100,15 +96,6 @@ impl ServeState {
         Ok(Reply::text("text/plain; version=0.0.4", &text))
     }
 
-    /// One background-scraper pass: refresh gauges, snapshot every metric
-    /// into the time-series store, evaluate the SLO engine.
-    fn scrape_once(&self) {
-        self.refresh_gauges();
-        let now = ftn_trace::now_nanos();
-        self.store.scrape_at(&self.metrics.registry, now);
-        self.slo.evaluate_at(now);
-    }
-
     /// `GET /trace?since=NANOS&until=NANOS`: the recorded span timeline as
     /// a Chrome trace-event document, clipped to spans overlapping the
     /// window (nanoseconds since the recorder's epoch, i.e. `ts`×1000).
@@ -116,62 +103,6 @@ impl ServeState {
         let (since, until) = parse_window(req)?;
         let text = ftn_trace::export_chrome_range(since, until);
         Ok(Reply::text("application/json", &text))
-    }
-
-    /// `GET /metrics/range?name=METRIC&since=NANOS&until=NANOS`: the
-    /// scraped history of one metric as a JSON series of timestamped
-    /// points. Histogram series carry per-snapshot count/sum/p50/p95/p99;
-    /// an unknown series (or scraping disabled) is a 404. Without `name`,
-    /// the discovery index: every retained series with its kind, point
-    /// count and covered window.
-    pub(crate) fn metrics_range(&self, req: &Request) -> Result<Value, HandlerError> {
-        let interval = self.config.scrape_interval_ms;
-        let Some(name) = req.query_param("name") else {
-            return Ok(api::obj(vec![
-                ("interval_ms", interval.to_value()),
-                ("retention", self.store.retention().to_value()),
-                ("series", self.store.index().to_value()),
-            ]));
-        };
-        let (since, until) = parse_window(req)?;
-        let points = self.store.query(&name, since, until).ok_or_else(|| {
-            not_found(format!(
-                "no series '{name}' (scrape interval {interval} ms; GET /metrics/range \
-                 without 'name' lists the retained series)"
-            ))
-        })?;
-        let points: Vec<Value> = points
-            .iter()
-            .map(|p| {
-                let mut fields = vec![("nanos", p.nanos.to_value())];
-                match &p.value {
-                    PointValue::Counter(v) => fields.push(("value", v.to_value())),
-                    PointValue::Gauge(v) => fields.push(("value", v.to_value())),
-                    PointValue::Histogram {
-                        count,
-                        sum_seconds,
-                        p50,
-                        p95,
-                        p99,
-                    } => fields.extend([
-                        ("count", count.to_value()),
-                        ("sum_seconds", sum_seconds.to_value()),
-                        ("p50", p50.to_value()),
-                        ("p95", p95.to_value()),
-                        ("p99", p99.to_value()),
-                    ]),
-                }
-                api::obj(fields)
-            })
-            .collect();
-        Ok(api::obj(vec![
-            ("name", name.as_str().to_value()),
-            ("since", since.to_value()),
-            ("until", until.to_value()),
-            ("interval_ms", interval.to_value()),
-            ("retention", self.store.retention().to_value()),
-            ("points", Value::Arr(points)),
-        ]))
     }
 
     /// `GET /profile?since=NANOS&until=NANOS&format=folded|svg|json`: the
@@ -272,62 +203,12 @@ impl ServeState {
         ]))
     }
 
-    /// `GET /alerts`: every configured SLO with its state, burn rates, and
-    /// (for latency objectives) the observed histogram's exemplar — with a
-    /// ready-made `/trace?since=&until=` link bracketing the offending
-    /// request.
-    pub(crate) fn alerts(&self) -> Result<Value, HandlerError> {
-        let alerts: Vec<Value> = self
-            .slo
-            .statuses()
-            .iter()
-            .map(|s| {
-                let mut fields = vec![
-                    ("slo", s.spec.as_str().to_value()),
-                    ("metric", s.metric.as_str().to_value()),
-                    ("state", s.state.as_str().to_value()),
-                    ("window_seconds", s.window_seconds.to_value()),
-                    ("fast_burn", s.fast_burn.to_value()),
-                    ("slow_burn", s.slow_burn.to_value()),
-                    ("since_nanos", s.since_nanos.to_value()),
-                ];
-                if let Some(ex) = &s.exemplar {
-                    // Bracket the offending request: it ended around
-                    // `ex.nanos`, ran `value_seconds`; pad 10 ms both sides.
-                    let pad = 10_000_000u64;
-                    let ran = (ex.value_seconds * 1e9) as u64;
-                    let since = ex.nanos.saturating_sub(ran + pad);
-                    let until = ex.nanos.saturating_add(pad);
-                    let exemplar = api::obj(vec![
-                        ("trace_id", ex.trace_id.to_value()),
-                        ("span_id", ex.span_id.to_value()),
-                        ("value_seconds", ex.value_seconds.to_value()),
-                        ("nanos", ex.nanos.to_value()),
-                        (
-                            "trace_link",
-                            format!("/trace?since={since}&until={until}").to_value(),
-                        ),
-                    ]);
-                    fields.push(("exemplar", exemplar));
-                }
-                api::obj(fields)
-            })
-            .collect();
-        let interval = self.config.scrape_interval_ms;
-        Ok(api::obj(vec![
-            ("now_nanos", ftn_trace::now_nanos().to_value()),
-            ("scrape_interval_ms", interval.to_value()),
-            ("alerts", Value::Arr(alerts)),
-        ]))
-    }
-
     /// `GET /healthz`: a real readiness probe. 503 with `"status":
     /// "unready"` when any pool device worker is dead or a queue is
-    /// saturated past [`crate::ServeConfig::healthz_queue_limit`]; 200 with
-    /// `"status": "degraded"` and the firing SLO specs while an objective
-    /// is firing; plain `"ok"` otherwise. The original `{"ok": true}` shape
-    /// survives as a subset. A pool mid-request is busy, not unready: it
-    /// answers from its last-known-good snapshot (`Program::health`).
+    /// saturated past [`crate::ServeConfig::healthz_queue_limit`]; plain
+    /// `"ok"` otherwise. The original `{"ok": true}` shape survives as a
+    /// subset. A pool mid-request is busy, not unready: it answers from its
+    /// last-known-good snapshot (`Program::health`).
     pub(crate) fn healthz(&self) -> Result<Reply, HandlerError> {
         let mut unready: Vec<String> = Vec::new();
         let limit = self.config.healthz_queue_limit;
@@ -345,18 +226,15 @@ impl ServeState {
                 }
             }
         }
-        let firing = self.slo.firing();
-        let (status, health) = match (unready.is_empty(), firing.is_empty()) {
-            (false, _) => (503, "unready"),
-            (true, false) => (200, "degraded"),
-            (true, true) => (200, "ok"),
+        let (status, health) = if unready.is_empty() {
+            (200, "ok")
+        } else {
+            (503, "unready")
         };
-        let mut reasons = unready;
-        reasons.extend(firing.iter().map(|spec| format!("slo firing: {spec}")));
         let fields = vec![
             ("ok", Value::Bool(status == 200)),
             ("status", health.to_value()),
-            ("reasons", reasons.to_value()),
+            ("reasons", unready.to_value()),
         ];
         Ok(Reply::json(status, &api::obj(fields)))
     }
@@ -397,8 +275,8 @@ impl ServeState {
     }
 }
 
-/// Parse the shared `?since=NANOS&until=NANOS` window of `/trace`,
-/// `/metrics/range`, and `/profile`: both optional (`since` defaults to 0,
+/// Parse the shared `?since=NANOS&until=NANOS` window of `/trace` and
+/// `/profile`: both optional (`since` defaults to 0,
 /// `until` to unbounded), 400 on non-numeric values or an inverted window.
 /// `?last=NANOS` is the trailing-window shorthand continuous pollers should
 /// prefer (each poll stays proportional to recent activity instead of
@@ -453,32 +331,6 @@ fn rekey_session_row(raw: &str, pool_key: &str, sessions: &[(u64, u64)]) -> Stri
 /// Trailing window of the `ftn_device_utilization` gauges (1 s: long enough
 /// to smooth single jobs, short enough that a stalled pool shows up soon).
 const UTILIZATION_WINDOW_NANOS: u64 = 1_000_000_000;
-
-/// The self-monitoring scraper thread: one [`ServeState::scrape_once`] per
-/// configured interval, sleeping in short steps so shutdown stays prompt.
-/// Interval 0 disables the thread entirely.
-pub(crate) fn spawn_scraper(state: &Arc<ServeState>) -> Option<JoinHandle<()>> {
-    let interval = Duration::from_millis(state.config.scrape_interval_ms);
-    if interval.is_zero() {
-        return None;
-    }
-    let state = Arc::clone(state);
-    let scraper = std::thread::Builder::new().name("ftn-scrape".to_string());
-    let scrape = move || {
-        let step = Duration::from_millis(50).min(interval);
-        while !state.shutdown.load(Ordering::SeqCst) {
-            let pass = Instant::now();
-            state.scrape_once();
-            let mut remaining = interval.saturating_sub(pass.elapsed());
-            while !remaining.is_zero() && !state.shutdown.load(Ordering::SeqCst) {
-                let nap = remaining.min(step);
-                std::thread::sleep(nap);
-                remaining = remaining.saturating_sub(nap);
-            }
-        }
-    };
-    Some(scraper.spawn(scrape).expect("spawn scrape thread"))
-}
 
 #[cfg(test)]
 mod tests {

@@ -1,10 +1,10 @@
 //! `ftn top` — a std-only, plain-ANSI terminal dashboard over a running
 //! `ftn serve` instance.
 //!
-//! Each frame is one keep-alive connection polling three endpoints:
+//! Each frame is one keep-alive connection polling two endpoints:
 //! `GET /profile/top` (the per-kernel / per-session / per-device cost
-//! attribution tables), `GET /alerts` (SLO states), and `GET /metrics`
-//! (uptime, request/job totals and the `ftn_device_utilization` gauges).
+//! attribution tables) and `GET /metrics` (uptime, request/job totals and
+//! the `ftn_device_utilization` gauges).
 //! Rendering is pure text — [`render_once`] returns the frame as a `String`
 //! so tests and `--once` runs can capture it; the interactive loop just
 //! reprints it behind an ANSI clear-screen.
@@ -42,7 +42,6 @@ pub fn render_once(addr: SocketAddr, k: usize) -> std::io::Result<String> {
     let mut conn = Conn::open(addr)?;
     let (_, metrics_text) = conn.request_text("GET", "/metrics", "")?;
     let metrics = metric_values(&metrics_text);
-    let (_, alerts) = conn.request("GET", "/alerts", "")?;
     let mut tables = Vec::new();
     for by in ["kernel", "session", "device"] {
         let (status, top) = conn.request("GET", &format!("/profile/top?by={by}&k={k}"), "")?;
@@ -83,8 +82,6 @@ pub fn render_once(addr: SocketAddr, k: usize) -> std::io::Result<String> {
         }
         frame.push_str("   (trailing-1s busy %)\n");
     }
-
-    frame.push_str(&alerts_line(&alerts));
     frame.push('\n');
 
     for (by, top) in &tables {
@@ -136,30 +133,6 @@ fn metric(metrics: &[(String, f64)], name: &str) -> f64 {
         .find(|(n, _)| n == name)
         .map(|(_, v)| *v)
         .unwrap_or(0.0)
-}
-
-/// One line summarizing `/alerts`: `alerts: all ok` or the firing/pending
-/// specs.
-fn alerts_line(alerts: &Value) -> String {
-    let Some(Value::Arr(list)) = alerts.get("alerts") else {
-        return "alerts: (none configured)\n".to_string();
-    };
-    let loud: Vec<String> = list
-        .iter()
-        .filter_map(|a| {
-            let state = crate::api::get_opt_str(a, "state")?;
-            if state == "ok" || state == "resolved" {
-                return None;
-            }
-            let spec = crate::api::get_opt_str(a, "slo").unwrap_or("?");
-            Some(format!("{spec} [{state}]"))
-        })
-        .collect();
-    if loud.is_empty() {
-        format!("alerts: all ok ({} SLOs)\n", list.len())
-    } else {
-        format!("alerts: {}\n", loud.join(", "))
-    }
 }
 
 /// Render one `/profile/top` response as a fixed-width table.
@@ -276,25 +249,5 @@ mod tests {
         assert_eq!(human_bytes(512), "512B");
         assert_eq!(human_bytes(1536), "1.5KiB");
         assert_eq!(human_bytes(3 * 1024 * 1024), "3.0MiB");
-    }
-
-    #[test]
-    fn alerts_line_reports_quiet_and_firing() {
-        let quiet = obj(vec![(
-            "alerts",
-            Value::Arr(vec![obj(vec![
-                ("slo", Value::Str("http_p99<5ms/30s".into())),
-                ("state", Value::Str("ok".into())),
-            ])]),
-        )]);
-        assert_eq!(alerts_line(&quiet), "alerts: all ok (1 SLOs)\n");
-        let firing = obj(vec![(
-            "alerts",
-            Value::Arr(vec![obj(vec![
-                ("slo", Value::Str("errors<1%/60s".into())),
-                ("state", Value::Str("firing".into())),
-            ])]),
-        )]);
-        assert_eq!(alerts_line(&firing), "alerts: errors<1%/60s [firing]\n");
     }
 }

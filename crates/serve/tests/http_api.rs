@@ -720,72 +720,13 @@ fn metrics_and_trace_endpoints_expose_observability() {
         crate::client::request_text(addr, "GET", "/trace?since=0&until=1", "").expect("get");
     assert_eq!(status, 200, "{body}");
 
-    // /metrics/range serves scraped history once the background scraper
-    // (100 ms default cadence) has completed a pass; unknown series are
-    // 404, inverted windows 400.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    let series = loop {
-        let (status, body) = crate::client::request_text(
-            addr,
-            "GET",
-            "/metrics/range?name=ftn_http_requests_total",
-            "",
-        )
-        .expect("get");
-        if status == 200 {
-            break serde_json::value_from_str(&body).expect("valid JSON");
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "scraper never populated the store"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    };
-    let Some(Value::Arr(points)) = series.get("points") else {
-        panic!("no points array in {series:?}");
-    };
-    assert!(!points.is_empty());
-    assert!(as_u64(points[0].get("nanos")) > 0, "{series:?}");
-    let _counter_value = as_u64(points[0].get("value"));
-    let (status, _) =
-        crate::client::request_text(addr, "GET", "/metrics/range?name=nonexistent", "")
-            .expect("get");
-    assert_eq!(status, 404);
-    let (status, _) = crate::client::request_text(
-        addr,
-        "GET",
-        "/metrics/range?name=ftn_http_requests_total&since=5&until=2",
-        "",
-    )
-    .expect("get");
-    assert_eq!(status, 400);
-    // Bare /metrics/range is the discovery index: every retained series
-    // with its kind, point count and covered window.
-    let (status, index) = request(addr, "GET", "/metrics/range", "");
-    assert_eq!(status, 200, "bare range is the series index");
-    let Some(Value::Arr(listed)) = index.get("series") else {
-        panic!("no series array in {index:?}");
-    };
-    let requests_row = listed
-        .iter()
-        .find(|s| api::get_opt_str(s, "name") == Some("ftn_http_requests_total"))
-        .expect("index lists the scraped request counter");
-    assert_eq!(api::get_opt_str(requests_row, "kind"), Some("counter"));
-    assert!(as_u64(requests_row.get("points")) >= 1);
-    assert!(as_u64(requests_row.get("last_nanos")) >= as_u64(requests_row.get("first_nanos")));
-
-    // /alerts lists the default SLOs, all quiet on a healthy server.
-    let (status, alerts) = request(addr, "GET", "/alerts", "");
-    assert_eq!(status, 200);
-    let Some(Value::Arr(list)) = alerts.get("alerts") else {
-        panic!("no alerts array in {alerts:?}");
-    };
-    assert_eq!(list.len(), 2, "{alerts:?}");
-    for alert in list {
-        assert!(
-            matches!(alert.get("state"), Some(Value::Str(s)) if s == "ok"),
-            "{alert:?}"
-        );
+    // The server keeps no metric history and evaluates no alerts: those are
+    // the job of whatever scrapes /metrics.
+    for path in ["/alerts", "/metrics/range"] {
+        let (status, body) = request(addr, "GET", path, "");
+        assert_eq!(status, 404, "{path}: {body:?}");
+        let error = api::get_opt_str(&body, "error").unwrap_or_default();
+        assert!(error.starts_with("no route"), "{path}: {body:?}");
     }
 
     // /healthz reports the readiness shape with the legacy `ok` field.

@@ -7,7 +7,7 @@
 //! * `GET /profile?format=folded` attributes ≥95 % of the wall time inside
 //!   `http.request` spans to named children over the launch window,
 //! * per-device busy/epoch/idle utilization partitions the window and the
-//!   `ftn_device_utilization` gauges are queryable via `GET /metrics/range`,
+//!   `ftn_device_utilization` gauges are in the `GET /metrics` exposition,
 //! * `ftn top`'s renderer produces a dashboard frame from the same server.
 //!
 //! This lives in its own integration-test binary (one process, one test) on
@@ -138,7 +138,6 @@ fn profile_stack_attributes_live_sharded_traffic() {
         ServeConfig {
             devices: 4,
             workers: 4,
-            scrape_interval_ms: 25,
             ..Default::default()
         },
     )
@@ -331,28 +330,16 @@ fn profile_stack_attributes_live_sharded_traffic() {
         client::request_text(addr, "GET", &format!("/profile?last=1&since={t1}"), "").unwrap();
     assert_eq!(status, 400);
 
-    // The ftn_device_utilization gauges reach the time-series store: the
-    // scraper needs a pass or two, then /metrics/range serves their history.
-    let encoded = "ftn_device_utilization%7Bdevice%3D%220%22%7D";
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-    loop {
-        let (status, body) =
-            client::request_text(addr, "GET", &format!("/metrics/range?name={encoded}"), "")
-                .unwrap();
-        if status == 200 {
-            let series = serde_json::value_from_str(&body).expect("valid JSON");
-            let Some(Value::Arr(points)) = series.get("points") else {
-                panic!("no points in {series:?}");
-            };
-            assert!(!points.is_empty());
-            break;
-        }
-        assert!(
-            std::time::Instant::now() < deadline,
-            "utilization gauge never reached the store (last status {status}: {body})"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(50));
-    }
+    // The ftn_device_utilization gauges are refreshed by every /metrics
+    // read: device 0's busy percent is in the exposition.
+    let (status, text) = client::request_text(addr, "GET", "/metrics", "").unwrap();
+    assert_eq!(status, 200);
+    let busy = text
+        .lines()
+        .find_map(|line| line.strip_prefix("ftn_device_utilization{device=\"0\"} "))
+        .unwrap_or_else(|| panic!("no device 0 utilization gauge in:\n{text}"));
+    let busy: i64 = busy.parse().expect("gauge value");
+    assert!((0..=100).contains(&busy), "busy percent {busy}");
 
     // ftn top renders a frame from the same endpoints.
     let frame = ftn_serve::top::render_once(addr, 10).expect("top frame");

@@ -11,17 +11,13 @@
 //! - **Metrics** ([`MetricsRegistry`], [`Counter`], [`Gauge`],
 //!   [`Histogram`]): named counters/gauges plus log-bucketed latency
 //!   histograms with p50/p95/p99 extraction, rendered as Prometheus text
-//!   exposition for `GET /metrics`.
+//!   exposition for `GET /metrics`. Histograms carry OpenMetrics
+//!   [`Exemplar`]s, so a slow bucket links the offending request's trace;
+//!   history and alerting are the scraping Prometheus server's job.
 //! - **Export** ([`export_chrome`], [`export_chrome_range`]) and a leveled
 //!   event [`fn@log`]: the span buffers serialize to Chrome trace-event
 //!   JSON (`GET /trace`, Perfetto-viewable, one lane per device worker and
 //!   per HTTP worker).
-//! - **Self-monitoring** ([`TimeSeriesStore`], [`SloEngine`]): a
-//!   fixed-retention ring of scraped metric points behind
-//!   `GET /metrics/range`, and declarative SLOs evaluated with multi-window
-//!   burn rates behind `GET /alerts`. Histograms carry OpenMetrics
-//!   [`Exemplar`]s so a firing latency alert links the offending request's
-//!   trace.
 //! - **Profiling** ([`Profile`], [`device_utilization`]): the span rings
 //!   aggregated into folded-stack self/total-time trees (collapsed-stack
 //!   text, SVG flamegraph, JSON — `GET /profile`), plus per-device
@@ -38,26 +34,22 @@ mod chrome;
 pub mod log;
 mod metrics;
 mod profile;
-mod slo;
 mod span;
-mod store;
 
 pub use chrome::{export_chrome, export_chrome_range};
 pub use log::{log, max_level, set_max_level, Level};
 pub use metrics::{
     escape_label_value, labelled, Counter, Exemplar, Gauge, Histogram, HistogramSnapshot,
-    MetricValue, MetricsRegistry, HISTOGRAM_BUCKETS,
+    MetricsRegistry, HISTOGRAM_BUCKETS,
 };
 pub use profile::{
     device_utilization, device_utilization_range, DeviceUtilization, Profile, ProfileNode,
 };
-pub use slo::{default_slos, AlertState, AlertStatus, SloEngine, SloKind, SloSpec};
 pub use span::{
     clear, current_span_id, current_trace_id, enabled, instant, new_trace_id, now_nanos,
     set_capacity, set_enabled, snapshot, snapshot_range, span, span_linked, trace_scope,
     LaneSnapshot, Span, SpanEvent, TraceScope,
 };
-pub use store::{PointValue, RangePoint, SeriesInfo, TimeSeriesStore};
 
 /// Every lock in this crate goes through `lock`, `read` or `write`. They
 /// ignore poisoning: each guarded structure is updated in single steps that

@@ -158,7 +158,7 @@ impl Histogram {
     /// histogram's exemplar. The observation lands in the buckets exactly
     /// like [`Histogram::observe`]; the exemplar slot keeps whichever recent
     /// observation sits in the highest bucket (ties and staleness go to the
-    /// newcomer), so `/metrics` and `/alerts` can link the *slowest* recent
+    /// newcomer), so `/metrics` can link the *slowest* recent
     /// request's trace. Passing `trace_id == 0` (tracing disabled) skips the
     /// slot entirely and costs nothing beyond a plain observation.
     pub fn observe_with_exemplar(&self, seconds: f64, trace_id: u64, span_id: u64) {
@@ -276,33 +276,6 @@ impl HistogramSnapshot {
         }
         out
     }
-
-    /// Observations known to be at most `seconds`: the cumulative count of
-    /// buckets whose inclusive upper bound is ≤ the threshold. Observations
-    /// in the bucket *straddling* the threshold are excluded (conservatively
-    /// treated as above it), so a threshold-vs-count comparison inherits the
-    /// bucket scheme's ≤25% granularity in the pessimistic direction.
-    pub fn count_le_seconds(&self, seconds: f64) -> u64 {
-        let nanos = Histogram::clamp_nanos(seconds);
-        self.buckets
-            .iter()
-            .enumerate()
-            .take_while(|(i, _)| bucket_upper_nanos(*i) <= nanos)
-            .map(|(_, &n)| n)
-            .sum()
-    }
-}
-
-/// A point-in-time value of one registered metric, as enumerated by
-/// [`MetricsRegistry::snapshot_all`] — what the time-series scraper records.
-#[derive(Debug, Clone)]
-pub enum MetricValue {
-    /// A counter's current value.
-    Counter(u64),
-    /// A gauge's current value.
-    Gauge(i64),
-    /// A histogram's full bucket snapshot.
-    Histogram(HistogramSnapshot),
 }
 
 enum Metric {
@@ -382,31 +355,6 @@ impl MetricsRegistry {
             Metric::Histogram(h) => h.clone(),
             _ => Arc::new(Histogram::new()),
         }
-    }
-
-    /// The current value of the counter registered under `name`, without
-    /// creating one — `None` if `name` is absent or a different kind.
-    pub fn counter_value(&self, name: &str) -> Option<u64> {
-        match read(&self.metrics).get(name) {
-            Some(Metric::Counter(c)) => Some(c.get()),
-            _ => None,
-        }
-    }
-
-    /// A point-in-time copy of every registered metric, in name order — the
-    /// scrape primitive behind the time-series store.
-    pub fn snapshot_all(&self) -> Vec<(String, MetricValue)> {
-        read(&self.metrics)
-            .iter()
-            .map(|(name, metric)| {
-                let value = match metric {
-                    Metric::Counter(c) => MetricValue::Counter(c.get()),
-                    Metric::Gauge(g) => MetricValue::Gauge(g.get()),
-                    Metric::Histogram(h) => MetricValue::Histogram(h.snapshot()),
-                };
-                (name.clone(), value)
-            })
-            .collect()
     }
 
     /// Render every metric in Prometheus text-exposition format. Histograms
@@ -661,21 +609,6 @@ mod tests {
     }
 
     #[test]
-    fn count_le_is_conservative() {
-        let h = Histogram::new();
-        for ms in [1u64, 2, 3, 10, 100] {
-            h.observe_nanos(ms * 1_000_000);
-        }
-        let snap = h.snapshot();
-        // 1/2/3 ms are surely ≤ 5 ms; 10 and 100 ms are not.
-        assert_eq!(snap.count_le_seconds(0.005), 3);
-        // A threshold below everything counts nothing.
-        assert_eq!(snap.count_le_seconds(0.0001), 0);
-        // Conservative: a threshold inside a bucket excludes that bucket.
-        assert!(snap.count_le_seconds(0.0101) <= 4);
-    }
-
-    #[test]
     fn exemplar_keeps_highest_bucket_and_skips_zero_trace() {
         let h = Histogram::new();
         assert!(h.exemplar().is_none());
@@ -775,27 +708,6 @@ mod tests {
             text.contains("ftn_slo_state{slo=\"weird\\\"spec\\\\with\\nnewline\"} 2"),
             "{text}"
         );
-    }
-
-    #[test]
-    fn snapshot_all_and_typed_lookups() {
-        let reg = MetricsRegistry::new();
-        reg.counter("a_total").add(5);
-        reg.gauge("b_depth").set(-2);
-        reg.histogram("c_seconds").observe(0.01);
-        let all = reg.snapshot_all();
-        assert_eq!(all.len(), 3);
-        assert!(matches!(
-            all.iter().find(|(n, _)| n == "a_total"),
-            Some((_, MetricValue::Counter(5)))
-        ));
-        assert!(matches!(
-            all.iter().find(|(n, _)| n == "b_depth"),
-            Some((_, MetricValue::Gauge(-2)))
-        ));
-        assert_eq!(reg.counter_value("a_total"), Some(5));
-        assert_eq!(reg.counter_value("b_depth"), None, "wrong kind");
-        assert_eq!(reg.counter_value("missing"), None);
     }
 
     /// The locks ignore poisoning: a thread that dies holding the registry

@@ -17,11 +17,6 @@
 //! * `GET /metrics` exports the request/queue-wait histograms and
 //!   `GET /trace` returns a Chrome trace-event timeline with one lane per
 //!   pool device and the burst's `job.kernel` spans,
-//! * `GET /metrics/range` serves the self-scraped time series of the burst,
-//! * a deliberately slow compile workload drives an aggressive latency SLO
-//!   to `firing` on `GET /alerts`, whose exemplar `trace_link` resolves to
-//!   the slow request's trace in `/trace?since=&until=`, and the alert
-//!   returns to `resolved` once the bad traffic stops,
 //! * `GET /profile?format=folded` contains a `kernel.execute` frame with
 //!   nonzero self time, `GET /profile/top?by=kernel` attributes the burst's
 //!   simulated cycles to `saxpy_kernel0`, and the `ftn top` renderer turns
@@ -40,10 +35,6 @@ use serde::{Serialize, Value};
 const N: usize = 4096;
 const LAUNCHES: usize = 8;
 const A: f32 = 1.5;
-/// The deliberately unmeetable-under-compile-load objective the alert demo
-/// drives to `firing`: half the requests in any 2 s window must finish in
-/// under 500 us. Keep-alive API polls do; multi-millisecond compiles do not.
-const TIGHT_SLO: &str = "http_p50<500us/2s";
 
 fn request(conn: &mut Conn, method: &str, path: &str, body: &str) -> (u16, Value) {
     let (status, value) = conn
@@ -89,15 +80,6 @@ fn get_f32s(v: &Value) -> Vec<f32> {
         .collect()
 }
 
-/// The `/alerts` row for SLO `spec`, if listed.
-fn find_alert<'a>(alerts: &'a Value, spec: &str) -> Option<&'a Value> {
-    let Some(Value::Arr(rows)) = alerts.get("alerts") else {
-        panic!("/alerts has no alerts array: {alerts:?}");
-    };
-    rows.iter()
-        .find(|row| matches!(row.get("slo"), Some(Value::Str(s)) if s == spec))
-}
-
 fn saxpy_launch_args(n: usize, a: f32) -> Value {
     // saxpy_kernel0(x, y, n, n, a, 1, n) — signature reported by /compile.
     Value::Arr(vec![
@@ -138,19 +120,12 @@ fn main() {
     }
     let reference = machine.read_f32(&ya);
 
-    // Start the service in-process on an ephemeral port. Beside the default
-    // SLOs, an aggressively tight latency objective (p50 < 500 us over a 2 s
-    // window) arms the alert demo below; the 25 ms scrape cadence keeps its
-    // burn rates fresh.
-    let mut slos = ftn_trace::default_slos();
-    slos.push(ftn_trace::SloSpec::parse(TIGHT_SLO).expect("tight SLO parses"));
+    // Start the service in-process on an ephemeral port.
     let server = Server::bind(
         "127.0.0.1:0",
         ServeConfig {
             devices: 2,
             workers: 4,
-            scrape_interval_ms: 25,
-            slos,
             ..Default::default()
         },
     )
@@ -399,117 +374,6 @@ fn main() {
         events.len(),
         device_lanes
     );
-
-    // The background scraper has been snapshotting the registry into the
-    // time-series store all along; /metrics/range replays the burst. The
-    // burst takes about as long as one scrape interval, so wait for the
-    // scrape that has seen it rather than for the first point.
-    let since = std::time::Instant::now();
-    let (points, last) = loop {
-        let (status, range) = conn
-            .request("GET", "/metrics/range?name=ftn_http_requests_total", "")
-            .expect("GET /metrics/range round-trips");
-        if let (200, Some(Value::Arr(points))) = (status, range.get("points")) {
-            let last = points.last().map_or(0, |p| get_u64(p, "value"));
-            if last > 20 {
-                break (points.len(), last);
-            }
-        }
-        assert!(
-            since.elapsed() < std::time::Duration::from_secs(10),
-            "ftn_http_requests_total series has not reached the burst after 10s: {range:?}"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(20));
-    };
-    println!(
-        "time series: {} retained points of ftn_http_requests_total, latest = {} requests",
-        points, last
-    );
-
-    // Drive the tight SLO to `firing`: cache-missing compiles of 64 renamed
-    // SAXPY copies take several milliseconds each (one copy compiles in a
-    // tenth of one), so they blow the 500 us p50 budget in both burn-rate
-    // windows within a few hundred milliseconds.
-    let slow_source: String = (0..64)
-        .map(|copy| source.replace("saxpy", &format!("saxpy_{copy}")))
-        .collect();
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    let mut variant = 0u32;
-    let firing = loop {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "SLO {TIGHT_SLO} did not fire under compile load"
-        );
-        for _ in 0..3 {
-            variant += 1;
-            let slow = body(&obj(vec![(
-                "source",
-                Value::Str(format!("{slow_source}\n! slo demo variant {variant}")),
-            )]));
-            request(&mut conn, "POST", "/compile", &slow);
-        }
-        let (_, alerts) = request(&mut conn, "GET", "/alerts", "");
-        if let Some(alert) = find_alert(&alerts, TIGHT_SLO) {
-            if alert.get("state") == Some(&Value::Str("firing".into())) {
-                break alert.clone();
-            }
-        }
-    };
-    println!(
-        "alert firing: {TIGHT_SLO} (fast_burn {:?}, slow_burn {:?})",
-        firing.get("fast_burn"),
-        firing.get("slow_burn")
-    );
-
-    // The firing alert carries an exemplar — the trace identity of one slow
-    // observation — and a ready-made /trace window around it.
-    let exemplar = firing
-        .get("exemplar")
-        .expect("firing latency alert carries an exemplar");
-    let trace_id = get_u64(exemplar, "trace_id");
-    assert_ne!(trace_id, 0, "exemplar trace id must be a real trace");
-    let Some(Value::Str(link)) = exemplar.get("trace_link") else {
-        panic!("exemplar has no trace_link: {exemplar:?}");
-    };
-    let (status, window) = conn
-        .request_text("GET", link, "")
-        .expect("exemplar trace_link round-trips");
-    assert_eq!(status, 200, "{link}");
-    let window = serde_json::value_from_str(&window).expect("trace window is valid JSON");
-    let Some(Value::Arr(events)) = window.get("traceEvents") else {
-        panic!("trace window has no traceEvents: {window:?}");
-    };
-    let resolved_spans = events
-        .iter()
-        .filter(|e| match e.get("args").and_then(|a| a.get("trace_id")) {
-            Some(Value::UInt(t)) => *t == trace_id,
-            Some(Value::Int(t)) => u64::try_from(*t) == Ok(trace_id),
-            _ => false,
-        })
-        .count();
-    assert!(
-        resolved_spans > 0,
-        "exemplar trace {trace_id} not found via {link}"
-    );
-    println!("exemplar: trace {trace_id} resolves to {resolved_spans} span(s) via {link}");
-
-    // Stop the bad traffic; cheap /alerts polls re-fill the budget and the
-    // alert walks firing -> resolved.
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
-    loop {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "SLO {TIGHT_SLO} did not resolve after the bad traffic stopped"
-        );
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        let (_, alerts) = request(&mut conn, "GET", "/alerts", "");
-        let alert = find_alert(&alerts, TIGHT_SLO).expect("tight SLO stays listed");
-        match alert.get("state") {
-            Some(Value::Str(s)) if s == "resolved" || s == "ok" => break,
-            _ => {}
-        }
-    }
-    println!("alert resolved: {TIGHT_SLO} recovered once the compile load stopped");
 
     // The continuous profiler has been watching the same spans: the folded
     // (collapsed-stack) view must attribute real self time to the simulated

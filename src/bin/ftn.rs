@@ -4,8 +4,8 @@
 //! ftn <input.f90> [--out DIR] [--quiet]      compile one Fortran file
 //! ftn top HOST:PORT [--interval MS]          live terminal dashboard over a
 //!           [-k ROWS] [--once]               running serve instance: top-K
-//!                                            kernels/sessions/devices,
-//!                                            utilization, and alerts
+//!                                            kernels/sessions/devices
+//!                                            and utilization
 //! ftn serve [--port P]                       run the compile-and-run service
 //!           [--devices N | u280,u250,...]    pool size, or an explicit
 //!                                            (heterogeneous) device list
@@ -18,16 +18,6 @@
 //!           [--trace-buffer EVENTS]          span-ring capacity per lane
 //!                                            (0 disables tracing)
 //!           [--log-level LEVEL]              error|warn|info|debug|trace
-//!           [--slo SPEC]                     add a service-level objective,
-//!                                            e.g. http_p99<5ms/30s or
-//!                                            errors<1%/60s (repeatable; the
-//!                                            first --slo replaces the
-//!                                            built-in defaults)
-//!           [--scrape-interval MS]           self-scrape cadence for the
-//!                                            time-series store + SLO engine
-//!                                            (0 disables both)
-//!           [--retention POINTS]             per-series ring capacity for
-//!                                            GET /metrics/range
 //! ```
 //!
 //! Compile mode runs the full OpenMP→FPGA pipeline and writes every artifact
@@ -40,9 +30,9 @@
 //! over a simulated multi-FPGA pool. With `--shards N|auto`, sessions that
 //! do not specify a shard count themselves are sharded across the pool
 //! (ftn-shard; see the README "ftn-serve"/"ftn-shard" sections for the API).
-//! Observability: `GET /metrics` (Prometheus with exemplars), `GET /trace`
-//! (Chrome trace-event JSON), `GET /metrics/range` (retained time series)
-//! and `GET /alerts` (SLO burn-rate alerting) — see `docs/OBSERVABILITY.md`.
+//! Observability: `GET /metrics` (Prometheus with exemplars; history and
+//! alerting are the scraping Prometheus server's), `GET /trace` (Chrome
+//! trace-event JSON) and `GET /profile` — see `docs/OBSERVABILITY.md`.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -124,8 +114,6 @@ fn top(args: &[String]) -> ExitCode {
 fn serve(args: &[String]) -> ExitCode {
     let mut port: u16 = 8080;
     let mut config = ServeConfig::default();
-    // The first --slo replaces the built-in defaults; later ones append.
-    let mut slos_replaced = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -240,55 +228,9 @@ fn serve(args: &[String]) -> ExitCode {
                     }
                 }
             }
-            "--slo" => {
-                i += 1;
-                let Some(raw) = args.get(i) else {
-                    eprintln!(
-                        "error: --slo needs METRIC_pQ<DURATION/WINDOW or errors<P%/WINDOW \
-                         (e.g. http_p99<5ms/30s, queue_wait_p95<200us/1m, errors<1%/60s)"
-                    );
-                    return ExitCode::FAILURE;
-                };
-                match ftn_trace::SloSpec::parse(raw) {
-                    Ok(spec) => {
-                        if !slos_replaced {
-                            config.slos.clear();
-                            slos_replaced = true;
-                        }
-                        config.slos.push(spec);
-                    }
-                    Err(e) => {
-                        eprintln!("error: --slo '{raw}': {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--scrape-interval" => {
-                i += 1;
-                // 0 is meaningful: it disables the scraper and SLO engine.
-                match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(ms) => config.scrape_interval_ms = ms,
-                    None => {
-                        eprintln!(
-                            "error: --scrape-interval needs a number of milliseconds (0 disables)"
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
-            "--retention" => {
-                i += 1;
-                match args.get(i).and_then(|v| v.parse().ok()) {
-                    Some(points) if points > 0 => config.retention_points = points,
-                    _ => {
-                        eprintln!("error: --retention needs a positive number of points");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: ftn serve [--port P] [--devices N|u280,u250,...] [--workers W] [--cache-dir DIR] [--shards N|auto] [--auto-rebalance N[:T]] [--idle-timeout SECS] [--trace-buffer EVENTS] [--log-level LEVEL] [--slo SPEC]... [--scrape-interval MS] [--retention POINTS]"
+                    "usage: ftn serve [--port P] [--devices N|u280,u250,...] [--workers W] [--cache-dir DIR] [--shards N|auto] [--auto-rebalance N[:T]] [--idle-timeout SECS] [--trace-buffer EVENTS] [--log-level LEVEL]"
                 );
                 return ExitCode::SUCCESS;
             }

@@ -170,7 +170,6 @@ fn http_reply_text_is_byte_identical_to_the_parent_commit() {
     let config = ServeConfig {
         devices: 1,
         workers: 1,
-        scrape_interval_ms: 0,
         ..Default::default()
     };
     let server = Server::bind("127.0.0.1:0", config).expect("bind");
@@ -250,7 +249,6 @@ fn launch_with_i32_or_i64_loop_bounds_matches_index_bounds_and_machine() {
     let config = ServeConfig {
         devices: 1,
         workers: 1,
-        scrape_interval_ms: 0,
         ..Default::default()
     };
     let server = Server::bind("127.0.0.1:0", config).expect("bind");

@@ -2,7 +2,7 @@
 //! hostile input: the per-connection [`MessageReader`] frames with about one
 //! `read` per small request and carries leftover bytes forward, every request
 //! that frames gets one reply in order, and input that does not frame gets a
-//! 400/413 and a close (or just the close when the peer is gone) without any
+//! 400/413/501 and a close (or just the close when the peer is gone) without any
 //! handler running or any session or pool memory changing hands.
 
 use std::io::{Read, Write};
@@ -157,7 +157,6 @@ fn start() -> Running {
     let config = ServeConfig {
         devices: 1,
         workers: 2,
-        scrape_interval_ms: 0,
         ..Default::default()
     };
     let server = Server::bind("127.0.0.1:0", config).expect("bind");
@@ -246,7 +245,7 @@ fn unframeable_input_is_answered_then_closed() {
         "HTTP/1.1 404 Not Found"
     );
     let over = format!("GET / HTTP/1.1\r\nX: {}\r\n\r\n", pad(MAX_HEADER_BYTES + 1));
-    let cases: [(&[u8], &str, &str); 5] = [
+    let cases: [(&[u8], &str, &str); 7] = [
         (
             over.as_bytes(),
             "HTTP/1.1 400 Bad Request",
@@ -263,6 +262,18 @@ fn unframeable_input_is_answered_then_closed() {
             b"POST /compile HTTP/1.1\r\nContent-Length: 2x\r\n\r\nPOST /shutdown HTTP/1.1\r\n\r\n",
             "HTTP/1.1 400 Bad Request",
             "malformed Content-Length",
+        ),
+        // Nor may the body of one whose lengths disagree, or whose body is
+        // chunked.
+        (
+            b"POST /compile HTTP/1.1\r\nContent-Length: 27\r\nContent-Length: 0\r\n\r\nPOST /shutdown HTTP/1.1\r\n\r\n",
+            "HTTP/1.1 400 Bad Request",
+            "conflicting Content-Length",
+        ),
+        (
+            b"POST /compile HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n1b\r\nPOST /shutdown HTTP/1.1\r\n\r\n\r\n0\r\n\r\n",
+            "HTTP/1.1 501 Not Implemented",
+            "Transfer-Encoding not supported",
         ),
         (
             b"POST /compile HTTP/1.1\r\nContent-Length: 268435457\r\n\r\n",
