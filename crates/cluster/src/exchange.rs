@@ -1,25 +1,25 @@
 //! The row exchange — the one mechanism that moves a session's rows, all
-//! its life: an open, an inter-launch halo refresh, a migration epoch and a
-//! close are the same act with different plans. Each block is resolved to
+//! its life: an open, an inter-launch halo refresh and a close are the same
+//! act with different plans. Each block is resolved to
 //! where its rows come from and where they go, then two device phases run.
 //!
 //! 1. **Gather** ([`ClusterMachine::exchange_gather`] /
 //!    [`ClusterMachine::exchange_fetch`]) — device→host `fetch_rows` jobs:
-//!    one per donor device for a refresh's or an epoch's blocks whose donor
-//!    and recipient live on *different devices*, each into a dedicated move
+//!    one per donor device for a refresh's blocks whose donor and
+//!    recipient live on *different devices*, each into a dedicated move
 //!    buffer; one per shard for a close's `from`/`tofrom` sub-buffers,
 //!    whole. Same-device blocks need no gather, and an open gathers nothing.
 //! 2. **Apply** ([`ClusterMachine::exchange_apply`]) — `RowPatch` jobs, one
 //!    per recipient device (per shard for an open), write every block into
-//!    its target mirror, creating the mirrors that do not exist yet: an
-//!    open's rows cut from the caller's array and host-bounced blocks as
-//!    host contents, seeds and same-device blocks for free. A close applies
-//!    nothing.
+//!    its target mirror: an open's mirrors are created from the rows cut
+//!    from the caller's array (or a seed), a refresh's host-bounced blocks
+//!    arrive as host contents and its same-device blocks for free. A close
+//!    applies nothing.
 //!
 //! [`ClusterMachine::exchange_finish`] then frees the move buffers and hands
 //! over to the caller-specific tail (the exchange's `finish` closure): the
-//! session enters the table (open), gets its stats (refresh), swaps
-//! sub-buffers and goes back in (epoch), or is gathered and freed (close).
+//! session enters the table (open), gets its stats (refresh), or is
+//! gathered, freed and leaves the table (close).
 //! Each phase's jobs are sent under the machine, one message a job as each
 //! is planned, and waited by the caller — synchronously
 //! ([`ClusterMachine::exchange_run`]) or with the machine lock released
@@ -64,10 +64,8 @@ pub(crate) type Fetches = Vec<(usize, Vec<RowFetch>)>;
 /// One array's share of an exchange: its plan plus what the plan's shard
 /// indices resolve to.
 pub(crate) struct ArrayBlocks {
-    /// Per shard: the sub-buffer whose mirror donates rows.
-    pub donors: Vec<BufferId>,
-    /// Per shard: the sub-buffer whose mirror receives rows.
-    pub recipients: Vec<BufferId>,
+    /// Per shard: the sub-buffer whose mirror donates and receives rows.
+    pub buffers: Vec<BufferId>,
     /// The blocks to move.
     pub plan: RowTransferPlan,
 }
@@ -77,7 +75,7 @@ struct Transfer {
     target: BufferId,
     target_device: usize,
     /// Blocks with one key travel in one job, jobs are submitted in key
-    /// order: the target device (refresh, epoch) or the shard (open).
+    /// order: the target device (refresh) or the shard (open).
     job: usize,
     rows: Rows,
 }
@@ -111,8 +109,6 @@ pub(crate) struct RowExchange<R> {
     transfers: Vec<Transfer>,
     /// Move buffers of the bounced blocks, freed when the exchange finishes.
     moves: Vec<BufferId>,
-    /// Targets that have no mirror yet: the apply creates them.
-    fresh: Vec<BufferId>,
     /// Staged-upload accounting folded from the apply tickets.
     staged: u64,
     staged_bytes: u64,
@@ -126,15 +122,13 @@ pub(crate) struct RowExchange<R> {
 }
 
 impl<R> RowExchange<R> {
-    /// An exchange with nothing submitted yet. `fresh` names the
-    /// recipients that have no mirror: the apply creates them. `started`
-    /// and `span` cover the caller's whole operation, planning included.
+    /// An exchange with nothing submitted yet. `started` and `span` cover
+    /// the caller's whole operation, planning included.
     pub(crate) fn new(
         session: u64,
         labels: &'static ExchangeLabels,
         span: ftn_trace::Span,
         started: Instant,
-        fresh: Vec<BufferId>,
         finish: impl FnOnce(&mut ClusterMachine, &mut ftn_trace::Span, f64, bool) -> R + 'static,
     ) -> Box<RowExchange<R>> {
         Box::new(RowExchange {
@@ -142,7 +136,6 @@ impl<R> RowExchange<R> {
             labels,
             transfers: Vec::new(),
             moves: Vec::new(),
-            fresh,
             staged: 0,
             staged_bytes: 0,
             handles: Vec::new(),
@@ -250,10 +243,8 @@ impl ClusterMachine {
     }
 
     /// Plan a halo refresh — every split array's ghost blocks, donated by
-    /// the shards that own the rows — and submit its gather. Unlike a
-    /// migration epoch the session *stays in the table*: no rows change
-    /// owners and no sub-buffer is replaced, so nothing a concurrent wait
-    /// could observe is torn down.
+    /// the shards that own the rows — and submit its gather. No rows change
+    /// owners and no sub-buffer is replaced.
     pub(crate) fn halo_begin(
         &mut self,
         session: u64,
@@ -276,8 +267,7 @@ impl ClusterMachine {
                 continue;
             }
             let ranges: Vec<ShardRange> = a.slices.iter().map(|sl| sl.range).collect();
-            let recipients = ranges.iter().copied().enumerate();
-            let plan = RowTransferPlan::ghost_blocks(recipients, &ranges, a.row_elems);
+            let plan = RowTransferPlan::ghost_blocks(&ranges, a.row_elems);
             if plan.blocks.is_empty() {
                 continue;
             }
@@ -286,12 +276,8 @@ impl ClusterMachine {
             refreshed += 1;
             rows += (elems / a.row_elems) as u64;
             bytes += (elems * (sub.byte_len() / sub.len().max(1))) as u64;
-            let buffers: Vec<BufferId> = a.slices.iter().map(|sl| sl.memref.buffer).collect();
-            arrays.push(ArrayBlocks {
-                donors: buffers.clone(),
-                recipients: buffers,
-                plan,
-            });
+            let buffers = a.slices.iter().map(|sl| sl.memref.buffer).collect();
+            arrays.push(ArrayBlocks { buffers, plan });
         }
         if arrays.is_empty() {
             // A single shard, or no mapped array carries halos.
@@ -326,16 +312,16 @@ impl ClusterMachine {
                 seconds,
             }
         };
-        let mut ex = RowExchange::new(session, &HALO, span, started, Vec::new(), finish);
+        let mut ex = RowExchange::new(session, &HALO, span, started, finish);
         self.exchange_gather(&mut ex, &devices, arrays);
         Ok(ExchangePhase::Run(ex))
     }
 
-    /// Phase 1 of a refresh or an epoch: resolve every plan block against
+    /// Phase 1 of a refresh: resolve every plan block against
     /// the session's buffers and `devices` (shard → device), allocate a move
     /// buffer per cross-device block, and submit the gather of those (none
     /// when every block is same-device).
-    pub(crate) fn exchange_gather<R>(
+    fn exchange_gather<R>(
         &mut self,
         ex: &mut RowExchange<R>,
         devices: &[usize],
@@ -344,7 +330,7 @@ impl ClusterMachine {
         let mut fetches: BTreeMap<usize, Vec<RowFetch>> = BTreeMap::new();
         for a in &arrays {
             for b in &a.plan.blocks {
-                let donor = a.donors[b.donor_shard];
+                let donor = a.buffers[b.donor_shard];
                 let (donor_device, target_device) =
                     (devices[b.donor_shard], devices[b.recipient_shard]);
                 let rows = if donor_device == target_device {
@@ -368,7 +354,7 @@ impl ClusterMachine {
                     Rows::Bounced { via, dst }
                 };
                 ex.transfers.push(Transfer {
-                    target: a.recipients[b.recipient_shard],
+                    target: a.buffers[b.recipient_shard],
                     target_device,
                     job: target_device,
                     rows,
@@ -391,7 +377,7 @@ impl ClusterMachine {
                 rf.start = usize::MAX / 2;
             }
         }
-        let mut sp = ftn_trace::span(ex.labels.gather, "epoch");
+        let mut sp = ftn_trace::span(ex.labels.gather, "exchange");
         sp.arg(
             "devices",
             distinct(fetches.iter().map(|(device, _)| *device)),
@@ -437,15 +423,12 @@ impl ClusterMachine {
                 Some(patch) => patch.blocks.push(block),
                 None => patches.push(RowPatch {
                     target: t.target,
-                    create: ex.fresh.contains(&t.target).then(|| {
-                        let sub = self.memory.get(t.target);
-                        Create::Seed(empty_like(sub, sub.len()))
-                    }),
+                    create: None,
                     blocks: vec![block],
                 }),
             }
         }
-        let mut sp = ftn_trace::span(apply, "epoch");
+        let mut sp = ftn_trace::span(apply, "exchange");
         sp.arg(
             "devices",
             distinct(jobs.values().map(|(device, _)| *device)),

@@ -10,11 +10,11 @@
 //!   so a waiter wakes within microseconds of its job's outcome and holds
 //!   the lock only to drain outcomes — never across a blocking receive.
 //!   A wait for a condition — none of an open's arrays held by a job, a
-//!   session quiet before its close or epoch — is a wait for the jobs in
-//!   its way: it parks on one blocking job's cell at a time.
+//!   session quiet before its close — is a wait for the jobs in its way: it
+//!   parks on one blocking job's cell at a time.
 //! * **Phased row exchanges.** Everything that moves a session's rows —
 //!   [`PoolGate::open_phased`], [`PoolGate::refresh_phased`],
-//!   [`PoolGate::rebalance_phased`], [`PoolGate::close_phased`] — runs
+//!   [`PoolGate::close_phased`] — runs
 //!   fence → (ready) → gather → apply → finish as explicit phases with
 //!   the machine lock *released* while device traffic is in flight. A
 //!   per-session fence blocks exactly the session whose rows move (launches
@@ -35,9 +35,7 @@ use ftn_core::CompileError;
 use crate::exchange::ExchangePhase;
 use crate::machine::{ClusterMachine, ClusterRunReport, LaunchHandle, PendingJob};
 use crate::session::MapKind;
-use crate::sharded::{
-    AutoRebalance, HaloRefreshReport, RebalanceReport, ShardCount, ShardedReport,
-};
+use crate::sharded::{HaloRefreshReport, ShardCount, ShardedReport};
 
 /// Safety-valve park slice: a waiter re-polls at least this often even if a
 /// wakeup is lost (e.g. workers torn down mid-wait). Correctness never
@@ -47,8 +45,8 @@ use crate::sharded::{
 const PARK_SLICE: Duration = Duration::from_millis(20);
 
 /// A [`ClusterMachine`] behind a short-critical-section lock, with
-/// condvar-notified completion waits and phased, per-session-fenced
-/// migration epochs. One gate per serve-layer pool.
+/// condvar-notified completion waits and phased, per-session-fenced row
+/// exchanges. One gate per serve-layer pool.
 pub struct PoolGate {
     machine: Mutex<ClusterMachine>,
     /// Sessions currently inside a phased row exchange. Traffic for a
@@ -65,10 +63,9 @@ fn relock<T>(r: Result<T, std::sync::PoisonError<T>>) -> T {
     r.unwrap_or_else(|e| e.into_inner())
 }
 
-/// The jobs a close or an epoch of `session` waits for: its launches in
-/// flight — none may be before backlogs are read or rows change owners. An
-/// unknown session has none: the exchange's begin step reports it as the
-/// synchronous path would.
+/// The jobs a close of `session` waits for: its launches in flight — none
+/// may be before its rows are fetched. An unknown session has none: the
+/// exchange's begin step reports it as the synchronous path would.
 fn launches_of(session: u64) -> impl Fn(&PendingJob) -> bool {
     move |p| p.session == Some(session)
 }
@@ -135,15 +132,14 @@ impl PoolGate {
     }
 
     /// Lock the machine with `session` known to be outside a phased
-    /// exchange *at lock time*: epochs and closes remove the session from
-    /// the machine's table for their duration, so touching one mid-exchange
-    /// would spuriously report "no session" (after a close that succeeds it
-    /// is the truth). Traffic for a fenced session parks on the fence
+    /// exchange *at lock time*: a launch in the middle of a refresh would
+    /// race its ghost rows, and one in the middle of a close would be lost
+    /// to the close's fetch. Traffic for a fenced session parks on the fence
     /// *before* taking the machine lock, so only that session waits out the
-    /// epoch; re-checking the fence under the machine lock closes the race
-    /// between the fence test and the lock acquisition. An epoch that fences
-    /// *after* the guard is handed out quiesces behind whatever the caller
-    /// submits, which is the pre-epoch order.
+    /// exchange; re-checking the fence under the machine lock closes the
+    /// race between the fence test and the lock acquisition. A close that
+    /// fences *after* the guard is handed out quiesces behind whatever the
+    /// caller submits, which is the order the calls were made in.
     pub fn lock_session(&self, session: u64) -> MutexGuard<'_, ClusterMachine> {
         loop {
             self.wait_unfenced(session);
@@ -168,7 +164,7 @@ impl PoolGate {
 
     fn fence(&self, session: u64) {
         let mut fences = relock(self.fences.lock());
-        // A concurrent epoch on the same session queues behind this one.
+        // A concurrent exchange on the same session queues behind this one.
         while fences.contains(&session) {
             fences = relock(self.fence_cv.wait(fences));
         }
@@ -180,23 +176,6 @@ impl PoolGate {
         self.fence_cv.notify_all();
     }
 
-    /// Run one re-plan check as a *phased* migration epoch: quiesce →
-    /// delta-gather → reshard → resume, releasing the machine lock while
-    /// epoch device traffic is in flight and parking on the jobs' cells
-    /// instead. Only `session` is fenced for the duration; launches
-    /// on every other session proceed mid-epoch. Behavior (decision,
-    /// migration, statistics, error cleanup) is identical to
-    /// [`ClusterMachine::rebalance_session_with`].
-    pub fn rebalance_phased(
-        &self,
-        session: u64,
-        threshold: Option<f64>,
-    ) -> Result<RebalanceReport, CompileError> {
-        self.phased(Some(session), launches_of(session), |m| {
-            m.epoch_begin(session, threshold)
-        })
-    }
-
     /// Open a session as a *phased* exchange: plan and scatter under a
     /// short lock, then stage every shard onto its device with the lock
     /// released. Nothing is fenced — nobody can address the session before
@@ -205,26 +184,25 @@ impl PoolGate {
     /// sessionless job's update has landed in host memory before the
     /// scatter cuts it. Behavior — including the refusal of an array
     /// another open session maps — is identical to
-    /// [`ClusterMachine::open_sharded_session_with`].
+    /// [`ClusterMachine::open_sharded_session`].
     pub fn open_phased(
         &self,
         maps: &[(&str, ftn_interp::RtValue, MapKind, ftn_shard::Partition)],
         shards: ShardCount,
-        auto_rebalance: Option<AutoRebalance>,
     ) -> Result<u64, CompileError> {
         let ids: Vec<_> = (maps.iter())
             .filter_map(|(_, v, ..)| Some(v.as_memref().ok()?.buffer))
             .collect();
         let holders = |p: &PendingJob| p.holds(&ids);
-        self.phased(None, holders, |m| {
-            m.open_begin(maps, shards, auto_rebalance)
-        })
+        self.phased(None, holders, |m| m.open_begin(maps, shards))
     }
 
-    /// Close a session as a *phased* exchange: fenced and quiesced exactly
-    /// as an epoch is, its `from`/`tofrom` sub-buffers fetched with the
-    /// lock released, then gathered and freed under a short lock. Behavior
-    /// is identical to [`ClusterMachine::close_sharded_session`].
+    /// Close a session as a *phased* exchange: fenced, its launches in
+    /// flight waited off-lock, its `from`/`tofrom` sub-buffers fetched with
+    /// the lock released, then gathered and freed under a short lock. The
+    /// session stays in the machine's table until then, so its arrays stay
+    /// refused to every other caller. Behavior is identical to
+    /// [`ClusterMachine::close_sharded_session`].
     pub fn close_phased(&self, session: u64) -> Result<ShardedReport, CompileError> {
         self.phased(Some(session), launches_of(session), |m| {
             m.close_begin(session)
@@ -260,8 +238,8 @@ impl PoolGate {
     }
 
     /// The one phased driver: fence `session` (an open has none yet), wait
-    /// off-lock until no pending job `blocks` `begin` (an epoch's and a
-    /// close's session's launches, an open's arrays' holders), then run the
+    /// off-lock until no pending job `blocks` `begin` (a close's session's
+    /// launches, an open's arrays' holders), then run the
     /// row exchange `begin` plans with the machine lock held only to submit
     /// each phase — the phases' device traffic is waited off-lock on the
     /// claims' cells.
@@ -286,8 +264,8 @@ impl PoolGate {
             self.lock().exchange_apply(&mut ex);
             ex.wait_phase(|h| self.wait_done(h));
             // Release exchange buffers, fold statistics, and put the
-            // session into the table (opens), back into it (epochs) or take
-            // it out (closes) — error path included.
+            // session into the table (opens) or take it out (closes) —
+            // error path included.
             self.lock().exchange_finish(*ex)
         })();
         if let Some(s) = session {
@@ -337,8 +315,8 @@ mod tests {
 
     /// The race [`PoolGate::lock_session`] re-checks the fence for: a caller
     /// that passed the fence test and is queued on the machine lock when an
-    /// epoch fences its session must be waited out, not handed a guard over
-    /// a machine whose table no longer holds the session.
+    /// exchange fences its session must be waited out, not handed a guard
+    /// over a session whose rows are moving.
     #[test]
     fn a_session_fenced_while_its_caller_queues_on_the_machine_lock_is_waited_out() {
         let gate = Arc::new(PoolGate::new(crate::tests::pool(1)));
@@ -361,7 +339,7 @@ mod tests {
         // Without the re-check the caller owns the guard by now and reports
         // a fenced session; with it, nothing arrives until the unfence.
         if let Ok(fenced) = rx.recv_timeout(Duration::from_millis(200)) {
-            panic!("guard handed out mid-epoch (fenced = {fenced})");
+            panic!("guard handed out mid-exchange (fenced = {fenced})");
         }
         gate.unfence(7);
         assert!(

@@ -27,7 +27,8 @@
 //!   partitioned across one or more devices ([`ftn_shard::ShardPlan`]
 //!   leading-dim blocks with optional halos, replicated broadcast arrays,
 //!   per-shard reduction copies); every launch fans out as force-placed
-//!   per-shard jobs and the close gathers or reduces the results.
+//!   per-shard jobs and the close gathers or reduces the results. A
+//!   session keeps the split it opened with until it closes.
 //!
 //! With a single device and the same call sequence, `ClusterMachine`
 //! produces bit-identical results and statistics to `Machine` — the workers
@@ -40,7 +41,6 @@ mod exchange;
 pub mod gate;
 pub mod machine;
 pub mod pool;
-mod rebalance;
 pub mod rollup;
 pub mod session;
 pub mod sharded;
@@ -55,9 +55,8 @@ pub use pool::DevicePool;
 pub use rollup::{RollupBy, RollupRow};
 pub use session::{MapKind, SessionReport, SessionStats};
 pub use sharded::{
-    AutoRebalance, HaloRefreshReport, RebalanceReport, ShardArg, ShardCount, ShardedLaunchReport,
-    ShardedLaunchTicket, ShardedReport, DEFAULT_REBALANCE_THRESHOLD, MAX_SHARDS_PER_DEVICE,
-    REBALANCE_HORIZON_LAUNCHES,
+    HaloRefreshReport, ShardArg, ShardCount, ShardedLaunchReport, ShardedLaunchTicket,
+    ShardedReport, MAX_SHARDS_PER_DEVICE,
 };
 
 #[cfg(test)]

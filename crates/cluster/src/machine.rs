@@ -27,11 +27,7 @@
 //! sub-buffers are device-owned from open to close, and no host call names
 //! them. Every job — a host call, or one of a fan-out's — is enqueued, then
 //! delivered as one `WorkerMessage::Job` by `send` the moment it is planned:
-//! the one path a job takes to its worker. Each job's simulated seconds are
-//! priced into its device's backlog by the per-kernel cost model derived
-//! from the bitstream's loop schedules ([`ftn_fpga::CostModel`]), falling
-//! back to the observed mean only for jobs the schedules cannot predict;
-//! the re-planner and `/stats` read that backlog, placement does not.
+//! the one path a job takes to its worker.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
@@ -148,18 +144,6 @@ pub struct PoolStats {
     /// Jobs dispatched to a device fixed by their shard assignment (a
     /// session's jobs bypass placement).
     pub shard_forced: u64,
-    /// Migration epochs executed by sharded-session re-plans.
-    pub replans: u64,
-    /// Leading-dim rows that changed owners across those epochs (summed
-    /// over arrays).
-    pub rows_migrated: u64,
-    /// Wall seconds spent inside migration epochs (quiesce + delta gather +
-    /// restage).
-    pub epoch_seconds: f64,
-    /// Per-device outstanding simulated work (the cost-priced backlog the
-    /// re-planner reads; placement does not), at the moment the stats were
-    /// taken.
-    pub est_backlog: Vec<f64>,
     /// Live host buffers in pool memory (requests/sessions must free what
     /// they allocate; flat under sustained traffic).
     pub host_buffers: usize,
@@ -174,8 +158,6 @@ pub(crate) struct PoolMetrics {
     pub(crate) queue_wait: Arc<ftn_trace::Histogram>,
     /// Jobs completed pool-wide.
     pub(crate) jobs: Arc<ftn_trace::Counter>,
-    /// Wall seconds per migration epoch.
-    pub(crate) epoch: Arc<ftn_trace::Histogram>,
     /// Inter-launch halo refreshes executed.
     pub(crate) halo_refreshes: Arc<ftn_trace::Counter>,
     /// Boundary-row bytes moved by halo refreshes (counted once per block).
@@ -187,7 +169,6 @@ impl PoolMetrics {
         PoolMetrics {
             queue_wait: registry.histogram("ftn_pool_queue_wait_seconds"),
             jobs: registry.counter("ftn_pool_jobs_total"),
-            epoch: registry.histogram("ftn_pool_epoch_seconds"),
             halo_refreshes: registry.counter("ftn_pool_halo_refreshes_total"),
             halo_bytes: registry.counter("ftn_pool_halo_bytes_total"),
         }
@@ -199,10 +180,6 @@ pub(crate) struct PendingJob {
     /// Host arrays the job holds until its outcome is applied (a host
     /// call's arguments; none for a session's jobs).
     pub(crate) arg_ids: Vec<BufferId>,
-    /// Schedule-derived simulated-seconds estimate charged to the device's
-    /// backlog at submission (removed on completion).
-    pub(crate) est_sim_seconds: f64,
-    pub(crate) device: usize,
     /// Kernel name for kernel jobs — the rollup attribution key.
     pub(crate) kernel: Option<String>,
     /// Session the submission ran under, if any (see
@@ -231,19 +208,15 @@ pub struct ClusterMachine {
     pub(crate) buffers: HashSet<BufferId>,
     /// Round-robin cursor: where the next least-loaded tie-break starts.
     pub(crate) rr: usize,
-    /// Running mean of completed jobs' simulated seconds — the backlog
-    /// price of a job the cost model cannot predict.
-    pub(crate) mean_job_sim_seconds: f64,
     pub(crate) loads: Vec<u64>,
-    pub(crate) est_backlog: Vec<f64>,
     pub(crate) busy_sim: Vec<f64>,
     pub(crate) device_stats: Vec<RunStats>,
     pub(crate) device_jobs: Vec<u64>,
     pub(crate) arena_buffers: Vec<usize>,
     pub(crate) kernel_resources: ResourceUsage,
     pub(crate) cost_model: CostModel,
-    /// job id -> pending bookkeeping (for in-flight + backlog accounting);
-    /// a session's launches in flight are its entries with that `session`.
+    /// job id -> pending bookkeeping; a session's launches in flight are its
+    /// entries with that `session`.
     pub(crate) pending: HashMap<u64, PendingJob>,
     pub(crate) next_job: u64,
     /// The one session table: every open session, whatever its shard count.
@@ -252,9 +225,6 @@ pub struct ClusterMachine {
     pub(crate) staged_uploads: u64,
     pub(crate) staged_bytes: u64,
     pub(crate) shard_forced: u64,
-    pub(crate) replans: u64,
-    pub(crate) rows_migrated: u64,
-    pub(crate) epoch_seconds: f64,
     /// Registry-backed observability handles. Standalone machines get a
     /// private registry; `ftn-serve` attaches its server-wide one via
     /// [`ClusterMachine::use_metrics`].
@@ -264,7 +234,7 @@ pub struct ClusterMachine {
     /// [`ClusterMachine::rollups`].
     pub(crate) rollups: Rollups,
     /// Session id stamped onto jobs dispatched while a session launch is on
-    /// the stack (set/cleared by `sharded_launch_no_replan`).
+    /// the stack (set/cleared by `sharded_launch`).
     pub(crate) submitting_session: Option<u64>,
     /// Test-only fault hook: the next row-exchange gather gets one
     /// out-of-range fetch, so its job fails on the worker.
@@ -305,9 +275,7 @@ impl ClusterMachine {
             memory: Memory::new(),
             buffers: HashSet::new(),
             rr: 0,
-            mean_job_sim_seconds: 0.0,
             loads: vec![0; n],
-            est_backlog: vec![0.0; n],
             busy_sim: vec![0.0; n],
             device_stats: vec![RunStats::default(); n],
             device_jobs: vec![0; n],
@@ -321,9 +289,6 @@ impl ClusterMachine {
             staged_uploads: 0,
             staged_bytes: 0,
             shard_forced: 0,
-            replans: 0,
-            rows_migrated: 0,
-            epoch_seconds: 0.0,
             metrics: PoolMetrics::new(&MetricsRegistry::new()),
             rollups: Rollups::default(),
             submitting_session: None,
@@ -417,11 +382,10 @@ impl ClusterMachine {
         let staged: Vec<(BufferId, Buffer)> = (arg_ids.iter())
             .map(|&id| (id, self.memory.get(id).clone()))
             .collect();
-        let staged_bytes = staged.iter().map(|(_, c)| c.byte_len() as u64).sum();
+        let staged_bytes: u64 = staged.iter().map(|(_, c)| c.byte_len() as u64).sum();
         self.staged_uploads += staged.len() as u64;
         self.staged_bytes += staged_bytes;
 
-        let est = self.estimate_compute_seconds(None, &arg_ids, staged_bytes, device);
         let kind = JobKind::HostCall {
             func: func.to_string(),
         };
@@ -430,7 +394,7 @@ impl ClusterMachine {
             staged,
             ..JobSpec::new(kind)
         };
-        let job = self.enqueue(device, arg_ids, spec, est);
+        let job = self.enqueue(device, arg_ids, spec);
         self.send(device, job)
     }
 
@@ -447,9 +411,7 @@ impl ClusterMachine {
         device: usize,
     ) -> (Job, u64) {
         self.shard_forced += 1;
-        let arg_ids = distinct_memref_buffers(args);
-        let elided = arg_ids.len() as u64;
-        let est = self.estimate_compute_seconds(Some(kernel), &arg_ids, 0, device);
+        let elided = distinct_memref_buffers(args).len() as u64;
         let kind = JobKind::Kernel {
             kernel: kernel.to_string(),
         };
@@ -457,7 +419,7 @@ impl ClusterMachine {
             args: args.to_vec(),
             ..JobSpec::new(kind)
         };
-        (self.enqueue(device, Vec::new(), spec, est), elided)
+        (self.enqueue(device, Vec::new(), spec), elided)
     }
 
     /// Plan a download of the element ranges in `rows` from `device`'s
@@ -465,13 +427,11 @@ impl ClusterMachine {
     /// range. Every `dst` must be allocated before the call and is fully
     /// overwritten by the writeback.
     pub(crate) fn plan_fetch(&mut self, device: usize, rows: Vec<RowFetch>) -> Job {
-        let bytes = rows.iter().map(|rf| self.memory.get(rf.dst).byte_len());
-        let est = self.pool.slots[device].model.transfer_seconds(bytes.sum());
         let spec = JobSpec {
             fetch_rows: rows,
             ..JobSpec::new(JobKind::Fetch)
         };
-        self.enqueue(device, Vec::new(), spec, est)
+        self.enqueue(device, Vec::new(), spec)
     }
 
     /// Plan the apply half of a row exchange: write `patches` into shard
@@ -490,12 +450,11 @@ impl ClusterMachine {
         let (staged, bytes) = uploads.fold((0u64, 0usize), |(n, b), up| (n + 1, b + up));
         self.staged_uploads += staged;
         self.staged_bytes += bytes as u64;
-        let est = self.pool.slots[device].model.transfer_seconds(bytes);
         let spec = JobSpec {
             patches,
             ..JobSpec::new(JobKind::RowPatch { label })
         };
-        let job = self.enqueue(device, Vec::new(), spec, est);
+        let job = self.enqueue(device, Vec::new(), spec);
         (job, staged, bytes as u64)
     }
 
@@ -545,19 +504,6 @@ impl ClusterMachine {
         device
     }
 
-    /// Model a co-tenant occupying `device`: adds `sim_seconds` of foreign
-    /// work to the device's backlog ledger (the re-planning signal) and to
-    /// its simulated occupancy (so pool makespans account for the tenant).
-    /// Real traffic creates backlog by submitting jobs; this hook exists so
-    /// tests and benchmarks can create deterministic backlog drift without
-    /// racing a second submission thread.
-    pub fn inject_backlog(&mut self, device: usize, sim_seconds: f64) {
-        if device < self.pool.len() && sim_seconds.is_finite() && sim_seconds > 0.0 {
-            self.est_backlog[device] += sim_seconds;
-            self.busy_sim[device] += sim_seconds;
-        }
-    }
-
     /// Free a host array: land any job still holding it, then release its
     /// pool-memory slot. No device keeps a copy of a host array (a host
     /// call's are freed with its job), so sustained allocate-run-free
@@ -593,45 +539,11 @@ impl ClusterMachine {
         }
     }
 
-    /// Price a compute job for the backlog ledger: the schedule-derived
-    /// estimate of `kernel` (worst-case over the bitstream for a
-    /// whole-program job, `None`) plus the PCIe time of the staged bytes.
-    /// Falls back to the observed mean when the schedules cannot predict
-    /// the job.
-    fn estimate_compute_seconds(
-        &self,
-        kernel: Option<&str>,
-        arg_ids: &[BufferId],
-        staged_bytes: u64,
-        device: usize,
-    ) -> f64 {
-        let model = &self.pool.slots[device].model;
-        let elements = arg_ids
-            .iter()
-            .map(|id| self.memory.get(*id).len() as u64)
-            .max()
-            .unwrap_or(0);
-        let kernel_est = match kernel {
-            Some(kernel) => {
-                (self.cost_model.kernel(kernel)).map(|k| k.estimate_seconds(model, elements))
-            }
-            None => self.cost_model.estimate_any_seconds(model, elements),
-        };
-        kernel_est.unwrap_or(self.mean_job_sim_seconds)
-            + model.transfer_seconds(staged_bytes as usize)
-    }
-
     /// Enter a fully-prepared job for `device` into the pending ledger and
-    /// the device's backlog; [`ClusterMachine::send`] delivers it.
+    /// the device's queue depth; [`ClusterMachine::send`] delivers it.
     /// `arg_ids` are the distinct host arrays the job has in flight until
     /// its outcome is applied.
-    fn enqueue(
-        &mut self,
-        device: usize,
-        arg_ids: Vec<BufferId>,
-        spec: JobSpec,
-        est_sim_seconds: f64,
-    ) -> Job {
+    fn enqueue(&mut self, device: usize, arg_ids: Vec<BufferId>, spec: JobSpec) -> Job {
         let job_id = self.next_job;
         self.next_job += 1;
         let kernel = match &spec.kind {
@@ -665,13 +577,10 @@ impl ClusterMachine {
             cell: Arc::clone(&cell),
         };
         self.loads[device] += 1;
-        self.est_backlog[device] += est_sim_seconds;
         self.pending.insert(
             job_id,
             PendingJob {
                 arg_ids,
-                est_sim_seconds,
-                device,
                 kernel,
                 session: self.submitting_session,
                 staged_bytes,
@@ -684,7 +593,7 @@ impl ClusterMachine {
     /// Deliver an enqueued job to `device`'s worker as one
     /// `WorkerMessage::Job` — the one send path every job takes — and hand
     /// out its claim. A worker that is gone fails the job on the spot: its
-    /// bookkeeping (pending ledger, backlog) unwinds as if it had run and
+    /// bookkeeping (pending ledger, queue depth) unwinds as if it had run and
     /// errored, and its cell goes with the undelivered message, for no
     /// claim goes out.
     fn send(&mut self, device: usize, job: Job) -> Result<LaunchHandle, CompileError> {
@@ -709,7 +618,7 @@ impl ClusterMachine {
     /// cannot be sent and returns the claims of the jobs delivered plus
     /// that error: an exchange waits every claim before it releases the
     /// buffers they touch, a launch drops them (see
-    /// [`ClusterMachine::sharded_launch_no_replan`]).
+    /// [`ClusterMachine::sharded_launch`]).
     pub(crate) fn fan_out<T>(
         &mut self,
         items: Vec<(usize, T)>,
@@ -788,9 +697,6 @@ impl ClusterMachine {
         } = outcome;
         self.loads[device] = self.loads[device].saturating_sub(1);
         let pending = self.pending.remove(&job_id);
-        if let Some(p) = &pending {
-            self.est_backlog[p.device] = (self.est_backlog[p.device] - p.est_sim_seconds).max(0.0);
-        }
         let stored = match result {
             Ok(mut success) => {
                 let mut writeback_bytes = 0u64;
@@ -804,10 +710,6 @@ impl ClusterMachine {
                 self.device_stats[device].merge(&success.stats);
                 self.device_jobs[device] += 1;
                 self.arena_buffers[device] = success.arena_buffers;
-                // Every completed job counts once in `device_jobs`.
-                let observed = self.device_jobs.iter().sum::<u64>() as f64;
-                self.mean_job_sim_seconds +=
-                    (success.sim_busy_seconds - self.mean_job_sim_seconds) / observed;
                 self.metrics.jobs.inc();
                 self.metrics.queue_wait.observe_with_exemplar(
                     success.queue_wait_seconds,
@@ -876,10 +778,6 @@ impl ClusterMachine {
             staged_uploads: self.staged_uploads,
             staged_bytes: self.staged_bytes,
             shard_forced: self.shard_forced,
-            replans: self.replans,
-            rows_migrated: self.rows_migrated,
-            epoch_seconds: self.epoch_seconds,
-            est_backlog: self.est_backlog.clone(),
             host_buffers: self.memory.live(),
             host_bytes: self.memory.live_bytes(),
         }

@@ -15,11 +15,11 @@
 //!   close fetch).
 //! * `JobKind::Fetch` — copy element ranges of mirrors back to the host,
 //!   charging PCIe time the way a data-region exit does (the gather half:
-//!   a close's sub-buffers, a refresh's or an epoch's cross-device blocks).
+//!   a close's sub-buffers, a refresh's cross-device blocks).
 //! * `JobKind::RowPatch` — write row blocks into shard mirrors, creating
 //!   those that do not exist yet (the apply half: an open's staging,
-//!   charged the way a data-region entry is, a refresh's or an epoch's
-//!   blocks; see `RowPatch`).
+//!   charged the way a data-region entry is, a refresh's blocks; see
+//!   `RowPatch`).
 //!
 //! Every job carries its `JobCell`, the one place its report will live,
 //! shared with the caller's claim and the machine's pending entry. The
@@ -59,9 +59,8 @@ pub(crate) enum JobKind {
     Fetch,
     /// Apply the job's `patches` to shard sub-buffer mirrors (the apply
     /// half of a row exchange). `label` is the worker-lane span name, so
-    /// the timeline still tells a session open's `job.upload` from a
-    /// migration epoch's `job.reshard` and a halo refresh's
-    /// `job.halo_refresh`.
+    /// the timeline still tells a session open's `job.upload` from a halo
+    /// refresh's `job.halo_refresh`.
     RowPatch { label: &'static str },
 }
 
@@ -94,10 +93,8 @@ pub(crate) struct RowFetch {
 
 /// Write row blocks into one shard sub-buffer's device mirror. A halo
 /// refresh patches the resident mirror in place (only ghost rows change); a
-/// session open's sub-buffer and a migration epoch's re-ranged shard have no
-/// mirror yet, so `create` starts one and the blocks (if any) fill the rows
-/// it leaves open. The mirror a block reads from is never one the same
-/// exchange writes.
+/// session open's sub-buffer has no mirror yet, so `create` starts one. The
+/// mirror a block reads from is never one the same exchange writes.
 pub(crate) struct RowPatch {
     /// Host id of the sub-buffer whose mirror is written.
     pub target: BufferId,
@@ -110,9 +107,8 @@ pub(crate) struct RowPatch {
 
 /// What a mirror a [`RowPatch`] creates starts as.
 pub(crate) enum Create {
-    /// Device-initialized, nothing crosses PCIe: zeros (a `map(from:)` copy;
-    /// a re-ranged shard, whose blocks then fill every row) or a reduction
-    /// copy's identity.
+    /// Device-initialized, nothing crosses PCIe: zeros (a `map(from:)` copy)
+    /// or a reduction copy's identity.
     Seed(Buffer),
     /// The rows a session open cut from the caller's array, charged as one
     /// host→device transfer and moved into the arena, never copied.
@@ -266,8 +262,8 @@ pub(crate) type FailureSink = Arc<Mutex<Option<String>>>;
 /// * **Claim side** — a wait reads and parks on its own cell. A report
 ///   that another caller's drain already applied is found here, and a
 ///   park after the outcome was reported returns at once. A `PoolGate`
-///   caller blocked by the job (an open over its arrays, a close or an
-///   epoch over its session) parks here too, through the pending entry.
+///   caller blocked by the job (an open over its arrays, a close over its
+///   session) parks here too, through the pending entry.
 ///
 /// A claim dropped unwaited abandons its cell: the report is dropped, and a
 /// failure is handed to the session's [`FailureSink`] by whichever of the

@@ -44,8 +44,8 @@ impl MapKind {
 pub struct SessionStats {
     /// Kernel-level jobs launched (one per shard).
     pub launches: u64,
-    /// Host→device uploads actually performed (open staging + any re-staging
-    /// a launch needed + migration-epoch splices).
+    /// Host→device uploads actually performed (open staging + halo-refresh
+    /// splices).
     pub staged_uploads: u64,
     /// Bytes those uploads moved.
     pub staged_bytes: u64,
@@ -54,15 +54,6 @@ pub struct SessionStats {
     pub elided_transfers: u64,
     /// Device→host downloads at close.
     pub fetched_downloads: u64,
-    /// Migration epochs executed by re-plans (below-threshold and
-    /// zero-delta re-plan checks do not count).
-    pub replan_count: u64,
-    /// Leading-dim rows that changed owners across those epochs, summed
-    /// over the session's split arrays.
-    pub rows_migrated: u64,
-    /// Wall seconds spent inside migration epochs (quiesce, delta gather,
-    /// restage).
-    pub epoch_seconds: f64,
     /// Inter-launch halo refreshes executed.
     pub halo_refreshes: u64,
     /// Boundary ghost rows re-seeded across those refreshes, summed over

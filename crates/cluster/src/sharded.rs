@@ -26,15 +26,14 @@
 //! proportional to its device's [`ftn_fpga::CostModel::device_weight`] — a
 //! 2× faster card owns ~2× the rows, so every device finishes its shard at
 //! about the same simulated time. On a homogeneous pool this is the uniform
-//! plan in the 0..N device order.
+//! plan in the 0..N device order. The split is made once, at open: a session
+//! keeps it until it closes.
 //!
 //! Each [`ClusterMachine::sharded_launch`] fans one logical kernel launch
 //! out as per-shard kernel jobs with rebased trip counts
 //! ([`ShardArg::Extent`] resolves to the shard's local leading-dim extent).
 //! Shard jobs are *force-placed* on their shard's device, bypassing
-//! least-loaded placement — the data already lives there, and the per-shard trip
-//! counts price each device's backlog honestly through
-//! [`ftn_fpga::CostModel`] (per that device's own model). Every fan-out —
+//! least-loaded placement — the data already lives there. Every fan-out —
 //! launches and the phases of every exchange — sends each job as its own
 //! message the moment it is planned. Close fetches every
 //! shard's `from`/`tofrom` sub-buffers, gathers (concatenates owned rows,
@@ -43,9 +42,9 @@
 //!
 //! A launch's per-shard claims belong to the caller alone. A session's
 //! launches in flight are the machine's pending jobs stamped with its id,
-//! which a close or an epoch quiesce waits for without taking their
-//! reports. A claim dropped unwaited over a failed job leaves
-//! the failure in the session's sink, and the next close fails with it.
+//! which a close waits for without taking their reports. A claim dropped
+//! unwaited over a failed job leaves the failure in the session's sink, and
+//! the next close fails with it.
 //!
 //! With one shard the scatter and gather are exact copies, the shard goes to
 //! the least-loaded device (round-robin on ties), and the session is
@@ -82,65 +81,6 @@ const CLOSE: ExchangeLabels = ExchangeLabels {
 /// request can allocate, while leaving ample room for several shards per
 /// device.
 pub const MAX_SHARDS_PER_DEVICE: usize = 16;
-
-/// Minimum predicted makespan improvement (old / new over the re-plan
-/// horizon) before a re-plan executes a migration epoch, when neither the
-/// caller nor [`AutoRebalance`] specifies one. Migrations are cheap (only
-/// owner-changing rows travel) but not free; a 5% predicted win is where
-/// they start paying for themselves.
-pub const DEFAULT_REBALANCE_THRESHOLD: f64 = 1.05;
-
-/// Launch horizon over which a re-plan amortizes observed backlog when
-/// derating device weights and pricing candidate plans (see
-/// [`ftn_fpga::CostModel::effective_weights`]): a device with one launch's
-/// worth of foreign queue is mildly derated; one with a horizon's worth is
-/// effectively abandoned until the next epoch.
-pub const REBALANCE_HORIZON_LAUNCHES: u64 = 16;
-
-/// Automatic re-planning policy of a sharded session: every `interval`
-/// logical launches the session snapshots per-device backlogs, re-computes
-/// effective weights, and — when the predicted makespan improvement clears
-/// `threshold` — executes a migration epoch before the next fan-out.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct AutoRebalance {
-    /// Logical launches between re-plan checks (≥ 1).
-    pub interval: u64,
-    /// Minimum predicted makespan improvement (old / new) that triggers a
-    /// migration epoch.
-    pub threshold: f64,
-}
-
-impl Default for AutoRebalance {
-    fn default() -> Self {
-        AutoRebalance {
-            interval: 8,
-            threshold: DEFAULT_REBALANCE_THRESHOLD,
-        }
-    }
-}
-
-impl AutoRebalance {
-    /// Parse the serve-API / CLI form `INTERVAL[:THRESHOLD]` — e.g. `4`
-    /// (check every 4 launches, default threshold) or `4:1.2`.
-    pub fn parse(s: &str) -> Option<AutoRebalance> {
-        let (interval, threshold) = match s.split_once(':') {
-            Some((i, t)) => (i, Some(t)),
-            None => (s, None),
-        };
-        let interval = interval.parse::<u64>().ok().filter(|&n| n > 0)?;
-        let threshold = match threshold {
-            Some(t) => t
-                .parse::<f64>()
-                .ok()
-                .filter(|t| t.is_finite() && *t >= 1.0)?,
-            None => DEFAULT_REBALANCE_THRESHOLD,
-        };
-        Some(AutoRebalance {
-            interval,
-            threshold,
-        })
-    }
-}
 
 /// How many shards a sharded session should open.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -192,13 +132,9 @@ pub struct ShardedSession {
     pub(crate) maps: Vec<(String, BufferId, MapKind, Partition)>,
     /// shard index → device index (fastest device first).
     pub(crate) devices: Vec<usize>,
-    /// The automatic re-planning policy the session opened with, if any.
-    pub(crate) auto_rebalance: Option<AutoRebalance>,
     /// The first failure of a launch whose claim was dropped unwaited; the
     /// next close fails with it.
     pub(crate) failures: FailureSink,
-    /// Logical launches since the last auto re-plan check.
-    pub(crate) launches_since_replan: u64,
     pub(crate) stats: SessionStats,
 }
 
@@ -250,31 +186,8 @@ pub struct ShardedReport {
     pub shards: usize,
     /// shard → device assignment, in shard order.
     pub devices: Vec<usize>,
-    /// Final transfer/launch/epoch accounting.
+    /// Final transfer/launch/halo accounting.
     pub stats: SessionStats,
-}
-
-/// Result of one re-plan check (see [`ClusterMachine::rebalance_session`]).
-/// A check that does not clear its threshold — or finds the plan already
-/// optimal — reports `replanned: false` and moves nothing.
-#[derive(Clone, Debug, Serialize)]
-pub struct RebalanceReport {
-    /// The sharded session the check ran against.
-    pub session: u64,
-    /// Whether a migration epoch actually executed.
-    pub replanned: bool,
-    /// Predicted makespan improvement (old / new) over the re-plan horizon.
-    pub predicted_gain: f64,
-    /// Threshold the gain was compared against.
-    pub threshold: f64,
-    /// Leading-dim rows that changed owners (summed over the session's
-    /// split arrays); 0 for a no-op.
-    pub rows_migrated: u64,
-    /// Owned rows per shard of the reference (largest) split array after
-    /// the call.
-    pub shard_rows: Vec<usize>,
-    /// Wall seconds the epoch took (0.0 for a no-op).
-    pub epoch_seconds: f64,
 }
 
 /// Result of one inter-launch halo refresh (see
@@ -302,22 +215,8 @@ impl ClusterMachine {
     /// sub-buffers onto its device. The effective shard count is clamped to
     /// the shortest `Split` array's leading-dim extent (more shards than
     /// devices cycle through the pool); [`ShardCount::Auto`] asks the cost
-    /// model. Returns the session id.
-    pub fn open_sharded_session(
-        &mut self,
-        maps: &[(&str, RtValue, MapKind, Partition)],
-        shards: ShardCount,
-    ) -> Result<u64, CompileError> {
-        self.open_sharded_session_with(maps, shards, None)
-    }
-
-    /// [`ClusterMachine::open_sharded_session`] with automatic re-planning
-    /// as device backlogs drift: every `interval` logical launches the
-    /// observed backlogs are folded into the device weights and — when the
-    /// predicted makespan improvement clears `threshold` — a migration
-    /// epoch runs (see [`ClusterMachine::rebalance_session`]). `None` keeps
-    /// the plan frozen at its open-time split; manual
-    /// [`ClusterMachine::rebalance_session`] calls still work.
+    /// model. Returns the session id. The split is fixed here: the session
+    /// keeps it until it closes.
     ///
     /// # Example
     ///
@@ -334,13 +233,12 @@ impl ClusterMachine {
     /// let mut pool = ClusterMachine::load(&artifacts, &vec![DeviceModel::u280(); 2])?;
     /// let x = pool.host_f32(&[1.0; 64]);
     /// let y = pool.host_f32(&[0.5; 64]);
-    /// let sid = pool.open_sharded_session_with(
+    /// let sid = pool.open_sharded_session(
     ///     &[
     ///         ("x", x, MapKind::To, Partition::Split { halo: 0 }),
     ///         ("y", y.clone(), MapKind::ToFrom, Partition::Split { halo: 0 }),
     ///     ],
     ///     ShardCount::Fixed(2),
-    ///     None,
     /// )?;
     /// let ticket = pool.sharded_launch(sid, "saxpy_kernel0", &[
     ///     ShardArg::Array("x".into()),
@@ -356,13 +254,12 @@ impl ClusterMachine {
     /// assert_eq!(pool.read_f32(&y), vec![2.5f32; 64]);
     /// # Ok::<(), ftn_core::CompileError>(())
     /// ```
-    pub fn open_sharded_session_with(
+    pub fn open_sharded_session(
         &mut self,
         maps: &[(&str, RtValue, MapKind, Partition)],
         shards: ShardCount,
-        auto_rebalance: Option<AutoRebalance>,
     ) -> Result<u64, CompileError> {
-        let phase = self.open_begin(maps, shards, auto_rebalance)?;
+        let phase = self.open_begin(maps, shards)?;
         self.exchange_run(phase)
     }
 
@@ -374,7 +271,6 @@ impl ClusterMachine {
         &mut self,
         maps: &[(&str, RtValue, MapKind, Partition)],
         shards: ShardCount,
-        auto_rebalance: Option<AutoRebalance>,
     ) -> Result<ExchangePhase<u64>, CompileError> {
         let started = Instant::now();
         if maps.is_empty() {
@@ -546,15 +442,13 @@ impl ClusterMachine {
                 env,
                 maps,
                 devices,
-                auto_rebalance,
                 failures: FailureSink::default(),
-                launches_since_replan: 0,
                 stats: SessionStats::default(),
             };
             m.sessions.insert(session, s);
             session
         };
-        let mut ex = RowExchange::new(session, &OPEN, span, started, Vec::new(), finish);
+        let mut ex = RowExchange::new(session, &OPEN, span, started, finish);
         for (id, shard, device, rows) in blocks {
             ex.stage(id, shard, device, rows);
         }
@@ -611,53 +505,10 @@ impl ClusterMachine {
     /// each sent straight to its shard's device with rebased array and
     /// extent arguments. Device copies stay authoritative (deferred
     /// writeback); host memory syncs at close. Returns the per-shard handles.
+    /// When a job cannot be sent (its worker is gone) the launch fails and
+    /// the claims of the jobs that were sent are dropped: those jobs still
+    /// run, the close waits for them, and a failure among them fails it.
     pub fn sharded_launch(
-        &mut self,
-        session: u64,
-        kernel: &str,
-        args: &[ShardArg],
-    ) -> Result<ShardedLaunchTicket, CompileError> {
-        // Auto re-plan: every `interval` logical launches, re-decide the
-        // split before rebasing this launch's extents — a stale plan would
-        // fan the launch out with the old row counts.
-        if let Some(threshold) = self.auto_rebalance_due(session)? {
-            self.rebalance_session_with(session, Some(threshold))?;
-        }
-        self.sharded_launch_no_replan(session, kernel, args)
-    }
-
-    /// Count one logical launch against sharded session `session`'s
-    /// [`AutoRebalance`] interval; `Some(threshold)` when a re-plan check
-    /// is due (the counter resets). [`ClusterMachine::sharded_launch`]
-    /// calls this inline; the serve layer calls it separately so the due
-    /// re-plan can run as a *phased* epoch with the machine lock released
-    /// between phases, then fans out via
-    /// [`ClusterMachine::sharded_launch_no_replan`].
-    pub fn auto_rebalance_due(&mut self, session: u64) -> Result<Option<f64>, CompileError> {
-        let s = self
-            .sessions
-            .get_mut(&session)
-            .ok_or_else(|| CompileError::new("cluster-shard", no_session(session)))?;
-        let Some(ar) = s.auto_rebalance else {
-            return Ok(None);
-        };
-        s.launches_since_replan += 1;
-        if s.launches_since_replan >= ar.interval.max(1) {
-            s.launches_since_replan = 0;
-            Ok(Some(ar.threshold))
-        } else {
-            Ok(None)
-        }
-    }
-
-    /// The fan-out half of [`ClusterMachine::sharded_launch`]: one
-    /// kernel-level job per shard, *without* the auto-rebalance check.
-    /// Callers that ran [`ClusterMachine::auto_rebalance_due`] (and any due
-    /// epoch) themselves use this directly. When a job cannot be sent (its
-    /// worker is gone) the launch fails and the claims of the jobs that were
-    /// sent are dropped: those jobs still run, the next close or epoch
-    /// quiesce waits for them, and a failure among them fails the close.
-    pub fn sharded_launch_no_replan(
         &mut self,
         session: u64,
         kernel: &str,
@@ -737,6 +588,18 @@ impl ClusterMachine {
         })
     }
 
+    /// The name [`ClusterMachine::sharded_launch`] had while a launch could
+    /// also re-plan its session; kept for callers written against it.
+    #[doc(hidden)]
+    pub fn sharded_launch_no_replan(
+        &mut self,
+        session: u64,
+        kernel: &str,
+        args: &[ShardArg],
+    ) -> Result<ShardedLaunchTicket, CompileError> {
+        self.sharded_launch(session, kernel, args)
+    }
+
     /// Wait for every per-shard job of one sharded launch and merge their
     /// statistics in shard order.
     pub fn wait_sharded(
@@ -769,11 +632,12 @@ impl ClusterMachine {
     }
 
     /// Plan a close as a devices → host row exchange: land the session's
-    /// launches in flight (their reports stay with their claims), take it
-    /// out of the table, and submit the gather — every `from`/`tofrom`
-    /// sub-buffer fetched whole. The exchange's tail gathers into the
-    /// caller's arrays and frees the sub-buffers — or, after a failed fetch,
-    /// puts the session back.
+    /// launches in flight (their reports stay with their claims) and submit
+    /// the gather — every `from`/`tofrom` sub-buffer fetched whole. The
+    /// session stays in the table while its rows move, so its arrays stay
+    /// refused to every other submit, open and free. The exchange's tail
+    /// takes it out, gathers into the caller's arrays and frees the
+    /// sub-buffers — or, after a failed fetch, leaves it open.
     pub(crate) fn close_begin(
         &mut self,
         session: u64,
@@ -792,7 +656,7 @@ impl ClusterMachine {
         }
 
         // One fetch job per shard, its sub-buffers in map order.
-        let mut s = self.sessions.remove(&session).expect("still present");
+        let s = &self.sessions[&session];
         let mut fetches = Fetches::new();
         for (shard, &device) in s.devices.iter().enumerate() {
             let rows: Vec<RowFetch> = (s.maps.iter())
@@ -814,6 +678,8 @@ impl ClusterMachine {
         }
         let fetched = fetches.iter().map(|(_, rows)| rows.len() as u64).sum();
         let finish = move |m: &mut ClusterMachine, _: &mut ftn_trace::Span, _, ok: bool| {
+            let closing = m.sessions.remove(&session);
+            let mut s = closing.expect("a closing session stays in the table until here");
             if ok {
                 for (name, _, kind, _) in &s.maps {
                     if matches!(kind, MapKind::From | MapKind::ToFrom) {
@@ -837,7 +703,7 @@ impl ClusterMachine {
             }
             report
         };
-        let mut ex = RowExchange::new(session, &CLOSE, span, started, Vec::new(), finish);
+        let mut ex = RowExchange::new(session, &CLOSE, span, started, finish);
         self.exchange_fetch(&mut ex, fetches);
         Ok(ExchangePhase::Run(ex))
     }

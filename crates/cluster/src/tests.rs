@@ -55,120 +55,6 @@ fn no_live_cells(cluster: &ClusterMachine) -> bool {
 }
 
 #[test]
-fn rebalance_migrates_rows_off_a_backlogged_device_and_stays_exact() {
-    use crate::sharded::{ShardArg, ShardCount};
-    use crate::{MapKind, Partition};
-    let mut cluster = pool(4);
-    let n = 4096usize;
-    let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.17).sin()).collect();
-    let y: Vec<f32> = (0..n).map(|i| (i as f32 * 0.03).cos()).collect();
-    let xa = cluster.host_f32(&x);
-    let ya = cluster.host_f32(&y);
-    let sid = cluster
-        .open_sharded_session(
-            &[
-                ("x", xa, MapKind::To, Partition::Split { halo: 0 }),
-                (
-                    "y",
-                    ya.clone(),
-                    MapKind::ToFrom,
-                    Partition::Split { halo: 0 },
-                ),
-            ],
-            ShardCount::Fixed(4),
-        )
-        .unwrap();
-    let a = 1.75f32;
-    let args = [
-        ShardArg::Array("x".into()),
-        ShardArg::Array("y".into()),
-        ShardArg::Extent("x".into()),
-        ShardArg::Extent("y".into()),
-        ShardArg::Scalar(RtValue::F32(a)),
-        ShardArg::Scalar(RtValue::Index(1)),
-        ShardArg::Extent("x".into()),
-    ];
-    let launch = |cluster: &mut ClusterMachine| {
-        let t = cluster.sharded_launch(sid, "saxpy_kernel0", &args).unwrap();
-        cluster.wait_sharded(t).unwrap();
-    };
-    for _ in 0..2 {
-        launch(&mut cluster);
-    }
-
-    // A quiet pool re-plans to the split it already has: pure no-op.
-    let report = cluster.rebalance_session(sid).unwrap();
-    assert!(!report.replanned, "{report:?}");
-    assert_eq!(report.rows_migrated, 0);
-    assert_eq!(report.shard_rows, vec![1024; 4]);
-    assert_eq!(cluster.session_stats(sid).unwrap().replan_count, 0);
-
-    // Device 0 gains a co-tenant worth half a re-plan horizon of its
-    // shard work: the epoch migrates a chunk of its rows to the idle
-    // devices and the migrated rows are exactly the delta between the
-    // plans.
-    let per_launch = cluster
-        .cost_model
-        .estimate_any_seconds(&DeviceModel::u280(), (n / 4) as u64)
-        .expect("saxpy is predictable");
-    cluster.inject_backlog(0, 8.0 * per_launch);
-    let report = cluster.rebalance_session(sid).unwrap();
-    assert!(report.replanned, "{report:?}");
-    assert!(report.predicted_gain > 1.05, "{report:?}");
-    assert!(report.shard_rows[0] < 1024, "{report:?}");
-    assert_eq!(report.shard_rows.iter().sum::<usize>(), n);
-    // Two split arrays re-planned identically: rows_migrated counts the
-    // owner-changing rows of both.
-    let old_plan = crate::ShardPlan::partition(n, 4, 0);
-    let new_plan = crate::ShardPlan::from_ranges(n, {
-        let mut start = 0;
-        report
-            .shard_rows
-            .iter()
-            .map(|&len| {
-                let r = ftn_shard::ShardRange {
-                    start,
-                    len,
-                    halo_lo: 0,
-                    halo_hi: 0,
-                };
-                start += len;
-                r
-            })
-            .collect()
-    });
-    let per_array: u64 = crate::ShardPlan::delta(&old_plan, &new_plan)
-        .iter()
-        .map(|m| m.len as u64)
-        .sum();
-    assert!(per_array >= 1, "some rows moved");
-    assert_eq!(report.rows_migrated, 2 * per_array, "{report:?}");
-    let stats = cluster.session_stats(sid).unwrap();
-    assert_eq!(stats.replan_count, 1);
-    assert_eq!(stats.rows_migrated, report.rows_migrated);
-    assert!(stats.epoch_seconds > 0.0);
-
-    // The session keeps running under the new plan and closes exactly.
-    for _ in 0..2 {
-        launch(&mut cluster);
-    }
-    cluster.close_sharded_session(sid).unwrap();
-    let got = cluster.read_f32(&ya);
-    for i in 0..n {
-        let mut expect = y[i];
-        for _ in 0..4 {
-            expect += a * x[i];
-        }
-        assert_eq!(got[i].to_bits(), expect.to_bits(), "element {i}");
-    }
-    // No leaks: only x and y remain; epoch counters surfaced pool-wide.
-    let ps = cluster.pool_stats();
-    assert_eq!(ps.host_buffers, 2, "{ps:?}");
-    assert_eq!(ps.replans, 1);
-    assert_eq!(ps.rows_migrated, report.rows_migrated);
-}
-
-#[test]
 fn failed_open_releases_every_sub_buffer() {
     use crate::pool::WorkerMessage;
     use crate::sharded::ShardCount;
@@ -216,13 +102,11 @@ fn failed_open_releases_every_sub_buffer() {
     assert_eq!(cluster.pool_stats().devices[0].arena_buffers, arena);
 }
 
-/// The exchange's failure path under its three gathering callers — a
-/// refresh, an epoch, a close: a gather job that fails on its worker
-/// surfaces as the caller's error, every handle of the phase is still
-/// waited, every move buffer (and, for the epoch, every sub-buffer of the
-/// abandoned plan) is released on host and devices, and the session — rolled
-/// back to its previous plan, or still open — carries on bit-identical to a
-/// run that never saw the fault.
+/// The exchange's failure path under its two gathering callers — a
+/// refresh and a close: a gather job that fails on its worker surfaces as
+/// the caller's error, every handle of the phase is still waited, every
+/// move buffer is released on host and devices, and the session — still
+/// open — carries on bit-identical to a run that never saw the fault.
 #[test]
 fn failed_exchange_releases_its_buffers_and_leaves_the_session_intact() {
     use crate::sharded::{ShardArg, ShardCount};
@@ -263,45 +147,25 @@ fn failed_exchange_releases_its_buffers_and_leaves_the_session_intact() {
         };
         launch(&mut cluster);
         let (live, tracked) = (cluster.memory.live(), cluster.buffers.len());
-        let settled = |cluster: &ClusterMachine, rows: &[usize]| {
+        let settled = |cluster: &ClusterMachine| {
             assert_eq!(cluster.memory.live(), live);
             assert_eq!(cluster.buffers.len(), tracked);
             assert!(cluster.pending.is_empty() && no_live_cells(cluster));
-            assert_eq!(cluster.sharded_shard_rows(sid, "y").as_deref(), Some(rows));
         };
 
         if faults {
             cluster.corrupt_next_gather = true;
             let err = cluster.refresh_halos(sid).expect_err("gather fails");
             assert!(err.to_string().contains("out of bounds"), "{err}");
-            settled(&cluster, &[256; 4]);
+            settled(&cluster);
         }
         assert!(cluster.refresh_halos(sid).unwrap().refreshed);
-        launch(&mut cluster);
-
-        let per_launch = cluster
-            .cost_model
-            .estimate_any_seconds(&DeviceModel::u280(), (n / 4) as u64)
-            .unwrap();
-        cluster.inject_backlog(0, 8.0 * per_launch);
-        if faults {
-            cluster.corrupt_next_gather = true;
-            let err = cluster
-                .rebalance_session_with(sid, None)
-                .expect_err("gather fails");
-            assert!(err.to_string().contains("out of bounds"), "{err}");
-            settled(&cluster, &[256; 4]);
-            assert_eq!(cluster.session_stats(sid).unwrap().replan_count, 0);
-        }
         // Arena counts ride on job outcomes: after the next launch they
-        // must match the run that never started the failed epoch.
+        // must match the run that never saw the failed refresh.
         launch(&mut cluster);
         let arenas = (cluster.pool_stats().devices.iter())
             .map(|d| d.arena_buffers)
             .collect();
-
-        let report = cluster.rebalance_session(sid).unwrap();
-        assert!(report.replanned, "{report:?}");
         launch(&mut cluster);
         if faults {
             // One device's fetch fails; the others' land and are claimed.
@@ -309,19 +173,18 @@ fn failed_exchange_releases_its_buffers_and_leaves_the_session_intact() {
             let err = cluster.close_sharded_session(sid).expect_err("fetch fails");
             assert!(err.to_string().contains("out of bounds"), "{err}");
             assert_eq!(cluster.open_sessions(), vec![sid]);
-            settled(&cluster, &report.shard_rows);
+            settled(&cluster);
         }
         let stats = cluster.close_sharded_session(sid).unwrap().stats;
         assert_eq!(cluster.pool_stats().host_buffers, 2);
         (cluster.read_f32(&ya), stats, arenas)
     };
     let (clean_y, clean_stats, clean_arenas) = run(false);
-    let (y, mut stats, arenas) = run(true);
+    let (y, stats, arenas) = run(true);
     assert_eq!(arenas, clean_arenas);
     for (i, (a, b)) in clean_y.iter().zip(&y).enumerate() {
         assert_eq!(a.to_bits(), b.to_bits(), "element {i}");
     }
-    stats.epoch_seconds = clean_stats.epoch_seconds;
     assert_eq!(stats, clean_stats);
 }
 
@@ -354,7 +217,7 @@ fn a_stalled_open_or_close_does_not_hold_up_another_sessions_launch() {
         ]
     };
     let (xa, ya) = arrays(&gate);
-    let a = (gate.open_phased(&maps(&xa, &ya), ShardCount::Fixed(1), None)).unwrap();
+    let a = (gate.open_phased(&maps(&xa, &ya), ShardCount::Fixed(1))).unwrap();
     assert_eq!(gate.lock().sharded_devices(a), Some(vec![0]));
     let args = [
         ShardArg::Array("x".into()),
@@ -389,9 +252,9 @@ fn a_stalled_open_or_close_does_not_hold_up_another_sessions_launch() {
         let launcher = {
             let (gate, args) = (Arc::clone(&gate), args.clone());
             std::thread::spawn(move || {
-                let ticket =
-                    gate.lock_session(a)
-                        .sharded_launch_no_replan(a, "saxpy_kernel0", &args);
+                let ticket = gate
+                    .lock_session(a)
+                    .sharded_launch(a, "saxpy_kernel0", &args);
                 let reports = gate.wait_many(ticket.expect("launch submits").handles);
                 tx.send(reports.map(|r| r.len())).expect("test listens");
             })
@@ -411,7 +274,7 @@ fn a_stalled_open_or_close_does_not_hold_up_another_sessions_launch() {
     let b_maps = maps(&xb, &yb);
     let b = behind_a_stall(
         "open",
-        Box::new(move |gate| (gate.open_phased(&b_maps, ShardCount::Fixed(1), None)).unwrap()),
+        Box::new(move |gate| (gate.open_phased(&b_maps, ShardCount::Fixed(1))).unwrap()),
     );
     assert_eq!(gate.lock().sharded_devices(b), Some(vec![1]));
     behind_a_stall(
@@ -422,6 +285,92 @@ fn a_stalled_open_or_close_does_not_hold_up_another_sessions_launch() {
     // A launched twice: y += 2x, twice.
     gate.close_phased(a).unwrap();
     assert_eq!(gate.lock().read_f32(&ya), vec![4.5f32; n]);
+}
+
+/// A close keeps its arrays refused until its rows have landed: with the
+/// close's fetch held up on a stalled worker, a sessionless run, an open
+/// and a free over the session's `y` are each refused, as they are before
+/// the close began. Had they gone through, the run would have staged the
+/// stale host `y`, the open would have cut it, and the free would have
+/// released the buffer the close's gather is about to write.
+#[test]
+fn a_closing_sessions_arrays_stay_refused_while_its_rows_move() {
+    use std::sync::mpsc;
+
+    use crate::sharded::ShardCount;
+    use crate::{MapKind, Partition, PoolGate};
+
+    const PATIENCE: Duration = Duration::from_secs(20);
+    let n = 16usize;
+    let gate = Arc::new(PoolGate::new(pool(1)));
+    let (xa, ya) = {
+        let mut m = gate.lock();
+        (m.host_f32(&vec![1.0f32; n]), m.host_f32(&vec![0.5f32; n]))
+    };
+    let split = Partition::Split { halo: 0 };
+    let maps = [
+        ("x", xa.clone(), MapKind::To, split),
+        ("y", ya.clone(), MapKind::ToFrom, split),
+    ];
+    let sid = gate.open_phased(&maps, ShardCount::Fixed(1)).unwrap();
+    let ticket = gate
+        .lock_session(sid)
+        .sharded_launch(sid, "saxpy_kernel0", &saxpy_args(2.0))
+        .unwrap();
+    gate.wait_many(ticket.handles).unwrap();
+
+    // The worker stops taking work until `release` is dropped; the close
+    // queues its fetch behind the stall and waits for it off-lock.
+    let (release, released) = mpsc::channel();
+    let stall = crate::pool::WorkerMessage::Stall(released);
+    (gate.lock().pool.slots[0].sender.send(stall)).expect("worker");
+    let (done_tx, done) = mpsc::channel();
+    let closer = {
+        let gate = Arc::clone(&gate);
+        std::thread::spawn(move || done_tx.send(gate.close_phased(sid).map(|r| r.session)))
+    };
+    let deadline = Instant::now() + PATIENCE;
+    while gate.try_lock().is_none_or(|m| m.loads[0] == 0) {
+        assert!(
+            Instant::now() < deadline,
+            "the close never queued its fetch"
+        );
+        std::thread::yield_now();
+    }
+
+    let refused = |what: &str, result: Result<(), ftn_core::CompileError>| {
+        let err = result.expect_err(what);
+        assert_eq!(err.stage, "cluster-session", "{what}: {err}");
+        assert!(
+            err.message.contains(&format!("open session {sid}")),
+            "{what}: {err}"
+        );
+    };
+    let run_args = [
+        RtValue::I32(n as i32),
+        RtValue::F32(1.0),
+        xa.clone(),
+        ya.clone(),
+    ];
+    refused("run", gate.lock().submit("saxpy", &run_args).map(drop));
+    let again = [("y", ya.clone(), MapKind::ToFrom, split)];
+    refused(
+        "open",
+        gate.open_phased(&again, ShardCount::Fixed(1)).map(drop),
+    );
+    refused("free", gate.lock().free_host(&ya));
+    assert!(done.try_recv().is_err(), "the close cannot finish yet");
+
+    drop(release);
+    let closed = done.recv_timeout(PATIENCE).expect("released");
+    closer.join().expect("closer").expect("test listens");
+    assert_eq!(closed.unwrap(), sid);
+    let mut m = gate.lock();
+    assert_eq!(m.read_f32(&ya), vec![2.5f32; n]);
+    m.free_host(&ya).unwrap();
+    m.free_host(&xa).unwrap();
+    assert_eq!(m.pool_stats().host_buffers, 0);
+    assert!(m.pending.is_empty() && no_live_cells(&m));
 }
 
 /// Launches whose tickets were dropped unwaited: a failed one fails the
@@ -514,10 +463,10 @@ fn a_failed_launch_leaves_no_orphaned_outcome() {
 }
 
 /// A session's kernel jobs go straight to their shard's device: on a pool
-/// where one device holds two of three shards, across launches, a halo
-/// refresh and a migration epoch, no launch stages anything, each elides
-/// every distinct buffer of every shard, and the session's staged uploads
-/// are exactly what its open, refresh and epoch applies staged.
+/// where one device holds two of three shards, across launches and a halo
+/// refresh, no launch stages anything, each elides every distinct buffer of
+/// every shard, and the session's staged uploads are exactly what its open
+/// and refresh applies staged.
 #[test]
 fn a_session_kernel_job_never_stages() {
     use crate::{MapKind, Partition, ShardCount};
@@ -561,17 +510,11 @@ fn a_session_kernel_job_never_stages() {
         assert!(c.refresh_halos(sid).unwrap().refreshed);
     });
     assert!(refresh.0 > 0, "ghost rows cross devices");
-    let epoch = step(&mut cluster, &mut |c| {
-        c.inject_backlog(0, 5.0);
-        let report = c.rebalance_session_with(sid, Some(1.0)).unwrap();
-        assert!(report.replanned, "{report:?}");
-    });
-    assert!(epoch.0 > 0, "rows change devices");
     for _ in 0..3 {
         assert_eq!(step(&mut cluster, &mut launch), (0, 0));
     }
     let stats = cluster.session_stats(sid).unwrap();
-    let applies = [open, refresh, epoch];
+    let applies = [open, refresh];
     assert_eq!(
         stats.staged_uploads,
         applies.iter().map(|a| a.0).sum::<u64>()

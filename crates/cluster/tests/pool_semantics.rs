@@ -345,8 +345,7 @@ fn a_second_session_over_a_mapped_array_is_refused() {
         ];
         let launch = |sid: u64, a: f32| {
             let args = saxpy_shard_args(a);
-            let ticket =
-                (gate.lock_session(sid)).sharded_launch_no_replan(sid, "saxpy_kernel0", &args);
+            let ticket = (gate.lock_session(sid)).sharded_launch(sid, "saxpy_kernel0", &args);
             gate.wait_many(ticket.unwrap().handles).unwrap();
         };
         let a = (gate
@@ -360,12 +359,12 @@ fn a_second_session_over_a_mapped_array_is_refused() {
             let err = (gate.lock().open_sharded_session(&maps, shards)).expect_err("y is A's");
             assert_eq!(err.stage, "cluster-session");
             assert!(err.to_string().contains(&expect), "{err}");
-            let err = gate.open_phased(&maps, shards, None).expect_err("y is A's");
+            let err = gate.open_phased(&maps, shards).expect_err("y is A's");
             assert!(err.to_string().contains(&expect), "{err}");
         }
         assert_eq!(gate.lock().open_sessions(), vec![a]);
         gate.close_phased(a).unwrap();
-        let b = gate.open_phased(&maps, ShardCount::Fixed(2), None).unwrap();
+        let b = gate.open_phased(&maps, ShardCount::Fixed(2)).unwrap();
         launch(b, 10.0);
         gate.close_phased(b).unwrap();
         let y = gate.lock().read_f32(&ya);
@@ -549,19 +548,6 @@ fn worker_arena_does_not_grow_across_jobs() {
         settled, after,
         "arena must stay flat across jobs (reset between jobs)"
     );
-}
-
-#[test]
-fn auto_rebalance_parses_interval_and_threshold() {
-    use ftn_cluster::{AutoRebalance, DEFAULT_REBALANCE_THRESHOLD};
-    let ar = AutoRebalance::parse("4").unwrap();
-    assert_eq!(ar.interval, 4);
-    assert_eq!(ar.threshold, DEFAULT_REBALANCE_THRESHOLD);
-    let ar = AutoRebalance::parse("2:1.5").unwrap();
-    assert_eq!((ar.interval, ar.threshold), (2, 1.5));
-    for bad in ["0", "-1", "x", "4:0.5", "4:nan", "4:"] {
-        assert!(AutoRebalance::parse(bad).is_none(), "{bad}");
-    }
 }
 
 #[test]
@@ -904,9 +890,9 @@ fn a_gate_wait_after_a_phased_close_returns_every_report() {
             ("x", xa, MapKind::To, split),
             ("y", ya.clone(), MapKind::ToFrom, split),
         ];
-        let sid = (gate.open_phased(&maps, ShardCount::Fixed(2), None)).unwrap();
+        let sid = (gate.open_phased(&maps, ShardCount::Fixed(2))).unwrap();
         let args = saxpy_shard_args(2.0);
-        let ticket = (gate.lock_session(sid)).sharded_launch_no_replan(sid, "saxpy_kernel0", &args);
+        let ticket = (gate.lock_session(sid)).sharded_launch(sid, "saxpy_kernel0", &args);
         let ticket = ticket.unwrap();
         let closed = gate.close_phased(sid).unwrap();
         let reports = gate.wait_many(ticket.handles).unwrap();
@@ -955,7 +941,7 @@ fn an_open_over_an_array_in_flight_sees_its_update() {
                     )];
                     let shards = ShardCount::Fixed(shards);
                     if gated {
-                        let sid = gate.open_phased(&maps, shards, None).unwrap();
+                        let sid = gate.open_phased(&maps, shards).unwrap();
                         gate.close_phased(sid).unwrap();
                     } else {
                         let mut m = gate.lock();

@@ -1,15 +1,14 @@
 //! Schedule→cost export: predicts a kernel invocation's cycle count from the
 //! bitstream's loop schedules (II, pipeline depth, unroll factors) and a trip
-//! count, without executing anything. The cluster prices per-device
-//! backlogs with these predictions (the re-planner reads them) instead of
-//! the mean observed job time it used before.
+//! count, without executing anything. The cluster weighs devices with
+//! these predictions when it picks a session's shard count and split.
 //!
 //! The prediction is the executor's closed form ([`LoopInfo::cycles`]) with
 //! trip counts derived from the element count: an unrolled loop runs
 //! `elements / unroll` trips and its scalar epilogue mops up
 //! `elements % unroll`. For single-level kernels (SAXPY, dot product) this
 //! is exact; for nested kernels it is a same-order estimate, which is all
-//! placement needs.
+//! a shard split needs.
 
 use std::collections::HashMap;
 
@@ -223,99 +222,6 @@ impl CostModel {
         }
         4.0 * device.transfer_seconds(block_bytes as usize)
     }
-
-    /// Backlog-aware device weights for a re-planning epoch: the static
-    /// [`CostModel::device_weight`] of each device derated by the simulated
-    /// seconds of work already queued on it (`backlog_sim_seconds[d]`, the
-    /// cluster's cost-priced backlog ledger).
-    ///
-    /// The model is water-filling over the next `horizon_launches` launches:
-    /// a device that spends its next `B_d` simulated seconds on another
-    /// tenant's queue can only contribute `(M − B_d) / t_d` shares of the
-    /// horizon's rows, where `t_d` is its per-launch occupancy on a uniform
-    /// share of `elements` and `M` is the common finishing time that makes
-    /// the shares cover all rows. Devices whose backlog alone exceeds `M`
-    /// contribute (almost) nothing — their weight collapses to a positive
-    /// epsilon so downstream weighted partitions stay well-formed and give
-    /// them only their reserved row.
-    ///
-    /// With all backlogs zero the weights are proportional to
-    /// [`CostModel::device_weight`], so a quiet pool re-plans to exactly the
-    /// split it opened with (a no-op epoch). Mismatched `backlog` length or
-    /// non-finite entries degrade to the static weights.
-    pub fn effective_weights(
-        &self,
-        devices: &[DeviceModel],
-        elements: u64,
-        backlog_sim_seconds: &[f64],
-        horizon_launches: u64,
-    ) -> Vec<f64> {
-        let n = devices.len();
-        let base: Vec<f64> = devices
-            .iter()
-            .map(|d| self.device_weight(d, elements))
-            .collect();
-        let degenerate = backlog_sim_seconds.len() != n
-            || backlog_sim_seconds
-                .iter()
-                .any(|b| !b.is_finite() || *b < 0.0)
-            || base.iter().any(|w| !w.is_finite() || *w <= 0.0);
-        if n == 0 || degenerate {
-            return base;
-        }
-        if backlog_sim_seconds.iter().all(|&b| b == 0.0) {
-            return base;
-        }
-        // Per-launch occupancy of a uniform share on each device.
-        let t: Vec<f64> = base.iter().map(|w| 1.0 / w).collect();
-        let h = horizon_launches.max(1) as f64;
-        // Water level M solving Σ_d max(0, M − B_d) / t_d = h · n: start
-        // with every device included, drop the ones whose backlog exceeds
-        // the level, and re-solve until stable. The least-backlogged device
-        // is always included, so the loop terminates with a valid level.
-        let mut included = vec![true; n];
-        let level = loop {
-            let num: f64 = h * n as f64
-                + (0..n)
-                    .filter(|&d| included[d])
-                    .map(|d| backlog_sim_seconds[d] / t[d])
-                    .sum::<f64>();
-            let den: f64 = (0..n).filter(|&d| included[d]).map(|d| 1.0 / t[d]).sum();
-            let level = num / den;
-            let mut dropped = false;
-            for d in 0..n {
-                if included[d] && backlog_sim_seconds[d] >= level {
-                    included[d] = false;
-                    dropped = true;
-                }
-            }
-            if !dropped {
-                break level;
-            }
-        };
-        let raw: Vec<f64> = (0..n)
-            .map(|d| {
-                if included[d] && level > backlog_sim_seconds[d] {
-                    (level - backlog_sim_seconds[d]) / t[d]
-                } else {
-                    0.0
-                }
-            })
-            .collect();
-        // Saturated devices keep a tiny positive weight: weighted partitions
-        // reject non-positive weights, and the reserve row every shard gets
-        // is exactly the residual share such a device deserves.
-        let floor = raw.iter().cloned().fold(0.0f64, f64::max) * 1e-9;
-        raw.iter()
-            .map(|&w| {
-                if w > 0.0 {
-                    w
-                } else {
-                    floor.max(f64::MIN_POSITIVE)
-                }
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -471,60 +377,6 @@ mod tests {
             "straggler must not be auto-included, picked {picked}"
         );
         assert!(picked >= 2, "the fast cards still pay off, picked {picked}");
-    }
-
-    #[test]
-    fn effective_weights_match_static_weights_on_a_quiet_pool() {
-        let model = single_kernel_model();
-        let pool = vec![DeviceModel::u280(), DeviceModel::u55c()];
-        let base: Vec<f64> = pool
-            .iter()
-            .map(|d| model.device_weight(d, 100_000))
-            .collect();
-        let eff = model.effective_weights(&pool, 100_000, &[0.0, 0.0], 16);
-        assert_eq!(eff, base, "zero backlog must reproduce the static weights");
-        // Mismatched or invalid backlog vectors degrade to the static weights.
-        assert_eq!(model.effective_weights(&pool, 100_000, &[0.0], 16), base);
-        assert_eq!(
-            model.effective_weights(&pool, 100_000, &[0.0, f64::NAN], 16),
-            base
-        );
-    }
-
-    #[test]
-    fn effective_weights_derate_a_backlogged_device() {
-        let model = single_kernel_model();
-        let pool = vec![DeviceModel::u280(); 4];
-        let t = 1.0 / model.device_weight(&pool[0], 100_000 / 4);
-        // One device carries 4 launches' worth of queued foreign work: its
-        // weight drops below the others', proportionally to the backlog.
-        let eff = model.effective_weights(&pool, 100_000 / 4, &[4.0 * t, 0.0, 0.0, 0.0], 16);
-        assert!(eff[0] > 0.0, "derated weight stays positive");
-        assert!(eff[0] < eff[1], "backlogged device is derated: {eff:?}");
-        assert_eq!(eff[1], eff[2]);
-        assert_eq!(eff[2], eff[3]);
-        // Water-filling: the idle devices absorb exactly what the busy one
-        // gives up — shares (M − B)/t sum to horizon · n.
-        let total: f64 = eff.iter().sum();
-        assert!(
-            (total - 64.0).abs() < 1e-6,
-            "shares cover the horizon: {total}"
-        );
-    }
-
-    #[test]
-    fn effective_weights_saturate_a_swamped_device_to_epsilon() {
-        let model = single_kernel_model();
-        let pool = vec![DeviceModel::u280(); 4];
-        let t = 1.0 / model.device_weight(&pool[0], 100_000 / 4);
-        // Backlog far beyond the horizon: the device is excluded from the
-        // water-filling and keeps only an epsilon weight (→ its reserve row).
-        let eff = model.effective_weights(&pool, 100_000 / 4, &[1e6 * t, 0.0, 0.0, 0.0], 16);
-        assert!(eff[0] > 0.0);
-        assert!(
-            eff[0] < eff[1] * 1e-6,
-            "swamped device collapses to epsilon: {eff:?}"
-        );
     }
 
     #[test]

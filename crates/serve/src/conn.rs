@@ -170,7 +170,7 @@ pub(crate) fn handle_connection(state: &ServeState, stream: TcpStream) {
         state.metrics.http_requests.inc();
         // Every request is the root of a fresh trace: the `http.request`
         // span parents everything the handler does — session ops, per-shard
-        // jobs on device lanes, rebalance epochs — under one trace id.
+        // jobs on device lanes, row exchanges — under one trace id.
         let trace_id = ftn_trace::new_trace_id();
         let trace = ftn_trace::trace_scope(trace_id);
         let started = std::time::Instant::now();

@@ -8,7 +8,6 @@
 //! | `POST /compile`             | `{source, fix_mac_pattern?, devices?}` | Compile via the content-addressed [`ArtifactCache`]; returns the key, whether it was a cache hit, each kernel's launch signature, and the device models the key's pool will use. `devices` (a list of model names such as `["u280","u250","u55c"]`, `@MHZ` clock overrides allowed) fixes a heterogeneous pool composition for this key. |
 //! | `POST /sessions`            | `{key, maps: [{name, kind, data, partition?, halo?}], shards?}` | Open a persistent `target data` session. `shards` defaults to 1 (arrays map onto one pool device, chosen by the placement ladder); with `shards: N` (or `"auto"`) each array is partitioned across N devices (`partition`: `split` (default, with optional `halo` rows) \| `replicated` \| `sum`/`min`/`max`). |
 //! | `POST /sessions/{id}/launch`| `{kernel, args: [{array\|extent\|extent_offset\|f32\|...}], refresh_halos?}` | Run one kernel-level job against the session's resident buffers (no per-launch transfers). The launch fans out per shard, with `{extent: name}` rebased to each shard's local length (the full length on a one-shard session) and `{extent_offset: {array, offset}}` rebasing stencil bounds like `n - 1`. `refresh_halos: true` exchanges split-array ghost rows after the launch lands (see `/refresh`). |
-//! | `POST /sessions/{id}/rebalance` | `{threshold?}`                     | Re-plan a session against the pool's current backlogs: when the predicted makespan gain clears the threshold, a migration epoch moves only the owner-changing rows between devices and the session resumes under the new split (a one-shard session answers the no-op report). Sessions opened with `auto_rebalance` (or `ftn serve --auto-rebalance N[:T]`) do this automatically every N launches. |
 //! | `POST /sessions/{id}/refresh` |                                      | Inter-launch halo exchange: every split array's ghost rows are re-seeded from their current owner rows — boundary blocks only, device-to-device over the row-block fetch/splice path, never a full gather/re-scatter. The iterative-stencil primitive (`jacobi`/`heat` between sweeps). |
 //! | `DELETE /sessions/{id}`     |                                        | Close the session: gather (or reduce) `from`/`tofrom` arrays back and return them with the session stats; all session memory is released. |
 //! | `POST /run`                 | `{key, func, args}`                    | Sessionless whole-program run (the baseline the elision ratio is measured against); request arrays are freed after the response. |
@@ -16,7 +15,7 @@
 //! | `GET /healthz`              |                                        | Readiness probe: 503 `"unready"` with reasons on a dead device worker or saturated queue, `{"ok":true,"status":"ok",...}` otherwise. |
 //! | `GET /metrics`              |                                        | Prometheus text exposition of every counter, gauge and histogram, with OpenMetrics exemplars. History, range queries and alerting belong to the Prometheus server that scrapes it. |
 //! | `GET /trace`                | `?since=N&until=N`                     | The recorded span timeline as a Chrome trace-event document. |
-//! | `GET /profile`              | `?since=N&until=N&format=folded\|svg\|json` | Span-derived hierarchical profile: self/total time per span-name path. `folded` is collapsed-stack text for flamegraph tooling, `svg` a self-contained flamegraph, `json` (default) the tree plus per-device busy/epoch/idle utilization. `?last=N` is the trailing-window shorthand continuous pollers should use (also accepted by `/trace`). |
+//! | `GET /profile`              | `?since=N&until=N&format=folded\|svg\|json` | Span-derived hierarchical profile: self/total time per span-name path. `folded` is collapsed-stack text for flamegraph tooling, `svg` a self-contained flamegraph, `json` (default) the tree plus per-device busy/idle utilization. `?last=N` is the trailing-window shorthand continuous pollers should use (also accepted by `/trace`). |
 //! | `GET /profile/top`          | `?by=kernel\|session\|device&k=N`      | Top-K cost attribution over completed jobs: simulated cycles, wall seconds, queue wait, and bytes moved, merged across pools (`ftn top` renders this). |
 //! | `POST /shutdown`            |                                        | Drain and stop the server. |
 //!
@@ -47,7 +46,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
-use ftn_cluster::{ArtifactCache, AutoRebalance, ImageCache, ShardCount};
+use ftn_cluster::{ArtifactCache, ImageCache, ShardCount};
 use ftn_fpga::DeviceModel;
 use ftn_trace::Level;
 use serde::Value;
@@ -79,13 +78,6 @@ pub struct ServeConfig {
     /// Shard count applied to `POST /sessions` bodies that do not carry a
     /// `shards` field (`ftn serve --shards N|auto`). `None` = one shard.
     pub default_shards: Option<ShardCount>,
-    /// Automatic re-planning applied to sharded sessions that do not carry
-    /// an `auto_rebalance` field (`ftn serve --auto-rebalance N[:T]`):
-    /// every N launches the session re-plans against observed device
-    /// backlogs and migrates shard rows when the predicted win clears T.
-    /// `None` = plans stay frozen at their open-time split (manual
-    /// `POST /sessions/{id}/rebalance` still works).
-    pub auto_rebalance: Option<AutoRebalance>,
     /// Span-recorder ring capacity per lane (`ftn serve --trace-buffer N`).
     /// `0` disables span recording entirely (the zero-cost path); `GET
     /// /trace` then serves an empty timeline. The recorder is
@@ -108,7 +100,6 @@ impl Default for ServeConfig {
             cache_dir: None,
             idle_timeout_secs: 5,
             default_shards: None,
-            auto_rebalance: None,
             trace_buffer: 4096,
             log_level: Level::Info,
             healthz_queue_limit: 1024,
@@ -167,7 +158,6 @@ impl ServeState {
             ("POST", ["compile"]) => self.compile(&req.body),
             ("POST", ["sessions"]) => self.open_session(&req.body),
             ("POST", ["sessions", id, "launch"]) => self.launch(parse_id(id)?, &req.body),
-            ("POST", ["sessions", id, "rebalance"]) => self.rebalance(parse_id(id)?, &req.body),
             ("POST", ["sessions", id, "refresh"]) => self.refresh(parse_id(id)?),
             ("GET", ["sessions", id]) => self.session_info(parse_id(id)?),
             ("GET", ["stats"]) => self.stats(),

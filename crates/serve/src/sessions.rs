@@ -3,19 +3,19 @@
 //!
 //! Invariants every change here must keep:
 //!
-//! * **One serve-level lock per session request.** Launch, info, refresh,
-//!   rebalance and close resolve through [`ServeState::session`]: the table
+//! * **One serve-level lock per session request.** Launch, info, refresh
+//!   and close resolve through [`ServeState::session`]: the table
 //!   lock for one look-up, an `Arc` clone out, then the pool's own locks.
 //!   They never touch the program table, so no compile, image load or pool
 //!   build of any program can stall them. Only open and `/run` go through
 //!   `ServeState::pool_for`.
 //! * **The table's lock is never held across a pool call or a wait.**
-//! * **No machine guard is held across device traffic.** Open, refresh,
-//!   rebalance and close are the gate's phased operations; launches and
-//!   `/run` submit under the lock and wait through `PoolGate::wait_many`.
+//! * **No machine guard is held across device traffic.** Open, refresh and
+//!   close are the gate's phased operations; launches and `/run` submit
+//!   under the lock and wait through `PoolGate::wait_many`.
 //! * **Session state is touched outside phased exchanges only**: every
 //!   machine access that names a session takes [`PoolGate::lock_session`]
-//!   (mid-epoch the machine's table lacks it: a live session would 404).
+//!   (a launch in the middle of a refresh or a close would race its rows).
 //! * **A request's arrays are owned.** What a request allocates in a pool
 //!   sits in an [`OwnedArrays`], which frees it when dropped — on every
 //!   exit, the error ones included. A session's entry owns its arrays the
@@ -24,9 +24,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use ftn_cluster::{
-    AutoRebalance, ClusterMachine, MapKind, Partition, PoolGate, ShardArg, ShardCount,
-};
+use ftn_cluster::{ClusterMachine, MapKind, Partition, PoolGate, ShardArg, ShardCount};
 use ftn_interp::{Buffer, RtValue};
 use serde::{Serialize, Value};
 
@@ -91,38 +89,6 @@ impl ServeState {
             None => self.config.default_shards,
         };
 
-        // `auto_rebalance` may be an interval, an "INTERVAL[:THRESHOLD]"
-        // string, an explicit opt-out (`0`, `false`, or `"off"` — a
-        // session that must keep a frozen plan can escape a server-wide
-        // `ftn serve --auto-rebalance` default), or absent (then the
-        // server default applies).
-        let auto_rebalance = match v.get("auto_rebalance") {
-            Some(Value::Str(s)) if s == "off" || s == "none" => None,
-            Some(Value::Str(s)) => Some(AutoRebalance::parse(s).ok_or_else(|| {
-                bad_request("'auto_rebalance' must be \"INTERVAL[:THRESHOLD]\" or \"off\"")
-            })?),
-            Some(Value::Bool(false) | Value::Int(0) | Value::UInt(0)) => None,
-            Some(n) => Some(AutoRebalance {
-                interval: positive(n).ok_or_else(|| {
-                    bad_request(
-                        "'auto_rebalance' must be a positive interval, \
-                         \"INTERVAL[:THRESHOLD]\", or an opt-out (0 | false | \"off\")",
-                    )
-                })?,
-                ..Default::default()
-            }),
-            None => self.config.auto_rebalance,
-        };
-        // Re-planning needs rows to move between shards: an explicit request
-        // to enable it on a session that never asked for any would be
-        // silently dead, so reject it (explicit opt-outs and inherited
-        // server defaults stay harmless).
-        if shards.is_none() && v.get("auto_rebalance").is_some() && auto_rebalance.is_some() {
-            return Err(bad_request(
-                "'auto_rebalance' requires a sharded session; set 'shards' too",
-            ));
-        }
-
         let pool = self.pool_for(key)?;
         // Parse and validate every map before allocating anything.
         let mut parsed: Vec<(&str, Vec<f32>, MapKind, Partition)> = Vec::with_capacity(maps.len());
@@ -158,7 +124,7 @@ impl ServeState {
             parsed.into_iter().map(own).collect()
         };
         let count = shards.unwrap_or(ShardCount::Fixed(1));
-        let opened = pool.open_phased(&maps, count, auto_rebalance);
+        let opened = pool.open_phased(&maps, count);
         let cluster_sid = opened.map_err(bad_request)?;
         let devices = pool.lock().sharded_devices(cluster_sid).unwrap_or_default();
         let mapped = maps.len();
@@ -192,10 +158,7 @@ impl ServeState {
     }
 
     /// Launch: fan out per shard, wait all shard jobs, and report the
-    /// aggregate (total cycles, per-launch makespan = slowest shard). When
-    /// the session's auto-rebalance cadence comes due the epoch runs first,
-    /// phased ([`PoolGate::rebalance_phased`]), so concurrent clients keep
-    /// submitting mid-epoch.
+    /// aggregate (total cycles, per-launch makespan = slowest shard).
     pub(crate) fn launch(&self, session: u64, body: &str) -> Result<Value, HandlerError> {
         let v = api::parse_body(body).map_err(bad_request)?;
         let kernel = api::get_str(&v, "kernel").map_err(bad_request)?;
@@ -215,20 +178,8 @@ impl ServeState {
             };
             args.push(arg);
         }
-        let mut machine = gate.lock_session(sid);
-        // The auto-rebalance cadence check is split from the launch so a due
-        // epoch runs *phased* (off-lock) instead of stop-the-world under the
-        // machine lock the synchronous `sharded_launch` would take.
-        let due = machine.auto_rebalance_due(sid).map_err(bad_request)?;
-        if let Some(threshold) = due {
-            drop(machine);
-            let epoch = gate.rebalance_phased(sid, Some(threshold));
-            epoch.map_err(failed)?;
-            machine = gate.lock_session(sid);
-        }
-        let ticket = machine.sharded_launch_no_replan(sid, kernel, &args);
+        let ticket = gate.lock_session(sid).sharded_launch(sid, kernel, &args);
         let ticket = ticket.map_err(bad_request)?;
-        drop(machine);
         let (staged, elided, devices) = (ticket.staged, ticket.elided, ticket.devices);
         let reports = (gate.wait_many(ticket.handles)).map_err(failed)?;
         self.metrics.launches.inc();
@@ -260,24 +211,6 @@ impl ServeState {
         Ok(api::obj(fields))
     }
 
-    /// Manual re-plan against the pool's current backlogs. Body: optional
-    /// `{"threshold": T}` overriding the session's improvement threshold.
-    /// Replies with the cluster's [`ftn_cluster::RebalanceReport`].
-    pub(crate) fn rebalance(&self, session: u64, body: &str) -> Result<Value, HandlerError> {
-        let v = api::parse_body(body).map_err(bad_request)?;
-        let threshold = match v.get("threshold") {
-            Some(Value::Float(f)) if f.is_finite() && *f >= 1.0 => Some(*f),
-            Some(Value::Int(i)) if *i >= 1 => Some(*i as f64),
-            Some(Value::UInt(u)) if *u >= 1 => Some(*u as f64),
-            None => None,
-            Some(_) => return Err(bad_request("'threshold' must be a number ≥ 1.0")),
-        };
-        let (pool, sid) = self.session(session)?;
-        // Phased: only this session is fenced while its rows move.
-        let report = pool.rebalance_phased(sid, threshold).map_err(failed)?;
-        Ok(with_serve_session(report.to_value(), session))
-    }
-
     /// Manual inter-launch halo refresh: every split array's ghost rows are
     /// re-seeded from their current owner rows, boundary blocks only.
     /// Replies with the cluster's [`ftn_cluster::HaloRefreshReport`].
@@ -295,9 +228,7 @@ impl ServeState {
             .ok_or_else(|| not_found(format!("no session {session}")))?;
         let devices = machine.sharded_devices(sid).unwrap_or_default();
         // The realized partition (owned rows per shard) of the largest
-        // split array — the live view of re-planning epochs, and the same
-        // reference array the rebalance decision and its report use, so the
-        // two endpoints always agree.
+        // split array.
         let shard_rows = machine
             .sharded_maps(sid)
             .and_then(|maps| {

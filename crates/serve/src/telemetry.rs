@@ -109,7 +109,7 @@ impl ServeState {
     /// span-derived profile of the window — self/total time per span-name
     /// path, across every recorder lane. `folded` is collapsed-stack text
     /// for flamegraph tooling, `svg` a self-contained flamegraph, `json`
-    /// (the default) the tree plus per-device busy/epoch/idle utilization.
+    /// (the default) the tree plus per-device busy/idle utilization.
     pub(crate) fn profile(&self, req: &Request) -> Result<Reply, HandlerError> {
         let (since, until) = parse_window(req)?;
         let format = req.query_param("format");
@@ -129,10 +129,8 @@ impl ServeState {
                             ("lane", d.lane.as_str().to_value()),
                             ("window_nanos", d.window_nanos.to_value()),
                             ("busy_nanos", d.busy_nanos.to_value()),
-                            ("epoch_nanos", d.epoch_nanos.to_value()),
                             ("idle_nanos", d.idle_nanos.to_value()),
                             ("busy_fraction", d.busy_fraction().to_value()),
-                            ("epoch_fraction", d.epoch_fraction().to_value()),
                             ("idle_fraction", d.idle_fraction().to_value()),
                         ])
                     })

@@ -1,5 +1,5 @@
 //! The HTTP surface, end to end over real sockets: compile, sessions
-//! (one-shard, sharded, heterogeneous), rebalance, keep-alive, telemetry
+//! (one-shard, sharded, heterogeneous), a fixed split, keep-alive, telemetry
 //! endpoints and memory hygiene. Moved here verbatim from `src/lib.rs` when
 //! that file was split along its two tables; the last test came with the
 //! split.
@@ -470,173 +470,69 @@ fn heterogeneous_pool_over_http_reports_models_and_weights_shards() {
     shutdown(addr, handle);
 }
 
+/// A session keeps the split it opened with: `GET /sessions/{id}` reports
+/// the open-time partition before and after launches, and no route moves
+/// it (`POST /sessions/{id}/rebalance` is a 404). A session opened without
+/// `shards` is a one-shard session, whose halo refresh is the no-op report.
 #[test]
-fn rebalance_endpoint_replans_sharded_sessions() {
+fn a_session_keeps_its_open_time_split() {
     let (addr, handle) = start_server(4, 2);
     let key = compile_key(addr);
-    let n = 256usize;
+    let n = 103usize;
     let x: Vec<f32> = (0..n).map(|i| i as f32 * 0.5).collect();
-    let y = vec![1.0f32; n];
-    let open = api::obj(vec![
-        ("key", Value::Str(key.clone())),
-        ("shards", Value::Int(4)),
-        ("auto_rebalance", Value::Str("8:1.2".into())),
-        (
-            "maps",
-            Value::Arr(vec![
-                api::obj(vec![
+    let open = |shards: Option<i64>| {
+        let mut fields = vec![
+            ("key", Value::Str(key.clone())),
+            (
+                "maps",
+                Value::Arr(vec![api::obj(vec![
                     ("name", Value::Str("x".into())),
-                    ("kind", Value::Str("to".into())),
-                    ("data", x.to_value()),
-                ]),
-                api::obj(vec![
-                    ("name", Value::Str("y".into())),
                     ("kind", Value::Str("tofrom".into())),
-                    ("data", y.to_value()),
-                ]),
-            ]),
-        ),
-    ]);
-    let (status, opened) = request(
-        addr,
-        "POST",
-        "/sessions",
-        &serde_json::to_string(&open).unwrap(),
-    );
-    assert_eq!(status, 200, "{opened:?}");
-    let sid = as_u64(opened.get("session"));
+                    ("data", x.to_value()),
+                ])]),
+            ),
+        ];
+        fields.extend(shards.map(|n| ("shards", Value::Int(n))));
+        let body = serde_json::to_string(&api::obj(fields)).unwrap();
+        let (status, opened) = request(addr, "POST", "/sessions", &body);
+        assert_eq!(status, 200, "{opened:?}");
+        as_u64(opened.get("session"))
+    };
+    let shard_rows = |sid: u64| {
+        let (status, info) = request(addr, "GET", &format!("/sessions/{sid}"), "");
+        assert_eq!(status, 200, "{info:?}");
+        let Some(Value::Arr(rows)) = info.get("shard_rows") else {
+            panic!("no shard_rows in {info:?}");
+        };
+        rows.iter().map(|r| as_u64(Some(r))).collect::<Vec<u64>>()
+    };
 
-    // A quiet pool re-plans to the split it already has: pure no-op.
+    let sid = open(Some(4));
+    assert_eq!(shard_rows(sid), vec![26, 26, 26, 25]);
+    let launch = r#"{"kernel": "saxpy_kernel0", "args": [{"array": "x"}, {"array": "x"},
+        {"extent": "x"}, {"extent": "x"}, {"f32": 1.0}, {"index": 1}, {"extent": "x"}]}"#;
+    for _ in 0..3 {
+        let (status, resp) = request(addr, "POST", &format!("/sessions/{sid}/launch"), launch);
+        assert_eq!(status, 200, "{resp:?}");
+    }
+    assert_eq!(shard_rows(sid), vec![26, 26, 26, 25]);
     let (status, resp) = request(addr, "POST", &format!("/sessions/{sid}/rebalance"), "");
-    assert_eq!(status, 200, "{resp:?}");
-    assert_eq!(resp.get("replanned"), Some(&Value::Bool(false)), "{resp:?}");
-    assert_eq!(as_u64(resp.get("rows_migrated")), 0);
-    assert_eq!(as_u64(resp.get("session")), sid, "serve-level id reported");
-    let Some(Value::Arr(rows)) = resp.get("shard_rows") else {
-        panic!("no shard_rows in {resp:?}");
-    };
-    assert_eq!(rows.len(), 4);
+    assert_eq!(status, 404, "{resp:?}");
+    let error = api::get_opt_str(&resp, "error").unwrap_or_default();
+    assert!(error.starts_with("no route"), "{resp:?}");
 
-    // Session info surfaces the live partition; /stats carries the
-    // epoch counters and the backlog ledger.
-    let (status, info) = request(addr, "GET", &format!("/sessions/{sid}"), "");
-    assert_eq!(status, 200);
-    assert!(info.get("shard_rows").is_some(), "{info:?}");
-    let (_, stats) = request(addr, "GET", "/stats", "");
-    let Some(Value::Arr(pools)) = stats.get("pools") else {
-        panic!("no pools in {stats:?}");
-    };
-    let ps = pools.first().unwrap().get("stats").unwrap();
-    assert_eq!(as_u64(ps.get("replans")), 0, "{stats:?}");
-    assert!(ps.get("est_backlog").is_some(), "{stats:?}");
-
-    // An explicit opt-out escapes any server-wide auto-rebalance
-    // default (and bad spellings are rejected).
-    let opt_out = api::obj(vec![
-        ("key", Value::Str(key.clone())),
-        ("shards", Value::Int(2)),
-        ("auto_rebalance", Value::Int(0)),
-        (
-            "maps",
-            Value::Arr(vec![api::obj(vec![
-                ("name", Value::Str("x".into())),
-                ("kind", Value::Str("to".into())),
-                ("data", x.to_value()),
-            ])]),
-        ),
-    ]);
-    let (status, opened_frozen) = request(
-        addr,
-        "POST",
-        "/sessions",
-        &serde_json::to_string(&opt_out).unwrap(),
-    );
-    assert_eq!(status, 200, "{opened_frozen:?}");
-    let frozen_sid = as_u64(opened_frozen.get("session"));
-    let (status, _) = request(addr, "DELETE", &format!("/sessions/{frozen_sid}"), "");
-    assert_eq!(status, 200);
-    let bad_auto = serde_json::to_string(&api::obj(vec![
-        ("key", Value::Str(key.clone())),
-        ("shards", Value::Int(2)),
-        ("auto_rebalance", Value::Str("sometimes".into())),
-        (
-            "maps",
-            Value::Arr(vec![api::obj(vec![
-                ("name", Value::Str("x".into())),
-                ("kind", Value::Str("to".into())),
-                ("data", x.to_value()),
-            ])]),
-        ),
-    ]))
-    .unwrap();
-    let (status, _) = request(addr, "POST", "/sessions", &bad_auto);
-    assert_eq!(status, 400);
-    // Enabling auto-rebalance without asking for shards would be
-    // silently dead: rejected up front.
-    let unsharded_auto = serde_json::to_string(&api::obj(vec![
-        ("key", Value::Str(key.clone())),
-        ("auto_rebalance", Value::Int(4)),
-        (
-            "maps",
-            Value::Arr(vec![api::obj(vec![
-                ("name", Value::Str("x".into())),
-                ("kind", Value::Str("to".into())),
-                ("data", x.to_value()),
-            ])]),
-        ),
-    ]))
-    .unwrap();
-    let (status, resp) = request(addr, "POST", "/sessions", &unsharded_auto);
-    assert_eq!(status, 400, "{resp:?}");
-
-    // A bad threshold is rejected; a session opened without `shards` is
-    // a one-shard session, so re-planning and halo refreshes answer the
-    // ordinary no-op reports (nothing to move, no seams).
-    let (status, _) = request(
-        addr,
-        "POST",
-        &format!("/sessions/{sid}/rebalance"),
-        "{\"threshold\": 0.5}",
-    );
-    assert_eq!(status, 400);
-    let plain = api::obj(vec![
-        ("key", Value::Str(key.clone())),
-        (
-            "maps",
-            Value::Arr(vec![api::obj(vec![
-                ("name", Value::Str("x".into())),
-                ("kind", Value::Str("to".into())),
-                ("data", x.to_value()),
-            ])]),
-        ),
-    ]);
-    let (_, opened_plain) = request(
-        addr,
-        "POST",
-        "/sessions",
-        &serde_json::to_string(&plain).unwrap(),
-    );
-    let plain_sid = as_u64(opened_plain.get("session"));
-    let (status, resp) = request(
-        addr,
-        "POST",
-        &format!("/sessions/{plain_sid}/rebalance"),
-        "",
-    );
-    assert_eq!(status, 200, "{resp:?}");
-    assert_eq!(as_u64(resp.get("session")), plain_sid);
-    assert_eq!(resp.get("replanned"), Some(&Value::Bool(false)));
-    assert_eq!(as_u64(resp.get("rows_migrated")), 0);
+    let plain_sid = open(None);
+    assert_eq!(shard_rows(plain_sid), vec![n as u64]);
     let (status, resp) = request(addr, "POST", &format!("/sessions/{plain_sid}/refresh"), "");
     assert_eq!(status, 200, "{resp:?}");
     assert_eq!(as_u64(resp.get("session")), plain_sid);
     assert_eq!(resp.get("refreshed"), Some(&Value::Bool(false)));
     assert_eq!(as_u64(resp.get("halo_rows")), 0);
 
-    let (status, _) = request(addr, "DELETE", &format!("/sessions/{sid}"), "");
-    assert_eq!(status, 200);
-    let (status, _) = request(addr, "DELETE", &format!("/sessions/{plain_sid}"), "");
-    assert_eq!(status, 200);
+    for sid in [sid, plain_sid] {
+        let (status, _) = request(addr, "DELETE", &format!("/sessions/{sid}"), "");
+        assert_eq!(status, 200);
+    }
     shutdown(addr, handle);
 }
 

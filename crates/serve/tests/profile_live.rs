@@ -6,7 +6,7 @@
 //!   reported (i.e. the `RunStats` the cluster measured),
 //! * `GET /profile?format=folded` attributes ≥95 % of the wall time inside
 //!   `http.request` spans to named children over the launch window,
-//! * per-device busy/epoch/idle utilization partitions the window and the
+//! * per-device busy/idle utilization partitions the window and the
 //!   `ftn_device_utilization` gauges are in the `GET /metrics` exposition,
 //! * `ftn top`'s renderer produces a dashboard frame from the same server.
 //!
@@ -302,15 +302,11 @@ fn profile_stack_attributes_live_sharded_traffic() {
     for d in util {
         let window = as_u64(d.get("window_nanos"));
         assert_eq!(
-            as_u64(d.get("busy_nanos"))
-                + as_u64(d.get("epoch_nanos"))
-                + as_u64(d.get("idle_nanos")),
+            as_u64(d.get("busy_nanos")) + as_u64(d.get("idle_nanos")),
             window,
             "{d:?}"
         );
-        let sum = as_f64(d.get("busy_fraction"))
-            + as_f64(d.get("epoch_fraction"))
-            + as_f64(d.get("idle_fraction"));
+        let sum = as_f64(d.get("busy_fraction")) + as_f64(d.get("idle_fraction"));
         assert!(sum <= 1.0 + 1e-9, "fractions sum to {sum}: {d:?}");
     }
 

@@ -10,7 +10,7 @@
 
 use ftn_interp::{Buffer, BufferId, InterpError, MemRefVal, Memory, RtValue};
 
-use crate::plan::{Partition, RowMove, ShardPlan, ShardRange};
+use crate::plan::{Partition, ShardPlan, ShardRange};
 
 /// One shard's sub-buffer of a mapped array.
 #[derive(Clone, Debug)]
@@ -34,24 +34,6 @@ pub struct ShardedArray {
     pub row_elems: usize,
     /// One slice per shard, in shard order.
     pub slices: Vec<ShardSlice>,
-}
-
-/// The per-array outcome of [`ShardedEnvironment::replan`]: which row
-/// blocks changed owners and which shard sub-buffers were replaced. The
-/// cluster layer turns this into the device-side half of a migration epoch
-/// (fetch the moved rows from their old devices, splice them into rebuilt
-/// mirrors on their new ones, free the replaced sub-buffers).
-#[derive(Clone, Debug)]
-pub struct ArrayReplan {
-    /// The mapped array's name.
-    pub name: String,
-    /// Elements per leading-dim row.
-    pub row_elems: usize,
-    /// Maximal contiguous row blocks changing owners, ascending by row.
-    pub moves: Vec<RowMove>,
-    /// Per shard: the replaced old slice, or `None` where the range was
-    /// unchanged and the sub-buffer was kept.
-    pub old_slices: Vec<Option<ShardSlice>>,
 }
 
 /// See module docs.
@@ -246,105 +228,6 @@ impl ShardedEnvironment {
         }
         Ok(())
     }
-
-    /// Re-partition every `Split` array proportionally to `weights` — the
-    /// host-side half of a migration epoch.
-    ///
-    /// Shards whose [`ShardRange`] is unchanged keep their sub-buffer
-    /// untouched; every changed shard gets a *fresh* host sub-buffer laid
-    /// out for the new range and seeded from the caller's global array
-    /// (exactly what a fresh scatter would map — including halo ghost rows,
-    /// which always restart from the caller's contents). Device residency is
-    /// untouched: the caller (the cluster layer) migrates device-resident
-    /// rows using the returned [`ArrayReplan`]s, which name, per array, the
-    /// row blocks that changed owners and the replaced old slices.
-    /// `Replicated` and `Reduced` arrays are not row-partitioned and are
-    /// left alone.
-    ///
-    /// `weights.len()` must equal the environment's shard count; the new
-    /// plans keep the shard count (guaranteed because every split array has
-    /// at least `shards` rows — checked at map time).
-    pub fn replan(
-        &mut self,
-        memory: &mut Memory,
-        weights: Vec<f64>,
-    ) -> Result<Vec<ArrayReplan>, InterpError> {
-        if weights.len() != self.shards {
-            return Err(InterpError::new(format!(
-                "replan weights for {} shards, environment has {}",
-                weights.len(),
-                self.shards
-            )));
-        }
-        let mut replans = Vec::new();
-        for a in &mut self.arrays {
-            let Partition::Split { halo } = a.partition else {
-                continue;
-            };
-            let rows: usize = a.slices.iter().map(|s| s.range.len).sum();
-            let old = ShardPlan::from_ranges(rows, a.slices.iter().map(|s| s.range).collect());
-            let new = ShardPlan::partition_weighted(rows, &weights, halo);
-            if new.shard_count() != self.shards {
-                return Err(InterpError::new(format!(
-                    "replan of '{}' changed the shard count ({} → {})",
-                    a.name,
-                    self.shards,
-                    new.shard_count()
-                )));
-            }
-            let moves = ShardPlan::delta(&old, &new);
-            if moves.is_empty() && old.ranges() == new.ranges() {
-                continue;
-            }
-            let mut old_slices: Vec<Option<ShardSlice>> = vec![None; self.shards];
-            for (shard, range) in new.ranges().iter().enumerate() {
-                if a.slices[shard].range == *range {
-                    continue;
-                }
-                // Fresh sub-buffer for the new range, seeded from the
-                // caller's array. For device-authoritative arrays these host
-                // contents are placeholders (the close fetch overwrites
-                // them); the device mirror is rebuilt by the cluster layer.
-                let contents = slice_of(
-                    memory.get(a.global.buffer),
-                    range.mapped_start() * a.row_elems,
-                    range.mapped_len() * a.row_elems,
-                )?;
-                let slice = alloc_slice(memory, &a.global, *range, contents);
-                old_slices[shard] = Some(std::mem::replace(&mut a.slices[shard], slice));
-            }
-            replans.push(ArrayReplan {
-                name: a.name.clone(),
-                row_elems: a.row_elems,
-                moves,
-                old_slices,
-            });
-        }
-        self.weights = weights;
-        Ok(replans)
-    }
-
-    /// Roll a [`ShardedEnvironment::replan`] back (a migration epoch failed
-    /// before its new mirrors were complete): every replaced slice is
-    /// reinstated, `weights` — the split weights from before the replan —
-    /// are restored, and the sub-buffers the replan allocated are returned
-    /// for the caller to free.
-    pub fn undo_replan(&mut self, replans: Vec<ArrayReplan>, weights: Vec<f64>) -> Vec<BufferId> {
-        let mut discarded = Vec::new();
-        for rp in replans {
-            let Some(a) = self.arrays.iter_mut().find(|a| a.name == rp.name) else {
-                continue;
-            };
-            for (shard, old) in rp.old_slices.into_iter().enumerate() {
-                if let Some(old) = old {
-                    let new = std::mem::replace(&mut a.slices[shard], old);
-                    discarded.push(new.memref.buffer);
-                }
-            }
-        }
-        self.weights = weights;
-        discarded
-    }
 }
 
 /// Allocate `contents` as the sub-buffer of `global` covering `range`.
@@ -535,88 +418,6 @@ mod tests {
         }
         env.gather(&mut memory, "s").unwrap();
         assert_eq!(memory.get(g.buffer), &Buffer::F32(vec![17.0]));
-    }
-
-    #[test]
-    fn replan_replaces_only_changed_slices_and_reports_the_moves() {
-        let mut memory = Memory::new();
-        let data: Vec<f32> = (0..100).map(|i| i as f32).collect();
-        let g = global_f32(&mut memory, &data);
-        let mut env = ShardedEnvironment::new(4);
-        env.map(&mut memory, "x", &g, Partition::Split { halo: 0 })
-            .unwrap();
-        let old_buffers: Vec<BufferId> = env
-            .array("x")
-            .unwrap()
-            .slices
-            .iter()
-            .map(|s| s.memref.buffer)
-            .collect();
-
-        // Equal weights: a no-op — nothing replaced, nothing reported.
-        assert!(env.replan(&mut memory, vec![1.0; 4]).unwrap().is_empty());
-        let same: Vec<BufferId> = env
-            .array("x")
-            .unwrap()
-            .slices
-            .iter()
-            .map(|s| s.memref.buffer)
-            .collect();
-        assert_eq!(old_buffers, same);
-
-        // Skew the weights: 25/25/25/25 → 49/17/17/17. Every slice changes;
-        // the moves name exactly the boundary blocks.
-        let replans = env.replan(&mut memory, vec![3.0, 1.0, 1.0, 1.0]).unwrap();
-        assert_eq!(replans.len(), 1);
-        let rp = &replans[0];
-        assert_eq!(rp.name, "x");
-        assert_eq!(rp.moves.iter().map(|m| m.len).sum::<usize>(), 48);
-        assert!(rp.old_slices.iter().all(|s| s.is_some()));
-        assert_eq!(env.shard_extent(0, "x"), Some(49));
-        assert_eq!(
-            env.shard_value(0, "x").unwrap().as_memref().unwrap().buffer,
-            env.array("x").unwrap().slices[0].memref.buffer,
-            "a shard's value is its new slice"
-        );
-        // New sub-buffers are seeded from the caller's array.
-        let m = env.shard_value(1, "x").unwrap();
-        let m = m.as_memref().unwrap().clone();
-        let expect: Vec<f32> = (49..66).map(|i| i as f32).collect();
-        assert_eq!(memory.get(m.buffer), &Buffer::F32(expect));
-        // Old sub-buffers can now be freed by the owner; gather still works
-        // against the new layout.
-        for s in rp.old_slices.iter().flatten() {
-            memory.free(s.memref.buffer);
-        }
-        env.gather(&mut memory, "x").unwrap();
-        assert_eq!(
-            memory.get(g.buffer),
-            &Buffer::F32((0..100).map(|i| i as f32).collect::<Vec<f32>>())
-        );
-        // A wrong weight count is rejected.
-        assert!(env.replan(&mut memory, vec![1.0; 3]).is_err());
-
-        // Undoing a replan reinstates the replaced slices and weights and
-        // hands back exactly the sub-buffers the replan allocated.
-        let before: Vec<ShardSlice> = env.array("x").unwrap().slices.clone();
-        let live = memory.live();
-        let replans = env.replan(&mut memory, vec![1.0; 4]).unwrap();
-        let fresh = env.undo_replan(replans, vec![3.0, 1.0, 1.0, 1.0]);
-        assert_eq!(fresh.len(), 4);
-        for id in fresh {
-            memory.free(id);
-        }
-        assert_eq!(memory.live(), live);
-        assert_eq!(env.weights(), &[3.0, 1.0, 1.0, 1.0]);
-        for (shard, slice) in before.iter().enumerate() {
-            let now = &env.array("x").unwrap().slices[shard];
-            assert_eq!(
-                (now.memref.buffer, now.range),
-                (slice.memref.buffer, slice.range)
-            );
-            let m = env.shard_value(shard, "x").unwrap();
-            assert_eq!(m.as_memref().unwrap().buffer, slice.memref.buffer);
-        }
     }
 
     #[test]

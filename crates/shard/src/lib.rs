@@ -13,8 +13,8 @@
 //!   per-shard host sub-buffers, one [`ShardSlice`] per shard and array, and
 //!   reassembles them at gather time — concatenating owned rows or reducing
 //!   private copies.
-//! * [`transfer`] — [`RowTransferPlan`]: the row blocks a halo refresh or a
-//!   migration epoch moves between shard owners, as pure data.
+//! * [`transfer`] — [`RowTransferPlan`]: the ghost-row blocks a halo
+//!   refresh moves between shard owners, as pure data.
 //!
 //! The crate is deliberately device-agnostic: residency, transfers, and
 //! placement of the per-shard jobs live in `ftn_cluster::sharded`, which
@@ -27,7 +27,7 @@ pub mod plan;
 pub mod reduce;
 pub mod transfer;
 
-pub use env::{copy_elems, slice_of, ArrayReplan, ShardSlice, ShardedArray, ShardedEnvironment};
+pub use env::{copy_elems, slice_of, ShardSlice, ShardedArray, ShardedEnvironment};
 pub use plan::{Partition, RowMove, ShardPlan, ShardRange};
 pub use reduce::ReduceOp;
 pub use transfer::{RowBlock, RowTransferPlan};

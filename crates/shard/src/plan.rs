@@ -77,9 +77,7 @@ impl ShardRange {
 }
 
 /// One maximal contiguous block of leading-dim rows that changes owners
-/// between two plans over the same array (see [`ShardPlan::delta`]). A
-/// migration epoch moves exactly these blocks between devices — everything
-/// else stays resident where it is.
+/// between two plans over the same array (see [`ShardPlan::delta`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RowMove {
     /// Shard owning the block under the old plan.
@@ -188,26 +186,12 @@ impl ShardPlan {
         ShardPlan { rows, ranges }
     }
 
-    /// Rebuild a plan from the realized ranges of a live environment (the
-    /// counterpart of [`ShardPlan::ranges`], used to diff a session's
-    /// current partition against a re-planned one). The ranges must be a
-    /// sorted contiguous cover of `rows`, as every plan constructor
-    /// produces.
-    pub fn from_ranges(rows: usize, ranges: Vec<ShardRange>) -> ShardPlan {
-        debug_assert_eq!(
-            ranges.iter().map(|r| r.len).sum::<usize>(),
-            rows,
-            "ranges must cover every row"
-        );
-        ShardPlan { rows, ranges }
-    }
-
     /// Diff two plans over the same `rows`: the maximal contiguous row
     /// blocks whose *owning* shard differs, in ascending row order. Halo
-    /// ghost rows are not compared — a migration epoch re-seeds the ghosts
-    /// of every re-ranged shard from their current owners (see
-    /// [`crate::RowTransferPlan::replan`]). Identical plans yield an empty
-    /// delta.
+    /// ghost rows are not compared. Identical plans yield an empty delta.
+    /// No session re-plans (a session keeps the split it opened with); the
+    /// diff is kept as a measured primitive of the layered benchmark
+    /// (`shard.delta_us`).
     ///
     /// ```
     /// use ftn_shard::ShardPlan;

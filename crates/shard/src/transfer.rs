@@ -1,10 +1,8 @@
 //! [`RowTransferPlan`] — "move these row blocks between shard owners" as
-//! pure data. Every inter-device data movement of a live sharded session is
+//! pure data. The inter-device data movement of a live sharded session is
 //! one of these plans: an inter-launch halo refresh re-seeds ghost rows from
-//! their owners ([`RowTransferPlan::ghost_blocks`]), and a migration epoch
-//! rebuilds each re-ranged shard from the rows' previous owners
-//! ([`RowTransferPlan::replan`] — retained rows, owner-changing rows and
-//! ghosts alike). The plan speaks shard indices and element offsets only;
+//! their owners ([`RowTransferPlan::ghost_blocks`]). The plan speaks shard
+//! indices and element offsets only;
 //! the cluster layer resolves shards to buffers and devices and picks the
 //! transport per block (same device ⇒ mirror-to-mirror copy, different
 //! device ⇒ host bounce).
@@ -34,42 +32,19 @@ pub struct RowBlock {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct RowTransferPlan {
     /// The blocks to copy; order carries no dependency (sources are owned
-    /// rows, destinations are ghost rows or fresh buffers).
+    /// rows, destinations are ghost rows).
     pub blocks: Vec<RowBlock>,
 }
 
 impl RowTransferPlan {
-    /// Ghost-row re-seeds: for every `(shard, range)` recipient, one block
-    /// per owner of each of its two halo intervals. `donors[s]` is shard
-    /// `s`'s range in the layout the rows currently live in; a ghost
-    /// interval wider than its neighbour splits across several donors, and
-    /// every ghost row is covered exactly once.
-    pub fn ghost_blocks(
-        recipients: impl IntoIterator<Item = (usize, ShardRange)>,
-        donors: &[ShardRange],
-        row_elems: usize,
-    ) -> RowTransferPlan {
+    /// Ghost-row re-seeds: for every shard of `ranges`, one block per owner
+    /// of each of its two halo intervals. A ghost interval wider than its
+    /// neighbour splits across several owners, and every ghost row is
+    /// covered exactly once.
+    pub fn ghost_blocks(ranges: &[ShardRange], row_elems: usize) -> RowTransferPlan {
         let mut plan = RowTransferPlan::default();
-        for (shard, r) in recipients {
-            plan.ghosts(shard, &r, donors, row_elems);
-        }
-        plan
-    }
-
-    /// Everything a migration epoch moves for one array: each shard whose
-    /// range differs between `old` and `new` is rebuilt from scratch — its
-    /// owned rows from their `old` owners (the rows it retains come from
-    /// itself; the rest are exactly [`crate::ShardPlan::delta`]'s moves)
-    /// and its ghost rows from theirs. Shards with an unchanged range
-    /// receive nothing. Owned and ghost rows stay separate blocks even when
-    /// adjacent rows share a donor.
-    pub fn replan(old: &[ShardRange], new: &[ShardRange], row_elems: usize) -> RowTransferPlan {
-        let mut plan = RowTransferPlan::default();
-        for (shard, r) in new.iter().enumerate() {
-            if old[shard] != *r {
-                plan.cover(shard, r, r.start, r.start + r.len, old, row_elems);
-                plan.ghosts(shard, r, old, row_elems);
-            }
+        for (shard, r) in ranges.iter().enumerate() {
+            plan.ghosts(shard, r, ranges, row_elems);
         }
         plan
     }
@@ -170,58 +145,27 @@ mod tests {
             row_elems in 1usize..=3,
             halo in 0usize..=3,
             shards in 1usize..=16,
-            old_w in proptest::collection::vec(0.05f64..20.0, 16..17),
-            new_w in proptest::collection::vec(0.05f64..20.0, 16..17),
+            weights in proptest::collection::vec(0.05f64..20.0, 16..17),
         ) {
             let shards = shards.min(rows);
             let global: Vec<f32> = (0..rows * row_elems).map(|i| i as f32).collect();
-            let old = ShardPlan::partition_weighted(rows, &old_w[..shards], halo);
-            let new = ShardPlan::partition_weighted(rows, &new_w[..shards], halo);
-            let (old_r, new_r) = (old.ranges(), new.ranges());
+            let plan = ShardPlan::partition_weighted(rows, &weights[..shards], halo);
+            let ranges = plan.ranges();
 
             // Halo refresh: afterwards every buffer equals its mapped slice
             // of the global array, and exactly the ghost elements were
             // written, once each (ghosts wider than a neighbour included).
-            let mut bufs = scatter(&global, old_r, row_elems);
+            let mut bufs = scatter(&global, ranges, row_elems);
             let donors = bufs.clone();
-            let ghosts = RowTransferPlan::ghost_blocks(
-                old_r.iter().copied().enumerate(), old_r, row_elems);
+            let ghosts = RowTransferPlan::ghost_blocks(ranges, row_elems);
             let hits = apply(&ghosts, &donors, &mut bufs);
-            for (s, r) in old_r.iter().enumerate() {
+            for (s, r) in ranges.iter().enumerate() {
                 prop_assert_eq!(&bufs[s][..], mapped(&global, r, row_elems), "refresh shard {}", s);
                 let owned = r.halo_lo * row_elems..(r.halo_lo + r.len) * row_elems;
                 for (i, &h) in hits[s].iter().enumerate() {
                     prop_assert_eq!(h, u32::from(!owned.contains(&i)), "shard {} elem {}", s, i);
                 }
             }
-
-            // Epoch: every re-ranged shard is rebuilt to its new mapped
-            // slice from the old (stale-ghost) buffers, each element written
-            // once; unchanged shards receive nothing.
-            let plan = RowTransferPlan::replan(old_r, new_r, row_elems);
-            let mut rebuilt: Vec<Vec<f32>> = new_r
-                .iter()
-                .map(|r| vec![f32::NAN; r.mapped_len() * row_elems])
-                .collect();
-            let hits = apply(&plan, &donors, &mut rebuilt);
-            let mut cross_owner_rows = 0;
-            for (s, r) in new_r.iter().enumerate() {
-                if old_r[s] == *r {
-                    prop_assert!(hits[s].iter().all(|&h| h == 0), "unchanged shard {} patched", s);
-                } else {
-                    prop_assert!(hits[s].iter().all(|&h| h == 1), "shard {} overlap or gap", s);
-                    prop_assert_eq!(&rebuilt[s][..], mapped(&global, r, row_elems), "epoch shard {}", s);
-                }
-            }
-            for b in &plan.blocks {
-                let r = &new_r[b.recipient_shard];
-                let owned = r.halo_lo * row_elems..(r.halo_lo + r.len) * row_elems;
-                if b.donor_shard != b.recipient_shard && owned.contains(&b.dst_elem) {
-                    cross_owner_rows += b.len / row_elems;
-                }
-            }
-            let delta: usize = ShardPlan::delta(&old, &new).iter().map(|m| m.len).sum();
-            prop_assert_eq!(cross_owner_rows, delta);
         }
     }
 }

@@ -21,7 +21,7 @@
 //! - **Profiling** ([`Profile`], [`device_utilization`]): the span rings
 //!   aggregated into folded-stack self/total-time trees (collapsed-stack
 //!   text, SVG flamegraph, JSON — `GET /profile`), plus per-device
-//!   busy/epoch/idle utilization splits derived from job-span coverage.
+//!   busy/idle utilization splits derived from job-span coverage.
 //!
 //! The span taxonomy and metric names threaded through the stack are
 //! documented in `docs/OBSERVABILITY.md`.

@@ -27,10 +27,9 @@
 //! ([`Profile::to_value`]).
 //!
 //! [`device_utilization`] reduces each `ftn-device-N` lane's job spans to a
-//! busy/epoch/idle split of the window: `epoch` is time under migration
-//! (`job.reshard`), `busy` is all other job coverage, `idle` the remainder.
-//! The three nanosecond figures partition the window exactly, so the
-//! fractions sum to 1 (within float rounding) and never above it.
+//! busy/idle split of the window: `busy` is job coverage, `idle` the
+//! remainder. The two nanosecond figures partition the window exactly, so
+//! the fractions sum to 1 (within float rounding) and never above it.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -443,10 +442,10 @@ fn color(name: &str) -> String {
     format!("rgb({r},{g},{b})")
 }
 
-/// One device lane's busy/epoch/idle split of a profiling window.
+/// One device lane's busy/idle split of a profiling window.
 ///
-/// The three nanosecond figures partition `window_nanos` exactly:
-/// `busy + epoch + idle == window`, so the fractions sum to 1 within float
+/// The two nanosecond figures partition `window_nanos` exactly:
+/// `busy + idle == window`, so the fractions sum to 1 within float
 /// rounding — never above.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceUtilization {
@@ -456,10 +455,8 @@ pub struct DeviceUtilization {
     pub lane: String,
     /// The window length in nanoseconds.
     pub window_nanos: u64,
-    /// Nanoseconds covered by job spans other than migration work.
+    /// Nanoseconds covered by job spans.
     pub busy_nanos: u64,
-    /// Nanoseconds covered by migration (`job.reshard`) spans.
-    pub epoch_nanos: u64,
     /// The uncovered remainder.
     pub idle_nanos: u64,
 }
@@ -468,11 +465,6 @@ impl DeviceUtilization {
     /// Busy fraction of the window, in `[0, 1]`.
     pub fn busy_fraction(&self) -> f64 {
         self.busy_nanos as f64 / self.window_nanos.max(1) as f64
-    }
-
-    /// Migration-epoch fraction of the window, in `[0, 1]`.
-    pub fn epoch_fraction(&self) -> f64 {
-        self.epoch_nanos as f64 / self.window_nanos.max(1) as f64
     }
 
     /// Idle fraction of the window, in `[0, 1]`.
@@ -503,7 +495,7 @@ fn union_nanos(intervals: &mut [(u64, u64)]) -> u64 {
     total
 }
 
-/// Reduce each `ftn-device-N` lane in `lanes` to its busy/epoch/idle split
+/// Reduce each `ftn-device-N` lane in `lanes` to its busy/idle split
 /// of `[since_nanos, until_nanos]`, from the coverage of its worker-category
 /// `job.*` spans. Sorted by device index.
 pub fn device_utilization(
@@ -525,7 +517,6 @@ pub fn device_utilization(
             continue;
         }
         let mut all = Vec::new();
-        let mut epoch = Vec::new();
         for e in &lane.events {
             if e.cat != "worker" || !e.name.starts_with("job.") || e.dur_nanos == 0 {
                 continue;
@@ -536,20 +527,14 @@ pub fn device_utilization(
                 continue;
             }
             all.push((start, end));
-            if e.name == "job.reshard" {
-                epoch.push((start, end));
-            }
         }
-        let covered = union_nanos(&mut all).min(window);
-        let epoch_nanos = union_nanos(&mut epoch).min(covered);
-        let busy_nanos = covered - epoch_nanos;
+        let busy_nanos = union_nanos(&mut all).min(window);
         out.push(DeviceUtilization {
             device,
             lane: lane.name.clone(),
             window_nanos: window,
             busy_nanos,
-            epoch_nanos,
-            idle_nanos: window - covered,
+            idle_nanos: window - busy_nanos,
         });
     }
     out.sort_by_key(|u| u.device);
@@ -761,8 +746,8 @@ mod tests {
                 0,
                 vec![
                     event("job.kernel", "worker", 1, 0, 10, 20),
-                    event("job.reshard", "worker", 2, 0, 40, 10),
-                    // Overlaps the reshard interval: union, no double count.
+                    event("job.halo_refresh", "worker", 2, 0, 40, 10),
+                    // Overlaps the refresh interval: union, no double count.
                     event("job.kernel", "worker", 3, 0, 45, 15),
                 ],
             ),
@@ -778,13 +763,12 @@ mod tests {
         let d = &u[0];
         assert_eq!(d.device, 0);
         assert_eq!(d.window_nanos, 100);
-        // Coverage: [10,30) ∪ [40,60) = 40ns; epoch [40,50) = 10ns.
-        assert_eq!(d.epoch_nanos, 10);
-        assert_eq!(d.busy_nanos, 30);
+        // Coverage: [10,30) ∪ [40,60) = 40ns.
+        assert_eq!(d.busy_nanos, 40);
         assert_eq!(d.idle_nanos, 60);
-        assert_eq!(d.busy_nanos + d.epoch_nanos + d.idle_nanos, d.window_nanos);
-        assert!((d.busy_fraction() - 0.30).abs() < 1e-12);
-        let sum = d.busy_fraction() + d.epoch_fraction() + d.idle_fraction();
+        assert_eq!(d.busy_nanos + d.idle_nanos, d.window_nanos);
+        assert!((d.busy_fraction() - 0.40).abs() < 1e-12);
+        let sum = d.busy_fraction() + d.idle_fraction();
         assert!((sum - 1.0).abs() < 1e-12);
     }
 

@@ -31,7 +31,7 @@ use crate::lock;
 pub struct SpanEvent {
     /// Human-readable span name (e.g. `job.kernel`, `http.request`).
     pub name: String,
-    /// Category — the Chrome-trace `cat` field (`http`, `worker`, `epoch`, …).
+    /// Category — the Chrome-trace `cat` field (`http`, `worker`, `exchange`, …).
     pub cat: &'static str,
     /// The request/trace id this span belongs to (0 = none).
     pub trace_id: u64,

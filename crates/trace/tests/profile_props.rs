@@ -1,7 +1,7 @@
 //! Property tests for the profiler: the self ≤ total invariant holds at
 //! every tree node for arbitrary (even adversarial) span forests, folded
 //! text survives a parse/render round trip, and per-device
-//! busy/epoch/idle fractions always partition the window.
+//! busy/idle fractions always partition the window.
 
 use ftn_trace::{device_utilization, LaneSnapshot, Profile, ProfileNode, SpanEvent};
 use proptest::prelude::*;
@@ -26,7 +26,7 @@ fn arb_events(max: usize) -> impl Strategy<Value = Vec<SpanEvent>> {
             "job.kernel",
             "job.upload",
             "kernel.execute",
-            "job.reshard",
+            "job.halo_refresh",
         ];
         rows.into_iter()
             .enumerate()
@@ -127,9 +127,9 @@ proptest! {
         }
     }
 
-    /// busy + epoch + idle partitions the window exactly (in nanoseconds)
-    /// and the fractions sum to 1 within float rounding — under arbitrary
-    /// overlapping job/reshard spans per device lane, the shape a burst of
+    /// busy + idle partitions the window exactly (in nanoseconds) and the
+    /// fractions sum to 1 within float rounding — under arbitrary
+    /// overlapping job spans per device lane, the shape a burst of
     /// concurrent sharded launches produces.
     #[test]
     fn utilization_fractions_partition_the_window(
@@ -143,17 +143,16 @@ proptest! {
         let split = device_utilization(&lanes, since, until);
         for d in &split {
             prop_assert_eq!(
-                d.busy_nanos + d.epoch_nanos + d.idle_nanos,
+                d.busy_nanos + d.idle_nanos,
                 d.window_nanos,
                 "device {} does not partition the window", d.device
             );
-            let sum = d.busy_fraction() + d.epoch_fraction() + d.idle_fraction();
+            let sum = d.busy_fraction() + d.idle_fraction();
             prop_assert!(
                 sum <= 1.0 + 1e-9,
                 "device {}: fractions sum to {} > 1", d.device, sum
             );
-            prop_assert!(d.busy_fraction() >= 0.0 && d.epoch_fraction() >= 0.0
-                && d.idle_fraction() >= 0.0);
+            prop_assert!(d.busy_fraction() >= 0.0 && d.idle_fraction() >= 0.0);
         }
     }
 }

@@ -11,9 +11,6 @@
 //!                                            (heterogeneous) device list
 //!           [--workers W] [--cache-dir DIR]
 //!           [--shards N|auto]                default sharding for sessions
-//!           [--auto-rebalance N[:T]]         re-plan sharded sessions every
-//!                                            N launches when the predicted
-//!                                            makespan gain clears T
 //!           [--idle-timeout SECS]            keep-alive idle timeout
 //!           [--trace-buffer EVENTS]          span-ring capacity per lane
 //!                                            (0 disables tracing)
@@ -181,22 +178,6 @@ fn serve(args: &[String]) -> ExitCode {
                     }
                 }
             }
-            "--auto-rebalance" => {
-                i += 1;
-                match args
-                    .get(i)
-                    .and_then(|v| ftn_cluster::AutoRebalance::parse(v))
-                {
-                    Some(ar) => config.auto_rebalance = Some(ar),
-                    None => {
-                        eprintln!(
-                            "error: --auto-rebalance needs INTERVAL[:THRESHOLD] \
-                             (e.g. 8 or 8:1.2, threshold >= 1.0)"
-                        );
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
             "--idle-timeout" => {
                 i += 1;
                 match args.get(i).and_then(|v| v.parse().ok()) {
@@ -230,7 +211,7 @@ fn serve(args: &[String]) -> ExitCode {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: ftn serve [--port P] [--devices N|u280,u250,...] [--workers W] [--cache-dir DIR] [--shards N|auto] [--auto-rebalance N[:T]] [--idle-timeout SECS] [--trace-buffer EVENTS] [--log-level LEVEL]"
+                    "usage: ftn serve [--port P] [--devices N|u280,u250,...] [--workers W] [--cache-dir DIR] [--shards N|auto] [--idle-timeout SECS] [--trace-buffer EVENTS] [--log-level LEVEL]"
                 );
                 return ExitCode::SUCCESS;
             }

@@ -1,18 +1,18 @@
 //! Concurrency semantics across the live serve stack: keep-alive clients on
-//! distinct sessions launch concurrently while migration epochs run against
+//! distinct sessions launch concurrently while halo refreshes run against
 //! one sharded session on the same pool.
 //!
 //! * **Bit-identical results.** The concurrent run — launches racing each
-//!   other and a rebalance hammer forcing phased epochs mid-traffic — must
-//!   close every session with exactly the arrays a serial, epoch-free run
-//!   of the same launch counts produces. Epochs move rows between devices;
-//!   they must never change a value.
-//! * **No stop-the-world.** Sessions untouched by the epoch (unsharded and
-//!   sharded alike) must keep completing launches *while* a rebalance
-//!   request is in flight on the migrating session: at least one untouched
-//!   launch must start and finish strictly inside a rebalance window. The
-//!   migrating session is given a large array so each epoch's quiesce has
-//!   real in-flight work to wait out, keeping the windows wide open.
+//!   other and a refresh hammer forcing phased row exchanges mid-traffic —
+//!   must close every session with exactly the arrays a serial,
+//!   refresh-free run of the same launch counts produces. A refresh moves
+//!   ghost rows between devices; it must never change an owned value.
+//! * **No stop-the-world.** Sessions untouched by the refresh (unsharded
+//!   and sharded alike) must keep completing launches *while* a refresh
+//!   request is in flight on the fenced session: at least one untouched
+//!   launch must start and finish strictly inside a refresh window. The
+//!   fenced session is given a large array so each refresh's gather queues
+//!   behind real in-flight shard work, keeping the windows wide open.
 //! * **Open and close are phased exchanges too.** Sessions opened and
 //!   closed through `PoolGate::open_phased` / `close_phased` while another
 //!   session launches through the same gate end with the arrays,
@@ -45,13 +45,13 @@ subroutine saxpy(n, a, x, y)
 end subroutine saxpy
 "#;
 
-/// Elements of the migrating (fenced) session: big enough that a quiesce
-/// has milliseconds of in-flight shard work to wait for.
-const MIGRATING_N: usize = 100_000;
+/// Elements of the fenced session: big enough that a refresh's gather
+/// queues behind milliseconds of in-flight shard work.
+const FENCED_N: usize = 100_000;
 /// Elements of each untouched session: small, so its launches finish far
-/// inside one epoch window.
+/// inside one refresh window.
 const UNTOUCHED_N: usize = 48;
-const MIGRATING_LAUNCHES: usize = 16;
+const FENCED_LAUNCHES: usize = 16;
 const UNTOUCHED_LAUNCHES: usize = 24;
 
 fn start_server() -> (SocketAddr, std::thread::JoinHandle<std::io::Result<()>>) {
@@ -99,22 +99,24 @@ fn session_x(index: usize, n: usize) -> Vec<f32> {
     (0..n).map(|i| (i + index * 13) as f32 * 0.25).collect()
 }
 
-fn open_session(conn: &mut Conn, key: &str, x: &[f32], shards: Option<i64>) -> u64 {
+/// Open a session mapping `x` (`to`) and `y` (`tofrom`), split into
+/// `shards` (one when `None`) with `halo` ghost rows.
+fn open_session(conn: &mut Conn, key: &str, x: &[f32], shards: Option<i64>, halo: i64) -> u64 {
+    let map = |name: &str, kind: &str, data: Value| {
+        api::obj(vec![
+            ("name", Value::Str(name.into())),
+            ("kind", Value::Str(kind.into())),
+            ("data", data),
+            ("halo", Value::Int(halo)),
+        ])
+    };
     let mut fields = vec![
         ("key", Value::Str(key.to_string())),
         (
             "maps",
             Value::Arr(vec![
-                api::obj(vec![
-                    ("name", Value::Str("x".into())),
-                    ("kind", Value::Str("to".into())),
-                    ("data", x.to_value()),
-                ]),
-                api::obj(vec![
-                    ("name", Value::Str("y".into())),
-                    ("kind", Value::Str("tofrom".into())),
-                    ("data", vec![1.0f32; x.len()].to_value()),
-                ]),
+                map("x", "to", x.to_value()),
+                map("y", "tofrom", vec![1.0f32; x.len()].to_value()),
             ]),
         ),
     ];
@@ -168,24 +170,29 @@ fn close_session(conn: &mut Conn, sid: u64) -> Vec<f64> {
         .collect()
 }
 
-/// The untouched sessions: two unsharded, two sharded-but-not-migrating.
+/// The untouched sessions: two unsharded, two sharded but never refreshed.
 fn open_untouched(conn: &mut Conn, key: &str) -> Vec<u64> {
     (0..4)
         .map(|p| {
             let shards = if p >= 2 { Some(2) } else { None };
-            open_session(conn, key, &session_x(p, UNTOUCHED_N), shards)
+            open_session(conn, key, &session_x(p, UNTOUCHED_N), shards, 0)
         })
         .collect()
 }
 
+/// The fenced session: four shards, one ghost row each side.
+fn open_fenced(conn: &mut Conn, key: &str) -> u64 {
+    open_session(conn, key, &session_x(9, FENCED_N), Some(4), 1)
+}
+
 /// Serial reference: the same sessions and launch counts, one request at a
-/// time, no epochs. Returns every session's closed `y` (untouched sessions
-/// first, then the would-be migrating one).
+/// time, no refreshes. Returns every session's closed `y` (untouched
+/// sessions first, then the fenced one).
 fn serial_results(addr: SocketAddr) -> Vec<Vec<f64>> {
     let mut conn = Conn::open(addr).expect("connect");
     let key = compile_key(&mut conn);
     let untouched = open_untouched(&mut conn, &key);
-    let migrating = open_session(&mut conn, &key, &session_x(9, MIGRATING_N), Some(4));
+    let fenced = open_fenced(&mut conn, &key);
     let launch = launch_body();
     for &sid in &untouched {
         for _ in 0..UNTOUCHED_LAUNCHES {
@@ -195,9 +202,9 @@ fn serial_results(addr: SocketAddr) -> Vec<Vec<f64>> {
             assert_eq!(status, 200, "{resp:?}");
         }
     }
-    for _ in 0..MIGRATING_LAUNCHES {
+    for _ in 0..FENCED_LAUNCHES {
         let (status, resp) = conn
-            .request("POST", &format!("/sessions/{migrating}/launch"), &launch)
+            .request("POST", &format!("/sessions/{fenced}/launch"), &launch)
             .expect("launch");
         assert_eq!(status, 200, "{resp:?}");
     }
@@ -205,40 +212,41 @@ fn serial_results(addr: SocketAddr) -> Vec<Vec<f64>> {
         .iter()
         .map(|&sid| close_session(&mut conn, sid))
         .collect();
-    results.push(close_session(&mut conn, migrating));
+    results.push(close_session(&mut conn, fenced));
     results
 }
 
 #[test]
-fn concurrent_launches_with_mid_run_epochs_match_serial_bitwise() {
+fn concurrent_launches_with_mid_run_refreshes_match_serial_bitwise() {
     let (addr, server) = start_server();
 
-    // Concurrent run: four untouched-session clients and one
-    // migrating-session client launch in parallel while a hammer thread
-    // drives back-to-back rebalance epochs against the migrating session.
+    // Concurrent run: four untouched-session clients and one fenced-session
+    // client launch in parallel while a hammer thread drives back-to-back
+    // halo refreshes against the fenced session.
     let mut setup = Conn::open(addr).expect("connect");
     let key = compile_key(&mut setup);
     let untouched = open_untouched(&mut setup, &key);
-    let migrating = open_session(&mut setup, &key, &session_x(9, MIGRATING_N), Some(4));
+    let fenced = open_fenced(&mut setup, &key);
     let launch = launch_body();
 
     let launcher_done = Arc::new(AtomicBool::new(false));
-    let migrating_thread = {
+    let fenced_thread = {
         let launch = launch.clone();
         let done = Arc::clone(&launcher_done);
         std::thread::spawn(move || {
             let mut conn = Conn::open(addr).expect("connect");
-            for _ in 0..MIGRATING_LAUNCHES {
+            for _ in 0..FENCED_LAUNCHES {
                 let (status, resp) = conn
-                    .request("POST", &format!("/sessions/{migrating}/launch"), &launch)
+                    .request("POST", &format!("/sessions/{fenced}/launch"), &launch)
                     .expect("launch");
                 assert_eq!(status, 200, "{resp:?}");
             }
             done.store(true, Ordering::SeqCst);
         })
     };
-    // Rebalance hammer: epochs run while the migrating session still has
-    // launches in flight, so each quiesce holds the window open.
+    // Refresh hammer: refreshes run while the fenced session still has
+    // launches in flight, so each gather, queued behind them, holds the
+    // window open.
     let hammer = {
         let done = Arc::clone(&launcher_done);
         std::thread::spawn(move || {
@@ -247,8 +255,8 @@ fn concurrent_launches_with_mid_run_epochs_match_serial_bitwise() {
             while !done.load(Ordering::SeqCst) {
                 let from = Instant::now();
                 let (status, resp) = conn
-                    .request("POST", &format!("/sessions/{migrating}/rebalance"), "")
-                    .expect("rebalance");
+                    .request("POST", &format!("/sessions/{fenced}/refresh"), "")
+                    .expect("refresh");
                 assert_eq!(status, 200, "{resp:?}");
                 windows.push((from, Instant::now()));
             }
@@ -279,20 +287,20 @@ fn concurrent_launches_with_mid_run_epochs_match_serial_bitwise() {
         .into_iter()
         .flat_map(|t| t.join().expect("untouched launcher"))
         .collect();
-    migrating_thread.join().expect("migrating launcher");
-    let windows = hammer.join().expect("rebalance hammer");
+    fenced_thread.join().expect("fenced launcher");
+    let windows = hammer.join().expect("refresh hammer");
 
-    assert!(!windows.is_empty(), "the hammer never completed an epoch");
+    assert!(!windows.is_empty(), "the hammer never completed a refresh");
     // The non-stop-the-world claim: some untouched launch ran start-to-finish
-    // strictly inside a rebalance window.
+    // strictly inside a refresh window.
     let inside = launch_spans
         .iter()
         .filter(|(from, to)| windows.iter().any(|(ws, we)| from >= ws && to <= we))
         .count();
     assert!(
         inside > 0,
-        "no untouched launch completed inside any of the {} rebalance windows \
-         ({} launches observed) — epochs are blocking unrelated sessions",
+        "no untouched launch completed inside any of the {} refresh windows \
+         ({} launches observed) — refreshes are blocking unrelated sessions",
         windows.len(),
         launch_spans.len(),
     );
@@ -306,11 +314,11 @@ fn concurrent_launches_with_mid_run_epochs_match_serial_bitwise() {
         .iter()
         .map(|&sid| close_session(&mut closer, sid))
         .collect();
-    concurrent.push(close_session(&mut closer, migrating));
+    concurrent.push(close_session(&mut closer, fenced));
     shutdown(addr, server);
 
     // Serial reference on a fresh server: same sessions, same launch
-    // counts, no concurrency, no epochs.
+    // counts, no concurrency, no refreshes.
     let (addr, server) = start_server();
     let serial = serial_results(addr);
     shutdown(addr, server);
@@ -416,7 +424,7 @@ fn phased_open_and_close_beside_a_launching_session_match_the_synchronous_forms(
     // The phased forms, churning beside the launches.
     let gate = PoolGate::new(load());
     let (maps, ya) = launching_maps(&mut gate.lock());
-    let a = gate.open_phased(&maps, ShardCount::Fixed(1), None).unwrap();
+    let a = gate.open_phased(&maps, ShardCount::Fixed(1)).unwrap();
     let start = std::sync::Barrier::new(2);
     let phased_churn: Vec<Churned> = std::thread::scope(|scope| {
         scope.spawn(|| {
@@ -432,8 +440,7 @@ fn phased_open_and_close_beside_a_launching_session_match_the_synchronous_forms(
         (0..CYCLES)
             .map(|cycle| {
                 let (x, y, r) = churn_arrays(&mut gate.lock(), cycle);
-                let b = (gate.open_phased(&churn_maps(&x, &y, &r), ShardCount::Fixed(2), None))
-                    .unwrap();
+                let b = (gate.open_phased(&churn_maps(&x, &y, &r), ShardCount::Fixed(2))).unwrap();
                 let stats = gate.close_phased(b).unwrap().stats;
                 churned(&mut gate.lock(), [x, y, r], stats)
             })

@@ -4,10 +4,6 @@
 //! * A sharded Jacobi ping-pong loop with `refresh_halos` between sweeps is
 //!   bit-identical — results AND deterministic `RunStats` totals — to the
 //!   single-device session, at N = 1/2/4 shards.
-//! * The loop stays bit-identical when a migration epoch re-plans the
-//!   session mid-run (the epoch must re-seed ghost rows from the *current*
-//!   owner rows, not the open-time array contents — the regression the
-//!   stale-halo bugfix pins).
 //! * Property: random grid sizes (non-divisible included) × shard counts ×
 //!   halo widths × iteration counts — the halo-refresh path is identical to
 //!   a full gather + re-scatter oracle (close and re-open the session every
@@ -64,14 +60,12 @@ fn inputs(n: usize) -> (Vec<f32>, Vec<f32>) {
 }
 
 /// Ping-pong `iters` Jacobi sweeps over a sharded session, refreshing the
-/// split arrays' halos between launches. `rebalance_at` forces a migration
-/// epoch (skewed backlog + threshold 1.0) after that iteration's refresh.
+/// split arrays' halos between launches.
 fn run_sharded_jacobi(
     devices: usize,
     shards: usize,
     iters: usize,
     halo: usize,
-    rebalance_at: Option<usize>,
     u0: &[f32],
     v0: &[f32],
 ) -> (Vec<f32>, Vec<f32>, ftn_cluster::SessionStats, RunStats) {
@@ -91,7 +85,7 @@ fn run_sharded_jacobi(
     for k in 0..iters {
         let (src, dst) = if k % 2 == 0 { ("u", "v") } else { ("v", "u") };
         let ticket = cluster
-            .sharded_launch_no_replan(sid, "jacobi_kernel0", &jacobi_args(src, dst))
+            .sharded_launch(sid, "jacobi_kernel0", &jacobi_args(src, dst))
             .unwrap();
         cluster.wait_sharded(ticket).unwrap();
         if k + 1 < iters {
@@ -102,15 +96,6 @@ fn run_sharded_jacobi(
                 jobs <= 2 * devices as u64,
                 "a refresh is at most one gather and one apply job per device, \
                  ran {jobs} on {devices}"
-            );
-        }
-        if rebalance_at == Some(k) {
-            // Skew the backlog ledger so the re-plan moves rows for real.
-            cluster.inject_backlog(0, 5.0);
-            let report = cluster.rebalance_session_with(sid, Some(1.0)).unwrap();
-            assert!(
-                report.replanned,
-                "the mid-run epoch must actually migrate rows"
             );
         }
     }
@@ -183,7 +168,7 @@ fn sharded_jacobi_with_halo_refresh_is_bit_identical_at_n124() {
     let (u_ref, v_ref, _, _) = run_plain_jacobi(n, iters, &u0, &v0);
     for (devices, shards) in [(1usize, 1usize), (2, 2), (4, 4), (2, 4)] {
         let label = format!("{shards} shards on {devices}");
-        let (u, v, stats, totals) = run_sharded_jacobi(devices, shards, iters, 1, None, &u0, &v0);
+        let (u, v, stats, totals) = run_sharded_jacobi(devices, shards, iters, 1, &u0, &v0);
         assert_bits_eq(&format!("{label}: u"), &u, &u_ref);
         assert_bits_eq(&format!("{label}: v"), &v, &v_ref);
         assert_eq!(stats.launches, (iters * shards) as u64);
@@ -199,7 +184,7 @@ fn sharded_jacobi_with_halo_refresh_is_bit_identical_at_n124() {
             "{label}: a refresh moves exactly the ghost rows"
         );
         // Deterministic totals: an identical second run agrees exactly.
-        let (_, _, stats2, totals2) = run_sharded_jacobi(devices, shards, iters, 1, None, &u0, &v0);
+        let (_, _, stats2, totals2) = run_sharded_jacobi(devices, shards, iters, 1, &u0, &v0);
         assert_eq!(stats, stats2, "{label}: session stats must repeat");
         assert_eq!(totals, totals2, "{label}: RunStats totals must repeat");
     }
@@ -233,7 +218,7 @@ fn one_shard_stencil_stats_match_plain_session() {
         launch_cycles: vec![4452; 3],
     };
     let (_, _, plain, plain_totals) = run_plain_jacobi(n, iters, &u0, &v0);
-    let (_, _, shard, shard_totals) = run_sharded_jacobi(1, 1, iters, 1, None, &u0, &v0);
+    let (_, _, shard, shard_totals) = run_sharded_jacobi(1, 1, iters, 1, &u0, &v0);
     assert_eq!(plain, golden, "open_session");
     assert_eq!(shard, golden, "Fixed(1): no seams → no refreshes counted");
     assert_eq!(plain_totals, golden_totals, "open_session");
@@ -286,7 +271,7 @@ fn sharded_heat_with_halo_refresh_is_bit_identical() {
         for k in 0..iters {
             let (src, dst) = if k % 2 == 0 { ("u", "v") } else { ("v", "u") };
             let ticket = cluster
-                .sharded_launch_no_replan(sid, "heat_kernel0", &heat_args(src, dst))
+                .sharded_launch(sid, "heat_kernel0", &heat_args(src, dst))
                 .unwrap();
             cluster.wait_sharded(ticket).unwrap();
             if k + 1 < iters {
@@ -301,32 +286,6 @@ fn sharded_heat_with_halo_refresh_is_bit_identical() {
         let (u, v) = run(devices);
         assert_bits_eq(&format!("heat N={devices} u"), &u, &u_ref);
         assert_bits_eq(&format!("heat N={devices} v"), &v, &v_ref);
-    }
-}
-
-/// A migration epoch in the middle of the stencil loop must not corrupt
-/// ghost rows: results stay bit-identical to the single-device run.
-///
-/// This is the regression the stale-halo bugfix pins. The epoch re-seeds
-/// replaced shards' ghost rows; the old code sourced them from the
-/// *open-time* array contents (`ShardedEnvironment::replan` copies out of
-/// the original global buffer), which are stale for any array written
-/// between launches — here both `u` and `v` after the first sweeps. The fix
-/// re-seeds from the current owner shards' rows, so the sweep after the
-/// epoch reads exactly what a refresh would have provided.
-#[test]
-fn mid_run_rebalance_epoch_does_not_corrupt_halos() {
-    let n = 211usize;
-    let iters = 6usize;
-    let (u0, v0) = inputs(n);
-    let (u_ref, v_ref, _, _) = run_plain_jacobi(n, iters, &u0, &v0);
-    for devices in [2usize, 4] {
-        // Rebalance right after the third sweep's refresh: both arrays have
-        // been rewritten since open, so any open-time re-seed is stale.
-        let (u, v, stats, _) = run_sharded_jacobi(devices, devices, iters, 1, Some(2), &u0, &v0);
-        assert!(stats.replan_count >= 1, "N={devices}: epoch must have run");
-        assert_bits_eq(&format!("epoch N={devices} u"), &u, &u_ref);
-        assert_bits_eq(&format!("epoch N={devices} v"), &v, &v_ref);
     }
 }
 
@@ -410,7 +369,7 @@ proptest! {
             for k in 0..iters {
                 let (src, dst) = if k % 2 == 0 { ("u", "v") } else { ("v", "u") };
                 let ticket = cluster
-                    .sharded_launch_no_replan(sid, "stw_kernel0", &wide_args(w, src, dst))
+                    .sharded_launch(sid, "stw_kernel0", &wide_args(w, src, dst))
                     .unwrap();
                 cluster.wait_sharded(ticket).unwrap();
                 if k + 1 < iters {
@@ -447,7 +406,7 @@ proptest! {
                 )
                 .unwrap();
             let ticket = oracle
-                .sharded_launch_no_replan(sid, "stw_kernel0", &wide_args(w, src, dst))
+                .sharded_launch(sid, "stw_kernel0", &wide_args(w, src, dst))
                 .unwrap();
             oracle.wait_sharded(ticket).unwrap();
             oracle.close_sharded_session(sid).unwrap();
