@@ -93,12 +93,29 @@ pub fn sgesl_runtimes(sizes: &[usize]) -> Vec<(usize, f64, f64)> {
         .collect()
 }
 
+/// The paper's cells for the sizes run, keyed by size: "—" where the paper
+/// has no cell for that N.
+fn paper_row(
+    sizes: &[usize],
+    paper_sizes: &[usize; 4],
+    values: &[f64; 4],
+    fmt: impl Fn(f64) -> String,
+) -> Vec<String> {
+    sizes
+        .iter()
+        .map(|n| match paper_sizes.iter().position(|p| p == n) {
+            Some(i) => fmt(values[i]),
+            None => "—".to_string(),
+        })
+        .collect()
+}
+
 fn runtime_table(
     title: &str,
     label: &str,
     results: &[(usize, f64, f64)],
-    paper_fortran: &[f64],
-    paper_hls: &[f64],
+    paper_fortran: Vec<String>,
+    paper_hls: Vec<String>,
 ) -> Table {
     let columns = results
         .iter()
@@ -110,8 +127,6 @@ fn runtime_table(
         .iter()
         .map(|(_, f, h)| format!("{:+.2}%", (h / f - 1.0) * 100.0))
         .collect();
-    let paper_f: Vec<String> = paper_fortran.iter().map(|v| format!("{v:.3} ms")).collect();
-    let paper_h: Vec<String> = paper_hls.iter().map(|v| format!("{v:.3} ms")).collect();
     Table {
         title: title.to_string(),
         columns,
@@ -119,10 +134,18 @@ fn runtime_table(
             ("Fortran OpenMP".into(), fortran),
             ("Hand-written HLS".into(), hls),
             ("Difference (HLS/Fortran)".into(), diff),
-            ("paper: Fortran OpenMP".into(), paper_f),
-            ("paper: Hand-written HLS".into(), paper_h),
+            ("paper: Fortran OpenMP".into(), paper_fortran),
+            ("paper: Hand-written HLS".into(), paper_hls),
         ],
     }
+}
+
+fn ms(v: f64) -> String {
+    format!("{v:.3} ms")
+}
+
+fn watts(v: f64) -> String {
+    format!("{v:.2} W")
 }
 
 /// Table 1: SAXPY runtime, Fortran OpenMP vs hand-written HLS.
@@ -132,8 +155,8 @@ pub fn table1_saxpy_runtime(sizes: &[usize]) -> Table {
         "Table 1: SAXPY runtime (simulated, deterministic)",
         "N",
         &results,
-        &PAPER_T1_FORTRAN_MS[..sizes.len().min(4)],
-        &PAPER_T1_HLS_MS[..sizes.len().min(4)],
+        paper_row(sizes, &SAXPY_SIZES, &PAPER_T1_FORTRAN_MS, ms),
+        paper_row(sizes, &SAXPY_SIZES, &PAPER_T1_HLS_MS, ms),
     )
 }
 
@@ -144,8 +167,8 @@ pub fn table2_sgesl_runtime(sizes: &[usize]) -> Table {
         "Table 2: SGESL runtime (simulated, deterministic)",
         "N",
         &results,
-        &PAPER_T2_FORTRAN_MS[..sizes.len().min(4)],
-        &PAPER_T2_HLS_MS[..sizes.len().min(4)],
+        paper_row(sizes, &SGESL_SIZES, &PAPER_T2_FORTRAN_MS, ms),
+        paper_row(sizes, &SGESL_SIZES, &PAPER_T2_HLS_MS, ms),
     )
 }
 
@@ -215,9 +238,10 @@ fn power_table(
     fortran_bs: &ftn_fpga::Bitstream,
     manual_bs: &ftn_fpga::Bitstream,
     cpu_bandwidth_util: f64,
-    paper: (&[f64], &[f64], &[f64]),
+    paper: [Vec<String>; 3],
 ) -> Table {
     let columns = results.iter().map(|(n, _, _)| format!("N={n}")).collect();
+    let [paper_f, paper_h, paper_c] = paper;
     let f_res = fortran_bs.kernel_resources();
     let h_res = manual_bs.kernel_resources();
     let fortran: Vec<String> = results
@@ -232,7 +256,6 @@ fn power_table(
         .iter()
         .map(|_| format!("{:.2} W", cpu_power_watts(cpu_bandwidth_util)))
         .collect();
-    let paper_row = |vals: &[f64]| vals.iter().map(|v| format!("{v:.2} W")).collect::<Vec<_>>();
     Table {
         title: title.to_string(),
         columns,
@@ -240,9 +263,9 @@ fn power_table(
             ("Fortran OpenMP".into(), fortran),
             ("Hand-written HLS".into(), hls),
             ("CPU single core".into(), cpu),
-            ("paper: Fortran OpenMP".into(), paper_row(paper.0)),
-            ("paper: Hand-written HLS".into(), paper_row(paper.1)),
-            ("paper: CPU single core".into(), paper_row(paper.2)),
+            ("paper: Fortran OpenMP".into(), paper_f),
+            ("paper: Hand-written HLS".into(), paper_h),
+            ("paper: CPU single core".into(), paper_c),
         ],
     }
 }
@@ -258,11 +281,11 @@ pub fn table5_saxpy_power(sizes: &[usize]) -> Table {
         &fortran.bitstream,
         &manual,
         0.9, // streaming: memory-bandwidth bound on the CPU
-        (
-            &PAPER_T5_FORTRAN_W[..sizes.len().min(4)],
-            &PAPER_T5_HLS_W[..sizes.len().min(4)],
-            &PAPER_T5_CPU_W[..sizes.len().min(4)],
-        ),
+        [
+            paper_row(sizes, &SAXPY_SIZES, &PAPER_T5_FORTRAN_W, watts),
+            paper_row(sizes, &SAXPY_SIZES, &PAPER_T5_HLS_W, watts),
+            paper_row(sizes, &SAXPY_SIZES, &PAPER_T5_CPU_W, watts),
+        ],
     )
 }
 
@@ -277,11 +300,11 @@ pub fn table6_sgesl_power(sizes: &[usize]) -> Table {
         &fortran.bitstream,
         &manual,
         0.2, // latency-bound column sweeps
-        (
-            &PAPER_T6_FORTRAN_W[..sizes.len().min(4)],
-            &PAPER_T6_HLS_W[..sizes.len().min(4)],
-            &PAPER_T6_CPU_W[..sizes.len().min(4)],
-        ),
+        [
+            paper_row(sizes, &SGESL_SIZES, &PAPER_T6_FORTRAN_W, watts),
+            paper_row(sizes, &SGESL_SIZES, &PAPER_T6_HLS_W, watts),
+            paper_row(sizes, &SGESL_SIZES, &PAPER_T6_CPU_W, watts),
+        ],
     )
 }
 
@@ -301,6 +324,21 @@ mod tests {
             let pct: f64 = d.trim_end_matches('%').parse().unwrap();
             assert!(pct.abs() < 5.0, "flows must be close: {d}");
         }
+    }
+
+    #[test]
+    fn paper_cells_are_keyed_by_size() {
+        let t = table2_sgesl_runtime(&[64, 128]);
+        for row in ["paper: Fortran OpenMP", "paper: Hand-written HLS"] {
+            assert_eq!(t.cell(row, 0), Some("—"));
+            assert_eq!(t.cell(row, 1), Some("—"));
+        }
+        let t = table2_sgesl_runtime(&[256]);
+        assert_eq!(t.cell("paper: Fortran OpenMP", 0), Some("20.445 ms"));
+        assert_eq!(t.cell("paper: Hand-written HLS", 0), Some("20.594 ms"));
+        let t = table5_saxpy_power(&[1_000, 100_000]);
+        assert_eq!(t.cell("paper: CPU single core", 0), Some("—"));
+        assert_eq!(t.cell("paper: CPU single core", 1), Some("55.08 W"));
     }
 
     #[test]

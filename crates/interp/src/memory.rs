@@ -11,6 +11,15 @@
 //! [`Memory::start_recording`] / [`Memory::take_recorded`] and free the
 //! recorded ids: recording captures every allocation regardless of which
 //! freed slot it reused.
+//!
+//! A transfer moves bytes only when they differ. Every mutation — `alloc`,
+//! `get_mut`, a `copy` that moved bytes — stamps the slot with a fresh
+//! version from the arena's clock, and a `copy` records which buffer (at
+//! which version) its destination became a byte-exact copy of.
+//! [`Memory::copy`] skips the bytes when one side was last made a copy of
+//! the other and neither has been stamped since: a matrix a kernel only
+//! reads is not copied back, nor in again on the next launch. The clock
+//! never repeats, so a freed-and-reused slot never matches a stale record.
 
 use crate::error::InterpError;
 
@@ -65,16 +74,32 @@ impl Buffer {
     }
 }
 
+/// One live buffer, its memory space and its write version.
+#[derive(Clone, Debug)]
+struct Slot {
+    buffer: Buffer,
+    space: u32,
+    /// Stamped from the arena's `clock` by every mutation of `buffer`.
+    version: u64,
+    /// `(src slot, src version, own version)` of the last copy into this
+    /// slot: while both versions still hold, the two buffers are equal.
+    copy_of: Option<(u32, u64, u64)>,
+}
+
 /// Buffer arena; buffers are identified by [`BufferId`] and tagged with the
 /// memory space they live in (0 = host, 1.. = device spaces).
 #[derive(Clone, Default, Debug)]
 pub struct Memory {
     /// `None` = freed slot awaiting reuse.
-    slots: Vec<Option<(Buffer, u32)>>,
+    slots: Vec<Option<Slot>>,
     /// Indices of freed slots (LIFO reuse).
     free: Vec<u32>,
     /// When recording, every allocation id since `start_recording`.
     recorded: Option<Vec<BufferId>>,
+    /// Source of slot versions; only ever increments.
+    clock: u64,
+    /// Bytes [`Memory::copy`] has moved (skipped copies move none).
+    bytes_copied: u64,
 }
 
 impl Memory {
@@ -83,14 +108,21 @@ impl Memory {
     }
 
     pub fn alloc(&mut self, buffer: Buffer, space: u32) -> BufferId {
+        self.clock += 1;
+        let slot = Some(Slot {
+            buffer,
+            space,
+            version: self.clock,
+            copy_of: None,
+        });
         let id = match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = Some((buffer, space));
-                BufferId(slot)
+            Some(index) => {
+                self.slots[index as usize] = slot;
+                BufferId(index)
             }
             None => {
                 let id = BufferId(self.slots.len() as u32);
-                self.slots.push(Some((buffer, space)));
+                self.slots.push(slot);
                 id
             }
         };
@@ -139,25 +171,32 @@ impl Memory {
             .is_some_and(|slot| slot.is_some())
     }
 
-    pub fn get(&self, id: BufferId) -> &Buffer {
+    fn slot(&self, id: BufferId) -> &Slot {
         match &self.slots[id.0 as usize] {
-            Some((buffer, _)) => buffer,
+            Some(slot) => slot,
             None => panic!("use of freed buffer {id:?}"),
         }
     }
 
+    pub fn get(&self, id: BufferId) -> &Buffer {
+        &self.slot(id).buffer
+    }
+
+    /// Mutable access; stamps the buffer with a fresh version, so it is no
+    /// longer a copy of anything nor anything a copy of it.
     pub fn get_mut(&mut self, id: BufferId) -> &mut Buffer {
+        self.clock += 1;
         match &mut self.slots[id.0 as usize] {
-            Some((buffer, _)) => buffer,
+            Some(slot) => {
+                slot.version = self.clock;
+                &mut slot.buffer
+            }
             None => panic!("use of freed buffer {id:?}"),
         }
     }
 
     pub fn space(&self, id: BufferId) -> u32 {
-        match &self.slots[id.0 as usize] {
-            Some((_, space)) => *space,
-            None => panic!("use of freed buffer {id:?}"),
-        }
+        self.slot(id).space
     }
 
     /// Total slot count, including freed slots awaiting reuse.
@@ -179,8 +218,13 @@ impl Memory {
         self.slots
             .iter()
             .flatten()
-            .map(|(buffer, _)| buffer.byte_len() as u64)
+            .map(|slot| slot.buffer.byte_len() as u64)
             .sum()
+    }
+
+    /// Bytes [`Memory::copy`] has physically moved since the arena was made.
+    pub fn bytes_copied(&self) -> u64 {
+        self.bytes_copied
     }
 
     /// Start capturing allocation ids; pair with [`Memory::take_recorded`].
@@ -197,6 +241,8 @@ impl Memory {
     }
 
     /// Copy the full contents of `src` into `dst` (must be same type & len).
+    /// Moves no bytes when one side is an unmodified copy of the other's
+    /// current version (see the module docs).
     pub fn copy(&mut self, src: BufferId, dst: BufferId) -> Result<(), InterpError> {
         if src == dst {
             return Ok(());
@@ -208,10 +254,15 @@ impl Memory {
             let (lo, hi) = self.slots.split_at_mut(src.0 as usize);
             (&hi[0], &mut lo[dst.0 as usize])
         };
-        let (Some((a, _)), Some((b, _))) = (a, b) else {
+        let (Some(a), Some(b)) = (a, b) else {
             return Err(InterpError::new("buffer copy touches a freed buffer"));
         };
-        match (a, b) {
+        if b.copy_of == Some((src.0, a.version, b.version))
+            || a.copy_of == Some((dst.0, b.version, a.version))
+        {
+            return Ok(());
+        }
+        match (&a.buffer, &mut b.buffer) {
             (Buffer::F32(s), Buffer::F32(d)) if s.len() == d.len() => d.copy_from_slice(s),
             (Buffer::F64(s), Buffer::F64(d)) if s.len() == d.len() => d.copy_from_slice(s),
             (Buffer::I32(s), Buffer::I32(d)) if s.len() == d.len() => d.copy_from_slice(s),
@@ -227,6 +278,10 @@ impl Memory {
                 )))
             }
         }
+        self.clock += 1;
+        b.version = self.clock;
+        b.copy_of = Some((src.0, a.version, self.clock));
+        self.bytes_copied += a.buffer.byte_len() as u64;
         Ok(())
     }
 }

@@ -201,9 +201,6 @@ pub(crate) fn handle_connection(state: &ServeState, stream: TcpStream) {
         let span_id = span.id();
         drop(span);
         drop(trace);
-        if reply.status >= 500 {
-            state.metrics.http_errors.inc();
-        }
         // The latency observation offers itself as the histogram's exemplar
         // so a slow bucket on `/metrics` links this request's trace.
         // `span_id == 0` means recording is off — pass trace id 0 too,

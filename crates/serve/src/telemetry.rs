@@ -35,8 +35,6 @@ pub(crate) struct ServeMetrics {
     pub(crate) http_requests: Arc<Counter>,
     pub(crate) launches: Arc<Counter>,
     pub(crate) runs: Arc<Counter>,
-    /// Requests answered with a 5xx status.
-    pub(crate) http_errors: Arc<Counter>,
     /// End-to-end request handling latency (read to serialized response).
     pub(crate) request_seconds: Arc<Histogram>,
 }
@@ -49,7 +47,6 @@ impl ServeMetrics {
             http_requests: registry.counter("ftn_http_requests_total"),
             launches: registry.counter("ftn_launches_total"),
             runs: registry.counter("ftn_runs_total"),
-            http_errors: registry.counter("ftn_http_errors_total"),
             request_seconds: registry.histogram("ftn_http_request_seconds"),
             registry,
         }
