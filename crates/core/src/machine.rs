@@ -144,10 +144,29 @@ impl Machine {
     /// Run host function `func` with `args`. Each call uses a fresh device
     /// data environment (a fresh XRT process, as in the paper's per-trial
     /// runs) but shares host memory.
+    ///
+    /// What the run allocates — the data environment's device copies, the
+    /// host program's `memref.alloc` locals — is freed when it ends, unless
+    /// a result references one of those buffers (then all of them stay), the
+    /// rule the pool workers apply to a job. A `Machine` driven in a loop
+    /// keeps a flat arena.
     pub fn run(&mut self, func: &str, args: &[RtValue]) -> Result<RunReport, CompileError> {
-        let (stats, results) =
-            self.host
-                .run(func, args, &mut self.memory, &self.executor, &self.device)?;
+        self.memory.start_recording();
+        let outcome = self
+            .host
+            .run(func, args, &mut self.memory, &self.executor, &self.device);
+        let transient = self.memory.take_recorded();
+        let referenced = |results: &[RtValue]| {
+            results
+                .iter()
+                .any(|r| matches!(r, RtValue::MemRef(m) if transient.contains(&m.buffer)))
+        };
+        if !matches!(&outcome, Ok((_, results)) if referenced(results)) {
+            for &id in &transient {
+                self.memory.free(id);
+            }
+        }
+        let (stats, results) = outcome?;
         Ok(report_from_stats(
             stats,
             results,

@@ -9,16 +9,25 @@
 //! overhead with no overlap. Asynchrony now lives a level up: `ftn-cluster`
 //! hosts one `HostRuntime` per pool device on a persistent worker thread, so
 //! the worker is reused across launches instead of re-spawned per launch.
+//!
+//! A device op is decoded once. The first time the runtime sees an op it
+//! reads the op's name and attributes into a `Decoded` entry, kept in a
+//! table indexed by `OpId::index()`; every later visit dispatches on that
+//! entry. A data op's name is resolved to its [`DataSlot`] there, so the
+//! per-region protocol (`data_check_exists`, `alloc`, `dma_start`,
+//! `data_acquire`, `kernel_create/launch/wait`, `data_release`) compares no
+//! string and reads no attribute. The table belongs to one host module:
+//! handing the runtime ops of another `Ir` starts a fresh one.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
-use ftn_dialects::device;
+use ftn_dialects::{device, memref};
 use ftn_fpga::{DeviceModel, KernelExecutor};
 use ftn_interp::{DialectHooks, InterpError, Memory, RtValue};
 use ftn_mlir::{Ir, OpId, TypeKind};
 use serde::Serialize;
 
-use crate::data_env::DataEnvironment;
+use crate::data_env::{DataEnvironment, DataSlot};
 
 /// Statistics accumulated over one host run.
 #[derive(Clone, Debug, Default, PartialEq, Serialize)]
@@ -50,8 +59,29 @@ impl RunStats {
     }
 }
 
+/// A host op as the runtime executes it.
+enum Decoded {
+    Alloc {
+        slot: DataSlot,
+        space: u32,
+        elem: &'static str,
+        /// The result type's extents; `DYN_DIM` ones come from the operands.
+        shape: Box<[i64]>,
+    },
+    Lookup(DataSlot),
+    CheckExists(DataSlot),
+    Acquire(DataSlot),
+    Release(DataSlot),
+    KernelCreate(Arc<str>),
+    KernelLaunch,
+    KernelWait,
+    DmaStart,
+    /// Not a runtime op: declined.
+    Other,
+}
+
 struct KernelInstance {
-    device_function: String,
+    device_function: Arc<str>,
     args: Vec<RtValue>,
     launched: bool,
 }
@@ -62,8 +92,14 @@ pub struct HostRuntime {
     pub executor: KernelExecutor,
     pub device: DeviceModel,
     pub stats: RunStats,
-    kernels: HashMap<u64, KernelInstance>,
-    next_handle: u64,
+    /// Kernel instances by handle; handle `h` is entry `h - 1`.
+    kernels: Vec<KernelInstance>,
+    /// Decoded ops by `OpId::index()`, and the address of the `Ir` they
+    /// were decoded from.
+    decoded: Vec<Option<Decoded>>,
+    decoded_ir: usize,
+    /// Operand scratch of `device.alloc`'s resolved shape.
+    shape: Vec<i64>,
 }
 
 impl HostRuntime {
@@ -73,8 +109,10 @@ impl HostRuntime {
             executor,
             device,
             stats: RunStats::default(),
-            kernels: HashMap::new(),
-            next_handle: 1,
+            kernels: Vec::new(),
+            decoded: Vec::new(),
+            decoded_ir: 0,
+            shape: Vec::new(),
         }
     }
 
@@ -92,55 +130,49 @@ impl HostRuntime {
         }
     }
 
-    fn handle_alloc(
-        &mut self,
-        ir: &Ir,
-        memory: &mut Memory,
-        op: OpId,
-        args: &[RtValue],
-    ) -> Result<Vec<RtValue>, InterpError> {
-        let name = device::data_name(ir, op).to_string();
-        let space = device::memory_space(ir, op);
-        let result_ty = ir.value_ty(ir.op(op).results[0]);
-        let TypeKind::MemRef { shape, elem, .. } = ir.type_kind(result_ty).clone() else {
-            return Err(InterpError::new("device.alloc result must be memref"));
-        };
-        let elem = Self::elem_name(ir, elem)?;
-        let mut resolved = Vec::with_capacity(shape.len());
-        let mut dyn_iter = args.iter();
-        for d in shape {
-            if d == ftn_mlir::types::DYN_DIM {
-                resolved.push(
-                    dyn_iter
-                        .next()
-                        .ok_or_else(|| InterpError::new("device.alloc missing dynamic size"))?
-                        .as_int()?,
-                );
-            } else {
-                resolved.push(d);
+    /// Read what executing `op` needs from the IR. An op that cannot be
+    /// decoded is not kept, so it raises the same error every time.
+    fn decode(&mut self, ir: &Ir, op: OpId) -> Result<Decoded, InterpError> {
+        let name = ir.op_name(op);
+        let mut slot = || self.data_env.slot(device::data_name(ir, op));
+        Ok(match name {
+            device::ALLOC => {
+                let slot = slot();
+                let space = device::memory_space(ir, op);
+                let result_ty = ir.value_ty(ir.op(op).results[0]);
+                let TypeKind::MemRef { shape, elem, .. } = ir.type_kind(result_ty) else {
+                    return Err(InterpError::new("device.alloc result must be memref"));
+                };
+                Decoded::Alloc {
+                    slot,
+                    space,
+                    elem: Self::elem_name(ir, *elem)?,
+                    shape: shape.as_slice().into(),
+                }
             }
-        }
-        let m = self.data_env.alloc(memory, &name, space, elem, resolved)?;
-        Ok(vec![RtValue::MemRef(m)])
+            device::LOOKUP => Decoded::Lookup(slot()),
+            device::DATA_CHECK_EXISTS => Decoded::CheckExists(slot()),
+            device::DATA_ACQUIRE => Decoded::Acquire(slot()),
+            device::DATA_RELEASE => Decoded::Release(slot()),
+            device::KERNEL_CREATE => Decoded::KernelCreate(device::kernel_function(ir, op).into()),
+            device::KERNEL_LAUNCH => Decoded::KernelLaunch,
+            device::KERNEL_WAIT => Decoded::KernelWait,
+            memref::DMA_START => Decoded::DmaStart,
+            _ => Decoded::Other,
+        })
     }
+}
 
-    fn handle_launch(&mut self, memory: &mut Memory, handle: u64) -> Result<(), InterpError> {
-        let instance = self
-            .kernels
-            .get_mut(&handle)
-            .ok_or_else(|| InterpError::new("kernel_launch with unknown handle"))?;
-        // Execute inline: the calling thread is the (reused) device worker;
-        // the simulated timeline charges the kernel at the matching wait.
-        let stats = self
-            .executor
-            .execute(&instance.device_function, &instance.args, memory)?;
-        self.stats.kernel_seconds += stats.kernel_seconds;
-        self.stats.kernel_wall_seconds += stats.wall_seconds;
-        self.stats.total_cycles += stats.cycles;
-        self.stats.launch_cycles.push(stats.cycles);
-        self.stats.launches += 1;
-        instance.launched = true;
-        Ok(())
+/// Kernel instance `h` of `kernels`, if one was created.
+fn instance(kernels: &mut [KernelInstance], h: u64) -> Option<&mut KernelInstance> {
+    kernels.get_mut((h as usize).checked_sub(1)?)
+}
+
+/// The handle operand of `op`.
+fn handle(args: &[RtValue], op: &str) -> Result<u64, InterpError> {
+    match args[0] {
+        RtValue::KernelHandle(h) => Ok(h),
+        _ => Err(InterpError::new(format!("{op} expects a handle"))),
     }
 }
 
@@ -152,68 +184,101 @@ impl DialectHooks for HostRuntime {
         op: OpId,
         args: &[RtValue],
     ) -> Result<Option<Vec<RtValue>>, InterpError> {
-        match ir.op_name(op) {
-            device::ALLOC => Ok(Some(self.handle_alloc(ir, memory, op, args)?)),
-            device::LOOKUP => {
-                let name = device::data_name(ir, op);
-                let m = self.data_env.lookup(name)?;
-                Ok(Some(vec![RtValue::MemRef(m)]))
+        let ir_addr = ir as *const Ir as usize;
+        if self.decoded_ir != ir_addr {
+            self.decoded.clear();
+            self.decoded_ir = ir_addr;
+        }
+        let i = op.index();
+        if self.decoded.get(i).is_none_or(Option::is_none) {
+            let decoded = self.decode(ir, op)?;
+            if self.decoded.len() <= i {
+                self.decoded.resize_with(i + 1, || None);
             }
-            device::DATA_CHECK_EXISTS => {
-                let name = device::data_name(ir, op);
-                Ok(Some(vec![RtValue::I1(self.data_env.check_exists(name))]))
+            self.decoded[i] = Some(decoded);
+        }
+        let Some(decoded) = &self.decoded[i] else {
+            unreachable!("decoded above")
+        };
+        let values = match decoded {
+            Decoded::Alloc {
+                slot,
+                space,
+                elem,
+                shape,
+            } => {
+                self.shape.clear();
+                let mut dyn_iter = args.iter();
+                for &d in shape.iter() {
+                    if d == ftn_mlir::types::DYN_DIM {
+                        let size = dyn_iter
+                            .next()
+                            .ok_or_else(|| InterpError::new("device.alloc missing dynamic size"))?;
+                        self.shape.push(size.as_int()?);
+                    } else {
+                        self.shape.push(d);
+                    }
+                }
+                let m = self
+                    .data_env
+                    .alloc_at(memory, *slot, *space, elem, &self.shape)?;
+                vec![RtValue::MemRef(m)]
             }
-            device::DATA_ACQUIRE => {
-                let name = device::data_name(ir, op);
-                self.data_env.acquire(name)?;
-                Ok(Some(vec![]))
+            Decoded::Lookup(slot) => vec![RtValue::MemRef(self.data_env.lookup_at(*slot)?)],
+            Decoded::CheckExists(slot) => vec![RtValue::I1(self.data_env.check_exists_at(*slot))],
+            Decoded::Acquire(slot) => {
+                self.data_env.acquire_at(*slot)?;
+                vec![]
             }
-            device::DATA_RELEASE => {
-                let name = device::data_name(ir, op);
-                self.data_env.release(name)?;
-                Ok(Some(vec![]))
+            Decoded::Release(slot) => {
+                self.data_env.release_at(*slot)?;
+                vec![]
             }
-            device::KERNEL_CREATE => {
-                let handle = self.next_handle;
-                self.next_handle += 1;
-                self.kernels.insert(
-                    handle,
-                    KernelInstance {
-                        device_function: device::kernel_function(ir, op).to_string(),
-                        args: args.to_vec(),
-                        launched: false,
-                    },
-                );
-                Ok(Some(vec![RtValue::KernelHandle(handle)]))
+            Decoded::KernelCreate(function) => {
+                self.kernels.push(KernelInstance {
+                    device_function: function.clone(),
+                    args: args.to_vec(),
+                    launched: false,
+                });
+                vec![RtValue::KernelHandle(self.kernels.len() as u64)]
             }
-            device::KERNEL_LAUNCH => {
-                let RtValue::KernelHandle(h) = args[0] else {
-                    return Err(InterpError::new("kernel_launch expects a handle"));
-                };
-                self.handle_launch(memory, h)?;
-                Ok(Some(vec![]))
+            Decoded::KernelLaunch => {
+                let instance = instance(&mut self.kernels, handle(args, "kernel_launch")?)
+                    .ok_or_else(|| InterpError::new("kernel_launch with unknown handle"))?;
+                // Execute inline: the calling thread is the (reused) device
+                // worker; the simulated timeline charges the kernel at the
+                // matching wait.
+                let stats =
+                    self.executor
+                        .execute(&instance.device_function, &instance.args, memory)?;
+                instance.launched = true;
+                self.stats.kernel_seconds += stats.kernel_seconds;
+                self.stats.kernel_wall_seconds += stats.wall_seconds;
+                self.stats.total_cycles += stats.cycles;
+                self.stats.launch_cycles.push(stats.cycles);
+                self.stats.launches += 1;
+                vec![]
             }
-            device::KERNEL_WAIT => {
-                let RtValue::KernelHandle(h) = args[0] else {
-                    return Err(InterpError::new("kernel_wait expects a handle"));
-                };
-                if !self.kernels.get(&h).is_some_and(|k| k.launched) {
+            Decoded::KernelWait => {
+                let h = handle(args, "kernel_wait")?;
+                if !instance(&mut self.kernels, h).is_some_and(|k| k.launched) {
                     return Err(InterpError::new("kernel_wait before launch completed"));
                 }
-                Ok(Some(vec![]))
+                vec![]
             }
-            "memref.dma_start" => {
+            Decoded::DmaStart => {
                 // Host<->device transfer: copy + PCIe timing.
-                let src = args[0].as_memref()?.clone();
-                let dst = args[1].as_memref()?.clone();
-                let bytes = memory.get(src.buffer).byte_len();
-                memory.copy(src.buffer, dst.buffer)?;
+                let src = args[0].as_memref()?.buffer;
+                let dst = args[1].as_memref()?.buffer;
+                let bytes = memory.get(src).byte_len();
+                memory.copy(src, dst)?;
                 self.stats.transfer_seconds += self.device.transfer_seconds(bytes);
                 self.stats.transfers += 1;
-                Ok(Some(vec![RtValue::DmaTag(0)]))
+                vec![RtValue::DmaTag(0)]
             }
-            _ => Ok(None),
-        }
+            Decoded::Other => return Ok(None),
+        };
+        Ok(Some(values))
     }
 }
 

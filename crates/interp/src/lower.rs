@@ -114,6 +114,7 @@ impl<'a> Lowerer<'a> {
                 .map(|f| f.expect("every registered function was lowered"))
                 .collect(),
             by_name: self.by_name,
+            scratch: Default::default(),
         }
     }
 }

@@ -7,10 +7,10 @@
 //! sustained traffic keeps the arena flat.
 //!
 //! Owners that must reclaim everything a job allocated (a pool worker's
-//! job-transient allocations) bracket the job with
-//! [`Memory::start_recording`] / [`Memory::take_recorded`] and free the
-//! recorded ids: recording captures every allocation regardless of which
-//! freed slot it reused.
+//! job-transient allocations, a `ftn_core::Machine` run's device copies and
+//! locals) bracket the job with [`Memory::start_recording`] /
+//! [`Memory::take_recorded`] and free the recorded ids: recording captures
+//! every allocation regardless of which freed slot it reused.
 //!
 //! A transfer moves bytes only when they differ. Every mutation — `alloc`,
 //! `get_mut`, a `copy` that moved bytes — stamps the slot with a fresh

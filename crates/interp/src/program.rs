@@ -12,8 +12,17 @@
 //!
 //! A [`Program`] holds OpIds of the [`Ir`] it was lowered from and must be
 //! run against that same `Ir` (hooks and observers receive the ids).
+//!
+//! A `Program` keeps the scratch of finished calls: the frames (with their
+//! hook-argument vectors) and the [`Strips`] state. A call takes one
+//! scratch at entry and gives it back at exit, so a warm call allocates
+//! neither; calls running at once on several threads each hold their own.
+//! Nothing in a scratch outlives its use: a frame is reset from the
+//! function's image at call entry, the hook arguments are refilled per
+//! hook, and a strip sets every state entry before it reads it.
 
 use std::collections::HashMap;
+use std::sync::Mutex;
 
 use ftn_mlir::{Ir, OpId};
 
@@ -369,6 +378,16 @@ impl Function {
 pub struct Program {
     pub(crate) funcs: Vec<Function>,
     pub(crate) by_name: HashMap<String, usize>,
+    /// Scratch of finished calls, reused by the next ones.
+    pub(crate) scratch: Mutex<Vec<Scratch>>,
+}
+
+/// What a call works in besides memory: one frame per call depth and the
+/// strip state. See the module docs.
+#[derive(Default)]
+pub(crate) struct Scratch {
+    frames: Vec<Frame>,
+    strips: Strips,
 }
 
 impl Program {
@@ -394,6 +413,7 @@ impl Program {
             .by_name
             .get(name)
             .ok_or_else(|| InterpError::new(format!("no function '{name}' in module")))?;
+        let scratch = self.scratch().pop().unwrap_or_default();
         let mut run = Run {
             ir,
             program: self,
@@ -402,10 +422,17 @@ impl Program {
             observer,
             steps: 0,
             max_steps,
-            spare: Vec::new(),
-            strips: Strips::default(),
+            scratch,
         };
-        run.call_on(func, args, &mut Frame::default())
+        let result = run.call(func, args);
+        self.scratch().push(run.scratch);
+        result
+    }
+
+    fn scratch(&self) -> std::sync::MutexGuard<'_, Vec<Scratch>> {
+        // The lock is never held across a call, so a panic cannot poison
+        // what it guards.
+        self.scratch.lock().unwrap_or_else(|e| e.into_inner())
     }
 }
 
@@ -433,9 +460,8 @@ enum Ctrl {
     },
 }
 
-/// The storage of one call. Frames of finished calls are kept by the
-/// [`Run`] and reused by the next call, so recursion allocates once per
-/// depth.
+/// The storage of one call. Frames of finished calls are kept in the
+/// program's [`Scratch`] and reused by the next call at their depth.
 #[derive(Default)]
 struct Frame {
     tags: Vec<u8>,
@@ -444,6 +470,8 @@ struct Frame {
     /// a call, so an index copied by `Move`/`Select`/a loop carry stays valid.
     mems: Vec<MemRefVal>,
     ctrl: Vec<Ctrl>,
+    /// The arguments of the hook being run, refilled for each one.
+    args: Vec<RtValue>,
 }
 
 impl Frame {
@@ -463,6 +491,7 @@ struct Cells<'f> {
     tags: &'f mut [u8],
     vals: &'f mut [u64],
     mems: &'f mut Vec<MemRefVal>,
+    args: &'f mut Vec<RtValue>,
 }
 
 impl Cells<'_> {
@@ -599,9 +628,7 @@ struct Run<'a> {
     observer: &'a mut dyn Observer,
     steps: u64,
     max_steps: u64,
-    /// Frames of finished calls, reused by the next call.
-    spare: Vec<Frame>,
-    strips: Strips,
+    scratch: Scratch,
 }
 
 impl<'a> Run<'a> {
@@ -616,11 +643,11 @@ impl<'a> Run<'a> {
         Ok(())
     }
 
-    /// A `func.call`: run `func` on a frame from the reusable stack.
+    /// Run `func` on a frame from the reusable stack.
     fn call(&mut self, func: usize, args: &[RtValue]) -> Result<Vec<RtValue>, InterpError> {
-        let mut frame = self.spare.pop().unwrap_or_default();
+        let mut frame = self.scratch.frames.pop().unwrap_or_default();
         let result = self.call_on(func, args, &mut frame);
-        self.spare.push(frame);
+        self.scratch.frames.push(frame);
         result
     }
 
@@ -662,6 +689,7 @@ impl<'a> Run<'a> {
             vals,
             mems,
             ctrl,
+            args,
         } = frame;
         // One length for both arrays, so one bounds check covers a slot.
         let slots = tags.len().min(vals.len());
@@ -744,6 +772,7 @@ impl<'a> Run<'a> {
                             tags: &mut *tags,
                             vals: &mut *vals,
                             mems: &mut *mems,
+                            args: &mut *args,
                         };
                         match self.slow(f, &mut cells, ctrl, other, pc, end)? {
                             Step::Next => {}
@@ -945,7 +974,10 @@ impl<'a> Run<'a> {
                         max_steps: self.max_steps,
                     };
                     let body = &f.code[pc + 1..l.end as usize];
-                    (iv, trip) = self.strips.run(body, l, plan, caller, (lb, ub, step));
+                    (iv, trip) = self
+                        .scratch
+                        .strips
+                        .run(body, l, plan, caller, (lb, ub, step));
                 }
                 if !l.runs(iv, ub) {
                     self.observer.loop_executed(self.ir, l.op, trip);
@@ -1036,8 +1068,16 @@ impl<'a> Run<'a> {
     }
 
     fn run_hook(&mut self, f: &Function, cells: &mut Cells, h: &Hook) -> Result<(), InterpError> {
-        let args: Vec<RtValue> = f.range(h.args).iter().map(|&s| cells.get(s)).collect();
-        let handled = self.hooks.handle_op(self.ir, self.memory, h.op, &args)?;
+        let Cells {
+            tags,
+            vals,
+            mems,
+            args,
+        } = cells;
+        args.clear();
+        let each = f.range(h.args).iter();
+        args.extend(each.map(|&s| decode(tags[s as usize], vals[s as usize], mems)));
+        let handled = self.hooks.handle_op(self.ir, self.memory, h.op, args)?;
         let values = match (&h.fallback, handled) {
             (Fallback::Ignore, _) => return Ok(()),
             (_, Some(values)) => values,
@@ -1048,7 +1088,7 @@ impl<'a> Run<'a> {
                 self.memory.copy(src, dst)?;
                 vec![RtValue::DmaTag(0)]
             }
-            (Fallback::Call(callee), None) => self.call(*callee, &args)?,
+            (Fallback::Call(callee), None) => self.call(*callee, args)?,
         };
         let results = f.range(h.results);
         if results.len() != values.len() {

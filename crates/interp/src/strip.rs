@@ -82,12 +82,22 @@ use crate::value::MemRefVal;
 const LANES: usize = 512;
 
 /// Fewest iterations worth a strip; fewer run on the scalar path. Measured on
-/// one `sgesl_kernel0` call per trip count (the scalar body costs 37 ns an
-/// iteration, a call's first strip 0.38 µs flat, most of it sizing
-/// [`Strips`]): 8 trips 0.63 µs scalar / 0.80 strip, 12 trips 0.77 / 0.80,
-/// 16 trips 0.92 / 0.80, 32 trips 1.51 / 0.80. It also keeps a 16-element
-/// launch (`launch_storm`: one 10-wide trip, six epilogue trips) from
-/// allocating anything.
+/// one warm `sgesl_kernel0` call per trip count, µs a call, median of 30
+/// rounds of 400 calls on a 2-thread box. A program keeps the strip state of
+/// finished calls, so a strip call costs the same 0.72 µs whatever its trip
+/// count; the scalar body costs 40–55 ns an iteration:
+///
+/// | trips | 2 | 4 | 5 | 6 | 8 | 12 | 16 | 32 |
+/// |---|---|---|---|---|---|---|---|---|
+/// | scalar | 0.58 | 0.67 | 0.75 | 0.83 | 0.88 | 1.10 | 1.32 | 2.20 |
+/// | strip | 0.74 | 0.73 | 0.72 | 0.72 | 0.72 | 0.73 | 0.73 | 0.73 |
+///
+/// While every call sized [`Strips`] afresh a strip call cost 1.08–1.12 µs
+/// and the crossover sat at 12 trips; it is at 5 now. The constant stays:
+/// the loops between 5 and 15 trips on a benchmark's path (some 22 of
+/// `sgesl_run`'s 383 launches a request, `launch_storm`'s 6-trip epilogue)
+/// would save some 0.1–0.5 µs a launch, far below what any end-to-end row
+/// resolves.
 const MIN_LANES: usize = 16;
 
 const NO_REG: u32 = u32::MAX;
@@ -500,7 +510,8 @@ fn scatter<T>(to: &mut [T], first: usize, stride: i64, values: impl Iterator<Ite
 // ---- the strip ------------------------------------------------------------------------
 
 /// Strip state of a [`crate::program::Program::call`]: empty until a loop's
-/// first strip, then sized for what that strip needs and kept.
+/// first strip, then sized for what that strip needs and kept, across calls
+/// too (the program keeps it with the rest of a finished call's scratch).
 #[derive(Default)]
 pub(crate) struct Strips {
     /// Per frame slot, its value in the running strip. Entries of a body's

@@ -5,7 +5,8 @@
 //! * the IR printer/parser round-trips arbitrary arithmetic modules, and the
 //!   bytecode interpreter evaluates them exactly as the reference tree-walker,
 //! * the device data environment's presence counter never goes negative and
-//!   `check_exists` is exactly `count > 0` under arbitrary op sequences.
+//!   `check_exists` is exactly `count > 0` under arbitrary op sequences, by
+//!   name and by slot alike, with the same error messages.
 
 #[path = "../crates/interp/tests/oracle/mod.rs"]
 mod oracle;
@@ -189,43 +190,104 @@ proptest! {
         prop_assert_eq!(reference, bytecode);
     }
 
+    /// Two names, each reached by name and by slot in any order, against one
+    /// model: one table answers both, with the same errors word for word.
     #[test]
-    fn data_env_counter_invariants(ops in proptest::collection::vec(0u8..4, 1..60)) {
+    fn data_env_counter_invariants(
+        ops in proptest::collection::vec((0u8..5, 0usize..2, 0u8..2), 1..80)
+    ) {
+        const NAMES: [&str; 2] = ["v", "w"];
         let mut env = ftn_host::DataEnvironment::new();
         let mut memory = Memory::new();
-        let mut model_count: i64 = 0;
-        let mut allocated = false;
-        for op in ops {
+        // Per name: allocated, presence count, and its slot once resolved.
+        let mut allocated = [false; 2];
+        let mut count = [0i64; 2];
+        let mut slots = [None; 2];
+        for (op, k, by_slot) in ops {
+            let name = NAMES[k];
+            let slot = match by_slot {
+                1 => Some(*slots[k].get_or_insert_with(|| env.slot(name))),
+                _ => None,
+            };
+            let message = |r: Result<(), ftn_interp::InterpError>| r.err().map(|e| e.message);
             match op {
                 0 => {
-                    env.alloc(&mut memory, "v", 1, "f32", vec![4]).unwrap();
-                    allocated = true;
+                    match slot {
+                        Some(s) => env.alloc_at(&mut memory, s, 1, "f32", &[4]),
+                        None => env.alloc(&mut memory, name, 1, "f32", vec![4]),
+                    }
+                    .unwrap();
+                    allocated[k] = true;
                 }
                 1 => {
-                    let r = env.acquire("v");
-                    if allocated {
+                    let r = match slot {
+                        Some(s) => env.acquire_at(s),
+                        None => env.acquire(name),
+                    };
+                    if allocated[k] {
                         prop_assert!(r.is_ok());
-                        model_count += 1;
+                        count[k] += 1;
                     } else {
-                        prop_assert!(r.is_err());
+                        prop_assert_eq!(
+                            message(r),
+                            Some(format!("data_acquire of unallocated '{name}'"))
+                        );
                     }
                 }
                 2 => {
-                    let r = env.release("v");
-                    if allocated && model_count > 0 {
+                    let r = match slot {
+                        Some(s) => env.release_at(s),
+                        None => env.release(name),
+                    };
+                    if allocated[k] && count[k] > 0 {
                         prop_assert!(r.is_ok());
-                        model_count -= 1;
+                        count[k] -= 1;
+                    } else if allocated[k] {
+                        prop_assert_eq!(
+                            message(r),
+                            Some(format!("data_release of '{name}' with zero presence count")),
+                            "release below zero must fail"
+                        );
                     } else {
-                        prop_assert!(r.is_err(), "release below zero must fail");
+                        prop_assert_eq!(
+                            message(r),
+                            Some(format!("data_release of unallocated '{name}'"))
+                        );
                     }
                 }
+                3 => {
+                    let exists = match slot {
+                        Some(s) => env.check_exists_at(s),
+                        None => env.check_exists(name),
+                    };
+                    prop_assert_eq!(exists, count[k] > 0);
+                }
                 _ => {
-                    prop_assert_eq!(env.check_exists("v"), model_count > 0);
+                    let r = match slot {
+                        Some(s) => env.lookup_at(s),
+                        None => env.lookup(name),
+                    };
+                    match allocated[k] {
+                        true => prop_assert!(r.is_ok()),
+                        false => prop_assert_eq!(
+                            message(r.map(drop)),
+                            Some(format!("device.lookup: '{name}' not allocated"))
+                        ),
+                    }
                 }
             }
-            prop_assert_eq!(env.count("v"), model_count);
-            prop_assert!(env.count("v") >= 0, "counter must never go negative");
+            for (k, name) in NAMES.iter().enumerate() {
+                prop_assert_eq!(env.count(name), count[k]);
+                prop_assert_eq!(env.check_exists(name), count[k] > 0);
+                if let Some(s) = slots[k] {
+                    prop_assert_eq!(env.count_at(s), count[k]);
+                }
+                prop_assert!(count[k] >= 0, "counter must never go negative");
+            }
+            prop_assert_eq!(env.len(), allocated.iter().filter(|&&a| a).count());
         }
+        // Re-allocating at one size keeps one buffer per allocated name.
+        prop_assert_eq!(memory.live(), env.len());
     }
 }
 
