@@ -1,21 +1,18 @@
-//! Content-addressed caches for the execution service.
+//! The content-addressed compile cache of the execution service.
 //!
-//! * [`ArtifactCache`] — keys compiled [`Artifacts`] on
-//!   `fnv1a128(source ‖ CompilerOptions::fingerprint())`, so a repeated
-//!   `compile_source` of identical Fortran under identical options (and the
-//!   same [`DeviceModel`](ftn_fpga::DeviceModel)) is served from memory —
-//!   or, with [`ArtifactCache::with_disk`], from a JSON layer that survives
-//!   the process.
-//! * [`ImageCache`] — keys parsed bitstream images on the bitstream's
-//!   serialized content, so repeated instantiations (pool reloads, repeated
-//!   `Machine::load`s of equal bitstreams) share one parse.
+//! [`ArtifactCache`] keys compiled [`Artifacts`] on
+//! `fnv1a128(source ‖ CompilerOptions::fingerprint())`, so a repeated
+//! `compile_source` of identical Fortran under identical options (and the
+//! same [`DeviceModel`](ftn_fpga::DeviceModel)) is served from memory — or,
+//! with [`ArtifactCache::with_disk`], from a JSON layer that survives the
+//! process.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use ftn_core::{Artifacts, CompileError, Compiler, CompilerOptions};
-use ftn_fpga::{Bitstream, ExecutorImage};
+use ftn_fpga::Bitstream;
 use ftn_mlir::PassReport;
 use serde::{Deserialize, Serialize};
 
@@ -31,7 +28,7 @@ pub fn fnv1a128_hex(data: &[u8]) -> String {
     format!("{h:032x}")
 }
 
-/// Hit/miss counters (shared shape between both caches).
+/// Hit/miss counters of an [`ArtifactCache`].
 #[derive(Clone, Debug, Default, Serialize)]
 pub struct CacheStats {
     /// Served from the in-memory layer.
@@ -224,37 +221,5 @@ impl ArtifactCache {
     /// Whether the memory layer is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-/// Cache of parsed bitstream images, keyed on bitstream content.
-#[derive(Default)]
-pub struct ImageCache {
-    map: Mutex<HashMap<String, Arc<ExecutorImage>>>,
-    stats: Mutex<CacheStats>,
-}
-
-impl ImageCache {
-    /// An empty image cache.
-    pub fn new() -> Self {
-        ImageCache::default()
-    }
-
-    /// Parse `bitstream` (or reuse the shared image of an identical one).
-    pub fn instantiate(&self, bitstream: &Bitstream) -> Result<Arc<ExecutorImage>, String> {
-        let key = fnv1a128_hex(bitstream.to_json().as_bytes());
-        if let Some(hit) = self.map.lock().unwrap().get(&key).cloned() {
-            self.stats.lock().unwrap().hits += 1;
-            return Ok(hit);
-        }
-        self.stats.lock().unwrap().misses += 1;
-        let image = Arc::new(ExecutorImage::from_bitstream(bitstream)?);
-        self.map.lock().unwrap().insert(key, Arc::clone(&image));
-        Ok(image)
-    }
-
-    /// Hit/miss counters so far.
-    pub fn stats(&self) -> CacheStats {
-        self.stats.lock().unwrap().clone()
     }
 }

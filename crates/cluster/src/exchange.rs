@@ -272,10 +272,10 @@ impl ClusterMachine {
                 continue;
             }
             let elems: usize = plan.blocks.iter().map(|b| b.len).sum();
-            let sub = self.memory.get(a.slices[0].memref.buffer);
+            let global = self.memory.get(a.global.buffer);
             refreshed += 1;
             rows += (elems / a.row_elems) as u64;
-            bytes += (elems * (sub.byte_len() / sub.len().max(1))) as u64;
+            bytes += (elems * (global.byte_len() / global.len().max(1))) as u64;
             let buffers = a.slices.iter().map(|sl| sl.memref.buffer).collect();
             arrays.push(ArrayBlocks { buffers, plan });
         }

@@ -5,9 +5,8 @@
 //! * [`pool`] — [`DevicePool`]: N simulated FPGAs, each behind a persistent
 //!   worker thread owning its executor and device-local memory. Workers are
 //!   reused across launches; nothing is spawned per kernel launch.
-//! * [`cache`] — [`ArtifactCache`] (content-addressed compile cache with an
-//!   optional on-disk JSON layer) and [`ImageCache`] (shared parsed
-//!   bitstream images).
+//! * [`cache`] — [`ArtifactCache`]: the content-addressed compile cache,
+//!   with an optional on-disk JSON layer.
 //! * [`machine`] — [`ClusterMachine`]: the pool-level mirror of
 //!   [`ftn_core::Machine`] with `submit`/`wait` asynchrony, per-device
 //!   [`ftn_host::RunStats`] aggregation, and pool occupancy metrics. A
@@ -45,7 +44,7 @@ pub mod rollup;
 pub mod session;
 pub mod sharded;
 
-pub use cache::{ArtifactCache, CacheStats, ImageCache};
+pub use cache::{ArtifactCache, CacheStats};
 pub use ftn_shard::{Partition, ReduceOp, ShardPlan};
 pub use gate::PoolGate;
 pub use machine::{

@@ -30,6 +30,7 @@
 //! the one path a job takes to its worker.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use ftn_core::{report_from_stats, Artifacts, CompileError, HostProgram, RunReport};
@@ -221,7 +222,9 @@ pub struct ClusterMachine {
     pub(crate) next_job: u64,
     /// The one session table: every open session, whatever its shard count.
     pub(crate) sessions: HashMap<u64, crate::sharded::ShardedSession>,
-    pub(crate) next_session: u64,
+    /// Where session ids are drawn: the machine's own counter from 1, or
+    /// one shared by several pools ([`ClusterMachine::use_session_ids`]).
+    pub(crate) session_ids: Arc<AtomicU64>,
     pub(crate) staged_uploads: u64,
     pub(crate) staged_bytes: u64,
     pub(crate) shard_forced: u64,
@@ -247,28 +250,16 @@ impl ClusterMachine {
     /// The bitstream and host module are parsed once and shared across all
     /// device workers.
     pub fn load(artifacts: &Artifacts, devices: &[DeviceModel]) -> Result<Self, CompileError> {
-        let image = Arc::new(
-            ExecutorImage::from_bitstream(&artifacts.bitstream)
-                .map_err(|e| CompileError::new("cluster-bitstream", e))?,
-        );
-        Self::load_with_image(artifacts, devices, image)
-    }
-
-    /// Like [`ClusterMachine::load`], but reusing an already-instantiated
-    /// bitstream image (see [`crate::ImageCache`]).
-    pub fn load_with_image(
-        artifacts: &Artifacts,
-        devices: &[DeviceModel],
-        image: Arc<ExecutorImage>,
-    ) -> Result<Self, CompileError> {
         if devices.is_empty() {
             return Err(CompileError::new(
                 "cluster-load",
                 "device pool must contain at least one device".to_string(),
             ));
         }
+        let image = ExecutorImage::from_bitstream(&artifacts.bitstream)
+            .map_err(|e| CompileError::new("cluster-bitstream", e))?;
         let program = Arc::new(HostProgram::parse(&artifacts.host_module_text)?);
-        let pool = DevicePool::spawn(program, image, devices);
+        let pool = DevicePool::spawn(program, Arc::new(image), devices);
         let n = pool.len();
         Ok(ClusterMachine {
             pool,
@@ -285,7 +276,7 @@ impl ClusterMachine {
             pending: HashMap::new(),
             next_job: 1,
             sessions: HashMap::new(),
-            next_session: 1,
+            session_ids: Arc::new(AtomicU64::new(1)),
             staged_uploads: 0,
             staged_bytes: 0,
             shard_forced: 0,
@@ -302,6 +293,14 @@ impl ClusterMachine {
     /// the old registry; only new events land in `registry`.
     pub fn use_metrics(&mut self, registry: &Arc<MetricsRegistry>) {
         self.metrics = PoolMetrics::new(registry);
+    }
+
+    /// Draw this machine's session ids from `ids` (the server-wide source
+    /// when the pool backs `ftn-serve`), so several pools never hand out one
+    /// id twice and a session is named by the same number everywhere. Call
+    /// it before the first open.
+    pub fn use_session_ids(&mut self, ids: &Arc<AtomicU64>) {
+        self.session_ids = Arc::clone(ids);
     }
 
     /// Attribution rollups over every job completed so far, costliest first
@@ -711,11 +710,7 @@ impl ClusterMachine {
                 self.device_jobs[device] += 1;
                 self.arena_buffers[device] = success.arena_buffers;
                 self.metrics.jobs.inc();
-                self.metrics.queue_wait.observe_with_exemplar(
-                    success.queue_wait_seconds,
-                    success.trace_id,
-                    success.span_id,
-                );
+                self.metrics.queue_wait.observe(success.queue_wait_seconds);
                 if let Some(p) = &pending {
                     self.rollups.record(
                         p.kernel.as_deref(),

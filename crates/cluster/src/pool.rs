@@ -221,11 +221,6 @@ pub(crate) struct JobSuccess {
     /// submission and dispatch (PR 5's open load-path observation, now
     /// measured in seconds rather than inferred from cost-model cycles).
     pub queue_wait_seconds: f64,
-    /// Trace id of the submitting request (0 = tracing disabled) — rides
-    /// back so the queue-wait histogram can record a trace exemplar.
-    pub trace_id: u64,
-    /// Id of the worker-side job span the queue wait was measured around.
-    pub span_id: u64,
 }
 
 pub(crate) enum WorkerMessage {
@@ -620,8 +615,6 @@ impl Worker {
             sim_busy_seconds,
             arena_buffers: self.memory.live(),
             queue_wait_seconds: 0.0,
-            trace_id: 0,
-            span_id: 0,
         })
     }
 
@@ -662,13 +655,7 @@ impl Worker {
                     .executor
                     .execute(kernel, &args, &mut self.memory)
                     .map_err(|e| e.to_string())?;
-                // Same accounting order as `HostRuntime::handle_launch`, so
-                // session launch totals are bit-identical to the program path.
-                stats.kernel_seconds += es.kernel_seconds;
-                stats.kernel_wall_seconds += es.wall_seconds;
-                stats.total_cycles += es.cycles;
-                stats.launch_cycles.push(es.cycles);
-                stats.launches += 1;
+                stats.add_launch(&es);
                 es.results
             }
             JobKind::Fetch | JobKind::RowPatch { .. } => Vec::new(),
@@ -715,7 +702,6 @@ pub(crate) fn empty_like(like: &Buffer, len: usize) -> Buffer {
 fn run_and_report(worker: &mut Worker, job: Job, outcomes: &Sender<JobOutcome>) {
     let index = worker.index;
     let job_id = job.job_id;
-    let trace_id = job.trace_id;
     // Queue wait = submission to dispatch, measured on the shared monotonic
     // trace clock; the worker span continues the submitting request's trace
     // so the job shows up on this device's lane under that trace id.
@@ -739,8 +725,6 @@ fn run_and_report(worker: &mut Worker, job: Job, outcomes: &Sender<JobOutcome>) 
             .map(|r| {
                 r.map(|mut success| {
                     success.queue_wait_seconds = queue_wait_seconds;
-                    success.trace_id = trace_id;
-                    success.span_id = span.id();
                     span.arg(
                         "sim_busy_us",
                         format!("{:.1}", success.sim_busy_seconds * 1e6),

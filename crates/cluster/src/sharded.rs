@@ -51,6 +51,7 @@
 //! bit-identical — results and `RunStats` totals — to the equivalent
 //! `target data` program on [`ftn_core::Machine`].
 
+use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use ftn_core::CompileError;
@@ -401,24 +402,23 @@ impl ClusterMachine {
 
         // Every sub-buffer's mirror is one block, every shard's blocks one
         // job force-placed on its device. The rows the scatter cut from the
-        // caller's array travel as they are, leaving the host sub-buffer a
-        // placeholder of their shape until the close fetch overwrites it. A
-        // `map(from:)` copy starts device-initialized: zeroed normally, but a
-        // reduction copy at the operation's identity (+∞ for min, −∞ for max
-        // — zero would corrupt the fold).
+        // caller's array travel as they are, leaving the host sub-buffer an
+        // empty placeholder of their type until the close fetch overwrites
+        // it: the rows live on the device, not twice. A `map(from:)` copy
+        // starts device-initialized: zeroed normally, but a reduction copy at
+        // the operation's identity (+∞ for min, −∞ for max — zero would
+        // corrupt the fold).
         let mut blocks = Vec::new();
         for (shard, &device) in devices.iter().enumerate() {
             self.shard_forced += 1;
             for (a, (_, _, kind, partition)) in env.arrays().iter().zip(&resolved) {
                 let id = a.slices[shard].memref.buffer;
-                let sub = self.memory.get_mut(id);
+                let placeholder = empty_like(self.memory.get(id), 0);
+                let sub = std::mem::replace(self.memory.get_mut(id), placeholder);
                 let rows = match (kind, partition) {
-                    (MapKind::From, Partition::Reduced(op)) => Create::Seed(op.identity_like(sub)),
-                    (MapKind::From, _) => Create::Seed(empty_like(sub, sub.len())),
-                    _ => {
-                        let placeholder = empty_like(sub, sub.len());
-                        Create::Upload(std::mem::replace(sub, placeholder))
-                    }
+                    (MapKind::From, Partition::Reduced(op)) => Create::Seed(op.identity_like(&sub)),
+                    (MapKind::From, _) => Create::Seed(empty_like(&sub, sub.len())),
+                    _ => Create::Upload(sub),
                 };
                 blocks.push((id, shard, device, rows));
             }
@@ -426,8 +426,8 @@ impl ClusterMachine {
 
         // The id is taken now — the exchange folds its uploads into the
         // session's stats by it — so an open that fails leaves a gap.
-        let session = self.next_session;
-        self.next_session += 1;
+        let session = self.session_ids.fetch_add(1, Ordering::Relaxed);
+        span.arg("session", session);
         let maps = (resolved.into_iter())
             .map(|(name, m, kind, partition)| (name, m.buffer, kind, partition))
             .collect();
@@ -663,12 +663,12 @@ impl ClusterMachine {
                 .filter(|(_, _, kind, _)| matches!(kind, MapKind::From | MapKind::ToFrom))
                 .map(|(name, ..)| {
                     let a = s.env.array(name).expect("mapped name resolves");
-                    let id = a.slices[shard].memref.buffer;
+                    let slice = &a.slices[shard];
                     RowFetch {
-                        src: id,
-                        dst: id,
+                        src: slice.memref.buffer,
+                        dst: slice.memref.buffer,
                         start: 0,
-                        len: self.memory.get(id).len(),
+                        len: slice.range.mapped_len() * a.row_elems,
                     }
                 })
                 .collect();

@@ -9,7 +9,7 @@ use ftn_fpga::DeviceModel;
 use ftn_interp::RtValue;
 use proptest::prelude::*;
 
-use ftn_cluster::{ArtifactCache, ClusterMachine, ImageCache};
+use ftn_cluster::{ArtifactCache, ClusterMachine};
 
 const SAXPY: &str = r#"
 subroutine saxpy(n, a, x, y)
@@ -180,16 +180,6 @@ fn disk_cache_layer_survives_a_new_cache_instance() {
     .unwrap();
     assert_eq!(m.read_f32(&ya), vec![4.0, 7.0]);
     let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn image_cache_shares_parsed_bitstreams() {
-    let cache = ImageCache::new();
-    let a = cache.instantiate(&artifacts().bitstream).unwrap();
-    let b = cache.instantiate(&artifacts().bitstream).unwrap();
-    assert!(Arc::ptr_eq(&a, &b));
-    let s = cache.stats();
-    assert_eq!((s.hits, s.misses), (1, 1), "{s:?}");
 }
 
 #[test]
@@ -614,6 +604,42 @@ fn sharded_session_fans_out_and_gathers() {
     // The shard sub-buffers were freed at close: only x and y remain.
     assert_eq!(ps.host_buffers, 2, "{ps:?}");
     assert!(cluster.open_sessions().is_empty());
+}
+
+/// An open session's rows live on its devices, not twice: while it is open
+/// the pool's host memory holds the mapped arrays and nothing more — each
+/// shard's host sub-buffer is an empty placeholder until the close fetch
+/// fills it — and a halo refresh still prices its rows by the arrays' type.
+#[test]
+fn an_open_session_keeps_no_rows_on_the_host() {
+    use ftn_cluster::{MapKind, Partition, ReduceOp, ShardCount};
+    let mut cluster = pool(2);
+    let n = 4096usize;
+    let x: Vec<f32> = (0..n).map(|i| i as f32).collect();
+    let y = vec![1.0f32; n];
+    let xa = cluster.host_f32(&x);
+    let ya = cluster.host_f32(&y);
+    let sa = cluster.host_f32(&[0.0]);
+    let mapped = cluster.pool_stats().host_bytes;
+    assert_eq!(mapped, 4 * (2 * n as u64 + 1));
+    let halo = Partition::Split { halo: 1 };
+    let maps = [
+        ("x", xa, MapKind::To, halo),
+        ("y", ya.clone(), MapKind::ToFrom, halo),
+        ("s", sa, MapKind::From, Partition::Reduced(ReduceOp::Sum)),
+    ];
+    let sid = (cluster.open_sharded_session(&maps, ShardCount::Fixed(2))).unwrap();
+    assert_eq!(cluster.pool_stats().host_bytes, mapped, "while open");
+    let ticket = cluster.sharded_launch(sid, "saxpy_kernel0", &saxpy_shard_args(2.0));
+    cluster.wait_sharded(ticket.unwrap()).unwrap();
+    let refresh = cluster.refresh_halos(sid).unwrap();
+    // One ghost row each side of the one boundary, per split array.
+    assert_eq!((refresh.halo_rows, refresh.halo_bytes), (4, 4 * 4));
+    assert_eq!(cluster.pool_stats().host_bytes, mapped, "after a refresh");
+    cluster.close_sharded_session(sid).unwrap();
+    assert_eq!(cluster.pool_stats().host_bytes, mapped, "after the close");
+    let expect: Vec<f32> = (0..n).map(|i| 1.0 + 2.0 * x[i]).collect();
+    assert_eq!(cluster.read_f32(&ya), expect);
 }
 
 #[test]

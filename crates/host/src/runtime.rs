@@ -22,7 +22,7 @@
 use std::sync::Arc;
 
 use ftn_dialects::{device, memref};
-use ftn_fpga::{DeviceModel, KernelExecutor};
+use ftn_fpga::{DeviceModel, ExecutionStats, KernelExecutor};
 use ftn_interp::{DialectHooks, InterpError, Memory, RtValue};
 use ftn_mlir::{Ir, OpId, TypeKind};
 use serde::Serialize;
@@ -56,6 +56,19 @@ impl RunStats {
         self.transfers += other.transfers;
         self.total_cycles += other.total_cycles;
         self.launch_cycles.extend_from_slice(&other.launch_cycles);
+    }
+
+    /// Charge one kernel launch. Every launch path — a host program's
+    /// `kernel_launch` and a session's kernel job — charges through here,
+    /// so their totals are bit-identical. Inlined: it sits on the hook path
+    /// every target region takes.
+    #[inline]
+    pub fn add_launch(&mut self, launch: &ExecutionStats) {
+        self.kernel_seconds += launch.kernel_seconds;
+        self.kernel_wall_seconds += launch.wall_seconds;
+        self.total_cycles += launch.cycles;
+        self.launch_cycles.push(launch.cycles);
+        self.launches += 1;
     }
 }
 
@@ -252,11 +265,7 @@ impl DialectHooks for HostRuntime {
                     self.executor
                         .execute(&instance.device_function, &instance.args, memory)?;
                 instance.launched = true;
-                self.stats.kernel_seconds += stats.kernel_seconds;
-                self.stats.kernel_wall_seconds += stats.wall_seconds;
-                self.stats.total_cycles += stats.cycles;
-                self.stats.launch_cycles.push(stats.cycles);
-                self.stats.launches += 1;
+                self.stats.add_launch(&stats);
                 vec![]
             }
             Decoded::KernelWait => {

@@ -171,8 +171,7 @@ pub(crate) fn handle_connection(state: &ServeState, stream: TcpStream) {
         // Every request is the root of a fresh trace: the `http.request`
         // span parents everything the handler does — session ops, per-shard
         // jobs on device lanes, row exchanges — under one trace id.
-        let trace_id = ftn_trace::new_trace_id();
-        let trace = ftn_trace::trace_scope(trace_id);
+        let trace = ftn_trace::trace_scope(ftn_trace::new_trace_id());
         let started = std::time::Instant::now();
         let mut span = ftn_trace::span("http.request", "http");
         span.arg("method", &req.method);
@@ -198,18 +197,9 @@ pub(crate) fn handle_connection(state: &ServeState, stream: TcpStream) {
             }
         };
         span.arg("status", reply.status);
-        let span_id = span.id();
         drop(span);
         drop(trace);
-        // The latency observation offers itself as the histogram's exemplar
-        // so a slow bucket on `/metrics` links this request's trace.
-        // `span_id == 0` means recording is off — pass trace id 0 too,
-        // keeping that path free of the exemplar lock.
-        state.metrics.request_seconds.observe_with_exemplar(
-            started.elapsed().as_secs_f64(),
-            if span_id == 0 { 0 } else { trace_id },
-            span_id,
-        );
+        (state.metrics.request_seconds).observe(started.elapsed().as_secs_f64());
         let keep_alive = req.keep_alive && !state.shutdown.load(Ordering::SeqCst);
         if reply.send(conn.get_mut(), keep_alive).is_err() || !keep_alive {
             return;

@@ -11,19 +11,20 @@
 //! | `POST /sessions/{id}/refresh` |                                      | Inter-launch halo exchange: every split array's ghost rows are re-seeded from their current owner rows — boundary blocks only, device-to-device over the row-block fetch/splice path, never a full gather/re-scatter. The iterative-stencil primitive (`jacobi`/`heat` between sweeps). |
 //! | `DELETE /sessions/{id}`     |                                        | Close the session: gather (or reduce) `from`/`tofrom` arrays back and return them with the session stats; all session memory is released. |
 //! | `POST /run`                 | `{key, func, args}`                    | Sessionless whole-program run (the baseline the elision ratio is measured against); request arrays are freed after the response. |
-//! | `GET /stats`                |                                        | Cache, pool, session, and HTTP statistics. |
+//! | `GET /stats`                |                                        | Compile-cache, pool, session, and HTTP statistics. |
 //! | `GET /healthz`              |                                        | Readiness probe: 503 `"unready"` with reasons on a dead device worker or saturated queue, `{"ok":true,"status":"ok",...}` otherwise. |
-//! | `GET /metrics`              |                                        | Prometheus text exposition of every counter, gauge and histogram, with OpenMetrics exemplars. History, range queries and alerting belong to the Prometheus server that scrapes it. |
+//! | `GET /metrics`              |                                        | Prometheus text exposition (version 0.0.4: every sample line is `series value`) of every counter, gauge and histogram. History, range queries and alerting belong to the Prometheus server that scrapes it. |
 //! | `GET /trace`                | `?since=N&until=N`                     | The recorded span timeline as a Chrome trace-event document. |
 //! | `GET /profile`              | `?since=N&until=N&format=folded\|svg\|json` | Span-derived hierarchical profile: self/total time per span-name path. `folded` is collapsed-stack text for flamegraph tooling, `svg` a self-contained flamegraph, `json` (default) the tree plus per-device busy/idle utilization. `?last=N` is the trailing-window shorthand continuous pollers should use (also accepted by `/trace`). |
-//! | `GET /profile/top`          | `?by=kernel\|session\|device&k=N`      | Top-K cost attribution over completed jobs: simulated cycles, wall seconds, queue wait, and bytes moved, merged across pools (`ftn top` renders this). |
+//! | `GET /profile/top`          | `?by=kernel\|session\|device&k=N`      | Top-K cost attribution over completed jobs: simulated cycles, wall seconds, queue wait, and bytes moved, merged across pools (`ftn top` renders this). `by=session` rows are keyed by the ids `POST /sessions` returned, open or closed. |
 //! | `POST /shutdown`            |                                        | Drain and stop the server. |
 //!
 //! One [`ftn_cluster::ClusterMachine`] pool is kept per compiled program
 //! (all its sessions share its devices), built lazily with the configured
 //! device composition — homogeneous U280s by default, or a mixed-model pool
 //! from `ftn serve --devices u280,u280,u250` / a `/compile` `devices`
-//! override — over a shared parsed-bitstream image. Sharded sessions on a
+//! override — and numbers its sessions from the server's one id source, so
+//! a session id names one session across every pool. Sharded sessions on a
 //! heterogeneous pool get throughput-weighted shard plans automatically (see
 //! `ftn_cluster::sharded`). Connections are HTTP/1.1 keep-alive (idle ones
 //! are reaped after [`ServeConfig::idle_timeout_secs`]).
@@ -46,7 +47,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
-use ftn_cluster::{ArtifactCache, ImageCache, ShardCount};
+use ftn_cluster::{ArtifactCache, ShardCount};
 use ftn_fpga::DeviceModel;
 use ftn_trace::Level;
 use serde::Value;
@@ -54,7 +55,7 @@ use serde::Value;
 use conn::{handle_connection, HandlerError, Reply};
 use http::Request;
 use programs::Program;
-use sessions::ServeSession;
+use sessions::OwnedArrays;
 use telemetry::ServeMetrics;
 
 /// Server configuration.
@@ -113,12 +114,14 @@ impl Default for ServeConfig {
 struct ServeState {
     config: ServeConfig,
     cache: ArtifactCache,
-    images: ImageCache,
     /// key → compiled program, its pool and health (`programs.rs`).
     programs: Mutex<HashMap<String, Arc<Program>>>,
-    /// serve sid → open session and its pool (`sessions.rs`).
-    sessions: Mutex<HashMap<u64, ServeSession>>,
-    next_session: AtomicU64,
+    /// session id → the arrays the session mapped, which know its pool
+    /// (`sessions.rs`).
+    sessions: Mutex<HashMap<u64, OwnedArrays>>,
+    /// The one source of session ids, shared by every pool the server
+    /// builds: a session's id is the same in every reply, span and row.
+    session_ids: Arc<AtomicU64>,
     shutdown: AtomicBool,
     metrics: ServeMetrics,
     started: std::time::Instant,
@@ -201,10 +204,9 @@ impl Server {
         let state = Arc::new(ServeState {
             config,
             cache,
-            images: ImageCache::new(),
             programs: Mutex::new(HashMap::new()),
             sessions: Mutex::new(HashMap::new()),
-            next_session: AtomicU64::new(1),
+            session_ids: Arc::new(AtomicU64::new(1)),
             shutdown: AtomicBool::new(false),
             metrics: ServeMetrics::new(),
             started: std::time::Instant::now(),

@@ -97,14 +97,13 @@ impl Program {
         if let Some(gate) = self.pool.get() {
             return Ok(Arc::clone(gate));
         }
-        let image = state.images.instantiate(&self.artifacts.bitstream);
-        let image = image.map_err(failed)?;
         let devices = self.devices(&slot, state);
-        let mut machine =
-            ClusterMachine::load_with_image(&self.artifacts, &devices, image).map_err(failed)?;
+        let mut machine = ClusterMachine::load(&self.artifacts, &devices).map_err(failed)?;
         // Every pool reports into the server's registry, so one /metrics
-        // scrape covers queue waits and job counts across all pools.
+        // scrape covers queue waits and job counts across all pools, and
+        // draws its session ids from the server's one source.
         machine.use_metrics(&state.metrics.registry);
+        machine.use_session_ids(&state.session_ids);
         let gate = Arc::new(PoolGate::new(machine));
         Ok(Arc::clone(self.pool.get_or_init(|| gate)))
     }

@@ -1,13 +1,18 @@
-//! Sessions: one table, `serve sid → ServeSession`, whose entries hold the
-//! session's pool itself — plus `/run`, which borrows a pool for one request.
+//! Sessions: one table, `id → OwnedArrays`, whose entries hold the arrays a
+//! session mapped and, through them, its pool — plus `/run`, which borrows a
+//! pool for one request.
 //!
 //! Invariants every change here must keep:
 //!
+//! * **One id per session.** The pool draws it from the server's one source
+//!   (`ServeState::session_ids`, handed to every pool at build), so the id
+//!   a client is given is the pool's: replies, spans and `/profile/top`
+//!   rows all carry it, and nothing translates.
 //! * **One serve-level lock per session request.** Launch, info, refresh
 //!   and close resolve through [`ServeState::session`]: the table
 //!   lock for one look-up, an `Arc` clone out, then the pool's own locks.
-//!   They never touch the program table, so no compile, image load or pool
-//!   build of any program can stall them. Only open and `/run` go through
+//!   They never touch the program table, so no compile or pool build of
+//!   any program can stall them. Only open and `/run` go through
 //!   `ServeState::pool_for`.
 //! * **The table's lock is never held across a pool call or a wait.**
 //! * **No machine guard is held across device traffic.** Open, refresh and
@@ -21,10 +26,10 @@
 //!   exit, the error ones included. A session's entry owns its arrays the
 //!   same way, so removing the entry is what releases them.
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use ftn_cluster::{ClusterMachine, MapKind, Partition, PoolGate, ShardArg, ShardCount};
+use ftn_core::CompileError;
 use ftn_interp::{Buffer, RtValue};
 use serde::{Serialize, Value};
 
@@ -60,13 +65,6 @@ impl Drop for OwnedArrays {
             let _ = machine.free_host(h);
         }
     }
-}
-
-/// A serve-level session: its cluster-level id, and the arrays mapped at
-/// open, which know the pool they (and the session) live in.
-pub(crate) struct ServeSession {
-    cluster_sid: u64,
-    arrays: OwnedArrays,
 }
 
 impl ServeState {
@@ -124,37 +122,21 @@ impl ServeState {
             parsed.into_iter().map(own).collect()
         };
         let count = shards.unwrap_or(ShardCount::Fixed(1));
-        let opened = pool.open_phased(&maps, count);
-        let cluster_sid = opened.map_err(bad_request)?;
-        let devices = pool.lock().sharded_devices(cluster_sid).unwrap_or_default();
+        let session = pool.open_phased(&maps, count).map_err(bad_request)?;
+        let devices = pool.lock().sharded_devices(session).unwrap_or_default();
         let mapped = maps.len();
-        let session = self.next_session.fetch_add(1, Ordering::SeqCst);
-        let entry = ServeSession {
-            cluster_sid,
-            arrays,
-        };
-        lock(&self.sessions).insert(session, entry);
+        lock(&self.sessions).insert(session, arrays);
         let mut fields = session_reply(session, &devices);
         fields.push(("mapped", mapped.to_value()));
         Ok(api::obj(fields))
     }
 
-    /// The pool and cluster-level id of one open session.
-    fn session(&self, session: u64) -> Result<(Arc<PoolGate>, u64), HandlerError> {
+    /// The pool one open session lives in.
+    fn session(&self, session: u64) -> Result<Arc<PoolGate>, HandlerError> {
         lock(&self.sessions)
             .get(&session)
-            .map(|s| (Arc::clone(&s.arrays.pool), s.cluster_sid))
-            .ok_or_else(|| not_found(format!("no session {session}")))
-    }
-
-    /// `(serve sid, cluster sid)` of every open session living in `pool` —
-    /// what `/profile/top` re-keys that pool's session rows against.
-    pub(crate) fn sessions_in(&self, pool: &Arc<PoolGate>) -> Vec<(u64, u64)> {
-        lock(&self.sessions)
-            .iter()
-            .filter(|(_, s)| Arc::ptr_eq(&s.arrays.pool, pool))
-            .map(|(sid, s)| (*sid, s.cluster_sid))
-            .collect()
+            .map(|arrays| Arc::clone(&arrays.pool))
+            .ok_or_else(|| gone(session))
     }
 
     /// Launch: fan out per shard, wait all shard jobs, and report the
@@ -168,7 +150,7 @@ impl ServeState {
             None => false,
             Some(_) => return Err(bad_request("'refresh_halos' must be a boolean")),
         };
-        let (gate, sid) = self.session(session)?;
+        let gate = self.session(session)?;
         let mut args = Vec::with_capacity(arg_values.len());
         for a in arg_values {
             let ArgSpec::Shard(arg) = api::parse_arg(a, None).map_err(bad_request)? else {
@@ -178,15 +160,19 @@ impl ServeState {
             };
             args.push(arg);
         }
-        let ticket = gate.lock_session(sid).sharded_launch(sid, kernel, &args);
-        let ticket = ticket.map_err(bad_request)?;
+        let ticket = gate
+            .lock_session(session)
+            .sharded_launch(session, kernel, &args);
+        let ticket = ticket.map_err(pool_error(session, 400))?;
         let (staged, elided, devices) = (ticket.staged, ticket.elided, ticket.devices);
         let reports = (gate.wait_many(ticket.handles)).map_err(failed)?;
         self.metrics.launches.inc();
         // Per-launch ghost-row exchange, *after* the shard jobs land; phased
         // like a manual `POST /sessions/{id}/refresh`.
-        let halo = refresh_halos.then(|| gate.refresh_phased(sid)).transpose();
-        let halo = halo.map_err(failed)?;
+        let halo = refresh_halos
+            .then(|| gate.refresh_phased(session))
+            .transpose();
+        let halo = halo.map_err(pool_error(session, 500))?;
         let stats = || reports.iter().map(|r| &r.report.stats);
         let cycles: u64 = stats().map(|s| s.total_cycles).sum();
         let kernel_seconds: f64 = stats().map(|s| s.kernel_seconds).sum();
@@ -215,29 +201,29 @@ impl ServeState {
     /// re-seeded from their current owner rows, boundary blocks only.
     /// Replies with the cluster's [`ftn_cluster::HaloRefreshReport`].
     pub(crate) fn refresh(&self, session: u64) -> Result<Value, HandlerError> {
-        let (pool, sid) = self.session(session)?;
-        let report = pool.refresh_phased(sid).map_err(failed)?;
-        Ok(with_serve_session(report.to_value(), session))
+        let pool = self.session(session)?;
+        let report = pool.refresh_phased(session);
+        Ok(report.map_err(pool_error(session, 500))?.to_value())
     }
 
     pub(crate) fn session_info(&self, session: u64) -> Result<Value, HandlerError> {
-        let (pool, sid) = self.session(session)?;
-        let machine = pool.lock_session(sid);
+        let pool = self.session(session)?;
+        let machine = pool.lock_session(session);
         let stats = machine
-            .session_stats(sid)
-            .ok_or_else(|| not_found(format!("no session {session}")))?;
-        let devices = machine.sharded_devices(sid).unwrap_or_default();
+            .session_stats(session)
+            .ok_or_else(|| gone(session))?;
+        let devices = machine.sharded_devices(session).unwrap_or_default();
         // The realized partition (owned rows per shard) of the largest
         // split array.
         let shard_rows = machine
-            .sharded_maps(sid)
+            .sharded_maps(session)
             .and_then(|maps| {
                 maps.into_iter()
                     .filter(|(_, _, _, p)| matches!(p, Partition::Split { .. }))
                     .max_by_key(|(_, v, _, _)| v.as_memref().map(|m| m.num_elements()).unwrap_or(0))
                     .map(|(name, _, _, _)| name)
             })
-            .and_then(|name| machine.sharded_shard_rows(sid, &name))
+            .and_then(|name| machine.sharded_shard_rows(session, &name))
             .unwrap_or_default();
         let mut fields = session_reply(session, &devices);
         fields.push(("shard_rows", shard_rows.to_value()));
@@ -246,14 +232,12 @@ impl ServeState {
     }
 
     pub(crate) fn close_session(&self, session: u64) -> Result<Reply, HandlerError> {
-        let (pool, sid) = self.session(session)?;
-        let gone = || not_found(format!("no session {session}"));
-        let maps = pool.lock_session(sid).session_maps(sid).ok_or_else(gone)?;
-        // A close that finds the session gone lost a race to another close.
-        let lost = format!("no open session {sid}");
-        let report =
-            (pool.close_phased(sid))
-                .map_err(|e| if e.message == lost { gone() } else { failed(e) })?;
+        let pool = self.session(session)?;
+        let maps = pool.lock_session(session).session_maps(session);
+        let maps = maps.ok_or_else(|| gone(session))?;
+        let report = pool
+            .close_phased(session)
+            .map_err(pool_error(session, 500))?;
         // `from`/`tofrom` arrays now hold the gathered device results; take
         // them out (they are printed once the pool is unlocked), then
         // release every array the session allocated by dropping its entry.
@@ -342,7 +326,7 @@ fn positive(v: &Value) -> Option<u64> {
 }
 
 /// The fields every session reply (open, launch, info, close) starts with:
-/// the serve-level id and where the session lives. `device` is the
+/// the session's id and where it lives. `device` is the
 /// one-device spelling of `devices[0]`.
 fn session_reply(session: u64, devices: &[usize]) -> Vec<(&'static str, Value)> {
     vec![
@@ -395,15 +379,22 @@ fn append_buffer(out: &mut String, buffer: &Buffer) {
     }
 }
 
-/// Re-key a cluster report's `session` field to the serve-level session id
-/// (the cluster-internal one is meaningless to HTTP clients).
-fn with_serve_session(mut report: Value, session: u64) -> Value {
-    if let Value::Obj(fields) = &mut report {
-        for (_, v) in fields.iter_mut().filter(|(k, _)| k == "session") {
-            *v = session.to_value();
+/// 404 `no session {id}`: the session is not open here.
+fn gone(session: u64) -> HandlerError {
+    not_found(format!("no session {session}"))
+}
+
+/// A pool error on `session` as a reply: the pool's "no open session" — a
+/// close won the race against this request — is [`gone`], like a session
+/// that was never opened; any other error answers `status`.
+fn pool_error(session: u64, status: u16) -> impl FnOnce(CompileError) -> HandlerError {
+    move |e| {
+        if e.message == format!("no open session {session}") {
+            gone(session)
+        } else {
+            (status, e.to_string())
         }
     }
-    report
 }
 
 #[cfg(test)]
@@ -417,14 +408,15 @@ mod tests {
 
     const SAXPY: &str = include_str!("../../../benchmarks/saxpy.f90");
 
-    /// A running two-device server with SAXPY compiled and one four-element
-    /// session open: its address, state, accept thread and the session id.
-    type Served = (
-        std::net::SocketAddr,
-        Arc<crate::ServeState>,
-        std::thread::JoinHandle<std::io::Result<()>>,
-        i64,
-    );
+    type Running = std::thread::JoinHandle<std::io::Result<()>>;
+
+    /// A running two-device server: its address, state and accept thread.
+    type Served = (std::net::SocketAddr, Arc<crate::ServeState>, Running);
+
+    /// One SAXPY launch over a session's `x` and `y`.
+    const LAUNCH: &str = r#"{"kernel": "saxpy_kernel0", "args": [
+        {"array": "x"}, {"array": "y"}, {"extent": "x"}, {"extent": "y"},
+        {"f32": 2.0}, {"index": 1}, {"extent": "x"}]"#;
 
     fn post(addr: std::net::SocketAddr, path: &str, body: &str) -> Value {
         let (status, reply) = client::request(addr, "POST", path, body).expect("round trip");
@@ -432,7 +424,7 @@ mod tests {
         reply
     }
 
-    fn serve_one_session() -> Served {
+    fn serve() -> Served {
         let config = ServeConfig {
             devices: 2,
             workers: 2,
@@ -442,7 +434,16 @@ mod tests {
         let addr = server.local_addr();
         let state = Arc::clone(&server.state);
         let running = std::thread::spawn(move || server.run());
-        let source = api::obj(vec![("source", SAXPY.to_value())]);
+        (addr, state, running)
+    }
+
+    /// Compile SAXPY (one program per `fix_mac_pattern` setting) and open a
+    /// four-element session in its pool; the session's id.
+    fn open_saxpy(addr: std::net::SocketAddr, fix_mac_pattern: bool) -> u64 {
+        let source = api::obj(vec![
+            ("source", SAXPY.to_value()),
+            ("fix_mac_pattern", fix_mac_pattern.to_value()),
+        ]);
         let compiled = post(addr, "/compile", &serde_json::to_string(&source).unwrap());
         let key = api::get_str(&compiled, "key").expect("key");
         let open = format!(
@@ -453,24 +454,29 @@ mod tests {
         let Some(Value::Int(sid)) = post(addr, "/sessions", &open).get("session").cloned() else {
             panic!("no session id");
         };
+        sid as u64
+    }
+
+    /// [`serve`] with one SAXPY session open, and the session's id.
+    fn serve_one_session() -> (std::net::SocketAddr, Arc<crate::ServeState>, Running, u64) {
+        let (addr, state, running) = serve();
+        let sid = open_saxpy(addr, false);
         (addr, state, running, sid)
     }
 
     /// Launch, info, refresh and close resolve through the session table
     /// alone: they are answered while this thread holds the program table's
-    /// lock, so no compile, image load or pool build (which only ever wait
-    /// on that lock or a program's own) can be in their way.
+    /// lock, so no compile or pool build (which only ever wait on that lock
+    /// or a program's own) can be in their way.
     #[test]
     fn session_requests_never_touch_the_program_table() {
         let (addr, state, running, sid) = serve_one_session();
         let programs = lock(&state.programs);
         let (tx, rx) = mpsc::channel();
         let client = std::thread::spawn(move || {
-            let launch = r#"{"kernel": "saxpy_kernel0", "args": [
-                {"array": "x"}, {"array": "y"}, {"extent": "x"}, {"extent": "y"},
-                {"f32": 2.0}, {"index": 1}, {"extent": "x"}]}"#;
+            let launch = format!("{LAUNCH}}}");
             for (method, path, body) in [
-                ("POST", format!("/sessions/{sid}/launch"), launch),
+                ("POST", format!("/sessions/{sid}/launch"), launch.as_str()),
                 ("GET", format!("/sessions/{sid}"), ""),
                 ("POST", format!("/sessions/{sid}/refresh"), ""),
                 ("DELETE", format!("/sessions/{sid}"), ""),
@@ -496,11 +502,11 @@ mod tests {
     /// Two `DELETE`s of one session are one close and one 404, whichever
     /// step the loser finds the session gone at: reading its maps (it waited
     /// out the winner's fence; nearly always) or closing it (it read them
-    /// first) — told by the cluster's error text, which is pinned here.
+    /// first) — told by the pool's error text, which is pinned here.
     #[test]
     fn a_delete_that_loses_to_another_is_a_404() {
         let (addr, state, running, sid) = serve_one_session();
-        let (pool, cluster_sid) = state.session(sid as u64).expect("open");
+        let pool = state.session(sid).expect("open");
         // Steering, not an assertion: both requests queue on the machine
         // lock, then race from their map reads on.
         let machine = pool.lock();
@@ -520,8 +526,38 @@ mod tests {
         assert_eq!(answers[1].0, 404, "{answers:?}");
         let error = api::get_str(&answers[1].1, "error").expect("error text");
         assert_eq!(error, format!("no session {sid}"));
-        let gone = pool.close_phased(cluster_sid).expect_err("closed above");
-        assert_eq!(gone.message, format!("no open session {cluster_sid}"));
+        let gone = pool.close_phased(sid).expect_err("closed above");
+        assert_eq!(gone.message, format!("no open session {sid}"));
+        post(addr, "/shutdown", "");
+        running.join().expect("server thread").expect("clean run");
+    }
+
+    /// A launch, refresh, read or close that finds its session closed under
+    /// it answers 404 with the id the client used, never the pool's error:
+    /// the second program's first session is the server's session 2, and
+    /// its pool knows it by that number too.
+    #[test]
+    fn a_request_that_loses_to_a_close_is_a_404_naming_its_session() {
+        let (addr, state, running) = serve();
+        let ids = (open_saxpy(addr, false), open_saxpy(addr, true));
+        assert_eq!(ids, (1, 2));
+        let pool = state.session(2).expect("open");
+        pool.close_phased(2).expect("the pool closes session 2");
+        let launch = format!("{LAUNCH}}}");
+        let with_halos = format!(r#"{LAUNCH}, "refresh_halos": true}}"#);
+        for (method, path, body) in [
+            ("POST", "/sessions/2/launch", launch.as_str()),
+            ("POST", "/sessions/2/launch", with_halos.as_str()),
+            ("POST", "/sessions/2/refresh", ""),
+            ("GET", "/sessions/2", ""),
+            ("DELETE", "/sessions/2", ""),
+        ] {
+            let (status, reply) = client::request(addr, method, path, body).expect("round trip");
+            assert_eq!(status, 404, "{method} {path}: {reply:?}");
+            let error = api::get_str(&reply, "error").expect("error text");
+            assert_eq!(error, "no session 2", "{method} {path}");
+        }
+        post(addr, "/sessions/1/launch", &launch);
         post(addr, "/shutdown", "");
         running.join().expect("server thread").expect("clean run");
     }

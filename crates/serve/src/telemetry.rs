@@ -147,8 +147,8 @@ impl ServeState {
     /// `GET /profile/top?by=kernel|session|device&k=N`: the K costliest
     /// attribution rows over every job completed so far, merged across the
     /// server's pools and ranked by simulated cycles. `by=session` rows are
-    /// keyed by the serve-level session id (closed sessions fall back to
-    /// `POOLKEY:CLUSTERSID`).
+    /// keyed by the session ids clients were given, open or closed: the
+    /// pools draw them from one source, so no two pools share a key.
     pub(crate) fn profile_top(&self, req: &Request) -> Result<Value, HandlerError> {
         let by_text = req.query_param("by");
         let by_text = by_text.as_deref().unwrap_or("kernel");
@@ -160,18 +160,8 @@ impl ServeState {
             None => 10,
         };
         let mut merged: Vec<RollupRow> = Vec::new();
-        for (program, gate) in self.pools_snapshot() {
-            // The session table is read before (never under) the machine
-            // lock, so session-axis rows can be re-keyed by serve-level id.
-            let sessions = match by {
-                RollupBy::Session => self.sessions_in(&gate),
-                _ => Vec::new(),
-            };
-            let machine = gate.lock();
-            for mut row in machine.rollups(by) {
-                if by == RollupBy::Session {
-                    row.key = rekey_session_row(&row.key, &program.key, &sessions);
-                }
+        for (_, gate) in self.pools_snapshot() {
+            for row in gate.lock().rollups(by) {
                 match merged.iter_mut().find(|r| r.key == row.key) {
                     Some(r) => {
                         r.jobs += row.jobs;
@@ -259,7 +249,6 @@ impl ServeState {
         let uptime = self.started.elapsed().as_secs_f64();
         Ok(api::obj(vec![
             ("cache", self.cache.stats().to_value()),
-            ("image_cache", self.images.stats().to_value()),
             ("sessions_open", lock(&self.sessions).len().to_value()),
             ("launches", self.metrics.launches.get().to_value()),
             ("runs", self.metrics.runs.get().to_value()),
@@ -307,43 +296,6 @@ fn short_key(key: &str) -> &str {
     &key[..key.len().min(8)]
 }
 
-/// Re-key one `by=session` rollup row from the cluster-internal session id
-/// to the serve-level one, given the pool's open `(serve sid, cluster sid)`
-/// pairs. Closed sessions fall back to `POOLKEY:CLUSTERSID`; a key that does
-/// not parse as a session id keeps its raw spelling under the same prefix —
-/// it must not collapse onto whatever serve session maps to cluster id 0.
-fn rekey_session_row(raw: &str, pool_key: &str, sessions: &[(u64, u64)]) -> String {
-    match raw.parse::<u64>() {
-        Ok(cluster_sid) => sessions
-            .iter()
-            .find(|(_, cs)| *cs == cluster_sid)
-            .map(|(sid, _)| sid.to_string())
-            .unwrap_or_else(|| format!("{}:{cluster_sid}", short_key(pool_key))),
-        Err(_) => format!("{}:{raw}", short_key(pool_key)),
-    }
-}
-
 /// Trailing window of the `ftn_device_utilization` gauges (1 s: long enough
 /// to smooth single jobs, short enough that a stalled pool shows up soon).
 const UTILIZATION_WINDOW_NANOS: u64 = 1_000_000_000;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn profile_top_rekey_preserves_non_numeric_rollup_keys() {
-        let pool = "abcdef0123456789";
-        let sessions = [(7u64, 0u64)];
-        // A numeric cluster session id resolves to the serve-level id.
-        assert_eq!(rekey_session_row("0", pool, &sessions), "7");
-        // A closed session falls back to POOLKEY:CLUSTERSID.
-        assert_eq!(rekey_session_row("3", pool, &sessions), "abcdef01:3");
-        // A non-numeric rollup key keeps its raw spelling — it must not
-        // collapse onto cluster session 0 (serve session 7 here).
-        assert_eq!(
-            rekey_session_row("warmup:a", pool, &sessions),
-            "abcdef01:warmup:a"
-        );
-    }
-}

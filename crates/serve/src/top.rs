@@ -113,8 +113,7 @@ pub fn run(addr: SocketAddr, opts: &TopOptions) -> std::io::Result<()> {
 }
 
 /// Parse a Prometheus text exposition into `(series name, value)` pairs.
-/// Comment lines are skipped; exemplar suffixes (` # {...} v ts`) are
-/// ignored because only the first two fields are read.
+/// Comment lines are skipped.
 fn metric_values(text: &str) -> Vec<(String, f64)> {
     text.lines()
         .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
@@ -202,11 +201,11 @@ mod tests {
     use crate::api::obj;
 
     #[test]
-    fn metric_values_skip_comments_and_exemplars() {
+    fn metric_values_skip_comments() {
         let text = "# HELP ftn_uptime_seconds x\n\
                     # TYPE ftn_uptime_seconds gauge\n\
                     ftn_uptime_seconds 42\n\
-                    ftn_http_request_seconds_sum 0.5 # {trace_id=\"1\"} 0.5 1\n\
+                    ftn_http_request_seconds_sum 0.5\n\
                     ftn_device_utilization{device=\"0\"} 63\n";
         let metrics = metric_values(text);
         assert_eq!(metric(&metrics, "ftn_uptime_seconds"), 42.0);

@@ -575,23 +575,25 @@ fn metrics_and_trace_endpoints_expose_observability() {
     );
     assert!(text.contains("ftn_http_request_seconds_count"), "{text}");
     assert!(text.contains("ftn_uptime_seconds"), "{text}");
+    // The grammar the Content-Type names (text format 0.0.4): every sample
+    // line is exactly `series value`, and a comment is `# TYPE` or `# HELP`.
+    let content_type = "text/plain; version=0.0.4";
+    assert!(text.lines().count() > 5, "{text}");
     for line in text.lines() {
-        // `series value` pairs, optionally with an OpenMetrics exemplar
-        // suffix: `... # {trace_id="..",span_id=".."} value timestamp`.
-        let (series, exemplar) = match line.split_once(" # ") {
-            Some((s, e)) => (s, Some(e)),
-            None => (line, None),
-        };
-        assert!(
-            line.starts_with('#') || series.split_whitespace().count() == 2,
-            "malformed exposition line: {line}"
-        );
-        if let Some(ex) = exemplar {
+        if line.starts_with('#') {
             assert!(
-                ex.starts_with("{trace_id=") && ex.split_whitespace().count() == 3,
-                "malformed exemplar: {line}"
+                line.starts_with("# TYPE ") || line.starts_with("# HELP "),
+                "not a {content_type} comment: {line}"
             );
+            continue;
         }
+        let sample = line.split_once(' ');
+        assert!(
+            sample.is_some_and(|(series, value)| !series.is_empty()
+                && !series.contains(char::is_whitespace)
+                && value.parse::<f64>().is_ok()),
+            "not a {content_type} sample: {line}"
+        );
     }
 
     // /trace serves a Chrome trace-event document (valid JSON with a
@@ -779,7 +781,7 @@ fn sustained_run_traffic_keeps_pool_memory_flat() {
 }
 
 /// However many requests need a program's pool at once, the program gets
-/// one pool, built from one image load.
+/// one pool.
 #[test]
 fn one_pool_per_program_under_a_race() {
     const CLIENTS: usize = 8;
@@ -818,9 +820,6 @@ fn one_pool_per_program_under_a_race() {
     assert_eq!(mine.len(), 1, "exactly one pool for the key: {stats:?}");
     assert_eq!(as_u64(mine[0].get("open_sessions")), CLIENTS as u64);
     assert_eq!(as_u64(stats.get("sessions_open")), CLIENTS as u64);
-    let image_cache = stats.get("image_cache").expect("image_cache");
-    assert_eq!(as_u64(image_cache.get("misses")), 1, "{stats:?}");
-    assert_eq!(as_u64(image_cache.get("hits")), 0, "one build: {stats:?}");
     shutdown(addr, handle);
 }
 

@@ -228,7 +228,7 @@ fn profile_stack_attributes_live_sharded_traffic() {
     );
     assert_eq!(row_field(&kernels, "sscal_kernel0", "jobs"), 8);
 
-    // by=session keys rows by the serve-level session id while open.
+    // by=session keys rows by the ids the opens returned.
     let sessions = top_rows(addr, "session");
     assert_eq!(sessions.len(), 2, "{sessions:?}");
     assert_eq!(
@@ -343,18 +343,24 @@ fn profile_stack_attributes_live_sharded_traffic() {
     assert!(frame.contains("saxpy_kernel0"), "{frame}");
     assert!(frame.contains("devices:"), "{frame}");
 
-    // Close both sessions; the session rollups fall back to pool-scoped keys
-    // once the serve-level ids are gone.
+    // Close both sessions; their rows keep the ids the opens returned —
+    // the pool recorded the jobs under the same ids.
     for sid in [saxpy_sid, sscal_sid] {
         let (status, _) = request(addr, "DELETE", &format!("/sessions/{sid}"), "");
         assert_eq!(status, 200);
     }
     let sessions = top_rows(addr, "session");
-    assert_eq!(sessions.len(), 2);
-    for row in &sessions {
-        let key = api::get_opt_str(row, "key").unwrap();
-        assert!(key.contains(':'), "closed-session fallback key: {key}");
-    }
+    let mut keys: Vec<&str> = (sessions.iter())
+        .map(|row| api::get_opt_str(row, "key").unwrap())
+        .collect();
+    keys.sort_unstable();
+    let mut opened = [saxpy_sid.to_string(), sscal_sid.to_string()];
+    opened.sort_unstable();
+    assert_eq!(keys, opened, "{sessions:?}");
+    assert_eq!(
+        row_field(&sessions, &saxpy_sid.to_string(), "sim_cycles"),
+        saxpy_cycles
+    );
 
     let (status, _) = request(addr, "POST", "/shutdown", "");
     assert_eq!(status, 200);

@@ -67,7 +67,7 @@ pub fn export_chrome(since_nanos: u64) -> String {
 }
 
 /// Render events overlapping the `[since_nanos, until_nanos]` window — the
-/// bounded form behind `GET /trace?since=&until=` that alert exemplars link.
+/// bounded form behind `GET /trace?since=&until=`.
 pub fn export_chrome_range(since_nanos: u64, until_nanos: u64) -> String {
     let lanes = snapshot_range(since_nanos, until_nanos);
     let mut events = vec![obj(vec![

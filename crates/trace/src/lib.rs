@@ -11,9 +11,8 @@
 //! - **Metrics** ([`MetricsRegistry`], [`Counter`], [`Gauge`],
 //!   [`Histogram`]): named counters/gauges plus log-bucketed latency
 //!   histograms with p50/p95/p99 extraction, rendered as Prometheus text
-//!   exposition for `GET /metrics`. Histograms carry OpenMetrics
-//!   [`Exemplar`]s, so a slow bucket links the offending request's trace;
-//!   history and alerting are the scraping Prometheus server's job.
+//!   exposition (version 0.0.4) for `GET /metrics`; history and alerting
+//!   are the scraping Prometheus server's job.
 //! - **Export** ([`export_chrome`], [`export_chrome_range`]) and a leveled
 //!   event [`fn@log`]: the span buffers serialize to Chrome trace-event
 //!   JSON (`GET /trace`, Perfetto-viewable, one lane per device worker and
@@ -39,8 +38,8 @@ mod span;
 pub use chrome::{export_chrome, export_chrome_range};
 pub use log::{log, max_level, set_max_level, Level};
 pub use metrics::{
-    escape_label_value, labelled, Counter, Exemplar, Gauge, Histogram, HistogramSnapshot,
-    MetricsRegistry, HISTOGRAM_BUCKETS,
+    escape_label_value, labelled, Counter, Gauge, Histogram, HistogramSnapshot, MetricsRegistry,
+    HISTOGRAM_BUCKETS,
 };
 pub use profile::{
     device_utilization, device_utilization_range, DeviceUtilization, Profile, ProfileNode,

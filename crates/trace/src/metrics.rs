@@ -16,9 +16,9 @@
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, RwLock};
 
-use crate::{lock, read, write};
+use crate::{read, write};
 
 /// Number of histogram buckets: 4 exact small-value buckets (0–3 ns) plus
 /// 4 sub-buckets for each of the 62 remaining nanosecond octaves.
@@ -87,33 +87,6 @@ fn bucket_upper_nanos(i: usize) -> u64 {
     ((1u64 << octave) - 1) + (sub + 1) * width
 }
 
-/// How long a stored exemplar stays sticky before any trace-carrying
-/// observation may replace it, regardless of bucket rank.
-const EXEMPLAR_TTL_NANOS: u64 = 15_000_000_000;
-
-/// A trace-linked sample observation attached to a [`Histogram`] — the
-/// OpenMetrics exemplar: "here is one concrete request that landed in this
-/// bucket". High-bucket (slow) observations displace lower ones, so the
-/// stored exemplar points at the worst recent request; after 15 s of
-/// staleness any fresh trace-carrying observation takes over, so the link
-/// never points at an evicted trace forever.
-#[derive(Debug, Clone)]
-pub struct Exemplar {
-    /// Trace id of the observed request (never 0; 0-trace observations are
-    /// not recorded as exemplars).
-    pub trace_id: u64,
-    /// Id of the span whose duration was observed.
-    pub span_id: u64,
-    /// The observed value in seconds (bucket-quantized like the histogram).
-    pub value_seconds: f64,
-    /// When the observation was recorded, in nanoseconds on the trace clock
-    /// ([`crate::now_nanos`]) — the anchor for a `/trace?since=&until=`
-    /// window around the offending request.
-    pub nanos: u64,
-    /// Bucket index of the observation (drives the displacement rule).
-    pub(crate) bucket: usize,
-}
-
 /// A log-bucketed duration histogram (see the module docs for the bucket
 /// scheme and error bound).
 #[derive(Debug)]
@@ -121,7 +94,6 @@ pub struct Histogram {
     buckets: Vec<AtomicU64>,
     count: AtomicU64,
     sum_nanos: AtomicU64,
-    exemplar: Mutex<Option<Exemplar>>,
 }
 
 impl Default for Histogram {
@@ -137,57 +109,17 @@ impl Histogram {
             buckets: (0..HISTOGRAM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
             sum_nanos: AtomicU64::new(0),
-            exemplar: Mutex::new(None),
-        }
-    }
-
-    fn clamp_nanos(seconds: f64) -> u64 {
-        if seconds.is_finite() && seconds > 0.0 {
-            (seconds * 1e9).min(1.8e19) as u64
-        } else {
-            0
         }
     }
 
     /// Record a duration in seconds. Negative or NaN values clamp to zero.
     pub fn observe(&self, seconds: f64) {
-        self.observe_nanos(Self::clamp_nanos(seconds));
-    }
-
-    /// Record a duration and, when `trace_id` is non-zero, offer it as the
-    /// histogram's exemplar. The observation lands in the buckets exactly
-    /// like [`Histogram::observe`]; the exemplar slot keeps whichever recent
-    /// observation sits in the highest bucket (ties and staleness go to the
-    /// newcomer), so `/metrics` can link the *slowest* recent
-    /// request's trace. Passing `trace_id == 0` (tracing disabled) skips the
-    /// slot entirely and costs nothing beyond a plain observation.
-    pub fn observe_with_exemplar(&self, seconds: f64, trace_id: u64, span_id: u64) {
-        let nanos = Self::clamp_nanos(seconds);
-        self.observe_nanos(nanos);
-        if trace_id == 0 {
-            return;
-        }
-        let bucket = bucket_index(nanos);
-        let now = crate::span::now_nanos();
-        let mut slot = lock(&self.exemplar);
-        let replace = match &*slot {
-            None => true,
-            Some(e) => bucket >= e.bucket || now.saturating_sub(e.nanos) > EXEMPLAR_TTL_NANOS,
+        let nanos = if seconds.is_finite() && seconds > 0.0 {
+            (seconds * 1e9).min(1.8e19) as u64
+        } else {
+            0
         };
-        if replace {
-            *slot = Some(Exemplar {
-                trace_id,
-                span_id,
-                value_seconds: nanos as f64 * 1e-9,
-                nanos: now,
-                bucket,
-            });
-        }
-    }
-
-    /// The currently stored exemplar, if any observation carried a trace id.
-    pub fn exemplar(&self) -> Option<Exemplar> {
-        lock(&self.exemplar).clone()
+        self.observe_nanos(nanos);
     }
 
     /// Record a duration in nanoseconds.
@@ -359,9 +291,8 @@ impl MetricsRegistry {
 
     /// Render every metric in Prometheus text-exposition format. Histograms
     /// emit the cumulative `_bucket{le=...}` series plus `_sum`/`_count` and
-    /// derived `_p50`/`_p95`/`_p99` gauges; a stored exemplar is appended to
-    /// its bucket's line in OpenMetrics syntax
-    /// (`... # {trace_id="7",span_id="9"} 0.0042 1.5`).
+    /// derived `_p50`/`_p95`/`_p99` gauges. Every sample line is
+    /// `series value` — the 0.0.4 grammar, which has no exemplars.
     pub fn render_prometheus(&self) -> String {
         let metrics = read(&self.metrics);
         let mut out = String::new();
@@ -379,40 +310,15 @@ impl MetricsRegistry {
                 }
                 Metric::Histogram(h) => {
                     let snap = h.snapshot();
-                    let exemplar = h.exemplar();
-                    let exemplar_text = exemplar.as_ref().map(|e| {
-                        format!(
-                            " # {{trace_id=\"{}\",span_id=\"{}\"}} {} {}",
-                            e.trace_id,
-                            e.span_id,
-                            e.value_seconds,
-                            e.nanos as f64 * 1e-9
-                        )
-                    });
-                    let exemplar_le = exemplar
-                        .as_ref()
-                        .map(|e| bucket_upper_nanos(e.bucket) as f64 * 1e-9);
-                    let mut exemplar_attached = false;
                     type_line(&mut out, &mut announced, base, "histogram");
                     let count = snap.count();
                     let bucket = suffixed(name, "_bucket");
                     for (le, cum) in snap.cumulative() {
                         let series = with_label(&bucket, "le", &le.to_string());
-                        out.push_str(&format!("{series} {cum}"));
-                        if !exemplar_attached && exemplar_le.is_some_and(|ele| le >= ele) {
-                            out.push_str(exemplar_text.as_deref().unwrap_or(""));
-                            exemplar_attached = true;
-                        }
-                        out.push('\n');
+                        out.push_str(&format!("{series} {cum}\n"));
                     }
                     let inf = with_label(&bucket, "le", "+Inf");
-                    out.push_str(&format!("{inf} {count}"));
-                    if !exemplar_attached {
-                        if let Some(t) = &exemplar_text {
-                            out.push_str(t);
-                        }
-                    }
-                    out.push('\n');
+                    out.push_str(&format!("{inf} {count}\n"));
                     out.push_str(&format!(
                         "{} {}\n",
                         suffixed(name, "_sum"),
@@ -609,49 +515,6 @@ mod tests {
     }
 
     #[test]
-    fn exemplar_keeps_highest_bucket_and_skips_zero_trace() {
-        let h = Histogram::new();
-        assert!(h.exemplar().is_none());
-        h.observe_with_exemplar(0.5, 0, 0);
-        assert!(h.exemplar().is_none(), "trace_id 0 must not store");
-        h.observe_with_exemplar(0.5, 7, 70);
-        h.observe_with_exemplar(0.001, 8, 80);
-        let e = h.exemplar().expect("stored");
-        assert_eq!(e.trace_id, 7, "slower observation must stick");
-        h.observe_with_exemplar(1.0, 9, 90);
-        let e = h.exemplar().expect("stored");
-        assert_eq!((e.trace_id, e.span_id), (9, 90), "higher bucket displaces");
-        assert!(e.value_seconds >= 1.0);
-    }
-
-    #[test]
-    fn exemplar_renders_on_matching_bucket_line() {
-        let reg = MetricsRegistry::new();
-        let h = reg.histogram("ftn_latency_seconds");
-        h.observe(0.001);
-        h.observe_with_exemplar(0.2, 42, 43);
-        let text = reg.render_prometheus();
-        let line = text
-            .lines()
-            .find(|l| l.contains("trace_id=\"42\""))
-            .expect("exemplar rendered");
-        assert!(line.starts_with("ftn_latency_seconds_bucket{le=\""));
-        assert!(line.contains("# {trace_id=\"42\",span_id=\"43\"}"));
-        // The exemplar rides the slow bucket's line, not the fast one.
-        let (series, _) = line.split_once(" # ").unwrap();
-        let le: f64 = series
-            .split("le=\"")
-            .nth(1)
-            .unwrap()
-            .split('"')
-            .next()
-            .unwrap()
-            .parse()
-            .unwrap();
-        assert!(le >= 0.2, "attached to a bucket at or above the value");
-    }
-
-    #[test]
     fn escape_label_value_covers_exposition_specials() {
         assert_eq!(escape_label_value("plain"), "plain");
         assert_eq!(escape_label_value("a\\b"), "a\\\\b");
@@ -710,27 +573,25 @@ mod tests {
         );
     }
 
-    /// The locks ignore poisoning: a thread that dies holding the registry
-    /// map or a histogram's exemplar slot must not take `/metrics` (or the
-    /// request path's `observe`) down with it.
+    /// The registry lock ignores poisoning: a thread that dies holding the
+    /// registry map must not take `/metrics` (or a later handle look-up)
+    /// down with it.
     #[test]
     fn a_panic_under_a_lock_does_not_wedge_record_or_render() {
         let reg = Arc::new(MetricsRegistry::new());
         reg.counter("before_total").inc();
         let hist = reg.histogram("latency_seconds");
-        let (r, h) = (Arc::clone(&reg), Arc::clone(&hist));
+        let r = Arc::clone(&reg);
         let died = std::thread::spawn(move || {
             let _map = write(&r.metrics);
-            let _slot = lock(&h.exemplar);
-            panic!("holder dies with both locks held");
+            panic!("holder dies with the lock held");
         })
         .join();
         assert!(died.is_err());
-        assert!(reg.metrics.is_poisoned() && hist.exemplar.is_poisoned());
+        assert!(reg.metrics.is_poisoned());
 
         reg.counter("after_total").inc();
-        hist.observe_with_exemplar(0.25, 7, 9);
-        assert_eq!(hist.exemplar().map(|e| e.trace_id), Some(7));
+        hist.observe(0.25);
         let text = reg.render_prometheus();
         for series in ["before_total 1", "after_total 1", "latency_seconds_count 1"] {
             assert!(text.contains(series), "{series} missing from: {text}");

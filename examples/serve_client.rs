@@ -14,7 +14,9 @@
 //! * the session result is bit-identical to the single-device `Machine`,
 //! * the sharded session result is bit-identical to the unsharded one,
 //! * `/stats` shows the burst reused one connection (keep-alive),
-//! * `GET /metrics` exports the request/queue-wait histograms and
+//! * `GET /metrics` exports the request/queue-wait histograms in the text
+//!   format its Content-Type names (0.0.4: every sample line is exactly
+//!   `series value`, every comment `# TYPE` or `# HELP`) and
 //!   `GET /trace` returns a Chrome trace-event timeline with one lane per
 //!   pool device and the burst's `job.kernel` spans,
 //! * `GET /profile?format=folded` contains a `kernel.execute` frame with
@@ -344,6 +346,18 @@ fn main() {
         "ftn_pool_queue_depth{",
     ] {
         assert!(metrics.contains(needle), "/metrics missing {needle:?}");
+    }
+    for line in metrics.lines() {
+        let well_formed = match line.strip_prefix('#') {
+            Some(comment) => comment.starts_with(" TYPE ") || comment.starts_with(" HELP "),
+            None => line.split_once(' ').is_some_and(|(series, value)| {
+                !series.contains(char::is_whitespace) && value.parse::<f64>().is_ok()
+            }),
+        };
+        assert!(
+            well_formed,
+            "/metrics line outside the 0.0.4 grammar: {line}"
+        );
     }
     let (status, trace) = conn
         .request_text("GET", "/trace", "")

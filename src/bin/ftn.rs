@@ -27,7 +27,7 @@
 //! over a simulated multi-FPGA pool. With `--shards N|auto`, sessions that
 //! do not specify a shard count themselves are sharded across the pool
 //! (ftn-shard; see the README "ftn-serve"/"ftn-shard" sections for the API).
-//! Observability: `GET /metrics` (Prometheus with exemplars; history and
+//! Observability: `GET /metrics` (Prometheus text 0.0.4; history and
 //! alerting are the scraping Prometheus server's), `GET /trace` (Chrome
 //! trace-event JSON) and `GET /profile` — see `docs/OBSERVABILITY.md`.
 
