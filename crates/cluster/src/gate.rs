@@ -9,9 +9,12 @@
 //!   claim's cell between polls instead of sleep-polling the machine lock,
 //!   so a waiter wakes within microseconds of its job's outcome and holds
 //!   the lock only to drain outcomes — never across a blocking receive.
-//!   A wait for a condition — none of an open's arrays held by a job, a
-//!   session quiet before its close — is a wait for the jobs in its way: it
-//!   parks on one blocking job's cell at a time.
+//!   A close's wait for its session to go quiet is a wait for the jobs in
+//!   its way: it parks on one blocking job's cell at a time.
+//! * **Sessionless runs off the lock.** [`PoolGate::run`] places a host
+//!   call under a short lock, runs it on the caller's thread with the lock
+//!   released, and lands it under another: a long host program stalls no
+//!   session on the pool.
 //! * **Phased row exchanges.** Everything that moves a session's rows —
 //!   [`PoolGate::open_phased`], [`PoolGate::refresh_phased`],
 //!   [`PoolGate::close_phased`] — runs
@@ -31,9 +34,10 @@ use std::sync::{Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
 use ftn_core::CompileError;
+use ftn_interp::{Memory, RtValue};
 
 use crate::exchange::ExchangePhase;
-use crate::machine::{ClusterMachine, ClusterRunReport, LaunchHandle, PendingJob};
+use crate::machine::{ClusterMachine, ClusterRunReport, LaunchHandle};
 use crate::session::MapKind;
 use crate::sharded::{HaloRefreshReport, ShardCount, ShardedReport};
 
@@ -61,13 +65,6 @@ fn relock<T>(r: Result<T, std::sync::PoisonError<T>>) -> T {
     // bookkeeping is still coherent (panics are contained per job), so
     // recover the guard rather than wedging every later request.
     r.unwrap_or_else(|e| e.into_inner())
-}
-
-/// The jobs a close of `session` waits for: its launches in flight — none
-/// may be before its rows are fetched. An unknown session has none: the
-/// exchange's begin step reports it as the synchronous path would.
-fn launches_of(session: u64) -> impl Fn(&PendingJob) -> bool {
-    move |p| p.session == Some(session)
 }
 
 impl PoolGate {
@@ -176,25 +173,34 @@ impl PoolGate {
         self.fence_cv.notify_all();
     }
 
+    /// Run host function `func` over `args`, arrays in the caller's own
+    /// `memory`, to completion on the calling thread: placed under a short
+    /// lock, run with the lock released, landed under another short lock.
+    /// No session can map an array of `memory`, so nothing is refused.
+    /// Placement, accounting and errors are [`ClusterMachine::run`]'s.
+    pub fn run(
+        &self,
+        func: &str,
+        args: &[RtValue],
+        memory: &mut Memory,
+    ) -> Result<ClusterRunReport, CompileError> {
+        let call = self.lock().place_call()?;
+        let outcome = call.run(func, args, memory);
+        self.lock().land_call(call, outcome)
+    }
+
     /// Open a session as a *phased* exchange: plan and scatter under a
     /// short lock, then stage every shard onto its device with the lock
     /// released. Nothing is fenced — nobody can address the session before
-    /// the exchange's last step puts it into the table — and the lock is
-    /// taken once no job holds a mapped array, waited off-lock: a
-    /// sessionless job's update has landed in host memory before the
-    /// scatter cuts it. Behavior — including the refusal of an array
-    /// another open session maps — is identical to
-    /// [`ClusterMachine::open_sharded_session`].
+    /// the exchange's last step puts it into the table. Behavior —
+    /// including the refusal of an array another open session maps — is
+    /// identical to [`ClusterMachine::open_sharded_session`].
     pub fn open_phased(
         &self,
-        maps: &[(&str, ftn_interp::RtValue, MapKind, ftn_shard::Partition)],
+        maps: &[(&str, RtValue, MapKind, ftn_shard::Partition)],
         shards: ShardCount,
     ) -> Result<u64, CompileError> {
-        let ids: Vec<_> = (maps.iter())
-            .filter_map(|(_, v, ..)| Some(v.as_memref().ok()?.buffer))
-            .collect();
-        let holders = |p: &PendingJob| p.holds(&ids);
-        self.phased(None, holders, |m| m.open_begin(maps, shards))
+        self.phased(None, false, |m| m.open_begin(maps, shards))
     }
 
     /// Close a session as a *phased* exchange: fenced, its launches in
@@ -204,9 +210,7 @@ impl PoolGate {
     /// refused to every other caller. Behavior is identical to
     /// [`ClusterMachine::close_sharded_session`].
     pub fn close_phased(&self, session: u64) -> Result<ShardedReport, CompileError> {
-        self.phased(Some(session), launches_of(session), |m| {
-            m.close_begin(session)
-        })
+        self.phased(Some(session), true, |m| m.close_begin(session))
     }
 
     /// Run one inter-launch halo refresh as *phased* exchange: gather →
@@ -217,19 +221,21 @@ impl PoolGate {
     /// are FIFO. Behavior (bytes moved, statistics, error cleanup) is
     /// identical to [`ClusterMachine::refresh_halos`].
     pub fn refresh_phased(&self, session: u64) -> Result<HaloRefreshReport, CompileError> {
-        self.phased(Some(session), |_| false, |m| m.halo_begin(session))
+        self.phased(Some(session), false, |m| m.halo_begin(session))
     }
 
-    /// Lock the machine once no pending job `blocks` picks, parking on one
-    /// such job's cell between polls: the lock is only held to drain
-    /// outcomes, and the caller's next step runs under the guard the
-    /// condition was seen under. A job reported between the poll and the
-    /// park has already marked its cell, so the park returns at once.
-    fn lock_when(&self, blocks: impl Fn(&PendingJob) -> bool) -> MutexGuard<'_, ClusterMachine> {
+    /// Lock the machine once none of `quiet`'s launches is in flight,
+    /// parking on one such job's cell between polls: the lock is only held
+    /// to drain outcomes, and the caller's next step runs under the guard
+    /// the condition was seen under. A job reported between the poll and
+    /// the park has already marked its cell, so the park returns at once.
+    /// An unknown session has none: the exchange's begin step reports it as
+    /// the synchronous path would.
+    fn lock_when_quiet(&self, quiet: Option<u64>) -> MutexGuard<'_, ClusterMachine> {
         loop {
             let mut m = self.lock();
             m.poll_outcomes();
-            let Some(cell) = m.blocker(&blocks) else {
+            let Some(cell) = quiet.and_then(|s| m.blocker(s)) else {
                 return m;
             };
             drop(m);
@@ -238,15 +244,15 @@ impl PoolGate {
     }
 
     /// The one phased driver: fence `session` (an open has none yet), wait
-    /// off-lock until no pending job `blocks` `begin` (a close's session's
-    /// launches, an open's arrays' holders), then run the
-    /// row exchange `begin` plans with the machine lock held only to submit
+    /// off-lock until none of its launches is in flight if `quiesce` (a
+    /// close: none may be before its rows are fetched), then run the row
+    /// exchange `begin` plans with the machine lock held only to submit
     /// each phase — the phases' device traffic is waited off-lock on the
     /// claims' cells.
     fn phased<R>(
         &self,
         session: Option<u64>,
-        blocks: impl Fn(&PendingJob) -> bool,
+        quiesce: bool,
         begin: impl FnOnce(&mut ClusterMachine) -> Result<ExchangePhase<R>, CompileError>,
     ) -> Result<R, CompileError> {
         if let Some(s) = session {
@@ -254,7 +260,8 @@ impl PoolGate {
         }
         let result = (|| {
             // Decide, plan and submit the gather under a short lock.
-            let mut ex = match begin(&mut self.lock_when(blocks))? {
+            let quiet = session.filter(|_| quiesce);
+            let mut ex = match begin(&mut self.lock_when_quiet(quiet))? {
                 ExchangePhase::Done(report) => return Ok(report),
                 ExchangePhase::Run(ex) => ex,
             };

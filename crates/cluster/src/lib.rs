@@ -3,17 +3,18 @@
 //! simulator into a pooled, cached, asynchronous system.
 //!
 //! * [`pool`] — [`DevicePool`]: N simulated FPGAs, each behind a persistent
-//!   worker thread owning its executor and device-local memory. Workers are
-//!   reused across launches; nothing is spawned per kernel launch.
+//!   worker thread owning its executor and device-local memory. Workers
+//!   run kernels and row movement only, and are reused across launches;
+//!   nothing is spawned per kernel launch.
 //! * [`cache`] — [`ArtifactCache`]: the content-addressed compile cache,
 //!   with an optional on-disk JSON layer.
 //! * [`machine`] — [`ClusterMachine`]: the pool-level mirror of
-//!   [`ftn_core::Machine`] with `submit`/`wait` asynchrony, per-device
-//!   [`ftn_host::RunStats`] aggregation, and pool occupancy metrics. A
-//!   sessionless job is a whole host-program call placed least-loaded,
-//!   round-robin on ties; kernel-level launches against resident buffers go
-//!   through a session. A job holds the host arrays it names until its
-//!   outcome lands, and whoever needs one of them waits for that job.
+//!   [`ftn_core::Machine`] with one per-device ledger of
+//!   [`ftn_host::RunStats`] and pool occupancy metrics. A sessionless call
+//!   is a whole host program placed least-loaded, round-robin on ties, and
+//!   run to completion where it is called; kernel-level launches against
+//!   resident buffers go through a session. An array an open session maps
+//!   is refused to everyone else.
 //! * [`session`] — the single-device front-ends (`open_session` …
 //!   `close_session`): whole-array spellings of the one-shard case of
 //!   [`sharded`], plus the shared `MapKind` / `SessionStats` vocabulary.
@@ -30,8 +31,8 @@
 //!   session keeps the split it opened with until it closes.
 //!
 //! With a single device and the same call sequence, `ClusterMachine`
-//! produces bit-identical results and statistics to `Machine` — the workers
-//! run the same [`ftn_core::HostProgram`] routine. A scripted session
+//! produces bit-identical results and statistics to `Machine` — a call runs
+//! the same [`ftn_core::HostProgram`] routine. A scripted session
 //! (map → N launches → writeback) is likewise bit-identical, results and
 //! stats, to the equivalent `target data` program run on `Machine`.
 

@@ -1,40 +1,40 @@
 //! [`ClusterMachine`] — the pool-level mirror of [`ftn_core::Machine`]: same
-//! load/alloc/run surface, but host functions can be submitted asynchronously
-//! and are scheduled across N simulated FPGAs.
+//! load/alloc/run surface, with host programs placed across N simulated
+//! FPGAs and sessions that keep arrays resident on them.
 //!
-//! Execution model: the machine owns host memory, and one rule orders every
-//! access to a host array — **a job holds the host arrays it names until its
-//! outcome lands; anyone else who needs one of them waits for that job.**
-//! `submit`, an open and `free_host` each land the pending jobs that hold
-//! their arrays first (`claim_arrays`); `PoolGate` waits for them off-lock,
-//! parked on the blocking job's own cell. An array an open session maps is
-//! refused to everyone else. `submit` then places the job least-loaded
-//! (round-robin on ties), ships every argument's current host contents with
-//! it, and returns a [`LaunchHandle`]. Applying an outcome writes the job's
-//! arguments back into host memory and folds the device's [`RunStats`] into
-//! the pool totals. With one device and the same call sequence, results and
-//! statistics are bit-identical to `Machine`.
+//! A sessionless call ([`ClusterMachine::run`]) runs where it is called, as
+//! the paper's host binary runs on the CPU: its device state is
+//! job-transient (a fresh data environment per call, freed when it returns
+//! by [`ftn_core::HostProgram::run`]'s one reclaim rule), so nothing of it
+//! needs a worker. The pool places it least-loaded (round-robin on ties),
+//! counts it in that device's load while it runs, launches its kernels on
+//! an executor for that device's model over the shared image, and folds its
+//! statistics through the same completion bookkeeping worker outcomes use.
+//! With one device and the same call sequence, results and statistics are
+//! bit-identical to `Machine`: it is the same routine.
+//!
+//! The device workers run kernels and row movement only: a session's
+//! launches and the phases of its row exchanges (see [`crate::sharded`]),
+//! sent straight to their shard's device. A session's sub-buffers are
+//! device-owned from open to close, and no call names them; the one
+//! ownership rule left is that **an array an open session maps is refused
+//! to everyone else** — a run, another open, a free — until its close has
+//! landed its rows. Every job is enqueued, then delivered as one
+//! `WorkerMessage::Job` by `send` the moment it is planned: the one path a
+//! job takes to its worker.
 //!
 //! A job's report has one owner: the cell its handle (the claim), the job
 //! and its pending entry share. Applying an outcome writes the report into
 //! the cell and drops the pending entry; `wait` takes the report from its
 //! own handle's cell, whoever drained the outcome. Nothing else may take
 //! it, and a dropped handle frees its report with the cell.
-//!
-//! [`ClusterMachine::submit`] runs a whole host program function; single
-//! kernels launch against resident buffers through a session (see
-//! [`crate::sharded`]), sent straight to their shard's device: a session's
-//! sub-buffers are device-owned from open to close, and no host call names
-//! them. Every job — a host call, or one of a fan-out's — is enqueued, then
-//! delivered as one `WorkerMessage::Job` by `send` the moment it is planned:
-//! the one path a job takes to its worker.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 use ftn_core::{report_from_stats, Artifacts, CompileError, HostProgram, RunReport};
-use ftn_fpga::{CostModel, DeviceModel, ExecutorImage, ResourceUsage};
+use ftn_fpga::{CostModel, DeviceModel, ExecutorImage, KernelExecutor, ResourceUsage};
 use ftn_host::RunStats;
 use ftn_interp::{Buffer, BufferId, MemRefVal, Memory, RtValue};
 use ftn_trace::MetricsRegistry;
@@ -90,8 +90,6 @@ pub struct KernelTicket {
 pub struct ClusterRunReport {
     /// Device that executed the job.
     pub device: usize,
-    /// The job's pool-wide id.
-    pub job_id: u64,
     /// The standard run report (stats, results, power).
     pub report: RunReport,
 }
@@ -112,7 +110,8 @@ pub struct DevicePoolStats {
     /// transfers) across completed jobs.
     pub busy_sim_seconds: f64,
     /// Device memory arena size after the worker's last post-job reclaim
-    /// of recorded transients (stays flat across jobs).
+    /// of recorded transients (stays flat across jobs; a host call never
+    /// touches it).
     pub arena_buffers: usize,
     /// This device's accumulated run statistics.
     pub stats: RunStats,
@@ -138,7 +137,8 @@ pub struct PoolStats {
     pub aggregate_speedup: f64,
     /// Per-device `busy / makespan` in [0, 1].
     pub occupancy: Vec<f64>,
-    /// Buffers uploaded to a device (host→device staging copies).
+    /// Buffers uploaded to a device by a session's row exchanges (a host
+    /// call's transfers are its own program's, in `totals`).
     pub staged_uploads: u64,
     /// Bytes those uploads moved.
     pub staged_bytes: u64,
@@ -155,7 +155,7 @@ pub struct PoolStats {
 /// Cached handles into the machine's [`MetricsRegistry`] — one atomic
 /// bump per event on the completion path, no registry lookup.
 pub(crate) struct PoolMetrics {
-    /// Wall-clock enqueue→dispatch wait per job.
+    /// Wall-clock enqueue→dispatch wait per worker job.
     pub(crate) queue_wait: Arc<ftn_trace::Histogram>,
     /// Jobs completed pool-wide.
     pub(crate) jobs: Arc<ftn_trace::Counter>,
@@ -178,9 +178,6 @@ impl PoolMetrics {
 
 /// Bookkeeping for a submitted-but-unprocessed job.
 pub(crate) struct PendingJob {
-    /// Host arrays the job holds until its outcome is applied (a host
-    /// call's arguments; none for a session's jobs).
-    pub(crate) arg_ids: Vec<BufferId>,
     /// Kernel name for kernel jobs — the rollup attribution key.
     pub(crate) kernel: Option<String>,
     /// Session the submission ran under, if any (see
@@ -192,16 +189,36 @@ pub(crate) struct PendingJob {
     pub(crate) cell: Arc<JobCell>,
 }
 
-impl PendingJob {
-    /// Whether the job holds one of the host arrays `ids`.
-    pub(crate) fn holds(&self, ids: &[BufferId]) -> bool {
-        self.arg_ids.iter().any(|id| ids.contains(id))
+/// A sessionless call placed on a device, counted in its load until it
+/// lands: what running it needs, with no machine borrowed.
+pub(crate) struct HostCall {
+    device: usize,
+    program: Arc<HostProgram>,
+    executor: KernelExecutor,
+}
+
+impl HostCall {
+    /// Run `func` over `args` in `memory` on the caller's thread, under a
+    /// `host.call` span on its lane.
+    pub(crate) fn run(
+        &self,
+        func: &str,
+        args: &[RtValue],
+        memory: &mut Memory,
+    ) -> Result<(RunStats, Vec<RtValue>), CompileError> {
+        let mut span = ftn_trace::span("host.call", "cluster");
+        span.arg("device", self.device);
+        span.arg("func", func);
+        let model = &self.executor.device;
+        self.program.run(func, args, memory, &self.executor, model)
     }
 }
 
 /// See module docs.
 pub struct ClusterMachine {
     pub(crate) pool: DevicePool,
+    /// The host program every sessionless call runs.
+    program: Arc<HostProgram>,
     /// Pool host memory: every host array and shard sub-buffer lives here.
     pub memory: Memory,
     /// Every host array allocated on this machine (not a session's shard
@@ -209,11 +226,8 @@ pub struct ClusterMachine {
     pub(crate) buffers: HashSet<BufferId>,
     /// Round-robin cursor: where the next least-loaded tie-break starts.
     pub(crate) rr: usize,
+    /// Per device: its jobs in flight, host calls running included.
     pub(crate) loads: Vec<u64>,
-    pub(crate) busy_sim: Vec<f64>,
-    pub(crate) device_stats: Vec<RunStats>,
-    pub(crate) device_jobs: Vec<u64>,
-    pub(crate) arena_buffers: Vec<usize>,
     pub(crate) kernel_resources: ResourceUsage,
     pub(crate) cost_model: CostModel,
     /// job id -> pending bookkeeping; a session's launches in flight are its
@@ -232,9 +246,9 @@ pub struct ClusterMachine {
     /// private registry; `ftn-serve` attaches its server-wide one via
     /// [`ClusterMachine::use_metrics`].
     pub(crate) metrics: PoolMetrics,
-    /// Per-kernel/session/device cost attribution, folded in where jobs
-    /// complete ([`ClusterMachine::apply_outcome`]); read via
-    /// [`ClusterMachine::rollups`].
+    /// Per-kernel/session cost attribution and the per-device ledgers,
+    /// folded in where jobs complete ([`ClusterMachine::complete`]); read
+    /// via [`ClusterMachine::rollups`] and [`ClusterMachine::pool_stats`].
     pub(crate) rollups: Rollups,
     /// Session id stamped onto jobs dispatched while a session launch is on
     /// the stack (set/cleared by `sharded_launch`).
@@ -247,8 +261,8 @@ pub struct ClusterMachine {
 
 impl ClusterMachine {
     /// "Program N FPGAs with the same bitstream and load the host binary."
-    /// The bitstream and host module are parsed once and shared across all
-    /// device workers.
+    /// The bitstream and host module are parsed once: the image is shared
+    /// by every device worker and every sessionless call.
     pub fn load(artifacts: &Artifacts, devices: &[DeviceModel]) -> Result<Self, CompileError> {
         if devices.is_empty() {
             return Err(CompileError::new(
@@ -259,18 +273,15 @@ impl ClusterMachine {
         let image = ExecutorImage::from_bitstream(&artifacts.bitstream)
             .map_err(|e| CompileError::new("cluster-bitstream", e))?;
         let program = Arc::new(HostProgram::parse(&artifacts.host_module_text)?);
-        let pool = DevicePool::spawn(program, Arc::new(image), devices);
+        let pool = DevicePool::spawn(Arc::new(image), devices);
         let n = pool.len();
         Ok(ClusterMachine {
             pool,
+            program,
             memory: Memory::new(),
             buffers: HashSet::new(),
             rr: 0,
             loads: vec![0; n],
-            busy_sim: vec![0.0; n],
-            device_stats: vec![RunStats::default(); n],
-            device_jobs: vec![0; n],
-            arena_buffers: vec![0; n],
             kernel_resources: artifacts.bitstream.kernel_resources(),
             cost_model: CostModel::from_bitstream(&artifacts.bitstream),
             pending: HashMap::new(),
@@ -281,7 +292,7 @@ impl ClusterMachine {
             staged_bytes: 0,
             shard_forced: 0,
             metrics: PoolMetrics::new(&MetricsRegistry::new()),
-            rollups: Rollups::default(),
+            rollups: Rollups::new(n),
             submitting_session: None,
             #[cfg(test)]
             corrupt_next_gather: false,
@@ -311,8 +322,8 @@ impl ClusterMachine {
     }
 
     /// Current per-device queue depth (jobs submitted and not yet
-    /// completed), in device-index order — the `/stats` and
-    /// `ftn_pool_queue_depth` gauge source.
+    /// completed, host calls still running included), in device-index
+    /// order — the `/stats` and `ftn_pool_queue_depth` gauge source.
     pub fn queue_depths(&self) -> Vec<u64> {
         self.loads.clone()
     }
@@ -355,46 +366,14 @@ impl ClusterMachine {
         })
     }
 
-    /// Read back a host f32 array. Only jobs that have been `wait`ed on (or
-    /// a closed session's writeback) are reflected.
+    /// Read back a host f32 array. A session's updates are reflected once
+    /// it is closed.
     pub fn read_f32(&self, v: &RtValue) -> Vec<f32> {
         let m = v.as_memref().expect("memref value");
         match self.memory.get(m.buffer) {
             Buffer::F32(data) => data.clone(),
             other => panic!("expected f32 buffer, got {}", other.type_name()),
         }
-    }
-
-    /// Submit host function `func` asynchronously (whole-program job).
-    /// Placement and staging happen here; execution overlaps with the
-    /// caller until [`ClusterMachine::wait`]. A job still holding one of the
-    /// arguments lands first, so the job stages its update; an array an open
-    /// session maps is refused: its current contents are on the session's
-    /// sub-buffers, and the close would overwrite the result.
-    pub fn submit(&mut self, func: &str, args: &[RtValue]) -> Result<LaunchHandle, CompileError> {
-        let arg_ids = distinct_memref_buffers(args);
-        self.claim_arrays(&arg_ids)?;
-        let device = self.least_loaded();
-        // Every argument is current on the host: its contents travel with
-        // the job, in argument order, and the job holds it until its outcome
-        // writes it back.
-        let staged: Vec<(BufferId, Buffer)> = (arg_ids.iter())
-            .map(|&id| (id, self.memory.get(id).clone()))
-            .collect();
-        let staged_bytes: u64 = staged.iter().map(|(_, c)| c.byte_len() as u64).sum();
-        self.staged_uploads += staged.len() as u64;
-        self.staged_bytes += staged_bytes;
-
-        let kind = JobKind::HostCall {
-            func: func.to_string(),
-        };
-        let spec = JobSpec {
-            args: args.to_vec(),
-            staged,
-            ..JobSpec::new(kind)
-        };
-        let job = self.enqueue(device, arg_ids, spec);
-        self.send(device, job)
     }
 
     /// Plan one shard's kernel launch for the shard's `device` (no
@@ -418,7 +397,7 @@ impl ClusterMachine {
             args: args.to_vec(),
             ..JobSpec::new(kind)
         };
-        (self.enqueue(device, Vec::new(), spec), elided)
+        (self.enqueue(device, spec), elided)
     }
 
     /// Plan a download of the element ranges in `rows` from `device`'s
@@ -430,7 +409,7 @@ impl ClusterMachine {
             fetch_rows: rows,
             ..JobSpec::new(JobKind::Fetch)
         };
-        self.enqueue(device, Vec::new(), spec)
+        self.enqueue(device, spec)
     }
 
     /// Plan the apply half of a row exchange: write `patches` into shard
@@ -453,16 +432,15 @@ impl ClusterMachine {
             patches,
             ..JobSpec::new(JobKind::RowPatch { label })
         };
-        let job = self.enqueue(device, Vec::new(), spec);
+        let job = self.enqueue(device, spec);
         (job, staged, bytes as u64)
     }
 
-    /// Make the host arrays `ids` the caller's — a job's, an open's or a
-    /// free's: refuse an array an open session maps (its current contents
-    /// are on the session's sub-buffers, and the close would overwrite
-    /// whatever the caller did), then land every pending job that holds one
-    /// of them, so host memory has their updates.
-    pub(crate) fn claim_arrays(&mut self, ids: &[BufferId]) -> Result<(), CompileError> {
+    /// Refuse the host arrays `ids` to the caller — a run, an open or a
+    /// free — when an open session maps one: its current contents are on
+    /// the session's sub-buffers, and the close would overwrite whatever the
+    /// caller did.
+    pub(crate) fn refuse_mapped(&self, ids: &[BufferId]) -> Result<(), CompileError> {
         let mapping = (self.sessions.iter())
             .filter(|(_, s)| ids.iter().any(|&id| s.uses_buffer(id)))
             .map(|(&sid, _)| sid);
@@ -472,22 +450,14 @@ impl ClusterMachine {
                 format!("array is mapped by open session {sid}; close it or launch through it"),
             ));
         }
-        self.land(|p| p.holds(ids))
-    }
-
-    /// The cell of a pending job `blocks` picks — the job to wait for — or
-    /// `None` once no pending job is picked.
-    pub(crate) fn blocker(&self, blocks: impl Fn(&PendingJob) -> bool) -> Option<Arc<JobCell>> {
-        let job = self.pending.values().find(|p| blocks(p));
-        job.map(|p| Arc::clone(&p.cell))
-    }
-
-    /// Apply outcomes (blocking) until no pending job `blocks` picks.
-    fn land(&mut self, blocks: impl Fn(&PendingJob) -> bool) -> Result<(), CompileError> {
-        while self.pending.values().any(&blocks) {
-            self.process_one_outcome()?;
-        }
         Ok(())
+    }
+
+    /// The cell of one of `session`'s launches in flight — the job a close
+    /// waits for — or `None` once none is.
+    pub(crate) fn blocker(&self, session: u64) -> Option<Arc<JobCell>> {
+        let job = self.pending.values().find(|p| p.session == Some(session));
+        job.map(|p| Arc::clone(&p.cell))
     }
 
     /// Least-loaded placement: the shallowest queue, ties broken
@@ -503,11 +473,10 @@ impl ClusterMachine {
         device
     }
 
-    /// Free a host array: land any job still holding it, then release its
-    /// pool-memory slot. No device keeps a copy of a host array (a host
-    /// call's are freed with its job), so sustained allocate-run-free
-    /// traffic keeps both host and device arenas flat. Refused while an
-    /// open session maps the array.
+    /// Free a host array: release its pool-memory slot. No device keeps a
+    /// copy of a host array (a host call's device copies are freed when it
+    /// returns), so sustained allocate-run-free traffic keeps both host and
+    /// device arenas flat. Refused while an open session maps the array.
     pub fn free_host(&mut self, v: &RtValue) -> Result<(), CompileError> {
         let m = v
             .as_memref()
@@ -519,7 +488,7 @@ impl ClusterMachine {
                 format!("buffer {id:?} is not allocated on this machine"),
             ));
         }
-        self.claim_arrays(&[id])?;
+        self.refuse_mapped(&[id])?;
         self.buffers.remove(&id);
         self.memory.free(id);
         Ok(())
@@ -540,26 +509,17 @@ impl ClusterMachine {
 
     /// Enter a fully-prepared job for `device` into the pending ledger and
     /// the device's queue depth; [`ClusterMachine::send`] delivers it.
-    /// `arg_ids` are the distinct host arrays the job has in flight until
-    /// its outcome is applied.
-    fn enqueue(&mut self, device: usize, arg_ids: Vec<BufferId>, spec: JobSpec) -> Job {
+    fn enqueue(&mut self, device: usize, spec: JobSpec) -> Job {
         let job_id = self.next_job;
         self.next_job += 1;
         let kernel = match &spec.kind {
             JobKind::Kernel { kernel } => Some(kernel.clone()),
             _ => None,
         };
-        // Patch blocks of host contents are host→device uploads like staged
-        // buffers; counting them here puts exchange bytes on the rollup
-        // attribution path (`/profile/top` bytes_moved) alongside ordinary
-        // staging.
-        let patch_bytes = spec.patches.iter().flat_map(RowPatch::uploads);
-        let staged_bytes: u64 = spec
-            .staged
-            .iter()
-            .map(|(_, contents)| contents.byte_len())
-            .chain(patch_bytes)
-            .sum::<usize>() as u64;
+        // Patch blocks of host contents are host→device uploads; counting
+        // them here puts exchange bytes on the rollup attribution path
+        // (`/profile/top` bytes_moved).
+        let staged_bytes = (spec.patches.iter().flat_map(RowPatch::uploads)).sum::<usize>() as u64;
         let session = self.submitting_session.and_then(|s| self.sessions.get(&s));
         let sink = session.map(|s| Arc::clone(&s.failures));
         let cell = self.pool.cell(sink);
@@ -579,7 +539,6 @@ impl ClusterMachine {
         self.pending.insert(
             job_id,
             PendingJob {
-                arg_ids,
                 kernel,
                 session: self.submitting_session,
                 staged_bytes,
@@ -637,8 +596,8 @@ impl ClusterMachine {
         (handles, None)
     }
 
-    /// Wait for a submitted job, fold its statistics into the pool totals,
-    /// and write its buffers back to host memory.
+    /// Wait for a submitted job: its report, its statistics folded into the
+    /// pool totals and a fetch's rows written back to host memory.
     ///
     /// The report is read from the handle's own cell, so a handle whose
     /// outcome another call already landed (a close, a quiesce, another
@@ -652,15 +611,55 @@ impl ClusterMachine {
         };
         Ok(ClusterRunReport {
             device,
-            job_id: handle.job_id,
             report: report_from_stats(success.stats, success.results, &self.kernel_resources),
         })
     }
 
-    /// Submit-and-wait, mirroring `Machine::run`.
+    /// Run host function `func` over `args` to completion on the calling
+    /// thread, mirroring `Machine::run` (see the module docs). An array an
+    /// open session maps is refused: its current contents are on the
+    /// session's sub-buffers, and the close would overwrite the result.
     pub fn run(&mut self, func: &str, args: &[RtValue]) -> Result<ClusterRunReport, CompileError> {
-        let handle = self.submit(func, args)?;
-        self.wait(handle)
+        self.refuse_mapped(&distinct_memref_buffers(args))?;
+        let call = self.place_call()?;
+        let outcome = call.run(func, args, &mut self.memory);
+        self.land_call(call, outcome)
+    }
+
+    /// Place a sessionless call: least-loaded, round-robin on ties, and
+    /// counted in that device's load until [`ClusterMachine::land_call`].
+    /// A call placed on a dead worker's device fails here, as a job sent
+    /// there does.
+    pub(crate) fn place_call(&mut self) -> Result<HostCall, CompileError> {
+        let device = self.least_loaded();
+        if !self.pool.is_alive(device) {
+            let gone = format!("device {device} worker is gone");
+            return Err(CompileError::new("cluster-submit", gone));
+        }
+        self.loads[device] += 1;
+        Ok(HostCall {
+            device,
+            program: Arc::clone(&self.program),
+            executor: self.pool.executor(device),
+        })
+    }
+
+    /// Land a placed call: its device's load drops, and a completed run is
+    /// folded through [`ClusterMachine::complete`] — no queue wait, no
+    /// staged bytes, no kernel or session row.
+    pub(crate) fn land_call(
+        &mut self,
+        call: HostCall,
+        outcome: Result<(RunStats, Vec<RtValue>), CompileError>,
+    ) -> Result<ClusterRunReport, CompileError> {
+        self.loads[call.device] -= 1;
+        let (stats, results) =
+            outcome.map_err(|e| CompileError::new("cluster-run", e.to_string()))?;
+        self.complete(None, call.device, &stats, 0.0, 0);
+        Ok(ClusterRunReport {
+            device: call.device,
+            report: report_from_stats(stats, results, &self.kernel_resources),
+        })
     }
 
     /// Drain any outcomes the workers have already produced, without
@@ -676,7 +675,10 @@ impl ClusterMachine {
     /// outcome applied, its report in its claim's cell (no wait at all after
     /// `PoolGate`'s off-lock quiesce).
     pub(crate) fn quiesce(&mut self, session: u64) -> Result<(), CompileError> {
-        self.land(|p| p.session == Some(session))
+        while self.pending.values().any(|p| p.session == Some(session)) {
+            self.process_one_outcome()?;
+        }
+        Ok(())
     }
 
     /// Receive one worker outcome (blocking) and apply its bookkeeping.
@@ -696,72 +698,69 @@ impl ClusterMachine {
         } = outcome;
         self.loads[device] = self.loads[device].saturating_sub(1);
         let pending = self.pending.remove(&job_id);
-        let stored = match result {
-            Ok(mut success) => {
-                let mut writeback_bytes = 0u64;
-                // Outcomes arrive in submission order for any one array (see
-                // module docs), so each writeback is the newest contents.
-                for (host_id, contents) in std::mem::take(&mut success.writeback) {
-                    writeback_bytes += contents.byte_len() as u64;
-                    *self.memory.get_mut(host_id) = contents;
-                }
-                self.busy_sim[device] += success.sim_busy_seconds;
-                self.device_stats[device].merge(&success.stats);
-                self.device_jobs[device] += 1;
-                self.arena_buffers[device] = success.arena_buffers;
-                self.metrics.jobs.inc();
-                self.metrics.queue_wait.observe(success.queue_wait_seconds);
-                if let Some(p) = &pending {
-                    self.rollups.record(
-                        p.kernel.as_deref(),
-                        p.session,
-                        device,
-                        success.stats.total_cycles,
-                        success.sim_busy_seconds,
-                        success.queue_wait_seconds,
-                        p.staged_bytes + writeback_bytes,
-                    );
-                }
-                Ok((device, success))
+        let stored = result.map(|mut success| {
+            let mut writeback_bytes = 0u64;
+            // Each fetched block lands in a buffer only its exchange reads.
+            for (host_id, contents) in std::mem::take(&mut success.writeback) {
+                writeback_bytes += contents.byte_len() as u64;
+                *self.memory.get_mut(host_id) = contents;
             }
-            Err(msg) => Err(msg),
-        };
+            self.rollups.devices[device].arena_buffers = success.arena_buffers;
+            self.metrics.queue_wait.observe(success.queue_wait_seconds);
+            let bytes = writeback_bytes + pending.as_ref().map_or(0, |p| p.staged_bytes);
+            let wait = success.queue_wait_seconds;
+            self.complete(pending.as_ref(), device, &success.stats, wait, bytes);
+            (device, success)
+        });
         if let Some(p) = pending {
             p.cell.settle(stored);
         }
     }
 
-    /// Pool statistics over completed (waited) jobs.
+    /// The one completion bookkeeping, for a worker job's outcome and a host
+    /// call alike: the device's ledger (jobs, stats, busy simulated time),
+    /// the kernel and session rows the job names, and
+    /// `ftn_pool_jobs_total`.
+    fn complete(
+        &mut self,
+        job: Option<&PendingJob>,
+        device: usize,
+        stats: &RunStats,
+        wait: f64,
+        bytes: u64,
+    ) {
+        let keys = job.map_or((None, None), |p| (p.kernel.as_deref(), p.session));
+        self.rollups.record(keys, device, stats, wait, bytes);
+        self.metrics.jobs.inc();
+    }
+
+    /// Pool statistics over completed jobs, read from the per-device
+    /// ledgers.
     pub fn pool_stats(&self) -> PoolStats {
-        let devices: Vec<DevicePoolStats> = self
-            .pool
-            .slots
-            .iter()
-            .enumerate()
-            .map(|(i, slot)| DevicePoolStats {
+        let ledgers = self.pool.slots.iter().zip(&self.rollups.devices);
+        let devices: Vec<DevicePoolStats> = (ledgers.enumerate())
+            .map(|(i, (slot, d))| DevicePoolStats {
                 device: i,
                 name: slot.model.name.clone(),
                 clock_mhz: slot.model.clock_mhz,
-                jobs: self.device_jobs[i],
-                busy_sim_seconds: self.busy_sim[i],
-                arena_buffers: self.arena_buffers[i],
-                stats: self.device_stats[i].clone(),
+                jobs: d.row.jobs,
+                busy_sim_seconds: d.row.wall_seconds,
+                arena_buffers: d.arena_buffers,
+                stats: d.stats.clone(),
             })
             .collect();
         let mut totals = RunStats::default();
         for d in &devices {
             totals.merge(&d.stats);
         }
-        let serial: f64 = self.busy_sim.iter().sum();
-        let makespan = self.busy_sim.iter().cloned().fold(0.0f64, f64::max);
+        let busy = || devices.iter().map(|d| d.busy_sim_seconds);
+        let serial: f64 = busy().sum();
+        let makespan = busy().fold(0.0f64, f64::max);
         PoolStats {
-            jobs: self.device_jobs.iter().sum(),
-            occupancy: self
-                .busy_sim
-                .iter()
+            jobs: devices.iter().map(|d| d.jobs).sum(),
+            occupancy: busy()
                 .map(|b| if makespan > 0.0 { b / makespan } else { 0.0 })
                 .collect(),
-            devices,
             totals,
             makespan_sim_seconds: makespan,
             serial_sim_seconds: serial,
@@ -775,6 +774,7 @@ impl ClusterMachine {
             shard_forced: self.shard_forced,
             host_buffers: self.memory.live(),
             host_bytes: self.memory.live_bytes(),
+            devices,
         }
     }
 }

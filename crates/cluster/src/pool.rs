@@ -3,12 +3,11 @@
 //! device-side [`Memory`], and a FIFO job queue. Workers are reused across
 //! launches — no thread is ever spawned per kernel launch.
 //!
-//! Workers understand two compute jobs plus the two halves of the row
-//! exchange that moves a session's data (`crate::exchange`):
-//! * `JobKind::HostCall` — run a whole host program function (the
-//!   `Machine`-equivalent path; the program performs its own device maps
-//!   over job-transient copies of its arguments, which are moved back to
-//!   the host on completion).
+//! Workers run kernels and row movement: one compute job plus the two
+//! halves of the row exchange that moves a session's data
+//! (`crate::exchange`). A sessionless host program never comes here: it
+//! runs where it is called (`ClusterMachine::run`), and only its placement
+//! and accounting go through the pool.
 //! * `JobKind::Kernel` — execute one device kernel directly against the
 //!   worker's resident shard mirrors (`target data` sessions launch these;
 //!   nothing is staged, and nothing is written back until the session's
@@ -25,14 +24,13 @@
 //! shared with the caller's claim and the machine's pending entry. The
 //! worker sends the outcome on the pool channel, then marks the cell
 //! reported, waking whoever waits for that job — its claim, or a `PoolGate`
-//! caller that needs an array or a session the job holds.
+//! close that waits for its session's launches.
 //!
 //! After each job the worker frees every allocation the job recorded, so
-//! transient device allocations (a host call's argument copies, its
-//! program's data-environment buffers, kernel-local scratch) do not
-//! accumulate across the life of the pool. The only persistent device
-//! buffers are session sub-buffer mirrors, created by a `RowPatch` and kept
-//! until the session releases the sub-buffer with a `WorkerMessage::Evict`.
+//! kernel-local scratch does not accumulate across the life of the pool.
+//! The only persistent device buffers are session sub-buffer mirrors,
+//! created by a `RowPatch` and kept until the session releases the
+//! sub-buffer with a `WorkerMessage::Evict`.
 
 use std::collections::HashMap;
 #[cfg(test)]
@@ -42,15 +40,12 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use ftn_core::HostProgram;
-use ftn_fpga::{DeviceModel, KernelExecutor};
+use ftn_fpga::{DeviceModel, ExecutorImage, KernelExecutor};
 use ftn_host::RunStats;
 use ftn_interp::{Buffer, BufferId, Memory, RtValue};
 
 /// What a job asks the worker to execute.
 pub(crate) enum JobKind {
-    /// Run host function `func` end-to-end.
-    HostCall { func: String },
     /// Execute device kernel `kernel` against resident buffers. The mirror
     /// stays authoritative; the session fetches once at close.
     Kernel { kernel: String },
@@ -67,7 +62,6 @@ pub(crate) enum JobKind {
 /// The worker-lane span name for a job kind (see docs/OBSERVABILITY.md).
 pub(crate) fn kind_label(kind: &JobKind) -> &'static str {
     match kind {
-        JobKind::HostCall { .. } => "job.host_call",
         JobKind::Kernel { .. } => "job.kernel",
         JobKind::Fetch => "job.fetch",
         JobKind::RowPatch { label } => label,
@@ -150,13 +144,9 @@ impl RowPatch {
 /// context [`Job`] adds at dispatch.
 pub(crate) struct JobSpec {
     pub kind: JobKind,
-    /// Arguments; memrefs reference *host* buffer ids and are remapped to
-    /// the worker's local memory before execution.
+    /// Arguments; memrefs reference *host* buffer ids of resident mirrors
+    /// and are remapped to the worker's local memory before execution.
     pub args: Vec<RtValue>,
-    /// For `JobKind::HostCall`: every distinct argument buffer, in argument
-    /// order, with its current host contents — the job's own copies. Not
-    /// charged: the program's own dma ops account for its transfers.
-    pub staged: Vec<(BufferId, Buffer)>,
     /// For `JobKind::Fetch`: the element ranges to download.
     pub fetch_rows: Vec<RowFetch>,
     /// For `JobKind::RowPatch`: the mirror patches to apply.
@@ -168,7 +158,6 @@ impl JobSpec {
         JobSpec {
             kind,
             args: Vec::new(),
-            staged: Vec::new(),
             fetch_rows: Vec::new(),
             patches: Vec::new(),
         }
@@ -207,13 +196,9 @@ pub(crate) struct JobOutcome {
 pub(crate) struct JobSuccess {
     pub stats: RunStats,
     pub results: Vec<RtValue>,
-    /// Final contents of buffers to write back to host memory when the
-    /// outcome is processed: a host call's argument copies (all
-    /// conservatively treated as written), a fetch's rows.
+    /// A fetch's rows, written over their host buffers when the outcome is
+    /// processed.
     pub writeback: Vec<(BufferId, Buffer)>,
-    /// Simulated seconds this job occupied the device timeline (kernel wall
-    /// time + PCIe transfers).
-    pub sim_busy_seconds: f64,
     /// Live device-memory buffers after the post-job transient reclaim
     /// (regression signal for unbounded growth in long-lived pools).
     pub arena_buffers: usize,
@@ -356,10 +341,11 @@ pub(crate) struct DeviceSlot {
 }
 
 /// N simulated FPGAs, each behind a persistent worker thread with a FIFO
-/// job queue. One parsed bitstream image and one parsed host program are
-/// shared across all workers.
+/// job queue. One parsed bitstream image is shared across all workers and
+/// the sessionless calls placed on them.
 pub struct DevicePool {
     pub(crate) slots: Vec<DeviceSlot>,
+    image: Arc<ExecutorImage>,
     pub(crate) outcomes: Receiver<JobOutcome>,
     /// Whether every worker can have a CPU of its own (see [`affinity`]).
     pub(crate) cpu_each: bool,
@@ -370,25 +356,16 @@ pub struct DevicePool {
 
 impl DevicePool {
     /// Spawn one worker per device model.
-    pub fn spawn(
-        program: Arc<HostProgram>,
-        image: Arc<ftn_fpga::ExecutorImage>,
-        devices: &[DeviceModel],
-    ) -> Self {
+    pub fn spawn(image: Arc<ExecutorImage>, devices: &[DeviceModel]) -> Self {
         let (outcome_tx, outcomes) = std::sync::mpsc::channel();
         let slots = devices
             .iter()
             .enumerate()
             .map(|(index, model)| {
                 let (job_tx, job_rx) = std::sync::mpsc::channel();
-                let thread = spawn_worker(
-                    index,
-                    model.clone(),
-                    Arc::clone(&program),
-                    KernelExecutor::from_image(Arc::clone(&image), model.clone()),
-                    job_rx,
-                    outcome_tx.clone(),
-                );
+                let executor = KernelExecutor::from_image(Arc::clone(&image), model.clone());
+                let thread =
+                    spawn_worker(index, model.clone(), executor, job_rx, outcome_tx.clone());
                 DeviceSlot {
                     model: model.clone(),
                     sender: job_tx,
@@ -398,6 +375,7 @@ impl DevicePool {
             .collect();
         DevicePool {
             slots,
+            image,
             outcomes,
             cpu_each: devices.len() <= affinity(None).count_ones() as usize,
             #[cfg(test)]
@@ -438,10 +416,18 @@ impl DevicePool {
     /// worker thread has exited (clean shutdown or a crash that escaped the
     /// panic guard). The `/healthz` readiness probe reads this.
     pub fn alive(&self) -> Vec<bool> {
-        self.slots
-            .iter()
-            .map(|s| s.thread.as_ref().is_some_and(|t| !t.is_finished()))
-            .collect()
+        (0..self.len()).map(|d| self.is_alive(d)).collect()
+    }
+
+    pub(crate) fn is_alive(&self, device: usize) -> bool {
+        let thread = self.slots[device].thread.as_ref();
+        thread.is_some_and(|t| !t.is_finished())
+    }
+
+    /// An executor for `device`'s model over the shared image: what a
+    /// sessionless call placed there launches its kernels on.
+    pub(crate) fn executor(&self, device: usize) -> KernelExecutor {
+        KernelExecutor::from_image(Arc::clone(&self.image), self.slots[device].model.clone())
     }
 }
 
@@ -461,7 +447,6 @@ impl Drop for DevicePool {
 /// Worker state: everything device-local.
 struct Worker {
     index: usize,
-    program: Arc<HostProgram>,
     executor: KernelExecutor,
     model: DeviceModel,
     memory: Memory,
@@ -470,34 +455,14 @@ struct Worker {
 }
 
 impl Worker {
-    /// Remap argument memrefs host id → local id: to the job's `staged`
-    /// copies (a host call's), else to the resident mirrors (a kernel
-    /// job's). Returns the distinct `(host, local)` pairs in
-    /// first-appearance order.
-    fn remap_args(
-        &self,
-        args: &mut [RtValue],
-        staged: &[(BufferId, BufferId)],
-    ) -> Result<Vec<(BufferId, BufferId)>, String> {
-        let mut arg_buffers: Vec<(BufferId, BufferId)> = Vec::new();
+    /// Remap argument memrefs host id → local id of their resident mirror.
+    fn remap_args(&self, args: &mut [RtValue]) -> Result<(), String> {
         for a in args.iter_mut() {
             if let RtValue::MemRef(m) = a {
-                let copy = staged.iter().find(|&&(host, _)| host == m.buffer);
-                let copy = copy.map(|&(_, local)| local);
-                let local = copy.or_else(|| self.mirror.get(&m.buffer).copied());
-                let local = local.ok_or_else(|| {
-                    format!(
-                        "device {}: argument buffer {:?} neither staged nor resident",
-                        self.index, m.buffer
-                    )
-                })?;
-                if !arg_buffers.iter().any(|&(h, _)| h == m.buffer) {
-                    arg_buffers.push((m.buffer, local));
-                }
-                m.buffer = local;
+                m.buffer = self.resident(m.buffer)?;
             }
         }
-        Ok(arg_buffers)
+        Ok(())
     }
 
     /// Local id of the mirror behind host buffer `host`.
@@ -566,90 +531,32 @@ impl Worker {
             self.mirror.insert(patch.target, local);
         }
 
-        // Everything allocated from here on is job-transient (a host call's
-        // argument copies, its program's device data environment,
-        // kernel-local scratch) and is freed after the job — on the error
-        // and panic paths too. Recording (not a bare high-water mark)
+        // Everything allocated from here on is job-transient (kernel-local
+        // scratch) and is freed after the job — on the error and panic paths
+        // too: a session retrying a failing kernel would otherwise grow the
+        // arena without bound. Recording (not a bare high-water mark)
         // captures transients that reuse slots of evicted mirror buffers.
         self.memory.start_recording();
-        let outcome = self.execute_recorded(job, &mut stats);
-        let transient = self.memory.take_recorded();
-        let (mut results, writeback, arg_buffers) = match outcome {
-            Ok(parts) => parts,
-            Err(e) => {
-                // A failed job produces no results; its transients must not
-                // outlive it (a session retrying a failing kernel would
-                // otherwise grow the arena without bound).
-                for id in transient {
-                    self.memory.free(id);
-                }
-                return Err(e);
-            }
-        };
-
-        // Map result memrefs back to host ids where they alias arguments,
-        // then free job-transient allocations. A result referencing a fresh
-        // (non-argument) buffer must keep the program's transients intact;
-        // the argument copies, already moved out, go regardless.
-        let mut fresh_result = false;
-        for r in &mut results {
-            if let RtValue::MemRef(m) = r {
-                if let Some(&(host, _)) = arg_buffers.iter().find(|&&(_, l)| l == m.buffer) {
-                    m.buffer = host;
-                } else if transient.contains(&m.buffer) {
-                    fresh_result = true;
-                }
-            }
+        let outcome = self.execute_recorded(job, stats);
+        for id in self.memory.take_recorded() {
+            self.memory.free(id);
         }
-        for id in transient {
-            if !fresh_result || arg_buffers.iter().any(|&(_, local)| local == id) {
-                self.memory.free(id);
-            }
-        }
-
-        let sim_busy_seconds = stats.kernel_wall_seconds + stats.transfer_seconds;
-        Ok(JobSuccess {
-            stats,
-            results,
-            writeback,
-            sim_busy_seconds,
-            arena_buffers: self.memory.live(),
-            queue_wait_seconds: 0.0,
-        })
+        let mut success = outcome?;
+        success.arena_buffers = self.memory.live();
+        Ok(success)
     }
 
-    /// Steps 2–3 of a job — everything that allocates job-transient memory.
-    /// Returns `(results, writeback, arg_buffers)`; the caller reclaims
-    /// recorded transients on both paths.
-    #[allow(clippy::type_complexity)]
+    /// Step 2 of a job — everything that allocates job-transient memory:
+    /// run the kernel against the resident mirrors, then download the
+    /// requested element ranges.
     fn execute_recorded(
         &mut self,
         job: JobSpec,
-        stats: &mut RunStats,
-    ) -> Result<
-        (
-            Vec<RtValue>,
-            Vec<(BufferId, Buffer)>,
-            Vec<(BufferId, BufferId)>,
-        ),
-        String,
-    > {
-        // 2. Stage a host call's argument copies, remap argument memrefs and
-        // execute per job kind.
-        let staged: Vec<(BufferId, BufferId)> = (job.staged.into_iter())
-            .map(|(host, contents)| (host, self.memory.alloc(contents, 0)))
-            .collect();
+        mut stats: RunStats,
+    ) -> Result<JobSuccess, String> {
         let mut args = job.args;
-        let arg_buffers = self.remap_args(&mut args, &staged)?;
+        self.remap_args(&mut args)?;
         let results = match &job.kind {
-            JobKind::HostCall { func } => {
-                let (run_stats, results) = self
-                    .program
-                    .run(func, &args, &mut self.memory, &self.executor, &self.model)
-                    .map_err(|e| e.to_string())?;
-                stats.merge(&run_stats);
-                results
-            }
             JobKind::Kernel { kernel } => {
                 let es = self
                     .executor
@@ -660,19 +567,9 @@ impl Worker {
             }
             JobKind::Fetch | JobKind::RowPatch { .. } => Vec::new(),
         };
-
-        // 3. Collect writeback contents: a host call's argument copies move
-        // out with the outcome.
-        let mut writeback = Vec::with_capacity(arg_buffers.len());
-        if matches!(job.kind, JobKind::HostCall { .. }) {
-            for &(host, local) in &arg_buffers {
-                let contents =
-                    std::mem::replace(self.memory.get_mut(local), Buffer::I1(Vec::new()));
-                writeback.push((host, contents));
-            }
-        }
         // Only the requested element ranges travel back — a row exchange
         // never round-trips whole shards through the host.
+        let mut writeback = Vec::with_capacity(job.fetch_rows.len());
         for rf in &job.fetch_rows {
             let local = self.resident(rf.src)?;
             let contents = ftn_shard::slice_of(self.memory.get(local), rf.start, rf.len)
@@ -681,8 +578,20 @@ impl Worker {
             stats.transfers += 1;
             writeback.push((rf.dst, contents));
         }
-        Ok((results, writeback, arg_buffers))
+        Ok(JobSuccess {
+            stats,
+            results,
+            writeback,
+            arena_buffers: 0,
+            queue_wait_seconds: 0.0,
+        })
     }
+}
+
+/// Simulated seconds a job's statistics occupy its device's timeline:
+/// kernel wall time plus PCIe transfers.
+pub(crate) fn busy_seconds(stats: &RunStats) -> f64 {
+    stats.kernel_wall_seconds + stats.transfer_seconds
 }
 
 /// A zeroed buffer of `len` elements with `like`'s type.
@@ -725,10 +634,8 @@ fn run_and_report(worker: &mut Worker, job: Job, outcomes: &Sender<JobOutcome>) 
             .map(|r| {
                 r.map(|mut success| {
                     success.queue_wait_seconds = queue_wait_seconds;
-                    span.arg(
-                        "sim_busy_us",
-                        format!("{:.1}", success.sim_busy_seconds * 1e6),
-                    );
+                    let busy = busy_seconds(&success.stats);
+                    span.arg("sim_busy_us", format!("{:.1}", busy * 1e6));
                     success
                 })
             })
@@ -765,7 +672,6 @@ fn run_and_report(worker: &mut Worker, job: Job, outcomes: &Sender<JobOutcome>) 
 pub(crate) fn spawn_worker(
     index: usize,
     model: DeviceModel,
-    program: Arc<HostProgram>,
     executor: KernelExecutor,
     jobs: Receiver<WorkerMessage>,
     outcomes: Sender<JobOutcome>,
@@ -775,7 +681,6 @@ pub(crate) fn spawn_worker(
         .spawn(move || {
             let mut worker = Worker {
                 index,
-                program,
                 executor,
                 model,
                 memory: Memory::new(),

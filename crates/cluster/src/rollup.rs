@@ -1,6 +1,7 @@
 //! Attribution rollups: per-kernel, per-session and per-device cost
 //! counters folded in where jobs complete ([`crate::ClusterMachine`]'s
-//! outcome path), behind `GET /profile/top` in the serve stack.
+//! completion bookkeeping, shared by worker outcomes and sessionless host
+//! calls), behind `GET /profile/top` in the serve stack.
 //!
 //! Spans answer *where did this request's time go*; rollups answer the dual
 //! fleet-level question — *which kernel / session / device is burning the
@@ -9,10 +10,15 @@
 //! submitting session (when launched through one), and its device (always).
 //! Costs tracked per row: completed jobs, simulated device cycles, simulated
 //! wall seconds, wall-clock queue wait, and bytes moved host↔device
-//! (staged uploads plus writebacks).
+//! (staged uploads plus writebacks). A host call runs where it is called:
+//! it waits in no queue and stages nothing, so it adds neither.
+//!
+//! A device's row is part of its one ledger (`DeviceLedger`), which
+//! `pool_stats()` reads too: nothing about a device is recorded twice.
 
 use std::collections::BTreeMap;
 
+use ftn_host::RunStats;
 use serde::Serialize;
 
 /// The attribution axis of a [`crate::ClusterMachine::rollups`] query.
@@ -58,76 +64,100 @@ pub struct RollupRow {
 }
 
 impl RollupRow {
-    fn add(
-        &mut self,
-        sim_cycles: u64,
-        wall_seconds: f64,
-        queue_wait_seconds: f64,
-        bytes_moved: u64,
-    ) {
+    /// Add one completed job: its cycles and busy simulated seconds, its
+    /// queue wait and the bytes it moved.
+    fn add(&mut self, stats: &RunStats, queue_wait_seconds: f64, bytes_moved: u64) {
         self.jobs += 1;
-        self.sim_cycles += sim_cycles;
-        self.wall_seconds += wall_seconds;
+        self.sim_cycles += stats.total_cycles;
+        self.wall_seconds += crate::pool::busy_seconds(stats);
         self.queue_wait_seconds += queue_wait_seconds;
         self.bytes_moved += bytes_moved;
     }
 }
 
-/// The machine's rollup tables (one per axis).
+/// The row of `key` in `table`, started empty.
+fn row<K: Ord + ToString>(table: &mut BTreeMap<K, RollupRow>, key: K) -> &mut RollupRow {
+    let text = key.to_string();
+    (table.entry(key)).or_insert_with(|| RollupRow {
+        key: text,
+        ..RollupRow::default()
+    })
+}
+
+/// Everything one device's completed jobs cost: its attribution row (jobs,
+/// cycles, busy simulated seconds, queue wait, bytes) and its accumulated
+/// run statistics, written once per job.
+#[derive(Debug, Default)]
+pub(crate) struct DeviceLedger {
+    pub(crate) row: RollupRow,
+    pub(crate) stats: RunStats,
+    /// Device arena size after the worker's last job (host calls never touch
+    /// a worker's arena).
+    pub(crate) arena_buffers: usize,
+}
+
+/// The machine's rollup tables: one map per attribution axis, and the
+/// per-device ledgers.
 #[derive(Debug, Default)]
 pub(crate) struct Rollups {
     by_kernel: BTreeMap<String, RollupRow>,
     by_session: BTreeMap<u64, RollupRow>,
-    by_device: BTreeMap<usize, RollupRow>,
+    pub(crate) devices: Vec<DeviceLedger>,
 }
 
 impl Rollups {
-    /// Fold one completed job into the tables.
-    #[allow(clippy::too_many_arguments)]
+    /// Empty tables for a pool of `devices` devices.
+    pub(crate) fn new(devices: usize) -> Rollups {
+        let ledger = |d: usize| {
+            let row = RollupRow {
+                key: d.to_string(),
+                ..RollupRow::default()
+            };
+            DeviceLedger {
+                row,
+                ..DeviceLedger::default()
+            }
+        };
+        let devices = (0..devices).map(ledger).collect();
+        Rollups {
+            devices,
+            ..Rollups::default()
+        }
+    }
+
+    /// Fold one completed job into its device's ledger, and into its
+    /// kernel's and session's rows when it has them.
     pub(crate) fn record(
         &mut self,
-        kernel: Option<&str>,
-        session: Option<u64>,
+        (kernel, session): (Option<&str>, Option<u64>),
         device: usize,
-        sim_cycles: u64,
-        wall_seconds: f64,
+        stats: &RunStats,
         queue_wait_seconds: f64,
         bytes_moved: u64,
     ) {
-        if let Some(kernel) = kernel {
-            self.by_kernel
-                .entry(kernel.to_string())
-                .or_insert_with(|| RollupRow {
-                    key: kernel.to_string(),
-                    ..RollupRow::default()
-                })
-                .add(sim_cycles, wall_seconds, queue_wait_seconds, bytes_moved);
+        let kernel = kernel.map(|k| row(&mut self.by_kernel, k.to_string()));
+        let session = session.map(|s| row(&mut self.by_session, s));
+        let ledger = &mut self.devices[device];
+        for row in [kernel, session, Some(&mut ledger.row)]
+            .into_iter()
+            .flatten()
+        {
+            row.add(stats, queue_wait_seconds, bytes_moved);
         }
-        if let Some(session) = session {
-            self.by_session
-                .entry(session)
-                .or_insert_with(|| RollupRow {
-                    key: session.to_string(),
-                    ..RollupRow::default()
-                })
-                .add(sim_cycles, wall_seconds, queue_wait_seconds, bytes_moved);
-        }
-        self.by_device
-            .entry(device)
-            .or_insert_with(|| RollupRow {
-                key: device.to_string(),
-                ..RollupRow::default()
-            })
-            .add(sim_cycles, wall_seconds, queue_wait_seconds, bytes_moved);
+        ledger.stats.merge(stats);
     }
 
     /// The rows of one axis, costliest first (by simulated cycles, then by
-    /// wall seconds for cycle-free rows like uploads).
+    /// wall seconds for cycle-free rows like uploads). A device that has
+    /// completed nothing has no row.
     pub(crate) fn rows(&self, by: RollupBy) -> Vec<RollupRow> {
         let mut rows: Vec<RollupRow> = match by {
             RollupBy::Kernel => self.by_kernel.values().cloned().collect(),
             RollupBy::Session => self.by_session.values().cloned().collect(),
-            RollupBy::Device => self.by_device.values().cloned().collect(),
+            RollupBy::Device => (self.devices.iter().map(|d| &d.row))
+                .filter(|row| row.jobs > 0)
+                .cloned()
+                .collect(),
         };
         rows.sort_by(|a, b| {
             b.sim_cycles
@@ -143,14 +173,35 @@ impl Rollups {
 mod tests {
     use super::*;
 
+    /// A job's statistics: `cycles` over `busy` simulated seconds.
+    fn ran(cycles: u64, busy: f64) -> RunStats {
+        RunStats {
+            total_cycles: cycles,
+            kernel_wall_seconds: busy,
+            ..RunStats::default()
+        }
+    }
+
     #[test]
     fn rows_rank_by_cycles_and_attribute_per_axis() {
-        let mut r = Rollups::default();
-        r.record(Some("saxpy_kernel0"), Some(1), 0, 100, 0.5, 0.01, 64);
-        r.record(Some("saxpy_kernel0"), Some(1), 1, 150, 0.6, 0.02, 32);
-        r.record(Some("sdot_kernel0"), Some(2), 0, 900, 1.0, 0.03, 16);
+        let mut r = Rollups::new(2);
+        r.record(
+            (Some("saxpy_kernel0"), Some(1)),
+            0,
+            &ran(100, 0.5),
+            0.01,
+            64,
+        );
+        r.record(
+            (Some("saxpy_kernel0"), Some(1)),
+            1,
+            &ran(150, 0.6),
+            0.02,
+            32,
+        );
+        r.record((Some("sdot_kernel0"), Some(2)), 0, &ran(900, 1.0), 0.03, 16);
         // An upload: no kernel, no session attribution, device row only.
-        r.record(None, None, 1, 0, 0.1, 0.0, 4096);
+        r.record((None, None), 1, &ran(0, 0.1), 0.0, 4096);
 
         let kernels = r.rows(RollupBy::Kernel);
         assert_eq!(kernels.len(), 2);
@@ -171,15 +222,18 @@ mod tests {
         assert_eq!(devices[0].key, "0", "device 0 has 1000 cycles");
         assert_eq!(devices[1].jobs, 2, "upload counted on its device");
         assert_eq!(devices[1].bytes_moved, 4128);
+        // The ledger behind the device rows carries the same jobs' stats.
+        assert_eq!(r.devices[0].stats.total_cycles, devices[0].sim_cycles);
     }
 
     #[test]
     fn cycle_free_rows_rank_by_wall_seconds() {
-        let mut r = Rollups::default();
-        r.record(None, None, 0, 0, 0.1, 0.0, 1);
-        r.record(None, None, 1, 0, 0.9, 0.0, 1);
+        let mut r = Rollups::new(3);
+        r.record((None, None), 0, &ran(0, 0.1), 0.0, 1);
+        r.record((None, None), 1, &ran(0, 0.9), 0.0, 1);
         let devices = r.rows(RollupBy::Device);
         assert_eq!(devices[0].key, "1");
+        assert_eq!(devices.len(), 2, "an idle device has no row");
     }
 
     #[test]

@@ -10,9 +10,9 @@
 //! each shard a device, and stages the shard sub-buffers there. A shard's
 //! sub-buffer is device-owned from open to close: its mirror is the current
 //! copy, its host slot a placeholder that only the close fetch fills. An
-//! open first lands every sessionless job that holds one of its arrays, so
-//! the scatter cuts current host contents, and refuses an array another
-//! open session maps, whose current contents are on that session's devices.
+//! open refuses an array another open session maps, whose current contents
+//! are on that session's devices; every other array is current on the host
+//! (a sessionless call has returned before anyone else sees the machine).
 //!
 //! Every movement of a session's rows is a plan run by the one row exchange
 //! (`exchange.rs`): an open is a host → devices exchange (nothing gathered,
@@ -310,12 +310,10 @@ impl ClusterMachine {
             }
             resolved.push((name.to_string(), m.clone(), *kind, *partition));
         }
-        // A sessionless job's update of a mapped array lands in host memory
-        // when its outcome is applied: the scatter must not cut before that.
         // Another open session's update lands only at its close: an array
         // it maps is refused.
         let ids: Vec<BufferId> = resolved.iter().map(|(_, m, _, _)| m.buffer).collect();
-        self.claim_arrays(&ids)?;
+        self.refuse_mapped(&ids)?;
 
         // Effective shard count: request (or cost-model pick) clamped so no
         // split array ends up with an empty shard.
@@ -335,7 +333,9 @@ impl ClusterMachine {
         // Halo traffic the auto pick must price: the summed ghost-block
         // bytes per boundary across the split maps — what one interior
         // device exchanges per refreshed stencil iteration. Zero for
-        // BLAS-shaped sessions, leaving the plain pick untouched.
+        // BLAS-shaped sessions, leaving the plain pick untouched. A halo is
+        // priced clamped at the array's rows, as the plan clamps it: a wider
+        // one moves no more.
         let halo_block_bytes: u64 = resolved
             .iter()
             .filter_map(|(_, m, _, p)| match p {
@@ -344,7 +344,7 @@ impl ClusterMachine {
                     let row_elems = (m.num_elements() as u64).div_ceil(rows);
                     let b = self.memory.get(m.buffer);
                     let eb = (b.byte_len() / b.len().max(1)) as u64;
-                    Some(*halo as u64 * row_elems * eb)
+                    Some((*halo as u64).min(rows) * row_elems * eb)
                 }
                 _ => None,
             })
@@ -635,7 +635,7 @@ impl ClusterMachine {
     /// launches in flight (their reports stay with their claims) and submit
     /// the gather — every `from`/`tofrom` sub-buffer fetched whole. The
     /// session stays in the table while its rows move, so its arrays stay
-    /// refused to every other submit, open and free. The exchange's tail
+    /// refused to every run, open and free. The exchange's tail
     /// takes it out, gathers into the caller's arrays and frees the
     /// sub-buffers — or, after a failed fetch, leaves it open.
     pub(crate) fn close_begin(

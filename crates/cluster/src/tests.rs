@@ -54,6 +54,10 @@ fn no_live_cells(cluster: &ClusterMachine) -> bool {
     true
 }
 
+/// A failed open releases its scatter on the host and the mirrors it had
+/// staged on the devices: device 0's arena, read after a worker job there,
+/// is what it was before the failed open. A run placed on the dead device
+/// fails the way a job sent there does.
 #[test]
 fn failed_open_releases_every_sub_buffer() {
     use crate::pool::WorkerMessage;
@@ -63,18 +67,32 @@ fn failed_open_releases_every_sub_buffer() {
     let n = 512usize;
     let xa = cluster.host_f32(&vec![1.0f32; n]);
     let ya = cluster.host_f32(&vec![0.5f32; n]);
-    // Both devices have run a job over x and y before the failed open.
+    // Device 0's arena while a one-shard session's two mirrors are on it:
+    // the open's upload job reports it.
+    let arena_with_a_session = |cluster: &mut ClusterMachine| {
+        let (px, py) = (cluster.host_f32(&[1.0; 4]), cluster.host_f32(&[0.0; 4]));
+        let maps = [
+            ("x", px.clone(), MapKind::To),
+            ("y", py.clone(), MapKind::ToFrom),
+        ];
+        let sid = cluster.open_session(&maps).unwrap();
+        assert_eq!(cluster.sharded_devices(sid), Some(vec![0]));
+        let arena = cluster.pool_stats().devices[0].arena_buffers;
+        cluster.close_session(sid).unwrap();
+        cluster.free_host(&px).unwrap();
+        cluster.free_host(&py).unwrap();
+        arena
+    };
+    let arena = arena_with_a_session(&mut cluster);
     let run_args = [
         RtValue::I32(n as i32),
         RtValue::F32(0.0),
         xa.clone(),
         ya.clone(),
     ];
-    assert_eq!(cluster.run("saxpy", &run_args).unwrap().device, 0);
-    // Round-robin: device 1 takes the next run, device 0 the one after the
-    // failed open.
+    // Round-robin: device 1 takes the next run, device 0 the one after.
     assert_eq!(cluster.run("saxpy", &run_args).unwrap().device, 1);
-    let arena = cluster.pool_stats().devices[0].arena_buffers;
+    assert_eq!(cluster.run("saxpy", &run_args).unwrap().device, 0);
     let (live, tracked) = (cluster.memory.live(), cluster.buffers.len());
 
     // Device 1's worker exits; its queue is closed from here on.
@@ -98,8 +116,12 @@ fn failed_open_releases_every_sub_buffer() {
     assert_eq!(cluster.memory.live(), live);
     assert_eq!(cluster.buffers.len(), tracked);
     assert!(cluster.pending.is_empty() && no_live_cells(&cluster));
-    assert_eq!(cluster.run("saxpy", &run_args).unwrap().device, 0);
-    assert_eq!(cluster.pool_stats().devices[0].arena_buffers, arena);
+    let err = cluster
+        .run("saxpy", &run_args)
+        .expect_err("device 1 is gone");
+    assert!(err.to_string().contains("device 1 worker is gone"), "{err}");
+    assert_eq!(cluster.queue_depths(), vec![0, 0]);
+    assert_eq!(arena_with_a_session(&mut cluster), arena);
 }
 
 /// The exchange's failure path under its two gathering callers — a
@@ -352,7 +374,7 @@ fn a_closing_sessions_arrays_stay_refused_while_its_rows_move() {
         xa.clone(),
         ya.clone(),
     ];
-    refused("run", gate.lock().submit("saxpy", &run_args).map(drop));
+    refused("run", gate.lock().run("saxpy", &run_args).map(drop));
     let again = [("y", ya.clone(), MapKind::ToFrom, split)];
     refused(
         "open",

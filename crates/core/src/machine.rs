@@ -3,13 +3,17 @@
 //! host binary on the EPYC box with the FPGA programmed" did in the paper.
 //!
 //! The run path is split into [`HostProgram`] (parsed host module + the
-//! execution routine) so that `ftn-cluster` device workers execute *exactly*
-//! the same code as the single-device [`Machine`] — pooled N=1 results are
-//! bit-identical to this path by construction.
+//! execution routine) so that `ftn-cluster`'s sessionless calls execute
+//! *exactly* the same code as the single-device [`Machine`] — pooled N=1
+//! results are bit-identical to this path by construction.
+
+use std::panic::AssertUnwindSafe;
 
 use ftn_fpga::{fpga_power_watts, DeviceModel, KernelExecutor, ResourceUsage};
 use ftn_host::{HostRuntime, RunStats};
-use ftn_interp::{Buffer, MemRefVal, Memory, NoObserver, Program, RtValue, DEFAULT_MAX_STEPS};
+use ftn_interp::{
+    Buffer, InterpError, MemRefVal, Memory, NoObserver, Program, RtValue, DEFAULT_MAX_STEPS,
+};
 use ftn_mlir::{parse_module, Ir};
 
 use crate::compiler::Artifacts;
@@ -46,6 +50,14 @@ impl HostProgram {
     /// Run host function `func` with `args` against `memory`, launching
     /// kernels on `executor`. Returns the run statistics and the function's
     /// results.
+    ///
+    /// The one reclaim rule of every sessionless run: what the run
+    /// allocates — the data environment's device copies, the host
+    /// program's `memref.alloc` locals — is freed when it ends, unless a
+    /// result references one of those buffers (then all of them stay). A
+    /// panic inside the program is contained into the error, its
+    /// allocations freed the same way. A caller driving runs in a loop
+    /// keeps a flat arena.
     pub fn run(
         &self,
         func: &str,
@@ -55,9 +67,9 @@ impl HostProgram {
         device: &DeviceModel,
     ) -> Result<(RunStats, Vec<RtValue>), CompileError> {
         let mut runtime = HostRuntime::new(executor.clone(), device.clone());
-        let results = self
-            .program
-            .call(
+        memory.start_recording();
+        let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            self.program.call(
                 &self.host_ir,
                 func,
                 args,
@@ -66,13 +78,30 @@ impl HostProgram {
                 &mut NoObserver,
                 DEFAULT_MAX_STEPS,
             )
-            .map_err(|e| CompileError::new("machine-run", e.to_string()))?;
+        }));
+        let outcome = outcome.unwrap_or_else(|panic| {
+            let msg = (panic.downcast_ref::<String>().map(String::as_str))
+                .or_else(|| panic.downcast_ref::<&str>().copied());
+            let msg = format!("host program panicked: {}", msg.unwrap_or("unknown panic"));
+            Err(InterpError::new(msg))
+        });
+        let transient = memory.take_recorded();
+        let referenced = |results: &[RtValue]| {
+            (results.iter())
+                .any(|r| matches!(r, RtValue::MemRef(m) if transient.contains(&m.buffer)))
+        };
+        if !matches!(&outcome, Ok(results) if referenced(results)) {
+            for &id in &transient {
+                memory.free(id);
+            }
+        }
+        let results = outcome.map_err(|e| CompileError::new("machine-run", e.to_string()))?;
         Ok((runtime.stats, results))
     }
 }
 
 /// Assemble a [`RunReport`] from run statistics and the kernel resources the
-/// power model draws on (shared by `Machine` and the cluster workers).
+/// power model draws on (shared by `Machine` and the device pool).
 pub fn report_from_stats(
     stats: RunStats,
     results: Vec<RtValue>,
@@ -143,30 +172,11 @@ impl Machine {
 
     /// Run host function `func` with `args`. Each call uses a fresh device
     /// data environment (a fresh XRT process, as in the paper's per-trial
-    /// runs) but shares host memory.
-    ///
-    /// What the run allocates — the data environment's device copies, the
-    /// host program's `memref.alloc` locals — is freed when it ends, unless
-    /// a result references one of those buffers (then all of them stay), the
-    /// rule the pool workers apply to a job. A `Machine` driven in a loop
-    /// keeps a flat arena.
+    /// runs) but shares host memory; what the run allocates is reclaimed by
+    /// [`HostProgram::run`]'s rule.
     pub fn run(&mut self, func: &str, args: &[RtValue]) -> Result<RunReport, CompileError> {
-        self.memory.start_recording();
-        let outcome = self
-            .host
-            .run(func, args, &mut self.memory, &self.executor, &self.device);
-        let transient = self.memory.take_recorded();
-        let referenced = |results: &[RtValue]| {
-            results
-                .iter()
-                .any(|r| matches!(r, RtValue::MemRef(m) if transient.contains(&m.buffer)))
-        };
-        if !matches!(&outcome, Ok((_, results)) if referenced(results)) {
-            for &id in &transient {
-                self.memory.free(id);
-            }
-        }
-        let (stats, results) = outcome?;
+        let (stats, results) =
+            (self.host).run(func, args, &mut self.memory, &self.executor, &self.device)?;
         Ok(report_from_stats(
             stats,
             results,

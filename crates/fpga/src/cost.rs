@@ -94,8 +94,9 @@ impl CostModel {
         self.kernels.get(name)
     }
 
-    /// Worst-case prediction over all kernels — used to price a whole host
-    /// program job whose launch sequence is not statically known.
+    /// Worst-case prediction over all kernels — what a device weight and a
+    /// weighted makespan price a shard's launch at, since which kernels a
+    /// session will launch is not known when it opens.
     pub fn estimate_any_seconds(&self, device: &DeviceModel, elements: u64) -> Option<f64> {
         self.kernels
             .values()

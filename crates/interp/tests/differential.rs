@@ -872,7 +872,8 @@ fn diff_full_run(bench: &Bench, artifacts: &Artifacts, n: usize, seed: u64) {
         created: HashMap::new(),
         launches: Vec::new(),
     };
-    let oracle = run(
+    let first_allocated = memory.len();
+    let mut oracle = run(
         Engine::Oracle,
         &host_ir,
         host_module,
@@ -882,6 +883,11 @@ fn diff_full_run(bench: &Bench, artifacts: &Artifacts, n: usize, seed: u64) {
         &mut hooks,
         DEFAULT_MAX_STEPS,
     );
+    // `HostProgram::run` frees what the run allocated (no result of these
+    // benchmarks references it); the oracle's side gets the same reclaim.
+    for slot in first_allocated..oracle.memory.len() {
+        oracle.memory.free(BufferId(slot as u32));
+    }
 
     let program = HostProgram::parse(&artifacts.host_module_text).unwrap();
     let mut memory = Memory::new();

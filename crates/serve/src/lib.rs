@@ -10,7 +10,7 @@
 //! | `POST /sessions/{id}/launch`| `{kernel, args: [{array\|extent\|extent_offset\|f32\|...}], refresh_halos?}` | Run one kernel-level job against the session's resident buffers (no per-launch transfers). The launch fans out per shard, with `{extent: name}` rebased to each shard's local length (the full length on a one-shard session) and `{extent_offset: {array, offset}}` rebasing stencil bounds like `n - 1`. `refresh_halos: true` exchanges split-array ghost rows after the launch lands (see `/refresh`). |
 //! | `POST /sessions/{id}/refresh` |                                      | Inter-launch halo exchange: every split array's ghost rows are re-seeded from their current owner rows — boundary blocks only, device-to-device over the row-block fetch/splice path, never a full gather/re-scatter. The iterative-stencil primitive (`jacobi`/`heat` between sweeps). |
 //! | `DELETE /sessions/{id}`     |                                        | Close the session: gather (or reduce) `from`/`tofrom` arrays back and return them with the session stats; all session memory is released. |
-//! | `POST /run`                 | `{key, func, args}`                    | Sessionless whole-program run (the baseline the elision ratio is measured against); request arrays are freed after the response. |
+//! | `POST /run`                 | `{key, func, args}`                    | Sessionless whole-program run (the baseline the elision ratio is measured against): placed least-loaded on the key's pool and run on the request's own thread, its arrays in request-local memory, freed with the response. |
 //! | `GET /stats`                |                                        | Compile-cache, pool, session, and HTTP statistics. |
 //! | `GET /healthz`              |                                        | Readiness probe: 503 `"unready"` with reasons on a dead device worker or saturated queue, `{"ok":true,"status":"ok",...}` otherwise. |
 //! | `GET /metrics`              |                                        | Prometheus text exposition (version 0.0.4: every sample line is `series value`) of every counter, gauge and histogram. History, range queries and alerting belong to the Prometheus server that scrapes it. |
@@ -87,9 +87,6 @@ pub struct ServeConfig {
     /// Maximum structured-log level (`ftn serve --log-level debug`). Like
     /// the span recorder, the log level is process-global.
     pub log_level: Level,
-    /// Per-device queue depth above which `GET /healthz` reports the server
-    /// unready (503). `0` disables the saturation check.
-    pub healthz_queue_limit: u64,
 }
 
 impl Default for ServeConfig {
@@ -103,7 +100,6 @@ impl Default for ServeConfig {
             default_shards: None,
             trace_buffer: 4096,
             log_level: Level::Info,
-            healthz_queue_limit: 1024,
         }
     }
 }

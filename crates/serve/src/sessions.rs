@@ -1,6 +1,6 @@
 //! Sessions: one table, `id → OwnedArrays`, whose entries hold the arrays a
-//! session mapped and, through them, its pool — plus `/run`, which borrows a
-//! pool for one request.
+//! session mapped and, through them, its pool — plus `/run`, which places
+//! one host call on a pool and runs it on the request's own thread.
 //!
 //! Invariants every change here must keep:
 //!
@@ -15,31 +15,33 @@
 //!   any program can stall them. Only open and `/run` go through
 //!   `ServeState::pool_for`.
 //! * **The table's lock is never held across a pool call or a wait.**
-//! * **No machine guard is held across device traffic.** Open, refresh and
-//!   close are the gate's phased operations; launches and `/run` submit
-//!   under the lock and wait through `PoolGate::wait_many`.
+//! * **No machine guard is held across device traffic or a host program.**
+//!   Open, refresh and close are the gate's phased operations; launches
+//!   submit under the lock and wait through `PoolGate::wait_many`; `/run`
+//!   is `PoolGate::run`, which holds the lock only to place and land.
 //! * **Session state is touched outside phased exchanges only**: every
 //!   machine access that names a session takes [`PoolGate::lock_session`]
 //!   (a launch in the middle of a refresh or a close would race its rows).
-//! * **A request's arrays are owned.** What a request allocates in a pool
+//! * **A request's arrays are owned.** What an open allocates in a pool
 //!   sits in an [`OwnedArrays`], which frees it when dropped — on every
 //!   exit, the error ones included. A session's entry owns its arrays the
-//!   same way, so removing the entry is what releases them.
+//!   same way, so removing the entry is what releases them. `/run`'s arrays
+//!   never enter the pool: they live in a request-local `Memory`.
 
 use std::sync::Arc;
 
 use ftn_cluster::{ClusterMachine, MapKind, Partition, PoolGate, ShardArg, ShardCount};
 use ftn_core::CompileError;
-use ftn_interp::{Buffer, RtValue};
+use ftn_interp::{Buffer, MemRefVal, Memory, RtValue};
 use serde::{Serialize, Value};
 
 use crate::api::{self, ArgSpec};
 use crate::conn::{HandlerError, Reply};
 use crate::{bad_request, failed, lock, not_found, ServeState};
 
-/// Host arrays allocated in `pool` on behalf of one request or session,
-/// freed when this drops. Dropping takes the pool's machine lock: declare it
-/// before any guard of that lock, so the guard goes first.
+/// Host arrays allocated in `pool` on behalf of one session (or an open that
+/// failed), freed when this drops. Dropping takes the pool's machine lock:
+/// declare it before any guard of that lock, so the guard goes first.
 pub(crate) struct OwnedArrays {
     pool: Arc<PoolGate>,
     handles: Vec<RtValue>,
@@ -268,43 +270,40 @@ impl ServeState {
         let func = api::get_str(&v, "func").map_err(bad_request)?;
         let arg_values = api::get_arr(&v, "args").map_err(bad_request)?;
         let pool = self.pool_for(key)?;
-        // Decode every argument before allocating anything: the machine
-        // lock is not held while megabytes of JSON numbers are converted.
+        // The request's arrays live in a memory of its own: no session can
+        // map them, and they go with the request.
+        let (mut memory, mut owned) = (Memory::new(), Vec::new());
+        let mut array = |contents: Buffer| {
+            let shape = vec![contents.len() as i64];
+            let buffer = memory.alloc(contents, 0);
+            owned.push(buffer);
+            RtValue::MemRef(MemRefVal {
+                buffer,
+                shape,
+                space: 0,
+            })
+        };
+        let mut args = Vec::with_capacity(arg_values.len());
         let mut lifted = arrays.into_iter();
-        let specs: Result<Vec<ArgSpec>, String> = (arg_values.iter())
-            .map(|a| api::parse_arg(a, lifted.next().flatten()))
-            .collect();
-        let specs = specs.map_err(bad_request)?;
-        let mut owned = OwnedArrays::new(Arc::clone(&pool));
-        let handle = {
-            let mut machine = pool.lock();
-            let mut args = Vec::with_capacity(specs.len());
-            for spec in specs {
-                args.push(match spec {
-                    ArgSpec::ArrayF32(data) => owned.own(machine.host_array(Buffer::F32(data))),
-                    ArgSpec::ArrayI32(data) => owned.own(machine.host_array(Buffer::I32(data))),
+        for a in arg_values {
+            args.push(
+                match api::parse_arg(a, lifted.next().flatten()).map_err(bad_request)? {
+                    ArgSpec::ArrayF32(data) => array(Buffer::F32(data)),
+                    ArgSpec::ArrayI32(data) => array(Buffer::I32(data)),
                     ArgSpec::Shard(ShardArg::Scalar(x)) => x,
                     ArgSpec::Shard(_) => return Err(bad_request(
                         "named arrays/extents are session-only; pass array_f32/array_i32 to /run",
                     )),
-                });
-            }
-            machine.submit(func, &args)
-        };
-        let handle = handle.map_err(bad_request)?;
-        let report = (pool.wait_many(vec![handle]))
-            .map_err(bad_request)?
-            .pop()
-            .expect("one handle, one report");
+                },
+            );
+        }
+        let report = pool.run(func, &args, &mut memory).map_err(bad_request)?;
         self.metrics.runs.inc();
-        let mut machine = pool.lock();
-        let arrays: Vec<Buffer> = (owned.handles.iter())
-            .map(|h| take_array(&mut machine, h))
+        // The request's arrays die with the request: move them out for the
+        // reply instead of copying.
+        let arrays: Vec<Buffer> = (owned.into_iter())
+            .map(|id| std::mem::replace(memory.get_mut(id), Buffer::F32(Vec::new())))
             .collect();
-        drop(machine);
-        // The request's arrays are dead once taken out: free their host
-        // slots so sustained /run traffic stays flat.
-        drop(owned);
         let fields = vec![
             ("device", report.device.to_value()),
             ("stats", report.report.stats.to_value()),
@@ -337,7 +336,7 @@ fn session_reply(session: u64, devices: &[usize]) -> Vec<(&'static str, Value)> 
     ]
 }
 
-/// Take the contents of an array its request is about to free out of the pool.
+/// Take the contents of an array its session is about to free out of the pool.
 fn take_array(machine: &mut ClusterMachine, array: &RtValue) -> Buffer {
     let m = array.as_memref().expect("request arrays are memrefs");
     std::mem::replace(machine.memory.get_mut(m.buffer), Buffer::F32(Vec::new()))
@@ -462,6 +461,60 @@ mod tests {
         let (addr, state, running) = serve();
         let sid = open_saxpy(addr, false);
         (addr, state, running, sid)
+    }
+
+    /// `/run` holds no machine lock while its program runs: while a long
+    /// host call is placed (the pool's queue depths show it), another
+    /// thread takes the pool's lock with `try_lock`. A run placed, executed
+    /// and landed under one guard never lets that happen.
+    #[test]
+    fn a_run_does_not_hold_its_pools_lock_while_its_program_runs() {
+        const PATIENCE: Duration = Duration::from_secs(20);
+        let (addr, state, running) = serve();
+        let source = api::obj(vec![("source", SAXPY.to_value())]);
+        let compiled = post(addr, "/compile", &serde_json::to_string(&source).unwrap());
+        let key = api::get_str(&compiled, "key").expect("key").to_string();
+        let gate = state.pool_for(&key).expect("the pool builds");
+        let n = 1usize << 18;
+        let ones = vec!["1"; n].join(",");
+        let body = format!(
+            r#"{{"key": "{key}", "func": "saxpy", "args": [{{"i32": {n}}}, {{"f32": 2.0}},
+                {{"array_f32": [{ones}]}}, {{"array_f32": [{ones}]}}]}}"#
+        );
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let (tx, done) = mpsc::channel();
+        let client = {
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                let mut conn = client::Conn::open(addr).expect("connect");
+                for _ in 0..20 {
+                    if stop.load(std::sync::atomic::Ordering::SeqCst) {
+                        break;
+                    }
+                    let (status, _) = conn.request("POST", "/run", &body).expect("run");
+                    assert_eq!(status, 200);
+                }
+                tx.send(()).expect("test thread listens");
+            })
+        };
+        let deadline = std::time::Instant::now() + PATIENCE;
+        let mut seen = false;
+        while !seen && done.try_recv().is_err() {
+            assert!(std::time::Instant::now() < deadline, "the runs hang");
+            let placed = gate
+                .try_lock()
+                .map(|m| m.queue_depths().iter().sum::<u64>());
+            seen = placed.is_some_and(|depth| depth > 0);
+            std::thread::yield_now();
+        }
+        stop.store(true, std::sync::atomic::Ordering::SeqCst);
+        client.join().expect("client thread");
+        assert!(
+            seen,
+            "no run was ever seen placed with the pool's lock free"
+        );
+        post(addr, "/shutdown", "");
+        running.join().expect("server thread").expect("clean run");
     }
 
     /// Launch, info, refresh and close resolve through the session table

@@ -190,13 +190,12 @@ impl ServeState {
 
     /// `GET /healthz`: a real readiness probe. 503 with `"status":
     /// "unready"` when any pool device worker is dead or a queue is
-    /// saturated past [`crate::ServeConfig::healthz_queue_limit`]; plain
+    /// saturated past [`HEALTHZ_QUEUE_LIMIT`]; plain
     /// `"ok"` otherwise. The original `{"ok": true}` shape survives as a
     /// subset. A pool mid-request is busy, not unready: it answers from its
     /// last-known-good snapshot (`Program::health`).
     pub(crate) fn healthz(&self) -> Result<Reply, HandlerError> {
         let mut unready: Vec<String> = Vec::new();
-        let limit = self.config.healthz_queue_limit;
         for (program, gate) in self.pools_snapshot() {
             let pool = short_key(&program.key);
             let health = program.health(&gate);
@@ -204,9 +203,9 @@ impl ServeState {
                 unready.push(format!("pool {pool} device {device}: worker thread dead"));
             }
             for (device, depth) in health.queue_depths.iter().enumerate() {
-                if limit > 0 && *depth > limit {
+                if *depth > HEALTHZ_QUEUE_LIMIT {
                     unready.push(format!(
-                        "pool {pool} device {device}: queue depth {depth} > {limit}"
+                        "pool {pool} device {device}: queue depth {depth} > {HEALTHZ_QUEUE_LIMIT}"
                     ));
                 }
             }
@@ -295,6 +294,10 @@ fn parse_window(req: &Request) -> Result<(u64, u64), HandlerError> {
 fn short_key(key: &str) -> &str {
     &key[..key.len().min(8)]
 }
+
+/// Per-device queue depth above which `GET /healthz` reports the server
+/// unready (503).
+const HEALTHZ_QUEUE_LIMIT: u64 = 1024;
 
 /// Trailing window of the `ftn_device_utilization` gauges (1 s: long enough
 /// to smooth single jobs, short enough that a stalled pool shows up soon).

@@ -329,6 +329,61 @@ fn sharded_session_over_http_spans_the_pool() {
     shutdown(addr, handle);
 }
 
+/// A halo wider than the array opens exactly as a halo of every row does:
+/// the open's shard pricing clamps it at the array's rows, as the plan
+/// does, instead of overflowing — a 500 in debug builds, a wrapped price in
+/// release.
+#[test]
+fn a_huge_halo_opens_as_a_halo_of_every_row() {
+    let (addr, handle) = start_server(2, 2);
+    let key = compile_key(addr);
+    let n = 8usize;
+    let x: Vec<f32> = (0..n).map(|i| i as f32 * 0.5).collect();
+    let launch = r#"{"kernel": "saxpy_kernel0", "refresh_halos": true, "args": [
+        {"array": "x"}, {"array": "y"}, {"extent": "x"}, {"extent": "y"},
+        {"f32": 2.0}, {"index": 1}, {"extent": "x"}]}"#;
+    let session = |halo: Value| -> String {
+        let map = |name: &str, kind: &str, data: Value| {
+            api::obj(vec![
+                ("name", Value::Str(name.into())),
+                ("kind", Value::Str(kind.into())),
+                ("halo", halo.clone()),
+                ("data", data),
+            ])
+        };
+        let open = api::obj(vec![
+            ("key", Value::Str(key.clone())),
+            ("shards", Value::Int(2)),
+            (
+                "maps",
+                Value::Arr(vec![
+                    map("x", "to", x.to_value()),
+                    map("y", "tofrom", vec![1.0f32; n].to_value()),
+                ]),
+            ),
+        ]);
+        let body = serde_json::to_string(&open).unwrap();
+        let (status, opened) = request(addr, "POST", "/sessions", &body);
+        assert_eq!(status, 200, "halo {halo:?}: {opened:?}");
+        let sid = as_u64(opened.get("session"));
+        let path = format!("/sessions/{sid}/launch");
+        let (status, launched) = request(addr, "POST", &path, launch);
+        assert_eq!(status, 200, "halo {halo:?}: {launched:?}");
+        let (status, closed) = request(addr, "DELETE", &format!("/sessions/{sid}"), "");
+        assert_eq!(status, 200, "halo {halo:?}: {closed:?}");
+        serde_json::to_string(closed.get("arrays").expect("arrays")).unwrap()
+    };
+    let every_row = session(Value::Int(n as i64));
+    for halo in [
+        Value::Int(1 << 62),
+        Value::Int(i64::MAX),
+        Value::UInt(u64::MAX),
+    ] {
+        assert_eq!(session(halo.clone()), every_row, "halo {halo:?}");
+    }
+    shutdown(addr, handle);
+}
+
 #[test]
 fn heterogeneous_pool_over_http_reports_models_and_weights_shards() {
     let (addr, handle) = start_server(2, 2);

@@ -1,7 +1,8 @@
 //! Multi-FPGA scaling walkthrough: shard a SAXPY workload across a pool of
-//! four simulated U280s via `ftn-cluster`, overlap the launches with
-//! `submit`/`wait`, and compare aggregate launch throughput against the
-//! single-device `Machine` path on the same workload.
+//! four simulated U280s via `ftn-cluster` — each shard's host call placed
+//! least-loaded, round-robin over the idle pool, so the shards overlap on
+//! the simulated timeline — and compare aggregate launch throughput against
+//! the single-device `Machine` path on the same workload.
 //!
 //! Run with: `cargo run --release --example multi_fpga`
 
@@ -62,29 +63,25 @@ fn main() {
         single_wall.as_secs_f64() * 1e3,
     );
 
-    // Pool: four U280s, all shards submitted before any wait.
+    // Pool: four U280s; each shard's call goes to the next idle device.
     let devices = vec![DeviceModel::u280(); 4];
     let mut cluster = ClusterMachine::load(&artifacts, &devices).expect("pool loads");
     let pool_wall = std::time::Instant::now();
-    let mut handles = Vec::new();
+    let mut reports = Vec::new();
     let mut outputs = Vec::new();
     for shard in 0..SHARDS {
         let (x, y) = shard_data(shard);
         let xa = cluster.host_f32(&x);
         let ya = cluster.host_f32(&y);
-        let handle = cluster
-            .submit(
+        let report = cluster
+            .run(
                 "saxpy",
                 &[RtValue::I32(N as i32), RtValue::F32(2.0), xa, ya.clone()],
             )
-            .expect("submit shard");
-        handles.push(handle);
+            .expect("shard completes");
+        reports.push(report);
         outputs.push(ya);
     }
-    let reports: Vec<_> = handles
-        .into_iter()
-        .map(|h| cluster.wait(h).expect("shard completes"))
-        .collect();
     let pool_wall = pool_wall.elapsed();
 
     // Validate every shard against the reference.
