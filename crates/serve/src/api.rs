@@ -19,7 +19,11 @@
 //!   integer out of range — stays in the tree, where [`f32_slice`] /
 //!   [`i32_slice`] report it at the point they always did. Only the first
 //!   field of a liftable name is a candidate, as [`Value::get`] reads the
-//!   first.
+//!   first. Both read an `f32` by one rule, [`serde_json::narrow_f32`]; the
+//!   one input they can tell apart is a decimal of ten or more significant
+//!   digits that reads as an `f64` exactly half-way between two `f32`s
+//!   without being that point, where the scan has the token and the tree
+//!   only the `f64`.
 //! * **No integer wraps.** An integer argument its kind cannot hold is a 400
 //!   naming the kind, never a truncated value.
 
@@ -189,11 +193,14 @@ fn number_i32(v: &Value, what: &str) -> Result<i32, String> {
     i32::try_from(wide).map_err(|_| format!("{what} out of range"))
 }
 
+/// The `f32` a number spells, by the scanner's rule ([`serde_json::narrow_f32`]):
+/// rounded once, not through `f64`.
+fn number_f32(v: &Value) -> Result<f32, String> {
+    serde_json::narrow_f32(v, None).ok_or_else(|| "expected a number".to_string())
+}
+
 pub fn f32_slice(items: &[Value]) -> Result<Vec<f32>, String> {
-    items
-        .iter()
-        .map(|v| number_f64(v).map(|f| f as f32))
-        .collect()
+    items.iter().map(number_f32).collect()
 }
 
 pub fn i32_slice(items: &[Value]) -> Result<Vec<i32>, String> {
@@ -268,7 +275,7 @@ pub fn parse_arg(v: &Value, lifted: Option<ArgSpec>) -> Result<ArgSpec, String> 
             Value::Arr(items) => Ok(ArgSpec::ArrayI32(i32_slice(items)?)),
             _ => Err("'array_i32' must be an array of integers".to_string()),
         },
-        "f32" => scalar(RtValue::F32(number_f64(value)? as f32)),
+        "f32" => scalar(RtValue::F32(number_f32(value)?)),
         "f64" => scalar(RtValue::F64(number_f64(value)?)),
         "i32" => scalar(RtValue::I32(number_i32(value, "'i32'")?)),
         "i64" => scalar(RtValue::I64(number_i64(value, "'i64'")?)),

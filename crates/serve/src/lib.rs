@@ -19,6 +19,10 @@
 //! | `GET /profile/top`          | `?by=kernel\|session\|device&k=N`      | Top-K cost attribution over completed jobs: simulated cycles, wall seconds, queue wait, and bytes moved, merged across pools (`ftn top` renders this). `by=session` rows are keyed by the ids `POST /sessions` returned, open or closed. |
 //! | `POST /shutdown`            |                                        | Drain and stop the server. |
 //!
+//! An `f32` number in a body is read as the `f32` its text spells, and an
+//! `f32` array in a reply prints each element as the shortest decimal that
+//! reads back as it, whether the client parses to `f32` or to `f64` first.
+//!
 //! One [`ftn_cluster::ClusterMachine`] pool is kept per compiled program
 //! (all its sessions share its devices), built lazily with the configured
 //! device composition — homogeneous U280s by default, or a mixed-model pool

@@ -361,16 +361,18 @@ fn append_seq<T>(
 }
 
 /// Make room for `buffers` as [`append_buffer`] prints them, so the reply
-/// grows once instead of doubling its way up: a widened f32 prints as up to
-/// 17 digits, a sign, a point and a comma.
+/// grows once instead of doubling its way up: an element prints as up to 17
+/// significant digits (an `f32` needs at most 9), a sign, a point and a comma.
 fn reserve_for<'a>(out: &mut String, buffers: impl Iterator<Item = &'a Buffer>) {
     out.reserve(20 * buffers.map(Buffer::len).sum::<usize>());
 }
 
-/// Append a buffer's elements as one JSON array, straight from the slice.
+/// Append a buffer's elements as one JSON array, straight from the slice;
+/// an `f32` as the shortest text that reads back as that `f32`, not as its
+/// widened `f64`.
 fn append_buffer(out: &mut String, buffer: &Buffer) {
     match buffer {
-        Buffer::F32(data) => serde_json::append_slice(out, data),
+        Buffer::F32(data) => serde_json::append_f32_slice(out, data),
         Buffer::F64(data) => serde_json::append_slice(out, data),
         Buffer::I32(data) => serde_json::append_slice(out, data),
         Buffer::I64(data) => serde_json::append_slice(out, data),

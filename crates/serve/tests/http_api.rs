@@ -963,3 +963,49 @@ fn out_of_range_integers_are_rejected_not_wrapped() {
     assert_eq!((status, error), rejected("'extent_offset' out of range"));
     shutdown(addr, handle);
 }
+
+/// A number arrives as the `f32` its text spells, rounded once: not through
+/// `f64` first, where `7.038531e-26` lands exactly between two `f32`s and
+/// `1152921573326323713` on 2^60 + 2^36. Both come back from `/run`
+/// unchanged in an array the program does not write (`x`), and the scalar
+/// `a` arrives the same way.
+#[test]
+fn a_run_reads_each_number_as_the_f32_it_spells() {
+    let (addr, handle) = start_server(1, 1);
+    let key = compile_key(addr);
+    let run = |args: &str| {
+        let body = format!(r#"{{"key": "{key}", "func": "saxpy", "args": [{args}]}}"#);
+        let (status, reply) = request(addr, "POST", "/run", &body);
+        assert_eq!(status, 200, "{reply:?}");
+        let Some(Value::Arr(arrays)) = reply.get("arrays") else {
+            panic!("no arrays in {reply:?}");
+        };
+        let bits = |array: &Value| match array {
+            Value::Arr(items) => items
+                .iter()
+                .map(|v| match v {
+                    Value::Float(f) => (*f as f32).to_bits(),
+                    other => panic!("expected a float, got {other:?}"),
+                })
+                .collect::<Vec<_>>(),
+            other => panic!("expected an array, got {other:?}"),
+        };
+        arrays.iter().map(bits).collect::<Vec<_>>()
+    };
+    let spelled = ["7.038531e-26", "1152921573326323713"];
+    let want: Vec<u32> = spelled
+        .iter()
+        .map(|s| s.parse::<f32>().unwrap().to_bits())
+        .collect();
+    assert_eq!(want, [0x15ae_43fd, 0x5d80_0001]);
+    let [x, y] = spelled;
+    let arrays = run(&format!(
+        r#"{{"i32": 2}}, {{"f32": 1}}, {{"array_f32": [{x}, {y}]}}, {{"array_f32": [0, 0]}}"#
+    ));
+    assert_eq!(arrays, [want.clone(), want.clone()], "x unwritten, y = x");
+    let arrays = run(&format!(
+        r#"{{"i32": 1}}, {{"f32": {x}}}, {{"array_f32": [1]}}, {{"array_f32": [0]}}"#
+    ));
+    assert_eq!(arrays[1], [want[0]], "y = a");
+    shutdown(addr, handle);
+}

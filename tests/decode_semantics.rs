@@ -305,3 +305,65 @@ fn lifting_follows_the_first_field_and_leaves_errors_to_the_tree() {
         Value::Obj(vec![])
     );
 }
+
+/// An `f32` is read from its text once, as `str::parse::<f32>` reads it —
+/// by the lifted scan (`Scanner::f32_array`) and by the tree reader
+/// (`api::f32_slice`) alike, never through `f64` first. Generated: decimals
+/// of up to nine significant digits from below the least subnormal to past
+/// `f32::MAX`, the same lengths rounded from the half-way points between
+/// adjacent `f32`s (where a second rounding bites), those half-way points
+/// written out in full, and integers past 2^53 (`i64` and `u64`). The scan
+/// alone also gets the shortest `f64` text of each half-way point: read as
+/// `f64` it *is* the tie, and only the token says which side it lies on — a
+/// tree, holding the `f64` alone, cannot know.
+#[test]
+fn f32_numbers_are_read_as_str_parse_reads_them() {
+    let mut rng = TestRng::new(0xf32);
+    let mut both: Vec<String> = ["7.038531e-26", "-7.038531e-26", "1152921573326323713"]
+        .map(String::from)
+        .to_vec();
+    let mut scan_only = Vec::new();
+    for _ in 0..20_000 {
+        let sign = ["", "-"][rng.below(2)];
+        let digits = 1 + rng.below(9);
+        let mantissa = rng.next_u64() % 10u64.pow(digits as u32);
+        let exponent = rng.below(96) as i32 - 54;
+        both.push(format!("{sign}{mantissa}e{exponent}"));
+        let below = f32::from_bits(rng.next_u64() as u32 & 0x7f7f_ffff);
+        let tie = (f64::from(below) + f64::from(below.next_up())) / 2.0;
+        both.push(format!("{sign}{tie:.*e}", digits - 1));
+        both.push(format!("{sign}{tie:.160e}"));
+        scan_only.push(format!("{sign}{tie:e}"));
+        // An `i64` or, past `i64::MAX`, a `u64`: exact in the tree too.
+        let past_2_53 = (1u64 << 53) + rng.next_u64() % (u64::MAX - (1 << 53));
+        let sign = if past_2_53 > i64::MAX as u64 {
+            ""
+        } else {
+            sign
+        };
+        both.push(format!("{sign}{past_2_53}"));
+    }
+    let check = |tokens: &[String], tree: bool| {
+        let text = format!("[{}]", tokens.join(","));
+        let want: Vec<u32> = (tokens.iter())
+            .map(|t| t.parse::<f32>().unwrap().to_bits())
+            .collect();
+        let bits = |data: Vec<f32>| data.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        let scanned = serde_json::Scanner::new(&text).f32_array();
+        let scanned = bits(scanned.expect("an array of numbers"));
+        let mismatch = |got: &[u32]| {
+            let at = got.iter().zip(&want).position(|(g, w)| g != w);
+            at.map(|i| (&tokens[i], got[i], want[i]))
+        };
+        assert_eq!(mismatch(&scanned), None, "f32_array");
+        if tree {
+            let Ok(Value::Arr(items)) = serde_json::value_from_str(&text) else {
+                panic!("an array");
+            };
+            let read = bits(api::f32_slice(&items).unwrap());
+            assert_eq!(mismatch(&read), None, "f32_slice");
+        }
+    };
+    check(&both, true);
+    check(&scan_only, false);
+}
