@@ -19,11 +19,13 @@
 //!   integer out of range — stays in the tree, where [`f32_slice`] /
 //!   [`i32_slice`] report it at the point they always did. Only the first
 //!   field of a liftable name is a candidate, as [`Value::get`] reads the
-//!   first. Both read an `f32` by one rule, [`serde_json::narrow_f32`]; the
-//!   one input they can tell apart is a decimal of ten or more significant
-//!   digits that reads as an `f64` exactly half-way between two `f32`s
-//!   without being that point, where the scan has the token and the tree
-//!   only the `f64`.
+//!   first. Both read an `f32` as `str::parse::<f32>` reads its token: the
+//!   scan rounds the token once, straight to 24 bits (or, where that
+//!   declines, by [`serde_json::narrow_f32`] with the token in hand), the
+//!   tree by `narrow_f32` from the `f64` alone. The one input they can tell
+//!   apart is a decimal of ten or more significant digits that reads as an
+//!   `f64` exactly half-way between two `f32`s without being that point,
+//!   where the scan has the token and the tree only the `f64`.
 //! * **No integer wraps.** An integer argument its kind cannot hold is a 400
 //!   naming the kind, never a truncated value.
 
@@ -193,7 +195,7 @@ fn number_i32(v: &Value, what: &str) -> Result<i32, String> {
     i32::try_from(wide).map_err(|_| format!("{what} out of range"))
 }
 
-/// The `f32` a number spells, by the scanner's rule ([`serde_json::narrow_f32`]):
+/// The `f32` a number spells, by the tree's rule ([`serde_json::narrow_f32`]):
 /// rounded once, not through `f64`.
 fn number_f32(v: &Value) -> Result<f32, String> {
     serde_json::narrow_f32(v, None).ok_or_else(|| "expected a number".to_string())

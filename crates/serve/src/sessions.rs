@@ -99,6 +99,8 @@ impl ServeState {
             let halo = match m.get("halo") {
                 Some(Value::Int(i)) if *i >= 0 => *i as usize,
                 Some(Value::UInt(u)) => *u as usize,
+                // `-0`, which the parser reads as a float to keep its sign.
+                Some(Value::Float(f)) if *f == 0.0 && f.is_sign_negative() => 0,
                 None => 0,
                 Some(_) => return Err(bad_request("map 'halo' must be a non-negative integer")),
             };
@@ -463,6 +465,27 @@ mod tests {
         let (addr, state, running) = serve();
         let sid = open_saxpy(addr, false);
         (addr, state, running, sid)
+    }
+
+    /// `"halo": -0` opens with halo 0, as it did while the parser read `-0`
+    /// as an integer; a negative or fractional halo is still refused.
+    #[test]
+    fn a_negative_zero_halo_is_halo_zero() {
+        let (addr, _state, running) = serve();
+        let source = api::obj(vec![("source", SAXPY.to_value())]);
+        let compiled = post(addr, "/compile", &serde_json::to_string(&source).unwrap());
+        let key = api::get_str(&compiled, "key").expect("key");
+        for (halo, status) in [("-0", 200), ("0", 200), ("-1", 400), ("0.5", 400)] {
+            let open = format!(
+                r#"{{"key": "{key}", "maps": [
+                    {{"name": "x", "kind": "to", "halo": {halo}, "data": [1, 2, 3, 4]}}]}}"#
+            );
+            let (got, reply) =
+                client::request(addr, "POST", "/sessions", &open).expect("round trip");
+            assert_eq!(got, status, "halo {halo}: {reply:?}");
+        }
+        post(addr, "/shutdown", "");
+        running.join().expect("server thread").expect("clean run");
     }
 
     /// `/run` holds no machine lock while its program runs: while a long

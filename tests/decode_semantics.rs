@@ -367,3 +367,39 @@ fn f32_numbers_are_read_as_str_parse_reads_them() {
     check(&both, true);
     check(&scan_only, false);
 }
+
+/// `-0` is a float to every reader that takes one — `array_f32`, `f32`,
+/// `f64` — and keeps the sign `str::parse` gives it, lifted or not; to the
+/// integer readers it is 0, as it always was.
+#[test]
+fn negative_zero_keeps_its_sign_where_a_float_is_read() {
+    for (arg, want) in [
+        (
+            r#"{"array_f32": [-0, 0, -00, -0.0, -0e3]}"#,
+            "ArrayF32([-0.0, 0.0, -0.0, -0.0, -0.0])",
+        ),
+        (r#"{"f32": -0}"#, "Shard(Scalar(F32(-0.0)))"),
+        (r#"{"f32": 0}"#, "Shard(Scalar(F32(0.0)))"),
+        (r#"{"f64": -0}"#, "Shard(Scalar(F64(-0.0)))"),
+        (r#"{"array_i32": [-0, 0, -00]}"#, "ArrayI32([0, 0, 0])"),
+        (r#"{"i32": -0}"#, "Shard(Scalar(I32(0)))"),
+        (r#"{"i64": -0}"#, "Shard(Scalar(I64(0)))"),
+        (r#"{"index": -0}"#, "Shard(Scalar(Index(0)))"),
+        (
+            r#"{"extent_offset": {"array": "x", "offset": -0}}"#,
+            r#"Shard(ExtentOffset("x", 0))"#,
+        ),
+    ] {
+        let body = format!(r#"{{"args": [{arg}]}}"#);
+        let Body { fields, arrays } = api::run_body(&body).expect("parses");
+        let lifted = api::parse_arg(
+            &api::get_arr(&fields, "args").unwrap()[0],
+            arrays[0].clone(),
+        );
+        let tree = api::parse_body(&body).expect("parses");
+        let read = api::parse_arg(&api::get_arr(&tree, "args").unwrap()[0], None);
+        // Debug text tells `-0.0` from `0.0`.
+        assert_eq!(format!("{:?}", lifted.unwrap()), want, "lifted {arg}");
+        assert_eq!(format!("{:?}", read.unwrap()), want, "tree {arg}");
+    }
+}
