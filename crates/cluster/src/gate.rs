@@ -5,12 +5,16 @@
 //! here. The gate wraps the machine in a mutex and adds the two pieces a
 //! multi-client serve layer needs to keep that mutex *short-lived*:
 //!
-//! * **Condvar-notified waits.** [`PoolGate::wait_done`] parks on its own
-//!   claim's cell between polls instead of sleep-polling the machine lock,
-//!   so a waiter wakes within microseconds of its job's outcome and holds
-//!   the lock only to drain outcomes — never across a blocking receive.
-//!   A close's wait for its session to go quiet is a wait for the jobs in
-//!   its way: it parks on one blocking job's cell at a time.
+//! * **Waits that run or park off the lock.** A job parked for its waiter
+//!   (the only job of its fan-out, on an idle device) is run by
+//!   [`PoolGate::wait_done`] on the caller's thread with the machine lock
+//!   released, and landed under one short lock. Any other job is the
+//!   worker's: the waiter parks on its own claim's cell between polls
+//!   instead of sleep-polling the machine lock, so it wakes within
+//!   microseconds of its job's outcome and holds the lock only to drain
+//!   outcomes — never across a blocking receive. A close's wait for its
+//!   session to go quiet is a wait for the jobs in its way: it runs one
+//!   that is still parked, or parks on its cell, one at a time.
 //! * **Sessionless runs off the lock.** [`PoolGate::run`] places a host
 //!   call under a short lock, runs it on the caller's thread with the lock
 //!   released, and lands it under another: a long host program stalls no
@@ -93,15 +97,22 @@ impl PoolGate {
         }
     }
 
-    /// Wait for one submitted job without sleep-polling: drain outcomes
-    /// under a short lock, and park on the handle's own cell until the
-    /// worker finishing *this* job wakes it — a targeted wakeup, so N
-    /// concurrent waiters cost one wake per outcome instead of an N-thread
-    /// herd racing for the machine lock. An outcome reported between the
-    /// drain and the park has already marked the cell, so the park returns
-    /// immediately — the wake path is notification, not timeout — and a
-    /// report another caller landed (a close's quiesce) is found at once.
-    pub fn wait_done(&self, handle: LaunchHandle) -> Result<ClusterRunReport, CompileError> {
+    /// Wait for one submitted job without sleep-polling. A job still
+    /// parked for this handle runs here with the machine lock released, and
+    /// one short lock lands it. Otherwise: drain outcomes under a short
+    /// lock, and park on the handle's own cell until the runner finishing
+    /// *this* job wakes it — a targeted wakeup, so N concurrent waiters
+    /// cost one wake per outcome instead of an N-thread herd racing for the
+    /// machine lock. An outcome reported between the drain and the park has
+    /// already marked the cell, so the park returns immediately — the wake
+    /// path is notification, not timeout — and a report another caller
+    /// landed (a close's quiesce) is found at once.
+    pub fn wait_done(&self, mut handle: LaunchHandle) -> Result<ClusterRunReport, CompileError> {
+        if let Some(outcome) = handle.run_parked() {
+            let mut m = self.lock();
+            m.land_parked(outcome, &handle.cell);
+            return m.wait(handle);
+        }
         loop {
             {
                 let mut m = self.lock();
@@ -217,29 +228,37 @@ impl PoolGate {
     /// splice, releasing the machine lock while boundary-row traffic is in
     /// flight and parking on the jobs' cells instead. Only `session`
     /// is fenced for the duration; launches on every other session proceed
-    /// mid-exchange. No quiesce phase precedes the gather: worker queues
-    /// are FIFO. Behavior (bytes moved, statistics, error cleanup) is
-    /// identical to [`ClusterMachine::refresh_halos`].
+    /// mid-exchange. No quiesce phase precedes the gather: each device runs
+    /// its messages in the order they were sent. Behavior (bytes moved,
+    /// statistics, error cleanup) is identical to
+    /// [`ClusterMachine::refresh_halos`].
     pub fn refresh_phased(&self, session: u64) -> Result<HaloRefreshReport, CompileError> {
         self.phased(Some(session), false, |m| m.halo_begin(session))
     }
 
     /// Lock the machine once none of `quiet`'s launches is in flight,
-    /// parking on one such job's cell between polls: the lock is only held
-    /// to drain outcomes, and the caller's next step runs under the guard
-    /// the condition was seen under. A job reported between the poll and
-    /// the park has already marked its cell, so the park returns at once.
-    /// An unknown session has none: the exchange's begin step reports it as
+    /// running one such job off-lock if it is still parked (its claim's
+    /// holder may not wait before this close is over) or parking on its
+    /// cell between polls: the lock is only held to drain and land
+    /// outcomes, and the caller's next step runs under the guard the
+    /// condition was seen under. A job reported between the poll and the
+    /// park has already marked its cell, so the park returns at once. An
+    /// unknown session has none: the exchange's begin step reports it as
     /// the synchronous path would.
     fn lock_when_quiet(&self, quiet: Option<u64>) -> MutexGuard<'_, ClusterMachine> {
         loop {
             let mut m = self.lock();
             m.poll_outcomes();
-            let Some(cell) = quiet.and_then(|s| m.blocker(s)) else {
+            let Some(job) = quiet.and_then(|s| m.blocker(s)) else {
                 return m;
             };
             drop(m);
-            cell.park(PARK_SLICE);
+            match job.inbox.run_parked(job.job_id) {
+                Some(outcome) => self.lock().land_parked(outcome, &job.cell),
+                None => {
+                    job.cell.park(PARK_SLICE);
+                }
+            }
         }
     }
 

@@ -3,9 +3,11 @@
 //! simulator into a pooled, cached, asynchronous system.
 //!
 //! * [`pool`] — [`DevicePool`]: N simulated FPGAs, each behind a persistent
-//!   worker thread owning its executor and device-local memory. Workers
-//!   run kernels and row movement only, and are reused across launches;
-//!   nothing is spawned per kernel launch.
+//!   worker thread, with its executor and device-local memory behind a
+//!   lock the worker shares with inline runners. Workers run what callers
+//!   cannot run themselves: the only job of a fan-out, sent to an idle
+//!   device, is run by the thread that waits for it. Workers are reused
+//!   across launches; nothing is spawned per kernel launch.
 //! * [`cache`] — [`ArtifactCache`]: the content-addressed compile cache,
 //!   with an optional on-disk JSON layer.
 //! * [`machine`] — [`ClusterMachine`]: the pool-level mirror of

@@ -13,21 +13,27 @@
 //! With one device and the same call sequence, results and statistics are
 //! bit-identical to `Machine`: it is the same routine.
 //!
-//! The device workers run kernels and row movement only: a session's
-//! launches and the phases of its row exchanges (see [`crate::sharded`]),
-//! sent straight to their shard's device. A session's sub-buffers are
-//! device-owned from open to close, and no call names them; the one
-//! ownership rule left is that **an array an open session maps is refused
-//! to everyone else** — a run, another open, a free — until its close has
-//! landed its rows. Every job is enqueued, then delivered as one
-//! `WorkerMessage::Job` by `send` the moment it is planned: the one path a
-//! job takes to its worker.
+//! Device jobs are a session's launches and the phases of its row
+//! exchanges (see [`crate::sharded`]), sent straight to their shard's
+//! device; the workers run what callers cannot run themselves. A session's
+//! sub-buffers are device-owned from open to close, and no call names them;
+//! the one ownership rule left is that **an array an open session maps is
+//! refused to everyone else** — a run, another open, a free — until its
+//! close has landed its rows. Every job is enqueued, then posted by `send`
+//! the moment it is planned: the one path a job takes to its device. There
+//! the one rule is decided: **the only job of a fan-out, for a device with
+//! nothing in flight and nothing undelivered, is parked** for the thread
+//! that waits for it, which runs it off the machine lock (`wait`,
+//! `PoolGate::wait_done`); everything else is one `WorkerMessage::Job` on
+//! the device worker's channel. A parked job still runs when nobody waits
+//! for it: a dropped claim hands it to the worker, and a close's quiesce
+//! runs the jobs in its way itself.
 //!
 //! A job's report has one owner: the cell its handle (the claim), the job
 //! and its pending entry share. Applying an outcome writes the report into
 //! the cell and drops the pending entry; `wait` takes the report from its
-//! own handle's cell, whoever drained the outcome. Nothing else may take
-//! it, and a dropped handle frees its report with the cell.
+//! own handle's cell, whoever drained the outcome or ran the job. Nothing
+//! else may take it, and a dropped handle frees its report with the cell.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::AtomicU64;
@@ -41,7 +47,8 @@ use ftn_trace::MetricsRegistry;
 use serde::Serialize;
 
 use crate::pool::{
-    DevicePool, Job, JobCell, JobKind, JobOutcome, JobSpec, RowFetch, RowPatch, WorkerMessage,
+    DevicePool, Inbox, Job, JobCell, JobKind, JobOutcome, JobSpec, RowFetch, RowPatch,
+    WorkerMessage,
 };
 use crate::rollup::{RollupBy, RollupRow, Rollups};
 
@@ -52,6 +59,17 @@ use crate::rollup::{RollupBy, RollupRow, Rollups};
 pub struct LaunchHandle {
     pub(crate) job_id: u64,
     pub(crate) cell: Arc<JobCell>,
+    /// The inbox the job was parked in, for the waiter to run it there;
+    /// `None` once it was sent to the worker or looked for.
+    pub(crate) parked: Option<Arc<Inbox>>,
+}
+
+impl LaunchHandle {
+    /// Run the job on the calling thread if it is still parked, and return
+    /// its outcome for the machine to apply.
+    pub(crate) fn run_parked(&mut self) -> Option<JobOutcome> {
+        self.parked.take()?.run_parked(self.job_id)
+    }
 }
 
 impl std::fmt::Debug for LaunchHandle {
@@ -63,6 +81,10 @@ impl std::fmt::Debug for LaunchHandle {
 impl Drop for LaunchHandle {
     fn drop(&mut self) {
         self.cell.abandon();
+        // A parked job nobody will wait for runs on its worker.
+        if let Some(inbox) = self.parked.take() {
+            inbox.release(self.job_id);
+        }
     }
 }
 
@@ -178,6 +200,8 @@ impl PoolMetrics {
 
 /// Bookkeeping for a submitted-but-unprocessed job.
 pub(crate) struct PendingJob {
+    /// The device the job was sent to.
+    pub(crate) device: usize,
     /// Kernel name for kernel jobs — the rollup attribution key.
     pub(crate) kernel: Option<String>,
     /// Session the submission ran under, if any (see
@@ -186,6 +210,14 @@ pub(crate) struct PendingJob {
     /// Bytes staged host→device alongside this job.
     pub(crate) staged_bytes: u64,
     /// Where the outcome is written once applied.
+    pub(crate) cell: Arc<JobCell>,
+}
+
+/// A job in a close's way: its claim's cell to park on, and the inbox it
+/// may still be parked in, to run it there.
+pub(crate) struct Blocker {
+    pub(crate) job_id: u64,
+    pub(crate) inbox: Arc<Inbox>,
     pub(crate) cell: Arc<JobCell>,
 }
 
@@ -453,11 +485,16 @@ impl ClusterMachine {
         Ok(())
     }
 
-    /// The cell of one of `session`'s launches in flight — the job a close
-    /// waits for — or `None` once none is.
-    pub(crate) fn blocker(&self, session: u64) -> Option<Arc<JobCell>> {
-        let job = self.pending.values().find(|p| p.session == Some(session));
-        job.map(|p| Arc::clone(&p.cell))
+    /// One of `session`'s launches in flight — the job a close waits for —
+    /// or `None` once none is.
+    pub(crate) fn blocker(&self, session: u64) -> Option<Blocker> {
+        let mut jobs = self.pending.iter();
+        let (&job_id, p) = jobs.find(|(_, p)| p.session == Some(session))?;
+        Some(Blocker {
+            job_id,
+            inbox: Arc::clone(&self.pool.slots[p.device].sender),
+            cell: Arc::clone(&p.cell),
+        })
     }
 
     /// Least-loaded placement: the shallowest queue, ties broken
@@ -495,9 +532,9 @@ impl ClusterMachine {
     }
 
     /// Release session sub-buffers: free their pool-memory slots and tell
-    /// every worker to drop its mirror of them. Queue order (FIFO per
-    /// worker) guarantees the eviction happens after any already-queued job
-    /// that still reads the mirror.
+    /// every device to drop its mirror of them. Message order (FIFO per
+    /// device, a parked job included) guarantees the eviction happens after
+    /// any job sent before it that still reads the mirror.
     pub(crate) fn drop_buffers(&mut self, ids: Vec<BufferId>) {
         for id in &ids {
             self.memory.free(*id);
@@ -539,6 +576,7 @@ impl ClusterMachine {
         self.pending.insert(
             job_id,
             PendingJob {
+                device,
                 kernel,
                 session: self.submitting_session,
                 staged_bytes,
@@ -548,31 +586,43 @@ impl ClusterMachine {
         job
     }
 
-    /// Deliver an enqueued job to `device`'s worker as one
-    /// `WorkerMessage::Job` — the one send path every job takes — and hand
-    /// out its claim. A worker that is gone fails the job on the spot: its
-    /// bookkeeping (pending ledger, queue depth) unwinds as if it had run and
-    /// errored, and its cell goes with the undelivered message, for no
-    /// claim goes out.
-    fn send(&mut self, device: usize, job: Job) -> Result<LaunchHandle, CompileError> {
+    /// Post an enqueued job to `device` — the one send path every job
+    /// takes — and hand out its claim. The job is parked for its waiter
+    /// when it is `alone` (its fan-out's only job) and the device is idle
+    /// (see the module docs); otherwise it is delivered to the worker as one
+    /// `WorkerMessage::Job`. A worker that is gone fails the job on the
+    /// spot: its bookkeeping (pending ledger, queue depth) unwinds as if it
+    /// had run and errored, and its cell goes with the undelivered message,
+    /// for no claim goes out.
+    fn send(&mut self, device: usize, job: Job, alone: bool) -> Result<LaunchHandle, CompileError> {
         let (job_id, cell) = (job.job_id, Arc::clone(&job.cell));
-        let msg = WorkerMessage::Job(Box::new(job));
-        if self.pool.slots[device].sender.send(msg).is_err() {
-            let gone = format!("device {device} worker is gone");
-            self.apply_outcome(JobOutcome {
-                job_id,
-                device,
-                result: Err(gone.clone()),
-            });
-            return Err(CompileError::new("cluster-submit", gone));
+        let inbox = &self.pool.slots[device].sender;
+        match inbox.post(Box::new(job), alone) {
+            Ok(parked) => {
+                let parked = parked.then(|| Arc::clone(inbox));
+                Ok(LaunchHandle {
+                    job_id,
+                    cell,
+                    parked,
+                })
+            }
+            Err(_) => {
+                let gone = format!("device {device} worker is gone");
+                self.apply_outcome(JobOutcome {
+                    job_id,
+                    device,
+                    result: Err(gone.clone()),
+                });
+                Err(CompileError::new("cluster-submit", gone))
+            }
         }
-        Ok(LaunchHandle { job_id, cell })
     }
 
     /// One fan-out: for every `(device, payload)` item in order, `plan` a
-    /// job and send it as its own message. When the items go to more than
-    /// one device and the pool has a CPU per worker, each job carries the
-    /// spread flag (see [`Job::spread`]). Stops at the first job that
+    /// job and send it on its own; a fan-out of one job may be parked for
+    /// its waiter (see [`ClusterMachine::send`]). When the items go to more
+    /// than one device and the pool has a CPU per worker, each job carries
+    /// the spread flag (see [`Job::spread`]). Stops at the first job that
     /// cannot be sent and returns the claims of the jobs delivered plus
     /// that error: an exchange waits every claim before it releases the
     /// buffers they touch, a launch drops them (see
@@ -584,11 +634,12 @@ impl ClusterMachine {
     ) -> (Vec<LaunchHandle>, Option<CompileError>) {
         let first = items.first().map(|&(device, _)| device);
         let spread = self.pool.cpu_each && items.iter().any(|&(d, _)| Some(d) != first);
+        let alone = items.len() == 1;
         let mut handles = Vec::with_capacity(items.len());
         for (device, item) in items {
             let mut job = plan(self, device, item);
             job.spread = spread;
-            match self.send(device, job) {
+            match self.send(device, job, alone) {
                 Ok(h) => handles.push(h),
                 Err(e) => return (handles, Some(e)),
             }
@@ -599,10 +650,14 @@ impl ClusterMachine {
     /// Wait for a submitted job: its report, its statistics folded into the
     /// pool totals and a fetch's rows written back to host memory.
     ///
+    /// A job still parked for this handle runs here, on the calling thread.
     /// The report is read from the handle's own cell, so a handle whose
     /// outcome another call already landed (a close, a quiesce, another
     /// waiter's drain) returns without blocking.
-    pub fn wait(&mut self, handle: LaunchHandle) -> Result<ClusterRunReport, CompileError> {
+    pub fn wait(&mut self, mut handle: LaunchHandle) -> Result<ClusterRunReport, CompileError> {
+        if let Some(outcome) = handle.run_parked() {
+            self.land_parked(outcome, &handle.cell);
+        }
         let (device, success) = loop {
             match handle.cell.take() {
                 Some(done) => break done.map_err(|msg| CompileError::new("cluster-run", msg))?,
@@ -673,12 +728,22 @@ impl ClusterMachine {
 
     /// Block until none of session `session`'s launches is in flight: each
     /// outcome applied, its report in its claim's cell (no wait at all after
-    /// `PoolGate`'s off-lock quiesce).
+    /// `PoolGate`'s off-lock quiesce). A launch still parked runs here.
     pub(crate) fn quiesce(&mut self, session: u64) -> Result<(), CompileError> {
-        while self.pending.values().any(|p| p.session == Some(session)) {
-            self.process_one_outcome()?;
+        while let Some(job) = self.blocker(session) {
+            match job.inbox.run_parked(job.job_id) {
+                Some(outcome) => self.land_parked(outcome, &job.cell),
+                None => self.process_one_outcome()?,
+            }
         }
         Ok(())
+    }
+
+    /// Apply the outcome of a job that ran where it was waited for, then
+    /// wake whoever else parks on its cell.
+    pub(crate) fn land_parked(&mut self, outcome: JobOutcome, cell: &JobCell) {
+        self.apply_outcome(outcome);
+        cell.mark_reported();
     }
 
     /// Receive one worker outcome (blocking) and apply its bookkeeping.

@@ -1,15 +1,22 @@
 //! The device pool: one persistent worker thread per simulated FPGA, each
-//! owning its executor (bound to a shared parsed bitstream image), its own
-//! device-side [`Memory`], and a FIFO job queue. Workers are reused across
-//! launches — no thread is ever spawned per kernel launch.
+//! device owning its executor (bound to a shared parsed bitstream image),
+//! its own device-side [`Memory`] and mirror table, and a FIFO message
+//! queue. Workers are reused across launches — no thread is ever spawned
+//! per kernel launch.
 //!
-//! Workers run kernels and row movement: one compute job plus the two
-//! halves of the row exchange that moves a session's data
-//! (`crate::exchange`). A sessionless host program never comes here: it
-//! runs where it is called (`ClusterMachine::run`), and only its placement
-//! and accounting go through the pool.
+//! Workers run what callers cannot run themselves. A non-`nowait` target
+//! region runs on the thread that reaches it and that thread waits for it;
+//! so the only job of a fan-out, sent to a device with nothing in flight,
+//! is not handed to the worker at all: it is *parked* in the device's
+//! `Inbox`, and the thread that waits for it runs it, off the machine
+//! lock, with the same `run_and_report` the worker uses. The worker takes
+//! everything else: jobs of fan-outs over several devices, which must run
+//! at the same time, and whatever arrives while its device is busy. A
+//! sessionless host program never comes here: it runs where it is called
+//! (`ClusterMachine::run`), and only its placement and accounting go
+//! through the pool.
 //! * `JobKind::Kernel` — execute one device kernel directly against the
-//!   worker's resident shard mirrors (`target data` sessions launch these;
+//!   device's resident shard mirrors (`target data` sessions launch these;
 //!   nothing is staged, and nothing is written back until the session's
 //!   close fetch).
 //! * `JobKind::Fetch` — copy element ranges of mirrors back to the host,
@@ -20,13 +27,22 @@
 //!   charged the way a data-region entry is, a refresh's blocks; see
 //!   `RowPatch`).
 //!
+//! A device's messages run in the order they were sent, wherever they run:
+//! every message goes through `Inbox::send`, which first moves a parked
+//! job onto the worker's channel, and a device counts as idle only while
+//! nothing it was sent is unfinished — a queued `Evict` or test `Stall`
+//! included. The device state sits behind a lock the worker and an inline
+//! runner share; an inline runner takes it before it lets go of the queue,
+//! so a message sent after the parked job waits for that job.
+//!
 //! Every job carries its `JobCell`, the one place its report will live,
 //! shared with the caller's claim and the machine's pending entry. The
 //! worker sends the outcome on the pool channel, then marks the cell
 //! reported, waking whoever waits for that job — its claim, or a `PoolGate`
-//! close that waits for its session's launches.
+//! close that waits for its session's launches. An inline runner applies
+//! the outcome itself and marks the cell the same way.
 //!
-//! After each job the worker frees every allocation the job recorded, so
+//! After each job the runner frees every allocation the job recorded, so
 //! kernel-local scratch does not accumulate across the life of the pool.
 //! The only persistent device buffers are session sub-buffer mirrors,
 //! created by a `RowPatch` and kept until the session releases the
@@ -35,7 +51,7 @@
 use std::collections::HashMap;
 #[cfg(test)]
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
+use std::sync::mpsc::{Receiver, SendError, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -171,9 +187,11 @@ pub(crate) struct Job {
     /// spans carry it so a request can be followed across device lanes.
     pub trace_id: u64,
     /// Span id of the submitting operation — the worker-side job span links
-    /// to it as its parent across the thread boundary.
+    /// to it as its parent across the thread boundary. An inline runner
+    /// re-links the job to the span open on its own thread, which encloses
+    /// it.
     pub parent_span: u64,
-    /// Wall-clock submission time ([`ftn_trace::now_nanos`]); the worker
+    /// Wall-clock submission time ([`ftn_trace::now_nanos`]); the runner
     /// derives the job's queue wait from it at dispatch.
     pub enqueued_nanos: u64,
     /// Whether the job's fan-out reaches more than one device on a pool with
@@ -182,11 +200,11 @@ pub(crate) struct Job {
     pub spread: bool,
     pub spec: JobSpec,
     /// Where the job's report will live; marked reported once the outcome
-    /// is sent.
+    /// is on the pool's channel or applied by its inline runner.
     pub cell: Arc<JobCell>,
 }
 
-/// What comes back from a worker when a job finishes.
+/// What comes back from a job's runner when the job finishes.
 pub(crate) struct JobOutcome {
     pub job_id: u64,
     pub device: usize,
@@ -234,10 +252,11 @@ pub(crate) type FailureSink = Arc<Mutex<Option<String>>>;
 /// entry. The report lives here from the moment the machine applies the
 /// outcome until the claim takes it, and goes with the last holder.
 ///
-/// * **Worker side** — once the outcome is on the pool's channel, the
-///   worker marks the cell reported and wakes whoever parks on it: a
-///   targeted wakeup, so N concurrent waiters cost one wake per outcome
-///   instead of an N-thread herd racing for the machine lock.
+/// * **Runner side** — once the outcome is on the pool's channel (a worker)
+///   or applied (an inline runner), the runner marks the cell reported and
+///   wakes whoever parks on it: a targeted wakeup, so N concurrent waiters
+///   cost one wake per outcome instead of an N-thread herd racing for the
+///   machine lock.
 /// * **Machine side** — applying the outcome writes the report in.
 /// * **Claim side** — a wait reads and parks on its own cell. A report
 ///   that another caller's drain already applied is found here, and a
@@ -273,7 +292,8 @@ impl JobCell {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Worker side: the outcome is on the channel; wake the claim's waiter.
+    /// Runner side: the outcome is on the channel or applied; wake the
+    /// claim's waiter.
     pub(crate) fn mark_reported(&self) {
         self.state().reported = true;
         self.cv.notify_all();
@@ -299,7 +319,7 @@ impl JobCell {
         self.state().report.is_some()
     }
 
-    /// Park until the worker has reported the outcome or `timeout` elapses
+    /// Park until the runner has reported the outcome or `timeout` elapses
     /// (a safety valve for shutdown races, not the wake path). Returns
     /// whether it has.
     pub(crate) fn park(&self, timeout: Duration) -> bool {
@@ -336,13 +356,128 @@ impl Drop for JobCell {
 /// Host-side handle to one pool device.
 pub(crate) struct DeviceSlot {
     pub model: DeviceModel,
-    pub sender: Sender<WorkerMessage>,
+    /// The one way into the device: every message, and the parked job.
+    pub sender: Arc<Inbox>,
     pub thread: Option<JoinHandle<()>>,
 }
 
+/// The one way into a device: its worker's channel, the slot where the
+/// only job of a fan-out waits for its caller, and the device state every
+/// job runs against, wherever it runs (see the module docs).
+pub(crate) struct Inbox {
+    channel: Sender<WorkerMessage>,
+    queue: Mutex<Queue>,
+    /// Device-local state, held by whoever runs a message: the worker, or
+    /// the thread that runs a parked job.
+    worker: Mutex<Worker>,
+}
+
+#[derive(Default)]
+struct Queue {
+    /// A job sent to an idle device, until a caller runs it or a later
+    /// message moves it onto the channel ahead of itself.
+    parked: Option<Box<Job>>,
+    /// Messages delivered and not yet finished by the worker, plus a parked
+    /// job being run: the device is idle only at 0. A worker that has shut
+    /// down never finishes its `Shutdown`, so its device is never idle.
+    busy: usize,
+}
+
+impl Inbox {
+    fn queue(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn worker(&self) -> MutexGuard<'_, Worker> {
+        self.worker.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Test-only: hold the device state, so a job taken to run waits here.
+    #[cfg(test)]
+    pub(crate) fn hold(&self) -> MutexGuard<'_, Worker> {
+        self.worker()
+    }
+
+    /// Deliver `msg` to the worker, behind the parked job if there is one:
+    /// anything sent after a parked job runs after it. Fails when the
+    /// worker is gone.
+    pub(crate) fn send(&self, msg: WorkerMessage) -> Result<(), SendError<WorkerMessage>> {
+        self.deliver(&mut self.queue(), msg)
+    }
+
+    fn deliver(&self, q: &mut Queue, msg: WorkerMessage) -> Result<(), SendError<WorkerMessage>> {
+        if !self.unpark(q) {
+            return Err(SendError(msg));
+        }
+        self.channel.send(msg)?;
+        q.busy += 1;
+        Ok(())
+    }
+
+    /// Move the parked job, if any, onto the channel. A worker that is gone
+    /// leaves it parked, for its own waiter to run; returns whether the
+    /// slot is empty.
+    fn unpark(&self, q: &mut Queue) -> bool {
+        let Some(job) = q.parked.take() else {
+            return true;
+        };
+        match self.channel.send(WorkerMessage::Job(job)) {
+            Ok(()) => q.busy += 1,
+            Err(SendError(WorkerMessage::Job(job))) => q.parked = Some(job),
+            Err(_) => unreachable!("the channel hands back the job it was given"),
+        }
+        q.parked.is_none()
+    }
+
+    /// Post a job: parked when `alone` (the only job of its fan-out) and
+    /// the device is idle with nothing parked, delivered otherwise. Returns
+    /// whether it was parked; fails when the worker is gone.
+    pub(crate) fn post(
+        &self,
+        job: Box<Job>,
+        alone: bool,
+    ) -> Result<bool, SendError<WorkerMessage>> {
+        let mut q = self.queue();
+        if alone && q.busy == 0 && q.parked.is_none() {
+            q.parked = Some(job);
+            return Ok(true);
+        }
+        self.deliver(&mut q, WorkerMessage::Job(job))
+            .map(|()| false)
+    }
+
+    /// Hand job `job_id` to the worker if it is still parked: its claim
+    /// is gone, and nobody else may be coming to run it.
+    pub(crate) fn release(&self, job_id: u64) {
+        let mut q = self.queue();
+        if q.parked.as_ref().is_some_and(|job| job.job_id == job_id) {
+            self.unpark(&mut q);
+        }
+    }
+
+    /// Run job `job_id` on the calling thread if it is still parked, under a
+    /// span linked to the one open here, and return its outcome for the
+    /// caller to apply. `None` when a worker has it or it has run.
+    pub(crate) fn run_parked(&self, job_id: u64) -> Option<JobOutcome> {
+        let mut q = self.queue();
+        let mut job = q.parked.take_if(|job| job.job_id == job_id)?;
+        q.busy += 1;
+        // Nothing else holds the device state while the device is idle; it
+        // is taken before the queue is let go, so a message sent from here
+        // on waits for this job in the worker's own `worker()`.
+        let mut worker = self.worker();
+        drop(q);
+        job.parent_span = ftn_trace::current_span_id();
+        let outcome = run_and_report(&mut worker, *job);
+        drop(worker);
+        self.queue().busy -= 1;
+        Some(outcome)
+    }
+}
+
 /// N simulated FPGAs, each behind a persistent worker thread with a FIFO
-/// job queue. One parsed bitstream image is shared across all workers and
-/// the sessionless calls placed on them.
+/// message queue and an `Inbox` in front of it. One parsed bitstream image
+/// is shared across all workers and the sessionless calls placed on them.
 pub struct DevicePool {
     pub(crate) slots: Vec<DeviceSlot>,
     image: Arc<ExecutorImage>,
@@ -362,13 +497,23 @@ impl DevicePool {
             .iter()
             .enumerate()
             .map(|(index, model)| {
-                let (job_tx, job_rx) = std::sync::mpsc::channel();
-                let executor = KernelExecutor::from_image(Arc::clone(&image), model.clone());
-                let thread =
-                    spawn_worker(index, model.clone(), executor, job_rx, outcome_tx.clone());
+                let (channel, jobs) = std::sync::mpsc::channel();
+                let worker = Worker {
+                    index,
+                    executor: KernelExecutor::from_image(Arc::clone(&image), model.clone()),
+                    model: model.clone(),
+                    memory: Memory::new(),
+                    mirror: HashMap::new(),
+                };
+                let inbox = Arc::new(Inbox {
+                    channel,
+                    queue: Mutex::default(),
+                    worker: Mutex::new(worker),
+                });
+                let thread = spawn_worker(Arc::clone(&inbox), jobs, outcome_tx.clone());
                 DeviceSlot {
                     model: model.clone(),
-                    sender: job_tx,
+                    sender: inbox,
                     thread: Some(thread),
                 }
             })
@@ -444,8 +589,8 @@ impl Drop for DevicePool {
     }
 }
 
-/// Worker state: everything device-local.
-struct Worker {
+/// Device state: everything device-local, whoever runs the job.
+pub(crate) struct Worker {
     index: usize,
     executor: KernelExecutor,
     model: DeviceModel,
@@ -605,15 +750,16 @@ pub(crate) fn empty_like(like: &Buffer, len: usize) -> Buffer {
     }
 }
 
-/// Run one job and report its outcome. Panics are contained (e.g. from a
-/// malformed bitstream module): an unwinding worker that never reports its
+/// Run one job and report its outcome — the one runner, for the worker and
+/// for a parked job's waiter alike. Panics are contained (e.g. from a
+/// malformed bitstream module): an unwinding runner that never reports its
 /// outcome would leave `ClusterMachine::wait` blocked forever.
-fn run_and_report(worker: &mut Worker, job: Job, outcomes: &Sender<JobOutcome>) {
+fn run_and_report(worker: &mut Worker, job: Job) -> JobOutcome {
     let index = worker.index;
     let job_id = job.job_id;
     // Queue wait = submission to dispatch, measured on the shared monotonic
-    // trace clock; the worker span continues the submitting request's trace
-    // so the job shows up on this device's lane under that trace id.
+    // trace clock; the job span continues the submitting request's trace
+    // so the job shows up on the runner's lane under that trace id.
     let queue_wait_seconds =
         ftn_trace::now_nanos().saturating_sub(job.enqueued_nanos) as f64 * 1e-9;
     let _trace = ftn_trace::trace_scope(job.trace_id);
@@ -628,14 +774,17 @@ fn run_and_report(worker: &mut Worker, job: Job, outcomes: &Sender<JobOutcome>) 
     if let JobKind::Kernel { kernel } = &job.spec.kind {
         span.arg("kernel", kernel.as_str());
     }
-    span.arg("queue_wait_us", format!("{:.1}", queue_wait_seconds * 1e6));
+    span.arg(
+        "queue_wait_us",
+        format_args!("{:.1}", queue_wait_seconds * 1e6),
+    );
     let result =
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker.run_job(job.spec)))
             .map(|r| {
                 r.map(|mut success| {
                     success.queue_wait_seconds = queue_wait_seconds;
                     let busy = busy_seconds(&success.stats);
-                    span.arg("sim_busy_us", format!("{:.1}", busy * 1e6));
+                    span.arg("sim_busy_us", format_args!("{:.1}", busy * 1e6));
                     success
                 })
             })
@@ -652,40 +801,27 @@ fn run_and_report(worker: &mut Worker, job: Job, outcomes: &Sender<JobOutcome>) 
                     .unwrap_or_else(|| "unknown panic".to_string());
                 Err(format!("device {index} worker panicked: {msg}"))
             });
-    // Finish the job span before the outcome becomes observable: waiters
-    // wake as soon as it is, and a /trace read racing the lane write would
-    // miss this job's span otherwise.
+    // The span ends before the outcome becomes observable: waiters wake as
+    // soon as it is, and a /trace read racing the lane write would miss
+    // this job's span otherwise.
     drop(span);
-    // The pool half may already be gone during teardown; a failed send just
-    // drops the outcome.
-    let _ = outcomes.send(JobOutcome {
+    JobOutcome {
         job_id,
         device: index,
         result,
-    });
-    // Wake the job's waiters only after the outcome is observable on the
-    // channel.
-    job.cell.mark_reported();
+    }
 }
 
-/// Spawn the worker thread for device `index`.
-pub(crate) fn spawn_worker(
-    index: usize,
-    model: DeviceModel,
-    executor: KernelExecutor,
+/// Spawn the worker thread for `inbox`'s device.
+fn spawn_worker(
+    inbox: Arc<Inbox>,
     jobs: Receiver<WorkerMessage>,
     outcomes: Sender<JobOutcome>,
 ) -> JoinHandle<()> {
+    let index = inbox.worker().index;
     std::thread::Builder::new()
         .name(format!("ftn-device-{index}"))
         .spawn(move || {
-            let mut worker = Worker {
-                index,
-                executor,
-                model,
-                memory: Memory::new(),
-                mirror: HashMap::new(),
-            };
             let (cpus, mut on_own) = (affinity(None), false);
             let own = (0..64).filter(|c| cpus >> c & 1 == 1).nth(index);
             let own = own.map_or(0, |c| 1 << c);
@@ -699,18 +835,36 @@ pub(crate) fn spawn_worker(
                     affinity(Some(if spread { own } else { cpus }));
                     on_own = spread;
                 }
-                match msg {
-                    Ok(WorkerMessage::Job(job)) => run_and_report(&mut worker, *job, &outcomes),
+                let reported = match msg {
+                    Ok(WorkerMessage::Job(job)) => {
+                        let cell = Arc::clone(&job.cell);
+                        let outcome = run_and_report(&mut inbox.worker(), *job);
+                        // The pool half may already be gone during teardown;
+                        // a failed send just drops the outcome.
+                        let _ = outcomes.send(outcome);
+                        Some(cell)
+                    }
                     Ok(WorkerMessage::Evict(ids)) => {
+                        let mut worker = inbox.worker();
                         for id in ids {
                             if let Some(local) = worker.mirror.remove(&id) {
                                 worker.memory.free(local);
                             }
                         }
+                        None
                     }
                     #[cfg(test)]
-                    Ok(WorkerMessage::Stall(release)) => drop(release.recv()),
+                    Ok(WorkerMessage::Stall(release)) => {
+                        let _ = release.recv();
+                        None
+                    }
                     Ok(WorkerMessage::Shutdown) | Err(_) => break,
+                };
+                inbox.queue().busy -= 1;
+                // Wake the job's waiters only after the outcome is
+                // observable on the channel and the device counts as idle.
+                if let Some(cell) = reported {
+                    cell.mark_reported();
                 }
             }
         })

@@ -16,6 +16,7 @@
 //! A device's row is part of its one ledger (`DeviceLedger`), which
 //! `pool_stats()` reads too: nothing about a device is recorded twice.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use ftn_host::RunStats;
@@ -75,13 +76,21 @@ impl RollupRow {
     }
 }
 
-/// The row of `key` in `table`, started empty.
-fn row<K: Ord + ToString>(table: &mut BTreeMap<K, RollupRow>, key: K) -> &mut RollupRow {
-    let text = key.to_string();
-    (table.entry(key)).or_insert_with(|| RollupRow {
-        key: text,
-        ..RollupRow::default()
-    })
+/// The row of `key` in `table`, started empty. Looked up by reference:
+/// only a row that is new allocates its key.
+fn row<'t, K, Q>(table: &'t mut BTreeMap<K, RollupRow>, key: &Q) -> &'t mut RollupRow
+where
+    K: Ord + Borrow<Q>,
+    Q: Ord + ToOwned<Owned = K> + ToString + ?Sized,
+{
+    if !table.contains_key(key) {
+        let row = RollupRow {
+            key: key.to_string(),
+            ..RollupRow::default()
+        };
+        table.insert(key.to_owned(), row);
+    }
+    table.get_mut(key).expect("the row exists")
 }
 
 /// Everything one device's completed jobs cost: its attribution row (jobs,
@@ -135,8 +144,8 @@ impl Rollups {
         queue_wait_seconds: f64,
         bytes_moved: u64,
     ) {
-        let kernel = kernel.map(|k| row(&mut self.by_kernel, k.to_string()));
-        let session = session.map(|s| row(&mut self.by_session, s));
+        let kernel = kernel.map(|k| row(&mut self.by_kernel, k));
+        let session = session.map(|s| row(&mut self.by_session, &s));
         let ledger = &mut self.devices[device];
         for row in [kernel, session, Some(&mut ledger.row)]
             .into_iter()

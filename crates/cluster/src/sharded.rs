@@ -34,8 +34,9 @@
 //! ([`ShardArg::Extent`] resolves to the shard's local leading-dim extent).
 //! Shard jobs are *force-placed* on their shard's device, bypassing
 //! least-loaded placement — the data already lives there. Every fan-out —
-//! launches and the phases of every exchange — sends each job as its own
-//! message the moment it is planned. Close fetches every
+//! launches and the phases of every exchange — posts each job the moment
+//! it is planned; a fan-out of one job to an idle device (a one-shard
+//! session's launch, open, close) is run by the thread that waits for it. Close fetches every
 //! shard's `from`/`tofrom` sub-buffers, gathers (concatenates owned rows,
 //! dropping halos) or reduces (sum/min/max private copies) into the
 //! caller's arrays, and frees the sub-buffers on host and devices alike.

@@ -554,3 +554,238 @@ fn a_session_kernel_job_never_stages() {
         assert_eq!(v.to_bits(), expect.to_bits(), "element {i}");
     }
 }
+
+/// How long a wait regression gives its thread before calling it a hang.
+const PATIENCE: Duration = Duration::from_secs(20);
+
+/// Run `body` on its own thread and return what it sends, failing the test
+/// if nothing arrives within [`PATIENCE`]: a wait that hangs fails here
+/// instead of hanging the suite (the blocked thread is left behind).
+fn watchdog<T: Send + 'static>(what: &str, body: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let worker = std::thread::spawn(move || tx.send(body()).expect("test listens"));
+    let out = rx.recv_timeout(PATIENCE);
+    if let Err(std::sync::mpsc::RecvTimeoutError::Timeout) = out {
+        panic!("{what} hangs");
+    }
+    worker.join().expect("the body runs to completion");
+    out.expect("the body sent its result")
+}
+
+/// SAXPY's whole-array launch arguments for a one-shard session over `x`
+/// and `y` of `n` elements: `y += a·x`.
+fn saxpy_launch(x: &RtValue, y: &RtValue, n: usize, a: f32) -> [RtValue; 7] {
+    let n = RtValue::Index(n as i64);
+    let (x, y, one) = (x.clone(), y.clone(), RtValue::Index(1));
+    [x, y, n.clone(), n.clone(), RtValue::F32(a), one, n]
+}
+
+/// The synchronous API's order with a close in the window, on a one-shard
+/// session, where the launch is parked for its waiter: submit, close, then
+/// wait. The close runs the launch it finds parked instead of waiting for
+/// an outcome nobody will produce, and the ticket stays redeemable after it.
+#[test]
+fn a_parked_launch_waited_after_its_close_returns_its_report() {
+    use crate::MapKind;
+    let n = 64usize;
+    let (launches, closed_launches, y) = watchdog("a wait after the close", move || {
+        let mut cluster = pool(1);
+        let xa = cluster.host_f32(&vec![1.0f32; n]);
+        let ya = cluster.host_f32(&vec![0.5f32; n]);
+        let maps = [
+            ("x", xa.clone(), MapKind::To),
+            ("y", ya.clone(), MapKind::ToFrom),
+        ];
+        let sid = cluster.open_session(&maps).unwrap();
+        let ticket =
+            (cluster.session_launch(sid, "saxpy_kernel0", &saxpy_launch(&xa, &ya, n, 2.0)))
+                .unwrap();
+        assert!(ticket.handle.parked.is_some(), "an idle device's only job");
+        let closed = cluster.close_session(sid).unwrap();
+        let report = cluster.wait(ticket.handle).unwrap();
+        assert!(cluster.pending.is_empty() && no_live_cells(&cluster));
+        let y = cluster.read_f32(&ya);
+        (report.report.stats.launches, closed.stats.launches, y)
+    });
+    assert_eq!((launches, closed_launches), (1, 1));
+    assert_eq!(y, vec![2.5f32; n]);
+}
+
+/// A parked launch whose claim is dropped unwaited still runs, with no
+/// further call to the machine: its worker takes it. It failed, so the
+/// session's next close fails once with its message, and nothing of it is
+/// left behind.
+#[test]
+fn a_parked_launch_dropped_unwaited_runs_and_fails_the_close_once() {
+    use crate::MapKind;
+    let n = 8usize;
+    let mut cluster = pool(1);
+    let xa = cluster.host_f32(&vec![1.0f32; n]);
+    let ya = cluster.host_f32(&vec![0.5f32; n]);
+    let maps = [
+        ("x", xa.clone(), MapKind::To),
+        ("y", ya.clone(), MapKind::ToFrom),
+    ];
+    let sid = cluster.open_session(&maps).unwrap();
+    // The launch runs off the end of its arrays.
+    let ticket = cluster
+        .session_launch(sid, "saxpy_kernel0", &saxpy_launch(&xa, &ya, 9999, 2.0))
+        .unwrap();
+    assert!(ticket.handle.parked.is_some(), "an idle device's only job");
+    drop(ticket);
+    let deadline = Instant::now() + PATIENCE;
+    while !cluster.pending.is_empty() {
+        assert!(Instant::now() < deadline, "a dropped claim's job never ran");
+        cluster.poll_outcomes();
+        std::thread::yield_now();
+    }
+    let err = cluster.close_session(sid).expect_err("the launch failed");
+    assert_eq!(err.stage, "cluster-run");
+    assert!(err.message.contains("out of bounds"), "{err}");
+    assert_eq!(cluster.open_sessions(), vec![sid]);
+    cluster.close_session(sid).unwrap();
+    assert!(cluster.pending.is_empty() && no_live_cells(&cluster));
+    // The failed launch had updated every element in bounds before it failed.
+    assert_eq!(cluster.read_f32(&ya), vec![2.5f32; n]);
+}
+
+/// A device counts as idle only when nothing it was sent is unfinished: a
+/// closed session's `Evict`, queued behind a stall, keeps it busy, so the
+/// next open's staging waits behind it. That open reuses the closed
+/// session's host ids for its sub-buffers; had its staging been parked and
+/// run ahead of the queued `Evict`, the `Evict` would delete the new
+/// mirrors and the launch would find nothing resident.
+#[test]
+fn a_queued_evict_runs_before_a_later_opens_staging() {
+    use std::sync::mpsc;
+
+    use crate::pool::WorkerMessage;
+    use crate::sharded::ShardCount;
+    use crate::{MapKind, Partition, PoolGate};
+    let n = 32usize;
+    let split = Partition::Split { halo: 0 };
+    let gate = Arc::new(PoolGate::new(pool(1)));
+    let arrays: Vec<RtValue> = {
+        let mut m = gate.lock();
+        (0..4)
+            .map(|i| m.host_f32(&vec![i as f32 * 0.5; n]))
+            .collect()
+    };
+    // A maps only `to` arrays: its close fetches nothing and sends only the
+    // `Evict`.
+    let maps = [
+        ("x", arrays[0].clone(), MapKind::To, split),
+        ("y", arrays[1].clone(), MapKind::To, split),
+    ];
+    let a = gate.open_phased(&maps, ShardCount::Fixed(1)).unwrap();
+    let a_ids = gate.lock().sessions[&a].env.buffer_ids();
+    // Device 0 stops taking messages until `release` is dropped.
+    let (release, released) = mpsc::channel::<()>();
+    let stall = WorkerMessage::Stall(released);
+    (gate.lock().pool.slots[0].sender.send(stall)).expect("worker");
+    gate.close_phased(a).unwrap();
+
+    let (xb, yb) = (arrays[2].clone(), arrays[3].clone());
+    let (tx, opened) = mpsc::channel();
+    let opener = {
+        let gate = Arc::clone(&gate);
+        let maps = [
+            ("x", xb, MapKind::To, split),
+            ("y", yb.clone(), MapKind::ToFrom, split),
+        ];
+        std::thread::spawn(move || tx.send(gate.open_phased(&maps, ShardCount::Fixed(1))))
+    };
+    if let Ok(b) = opened.recv_timeout(Duration::from_millis(300)) {
+        panic!("B's open ran ahead of A's queued Evict: {b:?}");
+    }
+    drop(release);
+    let b = opened.recv_timeout(PATIENCE).expect("released").unwrap();
+    opener.join().expect("opener").expect("test listens");
+    let b_ids = gate.lock().sessions[&b].env.buffer_ids();
+    assert!(
+        b_ids.iter().any(|id| a_ids.contains(id)),
+        "B's sub-buffers reuse A's host ids: {a_ids:?} {b_ids:?}"
+    );
+    let ticket = (gate.lock_session(b)).sharded_launch(b, "saxpy_kernel0", &saxpy_args(2.0));
+    gate.wait_many(ticket.unwrap().handles).unwrap();
+    gate.close_phased(b).unwrap();
+    // y = 1.5 + 2·1.0
+    assert_eq!(gate.lock().read_f32(&yb), vec![3.5f32; n]);
+}
+
+/// Nothing runs under the machine lock: while session A's parked launch is
+/// mid-run on its waiter's thread (device 0's state is held here, so it
+/// cannot finish), session B's launch on device 1 submits and completes
+/// through the same gate. Answers arrive over channels read with a timeout,
+/// so a runner that held the machine lock fails here instead of hanging.
+#[test]
+fn a_parked_job_runs_off_the_machine_lock() {
+    use std::sync::mpsc;
+
+    use crate::sharded::ShardCount;
+    use crate::{MapKind, Partition, PoolGate};
+    let n = 64usize;
+    let split = Partition::Split { halo: 0 };
+    let gate = Arc::new(PoolGate::new(pool(2)));
+    let open = |y: f32| {
+        let (x, y) = {
+            let mut m = gate.lock();
+            (m.host_f32(&vec![1.0f32; n]), m.host_f32(&vec![y; n]))
+        };
+        let maps = [
+            ("x", x, MapKind::To, split),
+            ("y", y.clone(), MapKind::ToFrom, split),
+        ];
+        (gate.open_phased(&maps, ShardCount::Fixed(1)).unwrap(), y)
+    };
+    let ((a, ya), (b, yb)) = (open(0.5), open(1.5));
+    assert_eq!(gate.lock().sharded_devices(a), Some(vec![0]));
+    assert_eq!(gate.lock().sharded_devices(b), Some(vec![1]));
+    let launch = |gate: &PoolGate, sid: u64| {
+        let ticket = gate
+            .lock_session(sid)
+            .sharded_launch(sid, "saxpy_kernel0", &saxpy_args(2.0))
+            .expect("launch submits");
+        assert!(
+            ticket.handles[0].parked.is_some(),
+            "an idle device's only job"
+        );
+        gate.wait_many(ticket.handles).map(|r| r.len())
+    };
+
+    let device0 = Arc::clone(&gate.lock().pool.slots[0].sender);
+    let held = device0.hold();
+    let (a_tx, a_done) = mpsc::channel();
+    let a_thread = {
+        let gate = Arc::clone(&gate);
+        std::thread::spawn(move || a_tx.send(launch(&gate, a)).expect("test listens"))
+    };
+    let deadline = Instant::now() + PATIENCE;
+    while gate.try_lock().is_none_or(|m| m.loads[0] == 0) {
+        assert!(
+            Instant::now() < deadline,
+            "A's launch holds the machine lock"
+        );
+        std::thread::yield_now();
+    }
+    let (b_tx, b_done) = mpsc::channel();
+    let b_thread = {
+        let gate = Arc::clone(&gate);
+        std::thread::spawn(move || b_tx.send(launch(&gate, b)).expect("test listens"))
+    };
+    let reports = b_done
+        .recv_timeout(PATIENCE)
+        .unwrap_or_else(|_| panic!("B's launch waits out A's running job"));
+    assert_eq!(reports.unwrap(), 1);
+    assert!(a_done.try_recv().is_err(), "A's job cannot finish yet");
+    drop(held);
+    assert_eq!(a_done.recv_timeout(PATIENCE).expect("released").unwrap(), 1);
+    a_thread.join().expect("A's launcher");
+    b_thread.join().expect("B's launcher");
+    gate.close_phased(a).unwrap();
+    gate.close_phased(b).unwrap();
+    let m = gate.lock();
+    assert_eq!(m.read_f32(&ya), vec![2.5f32; n]);
+    assert_eq!(m.read_f32(&yb), vec![3.5f32; n]);
+    assert!(m.pending.is_empty() && no_live_cells(&m));
+}

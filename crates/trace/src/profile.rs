@@ -26,10 +26,14 @@
 //! layout, hover tooltips via `<title>`, no scripts), and a JSON tree
 //! ([`Profile::to_value`]).
 //!
-//! [`device_utilization`] reduces each `ftn-device-N` lane's job spans to a
-//! busy/idle split of the window: `busy` is job coverage, `idle` the
-//! remainder. The two nanosecond figures partition the window exactly, so
-//! the fractions sum to 1 (within float rounding) and never above it.
+//! [`device_utilization`] reduces each device's job and host-call spans to
+//! a busy/idle split of the window: `busy` is their coverage, `idle` the
+//! remainder. A span counts for the device its `device` arg names, on
+//! whatever lane recorded it — a job its caller ran, a host program run on
+//! an HTTP worker — and a job span without the arg for the `ftn-device-N`
+//! lane it sits on. The two nanosecond figures partition the window
+//! exactly, so the fractions sum to 1 (within float rounding) and never
+//! above it.
 
 use std::collections::{BTreeMap, HashMap};
 
@@ -442,20 +446,22 @@ fn color(name: &str) -> String {
     format!("rgb({r},{g},{b})")
 }
 
-/// One device lane's busy/idle split of a profiling window.
+/// One device's busy/idle split of a profiling window.
 ///
 /// The two nanosecond figures partition `window_nanos` exactly:
 /// `busy + idle == window`, so the fractions sum to 1 within float
 /// rounding — never above.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceUtilization {
-    /// Device index parsed from the `ftn-device-N` lane name.
+    /// Device index: a span's `device` arg, or parsed from the
+    /// `ftn-device-N` lane name.
     pub device: usize,
-    /// The lane (worker thread) name.
+    /// The device's worker lane name, `ftn-device-N` (its spans may have
+    /// been recorded on other lanes).
     pub lane: String,
     /// The window length in nanoseconds.
     pub window_nanos: u64,
-    /// Nanoseconds covered by job spans.
+    /// Nanoseconds covered by the device's job and host-call spans.
     pub busy_nanos: u64,
     /// The uncovered remainder.
     pub idle_nanos: u64,
@@ -495,50 +501,65 @@ fn union_nanos(intervals: &mut [(u64, u64)]) -> u64 {
     total
 }
 
-/// Reduce each `ftn-device-N` lane in `lanes` to its busy/idle split
-/// of `[since_nanos, until_nanos]`, from the coverage of its worker-category
-/// `job.*` spans. Sorted by device index.
+/// Reduce every device in `lanes` to its busy/idle split of
+/// `[since_nanos, until_nanos]`, from the coverage of its spans (see the
+/// module docs for which count, and for which device). A device appears
+/// when it has an `ftn-device-N` lane or a span in the window names it.
+/// Sorted by device index.
 pub fn device_utilization(
     lanes: &[LaneSnapshot],
     since_nanos: u64,
     until_nanos: u64,
 ) -> Vec<DeviceUtilization> {
     let window = until_nanos.saturating_sub(since_nanos);
-    let mut out = Vec::new();
+    if window == 0 {
+        return Vec::new();
+    }
+    let mut covered: BTreeMap<usize, Vec<(u64, u64)>> = BTreeMap::new();
     for lane in lanes {
-        let Some(device) = lane
+        let lane_device = lane
             .name
             .strip_prefix("ftn-device-")
-            .and_then(|s| s.parse::<usize>().ok())
-        else {
-            continue;
-        };
-        if window == 0 {
-            continue;
+            .and_then(|s| s.parse::<usize>().ok());
+        if let Some(device) = lane_device {
+            covered.entry(device).or_default();
         }
-        let mut all = Vec::new();
         for e in &lane.events {
-            if e.cat != "worker" || !e.name.starts_with("job.") || e.dur_nanos == 0 {
+            let Some(device) = busy_device(e, lane_device) else {
                 continue;
-            }
+            };
             let start = e.start_nanos.max(since_nanos);
             let end = e.start_nanos.saturating_add(e.dur_nanos).min(until_nanos);
-            if end <= start {
-                continue;
+            if end > start {
+                covered.entry(device).or_default().push((start, end));
             }
-            all.push((start, end));
         }
-        let busy_nanos = union_nanos(&mut all).min(window);
-        out.push(DeviceUtilization {
-            device,
-            lane: lane.name.clone(),
-            window_nanos: window,
-            busy_nanos,
-            idle_nanos: window - busy_nanos,
-        });
     }
-    out.sort_by_key(|u| u.device);
-    out
+    (covered.into_iter())
+        .map(|(device, mut spans)| {
+            let busy_nanos = union_nanos(&mut spans).min(window);
+            DeviceUtilization {
+                device,
+                lane: format!("ftn-device-{device}"),
+                window_nanos: window,
+                busy_nanos,
+                idle_nanos: window - busy_nanos,
+            }
+        })
+        .collect()
+}
+
+/// The device span `e` keeps busy, if any: a worker-category `job.*` span
+/// or a `host.call` counts for the device its `device` arg names, and a
+/// job span without the arg for the device lane it was recorded on.
+fn busy_device(e: &SpanEvent, lane_device: Option<usize>) -> Option<usize> {
+    let job = e.cat == "worker" && e.name.starts_with("job.");
+    if !(job || e.name == "host.call") || e.dur_nanos == 0 {
+        return None;
+    }
+    let named = e.args.iter().find(|(key, _)| key == "device");
+    let named = named.and_then(|(_, value)| value.parse().ok());
+    named.or(lane_device.filter(|_| job))
 }
 
 /// [`device_utilization`] over the live recorder. `u64::MAX` as the upper
@@ -780,5 +801,40 @@ mod tests {
         assert_eq!(u[0].idle_nanos, 100);
         assert!(device_utilization(&lanes, 100, 100).is_empty());
         assert!(device_utilization(&lanes, 200, 100).is_empty());
+    }
+
+    /// A job its caller ran and a host call count for the device their
+    /// `device` arg names, whichever lane recorded them, with no device
+    /// lane at all; coverage from several lanes is one union.
+    #[test]
+    fn utilization_follows_the_device_arg_across_lanes() {
+        let on = |mut e: SpanEvent, device: &str| {
+            e.args.push(("device".to_string(), device.to_string()));
+            e
+        };
+        let lanes = [
+            lane(
+                "ftn-serve-0",
+                0,
+                vec![
+                    event("http.request", "http", 1, 0, 0, 100),
+                    on(event("host.call", "cluster", 2, 1, 10, 20), "1"),
+                    on(event("job.kernel", "worker", 3, 1, 50, 10), "2"),
+                    // No device named: an HTTP lane's own time, not a device's.
+                    event("host.call", "cluster", 4, 1, 70, 10),
+                ],
+            ),
+            lane(
+                "ftn-serve-1",
+                1,
+                vec![on(event("host.call", "cluster", 5, 0, 20, 20), "1")],
+            ),
+        ];
+        let u = device_utilization(&lanes, 0, 100);
+        let busy: Vec<(usize, u64, &str)> = (u.iter())
+            .map(|d| (d.device, d.busy_nanos, d.lane.as_str()))
+            .collect();
+        // Device 1: [10,30) ∪ [20,40) = 30ns; device 2: 10ns.
+        assert_eq!(busy, vec![(1, 30, "ftn-device-1"), (2, 10, "ftn-device-2")]);
     }
 }
