@@ -5,12 +5,12 @@
 //! here. The gate wraps the machine in a mutex and adds the two pieces a
 //! multi-client serve layer needs to keep that mutex *short-lived*:
 //!
-//! * **Waits that run or park off the lock.** A job parked for its waiter
-//!   (the only job of its fan-out, on an idle device) is run by
-//!   [`PoolGate::wait_done`] on the caller's thread with the machine lock
-//!   released, and landed under one short lock. Any other job is the
-//!   worker's: the waiter parks on its own claim's cell between polls
-//!   instead of sleep-polling the machine lock, so it wakes within
+//! * **One wait, run or parked off the lock.** [`PoolGate::wait_many`]
+//!   waits a launch's claims. A job parked for its waiter (the only job of
+//!   its fan-out, on an idle device) runs on the caller's thread with the
+//!   machine lock released, and is landed under one short lock. Any other
+//!   job is the worker's: the waiter parks on its own claim's cell between
+//!   polls instead of sleep-polling the machine lock, so it wakes within
 //!   microseconds of its job's outcome and holds the lock only to drain
 //!   outcomes — never across a blocking receive. A close's wait for its
 //!   session to go quiet is a wait for the jobs in its way: it runs one
@@ -97,9 +97,9 @@ impl PoolGate {
         }
     }
 
-    /// Wait for one submitted job without sleep-polling. A job still
-    /// parked for this handle runs here with the machine lock released, and
-    /// one short lock lands it. Otherwise: drain outcomes under a short
+    /// Wait for one job without sleep-polling. A job still parked for this
+    /// handle runs here with the machine lock released, and one short lock
+    /// lands it. Otherwise: drain outcomes under a short
     /// lock, and park on the handle's own cell until the runner finishing
     /// *this* job wakes it — a targeted wakeup, so N concurrent waiters
     /// cost one wake per outcome instead of an N-thread herd racing for the
@@ -107,7 +107,7 @@ impl PoolGate {
     /// already marked the cell, so the park returns immediately — the wake
     /// path is notification, not timeout — and a report another caller
     /// landed (a close's quiesce) is found at once.
-    pub fn wait_done(&self, mut handle: LaunchHandle) -> Result<ClusterRunReport, CompileError> {
+    fn wait_done(&self, mut handle: LaunchHandle) -> Result<ClusterRunReport, CompileError> {
         if let Some(outcome) = handle.run_parked() {
             let mut m = self.lock();
             m.land_parked(outcome, &handle.cell);
@@ -125,12 +125,12 @@ impl PoolGate {
         }
     }
 
-    /// [`PoolGate::wait_done`] over a sharded launch's per-shard handles,
-    /// in shard order. The first failure propagates (matching
-    /// [`ClusterMachine::wait_sharded`]). Runs under a `session.wait` span:
-    /// most of a launch request's wall time is spent right here, and without
-    /// a named frame the profiler would report it as opaque `http.request`
-    /// self-time.
+    /// Wait for a launch's per-shard claims, in shard order, each without
+    /// sleep-polling (see `wait_done`) — the gate's one wait. The first
+    /// failure propagates (matching [`ClusterMachine::wait_sharded`]). Runs
+    /// under a `session.wait` span: most of a launch request's wall time is
+    /// spent right here, and without a named frame the profiler would
+    /// report it as opaque `http.request` self-time.
     pub fn wait_many(
         &self,
         handles: Vec<LaunchHandle>,
@@ -307,7 +307,7 @@ mod tests {
     use std::sync::Arc;
     use std::time::Instant;
 
-    /// The claim's cell [`PoolGate::wait_done`] parks on must wake on
+    /// The claim's cell `PoolGate::wait_done` parks on must wake on
     /// notification, not on its safety-valve timeout: over repeated trials
     /// the best notify→wake latency has to come in under 100 µs — orders of
     /// magnitude below [`PARK_SLICE`] (the best is the honest measure —

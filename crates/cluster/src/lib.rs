@@ -17,9 +17,10 @@
 //!   run to completion where it is called; kernel-level launches against
 //!   resident buffers go through a session. An array an open session maps
 //!   is refused to everyone else.
-//! * [`session`] — the single-device front-ends (`open_session` …
-//!   `close_session`): whole-array spellings of the one-shard case of
-//!   [`sharded`], plus the shared `MapKind` / `SessionStats` vocabulary.
+//! * [`session`] — the session vocabulary (`MapKind`, `SessionStats`, and
+//!   `SessionInfo`, what the one getter `session_info` reads of an open
+//!   session), plus the whole-array spellings of the one-shard case of
+//!   [`sharded`] (`open_session`, `session_launch`, `close_session`).
 //! * [`rollup`] — per-kernel / per-session / per-device cost attribution
 //!   ([`RollupRow`]) folded in where jobs complete; the ranking behind the
 //!   serve stack's `GET /profile/top`.
@@ -55,7 +56,7 @@ pub use machine::{
 };
 pub use pool::DevicePool;
 pub use rollup::{RollupBy, RollupRow};
-pub use session::{MapKind, SessionReport, SessionStats};
+pub use session::{MapInfo, MapKind, SessionInfo, SessionStats};
 pub use sharded::{
     HaloRefreshReport, ShardArg, ShardCount, ShardedLaunchReport, ShardedLaunchTicket,
     ShardedReport, MAX_SHARDS_PER_DEVICE,

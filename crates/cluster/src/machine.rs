@@ -24,7 +24,7 @@
 //! the one rule is decided: **the only job of a fan-out, for a device with
 //! nothing in flight and nothing undelivered, is parked** for the thread
 //! that waits for it, which runs it off the machine lock (`wait`,
-//! `PoolGate::wait_done`); everything else is one `WorkerMessage::Job` on
+//! `PoolGate::wait_many`); everything else is one `WorkerMessage::Job` on
 //! the device worker's channel. A parked job still runs when nobody waits
 //! for it: a dropped claim hands it to the worker, and a close's quiesce
 //! runs the jobs in its way itself.
@@ -88,9 +88,9 @@ impl Drop for LaunchHandle {
     }
 }
 
-/// Receipt for a kernel-level submission: the handle plus what the staging
-/// step actually moved (`elided` buffers were already resident, so their
-/// host↔device transfers were skipped).
+/// Receipt for a one-shard session launch: the handle, its device, and the
+/// buffers whose host↔device transfers were skipped because they were
+/// already resident.
 #[derive(Debug)]
 #[must_use = "wait on the contained handle to observe results"]
 pub struct KernelTicket {
@@ -98,10 +98,6 @@ pub struct KernelTicket {
     pub handle: LaunchHandle,
     /// Device the job was placed on.
     pub device: usize,
-    /// Buffers uploaded by the staging step.
-    pub staged: u64,
-    /// Bytes those uploads moved.
-    pub staged_bytes: u64,
     /// Buffers already resident (transfer skipped).
     pub elided: u64,
 }
@@ -202,8 +198,9 @@ impl PoolMetrics {
 pub(crate) struct PendingJob {
     /// The device the job was sent to.
     pub(crate) device: usize,
-    /// Kernel name for kernel jobs — the rollup attribution key.
-    pub(crate) kernel: Option<String>,
+    /// Kernel name for kernel jobs — the rollup attribution key, shared
+    /// with the job.
+    pub(crate) kernel: Option<Arc<str>>,
     /// Session the submission ran under, if any (see
     /// [`ClusterMachine::submitting_session`]).
     pub(crate) session: Option<u64>,
@@ -224,6 +221,7 @@ pub(crate) struct Blocker {
 /// A sessionless call placed on a device, counted in its load until it
 /// lands: what running it needs, with no machine borrowed.
 pub(crate) struct HostCall {
+    pool: Arc<str>,
     device: usize,
     program: Arc<HostProgram>,
     executor: KernelExecutor,
@@ -239,6 +237,7 @@ impl HostCall {
         memory: &mut Memory,
     ) -> Result<(RunStats, Vec<RtValue>), CompileError> {
         let mut span = ftn_trace::span("host.call", "cluster");
+        span.arg("pool", &*self.pool);
         span.arg("device", self.device);
         span.arg("func", func);
         let model = &self.executor.device;
@@ -278,6 +277,9 @@ pub struct ClusterMachine {
     /// private registry; `ftn-serve` attaches its server-wide one via
     /// [`ClusterMachine::use_metrics`].
     pub(crate) metrics: PoolMetrics,
+    /// The pool's name on job and host-call spans: empty until
+    /// [`ClusterMachine::use_metrics`] names it.
+    label: Arc<str>,
     /// Per-kernel/session cost attribution and the per-device ledgers,
     /// folded in where jobs complete ([`ClusterMachine::complete`]); read
     /// via [`ClusterMachine::rollups`] and [`ClusterMachine::pool_stats`].
@@ -324,6 +326,7 @@ impl ClusterMachine {
             staged_bytes: 0,
             shard_forced: 0,
             metrics: PoolMetrics::new(&MetricsRegistry::new()),
+            label: Arc::from(""),
             rollups: Rollups::new(n),
             submitting_session: None,
             #[cfg(test)]
@@ -332,10 +335,17 @@ impl ClusterMachine {
     }
 
     /// Re-point this machine's observability at `registry` (the server-wide
-    /// registry when the pool backs `ftn-serve`). Prior observations stay in
-    /// the old registry; only new events land in `registry`.
-    pub fn use_metrics(&mut self, registry: &Arc<MetricsRegistry>) {
+    /// registry when the pool backs `ftn-serve`), and name the pool `pool`
+    /// on its job and host-call spans, so device utilization tells its
+    /// devices from another pool's. Prior observations stay in the old
+    /// registry; only new events land in `registry`. Call it before the
+    /// first open or run.
+    pub fn use_metrics(&mut self, registry: &Arc<MetricsRegistry>, pool: &str) {
         self.metrics = PoolMetrics::new(registry);
+        self.label = Arc::from(pool);
+        for slot in &self.pool.slots {
+            slot.sender.label(&self.label);
+        }
     }
 
     /// Draw this machine's session ids from `ids` (the server-wide source
@@ -416,17 +426,17 @@ impl ClusterMachine {
     /// its elided transfers.
     pub(crate) fn plan_kernel(
         &mut self,
-        kernel: &str,
-        args: &[RtValue],
+        kernel: &Arc<str>,
+        args: Vec<RtValue>,
         device: usize,
     ) -> (Job, u64) {
         self.shard_forced += 1;
-        let elided = distinct_memref_buffers(args).len() as u64;
+        let elided = distinct_memref_buffers(&args).len() as u64;
         let kind = JobKind::Kernel {
-            kernel: kernel.to_string(),
+            kernel: Arc::clone(kernel),
         };
         let spec = JobSpec {
-            args: args.to_vec(),
+            args,
             ..JobSpec::new(kind)
         };
         (self.enqueue(device, spec), elided)
@@ -550,7 +560,7 @@ impl ClusterMachine {
         let job_id = self.next_job;
         self.next_job += 1;
         let kernel = match &spec.kind {
-            JobKind::Kernel { kernel } => Some(kernel.clone()),
+            JobKind::Kernel { kernel } => Some(Arc::clone(kernel)),
             _ => None,
         };
         // Patch blocks of host contents are host→device uploads; counting
@@ -693,6 +703,7 @@ impl ClusterMachine {
         }
         self.loads[device] += 1;
         Ok(HostCall {
+            pool: Arc::clone(&self.label),
             device,
             program: Arc::clone(&self.program),
             executor: self.pool.executor(device),

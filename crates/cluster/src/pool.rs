@@ -63,8 +63,10 @@ use ftn_interp::{Buffer, BufferId, Memory, RtValue};
 /// What a job asks the worker to execute.
 pub(crate) enum JobKind {
     /// Execute device kernel `kernel` against resident buffers. The mirror
-    /// stays authoritative; the session fetches once at close.
-    Kernel { kernel: String },
+    /// stays authoritative; the session fetches once at close. The name is
+    /// shared with the machine's pending entry and the launch's other
+    /// shards.
+    Kernel { kernel: Arc<str> },
     /// Download the job's `fetch_rows` slices from the mirror (the gather
     /// half of a row exchange; a session close's is its whole traffic).
     Fetch,
@@ -392,6 +394,11 @@ impl Inbox {
         self.worker.lock().unwrap_or_else(|e| e.into_inner())
     }
 
+    /// Name the pool the device belongs to on its job spans.
+    pub(crate) fn label(&self, pool: &Arc<str>) {
+        self.worker().pool = Arc::clone(pool);
+    }
+
     /// Test-only: hold the device state, so a job taken to run waits here.
     #[cfg(test)]
     pub(crate) fn hold(&self) -> MutexGuard<'_, Worker> {
@@ -500,6 +507,7 @@ impl DevicePool {
                 let (channel, jobs) = std::sync::mpsc::channel();
                 let worker = Worker {
                     index,
+                    pool: Arc::from(""),
                     executor: KernelExecutor::from_image(Arc::clone(&image), model.clone()),
                     model: model.clone(),
                     memory: Memory::new(),
@@ -592,6 +600,8 @@ impl Drop for DevicePool {
 /// Device state: everything device-local, whoever runs the job.
 pub(crate) struct Worker {
     index: usize,
+    /// The pool's name on job spans (`ClusterMachine::use_metrics`).
+    pool: Arc<str>,
     executor: KernelExecutor,
     model: DeviceModel,
     memory: Memory,
@@ -769,10 +779,11 @@ fn run_and_report(worker: &mut Worker, job: Job) -> JobOutcome {
         job.trace_id,
         job.parent_span,
     );
+    span.arg("pool", &*worker.pool);
     span.arg("device", index);
     span.arg("job", job_id);
     if let JobKind::Kernel { kernel } = &job.spec.kind {
-        span.arg("kernel", kernel.as_str());
+        span.arg("kernel", &**kernel);
     }
     span.arg(
         "queue_wait_us",

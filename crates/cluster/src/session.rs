@@ -1,11 +1,15 @@
-//! Single-device sessions — the N = 1 case of [`crate::sharded`].
+//! The session vocabulary — [`MapKind`], [`SessionStats`], [`SessionInfo`]
+//! — and the whole-array spellings of the one-shard case of
+//! [`crate::sharded`].
 //!
-//! There is one session mechanism: [`ClusterMachine::open_session`] opens a
-//! one-shard sharded session (every array `Split` with no halo, so the
-//! scatter and the close gather are exact copies), and the calls below are
-//! thin front-ends that speak whole arrays and a single [`KernelTicket`]
-//! where the general API speaks names and per-shard handles. The shared
-//! vocabulary — [`MapKind`], [`SessionStats`] — lives here too.
+//! There is one session mechanism, whatever its shard count, and one way
+//! to read an open session: [`ClusterMachine::session_info`]. A close
+//! reports a [`crate::ShardedReport`] however the session was opened.
+//! [`ClusterMachine::open_session`] opens a one-shard session (every array
+//! `Split` with no halo, so the scatter and the close gather are exact
+//! copies); it and [`ClusterMachine::session_launch`] are thin front-ends
+//! that speak whole arrays and a single [`KernelTicket`] where the general
+//! API speaks names and per-shard handles.
 
 use ftn_core::CompileError;
 use ftn_interp::RtValue;
@@ -13,7 +17,7 @@ use ftn_shard::Partition;
 use serde::Serialize;
 
 use crate::machine::{ClusterMachine, KernelTicket};
-use crate::sharded::{ShardArg, ShardCount};
+use crate::sharded::{ShardArg, ShardCount, ShardedReport};
 
 /// OpenMP-style map kind for a session array.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -66,15 +70,35 @@ pub struct SessionStats {
     pub halo_bytes: u64,
 }
 
-/// Result of closing a session.
-#[derive(Clone, Debug, Serialize)]
-pub struct SessionReport {
-    /// The closed session's id.
-    pub session: u64,
-    /// The device the session was resident on.
-    pub device: usize,
-    /// Final transfer/launch accounting.
+/// What one open session is: where its shards live, how each array is
+/// split, and what it has moved so far ([`ClusterMachine::session_info`]).
+#[derive(Clone, Debug)]
+pub struct SessionInfo {
+    /// shard → device, in shard order: its length is the shard count.
+    pub devices: Vec<usize>,
+    /// The per-shard split weights (uniform on a homogeneous pool).
+    pub weights: Vec<f64>,
+    /// Every mapped array, in map order.
+    pub maps: Vec<MapInfo>,
+    /// Transfer/launch/halo accounting so far.
     pub stats: SessionStats,
+}
+
+/// One array of an open session.
+#[derive(Clone, Debug)]
+pub struct MapInfo {
+    /// The name launches address it by.
+    pub name: String,
+    /// The caller's global array, which the close writes back into.
+    pub array: RtValue,
+    /// How it was mapped.
+    pub kind: MapKind,
+    /// How its rows are spread over the shards.
+    pub partition: Partition,
+    /// Owned leading-dim rows per shard, in shard order: the realized split
+    /// of a `Split` array (halo rows excluded), every row for a replicated
+    /// or reduced one.
+    pub shard_rows: Vec<usize>,
 }
 
 impl ClusterMachine {
@@ -116,11 +140,9 @@ impl ClusterMachine {
         let mut named = Vec::with_capacity(args.len());
         for a in args {
             named.push(match a {
-                RtValue::MemRef(m) => s
-                    .maps
-                    .iter()
-                    .find(|(_, id, _, _)| *id == m.buffer)
-                    .map(|(name, _, _, _)| ShardArg::Array(name.clone()))
+                RtValue::MemRef(m) => (s.env.arrays().iter())
+                    .find(|a| a.global.buffer == m.buffer)
+                    .map(|a| ShardArg::Array(a.name.clone()))
                     .ok_or_else(|| {
                         err(format!(
                             "launch argument buffer {:?} is not mapped by session {session}",
@@ -134,34 +156,34 @@ impl ClusterMachine {
         Ok(KernelTicket {
             handle: t.handles.pop().expect("one shard, one handle"),
             device: t.devices[0],
-            staged: t.staged,
-            staged_bytes: t.staged_bytes,
             elided: t.elided,
         })
     }
 
-    /// Current accounting for an open session.
-    pub fn session_stats(&self, session: u64) -> Option<SessionStats> {
-        self.sessions.get(&session).map(|s| s.stats.clone())
-    }
-
-    /// The `(name, array, kind)` mappings of an open session, in map order.
-    pub fn session_maps(&self, session: u64) -> Option<Vec<(String, RtValue, MapKind)>> {
-        let maps = self.sharded_maps(session)?;
-        Some(maps.into_iter().map(|(n, v, k, _)| (n, v, k)).collect())
-    }
-
-    /// Close a session: wait for its launches in flight, fetch every
-    /// `from`/`tofrom` array back into host memory (charging the
-    /// device→host transfers a data-region exit performs), and release the
-    /// data environment.
-    pub fn close_session(&mut self, session: u64) -> Result<SessionReport, CompileError> {
-        let report = self.close_sharded_session(session)?;
-        Ok(SessionReport {
-            session,
-            device: report.devices[0],
-            stats: report.stats,
+    /// An open session: its devices, split weights, maps and accounting.
+    pub fn session_info(&self, session: u64) -> Option<SessionInfo> {
+        let s = self.sessions.get(&session)?;
+        let maps = (s.env.arrays().iter().zip(&s.kinds))
+            .map(|(a, kind)| MapInfo {
+                name: a.name.clone(),
+                array: RtValue::MemRef(a.global.clone()),
+                kind: *kind,
+                partition: a.partition,
+                shard_rows: a.slices.iter().map(|slice| slice.range.len).collect(),
+            })
+            .collect();
+        Some(SessionInfo {
+            devices: s.devices.clone(),
+            weights: s.env.weights().to_vec(),
+            maps,
+            stats: s.stats.clone(),
         })
+    }
+
+    /// Close a session opened by [`ClusterMachine::open_session`]; the same
+    /// call as [`ClusterMachine::close_sharded_session`].
+    pub fn close_session(&mut self, session: u64) -> Result<ShardedReport, CompileError> {
+        self.close_sharded_session(session)
     }
 
     /// Ids of the currently open sessions.

@@ -1,8 +1,10 @@
 //! Sessions: one persistent `target data` environment spanning one or more
 //! pool devices — the cluster analogue of `target teams distribute` over a
-//! multi-FPGA machine. This is the only session mechanism: a single-device
-//! session is the one-shard case (see [`crate::session`] for its thin
-//! whole-array front-ends).
+//! multi-FPGA machine. This is the only session mechanism, and it speaks
+//! one vocabulary whatever the shard count: open, launch, wait,
+//! `refresh_halos`, close (reporting a [`ShardedReport`]), and one read of
+//! an open session, `session_info` ([`crate::session`], with the
+//! whole-array spellings of a one-shard session).
 //!
 //! [`ClusterMachine::open_sharded_session`] partitions every mapped array
 //! with an [`ftn_shard::ShardPlan`] (leading-dimension blocks, optional halo
@@ -53,12 +55,13 @@
 //! `target data` program on [`ftn_core::Machine`].
 
 use std::sync::atomic::Ordering;
+use std::sync::Arc;
 use std::time::Instant;
 
 use ftn_core::CompileError;
 use ftn_host::RunStats;
 use ftn_interp::{BufferId, RtValue};
-use ftn_shard::{Partition, ShardedEnvironment};
+use ftn_shard::{Partition, ShardedArray, ShardedEnvironment};
 use serde::Serialize;
 
 use crate::exchange::{ExchangeLabels, ExchangePhase, Fetches, RowExchange};
@@ -130,8 +133,8 @@ pub enum ShardArg {
 /// One open sharded session (owned by the [`ClusterMachine`]).
 pub struct ShardedSession {
     pub(crate) env: ShardedEnvironment,
-    /// `(name, global buffer, kind, partition)` in map order.
-    pub(crate) maps: Vec<(String, BufferId, MapKind, Partition)>,
+    /// Each mapped array's kind, in the order of `env.arrays()`.
+    pub(crate) kinds: Vec<MapKind>,
     /// shard index → device index (fastest device first).
     pub(crate) devices: Vec<usize>,
     /// The first failure of a launch whose claim was dropped unwaited; the
@@ -143,13 +146,22 @@ pub struct ShardedSession {
 impl ShardedSession {
     /// Whether `id` is one of this session's global or shard sub-buffers.
     pub(crate) fn uses_buffer(&self, id: BufferId) -> bool {
-        self.maps.iter().any(|&(_, b, _, _)| b == id) || self.env.buffer_ids().contains(&id)
+        self.env.arrays().iter().any(|a| a.global.buffer == id)
+            || self.env.buffer_ids().contains(&id)
+    }
+
+    /// The arrays a close fetches: the `from` and `tofrom` ones, in map
+    /// order.
+    fn fetched(&self) -> impl Iterator<Item = &ShardedArray> {
+        let kinds = self.kinds.iter();
+        let arrays = self.env.arrays().iter().zip(kinds);
+        arrays.filter_map(|(a, kind)| matches!(kind, MapKind::From | MapKind::ToFrom).then_some(a))
     }
 }
 
 /// Receipt for one logical sharded launch: per-shard handles plus the
-/// aggregate staging the fan-out performed. Redeem with
-/// [`ClusterMachine::wait_sharded`].
+/// transfers the fan-out elided. Redeem with
+/// [`ClusterMachine::wait_sharded`] or `PoolGate::wait_many`.
 #[derive(Debug)]
 #[must_use = "wait on the ticket (wait_sharded) to observe results"]
 pub struct ShardedLaunchTicket {
@@ -159,12 +171,8 @@ pub struct ShardedLaunchTicket {
     pub handles: Vec<LaunchHandle>,
     /// Device of each per-shard job, in shard order.
     pub devices: Vec<usize>,
-    /// Buffers the fan-out re-staged: always 0, a shard's buffers are
-    /// resident from open to close.
-    pub staged: u64,
-    /// Bytes those uploads moved.
-    pub staged_bytes: u64,
-    /// Buffers already resident (transfer skipped).
+    /// Buffers already resident (transfer skipped): all of them, a shard's
+    /// buffers are resident from open to close.
     pub elided: u64,
 }
 
@@ -429,9 +437,7 @@ impl ClusterMachine {
         // session's stats by it — so an open that fails leaves a gap.
         let session = self.session_ids.fetch_add(1, Ordering::Relaxed);
         span.arg("session", session);
-        let maps = (resolved.into_iter())
-            .map(|(name, m, kind, partition)| (name, m.buffer, kind, partition))
-            .collect();
+        let kinds = resolved.iter().map(|(_, _, kind, _)| *kind).collect();
         let finish = move |m: &mut ClusterMachine, _: &mut ftn_trace::Span, _, ok: bool| {
             if !ok {
                 // Nothing is in flight over the scatter any more: release it
@@ -441,7 +447,7 @@ impl ClusterMachine {
             }
             let s = ShardedSession {
                 env,
-                maps,
+                kinds,
                 devices,
                 failures: FailureSink::default(),
                 stats: SessionStats::default(),
@@ -454,52 +460,6 @@ impl ClusterMachine {
             ex.stage(id, shard, device, rows);
         }
         Ok(ExchangePhase::Run(ex))
-    }
-
-    /// The shard count of an open sharded session.
-    pub fn sharded_shards(&self, session: u64) -> Option<usize> {
-        self.sessions.get(&session).map(|s| s.env.shards())
-    }
-
-    /// The devices an open sharded session spans, in shard order.
-    pub fn sharded_devices(&self, session: u64) -> Option<Vec<usize>> {
-        self.sessions.get(&session).map(|s| s.devices.clone())
-    }
-
-    /// The per-shard split weights of an open sharded session (uniform on a
-    /// homogeneous pool).
-    pub fn sharded_weights(&self, session: u64) -> Option<Vec<f64>> {
-        self.sessions
-            .get(&session)
-            .map(|s| s.env.weights().to_vec())
-    }
-
-    /// Owned leading-dim rows per shard of a mapped array, in shard order —
-    /// the realized partition (halo rows excluded).
-    pub fn sharded_shard_rows(&self, session: u64, name: &str) -> Option<Vec<usize>> {
-        let s = self.sessions.get(&session)?;
-        let a = s.env.array(name)?;
-        Some(a.slices.iter().map(|slice| slice.range.len).collect())
-    }
-
-    /// The `(name, global array, kind, partition)` mappings of an open
-    /// sharded session, in map order.
-    pub fn sharded_maps(&self, session: u64) -> Option<Vec<(String, RtValue, MapKind, Partition)>> {
-        let s = self.sessions.get(&session)?;
-        Some(
-            s.maps
-                .iter()
-                .map(|(name, _, kind, partition)| {
-                    let a = s.env.array(name).expect("mapped name resolves");
-                    (
-                        name.clone(),
-                        RtValue::MemRef(a.global.clone()),
-                        *kind,
-                        *partition,
-                    )
-                })
-                .collect(),
-        )
     }
 
     /// Fan one logical kernel launch out as one kernel-level job per shard,
@@ -567,8 +527,9 @@ impl ClusterMachine {
         // every job for rollup attribution.
         self.submitting_session = Some(session);
         let mut elided = 0;
+        let kernel: Arc<str> = kernel.into();
         let (handles, err) = self.fan_out(per_shard, |m, device, argv| {
-            let (job, e) = m.plan_kernel(kernel, &argv, device);
+            let (job, e) = m.plan_kernel(&kernel, argv, device);
             elided += e;
             job
         });
@@ -583,8 +544,6 @@ impl ClusterMachine {
             session,
             handles,
             devices,
-            staged: 0,
-            staged_bytes: 0,
             elided,
         })
     }
@@ -660,10 +619,8 @@ impl ClusterMachine {
         let s = &self.sessions[&session];
         let mut fetches = Fetches::new();
         for (shard, &device) in s.devices.iter().enumerate() {
-            let rows: Vec<RowFetch> = (s.maps.iter())
-                .filter(|(_, _, kind, _)| matches!(kind, MapKind::From | MapKind::ToFrom))
-                .map(|(name, ..)| {
-                    let a = s.env.array(name).expect("mapped name resolves");
+            let rows: Vec<RowFetch> = (s.fetched())
+                .map(|a| {
                     let slice = &a.slices[shard];
                     RowFetch {
                         src: slice.memref.buffer,
@@ -682,12 +639,10 @@ impl ClusterMachine {
             let closing = m.sessions.remove(&session);
             let mut s = closing.expect("a closing session stays in the table until here");
             if ok {
-                for (name, _, kind, _) in &s.maps {
-                    if matches!(kind, MapKind::From | MapKind::ToFrom) {
-                        s.env
-                            .gather(&mut m.memory, name)
-                            .expect("a fetched from/tofrom array gathers");
-                    }
+                for a in s.fetched() {
+                    s.env
+                        .gather(&mut m.memory, &a.name)
+                        .expect("a fetched from/tofrom array gathers");
                 }
                 m.drop_buffers(s.env.buffer_ids());
                 s.stats.fetched_downloads = fetched;

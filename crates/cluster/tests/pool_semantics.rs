@@ -519,8 +519,14 @@ fn sharded_session_fans_out_and_gathers() {
             ShardCount::Fixed(4),
         )
         .unwrap();
-    assert_eq!(cluster.sharded_shards(sid), Some(4));
-    assert_eq!(cluster.sharded_devices(sid), Some(vec![0, 1, 2, 3]));
+    assert_eq!(
+        cluster.session_info(sid).map(|info| info.devices.len()),
+        Some(4)
+    );
+    assert_eq!(
+        cluster.session_info(sid).map(|info| info.devices),
+        Some(vec![0, 1, 2, 3])
+    );
     let a = 2.25f32;
     let args = [
         ShardArg::Array("x".into()),
@@ -623,8 +629,14 @@ fn more_shards_than_devices_cycle_the_pool() {
         .unwrap();
     // Six shards cycle the two devices; each worker runs its three
     // shard jobs of a launch back-to-back.
-    assert_eq!(cluster.sharded_shards(sid), Some(6));
-    assert_eq!(cluster.sharded_devices(sid), Some(vec![0, 1, 0, 1, 0, 1]));
+    assert_eq!(
+        cluster.session_info(sid).map(|info| info.devices.len()),
+        Some(6)
+    );
+    assert_eq!(
+        cluster.session_info(sid).map(|info| info.devices),
+        Some(vec![0, 1, 0, 1, 0, 1])
+    );
     let args = [
         ShardArg::Array("x".into()),
         ShardArg::Array("y".into()),
@@ -660,7 +672,7 @@ fn more_shards_than_devices_cycle_the_pool() {
         )
         .unwrap();
     assert_eq!(
-        cluster.sharded_shards(sid),
+        cluster.session_info(sid).map(|info| info.devices.len()),
         Some(2 * ftn_cluster::MAX_SHARDS_PER_DEVICE)
     );
     cluster.close_sharded_session(sid).unwrap();
@@ -804,7 +816,7 @@ fn a_huge_halo_opens_as_a_halo_of_every_row() {
             ("y", ya.clone(), MapKind::ToFrom, split),
         ];
         let sid = cluster.open_sharded_session(&maps, shards).unwrap();
-        let devices = cluster.sharded_devices(sid);
+        let devices = cluster.session_info(sid).map(|info| info.devices);
         let ticket = cluster.sharded_launch(sid, "saxpy_kernel0", &saxpy_shard_args(2.0));
         cluster.wait_sharded(ticket.unwrap()).unwrap();
         cluster.refresh_halos(sid).unwrap();
@@ -817,6 +829,80 @@ fn a_huge_halo_opens_as_a_halo_of_every_row() {
         for halo in [1 << 62, (1 << 63) - 1, usize::MAX] {
             assert_eq!(session(halo, shards), every_row, "halo {halo}, {shards:?}");
         }
+    }
+}
+
+/// `session_info` is the one way to read an open session, and it reads the
+/// split the session runs on: on a heterogeneous pool, at 1, 2 and 3
+/// shards, each split array's owned rows are the weighted plan of the
+/// reported weights for its halo, a replicated or reduced array's every
+/// shard holds every row, there is one device per shard, and the stats are
+/// the ones the close reports (bar the close's own fetches).
+#[test]
+fn session_info_reads_the_split_a_session_runs_on() {
+    use ftn_cluster::{MapKind, Partition, ReduceOp, SessionStats, ShardCount, ShardPlan};
+    let models = [
+        DeviceModel::u250(),
+        DeviceModel::u280(),
+        DeviceModel::u55c(),
+    ];
+    let n = 97usize;
+    for shards in 1..=3usize {
+        let mut cluster = ClusterMachine::load(artifacts(), &models).unwrap();
+        let x = cluster.host_f32(&vec![1.0; n]);
+        let y = cluster.host_f32(&vec![0.5; n]);
+        let r = cluster.host_f32(&[2.0; 5]);
+        let s = cluster.host_f32(&[0.0]);
+        let maps = [
+            ("x", x, MapKind::To, Partition::Split { halo: 0 }),
+            ("y", y, MapKind::ToFrom, Partition::Split { halo: 1 }),
+            ("r", r, MapKind::To, Partition::Replicated),
+            ("s", s, MapKind::ToFrom, Partition::Reduced(ReduceOp::Sum)),
+        ];
+        let sid = (cluster.open_sharded_session(&maps, ShardCount::Fixed(shards))).unwrap();
+        let ticket = cluster.sharded_launch(sid, "saxpy_kernel0", &saxpy_shard_args(2.0));
+        cluster.wait_sharded(ticket.unwrap()).unwrap();
+        cluster.refresh_halos(sid).unwrap();
+
+        let info = cluster.session_info(sid).expect("open");
+        let mut distinct = info.devices.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), shards, "one device per shard: {info:?}");
+        assert_eq!(info.weights.len(), shards, "{info:?}");
+        assert_eq!(info.maps.len(), maps.len());
+        for (got, (name, array, kind, partition)) in info.maps.iter().zip(&maps) {
+            assert_eq!(
+                (got.name.as_str(), got.kind, got.partition),
+                (*name, *kind, *partition)
+            );
+            assert_eq!(got.array.as_memref().unwrap(), array.as_memref().unwrap());
+            let rows = array.as_memref().unwrap().shape[0] as usize;
+            let want: Vec<usize> = match partition {
+                Partition::Split { halo } => {
+                    (ShardPlan::partition_weighted(rows, &info.weights, *halo))
+                        .ranges()
+                        .iter()
+                        .map(|range| range.len)
+                        .collect()
+                }
+                Partition::Replicated | Partition::Reduced(_) => vec![rows; shards],
+            };
+            assert_eq!(got.shard_rows, want, "{name} at {shards} shards");
+        }
+        assert_eq!(info.stats.launches, shards as u64);
+
+        let report = cluster.close_sharded_session(sid).unwrap();
+        assert_eq!((report.shards, &report.devices), (shards, &info.devices));
+        let fetched_downloads = report.stats.fetched_downloads;
+        assert_eq!(
+            report.stats,
+            SessionStats {
+                fetched_downloads,
+                ..info.stats
+            }
+        );
+        assert!(cluster.session_info(sid).is_none(), "closed");
     }
 }
 

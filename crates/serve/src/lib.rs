@@ -6,16 +6,17 @@
 //! | Method & path               | Body                                   | Effect |
 //! |-----------------------------|----------------------------------------|--------|
 //! | `POST /compile`             | `{source, fix_mac_pattern?, devices?}` | Compile via the content-addressed [`ArtifactCache`]; returns the key, whether it was a cache hit, each kernel's launch signature, and the device models the key's pool will use. `devices` (a list of model names such as `["u280","u250","u55c"]`, `@MHZ` clock overrides allowed) fixes a heterogeneous pool composition for this key. |
-//! | `POST /sessions`            | `{key, maps: [{name, kind, data, partition?, halo?}], shards?}` | Open a persistent `target data` session. `shards` defaults to 1 (arrays map onto one pool device, chosen by the placement ladder); with `shards: N` (or `"auto"`) each array is partitioned across N devices (`partition`: `split` (default, with optional `halo` rows) \| `replicated` \| `sum`/`min`/`max`). |
+//! | `POST /sessions`            | `{key, maps: [{name, kind, data, partition?, halo?}], shards?}` | Open a persistent `target data` session. `shards` defaults to 1 (arrays map onto the least-loaded pool device); with `shards: N` (or `"auto"`) each array is partitioned across N devices (`partition`: `split` (default, with optional `halo` rows) \| `replicated` \| `sum`/`min`/`max`). Replies with the session id, its devices and its map count. |
 //! | `POST /sessions/{id}/launch`| `{kernel, args: [{array\|extent\|extent_offset\|f32\|...}], refresh_halos?}` | Run one kernel-level job against the session's resident buffers (no per-launch transfers). The launch fans out per shard, with `{extent: name}` rebased to each shard's local length (the full length on a one-shard session) and `{extent_offset: {array, offset}}` rebasing stencil bounds like `n - 1`. `refresh_halos: true` exchanges split-array ghost rows after the launch lands (see `/refresh`). |
 //! | `POST /sessions/{id}/refresh` |                                      | Inter-launch halo exchange: every split array's ghost rows are re-seeded from their current owner rows — boundary blocks only, device-to-device over the row-block fetch/splice path, never a full gather/re-scatter. The iterative-stencil primitive (`jacobi`/`heat` between sweeps). |
+//! | `GET /sessions/{id}`        |                                        | The open session as `ClusterMachine::session_info` reads it: its devices, the owned rows per shard of its largest split array (`shard_rows`), and its stats so far. |
 //! | `DELETE /sessions/{id}`     |                                        | Close the session: gather (or reduce) `from`/`tofrom` arrays back and return them with the session stats; all session memory is released. |
 //! | `POST /run`                 | `{key, func, args}`                    | Sessionless whole-program run (the baseline the elision ratio is measured against): placed least-loaded on the key's pool and run on the request's own thread, its arrays in request-local memory, freed with the response. |
 //! | `GET /stats`                |                                        | Compile-cache, pool, session, and HTTP statistics. |
 //! | `GET /healthz`              |                                        | Readiness probe: 503 `"unready"` with reasons on a dead device worker or saturated queue, `{"ok":true,"status":"ok",...}` otherwise. |
 //! | `GET /metrics`              |                                        | Prometheus text exposition (version 0.0.4: every sample line is `series value`) of every counter, gauge and histogram. History, range queries and alerting belong to the Prometheus server that scrapes it. |
 //! | `GET /trace`                | `?since=N&until=N`                     | The recorded span timeline as a Chrome trace-event document. |
-//! | `GET /profile`              | `?since=N&until=N&format=folded\|svg\|json` | Span-derived hierarchical profile: self/total time per span-name path. `folded` is collapsed-stack text for flamegraph tooling, `svg` a self-contained flamegraph, `json` (default) the tree plus per-device busy/idle utilization. `?last=N` is the trailing-window shorthand continuous pollers should use (also accepted by `/trace`). |
+//! | `GET /profile`              | `?since=N&until=N&format=folded\|svg\|json` | Span-derived hierarchical profile: self/total time per span-name path. `folded` is collapsed-stack text for flamegraph tooling, `svg` a self-contained flamegraph, `json` (default) the tree plus busy/idle utilization per device, keyed by pool and device index. `?last=N` is the trailing-window shorthand continuous pollers should use (also accepted by `/trace`). |
 //! | `GET /profile/top`          | `?by=kernel\|session\|device&k=N`      | Top-K cost attribution over completed jobs: simulated cycles, wall seconds, queue wait, and bytes moved, merged across pools (`ftn top` renders this). `by=session` rows are keyed by the ids `POST /sessions` returned, open or closed. |
 //! | `POST /shutdown`            |                                        | Drain and stop the server. |
 //!
@@ -51,7 +52,7 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 
-use ftn_cluster::{ArtifactCache, ShardCount};
+use ftn_cluster::ArtifactCache;
 use ftn_fpga::DeviceModel;
 use ftn_trace::Level;
 use serde::Value;
@@ -80,9 +81,6 @@ pub struct ServeConfig {
     /// Seconds an idle keep-alive connection may hold a worker before it is
     /// closed.
     pub idle_timeout_secs: u64,
-    /// Shard count applied to `POST /sessions` bodies that do not carry a
-    /// `shards` field (`ftn serve --shards N|auto`). `None` = one shard.
-    pub default_shards: Option<ShardCount>,
     /// Span-recorder ring capacity per lane (`ftn serve --trace-buffer N`).
     /// `0` disables span recording entirely (the zero-cost path); `GET
     /// /trace` then serves an empty timeline. The recorder is
@@ -101,7 +99,6 @@ impl Default for ServeConfig {
             workers: 4,
             cache_dir: None,
             idle_timeout_secs: 5,
-            default_shards: None,
             trace_buffer: 4096,
             log_level: Level::Info,
         }

@@ -25,6 +25,7 @@ use ftn_fpga::DeviceModel;
 use serde::{Serialize, Value};
 
 use crate::conn::HandlerError;
+use crate::telemetry::short_key;
 use crate::{api, bad_request, failed, lock, not_found, ServeState};
 
 /// Per-pool readiness snapshot, for `/healthz` probes that land while the
@@ -99,10 +100,11 @@ impl Program {
         }
         let devices = self.devices(&slot, state);
         let mut machine = ClusterMachine::load(&self.artifacts, &devices).map_err(failed)?;
-        // Every pool reports into the server's registry, so one /metrics
-        // scrape covers queue waits and job counts across all pools, and
-        // draws its session ids from the server's one source.
-        machine.use_metrics(&state.metrics.registry);
+        // Every pool reports into the server's registry under its short
+        // key, so one /metrics scrape covers queue waits, job counts and
+        // device utilization across all pools, and draws its session ids
+        // from the server's one source.
+        machine.use_metrics(&state.metrics.registry, short_key(&self.key));
         machine.use_session_ids(&state.session_ids);
         let gate = Arc::new(PoolGate::new(machine));
         Ok(Arc::clone(self.pool.get_or_init(|| gate)))

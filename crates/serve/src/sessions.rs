@@ -78,15 +78,12 @@ impl ServeState {
         if maps.is_empty() {
             return Err(bad_request("'maps' must name at least one array"));
         }
-        // `shards` may be an integer, "auto", or absent (then the server
-        // default — `ftn serve --shards` — applies; one shard when none).
+        // `shards` may be an integer, "auto", or absent (one shard).
         let bad_shards = || bad_request("'shards' must be a positive integer or \"auto\"");
         let shards = match v.get("shards") {
-            Some(Value::Str(s)) => Some(ShardCount::parse(s).ok_or_else(bad_shards)?),
-            Some(n) => Some(ShardCount::Fixed(
-                positive(n).ok_or_else(bad_shards)? as usize
-            )),
-            None => self.config.default_shards,
+            Some(Value::Str(s)) => ShardCount::parse(s).ok_or_else(bad_shards)?,
+            Some(n) => ShardCount::Fixed(positive(n).ok_or_else(bad_shards)? as usize),
+            None => ShardCount::Fixed(1),
         };
 
         let pool = self.pool_for(key)?;
@@ -125,9 +122,9 @@ impl ServeState {
             };
             parsed.into_iter().map(own).collect()
         };
-        let count = shards.unwrap_or(ShardCount::Fixed(1));
-        let session = pool.open_phased(&maps, count).map_err(bad_request)?;
-        let devices = pool.lock().sharded_devices(session).unwrap_or_default();
+        let session = pool.open_phased(&maps, shards).map_err(bad_request)?;
+        let info = pool.lock().session_info(session);
+        let devices = info.map(|info| info.devices).unwrap_or_default();
         let mapped = maps.len();
         lock(&self.sessions).insert(session, arrays);
         let mut fields = session_reply(session, &devices);
@@ -168,7 +165,7 @@ impl ServeState {
             .lock_session(session)
             .sharded_launch(session, kernel, &args);
         let ticket = ticket.map_err(pool_error(session, 400))?;
-        let (staged, elided, devices) = (ticket.staged, ticket.elided, ticket.devices);
+        let (elided, devices) = (ticket.elided, ticket.devices);
         let reports = (gate.wait_many(ticket.handles)).map_err(failed)?;
         self.metrics.launches.inc();
         // Per-launch ghost-row exchange, *after* the shard jobs land; phased
@@ -191,7 +188,8 @@ impl ServeState {
             ("kernel_seconds", kernel_seconds.to_value()),
             ("kernel_wall_seconds", makespan.to_value()),
             ("kernel_wall_seconds_max", makespan.to_value()),
-            ("staged", staged.to_value()),
+            // Nothing is staged per launch: a session's buffers are resident.
+            ("staged", 0u64.to_value()),
             ("elided", elided.to_value()),
         ]);
         if let Some(h) = halo {
@@ -212,33 +210,26 @@ impl ServeState {
 
     pub(crate) fn session_info(&self, session: u64) -> Result<Value, HandlerError> {
         let pool = self.session(session)?;
-        let machine = pool.lock_session(session);
-        let stats = machine
-            .session_stats(session)
-            .ok_or_else(|| gone(session))?;
-        let devices = machine.sharded_devices(session).unwrap_or_default();
+        let info = pool.lock_session(session).session_info(session);
+        let info = info.ok_or_else(|| gone(session))?;
         // The realized partition (owned rows per shard) of the largest
         // split array.
-        let shard_rows = machine
-            .sharded_maps(session)
-            .and_then(|maps| {
-                maps.into_iter()
-                    .filter(|(_, _, _, p)| matches!(p, Partition::Split { .. }))
-                    .max_by_key(|(_, v, _, _)| v.as_memref().map(|m| m.num_elements()).unwrap_or(0))
-                    .map(|(name, _, _, _)| name)
-            })
-            .and_then(|name| machine.sharded_shard_rows(session, &name))
-            .unwrap_or_default();
-        let mut fields = session_reply(session, &devices);
-        fields.push(("shard_rows", shard_rows.to_value()));
-        fields.push(("stats", stats.to_value()));
+        let split = (info.maps.iter()).filter(|m| matches!(m.partition, Partition::Split { .. }));
+        let largest = split.max_by_key(|m| m.array.as_memref().map_or(0, |a| a.num_elements()));
+        let shard_rows = largest.map(|m| &m.shard_rows);
+        let mut fields = session_reply(session, &info.devices);
+        fields.push((
+            "shard_rows",
+            shard_rows.cloned().unwrap_or_default().to_value(),
+        ));
+        fields.push(("stats", info.stats.to_value()));
         Ok(api::obj(fields))
     }
 
     pub(crate) fn close_session(&self, session: u64) -> Result<Reply, HandlerError> {
         let pool = self.session(session)?;
-        let maps = pool.lock_session(session).session_maps(session);
-        let maps = maps.ok_or_else(|| gone(session))?;
+        let info = pool.lock_session(session).session_info(session);
+        let maps = info.ok_or_else(|| gone(session))?.maps;
         let report = pool
             .close_phased(session)
             .map_err(pool_error(session, 500))?;
@@ -248,8 +239,8 @@ impl ServeState {
         let mut machine = pool.lock();
         let arrays: Vec<(&str, Buffer)> = maps
             .iter()
-            .filter(|(_, _, kind)| matches!(kind, MapKind::From | MapKind::ToFrom))
-            .map(|(name, value, _)| (name.as_str(), take_array(&mut machine, value)))
+            .filter(|m| matches!(m.kind, MapKind::From | MapKind::ToFrom))
+            .map(|m| (m.name.as_str(), take_array(&mut machine, &m.array)))
             .collect();
         drop(machine);
         let entry = lock(&self.sessions).remove(&session);

@@ -54,16 +54,21 @@ impl ServeMetrics {
 }
 
 impl ServeState {
-    /// Refresh the point-in-time gauges: uptime plus per-device queue
-    /// depths, one gauge per device per pool (labelled by [`short_key`]).
-    /// Called by `GET /metrics`. A pool whose lock is busy keeps its
-    /// previous gauge values.
+    /// Refresh the point-in-time gauges: uptime plus, for every device of
+    /// every built pool (labelled by [`short_key`]), its queue depth and —
+    /// while span recording is on — its busy percent over the trailing
+    /// second, from the coverage of its job and host-call spans (0 when
+    /// none ran). Called by `GET /metrics`. A pool whose lock is busy keeps
+    /// its previous gauge values.
     fn refresh_gauges(&self) {
         let gauge = |name: &str, value: i64| self.metrics.registry.gauge(name).set(value);
         gauge(
             "ftn_uptime_seconds",
             self.started.elapsed().as_secs() as i64,
         );
+        let now = ftn_trace::now_nanos();
+        let since = now.saturating_sub(UTILIZATION_WINDOW_NANOS);
+        let busy = ftn_trace::device_utilization_range(since, now);
         for (program, gate) in self.pools_snapshot() {
             let pool = short_key(&program.key);
             let depths = gate.try_lock().map(|machine| machine.queue_depths());
@@ -71,17 +76,13 @@ impl ServeState {
                 let labels = [("pool", pool), ("device", &device.to_string())];
                 let name = ftn_trace::labelled("ftn_pool_queue_depth", &labels);
                 gauge(&name, *depth as i64);
+                if ftn_trace::enabled() {
+                    let own = busy.iter().find(|d| d.pool == pool && d.device == device);
+                    let percent = own.map_or(0.0, |d| d.busy_fraction() * 100.0);
+                    let name = ftn_trace::labelled("ftn_device_utilization", &labels);
+                    gauge(&name, percent.round() as i64);
+                }
             }
-        }
-        // Busy percent per device over the trailing second, from job-span
-        // coverage on the `ftn-device-N` lanes. Empty (no gauges) when span
-        // recording is disabled.
-        let now = ftn_trace::now_nanos();
-        let since = now.saturating_sub(UTILIZATION_WINDOW_NANOS);
-        for d in ftn_trace::device_utilization_range(since, now) {
-            let labels = [("device", &*d.device.to_string())];
-            let name = ftn_trace::labelled("ftn_device_utilization", &labels);
-            gauge(&name, (d.busy_fraction() * 100.0).round() as i64);
         }
     }
 
@@ -122,6 +123,7 @@ impl ServeState {
                     .iter()
                     .map(|d| {
                         api::obj(vec![
+                            ("pool", d.pool.as_str().to_value()),
                             ("device", d.device.to_value()),
                             ("lane", d.lane.as_str().to_value()),
                             ("window_nanos", d.window_nanos.to_value()),
@@ -290,8 +292,9 @@ fn parse_window(req: &Request) -> Result<(u64, u64), HandlerError> {
     Ok((since, until))
 }
 
-/// First 8 chars of an artifact key — the metric-label spelling of a pool.
-fn short_key(key: &str) -> &str {
+/// First 8 chars of an artifact key — the metric-label and span-arg
+/// spelling of a pool.
+pub(crate) fn short_key(key: &str) -> &str {
     &key[..key.len().min(8)]
 }
 

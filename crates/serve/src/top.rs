@@ -62,8 +62,9 @@ pub fn render_once(addr: SocketAddr, k: usize) -> std::io::Result<String> {
         uptime as u64, requests as u64, jobs as u64
     ));
 
-    // Utilization line: every ftn_device_utilization{device="N"} gauge, in
-    // name order (absent entirely when span recording is disabled).
+    // Utilization line: every ftn_device_utilization{pool="P",device="N"}
+    // gauge, in name order (absent entirely when span recording is
+    // disabled).
     let util: Vec<&(String, f64)> = metrics
         .iter()
         .filter(|(name, _)| name.starts_with("ftn_device_utilization{"))
@@ -73,12 +74,8 @@ pub fn render_once(addr: SocketAddr, k: usize) -> std::io::Result<String> {
     } else {
         frame.push_str("devices:");
         for (name, value) in util {
-            let device = name
-                .split("device=\"")
-                .nth(1)
-                .and_then(|rest| rest.split('"').next())
-                .unwrap_or("?");
-            frame.push_str(&format!("  {device}: {value:.0}% busy"));
+            let (pool, device) = (label(name, "pool"), label(name, "device"));
+            frame.push_str(&format!("  {pool}/{device}: {value:.0}% busy"));
         }
         frame.push_str("   (trailing-1s busy %)\n");
     }
@@ -132,6 +129,12 @@ fn metric(metrics: &[(String, f64)], name: &str) -> f64 {
         .find(|(n, _)| n == name)
         .map(|(_, v)| *v)
         .unwrap_or(0.0)
+}
+
+/// The value of label `key` in series `name` (`"?"` when it has none).
+fn label<'n>(name: &'n str, key: &str) -> &'n str {
+    let rest = name.split(&format!("{key}=\"")).nth(1);
+    rest.and_then(|rest| rest.split('"').next()).unwrap_or("?")
 }
 
 /// Render one `/profile/top` response as a fixed-width table.
@@ -206,14 +209,17 @@ mod tests {
                     # TYPE ftn_uptime_seconds gauge\n\
                     ftn_uptime_seconds 42\n\
                     ftn_http_request_seconds_sum 0.5\n\
-                    ftn_device_utilization{device=\"0\"} 63\n";
+                    ftn_device_utilization{pool=\"ab12cd34\",device=\"0\"} 63\n";
         let metrics = metric_values(text);
         assert_eq!(metric(&metrics, "ftn_uptime_seconds"), 42.0);
         assert_eq!(metric(&metrics, "ftn_http_request_seconds_sum"), 0.5);
+        let util = "ftn_device_utilization{pool=\"ab12cd34\",device=\"0\"}";
+        assert_eq!(metric(&metrics, util), 63.0);
         assert_eq!(
-            metric(&metrics, "ftn_device_utilization{device=\"0\"}"),
-            63.0
+            (label(util, "pool"), label(util, "device")),
+            ("ab12cd34", "0")
         );
+        assert_eq!(label(util, "kernel"), "?");
         assert_eq!(metric(&metrics, "missing"), 0.0);
     }
 

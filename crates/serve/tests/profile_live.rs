@@ -327,12 +327,14 @@ fn profile_stack_attributes_live_sharded_traffic() {
     assert_eq!(status, 400);
 
     // The ftn_device_utilization gauges are refreshed by every /metrics
-    // read: device 0's busy percent is in the exposition.
+    // read: device 0's busy percent is in the exposition, labelled by its
+    // pool.
     let (status, text) = client::request_text(addr, "GET", "/metrics", "").unwrap();
     assert_eq!(status, 200);
     let busy = text
         .lines()
-        .find_map(|line| line.strip_prefix("ftn_device_utilization{device=\"0\"} "))
+        .filter(|line| line.starts_with("ftn_device_utilization{pool=\""))
+        .find_map(|line| line.split_once(",device=\"0\"} ").map(|(_, value)| value))
         .unwrap_or_else(|| panic!("no device 0 utilization gauge in:\n{text}"));
     let busy: i64 = busy.parse().expect("gauge value");
     assert!((0..=100).contains(&busy), "busy percent {busy}");

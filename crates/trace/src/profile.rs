@@ -28,10 +28,12 @@
 //!
 //! [`device_utilization`] reduces each device's job and host-call spans to
 //! a busy/idle split of the window: `busy` is their coverage, `idle` the
-//! remainder. A span counts for the device its `device` arg names, on
-//! whatever lane recorded it — a job its caller ran, a host program run on
-//! an HTTP worker — and a job span without the arg for the `ftn-device-N`
-//! lane it sits on. The two nanosecond figures partition the window
+//! remainder. A device is a (pool, index) pair — every pool numbers its
+//! devices from 0. A span counts for the device its `pool` and `device`
+//! args name, on whatever lane recorded it — a job its caller ran, a host
+//! program run on an HTTP worker — and a job span without a `device` arg
+//! for the `ftn-device-N` lane it sits on. A worker lane belongs to the
+//! pool its spans name. The two nanosecond figures partition the window
 //! exactly, so the fractions sum to 1 (within float rounding) and never
 //! above it.
 
@@ -453,7 +455,10 @@ fn color(name: &str) -> String {
 /// rounding — never above.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DeviceUtilization {
-    /// Device index: a span's `device` arg, or parsed from the
+    /// The pool the device belongs to: its spans' `pool` arg (empty when
+    /// none names one).
+    pub pool: String,
+    /// Device index in its pool: a span's `device` arg, or parsed from the
     /// `ftn-device-N` lane name.
     pub device: usize,
     /// The device's worker lane name, `ftn-device-N` (its spans may have
@@ -505,7 +510,7 @@ fn union_nanos(intervals: &mut [(u64, u64)]) -> u64 {
 /// `[since_nanos, until_nanos]`, from the coverage of its spans (see the
 /// module docs for which count, and for which device). A device appears
 /// when it has an `ftn-device-N` lane or a span in the window names it.
-/// Sorted by device index.
+/// Sorted by pool, then device index.
 pub fn device_utilization(
     lanes: &[LaneSnapshot],
     since_nanos: u64,
@@ -515,14 +520,15 @@ pub fn device_utilization(
     if window == 0 {
         return Vec::new();
     }
-    let mut covered: BTreeMap<usize, Vec<(u64, u64)>> = BTreeMap::new();
+    let mut covered: BTreeMap<(&str, usize), Vec<(u64, u64)>> = BTreeMap::new();
     for lane in lanes {
         let lane_device = lane
             .name
             .strip_prefix("ftn-device-")
             .and_then(|s| s.parse::<usize>().ok());
         if let Some(device) = lane_device {
-            covered.entry(device).or_default();
+            let pool = lane.events.iter().find_map(|e| arg(e, "pool"));
+            covered.entry((pool.unwrap_or(""), device)).or_default();
         }
         for e in &lane.events {
             let Some(device) = busy_device(e, lane_device) else {
@@ -531,14 +537,19 @@ pub fn device_utilization(
             let start = e.start_nanos.max(since_nanos);
             let end = e.start_nanos.saturating_add(e.dur_nanos).min(until_nanos);
             if end > start {
-                covered.entry(device).or_default().push((start, end));
+                let pool = arg(e, "pool").unwrap_or("");
+                covered
+                    .entry((pool, device))
+                    .or_default()
+                    .push((start, end));
             }
         }
     }
     (covered.into_iter())
-        .map(|(device, mut spans)| {
+        .map(|((pool, device), mut spans)| {
             let busy_nanos = union_nanos(&mut spans).min(window);
             DeviceUtilization {
+                pool: pool.to_string(),
                 device,
                 lane: format!("ftn-device-{device}"),
                 window_nanos: window,
@@ -557,9 +568,14 @@ fn busy_device(e: &SpanEvent, lane_device: Option<usize>) -> Option<usize> {
     if !(job || e.name == "host.call") || e.dur_nanos == 0 {
         return None;
     }
-    let named = e.args.iter().find(|(key, _)| key == "device");
-    let named = named.and_then(|(_, value)| value.parse().ok());
+    let named = arg(e, "device").and_then(|value| value.parse().ok());
     named.or(lane_device.filter(|_| job))
+}
+
+/// The value of `e`'s arg `key`, if it has one.
+fn arg<'e>(e: &'e SpanEvent, key: &str) -> Option<&'e str> {
+    let found = e.args.iter().find(|(k, _)| k == key);
+    found.map(|(_, value)| value.as_str())
 }
 
 /// [`device_utilization`] over the live recorder. `u64::MAX` as the upper
@@ -836,5 +852,34 @@ mod tests {
             .collect();
         // Device 1: [10,30) ∪ [20,40) = 30ns; device 2: 10ns.
         assert_eq!(busy, vec![(1, 30, "ftn-device-1"), (2, 10, "ftn-device-2")]);
+    }
+
+    /// Two pools each number their devices from 0: device 0 of one pool is
+    /// not device 0 of the other. A worker lane is its pool's, named by its
+    /// job spans.
+    #[test]
+    fn utilization_keys_a_device_by_its_pool() {
+        let on = |mut e: SpanEvent, pool: &str, device: &str| {
+            e.args.push(("pool".to_string(), pool.to_string()));
+            e.args.push(("device".to_string(), device.to_string()));
+            e
+        };
+        let lanes = [
+            lane(
+                "ftn-serve-0",
+                0,
+                vec![on(event("host.call", "cluster", 1, 0, 10, 20), "a", "0")],
+            ),
+            lane(
+                "ftn-device-0",
+                1,
+                vec![on(event("job.kernel", "worker", 2, 0, 50, 10), "b", "0")],
+            ),
+        ];
+        let u = device_utilization(&lanes, 0, 100);
+        let busy: Vec<(&str, usize, u64)> = (u.iter())
+            .map(|d| (d.pool.as_str(), d.device, d.busy_nanos))
+            .collect();
+        assert_eq!(busy, vec![("a", 0, 20), ("b", 0, 10)]);
     }
 }

@@ -67,7 +67,7 @@ fn run(devices: usize, shards: ShardCount, x: &[f32], y: &[f32]) -> (Vec<f32>, u
             shards,
         )
         .expect("session opens");
-    let n_shards = cluster.sharded_shards(sid).expect("open");
+    let n_shards = cluster.session_info(sid).expect("open").devices.len();
     // Submit every logical launch before waiting so shard jobs overlap
     // across the pool.
     let mut tickets = Vec::with_capacity(LAUNCHES);

@@ -10,7 +10,6 @@
 //!           [--devices N | u280,u250,...]    pool size, or an explicit
 //!                                            (heterogeneous) device list
 //!           [--workers W] [--cache-dir DIR]
-//!           [--shards N|auto]                default sharding for sessions
 //!           [--idle-timeout SECS]            keep-alive idle timeout
 //!           [--trace-buffer EVENTS]          span-ring capacity per lane
 //!                                            (0 disables tracing)
@@ -24,9 +23,9 @@
 //!
 //! Serve mode starts `ftn-serve`: a keep-alive HTTP/1.1 JSON service with a
 //! content-addressed compile cache and persistent `target data` sessions
-//! over a simulated multi-FPGA pool. With `--shards N|auto`, sessions that
-//! do not specify a shard count themselves are sharded across the pool
-//! (ftn-shard; see the README "ftn-serve"/"ftn-shard" sections for the API).
+//! over a simulated multi-FPGA pool; a session's `shards` field shards it
+//! across the pool (ftn-shard; see the README "ftn-serve"/"ftn-shard"
+//! sections for the API).
 //! Observability: `GET /metrics` (Prometheus text 0.0.4; history and
 //! alerting are the scraping Prometheus server's), `GET /trace` (Chrome
 //! trace-event JSON) and `GET /profile` — see `docs/OBSERVABILITY.md`.
@@ -168,16 +167,6 @@ fn serve(args: &[String]) -> ExitCode {
                 i += 1;
                 config.cache_dir = args.get(i).map(PathBuf::from);
             }
-            "--shards" => {
-                i += 1;
-                match args.get(i).and_then(|v| ftn_cluster::ShardCount::parse(v)) {
-                    Some(count) => config.default_shards = Some(count),
-                    None => {
-                        eprintln!("error: --shards needs a positive number or 'auto'");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            }
             "--idle-timeout" => {
                 i += 1;
                 match args.get(i).and_then(|v| v.parse().ok()) {
@@ -211,7 +200,7 @@ fn serve(args: &[String]) -> ExitCode {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: ftn serve [--port P] [--devices N|u280,u250,...] [--workers W] [--cache-dir DIR] [--shards N|auto] [--idle-timeout SECS] [--trace-buffer EVENTS] [--log-level LEVEL]"
+                    "usage: ftn serve [--port P] [--devices N|u280,u250,...] [--workers W] [--cache-dir DIR] [--idle-timeout SECS] [--trace-buffer EVENTS] [--log-level LEVEL]"
                 );
                 return ExitCode::SUCCESS;
             }

@@ -114,9 +114,9 @@ fn run_sharded(
             shards,
         )
         .unwrap();
-    let devices = cluster.sharded_devices(sid).unwrap();
-    let rows = cluster.sharded_shard_rows(sid, "y").unwrap();
-    let weights = cluster.sharded_weights(sid).unwrap();
+    let info = cluster.session_info(sid).unwrap();
+    let (devices, weights) = (info.devices, info.weights);
+    let rows = info.maps[1].shard_rows.clone();
     for _ in 0..reps {
         let ticket = cluster
             .sharded_launch(sid, "saxpyn_kernel0", &shard_args(a))

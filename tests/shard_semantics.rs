@@ -1,15 +1,17 @@
 //! Sharded data environments over the cluster (ftn-shard + ftn-cluster),
-//! checked against the single-device reference:
+//! checked against the single-device reference — the `target data`
+//! program on `ftn_core::Machine` or the kernel on one `KernelExecutor`,
+//! neither of which shares session, shard or pool code with the cluster:
 //!
 //! * A session with one shard — opened either way, `open_session` or
 //!   `open_sharded_session(.., Fixed(1))` — is bit-identical, results AND
 //!   `RunStats` totals, to the `target data` program on `ftn_core::Machine`,
 //!   and its `SessionStats` equal the values the retired unsharded
 //!   implementation produced (pinned as golden constants).
-//! * A sharded session over 4 devices is bit-identical (results) to the
-//!   single-device session on the same program: the split is element-wise
-//!   exact for SAXPY-style kernels, and the gather reassembles the array in
-//!   order. The aggregated stats are deterministic across identical runs.
+//! * A sharded session over 2 and 4 devices is bit-identical (results) to
+//!   the same program on `Machine`: the split is element-wise exact for
+//!   SAXPY-style kernels, and the gather reassembles the array in order.
+//!   The aggregated stats are deterministic across identical runs.
 //! * Halo rows are mapped to neighbouring shards but never gathered back.
 //! * A distributed `reduction(+:s)` (dot product) combines per-shard
 //!   partials and the caller's initial value exactly once.
@@ -20,8 +22,8 @@ use std::sync::OnceLock;
 
 use ftn_cluster::{ClusterMachine, MapKind, Partition, ReduceOp, ShardArg, ShardCount};
 use ftn_core::{Artifacts, Compiler, Machine};
-use ftn_fpga::DeviceModel;
-use ftn_interp::RtValue;
+use ftn_fpga::{DeviceModel, KernelExecutor};
+use ftn_interp::{Buffer, MemRefVal, Memory, RtValue};
 use proptest::prelude::*;
 
 const SAXPYN: &str = r#"
@@ -120,7 +122,25 @@ fn run_sharded(
     (got, report.stats, cluster.pool_stats())
 }
 
-/// The same workload through the single-device front-ends (`open_session` /
+/// The `target data` program (`reps` SAXPY launches inside one data region)
+/// on `ftn_core::Machine`: the single-device reference, its `y` and its
+/// `RunStats`.
+fn run_machine(reps: usize, a: f32, x: &[f32], y: &[f32]) -> (Vec<f32>, ftn_host::RunStats) {
+    let mut machine = Machine::load(saxpyn_artifacts(), DeviceModel::u280()).unwrap();
+    let xa = machine.host_f32(x);
+    let ya = machine.host_f32(y);
+    let args = [
+        RtValue::I32(x.len() as i32),
+        RtValue::I32(reps as i32),
+        RtValue::F32(a),
+        xa,
+        ya.clone(),
+    ];
+    let report = machine.run("saxpyn", &args).unwrap();
+    (machine.read_f32(&ya), report.stats)
+}
+
+/// The same workload through the whole-array front-ends (`open_session` /
 /// `session_launch` / `close_session`) on a 1-device pool.
 fn run_plain_session(
     n: usize,
@@ -176,27 +196,12 @@ fn one_shard_is_bit_identical_to_plain_session_including_stats() {
     let a = 1.75f32;
     let (x, y) = inputs(n);
 
-    let mut machine = Machine::load(saxpyn_artifacts(), DeviceModel::u280()).unwrap();
-    let xa = machine.host_f32(&x);
-    let ya = machine.host_f32(&y);
-    let report = machine
-        .run(
-            "saxpyn",
-            &[
-                RtValue::I32(n as i32),
-                RtValue::I32(reps as i32),
-                RtValue::F32(a),
-                xa,
-                ya.clone(),
-            ],
-        )
-        .unwrap();
-    let y_machine = machine.read_f32(&ya);
+    let (y_machine, machine_stats) = run_machine(reps, a, &x, &y);
     // Golden: RunStats totals of the unsharded session at the parent commit.
-    assert_eq!(report.stats.total_cycles, 129_648);
-    assert_eq!(report.stats.transfers, 3);
-    assert_eq!(report.stats.kernel_seconds, 0.00043216);
-    assert_eq!(report.stats.transfer_seconds, 7.600300000000001e-5);
+    assert_eq!(machine_stats.total_cycles, 129_648);
+    assert_eq!(machine_stats.transfers, 3);
+    assert_eq!(machine_stats.kernel_seconds, 0.00043216);
+    assert_eq!(machine_stats.transfer_seconds, 7.600300000000001e-5);
 
     let golden = ftn_cluster::SessionStats {
         launches: 4,
@@ -219,23 +224,24 @@ fn one_shard_is_bit_identical_to_plain_session_including_stats() {
         }
         assert_eq!(stats, golden, "{what}: SessionStats");
         assert_eq!(
-            pool.totals, report.stats,
+            pool.totals, machine_stats,
             "{what}: RunStats totals must equal the Machine program run"
         );
     }
 }
 
 /// Sharded over 2 and 4 devices: results bit-identical to the single-device
-/// session (SAXPY is element-wise, so distribution preserves every FP op),
-/// the aggregated totals are deterministic across identical runs, and four
-/// devices at least double the simulated launch throughput of one.
+/// program on `Machine` (SAXPY is element-wise, so distribution preserves
+/// every FP op), the aggregated totals are deterministic across identical
+/// runs, and four devices at least double the simulated launch throughput
+/// of one.
 #[test]
 fn sharded_n2_n4_results_are_bit_identical_to_single_device() {
     let n = 1003usize;
     let reps = 5usize;
     let a = 2.5f32;
     let (x, y) = inputs(n);
-    let (y_single, _, _) = run_plain_session(n, reps, a, &x, &y);
+    let (y_single, _) = run_machine(reps, a, &x, &y);
     for devices in [2usize, 4] {
         let (y_shard, stats, pool) =
             run_sharded(devices, ShardCount::Fixed(devices), reps, a, 0, &x, &y);
@@ -259,14 +265,16 @@ fn sharded_n2_n4_results_are_bit_identical_to_single_device() {
     }
 
     // Sharding pays on the simulated timeline: the same launches finish in
-    // under half the pool makespan on 4 devices (3.91x at this shape; at
-    // n = 1003 fixed launch cost holds it to 2.8x). Makespan is the busiest
-    // device's occupancy, so no clock is involved.
+    // under half the time on 4 devices (3.91x at this shape; at n = 1003
+    // fixed launch cost holds it to 2.8x). One device's time is the
+    // program's kernel wall plus transfer seconds; the pool's makespan is
+    // its busiest device's, so no clock is involved.
     let (n, reps) = (16_384usize, 8usize);
     let (x, y) = inputs(n);
-    let (_, _, one) = run_plain_session(n, reps, a, &x, &y);
+    let (_, one) = run_machine(reps, a, &x, &y);
     let (_, _, four) = run_sharded(4, ShardCount::Fixed(4), reps, a, 0, &x, &y);
-    let speedup = one.makespan_sim_seconds / four.makespan_sim_seconds;
+    let one_seconds = one.kernel_wall_seconds + one.transfer_seconds;
+    let speedup = one_seconds / four.makespan_sim_seconds;
     assert!(
         speedup >= 2.0,
         "N=4 simulated launch throughput is {speedup:.2}x the single device's, floor 2.0x"
@@ -274,15 +282,16 @@ fn sharded_n2_n4_results_are_bit_identical_to_single_device() {
 }
 
 /// Halo rows change what each shard maps, not what the gather writes: the
-/// result stays bit-identical for an element-wise kernel (overlap rows are
-/// computed twice, once per neighbour, and discarded from the halo side).
+/// result stays bit-identical to the single-device program for an
+/// element-wise kernel (overlap rows are computed twice, once per
+/// neighbour, and discarded from the halo side).
 #[test]
 fn halo_rows_are_mapped_but_not_gathered() {
     let n = 257usize;
     let reps = 2usize;
     let a = 0.75f32;
     let (x, y) = inputs(n);
-    let (y_single, _, _) = run_plain_session(n, reps, a, &x, &y);
+    let (y_single, _) = run_machine(reps, a, &x, &y);
     for halo in [1usize, 3] {
         let (y_shard, _, _) = run_sharded(4, ShardCount::Fixed(4), reps, a, halo, &x, &y);
         for (i, (p, s)) in y_single.iter().zip(&y_shard).enumerate() {
@@ -315,7 +324,7 @@ fn auto_shards_picks_pool_size_for_large_arrays() {
         )
         .unwrap();
     assert_eq!(
-        cluster.sharded_shards(sid),
+        cluster.session_info(sid).map(|info| info.devices.len()),
         Some(4),
         "big array → full pool"
     );
@@ -329,14 +338,54 @@ fn auto_shards_picks_pool_size_for_large_arrays() {
             ShardCount::Auto,
         )
         .unwrap();
-    assert!(cluster.sharded_shards(sid).unwrap() <= 2);
+    assert!(cluster.session_info(sid).unwrap().devices.len() <= 2);
     cluster.close_sharded_session(sid).unwrap();
+}
+
+/// `dotprod_kernel0` over the whole arrays on one `KernelExecutor` — the
+/// single-device reference: `s0 + x·y` folded as one device folds it.
+fn one_device_dot(x: &[f32], y: &[f32], s0: f32) -> f32 {
+    let executor =
+        KernelExecutor::from_bitstream(&dotprod_artifacts().bitstream, DeviceModel::u280())
+            .unwrap();
+    let mut memory = Memory::new();
+    let mut array = |data: &[f32]| {
+        let buffer = memory.alloc(Buffer::F32(data.to_vec()), 0);
+        let shape = vec![data.len() as i64];
+        (
+            buffer,
+            RtValue::MemRef(MemRefVal {
+                buffer,
+                shape,
+                space: 0,
+            }),
+        )
+    };
+    let ((_, xa), (_, ya), (s, sa)) = (array(x), array(y), array(&[s0]));
+    let len = |n: usize| RtValue::Index(n as i64);
+    let args = [
+        xa,
+        ya,
+        sa,
+        len(x.len()),
+        len(y.len()),
+        len(1),
+        len(1),
+        len(x.len()),
+    ];
+    executor
+        .execute("dotprod_kernel0", &args, &mut memory)
+        .unwrap();
+    let Buffer::F32(out) = memory.get(s) else {
+        panic!("s is an f32 array")
+    };
+    out[0]
 }
 
 /// A distributed sum reduction: x and y split, the accumulator reduced.
 /// Each shard folds its partial into a private copy (shard 0 seeded with
 /// the caller's initial value, the rest with the identity); the close
-/// combines them. Checked against the single-device kernel within FP
+/// combines them. Checked against the kernel on one device within FP
 /// reassociation tolerance, and exactly at one shard.
 #[test]
 fn sharded_dot_product_reduces_across_devices() {
@@ -388,11 +437,17 @@ fn sharded_dot_product_reduces_across_devices() {
         cluster.read_f32(&sa)[0]
     };
 
-    let single = run(1, 1);
+    let single = one_device_dot(&x, &y, s0);
     let reference: f32 = s0 + x.iter().zip(&y).map(|(a, b)| a * b).sum::<f32>();
     assert!(
         (single - reference).abs() <= 1e-3 * reference.abs().max(1.0),
         "single-device kernel sanity: {single} vs {reference}"
+    );
+    let one_shard = run(1, 1);
+    assert_eq!(
+        one_shard.to_bits(),
+        single.to_bits(),
+        "one shard: {one_shard} vs single {single}"
     );
     for shards in [2usize, 4] {
         let sharded = run(4, shards);
@@ -443,8 +498,7 @@ proptest! {
 
     /// Random lengths (including lengths not divisible by the shard count)
     /// and shard counts: the sharded session always matches the f32
-    /// reference model bit-for-bit, and one shard always matches the plain
-    /// session.
+    /// reference model bit-for-bit.
     #[test]
     fn sharded_saxpy_matches_reference_for_random_shapes(
         n in 1usize..300,

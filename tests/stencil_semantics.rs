@@ -1,19 +1,22 @@
 //! Iterative stencils over sharded sessions (inter-launch halo exchange),
-//! checked differentially against the single-device reference:
+//! checked differentially against the single-device reference — the
+//! stencil program run sweep by sweep on `ftn_core::Machine`, which shares
+//! no session, shard or row-exchange code with the pool:
 //!
 //! * A sharded Jacobi ping-pong loop with `refresh_halos` between sweeps is
-//!   bit-identical — results AND deterministic `RunStats` totals — to the
-//!   single-device session, at N = 1/2/4 shards.
+//!   bit-identical to the single-device program at N = 1/2/4 shards, and
+//!   its `RunStats` totals repeat exactly across identical runs; at one
+//!   shard its statistics are pinned golden values.
 //! * Property: random grid sizes (non-divisible included) × shard counts ×
 //!   halo widths × iteration counts — the halo-refresh path is identical to
-//!   a full gather + re-scatter oracle (close and re-open the session every
-//!   iteration), with host- and device-side leak checks.
+//!   a full gather + re-scatter oracle (every sweep maps both whole arrays
+//!   to one device and back), with host- and device-side leak checks.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
 use ftn_cluster::{ClusterMachine, MapKind, Partition, ShardArg, ShardCount};
-use ftn_core::{Artifacts, Compiler};
+use ftn_core::{Artifacts, Compiler, Machine};
 use ftn_fpga::DeviceModel;
 use ftn_host::RunStats;
 use ftn_interp::RtValue;
@@ -105,9 +108,33 @@ fn run_sharded_jacobi(
     (u, v, report.stats, cluster.pool_stats().totals)
 }
 
-/// The same ping-pong loop through the single-device front-ends
-/// (`open_session` / `session_launch`) on one device — the single-device
-/// reference every sharded variant must match bit-for-bit.
+/// `iters` ping-pong sweeps of the stencil program `func(n, [scalars..],
+/// src, dst)` on `ftn_core::Machine`, one device, each sweep mapping both
+/// whole arrays in and out — the single-device reference every sharded
+/// variant must match bit-for-bit.
+fn machine_sweeps(
+    artifacts: &Artifacts,
+    func: &str,
+    scalars: &[RtValue],
+    iters: usize,
+    u0: &[f32],
+    v0: &[f32],
+) -> (Vec<f32>, Vec<f32>) {
+    let mut machine = Machine::load(artifacts, DeviceModel::u280()).unwrap();
+    let ua = machine.host_f32(u0);
+    let va = machine.host_f32(v0);
+    for k in 0..iters {
+        let (src, dst) = if k % 2 == 0 { (&ua, &va) } else { (&va, &ua) };
+        let mut args = vec![RtValue::I32(u0.len() as i32)];
+        args.extend_from_slice(scalars);
+        args.extend([src.clone(), dst.clone()]);
+        machine.run(func, &args).unwrap();
+    }
+    (machine.read_f32(&ua), machine.read_f32(&va))
+}
+
+/// The same ping-pong loop through the whole-array front-ends
+/// (`open_session` / `session_launch`) on one device.
 fn run_plain_jacobi(
     n: usize,
     iters: usize,
@@ -156,7 +183,7 @@ fn assert_bits_eq(label: &str, got: &[f32], want: &[f32]) {
 }
 
 /// Sharded Jacobi with halo refresh at N = 1/2/4 (and 4 shards on 2
-/// devices) is bit-identical to the single-device session, a refresh moves
+/// devices) is bit-identical to the single-device program, a refresh moves
 /// exactly the boundary rows in at most two worker messages per device, and
 /// two identical sharded runs produce exactly the same `RunStats` totals
 /// (deterministic accounting).
@@ -165,7 +192,7 @@ fn sharded_jacobi_with_halo_refresh_is_bit_identical_at_n124() {
     let n = 257usize;
     let iters = 6usize;
     let (u0, v0) = inputs(n);
-    let (u_ref, v_ref, _, _) = run_plain_jacobi(n, iters, &u0, &v0);
+    let (u_ref, v_ref) = machine_sweeps(jacobi_artifacts(), "jacobi", &[], iters, &u0, &v0);
     for (devices, shards) in [(1usize, 1usize), (2, 2), (4, 4), (2, 4)] {
         let label = format!("{shards} shards on {devices}");
         let (u, v, stats, totals) = run_sharded_jacobi(devices, shards, iters, 1, &u0, &v0);
@@ -226,7 +253,7 @@ fn one_shard_stencil_stats_match_plain_session() {
 }
 
 /// The heat stencil (scalar coefficient in the kernel signature) through
-/// the same sharded loop: bit-identical to the single-device session.
+/// the same sharded loop: bit-identical to the single-device program.
 #[test]
 fn sharded_heat_with_halo_refresh_is_bit_identical() {
     let n = 193usize;
@@ -281,8 +308,9 @@ fn sharded_heat_with_halo_refresh_is_bit_identical() {
         cluster.close_sharded_session(sid).unwrap();
         (cluster.read_f32(&ua), cluster.read_f32(&va))
     };
-    let (u_ref, v_ref) = run(1);
-    for devices in [2usize, 4] {
+    let r_arg = [RtValue::F32(r)];
+    let (u_ref, v_ref) = machine_sweeps(heat_artifacts(), "heat", &r_arg, iters, &u0, &v0);
+    for devices in [1usize, 2, 4] {
         let (u, v) = run(devices);
         assert_bits_eq(&format!("heat N={devices} u"), &u, &u_ref);
         assert_bits_eq(&format!("heat N={devices} v"), &v, &v_ref);
@@ -328,9 +356,10 @@ proptest! {
     /// Random grid sizes (including sizes not divisible by the shard
     /// count), shard counts, halo widths, and iteration counts: the
     /// halo-refresh path is bit-identical to a full gather + re-scatter
-    /// oracle (the session closed and re-opened between sweeps, so every
-    /// ghost row is re-seeded through host memory), and neither path leaks
-    /// host buffers or device arena entries.
+    /// oracle (the stencil program on one `Machine` device, both whole
+    /// arrays mapped in and out every sweep, so every row passes through
+    /// host memory between sweeps), and the refresh path leaks no host
+    /// buffers or device arena entries.
     #[test]
     fn refresh_matches_gather_rescatter_oracle_for_random_shapes(
         n in 16usize..200,
@@ -365,7 +394,7 @@ proptest! {
                     ShardCount::Fixed(shards),
                 )
                 .unwrap();
-            let used = cluster.sharded_devices(sid).unwrap();
+            let used = cluster.session_info(sid).unwrap().devices;
             for k in 0..iters {
                 let (src, dst) = if k % 2 == 0 { ("u", "v") } else { ("v", "u") };
                 let ticket = cluster
@@ -390,29 +419,8 @@ proptest! {
             "repeated stencil sessions must not leak host buffers or arena entries"
         );
 
-        // Oracle: gather + re-scatter every iteration (close + re-open).
-        let mut oracle = ClusterMachine::load(&artifacts, &models).unwrap();
-        let ub = oracle.host_f32(&u0);
-        let vb = oracle.host_f32(&v0);
-        for k in 0..iters {
-            let (src, dst) = if k % 2 == 0 { ("u", "v") } else { ("v", "u") };
-            let sid = oracle
-                .open_sharded_session(
-                    &[
-                        ("u", ub.clone(), MapKind::ToFrom, Partition::Split { halo: w }),
-                        ("v", vb.clone(), MapKind::ToFrom, Partition::Split { halo: w }),
-                    ],
-                    ShardCount::Fixed(shards),
-                )
-                .unwrap();
-            let ticket = oracle
-                .sharded_launch(sid, "stw_kernel0", &wide_args(w, src, dst))
-                .unwrap();
-            oracle.wait_sharded(ticket).unwrap();
-            oracle.close_sharded_session(sid).unwrap();
-        }
-        let u_oracle = oracle.read_f32(&ub);
-        let v_oracle = oracle.read_f32(&vb);
+        // Oracle: gather + re-scatter every iteration, on one device.
+        let (u_oracle, v_oracle) = machine_sweeps(&artifacts, "stw", &[], iters, &u0, &v0);
 
         for i in 0..n {
             prop_assert_eq!(
