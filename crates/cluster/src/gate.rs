@@ -5,16 +5,15 @@
 //! here. The gate wraps the machine in a mutex and adds the two pieces a
 //! multi-client serve layer needs to keep that mutex *short-lived*:
 //!
-//! * **One wait, run or parked off the lock.** [`PoolGate::wait_many`]
-//!   waits a launch's claims. A job parked for its waiter (the only job of
-//!   its fan-out, on an idle device) runs on the caller's thread with the
-//!   machine lock released, and is landed under one short lock. Any other
-//!   job is the worker's: the waiter parks on its own claim's cell between
-//!   polls instead of sleep-polling the machine lock, so it wakes within
-//!   microseconds of its job's outcome and holds the lock only to drain
-//!   outcomes — never across a blocking receive. A close's wait for its
-//!   session to go quiet is a wait for the jobs in its way: it runs one
-//!   that is still parked, or parks on its cell, one at a time.
+//! * **One wait, off the lock.** [`PoolGate::wait_many`] waits a launch's
+//!   claims. Each claim finishes its job with the machine lock released: a
+//!   job parked for its waiter (the only job of its fan-out, on an idle
+//!   device) runs on the caller's thread, and any other job is the
+//!   worker's, so the waiter parks on its own claim's cell, with no
+//!   timeout, until the runner finishes it — or until the job, dropped
+//!   unrun, finishes it itself. Then one short lock lands it. A close's
+//!   wait for its session to go quiet is the same wait for each job in its
+//!   way, one at a time.
 //! * **Sessionless runs off the lock.** [`PoolGate::run`] places a host
 //!   call under a short lock, runs it on the caller's thread with the lock
 //!   released, and lands it under another: a long host program stalls no
@@ -35,7 +34,6 @@
 
 use std::collections::HashSet;
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::Duration;
 
 use ftn_core::CompileError;
 use ftn_interp::{Memory, RtValue};
@@ -44,13 +42,6 @@ use crate::exchange::ExchangePhase;
 use crate::machine::{ClusterMachine, ClusterRunReport, LaunchHandle};
 use crate::session::MapKind;
 use crate::sharded::{HaloRefreshReport, ShardCount, ShardedReport};
-
-/// Safety-valve park slice: a waiter re-polls at least this often even if a
-/// wakeup is lost (e.g. workers torn down mid-wait). Correctness never
-/// depends on it — a cell stays reported once marked, so a park after the
-/// mark returns at once — it only bounds how long a shutdown race can park
-/// a thread.
-const PARK_SLICE: Duration = Duration::from_millis(20);
 
 /// A [`ClusterMachine`] behind a short-critical-section lock, with
 /// condvar-notified completion waits and phased, per-session-fenced row
@@ -97,32 +88,15 @@ impl PoolGate {
         }
     }
 
-    /// Wait for one job without sleep-polling. A job still parked for this
-    /// handle runs here with the machine lock released, and one short lock
-    /// lands it. Otherwise: drain outcomes under a short
-    /// lock, and park on the handle's own cell until the runner finishing
-    /// *this* job wakes it — a targeted wakeup, so N concurrent waiters
-    /// cost one wake per outcome instead of an N-thread herd racing for the
-    /// machine lock. An outcome reported between the drain and the park has
-    /// already marked the cell, so the park returns immediately — the wake
-    /// path is notification, not timeout — and a report another caller
-    /// landed (a close's quiesce) is found at once.
+    /// Wait for one job: the handle finishes it with the machine lock
+    /// released — running it here if it is still parked, else parking on
+    /// its own cell until the job is finished, a targeted wakeup, so N
+    /// concurrent waiters cost one wake per outcome instead of an N-thread
+    /// herd racing for the machine lock — and one short lock lands it
+    /// ([`ClusterMachine::wait`], which then blocks on nothing).
     fn wait_done(&self, mut handle: LaunchHandle) -> Result<ClusterRunReport, CompileError> {
-        if let Some(outcome) = handle.run_parked() {
-            let mut m = self.lock();
-            m.land_parked(outcome, &handle.cell);
-            return m.wait(handle);
-        }
-        loop {
-            {
-                let mut m = self.lock();
-                m.poll_outcomes();
-                if handle.cell.landed() {
-                    return m.wait(handle);
-                }
-            }
-            handle.cell.park(PARK_SLICE);
-        }
+        handle.finish();
+        self.lock().wait(handle)
     }
 
     /// Wait for a launch's per-shard claims, in shard order, each without
@@ -236,29 +210,22 @@ impl PoolGate {
         self.phased(Some(session), false, |m| m.halo_begin(session))
     }
 
-    /// Lock the machine once none of `quiet`'s launches is in flight,
-    /// running one such job off-lock if it is still parked (its claim's
-    /// holder may not wait before this close is over) or parking on its
-    /// cell between polls: the lock is only held to drain and land
-    /// outcomes, and the caller's next step runs under the guard the
-    /// condition was seen under. A job reported between the poll and the
-    /// park has already marked its cell, so the park returns at once. An
-    /// unknown session has none: the exchange's begin step reports it as
-    /// the synchronous path would.
+    /// Lock the machine once none of `quiet`'s launches is in flight: each
+    /// such job is finished off-lock, as a claim finishes it (run here if it
+    /// is still parked — its claim's holder may not wait before this close
+    /// is over — else parked on), and the lock is held only to sweep
+    /// finished jobs home; the caller's next step runs under the guard the
+    /// condition was seen under. An unknown session has none: the
+    /// exchange's begin step reports it as the synchronous path would.
     fn lock_when_quiet(&self, quiet: Option<u64>) -> MutexGuard<'_, ClusterMachine> {
         loop {
             let mut m = self.lock();
-            m.poll_outcomes();
+            m.sweep();
             let Some(job) = quiet.and_then(|s| m.blocker(s)) else {
                 return m;
             };
             drop(m);
-            match job.inbox.run_parked(job.job_id) {
-                Some(outcome) => self.lock().land_parked(outcome, &job.cell),
-                None => {
-                    job.cell.park(PARK_SLICE);
-                }
-            }
+            job.finish();
         }
     }
 
@@ -305,37 +272,40 @@ impl PoolGate {
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
-    /// The claim's cell `PoolGate::wait_done` parks on must wake on
-    /// notification, not on its safety-valve timeout: over repeated trials
-    /// the best notify→wake latency has to come in under 100 µs — orders of
-    /// magnitude below [`PARK_SLICE`] (the best is the honest measure —
-    /// individual trials absorb scheduler jitter, but a waiter that only
-    /// woke on the park timeout could never beat it).
+    use crate::pool::Reporter;
+
+    /// The claim's cell `PoolGate::wait_done` parks on, with no timeout,
+    /// must wake on the runner's finish: over repeated trials the best
+    /// finish→wake latency has to come in under 100 µs (the best is the
+    /// honest measure — individual trials absorb scheduler jitter, but a
+    /// waiter the finish does not wake could never beat it).
     #[test]
-    fn notify_wakes_parked_waiter_far_sooner_than_the_park_slice() {
+    fn a_finish_wakes_the_parked_waiter_within_microseconds() {
         let machine = crate::tests::pool(1);
         let mut best = Duration::MAX;
         for _ in 0..20 {
             let cell = machine.pool.cell(None);
-            let parked = Arc::clone(&cell);
+            let reporter = Reporter::new(0, Arc::clone(&cell));
+            let (tx, woke) = std::sync::mpsc::channel();
             let waiter = std::thread::spawn(move || {
-                let woke = parked.park(Duration::from_secs(5));
-                (woke, Instant::now())
+                cell.park();
+                tx.send(Instant::now()).expect("test listens");
             });
-            // Let the waiter reach its park before notifying.
+            // Let the waiter reach its park before finishing.
             std::thread::sleep(Duration::from_millis(2));
-            let notified_at = Instant::now();
-            cell.mark_reported();
-            let (woke, woke_at) = waiter.join().expect("waiter thread");
-            assert!(woke, "the cell must report a notified outcome");
-            best = best.min(woke_at.saturating_duration_since(notified_at));
+            let finished_at = Instant::now();
+            reporter.finish(Err("done".to_string()));
+            let woke_at = (woke.recv_timeout(Duration::from_secs(5)))
+                .expect("the finish wakes the parked waiter");
+            waiter.join().expect("waiter thread");
+            best = best.min(woke_at.saturating_duration_since(finished_at));
         }
         assert!(
             best < Duration::from_micros(100),
-            "best notify→wake latency {best:?}: the waiter is not woken by the \
-             notification"
+            "best finish→wake latency {best:?}: the waiter is not woken by the \
+             finish"
         );
     }
 
@@ -375,19 +345,17 @@ mod tests {
         caller.join().expect("caller thread");
     }
 
-    /// An outcome that lands *between* a waiter's drain and its park must
-    /// not be lost: the worker marks the cell reported before the waiter
-    /// ever parks, and the park returns immediately instead of blocking out
-    /// its timeout.
+    /// A job that finishes before its waiter parks is not lost: the park
+    /// finds the cell finished and returns at once.
     #[test]
-    fn notification_before_park_is_not_lost() {
+    fn finish_before_park_is_not_lost() {
         let cell = crate::tests::pool(1).pool.cell(None);
-        cell.mark_reported();
+        Reporter::new(0, Arc::clone(&cell)).finish(Err("done".to_string()));
         let t = Instant::now();
-        assert!(cell.park(Duration::from_secs(5)), "cell must be reported");
+        crate::tests::watchdog("a park after the finish", move || cell.park());
         assert!(
             t.elapsed() < Duration::from_millis(500),
-            "an already-reported cell must return without parking"
+            "a finished cell must return without parking"
         );
     }
 }

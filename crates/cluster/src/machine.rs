@@ -29,11 +29,15 @@
 //! for it: a dropped claim hands it to the worker, and a close's quiesce
 //! runs the jobs in its way itself.
 //!
-//! A job's report has one owner: the cell its handle (the claim), the job
-//! and its pending entry share. Applying an outcome writes the report into
-//! the cell and drops the pending entry; `wait` takes the report from its
-//! own handle's cell, whoever drained the outcome or ran the job. Nothing
-//! else may take it, and a dropped handle frees its report with the cell.
+//! A job's outcome has one way home: the cell its handle (the claim), the
+//! job and its pending entry share. Its runner finishes the cell; then,
+//! under the machine lock, `land` applies it — loads, the pending entry,
+//! writeback, rollups — and keeps the report in the cell. A wait finishes
+//! its job without the machine (runs it if it is still parked, else parks
+//! on the cell), then sweeps: every finished pending job lands, in job
+//! order, and the wait takes the report from its own handle's cell.
+//! Nothing else may take it, and a dropped handle frees its report with
+//! the cell.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::AtomicU64;
@@ -47,7 +51,7 @@ use ftn_trace::MetricsRegistry;
 use serde::Serialize;
 
 use crate::pool::{
-    DevicePool, Inbox, Job, JobCell, JobKind, JobOutcome, JobSpec, RowFetch, RowPatch,
+    worker_gone, DevicePool, Inbox, Job, JobCell, JobKind, JobSpec, Reporter, RowFetch, RowPatch,
     WorkerMessage,
 };
 use crate::rollup::{RollupBy, RollupRow, Rollups};
@@ -65,10 +69,15 @@ pub struct LaunchHandle {
 }
 
 impl LaunchHandle {
-    /// Run the job on the calling thread if it is still parked, and return
-    /// its outcome for the machine to apply.
-    pub(crate) fn run_parked(&mut self) -> Option<JobOutcome> {
-        self.parked.take()?.run_parked(self.job_id)
+    /// Finish the job without the machine: run it on the calling thread if
+    /// it is still parked, else park on its cell until its runner — or its
+    /// drop guard, if it never runs — has finished it. The caller then
+    /// lands it ([`ClusterMachine::wait`]).
+    pub(crate) fn finish(&mut self) {
+        if let Some(inbox) = self.parked.take() {
+            inbox.run_parked(self.job_id);
+        }
+        self.cell.park();
     }
 }
 
@@ -206,7 +215,8 @@ pub(crate) struct PendingJob {
     pub(crate) session: Option<u64>,
     /// Bytes staged host→device alongside this job.
     pub(crate) staged_bytes: u64,
-    /// Where the outcome is written once applied.
+    /// The job's cell: its runner finishes it, [`ClusterMachine::land`]
+    /// lands it.
     pub(crate) cell: Arc<JobCell>,
 }
 
@@ -216,6 +226,15 @@ pub(crate) struct Blocker {
     pub(crate) job_id: u64,
     pub(crate) inbox: Arc<Inbox>,
     pub(crate) cell: Arc<JobCell>,
+}
+
+impl Blocker {
+    /// Finish the job without the machine, as [`LaunchHandle::finish`]
+    /// does; the caller then sweeps it home.
+    pub(crate) fn finish(&self) {
+        self.inbox.run_parked(self.job_id);
+        self.cell.park();
+    }
 }
 
 /// A sessionless call placed on a device, counted in its load until it
@@ -580,7 +599,7 @@ impl ClusterMachine {
             enqueued_nanos: ftn_trace::now_nanos(),
             spread: false,
             spec,
-            cell: Arc::clone(&cell),
+            reporter: Reporter::new(device, Arc::clone(&cell)),
         };
         self.loads[device] += 1;
         self.pending.insert(
@@ -600,12 +619,11 @@ impl ClusterMachine {
     /// takes — and hand out its claim. The job is parked for its waiter
     /// when it is `alone` (its fan-out's only job) and the device is idle
     /// (see the module docs); otherwise it is delivered to the worker as one
-    /// `WorkerMessage::Job`. A worker that is gone fails the job on the
-    /// spot: its bookkeeping (pending ledger, queue depth) unwinds as if it
-    /// had run and errored, and its cell goes with the undelivered message,
-    /// for no claim goes out.
+    /// `WorkerMessage::Job`. A job a gone worker refuses finishes its own
+    /// cell as it drops, and lands here: no claim goes out to land it.
     fn send(&mut self, device: usize, job: Job, alone: bool) -> Result<LaunchHandle, CompileError> {
-        let (job_id, cell) = (job.job_id, Arc::clone(&job.cell));
+        let job_id = job.job_id;
+        let cell = Arc::clone(&self.pending[&job_id].cell);
         let inbox = &self.pool.slots[device].sender;
         match inbox.post(Box::new(job), alone) {
             Ok(parked) => {
@@ -616,14 +634,10 @@ impl ClusterMachine {
                     parked,
                 })
             }
-            Err(_) => {
-                let gone = format!("device {device} worker is gone");
-                self.apply_outcome(JobOutcome {
-                    job_id,
-                    device,
-                    result: Err(gone.clone()),
-                });
-                Err(CompileError::new("cluster-submit", gone))
+            Err(refused) => {
+                drop(refused);
+                self.land(job_id);
+                Err(CompileError::new("cluster-submit", worker_gone(device)))
             }
         }
     }
@@ -660,20 +674,15 @@ impl ClusterMachine {
     /// Wait for a submitted job: its report, its statistics folded into the
     /// pool totals and a fetch's rows written back to host memory.
     ///
-    /// A job still parked for this handle runs here, on the calling thread.
-    /// The report is read from the handle's own cell, so a handle whose
-    /// outcome another call already landed (a close, a quiesce, another
-    /// waiter's drain) returns without blocking.
+    /// The handle finishes its job (a job still parked for it runs here, on
+    /// the calling thread), then a sweep lands it with every other finished
+    /// job, and the report is read from the handle's own cell — where it
+    /// already is when another call landed it (a close, another wait).
     pub fn wait(&mut self, mut handle: LaunchHandle) -> Result<ClusterRunReport, CompileError> {
-        if let Some(outcome) = handle.run_parked() {
-            self.land_parked(outcome, &handle.cell);
-        }
-        let (device, success) = loop {
-            match handle.cell.take() {
-                Some(done) => break done.map_err(|msg| CompileError::new("cluster-run", msg))?,
-                None => self.process_one_outcome()?,
-            }
-        };
+        handle.finish();
+        self.sweep();
+        let report = handle.cell.take().expect("landed by the sweep");
+        let (device, success) = report.map_err(|msg| CompileError::new("cluster-run", msg))?;
         Ok(ClusterRunReport {
             device,
             report: report_from_stats(success.stats, success.results, &self.kernel_resources),
@@ -698,8 +707,7 @@ impl ClusterMachine {
     pub(crate) fn place_call(&mut self) -> Result<HostCall, CompileError> {
         let device = self.least_loaded();
         if !self.pool.is_alive(device) {
-            let gone = format!("device {device} worker is gone");
-            return Err(CompileError::new("cluster-submit", gone));
+            return Err(CompileError::new("cluster-submit", worker_gone(device)));
         }
         self.loads[device] += 1;
         Ok(HostCall {
@@ -728,69 +736,51 @@ impl ClusterMachine {
         })
     }
 
-    /// Drain any outcomes the workers have already produced, without
-    /// blocking: a caller that must not hold this machine locked across a
-    /// blocking [`ClusterMachine::wait`] polls this, then parks off-lock.
-    pub(crate) fn poll_outcomes(&mut self) {
-        while let Ok(outcome) = self.pool.outcomes.try_recv() {
-            self.apply_outcome(outcome);
-        }
-    }
-
     /// Block until none of session `session`'s launches is in flight: each
-    /// outcome applied, its report in its claim's cell (no wait at all after
-    /// `PoolGate`'s off-lock quiesce). A launch still parked runs here.
-    pub(crate) fn quiesce(&mut self, session: u64) -> Result<(), CompileError> {
+    /// one finished and landed, its report in its claim's cell (no wait at
+    /// all after `PoolGate`'s off-lock quiesce). A launch still parked runs
+    /// here.
+    pub(crate) fn quiesce(&mut self, session: u64) {
         while let Some(job) = self.blocker(session) {
-            match job.inbox.run_parked(job.job_id) {
-                Some(outcome) => self.land_parked(outcome, &job.cell),
-                None => self.process_one_outcome()?,
-            }
+            job.finish();
+            self.sweep();
         }
-        Ok(())
     }
 
-    /// Apply the outcome of a job that ran where it was waited for, then
-    /// wake whoever else parks on its cell.
-    pub(crate) fn land_parked(&mut self, outcome: JobOutcome, cell: &JobCell) {
-        self.apply_outcome(outcome);
-        cell.mark_reported();
+    /// Land every pending job whose cell is finished, lowest job id first:
+    /// a device runs its jobs in job order, so its ledger folds them in
+    /// that order however the devices' finishes interleave.
+    pub(crate) fn sweep(&mut self) {
+        let finished = |(&job_id, p): (&u64, &PendingJob)| p.cell.finished().then_some(job_id);
+        while let Some(job_id) = self.pending.iter().filter_map(finished).min() {
+            self.land(job_id);
+        }
     }
 
-    /// Receive one worker outcome (blocking) and apply its bookkeeping.
-    pub(crate) fn process_one_outcome(&mut self) -> Result<(), CompileError> {
-        let outcome = self.pool.outcomes.recv().map_err(|_| {
-            CompileError::new("cluster-wait", "all device workers exited".to_string())
-        })?;
-        self.apply_outcome(outcome);
-        Ok(())
-    }
-
-    fn apply_outcome(&mut self, outcome: JobOutcome) {
-        let JobOutcome {
-            job_id,
-            device,
-            result,
-        } = outcome;
+    /// Land pending job `job_id`, whose cell is finished — the one step
+    /// that applies an outcome: the device's load drops, a fetch's rows are
+    /// written over their host buffers, the run is folded through
+    /// [`ClusterMachine::complete`], and the report is kept in the cell.
+    pub(crate) fn land(&mut self, job_id: u64) {
+        let p = self.pending.remove(&job_id).expect("job is pending");
+        let device = p.device;
         self.loads[device] = self.loads[device].saturating_sub(1);
-        let pending = self.pending.remove(&job_id);
-        let stored = result.map(|mut success| {
-            let mut writeback_bytes = 0u64;
-            // Each fetched block lands in a buffer only its exchange reads.
-            for (host_id, contents) in std::mem::take(&mut success.writeback) {
-                writeback_bytes += contents.byte_len() as u64;
-                *self.memory.get_mut(host_id) = contents;
-            }
-            self.rollups.devices[device].arena_buffers = success.arena_buffers;
-            self.metrics.queue_wait.observe(success.queue_wait_seconds);
-            let bytes = writeback_bytes + pending.as_ref().map_or(0, |p| p.staged_bytes);
-            let wait = success.queue_wait_seconds;
-            self.complete(pending.as_ref(), device, &success.stats, wait, bytes);
-            (device, success)
+        p.cell.land(|outcome| {
+            outcome.map(|mut success| {
+                let mut writeback_bytes = 0u64;
+                // Each fetched block lands in a buffer only its exchange reads.
+                for (host_id, contents) in std::mem::take(&mut success.writeback) {
+                    writeback_bytes += contents.byte_len() as u64;
+                    *self.memory.get_mut(host_id) = contents;
+                }
+                self.rollups.devices[device].arena_buffers = success.arena_buffers;
+                self.metrics.queue_wait.observe(success.queue_wait_seconds);
+                let bytes = writeback_bytes + p.staged_bytes;
+                let wait = success.queue_wait_seconds;
+                self.complete(Some(&p), device, &success.stats, wait, bytes);
+                (device, success)
+            })
         });
-        if let Some(p) = pending {
-            p.cell.settle(stored);
-        }
     }
 
     /// The one completion bookkeeping, for a worker job's outcome and a host

@@ -35,12 +35,17 @@
 //! runner share; an inline runner takes it before it lets go of the queue,
 //! so a message sent after the parked job waits for that job.
 //!
-//! Every job carries its `JobCell`, the one place its report will live,
-//! shared with the caller's claim and the machine's pending entry. The
-//! worker sends the outcome on the pool channel, then marks the cell
-//! reported, waking whoever waits for that job — its claim, or a `PoolGate`
-//! close that waits for its session's launches. An inline runner applies
-//! the outcome itself and marks the cell the same way.
+//! Every job carries its `JobCell`, the one place its outcome comes home
+//! to, shared with the caller's claim and the machine's pending entry, and
+//! a `Reporter`, its promise to finish that cell exactly once. A runner
+//! — the worker or a parked job's waiter, both through `run_and_report` —
+//! finishes the cell with the job's outcome once the device counts as idle
+//! again, waking whoever parks on it: its claim, or a `PoolGate` close that
+//! waits for its session's launches. A job dropped unrun (its worker exited
+//! with the job still queued, or the send was refused) finishes its own
+//! cell as it goes, with its device's worker gone, so no wait outlives its
+//! job. The machine then lands the finished cell under its lock (see
+//! `ClusterMachine::land`).
 //!
 //! After each job the runner frees every allocation the job recorded, so
 //! kernel-local scratch does not accumulate across the life of the pool.
@@ -54,7 +59,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SendError, Sender};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use ftn_fpga::{DeviceModel, ExecutorImage, KernelExecutor};
 use ftn_host::RunStats;
@@ -201,17 +205,13 @@ pub(crate) struct Job {
     /// [`affinity`]).
     pub spread: bool,
     pub spec: JobSpec,
-    /// Where the job's report will live; marked reported once the outcome
-    /// is on the pool's channel or applied by its inline runner.
-    pub cell: Arc<JobCell>,
+    /// Finishes the job's cell: with its outcome once it has run, or, if it
+    /// is dropped unrun, with its worker gone.
+    pub reporter: Reporter,
 }
 
-/// What comes back from a job's runner when the job finishes.
-pub(crate) struct JobOutcome {
-    pub job_id: u64,
-    pub device: usize,
-    pub result: Result<JobSuccess, String>,
-}
+/// What a job's runner writes into its cell when the job finishes.
+pub(crate) type JobOutcome = Result<JobSuccess, String>;
 
 pub(crate) struct JobSuccess {
     pub stats: RunStats,
@@ -241,30 +241,30 @@ pub(crate) enum WorkerMessage {
     Stall(Receiver<()>),
 }
 
-/// A job's outcome once the machine has applied it: the device and what the
-/// worker returned, or the error message.
+/// A job's outcome once the machine has landed it: the device and what the
+/// runner returned, or the error message.
 pub(crate) type Report = Result<(usize, JobSuccess), String>;
 
 /// Where a session launch's failure goes when no claim is left to take it:
 /// the session's next close fails with it, once. Keeps the first.
 pub(crate) type FailureSink = Arc<Mutex<Option<String>>>;
 
-/// The one owner of a job's report. Three parties hold the cell: the claim
-/// (`LaunchHandle`), the [`Job`] its worker runs and the machine's pending
-/// entry. The report lives here from the moment the machine applies the
-/// outcome until the claim takes it, and goes with the last holder.
+/// The one way home for a job's outcome. Three parties hold the cell: the
+/// claim (`LaunchHandle`), the [`Job`] (through its [`Reporter`]) and the
+/// machine's pending entry; it goes with the last holder.
 ///
-/// * **Runner side** — once the outcome is on the pool's channel (a worker)
-///   or applied (an inline runner), the runner marks the cell reported and
-///   wakes whoever parks on it: a targeted wakeup, so N concurrent waiters
-///   cost one wake per outcome instead of an N-thread herd racing for the
-///   machine lock.
-/// * **Machine side** — applying the outcome writes the report in.
-/// * **Claim side** — a wait reads and parks on its own cell. A report
-///   that another caller's drain already applied is found here, and a
-///   park after the outcome was reported returns at once. A `PoolGate`
-///   caller blocked by the job (an open over its arrays, a close over its
-///   session) parks here too, through the pending entry.
+/// * **Runner side** — the runner finishes the cell with the job's
+///   outcome and wakes whoever parks on it: a targeted wakeup, so N
+///   concurrent waiters cost one wake per outcome instead of an N-thread
+///   herd racing for the machine lock.
+/// * **Machine side** — under the machine lock, the caller that waits for
+///   the job, or a sweep of the pending jobs, lands the finished outcome:
+///   the machine's bookkeeping is applied and the report is kept here.
+/// * **Claim side** — a wait runs its job if it is still parked, else parks
+///   on the cell until it is finished, then lands it and takes the report.
+///   A park after the finish returns at once, and a report another caller
+///   already landed is found here. A `PoolGate` close blocked by the job
+///   parks here too, through the pending entry.
 ///
 /// A claim dropped unwaited abandons its cell: the report is dropped, and a
 /// failure is handed to the session's [`FailureSink`] by whichever of the
@@ -281,12 +281,21 @@ pub(crate) struct JobCell {
 
 #[derive(Default)]
 struct CellState {
-    /// The outcome is on the pool's channel.
-    reported: bool,
-    /// The applied outcome, until the claim takes it.
-    report: Option<Report>,
+    stage: Stage,
     /// The claim is gone.
     abandoned: bool,
+}
+
+/// How far a job's outcome has come.
+#[derive(Default)]
+enum Stage {
+    /// Queued, parked or running.
+    #[default]
+    Running,
+    /// Its runner's outcome, until the machine lands it.
+    Finished(JobOutcome),
+    /// Landed: the report, until the claim takes it.
+    Landed(Option<Report>),
 }
 
 impl JobCell {
@@ -294,49 +303,59 @@ impl JobCell {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Runner side: the outcome is on the channel or applied; wake the
-    /// claim's waiter.
-    pub(crate) fn mark_reported(&self) {
-        self.state().reported = true;
+    /// Runner side, through the job's [`Reporter`]: the job is over; wake
+    /// whoever parks on the cell.
+    fn finish(&self, outcome: JobOutcome) {
+        let mut st = self.state();
+        debug_assert!(matches!(st.stage, Stage::Running), "a job finishes once");
+        st.stage = Stage::Finished(outcome);
         self.cv.notify_all();
     }
 
-    /// Machine side: the outcome is applied.
-    pub(crate) fn settle(&self, report: Report) {
+    /// Park until the job is finished; at once if it already is.
+    pub(crate) fn park(&self) {
+        let st = self.state();
+        let running = |st: &mut CellState| matches!(st.stage, Stage::Running);
+        drop((self.cv.wait_while(st, running)).unwrap_or_else(|e| e.into_inner()));
+    }
+
+    /// Whether the job is finished and not yet landed.
+    pub(crate) fn finished(&self) -> bool {
+        matches!(self.state().stage, Stage::Finished(_))
+    }
+
+    /// Machine side: land the finished outcome, which `apply` turns into
+    /// the report, and keep the report for the claim — or, when the claim
+    /// is gone, hand a failure to the sink.
+    pub(crate) fn land(&self, apply: impl FnOnce(JobOutcome) -> Report) {
         let mut st = self.state();
+        let Stage::Finished(outcome) = std::mem::replace(&mut st.stage, Stage::Landed(None)) else {
+            unreachable!("only a finished job lands");
+        };
+        let report = apply(outcome);
         if st.abandoned {
             self.sink_failure(report);
         } else {
-            st.report = Some(report);
+            st.stage = Stage::Landed(Some(report));
         }
     }
 
-    /// Take the applied report, if it has landed.
+    /// Take the landed report, if it is here.
     pub(crate) fn take(&self) -> Option<Report> {
-        self.state().report.take()
-    }
-
-    /// Whether the applied report is waiting to be taken.
-    pub(crate) fn landed(&self) -> bool {
-        self.state().report.is_some()
-    }
-
-    /// Park until the runner has reported the outcome or `timeout` elapses
-    /// (a safety valve for shutdown races, not the wake path). Returns
-    /// whether it has.
-    pub(crate) fn park(&self, timeout: Duration) -> bool {
-        let st = self.state();
-        let (st, _) = (self.cv.wait_timeout_while(st, timeout, |st| !st.reported))
-            .unwrap_or_else(|e| e.into_inner());
-        st.reported
+        match &mut self.state().stage {
+            Stage::Landed(report) => report.take(),
+            _ => None,
+        }
     }
 
     /// Claim side: the claim is gone, whether or not it took the report.
     pub(crate) fn abandon(&self) {
         let mut st = self.state();
         st.abandoned = true;
-        if let Some(report) = st.report.take() {
-            self.sink_failure(report);
+        if let Stage::Landed(report) = &mut st.stage {
+            if let Some(report) = report.take() {
+                self.sink_failure(report);
+            }
         }
     }
 
@@ -346,6 +365,45 @@ impl JobCell {
             first.get_or_insert(msg);
         }
     }
+}
+
+/// A job's promise to finish its cell exactly once, carried by the job:
+/// its runner keeps it with [`Reporter::finish`], and a job dropped unrun
+/// keeps it as it goes, with its device's worker gone.
+pub(crate) struct Reporter {
+    device: usize,
+    /// `None` once finished.
+    cell: Option<Arc<JobCell>>,
+}
+
+impl Reporter {
+    pub(crate) fn new(device: usize, cell: Arc<JobCell>) -> Reporter {
+        Reporter {
+            device,
+            cell: Some(cell),
+        }
+    }
+
+    /// Finish the cell with the job's outcome.
+    pub(crate) fn finish(mut self, outcome: JobOutcome) {
+        if let Some(cell) = self.cell.take() {
+            cell.finish(outcome);
+        }
+    }
+}
+
+impl Drop for Reporter {
+    fn drop(&mut self) {
+        if let Some(cell) = self.cell.take() {
+            cell.finish(Err(worker_gone(self.device)));
+        }
+    }
+}
+
+/// The error of a job, a send or a call that meets a device whose worker
+/// has exited.
+pub(crate) fn worker_gone(device: usize) -> String {
+    format!("device {device} worker is gone")
 }
 
 #[cfg(test)]
@@ -463,11 +521,13 @@ impl Inbox {
     }
 
     /// Run job `job_id` on the calling thread if it is still parked, under a
-    /// span linked to the one open here, and return its outcome for the
-    /// caller to apply. `None` when a worker has it or it has run.
-    pub(crate) fn run_parked(&self, job_id: u64) -> Option<JobOutcome> {
+    /// span linked to the one open here, and finish its cell. Does nothing
+    /// when a worker has it or it has run.
+    pub(crate) fn run_parked(&self, job_id: u64) {
         let mut q = self.queue();
-        let mut job = q.parked.take_if(|job| job.job_id == job_id)?;
+        let Some(mut job) = q.parked.take_if(|job| job.job_id == job_id) else {
+            return;
+        };
         q.busy += 1;
         // Nothing else holds the device state while the device is idle; it
         // is taken before the queue is let go, so a message sent from here
@@ -475,10 +535,10 @@ impl Inbox {
         let mut worker = self.worker();
         drop(q);
         job.parent_span = ftn_trace::current_span_id();
-        let outcome = run_and_report(&mut worker, *job);
+        let (reporter, outcome) = run_and_report(&mut worker, *job);
         drop(worker);
         self.queue().busy -= 1;
-        Some(outcome)
+        reporter.finish(outcome);
     }
 }
 
@@ -488,7 +548,6 @@ impl Inbox {
 pub struct DevicePool {
     pub(crate) slots: Vec<DeviceSlot>,
     image: Arc<ExecutorImage>,
-    pub(crate) outcomes: Receiver<JobOutcome>,
     /// Whether every worker can have a CPU of its own (see [`affinity`]).
     pub(crate) cpu_each: bool,
     /// Cells of this pool's jobs still alive, wherever they are held.
@@ -499,7 +558,6 @@ pub struct DevicePool {
 impl DevicePool {
     /// Spawn one worker per device model.
     pub fn spawn(image: Arc<ExecutorImage>, devices: &[DeviceModel]) -> Self {
-        let (outcome_tx, outcomes) = std::sync::mpsc::channel();
         let slots = devices
             .iter()
             .enumerate()
@@ -518,7 +576,7 @@ impl DevicePool {
                     queue: Mutex::default(),
                     worker: Mutex::new(worker),
                 });
-                let thread = spawn_worker(Arc::clone(&inbox), jobs, outcome_tx.clone());
+                let thread = spawn_worker(Arc::clone(&inbox), jobs);
                 DeviceSlot {
                     model: model.clone(),
                     sender: inbox,
@@ -529,7 +587,6 @@ impl DevicePool {
         DevicePool {
             slots,
             image,
-            outcomes,
             cpu_each: devices.len() <= affinity(None).count_ones() as usize,
             #[cfg(test)]
             live_cells: Arc::default(),
@@ -760,11 +817,12 @@ pub(crate) fn empty_like(like: &Buffer, len: usize) -> Buffer {
     }
 }
 
-/// Run one job and report its outcome — the one runner, for the worker and
-/// for a parked job's waiter alike. Panics are contained (e.g. from a
-/// malformed bitstream module): an unwinding runner that never reports its
-/// outcome would leave `ClusterMachine::wait` blocked forever.
-fn run_and_report(worker: &mut Worker, job: Job) -> JobOutcome {
+/// Run one job — the one runner, for the worker and for a parked job's
+/// waiter alike — and hand back its outcome with the job's reporter, for
+/// the runner to finish the cell with once the device counts as idle.
+/// Panics are contained (e.g. from a malformed bitstream module), so the
+/// worker lives on and the job reports what went wrong.
+fn run_and_report(worker: &mut Worker, job: Job) -> (Reporter, JobOutcome) {
     let index = worker.index;
     let job_id = job.job_id;
     // Queue wait = submission to dispatch, measured on the shared monotonic
@@ -816,19 +874,13 @@ fn run_and_report(worker: &mut Worker, job: Job) -> JobOutcome {
     // soon as it is, and a /trace read racing the lane write would miss
     // this job's span otherwise.
     drop(span);
-    JobOutcome {
-        job_id,
-        device: index,
-        result,
-    }
+    (job.reporter, result)
 }
 
 /// Spawn the worker thread for `inbox`'s device.
-fn spawn_worker(
-    inbox: Arc<Inbox>,
-    jobs: Receiver<WorkerMessage>,
-    outcomes: Sender<JobOutcome>,
-) -> JoinHandle<()> {
+/// When it exits, the messages still queued go with its channel: a job
+/// among them finishes its cell with the worker gone.
+fn spawn_worker(inbox: Arc<Inbox>, jobs: Receiver<WorkerMessage>) -> JoinHandle<()> {
     let index = inbox.worker().index;
     std::thread::Builder::new()
         .name(format!("ftn-device-{index}"))
@@ -846,15 +898,8 @@ fn spawn_worker(
                     affinity(Some(if spread { own } else { cpus }));
                     on_own = spread;
                 }
-                let reported = match msg {
-                    Ok(WorkerMessage::Job(job)) => {
-                        let cell = Arc::clone(&job.cell);
-                        let outcome = run_and_report(&mut inbox.worker(), *job);
-                        // The pool half may already be gone during teardown;
-                        // a failed send just drops the outcome.
-                        let _ = outcomes.send(outcome);
-                        Some(cell)
-                    }
+                let finished = match msg {
+                    Ok(WorkerMessage::Job(job)) => Some(run_and_report(&mut inbox.worker(), *job)),
                     Ok(WorkerMessage::Evict(ids)) => {
                         let mut worker = inbox.worker();
                         for id in ids {
@@ -872,10 +917,10 @@ fn spawn_worker(
                     Ok(WorkerMessage::Shutdown) | Err(_) => break,
                 };
                 inbox.queue().busy -= 1;
-                // Wake the job's waiters only after the outcome is
-                // observable on the channel and the device counts as idle.
-                if let Some(cell) = reported {
-                    cell.mark_reported();
+                // Finish the job only once the device counts as idle: its
+                // waiter may send the next job the moment it wakes.
+                if let Some((reporter, outcome)) = finished {
+                    reporter.finish(outcome);
                 }
             }
         })

@@ -608,7 +608,7 @@ impl ClusterMachine {
         }
         let mut span = ftn_trace::span("session.close", "cluster");
         span.arg("session", session);
-        self.quiesce(session)?;
+        self.quiesce(session);
         // A launch nobody will wait for, that failed, fails the close once.
         let failures = &self.sessions[&session].failures;
         if let Some(msg) = failures.lock().unwrap_or_else(|e| e.into_inner()).take() {

@@ -456,8 +456,9 @@ fn saxpy_args(a: f32) -> [crate::ShardArg; 7] {
 
 /// A launch whose fan-out meets a dead worker fails, and the claim of the
 /// job it did send is dropped: the close that follows lands that job, and
-/// the job that could not be sent leaves no outcome, so nothing is orphaned
-/// in `pending` or in a job cell.
+/// the jobs that could not be sent (the launch's and the close's) finish
+/// their own cells and land at the send, so the close leaves nothing
+/// orphaned in `pending` or in a job cell.
 #[test]
 fn a_failed_launch_leaves_no_orphaned_outcome() {
     use crate::pool::WorkerMessage;
@@ -489,9 +490,6 @@ fn a_failed_launch_leaves_no_orphaned_outcome() {
         .close_sharded_session(sid)
         .expect_err("its fetch fails");
     assert!(err.to_string().contains("worker is gone"), "{err}");
-    while !cluster.pending.is_empty() {
-        cluster.process_one_outcome().unwrap();
-    }
     assert!(cluster.pending.is_empty(), "still pending");
     assert!(no_live_cells(&cluster), "orphaned outcomes");
 }
@@ -575,7 +573,10 @@ const PATIENCE: Duration = Duration::from_secs(20);
 /// Run `body` on its own thread and return what it sends, failing the test
 /// if nothing arrives within [`PATIENCE`]: a wait that hangs fails here
 /// instead of hanging the suite (the blocked thread is left behind).
-fn watchdog<T: Send + 'static>(what: &str, body: impl FnOnce() -> T + Send + 'static) -> T {
+pub(crate) fn watchdog<T: Send + 'static>(
+    what: &str,
+    body: impl FnOnce() -> T + Send + 'static,
+) -> T {
     let (tx, rx) = std::sync::mpsc::channel();
     let worker = std::thread::spawn(move || tx.send(body()).expect("test listens"));
     let out = rx.recv_timeout(PATIENCE);
@@ -584,6 +585,79 @@ fn watchdog<T: Send + 'static>(what: &str, body: impl FnOnce() -> T + Send + 'st
     }
     worker.join().expect("the body runs to completion");
     out.expect("the body sent its result")
+}
+
+/// A job dropped unrun finishes its own cell, so its wait cannot outlive
+/// it: device 1's worker is stalled, then told to shut down, and a 2-shard
+/// launch queues its shard-1 job behind the `Shutdown`. Released, the
+/// worker exits and the job goes with its channel. The launch's wait fails
+/// with the worker gone instead of hanging, and the close that follows
+/// (refused by device 1 too) leaves nothing pending and no job cell behind.
+fn a_job_queued_behind_its_workers_shutdown_fails_its_wait(via_gate: bool) {
+    use std::sync::mpsc;
+
+    use crate::pool::WorkerMessage;
+    use crate::{MapKind, Partition, PoolGate, ShardCount};
+    let what = if via_gate {
+        "PoolGate::wait_many"
+    } else {
+        "wait_sharded"
+    };
+    watchdog(what, move || {
+        let n = 64usize;
+        let gate = PoolGate::new(pool(2));
+        let (xa, ya) = {
+            let mut m = gate.lock();
+            (m.host_f32(&vec![1.0f32; n]), m.host_f32(&vec![0.5f32; n]))
+        };
+        let split = Partition::Split { halo: 0 };
+        let maps = [
+            ("x", xa, MapKind::To, split),
+            ("y", ya, MapKind::ToFrom, split),
+        ];
+        let sid = gate.open_phased(&maps, ShardCount::Fixed(2)).unwrap();
+        let (release, released) = mpsc::channel::<()>();
+        {
+            let m = gate.lock();
+            let device1 = &m.pool.slots[1].sender;
+            device1
+                .send(WorkerMessage::Stall(released))
+                .expect("worker");
+            device1.send(WorkerMessage::Shutdown).expect("worker");
+        }
+        let ticket = gate
+            .lock_session(sid)
+            .sharded_launch(sid, "saxpy_kernel0", &saxpy_args(2.0))
+            .expect("both shards' jobs are queued");
+        drop(release);
+        let waited = if via_gate {
+            gate.wait_many(ticket.handles).map(drop)
+        } else {
+            gate.lock().wait_sharded(ticket).map(drop)
+        };
+        let err = waited.expect_err("shard 1's job never ran");
+        assert!(err.to_string().contains("worker is gone"), "{err}");
+        let closed = if via_gate {
+            gate.close_phased(sid).map(drop)
+        } else {
+            gate.lock().close_sharded_session(sid).map(drop)
+        };
+        let err = closed.expect_err("device 1 refuses its fetch");
+        assert!(err.to_string().contains("worker is gone"), "{err}");
+        let m = gate.lock();
+        assert!(m.pending.is_empty(), "still pending");
+        assert!(no_live_cells(&m), "a job cell outlives its job");
+    });
+}
+
+#[test]
+fn a_job_queued_behind_its_workers_shutdown_fails_wait_sharded() {
+    a_job_queued_behind_its_workers_shutdown_fails_its_wait(false);
+}
+
+#[test]
+fn a_job_queued_behind_its_workers_shutdown_fails_the_gates_wait() {
+    a_job_queued_behind_its_workers_shutdown_fails_its_wait(true);
 }
 
 /// SAXPY's whole-array launch arguments for a one-shard session over `x`
@@ -626,9 +700,9 @@ fn a_parked_launch_waited_after_its_close_returns_its_report() {
 }
 
 /// A parked launch whose claim is dropped unwaited still runs, with no
-/// further call to the machine: its worker takes it. It failed, so the
-/// session's next close fails once with its message, and nothing of it is
-/// left behind.
+/// further call to the machine: its worker takes it, and a sweep lands it.
+/// It failed, so the session's next close fails once with its message, and
+/// nothing of it is left behind.
 #[test]
 fn a_parked_launch_dropped_unwaited_runs_and_fails_the_close_once() {
     use crate::MapKind;
@@ -650,7 +724,7 @@ fn a_parked_launch_dropped_unwaited_runs_and_fails_the_close_once() {
     let deadline = Instant::now() + PATIENCE;
     while !cluster.pending.is_empty() {
         assert!(Instant::now() < deadline, "a dropped claim's job never ran");
-        cluster.poll_outcomes();
+        cluster.sweep();
         std::thread::yield_now();
     }
     let err = cluster.close_session(sid).expect_err("the launch failed");

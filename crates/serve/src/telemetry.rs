@@ -125,7 +125,6 @@ impl ServeState {
                         api::obj(vec![
                             ("pool", d.pool.as_str().to_value()),
                             ("device", d.device.to_value()),
-                            ("lane", d.lane.as_str().to_value()),
                             ("window_nanos", d.window_nanos.to_value()),
                             ("busy_nanos", d.busy_nanos.to_value()),
                             ("idle_nanos", d.idle_nanos.to_value()),

@@ -28,7 +28,7 @@ fn event_json(lane: usize, e: &SpanEvent) -> Value {
         ("parent_id".to_string(), Value::UInt(e.parent_id)),
     ];
     for (k, v) in &e.args {
-        args.push((k.clone(), Value::Str(v.clone())));
+        args.push((k.to_string(), Value::Str(v.clone())));
     }
     let ph = if e.dur_nanos == 0 { "i" } else { "X" };
     let mut fields = vec![

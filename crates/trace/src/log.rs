@@ -91,10 +91,7 @@ pub fn log(level: Level, target: &str, message: impl Into<String>) {
     span::instant(
         format!("log.{}", level.as_str()),
         "log",
-        vec![
-            ("target".to_string(), target.to_string()),
-            ("message".to_string(), message),
-        ],
+        vec![("target", target.to_string()), ("message", message)],
     );
 }
 

@@ -461,9 +461,6 @@ pub struct DeviceUtilization {
     /// Device index in its pool: a span's `device` arg, or parsed from the
     /// `ftn-device-N` lane name.
     pub device: usize,
-    /// The device's worker lane name, `ftn-device-N` (its spans may have
-    /// been recorded on other lanes).
-    pub lane: String,
     /// The window length in nanoseconds.
     pub window_nanos: u64,
     /// Nanoseconds covered by the device's job and host-call spans.
@@ -551,7 +548,6 @@ pub fn device_utilization(
             DeviceUtilization {
                 pool: pool.to_string(),
                 device,
-                lane: format!("ftn-device-{device}"),
                 window_nanos: window,
                 busy_nanos,
                 idle_nanos: window - busy_nanos,
@@ -574,7 +570,7 @@ fn busy_device(e: &SpanEvent, lane_device: Option<usize>) -> Option<usize> {
 
 /// The value of `e`'s arg `key`, if it has one.
 fn arg<'e>(e: &'e SpanEvent, key: &str) -> Option<&'e str> {
-    let found = e.args.iter().find(|(k, _)| k == key);
+    let found = e.args.iter().find(|(k, _)| *k == key);
     found.map(|(_, value)| value.as_str())
 }
 
@@ -825,7 +821,7 @@ mod tests {
     #[test]
     fn utilization_follows_the_device_arg_across_lanes() {
         let on = |mut e: SpanEvent, device: &str| {
-            e.args.push(("device".to_string(), device.to_string()));
+            e.args.push(("device", device.to_string()));
             e
         };
         let lanes = [
@@ -847,11 +843,9 @@ mod tests {
             ),
         ];
         let u = device_utilization(&lanes, 0, 100);
-        let busy: Vec<(usize, u64, &str)> = (u.iter())
-            .map(|d| (d.device, d.busy_nanos, d.lane.as_str()))
-            .collect();
+        let busy: Vec<(usize, u64)> = u.iter().map(|d| (d.device, d.busy_nanos)).collect();
         // Device 1: [10,30) ∪ [20,40) = 30ns; device 2: 10ns.
-        assert_eq!(busy, vec![(1, 30, "ftn-device-1"), (2, 10, "ftn-device-2")]);
+        assert_eq!(busy, vec![(1, 30), (2, 10)]);
     }
 
     /// Two pools each number their devices from 0: device 0 of one pool is
@@ -860,8 +854,8 @@ mod tests {
     #[test]
     fn utilization_keys_a_device_by_its_pool() {
         let on = |mut e: SpanEvent, pool: &str, device: &str| {
-            e.args.push(("pool".to_string(), pool.to_string()));
-            e.args.push(("device".to_string(), device.to_string()));
+            e.args.push(("pool", pool.to_string()));
+            e.args.push(("device", device.to_string()));
             e
         };
         let lanes = [

@@ -43,8 +43,8 @@ pub struct SpanEvent {
     pub start_nanos: u64,
     /// Duration in nanoseconds (0 for instant events).
     pub dur_nanos: u64,
-    /// Free-form key/value annotations.
-    pub args: Vec<(String, String)>,
+    /// Free-form key/value annotations; keys are literals.
+    pub args: Vec<(&'static str, String)>,
 }
 
 /// All events captured on one thread, in completion order.
@@ -160,7 +160,7 @@ struct SpanData {
     span_id: u64,
     parent_id: u64,
     start_nanos: u64,
-    args: Vec<(String, String)>,
+    args: Vec<(&'static str, String)>,
 }
 
 /// RAII guard for an open span; records a completed event when dropped.
@@ -210,9 +210,9 @@ fn open(name: String, cat: &'static str, trace_id: u64, parent_id: u64) -> Span 
 
 impl Span {
     /// Attach a key/value annotation (no-op on a disabled-span guard).
-    pub fn arg(&mut self, key: &str, value: impl std::fmt::Display) {
+    pub fn arg(&mut self, key: &'static str, value: impl std::fmt::Display) {
         if let Some(d) = &mut self.data {
-            d.args.push((key.to_string(), value.to_string()));
+            d.args.push((key, value.to_string()));
         }
     }
 
@@ -250,7 +250,7 @@ impl Drop for Span {
 }
 
 /// Record a zero-duration instant event under the current trace/span.
-pub fn instant(name: impl Into<String>, cat: &'static str, args: Vec<(String, String)>) {
+pub fn instant(name: impl Into<String>, cat: &'static str, args: Vec<(&'static str, String)>) {
     if !enabled() {
         return;
     }
