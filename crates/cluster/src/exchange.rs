@@ -20,19 +20,19 @@
 //! over to the caller-specific tail (the exchange's `finish` closure): the
 //! session enters the table (open), gets its stats (refresh), or is
 //! gathered, freed and leaves the table (close).
-//! Each phase's jobs are posted under the machine as each is planned (a
-//! phase of one job to an idle device is parked and run by its waiter),
-//! and waited by the caller — synchronously
+//! Each phase's jobs are queued on their devices under the machine as each
+//! is planned (a phase of one job to an idle device is left unwoken and run
+//! by its waiter), and waited by the caller — synchronously
 //! ([`ClusterMachine::exchange_run`]) or with the machine lock released
 //! between phases (`PoolGate`'s phased driver). Every handle of a phase is
 //! waited even after one fails, so by the time an exchange finishes nothing
 //! is in flight over the buffers it frees: the one rollback path a
 //! session's data movement has.
 //!
-//! No quiesce is built in: each device runs its messages in the order they
-//! were sent, a parked job included, so the gather runs after every kernel
-//! already sent to the donor's device, and the wait between the phases
-//! orders the exchange across devices.
+//! No quiesce is built in: each device runs its messages from its one
+//! queue in the order they were sent, whoever runs them, so the gather
+//! runs after every kernel already sent to the donor's device, and the
+//! wait between the phases orders the exchange across devices.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;

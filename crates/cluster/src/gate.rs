@@ -6,14 +6,14 @@
 //! multi-client serve layer needs to keep that mutex *short-lived*:
 //!
 //! * **One wait, off the lock.** [`PoolGate::wait_many`] waits a launch's
-//!   claims. Each claim finishes its job with the machine lock released: a
-//!   job parked for its waiter (the only job of its fan-out, on an idle
-//!   device) runs on the caller's thread, and any other job is the
-//!   worker's, so the waiter parks on its own claim's cell, with no
-//!   timeout, until the runner finishes it — or until the job, dropped
-//!   unrun, finishes it itself. Then one short lock lands it. A close's
-//!   wait for its session to go quiet is the same wait for each job in its
-//!   way, one at a time.
+//!   claims, in submission order. Each claim finishes its job with the machine
+//!   lock released: a job left to its waiter (the only job of a one-job
+//!   fan-out, alone in an idle device's queue) runs on the caller's
+//!   thread, and any other job is the worker's, so the waiter parks on its
+//!   own claim's cell, with no timeout, until the runner finishes it — or
+//!   until the job, dropped unrun, finishes it itself.
+//!   Then one short lock lands it. A close's wait for its session to go
+//!   quiet is the same wait for each job in its way, one at a time.
 //! * **Sessionless runs off the lock.** [`PoolGate::run`] places a host
 //!   call under a short lock, runs it on the caller's thread with the lock
 //!   released, and lands it under another: a long host program stalls no
@@ -89,12 +89,12 @@ impl PoolGate {
     }
 
     /// Wait for one job: the handle finishes it with the machine lock
-    /// released — running it here if it is still parked, else parking on
-    /// its own cell until the job is finished, a targeted wakeup, so N
+    /// released — running it here if it is left to its waiter, else parking
+    /// on its own cell until the job is finished, a targeted wakeup, so N
     /// concurrent waiters cost one wake per outcome instead of an N-thread
     /// herd racing for the machine lock — and one short lock lands it
     /// ([`ClusterMachine::wait`], which then blocks on nothing).
-    fn wait_done(&self, mut handle: LaunchHandle) -> Result<ClusterRunReport, CompileError> {
+    fn wait_done(&self, handle: LaunchHandle) -> Result<ClusterRunReport, CompileError> {
         handle.finish();
         self.lock().wait(handle)
     }
@@ -212,8 +212,8 @@ impl PoolGate {
 
     /// Lock the machine once none of `quiet`'s launches is in flight: each
     /// such job is finished off-lock, as a claim finishes it (run here if it
-    /// is still parked — its claim's holder may not wait before this close
-    /// is over — else parked on), and the lock is held only to sweep
+    /// is left to its waiter — its claim's holder may not wait before this
+    /// close is over — else parked on), and the lock is held only to sweep
     /// finished jobs home; the caller's next step runs under the guard the
     /// condition was seen under. An unknown session has none: the
     /// exchange's begin step reports it as the synchronous path would.
@@ -221,11 +221,11 @@ impl PoolGate {
         loop {
             let mut m = self.lock();
             m.sweep();
-            let Some(job) = quiet.and_then(|s| m.blocker(s)) else {
+            let Some(finish) = quiet.and_then(|s| m.blocker(s)) else {
                 return m;
             };
             drop(m);
-            job.finish();
+            finish();
         }
     }
 

@@ -19,23 +19,22 @@
 //! sub-buffers are device-owned from open to close, and no call names them;
 //! the one ownership rule left is that **an array an open session maps is
 //! refused to everyone else** — a run, another open, a free — until its
-//! close has landed its rows. Every job is enqueued, then posted by `send`
-//! the moment it is planned: the one path a job takes to its device. There
-//! the one rule is decided: **the only job of a fan-out, for a device with
-//! nothing in flight and nothing undelivered, is parked** for the thread
-//! that waits for it, which runs it off the machine lock (`wait`,
-//! `PoolGate::wait_many`); everything else is one `WorkerMessage::Job` on
-//! the device worker's channel. A parked job still runs when nobody waits
-//! for it: a dropped claim hands it to the worker, and a close's quiesce
-//! runs the jobs in its way itself.
+//! close has landed its rows. Every job is enqueued, then queued by `send`
+//! on its device's one FIFO the moment it is planned: the one path a job
+//! takes to its device. Every job wakes the worker but **the only job of a
+//! one-job fan-out, alone in an idle device's queue: it is left to the
+//! thread that waits for it**, which runs it off the machine lock (`wait`,
+//! `PoolGate::wait_many`, a close's quiesce; see [`crate::pool`]). A later
+//! message to its device wakes the worker for it, and so does its claim
+//! when dropped while the job is still queued.
 //!
 //! A job's outcome has one way home: the cell its handle (the claim), the
 //! job and its pending entry share. Its runner finishes the cell; then,
 //! under the machine lock, `land` applies it — loads, the pending entry,
 //! writeback, rollups — and keeps the report in the cell. A wait finishes
-//! its job without the machine (runs it if it is still parked, else parks
-//! on the cell), then sweeps: every finished pending job lands, in job
-//! order, and the wait takes the report from its own handle's cell.
+//! its job without the machine (runs it if it is left to its waiter, else
+//! parks on the cell), then sweeps: every finished pending job lands, in
+//! job order, and the wait takes the report from its own handle's cell.
 //! Nothing else may take it, and a dropped handle frees its report with
 //! the cell.
 
@@ -63,21 +62,15 @@ use crate::rollup::{RollupBy, RollupRow, Rollups};
 pub struct LaunchHandle {
     pub(crate) job_id: u64,
     pub(crate) cell: Arc<JobCell>,
-    /// The inbox the job was parked in, for the waiter to run it there;
-    /// `None` once it was sent to the worker or looked for.
-    pub(crate) parked: Option<Arc<Inbox>>,
+    /// The queue of the job's device.
+    pub(crate) inbox: Arc<Inbox>,
 }
 
 impl LaunchHandle {
-    /// Finish the job without the machine: run it on the calling thread if
-    /// it is still parked, else park on its cell until its runner — or its
-    /// drop guard, if it never runs — has finished it. The caller then
-    /// lands it ([`ClusterMachine::wait`]).
-    pub(crate) fn finish(&mut self) {
-        if let Some(inbox) = self.parked.take() {
-            inbox.run_parked(self.job_id);
-        }
-        self.cell.park();
+    /// Finish the job without the machine ([`Inbox::finish`]); the caller
+    /// then lands it ([`ClusterMachine::wait`]).
+    pub(crate) fn finish(&self) {
+        self.inbox.finish(self.job_id, &self.cell);
     }
 }
 
@@ -89,10 +82,9 @@ impl std::fmt::Debug for LaunchHandle {
 
 impl Drop for LaunchHandle {
     fn drop(&mut self) {
-        self.cell.abandon();
-        // A parked job nobody will wait for runs on its worker.
-        if let Some(inbox) = self.parked.take() {
-            inbox.release(self.job_id);
+        // A job still queued that nobody will wait for runs on its worker.
+        if self.cell.abandon() {
+            self.inbox.wake();
         }
     }
 }
@@ -218,23 +210,6 @@ pub(crate) struct PendingJob {
     /// The job's cell: its runner finishes it, [`ClusterMachine::land`]
     /// lands it.
     pub(crate) cell: Arc<JobCell>,
-}
-
-/// A job in a close's way: its claim's cell to park on, and the inbox it
-/// may still be parked in, to run it there.
-pub(crate) struct Blocker {
-    pub(crate) job_id: u64,
-    pub(crate) inbox: Arc<Inbox>,
-    pub(crate) cell: Arc<JobCell>,
-}
-
-impl Blocker {
-    /// Finish the job without the machine, as [`LaunchHandle::finish`]
-    /// does; the caller then sweeps it home.
-    pub(crate) fn finish(&self) {
-        self.inbox.run_parked(self.job_id);
-        self.cell.park();
-    }
 }
 
 /// A sessionless call placed on a device, counted in its load until it
@@ -363,7 +338,7 @@ impl ClusterMachine {
         self.metrics = PoolMetrics::new(registry);
         self.label = Arc::from(pool);
         for slot in &self.pool.slots {
-            slot.sender.label(&self.label);
+            slot.inbox.label(&self.label);
         }
     }
 
@@ -515,15 +490,17 @@ impl ClusterMachine {
     }
 
     /// One of `session`'s launches in flight — the job a close waits for —
-    /// or `None` once none is.
-    pub(crate) fn blocker(&self, session: u64) -> Option<Blocker> {
+    /// as the call that finishes it without the machine, as its claim would
+    /// ([`Inbox::finish`]; the caller then sweeps it home), or `None` once
+    /// none is.
+    pub(crate) fn blocker(&self, session: u64) -> Option<impl FnOnce()> {
         let mut jobs = self.pending.iter();
         let (&job_id, p) = jobs.find(|(_, p)| p.session == Some(session))?;
-        Some(Blocker {
-            job_id,
-            inbox: Arc::clone(&self.pool.slots[p.device].sender),
-            cell: Arc::clone(&p.cell),
-        })
+        let (inbox, cell) = (
+            Arc::clone(&self.pool.slots[p.device].inbox),
+            Arc::clone(&p.cell),
+        );
+        Some(move || inbox.finish(job_id, &cell))
     }
 
     /// Least-loaded placement: the shallowest queue, ties broken
@@ -562,14 +539,14 @@ impl ClusterMachine {
 
     /// Release session sub-buffers: free their pool-memory slots and tell
     /// every device to drop its mirror of them. Message order (FIFO per
-    /// device, a parked job included) guarantees the eviction happens after
-    /// any job sent before it that still reads the mirror.
+    /// device, whoever runs the message) guarantees the eviction happens
+    /// after any job sent before it that still reads the mirror.
     pub(crate) fn drop_buffers(&mut self, ids: Vec<BufferId>) {
         for id in &ids {
             self.memory.free(*id);
         }
         for slot in &self.pool.slots {
-            let _ = slot.sender.send(WorkerMessage::Evict(ids.clone()));
+            let _ = slot.inbox.send(WorkerMessage::Evict(ids.clone()), true);
         }
     }
 
@@ -615,36 +592,29 @@ impl ClusterMachine {
         job
     }
 
-    /// Post an enqueued job to `device` — the one send path every job
-    /// takes — and hand out its claim. The job is parked for its waiter
-    /// when it is `alone` (its fan-out's only job) and the device is idle
-    /// (see the module docs); otherwise it is delivered to the worker as one
-    /// `WorkerMessage::Job`. A job a gone worker refuses finishes its own
-    /// cell as it drops, and lands here: no claim goes out to land it.
-    fn send(&mut self, device: usize, job: Job, alone: bool) -> Result<LaunchHandle, CompileError> {
+    /// Queue an enqueued job on `device` as one `WorkerMessage::Job` — the
+    /// one send path every job takes — and hand out its claim; `wake` as
+    /// [`Inbox::send`] takes it. A job a gone worker refuses finishes its
+    /// own cell as it drops, and lands here: no claim goes out to land it.
+    fn send(&mut self, device: usize, job: Job, wake: bool) -> Result<LaunchHandle, CompileError> {
         let job_id = job.job_id;
         let cell = Arc::clone(&self.pending[&job_id].cell);
-        let inbox = &self.pool.slots[device].sender;
-        match inbox.post(Box::new(job), alone) {
-            Ok(parked) => {
-                let parked = parked.then(|| Arc::clone(inbox));
-                Ok(LaunchHandle {
-                    job_id,
-                    cell,
-                    parked,
-                })
-            }
-            Err(refused) => {
-                drop(refused);
-                self.land(job_id);
-                Err(CompileError::new("cluster-submit", worker_gone(device)))
-            }
+        let inbox = Arc::clone(&self.pool.slots[device].inbox);
+        if let Err(gone) = inbox.send(WorkerMessage::Job(Box::new(job)), wake) {
+            self.land(job_id);
+            return Err(CompileError::new("cluster-submit", gone));
         }
+        Ok(LaunchHandle {
+            job_id,
+            cell,
+            inbox,
+        })
     }
 
     /// One fan-out: for every `(device, payload)` item in order, `plan` a
-    /// job and send it on its own; a fan-out of one job may be parked for
-    /// its waiter (see [`ClusterMachine::send`]). When the items go to more
+    /// job and send it on its own. Every job wakes its worker but the only
+    /// job of a one-job fan-out, left to its waiter (see [`crate::pool`]).
+    /// When the items go to more
     /// than one device and the pool has a CPU per worker, each job carries
     /// the spread flag (see [`Job::spread`]). Stops at the first job that
     /// cannot be sent and returns the claims of the jobs delivered plus
@@ -658,12 +628,12 @@ impl ClusterMachine {
     ) -> (Vec<LaunchHandle>, Option<CompileError>) {
         let first = items.first().map(|&(device, _)| device);
         let spread = self.pool.cpu_each && items.iter().any(|&(d, _)| Some(d) != first);
-        let alone = items.len() == 1;
+        let wake = items.len() > 1;
         let mut handles = Vec::with_capacity(items.len());
         for (device, item) in items {
             let mut job = plan(self, device, item);
             job.spread = spread;
-            match self.send(device, job, alone) {
+            match self.send(device, job, wake) {
                 Ok(h) => handles.push(h),
                 Err(e) => return (handles, Some(e)),
             }
@@ -674,11 +644,11 @@ impl ClusterMachine {
     /// Wait for a submitted job: its report, its statistics folded into the
     /// pool totals and a fetch's rows written back to host memory.
     ///
-    /// The handle finishes its job (a job still parked for it runs here, on
+    /// The handle finishes its job (a job left to its waiter runs here, on
     /// the calling thread), then a sweep lands it with every other finished
     /// job, and the report is read from the handle's own cell — where it
     /// already is when another call landed it (a close, another wait).
-    pub fn wait(&mut self, mut handle: LaunchHandle) -> Result<ClusterRunReport, CompileError> {
+    pub fn wait(&mut self, handle: LaunchHandle) -> Result<ClusterRunReport, CompileError> {
         handle.finish();
         self.sweep();
         let report = handle.cell.take().expect("landed by the sweep");
@@ -738,11 +708,11 @@ impl ClusterMachine {
 
     /// Block until none of session `session`'s launches is in flight: each
     /// one finished and landed, its report in its claim's cell (no wait at
-    /// all after `PoolGate`'s off-lock quiesce). A launch still parked runs
-    /// here.
+    /// all after `PoolGate`'s off-lock quiesce). A launch left to its waiter
+    /// runs here.
     pub(crate) fn quiesce(&mut self, session: u64) {
-        while let Some(job) = self.blocker(session) {
-            job.finish();
+        while let Some(finish) = self.blocker(session) {
+            finish();
             self.sweep();
         }
     }

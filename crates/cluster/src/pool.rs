@@ -1,18 +1,20 @@
 //! The device pool: one persistent worker thread per simulated FPGA, each
 //! device owning its executor (bound to a shared parsed bitstream image),
-//! its own device-side [`Memory`] and mirror table, and a FIFO message
-//! queue. Workers are reused across launches — no thread is ever spawned
-//! per kernel launch.
+//! its own device-side [`Memory`] and mirror table, and one FIFO queue of
+//! messages, its `Inbox`. Workers are reused across launches — no thread
+//! is ever spawned per kernel launch.
 //!
-//! Workers run what callers cannot run themselves. A non-`nowait` target
-//! region runs on the thread that reaches it and that thread waits for it;
-//! so the only job of a fan-out, sent to a device with nothing in flight,
-//! is not handed to the worker at all: it is *parked* in the device's
-//! `Inbox`, and the thread that waits for it runs it, off the machine
-//! lock, with the same `run_and_report` the worker uses. The worker takes
-//! everything else: jobs of fan-outs over several devices, which must run
-//! at the same time, and whatever arrives while its device is busy. A
-//! sessionless host program never comes here: it runs where it is called
+//! A message is queued, running or done; there is no fourth place. A
+//! non-`nowait` target region runs on the thread that reaches it and that
+//! thread waits for it; so every message wakes the worker but one: the
+//! only job of a one-job fan-out, alone in an idle device's queue, is left
+//! to its waiter, who runs it off the machine lock with the same
+//! `run_and_report` the worker uses (`Inbox::finish`); any other waiter
+//! parks on its job's cell. A later message to that device wakes the
+//! worker, which takes the head in order, and so does a claim dropped while
+//! its job is still queued. The jobs of a fan-out over several devices are
+//! all their workers', so they run at the same time. A sessionless host
+//! program never comes here: it runs where it is called
 //! (`ClusterMachine::run`), and only its placement and accounting go
 //! through the pool.
 //! * `JobKind::Kernel` — execute one device kernel directly against the
@@ -27,24 +29,22 @@
 //!   charged the way a data-region entry is, a refresh's blocks; see
 //!   `RowPatch`).
 //!
-//! A device's messages run in the order they were sent, wherever they run:
-//! every message goes through `Inbox::send`, which first moves a parked
-//! job onto the worker's channel, and a device counts as idle only while
-//! nothing it was sent is unfinished — a queued `Evict` or test `Stall`
-//! included. The device state sits behind a lock the worker and an inline
-//! runner share; an inline runner takes it before it lets go of the queue,
-//! so a message sent after the parked job waits for that job.
+//! A device runs its messages one at a time, in the order they were sent,
+//! wherever they run: a runner takes the head only while the device is
+//! idle — nothing taken is unfinished, a test `Stall` included — a waiter
+//! only while the worker was not woken, and each takes the device state
+//! before it lets go of the queue.
 //!
 //! Every job carries its `JobCell`, the one place its outcome comes home
 //! to, shared with the caller's claim and the machine's pending entry, and
 //! a `Reporter`, its promise to finish that cell exactly once. A runner
-//! — the worker or a parked job's waiter, both through `run_and_report` —
-//! finishes the cell with the job's outcome once the device counts as idle
-//! again, waking whoever parks on it: its claim, or a `PoolGate` close that
-//! waits for its session's launches. A job dropped unrun (its worker exited
-//! with the job still queued, or the send was refused) finishes its own
-//! cell as it goes, with its device's worker gone, so no wait outlives its
-//! job. The machine then lands the finished cell under its lock (see
+//! — the worker or a waiter, both through `run_and_report` — finishes the
+//! cell with the job's outcome once the device counts as idle again,
+//! waking whoever parks on it: its claim, or a `PoolGate` close that waits
+//! for its session's launches. A job dropped unrun (its worker exited and
+//! drained its queue, or the send was refused) finishes its own cell as it
+//! goes, with its device's worker gone, so no wait outlives its job. The
+//! machine then lands the finished cell under its lock (see
 //! `ClusterMachine::land`).
 //!
 //! After each job the runner frees every allocation the job recorded, so
@@ -53,10 +53,11 @@
 //! created by a `RowPatch` and kept until the session releases the
 //! sub-buffer with a `WorkerMessage::Evict`.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 #[cfg(test)]
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{Receiver, SendError, Sender};
+#[cfg(test)]
+use std::sync::mpsc::Receiver;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
@@ -260,8 +261,9 @@ pub(crate) type FailureSink = Arc<Mutex<Option<String>>>;
 /// * **Machine side** — under the machine lock, the caller that waits for
 ///   the job, or a sweep of the pending jobs, lands the finished outcome:
 ///   the machine's bookkeeping is applied and the report is kept here.
-/// * **Claim side** — a wait runs its job if it is still parked, else parks
-///   on the cell until it is finished, then lands it and takes the report.
+/// * **Claim side** — a wait runs its job if it is at the head of its idle
+///   device's queue, else parks on the cell until it is finished, then
+///   lands it and takes the report.
 ///   A park after the finish returns at once, and a report another caller
 ///   already landed is found here. A `PoolGate` close blocked by the job
 ///   parks here too, through the pending entry.
@@ -289,7 +291,7 @@ struct CellState {
 /// How far a job's outcome has come.
 #[derive(Default)]
 enum Stage {
-    /// Queued, parked or running.
+    /// Queued or running.
     #[default]
     Running,
     /// Its runner's outcome, until the machine lands it.
@@ -349,7 +351,8 @@ impl JobCell {
     }
 
     /// Claim side: the claim is gone, whether or not it took the report.
-    pub(crate) fn abandon(&self) {
+    /// Returns whether the job has still to finish.
+    pub(crate) fn abandon(&self) -> bool {
         let mut st = self.state();
         st.abandoned = true;
         if let Stage::Landed(report) = &mut st.stage {
@@ -357,6 +360,7 @@ impl JobCell {
                 self.sink_failure(report);
             }
         }
+        matches!(st.stage, Stage::Running)
     }
 
     fn sink_failure(&self, report: Report) {
@@ -416,31 +420,36 @@ impl Drop for JobCell {
 /// Host-side handle to one pool device.
 pub(crate) struct DeviceSlot {
     pub model: DeviceModel,
-    /// The one way into the device: every message, and the parked job.
-    pub sender: Arc<Inbox>,
+    /// The one way into the device.
+    pub inbox: Arc<Inbox>,
     pub thread: Option<JoinHandle<()>>,
 }
 
-/// The one way into a device: its worker's channel, the slot where the
-/// only job of a fan-out waits for its caller, and the device state every
-/// job runs against, wherever it runs (see the module docs).
+/// The one way into a device: its queue, and the device state every
+/// message runs against, wherever it runs (see the module docs).
 pub(crate) struct Inbox {
-    channel: Sender<WorkerMessage>,
+    device: usize,
     queue: Mutex<Queue>,
-    /// Device-local state, held by whoever runs a message: the worker, or
-    /// the thread that runs a parked job.
+    /// Where the worker sleeps until it is awake and the device idle.
+    alarm: Condvar,
+    /// Device-local state, held by whoever runs a message: the worker, or a
+    /// waiter running its own job.
     worker: Mutex<Worker>,
 }
 
 #[derive(Default)]
 struct Queue {
-    /// A job sent to an idle device, until a caller runs it or a later
-    /// message moves it onto the channel ahead of itself.
-    parked: Option<Box<Job>>,
-    /// Messages delivered and not yet finished by the worker, plus a parked
-    /// job being run: the device is idle only at 0. A worker that has shut
-    /// down never finishes its `Shutdown`, so its device is never idle.
-    busy: usize,
+    /// Messages sent and not yet taken, oldest first.
+    messages: VecDeque<WorkerMessage>,
+    /// A message was taken and is not finished: the device is idle only
+    /// while this is false.
+    running: bool,
+    /// The worker was woken for what is queued: it takes the head whenever
+    /// the device is idle, until the queue is empty. While it is not, the
+    /// one message a queue can hold is a job left to its waiter.
+    awake: bool,
+    /// The worker has exited: every send is refused.
+    gone: bool,
 }
 
 impl Inbox {
@@ -457,93 +466,127 @@ impl Inbox {
         self.worker().pool = Arc::clone(pool);
     }
 
-    /// Test-only: hold the device state, so a job taken to run waits here.
+    /// Test-only: hold the device state, so a message taken to run waits
+    /// here.
     #[cfg(test)]
     pub(crate) fn hold(&self) -> MutexGuard<'_, Worker> {
         self.worker()
     }
 
-    /// Deliver `msg` to the worker, behind the parked job if there is one:
-    /// anything sent after a parked job runs after it. Fails when the
-    /// worker is gone.
-    pub(crate) fn send(&self, msg: WorkerMessage) -> Result<(), SendError<WorkerMessage>> {
-        self.deliver(&mut self.queue(), msg)
+    /// Test-only: whether job `job_id` is still left to its waiter at the
+    /// head of its idle device's queue.
+    #[cfg(test)]
+    pub(crate) fn at_head(&self, job_id: u64) -> bool {
+        let q = self.queue();
+        let head = q.messages.front();
+        let mine = matches!(head, Some(WorkerMessage::Job(job)) if job.job_id == job_id);
+        mine && !q.running && !q.awake
     }
 
-    fn deliver(&self, q: &mut Queue, msg: WorkerMessage) -> Result<(), SendError<WorkerMessage>> {
-        if !self.unpark(q) {
-            return Err(SendError(msg));
+    /// Queue `msg` behind everything sent before it and wake the worker —
+    /// unless `wake` is false and the message is alone in an idle device's
+    /// queue: the only job of a fan-out, left to its waiter. Fails when the
+    /// worker is gone; the message is dropped, a job finishing its cell with
+    /// that.
+    pub(crate) fn send(&self, msg: WorkerMessage, wake: bool) -> Result<(), String> {
+        let mut q = self.queue();
+        if q.gone {
+            return Err(worker_gone(self.device));
         }
-        self.channel.send(msg)?;
-        q.busy += 1;
+        q.messages.push_back(msg);
+        if wake || q.running || q.messages.len() > 1 {
+            self.rouse(q);
+        }
         Ok(())
     }
 
-    /// Move the parked job, if any, onto the channel. A worker that is gone
-    /// leaves it parked, for its own waiter to run; returns whether the
-    /// slot is empty.
-    fn unpark(&self, q: &mut Queue) -> bool {
-        let Some(job) = q.parked.take() else {
-            return true;
+    /// Wake the worker for whatever is queued: a claim is gone, and its job
+    /// may be left at the head for a waiter that is not coming.
+    pub(crate) fn wake(&self) {
+        self.rouse(self.queue());
+    }
+
+    fn rouse(&self, mut q: MutexGuard<'_, Queue>) {
+        if !q.awake && !q.messages.is_empty() {
+            q.awake = true;
+            self.alarm.notify_one();
+        }
+    }
+
+    /// Finish job `job_id` without the machine: run it on the calling
+    /// thread if it is left to its waiter (see [`Inbox::send`]), under a
+    /// span linked to the one open here, else park on its cell until its
+    /// runner — or its drop, if it never runs — has finished it. The one
+    /// way a waiter reaches its job.
+    pub(crate) fn finish(&self, job_id: u64, cell: &JobCell) {
+        let mut q = self.queue();
+        let mine =
+            |m: &mut WorkerMessage| matches!(m, WorkerMessage::Job(job) if job.job_id == job_id);
+        let left = !q.running && !q.awake;
+        let taken = left.then(|| q.messages.pop_front_if(mine)).flatten();
+        let Some(WorkerMessage::Job(mut job)) = taken else {
+            drop(q);
+            return cell.park();
         };
-        match self.channel.send(WorkerMessage::Job(job)) {
-            Ok(()) => q.busy += 1,
-            Err(SendError(WorkerMessage::Job(job))) => q.parked = Some(job),
-            Err(_) => unreachable!("the channel hands back the job it was given"),
-        }
-        q.parked.is_none()
+        job.parent_span = ftn_trace::current_span_id();
+        self.run(q, WorkerMessage::Job(job));
     }
 
-    /// Post a job: parked when `alone` (the only job of its fan-out) and
-    /// the device is idle with nothing parked, delivered otherwise. Returns
-    /// whether it was parked; fails when the worker is gone.
-    pub(crate) fn post(
-        &self,
-        job: Box<Job>,
-        alone: bool,
-    ) -> Result<bool, SendError<WorkerMessage>> {
-        let mut q = self.queue();
-        if alone && q.busy == 0 && q.parked.is_none() {
-            q.parked = Some(job);
-            return Ok(true);
-        }
-        self.deliver(&mut q, WorkerMessage::Job(job))
-            .map(|()| false)
+    /// Worker side: sleep until the worker is awake and the device idle,
+    /// then take the head.
+    fn take(&self) -> (MutexGuard<'_, Queue>, WorkerMessage) {
+        let asleep = |q: &mut Queue| !q.awake || q.running;
+        let q = self.alarm.wait_while(self.queue(), asleep);
+        let mut q = q.unwrap_or_else(|e| e.into_inner());
+        let msg = q.messages.pop_front().expect("woken for a message");
+        (q, msg)
     }
 
-    /// Hand job `job_id` to the worker if it is still parked: its claim
-    /// is gone, and nobody else may be coming to run it.
-    pub(crate) fn release(&self, job_id: u64) {
-        let mut q = self.queue();
-        if q.parked.as_ref().is_some_and(|job| job.job_id == job_id) {
-            self.unpark(&mut q);
-        }
-    }
-
-    /// Run job `job_id` on the calling thread if it is still parked, under a
-    /// span linked to the one open here, and finish its cell. Does nothing
-    /// when a worker has it or it has run.
-    pub(crate) fn run_parked(&self, job_id: u64) {
-        let mut q = self.queue();
-        let Some(mut job) = q.parked.take_if(|job| job.job_id == job_id) else {
-            return;
-        };
-        q.busy += 1;
-        // Nothing else holds the device state while the device is idle; it
-        // is taken before the queue is let go, so a message sent from here
-        // on waits for this job in the worker's own `worker()`.
+    /// Run `msg`, just taken from the head under `q` — the one runner, for
+    /// the worker and a waiter alike. The device state is taken before the
+    /// queue is let go, so whoever holds it is the one running; the job is
+    /// finished only once the device counts as idle again, as its waiter
+    /// may send the next job the moment it wakes. Returns `false` for a
+    /// `Shutdown`, which never finishes: the device stays busy.
+    fn run(&self, mut q: MutexGuard<'_, Queue>, msg: WorkerMessage) -> bool {
+        q.running = true;
         let mut worker = self.worker();
         drop(q);
-        job.parent_span = ftn_trace::current_span_id();
-        let (reporter, outcome) = run_and_report(&mut worker, *job);
+        let finished = match msg {
+            WorkerMessage::Job(job) => Some(run_and_report(&mut worker, *job)),
+            WorkerMessage::Evict(ids) => {
+                for id in ids {
+                    if let Some(local) = worker.mirror.remove(&id) {
+                        worker.memory.free(local);
+                    }
+                }
+                None
+            }
+            #[cfg(test)]
+            WorkerMessage::Stall(release) => {
+                let _ = release.recv();
+                None
+            }
+            WorkerMessage::Shutdown => return false,
+        };
         drop(worker);
-        self.queue().busy -= 1;
-        reporter.finish(outcome);
+        let mut q = self.queue();
+        q.running = false;
+        q.awake &= !q.messages.is_empty();
+        // The worker may be waiting for the device.
+        if q.awake {
+            self.alarm.notify_one();
+        }
+        drop(q);
+        if let Some((reporter, outcome)) = finished {
+            reporter.finish(outcome);
+        }
+        true
     }
 }
 
-/// N simulated FPGAs, each behind a persistent worker thread with a FIFO
-/// message queue and an `Inbox` in front of it. One parsed bitstream image
+/// N simulated FPGAs, each behind a persistent worker thread and its one
+/// FIFO queue, the `Inbox`. One parsed bitstream image
 /// is shared across all workers and the sessionless calls placed on them.
 pub struct DevicePool {
     pub(crate) slots: Vec<DeviceSlot>,
@@ -562,7 +605,6 @@ impl DevicePool {
             .iter()
             .enumerate()
             .map(|(index, model)| {
-                let (channel, jobs) = std::sync::mpsc::channel();
                 let worker = Worker {
                     index,
                     pool: Arc::from(""),
@@ -572,14 +614,15 @@ impl DevicePool {
                     mirror: HashMap::new(),
                 };
                 let inbox = Arc::new(Inbox {
-                    channel,
+                    device: index,
                     queue: Mutex::default(),
+                    alarm: Condvar::new(),
                     worker: Mutex::new(worker),
                 });
-                let thread = spawn_worker(Arc::clone(&inbox), jobs);
+                let thread = spawn_worker(Arc::clone(&inbox));
                 DeviceSlot {
                     model: model.clone(),
-                    sender: inbox,
+                    inbox,
                     thread: Some(thread),
                 }
             })
@@ -644,7 +687,7 @@ impl DevicePool {
 impl Drop for DevicePool {
     fn drop(&mut self) {
         for slot in &self.slots {
-            let _ = slot.sender.send(WorkerMessage::Shutdown);
+            let _ = slot.inbox.send(WorkerMessage::Shutdown, true);
         }
         for slot in &mut self.slots {
             if let Some(thread) = slot.thread.take() {
@@ -817,8 +860,7 @@ pub(crate) fn empty_like(like: &Buffer, len: usize) -> Buffer {
     }
 }
 
-/// Run one job — the one runner, for the worker and for a parked job's
-/// waiter alike — and hand back its outcome with the job's reporter, for
+/// Run one job — the one runner, for the worker and for a waiter alike — and hand back its outcome with the job's reporter, for
 /// the runner to finish the cell with once the device counts as idle.
 /// Panics are contained (e.g. from a malformed bitstream module), so the
 /// worker lives on and the job reports what went wrong.
@@ -877,52 +919,36 @@ fn run_and_report(worker: &mut Worker, job: Job) -> (Reporter, JobOutcome) {
     (job.reporter, result)
 }
 
-/// Spawn the worker thread for `inbox`'s device.
-/// When it exits, the messages still queued go with its channel: a job
-/// among them finishes its cell with the worker gone.
-fn spawn_worker(inbox: Arc<Inbox>, jobs: Receiver<WorkerMessage>) -> JoinHandle<()> {
-    let index = inbox.worker().index;
+/// Spawn the worker thread for `inbox`'s device. However it exits, it
+/// closes the queue behind it.
+fn spawn_worker(inbox: Arc<Inbox>) -> JoinHandle<()> {
+    let index = inbox.device;
     std::thread::Builder::new()
         .name(format!("ftn-device-{index}"))
         .spawn(move || {
             let (cpus, mut on_own) = (affinity(None), false);
             let own = (0..64).filter(|c| cpus >> c & 1 == 1).nth(index);
             let own = own.map_or(0, |c| 1 << c);
-            loop {
-                let msg = jobs.recv();
+            let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| loop {
+                let (q, msg) = inbox.take();
                 // A job of a fan-out over several devices runs on this
                 // worker's own CPU (see `affinity`); the mask only changes
                 // when the traffic does.
-                let spread = matches!(&msg, Ok(WorkerMessage::Job(job)) if job.spread);
+                let spread = matches!(&msg, WorkerMessage::Job(job) if job.spread);
                 if spread != on_own {
                     affinity(Some(if spread { own } else { cpus }));
                     on_own = spread;
                 }
-                let finished = match msg {
-                    Ok(WorkerMessage::Job(job)) => Some(run_and_report(&mut inbox.worker(), *job)),
-                    Ok(WorkerMessage::Evict(ids)) => {
-                        let mut worker = inbox.worker();
-                        for id in ids {
-                            if let Some(local) = worker.mirror.remove(&id) {
-                                worker.memory.free(local);
-                            }
-                        }
-                        None
-                    }
-                    #[cfg(test)]
-                    Ok(WorkerMessage::Stall(release)) => {
-                        let _ = release.recv();
-                        None
-                    }
-                    Ok(WorkerMessage::Shutdown) | Err(_) => break,
-                };
-                inbox.queue().busy -= 1;
-                // Finish the job only once the device counts as idle: its
-                // waiter may send the next job the moment it wakes.
-                if let Some((reporter, outcome)) = finished {
-                    reporter.finish(outcome);
+                if !inbox.run(q, msg) {
+                    break;
                 }
-            }
+            }));
+            // Every later send is refused, and what is queued drops: each
+            // job there finishes its cell with its worker gone.
+            let mut q = inbox.queue();
+            q.gone = true;
+            let _orphans = std::mem::take(&mut q.messages);
+            drop(q);
         })
         .expect("spawn device worker thread")
 }

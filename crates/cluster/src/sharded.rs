@@ -96,8 +96,8 @@ pub enum ShardCount {
     /// Exactly this many shards (clamped to the shortest split array's
     /// leading-dim extent and to [`MAX_SHARDS_PER_DEVICE`] × pool size).
     /// More shards than devices is allowed: devices are cycled
-    /// fastest-first and each worker runs its shards of a launch
-    /// back-to-back.
+    /// fastest-first, and a device's shards of a launch run one after
+    /// another, in shard order, from its one queue.
     Fixed(usize),
 }
 
@@ -382,7 +382,7 @@ impl ClusterMachine {
         // of the weighted plan — lands on the fastest card; a homogeneous
         // pool keeps its natural 0..N order and uniform split exactly. More
         // shards than devices cycle through the order (a device's shards of
-        // one launch run back-to-back on its FIFO worker).
+        // one launch run one after another from its one queue).
         let (devices, weights): (Vec<usize>, Vec<f64>) = if shards == 1 {
             (vec![self.least_loaded()], vec![1.0])
         } else {

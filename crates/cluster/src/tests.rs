@@ -100,7 +100,7 @@ fn failed_open_releases_every_sub_buffer() {
 
     // Device 1's worker exits; its queue is closed from here on.
     let slot = &mut cluster.pool.slots[1];
-    slot.sender.send(WorkerMessage::Shutdown).unwrap();
+    slot.inbox.send(WorkerMessage::Shutdown, true).unwrap();
     slot.thread.take().unwrap().join().unwrap();
 
     let err = cluster
@@ -265,7 +265,7 @@ fn a_stalled_open_or_close_does_not_hold_up_another_sessions_launch() {
         // Device 1's worker stops taking work until `release` is dropped.
         let (release, released) = mpsc::channel();
         let stall = crate::pool::WorkerMessage::Stall(released);
-        (gate.lock().pool.slots[1].sender.send(stall)).expect("worker");
+        (gate.lock().pool.slots[1].inbox.send(stall, true)).expect("worker");
         let (done_tx, done) = mpsc::channel();
         let worker = {
             let gate = Arc::clone(&gate);
@@ -354,7 +354,7 @@ fn a_closing_sessions_arrays_stay_refused_while_its_rows_move() {
     // queues its fetch behind the stall and waits for it off-lock.
     let (release, released) = mpsc::channel();
     let stall = crate::pool::WorkerMessage::Stall(released);
-    (gate.lock().pool.slots[0].sender.send(stall)).expect("worker");
+    (gate.lock().pool.slots[0].inbox.send(stall, true)).expect("worker");
     let (done_tx, done) = mpsc::channel();
     let closer = {
         let gate = Arc::clone(&gate);
@@ -480,7 +480,7 @@ fn a_failed_launch_leaves_no_orphaned_outcome() {
 
     // Device 1's worker exits; its queue is closed from here on.
     let slot = &mut cluster.pool.slots[1];
-    slot.sender.send(WorkerMessage::Shutdown).unwrap();
+    slot.inbox.send(WorkerMessage::Shutdown, true).unwrap();
     slot.thread.take().unwrap().join().unwrap();
 
     let err = (cluster.sharded_launch(sid, "saxpy_kernel0", &saxpy_args(2.0)))
@@ -619,11 +619,11 @@ fn a_job_queued_behind_its_workers_shutdown_fails_its_wait(via_gate: bool) {
         let (release, released) = mpsc::channel::<()>();
         {
             let m = gate.lock();
-            let device1 = &m.pool.slots[1].sender;
+            let device1 = &m.pool.slots[1].inbox;
             device1
-                .send(WorkerMessage::Stall(released))
+                .send(WorkerMessage::Stall(released), true)
                 .expect("worker");
-            device1.send(WorkerMessage::Shutdown).expect("worker");
+            device1.send(WorkerMessage::Shutdown, true).expect("worker");
         }
         let ticket = gate
             .lock_session(sid)
@@ -669,11 +669,12 @@ fn saxpy_launch(x: &RtValue, y: &RtValue, n: usize, a: f32) -> [RtValue; 7] {
 }
 
 /// The synchronous API's order with a close in the window, on a one-shard
-/// session, where the launch is parked for its waiter: submit, close, then
-/// wait. The close runs the launch it finds parked instead of waiting for
-/// an outcome nobody will produce, and the ticket stays redeemable after it.
+/// session, where the launch stays queued at the head of its idle device
+/// for its waiter: submit, close, then wait. The close runs the launch it
+/// finds at the head instead of waiting for an outcome nobody will produce,
+/// and the ticket stays redeemable after it.
 #[test]
-fn a_parked_launch_waited_after_its_close_returns_its_report() {
+fn a_queued_launch_waited_after_its_close_returns_its_report() {
     use crate::MapKind;
     let n = 64usize;
     let (launches, closed_launches, y) = watchdog("a wait after the close", move || {
@@ -688,7 +689,11 @@ fn a_parked_launch_waited_after_its_close_returns_its_report() {
         let ticket =
             (cluster.session_launch(sid, "saxpy_kernel0", &saxpy_launch(&xa, &ya, n, 2.0)))
                 .unwrap();
-        assert!(ticket.handle.parked.is_some(), "an idle device's only job");
+        let handle = &ticket.handle;
+        assert!(
+            handle.inbox.at_head(handle.job_id),
+            "an idle device's only job"
+        );
         let closed = cluster.close_session(sid).unwrap();
         let report = cluster.wait(ticket.handle).unwrap();
         assert!(cluster.pending.is_empty() && no_live_cells(&cluster));
@@ -699,12 +704,13 @@ fn a_parked_launch_waited_after_its_close_returns_its_report() {
     assert_eq!(y, vec![2.5f32; n]);
 }
 
-/// A parked launch whose claim is dropped unwaited still runs, with no
-/// further call to the machine: its worker takes it, and a sweep lands it.
+/// A launch queued at the head of its idle device whose claim is dropped
+/// unwaited still runs, with no further call to the machine: the drop wakes
+/// its worker, which takes it, and a sweep lands it.
 /// It failed, so the session's next close fails once with its message, and
 /// nothing of it is left behind.
 #[test]
-fn a_parked_launch_dropped_unwaited_runs_and_fails_the_close_once() {
+fn a_queued_launch_dropped_unwaited_runs_and_fails_the_close_once() {
     use crate::MapKind;
     let n = 8usize;
     let mut cluster = pool(1);
@@ -719,7 +725,11 @@ fn a_parked_launch_dropped_unwaited_runs_and_fails_the_close_once() {
     let ticket = cluster
         .session_launch(sid, "saxpy_kernel0", &saxpy_launch(&xa, &ya, 9999, 2.0))
         .unwrap();
-    assert!(ticket.handle.parked.is_some(), "an idle device's only job");
+    let handle = &ticket.handle;
+    assert!(
+        handle.inbox.at_head(handle.job_id),
+        "an idle device's only job"
+    );
     drop(ticket);
     let deadline = Instant::now() + PATIENCE;
     while !cluster.pending.is_empty() {
@@ -740,8 +750,8 @@ fn a_parked_launch_dropped_unwaited_runs_and_fails_the_close_once() {
 /// A device counts as idle only when nothing it was sent is unfinished: a
 /// closed session's `Evict`, queued behind a stall, keeps it busy, so the
 /// next open's staging waits behind it. That open reuses the closed
-/// session's host ids for its sub-buffers; had its staging been parked and
-/// run ahead of the queued `Evict`, the `Evict` would delete the new
+/// session's host ids for its sub-buffers; had its staging been run by its
+/// waiter ahead of the queued `Evict`, the `Evict` would delete the new
 /// mirrors and the launch would find nothing resident.
 #[test]
 fn a_queued_evict_runs_before_a_later_opens_staging() {
@@ -770,7 +780,7 @@ fn a_queued_evict_runs_before_a_later_opens_staging() {
     // Device 0 stops taking messages until `release` is dropped.
     let (release, released) = mpsc::channel::<()>();
     let stall = WorkerMessage::Stall(released);
-    (gate.lock().pool.slots[0].sender.send(stall)).expect("worker");
+    (gate.lock().pool.slots[0].inbox.send(stall, true)).expect("worker");
     gate.close_phased(a).unwrap();
 
     let (xb, yb) = (arrays[2].clone(), arrays[3].clone());
@@ -801,13 +811,13 @@ fn a_queued_evict_runs_before_a_later_opens_staging() {
     assert_eq!(gate.lock().read_f32(&yb), vec![3.5f32; n]);
 }
 
-/// Nothing runs under the machine lock: while session A's parked launch is
-/// mid-run on its waiter's thread (device 0's state is held here, so it
+/// Nothing runs under the machine lock: while session A's launch, taken
+/// from the head of its idle device, is mid-run on its waiter's thread (device 0's state is held here, so it
 /// cannot finish), session B's launch on device 1 submits and completes
 /// through the same gate. Answers arrive over channels read with a timeout,
 /// so a runner that held the machine lock fails here instead of hanging.
 #[test]
-fn a_parked_job_runs_off_the_machine_lock() {
+fn a_waiter_runs_its_job_off_the_machine_lock() {
     use std::sync::mpsc;
 
     use crate::sharded::ShardCount;
@@ -840,14 +850,15 @@ fn a_parked_job_runs_off_the_machine_lock() {
             .lock_session(sid)
             .sharded_launch(sid, "saxpy_kernel0", &saxpy_args(2.0))
             .expect("launch submits");
+        let handle = &ticket.handles[0];
         assert!(
-            ticket.handles[0].parked.is_some(),
+            handle.inbox.at_head(handle.job_id),
             "an idle device's only job"
         );
         gate.wait_many(ticket.handles).map(|r| r.len())
     };
 
-    let device0 = Arc::clone(&gate.lock().pool.slots[0].sender);
+    let device0 = Arc::clone(&gate.lock().pool.slots[0].inbox);
     let held = device0.hold();
     let (a_tx, a_done) = mpsc::channel();
     let a_thread = {

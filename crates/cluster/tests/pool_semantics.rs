@@ -1070,3 +1070,249 @@ proptest! {
         prop_assert_eq!(cluster.pool_stats().host_buffers, host_buffers);
     }
 }
+
+/// One step of a generated session schedule over four reused arrays. Index
+/// fields pick among what is open or outstanding at that step, modulo its
+/// count; a step with nothing to pick does nothing.
+#[derive(Clone, Debug)]
+enum SessionStep {
+    /// Open a session of `shards` shards (halo 0) mapping array `x` `to`
+    /// and array `y` `tofrom`; refused when an open session maps either.
+    Open { x: usize, y: usize, shards: usize },
+    /// Launch `saxpy_kernel0` on an open session, with a fresh `a`.
+    Launch(usize),
+    /// Wait an outstanding ticket: any one, not the oldest.
+    Wait(usize),
+    /// Drop an outstanding ticket unwaited.
+    Drop(usize),
+    /// A sessionless `y += a·x` run; refused when an open session maps
+    /// either array.
+    Run { x: usize, y: usize },
+    /// Close an open session.
+    Close(usize),
+}
+
+/// Launches and waits come most often, then opens and closes.
+fn session_step() -> BoxedStrategy<SessionStep> {
+    let parts = (0u8..13, 0usize..4, 1usize..4, 0usize..8);
+    parts
+        .prop_map(|(kind, x, d, pick)| {
+            let y = (x + d) % 4;
+            match kind {
+                0..=1 => SessionStep::Open { x, y, shards: d },
+                2..=5 => SessionStep::Launch(pick),
+                6..=8 => SessionStep::Wait(pick),
+                9 => SessionStep::Drop(pick),
+                10 => SessionStep::Run { x, y },
+                _ => SessionStep::Close(pick),
+            }
+        })
+        .boxed()
+}
+
+/// The two front doors a schedule is driven through: the synchronous
+/// machine, and the gate's off-lock waits and phased exchanges.
+enum Front {
+    Machine(ClusterMachine),
+    Gate(ftn_cluster::PoolGate),
+}
+
+impl Front {
+    fn with<R>(&mut self, f: impl FnOnce(&mut ClusterMachine) -> R) -> R {
+        match self {
+            Front::Machine(m) => f(m),
+            Front::Gate(g) => f(&mut g.lock()),
+        }
+    }
+
+    fn open(&mut self, x: &RtValue, y: &RtValue, shards: usize) -> Result<u64, String> {
+        use ftn_cluster::{MapKind, Partition, ShardCount};
+        let split = Partition::Split { halo: 0 };
+        let maps = [
+            ("x", x.clone(), MapKind::To, split),
+            ("y", y.clone(), MapKind::ToFrom, split),
+        ];
+        let shards = ShardCount::Fixed(shards);
+        let opened = match self {
+            Front::Machine(m) => m.open_sharded_session(&maps, shards),
+            Front::Gate(g) => g.open_phased(&maps, shards),
+        };
+        opened.map_err(|e| e.to_string())
+    }
+
+    fn launch(&mut self, sid: u64, a: f32) -> ftn_cluster::ShardedLaunchTicket {
+        let args = saxpy_shard_args(a);
+        let ticket = match self {
+            Front::Machine(m) => m.sharded_launch(sid, "saxpy_kernel0", &args),
+            Front::Gate(g) => g
+                .lock_session(sid)
+                .sharded_launch(sid, "saxpy_kernel0", &args),
+        };
+        ticket.expect("a launch on an open session submits")
+    }
+
+    fn wait(&mut self, ticket: ftn_cluster::ShardedLaunchTicket) {
+        let waited = match self {
+            Front::Machine(m) => m.wait_sharded(ticket).map(drop),
+            Front::Gate(g) => g.wait_many(ticket.handles).map(drop),
+        };
+        waited.expect("a launch on an open session succeeds");
+    }
+
+    fn close(&mut self, sid: u64) {
+        let closed = match self {
+            Front::Machine(m) => m.close_sharded_session(sid).map(drop),
+            Front::Gate(g) => g.close_phased(sid).map(drop),
+        };
+        closed.expect("the session closes");
+    }
+
+    /// Every device's arena while a session with a shard on each is open:
+    /// the mirrors that session staged plus whatever else is resident.
+    fn arenas(&mut self, devices: usize) -> Vec<usize> {
+        let (x, y) = self.with(|m| (m.host_f32(&[1.0; 8]), m.host_f32(&[0.0; 8])));
+        let sid = self.open(&x, &y, devices).expect("the probe opens");
+        let ticket = self.launch(sid, 1.0);
+        self.wait(ticket);
+        let arenas = self.with(|m| {
+            let stats = m.pool_stats();
+            stats.devices.iter().map(|d| d.arena_buffers).collect()
+        });
+        self.close(sid);
+        self.with(|m| {
+            m.free_host(&x).unwrap();
+            m.free_host(&y).unwrap();
+        });
+        arenas
+    }
+}
+
+/// Drive `steps` through `front` and the same calls in submission order through
+/// `Machine`, then compare the arrays bit for bit and check that nothing is
+/// left behind on the host or on any device.
+fn run_session_schedule(mut front: Front, devices: usize, steps: Vec<SessionStep>) {
+    let n = 48usize;
+    let mut machine = Machine::load(artifacts(), DeviceModel::u280()).unwrap();
+    let init =
+        |k: usize| -> Vec<f32> { (0..n).map(|i| (i as f32 * 0.29 + k as f32).cos()).collect() };
+    let pooled: Vec<RtValue> = (0..4)
+        .map(|k| front.with(|m| m.host_f32(&init(k))))
+        .collect();
+    let oracle: Vec<RtValue> = (0..4).map(|k| machine.host_f32(&init(k))).collect();
+    let host_buffers = front.with(|m| m.pool_stats().host_buffers);
+    let arenas = front.arenas(devices);
+    // Open sessions as (id, x, y); outstanding tickets.
+    let mut sessions: Vec<(u64, usize, usize)> = Vec::new();
+    let mut tickets = Vec::new();
+    let mut next_a = 0u32;
+    let mut fresh_a = || {
+        next_a += 1;
+        0.25 + next_a as f32 * 0.125
+    };
+    let mut oracle_saxpy = |x: usize, y: usize, a: f32| {
+        let args = [
+            RtValue::I32(n as i32),
+            RtValue::F32(a),
+            oracle[x].clone(),
+            oracle[y].clone(),
+        ];
+        machine.run("saxpy", &args).unwrap();
+    };
+    let mapped = |sessions: &[(u64, usize, usize)], i: usize| {
+        sessions.iter().any(|&(_, x, y)| x == i || y == i)
+    };
+    for step in steps {
+        match step {
+            SessionStep::Open { x, y, shards } => {
+                let opened = front.open(&pooled[x], &pooled[y], shards);
+                if mapped(&sessions, x) || mapped(&sessions, y) {
+                    let err = opened.expect_err("an open over a mapped array is refused");
+                    assert!(err.contains("mapped by open session"), "{err}");
+                } else {
+                    sessions.push((opened.expect("the open succeeds"), x, y));
+                }
+            }
+            SessionStep::Launch(s) if !sessions.is_empty() => {
+                let (sid, x, y) = sessions[s % sessions.len()];
+                let a = fresh_a();
+                tickets.push(front.launch(sid, a));
+                oracle_saxpy(x, y, a);
+            }
+            SessionStep::Wait(t) if !tickets.is_empty() => {
+                let ticket = tickets.remove(t % tickets.len());
+                front.wait(ticket);
+            }
+            SessionStep::Drop(t) if !tickets.is_empty() => {
+                drop(tickets.remove(t % tickets.len()));
+            }
+            SessionStep::Run { x, y } => {
+                let a = fresh_a();
+                let args = [
+                    RtValue::I32(n as i32),
+                    RtValue::F32(a),
+                    pooled[x].clone(),
+                    pooled[y].clone(),
+                ];
+                let ran = front.with(|m| m.run("saxpy", &args).map(drop));
+                if mapped(&sessions, x) || mapped(&sessions, y) {
+                    let err = ran.expect_err("a run over a mapped array is refused");
+                    assert!(err.to_string().contains("mapped by open session"), "{err}");
+                } else {
+                    ran.expect("the run succeeds");
+                    oracle_saxpy(x, y, a);
+                }
+            }
+            SessionStep::Close(s) if !sessions.is_empty() => {
+                let (sid, ..) = sessions.remove(s % sessions.len());
+                front.close(sid);
+            }
+            _ => {}
+        }
+    }
+    // Close what is open, then wait the tickets left: a ticket outlives its
+    // session's close.
+    for (sid, ..) in sessions {
+        front.close(sid);
+    }
+    for ticket in tickets {
+        front.wait(ticket);
+    }
+    for (i, (p, o)) in pooled.iter().zip(&oracle).enumerate() {
+        let got = front.with(|m| m.read_f32(p));
+        let expect = machine.read_f32(o);
+        let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&expect), "array {i}");
+    }
+    assert_eq!(front.with(|m| m.pool_stats().host_buffers), host_buffers);
+    assert_eq!(front.arenas(devices), arenas, "device arenas");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Sessions on 1–3 devices under generated schedules — opens of 1–3
+    /// shards, launches, waits in any order, dropped tickets, sessionless
+    /// runs over mapped and unmapped arrays, closes — end with every array
+    /// bit-identical to the same launches and runs applied in submission order
+    /// on `Machine`, through the machine and through the gate alike. Runs
+    /// and opens over a mapped array are refused, and host and device
+    /// arenas are back where they started.
+    #[test]
+    fn random_session_schedules_match_machine_in_submission_order(
+        devices in 1usize..4,
+        steps in proptest::collection::vec(session_step(), 1..32),
+    ) {
+        for via_gate in [false, true] {
+            let steps = steps.clone();
+            watchdog("a generated session schedule", move || {
+                let cluster = pool(devices);
+                let front = if via_gate {
+                    Front::Gate(ftn_cluster::PoolGate::new(cluster))
+                } else {
+                    Front::Machine(cluster)
+                };
+                run_session_schedule(front, devices, steps);
+            });
+        }
+    }
+}

@@ -43,8 +43,8 @@ pub fn emit_llvm_ir(ir: &Ir, module: OpId, options: EmitOptions) -> String {
         e.emit(f, &mut out);
         out.push('\n');
     }
-    for (name, sig) in e.declared {
-        let _ = writeln!(out, "declare {sig} @{name}");
+    for (name, (ret, params)) in e.declared {
+        let _ = writeln!(out, "declare {ret} @{name}({params})");
     }
     out
 }
@@ -61,8 +61,8 @@ struct FuncEmitter<'a> {
     /// By `BlockId`: `n` of the `bbn` label, for this function's blocks.
     block_labels: Vec<u32>,
     next: u32,
-    /// External callees met so far: (name, signature text).
-    declared: Vec<(&'a str, String)>,
+    /// External callees met so far: (name, (return type, parameter list)).
+    declared: Vec<(&'a str, (String, String))>,
 }
 
 /// A value's `%n`; `%?` when no instruction of the function defines it.
@@ -128,8 +128,15 @@ impl Display for Operand<'_, '_> {
         let attr = ir.get_attr(def, "value").expect("constant value");
         match ir.attr_kind(attr) {
             AttrKind::Int(v, _) => write!(f, "{v}"),
-            // LLVM float constants print as double-style hex-free decimal.
-            AttrKind::Float(bits, _) => write!(f, "{:e}", f64::from_bits(*bits)),
+            // LLVM reads a float constant of either width as the hex of its
+            // `double` value; a `float` one must be a `float` widened.
+            AttrKind::Float(bits, _) => {
+                let mut v = f64::from_bits(*bits);
+                if matches!(ir.type_kind(ir.value_ty(self.v)), TypeKind::Float32) {
+                    v = v as f32 as f64;
+                }
+                write!(f, "0x{:016X}", v.to_bits())
+            }
             AttrKind::Bool(b) => write!(f, "{}", *b as u8),
             _ => f.write_str("0"),
         }
@@ -267,10 +274,9 @@ impl<'a> FuncEmitter<'a> {
         }
         // Emit blocks.
         for (i, &b) in blocks.iter().enumerate() {
-            if i == 0 {
-                out.push_str("entry:\n");
-            } else {
-                let _ = writeln!(out, "bb{i}:");
+            // The entry block is `bb0`, as the phis that name it spell it.
+            let _ = writeln!(out, "bb{i}:");
+            if i != 0 {
                 // Phi nodes for block args.
                 for (ai, &arg) in ir.block(b).args.iter().enumerate() {
                     let mut incoming = edges.iter().filter(|(succ, ..)| *succ == b);
@@ -427,17 +433,15 @@ impl<'a> FuncEmitter<'a> {
                 let callee = self.map_callee(ir.attr_str_of(op, "callee").unwrap_or("f"));
                 let result = ir.op(op).results.first().copied();
                 if !self.declared.iter().any(|(n, _)| *n == callee) {
-                    let mut sig = String::new();
-                    self.write_ret_ty(&mut sig, result);
-                    sig.push_str(" (");
+                    let (mut ret, mut params) = (String::new(), String::new());
+                    self.write_ret_ty(&mut ret, result);
                     for (i, &v) in operands.iter().enumerate() {
                         if i > 0 {
-                            sig.push_str(", ");
+                            params.push_str(", ");
                         }
-                        let _ = write!(sig, "{}", self.vty(v));
+                        let _ = write!(params, "{}", self.vty(v));
                     }
-                    sig.push(')');
-                    self.declared.push((callee, sig));
+                    self.declared.push((callee, (ret, params)));
                 }
                 out.push_str("  ");
                 if let Some(rv) = result {
@@ -556,6 +560,8 @@ mod tests {
             scf::build_for(&mut b, zero, args[1], one, &[], |ib, iv, _| {
                 let v = memref::load(ib, args[0], &[iv]);
                 let s = arith::binop_contract(ib, arith::MULF, v, v);
+                let tenth = arith::const_f32(ib, 0.1);
+                let s = arith::binop(ib, arith::ADDF, s, tenth);
                 memref::store(ib, s, args[0], &[iv]);
                 vec![]
             });
@@ -604,6 +610,57 @@ mod tests {
         assert!(
             !text.contains(" ptr "),
             "no opaque pointers allowed:\n{text}"
+        );
+    }
+
+    /// The entry block is labelled the way the phis and branches that name
+    /// it spell it: every `%bbN` in the text has its `bbN:` label.
+    #[test]
+    fn every_referenced_block_label_is_defined() {
+        let (ir, llvm_mod) = build_and_convert();
+        let text = emit_llvm_ir(&ir, llvm_mod, EmitOptions::default());
+        assert!(
+            text.contains("[ 0, %bb0 ]"),
+            "the loop enters from bb0:\n{text}"
+        );
+        for (at, _) in text.match_indices("%bb") {
+            let rest = &text[at + 3..];
+            let digits = &rest[..rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(0)];
+            let label = format!("\nbb{digits}:\n");
+            assert!(text.contains(&label), "bb{digits} has no label:\n{text}");
+        }
+    }
+
+    /// A float constant prints as the hex of its `double` value, a `float`
+    /// narrowed first: `0.1` as a `float` reads `0x3FB99999A0000000`.
+    #[test]
+    fn float_constants_print_as_the_hex_of_their_widened_value() {
+        let (ir, llvm_mod) = build_and_convert();
+        let text = emit_llvm_ir(&ir, llvm_mod, EmitOptions::default());
+        assert!(
+            text.contains("fadd float %") && text.contains(", 0x3FB99999A0000000\n"),
+            "{text}"
+        );
+    }
+
+    /// A declaration names the callee before its parameter list, in both
+    /// forms.
+    #[test]
+    fn declarations_put_the_parameter_list_after_the_name() {
+        let (ir, llvm_mod) = build_and_convert();
+        let modern = emit_llvm_ir(&ir, llvm_mod, EmitOptions::default());
+        assert!(
+            modern.contains("\ndeclare void @_hls_spec_pipeline(i32)\n"),
+            "{modern}"
+        );
+        let options = EmitOptions {
+            typed_pointers: true,
+            ssdm_intrinsics: true,
+        };
+        let typed = emit_llvm_ir(&ir, llvm_mod, options);
+        assert!(
+            typed.contains("\ndeclare void @_ssdm_op_SpecPipeline(i32)\n"),
+            "{typed}"
         );
     }
 }

@@ -106,12 +106,12 @@ fn hashes(artifacts: &Artifacts) -> [u64; 8] {
 /// llvm7_ir, bitstream.to_bytes(), pass reports]` per unit.
 #[rustfmt::skip]
 const GOLDEN: [(&str, [u64; 8]); 6] = [
-    ("saxpy", [0x62aa834fcfe3aa9d, 0xaef2987fb28b1dff, 0x54070f0eb9f8a67c, 0x101fd0b9396227de, 0x53cc53ac2be38c73, 0xfd47ee95a1f2c3e8, 0xdcf93ebd42feb636, 0x5e23220dae66578a]),
-    ("sgesl", [0x2855bc5686ccfa12, 0x1b564457ec9f5025, 0xfc550758622122f3, 0x66d2682ed217a207, 0x0a7369c60153e6f6, 0xfdf972d868ee56d9, 0x9bb3caba1d05b9b4, 0xef92b5d437b25d20]),
-    ("dotprod", [0x6e140ee3155f8ea1, 0x440c0e6c3578f8a3, 0x750e36a20ab3b4b9, 0xc3ee634b5464d0f8, 0xdd0279dcafeb49c5, 0xb41c548b60355fe3, 0xe5bdb22aece46070, 0xefcebf276f03de1c]),
-    ("jacobi", [0x74c60cefb5608b65, 0xc17c28b4f9d5bc93, 0xf63318ebfc65b50d, 0xd518b32f5d71f7cc, 0x76bf0b112b93e7a5, 0x472b13fd8b71491f, 0xdf92ac2193adb84d, 0xb74c4e70a2b7addf]),
-    ("heat", [0xe9310aef0e8984a2, 0x54dc3a9b7bdcdbd2, 0x6c55288de35b656d, 0xbac86c18dc39860b, 0x2a6ec28566baed98, 0xbc24fde61c2a65f8, 0x1401e05b99f0889e, 0xa93b5017998fdff5]),
-    ("corpus64", [0x1c3c3c974097fa27, 0x0eb5fd9c4a951ff8, 0x3ce532b4bab0a7de, 0xf24711b2457d6764, 0xa491496d27bf6b70, 0x2b7ebf84e3f20976, 0x22612bb9985fa488, 0xa8f62c97ac10cb28]),
+    ("saxpy", [0x62aa834fcfe3aa9d, 0xaef2987fb28b1dff, 0x54070f0eb9f8a67c, 0x101fd0b9396227de, 0x6ca7ac29bcd30019, 0x569a76d65d018040, 0xdcf93ebd42feb636, 0x5e23220dae66578a]),
+    ("sgesl", [0x2855bc5686ccfa12, 0x1b564457ec9f5025, 0xfc550758622122f3, 0x66d2682ed217a207, 0x91e4883a8992e6dc, 0x802c25131d41a97f, 0x9bb3caba1d05b9b4, 0xef92b5d437b25d20]),
+    ("dotprod", [0x6e140ee3155f8ea1, 0x440c0e6c3578f8a3, 0x750e36a20ab3b4b9, 0xc3ee634b5464d0f8, 0x58f7754381c494bc, 0xb67b8a794a37ecf2, 0xe5bdb22aece46070, 0xefcebf276f03de1c]),
+    ("jacobi", [0x74c60cefb5608b65, 0xc17c28b4f9d5bc93, 0xf63318ebfc65b50d, 0xd518b32f5d71f7cc, 0x37ca23841846116f, 0xb80f5ccb9939ea9d, 0xdf92ac2193adb84d, 0xb74c4e70a2b7addf]),
+    ("heat", [0xe9310aef0e8984a2, 0x54dc3a9b7bdcdbd2, 0x6c55288de35b656d, 0xbac86c18dc39860b, 0x634e328392e00281, 0x91862d37641089c5, 0x1401e05b99f0889e, 0xa93b5017998fdff5]),
+    ("corpus64", [0x1c3c3c974097fa27, 0x0eb5fd9c4a951ff8, 0x3ce532b4bab0a7de, 0xf24711b2457d6764, 0xdb7070dcda3ddf6d, 0x3981907f250f9313, 0x22612bb9985fa488, 0xa8f62c97ac10cb28]),
 ];
 
 #[test]

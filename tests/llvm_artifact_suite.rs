@@ -121,3 +121,72 @@ fn declares_cover_all_external_calls() {
         }
     }
 }
+
+/// An LLVM tool: from `LLVM_BIN` if set, else from `PATH`, else from
+/// `/usr/lib/llvm-14/bin`. A missing tool fails the caller.
+fn llvm_tool(name: &str) -> std::path::PathBuf {
+    let mut dirs: Vec<std::path::PathBuf> = std::env::var_os("LLVM_BIN")
+        .map(Into::into)
+        .into_iter()
+        .collect();
+    if let Some(path) = std::env::var_os("PATH") {
+        dirs.extend(std::env::split_paths(&path));
+    }
+    dirs.push("/usr/lib/llvm-14/bin".into());
+    let found = dirs.iter().map(|d| d.join(name)).find(|p| p.is_file());
+    found.unwrap_or_else(|| panic!("{name} not found (set LLVM_BIN or install LLVM 14)"))
+}
+
+/// Every benchmark's two `.ll` files — the modern opaque-pointer form and
+/// the LLVM-7 typed-pointer form with its runtime library — assemble with
+/// `llvm-as` and pass `opt -passes=verify` under LLVM 14.
+#[test]
+fn every_ll_file_assembles_and_verifies_under_llvm_14() {
+    let (llvm_as, opt) = (llvm_tool("llvm-as"), llvm_tool("opt"));
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("llvm_verify");
+    std::fs::create_dir_all(&dir).unwrap();
+    let sources = [
+        ("saxpy", workloads::SAXPY_F90),
+        ("sgesl", workloads::SGESL_F90),
+        ("dotprod", workloads::DOTPROD_F90),
+        ("jacobi", workloads::JACOBI_F90),
+        ("heat", workloads::HEAT_F90),
+    ];
+    let mut failures = Vec::new();
+    for (name, src) in sources {
+        let a = artifacts_for(src);
+        // LLVM 14 reads `ptr` only with opaque pointers switched on.
+        let forms = [("", &a.llvm_ir, true), ("_llvm7", &a.llvm7_ir, false)];
+        for (suffix, text, opaque) in forms {
+            let file = dir.join(format!("{name}{suffix}.ll"));
+            std::fs::write(&file, text).unwrap();
+            let flags: &[&str] = if opaque { &["-opaque-pointers"] } else { &[] };
+            // `opt` builds a target for the module's triple, and LLVM 14 has
+            // no backend for Vitis's `fpga64`; the verifier needs none.
+            let runs = [
+                (&llvm_as, vec!["-o", "/dev/null"]),
+                (
+                    &opt,
+                    vec![
+                        "-mtriple=unknown-unknown-unknown",
+                        "-passes=verify",
+                        "-disable-output",
+                    ],
+                ),
+            ];
+            for (tool, args) in runs {
+                let out = std::process::Command::new(tool)
+                    .args(flags)
+                    .args(args)
+                    .arg(&file)
+                    .output()
+                    .unwrap_or_else(|e| panic!("{}: {e}", tool.display()));
+                if !out.status.success() {
+                    let err = String::from_utf8_lossy(&out.stderr);
+                    failures.push(format!("{} {}: {err}", tool.display(), file.display()));
+                }
+            }
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
