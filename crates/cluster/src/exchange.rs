@@ -479,9 +479,9 @@ impl ClusterMachine {
         match phase {
             ExchangePhase::Done(report) => Ok(report),
             ExchangePhase::Run(mut ex) => {
-                ex.wait_phase(|h| self.wait(h));
+                ex.wait_phase(|h| self.finish_and_redeem(h));
                 self.exchange_apply(&mut ex);
-                ex.wait_phase(|h| self.wait(h));
+                ex.wait_phase(|h| self.finish_and_redeem(h));
                 self.exchange_finish(*ex)
             }
         }

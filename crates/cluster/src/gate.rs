@@ -93,10 +93,10 @@ impl PoolGate {
     /// on its own cell until the job is finished, a targeted wakeup, so N
     /// concurrent waiters cost one wake per outcome instead of an N-thread
     /// herd racing for the machine lock — and one short lock lands it
-    /// ([`ClusterMachine::wait`], which then blocks on nothing).
+    /// (`ClusterMachine::redeem`, which blocks on nothing).
     fn wait_done(&self, handle: LaunchHandle) -> Result<ClusterRunReport, CompileError> {
         handle.finish();
-        self.lock().wait(handle)
+        self.lock().redeem(handle)
     }
 
     /// Wait for a launch's per-shard claims, in shard order, each without

@@ -68,7 +68,7 @@ pub struct LaunchHandle {
 
 impl LaunchHandle {
     /// Finish the job without the machine ([`Inbox::finish`]); the caller
-    /// then lands it ([`ClusterMachine::wait`]).
+    /// then lands it ([`ClusterMachine::redeem`]).
     pub(crate) fn finish(&self) {
         self.inbox.finish(self.job_id, &self.cell);
     }
@@ -644,12 +644,32 @@ impl ClusterMachine {
     /// Wait for a submitted job: its report, its statistics folded into the
     /// pool totals and a fetch's rows written back to host memory.
     ///
-    /// The handle finishes its job (a job left to its waiter runs here, on
-    /// the calling thread), then a sweep lands it with every other finished
-    /// job, and the report is read from the handle's own cell — where it
-    /// already is when another call landed it (a close, another wait).
+    /// The handle finishes its job, then the claim is landed. A job left to
+    /// its waiter runs here, on the calling thread, under this wait's
+    /// `session.wait` span — the span [`crate::PoolGate::wait_many`] opens.
     pub fn wait(&mut self, handle: LaunchHandle) -> Result<ClusterRunReport, CompileError> {
+        let _span = ftn_trace::span("session.wait", "cluster");
+        self.finish_and_redeem(handle)
+    }
+
+    /// [`ClusterMachine::wait`] without its span, for a caller that has one
+    /// open already: finish the job, then land it.
+    pub(crate) fn finish_and_redeem(
+        &mut self,
+        handle: LaunchHandle,
+    ) -> Result<ClusterRunReport, CompileError> {
         handle.finish();
+        self.redeem(handle)
+    }
+
+    /// Land a claim whose job is finished: a sweep lands it with every
+    /// other finished job, and the report is read from the handle's own
+    /// cell — where it already is when another call landed it (a close,
+    /// another wait).
+    pub(crate) fn redeem(
+        &mut self,
+        handle: LaunchHandle,
+    ) -> Result<ClusterRunReport, CompileError> {
         self.sweep();
         let report = handle.cell.take().expect("landed by the sweep");
         let (device, success) = report.map_err(|msg| CompileError::new("cluster-run", msg))?;

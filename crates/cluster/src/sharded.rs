@@ -561,14 +561,16 @@ impl ClusterMachine {
     }
 
     /// Wait for every per-shard job of one sharded launch and merge their
-    /// statistics in shard order.
+    /// statistics in shard order, under one `session.wait` span for the
+    /// whole ticket (see [`ClusterMachine::wait`]).
     pub fn wait_sharded(
         &mut self,
         ticket: ShardedLaunchTicket,
     ) -> Result<ShardedLaunchReport, CompileError> {
+        let _span = ftn_trace::span("session.wait", "cluster");
         let mut stats = RunStats::default();
         for handle in ticket.handles {
-            let report = self.wait(handle)?;
+            let report = self.finish_and_redeem(handle)?;
             stats.merge(&report.report.stats);
         }
         Ok(ShardedLaunchReport {

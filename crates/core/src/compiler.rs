@@ -13,10 +13,6 @@ use crate::error::CompileError;
 #[derive(Clone, Debug, serde::Serialize)]
 pub struct CompilerOptions {
     pub device: DeviceModel,
-    /// Verify IR after every pass (slower, on by default).
-    pub verify: bool,
-    /// Generate the LLVM-IR / LLVM-7 artifacts (on by default).
-    pub emit_llvm: bool,
     /// Run `commute-mac-for-vitis` on the device module so Flang-shaped MACs
     /// match the Vitis DSP recognizer (the paper's §4 future work; off by
     /// default to reproduce the paper's Table 4 as published).
@@ -27,8 +23,6 @@ impl Default for CompilerOptions {
     fn default() -> Self {
         CompilerOptions {
             device: DeviceModel::u280(),
-            verify: true,
-            emit_llvm: true,
             fix_mac_pattern: false,
         }
     }
@@ -98,16 +92,13 @@ impl Compiler {
             .map_err(|e| CompileError::new("frontend", e.to_string()))?;
         let module = ftn_frontend::lower_program(&mut ir, program, &info)
             .map_err(|e| CompileError::new("frontend", e.to_string()))?;
-        if self.options.verify {
-            verify(&ir, module, &registry)
-                .map_err(|e| CompileError::new("frontend-verify", e.to_string()))?;
-        }
+        verify(&ir, module, &registry)
+            .map_err(|e| CompileError::new("frontend-verify", e.to_string()))?;
         let fir_text = print_op(&ir, module);
 
         // 2. Host pipeline.
         let mut reports: Vec<PassReport> = Vec::new();
         let mut host_pm = host_pipeline();
-        host_pm.verify_each = self.options.verify;
         host_pm
             .run(&mut ir, module, &registry)
             .map_err(|e| CompileError::new("host-pipeline", e.to_string()))?;
@@ -115,19 +106,16 @@ impl Compiler {
 
         // 3. Module separation.
         let device_module = extract_device_module(&mut ir, module);
-        if self.options.verify {
-            verify(&ir, module, &registry)
-                .map_err(|e| CompileError::new("extract-verify-host", e.to_string()))?;
-            verify(&ir, device_module, &registry)
-                .map_err(|e| CompileError::new("extract-verify-device", e.to_string()))?;
-        }
+        verify(&ir, module, &registry)
+            .map_err(|e| CompileError::new("extract-verify-host", e.to_string()))?;
+        verify(&ir, device_module, &registry)
+            .map_err(|e| CompileError::new("extract-verify-device", e.to_string()))?;
 
         // 4. Device pipeline (omp -> hls form).
         let mut dev_pm = device_pipeline();
         if self.options.fix_mac_pattern {
             dev_pm.add(Box::new(ftn_passes::CommuteMacPass));
         }
-        dev_pm.verify_each = self.options.verify;
         dev_pm
             .run(&mut ir, device_module, &registry)
             .map_err(|e| CompileError::new("device-pipeline", e.to_string()))?;
@@ -144,11 +132,7 @@ impl Compiler {
         // 6. Artifacts.
         let host_module_text = print_op(&ir, module);
         let host_cpp = ftn_host::print_host_cpp(&ir, module);
-        let (llvm_ir, llvm7_ir) = if self.options.emit_llvm {
-            self.emit_llvm_artifacts(&mut ir, device_module, &registry)?
-        } else {
-            (String::new(), String::new())
-        };
+        let (llvm_ir, llvm7_ir) = emit_llvm_artifacts(&mut ir, device_module, &registry)?;
 
         Ok(Artifacts {
             fir_text,
@@ -161,27 +145,26 @@ impl Compiler {
             pass_reports: reports,
         })
     }
+}
 
-    fn emit_llvm_artifacts(
-        &self,
-        ir: &mut Ir,
-        device_module: OpId,
-        registry: &ftn_mlir::VerifierRegistry,
-    ) -> Result<(String, String), CompileError> {
-        // hls -> func.call, then llvm dialect, then text. The bitstream has
-        // already captured the hls form, so mutating the module is fine.
-        let mut pm = device_llvm_pipeline();
-        pm.verify_each = self.options.verify;
-        pm.run(ir, device_module, registry)
-            .map_err(|e| CompileError::new("hls-to-func", e.to_string()))?;
-        let llvm_module = convert_to_llvm_dialect(ir, device_module)
-            .map_err(|e| CompileError::new("convert-to-llvm", e.to_string()))?;
-        let llvm_ir = emit_llvm_ir(ir, llvm_module, Default::default());
-        let mut llvm7 = downgrade_to_llvm7(ir, llvm_module);
-        llvm7.push_str("\n; ---- linked ftn runtime library ----\n");
-        llvm7.push_str(RUNTIME_LIBRARY_IR);
-        Ok((llvm_ir, llvm7))
-    }
+/// Lower the device module to the LLVM-IR and LLVM-7 artifacts.
+fn emit_llvm_artifacts(
+    ir: &mut Ir,
+    device_module: OpId,
+    registry: &ftn_mlir::VerifierRegistry,
+) -> Result<(String, String), CompileError> {
+    // hls -> func.call, then llvm dialect, then text. The bitstream has
+    // already captured the hls form, so mutating the module is fine.
+    let mut pm = device_llvm_pipeline();
+    pm.run(ir, device_module, registry)
+        .map_err(|e| CompileError::new("hls-to-func", e.to_string()))?;
+    let llvm_module = convert_to_llvm_dialect(ir, device_module)
+        .map_err(|e| CompileError::new("convert-to-llvm", e.to_string()))?;
+    let llvm_ir = emit_llvm_ir(ir, llvm_module, Default::default());
+    let mut llvm7 = downgrade_to_llvm7(ir, llvm_module);
+    llvm7.push_str("\n; ---- linked ftn runtime library ----\n");
+    llvm7.push_str(RUNTIME_LIBRARY_IR);
+    Ok((llvm_ir, llvm7))
 }
 
 #[cfg(test)]

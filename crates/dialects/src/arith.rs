@@ -186,14 +186,6 @@ pub fn index_cast(b: &mut Builder, v: ValueId, to: TypeId) -> ValueId {
     cast(b, INDEX_CAST, v, to)
 }
 
-pub fn to_index(b: &mut Builder, v: ValueId) -> ValueId {
-    let t = b.ir.index_t();
-    if b.ir.value_ty(v) == t {
-        return v;
-    }
-    cast(b, INDEX_CAST, v, t)
-}
-
 pub fn sitofp(b: &mut Builder, v: ValueId, to: TypeId) -> ValueId {
     cast(b, SITOFP, v, to)
 }

@@ -7,7 +7,7 @@
 //! `!fir.ref<!fir.array<...>>`, and `fir.do_loop` keeps Fortran's inclusive
 //! bounds.
 
-use ftn_mlir::{BlockId, Builder, Ir, OpId, OpSpec, TypeId, ValueId, VerifierRegistry};
+use ftn_mlir::{Builder, OpId, OpSpec, TypeId, ValueId, VerifierRegistry};
 
 pub const ALLOCA: &str = "fir.alloca";
 pub const DECLARE: &str = "fir.declare";
@@ -130,10 +130,6 @@ pub fn call(b: &mut Builder, callee: &str, args: &[ValueId], results: &[TypeId])
     )
 }
 
-pub fn do_loop_body(ir: &Ir, op: OpId) -> BlockId {
-    ir.entry_block(op, 0)
-}
-
 pub fn register(reg: &mut VerifierRegistry) {
     reg.register(DO_LOOP, |ir, op| {
         let o = ir.op(op);
@@ -166,7 +162,7 @@ pub fn register(reg: &mut VerifierRegistry) {
 mod tests {
     use super::*;
     use crate::{arith, builtin};
-    use ftn_mlir::verify;
+    use ftn_mlir::{verify, Ir};
 
     #[test]
     fn fir_loop_structure() {

@@ -29,19 +29,6 @@ pub fn build_func(
     (op, entry)
 }
 
-/// Declaration-only function (no body ops; used for HLS primitive externs).
-pub fn build_private_decl(
-    b: &mut Builder,
-    name: &str,
-    inputs: &[TypeId],
-    results: &[TypeId],
-) -> OpId {
-    let (op, _entry) = build_func(b, name, inputs, results);
-    let vis = b.ir.attr_str("private");
-    b.ir.set_attr(op, "sym_visibility", vis);
-    op
-}
-
 pub fn build_return(b: &mut Builder, values: &[ValueId]) -> OpId {
     b.insert(OpSpec::new(RETURN).operands(values))
 }
@@ -81,11 +68,6 @@ pub fn signature(ir: &Ir, func: OpId) -> (Vec<TypeId>, Vec<TypeId>) {
         ftn_mlir::TypeKind::Function { inputs, results } => (inputs.clone(), results.clone()),
         _ => panic!("function_type is not a function type"),
     }
-}
-
-/// Whether a function is a private declaration (extern).
-pub fn is_private(ir: &Ir, func: OpId) -> bool {
-    ir.attr_str_of(func, "sym_visibility") == Some("private")
 }
 
 pub fn register(reg: &mut VerifierRegistry) {

@@ -69,14 +69,6 @@ pub fn build_func(
     (op, entry)
 }
 
-/// External declaration (no entry block ops, `sym_visibility = "private"`).
-pub fn build_extern(b: &mut Builder, name: &str, inputs: &[TypeId], results: &[TypeId]) -> OpId {
-    let (op, _) = build_func(b, name, inputs, results);
-    let vis = b.ir.attr_str("private");
-    b.ir.set_attr(op, "sym_visibility", vis);
-    op
-}
-
 pub fn constant(b: &mut Builder, value_attr: ftn_mlir::AttrId, ty: TypeId) -> ValueId {
     b.insert_r(
         OpSpec::new(CONSTANT)

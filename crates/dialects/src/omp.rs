@@ -66,10 +66,6 @@ impl MapType {
             MapType::From | MapType::Tofrom | MapType::ImplicitTofrom
         )
     }
-
-    pub fn is_implicit(self) -> bool {
-        matches!(self, MapType::ImplicitTofrom)
-    }
 }
 
 /// Reduction kinds supported by `omp.wsloop reduction(...)`.
@@ -100,12 +96,6 @@ impl ReductionKind {
             _ => None,
         }
     }
-}
-
-/// `omp.bounds`: array-section bounds (lower, upper inclusive), both `index`.
-pub fn build_bounds(b: &mut Builder, lower: ValueId, upper: ValueId) -> ValueId {
-    let ty = b.ir.opaque_t("omp", "bounds");
-    b.insert_r(OpSpec::new(BOUNDS).operands(&[lower, upper]).results(&[ty]))
 }
 
 /// `omp.map_info` describing how `var` is mapped.

@@ -149,19 +149,6 @@ impl KernelExecutor {
         KernelExecutor { image, device }
     }
 
-    /// Direct construction from an in-memory device module (testing).
-    pub fn from_module(
-        ir: Ir,
-        module: OpId,
-        device: DeviceModel,
-        schedules: HashMap<String, Vec<LoopInfo>>,
-    ) -> Self {
-        KernelExecutor {
-            image: Arc::new(ExecutorImage::new(ir, module, schedules)),
-            device,
-        }
-    }
-
     /// The shared image (for pools that fan one parse out to many devices).
     pub fn image(&self) -> &Arc<ExecutorImage> {
         &self.image

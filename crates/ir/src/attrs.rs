@@ -93,10 +93,6 @@ impl crate::Ir {
         self.attr(AttrKind::SymbolRef(i))
     }
 
-    pub fn attr_array(&mut self, items: Vec<AttrId>) -> AttrId {
-        self.attr(AttrKind::Array(items))
-    }
-
     /// Integer payload of an attribute, if it is an `Int` or `Bool`.
     pub fn attr_as_int(&self, id: AttrId) -> Option<i64> {
         match self.attr_kind(id) {

@@ -66,12 +66,6 @@ impl<'a> Builder<'a> {
         op
     }
 
-    /// Insert an already-created (detached) op.
-    pub fn insert_existing(&mut self, op: OpId) {
-        self.ir.insert_op(self.block, self.pos, op);
-        self.pos += 1;
-    }
-
     /// Insert and return the op's single result.
     pub fn insert_r(&mut self, spec: OpSpec) -> ValueId {
         let op = self.insert(spec);

@@ -44,10 +44,9 @@ pub struct PassReport {
     pub ops_after: usize,
 }
 
-/// Runs passes in order; optionally verifies after each.
+/// Runs passes in order and verifies the module after each.
 pub struct PassManager {
     passes: Vec<Box<dyn Pass>>,
-    pub verify_each: bool,
     pub reports: Vec<PassReport>,
 }
 
@@ -61,7 +60,6 @@ impl PassManager {
     pub fn new() -> Self {
         PassManager {
             passes: Vec::new(),
-            verify_each: true,
             reports: Vec::new(),
         }
     }
@@ -87,12 +85,10 @@ impl PassManager {
             let start = Instant::now();
             pass.run(ir, module)?;
             let micros = start.elapsed().as_micros();
-            if self.verify_each {
-                verify(ir, module, registry).map_err(|e| PassError {
-                    pass: pass.name().to_string(),
-                    message: format!("post-pass verification failed: {e}"),
-                })?;
-            }
+            verify(ir, module, registry).map_err(|e| PassError {
+                pass: pass.name().to_string(),
+                message: format!("post-pass verification failed: {e}"),
+            })?;
             self.reports.push(PassReport {
                 name: pass.name().to_string(),
                 micros,

@@ -35,13 +35,6 @@ pub fn print_type(ir: &Ir, ty: TypeId) -> String {
     p.out
 }
 
-/// Print an attribute to a string.
-pub fn print_attr(ir: &Ir, attr: AttrId) -> String {
-    let mut p = Printer::new(ir);
-    p.write_attr(attr);
-    p.out
-}
-
 const UNNAMED: u32 = u32::MAX;
 
 /// Everything is borrowed from `ir` and written straight into `out`; SSA

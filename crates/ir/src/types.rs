@@ -50,10 +50,6 @@ impl TypeKind {
         matches!(self, TypeKind::Float32 | TypeKind::Float64)
     }
 
-    pub fn is_index(&self) -> bool {
-        matches!(self, TypeKind::Index)
-    }
-
     pub fn is_memref(&self) -> bool {
         matches!(self, TypeKind::MemRef { .. })
     }

@@ -32,7 +32,7 @@ fn event_json(lane: usize, e: &SpanEvent) -> Value {
     }
     let ph = if e.dur_nanos == 0 { "i" } else { "X" };
     let mut fields = vec![
-        ("name", Value::Str(e.name.clone())),
+        ("name", Value::Str(e.name.to_string())),
         ("cat", Value::Str(e.cat.to_string())),
         ("ph", Value::Str(ph.to_string())),
         ("ts", Value::Float(e.start_nanos as f64 / 1000.0)),

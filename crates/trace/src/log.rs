@@ -46,6 +46,17 @@ impl Level {
         }
     }
 
+    /// The name of the trace instant event that mirrors a log line.
+    fn event_name(self) -> &'static str {
+        match self {
+            Level::Error => "log.error",
+            Level::Warn => "log.warn",
+            Level::Info => "log.info",
+            Level::Debug => "log.debug",
+            Level::Trace => "log.trace",
+        }
+    }
+
     fn from_u8(v: u8) -> Level {
         match v {
             0 => Level::Error,
@@ -89,7 +100,7 @@ pub fn log(level: Level, target: &str, message: impl Into<String>) {
         target
     );
     span::instant(
-        format!("log.{}", level.as_str()),
+        level.event_name(),
         "log",
         vec![("target", target.to_string()), ("message", message)],
     );
@@ -109,6 +120,7 @@ mod tests {
             Level::Trace,
         ] {
             assert_eq!(Level::parse(l.as_str()), Some(l));
+            assert_eq!(l.event_name().strip_prefix("log."), Some(l.as_str()));
         }
         assert_eq!(Level::parse("verbose"), None);
     }

@@ -394,8 +394,8 @@ fn insert(
     let e = events[i];
     let clipped = clip(e, since, until);
     let node = slot
-        .entry(e.name.clone())
-        .or_insert_with(|| ProfileNode::new(&e.name));
+        .entry(e.name.to_string())
+        .or_insert_with(|| ProfileNode::new(e.name));
     node.total_nanos = node.total_nanos.saturating_add(clipped);
     node.count += 1;
     let mut covered = 0u64;
@@ -590,7 +590,7 @@ mod tests {
     use super::*;
 
     fn event(
-        name: &str,
+        name: &'static str,
         cat: &'static str,
         span_id: u64,
         parent_id: u64,
@@ -598,7 +598,7 @@ mod tests {
         dur: u64,
     ) -> SpanEvent {
         SpanEvent {
-            name: name.to_string(),
+            name,
             cat,
             trace_id: 1,
             span_id,

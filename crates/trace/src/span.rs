@@ -5,10 +5,12 @@
 //!
 //! - **Disabled** (the default): [`span`] is one relaxed atomic load and
 //!   returns an empty guard — no allocation, no lock, no clock read.
-//! - **Enabled hot path**: creating a span allocates its boxed payload and
-//!   reads the monotonic clock; dropping it pushes one event into the
-//!   calling thread's own ring buffer, whose mutex is uncontended except
-//!   during an export snapshot.
+//! - **Enabled hot path**: creating a span reads the monotonic clock and
+//!   fills in the [`SpanEvent`] it will record (names are `&'static str`,
+//!   so an arg-less span allocates nothing once its lane is warm); dropping
+//!   it stamps the duration and pushes that event into the calling thread's
+//!   own ring buffer, whose mutex is uncontended except during an export
+//!   snapshot.
 //! - **Bounded memory**: each lane is a ring of at most the configured
 //!   capacity; old events fall off the front.
 //!
@@ -30,7 +32,7 @@ use crate::lock;
 #[derive(Debug, Clone)]
 pub struct SpanEvent {
     /// Human-readable span name (e.g. `job.kernel`, `http.request`).
-    pub name: String,
+    pub name: &'static str,
     /// Category — the Chrome-trace `cat` field (`http`, `worker`, `exchange`, …).
     pub cat: &'static str,
     /// The request/trace id this span belongs to (0 = none).
@@ -153,110 +155,89 @@ impl Drop for TraceScope {
     }
 }
 
-struct SpanData {
-    name: String,
-    cat: &'static str,
-    trace_id: u64,
-    span_id: u64,
-    parent_id: u64,
-    start_nanos: u64,
-    args: Vec<(&'static str, String)>,
-}
-
-/// RAII guard for an open span; records a completed event when dropped.
-/// Empty (free) when recording is disabled.
+/// RAII guard for an open span: holds the event it records when dropped,
+/// with `dur_nanos` still 0. Empty (free) when recording is disabled.
 pub struct Span {
-    data: Option<Box<SpanData>>,
+    event: Option<SpanEvent>,
 }
 
 /// Open a span named `name` under the thread's current trace and innermost
 /// open span. Returns an empty guard when recording is disabled.
-pub fn span(name: impl Into<String>, cat: &'static str) -> Span {
+pub fn span(name: &'static str, cat: &'static str) -> Span {
     if !enabled() {
-        return Span { data: None };
+        return Span { event: None };
     }
-    open(name.into(), cat, current_trace_id(), current_span_id())
+    open(name, cat, current_trace_id(), current_span_id())
 }
 
 /// Open a span explicitly linked to a `(trace_id, parent_id)` recorded on
 /// another thread — the cross-thread continuation used by pool workers.
-pub fn span_linked(
-    name: impl Into<String>,
-    cat: &'static str,
-    trace_id: u64,
-    parent_id: u64,
-) -> Span {
+pub fn span_linked(name: &'static str, cat: &'static str, trace_id: u64, parent_id: u64) -> Span {
     if !enabled() {
-        return Span { data: None };
+        return Span { event: None };
     }
-    open(name.into(), cat, trace_id, parent_id)
+    open(name, cat, trace_id, parent_id)
 }
 
-fn open(name: String, cat: &'static str, trace_id: u64, parent_id: u64) -> Span {
+fn open(name: &'static str, cat: &'static str, trace_id: u64, parent_id: u64) -> Span {
     let span_id = recorder().next_id.fetch_add(1, Ordering::Relaxed);
     STACK.with(|s| s.borrow_mut().push(span_id));
     Span {
-        data: Some(Box::new(SpanData {
+        event: Some(SpanEvent {
             name,
             cat,
             trace_id,
             span_id,
             parent_id,
             start_nanos: now_nanos(),
+            dur_nanos: 0,
             args: Vec::new(),
-        })),
+        }),
     }
 }
 
 impl Span {
     /// Attach a key/value annotation (no-op on a disabled-span guard).
     pub fn arg(&mut self, key: &'static str, value: impl std::fmt::Display) {
-        if let Some(d) = &mut self.data {
-            d.args.push((key, value.to_string()));
+        if let Some(e) = &mut self.event {
+            e.args.push((key, value.to_string()));
         }
     }
 
     /// This span's id (0 when recording is disabled).
     pub fn id(&self) -> u64 {
-        self.data.as_ref().map(|d| d.span_id).unwrap_or(0)
+        self.event.as_ref().map_or(0, |e| e.span_id)
     }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let Some(d) = self.data.take() else { return };
-        let end = now_nanos();
+        let Some(mut event) = self.event.take() else {
+            return;
+        };
+        event.dur_nanos = now_nanos().saturating_sub(event.start_nanos);
         STACK.with(|s| {
             let mut s = s.borrow_mut();
-            if s.last() == Some(&d.span_id) {
+            if s.last() == Some(&event.span_id) {
                 s.pop();
             } else {
                 // Out-of-order drop (should not happen with guards held on
                 // the stack); drop our id wherever it sits.
-                s.retain(|&id| id != d.span_id);
+                s.retain(|&id| id != event.span_id);
             }
         });
-        record(SpanEvent {
-            name: d.name,
-            cat: d.cat,
-            trace_id: d.trace_id,
-            span_id: d.span_id,
-            parent_id: d.parent_id,
-            start_nanos: d.start_nanos,
-            dur_nanos: end.saturating_sub(d.start_nanos),
-            args: d.args,
-        });
+        record(event);
     }
 }
 
 /// Record a zero-duration instant event under the current trace/span.
-pub fn instant(name: impl Into<String>, cat: &'static str, args: Vec<(&'static str, String)>) {
+pub fn instant(name: &'static str, cat: &'static str, args: Vec<(&'static str, String)>) {
     if !enabled() {
         return;
     }
     let now = now_nanos();
     record(SpanEvent {
-        name: name.into(),
+        name,
         cat,
         trace_id: current_trace_id(),
         span_id: recorder().next_id.fetch_add(1, Ordering::Relaxed),
@@ -384,7 +365,7 @@ mod tests {
         clear();
         set_capacity(8);
         for i in 0..100 {
-            let mut s = span(format!("s{i}"), "test");
+            let mut s = span("s", "test");
             s.arg("i", i);
         }
         set_enabled(false);

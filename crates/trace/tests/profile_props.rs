@@ -37,7 +37,7 @@ fn arb_events(max: usize) -> impl Strategy<Value = Vec<SpanEvent>> {
                     1 + (parent_pick % i) as u64
                 };
                 SpanEvent {
-                    name: names[name].to_string(),
+                    name: names[name],
                     cat: "worker",
                     trace_id: 1,
                     span_id: 1 + i as u64,

@@ -10,6 +10,9 @@
 //!   `session.launch` span closes at submit while its jobs still
 //!   run on the device lanes — so only the start ordering is asserted
 //!   there.
+//! * A job its waiter runs (the only job of a one-shard launch on an idle
+//!   device) nests under the wait's `session.wait` span on the waiter's
+//!   own lane, instead of being recorded as a root.
 //! * A golden structural test of the Chrome trace-event export: lane
 //!   metadata, phase/field schema, id plumbing in `args`, and completion
 //!   order on a named lane.
@@ -206,6 +209,65 @@ fn concurrent_sharded_launches_record_well_formed_spans() {
     tids.sort_unstable();
     tids.dedup();
     assert_eq!(tids.len(), clients);
+}
+
+/// A one-shard launch on an idle one-device pool leaves its only job to the
+/// thread that waits for it. That job runs inside the wait, so its span must
+/// nest under the wait's `session.wait` span — same trace, same lane, inside
+/// its interval — instead of being recorded as a root.
+#[test]
+fn a_job_its_waiter_runs_nests_under_session_wait() {
+    let _g = lock_recorder();
+    ftn_trace::set_capacity(4096);
+    ftn_trace::set_enabled(true);
+    ftn_trace::clear();
+    let _ = artifacts();
+
+    let trace_id = ftn_trace::new_trace_id();
+    {
+        let _scope = ftn_trace::trace_scope(trace_id);
+        let n = 64usize;
+        let mut cluster =
+            ClusterMachine::load(artifacts(), &[DeviceModel::u280()]).expect("pool loads");
+        let xa = cluster.host_f32(&vec![1.0f32; n]);
+        let ya = cluster.host_f32(&vec![2.0f32; n]);
+        let sid = cluster
+            .open_sharded_session(
+                &[
+                    ("x", xa, MapKind::To, Partition::Split { halo: 0 }),
+                    ("y", ya, MapKind::ToFrom, Partition::Split { halo: 0 }),
+                ],
+                ShardCount::Fixed(1),
+            )
+            .expect("session opens");
+        let t = cluster
+            .sharded_launch(sid, "saxpy_kernel0", &shard_args(2.0))
+            .expect("launches");
+        cluster.wait_sharded(t).expect("completes");
+        cluster.close_sharded_session(sid).expect("closes");
+    }
+    ftn_trace::set_enabled(false);
+
+    let events = all_events();
+    let jobs: Vec<&(usize, SpanEvent)> = (events.iter())
+        .filter(|(_, e)| e.trace_id == trace_id && e.name == "job.kernel")
+        .collect();
+    let [(job_lane, job)] = jobs[..] else {
+        panic!("{} job.kernel spans in the trace, not one", jobs.len());
+    };
+    assert_ne!(job.parent_id, 0, "the job is recorded as a root");
+    let (wait_lane, wait) = (events.iter())
+        .find(|(_, e)| e.span_id == job.parent_id)
+        .expect("the job's parent is recorded");
+    assert_eq!(wait.name, "session.wait");
+    assert_eq!(wait.trace_id, trace_id);
+    assert_eq!(
+        job_lane, wait_lane,
+        "the waiter runs its job on its own lane"
+    );
+    assert!(wait.start_nanos <= job.start_nanos);
+    assert!(job.start_nanos + job.dur_nanos <= wait.start_nanos + wait.dur_nanos);
+    ftn_trace::set_enabled(true);
 }
 
 /// Walk `value["traceEvents"]` as a list of objects.
