@@ -887,7 +887,7 @@ fn run_and_report(worker: &mut Worker, job: Job) -> (Reporter, JobOutcome) {
     }
     span.arg(
         "queue_wait_us",
-        format_args!("{:.1}", queue_wait_seconds * 1e6),
+        ftn_trace::ArgValue::Fixed1(queue_wait_seconds * 1e6),
     );
     let result =
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| worker.run_job(job.spec)))
@@ -895,7 +895,7 @@ fn run_and_report(worker: &mut Worker, job: Job) -> (Reporter, JobOutcome) {
                 r.map(|mut success| {
                     success.queue_wait_seconds = queue_wait_seconds;
                     let busy = busy_seconds(&success.stats);
-                    span.arg("sim_busy_us", format_args!("{:.1}", busy * 1e6));
+                    span.arg("sim_busy_us", ftn_trace::ArgValue::Fixed1(busy * 1e6));
                     success
                 })
             })

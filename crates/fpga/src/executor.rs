@@ -211,7 +211,7 @@ impl KernelExecutor {
         let kernel_seconds = self.device.cycles_to_seconds(cycles);
         let wall_seconds = kernel_seconds + self.device.launch_overhead_us * 1e-6;
         span.arg("cycles", cycles);
-        span.arg("sim_us", format_args!("{:.1}", wall_seconds * 1e6));
+        span.arg("sim_us", ftn_trace::ArgValue::Fixed1(wall_seconds * 1e6));
         Ok(ExecutionStats {
             kernel: kernel.to_string(),
             cycles,

@@ -58,7 +58,13 @@ impl Reply {
         }
     }
 
+    /// `value` printed as JSON, under an `http.render` span.
     pub(crate) fn json(status: u16, value: &Value) -> Reply {
+        let _span = ftn_trace::span("http.render", "http");
+        Reply::json_unspanned(status, value)
+    }
+
+    fn json_unspanned(status: u16, value: &Value) -> Reply {
         let mut reply = Reply::new(status, "application/json");
         serde_json::append(&mut reply.buf, value);
         reply
@@ -73,13 +79,14 @@ impl Reply {
     /// A 200 JSON object: `fields` as [`Reply::json`] prints them, then one
     /// last field `key` whose value `tail` writes straight into the
     /// response buffer — how the array-bearing replies avoid a `Value` per
-    /// element.
+    /// element. One `http.render` span covers both.
     pub(crate) fn object_with_tail(
         fields: Vec<(&str, Value)>,
         key: &str,
         tail: impl FnOnce(&mut String),
     ) -> Reply {
-        let mut reply = Reply::json(200, &crate::api::obj(fields));
+        let _span = ftn_trace::span("http.render", "http");
+        let mut reply = Reply::json_unspanned(200, &crate::api::obj(fields));
         let out = &mut reply.buf;
         out.pop();
         if !out.ends_with('{') {

@@ -136,6 +136,13 @@ fn bad_request(msg: impl ToString) -> HandlerError {
     (400, msg.to_string())
 }
 
+/// Read a request body with `parse`, under an `http.decode` span; a body it
+/// refuses is a 400.
+fn decode<T>(parse: fn(&str) -> Result<T, String>, body: &str) -> Result<T, HandlerError> {
+    let _span = ftn_trace::span("http.decode", "http");
+    parse(body).map_err(bad_request)
+}
+
 fn not_found(msg: impl ToString) -> HandlerError {
     (404, msg.to_string())
 }

@@ -26,7 +26,7 @@ use serde::{Serialize, Value};
 
 use crate::conn::HandlerError;
 use crate::telemetry::short_key;
-use crate::{api, bad_request, failed, lock, not_found, ServeState};
+use crate::{api, bad_request, decode, failed, lock, not_found, ServeState};
 
 /// Per-pool readiness snapshot, for `/healthz` probes that land while the
 /// pool's machine lock is held: a busy pool is not an unready pool, so the
@@ -164,7 +164,7 @@ impl ServeState {
     }
 
     pub(crate) fn compile(&self, body: &str) -> Result<Value, HandlerError> {
-        let v = api::parse_body(body).map_err(bad_request)?;
+        let v = decode(api::parse_body, body)?;
         let source = api::get_str(&v, "source").map_err(bad_request)?;
         let options = CompilerOptions {
             fix_mac_pattern: api::get_bool_or(&v, "fix_mac_pattern", false),

@@ -37,7 +37,7 @@ use serde::{Serialize, Value};
 
 use crate::api::{self, ArgSpec};
 use crate::conn::{HandlerError, Reply};
-use crate::{bad_request, failed, lock, not_found, ServeState};
+use crate::{bad_request, decode, failed, lock, not_found, ServeState};
 
 /// Host arrays allocated in `pool` on behalf of one session (or an open that
 /// failed), freed when this drops. Dropping takes the pool's machine lock:
@@ -71,7 +71,7 @@ impl Drop for OwnedArrays {
 
 impl ServeState {
     pub(crate) fn open_session(&self, body: &str) -> Result<Value, HandlerError> {
-        let api::Body { fields: v, arrays } = api::open_body(body).map_err(bad_request)?;
+        let api::Body { fields: v, arrays } = decode(api::open_body, body)?;
         let mut lifted = arrays.into_iter();
         let key = api::get_str(&v, "key").map_err(bad_request)?;
         let maps = api::get_arr(&v, "maps").map_err(bad_request)?;
@@ -143,7 +143,7 @@ impl ServeState {
     /// Launch: fan out per shard, wait all shard jobs, and report the
     /// aggregate (total cycles, per-launch makespan = slowest shard).
     pub(crate) fn launch(&self, session: u64, body: &str) -> Result<Value, HandlerError> {
-        let v = api::parse_body(body).map_err(bad_request)?;
+        let v = decode(api::parse_body, body)?;
         let kernel = api::get_str(&v, "kernel").map_err(bad_request)?;
         let arg_values = api::get_arr(&v, "args").map_err(bad_request)?;
         let refresh_halos = match v.get("refresh_halos") {
@@ -258,7 +258,7 @@ impl ServeState {
     }
 
     pub(crate) fn run_program(&self, body: &str) -> Result<Reply, HandlerError> {
-        let api::Body { fields: v, arrays } = api::run_body(body).map_err(bad_request)?;
+        let api::Body { fields: v, arrays } = decode(api::run_body, body)?;
         let key = api::get_str(&v, "key").map_err(bad_request)?;
         let func = api::get_str(&v, "func").map_err(bad_request)?;
         let arg_values = api::get_arr(&v, "args").map_err(bad_request)?;

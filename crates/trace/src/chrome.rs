@@ -27,8 +27,8 @@ fn event_json(lane: usize, e: &SpanEvent) -> Value {
         ("span_id".to_string(), Value::UInt(e.span_id)),
         ("parent_id".to_string(), Value::UInt(e.parent_id)),
     ];
-    for (k, v) in &e.args {
-        args.push((k.to_string(), Value::Str(v.clone())));
+    for (k, v) in e.args.iter() {
+        args.push((k.to_string(), Value::Str(v.to_string())));
     }
     let ph = if e.dur_nanos == 0 { "i" } else { "X" };
     let mut fields = vec![

@@ -29,12 +29,14 @@
 
 use std::sync::{Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
+mod args;
 mod chrome;
 pub mod log;
 mod metrics;
 mod profile;
 mod span;
 
+pub use args::{ArgValue, Args};
 pub use chrome::{export_chrome, export_chrome_range};
 pub use log::{log, max_level, set_max_level, Level};
 pub use metrics::{

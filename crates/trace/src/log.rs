@@ -102,7 +102,10 @@ pub fn log(level: Level, target: &str, message: impl Into<String>) {
     span::instant(
         level.event_name(),
         "log",
-        vec![("target", target.to_string()), ("message", message)],
+        &[
+            ("target", target.into()),
+            ("message", message.as_str().into()),
+        ],
     );
 }
 

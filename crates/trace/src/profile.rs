@@ -37,10 +37,12 @@
 //! exactly, so the fractions sum to 1 (within float rounding) and never
 //! above it.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 
 use serde::Value;
 
+use crate::args::ArgValue;
 use crate::span::{now_nanos, snapshot_range, LaneSnapshot, SpanEvent};
 
 /// Stack depth cap during aggregation — a guard against pathological (or
@@ -393,9 +395,12 @@ fn insert(
 ) -> u64 {
     let e = events[i];
     let clipped = clip(e, since, until);
-    let node = slot
-        .entry(e.name.to_string())
-        .or_insert_with(|| ProfileNode::new(e.name));
+    // Look up before inserting: the key is copied once per node, not once
+    // per folded event.
+    if !slot.contains_key(e.name) {
+        slot.insert(e.name.to_string(), ProfileNode::new(e.name));
+    }
+    let node = slot.get_mut(e.name).expect("inserted above");
     node.total_nanos = node.total_nanos.saturating_add(clipped);
     node.count += 1;
     let mut covered = 0u64;
@@ -517,15 +522,17 @@ pub fn device_utilization(
     if window == 0 {
         return Vec::new();
     }
-    let mut covered: BTreeMap<(&str, usize), Vec<(u64, u64)>> = BTreeMap::new();
+    let mut covered: BTreeMap<_, Vec<(u64, u64)>> = BTreeMap::new();
     for lane in lanes {
         let lane_device = lane
             .name
             .strip_prefix("ftn-device-")
             .and_then(|s| s.parse::<usize>().ok());
         if let Some(device) = lane_device {
-            let pool = lane.events.iter().find_map(|e| arg(e, "pool"));
-            covered.entry((pool.unwrap_or(""), device)).or_default();
+            let pool = lane.events.iter().find_map(pool);
+            covered
+                .entry((pool.unwrap_or_default(), device))
+                .or_default();
         }
         for e in &lane.events {
             let Some(device) = busy_device(e, lane_device) else {
@@ -534,9 +541,8 @@ pub fn device_utilization(
             let start = e.start_nanos.max(since_nanos);
             let end = e.start_nanos.saturating_add(e.dur_nanos).min(until_nanos);
             if end > start {
-                let pool = arg(e, "pool").unwrap_or("");
                 covered
-                    .entry((pool, device))
+                    .entry((pool(e).unwrap_or_default(), device))
                     .or_default()
                     .push((start, end));
             }
@@ -546,7 +552,7 @@ pub fn device_utilization(
         .map(|((pool, device), mut spans)| {
             let busy_nanos = union_nanos(&mut spans).min(window);
             DeviceUtilization {
-                pool: pool.to_string(),
+                pool: pool.into_owned(),
                 device,
                 window_nanos: window,
                 busy_nanos,
@@ -564,14 +570,24 @@ fn busy_device(e: &SpanEvent, lane_device: Option<usize>) -> Option<usize> {
     if !(job || e.name == "host.call") || e.dur_nanos == 0 {
         return None;
     }
-    let named = arg(e, "device").and_then(|value| value.parse().ok());
+    // The index its rendered text parses to: a fraction, a sign or a word
+    // names no device.
+    let named = e.args.get("device").and_then(|value| match value {
+        ArgValue::U64(n) => usize::try_from(n).ok(),
+        ArgValue::I64(n) => usize::try_from(n).ok(),
+        ArgValue::Fixed1(_) => None,
+        ArgValue::Str(s) => s.parse().ok(),
+    });
     named.or(lane_device.filter(|_| job))
 }
 
-/// The value of `e`'s arg `key`, if it has one.
-fn arg<'e>(e: &'e SpanEvent, key: &str) -> Option<&'e str> {
-    let found = e.args.iter().find(|(k, _)| *k == key);
-    found.map(|(_, value)| value.as_str())
+/// The text of `e`'s `pool` arg, if it has one: borrowed when recorded as
+/// text (every production span), rendered otherwise.
+fn pool(e: &SpanEvent) -> Option<Cow<'_, str>> {
+    e.args.get("pool").map(|value| match value {
+        ArgValue::Str(s) => Cow::Borrowed(s),
+        other => Cow::Owned(other.to_string()),
+    })
 }
 
 /// [`device_utilization`] over the live recorder. `u64::MAX` as the upper
@@ -588,6 +604,7 @@ pub fn device_utilization_range(since_nanos: u64, until_nanos: u64) -> Vec<Devic
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::Args;
 
     fn event(
         name: &'static str,
@@ -605,7 +622,7 @@ mod tests {
             parent_id,
             start_nanos: start,
             dur_nanos: dur,
-            args: Vec::new(),
+            args: Args::new(),
         }
     }
 
@@ -821,7 +838,7 @@ mod tests {
     #[test]
     fn utilization_follows_the_device_arg_across_lanes() {
         let on = |mut e: SpanEvent, device: &str| {
-            e.args.push(("device", device.to_string()));
+            e.args.push("device", device);
             e
         };
         let lanes = [
@@ -854,8 +871,8 @@ mod tests {
     #[test]
     fn utilization_keys_a_device_by_its_pool() {
         let on = |mut e: SpanEvent, pool: &str, device: &str| {
-            e.args.push(("pool", pool.to_string()));
-            e.args.push(("device", device.to_string()));
+            e.args.push("pool", pool);
+            e.args.push("device", device);
             e
         };
         let lanes = [

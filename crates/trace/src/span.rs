@@ -6,13 +6,16 @@
 //! - **Disabled** (the default): [`span`] is one relaxed atomic load and
 //!   returns an empty guard — no allocation, no lock, no clock read.
 //! - **Enabled hot path**: creating a span reads the monotonic clock and
-//!   fills in the [`SpanEvent`] it will record (names are `&'static str`,
-//!   so an arg-less span allocates nothing once its lane is warm); dropping
-//!   it stamps the duration and pushes that event into the calling thread's
-//!   own ring buffer, whose mutex is uncontended except during an export
-//!   snapshot.
+//!   fills in the [`SpanEvent`] it will record. Names are `&'static str`
+//!   and arg values are kept as they were recorded ([`Args`]: integers and
+//!   floats as numbers, text copied into the event), so a span allocates
+//!   and formats nothing once its lane is warm; values are rendered only
+//!   where they are read. Dropping the span stamps the duration and pushes
+//!   that event into the calling thread's own ring buffer, whose mutex is
+//!   uncontended except during an export snapshot.
 //! - **Bounded memory**: each lane is a ring of at most the configured
-//!   capacity; old events fall off the front.
+//!   capacity, each event packed into the bytes it uses; old events fall
+//!   off the front and free nothing.
 //!
 //! Spans nest through a thread-local stack (parent ids are assigned
 //! automatically) and carry a trace id installed with [`trace_scope`] —
@@ -26,6 +29,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::args::{read, text_bits, text_range, ArgValue, Args, Kind};
 use crate::lock;
 
 /// One completed span (or zero-duration instant event).
@@ -45,8 +49,8 @@ pub struct SpanEvent {
     pub start_nanos: u64,
     /// Duration in nanoseconds (0 for instant events).
     pub dur_nanos: u64,
-    /// Free-form key/value annotations; keys are literals.
-    pub args: Vec<(&'static str, String)>,
+    /// Key/value annotations; keys are literals.
+    pub args: Args,
 }
 
 /// All events captured on one thread, in completion order.
@@ -63,7 +67,137 @@ pub struct LaneSnapshot {
 struct Lane {
     index: usize,
     name: String,
-    events: Mutex<VecDeque<SpanEvent>>,
+    ring: Mutex<Ring>,
+}
+
+/// A lane's recorded events, oldest first, packed: each event's fixed
+/// fields, then its args and their text behind those of the event before
+/// it. An event takes the bytes it uses, not its open span's inline room,
+/// and dropping the oldest frees nothing.
+#[derive(Default)]
+struct Ring {
+    events: VecDeque<Packed>,
+    args: VecDeque<(&'static str, Kind, u64)>,
+    text: VecDeque<u8>,
+}
+
+/// One event's fixed fields, and how many args and text bytes it packed.
+struct Packed {
+    name: &'static str,
+    cat: &'static str,
+    trace_id: u64,
+    span_id: u64,
+    parent_id: u64,
+    start_nanos: u64,
+    dur_nanos: u64,
+    args: u32,
+    text: u32,
+}
+
+impl Packed {
+    fn of(e: &SpanEvent, text: usize) -> Packed {
+        Packed {
+            name: e.name,
+            cat: e.cat,
+            trace_id: e.trace_id,
+            span_id: e.span_id,
+            parent_id: e.parent_id,
+            start_nanos: e.start_nanos,
+            dur_nanos: e.dur_nanos,
+            args: e.args.len() as u32,
+            text: text as u32,
+        }
+    }
+}
+
+/// Make room for `more` items in one of a ring's deques, growing it by an
+/// eighth rather than doubling it: a ring cycles through all of a deque's
+/// capacity, so spare capacity is resident memory. (The events deque is
+/// bounded by the ring's capacity and keeps the default growth.)
+fn room<T>(deque: &mut VecDeque<T>, more: usize) {
+    if deque.capacity() - deque.len() < more {
+        deque.reserve_exact(more.max(deque.len() / 8).max(64));
+    }
+}
+
+impl Ring {
+    /// Pack `e` behind the newest event, first dropping the oldest ones
+    /// past `capacity - 1`.
+    fn push(&mut self, e: &SpanEvent, capacity: usize) {
+        while self.events.len() >= capacity {
+            self.pop_oldest();
+        }
+        if e.args.is_empty() {
+            self.events.push_back(Packed::of(e, 0));
+            return;
+        }
+        // Spilled text follows the inline text, so its args point past it.
+        let (inline, spilled) = e.args.texts();
+        let text = inline.len() + spilled.len();
+        room(&mut self.text, text);
+        self.text.extend(inline);
+        self.text.extend(spilled);
+        room(&mut self.args, e.args.len());
+        for (key, kind, bits) in e.args.slots() {
+            let (kind, bits) = match kind {
+                Kind::SpilledText => {
+                    let bytes = text_range(bits);
+                    let at = inline.len() + bytes.start;
+                    (Kind::Text, text_bits(at..at + bytes.len()))
+                }
+                kind => (kind, bits),
+            };
+            self.args.push_back((key, kind, bits));
+        }
+        self.events.push_back(Packed::of(e, text));
+    }
+
+    fn pop_oldest(&mut self) {
+        let Some(oldest) = self.events.pop_front() else {
+            return;
+        };
+        if oldest.args > 0 {
+            self.args.drain(..oldest.args as usize);
+        }
+        if oldest.text > 0 {
+            self.text.drain(..oldest.text as usize);
+        }
+    }
+
+    fn clear(&mut self) {
+        self.events.clear();
+        self.args.clear();
+        self.text.clear();
+    }
+
+    /// Unpack the events `keep` selects, oldest first.
+    fn unpack(&mut self, keep: impl Fn(&Packed) -> bool) -> Vec<SpanEvent> {
+        let text = self.text.make_contiguous();
+        let (mut arg, mut byte) = (0, 0);
+        let mut out = Vec::new();
+        for p in &self.events {
+            let (args, bytes) = (arg..arg + p.args as usize, byte..byte + p.text as usize);
+            (arg, byte) = (args.end, bytes.end);
+            if !keep(p) {
+                continue;
+            }
+            let mut unpacked = Args::new();
+            for (key, kind, bits) in self.args.range(args) {
+                unpacked.push(key, read(*kind, *bits, &text[bytes.clone()]));
+            }
+            out.push(SpanEvent {
+                name: p.name,
+                cat: p.cat,
+                trace_id: p.trace_id,
+                span_id: p.span_id,
+                parent_id: p.parent_id,
+                start_nanos: p.start_nanos,
+                dur_nanos: p.dur_nanos,
+                args: unpacked,
+            });
+        }
+        out
+    }
 }
 
 struct Recorder {
@@ -117,7 +251,7 @@ pub fn set_capacity(events_per_lane: usize) {
 /// Drop every recorded event (lanes stay registered). Intended for tests.
 pub fn clear() {
     for lane in lock(&recorder().lanes).iter() {
-        lock(&lane.events).clear();
+        lock(&lane.ring).clear();
     }
 }
 
@@ -191,16 +325,17 @@ fn open(name: &'static str, cat: &'static str, trace_id: u64, parent_id: u64) ->
             parent_id,
             start_nanos: now_nanos(),
             dur_nanos: 0,
-            args: Vec::new(),
+            args: Args::new(),
         }),
     }
 }
 
 impl Span {
-    /// Attach a key/value annotation (no-op on a disabled-span guard).
-    pub fn arg(&mut self, key: &'static str, value: impl std::fmt::Display) {
+    /// Attach a key/value annotation (no-op on a disabled-span guard). The
+    /// value is kept as it is, not rendered: see [`ArgValue`].
+    pub fn arg<'v>(&mut self, key: &'static str, value: impl Into<ArgValue<'v>>) {
         if let Some(e) = &mut self.event {
-            e.args.push((key, value.to_string()));
+            e.args.push(key, value);
         }
     }
 
@@ -212,7 +347,7 @@ impl Span {
 
 impl Drop for Span {
     fn drop(&mut self) {
-        let Some(mut event) = self.event.take() else {
+        let Some(event) = &mut self.event else {
             return;
         };
         event.dur_nanos = now_nanos().saturating_sub(event.start_nanos);
@@ -231,12 +366,16 @@ impl Drop for Span {
 }
 
 /// Record a zero-duration instant event under the current trace/span.
-pub fn instant(name: &'static str, cat: &'static str, args: Vec<(&'static str, String)>) {
+pub fn instant(name: &'static str, cat: &'static str, args: &[(&'static str, ArgValue<'_>)]) {
     if !enabled() {
         return;
     }
     let now = now_nanos();
-    record(SpanEvent {
+    let mut recorded = Args::new();
+    for &(key, value) in args {
+        recorded.push(key, value);
+    }
+    record(&SpanEvent {
         name,
         cat,
         trace_id: current_trace_id(),
@@ -244,11 +383,11 @@ pub fn instant(name: &'static str, cat: &'static str, args: Vec<(&'static str, S
         parent_id: current_span_id(),
         start_nanos: now,
         dur_nanos: 0,
-        args,
+        args: recorded,
     });
 }
 
-fn record(event: SpanEvent) {
+fn record(event: &SpanEvent) {
     let r = recorder();
     LANE.with(|slot| {
         let mut slot = slot.borrow_mut();
@@ -262,17 +401,13 @@ fn record(event: SpanEvent) {
             let lane = Arc::new(Lane {
                 index,
                 name,
-                events: Mutex::new(VecDeque::new()),
+                ring: Mutex::new(Ring::default()),
             });
             lanes.push(lane.clone());
             lane
         });
         let capacity = r.capacity.load(Ordering::Relaxed);
-        let mut events = lock(&lane.events);
-        while events.len() >= capacity {
-            events.pop_front();
-        }
-        events.push_back(event);
+        lock(&lane.ring).push(event, capacity);
     });
 }
 
@@ -291,13 +426,9 @@ pub fn snapshot_range(since_nanos: u64, until_nanos: u64) -> Vec<LaneSnapshot> {
         .map(|lane| LaneSnapshot {
             lane: lane.index,
             name: lane.name.clone(),
-            events: lock(&lane.events)
-                .iter()
-                .filter(|e| {
-                    e.start_nanos + e.dur_nanos >= since_nanos && e.start_nanos <= until_nanos
-                })
-                .cloned()
-                .collect(),
+            events: lock(&lane.ring).unpack(|e| {
+                e.start_nanos + e.dur_nanos >= since_nanos && e.start_nanos <= until_nanos
+            }),
         })
         .collect()
 }
@@ -305,6 +436,7 @@ pub fn snapshot_range(since_nanos: u64, until_nanos: u64) -> Vec<LaneSnapshot> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::args::INLINE_TEXT;
 
     // Span tests share global recorder state with each other (and with any
     // other test in this binary); serialize the ones that toggle it.
@@ -356,6 +488,91 @@ mod tests {
         assert_eq!(outer.parent_id, 0);
         assert!(inner.start_nanos >= outer.start_nanos);
         assert!(inner.start_nanos + inner.dur_nanos <= outer.start_nanos + outer.dur_nanos);
+    }
+
+    /// The rendering oracle: every arg kind, recorded through `Span::arg`
+    /// and read back both from the event and from `/trace`'s export, prints
+    /// exactly what recording it as `value.to_string()` (a float as
+    /// `format!("{:.1}")`) printed. More args and more text than the event
+    /// holds inline spill, in order.
+    #[test]
+    fn args_render_as_their_strings_did() {
+        let _g = lock_recorder();
+        let long = "ä€".repeat(INLINE_TEXT);
+        let floats = [
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e300,
+            0.05,
+            -2.25,
+        ];
+        let mut expected: Vec<(&'static str, String)> = vec![
+            ("u64_max", u64::MAX.to_string()),
+            ("i64_min", i64::MIN.to_string()),
+            ("u8", 7u8.to_string()),
+            ("i32", (-3i32).to_string()),
+            ("usize", usize::MAX.to_string()),
+            ("empty", String::new()),
+            ("non_ascii", "séance ✓ 名前".to_string()),
+            ("long", long.clone()),
+            ("after_long", "fits".to_string()),
+        ];
+        let float_keys = ["neg_zero", "nan", "inf", "neg_inf", "big", "half", "neg"];
+        for (key, x) in float_keys.into_iter().zip(floats) {
+            expected.push((key, format!("{:.1}", x)));
+        }
+        set_enabled(true);
+        clear();
+        let trace = new_trace_id();
+        {
+            let _scope = trace_scope(trace);
+            let mut s = span("oracle", "test");
+            s.arg("u64_max", u64::MAX);
+            s.arg("i64_min", i64::MIN);
+            s.arg("u8", 7u8);
+            s.arg("i32", -3);
+            s.arg("usize", usize::MAX);
+            s.arg("empty", "");
+            s.arg("non_ascii", &"séance ✓ 名前".to_string());
+            s.arg("long", long.as_str());
+            s.arg("after_long", "fits");
+            for (key, x) in float_keys.into_iter().zip(floats) {
+                s.arg(key, ArgValue::Fixed1(x));
+            }
+        }
+        set_enabled(false);
+        let event = snapshot(0)
+            .into_iter()
+            .flat_map(|l| l.events)
+            .find(|e| e.trace_id == trace)
+            .expect("the oracle span is recorded");
+        let read: Vec<(&str, String)> =
+            event.args.iter().map(|(k, v)| (k, v.to_string())).collect();
+        let want: Vec<(&str, String)> = expected.iter().map(|(k, v)| (*k, v.clone())).collect();
+        assert_eq!(read, want);
+        assert_eq!(event.args.len(), expected.len());
+        assert_eq!(event.args.get("long"), Some(ArgValue::Str(&long)));
+
+        let doc = serde_json::value_from_str(&crate::export_chrome(0)).expect("export parses");
+        let Some(serde::Value::Arr(events)) = doc.get("traceEvents") else {
+            panic!("no traceEvents");
+        };
+        let oracle = events
+            .iter()
+            .find(|e| e.get("name") == Some(&serde::Value::Str("oracle".into())))
+            .expect("the oracle span is exported");
+        let Some(serde::Value::Obj(args)) = oracle.get("args") else {
+            panic!("no args object");
+        };
+        let exported: Vec<(&str, String)> = (args.iter().skip(3))
+            .map(|(k, v)| match v {
+                serde::Value::Str(s) => (k.as_str(), s.clone()),
+                other => panic!("arg {k} exported as {other:?}"),
+            })
+            .collect();
+        assert_eq!(exported, want);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! text survives a parse/render round trip, and per-device
 //! busy/idle fractions always partition the window.
 
-use ftn_trace::{device_utilization, LaneSnapshot, Profile, ProfileNode, SpanEvent};
+use ftn_trace::{device_utilization, Args, LaneSnapshot, Profile, ProfileNode, SpanEvent};
 use proptest::prelude::*;
 
 /// A randomized span: its parent is picked (by index) among earlier spans
@@ -44,7 +44,7 @@ fn arb_events(max: usize) -> impl Strategy<Value = Vec<SpanEvent>> {
                     parent_id,
                     start_nanos: start,
                     dur_nanos: dur,
-                    args: Vec::new(),
+                    args: Args::new(),
                 }
             })
             .collect()

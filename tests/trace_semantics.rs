@@ -310,7 +310,7 @@ fn chrome_export_matches_golden_structure() {
             {
                 let _inner = ftn_trace::span("inner", "golden");
             }
-            ftn_trace::instant("mark", "golden", vec![("n", "1".into())]);
+            ftn_trace::instant("mark", "golden", &[("n", "1".into())]);
         })
         .expect("spawns")
         .join()
