@@ -1,7 +1,7 @@
 //! The row exchange — the one mechanism that moves a session's rows, all
 //! its life: an open, an inter-launch halo refresh and a close are the same
 //! act with different plans. Each block is resolved to
-//! where its rows come from and where they go, then two device phases run.
+//! where its rows come from and where they go, then it runs in two halves.
 //!
 //! 1. **Gather** ([`ClusterMachine::exchange_gather`] /
 //!    [`ClusterMachine::exchange_fetch`]) — device→host `fetch_rows` jobs:
@@ -9,30 +9,36 @@
 //!    recipient live on *different devices*, each into a dedicated move
 //!    buffer; one per shard for a close's `from`/`tofrom` sub-buffers,
 //!    whole. Same-device blocks need no gather, and an open gathers nothing.
-//! 2. **Apply** ([`ClusterMachine::exchange_apply`]) — `RowPatch` jobs, one
-//!    per recipient device (per shard for an open), write every block into
-//!    its target mirror: an open's mirrors are created from the rows cut
-//!    from the caller's array (or a seed), a refresh's host-bounced blocks
-//!    arrive as host contents and its same-device blocks for free. A close
-//!    applies nothing.
+//! 2. **Apply** ([`ClusterMachine::exchange_apply`]) — `RowPatch`es, one
+//!    group per recipient device (per shard for an open), write every block
+//!    into its target mirror: an open's mirrors are created from the rows
+//!    cut from the caller's array (or a seed), a refresh's host-bounced
+//!    blocks arrive as host contents and its same-device blocks for free. A
+//!    close applies nothing. An open's groups are jobs of their own,
+//!    submitted with its plan. A refresh's are not: they are appended to
+//!    the session and **ride on its next job to each device** — a launch's,
+//!    a later refresh's gather or the close's (see
+//!    [`ClusterMachine::ride`]) — which writes them before its own work.
 //!
-//! [`ClusterMachine::exchange_finish`] then frees the move buffers and hands
-//! over to the caller-specific tail (the exchange's `finish` closure): the
-//! session enters the table (open), gets its stats (refresh), or is
-//! gathered, freed and leaves the table (close).
-//! Each phase's jobs are queued on their devices under the machine as each
-//! is planned (a phase of one job to an idle device is left unwoken and run
-//! by its waiter), and waited by the caller — synchronously
+//! Each exchange submits one round of jobs — a gather, or an open's
+//! staging — queued on their devices under the machine as each is planned
+//! (a round of one job to an idle device is left unwoken and run by its
+//! waiter), and waited by the caller: synchronously
 //! ([`ClusterMachine::exchange_run`]) or with the machine lock released
-//! between phases (`PoolGate`'s phased driver). Every handle of a phase is
-//! waited even after one fails, so by the time an exchange finishes nothing
-//! is in flight over the buffers it frees: the one rollback path a
-//! session's data movement has.
+//! (`PoolGate`'s phased driver). Every handle is waited even after one
+//! fails, so nothing is in flight over the buffers the exchange frees: the
+//! one rollback path a session's data movement has. Then
+//! [`ClusterMachine::exchange_finish`] applies (a refresh's patches join
+//! the session), frees the move buffers — each patch owns its rows — and
+//! hands over to the caller-specific tail (the exchange's `finish`
+//! closure): the session enters the table (open), gets its stats
+//! (refresh), or is gathered, freed and leaves the table (close).
 //!
 //! No quiesce is built in: each device runs its messages from its one
 //! queue in the order they were sent, whoever runs them, so the gather
-//! runs after every kernel already sent to the donor's device, and the
-//! wait between the phases orders the exchange across devices.
+//! runs after every kernel already sent to the donor's device, and a
+//! riding patch is written before anything its session sends to that
+//! device after the refresh.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::Instant;
@@ -51,13 +57,13 @@ use crate::sharded::{no_session, HaloRefreshReport};
 pub(crate) struct ExchangeLabels {
     /// Span around the gather fan-out.
     pub gather: &'static str,
-    /// Span around the apply fan-out and worker-lane span of its jobs.
-    pub apply: (&'static str, &'static str),
+    /// Span around the apply's planning (and an open's fan-out).
+    pub apply: &'static str,
 }
 
 const HALO: ExchangeLabels = ExchangeLabels {
     gather: "halo.gather",
-    apply: ("halo.splice", "job.halo_refresh"),
+    apply: "halo.splice",
 };
 
 /// The gather's jobs in submission order: `(donor device, its fetches)`.
@@ -102,19 +108,19 @@ enum Rows {
 /// allocations back and the report is discarded in favour of the error.
 type Finish<R> = Box<dyn FnOnce(&mut ClusterMachine, &mut ftn_trace::Span, f64, bool) -> R>;
 
-/// An exchange suspended between phases: the current phase's device traffic
-/// has been submitted but not yet waited.
+/// An exchange suspended at its round: the round's device traffic has been
+/// submitted but not yet waited.
 pub(crate) struct RowExchange<R> {
     session: u64,
     labels: &'static ExchangeLabels,
-    /// The blocks the apply has yet to submit.
+    /// The blocks the apply has yet to plan.
     transfers: Vec<Transfer>,
     /// Move buffers of the bounced blocks, freed when the exchange finishes.
     moves: Vec<BufferId>,
-    /// Staged-upload accounting folded from the apply tickets.
+    /// Staged-upload accounting of the apply's patches.
     staged: u64,
     staged_bytes: u64,
-    /// Handles of the phase just submitted (gather, then apply).
+    /// Handles of the round submitted: the gather, or an open's staging.
     handles: Vec<LaunchHandle>,
     /// First error hit by any phase; later phases are skipped when set.
     failed: Option<CompileError>,
@@ -163,7 +169,7 @@ impl<R> RowExchange<R> {
         });
     }
 
-    /// Wait every handle of the phase just submitted with `wait` — the
+    /// Wait every handle of the round submitted with `wait` — the
     /// machine's blocking wait, or the gate's off-lock park. First error
     /// wins; the remaining handles are still waited so the exchange's
     /// buffers are quiescent when it finishes.
@@ -183,7 +189,7 @@ impl<R> RowExchange<R> {
 pub(crate) enum ExchangePhase<R> {
     /// Nothing moves: the operation is over and the report is final.
     Done(R),
-    /// Wait the submitted gather (if any), apply, wait again, finish.
+    /// Wait the submitted round, then finish.
     Run(Box<RowExchange<R>>),
 }
 
@@ -192,16 +198,17 @@ impl ClusterMachine {
     /// current owner rows — the inter-launch primitive iterative stencils
     /// need between sweeps. Only boundary blocks travel: a block whose
     /// owner shard lives on another device is fetched device→host into a
-    /// dedicated move buffer and spliced host→device into the recipient's
-    /// mirror (two boundary-sized PCIe hops — never a full-array
-    /// gather/re-scatter); a block whose owner shares the recipient's
-    /// device copies mirror-to-mirror for free. Owned rows never move and
-    /// host memory is never brought up to date (device copies stay
-    /// authoritative until close).
+    /// dedicated move buffer, waited here, and queued host→device ahead of
+    /// the session's next job to the recipient's device (two boundary-sized
+    /// PCIe hops — never a full-array gather/re-scatter); a block whose
+    /// owner shares the recipient's device is queued there as a free
+    /// mirror-to-mirror copy. Owned rows never move and host memory is
+    /// never brought up to date (device copies stay authoritative until
+    /// close).
     ///
-    /// Synchronous composition of the exchange phases — a caller that must
-    /// not block other sessions runs the same phases with the machine lock
-    /// released between them (see [`crate::PoolGate::refresh_phased`]).
+    /// Synchronous composition of the exchange — a caller that must not
+    /// block other sessions waits the gather with the machine lock released
+    /// (see [`crate::PoolGate::refresh_phased`]).
     ///
     /// # Example
     ///
@@ -245,8 +252,9 @@ impl ClusterMachine {
     }
 
     /// Plan a halo refresh — every split array's ghost blocks, donated by
-    /// the shards that own the rows — and submit its gather. No rows change
-    /// owners and no sub-buffer is replaced.
+    /// the shards that own the rows — and submit its gather, whose jobs
+    /// carry the patches of the refresh before. No rows change owners and no
+    /// sub-buffer is replaced.
     pub(crate) fn halo_begin(
         &mut self,
         session: u64,
@@ -367,8 +375,8 @@ impl ClusterMachine {
     }
 
     /// Phase 1 of any exchange that gathers: submit `fetches`, one
-    /// `fetch_rows` job per entry. The caller waits the exchange's phase,
-    /// then drives [`ClusterMachine::exchange_apply`] and
+    /// `fetch_rows` job per entry, each taking the session's patches riding
+    /// on its device. The caller waits the round, then drives
     /// [`ClusterMachine::exchange_finish`].
     pub(crate) fn exchange_fetch<R>(&mut self, ex: &mut RowExchange<R>, fetches: Fetches) {
         #[cfg(test)]
@@ -384,23 +392,26 @@ impl ClusterMachine {
             "devices",
             distinct(fetches.iter().map(|(device, _)| *device)),
         );
-        let (handles, err) = self.fan_out(fetches, |m, device, rows| m.plan_fetch(device, rows));
+        let (handles, err) = self.fan_out(fetches, |m, device, rows| {
+            m.plan_fetch(device, rows, ex.session)
+        });
         ex.handles = handles;
         if let Some(e) = err {
             ex.fail(e);
         }
     }
 
-    /// Phase 2 of an exchange (after the gather is waited): write every
-    /// block into its target mirror — host-bounced blocks resolved from
-    /// their landed move buffers, the rest as planned — one patch job per
-    /// job key. No-op when a prior phase failed or nothing is left to write
+    /// Phase 2 of an exchange (an open's with its plan, any other's after
+    /// the gather is waited): plan every block's write into its target
+    /// mirror — host-bounced blocks resolved from their landed move buffers,
+    /// the rest as planned — one group of patches per job key, their uploads
+    /// counted as staged. An open's groups are its jobs; a refresh's ride on
+    /// its session. No-op when the gather failed or nothing is left to write
     /// (a close).
     pub(crate) fn exchange_apply<R>(&mut self, ex: &mut RowExchange<R>) {
         if ex.failed.is_some() || ex.transfers.is_empty() {
             return;
         }
-        let (apply, label) = ex.labels.apply;
         let mut jobs: BTreeMap<usize, (usize, Vec<RowPatch>)> = BTreeMap::new();
         for t in std::mem::take(&mut ex.transfers) {
             let (_, patches) = jobs.entry(t.job).or_insert((t.target_device, Vec::new()));
@@ -430,32 +441,42 @@ impl ClusterMachine {
                 }),
             }
         }
-        let mut sp = ftn_trace::span(apply, "exchange");
+        let mut sp = ftn_trace::span(ex.labels.apply, "exchange");
         sp.arg(
             "devices",
             distinct(jobs.values().map(|(device, _)| *device)),
         );
-        let (mut staged, mut staged_bytes) = (0u64, 0u64);
+        let uploads = jobs
+            .values()
+            .flat_map(|(_, p)| p)
+            .flat_map(RowPatch::uploads);
+        (ex.staged, ex.staged_bytes) = uploads.fold((0, 0), |(n, b), up| (n + 1, b + up as u64));
+        self.staged_uploads += ex.staged;
+        self.staged_bytes += ex.staged_bytes;
+        // A refresh's patches ride on its session; an open's session
+        // enters the table only as its exchange finishes.
+        if let Some(s) = self.sessions.get_mut(&ex.session) {
+            for (device, patches) in jobs.into_values() {
+                s.riding.entry(device).or_default().extend(patches);
+            }
+            return;
+        }
         let jobs = jobs.into_values().collect();
-        let (handles, err) = self.fan_out(jobs, |m, device, patches| {
-            let (job, uploads, bytes) = m.plan_row_patch(device, patches, label);
-            staged += uploads;
-            staged_bytes += bytes;
-            job
-        });
-        ex.staged += staged;
-        ex.staged_bytes += staged_bytes;
+        let (handles, err) =
+            self.fan_out(jobs, |m, device, patches| m.plan_row_patch(device, patches));
         ex.handles = handles;
         if let Some(e) = err {
             ex.fail(e);
         }
     }
 
-    /// Final phase of an exchange (after the apply is waited): free the
-    /// move buffers, run the caller's tail, and fold the apply's staged
-    /// uploads into the session. Returns the caller's report — or the first
-    /// failing phase's error, with every move buffer freed regardless.
-    pub(crate) fn exchange_finish<R>(&mut self, ex: RowExchange<R>) -> Result<R, CompileError> {
+    /// Final phase of an exchange (after its round is waited): apply (see
+    /// [`ClusterMachine::exchange_apply`]), free the move buffers, run the
+    /// caller's tail, and fold the apply's staged uploads into the session.
+    /// Returns the caller's report — or the first failing phase's error,
+    /// with every move buffer freed regardless.
+    pub(crate) fn exchange_finish<R>(&mut self, mut ex: RowExchange<R>) -> Result<R, CompileError> {
+        self.exchange_apply(&mut ex);
         // Move buffers are exchange-transient on every path, and were never
         // mirrored on a device: row fetches write back without creating
         // mirror entries, and patches carry contents by value.
@@ -473,14 +494,12 @@ impl ClusterMachine {
         ex.failed.map_or(Ok(report), Err)
     }
 
-    /// Synchronous composition of the exchange phases: every phase's device
-    /// traffic is waited under this machine before the next begins.
+    /// Synchronous composition of the exchange phases: the round's device
+    /// traffic is waited under this machine before the exchange finishes.
     pub(crate) fn exchange_run<R>(&mut self, phase: ExchangePhase<R>) -> Result<R, CompileError> {
         match phase {
             ExchangePhase::Done(report) => Ok(report),
             ExchangePhase::Run(mut ex) => {
-                ex.wait_phase(|h| self.finish_and_redeem(h));
-                self.exchange_apply(&mut ex);
                 ex.wait_phase(|h| self.finish_and_redeem(h));
                 self.exchange_finish(*ex)
             }

@@ -21,8 +21,9 @@
 //! * **Phased row exchanges.** Everything that moves a session's rows —
 //!   [`PoolGate::open_phased`], [`PoolGate::refresh_phased`],
 //!   [`PoolGate::close_phased`] — runs
-//!   fence → (ready) → gather → apply → finish as explicit phases with
-//!   the machine lock *released* while device traffic is in flight. A
+//!   fence → (quiet) → submit → finish as explicit phases with the machine
+//!   lock *released* while the submitted round (a gather, or an open's
+//!   staging) is in flight. A
 //!   per-session fence blocks exactly the session whose rows move (launches
 //!   against it park on the fence until the exchange finishes); every
 //!   other session keeps submitting and completing meanwhile.
@@ -198,14 +199,14 @@ impl PoolGate {
         self.phased(Some(session), true, |m| m.close_begin(session))
     }
 
-    /// Run one inter-launch halo refresh as *phased* exchange: gather →
-    /// splice, releasing the machine lock while boundary-row traffic is in
-    /// flight and parking on the jobs' cells instead. Only `session`
-    /// is fenced for the duration; launches on every other session proceed
-    /// mid-exchange. No quiesce phase precedes the gather: each device runs
-    /// its messages in the order they were sent. Behavior (bytes moved,
-    /// statistics, error cleanup) is identical to
-    /// [`ClusterMachine::refresh_halos`].
+    /// Run one inter-launch halo refresh as *phased* exchange: the gather
+    /// is waited with the machine lock released, parked on the jobs' cells,
+    /// and its splice planned under a short lock, to ride on the session's
+    /// next job to each device. Only `session` is fenced for the duration;
+    /// launches on every other session proceed mid-exchange. No quiesce
+    /// phase precedes the gather: each device runs its messages in the
+    /// order they were sent. Behavior (bytes moved, statistics, error
+    /// cleanup) is identical to [`ClusterMachine::refresh_halos`].
     pub fn refresh_phased(&self, session: u64) -> Result<HaloRefreshReport, CompileError> {
         self.phased(Some(session), false, |m| m.halo_begin(session))
     }
@@ -232,9 +233,9 @@ impl PoolGate {
     /// The one phased driver: fence `session` (an open has none yet), wait
     /// off-lock until none of its launches is in flight if `quiesce` (a
     /// close: none may be before its rows are fetched), then run the row
-    /// exchange `begin` plans with the machine lock held only to submit
-    /// each phase — the phases' device traffic is waited off-lock on the
-    /// claims' cells.
+    /// exchange `begin` plans with the machine lock held only to submit its
+    /// round and to finish — the round is waited off-lock on the claims'
+    /// cells.
     fn phased<R>(
         &self,
         session: Option<u64>,
@@ -245,20 +246,17 @@ impl PoolGate {
             self.fence(s);
         }
         let result = (|| {
-            // Decide, plan and submit the gather under a short lock.
+            // Decide, plan and submit the round under a short lock.
             let quiet = session.filter(|_| quiesce);
             let mut ex = match begin(&mut self.lock_when_quiet(quiet))? {
                 ExchangePhase::Done(report) => return Ok(report),
                 ExchangePhase::Run(ex) => ex,
             };
-            // Wait the gather off-lock, submit the apply under a short
-            // lock, wait it off-lock.
-            ex.wait_phase(|h| self.wait_done(h));
-            self.lock().exchange_apply(&mut ex);
-            ex.wait_phase(|h| self.wait_done(h));
-            // Release exchange buffers, fold statistics, and put the
-            // session into the table (opens) or take it out (closes) —
+            // Wait it off-lock. Then, under a short lock, plan a refresh's
+            // splice, release exchange buffers, fold statistics, and put
+            // the session into the table (opens) or take it out (closes) —
             // error path included.
+            ex.wait_phase(|h| self.wait_done(h));
             self.lock().exchange_finish(*ex)
         })();
         if let Some(s) = session {

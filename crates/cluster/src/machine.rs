@@ -205,7 +205,7 @@ pub(crate) struct PendingJob {
     /// Session the submission ran under, if any (see
     /// [`ClusterMachine::submitting_session`]).
     pub(crate) session: Option<u64>,
-    /// Bytes staged host→device alongside this job.
+    /// Bytes its patches stage host→device: its device's alone.
     pub(crate) staged_bytes: u64,
     /// The job's cell: its runner finishes it, [`ClusterMachine::land`]
     /// lands it.
@@ -416,13 +416,15 @@ impl ClusterMachine {
     /// placement; see [`crate::sharded`]). Its buffers are the shard's
     /// mirrors, resident there since the open: each is an elided transfer
     /// and nothing is staged. Writeback is deferred: the device copy stays
-    /// authoritative until the session's close fetch. Returns the job and
-    /// its elided transfers.
+    /// authoritative until the session's close fetch. The job takes the
+    /// halo patches riding on `session`'s next job to `device`
+    /// ([`ClusterMachine::ride`]). Returns the job and its elided transfers.
     pub(crate) fn plan_kernel(
         &mut self,
         kernel: &Arc<str>,
         args: Vec<RtValue>,
         device: usize,
+        session: u64,
     ) -> (Job, u64) {
         self.shard_forced += 1;
         let elided = distinct_memref_buffers(&args).len() as u64;
@@ -431,6 +433,7 @@ impl ClusterMachine {
         };
         let spec = JobSpec {
             args,
+            patches: self.ride(session, device),
             ..JobSpec::new(kind)
         };
         (self.enqueue(device, spec), elided)
@@ -438,38 +441,36 @@ impl ClusterMachine {
 
     /// Plan a download of the element ranges in `rows` from `device`'s
     /// mirrors into host memory, charging device→host transfer time per
-    /// range. Every `dst` must be allocated before the call and is fully
-    /// overwritten by the writeback.
-    pub(crate) fn plan_fetch(&mut self, device: usize, rows: Vec<RowFetch>) -> Job {
+    /// range, after writing the halo patches riding on `session`'s next job
+    /// there ([`ClusterMachine::ride`]). Every `dst` must be allocated
+    /// before the call and is fully overwritten by the writeback.
+    pub(crate) fn plan_fetch(&mut self, device: usize, rows: Vec<RowFetch>, session: u64) -> Job {
         let spec = JobSpec {
             fetch_rows: rows,
+            patches: self.ride(session, device),
             ..JobSpec::new(JobKind::Fetch)
         };
         self.enqueue(device, spec)
     }
 
-    /// Plan the apply half of a row exchange: write `patches` into shard
-    /// sub-buffer mirrors on `device` — uploaded rows and blocks of host
-    /// contents charged as staging, seeds and same-device donor blocks
+    /// Plan an open's staging on `device`: create the shard sub-buffer
+    /// mirrors `patches` name — uploaded rows charged as staging, seeds
     /// free. The host copy, like any session sub-buffer's, is stale until
-    /// the close fetch. `label` names the worker-lane span. Returns the job
-    /// plus the uploads it stages and their bytes.
-    pub(crate) fn plan_row_patch(
-        &mut self,
-        device: usize,
-        patches: Vec<RowPatch>,
-        label: &'static str,
-    ) -> (Job, u64, u64) {
-        let uploads = patches.iter().flat_map(RowPatch::uploads);
-        let (staged, bytes) = uploads.fold((0u64, 0usize), |(n, b), up| (n + 1, b + up));
-        self.staged_uploads += staged;
-        self.staged_bytes += bytes as u64;
+    /// the close fetch.
+    pub(crate) fn plan_row_patch(&mut self, device: usize, patches: Vec<RowPatch>) -> Job {
         let spec = JobSpec {
             patches,
-            ..JobSpec::new(JobKind::RowPatch { label })
+            ..JobSpec::new(JobKind::RowPatch)
         };
-        let job = self.enqueue(device, spec);
-        (job, staged, bytes as u64)
+        self.enqueue(device, spec)
+    }
+
+    /// The halo patches riding on `session`'s next job to `device`, taken
+    /// by the job being planned: the first one a launch, a refresh's gather
+    /// or a close sends there (see [`crate::exchange`]).
+    pub(crate) fn ride(&mut self, session: u64, device: usize) -> Vec<RowPatch> {
+        let s = self.sessions.get_mut(&session);
+        s.and_then(|s| s.riding.remove(&device)).unwrap_or_default()
     }
 
     /// Refuse the host arrays `ids` to the caller — a run, an open or a
@@ -560,8 +561,7 @@ impl ClusterMachine {
             _ => None,
         };
         // Patch blocks of host contents are host→device uploads; counting
-        // them here puts exchange bytes on the rollup attribution path
-        // (`/profile/top` bytes_moved).
+        // them here puts exchange bytes on the device's `/profile/top` row.
         let staged_bytes = (spec.patches.iter().flat_map(RowPatch::uploads)).sum::<usize>() as u64;
         let session = self.submitting_session.and_then(|s| self.sessions.get(&s));
         let sink = session.map(|s| Arc::clone(&s.failures));
@@ -749,7 +749,8 @@ impl ClusterMachine {
 
     /// Land pending job `job_id`, whose cell is finished — the one step
     /// that applies an outcome: the device's load drops, a fetch's rows are
-    /// written over their host buffers, the run is folded through
+    /// written over their host buffers, the patches' cost is folded into
+    /// the device's ledger and the run through
     /// [`ClusterMachine::complete`], and the report is kept in the cell.
     pub(crate) fn land(&mut self, job_id: u64) {
         let p = self.pending.remove(&job_id).expect("job is pending");
@@ -765,9 +766,9 @@ impl ClusterMachine {
                 }
                 self.rollups.devices[device].arena_buffers = success.arena_buffers;
                 self.metrics.queue_wait.observe(success.queue_wait_seconds);
-                let bytes = writeback_bytes + p.staged_bytes;
+                self.rollups.carry(device, &success.patched, p.staged_bytes);
                 let wait = success.queue_wait_seconds;
-                self.complete(Some(&p), device, &success.stats, wait, bytes);
+                self.complete(Some(&p), device, &success.stats, wait, writeback_bytes);
                 (device, success)
             })
         });

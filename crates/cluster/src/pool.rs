@@ -24,10 +24,13 @@
 //! * `JobKind::Fetch` — copy element ranges of mirrors back to the host,
 //!   charging PCIe time the way a data-region exit does (the gather half:
 //!   a close's sub-buffers, a refresh's cross-device blocks).
-//! * `JobKind::RowPatch` — write row blocks into shard mirrors, creating
-//!   those that do not exist yet (the apply half: an open's staging,
-//!   charged the way a data-region entry is, a refresh's blocks; see
-//!   `RowPatch`).
+//! * `JobKind::RowPatch` — create shard mirrors from their rows (an open's
+//!   staging, charged the way a data-region entry is; see `RowPatch`).
+//!
+//! Any job may write row patches into mirrors before its own work
+//! (`JobSpec::patches`): an open's staging, or a halo refresh's patches
+//! riding on the session's next job to the device. Their cost comes home
+//! apart from the job's own (`JobSuccess::patched`).
 //!
 //! A device runs its messages one at a time, in the order they were sent,
 //! wherever they run: a runner takes the head only while the device is
@@ -75,11 +78,9 @@ pub(crate) enum JobKind {
     /// Download the job's `fetch_rows` slices from the mirror (the gather
     /// half of a row exchange; a session close's is its whole traffic).
     Fetch,
-    /// Apply the job's `patches` to shard sub-buffer mirrors (the apply
-    /// half of a row exchange). `label` is the worker-lane span name, so
-    /// the timeline still tells a session open's `job.upload` from a halo
-    /// refresh's `job.halo_refresh`.
-    RowPatch { label: &'static str },
+    /// Create shard sub-buffer mirrors from the job's `patches` (a session
+    /// open's staging).
+    RowPatch,
 }
 
 /// The worker-lane span name for a job kind (see docs/OBSERVABILITY.md).
@@ -87,7 +88,7 @@ pub(crate) fn kind_label(kind: &JobKind) -> &'static str {
     match kind {
         JobKind::Kernel { .. } => "job.kernel",
         JobKind::Fetch => "job.fetch",
-        JobKind::RowPatch { label } => label,
+        JobKind::RowPatch => "job.upload",
     }
 }
 
@@ -172,7 +173,9 @@ pub(crate) struct JobSpec {
     pub args: Vec<RtValue>,
     /// For `JobKind::Fetch`: the element ranges to download.
     pub fetch_rows: Vec<RowFetch>,
-    /// For `JobKind::RowPatch`: the mirror patches to apply.
+    /// Mirror patches to apply before anything else the job does: an
+    /// open's, or a halo refresh's riding on this job (see
+    /// `crate::exchange`).
     pub patches: Vec<RowPatch>,
 }
 
@@ -227,6 +230,9 @@ pub(crate) struct JobSuccess {
     /// submission and dispatch (PR 5's open load-path observation, now
     /// measured in seconds rather than inferred from cost-model cycles).
     pub queue_wait_seconds: f64,
+    /// What the patches cost, kept out of `stats`: a launch's report shows
+    /// its kernel's own traffic, its device's ledger both.
+    pub patched: RunStats,
 }
 
 pub(crate) enum WorkerMessage {
@@ -761,11 +767,10 @@ impl Worker {
     }
 
     fn run_job(&mut self, mut job: JobSpec) -> Result<JobSuccess, String> {
+        // 1. Apply row patches, their cost kept apart. This happens before
+        // transient recording starts: a created mirror outlives the job. A
+        // failed patch must not leak the mirror it created.
         let mut stats = RunStats::default();
-
-        // 1. Apply row patches. This happens before transient recording
-        // starts: a created mirror outlives the job. A failed patch must not
-        // leak the mirror it created.
         for patch in std::mem::take(&mut job.patches) {
             let created = patch.create.is_some();
             let local = match patch.create {
@@ -792,23 +797,21 @@ impl Worker {
         // arena without bound. Recording (not a bare high-water mark)
         // captures transients that reuse slots of evicted mirror buffers.
         self.memory.start_recording();
-        let outcome = self.execute_recorded(job, stats);
+        let outcome = self.execute_recorded(job);
         for id in self.memory.take_recorded() {
             self.memory.free(id);
         }
         let mut success = outcome?;
         success.arena_buffers = self.memory.live();
+        success.patched = stats;
         Ok(success)
     }
 
     /// Step 2 of a job — everything that allocates job-transient memory:
     /// run the kernel against the resident mirrors, then download the
     /// requested element ranges.
-    fn execute_recorded(
-        &mut self,
-        job: JobSpec,
-        mut stats: RunStats,
-    ) -> Result<JobSuccess, String> {
+    fn execute_recorded(&mut self, job: JobSpec) -> Result<JobSuccess, String> {
+        let mut stats = RunStats::default();
         let mut args = job.args;
         self.remap_args(&mut args)?;
         let results = match &job.kind {
@@ -820,7 +823,7 @@ impl Worker {
                 stats.add_launch(&es);
                 es.results
             }
-            JobKind::Fetch | JobKind::RowPatch { .. } => Vec::new(),
+            JobKind::Fetch | JobKind::RowPatch => Vec::new(),
         };
         // Only the requested element ranges travel back — a row exchange
         // never round-trips whole shards through the host.
@@ -839,6 +842,7 @@ impl Worker {
             writeback,
             arena_buffers: 0,
             queue_wait_seconds: 0.0,
+            patched: RunStats::default(),
         })
     }
 }
@@ -885,6 +889,10 @@ fn run_and_report(worker: &mut Worker, job: Job) -> (Reporter, JobOutcome) {
     if let JobKind::Kernel { kernel } = &job.spec.kind {
         span.arg("kernel", &**kernel);
     }
+    let ghost_blocks: usize = job.spec.patches.iter().map(|p| p.blocks.len()).sum();
+    if ghost_blocks > 0 {
+        span.arg("ghost_blocks", ghost_blocks);
+    }
     span.arg(
         "queue_wait_us",
         ftn_trace::ArgValue::Fixed1(queue_wait_seconds * 1e6),
@@ -894,7 +902,7 @@ fn run_and_report(worker: &mut Worker, job: Job) -> (Reporter, JobOutcome) {
             .map(|r| {
                 r.map(|mut success| {
                     success.queue_wait_seconds = queue_wait_seconds;
-                    let busy = busy_seconds(&success.stats);
+                    let busy = busy_seconds(&success.stats) + busy_seconds(&success.patched);
                     span.arg("sim_busy_us", ftn_trace::ArgValue::Fixed1(busy * 1e6));
                     success
                 })

@@ -65,10 +65,9 @@ pub struct RollupRow {
 }
 
 impl RollupRow {
-    /// Add one completed job: its cycles and busy simulated seconds, its
-    /// queue wait and the bytes it moved.
+    /// Add one job's work: its cycles and busy simulated seconds, its queue
+    /// wait and the bytes it moved.
     fn add(&mut self, stats: &RunStats, queue_wait_seconds: f64, bytes_moved: u64) {
-        self.jobs += 1;
         self.sim_cycles += stats.total_cycles;
         self.wall_seconds += crate::pool::busy_seconds(stats);
         self.queue_wait_seconds += queue_wait_seconds;
@@ -151,8 +150,18 @@ impl Rollups {
             .into_iter()
             .flatten()
         {
+            row.jobs += 1;
             row.add(stats, queue_wait_seconds, bytes_moved);
         }
+        ledger.stats.merge(stats);
+    }
+
+    /// Fold what a job's patches cost — an open's staging, or a halo
+    /// refresh's riding on it — into its device's ledger alone: no job of
+    /// their own, no kernel's or session's.
+    pub(crate) fn carry(&mut self, device: usize, stats: &RunStats, bytes_moved: u64) {
+        let ledger = &mut self.devices[device];
+        ledger.row.add(stats, 0.0, bytes_moved);
         ledger.stats.merge(stats);
     }
 

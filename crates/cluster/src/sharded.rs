@@ -21,6 +21,9 @@
 //! every mirror created by the apply), a close a devices → host one (the
 //! fetch is the gather, nothing applied). Their `*_begin` steps are here;
 //! `PoolGate` runs the same phases with the machine lock released in between.
+//! A halo refresh's patches ride on the session's next job to each device:
+//! a launch's first job there, a later refresh's gather, or the close, which
+//! sends a job to every device still holding some.
 //!
 //! The pool may be heterogeneous (mixed [`ftn_fpga::DeviceModel`]s):
 //! devices are ordered fastest-first by predicted throughput, the largest
@@ -54,6 +57,7 @@
 //! bit-identical — results and `RunStats` totals — to the equivalent
 //! `target data` program on [`ftn_core::Machine`].
 
+use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -66,19 +70,19 @@ use serde::Serialize;
 
 use crate::exchange::{ExchangeLabels, ExchangePhase, Fetches, RowExchange};
 use crate::machine::{ClusterMachine, LaunchHandle};
-use crate::pool::{empty_like, Create, FailureSink, RowFetch};
+use crate::pool::{empty_like, Create, FailureSink, RowFetch, RowPatch};
 use crate::session::{MapKind, SessionStats};
 
 // An open gathers nothing and a close applies nothing: those two names are
 // never shown.
 const OPEN: ExchangeLabels = ExchangeLabels {
     gather: "open.gather",
-    apply: ("open.stage", "job.upload"),
+    apply: "open.stage",
 };
 
 const CLOSE: ExchangeLabels = ExchangeLabels {
     gather: "close.fetch",
-    apply: ("close.apply", "job.download"),
+    apply: "close.apply",
 };
 
 /// Upper bound on shards per pool device: bounds the sub-buffers and
@@ -141,6 +145,9 @@ pub struct ShardedSession {
     /// next close fails with it.
     pub(crate) failures: FailureSink,
     pub(crate) stats: SessionStats,
+    /// Per device: halo patches not yet applied there, in plan order; the
+    /// session's next job to the device takes them ([`ClusterMachine::ride`]).
+    pub(crate) riding: BTreeMap<usize, Vec<RowPatch>>,
 }
 
 impl ShardedSession {
@@ -451,6 +458,7 @@ impl ClusterMachine {
                 devices,
                 failures: FailureSink::default(),
                 stats: SessionStats::default(),
+                riding: BTreeMap::new(),
             };
             m.sessions.insert(session, s);
             session
@@ -459,6 +467,7 @@ impl ClusterMachine {
         for (id, shard, device, rows) in blocks {
             ex.stage(id, shard, device, rows);
         }
+        self.exchange_apply(&mut ex);
         Ok(ExchangePhase::Run(ex))
     }
 
@@ -524,12 +533,13 @@ impl ClusterMachine {
 
         let devices = s.devices.clone();
         // Fan out: one kernel job per shard. The session is stamped onto
-        // every job for rollup attribution.
+        // every job for rollup attribution, and the first job to a device
+        // carries the halo patches riding there.
         self.submitting_session = Some(session);
         let mut elided = 0;
         let kernel: Arc<str> = kernel.into();
         let (handles, err) = self.fan_out(per_shard, |m, device, argv| {
-            let (job, e) = m.plan_kernel(&kernel, argv, device);
+            let (job, e) = m.plan_kernel(&kernel, argv, device, session);
             elided += e;
             job
         });
@@ -595,7 +605,8 @@ impl ClusterMachine {
 
     /// Plan a close as a devices → host row exchange: land the session's
     /// launches in flight (their reports stay with their claims) and submit
-    /// the gather — every `from`/`tofrom` sub-buffer fetched whole. The
+    /// the gather — every `from`/`tofrom` sub-buffer fetched whole, and
+    /// every halo patch still riding applied. The
     /// session stays in the table while its rows move, so its arrays stay
     /// refused to every run, open and free. The exchange's tail
     /// takes it out, gathers into the caller's arrays and frees the
@@ -634,6 +645,13 @@ impl ClusterMachine {
                 .collect();
             if !rows.is_empty() {
                 fetches.push((device, rows));
+            }
+        }
+        // Every riding patch lands before the session goes: a device no
+        // fetch goes to gets a job of them alone.
+        for &device in s.riding.keys() {
+            if !fetches.iter().any(|&(d, _)| d == device) {
+                fetches.push((device, Vec::new()));
             }
         }
         let fetched = fetches.iter().map(|(_, rows)| rows.len() as u64).sum();

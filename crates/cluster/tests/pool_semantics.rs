@@ -389,7 +389,9 @@ fn sessionless_job_over_session_mapped_arrays_is_refused() {
 
 #[test]
 fn rollups_attribute_cycles_per_kernel_session_and_device() {
-    use ftn_cluster::{MapKind, RollupBy};
+    use ftn_cluster::{MapKind, Partition, RollupBy, RollupRow, ShardCount};
+    const KERNEL_ROW: (u64, u64, f64, u64) = (9, 55068, 0.00020156, 0);
+    const SESSION_ROW: (u64, u64, f64, u64) = (6, 28968, 0.00010856000000000002, 0);
     let mut cluster = pool(2);
     let n = 256usize;
     let x = vec![1.0f32; n];
@@ -459,15 +461,50 @@ fn rollups_attribute_cycles_per_kernel_session_and_device() {
     let bytes: u64 = devices.iter().map(|r| r.bytes_moved).sum();
     assert!(bytes > 0, "staging + writeback move bytes");
     // One ledger per device: each row is its `PoolStats` entry.
-    let ps = cluster.pool_stats();
-    for row in &devices {
-        let d = &ps.devices[row.key.parse::<usize>().unwrap()];
-        assert_eq!(row.jobs, d.jobs, "device {}", row.key);
-        assert_eq!(row.sim_cycles, d.stats.total_cycles, "device {}", row.key);
-        assert_eq!(row.wall_seconds, d.busy_sim_seconds, "device {}", row.key);
+    let ledgers_agree = |cluster: &ClusterMachine| {
+        let ps = cluster.pool_stats();
+        let devices = cluster.rollups(RollupBy::Device);
+        for row in &devices {
+            let d = &ps.devices[row.key.parse::<usize>().unwrap()];
+            assert_eq!(row.jobs, d.jobs, "device {}", row.key);
+            assert_eq!(row.sim_cycles, d.stats.total_cycles, "device {}", row.key);
+            assert_eq!(row.wall_seconds, d.busy_sim_seconds, "device {}", row.key);
+        }
+        let listed: u64 = devices.iter().map(|r| r.jobs).sum();
+        assert_eq!(listed, ps.jobs, "an idle device is the only one unlisted");
+    };
+    ledgers_agree(&cluster);
+
+    // A two-shard halo session refreshing between launches: the patches
+    // of each refresh ride on the next job to their device, and their
+    // uploads are charged to that device alone — the kernel and session
+    // rows are the ones each refresh's own patch jobs left (pinned).
+    let maps = [
+        ("x", xa, MapKind::To, Partition::Split { halo: 1 }),
+        ("y", ya, MapKind::ToFrom, Partition::Split { halo: 1 }),
+    ];
+    let halo = (cluster.open_sharded_session(&maps, ShardCount::Fixed(2))).unwrap();
+    for k in 0..3 {
+        if k > 0 {
+            assert!(cluster.refresh_halos(halo).unwrap().refreshed);
+        }
+        let ticket = cluster.sharded_launch(halo, "saxpy_kernel0", &saxpy_shard_args(1.0));
+        cluster.wait_sharded(ticket.unwrap()).unwrap();
     }
-    let listed: u64 = devices.iter().map(|r| r.jobs).sum();
-    assert_eq!(listed, ps.jobs, "an idle device is the only one unlisted");
+    cluster.close_sharded_session(halo).unwrap();
+    let pinned = |rows: Vec<RollupRow>, key: String| {
+        let row = rows.into_iter().find(|r| r.key == key).expect("a row");
+        (row.jobs, row.sim_cycles, row.wall_seconds, row.bytes_moved)
+    };
+    assert_eq!(
+        pinned(cluster.rollups(RollupBy::Kernel), "saxpy_kernel0".into()),
+        KERNEL_ROW
+    );
+    assert_eq!(
+        pinned(cluster.rollups(RollupBy::Session), halo.to_string()),
+        SESSION_ROW
+    );
+    ledgers_agree(&cluster);
 }
 
 #[test]

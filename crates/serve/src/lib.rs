@@ -7,8 +7,8 @@
 //! |-----------------------------|----------------------------------------|--------|
 //! | `POST /compile`             | `{source, fix_mac_pattern?, devices?}` | Compile via the content-addressed [`ArtifactCache`]; returns the key, whether it was a cache hit, each kernel's launch signature, and the device models the key's pool will use. `devices` (a list of model names such as `["u280","u250","u55c"]`, `@MHZ` clock overrides allowed) fixes a heterogeneous pool composition for this key. |
 //! | `POST /sessions`            | `{key, maps: [{name, kind, data, partition?, halo?}], shards?}` | Open a persistent `target data` session. `shards` defaults to 1 (arrays map onto the least-loaded pool device); with `shards: N` (or `"auto"`) each array is partitioned across N devices (`partition`: `split` (default, with optional `halo` rows) \| `replicated` \| `sum`/`min`/`max`). Replies with the session id, its devices and its map count. |
-//! | `POST /sessions/{id}/launch`| `{kernel, args: [{array\|extent\|extent_offset\|f32\|...}], refresh_halos?}` | Run one kernel-level job against the session's resident buffers (no per-launch transfers). The launch fans out per shard, with `{extent: name}` rebased to each shard's local length (the full length on a one-shard session) and `{extent_offset: {array, offset}}` rebasing stencil bounds like `n - 1`. `refresh_halos: true` exchanges split-array ghost rows after the launch lands (see `/refresh`). |
-//! | `POST /sessions/{id}/refresh` |                                      | Inter-launch halo exchange: every split array's ghost rows are re-seeded from their current owner rows — boundary blocks only, device-to-device over the row-block fetch/splice path, never a full gather/re-scatter. The iterative-stencil primitive (`jacobi`/`heat` between sweeps). |
+//! | `POST /sessions/{id}/launch`| `{kernel, args: [{array\|extent\|extent_offset\|f32\|...}], refresh_halos?}` | Run one kernel-level job against the session's resident buffers (no per-launch transfers). The launch fans out per shard, with `{extent: name}` rebased to each shard's local length (the full length on a one-shard session) and `{extent_offset: {array, offset}}` rebasing stencil bounds like `n - 1`. `refresh_halos: true` exchanges split-array ghost rows after the launch lands (see `/refresh`): the reply waits for the gather only, and the rows are queued ahead of the session's next job on each device. |
+//! | `POST /sessions/{id}/refresh` |                                      | Inter-launch halo exchange: every split array's ghost rows are re-seeded from their current owner rows — boundary blocks only, device-to-device over the row-block fetch/splice path, never a full gather/re-scatter. Cross-device rows are fetched before the reply; every ghost block is then queued ahead of the session's next job on its device (a launch, a refresh or the close), which writes it before anything else. The iterative-stencil primitive (`jacobi`/`heat` between sweeps). |
 //! | `GET /sessions/{id}`        |                                        | The open session as `ClusterMachine::session_info` reads it: its devices, the owned rows per shard of its largest split array (`shard_rows`), and its stats so far. |
 //! | `DELETE /sessions/{id}`     |                                        | Close the session: gather (or reduce) `from`/`tofrom` arrays back and return them with the session stats; all session memory is released. |
 //! | `POST /run`                 | `{key, func, args}`                    | Sessionless whole-program run (the baseline the elision ratio is measured against): placed least-loaded on the key's pool and run on the request's own thread, its arrays in request-local memory, freed with the response. |
