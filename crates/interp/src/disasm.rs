@@ -9,8 +9,9 @@ impl Program {
     /// One line per instruction of function `func` as `  <pc>  <text>`,
     /// after a header line; empty for an unknown function. A loop line ends
     /// in `body=[a,b)`, the half-open range of its body's positions — after
-    /// the word `strip` when its iterations may run in strips — and an
-    /// `if` line in `then=[a,b) else=[b,c)`.
+    /// the word `strip` when its iterations may run in strips, and then
+    /// `copies=K` when the body is `K > 1` unrolled copies of one iteration
+    /// that strips run as one — and an `if` line in `then=[a,b) else=[b,c)`.
     #[doc(hidden)]
     pub fn disassemble(&self, func: &str) -> String {
         let Some(&index) = self.by_name.get(func) else {
@@ -80,8 +81,13 @@ fn line(f: &Function, pc: usize, instr: &Instr) -> String {
         }
         Instr::Loop(i) => {
             let l = &f.loops[i as usize];
+            let strip = match l.strip.as_ref().map(|plan| plan.copies()) {
+                None => String::new(),
+                Some(1) => " strip".to_string(),
+                Some(k) => format!(" strip copies={k}"),
+            };
             format!(
-                "loop {} %{} = %{} {} %{} step %{} carries {}{} body=[{},{})",
+                "loop {} %{} = %{} {} %{} step %{} carries {}{strip} body=[{},{})",
                 l.name,
                 l.iv,
                 l.lb,
@@ -89,7 +95,6 @@ fn line(f: &Function, pc: usize, instr: &Instr) -> String {
                 l.ub,
                 l.step,
                 l.results.len,
-                if l.strip.is_some() { " strip" } else { "" },
                 pc + 1,
                 l.end
             )

@@ -32,10 +32,12 @@
 //! instructions a kernel body is made of are decoded in it.
 //!
 //! An innermost loop that carries no values and whose body is only those
-//! instructions runs in **strips**: at loop entry, up to 512 iterations at a
+//! instructions runs in **strips**: at loop entry, up to 1024 iterations at a
 //! time execute one instruction across all of them — operand kinds read once
 //! per strip, loop-invariant operands held as one value, addresses as
-//! `base + lane * stride`, floats as lane arrays, stores deferred. A strip
+//! `base + lane * stride`, floats as lane arrays, stores deferred; a body
+//! that is `K` unrolled copies of one iteration (a `simdlen(K)` loop) runs
+//! as one copy over `K` lanes an iteration. A strip
 //! either commits exactly what its iterations would have done (memory,
 //! frame, step count, trip count) or is abandoned before its first write,
 //! and the run loop carries on from that iteration: every error still comes

@@ -7,9 +7,15 @@
 //! itself, each result slot is written once and read only after it is
 //! written, and the body writes neither the induction variable nor a slot it
 //! uses as a memref. The plan assigns lane registers by last use, so a
-//! body's working set is a few registers however long it is. **Strip**
+//! body's working set is a few registers however long it is. **Re-roll**
+//! (also at plan time): a body that is `K >= 2` unrolled [`Copies`] of one
+//! iteration, as a `simdlen(K)` loop lowers, is marked. **Strip**
 //! (`Instr::Loop` entry): while at least [`MIN_LANES`] iterations remain,
-//! `b = min(LANES, iterations left)` of them run as one strip. **Commit or
+//! `b = min(LANES, iterations left)` of them run as one strip; a marked
+//! body whose runtime step is `K` times its copies' offset runs copy 0
+//! alone over `K` lanes an iteration instead (lane `j * K + k` is copy `k`
+//! of iteration `j`, the order the scalar loop runs them in), between
+//! `MIN_LANES` and `LANES` lanes a strip. **Commit or
 //! fall back**: a strip that passed every check is applied; the first one
 //! that did not ends strip execution for this loop instance and the scalar
 //! run loop continues from that exact iteration. The scalar engine is the
@@ -31,7 +37,8 @@
 //!
 //! * **All or nothing.** A strip leaves memory, the frame, the step count
 //!   and the trip count exactly as `b` scalar iterations would (frame slots
-//!   hold the last lane's values), or leaves all four untouched. Nothing
+//!   hold the last iteration's values: a re-rolled copy `k`'s, lane
+//!   `(b - 1) * K + k`), or leaves all four untouched. Nothing
 //!   outside [`Strips`] is written before [`Strips::commit`]: stores are
 //!   validated where they stand in the body and applied at commit, results
 //!   for the frame are staged. A lane failing any check — operand kind,
@@ -45,8 +52,11 @@
 //!   differ by no non-zero multiple of it (equal bases: the element belongs
 //!   to one lane, whose accesses happen in program order — a load *after*
 //!   the store would need its value, and abandons). A zero-stride store
-//!   always abandons.
-//! * **Budget and trips.** A strip starts only if `steps + b * body_ops <=
+//!   always abandons. A re-rolled strip's lanes are every copy of its
+//!   iterations in scalar order, so the same rule covers copies: no copy
+//!   of any iteration sees another's store.
+//! * **Budget and trips.** A strip of `b` iterations (a re-rolled one's
+//!   `b * K` lanes among them) starts only if `steps + b * body_ops <=
 //!   max_steps` and charges exactly that, so the budget still runs out at
 //!   the iteration it would have; `Observer::loop_executed` fires once per
 //!   loop instance with the total; a strip whose last `iv + step` would
@@ -61,25 +71,30 @@ use crate::program::{
 };
 use crate::value::MemRefVal;
 
-/// Iterations per strip. A strip's fixed cost is some 15–25 ns per body
-/// instruction (decode, kind reads, bounds, the access rule), which the lanes
-/// amortise; its working set grows with them. Measured with the peephole
-/// lowering had until PR 24 (bodies of 59 and 8 instructions, now 89 and
-/// 14), on the box's fast phase, ns per element, scalar path 34–35 on both:
+/// Lanes per strip: iterations, or a re-rolled body's copies of them. A
+/// strip's fixed cost (decode, kind reads, bounds, the access rule, staging
+/// the frame) is some 0.4 µs for `jacobi_kernel0`'s 14 instructions and
+/// `saxpy_kernel0`'s re-rolled 8, which the lanes amortise; the working set
+/// grows with them. Measured on the re-rolled bodies, one warm
+/// `Interp::call` a sample, ns per element, the range of the medians of 60
+/// calls over two sets of five alternations (256–1024 and 512–2048) on a
+/// 2-vCPU box:
 ///
 /// | lanes | `saxpy_kernel0`, 131 072 elements | `jacobi_kernel0`, 65 536 |
 /// |---|---|---|
-/// | 64 | 4.9 | 4.5 |
-/// | 128 | 3.8 | 2.5 |
-/// | 256 | 3.0 | 1.3 |
-/// | 512 | 2.4 | 0.9 |
-/// | 1024 | 2.0 | 0.7 |
-/// | 2048 | 2.4 | 0.7 |
+/// | 256 | 2.94–3.73 | 2.35–2.64 |
+/// | 512 | 1.61–2.17 | 1.34–1.67 |
+/// | 1024 | 1.05–1.61 | 1.07–1.24 |
+/// | 2048 | 0.85–1.12 | 0.75–0.91 |
 ///
-/// SAXPY's 10-wide body keeps ten store registers until commit and walks two
-/// windows of `10 * lanes` floats: 68 KB in all at 512, past L1 but well
-/// inside L2, and the turn-around at 2048 is where it stops being so.
-const LANES: usize = 512;
+/// The curve has not turned at 2048: the fixed cost, not the cache, sets
+/// it (the bodies before the re-roll turned at 2048, SAXPY's ten store
+/// registers and two windows of `10 * lanes` floats leaving L2). At 1024 a
+/// re-rolled SAXPY strip walks two 4 KB windows and holds three 4 KB
+/// registers, inside a 48 KB L1; wider strips buy less each doubling
+/// (`saxpy_stream` `req_p50_us` read 230 → 183 µs going from 512 to 1024,
+/// four pairs), and the fixed cost is what to cut next.
+const LANES: usize = 1024;
 
 /// Fewest iterations worth a strip; fewer run on the scalar path. Measured on
 /// one warm `sgesl_kernel0` call per trip count, µs a call, median of 30
@@ -112,6 +127,53 @@ pub(crate) struct Plan {
     reg_count: u32,
     /// Slots the body reads and never writes, the induction variable aside.
     invariants: Vec<Slot>,
+    /// Set when the body is an unrolled one: see [`Copies`].
+    copies: Option<Copies>,
+}
+
+impl Plan {
+    /// How many copies of one iteration the body is (1: not unrolled).
+    pub(crate) fn copies(&self) -> usize {
+        self.copies.as_ref().map_or(1, |c| c.count)
+    }
+}
+
+/// A body that is `count` copies of one iteration: copy 0 is the first
+/// `len` instructions and reads the induction variable `iv`; copy `k >= 1`
+/// is `int.Add iv, c_k` (a constant `c_k = k * unit`) followed by copy 0
+/// with its results renamed to the copy's own, `iv` to the `int.Add`'s
+/// result and every other slot read as it is. Copy `k` therefore starts at
+/// `k * (len + 1) - 1` and its `p`-th instruction after the head is at
+/// `k * (len + 1) + p`.
+#[derive(Clone)]
+struct Copies {
+    count: usize,
+    len: usize,
+    unit: i64,
+    /// `count` slots a row, one per copy: each copy's `iv` (copy 0's is the
+    /// loop's), then each copy's result of copy 0's instruction `p` in row
+    /// `p + 1` ([`NO_SLOT`] for a store). A strip stages from these.
+    slots: Vec<Slot>,
+}
+
+/// A store's row of [`Copies::slots`].
+const NO_SLOT: Slot = Slot::MAX;
+
+impl Copies {
+    /// Row `row` of [`Copies::slots`].
+    fn row(&self, row: usize) -> &[Slot] {
+        &self.slots[row * self.count..(row + 1) * self.count]
+    }
+
+    /// Where copy `k`'s `p`-th instruction (copy 0's numbering) is.
+    fn at(&self, k: usize, p: usize) -> usize {
+        k * (self.len + 1) + p
+    }
+
+    /// Where copy `k >= 1`'s `int.Add iv, c_k` is.
+    fn head(&self, k: usize) -> usize {
+        self.at(k, 0) - 1
+    }
 }
 
 /// The slot `instr` writes and the slots it reads (a store's value first),
@@ -132,6 +194,11 @@ fn ports(instr: &Instr) -> Option<(Option<Slot>, [Option<Slot>; 3])> {
         Instr::Store1 { val, mem, idx } => (None, [Some(val), Some(mem), Some(idx)]),
         _ => return None,
     })
+}
+
+/// The slot `instr` writes.
+fn written(instr: &Instr) -> Option<Slot> {
+    ports(instr)?.0
 }
 
 /// The memref slot of an access.
@@ -188,7 +255,11 @@ pub(crate) fn plan(f: &mut Function) {
         if let Instr::Loop(i) = f.code[pc] {
             lives.of.resize(f.tags.len(), None);
             let l = &f.loops[i as usize];
-            let planned = plan_loop(&f.code[pc + 1..l.end as usize], l, &mut lives);
+            let body = &f.code[pc + 1..l.end as usize];
+            let planned = plan_loop(body, l, &mut lives).map(|mut plan| {
+                plan.copies = copies(body, l.iv, &lives, (&f.tags, &f.vals));
+                plan
+            });
             f.loops[i as usize].strip = planned;
             lives.clear();
         }
@@ -246,6 +317,7 @@ fn plan_loop(body: &[Instr], l: &Loop, lives: &mut Lives) -> Option<Plan> {
         regs: vec![NO_REG; body.len()],
         reg_count: 0,
         invariants: Vec::new(),
+        copies: None,
     };
     let mut free: Vec<u32> = Vec::new();
     for (k, instr) in body.iter().enumerate() {
@@ -280,6 +352,121 @@ fn plan_loop(body: &[Instr], l: &Loop, lives: &mut Lives) -> Option<Plan> {
         .filter(|&slot| life(slot).written_at.is_none())
         .collect();
     Some(plan)
+}
+
+/// The [`Copies`] of most copies a planned `body` splits into, if any.
+/// `lives` is its table and `(tags, vals)` the function's initial frame, in
+/// which only a constant holds an integer (and no instruction writes it).
+fn copies(
+    body: &[Instr],
+    iv: Slot,
+    lives: &Lives,
+    (tags, vals): (&[u8], &[u64]),
+) -> Option<Copies> {
+    let n = body.len() + 1;
+    let split = |count: usize| {
+        let mut c = Copies {
+            count,
+            len: n / count - 1,
+            unit: 0,
+            slots: Vec::new(),
+        };
+        let copy0 = &body[..c.len];
+        if !copy0
+            .iter()
+            .any(|i| ports(i).is_some_and(|(_, r)| r.contains(&Some(iv))))
+        {
+            return None;
+        }
+        for k in 1..count {
+            let Instr::IntBin {
+                op: IntOp::Add,
+                dst: head,
+                lhs,
+                rhs,
+            } = body[c.head(k)]
+            else {
+                return None;
+            };
+            let offset = vals[rhs as usize] as i64;
+            if k == 1 {
+                c.unit = offset;
+            }
+            if lhs != iv
+                || !tag::is_int(tags[rhs as usize])
+                || c.unit <= 0
+                || c.unit.checked_mul(k as i64) != Some(offset)
+            {
+                return None;
+            }
+            // Copy 0 reads `iv`, its own results (written before the read,
+            // the plan's condition) and slots the body never writes.
+            let rename = |s: Slot| match lives.get(s).and_then(|life| life.written_at) {
+                Some(HEADER) => Some(head),
+                Some(q) if q < c.len => written(&body[c.at(k, q)]),
+                _ => Some(s),
+            };
+            for (p, &instr) in copy0.iter().enumerate() {
+                if renamed(instr, rename)? != body[c.at(k, p)] {
+                    return None;
+                }
+            }
+        }
+        // Row 0 is copy `k`'s instruction before its first: its head.
+        let len = c.len;
+        c.slots = (0..=len)
+            .flat_map(|row| {
+                (0..count).map(move |k| match (row, k) {
+                    (0, 0) => iv,
+                    _ => written(&body[k * (len + 1) + row - 1]).unwrap_or(NO_SLOT),
+                })
+            })
+            .collect();
+        Some(c)
+    };
+    (2..=(n / 2).min(LANES))
+        .rev()
+        .filter(|&count| n.is_multiple_of(count))
+        .find_map(split)
+}
+
+/// A planned body's instruction with every slot it names passed through
+/// `f`, or `None` where `f` has no answer.
+fn renamed(instr: Instr, f: impl Fn(Slot) -> Option<Slot>) -> Option<Instr> {
+    Some(match instr {
+        Instr::IntBin { op, dst, lhs, rhs } => Instr::IntBin {
+            op,
+            dst: f(dst)?,
+            lhs: f(lhs)?,
+            rhs: f(rhs)?,
+        },
+        Instr::FloatBin { op, dst, lhs, rhs } => Instr::FloatBin {
+            op,
+            dst: f(dst)?,
+            lhs: f(lhs)?,
+            rhs: f(rhs)?,
+        },
+        Instr::Convert { to, dst, src } => Instr::Convert {
+            to,
+            dst: f(dst)?,
+            src: f(src)?,
+        },
+        Instr::Move { dst, src } => Instr::Move {
+            dst: f(dst)?,
+            src: f(src)?,
+        },
+        Instr::Load1 { dst, mem, idx } => Instr::Load1 {
+            dst: f(dst)?,
+            mem: f(mem)?,
+            idx: f(idx)?,
+        },
+        Instr::Store1 { val, mem, idx } => Instr::Store1 {
+            val: f(val)?,
+            mem: f(mem)?,
+            idx: f(idx)?,
+        },
+        _ => return None,
+    })
 }
 
 // ---- values and lanes ------------------------------------------------------------------
@@ -558,15 +745,26 @@ impl Strips {
         caller: Caller,
         (mut iv, ub, step): (i64, i64, i64),
     ) -> (i64, u64) {
+        // An unrolled body whose copies tile the step runs as copy 0 over
+        // `count` lanes an iteration; any other step runs it as it stands.
+        let tiles = |c: &&Copies| c.unit.checked_mul(c.count as i64) == Some(step);
+        let copies = plan.copies.as_ref().filter(tiles);
+        let (count, len, stride) =
+            copies.map_or((1, body.len(), step), |c| (c.count, c.len, c.unit));
+        // A body as it stands divides nothing at loop entry.
+        let (widest, fewest) = match count {
+            1 => (LANES, MIN_LANES),
+            k => (LANES / k, MIN_LANES.div_ceil(k)),
+        };
         let mut trips = 0u64;
         loop {
             // `ceil(span / step)` iterations are left; the division is only
-            // made for a last strip narrower than `LANES`, never for a loop
-            // too short to have one.
+            // made for a last strip narrower than the widest, never for a
+            // loop too short to have one.
             let (span, step_wide) = (ub as i128 - iv as i128 + l.inclusive as i128, step as i128);
-            let b = if span >= LANES as i128 * step_wide {
-                LANES
-            } else if span <= (MIN_LANES as i128 - 1) * step_wide {
+            let b = if span >= widest as i128 * step_wide {
+                widest
+            } else if span <= (fewest as i128 - 1) * step_wide {
                 break;
             } else {
                 ((span + step_wide - 1) / step_wide) as usize
@@ -580,26 +778,31 @@ impl Strips {
             if trips == 0 {
                 self.enter(plan, &caller);
             }
-            self.cur[l.iv as usize] = Val::Affine {
+            let iv_lanes = Val::Affine {
                 tag: tag::INDEX,
                 base: iv,
-                stride: step,
+                stride,
             };
+            self.cur[l.iv as usize] = iv_lanes;
             self.loads.clear();
             self.stores.clear();
             self.staged.clear();
-            let last_iv = next - step;
-            self.staged.push((l.iv, tag::INDEX, last_iv as u64));
+            let lanes = b * count;
             let mut strip = Strip {
                 state: self,
                 mems: caller.mems,
                 memory: caller.memory,
-                b,
+                b: lanes,
             };
-            if strip.execute(body, plan).is_none() {
+            // The last iteration's `iv`, and each copy's `iv + c_k`.
+            strip.stage(
+                copies.map_or(std::slice::from_ref(&l.iv), |c| c.row(0)),
+                iv_lanes,
+            );
+            if strip.execute(&body[..len], plan, copies).is_none() {
                 break;
             }
-            self.commit(b, &mut *caller.memory, caller.tags, caller.vals);
+            self.commit(lanes, &mut *caller.memory, caller.tags, caller.vals);
             *caller.steps += cost;
             (iv, trips) = (next, trips + b as u64);
         }
@@ -657,11 +860,12 @@ fn write_lanes<E: Float>(to: &mut [E], a: &Access, value: Val, regs: &[Reg], b: 
 }
 
 impl<'r> Strip<'_, 'r> {
-    /// Run the body once across the lanes. `None`: a check failed, and
-    /// nothing but the strip state was written.
-    fn execute(&mut self, body: &[Instr], plan: &Plan) -> Option<()> {
+    /// Run `body` (a re-rolled one's copy 0) once across the lanes; each
+    /// result is staged for its slot, or each copy's for theirs. `None`: a
+    /// check failed, and nothing but the strip state was written.
+    fn execute(&mut self, body: &[Instr], plan: &Plan, copies: Option<&Copies>) -> Option<()> {
         let b = self.b;
-        for (instr, &reg) in body.iter().zip(&plan.regs) {
+        for (p, (instr, &reg)) in body.iter().zip(&plan.regs).enumerate() {
             let (dst, value) = match *instr {
                 Instr::IntBin { op, dst, lhs, rhs } => {
                     (dst, int_bin(op, self.get(lhs), self.get(rhs), b)?)
@@ -681,8 +885,10 @@ impl<'r> Strip<'_, 'r> {
                 _ => unreachable!("not in a planned body"),
             };
             self.state.cur[dst as usize] = value;
-            let (t, bits) = self.last_lane(value);
-            self.state.staged.push((dst, t, bits));
+            self.stage(
+                copies.map_or(std::slice::from_ref(&dst), |c| c.row(p + 1)),
+                value,
+            );
         }
         Some(())
     }
@@ -691,16 +897,30 @@ impl<'r> Strip<'_, 'r> {
         self.state.cur[s as usize]
     }
 
-    /// The frame cell the last lane of `v` leaves.
-    fn last_lane(&self, v: Val) -> (u8, u64) {
-        let last = self.b - 1;
+    /// Stage `v` for the frame: `slots[k]` takes lane `b - slots.len() + k`,
+    /// copy `k`'s lane of the strip's last iteration.
+    fn stage(&mut self, slots: &[Slot], v: Val) {
+        let first = self.b - slots.len();
+        let Strips { staged, regs, .. } = &mut *self.state;
         match v {
-            Val::Uniform(t, bits) => (t, bits),
-            Val::Affine { tag, base, stride } => (tag, (base + last as i64 * stride) as u64),
-            Val::Lanes { tag: tag::F32, reg } => {
-                (tag::F32, self.state.regs[reg as usize].f32s[last].bits())
+            Val::Uniform(t, bits) => staged.extend(slots.iter().map(|&s| (s, t, bits))),
+            Val::Affine { tag, base, stride } => {
+                let at = |k: usize| (base + (first + k) as i64 * stride) as u64;
+                staged.extend(slots.iter().enumerate().map(|(k, &s)| (s, tag, at(k))));
             }
-            Val::Lanes { tag, reg } => (tag, self.state.regs[reg as usize].f64s[last].bits()),
+            Val::Lanes { tag: tag::F32, reg } => {
+                let lanes = &regs[reg as usize].f32s[first..];
+                staged.extend(
+                    slots
+                        .iter()
+                        .zip(lanes)
+                        .map(|(&s, x)| (s, tag::F32, x.bits())),
+                );
+            }
+            Val::Lanes { tag, reg } => {
+                let lanes = &regs[reg as usize].f64s[first..];
+                staged.extend(slots.iter().zip(lanes).map(|(&s, x)| (s, tag, x.bits())));
+            }
         }
     }
 
@@ -913,6 +1133,61 @@ mod tests {
     const BODY_OPS: u64 = 8;
     const LEN: usize = 100;
 
+    /// `KERNEL`'s body unrolled three times: copy `k` runs at `i + k`, so a
+    /// loop stepping by 3 does what `KERNEL` does stepping by 1.
+    const UNROLLED: &str = r#"
+"builtin.module"() ({
+"func.func"() ({
+^bb0(%x: memref<?xf32>, %y: memref<?xf32>, %a: f32, %lb: index, %ub: index, %d: index, %e: index):
+  %c1 = "arith.constant"() {value = 1 : index} : () -> index
+  %c2 = "arith.constant"() {value = 2 : index} : () -> index
+  %c3 = "arith.constant"() {value = 3 : index} : () -> index
+  "scf.for"(%lb, %ub, %c3) ({
+  ^bb1(%i: index):
+    %ie = "arith.addi"(%i, %e) : (index, index) -> index
+    %ye = "memref.load"(%y, %ie) : (memref<?xf32>, index) -> f32
+    %xi = "memref.load"(%x, %i) : (memref<?xf32>, index) -> f32
+    %t = "arith.mulf"(%a, %xi) : (f32, f32) -> f32
+    %s = "arith.addf"(%ye, %t) : (f32, f32) -> f32
+    %id = "arith.addi"(%i, %d) : (index, index) -> index
+    "memref.store"(%s, %y, %id) : (f32, memref<?xf32>, index) -> ()
+    %i1 = "arith.addi"(%i, %c1) : (index, index) -> index
+    %ie1 = "arith.addi"(%i1, %e) : (index, index) -> index
+    %ye1 = "memref.load"(%y, %ie1) : (memref<?xf32>, index) -> f32
+    %xi1 = "memref.load"(%x, %i1) : (memref<?xf32>, index) -> f32
+    %t1 = "arith.mulf"(%a, %xi1) : (f32, f32) -> f32
+    %s1 = "arith.addf"(%ye1, %t1) : (f32, f32) -> f32
+    %id1 = "arith.addi"(%i1, %d) : (index, index) -> index
+    "memref.store"(%s1, %y, %id1) : (f32, memref<?xf32>, index) -> ()
+    %i2 = "arith.addi"(%i, %c2) : (index, index) -> index
+    %ie2 = "arith.addi"(%i2, %e) : (index, index) -> index
+    %ye2 = "memref.load"(%y, %ie2) : (memref<?xf32>, index) -> f32
+    %xi2 = "memref.load"(%x, %i2) : (memref<?xf32>, index) -> f32
+    %t2 = "arith.mulf"(%a, %xi2) : (f32, f32) -> f32
+    %s2 = "arith.addf"(%ye2, %t2) : (f32, f32) -> f32
+    %id2 = "arith.addi"(%i2, %d) : (index, index) -> index
+    "memref.store"(%s2, %y, %id2) : (f32, memref<?xf32>, index) -> ()
+    "scf.yield"() : () -> ()
+  }) : (index, index, index) -> ()
+  "func.return"() : () -> ()
+}) {sym_name = "kernel", function_type = (memref<?xf32>, memref<?xf32>, f32, index, index, index, index) -> ()} : () -> ()
+}) : () -> ()
+"#;
+
+    /// A loop to run: its module, the runtime step, and whether strips may
+    /// run an unrolled body as one copy (`false`: they run it as it stands).
+    struct Looped {
+        text: &'static str,
+        step: i64,
+        reroll: bool,
+    }
+
+    const PLAIN: Looped = Looped {
+        text: KERNEL,
+        step: 1,
+        reroll: true,
+    };
+
     /// What one call of [`Strips::run`] at the kernel's loop did.
     struct Ran {
         trips: u64,
@@ -921,6 +1196,11 @@ mod tests {
         /// `y` afterwards (`x` too when they are one buffer).
         y: Vec<f32>,
         frame_touched: bool,
+        /// The frame afterwards.
+        frame: (Vec<u8>, Vec<u64>),
+        /// The loop's body and how its strips may split it.
+        body: Vec<Instr>,
+        copies: Option<Copies>,
     }
 
     /// Run the strips of `kernel(x, y, a, lb, ub, d, e)` over `LEN`-element
@@ -928,12 +1208,23 @@ mod tests {
     fn strips(
         aliased: bool,
         a: RtValue,
+        bounds: (i64, i64),
+        distances: (i64, i64),
+        budget: u64,
+    ) -> Ran {
+        strips_of(&PLAIN, aliased, a, bounds, distances, budget)
+    }
+
+    fn strips_of(
+        looped: &Looped,
+        aliased: bool,
+        a: RtValue,
         (lb, ub): (i64, i64),
         (d, e): (i64, i64),
         budget: u64,
     ) -> Ran {
         let mut ir = Ir::new();
-        let module = parse_module(&mut ir, KERNEL).expect("kernel parses");
+        let module = parse_module(&mut ir, looped.text).expect("kernel parses");
         let program = Program::lower_module(&ir, module);
         let f = &program.funcs[program.by_name["kernel"]];
         let pc = f
@@ -942,7 +1233,18 @@ mod tests {
             .position(|i| matches!(i, Instr::Loop(_)))
             .expect("a loop");
         let l = &f.loops[0];
-        let plan = l.strip.as_ref().expect("the loop is planned");
+        let planned = l.strip.as_ref().expect("the loop is planned");
+        let as_it_stands = Plan {
+            regs: planned.regs.clone(),
+            reg_count: planned.reg_count,
+            invariants: planned.invariants.clone(),
+            copies: None,
+        };
+        let plan = if looped.reroll {
+            planned
+        } else {
+            &as_it_stands
+        };
 
         let mut memory = Memory::new();
         let ramp = |scale: f32| Buffer::F32((0..LEN).map(|i| i as f32 * scale).collect());
@@ -981,16 +1283,20 @@ mod tests {
             max_steps: budget,
         };
         let body = &f.code[pc + 1..l.end as usize];
-        let (next_iv, trips) = Strips::default().run(body, l, plan, caller, (lb, ub, 1));
+        let (next_iv, trips) = Strips::default().run(body, l, plan, caller, (lb, ub, looped.step));
         let Buffer::F32(y) = memory.get(y).clone() else {
             unreachable!()
         };
+        let frame = (tags, vals);
         Ran {
             trips,
             next_iv,
             steps,
             y,
-            frame_touched: frame_before != (tags, vals),
+            frame_touched: frame_before != frame,
+            frame,
+            body: body.to_vec(),
+            copies: planned.copies.clone(),
         }
     }
 
@@ -1078,5 +1384,81 @@ mod tests {
         );
         let ran = strips(false, HALF, (2, 2 + MIN_LANES as i64), (0, 0), u64::MAX);
         assert_eq!(ran.trips, MIN_LANES as u64);
+    }
+
+    /// `UNROLLED` stepping by `step`, run as one copy or as it stands.
+    fn unrolled(step: i64, reroll: bool, aliased: bool, bounds: (i64, i64), d: i64) -> Ran {
+        let looped = Looped {
+            text: UNROLLED,
+            step,
+            reroll,
+        };
+        strips_of(&looped, aliased, HALF, bounds, (d, 0), u64::MAX)
+    }
+
+    #[test]
+    fn a_rerolled_strip_commits_what_its_iterations_would_have_done() {
+        // 20 iterations of three copies: 60 elements from 2.
+        let (bounds, last_iv) = ((2, 62), 59);
+        let ran = unrolled(3, true, false, bounds, 0);
+        let c = ran.copies.expect("three copies of one iteration");
+        assert_eq!((c.count, c.len, c.unit), (3, 7, 1));
+        assert_eq!((ran.trips, ran.next_iv, ran.steps), (20, 62, 20 * 24));
+        // Every copy's slots hold its own lane of the last iteration: its
+        // `iv + k`, and the value it stored at `y[iv + k]`.
+        let (tags, vals) = &ran.frame;
+        let Instr::IntBin { lhs: loop_iv, .. } = ran.body[c.head(1)] else {
+            panic!("copy 1 opens with its int.Add")
+        };
+        for k in 0..3 {
+            let iv = match k {
+                0 => loop_iv,
+                _ => written(&ran.body[c.head(k)]).expect("the head"),
+            };
+            assert_eq!(tags[iv as usize], tag::INDEX);
+            assert_eq!(
+                vals[iv as usize] as i64,
+                last_iv + k as i64,
+                "copy {k}'s iv"
+            );
+            let Instr::Store1 { val, .. } = ran.body[c.at(k, 6)] else {
+                panic!("copy {k} ends in its store")
+            };
+            assert_eq!(tags[val as usize], tag::F32);
+            let stored = ran.y[(last_iv + k as i64) as usize];
+            assert_eq!(
+                vals[val as usize],
+                stored.to_bits() as u64,
+                "copy {k}'s sum"
+            );
+        }
+        // The same body as it stands, one lane an iteration, agrees on all.
+        let whole = unrolled(3, false, false, bounds, 0);
+        assert_eq!((whole.trips, whole.next_iv, whole.steps), (20, 62, 20 * 24));
+        assert_eq!((&whole.y, &whole.frame), (&ran.y, &ran.frame));
+        for (i, &y) in ran.y.iter().enumerate() {
+            let before = -(i as f32);
+            let after = before + 0.5 * (i as f32 * 0.5);
+            let want = if (2..62).contains(&i) { after } else { before };
+            assert_eq!(y, want, "y[{i}]");
+        }
+    }
+
+    #[test]
+    fn a_step_the_copies_do_not_tile_runs_the_body_as_it_stands() {
+        // Step 4 leaves a gap after each iteration's three elements.
+        let ran = unrolled(4, true, false, (2, 82), 0);
+        let whole = unrolled(4, false, false, (2, 82), 0);
+        assert_eq!((ran.trips, ran.steps), (20, 20 * 24));
+        assert_eq!((&ran.y, &ran.frame), (&whole.y, &whole.frame));
+        assert_eq!(ran.y[5], -5.0, "the gap is untouched");
+    }
+
+    #[test]
+    fn a_copy_that_reads_an_earlier_copys_store_abandons_the_rerolled_strip() {
+        // One buffer, `y[i+1] = …` then the next copy's load of `x[i+1]`.
+        let ran = unrolled(3, true, true, (2, 62), 1);
+        assert_eq!((ran.trips, ran.steps), (0, 0));
+        assert!(!ran.frame_touched);
     }
 }

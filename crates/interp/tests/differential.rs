@@ -1573,7 +1573,7 @@ fn loops_yield_values_that_were_numbered_away() {
 
 /// `ftn-interp`'s strip width and minimum (`strip.rs`), which the trip
 /// counts below straddle.
-const LANES: i64 = 512;
+const LANES: i64 = 1024;
 const MIN_LANES: i64 = 16;
 
 /// `y[i+d] = 0.5*y[i+e] + x[i]; x[i+d+step] = y[i+e] - x[i]`: two stores and
@@ -1615,6 +1615,8 @@ struct StencilCase {
     /// access.
     short: bool,
     budget: u64,
+    /// How far past `iv` the body's last copy starts (0: not unrolled).
+    reach: i64,
 }
 
 /// Run `case` on both engines; `true` when the run succeeded.
@@ -1628,8 +1630,9 @@ fn diff_stencil(ir: &Ir, module: OpId, case: StencilCase) -> bool {
         e,
         short,
         budget,
+        reach,
     } = case;
-    let furthest = LB + (trips - 1).max(0) * step + e.max(d + step).max(0);
+    let furthest = LB + (trips - 1).max(0) * step + reach + e.max(d + step).max(0);
     let len = if short { furthest } else { furthest + 4 } as usize;
     let outcome = |engine| {
         let mut memory = Memory::new();
@@ -1664,9 +1667,82 @@ fn diff_stencil(ir: &Ir, module: OpId, case: StencilCase) -> bool {
     bytecode.result.is_ok()
 }
 
+/// `%name` for every value name in `line`, renamed by `rename`.
+fn rename_values(line: &str, rename: impl Fn(&str) -> String) -> String {
+    let mut out = String::new();
+    let mut rest = line;
+    while let Some(at) = rest.find('%') {
+        out.push_str(&rest[..at]);
+        let name = &rest[at..];
+        let len = name[1..]
+            .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+            .map_or(name.len(), |n| n + 1);
+        out.push_str(&rename(&name[..len]));
+        rest = &name[len..];
+    }
+    out.push_str(rest);
+    out
+}
+
+/// `text` with the body of its one `scf.for` unrolled `copies` times, as
+/// the pipeline unrolls a `simdlen` loop: copy `k` opens with `iv_k = iv +
+/// k * unit` (a constant defined before the loop), reads `iv_k` where the
+/// body read `iv`, and names every value it defines its own.
+fn unrolled(text: &str, copies: usize, unit: i64) -> String {
+    let lines: Vec<&str> = text.lines().collect();
+    let head = lines
+        .iter()
+        .position(|l| l.contains("^bb1("))
+        .expect("a loop");
+    let end = head
+        + lines[head..]
+            .iter()
+            .position(|l| l.contains("\"scf.yield\""))
+            .unwrap();
+    let iv = lines[head]
+        .split_once("^bb1(")
+        .unwrap()
+        .1
+        .split(':')
+        .next()
+        .unwrap();
+    let body = &lines[head + 1..end];
+    let defined: Vec<&str> = body
+        .iter()
+        .filter_map(|l| l.trim().split_once(" = ").map(|(name, _)| name))
+        .collect();
+    let mut out = lines[..head - 1].join("\n") + "\n";
+    for k in 1..copies {
+        out += &format!(
+            "  %unroll{k} = \"arith.constant\"() {{value = {} : index}} : () -> index\n",
+            k as i64 * unit
+        );
+    }
+    out += &(lines[head - 1..=head].join("\n") + "\n");
+    for k in 0..copies {
+        if k > 0 {
+            out += &format!(
+                "    {iv}_{k} = \"arith.addi\"({iv}, %unroll{k}) : (index, index) -> index\n"
+            );
+        }
+        for line in body {
+            let line = rename_values(line, |name| {
+                match k > 0 && (name == iv || defined.contains(&name)) {
+                    true => format!("{name}_{k}"),
+                    false => name.to_string(),
+                }
+            });
+            out += &(line + "\n");
+        }
+    }
+    out + &lines[end..].join("\n") + "\n"
+}
+
 /// The grid over `trips`, with the two buffer lengths at the trip counts in
-/// `short_at`.
+/// `short_at`, on the stencil with its body unrolled `copies` times at
+/// offsets of `unit` (1: as it stands).
 fn stencil_grid(
+    (copies, unit): (usize, i64),
     trips: &[i64],
     short_at: &[i64],
     steps: &[i64],
@@ -1677,9 +1753,14 @@ fn stencil_grid(
     let (ir, m) = module_of(&[(
         "stencil",
         "(memref<?xf32>, memref<?xf32>, index, index, index, index, index) -> ()",
-        STENCIL,
+        &unrolled(STENCIL, copies, unit),
     )]);
-    assert!(listing(&ir, m, "stencil").contains(" strip body=["));
+    let mark = match copies {
+        1 => " strip body=[".to_string(),
+        _ => format!(" strip copies={copies} body=["),
+    };
+    let code = listing(&ir, m, "stencil");
+    assert!(code.contains(&mark), "{code}");
     let (mut passed, mut failed) = (0, 0);
     for &trips in trips {
         for short in [false, true] {
@@ -1699,6 +1780,7 @@ fn stencil_grid(
                                     e,
                                     short,
                                     budget,
+                                    reach: (copies as i64 - 1) * unit,
                                 };
                                 match diff_stencil(&ir, m, case) {
                                     true => passed += 1,
@@ -1744,7 +1826,7 @@ fn strips_agree_with_the_oracle_over_aliasing_distances_steps_and_budgets() {
     // long loops, and let the short ones finish.
     let budgets = [DEFAULT_MAX_STEPS, 2_000];
     let short_at = [MIN_LANES + 1, 396, LANES + MIN_LANES];
-    let (passed, failed) = stencil_grid(&trips, &short_at, &[1, 2, 3], ds, es, &budgets);
+    let (passed, failed) = stencil_grid((1, 1), &trips, &short_at, &[1, 2, 3], ds, es, &budgets);
     // Both outcomes are well represented, so neither side is vacuous.
     assert!(
         passed > 500 && failed > 500,
@@ -1761,6 +1843,7 @@ fn strips_agree_with_the_oracle_at_every_trip_count() {
     let trips: Vec<i64> = (0..=2 * LANES + 1).collect();
     let short_at = [MIN_LANES, LANES, 2 * LANES];
     let (passed, failed) = stencil_grid(
+        (1, 1),
         &trips,
         &short_at,
         &[1, 3],
@@ -1770,6 +1853,77 @@ fn strips_agree_with_the_oracle_at_every_trip_count() {
     );
     assert!(
         passed > 5_000 && failed > 50,
+        "{passed} passed, {failed} failed"
+    );
+}
+
+/// The trip counts around which a body of `copies` copies changes how it
+/// strips: its fewest and most iterations a strip (`MIN_LANES` and `LANES`
+/// lanes), and `MIN_LANES` and `LANES` iterations themselves.
+fn unrolled_trips(copies: i64) -> Vec<i64> {
+    let (fewest, widest) = ((MIN_LANES + copies - 1) / copies, LANES / copies);
+    let mut trips: Vec<i64> = [0, 1, fewest, widest, MIN_LANES, LANES]
+        .iter()
+        .flat_map(|&t| [t - 1, t, t + 1])
+        .filter(|&t| t >= 0)
+        .collect();
+    trips.sort_unstable();
+    trips.dedup();
+    trips
+}
+
+/// The stencil unrolled as a `simdlen` loop is: strips run it as one copy
+/// over `copies` lanes an iteration when the step is `copies * unit`, and as
+/// it stands at any other step. Distances of one or two elements meet
+/// accesses of the other copies of the same iteration.
+#[test]
+fn unrolled_strips_agree_with_the_oracle_over_copies_offsets_and_steps() {
+    let (ds, es): (&[i64], &[i64]) = match cfg!(debug_assertions) {
+        true => (&[-2, 0, 1], &[-1, 0, 2]),
+        false => (&[-2, -1, 0, 1, 2], &[-2, -1, 0, 1, 2]),
+    };
+    for copies in [2, 3, 10] {
+        for unit in [1, 2] {
+            let trips = unrolled_trips(copies as i64);
+            let step = copies as i64 * unit;
+            let short_at = [MIN_LANES + 1, LANES / copies as i64];
+            // 13 ops a copy: 2 000 steps end inside the first strip.
+            let budgets = [DEFAULT_MAX_STEPS, 2_000];
+            let (passed, failed) = stencil_grid(
+                (copies, unit),
+                &trips,
+                &short_at,
+                &[step, step + 1],
+                ds,
+                es,
+                &budgets,
+            );
+            assert!(
+                passed > 500 && failed > 200,
+                "{copies} copies of {unit}: {passed} passed, {failed} failed"
+            );
+        }
+    }
+}
+
+/// Every trip count up to two strips and a scalar tail of a body of three
+/// copies. Release-only (CI runs it with `--include-ignored`).
+#[test]
+#[ignore = "exhaustive: minutes unoptimized"]
+fn unrolled_strips_agree_with_the_oracle_at_every_trip_count() {
+    let widest = LANES / 3;
+    let trips: Vec<i64> = (0..=2 * widest + 1).collect();
+    let (passed, failed) = stencil_grid(
+        (3, 1),
+        &trips,
+        &[widest, 2 * widest],
+        &[3, 4],
+        &[-3, 0, 1],
+        &[-1, 0, 3],
+        &[DEFAULT_MAX_STEPS],
+    );
+    assert!(
+        passed > 2_000 && failed > 50,
         "{passed} passed, {failed} failed"
     );
 }
@@ -2248,42 +2402,92 @@ fn generated_loop(rng: &mut proptest::TestRng) -> (String, String) {
     (signature, g.text)
 }
 
+/// Six draws of arguments for loop function `looped` of `signature` and
+/// `body`, each run on both engines.
+fn diff_generated_loop(rng: &mut proptest::TestRng, signature: &str, body: &str) {
+    let (ir, m) = module_of(&[("looped", signature, body)]);
+    const N: i64 = 96;
+    let specials = [
+        0.0f32,
+        -0.0,
+        1.5,
+        -2.25,
+        f32::NAN,
+        f32::INFINITY,
+        3.0e38,
+        -1e-45,
+    ];
+    for _ in 0..6 {
+        // Mostly trip counts a strip takes, inside the buffer and past it.
+        let trips = [0, 3, 15, 16, 17, 40, 90, 94, 97, 600][rng.below(10)];
+        let p = [0, 1, 2, 5, -1, 1 << 31][rng.below(6)];
+        let q = [0, 1, 3, -2, 1 << 33][rng.below(5)];
+        let (p, q) = match rng.below(4) {
+            0 => (RtValue::I32(p as i32), RtValue::Index(q)),
+            1 => (RtValue::I64(p), RtValue::I32(q as i32)),
+            _ => (RtValue::Index(p), RtValue::I64(q)),
+        };
+        let (x, y) = (
+            specials[rng.below(specials.len())],
+            specials[rng.below(specials.len())],
+        );
+        let extent = if rng.below(6) == 0 { N + 3 } else { N };
+        let data: Vec<f32> = (0..N)
+            .map(|i| match rng.below(8) {
+                0 => specials[i as usize % specials.len()],
+                _ => i as f32 * 0.5 - 7.0,
+            })
+            .collect();
+        diff(&ir, m, "looped", |memory| {
+            vec![
+                memref(memory, Buffer::F32(data.clone()), &[extent]),
+                p.clone(),
+                q.clone(),
+                RtValue::F32(x),
+                RtValue::F32(y),
+                RtValue::Index(trips),
+            ]
+        });
+    }
+}
+
+/// A generated loop with its body unrolled `copies` times and its step
+/// `copies`, the shape strips run as one copy when the copies allow it:
+/// with `rerolled`, the first of up to 2 000 draws whose copies do.
+fn generated_unrolled_loop(
+    rng: &mut proptest::TestRng,
+    copies: usize,
+    rerolled: bool,
+) -> (String, String) {
+    let step = "%st = \"arith.constant\"() {value = 1 : index}";
+    let mark = format!(" strip copies={copies} body=[");
+    for _ in 0..2_000 {
+        let (signature, body) = generated_loop(rng);
+        let body = unrolled(&body, copies, 1).replace(
+            step,
+            &step.replace("value = 1 ", &format!("value = {copies} ")),
+        );
+        let (ir, m) = module_of(&[("looped", &signature, &body)]);
+        if !rerolled || listing(&ir, m, "looped").contains(&mark) {
+            return (signature, body);
+        }
+    }
+    panic!("no generated body of {copies} copies strips as one copy")
+}
+
 proptest! {
     #[test]
     fn generated_loops_with_loads_and_stores_agree(seed in 0u64..u64::MAX) {
         let mut rng = proptest::TestRng::new(seed);
         let (signature, body) = generated_loop(&mut rng);
-        let (ir, m) = module_of(&[("looped", &signature, &body)]);
-        const N: i64 = 96;
-        let specials = [0.0f32, -0.0, 1.5, -2.25, f32::NAN, f32::INFINITY, 3.0e38, -1e-45];
-        for _ in 0..6 {
-            // Mostly trip counts a strip takes, inside the buffer and past it.
-            let trips = [0, 3, 15, 16, 17, 40, 90, 94, 97, 600][rng.below(10)];
-            let p = [0, 1, 2, 5, -1, 1 << 31][rng.below(6)];
-            let q = [0, 1, 3, -2, 1 << 33][rng.below(5)];
-            let (p, q) = match rng.below(4) {
-                0 => (RtValue::I32(p as i32), RtValue::Index(q)),
-                1 => (RtValue::I64(p), RtValue::I32(q as i32)),
-                _ => (RtValue::Index(p), RtValue::I64(q)),
-            };
-            let (x, y) = (specials[rng.below(specials.len())], specials[rng.below(specials.len())]);
-            let extent = if rng.below(6) == 0 { N + 3 } else { N };
-            let data: Vec<f32> = (0..N)
-                .map(|i| match rng.below(8) {
-                    0 => specials[i as usize % specials.len()],
-                    _ => i as f32 * 0.5 - 7.0,
-                })
-                .collect();
-            diff(&ir, m, "looped", |memory| {
-                vec![
-                    memref(memory, Buffer::F32(data.clone()), &[extent]),
-                    p.clone(),
-                    q.clone(),
-                    RtValue::F32(x),
-                    RtValue::F32(y),
-                    RtValue::Index(trips),
-                ]
-            });
-        }
+        diff_generated_loop(&mut rng, &signature, &body);
+    }
+
+    #[test]
+    fn generated_unrolled_loops_agree(seed in 0u64..u64::MAX) {
+        let mut rng = proptest::TestRng::new(seed);
+        let (copies, rerolled) = (2 + rng.below(3), rng.below(4) > 0);
+        let (signature, body) = generated_unrolled_loop(&mut rng, copies, rerolled);
+        diff_generated_loop(&mut rng, &signature, &body);
     }
 }

@@ -412,7 +412,10 @@ fn draw(rng: &mut TestRng) -> Call {
             // Trip counts around the strip minimum and width; distances that
             // make lanes collide abandon strips part-way.
             const LB: i64 = 4;
-            let trips = pick(rng, &[0i64, 1, 9, 15, 16, 17, 129, 396, 511, 512, 513, 530]);
+            let trips = pick(
+                rng,
+                &[0i64, 1, 9, 15, 16, 17, 129, 396, 1023, 1024, 1025, 1042],
+            );
             let step = 1 + below(rng, 3) as i64;
             let d = below(rng, 6) as i64 - 3;
             let e = below(rng, 6) as i64 - 2;

@@ -3,7 +3,7 @@
 //! Three pieces, deliberately small and dependency-free (std plus the
 //! vendored serde crates):
 //!
-//! - **Spans** ([`span`], [`span_linked`], [`trace_scope`]): a global
+//! - **Spans** ([`span()`], [`span_linked`], [`trace_scope`]): a global
 //!   recorder of nested, trace-id-carrying spans in per-thread ring
 //!   buffers. Disabled by default and a single atomic load when off, so
 //!   library users of `ftn-cluster` pay nothing; `ftn serve` switches it on

@@ -8,7 +8,8 @@
 //!   every kernel call built its frame and strip state afresh; it must stay
 //!   at or below 55 % of that.
 //! * A second `KernelExecutor::execute` of `sgesl_kernel0` makes at most
-//!   [`EXECUTE_ALLOCATIONS`].
+//!   [`EXECUTE_ALLOCATIONS`], and one of `saxpy_kernel0` at 131 072
+//!   elements no more (129 strips of its re-rolled `simdlen(10)` body).
 //! * Warm runs keep no heap: what the kept scratch holds stops growing once
 //!   every call depth and strip width has been seen.
 //!
@@ -216,5 +217,60 @@ fn a_warm_kernel_execute_allocates_only_what_it_returns() {
     assert!(
         made <= EXECUTE_ALLOCATIONS,
         "{made} allocations, more than {EXECUTE_ALLOCATIONS}"
+    );
+}
+
+/// What a warm `execute` of `saxpy_kernel0` at 131 072 elements may
+/// allocate: what [`EXECUTE_ALLOCATIONS`] names for `sgesl_kernel0`, and
+/// what it made while its strips ran all ten copies of the `simdlen(10)`
+/// body one lane an iteration. Running one copy over ten lanes an
+/// iteration uses the registers the program keeps.
+const SAXPY_EXECUTE_ALLOCATIONS: u64 = 4;
+
+#[test]
+fn a_warm_saxpy_execute_allocates_nothing_per_strip() {
+    const N: usize = 131_072;
+    let artifacts = workloads::compile_saxpy();
+    let executor = KernelExecutor::from_bitstream(&artifacts.bitstream, DeviceModel::u280())
+        .expect("bitstream instantiates");
+    let mut machine = Machine::load(&artifacts, DeviceModel::u280()).unwrap();
+    let (x0, y0) = (
+        workloads::random_vec(N, 1, -1.0, 1.0),
+        workloads::random_vec(N, 2, -1.0, 1.0),
+    );
+    let x = machine.host_f32(&x0);
+    let y = machine.host_f32(&y0);
+    let index = |v: usize| RtValue::Index(v as i64);
+    let args = [
+        x,
+        y.clone(),
+        index(N),
+        index(N),
+        RtValue::F32(1.5),
+        index(1),
+        index(N),
+    ];
+    let mut memory = machine.memory.clone();
+    executor
+        .execute("saxpy_kernel0", &args, &mut memory)
+        .unwrap();
+    let (stats, made) = allocations_of(|| executor.execute("saxpy_kernel0", &args, &mut memory));
+    let stats = stats.unwrap();
+    let mut want = y0;
+    for _ in 0..2 {
+        workloads::saxpy_ref(1.5, &x0, &mut want);
+    }
+    let y = y.as_memref().unwrap().buffer;
+    assert!(
+        matches!(memory.get(y), ftn_interp::Buffer::F32(got) if *got == want),
+        "two calls compute y + 2 * 1.5x, one after the other"
+    );
+    println!(
+        "one warm execute of saxpy_kernel0 at N={N}: {made} allocations, {} cycles",
+        stats.cycles
+    );
+    assert!(
+        made <= SAXPY_EXECUTE_ALLOCATIONS,
+        "{made} allocations, more than {SAXPY_EXECUTE_ALLOCATIONS}"
     );
 }
