@@ -966,8 +966,8 @@ impl<'a> Run<'a> {
                 let (mut iv, mut trip) = (lb, 0);
                 if let Some(plan) = &l.strip {
                     let caller = strip::Caller {
-                        tags: &mut *cells.tags,
-                        vals: &mut *cells.vals,
+                        tags: &*cells.tags,
+                        vals: &*cells.vals,
                         mems: &*cells.mems,
                         memory: &mut *self.memory,
                         steps: &mut self.steps,

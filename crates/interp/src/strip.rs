@@ -5,8 +5,10 @@
 //! **Plan** (the last step of lowering a function): a loop is planned when it carries
 //! no values and its body holds only the instructions the run loop decodes
 //! itself, each result slot is written once and read only after it is
-//! written, and the body writes neither the induction variable nor a slot it
-//! uses as a memref. The plan assigns lane registers by last use, so a
+//! written, the body writes neither the induction variable nor a slot it
+//! uses as a memref, and no instruction outside the body reads a slot the
+//! body writes or the induction variable (lowering numbers slots by scope,
+//! so this holds of every loop it emits). The plan assigns lane registers by last use, so a
 //! body's working set is a few registers however long it is. **Re-roll**
 //! (also at plan time): a body that is `K >= 2` unrolled [`Copies`] of one
 //! iteration, as a `simdlen(K)` loop lowers, is marked. **Strip**
@@ -26,8 +28,9 @@
 //! free to contradict): the same in every lane (everything computed from
 //! loop-invariant operands only — this is invariant hoisting with no check
 //! moved, because the check still runs, once), an integer affine in the lane
-//! (`base + lane * stride`, which is what addresses are), or an array of
-//! `f32` / `f64` lanes. An operand's kind is read once per strip; it holds
+//! (`base + lane * stride`, which is what addresses are), or `f32` / `f64`
+//! lanes: in a register, or read in place from the buffer a stride-1 load
+//! reaches (a window). An operand's kind is read once per strip; it holds
 //! for every lane by induction, since a result's kind is a function of its
 //! operands' kinds and of the kind of the buffer a load reads. Anything
 //! else — an integer that is not affine, a load from an integer buffer with
@@ -35,17 +38,23 @@
 //!
 //! Invariants every change here must keep:
 //!
-//! * **All or nothing.** A strip leaves memory, the frame, the step count
-//!   and the trip count exactly as `b` scalar iterations would (frame slots
-//!   hold the last iteration's values: a re-rolled copy `k`'s, lane
-//!   `(b - 1) * K + k`), or leaves all four untouched. Nothing
-//!   outside [`Strips`] is written before [`Strips::commit`]: stores are
-//!   validated where they stand in the body and applied at commit, results
-//!   for the frame are staged. A lane failing any check — operand kind,
-//!   memref tag, rank other than 1, index outside `[0, min(extent, buffer
-//!   len))`, store value kind — abandons the strip.
+//! * **All or nothing.** What a program can observe of a strip — memory,
+//!   the step count, the trip count and the induction value to go on from —
+//!   is exactly what `b` scalar iterations would leave, or all of it is
+//!   untouched. A strip never writes the frame, whether it commits or is
+//!   abandoned: the cells its iterations would have left there are the
+//!   body's own SSA values, which the plan proves nothing after the loop
+//!   reads, and the scalar loop that takes over from an abandoned strip
+//!   writes each of them before it reads it. Nothing outside [`Strips`] is
+//!   written before [`Strips::commit`]: stores are validated where they
+//!   stand in the body and applied at commit. A lane failing any check —
+//!   operand kind, memref tag, rank other than 1, index outside `[0,
+//!   min(extent, buffer len))`, store value kind — abandons the strip.
 //! * **No lane observes another lane's store.** Stores are deferred, so
-//!   every load reads memory as it was before the strip. [`Strip::load`] and
+//!   every load reads memory as it was before the strip; that is why a
+//!   stride-1 load need not copy, and its window reads the buffer where it
+//!   lies. A store of a window copies it at the store, since the commit of
+//!   an earlier store may write the window's buffer. [`Strip::load`] and
 //!   [`Strip::store`] admit a store and another access of the same *runtime*
 //!   buffer (two arguments may name one buffer) only when their element
 //!   ranges are disjoint, or they share one non-zero stride and their bases
@@ -67,52 +76,54 @@ use std::ops::{Add, Div, Mul, Sub};
 use crate::memory::{Buffer, BufferId, Memory};
 use crate::program::{
     as_float, convert, float_binop, load_buffer, tag, wrap_int, ConvKind, FloatOp, Function, Instr,
-    IntOp, Loop, Slot,
+    IntOp, Loop, Slot, SlotRange,
 };
 use crate::value::MemRefVal;
 
 /// Lanes per strip: iterations, or a re-rolled body's copies of them. A
-/// strip's fixed cost (decode, kind reads, bounds, the access rule, staging
-/// the frame) is some 0.4 µs for `jacobi_kernel0`'s 14 instructions and
-/// `saxpy_kernel0`'s re-rolled 8, which the lanes amortise; the working set
-/// grows with them. Measured on the re-rolled bodies, one warm
-/// `Interp::call` a sample, ns per element, the range of the medians of 60
-/// calls over two sets of five alternations (256–1024 and 512–2048) on a
+/// strip's fixed cost (decode, kind reads, bounds, the access rule) is what
+/// the lanes amortise; the working set grows with them. Measured on the
+/// re-rolled bodies, one warm `KernelExecutor::execute` a sample, ns per
+/// element, the range of the medians of 60 calls over two sets of five
+/// alternations of the four widths (the second in reverse order) on a
 /// 2-vCPU box:
 ///
 /// | lanes | `saxpy_kernel0`, 131 072 elements | `jacobi_kernel0`, 65 536 |
 /// |---|---|---|
-/// | 256 | 2.94–3.73 | 2.35–2.64 |
-/// | 512 | 1.61–2.17 | 1.34–1.67 |
-/// | 1024 | 1.05–1.61 | 1.07–1.24 |
-/// | 2048 | 0.85–1.12 | 0.75–0.91 |
+/// | 256 | 0.93–1.48 | 1.15–1.83 |
+/// | 512 | 0.59–0.95 | 0.78–1.13 |
+/// | 1024 | 0.41–0.74 | 0.56–0.87 |
+/// | 2048 | 0.34–0.60 | 0.48–0.73 |
 ///
-/// The curve has not turned at 2048: the fixed cost, not the cache, sets
-/// it (the bodies before the re-roll turned at 2048, SAXPY's ten store
-/// registers and two windows of `10 * lanes` floats leaving L2). At 1024 a
-/// re-rolled SAXPY strip walks two 4 KB windows and holds three 4 KB
-/// registers, inside a 48 KB L1; wider strips buy less each doubling
-/// (`saxpy_stream` `req_p50_us` read 230 → 183 µs going from 512 to 1024,
-/// four pairs), and the fixed cost is what to cut next.
+/// The curve has not turned at 2048, but it flattens: a strip stages
+/// nothing and reads its stride-1 loads in place, so what the lanes
+/// amortise is smaller, and 2048 buys some 15 % in process where 512 →
+/// 1024 bought 30–40 %. At 1024 a re-rolled SAXPY strip reads two 4 KB
+/// windows where they lie and holds two 4 KB registers, inside a 48 KB L1.
+/// The width stays: the every-trip-count sweep of the differential suite
+/// is quadratic in it, and a wider strip is a change of its own to be
+/// claimed end to end.
 const LANES: usize = 1024;
 
 /// Fewest iterations worth a strip; fewer run on the scalar path. Measured on
-/// one warm `sgesl_kernel0` call per trip count, µs a call, median of 30
-/// rounds of 400 calls on a 2-thread box. A program keeps the strip state of
-/// finished calls, so a strip call costs the same 0.72 µs whatever its trip
-/// count; the scalar body costs 40–55 ns an iteration:
+/// one warm `sgesl_kernel0` execute per trip count, µs a call, the range of
+/// the medians of 30 rounds of 400 calls over three alternations on a quiet
+/// 2-vCPU box (three more on a busy one read up to 2.3 µs on either side),
+/// with every loop stripped and with none. A program keeps the strip state
+/// of finished calls, so a strip call costs the same 0.59–0.63 µs whatever
+/// its trip count; the scalar body costs 50–55 ns an iteration:
 ///
 /// | trips | 2 | 4 | 5 | 6 | 8 | 12 | 16 | 32 |
 /// |---|---|---|---|---|---|---|---|---|
-/// | scalar | 0.58 | 0.67 | 0.75 | 0.83 | 0.88 | 1.10 | 1.32 | 2.20 |
-/// | strip | 0.74 | 0.73 | 0.72 | 0.72 | 0.72 | 0.73 | 0.73 | 0.73 |
+/// | scalar | 0.48 | 0.58–0.59 | 0.67 | 0.70–0.72 | 0.81–0.89 | 1.03–1.11 | 1.25–1.29 | 2.08–2.13 |
+/// | strip | 0.61–0.62 | 0.60–0.62 | 0.60–0.63 | 0.59–0.62 | 0.61–0.62 | 0.61–0.63 | 0.61–0.62 | 0.62–0.63 |
 ///
 /// While every call sized [`Strips`] afresh a strip call cost 1.08–1.12 µs
-/// and the crossover sat at 12 trips; it is at 5 now. The constant stays:
-/// the loops between 5 and 15 trips on a benchmark's path (some 22 of
-/// `sgesl_run`'s 383 launches a request, `launch_storm`'s 6-trip epilogue)
-/// would save some 0.1–0.5 µs a launch, far below what any end-to-end row
-/// resolves.
+/// and the crossover sat at 12 trips; it is between 4 and 5 now. The
+/// constant stays: the loops between 5 and 15 trips on a benchmark's path
+/// (some 22 of `sgesl_run`'s 383 launches a request, `launch_storm`'s
+/// 6-trip epilogue) would save some 0.1–0.6 µs a launch, far below what any
+/// end-to-end row resolves.
 const MIN_LANES: usize = 16;
 
 const NO_REG: u32 = u32::MAX;
@@ -150,21 +161,9 @@ struct Copies {
     count: usize,
     len: usize,
     unit: i64,
-    /// `count` slots a row, one per copy: each copy's `iv` (copy 0's is the
-    /// loop's), then each copy's result of copy 0's instruction `p` in row
-    /// `p + 1` ([`NO_SLOT`] for a store). A strip stages from these.
-    slots: Vec<Slot>,
 }
 
-/// A store's row of [`Copies::slots`].
-const NO_SLOT: Slot = Slot::MAX;
-
 impl Copies {
-    /// Row `row` of [`Copies::slots`].
-    fn row(&self, row: usize) -> &[Slot] {
-        &self.slots[row * self.count..(row + 1) * self.count]
-    }
-
     /// Where copy `k`'s `p`-th instruction (copy 0's numbering) is.
     fn at(&self, k: usize, p: usize) -> usize {
         k * (self.len + 1) + p
@@ -238,6 +237,12 @@ impl Lives {
         self.of[slot as usize] = Some(life);
     }
 
+    /// The slots the body writes, the induction variable among them.
+    fn written(&self) -> impl Iterator<Item = Slot> + '_ {
+        let writes = |s: &Slot| self.get(*s).is_some_and(|life| life.written_at.is_some());
+        self.touched.iter().copied().filter(writes)
+    }
+
     fn clear(&mut self) {
         for slot in self.touched.drain(..) {
             self.of[slot as usize] = None;
@@ -251,19 +256,66 @@ pub(crate) fn plan(f: &mut Function) {
         of: Vec::new(),
         touched: Vec::new(),
     };
+    let mut spans = None;
     for pc in 0..f.code.len() {
         if let Instr::Loop(i) = f.code[pc] {
             lives.of.resize(f.tags.len(), None);
             let l = &f.loops[i as usize];
             let body = &f.code[pc + 1..l.end as usize];
-            let planned = plan_loop(body, l, &mut lives).map(|mut plan| {
-                plan.copies = copies(body, l.iv, &lives, (&f.tags, &f.vals));
-                plan
-            });
+            let planned = plan_loop(body, l, &mut lives)
+                .filter(|_| {
+                    // What the body writes, its induction variable too, is
+                    // read inside it or nowhere: a strip writes no frame.
+                    let spans = spans.get_or_insert_with(|| read_spans(f));
+                    let inside =
+                        |(first, last): (usize, usize)| first > pc && last < l.end as usize;
+                    lives.written().all(|s| inside(spans[s as usize]))
+                })
+                .map(|mut plan| {
+                    plan.copies = copies(body, l.iv, &lives, (&f.tags, &f.vals));
+                    plan
+                });
             f.loops[i as usize].strip = planned;
             lives.clear();
         }
     }
+}
+
+/// Per slot of `f`, the first and last `pc` of an instruction that reads it,
+/// `(usize::MAX, 0)` if none does. A loop's or an `if`'s yields count as read
+/// at its `Loop` / `If`, outside every body it holds.
+fn read_spans(f: &Function) -> Vec<(usize, usize)> {
+    let mut spans = vec![(usize::MAX, 0); f.tags.len()];
+    for (pc, instr) in f.code.iter().enumerate() {
+        let mut read = |s: Slot| {
+            let span = &mut spans[s as usize];
+            *span = (span.0.min(pc), span.1.max(pc));
+        };
+        instr.reads(&mut read);
+        let none = SlotRange::default();
+        let ranges = match *instr {
+            Instr::Load { idx, .. } | Instr::Store { idx, .. } => [idx, none],
+            Instr::Loop(i) => {
+                let l = &f.loops[i as usize];
+                [l.lb, l.ub, l.step].into_iter().for_each(&mut read);
+                [l.inits, l.yields]
+            }
+            Instr::If(i) => {
+                let s = &f.ifs[i as usize];
+                read(s.cond);
+                [s.then_yields, s.else_yields]
+            }
+            Instr::Alloc(i) => [f.allocs[i as usize].sizes, none],
+            Instr::Hook(i) => [f.hooks[i as usize].args, none],
+            Instr::Return(r) => [r, none],
+            _ => [none; 2],
+        };
+        ranges
+            .into_iter()
+            .flat_map(|r| f.range(r))
+            .for_each(|&s| read(s));
+    }
+    spans
 }
 
 fn plan_loop(body: &[Instr], l: &Loop, lives: &mut Lives) -> Option<Plan> {
@@ -369,7 +421,6 @@ fn copies(
             count,
             len: n / count - 1,
             unit: 0,
-            slots: Vec::new(),
         };
         let copy0 = &body[..c.len];
         if !copy0
@@ -412,16 +463,6 @@ fn copies(
                 }
             }
         }
-        // Row 0 is copy `k`'s instruction before its first: its head.
-        let len = c.len;
-        c.slots = (0..=len)
-            .flat_map(|row| {
-                (0..count).map(move |k| match (row, k) {
-                    (0, 0) => iv,
-                    _ => written(&body[k * (len + 1) + row - 1]).unwrap_or(NO_SLOT),
-                })
-            })
-            .collect();
         Some(c)
     };
     (2..=(n / 2).min(LANES))
@@ -481,6 +522,10 @@ enum Val {
     Affine { tag: u8, base: i64, stride: i64 },
     /// Float lanes (`tag` is `F32` or `F64`) in register `reg`.
     Lanes { tag: u8, reg: u32 },
+    /// `Window(tag, reg, buffer, first)`: float lanes read in place, elements
+    /// `first..first + b` of `buffer` (whose kind is `tag`). `reg` is the
+    /// value's own register, which a store of it copies the lanes into.
+    Window(u8, u32, BufferId, usize),
 }
 
 /// One lane register; only the vector of the kind in use is ever sized.
@@ -499,7 +544,6 @@ trait Float:
     fn lanes_mut(reg: &mut Reg) -> &mut Vec<Self>;
     fn elements(buffer: &Buffer) -> Option<&[Self]>;
     fn from_bits(bits: u64) -> Self;
-    fn bits(self) -> u64;
     fn from_int(v: i64) -> Self;
     fn from_f64(v: f64) -> Self;
     fn widen(self) -> f64;
@@ -525,9 +569,6 @@ macro_rules! float_lanes_of {
             }
             fn from_bits(bits: u64) -> $t {
                 <$t>::from_bits(bits as $bits)
-            }
-            fn bits(self) -> u64 {
-                self.to_bits() as u64
             }
             fn from_int(v: i64) -> $t {
                 v as $t
@@ -661,10 +702,9 @@ fn lanes_stay_apart(s: &Access, x: &Access, load_after: bool) -> bool {
     }
 }
 
+/// Lanes of a stride other than 0 and 1 (those are a value and a window).
 fn gather<T: Copy>(out: &mut [T], from: &[T], first: usize, stride: i64) {
-    if stride == 1 {
-        out.copy_from_slice(&from[first..first + out.len()]);
-    } else if stride > 0 {
+    if stride > 0 {
         for (o, &x) in out
             .iter_mut()
             .zip(from[first..].iter().step_by(stride as usize))
@@ -710,14 +750,13 @@ pub(crate) struct Strips {
     /// store with the value it writes when the strip commits.
     loads: Vec<Access>,
     stores: Vec<(Access, Val)>,
-    /// `(slot, kind, payload)` of the last lane, per result, for the frame.
-    staged: Vec<(Slot, u8, u64)>,
 }
 
-/// The frame and budget of the call a loop runs in.
+/// The frame and budget of the call a loop runs in; a strip reads the frame
+/// and never writes it.
 pub(crate) struct Caller<'r> {
-    pub tags: &'r mut [u8],
-    pub vals: &'r mut [u64],
+    pub tags: &'r [u8],
+    pub vals: &'r [u64],
     pub mems: &'r [MemRefVal],
     pub memory: &'r mut Memory,
     pub steps: &'r mut u64,
@@ -734,9 +773,8 @@ struct Strip<'s, 'r> {
 
 impl Strips {
     /// Run the iterations of planned loop `l` from `iv` that strips can take:
-    /// returns the induction value to go on from and the trips done. The
-    /// frame, memory and `steps` are as that many scalar iterations leave
-    /// them.
+    /// returns the induction value to go on from and the trips done. Memory
+    /// and `steps` are as that many scalar iterations leave them.
     pub(crate) fn run(
         &mut self,
         body: &[Instr],
@@ -778,15 +816,13 @@ impl Strips {
             if trips == 0 {
                 self.enter(plan, &caller);
             }
-            let iv_lanes = Val::Affine {
+            self.cur[l.iv as usize] = Val::Affine {
                 tag: tag::INDEX,
                 base: iv,
                 stride,
             };
-            self.cur[l.iv as usize] = iv_lanes;
             self.loads.clear();
             self.stores.clear();
-            self.staged.clear();
             let lanes = b * count;
             let mut strip = Strip {
                 state: self,
@@ -794,15 +830,10 @@ impl Strips {
                 memory: caller.memory,
                 b: lanes,
             };
-            // The last iteration's `iv`, and each copy's `iv + c_k`.
-            strip.stage(
-                copies.map_or(std::slice::from_ref(&l.iv), |c| c.row(0)),
-                iv_lanes,
-            );
-            if strip.execute(&body[..len], plan, copies).is_none() {
+            if strip.execute(&body[..len], plan).is_none() {
                 break;
             }
-            self.commit(lanes, &mut *caller.memory, caller.tags, caller.vals);
+            self.commit(lanes, &mut *caller.memory);
             *caller.steps += cost;
             (iv, trips) = (next, trips + b as u64);
         }
@@ -824,17 +855,13 @@ impl Strips {
     }
 
     /// Apply a strip every check of which passed; nothing here can fail.
-    fn commit(&mut self, b: usize, memory: &mut Memory, tags: &mut [u8], vals: &mut [u64]) {
+    fn commit(&self, b: usize, memory: &mut Memory) {
         for (a, value) in &self.stores {
             match memory.get_mut(a.buffer) {
                 Buffer::F32(to) => write_lanes(to, a, *value, &self.regs, b),
                 Buffer::F64(to) => write_lanes(to, a, *value, &self.regs, b),
                 _ => unreachable!("checked with the store"),
             }
-        }
-        for &(slot, t, bits) in &self.staged {
-            tags[slot as usize] = t;
-            vals[slot as usize] = bits;
         }
     }
 }
@@ -855,17 +882,16 @@ fn write_lanes<E: Float>(to: &mut [E], a: &Access, value: Val, regs: &[Reg], b: 
             let x = E::from_f64(as_float(t, bits).expect("checked with the store"));
             scatter(to, a.first, a.stride, std::iter::repeat_n(x, b))
         }
-        Val::Affine { .. } => unreachable!("checked with the store"),
+        Val::Affine { .. } | Val::Window(..) => unreachable!("checked with the store"),
     }
 }
 
 impl<'r> Strip<'_, 'r> {
-    /// Run `body` (a re-rolled one's copy 0) once across the lanes; each
-    /// result is staged for its slot, or each copy's for theirs. `None`: a
-    /// check failed, and nothing but the strip state was written.
-    fn execute(&mut self, body: &[Instr], plan: &Plan, copies: Option<&Copies>) -> Option<()> {
+    /// Run `body` (a re-rolled one's copy 0) once across the lanes. `None`:
+    /// a check failed, and nothing but the strip state was written.
+    fn execute(&mut self, body: &[Instr], plan: &Plan) -> Option<()> {
         let b = self.b;
-        for (p, (instr, &reg)) in body.iter().zip(&plan.regs).enumerate() {
+        for (instr, &reg) in body.iter().zip(&plan.regs) {
             let (dst, value) = match *instr {
                 Instr::IntBin { op, dst, lhs, rhs } => {
                     (dst, int_bin(op, self.get(lhs), self.get(rhs), b)?)
@@ -885,43 +911,12 @@ impl<'r> Strip<'_, 'r> {
                 _ => unreachable!("not in a planned body"),
             };
             self.state.cur[dst as usize] = value;
-            self.stage(
-                copies.map_or(std::slice::from_ref(&dst), |c| c.row(p + 1)),
-                value,
-            );
         }
         Some(())
     }
 
     fn get(&self, s: Slot) -> Val {
         self.state.cur[s as usize]
-    }
-
-    /// Stage `v` for the frame: `slots[k]` takes lane `b - slots.len() + k`,
-    /// copy `k`'s lane of the strip's last iteration.
-    fn stage(&mut self, slots: &[Slot], v: Val) {
-        let first = self.b - slots.len();
-        let Strips { staged, regs, .. } = &mut *self.state;
-        match v {
-            Val::Uniform(t, bits) => staged.extend(slots.iter().map(|&s| (s, t, bits))),
-            Val::Affine { tag, base, stride } => {
-                let at = |k: usize| (base + (first + k) as i64 * stride) as u64;
-                staged.extend(slots.iter().enumerate().map(|(k, &s)| (s, tag, at(k))));
-            }
-            Val::Lanes { tag: tag::F32, reg } => {
-                let lanes = &regs[reg as usize].f32s[first..];
-                staged.extend(
-                    slots
-                        .iter()
-                        .zip(lanes)
-                        .map(|(&s, x)| (s, tag::F32, x.bits())),
-                );
-            }
-            Val::Lanes { tag, reg } => {
-                let lanes = &regs[reg as usize].f64s[first..];
-                staged.extend(slots.iter().zip(lanes).map(|(&s, x)| (s, tag, x.bits())));
-            }
-        }
     }
 
     /// `v` as an operand of kind `T`, if it is one.
@@ -931,6 +926,10 @@ impl<'r> Strip<'_, 'r> {
             Val::Lanes { tag, reg } if tag == T::TAG => Some(Src::Each(
                 &T::lanes(&self.state.regs[reg as usize])[..self.b],
             )),
+            Val::Window(tag, _, buffer, first) if tag == T::TAG => {
+                let from = T::elements(self.memory.get(buffer)).expect("the buffer's kind");
+                Some(Src::Each(&from[first..first + self.b]))
+            }
             _ => None,
         }
     }
@@ -996,7 +995,7 @@ impl<'r> Strip<'_, 'r> {
                 }
             }
             // A float to an integer would be integer lanes.
-            Val::Lanes { tag: from, .. } => match (from, to) {
+            Val::Lanes { tag: from, .. } | Val::Window(from, ..) => match (from, to) {
                 (tag::F32, ConvKind::F32) | (tag::F64, ConvKind::F64) => Some(self.copy(v, reg)),
                 (tag::F32, ConvKind::F64) => Some(self.cast::<f32, f64>(v, reg)),
                 (tag::F64, ConvKind::F32) => Some(self.cast::<f64, f32>(v, reg)),
@@ -1017,11 +1016,13 @@ impl<'r> Strip<'_, 'r> {
         })
     }
 
-    /// `Move`: lanes are copied, so a register has one owner.
+    /// `Move`: lanes are copied, so a register has one owner; a window stays
+    /// one, with `reg` for its own.
     fn copy(&mut self, v: Val, reg: u32) -> Val {
         match v {
             Val::Lanes { tag: tag::F32, .. } => self.cast::<f32, f32>(v, reg),
             Val::Lanes { .. } => self.cast::<f64, f64>(v, reg),
+            Val::Window(tag, _, buffer, first) => Val::Window(tag, reg, buffer, first),
             same => same,
         }
     }
@@ -1061,18 +1062,21 @@ impl<'r> Strip<'_, 'r> {
         {
             return None;
         }
-        let Access { first, stride, .. } = a;
+        let (id, first, stride) = (a.buffer, a.first, a.stride);
         self.state.loads.push(a);
-        if stride == 0 {
-            let (t, bits) = load_buffer(buffer, first).ok()?;
-            return Some(Val::Uniform(t, bits));
-        }
-        if let Some(from) = f32::elements(buffer) {
-            Some(self.fill::<f32>(reg, |_, out| gather(out, from, first, stride)))
-        } else {
-            let from = f64::elements(buffer)?;
-            Some(self.fill::<f64>(reg, |_, out| gather(out, from, first, stride)))
-        }
+        // Nothing writes memory before the commit: stride-1 lanes are read
+        // where they lie.
+        Some(match buffer {
+            _ if stride == 0 => {
+                let (t, bits) = load_buffer(buffer, first).ok()?;
+                Val::Uniform(t, bits)
+            }
+            Buffer::F32(_) if stride == 1 => Val::Window(tag::F32, reg, id, first),
+            Buffer::F64(_) if stride == 1 => Val::Window(tag::F64, reg, id, first),
+            Buffer::F32(from) => self.fill::<f32>(reg, |_, out| gather(out, from, first, stride)),
+            Buffer::F64(from) => self.fill::<f64>(reg, |_, out| gather(out, from, first, stride)),
+            _ => return None,
+        })
     }
 
     fn store(&mut self, value: Val, mem: Val, idx: Val) -> Option<()> {
@@ -1080,7 +1084,9 @@ impl<'r> Strip<'_, 'r> {
         // A float buffer takes either float kind; integer buffers and
         // integer values are the scalar path's.
         let float = match value {
-            Val::Uniform(t, _) | Val::Lanes { tag: t, .. } => t == tag::F32 || t == tag::F64,
+            Val::Uniform(t, _) | Val::Lanes { tag: t, .. } | Val::Window(t, ..) => {
+                t == tag::F32 || t == tag::F64
+            }
             Val::Affine { .. } => false,
         };
         if !float || !matches!(buffer, Buffer::F32(_) | Buffer::F64(_)) || a.stride == 0 {
@@ -1094,6 +1100,14 @@ impl<'r> Strip<'_, 'r> {
         {
             return None;
         }
+        // The commit of an earlier store may write a window's buffer, so its
+        // lanes are taken now, into its register: a stored value keeps that
+        // until the commit.
+        let value = match value {
+            Val::Window(tag::F32, reg, ..) => self.cast::<f32, f32>(value, reg),
+            Val::Window(_, reg, ..) => self.cast::<f64, f64>(value, reg),
+            v => v,
+        };
         self.state.stores.push((a, value));
         Some(())
     }
@@ -1196,10 +1210,7 @@ mod tests {
         /// `y` afterwards (`x` too when they are one buffer).
         y: Vec<f32>,
         frame_touched: bool,
-        /// The frame afterwards.
-        frame: (Vec<u8>, Vec<u64>),
-        /// The loop's body and how its strips may split it.
-        body: Vec<Instr>,
+        /// How the loop's strips may split its body.
         copies: Option<Copies>,
     }
 
@@ -1275,8 +1286,8 @@ mod tests {
         let frame_before = (tags.clone(), vals.clone());
         let mut steps = 0;
         let caller = Caller {
-            tags: &mut tags,
-            vals: &mut vals,
+            tags: &tags,
+            vals: &vals,
             mems: &mems,
             memory: &mut memory,
             steps: &mut steps,
@@ -1287,15 +1298,12 @@ mod tests {
         let Buffer::F32(y) = memory.get(y).clone() else {
             unreachable!()
         };
-        let frame = (tags, vals);
         Ran {
             trips,
             next_iv,
             steps,
             y,
-            frame_touched: frame_before != frame,
-            frame,
-            body: body.to_vec(),
+            frame_touched: frame_before != (tags, vals),
             copies: planned.copies.clone(),
         }
     }
@@ -1314,7 +1322,7 @@ mod tests {
     fn a_strip_commits_what_its_iterations_would_have_done() {
         let ran = strips(false, HALF, (2, 42), (0, 0), u64::MAX);
         assert_eq!((ran.trips, ran.next_iv, ran.steps), (40, 42, 40 * BODY_OPS));
-        assert!(ran.frame_touched, "the last lane's values are in the frame");
+        assert!(!ran.frame_touched, "a strip never writes the frame");
         for (i, &y) in ran.y.iter().enumerate() {
             let before = -(i as f32);
             let after = before + 0.5 * (i as f32 * 0.5);
@@ -1399,43 +1407,17 @@ mod tests {
     #[test]
     fn a_rerolled_strip_commits_what_its_iterations_would_have_done() {
         // 20 iterations of three copies: 60 elements from 2.
-        let (bounds, last_iv) = ((2, 62), 59);
+        let bounds = (2, 62);
         let ran = unrolled(3, true, false, bounds, 0);
         let c = ran.copies.expect("three copies of one iteration");
         assert_eq!((c.count, c.len, c.unit), (3, 7, 1));
         assert_eq!((ran.trips, ran.next_iv, ran.steps), (20, 62, 20 * 24));
-        // Every copy's slots hold its own lane of the last iteration: its
-        // `iv + k`, and the value it stored at `y[iv + k]`.
-        let (tags, vals) = &ran.frame;
-        let Instr::IntBin { lhs: loop_iv, .. } = ran.body[c.head(1)] else {
-            panic!("copy 1 opens with its int.Add")
-        };
-        for k in 0..3 {
-            let iv = match k {
-                0 => loop_iv,
-                _ => written(&ran.body[c.head(k)]).expect("the head"),
-            };
-            assert_eq!(tags[iv as usize], tag::INDEX);
-            assert_eq!(
-                vals[iv as usize] as i64,
-                last_iv + k as i64,
-                "copy {k}'s iv"
-            );
-            let Instr::Store1 { val, .. } = ran.body[c.at(k, 6)] else {
-                panic!("copy {k} ends in its store")
-            };
-            assert_eq!(tags[val as usize], tag::F32);
-            let stored = ran.y[(last_iv + k as i64) as usize];
-            assert_eq!(
-                vals[val as usize],
-                stored.to_bits() as u64,
-                "copy {k}'s sum"
-            );
-        }
+        assert!(!ran.frame_touched, "a strip never writes the frame");
         // The same body as it stands, one lane an iteration, agrees on all.
         let whole = unrolled(3, false, false, bounds, 0);
         assert_eq!((whole.trips, whole.next_iv, whole.steps), (20, 62, 20 * 24));
-        assert_eq!((&whole.y, &whole.frame), (&ran.y, &ran.frame));
+        assert!(!whole.frame_touched);
+        assert_eq!(whole.y, ran.y);
         for (i, &y) in ran.y.iter().enumerate() {
             let before = -(i as f32);
             let after = before + 0.5 * (i as f32 * 0.5);
@@ -1450,7 +1432,8 @@ mod tests {
         let ran = unrolled(4, true, false, (2, 82), 0);
         let whole = unrolled(4, false, false, (2, 82), 0);
         assert_eq!((ran.trips, ran.steps), (20, 20 * 24));
-        assert_eq!((&ran.y, &ran.frame), (&whole.y, &whole.frame));
+        assert!(!ran.frame_touched && !whole.frame_touched);
+        assert_eq!(ran.y, whole.y);
         assert_eq!(ran.y[5], -5.0, "the gap is untouched");
     }
 

@@ -1928,6 +1928,210 @@ fn unrolled_strips_agree_with_the_oracle_at_every_trip_count() {
     );
 }
 
+// ---- windows ---------------------------------------------------------------------
+
+/// `y[i+d] = x[i+e]`, with `x[i+e] = 2 * x[i+e]` before the copy (`clobber`
+/// 1), after it (2) or not at all (0), over `T` buffers. A stride-1 load is
+/// read where it lies, so the first clobber writes the very window the copy
+/// stores.
+fn copy_kernel(t: &str, clobber: usize) -> String {
+    let twice = r#"
+    %w = "arith.mulf"(%two, %v) : (T, T) -> T
+    "memref.store"(%w, %x, %ie) : (T, memref<?xT>, index) -> ()"#;
+    let (before, after) = match clobber {
+        0 => ("", ""),
+        1 => (twice, ""),
+        _ => ("", twice),
+    };
+    format!(
+        r#"
+^bb0(%x: memref<?xT>, %y: memref<?xT>, %lb: index, %ub: index, %d: index, %e: index):
+  %c1 = "arith.constant"() {{value = 1 : index}} : () -> index
+  %two = "arith.constant"() {{value = 2.0 : T}} : () -> T
+  "scf.for"(%lb, %ub, %c1) ({{
+  ^bb1(%i: index):
+    %ie = "arith.addi"(%i, %e) : (index, index) -> index
+    %v = "memref.load"(%x, %ie) : (memref<?xT>, index) -> T{before}
+    %id = "arith.addi"(%i, %d) : (index, index) -> index
+    "memref.store"(%v, %y, %id) : (T, memref<?xT>, index) -> (){after}
+    "scf.yield"() : () -> ()
+  }}) : (index, index, index) -> ()
+  "func.return"() : () -> ()
+"#
+    )
+    .replace('T', t)
+}
+
+/// `n` values of kind `t` in [-1, 1) drawn from `seed`.
+fn vector_of(t: &str, n: usize, seed: u64) -> Buffer {
+    match (t, vector(n, seed)) {
+        ("f64", Buffer::F32(v)) => Buffer::F64(v.iter().map(|&x| x as f64 / 3.0).collect()),
+        (_, f32s) => f32s,
+    }
+}
+
+/// `func` of `module` on both engines, over `x` and `y` of kind `(tx, ty)`
+/// (`aliased`: one buffer, of `tx`) long enough for `lb + trips` elements
+/// two either side, with the index arguments after the bounds.
+fn diff_windows(
+    (ir, module): (&Ir, OpId),
+    func: &str,
+    (tx, ty): (&str, &str),
+    aliased: bool,
+    (lb, trips): (i64, i64),
+    rest: &[i64],
+) {
+    let len = (lb + trips + 2) as usize;
+    diff(ir, module, func, |memory| {
+        let x = host_array(memory, vector_of(tx, len, 7));
+        let y = match aliased {
+            true => x.clone(),
+            false => host_array(memory, vector_of(ty, len, 11)),
+        };
+        let index = RtValue::Index;
+        let bounds = [index(lb), index(lb + trips)];
+        [x, y]
+            .into_iter()
+            .chain(bounds)
+            .chain(rest.iter().map(|&r| index(r)))
+            .collect()
+    });
+}
+
+/// Trip counts that run no strip, one, and two with a scalar tail.
+const WINDOW_TRIPS: [i64; 4] = [
+    MIN_LANES - 1,
+    MIN_LANES,
+    LANES + 1,
+    2 * LANES + MIN_LANES + 3,
+];
+
+/// A store of a loaded value, beside a store that rewrites the loaded
+/// elements before or after it, over one buffer or two, `f32` and `f64`.
+#[test]
+fn a_stored_window_holds_what_was_loaded_whatever_the_strip_stores_beside_it() {
+    let signature =
+        |t: &str| format!("(memref<?x{t}>, memref<?x{t}>, index, index, index, index) -> ()");
+    for t in ["f32", "f64"] {
+        let kernels: Vec<(String, String)> =
+            (0..3).map(|c| (c.to_string(), copy_kernel(t, c))).collect();
+        let funcs: Vec<(String, String, &str)> = kernels
+            .iter()
+            .map(|(c, body)| (format!("copy{c}"), signature(t), body.as_str()))
+            .collect();
+        let funcs: Vec<(&str, &str, &str)> = funcs
+            .iter()
+            .map(|(n, s, b)| (n.as_str(), s.as_str(), *b))
+            .collect();
+        let (ir, m) = module_of(&funcs);
+        for (name, ..) in &funcs {
+            assert!(listing(&ir, m, name).contains(" strip body=["), "{name}");
+            for trips in WINDOW_TRIPS {
+                for aliased in [false, true] {
+                    for d in -2..=2 {
+                        for e in -2..=2 {
+                            let case = (t, t);
+                            diff_windows((&ir, m), name, case, aliased, (2, trips), &[d, e]);
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `y[i+d] = convert(move(x[i+e]))` with `x[i+e]` doubled through the move
+/// first and the moved value stored back after: a window through `Move` and
+/// through `Convert` between the float kinds.
+#[test]
+fn a_window_keeps_its_lanes_through_a_move_and_a_conversion() {
+    let body = r#"
+^bb0(%x: memref<?xS>, %y: memref<?xD>, %lb: index, %ub: index, %d: index, %e: index):
+  %c1 = "arith.constant"() {value = 1 : index} : () -> index
+  "scf.for"(%lb, %ub, %c1) ({
+  ^bb1(%i: index):
+    %ie = "arith.addi"(%i, %e) : (index, index) -> index
+    %v = "memref.load"(%x, %ie) : (memref<?xS>, index) -> S
+    %m = "fir.declare"(%v) : (S) -> S
+    %w = "arith.addf"(%m, %m) : (S, S) -> S
+    "memref.store"(%w, %x, %ie) : (S, memref<?xS>, index) -> ()
+    %c = "fir.convert"(%m) : (S) -> D
+    %id = "arith.addi"(%i, %d) : (index, index) -> index
+    "memref.store"(%c, %y, %id) : (D, memref<?xD>, index) -> ()
+    "memref.store"(%m, %x, %ie) : (S, memref<?xS>, index) -> ()
+    "scf.yield"() : () -> ()
+  }) : (index, index, index) -> ()
+  "func.return"() : () -> ()
+"#;
+    for (from, to) in [
+        ("f32", "f32"),
+        ("f32", "f64"),
+        ("f64", "f32"),
+        ("f64", "f64"),
+    ] {
+        let body = body.replace('S', from).replace('D', to);
+        let signature =
+            format!("(memref<?x{from}>, memref<?x{to}>, index, index, index, index) -> ()");
+        let (ir, m) = module_of(&[("through", &signature, &body)]);
+        assert!(listing(&ir, m, "through").contains(" strip body=["));
+        for trips in WINDOW_TRIPS {
+            // One buffer only where both sides are of one kind.
+            for aliased in [false, from == to] {
+                for (d, e) in [(0, 0), (1, 0), (-1, 2), (2, 2)] {
+                    let kinds = (from, to);
+                    diff_windows((&ir, m), "through", kinds, aliased, (2, trips), &[d, e]);
+                }
+            }
+        }
+    }
+}
+
+/// `y[i] = x[2i] + x[n-i]; x[2i] = x[n-i]`: loads of stride 2 and -1 still
+/// gather, and a store of gathered lanes scatters them. `n` puts the two
+/// ranges of `x` across each other or apart.
+#[test]
+fn strided_and_reversed_loads_gather_beside_windows() {
+    let body = r#"
+^bb0(%x: memref<?xT>, %y: memref<?xT>, %lb: index, %ub: index, %n: index):
+  %c1 = "arith.constant"() {value = 1 : index} : () -> index
+  %c2 = "arith.constant"() {value = 2 : index} : () -> index
+  "scf.for"(%lb, %ub, %c1) ({
+  ^bb1(%i: index):
+    %i2 = "arith.muli"(%i, %c2) : (index, index) -> index
+    %a = "memref.load"(%x, %i2) : (memref<?xT>, index) -> T
+    %r = "arith.subi"(%n, %i) : (index, index) -> index
+    %b = "memref.load"(%x, %r) : (memref<?xT>, index) -> T
+    %yi = "memref.load"(%y, %i) : (memref<?xT>, index) -> T
+    %s = "arith.addf"(%a, %b) : (T, T) -> T
+    %t = "arith.addf"(%s, %yi) : (T, T) -> T
+    "memref.store"(%t, %y, %i) : (T, memref<?xT>, index) -> ()
+    "memref.store"(%b, %x, %i2) : (T, memref<?xT>, index) -> ()
+    "scf.yield"() : () -> ()
+  }) : (index, index, index) -> ()
+  "func.return"() : () -> ()
+"#;
+    for t in ["f32", "f64"] {
+        let body = body.replace('T', t);
+        let signature = format!("(memref<?x{t}>, memref<?x{t}>, index, index, index) -> ()");
+        let (ir, m) = module_of(&[("strided", &signature, &body)]);
+        assert!(listing(&ir, m, "strided").contains(" strip body=["));
+        for trips in WINDOW_TRIPS {
+            let (lb, ub) = (2, 2 + trips);
+            // `x[n-i]` runs across `x[2i]` from `n = ub + lb`, clears it from
+            // `n = 3 * ub - 2`, and its first lane is past the end at `len`.
+            let len = 3 * ub;
+            for n in [ub + lb, 2 * ub, 3 * ub - 2, len - 1, len] {
+                diff(&ir, m, "strided", |memory| {
+                    let x = host_array(memory, vector_of(t, len as usize, 7));
+                    let y = host_array(memory, vector_of(t, len as usize, 11));
+                    let index = RtValue::Index;
+                    vec![x, y, index(lb), index(ub), index(n)]
+                });
+            }
+        }
+    }
+}
+
 /// An inclusive loop whose bound is the top of the index range never ends:
 /// `iv + step` wraps and the budget stops it. A strip whose last `iv + step`
 /// would overflow is not started, so the wrap is the run loop's, as it is the

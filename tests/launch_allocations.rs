@@ -9,7 +9,9 @@
 //!   at or below 55 % of that.
 //! * A second `KernelExecutor::execute` of `sgesl_kernel0` makes at most
 //!   [`EXECUTE_ALLOCATIONS`], and one of `saxpy_kernel0` at 131 072
-//!   elements no more (129 strips of its re-rolled `simdlen(10)` body).
+//!   elements no more (129 strips of its re-rolled `simdlen(10)` body), nor
+//!   one of `jacobi_kernel0` at 32 768 (32 strips whose loads are read in
+//!   place).
 //! * Warm runs keep no heap: what the kept scratch holds stops growing once
 //!   every call depth and strip width has been seen.
 //!
@@ -21,7 +23,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use ftn_bench::workloads;
-use ftn_core::Machine;
+use ftn_core::{Artifacts, Compiler, Machine};
 use ftn_dialects::device;
 use ftn_fpga::{DeviceModel, KernelExecutor};
 use ftn_host::HostRuntime;
@@ -171,15 +173,19 @@ impl DialectHooks for FirstLaunch {
     }
 }
 
-#[test]
-fn a_warm_kernel_execute_allocates_only_what_it_returns() {
-    let artifacts = workloads::compile_sgesl();
+/// Run host function `func` of `artifacts` on `args` (of `machine`'s
+/// memory) up to its first kernel launch, then that kernel twice from the
+/// memory it started from: the allocations of the second, warm, execute.
+fn warm_first_launch(
+    artifacts: &Artifacts,
+    machine: &Machine,
+    (func, args): (&str, &[RtValue]),
+    kernel: &str,
+) -> u64 {
     let executor = KernelExecutor::from_bitstream(&artifacts.bitstream, DeviceModel::u280())
         .expect("bitstream instantiates");
     let mut ir = Ir::new();
     let module = ftn_mlir::parse_module(&mut ir, &artifacts.host_module_text).unwrap();
-    let mut machine = Machine::load(&artifacts, DeviceModel::u280()).unwrap();
-    let args = sgesl_args(&mut machine);
     let mut memory = machine.memory.clone();
     let mut hooks = FirstLaunch {
         inner: HostRuntime::new(executor.clone(), DeviceModel::u280()),
@@ -189,34 +195,68 @@ fn a_warm_kernel_execute_allocates_only_what_it_returns() {
     ftn_interp::call_function(
         &ir,
         module,
-        "sgesl",
-        &args,
+        func,
+        args,
         &mut memory,
         &mut hooks,
         &mut NoObserver,
     )
     .unwrap();
-    let (kernel, kernel_args, start) = hooks.launch.expect("sgesl launches a kernel");
-    assert_eq!(kernel, "sgesl_kernel0");
+    let (launched, kernel_args, start) = hooks.launch.expect("the host launches a kernel");
+    assert_eq!(launched, kernel);
 
     let mut first = start.clone();
-    executor.execute(&kernel, &kernel_args, &mut first).unwrap();
+    executor.execute(kernel, &kernel_args, &mut first).unwrap();
     let mut memory = start;
-    let (stats, made) = allocations_of(|| executor.execute(&kernel, &kernel_args, &mut memory));
+    let (stats, made) = allocations_of(|| executor.execute(kernel, &kernel_args, &mut memory));
     let stats = stats.unwrap();
-    let b = kernel_args[1].as_memref().unwrap().buffer;
-    assert_eq!(
-        first.get(b),
-        memory.get(b),
-        "a warm call computes what a cold one did"
-    );
+    for b in kernel_args.iter().filter_map(|a| a.as_memref().ok()) {
+        assert_eq!(
+            first.get(b.buffer),
+            memory.get(b.buffer),
+            "a warm call computes what a cold one did"
+        );
+    }
     println!(
         "one warm execute of {kernel}: {made} allocations, {} cycles",
         stats.cycles
     );
+    made
+}
+
+#[test]
+fn a_warm_kernel_execute_allocates_only_what_it_returns() {
+    let artifacts = workloads::compile_sgesl();
+    let mut machine = Machine::load(&artifacts, DeviceModel::u280()).unwrap();
+    let args = sgesl_args(&mut machine);
+    let launch = ("sgesl", &args[..]);
+    let made = warm_first_launch(&artifacts, &machine, launch, "sgesl_kernel0");
     assert!(
         made <= EXECUTE_ALLOCATIONS,
         "{made} allocations, more than {EXECUTE_ALLOCATIONS}"
+    );
+}
+
+/// What a warm `execute` of `jacobi_kernel0` at 32 768 elements may
+/// allocate: what [`EXECUTE_ALLOCATIONS`] names for `sgesl_kernel0`. Its
+/// loads are windows on the buffers, which hold no heap of their own.
+const JACOBI_EXECUTE_ALLOCATIONS: u64 = 4;
+
+#[test]
+fn a_warm_jacobi_execute_allocates_nothing_per_strip() {
+    const N: usize = 32_768;
+    let artifacts = Compiler::default()
+        .compile_source(workloads::JACOBI_F90)
+        .expect("jacobi compiles");
+    let mut machine = Machine::load(&artifacts, DeviceModel::u280()).unwrap();
+    let u = machine.host_f32(&workloads::random_vec(N, 5, -1.0, 1.0));
+    let v = machine.host_f32(&vec![0.0; N]);
+    let args = [RtValue::I32(N as i32), u, v];
+    let launch = ("jacobi", &args[..]);
+    let made = warm_first_launch(&artifacts, &machine, launch, "jacobi_kernel0");
+    assert!(
+        made <= JACOBI_EXECUTE_ALLOCATIONS,
+        "{made} allocations, more than {JACOBI_EXECUTE_ALLOCATIONS}"
     );
 }
 
