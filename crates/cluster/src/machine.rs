@@ -801,7 +801,7 @@ impl ClusterMachine {
                 name: slot.model.name.clone(),
                 clock_mhz: slot.model.clock_mhz,
                 jobs: d.row.jobs,
-                busy_sim_seconds: d.row.wall_seconds,
+                busy_sim_seconds: d.row.sim_seconds,
                 arena_buffers: d.arena_buffers,
                 stats: d.stats.clone(),
             })

@@ -57,7 +57,7 @@ pub struct RollupRow {
     /// Simulated device cycles consumed.
     pub sim_cycles: u64,
     /// Simulated device occupancy (kernel wall + transfer) in seconds.
-    pub wall_seconds: f64,
+    pub sim_seconds: f64,
     /// Wall-clock enqueue→dispatch wait in seconds.
     pub queue_wait_seconds: f64,
     /// Bytes moved host↔device (staged uploads + writebacks).
@@ -69,7 +69,7 @@ impl RollupRow {
     /// wait and the bytes it moved.
     fn add(&mut self, stats: &RunStats, queue_wait_seconds: f64, bytes_moved: u64) {
         self.sim_cycles += stats.total_cycles;
-        self.wall_seconds += crate::pool::busy_seconds(stats);
+        self.sim_seconds += crate::pool::busy_seconds(stats);
         self.queue_wait_seconds += queue_wait_seconds;
         self.bytes_moved += bytes_moved;
     }
@@ -180,7 +180,7 @@ impl Rollups {
         rows.sort_by(|a, b| {
             b.sim_cycles
                 .cmp(&a.sim_cycles)
-                .then(b.wall_seconds.total_cmp(&a.wall_seconds))
+                .then(b.sim_seconds.total_cmp(&a.sim_seconds))
                 .then(a.key.cmp(&b.key))
         });
         rows
@@ -245,7 +245,7 @@ mod tests {
     }
 
     #[test]
-    fn cycle_free_rows_rank_by_wall_seconds() {
+    fn cycle_free_rows_rank_by_sim_seconds() {
         let mut r = Rollups::new(3);
         r.record((None, None), 0, &ran(0, 0.1), 0.0, 1);
         r.record((None, None), 1, &ran(0, 0.9), 0.0, 1);

@@ -436,7 +436,7 @@ fn rollups_attribute_cycles_per_kernel_session_and_device() {
     assert_eq!(k.key, "saxpy_kernel0");
     assert_eq!(k.jobs, 3);
     assert!(k.sim_cycles > 0);
-    assert!(k.wall_seconds > 0.0);
+    assert!(k.sim_seconds > 0.0);
     // Only the run and the kernel jobs burn cycles, so together they
     // account for the pool's entire cycle total.
     let total_cycles = cluster.pool_stats().totals.total_cycles;
@@ -468,7 +468,7 @@ fn rollups_attribute_cycles_per_kernel_session_and_device() {
             let d = &ps.devices[row.key.parse::<usize>().unwrap()];
             assert_eq!(row.jobs, d.jobs, "device {}", row.key);
             assert_eq!(row.sim_cycles, d.stats.total_cycles, "device {}", row.key);
-            assert_eq!(row.wall_seconds, d.busy_sim_seconds, "device {}", row.key);
+            assert_eq!(row.sim_seconds, d.busy_sim_seconds, "device {}", row.key);
         }
         let listed: u64 = devices.iter().map(|r| r.jobs).sum();
         assert_eq!(listed, ps.jobs, "an idle device is the only one unlisted");
@@ -494,7 +494,7 @@ fn rollups_attribute_cycles_per_kernel_session_and_device() {
     cluster.close_sharded_session(halo).unwrap();
     let pinned = |rows: Vec<RollupRow>, key: String| {
         let row = rows.into_iter().find(|r| r.key == key).expect("a row");
-        (row.jobs, row.sim_cycles, row.wall_seconds, row.bytes_moved)
+        (row.jobs, row.sim_cycles, row.sim_seconds, row.bytes_moved)
     };
     assert_eq!(
         pinned(cluster.rollups(RollupBy::Kernel), "saxpy_kernel0".into()),

@@ -20,6 +20,12 @@
 //! the other and neither has been stamped since: a matrix a kernel only
 //! reads is not copied back, nor in again on the next launch. The clock
 //! never repeats, so a freed-and-reused slot never matches a stale record.
+//!
+//! A slot also keeps the clock value it was allocated at, so
+//! [`Memory::written`] says whether anything has stamped it since: a
+//! buffer it reports unwritten still holds the bytes it was allocated
+//! with. The answer errs on the safe side — a store of identical bytes, or
+//! a bare `get_mut`, counts as a write.
 
 use crate::error::InterpError;
 
@@ -75,15 +81,30 @@ impl Buffer {
 }
 
 /// One live buffer, its memory space and its write version.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Slot {
     buffer: Buffer,
     space: u32,
     /// Stamped from the arena's `clock` by every mutation of `buffer`.
     version: u64,
+    /// `version` as allocated: while the two are equal, `buffer` holds
+    /// the bytes it was allocated with.
+    born: u64,
     /// `(src slot, src version, own version)` of the last copy into this
     /// slot: while both versions still hold, the two buffers are equal.
     copy_of: Option<(u32, u64, u64)>,
+}
+
+/// A cloned slot starts unwritten: the clone is a buffer allocated with
+/// the bytes the original holds now.
+impl Clone for Slot {
+    fn clone(&self) -> Slot {
+        Slot {
+            buffer: self.buffer.clone(),
+            born: self.version,
+            ..*self
+        }
+    }
 }
 
 /// Buffer arena; buffers are identified by [`BufferId`] and tagged with the
@@ -113,6 +134,7 @@ impl Memory {
             buffer,
             space,
             version: self.clock,
+            born: self.clock,
             copy_of: None,
         });
         let id = match self.free.pop() {
@@ -197,6 +219,14 @@ impl Memory {
 
     pub fn space(&self, id: BufferId) -> u32 {
         self.slot(id).space
+    }
+
+    /// Whether `id` has been stamped since it was allocated: by `get_mut`,
+    /// or by a `copy` into it that moved bytes. An unwritten buffer holds
+    /// exactly what it was allocated with.
+    pub fn written(&self, id: BufferId) -> bool {
+        let slot = self.slot(id);
+        slot.version != slot.born
     }
 
     /// Total slot count, including freed slots awaiting reuse.

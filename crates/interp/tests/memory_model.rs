@@ -2,6 +2,12 @@
 //! versions, see `memory.rs`). These tests hold the arena to a plain model
 //! that copies every time: after every operation each live buffer must equal
 //! its model bit for bit.
+//!
+//! `Memory::written` must be sound: the model also keeps each buffer as it
+//! was allocated, and a buffer the arena reports unwritten must still equal
+//! that bit for bit. A write counts even when it stores the bits already
+//! there, and so does a bare `get_mut`; a fresh allocation — a reused slot
+//! included — and every buffer of a cloned arena start unwritten.
 
 use std::collections::HashMap;
 
@@ -19,10 +25,12 @@ fn bits(buffer: &Buffer) -> (&'static str, Vec<u64>) {
     (buffer.type_name(), bits)
 }
 
-/// The arena under test beside a model that always copies.
+/// The arena under test beside a model that always copies, and each live
+/// buffer's contents as allocated.
 struct Pair {
     memory: Memory,
     model: HashMap<u32, Buffer>,
+    allocated: HashMap<u32, Buffer>,
 }
 
 impl Pair {
@@ -30,13 +38,30 @@ impl Pair {
         Pair {
             memory: Memory::new(),
             model: HashMap::new(),
+            allocated: HashMap::new(),
         }
     }
 
     fn alloc(&mut self, buffer: Buffer) -> BufferId {
         let id = self.memory.alloc(buffer.clone(), 0);
-        self.model.insert(id.0, buffer);
+        assert!(!self.memory.written(id), "a fresh {id:?} is unwritten");
+        self.model.insert(id.0, buffer.clone());
+        self.allocated.insert(id.0, buffer);
         id
+    }
+
+    /// A clone of the arena: its buffers are allocated as they are now.
+    fn clone_arena(&mut self) {
+        self.memory = self.memory.clone();
+        self.allocated = self.model.clone();
+        for &slot in self.model.keys() {
+            assert!(!self.memory.written(BufferId(slot)), "cloned {slot}");
+        }
+    }
+
+    fn get_mut(&mut self, id: BufferId) {
+        self.memory.get_mut(id);
+        assert!(self.memory.written(id), "get_mut {id:?} is a write");
     }
 
     fn write(&mut self, id: BufferId, at: usize, raw: u64) {
@@ -48,6 +73,7 @@ impl Pair {
                 _ => unreachable!("the tests make f32 and i64 buffers"),
             }
         }
+        assert!(self.memory.written(id), "a store into {id:?} is a write");
     }
 
     /// Copy in the arena and in the model; both must agree on success.
@@ -74,6 +100,7 @@ impl Pair {
     fn free(&mut self, id: BufferId) {
         self.memory.free(id);
         self.model.remove(&id.0);
+        self.allocated.remove(&id.0);
     }
 
     fn check(&self) -> Result<(), String> {
@@ -88,6 +115,12 @@ impl Pair {
             let got = self.memory.get(BufferId(slot));
             if bits(got) != bits(want) {
                 return Err(format!("buffer {slot}: {got:?}, model {want:?}"));
+            }
+            let allocated = &self.allocated[&slot];
+            if !self.memory.written(BufferId(slot)) && bits(got) != bits(allocated) {
+                return Err(format!(
+                    "buffer {slot} reads unwritten: {got:?}, allocated {allocated:?}"
+                ));
             }
         }
         Ok(())
@@ -200,12 +233,12 @@ proptest! {
                 }
                 8 => {
                     log.push("clone".to_string());
-                    pair.memory = pair.memory.clone();
+                    pair.clone_arena();
                 }
                 _ => {
                     let id = live_slot(&pair, &mut rng).unwrap();
                     log.push(format!("get_mut {id:?}"));
-                    pair.memory.get_mut(id);
+                    pair.get_mut(id);
                 }
             }
             pair.check()
@@ -239,6 +272,22 @@ fn unchanged_twins_move_no_bytes_in_either_direction() {
     pair.copy(d, h2).unwrap();
     pair.copy(h2, d).unwrap();
     assert_eq!(pair.memory.bytes_copied(), moved + 12);
+    pair.check().unwrap();
+}
+
+#[test]
+fn a_round_trip_that_moves_no_bytes_writes_nothing() {
+    let (mut pair, h, d) = twins();
+    assert!(
+        !pair.memory.written(h),
+        "a copy out of `h` leaves it unwritten"
+    );
+    assert!(pair.memory.written(d), "the copy into `d` moved bytes");
+    pair.copy(d, h).unwrap();
+    assert!(!pair.memory.written(h), "the copy back moved no bytes");
+    pair.write(d, 0, 1.0f32.to_bits() as u64);
+    pair.copy(d, h).unwrap();
+    assert!(pair.memory.written(h), "the same bytes, moved");
     pair.check().unwrap();
 }
 

@@ -28,6 +28,10 @@
 //!   where the scan has the token and the tree only the `f64`.
 //! * **No integer wraps.** An integer argument its kind cannot hold is a 400
 //!   naming the kind, never a truncated value.
+//! * **Only the request side carries every array.** A lifted array goes to
+//!   the run whole; the `/run` reply carries back only the arrays the run
+//!   wrote (`null` for the rest, see `sessions.rs`), so the number path's
+//!   cost on that route is mostly this decode.
 
 use ftn_cluster::ShardArg;
 use ftn_fpga::Bitstream;

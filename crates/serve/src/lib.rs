@@ -11,7 +11,7 @@
 //! | `POST /sessions/{id}/refresh` |                                      | Inter-launch halo exchange: every split array's ghost rows are re-seeded from their current owner rows — boundary blocks only, device-to-device over the row-block fetch/splice path, never a full gather/re-scatter. Cross-device rows are fetched before the reply; every ghost block is then queued ahead of the session's next job on its device (a launch, a refresh or the close), which writes it before anything else. The iterative-stencil primitive (`jacobi`/`heat` between sweeps). |
 //! | `GET /sessions/{id}`        |                                        | The open session as `ClusterMachine::session_info` reads it: its devices, the owned rows per shard of its largest split array (`shard_rows`), and its stats so far. |
 //! | `DELETE /sessions/{id}`     |                                        | Close the session: gather (or reduce) `from`/`tofrom` arrays back and return them with the session stats; all session memory is released. |
-//! | `POST /run`                 | `{key, func, args}`                    | Sessionless whole-program run (the baseline the elision ratio is measured against): placed least-loaded on the key's pool and run on the request's own thread, its arrays in request-local memory, freed with the response. |
+//! | `POST /run`                 | `{key, func, args}`                    | Sessionless whole-program run (the baseline the elision ratio is measured against): placed least-loaded on the key's pool and run on the request's own thread, its arrays in request-local memory, freed with the response. Replies `{device, stats, arrays}`: one `arrays` entry per array argument, in order — the array as the run left it, or `null` if the run never wrote it (the client sent those bytes). |
 //! | `GET /stats`                |                                        | Compile-cache, pool, session, and HTTP statistics. |
 //! | `GET /healthz`              |                                        | Readiness probe: 503 `"unready"` with reasons on a dead device worker or saturated queue, `{"ok":true,"status":"ok",...}` otherwise. |
 //! | `GET /metrics`              |                                        | Prometheus text exposition (version 0.0.4: every sample line is `series value`) of every counter, gauge and histogram. History, range queries and alerting belong to the Prometheus server that scrapes it. |

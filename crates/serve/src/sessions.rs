@@ -27,6 +27,12 @@
 //!   exit, the error ones included. A session's entry owns its arrays the
 //!   same way, so removing the entry is what releases them. `/run`'s arrays
 //!   never enter the pool: they live in a request-local `Memory`.
+//! * **A reply returns what the program wrote, nothing the client holds.**
+//!   A close returns its `from`/`tofrom` arrays; `/run` returns, in its
+//!   argument order, each array the run wrote (`Memory::written`: a host
+//!   store or a copy back that moved bytes, identical bytes included) and
+//!   `null` for each it never wrote, whose bytes are still the request's.
+//!   The rule reads only the program's stores, never timing.
 
 use std::sync::Arc;
 
@@ -292,18 +298,22 @@ impl ServeState {
         }
         let report = pool.run(func, &args, &mut memory).map_err(bad_request)?;
         self.metrics.runs.inc();
-        // The request's arrays die with the request: move them out for the
-        // reply instead of copying.
-        let arrays: Vec<Buffer> = (owned.into_iter())
-            .map(|id| std::mem::replace(memory.get_mut(id), Buffer::F32(Vec::new())))
+        // An array the run never wrote still holds the request's own bytes,
+        // which the client sent: it comes back as `null`. The others are
+        // printed straight from the request's memory.
+        let arrays: Vec<Option<&Buffer>> = (owned.iter())
+            .map(|&id| memory.written(id).then(|| memory.get(id)))
             .collect();
         let fields = vec![
             ("device", report.device.to_value()),
             ("stats", report.report.stats.to_value()),
         ];
         Ok(Reply::object_with_tail(fields, "arrays", |out| {
-            reserve_for(out, arrays.iter());
-            append_seq(out, ('[', ']'), &arrays, append_buffer)
+            reserve_for(out, arrays.iter().flatten().copied());
+            append_seq(out, ('[', ']'), &arrays, |out, array| match array {
+                Some(buffer) => append_buffer(out, buffer),
+                None => out.push_str("null"),
+            })
         }))
     }
 }

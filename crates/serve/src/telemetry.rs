@@ -167,7 +167,7 @@ impl ServeState {
                     Some(r) => {
                         r.jobs += row.jobs;
                         r.sim_cycles += row.sim_cycles;
-                        r.wall_seconds += row.wall_seconds;
+                        r.sim_seconds += row.sim_seconds;
                         r.queue_wait_seconds += row.queue_wait_seconds;
                         r.bytes_moved += row.bytes_moved;
                     }
@@ -178,7 +178,7 @@ impl ServeState {
         merged.sort_by(|a, b| {
             b.sim_cycles
                 .cmp(&a.sim_cycles)
-                .then(b.wall_seconds.total_cmp(&a.wall_seconds))
+                .then(b.sim_seconds.total_cmp(&a.sim_seconds))
                 .then(a.key.cmp(&b.key))
         });
         merged.truncate(k);

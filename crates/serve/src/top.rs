@@ -145,7 +145,7 @@ fn table(by: &str, top: &Value) -> String {
         "KEY",
         "JOBS",
         "CYCLES",
-        "WALL(s)",
+        "SIM(s)",
         "QWAIT(s)",
         "MOVED"
     );
@@ -163,7 +163,7 @@ fn table(by: &str, top: &Value) -> String {
             key,
             num(row, "jobs") as u64,
             num(row, "sim_cycles") as u64,
-            num(row, "wall_seconds"),
+            num(row, "sim_seconds"),
             num(row, "queue_wait_seconds"),
             human_bytes(num(row, "bytes_moved") as u64),
         ));
@@ -233,7 +233,7 @@ mod tests {
                     ("key", Value::Str("saxpy_kernel0".into())),
                     ("jobs", Value::UInt(4)),
                     ("sim_cycles", Value::UInt(123456)),
-                    ("wall_seconds", Value::Float(0.25)),
+                    ("sim_seconds", Value::Float(0.25)),
                     ("queue_wait_seconds", Value::Float(0.001)),
                     ("bytes_moved", Value::UInt(2048)),
                 ])]),

@@ -229,8 +229,12 @@ fn start_server(
 }
 
 fn compile_key(addr: SocketAddr) -> String {
+    compile(addr, SAXPY)
+}
+
+fn compile(addr: SocketAddr, source: &str) -> String {
     let body =
-        serde_json::to_string(&api::obj(vec![("source", Value::Str(SAXPY.to_string()))])).unwrap();
+        serde_json::to_string(&api::obj(vec![("source", Value::Str(source.to_string()))])).unwrap();
     let (status, resp) = request(addr, "POST", "/compile", &body);
     assert_eq!(status, 200, "{resp:?}");
     let Some(Value::Str(key)) = resp.get("key") else {
@@ -966,9 +970,10 @@ fn out_of_range_integers_are_rejected_not_wrapped() {
 
 /// A number arrives as the `f32` its text spells, rounded once: not through
 /// `f64` first, where `7.038531e-26` lands exactly between two `f32`s and
-/// `1152921573326323713` on 2^60 + 2^36. Both come back from `/run`
-/// unchanged in an array the program does not write (`x`), and the scalar
-/// `a` arrives the same way.
+/// `1152921573326323713` on 2^60 + 2^36. Both come back from `/run` in the
+/// array the program copies them into (`y = x`), and the scalar `a`
+/// arrives the same way; `x`, which the program only reads, comes back as
+/// `null`.
 #[test]
 fn a_run_reads_each_number_as_the_f32_it_spells() {
     let (addr, handle) = start_server(1, 1);
@@ -980,6 +985,7 @@ fn a_run_reads_each_number_as_the_f32_it_spells() {
         let Some(Value::Arr(arrays)) = reply.get("arrays") else {
             panic!("no arrays in {reply:?}");
         };
+        assert_eq!(arrays[0], Value::Null, "x is never written");
         let bits = |array: &Value| match array {
             Value::Arr(items) => items
                 .iter()
@@ -990,7 +996,7 @@ fn a_run_reads_each_number_as_the_f32_it_spells() {
                 .collect::<Vec<_>>(),
             other => panic!("expected an array, got {other:?}"),
         };
-        arrays.iter().map(bits).collect::<Vec<_>>()
+        bits(&arrays[1])
     };
     let spelled = ["7.038531e-26", "1152921573326323713"];
     let want: Vec<u32> = spelled
@@ -1002,10 +1008,65 @@ fn a_run_reads_each_number_as_the_f32_it_spells() {
     let arrays = run(&format!(
         r#"{{"i32": 2}}, {{"f32": 1}}, {{"array_f32": [{x}, {y}]}}, {{"array_f32": [0, 0]}}"#
     ));
-    assert_eq!(arrays, [want.clone(), want.clone()], "x unwritten, y = x");
+    assert_eq!(arrays, want, "y = x");
     let arrays = run(&format!(
         r#"{{"i32": 1}}, {{"f32": {x}}}, {{"array_f32": [1]}}, {{"array_f32": [0]}}"#
     ));
-    assert_eq!(arrays[1], [want[0]], "y = a");
+    assert_eq!(arrays, [want[0]], "y = a");
+    shutdown(addr, handle);
+}
+
+/// A `/run` reply carries an array only if the run wrote it: one the run
+/// never wrote still holds the bytes the client sent and comes back as
+/// `null`, in its place among the array arguments. A write counts whoever
+/// makes it — the host program or a kernel — and whatever it stores, the
+/// array's own bits included.
+#[test]
+fn a_run_returns_only_the_arrays_it_wrote() {
+    const SGESL: &str = include_str!("../../../benchmarks/sgesl.f90");
+    let (addr, handle) = start_server(1, 1);
+    let run = |key: &str, func: &str, args: &str| {
+        let body = format!(r#"{{"key": "{key}", "func": "{func}", "args": [{args}]}}"#);
+        let (status, reply) = request(addr, "POST", "/run", &body);
+        assert_eq!(status, 200, "{reply:?}");
+        let Some(Value::Arr(arrays)) = reply.get("arrays") else {
+            panic!("no arrays in {reply:?}");
+        };
+        arrays.clone()
+    };
+    let saxpy = compile_key(addr);
+    // The kernel writes `y`; `x` (an `f32` array) is only read.
+    let arrays = run(
+        &saxpy,
+        "saxpy",
+        r#"{"i32": 3}, {"f32": 2}, {"array_f32": [1, 2, 3]}, {"array_f32": [1, 1, 1]}"#,
+    );
+    assert_eq!(arrays, [Value::Null, [3.0f32, 5.0, 7.0].to_value()]);
+    // `a = 0` stores every `y` back with its own bits: still a write.
+    let arrays = run(
+        &saxpy,
+        "saxpy",
+        r#"{"i32": 3}, {"f32": 0}, {"array_f32": [1, 2, 3]}, {"array_f32": [0.5, 4, 8]}"#,
+    );
+    assert_eq!(arrays, [Value::Null, [0.5f32, 4.0, 8.0].to_value()]);
+
+    let sgesl = compile(addr, SGESL);
+    // n = 1 launches no kernel trip: the host's `b(1) / a(1,1)` is the
+    // only write. `a` (`f32`) and `ipvt` (an `i32` array) are only read.
+    let arrays = run(
+        &sgesl,
+        "sgesl",
+        r#"{"array_f32": [2]}, {"i32": 1}, {"i32": 1}, {"array_i32": [1]}, {"array_f32": [3]}"#,
+    );
+    assert_eq!(arrays, [Value::Null, Value::Null, [1.5f32].to_value()]);
+    // n = 2, ipvt(1) = 2: the host swaps `b` to [8, 4], and the kernels
+    // and the host divide it by a = diag(2, 4).
+    let arrays = run(
+        &sgesl,
+        "sgesl",
+        r#"{"array_f32": [2, 0, 0, 4]}, {"i32": 2}, {"i32": 2}, {"array_i32": [2, 2]},
+           {"array_f32": [4, 8]}"#,
+    );
+    assert_eq!(arrays, [Value::Null, Value::Null, [4.0f32, 1.0].to_value()]);
     shutdown(addr, handle);
 }

@@ -10,6 +10,8 @@
 //!
 //! Asserts the acceptance criteria of the serve subsystem:
 //! * the second `POST /compile` is a cache hit,
+//! * a sessionless `/run` returns `null` for `x`, which it only reads, and
+//!   the CPU reference for `y`,
 //! * ≥ 50% of host↔device transfers are elided versus the sessionless path,
 //! * the session result is bit-identical to the single-device `Machine`,
 //! * the sharded session result is bit-identical to the unsharded one,
@@ -158,7 +160,10 @@ fn main() {
     );
 
     // Sessionless baseline: each request re-runs the whole host program with
-    // fresh arrays — every launch pays the full host↔device traffic.
+    // fresh arrays — every launch pays the full host↔device traffic. The
+    // reply returns only the arrays the run wrote: `x` comes back `null`,
+    // `y` as one SAXPY step on the CPU computes it.
+    let one_step: Vec<f32> = x.iter().zip(&y0).map(|(x, y)| y + A * x).collect();
     let mut sessionless_transfers = 0u64;
     for _ in 0..LAUNCHES {
         let run_body = body(&obj(vec![
@@ -177,8 +182,23 @@ fn main() {
         let (_, run) = request(&mut conn, "POST", "/run", &run_body);
         let stats = run.get("stats").expect("run stats");
         sessionless_transfers += get_u64(stats, "transfers");
+        let Some(Value::Arr(arrays)) = run.get("arrays") else {
+            panic!("no arrays in the /run reply")
+        };
+        assert_eq!(arrays.len(), 2, "one entry per array argument");
+        assert_eq!(arrays[0], Value::Null, "x is only read: not echoed");
+        let got = get_f32s(&arrays[1]);
+        assert!(
+            got.iter()
+                .map(|y| y.to_bits())
+                .eq(one_step.iter().map(|y| y.to_bits())),
+            "sessionless y differs from the CPU reference"
+        );
     }
-    println!("sessionless path: {LAUNCHES} runs, {sessionless_transfers} host<->device transfers");
+    println!(
+        "sessionless path: {LAUNCHES} runs, {sessionless_transfers} host<->device transfers, \
+         x unechoed, y matches the CPU reference"
+    );
 
     // Session path: map once, launch 8 times, write back once.
     let open_body = body(&obj(vec![

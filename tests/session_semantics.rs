@@ -161,7 +161,9 @@ fn session_is_bit_identical_to_target_data_program_on_machine() {
 /// stress the number printer (widened f32 that need 9+ digits, a subnormal,
 /// negative zero, integers that print with `.0`, magnitudes past 1e21 once
 /// accumulated). Every reply is a 200; their bodies, in order, must equal
-/// `tests/golden/wire_replies.txt`, captured on the parent commit.
+/// `tests/golden/wire_replies.txt`, captured on the parent commit (the
+/// `/run` reply's `x` has read `null` since `/run` returns only the
+/// arrays a run wrote).
 #[test]
 fn http_reply_text_is_byte_identical_to_the_parent_commit() {
     use ftn_serve::client::Conn;

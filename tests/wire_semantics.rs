@@ -413,10 +413,12 @@ fn a_truncated_body_runs_no_handler_and_leaks_nothing() {
 // ---- the golden transcript's number text -------------------------------------------
 
 /// The two `arrays` replies of `tests/golden/wire_replies.txt` as captured
-/// while a reply printed each `f32` element as its widened `f64`.
+/// while a reply printed each `f32` element as its widened `f64`, with the
+/// `/run` reply's `x` as `null`: `/run` returns only the arrays a run
+/// wrote, and `saxpyn` only reads `x`.
 const WIDENED_ARRAY_REPLIES: [&str; 2] = [
     r#"{"session": 1,"device": 0,"shards": 1,"devices": [0],"stats": {"launches": 3,"staged_uploads": 3,"staged_bytes": 100,"elided_transfers": 6,"fetched_downloads": 2,"halo_refreshes": 0,"halo_rows": 0,"halo_bytes": 0},"arrays": {"y \"quoted\"": [1.5249998569488525,2.0,3.0,157499998208.0,88080384.0,6.0,8.75,21.125,-27.75,5250000343451721000000000000000.0,11.0,343908.0],"z": [0.5]}}"#,
-    r#"{"device": 0,"stats": {"kernel_seconds": 0.00000424,"kernel_wall_seconds": 0.000008239999999999999,"transfer_seconds": 0.000075012,"launches": 2,"transfers": 3,"total_cycles": 1272,"launch_cycles": [636,636]},"arrays": [[0.10000000149011612,-0.0,0.00000000999999993922529,30000001024.0,16777216.0,0.000000000000000000000000000000000000000000001401298464324817,0.3333333432674408,2.5,-7.0,1000000015047466200000000000000.0,0.000000000000000000000000000000000000011754943508222875,65504.0],[19999999961012896000.0,2.0,1999999991808.0,6000000392516252000000000000000.0,3355443267246025600000000000.0,6.0,66666670934756160000.0,500000010020438700000.0,-1399999957688484000000.0,null,11.0,13100800395407715000000000.0]]}"#,
+    r#"{"device": 0,"stats": {"kernel_seconds": 0.00000424,"kernel_wall_seconds": 0.000008239999999999999,"transfer_seconds": 0.000075012,"launches": 2,"transfers": 3,"total_cycles": 1272,"launch_cycles": [636,636]},"arrays": [null,[19999999961012896000.0,2.0,1999999991808.0,6000000392516252000000000000000.0,3355443267246025600000000000.0,6.0,66666670934756160000.0,500000010020438700000.0,-1399999957688484000000.0,null,11.0,13100800395407715000000000.0]]}"#,
 ];
 
 /// `text` as its number tokens and the runs of other bytes around them.
@@ -446,8 +448,9 @@ fn numbers_and_the_rest(text: &str) -> (Vec<&str>, Vec<&str>) {
 /// The golden transcript was regenerated once, when a reply array began to
 /// print each `f32` in its own shortest digits. Its two `arrays` replies
 /// must read back element for element as the same `f32` bits — through
-/// `f64` and through `f32` — with every other byte as it was; the rest of
-/// the transcript is compared whole by `session_semantics.rs`.
+/// `f64` and through `f32` — with every other byte as it was, and no number
+/// longer; the rest of the transcript is compared whole by
+/// `session_semantics.rs`.
 #[test]
 fn golden_array_replies_changed_digits_not_values() {
     let golden = include_str!("golden/wire_replies.txt");
@@ -455,6 +458,7 @@ fn golden_array_replies_changed_digits_not_values() {
         .filter(|line| line.contains("\"arrays\": "))
         .collect();
     assert_eq!(replies.len(), 2, "the DELETE and the /run reply");
+    let (mut was_bytes, mut bytes) = (0, 0);
     for (widened, now) in WIDENED_ARRAY_REPLIES.iter().zip(replies) {
         let (was_head, was_arrays) = widened.split_once("\"arrays\": ").unwrap();
         let (head, arrays) = now.split_once("\"arrays\": ").unwrap();
@@ -468,7 +472,11 @@ fn golden_array_replies_changed_digits_not_values() {
             let through_f64 = (now.parse::<f64>().unwrap() as f32).to_bits();
             let through_f32 = now.parse::<f32>().unwrap().to_bits();
             assert_eq!((through_f64, through_f32), (want, want), "{was} -> {now}");
+            assert!(now.len() <= was.len(), "{was} -> {now}");
         }
-        assert!(now.len() < widened.len(), "{now}");
+        (was_bytes, bytes) = (was_bytes + widened.len(), bytes + now.len());
     }
+    // Every number left in the `/run` reply is a large integer whose
+    // shortest `f32` digits are as long as its widened ones.
+    assert!(bytes < was_bytes, "{bytes} bytes, widened {was_bytes}");
 }
